@@ -8,36 +8,26 @@ build:
 test:
 	$(GO) test ./...
 
-# Race lane: the packages exercising the sharded profile-generation worker
-# pool under the race detector, the shared metric registry they publish
+# Race lane: the packages exercising the profile-generation worker pool
+# under the race detector, the shared metric registry they publish
 # into, the serving daemon's atomic profile swap, and the fleet
 # aggregator's concurrent per-source fetches.
 race:
 	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
 
-# Bench lane: Go micro-benchmarks, then the Fig. 6 corpus through the
-# run-report emitter — BENCH_4.json carries ns-comparable stage timings and
-# the experiment.fig6.* headline gauges; BENCH_5.json adds the Table 1
-# variant sweep so speedup regressions gate alongside stage timings;
-# BENCH_7.json adds the streaming-vs-batch generation throughput sweep
-# (experiment.streambench.*.stream_samples_per_sec and friends);
-# BENCH_10.json traces the overhead/quality Pareto surface
-# (experiment.overheadsweep.p<period>.overhead_pct / .context_overlap). The
-# alloc gate fails the lane if allocs/op regress >10% over the committed
-# baseline.
+# Bench lane: the Go micro-benchmarks, then the repository's benchmark
+# (BENCHMARK.json: five seeded, self-checking workloads; see bench/README.md).
+# The allocation guards are TestSteadyStateAllocsPerSample[Flat] in tier-1
+# and the benchmark's rep_alloc_mb gate + sampling.allocs_per_sample row.
 bench:
 	$(GO) test -bench=. -benchmem
-	sh scripts/allocgate.sh
-	$(GO) run ./cmd/experiments -run fig6 -report BENCH_4.json
-	$(GO) run ./cmd/experiments -run fig6,table1 -report BENCH_5.json
-	$(GO) run ./cmd/experiments -run fig6,streambench -report BENCH_7.json
-	$(GO) run ./cmd/experiments -run overheadsweep -report BENCH_10.json
+	bash bench/run.sh
 
 # Fuzz smoke lane: native fuzzing of the profile readers, the folded
 # flamegraph codecs, the translation validator over random programs
-# through the full checked pipeline, the streaming chunked dispatcher
-# (fuzzer-chosen chunk size / worker count must stay byte-identical to the
-# batch path), and the traceparent header parser (must never panic on
+# through the full checked pipeline, the chunked dispatcher (fuzzer-chosen
+# chunk size / worker count must stay byte-identical to the serial
+# per-sample reference), and the traceparent header parser (must never panic on
 # hostile headers), one short burst per target (also part of `make check`).
 fuzz:
 	$(GO) test ./internal/profdata -run='^FuzzReadText$$' -fuzz='^FuzzReadText$$' -fuzztime=5s

@@ -248,11 +248,10 @@ func BenchmarkUnwinder(b *testing.B) {
 	b.ReportMetric(float64(len(samples)), "samples/op")
 }
 
-// BenchmarkParallelProfileGeneration measures the sharded worker pool on the
-// Fig. 6 server corpus: the same sample streams unwound serially and with 2
-// and 4 workers. Output profiles are byte-identical across the variants (the
-// equivalence tests pin that); this benchmark only trades cores for
-// wall-clock.
+// BenchmarkParallelProfileGeneration measures the worker pool on the Fig. 6
+// server corpus: the same sample streams unwound with 1 (serial), 2 and 4
+// workers. Output profiles are byte-identical across the variants (the
+// golden tests pin that); this benchmark only trades cores for wall-clock.
 func BenchmarkParallelProfileGeneration(b *testing.B) {
 	type corpus struct {
 		bin     *machine.Prog
@@ -291,11 +290,9 @@ func BenchmarkParallelProfileGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingGeneration contrasts the legacy batch path (materialize
-// samples, then shard) with the streaming pipeline (chunked dispatch to
-// pooled unwinder workers) on the Fig. 6 server corpus at an equal worker
-// count. Output profiles are byte-identical (the equivalence tests pin
-// that); this measures samples/sec and allocation discipline only.
+// BenchmarkStreamingGeneration measures the engine's samples/sec and
+// allocation discipline (chunked dispatch to one pooled unwinder worker) on
+// the Fig. 6 server corpus.
 func BenchmarkStreamingGeneration(b *testing.B) {
 	type corpus struct {
 		bin     *machine.Prog
@@ -319,26 +316,18 @@ func BenchmarkStreamingGeneration(b *testing.B) {
 		corpora = append(corpora, corpus{res.Bin, samples})
 		total += len(samples)
 	}
-	for _, mode := range []struct {
-		name   string
-		stream bool
-	}{{"batch", false}, {"stream", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := sampling.DefaultCSSPGOOptions()
-			opts.Stream = mode.stream
-			opts.Workers = 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, c := range corpora {
-					sampling.GenerateCSSPGO(c.bin, c.samples, opts)
-				}
-			}
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(total)*float64(b.N)/sec, "samples/s")
-			}
-		})
+	opts := sampling.DefaultCSSPGOOptions()
+	opts.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range corpora {
+			sampling.GenerateCSSPGO(c.bin, c.samples, opts)
+		}
+	}
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(total)*float64(b.N)/sec, "samples/s")
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	csspgo build   -o app.bin [-probes] [-instrument] [-profile p.prof] [-preinline] [-checked] [-stale-matching [-min-match-quality Q]] [-trace t.json] [-report r.json] src.ml...
 //	csspgo run     -bin app.bin [-args 100,7] [-n 50 -seed 1 -bound 1000] [-stats]
-//	csspgo profile -bin app.bin -o app.prof -kind cs|probe|autofdo|instr [-n 200 -seed 1 -bound 1000] [-period 797] [-workers N] [-stream=true] [-chunk-size N] [-v] [-trace t.json] [-report r.json]
+//	csspgo profile -bin app.bin -o app.prof -kind cs|probe|autofdo|instr [-n 200 -seed 1 -bound 1000] [-period 797] [-workers N] [-v] [-trace t.json] [-report r.json]
 //	csspgo preinline -bin app.bin -profile app.prof -o app.prof
 //	csspgo inspect -bin app.bin | -profile app.prof [-folded | -top N | -coverage -bin app.bin] [-json] | -diff old.prof new.prof [-json]
 //	csspgo lint    [-profile p.prof] [-probes] [-verify-each] [-tv [-inject kind@pass [-inject-seed N]]] [-stale-matching [-min-match-quality Q]] [-json] src.ml...
@@ -36,7 +36,6 @@ import (
 	"csspgo/internal/obs"
 	"csspgo/internal/opt"
 	"csspgo/internal/pgo"
-	"csspgo/internal/preinline"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
 	"csspgo/internal/sim"
@@ -151,7 +150,7 @@ func loadProfile(path string) (*profdata.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return profdata.DecodeAny(data)
+	return profdata.Decode(data)
 }
 
 // requests builds the run/profiling request stream from flags.
@@ -311,8 +310,6 @@ func cmdProfile(args []string) error {
 	period := fs.Uint64("period", 797, "sampling period (taken branches)")
 	pebs := fs.Bool("pebs", true, "precise sampling (synchronized stacks)")
 	workers := fs.Int("workers", 0, "profile-generation worker pool size (0 = GOMAXPROCS, 1 = serial; output is byte-identical for any value)")
-	stream := fs.Bool("stream", true, "stream samples to unwinder workers during collection (false = materialize, then generate; output is byte-identical)")
-	chunkSize := fs.Int("chunk-size", 0, "streamed-chunk size in samples (0 = default)")
 	verbose := fs.Bool("v", false, "print an unwinder/sampling statistics summary")
 	tracePath := fs.String("trace", "", "write Chrome trace-event JSON of profile generation")
 	reportPath := fs.String("report", "", "write a machine-readable run manifest (JSON)")
@@ -321,93 +318,28 @@ func cmdProfile(args []string) error {
 	if err := sampling.ValidateWorkers(*workers); err != nil {
 		return err
 	}
+	variant, err := pgo.ParseProfileKind(*kind)
+	if err != nil {
+		return err
+	}
 	obsrv := pgo.NewRunObserver()
 	bin, err := loadBin(*binPath)
 	if err != nil {
 		return err
 	}
-	reqs := requests("", *n, *seed, *bound)
-
-	var prof *profdata.Profile
-	switch *kind {
-	case "instr":
-		csp := obsrv.Trace.Span("collect_samples", obs.A("requests", len(reqs)))
-		m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
-		for _, req := range reqs {
-			if _, err := m.Run(req...); err != nil {
-				csp.End()
-				return err
-			}
+	pc := pgo.DefaultProfileConfig()
+	pc.Period, pc.PEBS, pc.Workers = *period, *pebs, *workers
+	obsrv.ObserveProfile(&pc)
+	prof, unwind, stats, err := pgo.CollectAndGenerate(bin, variant, requests("", *n, *seed, *bound), pc)
+	if err != nil {
+		return err
+	}
+	if *verbose {
+		if variant == pgo.FullCS {
+			fmt.Println(unwind.Summary())
 		}
-		csp.End()
-		m.Stats().Publish(obsrv.Metrics)
-		prof = sampling.GenerateInstrProfile(bin, m.Counters())
-		if *verbose {
-			fmt.Printf("sim: %+v\n", m.Stats())
-		}
-	default:
-		cfg := sim.PMUConfig{
-			SamplePeriod: *period, LBRDepth: 16, PEBS: *pebs,
-			SampleStacks: *kind == "cs", Jitter: true, Seed: 0x5eed,
-		}
-		csp := obsrv.Trace.Span("collect_samples", obs.A("requests", len(reqs)))
-		m := sim.New(bin, sim.DefaultCostParams(), cfg)
-
-		// With streaming on (the default), the CS unwinder consumes chunks
-		// live from the PMU instead of a materialized sample slice; the
-		// resulting profile is byte-identical either way.
-		var csSink *sampling.CSSPGOStream
-		csOpts := sampling.DefaultCSSPGOOptions()
-		csOpts.Workers = *workers
-		csOpts.Stream = *stream
-		if *chunkSize > 0 {
-			csOpts.ChunkSize = *chunkSize
-		}
-		csOpts.Trace = obsrv.Trace.Root()
-		csOpts.Metrics = obsrv.Metrics
-		if *kind == "cs" && *stream {
-			csSink = sampling.NewCSSPGOStream(bin, csOpts)
-			m.SetSampleSink(csSink, *chunkSize)
-		}
-
-		for _, req := range reqs {
-			if _, err := m.Run(req...); err != nil {
-				if csSink != nil {
-					m.FlushSamples()
-					csSink.Finish()
-				}
-				csp.End()
-				return err
-			}
-		}
-		if csSink != nil {
-			m.FlushSamples()
-		}
-		csp.End()
-		m.Stats().Publish(obsrv.Metrics)
-		flat := sampling.FlatOptions{
-			Workers: *workers, Stream: *stream, ChunkSize: *chunkSize,
-			Trace: obsrv.Trace.Root(), Metrics: obsrv.Metrics,
-		}
-		switch *kind {
-		case "cs":
-			var p *profdata.Profile
-			var stats sampling.UnwindStats
-			if csSink != nil {
-				p, stats = csSink.Finish()
-			} else {
-				p, stats = sampling.GenerateCSSPGO(bin, m.Samples(), csOpts)
-			}
-			prof = p
-			if *verbose {
-				fmt.Println(stats.Summary())
-			}
-		case "probe":
-			prof = sampling.GenerateProbeProfileOpts(bin, m.Samples(), flat)
-		case "autofdo":
-			prof = sampling.GenerateAutoFDOOpts(bin, m.Samples(), flat)
-		default:
-			return fmt.Errorf("unknown profile kind %q", *kind)
+		if variant == pgo.InstrPGO {
+			fmt.Printf("sim: %+v\n", stats)
 		}
 	}
 	if err := os.WriteFile(*out, []byte(profdata.EncodeToString(prof)), 0o644); err != nil {
@@ -443,16 +375,7 @@ func cmdPreinline(args []string) error {
 	if !prof.CS {
 		return fmt.Errorf("profile is not context-sensitive")
 	}
-	th := *trim
-	if th == 0 {
-		th = prof.TotalSamples() / 2000
-		if th < 2 {
-			th = 2
-		}
-	}
-	trimmed := prof.TrimColdContexts(th)
-	sizes := preinline.ExtractSizes(bin)
-	res := preinline.Run(prof, sizes, preinline.DeriveParams(prof))
+	trimmed, res := pgo.TrimAndPreInline(prof, bin, *trim)
 	if err := os.WriteFile(*out, []byte(profdata.EncodeToString(prof)), 0o644); err != nil {
 		return err
 	}

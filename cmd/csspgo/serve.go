@@ -36,8 +36,6 @@ func cmdServe(args []string) error {
 	bound := fs.Int64("bound", 1000, "request magnitude bound (source-file mode)")
 	period := fs.Uint64("period", 797, "sampling period (taken branches)")
 	workers := fs.Int("workers", 0, "profile-generation worker pool size (0 = GOMAXPROCS)")
-	stream := fs.Bool("stream", true, "stream samples to unwinder workers during collection (false = materialize, then generate)")
-	chunkSize := fs.Int("chunk-size", 0, "streamed-chunk size in samples (0 = default)")
 	tracePath := fs.String("trace", "", "write the daemon's Chrome trace-event JSON on shutdown (stitchable with the fleet trace)")
 	ohBudget := fs.Float64("overhead-budget", 0, "profiling-overhead budget in percent; breaches are journaled (0 = no check)")
 	_ = fs.Parse(args)
@@ -48,8 +46,6 @@ func cmdServe(args []string) error {
 	pc := pgo.DefaultProfileConfig()
 	pc.Period = *period
 	pc.Workers = *workers
-	pc.NoStream = !*stream
-	pc.ChunkSize = *chunkSize
 
 	reg := obs.NewRegistry()
 	profName := *name

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig6|fig7|fig8|fig9|table1|client|drift|trim|tailcall|driftmatrix|corruption|streambench|fleetfaults|overheadsweep] [-scale N] [-report bench.json]
+//	experiments [-run all|fig6|fig7|fig8|fig9|table1|client|drift|trim|tailcall|driftmatrix|corruption|fleetfaults|overheadsweep] [-scale N] [-report bench.json]
 //
 // -report writes a run manifest with each experiment's headline numbers as
 // experiment.<name>.* gauges and its wall time in the stage table; this is
@@ -56,7 +56,6 @@ func main() {
 		{"ablation-icp", func(s int) (fmt.Stringer, error) { return pgo.RunAblationICP(s) }},
 		{"driftmatrix", func(s int) (fmt.Stringer, error) { return pgo.RunDriftMatrix(s) }},
 		{"corruption", func(s int) (fmt.Stringer, error) { return pgo.RunCorruptionMatrix(s) }},
-		{"streambench", func(s int) (fmt.Stringer, error) { return pgo.RunStreamBench(s) }},
 		{"fleetfaults", func(s int) (fmt.Stringer, error) { return pgo.RunFleetFaults(s) }},
 		{"overheadsweep", func(s int) (fmt.Stringer, error) { return pgo.RunOverheadSweep(s) }},
 	}

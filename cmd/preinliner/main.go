@@ -16,7 +16,7 @@ import (
 	"os"
 
 	"csspgo/internal/machine"
-	"csspgo/internal/preinline"
+	"csspgo/internal/pgo"
 	"csspgo/internal/profdata"
 )
 
@@ -47,22 +47,14 @@ func run(binPath, profPath, out string, trim uint64) error {
 	if err != nil {
 		return err
 	}
-	prof, err := profdata.DecodeAny(data)
+	prof, err := profdata.Decode(data)
 	if err != nil {
 		return err
 	}
 	if !prof.CS {
 		return fmt.Errorf("%s is not a context-sensitive profile", profPath)
 	}
-	if trim == 0 {
-		trim = prof.TotalSamples() / 2000
-		if trim < 2 {
-			trim = 2
-		}
-	}
-	trimmed := prof.TrimColdContexts(trim)
-	sizes := preinline.ExtractSizes(bin)
-	res := preinline.Run(prof, sizes, preinline.DeriveParams(prof))
+	trimmed, res := pgo.TrimAndPreInline(prof, bin, trim)
 	if err := os.WriteFile(out, []byte(profdata.EncodeToString(prof)), 0o644); err != nil {
 		return err
 	}

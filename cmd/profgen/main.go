@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	profgen -bin app.bin -o app.prof -kind cs|probe|autofdo|instr [-n 200] [-seed 1] [-bound 1000] [-period 797] [-pebs=true] [-workers N] [-stream=true] [-chunk-size N]
+//	profgen -bin app.bin -o app.prof -kind cs|probe|autofdo|instr [-n 200] [-seed 1] [-bound 1000] [-period 797] [-pebs=true] [-workers N]
 package main
 
 import (
@@ -14,54 +14,50 @@ import (
 	"os"
 
 	"csspgo/internal/machine"
+	"csspgo/internal/pgo"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
-	"csspgo/internal/sim"
 )
 
 func main() {
 	binPath := flag.String("bin", "app.bin", "training binary path")
 	out := flag.String("o", "app.prof", "output profile path")
-	kind := flag.String("kind", "cs", "profile kind: cs|probe|autofdo|instr")
-	n := flag.Int("n", 200, "training request count")
-	seed := flag.Int64("seed", 1, "request generator seed")
-	bound := flag.Int64("bound", 1000, "request magnitude bound")
-	period := flag.Uint64("period", 797, "sampling period (taken branches)")
-	pebs := flag.Bool("pebs", true, "precise sampling (synchronized stacks)")
-	notails := flag.Bool("no-tailcall-inference", false, "disable the missing-frame inferrer")
-	binaryOut := flag.Bool("binary", false, "write the compact binary profile format")
-	workers := flag.Int("workers", 0, "profile-generation worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	stream := flag.Bool("stream", true, "stream samples to unwinder workers during collection (false = materialize, then generate)")
-	chunkSize := flag.Int("chunk-size", 0, "streamed-chunk size in samples (0 = default)")
+	var gc genConfig
+	flag.StringVar(&gc.kind, "kind", "cs", "profile kind: cs|probe|autofdo|instr")
+	flag.IntVar(&gc.n, "n", 200, "training request count")
+	flag.Int64Var(&gc.seed, "seed", 1, "request generator seed")
+	flag.Int64Var(&gc.bound, "bound", 1000, "request magnitude bound")
+	flag.Uint64Var(&gc.period, "period", 797, "sampling period (taken branches)")
+	flag.BoolVar(&gc.pebs, "pebs", true, "precise sampling (synchronized stacks)")
+	flag.BoolVar(&gc.noTails, "no-tailcall-inference", false, "disable the missing-frame inferrer")
+	flag.BoolVar(&gc.binaryOut, "binary", false, "write the compact binary profile format")
+	flag.IntVar(&gc.workers, "workers", 0, "profile-generation worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
 
-	gen := genConfig{
-		kind: *kind, n: *n, seed: *seed, bound: *bound, period: *period,
-		pebs: *pebs, noTails: *notails, binaryOut: *binaryOut,
-		workers: *workers, stream: *stream, chunkSize: *chunkSize,
-	}
-	if err := run(*binPath, *out, gen); err != nil {
+	if err := run(*binPath, *out, gc); err != nil {
 		fmt.Fprintf(os.Stderr, "profgen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 type genConfig struct {
-	kind               string
-	n                  int
-	seed, bound        int64
-	period             uint64
-	pebs, noTails      bool
-	binaryOut, stream  bool
-	workers, chunkSize int
+	kind          string
+	n             int
+	seed, bound   int64
+	period        uint64
+	pebs, noTails bool
+	binaryOut     bool
+	workers       int
 }
 
 func run(binPath, out string, gc genConfig) error {
 	if err := sampling.ValidateWorkers(gc.workers); err != nil {
 		return err
 	}
-	kind, n, seed, bound := gc.kind, gc.n, gc.seed, gc.bound
-	period, pebs, noTails, binaryOut, workers := gc.period, gc.pebs, gc.noTails, gc.binaryOut, gc.workers
+	variant, err := pgo.ParseProfileKind(gc.kind)
+	if err != nil {
+		return err
+	}
 	f, err := os.Open(binPath)
 	if err != nil {
 		return err
@@ -72,83 +68,32 @@ func run(binPath, out string, gc genConfig) error {
 		return err
 	}
 
-	reqs := make([][]int64, n)
-	x := uint64(seed)*2654435761 + 12345
-	for i := range reqs {
-		next := func() int64 {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			return int64(x % uint64(bound))
-		}
-		reqs[i] = []int64{next(), next()}
-	}
+	reqs := pgo.SeededRequests(gc.n, gc.seed, gc.bound)
+	pc := pgo.DefaultProfileConfig()
+	pc.Period, pc.PEBS, pc.Workers = gc.period, gc.pebs, gc.workers
 
 	var prof *profdata.Profile
-	if kind == "instr" {
-		m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
-		for _, req := range reqs {
-			if _, err := m.Run(req...); err != nil {
-				return err
-			}
+	var stats sampling.UnwindStats
+	if gc.noTails && variant == pgo.FullCS {
+		// The inferrer ablation, shaped like `experiments -run tailcall`:
+		// materialize the samples, generate with the inferrer off.
+		samples, _, err := pgo.CollectSamples(bin, reqs, pc)
+		if err != nil {
+			return err
 		}
-		prof = sampling.GenerateInstrProfile(bin, m.Counters())
-	} else {
-		cfg := sim.PMUConfig{
-			SamplePeriod: period, LBRDepth: 16, PEBS: pebs,
-			SampleStacks: kind == "cs", Jitter: true, Seed: 0x5eed,
-		}
-		m := sim.New(bin, sim.DefaultCostParams(), cfg)
-
 		opts := sampling.DefaultCSSPGOOptions()
-		opts.TailCallInference = !noTails
-		opts.Workers = workers
-		opts.Stream = gc.stream
-		if gc.chunkSize > 0 {
-			opts.ChunkSize = gc.chunkSize
-		}
-		// Streaming mode wires the CS unwinder directly to the PMU, so the
-		// run never materializes the full sample stream.
-		var csSink *sampling.CSSPGOStream
-		if kind == "cs" && gc.stream {
-			csSink = sampling.NewCSSPGOStream(bin, opts)
-			m.SetSampleSink(csSink, gc.chunkSize)
-		}
-
-		for _, req := range reqs {
-			if _, err := m.Run(req...); err != nil {
-				if csSink != nil {
-					m.FlushSamples()
-					csSink.Finish()
-				}
-				return err
-			}
-		}
-		if csSink != nil {
-			m.FlushSamples()
-		}
-		flat := sampling.FlatOptions{Workers: workers, Stream: gc.stream, ChunkSize: gc.chunkSize}
-		switch kind {
-		case "cs":
-			var p *profdata.Profile
-			var stats sampling.UnwindStats
-			if csSink != nil {
-				p, stats = csSink.Finish()
-			} else {
-				p, stats = sampling.GenerateCSSPGO(bin, m.Samples(), opts)
-			}
-			prof = p
-			fmt.Println(stats.Summary())
-		case "probe":
-			prof = sampling.GenerateProbeProfileOpts(bin, m.Samples(), flat)
-		case "autofdo":
-			prof = sampling.GenerateAutoFDOOpts(bin, m.Samples(), flat)
-		default:
-			return fmt.Errorf("unknown profile kind %q", kind)
-		}
+		opts.TailCallInference = false
+		opts.Workers = gc.workers
+		prof, stats = sampling.GenerateCSSPGO(bin, samples, opts)
+	} else if prof, stats, _, err = pgo.CollectAndGenerate(bin, variant, reqs, pc); err != nil {
+		return err
 	}
+	if variant == pgo.FullCS {
+		fmt.Println(stats.Summary())
+	}
+
 	var data []byte
-	if binaryOut {
+	if gc.binaryOut {
 		data = profdata.EncodeBinary(prof)
 	} else {
 		data = []byte(profdata.EncodeToString(prof))

@@ -130,7 +130,7 @@ func CollectProfile(res *BuildResult, v Variant, train [][]int64) (*Profile, err
 func EncodeProfile(p *Profile) string { return profdata.EncodeToString(p) }
 
 // DecodeProfile parses the text profile format.
-func DecodeProfile(s string) (*Profile, error) { return profdata.DecodeString(s) }
+func DecodeProfile(s string) (*Profile, error) { return profdata.Decode([]byte(s)) }
 
 // EncodeProfileBinary renders the compact binary profile format;
 // DecodeProfileAny parses either format by auto-detection.
@@ -138,7 +138,7 @@ func EncodeProfileBinary(p *Profile) []byte { return profdata.EncodeBinary(p) }
 
 // DecodeProfileAny parses a profile in either the text or the binary
 // format, auto-detected by magic.
-func DecodeProfileAny(data []byte) (*Profile, error) { return profdata.DecodeAny(data) }
+func DecodeProfileAny(data []byte) (*Profile, error) { return profdata.Decode(data) }
 
 // Binary is the compiled machine program type (simulator input).
 type Binary = machine.Prog

@@ -137,7 +137,7 @@ func TestCorruptionsNeverPanicAndDegrade(t *testing.T) {
 					t.Errorf("%s seed %d: corruption was a no-op", name, seed)
 				}
 				// Lenient decode must survive anything Corrupt produces.
-				prof, stats, err := profdata.DecodeAnyLenient(data)
+				prof, stats, err := profdata.DecodeLenient(data)
 				if err != nil {
 					// Header destroyed: acceptable only for truncation of
 					// tiny inputs; our seeds keep headers, so treat any

@@ -39,7 +39,7 @@ func TestPoisonCountsCollapsesOverlap(t *testing.T) {
 			}
 		}
 	}
-	if _, err := profdata.DecodeAny(profdata.EncodeBinary(bad)); err != nil {
+	if _, err := profdata.Decode(profdata.EncodeBinary(bad)); err != nil {
 		t.Fatalf("poisoned profile does not round-trip: %v", err)
 	}
 

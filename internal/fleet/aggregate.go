@@ -389,7 +389,7 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 		return o, nil
 	}
 
-	prof, stats, err := profdata.DecodeAnyLenient(res.Body)
+	prof, stats, err := profdata.DecodeLenient(res.Body)
 	o.Skipped = stats.SkippedRecords + stats.SkippedLines
 	if o.Skipped > 0 {
 		a.reg.Counter(obs.MFleetDecodeSkipped).Add(int64(o.Skipped))

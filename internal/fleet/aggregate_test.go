@@ -137,7 +137,7 @@ func TestAggregateIngestTruncatedBinary(t *testing.T) {
 	trunc := enc[:len(enc)*2/3]
 
 	// Pin the premise: the truncated payload decodes leniently with skips.
-	prof, stats, err := profdata.DecodeBinaryLenient(trunc)
+	prof, stats, err := profdata.DecodeLenient(trunc)
 	if err != nil {
 		t.Fatalf("truncated binary rejected outright: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestAggregateIngestBitFlippedBinary(t *testing.T) {
 		for pos := 16; pos < len(bad); pos += 32 {
 			bad[pos] ^= byte(1 << (seed % 8))
 		}
-		wantProf, wantStats, wantErr := profdata.DecodeBinaryLenient(bad)
+		wantProf, wantStats, wantErr := profdata.DecodeLenient(bad)
 
 		ps := &profileServer{body: bad, gen: 1}
 		srv := httptest.NewServer(ps)

@@ -36,7 +36,7 @@ func TestInjectorPassThrough(t *testing.T) {
 	if res.Generation != 4 {
 		t.Fatalf("generation = %d, want 4", res.Generation)
 	}
-	if _, err := profdata.DecodeAny(res.Body); err != nil {
+	if _, err := profdata.Decode(res.Body); err != nil {
 		t.Fatalf("pass-through payload corrupted: %v", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestInjectorPayloadFaults(t *testing.T) {
 		t.Fatalf("corrupt body unchanged or resized")
 	}
 	// Neither damaged payload may panic the lenient decoder.
-	profdata.DecodeAnyLenient(res.Body)
+	profdata.DecodeLenient(res.Body)
 }
 
 // Flap fails even-numbered requests and passes odd ones, so a fetcher with

@@ -175,7 +175,7 @@ func (p *Promoter) Adopt(a *Artifact) {
 // adopts it byte-for-byte: Encoded keeps the original bytes, so a later
 // rollback restores exactly what was on disk.
 func (p *Promoter) AdoptEncoded(data []byte) error {
-	prof, err := profdata.DecodeAny(data)
+	prof, err := profdata.Decode(data)
 	if err != nil {
 		return fmt.Errorf("fleet: adopt last-good: %w", err)
 	}

@@ -70,7 +70,7 @@ func TestServerEndpoints(t *testing.T) {
 	if res.Header.Get("X-Profile-Generation") != "1" {
 		t.Fatalf("generation header = %q", res.Header.Get("X-Profile-Generation"))
 	}
-	back, err := profdata.DecodeAny(body)
+	back, err := profdata.Decode(body)
 	if err != nil {
 		t.Fatalf("served profile does not decode: %v", err)
 	}

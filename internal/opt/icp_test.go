@@ -14,7 +14,7 @@ import (
 
 func generateProbeProfileForTest(t testing.TB, bin *machine.Prog, m *sim.Machine) *profdata.Profile {
 	t.Helper()
-	return sampling.GenerateProbeProfile(bin, m.Samples())
+	return sampling.GenerateProbeProfile(bin, m.Samples(), sampling.FlatOptions{})
 }
 
 // dispatchSrc calls through a function table with a heavily skewed target

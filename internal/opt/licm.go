@@ -74,8 +74,10 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 
 	liveouts := liveOut(f)
 	hoisted := 0
-	for b := range loop.Blocks {
-		if !dominatesAllLatches(b) {
+	// Function block order, not map order: blocks hoist into one shared
+	// preheader, so the visiting order decides the emitted instruction order.
+	for _, b := range f.Blocks {
+		if !loop.Blocks[b] || !dominatesAllLatches(b) {
 			continue
 		}
 		hoisted += licmBlock(f, loop, b, defCount, storedGlobals, hasCalls, getPreheader, liveouts[b])

@@ -180,8 +180,8 @@ func TestPipelinePreservesSemanticsPGO(t *testing.T) {
 				}
 			}
 			csProf, _ := sampling.GenerateCSSPGO(bin, m.Samples(), sampling.DefaultCSSPGOOptions())
-			flatProf := sampling.GenerateProbeProfile(bin, m.Samples())
-			lineProf := sampling.GenerateAutoFDO(bin, m.Samples())
+			flatProf := sampling.GenerateProbeProfile(bin, m.Samples(), sampling.FlatOptions{})
+			lineProf := sampling.GenerateAutoFDO(bin, m.Samples(), sampling.FlatOptions{})
 
 			type variant struct {
 				name   string

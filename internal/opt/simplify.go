@@ -135,7 +135,10 @@ func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int
 			groups[t] = append(groups[t], b)
 		}
 	}
-	for target, siblings := range groups {
+	// Targets in function block order, not map order: the first mergeable
+	// group found is the one merged, and the merge order names the blocks.
+	for _, target := range f.Blocks {
+		siblings := groups[target]
 		if len(siblings) < 2 {
 			continue
 		}

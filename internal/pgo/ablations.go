@@ -141,9 +141,7 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 		opts := sampling.DefaultCSSPGOOptions()
 		opts.AssumeAligned = c.assume
 		prof, stats := sampling.GenerateCSSPGO(base.Bin, samples, opts)
-		prof.TrimColdContexts(trimThreshold(prof))
-		sizes := preinline.ExtractSizes(base.Bin)
-		preinline.Run(prof, sizes, preinline.DeriveParams(prof))
+		TrimAndPreInline(prof, base.Bin, 0)
 		build, err := Build(w.Files, BuildConfig{Probes: true, Profile: prof, UsePreInlineDecisions: true})
 		if err != nil {
 			return nil, err
@@ -182,7 +180,7 @@ func RunAblationInference(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := sampling.GenerateAutoFDO(base.Bin, samples)
+	prof := sampling.GenerateAutoFDO(base.Bin, samples, sampling.FlatOptions{})
 	baseStats, err := Evaluate(base.Bin, w.Eval)
 	if err != nil {
 		return nil, err
@@ -270,7 +268,7 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			prof := sampling.GenerateProbeProfile(c.build.Bin, samples)
+			prof := sampling.GenerateProbeProfile(c.build.Bin, samples, sampling.FlatOptions{})
 			overlap := quality.BlockOverlap(c.build.FreshIR, prof, gt)
 			note = fmt.Sprintf("block overlap %.1f%%", 100*overlap)
 		}
@@ -325,7 +323,7 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := sampling.GenerateProbeProfile(base.Bin, samples)
+	prof := sampling.GenerateProbeProfile(base.Bin, samples, sampling.FlatOptions{})
 
 	res := &AblationResult{Title: "Ablation — indirect-call promotion (dispatcher, probe-only profile)"}
 	for _, disable := range []bool{true, false} {
@@ -370,10 +368,8 @@ func RunAblationLBRDepth(scale int) (*AblationResult, error) {
 			SampleStacks: true, Jitter: true, Seed: 0x5eed,
 		}
 		m := sim.New(base.Bin, sim.DefaultCostParams(), cfg)
-		for _, req := range w.Train {
-			if _, err := m.Run(req...); err != nil {
-				return nil, err
-			}
+		if err := runAll(m, w.Train); err != nil {
+			return nil, err
 		}
 		prof, stats := sampling.GenerateCSSPGO(base.Bin, m.Samples(), sampling.DefaultCSSPGOOptions())
 		res.Rows = append(res.Rows, AblationRow{

@@ -37,6 +37,23 @@ const (
 	InstrPGO  Variant = "instr"     // traditional instrumentation PGO
 )
 
+// ParseProfileKind maps the command-line spelling of a profile kind (the
+// -kind flag of `csspgo profile` and profgen) to the variant that consumes
+// it, so a typo is rejected before any training run starts.
+func ParseProfileKind(kind string) (Variant, error) {
+	switch kind {
+	case "cs":
+		return FullCS, nil
+	case "probe":
+		return ProbeOnly, nil
+	case "autofdo":
+		return AutoFDO, nil
+	case "instr":
+		return InstrPGO, nil
+	}
+	return "", fmt.Errorf("unknown profile kind %q (want cs|probe|autofdo|instr)", kind)
+}
+
 // BuildConfig controls one compilation.
 type BuildConfig struct {
 	Probes     bool // insert pseudo-probes
@@ -199,13 +216,6 @@ type ProfileConfig struct {
 	// 1 = serial). Serial and parallel generation produce byte-identical
 	// profiles; this only trades wall-clock for cores.
 	Workers int
-	// NoStream disables streaming sample ingestion and materializes the
-	// whole sample stream before generating profiles (the legacy batch
-	// path). The zero value streams; both paths produce byte-identical
-	// profiles.
-	NoStream bool
-	// ChunkSize is the streamed-chunk size in samples (0 = the default).
-	ChunkSize int
 	// Trace receives the collection + generation span tree (sim run, shard
 	// workers, unwind, merge). Nil = no tracing.
 	Trace *obs.Trace
@@ -225,10 +235,6 @@ func DefaultProfileConfig() ProfileConfig {
 func csspgoOptions(pc ProfileConfig) sampling.CSSPGOOptions {
 	opts := sampling.DefaultCSSPGOOptions()
 	opts.Workers = pc.Workers
-	opts.Stream = !pc.NoStream
-	if pc.ChunkSize > 0 {
-		opts.ChunkSize = pc.ChunkSize
-	}
 	opts.Trace = pc.Trace.Root()
 	opts.Metrics = pc.Metrics
 	return opts
@@ -237,11 +243,9 @@ func csspgoOptions(pc ProfileConfig) sampling.CSSPGOOptions {
 // flatOptions derives flat profile-generation options the same way.
 func flatOptions(pc ProfileConfig) sampling.FlatOptions {
 	return sampling.FlatOptions{
-		Workers:   pc.Workers,
-		Stream:    !pc.NoStream,
-		ChunkSize: pc.ChunkSize,
-		Trace:     pc.Trace.Root(),
-		Metrics:   pc.Metrics,
+		Workers: pc.Workers,
+		Trace:   pc.Trace.Root(),
+		Metrics: pc.Metrics,
 	}
 }
 
@@ -257,55 +261,95 @@ func pmuConfig(pc ProfileConfig) sim.PMUConfig {
 	}
 }
 
+// runAll executes every request on m, stopping at the first fault.
+func runAll(m *sim.Machine, requests [][]int64) error {
+	for _, req := range requests {
+		if _, err := m.Run(req...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CollectSamples runs the request stream on the binary under the PMU and
-// returns samples plus execution stats.
+// returns the materialized samples plus execution stats — for callers that
+// generate several profiles from one sample set (experiments, ablations).
 func CollectSamples(bin *machine.Prog, requests [][]int64, pc ProfileConfig) ([]sim.Sample, sim.Stats, error) {
 	sp := pc.Trace.Span("collect_samples", obs.A("requests", len(requests)))
 	defer sp.End()
 	m := sim.New(bin, sim.DefaultCostParams(), pmuConfig(pc))
-	for _, req := range requests {
-		if _, err := m.Run(req...); err != nil {
-			return nil, sim.Stats{}, err
-		}
+	if err := runAll(m, requests); err != nil {
+		return nil, sim.Stats{}, err
 	}
 	stats := m.Stats()
 	stats.Publish(pc.Metrics)
 	return m.Samples(), stats, nil
 }
 
-// CollectAndGenerateCS runs the request stream with a streaming CSSPGO sink
-// attached to the PMU: fixed-size sample chunks flow to the unwinder worker
-// pool as the simulation runs, so the full sample stream is never
-// materialized in memory. With NoStream set it falls back to
-// collect-then-generate; both paths produce byte-identical profiles.
-func CollectAndGenerateCS(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
-	if pc.NoStream {
-		samples, stats, err := CollectSamples(bin, requests, pc)
-		if err != nil {
-			return nil, sampling.UnwindStats{}, sim.Stats{}, err
-		}
-		prof, us := sampling.GenerateCSSPGO(bin, samples, csspgoOptions(pc))
-		return prof, us, stats, nil
+// CollectAndGenerate is the one collect-and-generate driver: it runs the
+// request stream on a training binary with the variant's generator attached
+// to the PMU as a sample sink — fixed-size chunks flow to the worker pool as
+// the simulation runs, so the sample stream is never materialized — and
+// returns the raw profile (untrimmed, no pre-inline decisions), the unwinder
+// stats (CS only) and the execution stats. The training build must match
+// the variant (probed for ProbeOnly/FullCS, instrumented for InstrPGO,
+// probe-less for AutoFDO); Baseline yields a nil profile. pgo.Pipeline, the
+// CLIs and the public facade all generate profiles through here.
+func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+	if variant == Baseline {
+		return nil, sampling.UnwindStats{}, sim.Stats{}, nil
 	}
-	sp := pc.Trace.Span("collect_samples", obs.A("requests", len(requests)), obs.A("stream", 1))
-	m := sim.New(bin, sim.DefaultCostParams(), pmuConfig(pc))
-	st := sampling.NewCSSPGOStream(bin, csspgoOptions(pc))
-	m.SetSampleSink(st, pc.ChunkSize)
-	for _, req := range requests {
-		if _, err := m.Run(req...); err != nil {
-			// Drain the worker pool before bailing so no goroutines leak.
-			m.FlushSamples()
-			st.Finish()
-			sp.End()
-			return nil, sampling.UnwindStats{}, sim.Stats{}, err
+	var sink sim.SampleSink
+	var finish func(m *sim.Machine) (*profdata.Profile, sampling.UnwindStats)
+	sp := pc.Trace.Span("collect_samples", obs.A("requests", len(requests)))
+	switch variant {
+	case AutoFDO, ProbeOnly:
+		pc.Stacks = false // flat profiles are built from the LBR alone
+		st := sampling.NewFlatStream(bin, flatOptions(pc))
+		sink = st
+		finish = func(*sim.Machine) (*profdata.Profile, sampling.UnwindStats) {
+			if variant == AutoFDO {
+				return st.FinishAutoFDO(), sampling.UnwindStats{}
+			}
+			return st.FinishProbe(), sampling.UnwindStats{}
 		}
+	case FullCS:
+		st := sampling.NewCSSPGOStream(bin, csspgoOptions(pc))
+		sink = st
+		finish = func(*sim.Machine) (*profdata.Profile, sampling.UnwindStats) { return st.Finish() }
+	case InstrPGO:
+		finish = func(m *sim.Machine) (*profdata.Profile, sampling.UnwindStats) {
+			return sampling.GenerateInstrProfileWithValues(bin, m.Counters(), m.ValueProfile()), sampling.UnwindStats{}
+		}
+	default:
+		sp.End()
+		return nil, sampling.UnwindStats{}, sim.Stats{}, fmt.Errorf("pgo: unknown variant %q", variant)
 	}
+	var pmu sim.PMUConfig // instrumented runs read counters, not samples
+	if sink != nil {
+		pmu = pmuConfig(pc)
+	}
+	m := sim.New(bin, sim.DefaultCostParams(), pmu)
+	if sink != nil {
+		m.SetSampleSink(sink, 0)
+	}
+	err := runAll(m, requests)
 	m.FlushSamples()
+	sp.End()
+	// Finish even after a fault: it drains the worker pool, so no goroutine
+	// outlives the call.
+	prof, us := finish(m)
+	if err != nil {
+		return nil, sampling.UnwindStats{}, sim.Stats{}, err
+	}
 	stats := m.Stats()
 	stats.Publish(pc.Metrics)
-	sp.End()
-	prof, us := st.Finish()
 	return prof, us, stats, nil
+}
+
+// CollectAndGenerateCS is CollectAndGenerate for the FullCS variant.
+func CollectAndGenerateCS(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+	return CollectAndGenerate(bin, FullCS, requests, pc)
 }
 
 // CollectCounters runs the request stream on an instrumented binary and
@@ -320,10 +364,8 @@ func CollectCounters(bin *machine.Prog, requests [][]int64) ([]uint64, sim.Stats
 // value profiles the instrumented run gathered.
 func CollectCountersAndValues(bin *machine.Prog, requests [][]int64) ([]uint64, map[uint64]map[int32]uint64, sim.Stats, error) {
 	m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
-	for _, req := range requests {
-		if _, err := m.Run(req...); err != nil {
-			return nil, nil, sim.Stats{}, err
-		}
+	if err := runAll(m, requests); err != nil {
+		return nil, nil, sim.Stats{}, err
 	}
 	return m.Counters(), m.ValueProfile(), m.Stats(), nil
 }
@@ -331,10 +373,8 @@ func CollectCountersAndValues(bin *machine.Prog, requests [][]int64) ([]uint64, 
 // Evaluate runs the request stream without any profiling and returns stats.
 func Evaluate(bin *machine.Prog, requests [][]int64) (sim.Stats, error) {
 	m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
-	for _, req := range requests {
-		if _, err := m.Run(req...); err != nil {
-			return sim.Stats{}, err
-		}
+	if err := runAll(m, requests); err != nil {
+		return sim.Stats{}, err
 	}
 	return m.Stats(), nil
 }
@@ -345,122 +385,52 @@ func Evaluate(bin *machine.Prog, requests [][]int64) (sim.Stats, error) {
 // their correlation mechanism (probe-less for AutoFDO, probed for the
 // pseudo-instrumentation variants, counter-instrumented for Instr PGO).
 func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildResult, *profdata.Profile, error) {
-	switch variant {
-	case Baseline:
-		res, err := Build(files, BuildConfig{Probes: false})
-		return res, nil, err
-
-	case AutoFDO:
-		base, err := Build(files, BuildConfig{Probes: false})
-		if err != nil {
-			return nil, nil, err
-		}
-		pc := DefaultProfileConfig()
-		pc.Stacks = false // AutoFDO collects LBR only
-		samples, _, err := CollectSamples(base.Bin, train, pc)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof := sampling.GenerateAutoFDOOpts(base.Bin, samples, flatOptions(pc))
-		res, err := Build(files, BuildConfig{Probes: false, Profile: prof})
-		return res, prof, err
-
-	case ProbeOnly:
-		base, err := Build(files, BuildConfig{Probes: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		pc := DefaultProfileConfig()
-		pc.Stacks = false
-		samples, _, err := CollectSamples(base.Bin, train, pc)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof := sampling.GenerateProbeProfileOpts(base.Bin, samples, flatOptions(pc))
-		res, err := Build(files, BuildConfig{Probes: true, Profile: prof})
-		return res, prof, err
-
-	case FullCS:
-		base, err := Build(files, BuildConfig{Probes: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		pc := DefaultProfileConfig()
-		prof, _, _, err := CollectAndGenerateCS(base.Bin, train, pc)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Cold-context trimming keeps the CS profile comparable in size to
-		// a regular profile (§III.B), then the pre-inliner makes global
-		// top-down decisions with binary-extracted sizes (Algorithms 2+3).
-		prof.TrimColdContexts(trimThreshold(prof))
-		sizes := preinline.ExtractSizes(base.Bin)
-		preinline.Run(prof, sizes, preinline.DeriveParams(prof))
-		res, err := Build(files, BuildConfig{
-			Probes:                true,
-			Profile:               prof,
-			UsePreInlineDecisions: true,
-		})
-		return res, prof, err
-
-	case InstrPGO:
-		base, err := Build(files, BuildConfig{Probes: true, Instrument: true})
-		if err != nil {
-			return nil, nil, err
-		}
-		counters, vprof, _, err := CollectCountersAndValues(base.Bin, train)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof := sampling.GenerateInstrProfileWithValues(base.Bin, counters, vprof)
-		res, err := Build(files, BuildConfig{Probes: true, Profile: prof})
-		return res, prof, err
+	probes := variant != Baseline && variant != AutoFDO
+	base, err := Build(files, BuildConfig{Probes: probes, Instrument: variant == InstrPGO})
+	if err != nil || variant == Baseline {
+		return base, nil, err
 	}
-	return nil, nil, fmt.Errorf("pgo: unknown variant %q", variant)
+	prof, err := CollectProfileFor(base, variant, train)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := Build(files, BuildConfig{
+		Probes:                probes,
+		Profile:               prof,
+		UsePreInlineDecisions: variant == FullCS,
+	})
+	return res, prof, err
 }
 
 // CollectProfileFor profiles an existing training build and generates the
-// profile the given variant consumes. The training build must match the
-// variant (probed for ProbeOnly/FullCS, instrumented for InstrPGO,
-// probe-less for AutoFDO); Baseline yields nil.
+// profile the given variant consumes, ready for the optimizing build: for
+// FullCS that includes cold-context trimming and the pre-inliner. The
+// training build must match the variant (see CollectAndGenerate); Baseline
+// yields nil.
 func CollectProfileFor(base *BuildResult, variant Variant, train [][]int64) (*profdata.Profile, error) {
-	switch variant {
-	case Baseline:
-		return nil, nil
-	case AutoFDO:
-		pc := DefaultProfileConfig()
-		pc.Stacks = false
-		samples, _, err := CollectSamples(base.Bin, train, pc)
-		if err != nil {
-			return nil, err
-		}
-		return sampling.GenerateAutoFDOOpts(base.Bin, samples, flatOptions(pc)), nil
-	case ProbeOnly:
-		pc := DefaultProfileConfig()
-		pc.Stacks = false
-		samples, _, err := CollectSamples(base.Bin, train, pc)
-		if err != nil {
-			return nil, err
-		}
-		return sampling.GenerateProbeProfileOpts(base.Bin, samples, flatOptions(pc)), nil
-	case FullCS:
-		pc := DefaultProfileConfig()
-		prof, _, _, err := CollectAndGenerateCS(base.Bin, train, pc)
-		if err != nil {
-			return nil, err
-		}
-		prof.TrimColdContexts(trimThreshold(prof))
-		sizes := preinline.ExtractSizes(base.Bin)
-		preinline.Run(prof, sizes, preinline.DeriveParams(prof))
-		return prof, nil
-	case InstrPGO:
-		counters, vprof, _, err := CollectCountersAndValues(base.Bin, train)
-		if err != nil {
-			return nil, err
-		}
-		return sampling.GenerateInstrProfileWithValues(base.Bin, counters, vprof), nil
+	prof, _, _, err := CollectAndGenerate(base.Bin, variant, train, DefaultProfileConfig())
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("pgo: unknown variant %q", variant)
+	if variant == FullCS {
+		TrimAndPreInline(prof, base.Bin, 0)
+	}
+	return prof, nil
+}
+
+// TrimAndPreInline prepares a raw CS profile for the optimizing build.
+// Cold-context trimming keeps the profile comparable in size to a regular
+// one (§III.B): contexts below trim samples fold into their base profiles,
+// and trim == 0 picks the threshold automatically. Then the pre-inliner
+// makes global top-down decisions with sizes extracted from the profiled
+// binary (Algorithms 2+3) and marks them in the profile. It returns the
+// number of contexts trimmed and the pre-inliner's result.
+func TrimAndPreInline(prof *profdata.Profile, bin *machine.Prog, trim uint64) (int, preinline.Result) {
+	if trim == 0 {
+		trim = trimThreshold(prof)
+	}
+	trimmed := prof.TrimColdContexts(trim)
+	return trimmed, preinline.Run(prof, preinline.ExtractSizes(bin), preinline.DeriveParams(prof))
 }
 
 // trimThreshold picks a cold-context trim threshold: contexts below 0.05%

@@ -221,7 +221,7 @@ func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale i
 					FreshImpr:  freshImpr,
 				}
 				data := drift.Corrupt(encodings[format], c, seed)
-				damaged, stats, err := profdata.DecodeAnyLenient(data)
+				damaged, stats, err := profdata.DecodeLenient(data)
 				if err == nil {
 					cell.DecodeOK = true
 					cell.SkippedRecords = stats.SkippedRecords

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"csspgo/internal/preinline"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
 	"csspgo/internal/sampling"
@@ -327,7 +326,7 @@ func RunTable1(scale int) (*Table1Result, error) {
 		return nil, err
 	}
 
-	autofdoProf := sampling.GenerateAutoFDOOpts(plain.Bin, lbrSamples, sampling.FlatOptions{Workers: pc.Workers})
+	autofdoProf := sampling.GenerateAutoFDO(plain.Bin, lbrSamples, sampling.FlatOptions{Workers: pc.Workers})
 	csProf, _ := sampling.GenerateCSSPGO(probed.Bin, csSamples, csspgoOptions(pc))
 	gt := sampling.GenerateInstrProfile(instr.Bin, counters)
 
@@ -442,7 +441,7 @@ func RunDrift(scale int) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	lineProf := sampling.GenerateAutoFDOOpts(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
+	lineProf := sampling.GenerateAutoFDO(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
 
 	baseStats, err := Evaluate(base.Bin, w.Eval)
 	if err != nil {
@@ -492,15 +491,10 @@ func RunDrift(scale int) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	csPC := DefaultProfileConfig()
-	csSamples, _, err := CollectSamples(pbase.Bin, w.Train, csPC)
+	csProf, err := CollectProfileFor(pbase, FullCS, w.Train)
 	if err != nil {
 		return nil, err
 	}
-	csProf, _ := sampling.GenerateCSSPGO(pbase.Bin, csSamples, csspgoOptions(csPC))
-	csProf.TrimColdContexts(trimThreshold(csProf))
-	sizes := preinline.ExtractSizes(pbase.Bin)
-	preinline.Run(csProf, sizes, preinline.DeriveParams(csProf))
 
 	csFresh, err := Build(w.Files, BuildConfig{Probes: true, Profile: csProf, UsePreInlineDecisions: true})
 	if err != nil {
@@ -791,7 +785,7 @@ func RunTrim(scale int) (*TrimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := sampling.GenerateProbeProfileOpts(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
+	flat := sampling.GenerateProbeProfile(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
 	cs, _ := sampling.GenerateCSSPGO(base.Bin, samples, sampling.CSSPGOOptions{TailCallInference: true, MaxContextDepth: 10, Workers: pc.Workers})
 
 	res := &TrimResult{

@@ -33,10 +33,8 @@ func CollectSamplesMetered(bin *machine.Prog, requests [][]int64, pc ProfileConf
 	m := sim.New(bin, sim.ProfilingCostParams(), pmuConfig(pc))
 	meter := sim.NewOverheadMeter()
 	m.SetOverheadMeter(meter)
-	for _, req := range requests {
-		if _, err := m.Run(req...); err != nil {
-			return nil, sim.Stats{}, nil, err
-		}
+	if err := runAll(m, requests); err != nil {
+		return nil, sim.Stats{}, nil, err
 	}
 	stats := m.Stats()
 	stats.Publish(pc.Metrics)
@@ -58,7 +56,7 @@ func MeasureOverhead(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*
 	if len(bin.Probes) > 0 && pc.Stacks {
 		prof, _ = sampling.GenerateCSSPGO(bin, samples, csspgoOptions(pc))
 	} else {
-		prof = sampling.GenerateAutoFDOOpts(bin, samples, flatOptions(pc))
+		prof = sampling.GenerateAutoFDO(bin, samples, flatOptions(pc))
 	}
 	rep := overhead.Attribute(bin, stats, meter, pc.Period)
 	rep.Confidence = overhead.Score(bin, prof, pc.Period, 0, 0)

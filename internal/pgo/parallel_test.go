@@ -1,70 +1,12 @@
 package pgo
 
 import (
-	"bytes"
 	"testing"
 
 	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
 	"csspgo/internal/workloads"
 )
-
-// TestParallelProfilesByteIdenticalOnAllWorkloads pins the parallel
-// profile-generation contract across the whole example corpus: for every
-// workload and every generator, a multi-worker run must serialize (text and
-// binary format) byte-for-byte identically to the serial run.
-func TestParallelProfilesByteIdenticalOnAllWorkloads(t *testing.T) {
-	for _, name := range workloads.AllNames() {
-		t.Run(name, func(t *testing.T) {
-			w, err := workloads.Load(name, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, err := Build(w.Files, BuildConfig{Probes: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			samples, _, err := CollectSamples(base.Bin, w.Train, DefaultProfileConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(samples) < 4 {
-				t.Skipf("only %d samples", len(samples))
-			}
-
-			check := func(gen string, run func(workers int) *profdata.Profile) {
-				serial := run(1)
-				wantText := profdata.EncodeToString(serial)
-				wantBin := profdata.EncodeBinary(serial)
-				for _, workers := range []int{4, 0} {
-					got := run(workers)
-					if profdata.EncodeToString(got) != wantText {
-						t.Errorf("%s/%s: workers=%d text profile differs from serial",
-							name, gen, workers)
-					}
-					if !bytes.Equal(profdata.EncodeBinary(got), wantBin) {
-						t.Errorf("%s/%s: workers=%d binary profile differs from serial",
-							name, gen, workers)
-					}
-				}
-			}
-			check("cs", func(workers int) *profdata.Profile {
-				opts := sampling.DefaultCSSPGOOptions()
-				opts.Workers = workers
-				p, _ := sampling.GenerateCSSPGO(base.Bin, samples, opts)
-				return p
-			})
-			check("probe", func(workers int) *profdata.Profile {
-				return sampling.GenerateProbeProfileOpts(base.Bin, samples,
-					sampling.FlatOptions{Workers: workers})
-			})
-			check("autofdo", func(workers int) *profdata.Profile {
-				return sampling.GenerateAutoFDOOpts(base.Bin, samples,
-					sampling.FlatOptions{Workers: workers})
-			})
-		})
-	}
-}
 
 // TestPipelineHonorsWorkerCount: the end-to-end driver path must produce the
 // same profile whether the collection config requests serial or parallel
@@ -86,5 +28,23 @@ func TestPipelineHonorsWorkerCount(t *testing.T) {
 	parallel, _ := sampling.GenerateCSSPGO(base.Bin, samples, csspgoOptions(ProfileConfig{Workers: 4}))
 	if profdata.EncodeToString(serial) != profdata.EncodeToString(parallel) {
 		t.Fatal("csspgoOptions does not thread the worker count deterministically")
+	}
+}
+
+// TestParseProfileKind: every -kind spelling maps to its variant, and
+// anything else is an error the CLIs can return before a training run.
+func TestParseProfileKind(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		want Variant
+		ok   bool
+	}{
+		{"cs", FullCS, true}, {"probe", ProbeOnly, true}, {"autofdo", AutoFDO, true}, {"instr", InstrPGO, true},
+		{"", "", false}, {"CS", "", false}, {"csspgo", "", false}, {"baseline", "", false}, {"probe ", "", false},
+	} {
+		got, err := ParseProfileKind(tc.kind)
+		if tc.ok != (err == nil) || got != tc.want {
+			t.Errorf("ParseProfileKind(%q) = %q, %v; want %q, ok=%v", tc.kind, got, err, tc.want, tc.ok)
+		}
 	}
 }

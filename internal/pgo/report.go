@@ -80,12 +80,6 @@ func PublishExperiment(reg *obs.Registry, name string, res any) {
 	case *ClientResult:
 		gauge("csspgo_impr_pct", r.CSSPGOImpr)
 		gauge("instr_impr_pct", r.InstrImpr)
-	case *StreamBenchResult:
-		for _, row := range r.Rows {
-			gauge(row.Workload+".speedup", row.Speedup)
-			gauge(row.Workload+".stream_samples_per_sec", row.StreamPerSec)
-			gauge(row.Workload+".batch_samples_per_sec", row.BatchPerSec)
-		}
 	case *OverheadSweepResult:
 		for _, row := range r.Rows {
 			p := fmt.Sprintf("p%d", row.Period)

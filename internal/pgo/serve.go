@@ -7,7 +7,6 @@ import (
 
 	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
-	"csspgo/internal/preinline"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
 	"csspgo/internal/sampling"
@@ -124,7 +123,6 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 	if err != nil {
 		return nil, fmt.Errorf("pgo: build training binary: %w", err)
 	}
-	sizes := preinline.ExtractSizes(base.Bin)
 	var mu sync.Mutex
 	var prev *profdata.Profile
 	return func() (*profdata.Profile, *obs.Report, error) {
@@ -140,8 +138,7 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 			return nil, nil, err
 		}
 		prof, _ := sampling.GenerateCSSPGO(base.Bin, samples, csspgoOptions(rpc))
-		prof.TrimColdContexts(trimThreshold(prof))
-		preinline.Run(prof, sizes, preinline.DeriveParams(prof))
+		TrimAndPreInline(prof, base.Bin, 0)
 
 		ohRep := overhead.Attribute(base.Bin, stats, meter, rpc.Period)
 		ohRep.Confidence = overhead.Score(base.Bin, prof, rpc.Period, 0, 0)

@@ -133,7 +133,7 @@ func TestServeHTTPSmoke(t *testing.T) {
 	if res.StatusCode != 200 {
 		t.Fatalf("/profiles/quickstart: %d", res.StatusCode)
 	}
-	served, err := profdata.DecodeAny(body)
+	served, err := profdata.Decode(body)
 	if err != nil {
 		t.Fatalf("served profile does not decode: %v", err)
 	}

@@ -239,21 +239,6 @@ func (r *binReader) funcProfile(fp *FunctionProfile) error {
 	return nil
 }
 
-// DecodeBinary parses a binary profile, rejecting any malformed input.
-func DecodeBinary(data []byte) (*Profile, error) {
-	p, _, err := decodeBinary(data, false)
-	return p, err
-}
-
-// DecodeBinaryLenient parses a binary profile, keeping every record decoded
-// before the first corruption. The varint stream has no record framing to
-// resynchronize on, so everything from the first bad byte onward is lost;
-// SkippedRecords counts the records the header declared but that could not
-// be read. Only a missing/unsupported header is still an error.
-func DecodeBinaryLenient(data []byte) (*Profile, ReadStats, error) {
-	return decodeBinary(data, true)
-}
-
 // clampRecords bounds a remaining-record count derived from an untrusted
 // header field so a corrupt count cannot overflow the stats.
 func clampRecords(n uint64) int {
@@ -357,22 +342,6 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 // IsBinaryProfile reports whether data starts with the binary magic.
 func IsBinaryProfile(data []byte) bool {
 	return len(data) >= 6 && bytes.Equal(data[:4], binMagic[:])
-}
-
-// DecodeAny parses either format, auto-detected.
-func DecodeAny(data []byte) (*Profile, error) {
-	if IsBinaryProfile(data) {
-		return DecodeBinary(data)
-	}
-	return DecodeString(string(data))
-}
-
-// DecodeAnyLenient parses either format leniently, auto-detected.
-func DecodeAnyLenient(data []byte) (*Profile, ReadStats, error) {
-	if IsBinaryProfile(data) {
-		return DecodeBinaryLenient(data)
-	}
-	return DecodeLenient(bytes.NewReader(data))
 }
 
 // BinarySizeBytes is the size of the compact encoding.

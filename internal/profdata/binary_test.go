@@ -8,7 +8,7 @@ import (
 func TestBinaryRoundTrip(t *testing.T) {
 	p := makeProfile()
 	data := EncodeBinary(p)
-	q, err := DecodeBinary(data)
+	q, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestBinarySmallerThanText(t *testing.T) {
 
 func TestDecodeAnyAutoDetects(t *testing.T) {
 	p := makeProfile()
-	fromText, err := DecodeAny([]byte(EncodeToString(p)))
+	fromText, err := Decode([]byte(EncodeToString(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := DecodeAny(EncodeBinary(p))
+	fromBin, err := Decode(EncodeBinary(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := DecodeBinary(data); err == nil && data != nil {
+		if _, err := Decode(data); err == nil && data != nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
@@ -84,7 +84,7 @@ func TestBinaryTruncationDetected(t *testing.T) {
 		if cut >= len(data) {
 			continue
 		}
-		if _, err := DecodeBinary(data[:cut]); err == nil {
+		if _, err := Decode(data[:cut]); err == nil {
 			t.Errorf("truncation at %d not detected", cut)
 		}
 	}
@@ -107,7 +107,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		}
 		base := p.FuncProfile("f")
 		base.AddBody(LocKey{ID: 1}, 5)
-		q, err := DecodeBinary(EncodeBinary(p))
+		q, err := Decode(EncodeBinary(p))
 		if err != nil {
 			return false
 		}

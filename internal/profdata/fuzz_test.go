@@ -24,9 +24,9 @@ func fuzzSeedProfile() *Profile {
 	return p
 }
 
-// FuzzReadText checks that the text reader never panics, that strict and
-// lenient decoding agree on well-formed input, and that whatever decodes
-// re-encodes to a stable fixed point.
+// FuzzReadText checks, from a text seed corpus, that Decode/DecodeLenient
+// never panic, that strict and lenient decoding agree on well-formed input,
+// and that whatever decodes re-encodes (as text) to a stable fixed point.
 func FuzzReadText(f *testing.F) {
 	p := fuzzSeedProfile()
 	enc := EncodeToString(p)
@@ -37,8 +37,8 @@ func FuzzReadText(f *testing.F) {
 	f.Add("")
 
 	f.Fuzz(func(t *testing.T, s string) {
-		strict, strictErr := DecodeString(s)
-		lenient, stats, lenientErr := DecodeLenient(strings.NewReader(s))
+		strict, strictErr := Decode([]byte(s))
+		lenient, stats, lenientErr := DecodeLenient([]byte(s))
 		if strictErr == nil {
 			if lenientErr != nil {
 				t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
@@ -63,12 +63,12 @@ func FuzzReadText(f *testing.F) {
 			return
 		}
 		enc1 := EncodeToString(src)
-		p2, err := DecodeString(enc1)
+		p2, err := Decode([]byte(enc1))
 		if err != nil {
 			t.Fatalf("re-decoding own encoding failed: %v\n%s", err, enc1)
 		}
 		enc2 := EncodeToString(p2)
-		p3, err := DecodeString(enc2)
+		p3, err := Decode([]byte(enc2))
 		if err != nil {
 			t.Fatalf("re-decoding settled encoding failed: %v", err)
 		}
@@ -78,8 +78,9 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-// FuzzReadBinary checks the same properties for the binary reader, plus the
-// format auto-detection entry point.
+// FuzzReadBinary checks the same properties from a binary seed corpus, with
+// the binary encoding as the fixed point. Inputs without the binary magic
+// reach the text reader through the same two entry points.
 func FuzzReadBinary(f *testing.F) {
 	p := fuzzSeedProfile()
 	enc := EncodeBinary(p)
@@ -92,8 +93,8 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, strictErr := DecodeBinary(data)
-		lenient, stats, lenientErr := DecodeBinaryLenient(data)
+		strict, strictErr := Decode(data)
+		lenient, stats, lenientErr := DecodeLenient(data)
 		if strictErr == nil {
 			if lenientErr != nil {
 				t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
@@ -107,9 +108,6 @@ func FuzzReadBinary(f *testing.F) {
 		} else if lenientErr == nil && stats.clean() {
 			t.Fatalf("strict decode failed (%v) but lenient reported clean input", strictErr)
 		}
-		if _, _, err := DecodeAnyLenient(data); err != nil && lenientErr == nil && strictErr == nil {
-			t.Fatalf("DecodeAnyLenient rejected input both binary decoders accept: %v", err)
-		}
 		src := strict
 		if src == nil {
 			src = lenient
@@ -118,12 +116,12 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		enc1 := EncodeBinary(src)
-		p2, err := DecodeBinary(enc1)
+		p2, err := Decode(enc1)
 		if err != nil {
 			t.Fatalf("re-decoding own encoding failed: %v", err)
 		}
 		enc2 := EncodeBinary(p2)
-		p3, err := DecodeBinary(enc2)
+		p3, err := Decode(enc2)
 		if err != nil {
 			t.Fatalf("re-decoding settled encoding failed: %v", err)
 		}

@@ -88,7 +88,7 @@ func makeProfile() *Profile {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := makeProfile()
 	text := EncodeToString(p)
-	q, err := DecodeString(text)
+	q, err := Decode([]byte(text))
 	if err != nil {
 		t.Fatalf("decode: %v\n%s", err, text)
 	}
@@ -121,8 +121,8 @@ func TestDecodeErrors(t *testing.T) {
 		"# csspgo-profile kind=probe cs=1\n[main\n",
 	}
 	for _, s := range bad {
-		if _, err := DecodeString(s); err == nil {
-			t.Errorf("DecodeString(%q) should fail", s)
+		if _, err := Decode([]byte(s)); err == nil {
+			t.Errorf("Decode([]byte(%q)) should fail", s)
 		}
 	}
 }
@@ -309,7 +309,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			}
 		}
 		text := EncodeToString(p)
-		q, err := DecodeString(text)
+		q, err := Decode([]byte(text))
 		if err != nil {
 			return false
 		}

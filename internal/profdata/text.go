@@ -2,6 +2,7 @@ package profdata
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -117,22 +118,35 @@ type ReadStats struct {
 
 func (s ReadStats) clean() bool { return s == ReadStats{} }
 
-// Decode parses a text profile, rejecting any malformed input.
-func Decode(r io.Reader) (*Profile, error) {
-	p, _, err := decodeText(r, false)
+// Decode parses a profile in either encoding — binary when the data starts
+// with the binary magic, text otherwise — rejecting any malformed input.
+func Decode(data []byte) (*Profile, error) {
+	p, _, err := decode(data, false)
 	return p, err
 }
 
-// DecodeLenient parses a text profile, skipping malformed sections and data
-// lines instead of failing; the ReadStats say how much was dropped. Only a
-// missing/unreadable profile header is still an error — without it the
-// profile kind is unknowable.
-func DecodeLenient(r io.Reader) (*Profile, ReadStats, error) {
-	return decodeText(r, true)
+// DecodeLenient parses a profile in either encoding, keeping what it can of
+// a damaged one; the ReadStats say how much was dropped. Text input loses
+// only the malformed sections and data lines. The binary varint stream has
+// no record framing to resynchronize on, so everything from the first bad
+// byte onward is lost and SkippedRecords counts the records the header
+// declared but that could not be read. Only a missing/unreadable header is
+// still an error — without it the profile kind is unknowable. Use it for
+// profiles that crossed a network or a disk that may have damaged them;
+// Decode everywhere else.
+func DecodeLenient(data []byte) (*Profile, ReadStats, error) {
+	return decode(data, true)
 }
 
-func decodeText(r io.Reader, lenient bool) (*Profile, ReadStats, error) {
-	sc := bufio.NewScanner(r)
+func decode(data []byte, lenient bool) (*Profile, ReadStats, error) {
+	if IsBinaryProfile(data) {
+		return decodeBinary(data, lenient)
+	}
+	return decodeText(data, lenient)
+}
+
+func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
+	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var p *Profile
 	var cur *FunctionProfile
@@ -292,6 +306,3 @@ func decodeText(r io.Reader, lenient bool) (*Profile, ReadStats, error) {
 	}
 	return p, stats, nil
 }
-
-// DecodeString parses a text profile from a string.
-func DecodeString(s string) (*Profile, error) { return Decode(strings.NewReader(s)) }

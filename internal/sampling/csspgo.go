@@ -1,9 +1,6 @@
 package sampling
 
 import (
-	"time"
-
-	"csspgo/internal/ir"
 	"csspgo/internal/machine"
 	"csspgo/internal/obs"
 	"csspgo/internal/profdata"
@@ -22,22 +19,15 @@ type CSSPGOOptions struct {
 	// PEBS). Exists for the PEBS ablation — without PEBS it corrupts
 	// contexts exactly the way the paper warns about.
 	AssumeAligned bool
-	// Workers sizes the sample-sharding worker pool (0 = GOMAXPROCS,
-	// 1 = serial). Each worker unwinds a contiguous sample shard with its
-	// own Unwinder and private profile shard; shards merge with a
+	// Workers sizes the unwinder worker pool (0 = GOMAXPROCS, 1 = serial).
+	// Each worker unwinds the sample chunks it is handed with its own
+	// Unwinder and private aggregation tables; the tables merge with a
 	// deterministic sum reduction, so every worker count yields a
 	// byte-identical serialized profile.
 	Workers int
-	// Stream routes generation through the bounded-memory chunked pipeline
-	// (CSSPGOStream): workers unwind sample chunks as they arrive and defer
-	// context resolution to the end, so memory is bounded by the number of
-	// distinct contexts instead of the sample count. Output is
-	// byte-identical to the batch path for any worker count and chunk
-	// size. The zero value keeps the legacy materialize-then-shard path,
-	// which stays available as the reference oracle.
-	Stream bool
-	// ChunkSize is the per-chunk sample count for the streaming pipeline
-	// (0 = sim.DefaultChunkSize).
+	// ChunkSize is the per-chunk sample count GenerateCSSPGO feeds a
+	// materialized sample slice in (0 = sim.DefaultChunkSize). Output is
+	// byte-identical for any value; the tests vary it.
 	ChunkSize int
 	// Trace receives the profile-generation span tree (tail-call graph,
 	// per-worker unwinding, shard merge, finalization). Nil = no tracing.
@@ -47,10 +37,9 @@ type CSSPGOOptions struct {
 	Metrics *obs.Registry
 }
 
-// DefaultCSSPGOOptions returns the production defaults: streaming
-// generation with 4096-sample chunks.
+// DefaultCSSPGOOptions returns the production defaults.
 func DefaultCSSPGOOptions() CSSPGOOptions {
-	return CSSPGOOptions{TailCallInference: true, MaxContextDepth: 6, Stream: true, ChunkSize: sim.DefaultChunkSize}
+	return CSSPGOOptions{TailCallInference: true, MaxContextDepth: 6}
 }
 
 // GenerateCSSPGO builds a context-sensitive, probe-keyed profile from
@@ -58,116 +47,12 @@ func DefaultCSSPGOOptions() CSSPGOOptions {
 // range is attributed under the calling context recovered by the virtual
 // unwinder; probes covered by the range accumulate counts in the profile of
 // their full context (physical calling context extended with the probe's
-// own inline chain).
+// own inline chain). The slice is fed to a CSSPGOStream in chunks: a
+// materialized sample set and a live PMU go through the same engine.
 func GenerateCSSPGO(bin *machine.Prog, samples []sim.Sample, opts CSSPGOOptions) (*profdata.Profile, UnwindStats) {
-	if opts.Stream {
-		st := NewCSSPGOStream(bin, opts)
-		feedSlice(st, samples, opts.ChunkSize)
-		return st.Finish()
-	}
-	var tails *TailCallGraph
-	if opts.TailCallInference {
-		// Built once over the full stream and shared read-only by every
-		// worker (InferPath keeps all search state on its own stack).
-		sp := opts.Trace.Span("sampling.tailcall_graph")
-		t0 := time.Now()
-		tails = BuildTailCallGraph(bin, samples)
-		opts.Metrics.Counter(obs.MShardTailGraphBuildNS).Add(time.Since(t0).Nanoseconds())
-		sp.End()
-	}
-
-	shards := sampleShards(samples, resolveWorkers(opts.Workers, len(samples)))
-	usp := opts.Trace.Span("sampling.unwind", obs.A("shards", len(shards)))
-	parts := make([]*profdata.Profile, len(shards))
-	stats := make([]UnwindStats, len(shards))
-	forEachShard(shards, func(i int, shard []sim.Sample) {
-		wsp := usp.WorkerSpan("sampling.unwind_shard", i, obs.A("samples", len(shard)))
-		t0 := time.Now()
-		parts[i], stats[i] = unwindShard(bin, shard, tails, opts)
-		opts.Metrics.Histogram(obs.MShardWorkerBusyNS).Observe(time.Since(t0).Nanoseconds())
-		wsp.End()
-	})
-	usp.End()
-
-	msp := opts.Trace.Span("sampling.merge_shards")
-	p := profdata.MergeShards(parts)
-	if p == nil {
-		p = profdata.New(profdata.ProbeBased, true)
-	}
-	var st UnwindStats
-	for _, s := range stats {
-		st.Add(s)
-	}
-	msp.End()
-
-	// Indirect-call target histograms (sampled value profiles) are
-	// context-insensitive: they land in the base profiles, where the ICP
-	// pass consumes them via the flattened view.
-	isp := opts.Trace.Span("sampling.icall_targets")
-	attributeICallTargets(bin, samples, opts.Workers, func(rec *machine.ProbeRec) *profdata.FunctionProfile {
-		return p.FuncProfile(rec.Func)
-	})
-	isp.End()
-	fsp := opts.Trace.Span("sampling.finalize")
-	finalizeProbeProfile(bin, p)
-	fsp.End()
-
-	st.Publish(opts.Metrics)
-	publishProfileShape(opts.Metrics, p, len(samples))
-	return p, st
-}
-
-// unwindShard runs the per-sample attribution loop of GenerateCSSPGO over
-// one sample shard with a private Unwinder and profile shard.
-func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *TailCallGraph, opts CSSPGOOptions) (*profdata.Profile, UnwindStats) {
-	u := NewUnwinder(bin, tails)
-	u.AssumeAligned = opts.AssumeAligned
-	p := profdata.New(profdata.ProbeBased, true)
-
-	for _, s := range shard {
-		for _, cr := range u.Unwind(s) {
-			leafFn := bin.FuncAt(cr.R.Begin)
-			if leafFn == nil {
-				continue
-			}
-			var callerCtx profdata.Context
-			if !cr.Truncated {
-				callerCtx = u.ContextOf(cr.Callers, leafFn.Name, profdata.ProbeBased)
-			}
-			lo, hi := bin.InstrsIn(cr.R.Begin, cr.R.End)
-			for i := lo; i < hi; i++ {
-				addr := bin.Instrs[i].Addr
-				for _, rec := range bin.ProbesAt(addr) {
-					var fp *profdata.FunctionProfile
-					if cr.Truncated {
-						// Outer context unknown: attributing under the
-						// partially-recovered callers would mint a false
-						// shallow context, so the counts fall back to the
-						// context-insensitive base profile.
-						fp = p.FuncProfile(rec.Func)
-					} else {
-						ctx := contextForProbe(callerCtx, &rec, opts.MaxContextDepth)
-						fp = p.ContextProfile(ctx)
-					}
-					w := probeWeight(rec.Factor)
-					if w == 0 {
-						continue
-					}
-					loc := profdata.LocKey{ID: rec.ID}
-					switch rec.Kind {
-					case ir.ProbeBlock:
-						fp.AddBody(loc, w)
-					case ir.ProbeCall:
-						in := bin.InstrAt(addr)
-						if in != nil && (in.Kind == machine.KCall || in.Kind == machine.KTailCall) {
-							fp.AddCall(loc, bin.Funcs[in.CalleeID].Name, w)
-						}
-					}
-				}
-			}
-		}
-	}
-	return p, u.Stats
+	st := NewCSSPGOStream(bin, opts)
+	feedSlice(st, samples, opts.ChunkSize)
+	return st.Finish()
 }
 
 // contextForProbe builds the full context of one probe record: the caller

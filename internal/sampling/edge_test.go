@@ -78,7 +78,7 @@ func TestGenerateCSSPGOWithNoSamples(t *testing.T) {
 
 func TestGenerateAutoFDOWithNoSamples(t *testing.T) {
 	bin := build(t, hotColdSrc, false)
-	prof := GenerateAutoFDO(bin, nil)
+	prof := GenerateAutoFDO(bin, nil, FlatOptions{})
 	if prof.TotalSamples() != 0 {
 		t.Fatalf("empty input should be empty: %v", prof)
 	}
@@ -128,7 +128,9 @@ func odd(x) { return x * 3; }
 `
 	bin := build(t, src, true)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(8), 20, 400)
-	targets := icallTargets(bin, samples, 1)
+	st := NewFlatStream(bin, FlatOptions{Workers: 1})
+	feedSlice(st, samples, 0)
+	_, targets, _ := st.drain()
 	if len(targets) == 0 {
 		t.Fatal("no icall targets recorded")
 	}
@@ -147,7 +149,7 @@ func odd(x) { return x * 3; }
 	}
 
 	// The flat probe profile must carry both targets at the same site.
-	prof := GenerateProbeProfile(bin, samples)
+	prof := GenerateProbeProfile(bin, samples, FlatOptions{})
 	found := false
 	for _, fp := range prof.Funcs {
 		for _, m := range fp.Calls {
@@ -164,7 +166,7 @@ func odd(x) { return x * 3; }
 func TestProbeProfileChecksumPresence(t *testing.T) {
 	bin := build(t, hotColdSrc, true)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(32), 20, 200)
-	prof := GenerateProbeProfile(bin, samples)
+	prof := GenerateProbeProfile(bin, samples, FlatOptions{})
 	for name, fp := range prof.Funcs {
 		if fp.TotalSamples > 0 && fp.Checksum == 0 {
 			t.Fatalf("%s: sampled function missing checksum", name)

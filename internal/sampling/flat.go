@@ -10,16 +10,12 @@ import (
 
 // FlatOptions configures flat (context-insensitive) profile generation.
 type FlatOptions struct {
-	// Workers sizes the sample-sharding worker pool (0 = GOMAXPROCS,
+	// Workers sizes the address-counting worker pool (0 = GOMAXPROCS,
 	// 1 = serial). Any worker count produces a byte-identical profile.
 	Workers int
-	// Stream routes generation through the bounded-memory chunked pipeline
-	// (FlatStream) instead of materialize-then-shard. Output is
-	// byte-identical either way; the zero value keeps the legacy batch path
-	// so it stays available as a reference oracle.
-	Stream bool
-	// ChunkSize is the per-chunk sample count for the streaming pipeline
-	// (0 = sim.DefaultChunkSize).
+	// ChunkSize is the per-chunk sample count the Generate* functions feed a
+	// materialized sample slice in (0 = sim.DefaultChunkSize). Output is
+	// byte-identical for any value; the tests vary it.
 	ChunkSize int
 	// Trace receives the generation span tree (nil = no tracing).
 	Trace *obs.Span
@@ -47,26 +43,14 @@ func lineLoc(fr machine.Frame, fn *machine.Func) profdata.LocKey {
 // location (code motion, duplication), the MAX count is taken: the
 // heuristic the paper explains is right for motion into colder regions but
 // wrong for duplication, where counts should be summed (§III.A).
-func GenerateAutoFDO(bin *machine.Prog, samples []sim.Sample) *profdata.Profile {
-	return GenerateAutoFDOOpts(bin, samples, FlatOptions{})
+func GenerateAutoFDO(bin *machine.Prog, samples []sim.Sample, opts FlatOptions) *profdata.Profile {
+	st := NewFlatStream(bin, opts)
+	feedSlice(st, samples, opts.ChunkSize)
+	return st.FinishAutoFDO()
 }
 
-// GenerateAutoFDOOpts is GenerateAutoFDO with explicit options.
-func GenerateAutoFDOOpts(bin *machine.Prog, samples []sim.Sample, opts FlatOptions) *profdata.Profile {
-	if opts.Stream {
-		st := NewFlatStream(bin, opts)
-		feedSlice(st, samples, opts.ChunkSize)
-		return st.FinishAutoFDO()
-	}
-	csp := opts.Trace.Span("sampling.addr_counts", obs.A("samples", len(samples)))
-	ac := addrCounts(bin, samples, opts.Workers)
-	icalls := icallTargets(bin, samples, opts.Workers)
-	csp.End()
-	return generateAutoFDOFrom(bin, ac, icalls, opts, len(samples))
-}
-
-// generateAutoFDOFrom is the attribution half of AutoFDO generation,
-// shared by the batch and streaming front halves.
+// generateAutoFDOFrom is the attribution half of AutoFDO generation, over
+// the address counts and indirect-call histogram a FlatStream aggregated.
 func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]map[string]uint64, opts FlatOptions, samples int) *profdata.Profile {
 	asp := opts.Trace.Span("sampling.attribute_lines")
 	p := profdata.New(profdata.LineBased, false)
@@ -134,35 +118,22 @@ func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]m
 // duplication factor), which is exact under code duplication — the
 // correlation advantage probes have over debug info. Function CFG checksums
 // from the profiled binary are recorded so stale profiles are detectable.
-func GenerateProbeProfile(bin *machine.Prog, samples []sim.Sample) *profdata.Profile {
-	return GenerateProbeProfileOpts(bin, samples, FlatOptions{})
-}
-
-// GenerateProbeProfileOpts is GenerateProbeProfile with explicit options.
-func GenerateProbeProfileOpts(bin *machine.Prog, samples []sim.Sample, opts FlatOptions) *profdata.Profile {
-	if opts.Stream {
-		st := NewFlatStream(bin, opts)
-		feedSlice(st, samples, opts.ChunkSize)
-		return st.FinishProbe()
-	}
-	csp := opts.Trace.Span("sampling.addr_counts", obs.A("samples", len(samples)))
-	ac := addrCounts(bin, samples, opts.Workers)
-	icalls := icallTargets(bin, samples, opts.Workers)
-	csp.End()
-	return generateProbeProfileFrom(bin, ac, icalls, opts, len(samples))
+func GenerateProbeProfile(bin *machine.Prog, samples []sim.Sample, opts FlatOptions) *profdata.Profile {
+	st := NewFlatStream(bin, opts)
+	feedSlice(st, samples, opts.ChunkSize)
+	return st.FinishProbe()
 }
 
 // generateProbeProfileFrom is the attribution half of probe-profile
-// generation, shared by the batch and streaming front halves.
+// generation.
 func generateProbeProfileFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]map[string]uint64, opts FlatOptions, samples int) *profdata.Profile {
 	asp := opts.Trace.Span("sampling.attribute_probes")
 	p := profdata.New(profdata.ProbeBased, false)
-	attributeProbes(bin, ac, func(rec *machine.ProbeRec) *profdata.FunctionProfile {
+	base := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
 		return p.FuncProfile(rec.Func)
-	})
-	attributeICallTargetsMap(bin, icalls, func(rec *machine.ProbeRec) *profdata.FunctionProfile {
-		return p.FuncProfile(rec.Func)
-	})
+	}
+	attributeProbes(bin, ac, base)
+	attributeICallTargets(bin, icalls, base)
 	asp.End()
 	fsp := opts.Trace.Span("sampling.finalize")
 	finalizeProbeProfile(bin, p)
@@ -171,16 +142,10 @@ func generateProbeProfileFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uin
 	return p
 }
 
-// attributeICallTargets adds sampled indirect-call target counts under the
-// call probes anchored at each site.
-func attributeICallTargets(bin *machine.Prog, samples []sim.Sample, workers int, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
-	attributeICallTargetsMap(bin, icallTargets(bin, samples, workers), pick)
-}
-
-// attributeICallTargetsMap is attributeICallTargets over an already-merged
-// site → callee → count histogram (the streaming path aggregates it
-// incrementally).
-func attributeICallTargetsMap(bin *machine.Prog, targets map[uint64]map[string]uint64, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
+// attributeICallTargets adds sampled indirect-call target counts (a merged
+// site → callee → count histogram) under the call probes anchored at each
+// site.
+func attributeICallTargets(bin *machine.Prog, targets map[uint64]map[string]uint64, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
 	for site, ts := range targets {
 		for _, rec := range bin.ProbesAt(site) {
 			if rec.Kind != ir.ProbeCall {

@@ -38,16 +38,12 @@ func (r Range) Valid(bin *machine.Prog) bool {
 	return fb != nil && fb == fe
 }
 
-// LBRRanges derives the linear execution ranges from one LBR snapshot
+// AppendLBRRanges derives the linear execution ranges from one LBR snapshot
 // (newest entry first): for consecutive records b[i] (newer) and b[i+1]
 // (older), execution ran linearly from b[i+1].To to b[i].From. Invalid
-// ranges (e.g. truncated LBR tails) are dropped.
-func LBRRanges(bin *machine.Prog, lbr []sim.BranchRec) []Range {
-	return AppendLBRRanges(make([]Range, 0, len(lbr)), bin, lbr)
-}
-
-// AppendLBRRanges is LBRRanges appending into dst (reusing its backing
-// array), for hot loops that process one sample at a time.
+// ranges (e.g. truncated LBR tails) are dropped. Ranges are appended into
+// dst (reusing its backing array), for hot loops that process one sample at
+// a time.
 func AppendLBRRanges(dst []Range, bin *machine.Prog, lbr []sim.BranchRec) []Range {
 	for i := 0; i+1 < len(lbr); i++ {
 		r := Range{Begin: lbr[i+1].To, End: lbr[i].From}

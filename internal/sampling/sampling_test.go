@@ -81,7 +81,7 @@ func TestLBRRangesAreValid(t *testing.T) {
 func TestAutoFDOProfileShape(t *testing.T) {
 	bin := build(t, hotColdSrc, false)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(40), 30, 300)
-	p := GenerateAutoFDO(bin, samples)
+	p := GenerateAutoFDO(bin, samples, FlatOptions{})
 	if p.Kind != profdata.LineBased || p.CS {
 		t.Fatalf("wrong profile kind: %v", p)
 	}
@@ -111,7 +111,7 @@ func TestAutoFDOProfileShape(t *testing.T) {
 func TestProbeProfileShape(t *testing.T) {
 	bin := build(t, hotColdSrc, true)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(40), 30, 300)
-	p := GenerateProbeProfile(bin, samples)
+	p := GenerateProbeProfile(bin, samples, FlatOptions{})
 	if p.Kind != profdata.ProbeBased || p.CS {
 		t.Fatalf("wrong kind: %v", p)
 	}
@@ -399,8 +399,8 @@ func TestMaxVsSumUnderDuplication(t *testing.T) {
 	if len(samples) < 100 {
 		t.Fatalf("too few samples: %d", len(samples))
 	}
-	lineProf := GenerateAutoFDO(bin, samples)
-	probeProf := GenerateProbeProfile(bin, samples)
+	lineProf := GenerateAutoFDO(bin, samples, FlatOptions{})
+	probeProf := GenerateProbeProfile(bin, samples, FlatOptions{})
 	if lineProf.Funcs["main"] == nil || probeProf.Funcs["main"] == nil {
 		t.Fatal("profiles missing main")
 	}

@@ -1,39 +1,39 @@
 package sampling
 
-// Bounded-memory streaming profile generation. The batch generators
-// materialize every PMU sample before sharding — O(corpus) RAM per run,
-// which a continuous-profiling deployment cannot afford. The streaming
-// pipeline instead consumes fixed-size sample chunks as the simulation
-// produces them (sim.SampleSink): a dispatcher channel feeds per-worker
-// collectors, each of which unwinds its chunks immediately and aggregates
-// the results into compact per-worker state, so peak memory is bounded by
-// the chunk backlog plus the number of *distinct* calling contexts — not
-// the sample count.
+// The profile-generation engine. Every generator consumes fixed-size sample
+// chunks (sim.SampleSink), whether a live PMU hands them over as the
+// simulation runs or a Generate* function slices them off a materialized
+// sample set: a dispatcher channel feeds per-worker collectors, each of
+// which unwinds its chunks immediately and aggregates the results into
+// compact per-worker state, so peak memory is bounded by the chunk backlog
+// plus the number of *distinct* calling contexts — not the sample count.
+// Workers: 1 is the serial case.
 //
-// Determinism. The batch path is byte-identical across worker counts
-// because every profile count is a sum and serialization sorts; streaming
-// keeps that property by construction:
+// Determinism. Every profile count is a sum and serialization sorts, so the
+// output is byte-identical for any worker count and chunk size:
 //
 //   - Profile counts: each (context, probe) pair accumulates an occurrence
 //     count per worker; worker tables merge by summation and the final
-//     count is weight × occurrences — the same sum the batch path builds
-//     one range at a time, grouped differently.
-//   - Tail-call graph: the batch graph keeps the first edge observation in
-//     stream order. Workers see chunks out of order, so each records the
-//     earliest (chunk, sample, branch) position it saw per edge and the
-//     merge takes the global minimum — exactly the batch first-occurrence.
+//     count is weight × occurrences — the sum a per-sample loop builds one
+//     range at a time, grouped differently.
+//   - Tail-call graph: the graph keeps the first edge observation in stream
+//     order. Workers see chunks out of order, so each records the earliest
+//     (chunk, sample, branch) position it saw per edge and the merge takes
+//     the global minimum.
 //   - Unwinder stats: per-sample stats are position-independent sums.
 //     Context-resolution stats (MissingFrameEvents & co.) are defined as
-//     per-lookup replays of a per-context delta (see ctxEntry); streaming
-//     counts lookups during ingestion and adds delta × lookups at resolve
-//     time, matching the batch replay for any worker count.
+//     per-lookup replays of a per-context delta (see ctxEntry); workers
+//     count lookups during ingestion and Finish adds delta × lookups.
 //
-// Deferred context resolution is also where the throughput win comes from:
-// the batch path runs ContextOf + context-key hashing once per range,
-// while the streaming path resolves each distinct raw context exactly once
-// at Finish, after the complete tail-call graph is known.
+// Deferred context resolution is also where the throughput comes from: a
+// per-sample loop runs ContextOf + context-key hashing once per range,
+// while the engine resolves each distinct raw context exactly once at
+// Finish, after the complete tail-call graph is known. That per-sample loop
+// survives as the test-only oracle in reference_test.go; committed golden
+// profiles (internal/pgo/testdata/golden) pin the engine's bytes.
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -88,8 +88,8 @@ type rangeKey struct{ lo, hi int32 }
 
 // pendingCtx aggregates everything observed under one raw calling context
 // (callers, leaf, kind) before the context itself is resolved: how many
-// context lookups the batch path would have performed, and how often each
-// instruction range executed under it.
+// ranges looked the context up (the stat-replay multiplier), and how often
+// each instruction range executed under it.
 type pendingCtx struct {
 	callers []uint64
 	leaf    *machine.Func
@@ -97,10 +97,18 @@ type pendingCtx struct {
 	ranges  map[rangeKey]uint64 // covered range -> occurrences
 }
 
-// resolveStreamWorkers maps a requested worker count to the streaming pool
-// size. Unlike resolveWorkers it cannot clamp to the item count — the
-// stream length is unknown up front.
-func resolveStreamWorkers(requested int) int {
+// ValidateWorkers rejects worker counts the pool cannot interpret. The CLI
+// front-ends call it before building options.
+func ValidateWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("invalid worker count %d: must be >= 0 (0 means one worker per CPU)", n)
+	}
+	return nil
+}
+
+// resolveWorkers maps a requested worker count to the pool size. It cannot
+// clamp to the item count — the stream length is unknown up front.
+func resolveWorkers(requested int) int {
 	if requested > 0 {
 		return requested
 	}
@@ -108,8 +116,7 @@ func resolveStreamWorkers(requested int) int {
 }
 
 // feedSlice pushes an already-materialized sample slice through a sink in
-// chunks, so the batch entry points can reuse the streaming pipeline. The
-// chunks borrow the caller's memory and are never pooled.
+// chunks. The chunks borrow the caller's memory and are never pooled.
 func feedSlice(sink sim.SampleSink, samples []sim.Sample, chunkSize int) {
 	if chunkSize <= 0 {
 		chunkSize = sim.DefaultChunkSize
@@ -162,8 +169,7 @@ func newCSWorker(bin *machine.Prog, opts CSSPGOOptions) *csWorker {
 // CSSPGOStream is the streaming CSSPGO generator. It implements
 // sim.SampleSink, so it can be attached directly to a running machine via
 // Machine.SetSampleSink; Finish closes the pipeline and produces the
-// profile. GenerateCSSPGO with Options.Stream wraps it for materialized
-// sample slices.
+// profile. GenerateCSSPGO wraps it for materialized sample slices.
 type CSSPGOStream struct {
 	bin     *machine.Prog
 	opts    CSSPGOOptions
@@ -177,7 +183,7 @@ type CSSPGOStream struct {
 // NewCSSPGOStream starts the worker pool. The caller must call Finish
 // exactly once after the last chunk.
 func NewCSSPGOStream(bin *machine.Prog, opts CSSPGOOptions) *CSSPGOStream {
-	nw := resolveStreamWorkers(opts.Workers)
+	nw := resolveWorkers(opts.Workers)
 	s := &CSSPGOStream{
 		bin:  bin,
 		opts: opts,
@@ -260,38 +266,76 @@ func (w *csWorker) consume(ch *sim.SampleChunk) {
 	}
 }
 
-// expandTruncated folds the aggregated truncated-range occurrences into the
-// worker's base-profile shard. AddBody/AddCall accumulate, so weight ×
-// occurrences yields the same sums as the batch path's per-range adds.
-func (w *csWorker) expandTruncated() {
-	for rk, occ := range w.trunc {
-		for i := int(rk.lo); i < int(rk.hi); i++ {
-			addr := w.bin.Instrs[i].Addr
-			for _, pi := range w.bin.ProbeIndicesAt(addr) {
-				rec := &w.bin.Probes[pi]
-				wt := probeWeight(rec.Factor)
-				if wt == 0 {
-					continue
-				}
-				fp := w.base.FuncProfile(rec.Func)
-				loc := profdata.LocKey{ID: rec.ID}
-				switch rec.Kind {
-				case ir.ProbeBlock:
-					fp.AddBody(loc, wt*occ)
-				case ir.ProbeCall:
-					in := w.bin.InstrAt(addr)
-					if in != nil && (in.Kind == machine.KCall || in.Kind == machine.KTailCall) {
-						fp.AddCall(loc, w.bin.Funcs[in.CalleeID].Name, wt*occ)
-					}
+// attributeRange credits occ executions of the instruction range rk to every
+// probe anchored in it, in the profile pick selects per probe record.
+// AddBody/AddCall accumulate, so weight × occurrences yields the same sums
+// as one add per observed range.
+func attributeRange(bin *machine.Prog, rk rangeKey, occ uint64, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
+	for i := int(rk.lo); i < int(rk.hi); i++ {
+		in := &bin.Instrs[i]
+		for _, pi := range bin.ProbeIndicesAt(in.Addr) {
+			rec := &bin.Probes[pi]
+			wt := probeWeight(rec.Factor)
+			if wt == 0 {
+				continue
+			}
+			fp := pick(rec)
+			loc := profdata.LocKey{ID: rec.ID}
+			switch rec.Kind {
+			case ir.ProbeBlock:
+				fp.AddBody(loc, wt*occ)
+			case ir.ProbeCall:
+				if in.Kind == machine.KCall || in.Kind == machine.KTailCall {
+					fp.AddCall(loc, bin.Funcs[in.CalleeID].Name, wt*occ)
 				}
 			}
 		}
 	}
 }
 
+// countICallTarget records one LBR call branch out of an indirect-call site
+// (site address -> callee name -> count).
+func countICallTarget(bin *machine.Prog, icalls map[uint64]map[string]uint64, br *sim.BranchRec) {
+	callee := bin.FuncAt(br.To)
+	if callee == nil {
+		return
+	}
+	m := icalls[br.From]
+	if m == nil {
+		m = map[string]uint64{}
+		icalls[br.From] = m
+	}
+	m[callee.Name]++
+}
+
+// mergeICallTargets folds per-worker target maps into a freshly-allocated
+// result. Inner maps are always copied, never adopted by reference: an
+// adopted map would alias worker-private state, so a caller reusing or
+// pooling worker results after the merge would silently corrupt the merged
+// histogram.
+func mergeICallTargets(parts []map[uint64]map[string]uint64) map[uint64]map[string]uint64 {
+	size := 0
+	if len(parts) > 0 {
+		size = len(parts[0])
+	}
+	out := make(map[uint64]map[string]uint64, size)
+	for _, part := range parts {
+		for site, targets := range part {
+			m := out[site]
+			if m == nil {
+				m = make(map[string]uint64, len(targets))
+				out[site] = m
+			}
+			for callee, n := range targets {
+				m[callee] += n
+			}
+		}
+	}
+	return out
+}
+
 // scanLBR collects tail-call edges (with their global stream position) and
-// indirect-call targets from one sample's LBR — the per-sample half of
-// BuildTailCallGraph and icallTargetsSerial.
+// indirect-call targets from one sample's LBR.
 func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec) {
 	for bi := range lbr {
 		br := &lbr[bi]
@@ -315,23 +359,14 @@ func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec) {
 				w.tails[k] = tailObs{site: br.From, pos: pos}
 			}
 		case machine.KICall:
-			callee := w.bin.FuncAt(br.To)
-			if callee == nil {
-				continue
-			}
-			mm := w.icalls[br.From]
-			if mm == nil {
-				mm = map[string]uint64{}
-				w.icalls[br.From] = mm
-			}
-			mm[callee.Name]++
+			countICallTarget(w.bin, w.icalls, br)
 		}
 	}
 }
 
 // Finish drains the pipeline, merges per-worker state, resolves every
 // distinct context once against the complete tail-call graph, and returns
-// the profile — byte-identical to the batch generator's output.
+// the profile.
 func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	close(s.ch)
 	s.wg.Wait()
@@ -373,7 +408,14 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	var st UnwindStats
 	total := 0
 	for i, w := range s.workers {
-		w.expandTruncated()
+		// Truncated ranges have no known outer context: their counts go to
+		// the worker's base-profile shard.
+		inBase := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
+			return w.base.FuncProfile(rec.Func)
+		}
+		for rk, occ := range w.trunc {
+			attributeRange(s.bin, rk, occ, inBase)
+		}
 		bases[i] = w.base
 		icallParts[i] = w.icalls
 		st.Add(w.u.Stats)
@@ -404,11 +446,15 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending)))
 	ru := NewUnwinder(s.bin, tails)
 	ru.AssumeAligned = s.opts.AssumeAligned
+	var callerCtx profdata.Context
+	inContext := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
+		return p.ContextProfile(contextForProbe(callerCtx, rec, s.opts.MaxContextDepth))
+	}
 	for _, pc := range pending {
 		before := ru.Stats
-		callerCtx := ru.ContextOf(pc.callers, pc.leaf.Name, profdata.ProbeBased)
-		// The batch path replays each context's inference-stat deltas once
-		// per lookup; ContextOf above charged them once, add the rest.
+		callerCtx = ru.ContextOf(pc.callers, pc.leaf.Name, profdata.ProbeBased)
+		// Inference-stat deltas are defined per lookup; ContextOf above
+		// charged them once, add the rest.
 		if n := pc.lookups - 1; n > 0 {
 			dm := ru.Stats.MissingFrameEvents - before.MissingFrameEvents
 			de := ru.Stats.EventsRecovered - before.EventsRecovered
@@ -418,34 +464,14 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 			ru.Stats.FramesRecovered += n * df
 		}
 		for rk, occ := range pc.ranges {
-			for i := int(rk.lo); i < int(rk.hi); i++ {
-				for _, pi := range s.bin.ProbeIndicesAt(s.bin.Instrs[i].Addr) {
-					rec := &s.bin.Probes[pi]
-					wt := probeWeight(rec.Factor)
-					if wt == 0 {
-						continue
-					}
-					ctx := contextForProbe(callerCtx, rec, s.opts.MaxContextDepth)
-					fp := p.ContextProfile(ctx)
-					loc := profdata.LocKey{ID: rec.ID}
-					switch rec.Kind {
-					case ir.ProbeBlock:
-						fp.AddBody(loc, wt*occ)
-					case ir.ProbeCall:
-						in := s.bin.InstrAt(rec.Addr)
-						if in != nil && (in.Kind == machine.KCall || in.Kind == machine.KTailCall) {
-							fp.AddCall(loc, s.bin.Funcs[in.CalleeID].Name, wt*occ)
-						}
-					}
-				}
-			}
+			attributeRange(s.bin, rk, occ, inContext)
 		}
 	}
 	st.Add(ru.Stats)
 	rsp.End()
 
 	isp := s.opts.Trace.Span("sampling.icall_targets")
-	attributeICallTargetsMap(s.bin, icalls, func(rec *machine.ProbeRec) *profdata.FunctionProfile {
+	attributeICallTargets(s.bin, icalls, func(rec *machine.ProbeRec) *profdata.FunctionProfile {
 		return p.FuncProfile(rec.Func)
 	})
 	isp.End()
@@ -474,7 +500,7 @@ type flatWorker struct {
 	samples int
 }
 
-// FlatStream is the streaming front half of the flat (context-insensitive)
+// FlatStream is the front half of the flat (context-insensitive)
 // generators. It implements sim.SampleSink; FinishAutoFDO or FinishProbe
 // closes the pipeline and runs the corresponding attribution.
 type FlatStream struct {
@@ -489,7 +515,7 @@ type FlatStream struct {
 // NewFlatStream starts the worker pool. The caller must call exactly one
 // Finish* method after the last chunk.
 func NewFlatStream(bin *machine.Prog, opts FlatOptions) *FlatStream {
-	nw := resolveStreamWorkers(opts.Workers)
+	nw := resolveWorkers(opts.Workers)
 	s := &FlatStream{
 		bin:     bin,
 		opts:    opts,
@@ -525,20 +551,9 @@ func (w *flatWorker) consume(ch *sim.SampleChunk) {
 		}
 		for bi := range smp.LBR {
 			br := &smp.LBR[bi]
-			in := w.bin.InstrAt(br.From)
-			if in == nil || in.Kind != machine.KICall {
-				continue
+			if in := w.bin.InstrAt(br.From); in != nil && in.Kind == machine.KICall {
+				countICallTarget(w.bin, w.icalls, br)
 			}
-			callee := w.bin.FuncAt(br.To)
-			if callee == nil {
-				continue
-			}
-			m := w.icalls[br.From]
-			if m == nil {
-				m = map[string]uint64{}
-				w.icalls[br.From] = m
-			}
-			m[callee.Name]++
 		}
 	}
 }

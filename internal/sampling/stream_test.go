@@ -10,12 +10,12 @@ import (
 	"csspgo/internal/sim"
 )
 
-// ---------------------------------- tentpole: streaming/batch equivalence
+// ---------------------------------- engine vs the serial reference
 
-// TestStreamMatchesBatch is the streaming pipeline's correctness contract:
-// for every generator, worker count and chunk size, the streamed profile
-// must be byte-for-byte the profile the legacy batch path produces from the
-// same samples, and (for CSSPGO) the unwinder stats must agree exactly.
+// TestStreamMatchesBatch is the engine's correctness contract: for every
+// generator, worker count and chunk size, the profile must be byte-for-byte
+// the one the serial per-sample reference (reference_test.go) produces from
+// the same samples, and (for CSSPGO) the unwinder stats must agree exactly.
 func TestStreamMatchesBatch(t *testing.T) {
 	for _, src := range []struct {
 		name   string
@@ -32,34 +32,30 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Skipf("only %d samples", len(samples))
 			}
 
-			batchOpts := DefaultCSSPGOOptions()
-			batchOpts.Stream = false
-			batchOpts.Workers = 1
-			wantCS, wantStats := GenerateCSSPGO(bin, samples, batchOpts)
+			wantCS, wantStats := referenceCSSPGO(bin, samples, DefaultCSSPGOOptions())
 			wantCSBin := profdata.EncodeBinary(wantCS)
-			wantProbe := profdata.EncodeBinary(GenerateProbeProfileOpts(bin, samples, FlatOptions{Workers: 1}))
-			wantAuto := profdata.EncodeBinary(GenerateAutoFDOOpts(bin, samples, FlatOptions{Workers: 1}))
+			wantProbe := profdata.EncodeBinary(referenceProbeProfile(bin, samples))
+			wantAuto := profdata.EncodeBinary(referenceAutoFDO(bin, samples))
 
 			for _, workers := range []int{1, 2, 3, 8, 0} {
 				for _, chunk := range []int{1, 3, 17, 4096} {
 					csOpts := DefaultCSSPGOOptions()
-					csOpts.Stream = true
 					csOpts.Workers = workers
 					csOpts.ChunkSize = chunk
 					got, gotStats := GenerateCSSPGO(bin, samples, csOpts)
 					if !bytes.Equal(profdata.EncodeBinary(got), wantCSBin) {
-						t.Fatalf("cs: workers=%d chunk=%d differs from batch serial", workers, chunk)
+						t.Fatalf("cs: workers=%d chunk=%d differs from the reference", workers, chunk)
 					}
 					if gotStats != wantStats {
-						t.Fatalf("cs: workers=%d chunk=%d stats differ:\nbatch  %+v\nstream %+v",
+						t.Fatalf("cs: workers=%d chunk=%d stats differ:\nreference %+v\ngot       %+v",
 							workers, chunk, wantStats, gotStats)
 					}
-					flat := FlatOptions{Workers: workers, Stream: true, ChunkSize: chunk}
-					if b := profdata.EncodeBinary(GenerateProbeProfileOpts(bin, samples, flat)); !bytes.Equal(b, wantProbe) {
-						t.Fatalf("probe: workers=%d chunk=%d differs from batch serial", workers, chunk)
+					flat := FlatOptions{Workers: workers, ChunkSize: chunk}
+					if b := profdata.EncodeBinary(GenerateProbeProfile(bin, samples, flat)); !bytes.Equal(b, wantProbe) {
+						t.Fatalf("probe: workers=%d chunk=%d differs from the reference", workers, chunk)
 					}
-					if b := profdata.EncodeBinary(GenerateAutoFDOOpts(bin, samples, flat)); !bytes.Equal(b, wantAuto) {
-						t.Fatalf("autofdo: workers=%d chunk=%d differs from batch serial", workers, chunk)
+					if b := profdata.EncodeBinary(GenerateAutoFDO(bin, samples, flat)); !bytes.Equal(b, wantAuto) {
+						t.Fatalf("autofdo: workers=%d chunk=%d differs from the reference", workers, chunk)
 					}
 				}
 			}
@@ -74,15 +70,12 @@ func TestStreamSinkFromMachineMatchesBatch(t *testing.T) {
 	bin := build(t, contextSrc, true)
 	cfg := sim.DefaultPMUConfig(16)
 
-	// Batch reference: materialize, then generate.
+	// Reference: materialize, then run the serial per-sample loop.
 	samples := profileRun(t, bin, cfg, 40, 400)
 	if len(samples) < 8 {
 		t.Skipf("only %d samples", len(samples))
 	}
-	batchOpts := DefaultCSSPGOOptions()
-	batchOpts.Stream = false
-	batchOpts.Workers = 1
-	want, wantStats := GenerateCSSPGO(bin, samples, batchOpts)
+	want, wantStats := referenceCSSPGO(bin, samples, DefaultCSSPGOOptions())
 	wantBin := profdata.EncodeBinary(want)
 
 	for _, chunk := range []int{7, 64} {
@@ -99,10 +92,10 @@ func TestStreamSinkFromMachineMatchesBatch(t *testing.T) {
 		m.FlushSamples()
 		got, gotStats := st.Finish()
 		if !bytes.Equal(profdata.EncodeBinary(got), wantBin) {
-			t.Fatalf("chunk=%d: sink-fed profile differs from batch", chunk)
+			t.Fatalf("chunk=%d: sink-fed profile differs from the reference", chunk)
 		}
 		if gotStats != wantStats {
-			t.Fatalf("chunk=%d: sink-fed stats differ:\nbatch  %+v\nstream %+v", chunk, wantStats, gotStats)
+			t.Fatalf("chunk=%d: sink-fed stats differ:\nreference %+v\ngot       %+v", chunk, wantStats, gotStats)
 		}
 	}
 }
@@ -110,7 +103,7 @@ func TestStreamSinkFromMachineMatchesBatch(t *testing.T) {
 // ------------------------------------ satellite: icall merge deep-copies
 
 // TestICallTargetsMergeDeepCopies is the regression test for the aliasing
-// bug: the merged result used to adopt per-shard inner maps by reference,
+// bug: the merged result used to adopt per-worker inner maps by reference,
 // so mutating (or pooling) a shard's map after the merge corrupted the
 // merged histogram.
 func TestICallTargetsMergeDeepCopies(t *testing.T) {
@@ -198,9 +191,9 @@ var fuzzStreamOnce struct {
 	stats   UnwindStats
 }
 
-// FuzzChunkedDispatcher drives the streaming dispatcher with fuzzer-chosen
-// chunk sizes and worker counts; any combination must reproduce the legacy
-// batch serial output byte-for-byte.
+// FuzzChunkedDispatcher drives the chunk dispatcher with fuzzer-chosen
+// chunk sizes and worker counts; any combination must reproduce the serial
+// per-sample reference byte-for-byte.
 func FuzzChunkedDispatcher(f *testing.F) {
 	f.Add(uint16(1), uint8(1))
 	f.Add(uint16(3), uint8(2))
@@ -211,10 +204,7 @@ func FuzzChunkedDispatcher(f *testing.F) {
 		fuzzStreamOnce.Do(func() {
 			fuzzStreamOnce.bin = build(t, contextSrc, true)
 			fuzzStreamOnce.samples = profileRun(t, fuzzStreamOnce.bin, sim.DefaultPMUConfig(16), 20, 300)
-			opts := DefaultCSSPGOOptions()
-			opts.Stream = false
-			opts.Workers = 1
-			p, st := GenerateCSSPGO(fuzzStreamOnce.bin, fuzzStreamOnce.samples, opts)
+			p, st := referenceCSSPGO(fuzzStreamOnce.bin, fuzzStreamOnce.samples, DefaultCSSPGOOptions())
 			fuzzStreamOnce.want = profdata.EncodeBinary(p)
 			fuzzStreamOnce.stats = st
 		})
@@ -222,15 +212,14 @@ func FuzzChunkedDispatcher(f *testing.F) {
 			t.Skip("no samples")
 		}
 		opts := DefaultCSSPGOOptions()
-		opts.Stream = true
 		opts.ChunkSize = int(chunkSize) // 0 falls back to the default size
 		opts.Workers = int(workers) % 17
 		got, gotStats := GenerateCSSPGO(fuzzStreamOnce.bin, fuzzStreamOnce.samples, opts)
 		if !bytes.Equal(profdata.EncodeBinary(got), fuzzStreamOnce.want) {
-			t.Fatalf("chunk=%d workers=%d: streamed profile differs from batch serial", chunkSize, opts.Workers)
+			t.Fatalf("chunk=%d workers=%d: profile differs from the reference", chunkSize, opts.Workers)
 		}
 		if gotStats != fuzzStreamOnce.stats {
-			t.Fatalf("chunk=%d workers=%d: stats differ:\nbatch  %+v\nstream %+v",
+			t.Fatalf("chunk=%d workers=%d: stats differ:\nreference %+v\ngot       %+v",
 				chunkSize, opts.Workers, fuzzStreamOnce.stats, gotStats)
 		}
 	})

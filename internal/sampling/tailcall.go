@@ -1,11 +1,6 @@
 package sampling
 
-import (
-	"sort"
-
-	"csspgo/internal/machine"
-	"csspgo/internal/sim"
-)
+import "sort"
 
 // TailEdge is one observed dynamic tail-call edge.
 type TailEdge struct {
@@ -19,45 +14,9 @@ type TailEdge struct {
 // sampling") DFS-searches it for a unique path between a call's static
 // target and the frame actually observed below it; a unique path recovers
 // the frames that tail-call elimination removed from the stack.
+// CSSPGOStream.Finish builds it from the workers' first edge observations.
 type TailCallGraph struct {
 	edges map[string]map[string]*TailEdge
-}
-
-// BuildTailCallGraph scans every LBR record of every sample and collects
-// edges whose source instruction is a tail call.
-func BuildTailCallGraph(bin *machine.Prog, samples []sim.Sample) *TailCallGraph {
-	g := &TailCallGraph{edges: map[string]map[string]*TailEdge{}}
-	for _, s := range samples {
-		for _, br := range s.LBR {
-			in := bin.InstrAt(br.From)
-			if in == nil || in.Kind != machine.KTailCall {
-				continue
-			}
-			from := bin.FuncAt(br.From)
-			to := bin.FuncAt(br.To)
-			if from == nil || to == nil {
-				continue
-			}
-			m := g.edges[from.Name]
-			if m == nil {
-				m = map[string]*TailEdge{}
-				g.edges[from.Name] = m
-			}
-			if _, ok := m[to.Name]; !ok {
-				m[to.Name] = &TailEdge{From: from.Name, To: to.Name, SiteAddr: br.From}
-			}
-		}
-	}
-	return g
-}
-
-// NumEdges returns the number of distinct edges.
-func (g *TailCallGraph) NumEdges() int {
-	n := 0
-	for _, m := range g.edges {
-		n += len(m)
-	}
-	return n
 }
 
 // InferPath returns the unique tail-call path from → … → to as the list of

@@ -2,93 +2,12 @@ package sampling
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sim"
 )
-
-// ------------------------------------------------- sharding infrastructure
-
-func TestSampleShardsCoverInOrder(t *testing.T) {
-	mk := func(n int) []sim.Sample {
-		out := make([]sim.Sample, n)
-		for i := range out {
-			out[i].Stack = []uint64{uint64(i)}
-		}
-		return out
-	}
-	for _, tc := range []struct{ items, n int }{
-		{0, 4}, {1, 4}, {3, 4}, {4, 4}, {7, 3}, {100, 8}, {5, 1},
-	} {
-		samples := mk(tc.items)
-		shards := sampleShards(samples, tc.n)
-		var got []sim.Sample
-		for _, sh := range shards {
-			got = append(got, sh...)
-		}
-		if len(got) != tc.items {
-			t.Fatalf("shards(%d,%d): covered %d items", tc.items, tc.n, len(got))
-		}
-		for i, s := range got {
-			if s.Stack[0] != uint64(i) {
-				t.Fatalf("shards(%d,%d): item %d out of order", tc.items, tc.n, i)
-			}
-		}
-		// Balanced: sizes differ by at most one.
-		min, max := tc.items, 0
-		for _, sh := range shards {
-			if len(sh) < min {
-				min = len(sh)
-			}
-			if len(sh) > max {
-				max = len(sh)
-			}
-		}
-		if len(shards) > 0 && max-min > 1 {
-			t.Fatalf("shards(%d,%d): unbalanced sizes [%d,%d]", tc.items, tc.n, min, max)
-		}
-	}
-}
-
-func TestResolveWorkers(t *testing.T) {
-	cases := []struct {
-		name             string
-		requested, items int
-		want             int // -1 = any positive value
-	}{
-		{"explicit count honored", 4, 100, 4},
-		{"clamped to item count", 8, 3, 3},
-		{"zero items yield zero workers", 1, 0, 0},
-		{"zero items with default request", 0, 0, 0},
-		{"zero items with negative request", -3, 0, 0},
-		{"zero request means GOMAXPROCS", 0, 1000, -1},
-		{"negative request means GOMAXPROCS", -1, 1000, -1},
-		{"single item runs serial", 16, 1, 1},
-	}
-	for _, tc := range cases {
-		got := resolveWorkers(tc.requested, tc.items)
-		if tc.want == -1 {
-			if got < 1 {
-				t.Fatalf("%s: resolveWorkers(%d, %d) = %d, want positive", tc.name, tc.requested, tc.items, got)
-			}
-			continue
-		}
-		if got != tc.want {
-			t.Fatalf("%s: resolveWorkers(%d, %d) = %d, want %d", tc.name, tc.requested, tc.items, got, tc.want)
-		}
-	}
-	// resolveWorkers and sampleShards must agree on the empty input: no
-	// workers, no shards (they used to disagree — 1 worker vs nil shards).
-	if got := resolveWorkers(0, 0); got != 0 {
-		t.Fatalf("resolveWorkers(_, 0) = %d, want 0", got)
-	}
-	if got := sampleShards(nil, resolveWorkers(0, 0)); got != nil {
-		t.Fatalf("sampleShards(nil, 0) = %v, want nil", got)
-	}
-}
 
 func TestValidateWorkers(t *testing.T) {
 	cases := []struct {
@@ -264,11 +183,11 @@ func TestCacheKeyInjective(t *testing.T) {
 	}
 }
 
-// --------------------------------- tentpole: serial/parallel equivalence
+// --------------------------------- worker-count invariance vs the reference
 
-// TestSerialParallelByteIdentical is the tentpole's determinism contract:
-// for every generator and every worker count, the serialized profile must be
-// byte-for-byte the profile a serial run produces.
+// TestSerialParallelByteIdentical is the determinism contract: for every
+// generator and every worker count (1 = serial), the serialized profile must
+// be byte-for-byte the profile the serial per-sample reference produces.
 func TestSerialParallelByteIdentical(t *testing.T) {
 	for _, src := range []struct {
 		name   string
@@ -288,20 +207,22 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 
 			type gen struct {
 				name string
+				want *profdata.Profile
 				run  func(workers int) *profdata.Profile
 			}
 			gens := []gen{
-				{"autofdo", func(w int) *profdata.Profile {
-					return GenerateAutoFDOOpts(bin, samples, FlatOptions{Workers: w})
+				{"autofdo", referenceAutoFDO(bin, samples), func(w int) *profdata.Profile {
+					return GenerateAutoFDO(bin, samples, FlatOptions{Workers: w})
 				}},
 			}
 			if src.probes {
+				opts := DefaultCSSPGOOptions()
+				wantCS, _ := referenceCSSPGO(bin, samples, opts)
 				gens = append(gens,
-					gen{"probe", func(w int) *profdata.Profile {
-						return GenerateProbeProfileOpts(bin, samples, FlatOptions{Workers: w})
+					gen{"probe", referenceProbeProfile(bin, samples), func(w int) *profdata.Profile {
+						return GenerateProbeProfile(bin, samples, FlatOptions{Workers: w})
 					}},
-					gen{"cs", func(w int) *profdata.Profile {
-						opts := DefaultCSSPGOOptions()
+					gen{"cs", wantCS, func(w int) *profdata.Profile {
 						opts.Workers = w
 						p, _ := GenerateCSSPGO(bin, samples, opts)
 						return p
@@ -309,17 +230,16 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 				)
 			}
 			for _, g := range gens {
-				serial := g.run(1)
-				wantText := profdata.EncodeToString(serial)
-				wantBin := profdata.EncodeBinary(serial)
-				for _, w := range []int{2, 3, 4, 8, 0} {
+				wantText := profdata.EncodeToString(g.want)
+				wantBin := profdata.EncodeBinary(g.want)
+				for _, w := range []int{1, 2, 3, 4, 8, 0} {
 					got := g.run(w)
 					if s := profdata.EncodeToString(got); s != wantText {
-						t.Fatalf("%s: workers=%d text differs from serial\nserial:\n%s\nparallel:\n%s",
+						t.Fatalf("%s: workers=%d text differs from the reference\nreference:\n%s\ngot:\n%s",
 							g.name, w, wantText, s)
 					}
 					if b := profdata.EncodeBinary(got); !bytes.Equal(b, wantBin) {
-						t.Fatalf("%s: workers=%d binary encoding differs from serial", g.name, w)
+						t.Fatalf("%s: workers=%d binary encoding differs from the reference", g.name, w)
 					}
 				}
 			}
@@ -327,22 +247,37 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// Parallel runs must also reduce UnwindStats to the serial totals.
+// UnwindStats must not depend on the worker count: every pool size reduces
+// to the serial reference's totals. The tail-call program exercises the
+// context-resolution stats (missing-frame events and recoveries), which are
+// replayed per lookup rather than summed per sample.
 func TestParallelUnwindStatsMatchSerial(t *testing.T) {
-	bin := build(t, contextSrc, true)
-	samples := profileRun(t, bin, sim.DefaultPMUConfig(16), 40, 400)
-	if len(samples) < 8 {
-		t.Skipf("only %d samples", len(samples))
-	}
-	opts := DefaultCSSPGOOptions()
-	opts.Workers = 1
-	_, serial := GenerateCSSPGO(bin, samples, opts)
-	for _, w := range []int{2, 4, 8} {
-		opts.Workers = w
-		_, par := GenerateCSSPGO(bin, samples, opts)
-		if par != serial {
-			t.Fatalf("workers=%d stats differ:\nserial  %+v\nparallel %+v", w, serial, par)
-		}
+	for _, tc := range []struct {
+		name    string
+		bin     *machine.Prog
+		runs    int
+		arg     int64
+		opts    CSSPGOOptions
+		workers []int
+	}{
+		{"context", build(t, contextSrc, true), 40, 400, DefaultCSSPGOOptions(), []int{1, 2, 4, 8}},
+		{"tailcall", tailCallProgram(t), 30, 120, CSSPGOOptions{TailCallInference: true, MaxContextDepth: 8}, []int{1, 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			samples := profileRun(t, tc.bin, sim.DefaultPMUConfig(16), tc.runs, tc.arg)
+			if len(samples) < 8 {
+				t.Skipf("only %d samples", len(samples))
+			}
+			_, serial := referenceCSSPGO(tc.bin, samples, tc.opts)
+			t.Logf("reference: %+v", serial)
+			for _, w := range tc.workers {
+				tc.opts.Workers = w
+				_, par := GenerateCSSPGO(tc.bin, samples, tc.opts)
+				if par != serial {
+					t.Fatalf("workers=%d stats differ:\nreference %+v\ngot       %+v", w, serial, par)
+				}
+			}
+		})
 	}
 }
 
@@ -391,7 +326,8 @@ func TestMergeShardsOrder(t *testing.T) {
 	}
 }
 
-// The sharded flat aggregators must agree with their serial counterparts.
+// The flat engine's per-worker aggregators (address counters, indirect-call
+// histograms), merged at drain, must agree with the serial reference loops.
 func TestShardedAggregatorsMatchSerial(t *testing.T) {
 	bin := build(t, contextSrc, true)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(16), 40, 400)
@@ -399,26 +335,30 @@ func TestShardedAggregatorsMatchSerial(t *testing.T) {
 		t.Skipf("only %d samples", len(samples))
 	}
 	serialIT := icallTargetsSerial(bin, samples)
+	serialAC := addrCountsSerial(bin, samples)
 	for _, w := range []int{1, 2, 4, 8} {
-		got := icallTargets(bin, samples, w)
-		if fmt.Sprint(len(got)) != fmt.Sprint(len(serialIT)) {
-			t.Fatalf("workers=%d: %d icall sites, want %d", w, len(got), len(serialIT))
+		st := NewFlatStream(bin, FlatOptions{Workers: w})
+		feedSlice(st, samples, 7)
+		gotAC, gotIT, total := st.drain()
+		if total != len(samples) {
+			t.Fatalf("workers=%d: drained %d samples, want %d", w, total, len(samples))
+		}
+		if len(gotIT) != len(serialIT) {
+			t.Fatalf("workers=%d: %d icall sites, want %d", w, len(gotIT), len(serialIT))
 		}
 		for site, targets := range serialIT {
 			for callee, n := range targets {
-				if got[site][callee] != n {
+				if gotIT[site][callee] != n {
 					t.Fatalf("workers=%d: site %#x callee %s = %d, want %d",
-						w, site, callee, got[site][callee], n)
+						w, site, callee, gotIT[site][callee], n)
 				}
 			}
 		}
-	}
-	serialAC := addrCounts(bin, samples, 1)
-	parAC := addrCounts(bin, samples, 4)
-	for _, fn := range bin.Funcs {
-		for a := fn.Start; a < fn.End; a++ {
-			if serialAC.Count(a) != parAC.Count(a) {
-				t.Fatalf("addr %#x: serial %d != parallel %d", a, serialAC.Count(a), parAC.Count(a))
+		for _, fn := range bin.Funcs {
+			for a := fn.Start; a < fn.End; a++ {
+				if serialAC.Count(a) != gotAC.Count(a) {
+					t.Fatalf("workers=%d addr %#x: serial %d != merged %d", w, a, serialAC.Count(a), gotAC.Count(a))
+				}
 			}
 		}
 	}

@@ -21,7 +21,7 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== go test -race (parallel profile generation + metric registry + profile serving + fleet aggregation)"
+echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation)"
 go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
 
 echo "== fuzz smoke (profile readers + folded codecs, 5s per target)"
@@ -36,9 +36,6 @@ done
 go test ./internal/opt -run='^FuzzTranslationValidate$' -fuzz='^FuzzTranslationValidate$' -fuzztime=5s
 go test ./internal/sampling -run='^FuzzChunkedDispatcher$' -fuzz='^FuzzChunkedDispatcher$' -fuzztime=5s
 go test ./internal/obs -run='^FuzzParseTraceparent$' -fuzz='^FuzzParseTraceparent$' -fuzztime=5s
-
-echo "== alloc-regression gate (streaming generation hot path)"
-sh scripts/allocgate.sh
 
 echo "== csspgo lint (examples)"
 go build -o bin/csspgo ./cmd/csspgo
@@ -86,6 +83,28 @@ bin/csspgo build -o "$obsdir/app2.bin" -probes -profile "$obsdir/app.prof" -repo
 bin/csspgo report -validate-trace "$obsdir/trace.json" -min-spans 8
 bin/csspgo report -validate "$obsdir/a.json" "$obsdir/b.json"
 bin/csspgo report "$obsdir/a.json" "$obsdir/b.json" >/dev/null
+
+echo "== one profile driver (csspgo profile and profgen write identical profiles)"
+# Both front-ends call pgo.CollectAndGenerate: same binary, same seed, same
+# bytes, for every -kind.
+go build -o bin/profgen ./cmd/profgen
+bin/csspgo build -o "$obsdir/plain.bin" "$src" >/dev/null
+bin/csspgo build -o "$obsdir/instr.bin" -instrument "$src" >/dev/null
+for kind in cs probe autofdo instr; do
+	case $kind in
+	autofdo) kbin="$obsdir/plain.bin" ;;
+	instr) kbin="$obsdir/instr.bin" ;;
+	*) kbin="$obsdir/app.bin" ;;
+	esac
+	bin/csspgo profile -bin "$kbin" -o "$obsdir/$kind.a.prof" -kind "$kind" -n 50 -seed 7 >/dev/null
+	bin/profgen -bin "$kbin" -o "$obsdir/$kind.b.prof" -kind "$kind" -n 50 -seed 7 >/dev/null
+	cmp "$obsdir/$kind.a.prof" "$obsdir/$kind.b.prof"
+	echo "$kind: identical"
+done
+if bin/profgen -bin "$obsdir/app.bin" -o "$obsdir/bad.prof" -kind bogus >/dev/null 2>&1; then
+	echo "profgen accepted an unknown -kind" >&2
+	exit 1
+fi
 
 echo "== report -diff regression gate (exit codes)"
 # Hand-written manifests with fixed timings: a doubled stage wall time must
