@@ -1,0 +1,56 @@
+package inference
+
+import (
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/flows_pinned.txt from the current solver")
+
+// TestInferFlowsPinned freezes the solver's choice among equal-cost optima:
+// every block and edge weight of the 50 seed-42 randomCFG trials must equal
+// testdata/flows_pinned.txt. Relaxation order and cycle choice decide which
+// optimum comes out, so a change that only moves allocations leaves the file
+// as it is; a different solver is expected to need -update and a reason.
+func TestInferFlowsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	var sb strings.Builder
+	for trial := 0; trial < 50; trial++ {
+		f := randomCFG(rng, 3+rng.Intn(10))
+		InferProgram(progOf(f))
+		fmt.Fprintf(&sb, "trial %d:", trial)
+		for _, b := range f.Blocks {
+			fmt.Fprintf(&sb, " b%d=%d%v", b.ID, b.Weight, b.Term.EdgeW)
+		}
+		sb.WriteByte('\n')
+	}
+	path := filepath.Join("testdata", "flows_pinned.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sb.String() == string(want) {
+		return
+	}
+	got, pinned := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range got {
+		if i >= len(pinned) || got[i] != pinned[i] {
+			t.Fatalf("flows moved at line %d:\n got  %s\n want %s", i+1, got[i], strings.Join(pinned[min(i, len(pinned)):min(i+1, len(pinned))], ""))
+		}
+	}
+	t.Fatalf("flows_pinned.txt has %d lines, the solver produced %d", len(pinned), len(got))
+}
