@@ -17,10 +17,12 @@ race:
 
 # Bench lane: the Go micro-benchmarks, then the repository's benchmark
 # (BENCHMARK.json: five seeded, self-checking workloads; see bench/README.md).
-# The allocation guards are TestSteadyStateAllocsPerSample[Flat] in tier-1
-# and the benchmark's rep_alloc_mb gate + sampling.allocs_per_sample row.
+# The allocation guards are TestSteadyStateAllocsPerSample[Flat] and
+# TestRunSteadyStateAllocs in tier-1 and the benchmark's rep_alloc_mb gate +
+# sampling.allocs_per_sample row.
 bench:
 	$(GO) test -bench=. -benchmem
+	$(GO) test ./internal/sim -run '^$$' -bench Run -benchmem
 	bash bench/run.sh
 
 # Fuzz smoke lane: native fuzzing of the profile readers, the folded

@@ -52,10 +52,14 @@ func (g *mcfGraph) addArc(from, to int, cap, cost int64) (int, int) {
 func (g *mcfGraph) cancelNegativeCycles() int {
 	n := len(g.arcs)
 	iterations := 0
+	// One set of Bellman-Ford tables for the whole solve, reset per
+	// augmentation.
+	dist := make([]int64, n)
+	parentNode := make([]int, n)
+	parentArc := make([]int, n)
 	for {
-		dist := make([]int64, n)
-		parentNode := make([]int, n)
-		parentArc := make([]int, n)
+		clear(dist)
+		clear(parentArc)
 		for i := range parentNode {
 			parentNode[i] = -1
 		}

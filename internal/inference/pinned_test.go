@@ -47,9 +47,9 @@ func TestInferFlowsPinned(t *testing.T) {
 		return
 	}
 	got, pinned := strings.Split(sb.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range got {
-		if i >= len(pinned) || got[i] != pinned[i] {
-			t.Fatalf("flows moved at line %d:\n got  %s\n want %s", i+1, got[i], strings.Join(pinned[min(i, len(pinned)):min(i+1, len(pinned))], ""))
+	for i, line := range got {
+		if i >= len(pinned) || line != pinned[i] {
+			t.Fatalf("flows moved at line %d of %d (pinned: %d lines):\n got %s", i+1, len(got), len(pinned), line)
 		}
 	}
 	t.Fatalf("flows_pinned.txt has %d lines, the solver produced %d", len(pinned), len(got))

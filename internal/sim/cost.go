@@ -56,46 +56,30 @@ func ProfilingCostParams() CostParams {
 	return p
 }
 
-// predictor is a classic table of 2-bit saturating counters indexed by
-// branch address (no aliasing — one entry per static branch).
-type predictor struct {
-	table map[uint64]uint8
-}
-
-func newPredictor() *predictor { return &predictor{table: map[uint64]uint8{}} }
-
-// predictAndUpdate returns whether the prediction for addr matched the
-// outcome, then trains the counter. Counters start weakly-taken (2).
-func (p *predictor) predictAndUpdate(addr uint64, taken bool) bool {
-	c, ok := p.table[addr]
-	if !ok {
-		c = 2
-	}
-	predictTaken := c >= 2
-	if taken && c < 3 {
-		c++
-	} else if !taken && c > 0 {
-		c--
-	}
-	p.table[addr] = c
-	return predictTaken == taken
-}
-
-// icache is a set-associative instruction cache with LRU replacement.
+// icache is a set-associative instruction cache with LRU replacement. The
+// ways of set i are lines[i*ways : (i+1)*ways]. slot maps every line of the
+// text segment to the entry of lines that holds it (-1 when not resident),
+// so a hit — nearly every access — touches one entry instead of walking
+// the set.
 type icache struct {
-	sets     [][]icLine
-	lineBits uint
-	setMask  uint64
-	tick     uint64
+	lines     []icLine
+	slot      []int32
+	firstLine uint64
+	ways      int
+	lineBits  uint
+	setMask   uint64
+	tick      uint64
 }
 
+// icLine is one cache entry; used is the tick of its last access, 0 while
+// the entry is empty.
 type icLine struct {
-	tag   uint64
-	valid bool
-	used  uint64
+	tag  uint64
+	used uint64
 }
 
-func newICache(p CostParams) *icache {
+// newICache builds the cache for a text segment spanning [lo, hi].
+func newICache(p CostParams, lo, hi uint64) *icache {
 	lineBits := uint(0)
 	for 1<<lineBits < p.ICacheLineBytes {
 		lineBits++
@@ -104,30 +88,48 @@ func newICache(p CostParams) *icache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &icache{lineBits: lineBits, setMask: uint64(nsets - 1)}
-	c.sets = make([][]icLine, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]icLine, p.ICacheWays)
+	c := &icache{
+		lines:     make([]icLine, nsets*p.ICacheWays),
+		slot:      make([]int32, hi>>lineBits-lo>>lineBits+1),
+		firstLine: lo >> lineBits,
+		ways:      p.ICacheWays,
+		lineBits:  lineBits,
+		setMask:   uint64(nsets - 1),
+	}
+	for i := range c.slot {
+		c.slot[i] = -1
 	}
 	return c
 }
 
-// access touches the line containing addr; returns true on hit.
-func (c *icache) access(addr uint64) bool {
+// hit touches the line containing addr and reports whether it is resident;
+// when it is not, the caller charges the miss and calls fill. Split this way
+// hit inlines into Run's loop and only misses make a call.
+func (c *icache) hit(addr uint64) bool {
 	c.tick++
+	s := c.slot[addr>>c.lineBits-c.firstLine]
+	if s < 0 {
+		return false
+	}
+	c.lines[s].used = c.tick
+	return true
+}
+
+// fill brings the line containing addr, which just missed, in over its
+// set's least recently used way (the lowest-numbered one among equals).
+func (c *icache) fill(addr uint64) {
 	line := addr >> c.lineBits
-	set := c.sets[line&c.setMask]
-	var victim, oldest = 0, ^uint64(0)
-	for i := range set {
-		if set[i].valid && set[i].tag == line {
-			set[i].used = c.tick
-			return true
-		}
-		if set[i].used < oldest {
-			oldest = set[i].used
+	first := int(line&c.setMask) * c.ways
+	victim, oldest := first, ^uint64(0)
+	for i := first; i < first+c.ways; i++ {
+		if c.lines[i].used < oldest {
+			oldest = c.lines[i].used
 			victim = i
 		}
 	}
-	set[victim] = icLine{tag: line, valid: true, used: c.tick}
-	return false
+	if v := &c.lines[victim]; v.used != 0 {
+		c.slot[v.tag-c.firstLine] = -1
+	}
+	c.lines[victim] = icLine{tag: line, used: c.tick}
+	c.slot[line-c.firstLine] = int32(victim)
 }

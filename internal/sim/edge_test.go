@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"csspgo/internal/codegen"
@@ -260,23 +262,26 @@ func TestDeepRecursionKeepsCallerRegisters(t *testing.T) {
 			t.Fatalf("rec(%d) = %d, want %d", n, got, want)
 		}
 	}
+	// The deep runs outgrow the arena several times over, each time in the
+	// middle of a call with thousands of caller frames live below it.
+	if len(m.arena) < 4*initialArena {
+		t.Fatalf("arena is %d registers, want it to have doubled at least twice from %d", len(m.arena), initialArena)
+	}
 }
 
 // statsDigest folds every Stats field of every machine into one line.
 func statsDigest(ms []*Machine) string {
-	h := uint64(14695981039346656037)
+	h := fnv.New64a()
 	for _, m := range ms {
 		s := m.Stats()
 		for _, v := range []uint64{s.Cycles, s.Instructions, s.CondBranches, s.TakenBranches, s.Mispredicts,
 			s.ICacheMisses, s.Calls, s.IndirectCalls, s.Returns, s.Samples, uint64(len(m.Samples()))} {
-			for i := 0; i < 8; i++ {
-				h ^= v & 0xff
-				h *= 1099511628211
-				v >>= 8
-			}
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
 		}
 	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // TestStepLimitStatsPinned stops the same run after every step count from 1

@@ -2,11 +2,17 @@
 // cost model (branch predictor, i-cache, call overhead) and a PMU that
 // produces synchronized LBR + call-stack samples. It is the reproduction's
 // stand-in for the paper's Skylake servers + linux perf.
+//
+// The simulator is this repository's hardware counter: it may get faster
+// but no count it produces may move. testdata/golden.json is that contract
+// — every Stats field, return value, sample, counter and meter total over
+// the whole corpus — and TestGolden holds Run to it byte for byte.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"csspgo/internal/ir"
 	"csspgo/internal/machine"
@@ -33,22 +39,34 @@ type Machine struct {
 	Prog *machine.Prog
 	Cost CostParams
 
+	// code is Prog.Instrs decoded once by New: one compact record per
+	// instruction, same indices. funcEntry is each function's entry as an
+	// index into code, entry is main's.
+	code      []dinstr
+	funcEntry []int32
+	entry     int32
+
 	globals  []int64
 	counters []uint64
-	pred     []uint8 // 2-bit counters indexed by addr-base
+	pred     []uint8 // 2-bit counters, one per instruction index
+	// btb predicts indirect-call targets by last-seen target per site
+	// (instruction index; -1 before the first call); a wrong prediction
+	// costs a full mispredict (the penalty ICP's guarded direct call removes
+	// on the dominant path).
+	btb      []int32
 	ic       *icache
 	pmu      *pmu
-	lastLine uint64
-	haveLine bool
+	lastLine uint64 // i-cache line of the last fetch; noLine before the first
 
-	base      uint64
-	addrToIdx []int32
-	// btb predicts indirect-call targets by last-seen target per site;
-	// a wrong prediction costs a full mispredict (the penalty ICP's
-	// guarded direct call removes on the dominant path).
-	btb map[uint64]int32
-
+	// arena holds every live register file back to back; frames[i].base is
+	// where frame i's starts. argTmp stages a tail call's arguments (sized
+	// by decode), snap is the reusable stack-snapshot buffer.
+	arena  []int64
+	sp     int // end of the innermost frame's registers in arena
+	argTmp []int64
 	frames []frame
+	retVal int64 // value of the last return retired
+	snap   []uint64
 	stats  Stats
 
 	// vprof holds exact indirect-call target counts per call-site address,
@@ -63,40 +81,196 @@ type Machine struct {
 	MaxSteps uint64
 }
 
+// frame is one activation: where its registers start in the arena and where
+// its return goes (address for the LBR and stack samples, index for the
+// fetch; retIdx is -1 when the address is outside the text segment).
 type frame struct {
-	fn      *machine.Func
-	regs    []int64
 	retAddr uint64
+	base    int32
+	retIdx  int32
 	retDst  int32
 }
+
+// opcode is a decoded instruction's single dispatch key: machine.Kind with
+// the ALU operator, the branch sense and the addressing mode folded in.
+type opcode uint8
+
+const (
+	opConst opcode = iota
+	opMove         // costs no BaseCPI: eliminated at rename
+	opNot
+	opNeg
+	opAdd // opAdd+k is ir.BinKind k, in ir's order
+	opSub
+	opMul
+	opDiv
+	opRem
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opSelect
+	opLoad      // scalar: imm is the wrapped global offset
+	opLoadIdx   // imm + r[b], wrapped at run time
+	opStore     // scalar
+	opStoreIdx  // indexed
+	opBranch    // taken when r[a] != 0
+	opBranchNot // taken when r[a] == 0
+	opJump
+	opCall
+	opTailCall
+	opICall
+	opRet
+	opCounter
+	opStall // unknown machine.Kind: retires without moving, until MaxSteps
+)
+
+// dinstr is one decoded instruction (48 bytes against machine.Instr's 104).
+// Which operands are meaningful depends on op:
+//
+//	const            dst, imm=value
+//	move/not/neg     dst, a
+//	add..shr         dst, a, b
+//	select           dst, a, b, c
+//	load/store       dst|a, imm=global offset, b=index register (Idx forms)
+//	branch/jump      a, tgt, tgtAddr
+//	call             dst, b=callee id, tgt, tgtAddr, c=return index, imm=return address
+//	tailcall         b=callee id, tgt, tgtAddr
+//	icall            dst, a, c=return index, imm=return address
+//	ret              a (-1: returns 0)
+//	counter          imm=counter id
+//
+// tgt and c are indices into code, resolved once at decode time from
+// tgtAddr and the return address; -1 means the address is not an
+// instruction start, which Run reports only after the transfer has retired. Call arguments stay in machine.Instr.ArgRegs.
+type dinstr struct {
+	addr         uint64
+	tgtAddr      uint64
+	imm          int64
+	dst, a, b, c int32
+	tgt          int32
+	op           opcode
+}
+
+const (
+	noLine = ^uint64(0)
+	// exitPC is the next-pc of main's return.
+	exitPC = -2
+	// initialArena is the register arena's starting size; it doubles on
+	// demand and is kept across runs.
+	initialArena = 1024
+)
 
 // New creates a machine for prog with the given cost model and PMU config.
 func New(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {
 	m := &Machine{
 		Prog:     prog,
 		Cost:     cost,
-		ic:       newICache(cost),
 		pmu:      newPMU(pmuCfg),
+		lastLine: noLine,
+		arena:    make([]int64, initialArena),
 		MaxSteps: 500_000_000,
 	}
 	m.Reset()
-	if len(prog.Instrs) > 0 {
-		m.base = prog.Instrs[0].Addr
-		last := &prog.Instrs[len(prog.Instrs)-1]
-		span := last.Addr + uint64(last.Size) - m.base
-		m.addrToIdx = make([]int32, span+1)
-		for i := range m.addrToIdx {
-			m.addrToIdx[i] = -1
+	m.decode()
+	return m
+}
+
+// decode builds m.code from m.Prog. Every address a transfer can name is
+// turned into an instruction index here, so the run loop never searches.
+func (m *Machine) decode() {
+	instrs := m.Prog.Instrs
+	if n := len(instrs); n > 0 {
+		m.ic = newICache(m.Cost, instrs[0].Addr, instrs[n-1].Addr)
+	}
+	idxOf := func(addr uint64) int32 {
+		i := sort.Search(len(instrs), func(i int) bool { return instrs[i].Addr >= addr })
+		if i < len(instrs) && instrs[i].Addr == addr {
+			return int32(i)
 		}
-		for i := range prog.Instrs {
-			m.addrToIdx[prog.Instrs[i].Addr-m.base] = int32(i)
-		}
-		m.pred = make([]uint8, span+1)
-		for i := range m.pred {
-			m.pred[i] = 2 // weakly taken
+		return -1
+	}
+	m.entry = idxOf(m.Prog.EntryAddr)
+	m.funcEntry = make([]int32, len(m.Prog.Funcs))
+	for i, f := range m.Prog.Funcs {
+		m.funcEntry[i] = idxOf(f.Start)
+	}
+	m.code = make([]dinstr, len(instrs))
+	m.pred = make([]uint8, len(instrs))
+	for i := range m.pred {
+		m.pred[i] = 2 // weakly taken
+	}
+	for i := range instrs {
+		in := &instrs[i]
+		d := &m.code[i]
+		*d = dinstr{addr: in.Addr, tgtAddr: in.Target, dst: in.Dst, a: in.A, b: in.B, c: in.C, tgt: -1}
+		switch in.Kind {
+		case machine.KConst:
+			d.op, d.imm = opConst, in.Value
+		case machine.KOp:
+			switch {
+			case in.Op == ir.OpMove:
+				d.op = opMove
+			case in.Op == ir.OpNot:
+				d.op = opNot
+			case in.Op == ir.OpNeg:
+				d.op = opNeg
+			case in.Bin <= ir.BinShr:
+				d.op = opAdd + opcode(in.Bin)
+			default:
+				d.op, d.imm = opConst, 0 // an unknown operator yields 0
+			}
+		case machine.KSelect:
+			d.op = opSelect
+		case machine.KLoad, machine.KStore:
+			d.op, d.imm = opLoad, int64(in.GlobalOff)
+			if in.Kind == machine.KStore {
+				d.op = opStore
+			}
+			if in.Index >= 0 {
+				d.op++ // the Idx form follows its scalar form
+				d.b = in.Index
+			} else {
+				d.imm = wrap(d.imm, len(m.globals))
+			}
+		case machine.KBranch:
+			d.op, d.tgt = opBranch, idxOf(in.Target)
+			if in.BranchNeg {
+				d.op = opBranchNot
+			}
+		case machine.KJump:
+			d.op, d.tgt = opJump, idxOf(in.Target)
+		case machine.KCall, machine.KICall:
+			ret := in.Addr + uint64(in.Size)
+			d.op, d.imm, d.c = opICall, int64(ret), idxOf(ret)
+			if in.Kind == machine.KCall {
+				d.op, d.b, d.tgt = opCall, in.CalleeID, idxOf(in.Target)
+			} else if m.btb == nil {
+				m.btb = make([]int32, len(instrs))
+				for j := range m.btb {
+					m.btb[j] = -1
+				}
+			}
+		case machine.KTailCall:
+			d.op, d.b, d.tgt = opTailCall, in.CalleeID, idxOf(in.Target)
+			if len(in.ArgRegs) > len(m.argTmp) {
+				m.argTmp = make([]int64, len(in.ArgRegs))
+			}
+		case machine.KRet:
+			d.op = opRet
+		case machine.KCounter:
+			d.op, d.imm = opCounter, int64(in.CounterID)
+		default:
+			d.op = opStall
 		}
 	}
-	return m
 }
 
 // Reset restores globals and counters to the program image.
@@ -122,355 +296,430 @@ func (m *Machine) ValueProfile() map[uint64]map[int32]uint64 { return m.vprof }
 // ErrStepLimit is returned when a run exceeds MaxSteps.
 var ErrStepLimit = errors.New("sim: step limit exceeded")
 
+var errUnmapped = errors.New("sim: jump to unmapped address")
+
 // valueProfileCost is the per-indirect-call bookkeeping charge on
 // instrumented binaries (hash + histogram RMW).
 const valueProfileCost = 8
 
-func (m *Machine) idxOf(addr uint64) int32 {
-	off := addr - m.base
-	if off >= uint64(len(m.addrToIdx)) {
-		return -1
+// stackSnapshot builds a frame-pointer walk into the machine's reusable
+// buffer: leaf PC first, then each frame's return address outward.
+func (m *Machine) stackSnapshot(leafPC uint64) {
+	s := append(m.snap[:0], leafPC)
+	for i := len(m.frames) - 1; i >= 1; i-- {
+		s = append(s, m.frames[i].retAddr)
 	}
-	return m.addrToIdx[off]
+	m.snap = s
 }
 
-// stackSnapshot builds a frame-pointer walk: leaf PC first, then each
-// frame's return address outward. extraLeaf, when >=0, is used as the leaf
-// PC; depth limits the walk to the top `nFrames` frames (all when the
-// frame slice is the machine's).
-func (m *Machine) stackSnapshot(leafPC uint64, frames []frame) []uint64 {
-	out := make([]uint64, 0, len(frames))
-	out = append(out, leafPC)
-	for i := len(frames) - 1; i >= 1; i-- {
-		out = append(out, frames[i].retAddr)
-	}
-	return out
+// skidding reports whether the taken branch about to retire will be sampled
+// without PEBS. Its sample carries the stack from just before the branch —
+// the one-frame skid across calls and returns the paper observed — so every
+// transfer asks this before its frame effect and, if so, walks the stack
+// then, from leafPC.
+func (m *Machine) skidding() bool {
+	p := m.pmu
+	return !p.cfg.PEBS && p.countdown == 1 && p.cfg.SamplePeriod != 0
 }
 
-// branchEvent records a taken branch in the LBR and, on sampling-counter
-// underflow, takes a synchronized sample. preStack/prePC describe machine
-// state before the branch's frame effect; post state is read from m at
-// call time (the caller must invoke branchEvent after applying the frame
-// effect). With PEBS the sample uses post state (perfectly synchronized);
-// without PEBS it uses the pre-branch stack, reproducing one-frame skid.
-func (m *Machine) branchEvent(from, to uint64, prePC uint64, preStack []uint64) {
-	m.stats.TakenBranches++
-	m.stats.Cycles += m.Cost.TakenBranch
-	if !m.pmu.recordBranch(from, to) {
-		return
-	}
+// sample takes the synchronized sample the branch just recorded in the LBR
+// triggered, after the branch's frame effect. With PEBS the stack is walked
+// now, from the branch target; without, m.snap already holds the pre-branch
+// walk (see skidding).
+func (m *Machine) sample(to uint64) {
+	p := m.pmu
 	m.stats.Samples++
-	if m.pmu.cfg.PEBS {
-		snap := m.stackSnapshot(to, m.frames)
-		m.pmu.takeSample(snap)
-		m.sampleTaken(to, m.walkedFrames(snap))
-	} else {
-		m.pmu.takeSample(preStack)
-		leaf := to
-		if len(preStack) > 0 {
-			leaf = preStack[0]
-		}
-		m.sampleTaken(leaf, m.walkedFrames(preStack))
+	if p.cfg.PEBS {
+		m.stackSnapshot(to)
 	}
-	_ = prePC
+	p.takeSample(m.snap)
+	walked := 0 // LBR-only sampling captures no stack
+	if p.cfg.SampleStacks {
+		walked = len(m.snap)
+	}
+	m.sampleTaken(m.snap[0], walked)
 }
 
-// walkedFrames is the number of frames the sampling interrupt actually
-// unwound: zero for LBR-only sampling (no stack capture), the snapshot
-// length otherwise.
-func (m *Machine) walkedFrames(stack []uint64) int {
-	if !m.pmu.cfg.SampleStacks {
-		return 0
+// newRegs carves an n-register file out of the arena at m.sp, growing the
+// arena if it must. Growth copies, so register slices handed out earlier
+// keep reading their old values; every one still in use after a call is
+// re-derived from the arena (see ret). The file is not zeroed.
+func (m *Machine) newRegs(n int) []int64 {
+	base := m.sp
+	m.sp += n
+	if m.sp > len(m.arena) {
+		grown := make([]int64, max(2*len(m.arena), m.sp))
+		copy(grown, m.arena[:base])
+		m.arena = grown
 	}
-	return len(stack)
+	return m.arena[base:m.sp:m.sp]
+}
+
+// call retires a direct or indirect call at pc: charges it, trains the BTB
+// and the value profile for an indirect one, and pushes the callee's frame
+// with its arguments copied from the caller's registers r. It returns the
+// callee's register file and where the transfer goes.
+func (m *Machine) call(d *dinstr, pc int, r []int64) (regs []int64, to uint64, npc int) {
+	argRegs := m.Prog.Instrs[pc].ArgRegs
+	m.stats.Calls++
+	m.stats.Cycles += m.Cost.CallOverhead + m.Cost.ArgCost*uint64(len(argRegs))
+	nargs := len(argRegs)
+	var callee *machine.Func
+	if d.op == opCall {
+		callee = m.Prog.Funcs[d.b]
+		to, npc = d.tgtAddr, int(d.tgt)
+	} else {
+		m.stats.IndirectCalls++
+		id := int32(wrap(r[d.a], len(m.Prog.Funcs)))
+		callee = m.Prog.Funcs[id]
+		to, npc = callee.Start, int(m.funcEntry[id])
+		nargs = min(nargs, int(callee.NumParams))
+		// Indirect calls pay an extra indirect-branch bubble, and a full
+		// mispredict when the BTB's last-target guess is wrong.
+		m.stats.Cycles += 2
+		if last := m.btb[pc]; last != id {
+			if last >= 0 {
+				m.stats.Mispredicts++
+				m.stats.Cycles += m.Cost.Mispredict
+			}
+			m.btb[pc] = id
+		}
+		if m.Prog.Instrumented {
+			m.profileValue(d.addr, id)
+		}
+	}
+	if m.skidding() {
+		m.stackSnapshot(d.addr)
+	}
+	base := m.sp
+	regs = m.newRegs(int(callee.NumRegs))
+	for i, a := range argRegs[:nargs] {
+		regs[i] = r[a]
+	}
+	clear(regs[nargs:])
+	m.frames = append(m.frames, frame{retAddr: uint64(d.imm), base: int32(base), retIdx: d.c, retDst: d.dst})
+	return regs, to, npc
+}
+
+// tailCall retires a frame-reusing call: return address and destination are
+// inherited and the register file is rebuilt where it stands, whatever the
+// callee's size. Arguments pass through argTmp, so one whose register is
+// overwritten early is still read intact.
+func (m *Machine) tailCall(d *dinstr, pc int, r []int64) []int64 {
+	argRegs := m.Prog.Instrs[pc].ArgRegs
+	m.stats.Calls++
+	m.stats.Cycles += m.Cost.ArgCost * uint64(len(argRegs))
+	if m.skidding() {
+		m.stackSnapshot(d.addr)
+	}
+	tmp := m.argTmp[:len(argRegs)]
+	for i, a := range argRegs {
+		tmp[i] = r[a]
+	}
+	m.sp = int(m.frames[len(m.frames)-1].base)
+	r = m.newRegs(int(m.Prog.Funcs[d.b].NumRegs))
+	clear(r[copy(r[:len(tmp)], tmp):])
+	return r
+}
+
+// ret retires a return: it pops the frame, delivers the value to the
+// caller's destination register and hands back the caller's register file.
+// Main's return leaves its frame in place (the exit branch's sample still
+// sees it) and goes to exitPC.
+func (m *Machine) ret(d *dinstr, r []int64) (regs []int64, to uint64, npc int) {
+	m.stats.Returns++
+	m.stats.Cycles += m.Cost.RetOverhead
+	m.retVal = 0
+	if d.a >= 0 {
+		m.retVal = r[d.a]
+	}
+	if m.skidding() {
+		m.stackSnapshot(d.addr)
+	}
+	top := len(m.frames) - 1
+	popped := m.frames[top]
+	if top == 0 {
+		return r, popped.retAddr, exitPC
+	}
+	m.frames = m.frames[:top]
+	m.sp = int(popped.base)
+	regs = m.arena[m.frames[top-1].base:m.sp]
+	if popped.retDst >= 0 {
+		regs[popped.retDst] = m.retVal
+	}
+	return regs, popped.retAddr, int(popped.retIdx)
+}
+
+// profileValue records one indirect call on an instrumented binary: the
+// per-site target histogram (costly RMW + hashing, the instrumentation-PGO
+// price).
+func (m *Machine) profileValue(site uint64, callee int32) {
+	m.stats.Cycles += valueProfileCost
+	if m.meter != nil {
+		m.meter.VProfHits[site]++
+		m.meter.VProfCycles += valueProfileCost
+	}
+	if m.vprof == nil {
+		m.vprof = map[uint64]map[int32]uint64{}
+	}
+	t := m.vprof[site]
+	if t == nil {
+		t = map[int32]uint64{}
+		m.vprof[site] = t
+	}
+	t[callee]++
 }
 
 // Run executes main(args...) to completion and returns its result.
+//
+// The loop keeps only what every instruction touches in locals — the decoded
+// stream, pc, the current register file, the step budget, the i-cache line
+// of the last fetch and a cycle delta — so that they stay in machine
+// registers; frames, the arena and the PMU live in the Machine and are
+// reached through the call/tailCall/ret helpers and the taken-branch tail.
+// Retired instructions are what is gone from the step budget; cycles is
+// added to Stats.Cycles on the way out, which is sound because everything
+// else that touches Stats.Cycles (the helpers, the sampling interrupt) only
+// ever adds to it.
+//
+// Ordinary instructions end in `continue`; the six transfer kinds fall out
+// of the switch with to and npc set and share the tail below it, where the
+// branch is charged, recorded in the LBR and counted towards the next
+// sample. An unmapped target (npc < 0) becomes an error only there, after
+// the branch has retired.
 func (m *Machine) Run(args ...int64) (int64, error) {
 	entryFn := m.Prog.FuncByName["main"]
 	if entryFn == nil {
 		return 0, fmt.Errorf("sim: binary has no main")
 	}
-	regs := make([]int64, entryFn.NumRegs)
-	for i, a := range args {
-		if i < int(entryFn.NumParams) {
-			regs[i] = a
-		}
-	}
-	m.frames = append(m.frames[:0], frame{fn: entryFn, regs: regs, retDst: -1})
-	pc := m.idxOf(m.Prog.EntryAddr)
-	if pc < 0 {
+	if m.entry < 0 {
 		return 0, fmt.Errorf("sim: bad entry address %#x", m.Prog.EntryAddr)
 	}
-
-	cost := &m.Cost
-	steps := uint64(0)
-	for {
-		steps++
-		if steps > m.MaxSteps {
-			return 0, ErrStepLimit
+	m.frames = append(m.frames[:0], frame{retDst: -1})
+	m.sp = 0
+	r := m.newRegs(int(entryFn.NumRegs))
+	clear(r)
+	for i, a := range args {
+		if i < int(entryFn.NumParams) {
+			r[i] = a
 		}
-		in := &m.Prog.Instrs[pc]
-		cur := &m.frames[len(m.frames)-1]
-		r := cur.regs
+	}
+	var (
+		code     = m.code
+		pc       = int(m.entry)
+		budget   = m.MaxSteps
+		lastLine = m.lastLine
+		cycles   uint64
+		err      error
+	)
+	for {
+		if budget == 0 {
+			err = ErrStepLimit
+			break
+		}
+		budget--
+		d := &code[pc]
 
 		// Instruction fetch: charge i-cache on line changes.
-		line := in.Addr >> 6
-		if !m.haveLine || line != m.lastLine {
-			m.lastLine = line
-			m.haveLine = true
-			if !m.ic.access(in.Addr) {
+		if line := d.addr >> 6; line != lastLine {
+			lastLine = line
+			if !m.ic.hit(d.addr) {
+				m.ic.fill(d.addr)
 				m.stats.ICacheMisses++
-				m.stats.Cycles += cost.ICacheMiss
+				cycles += m.Cost.ICacheMiss
 			}
 		}
-		m.stats.Instructions++
-		// Register-register moves are eliminated at rename on modern
-		// cores; they occupy an instruction slot but no execution cycle.
-		if !(in.Kind == machine.KOp && in.Op == ir.OpMove) {
-			m.stats.Cycles += cost.BaseCPI
-		}
+		cycles += m.Cost.BaseCPI
 
-		switch in.Kind {
-		case machine.KConst:
-			r[in.Dst] = in.Value
+		var to uint64
+		var npc int
+		switch d.op {
+		case opConst:
+			r[d.dst] = d.imm
 			pc++
-
-		case machine.KOp:
+			continue
+		case opMove:
+			// Register-register moves are eliminated at rename on modern
+			// cores; they occupy an instruction slot but no execution cycle.
+			cycles -= m.Cost.BaseCPI
+			r[d.dst] = r[d.a]
+			pc++
+			continue
+		case opNot:
+			r[d.dst] = b2i(r[d.a] == 0)
+			pc++
+			continue
+		case opNeg:
+			r[d.dst] = -r[d.a]
+			pc++
+			continue
+		case opAdd:
+			r[d.dst] = r[d.a] + r[d.b]
+			pc++
+			continue
+		case opSub:
+			r[d.dst] = r[d.a] - r[d.b]
+			pc++
+			continue
+		case opMul:
+			r[d.dst] = r[d.a] * r[d.b]
+			pc++
+			continue
+		case opDiv:
 			var v int64
-			switch in.Op {
-			case ir.OpMove:
-				v = r[in.A]
-			case ir.OpNot:
-				if r[in.A] == 0 {
-					v = 1
-				}
-			case ir.OpNeg:
-				v = -r[in.A]
-			default:
-				a, b := r[in.A], r[in.B]
-				switch in.Bin {
-				case ir.BinAdd:
-					v = a + b
-				case ir.BinSub:
-					v = a - b
-				case ir.BinMul:
-					v = a * b
-				case ir.BinDiv:
-					if b != 0 {
-						v = a / b
-					}
-				case ir.BinRem:
-					if b != 0 {
-						v = a % b
-					}
-				case ir.BinEq:
-					v = b2i(a == b)
-				case ir.BinNe:
-					v = b2i(a != b)
-				case ir.BinLt:
-					v = b2i(a < b)
-				case ir.BinLe:
-					v = b2i(a <= b)
-				case ir.BinGt:
-					v = b2i(a > b)
-				case ir.BinGe:
-					v = b2i(a >= b)
-				case ir.BinAnd:
-					v = a & b
-				case ir.BinOr:
-					v = a | b
-				case ir.BinXor:
-					v = a ^ b
-				case ir.BinShl:
-					v = a << (uint64(b) & 63)
-				case ir.BinShr:
-					v = a >> (uint64(b) & 63)
-				}
+			if b := r[d.b]; b != 0 {
+				v = r[d.a] / b
 			}
-			r[in.Dst] = v
+			r[d.dst] = v
 			pc++
-
-		case machine.KSelect:
-			if r[in.A] != 0 {
-				r[in.Dst] = r[in.B]
+			continue
+		case opRem:
+			var v int64
+			if b := r[d.b]; b != 0 {
+				v = r[d.a] % b
+			}
+			r[d.dst] = v
+			pc++
+			continue
+		case opEq:
+			r[d.dst] = b2i(r[d.a] == r[d.b])
+			pc++
+			continue
+		case opNe:
+			r[d.dst] = b2i(r[d.a] != r[d.b])
+			pc++
+			continue
+		case opLt:
+			r[d.dst] = b2i(r[d.a] < r[d.b])
+			pc++
+			continue
+		case opLe:
+			r[d.dst] = b2i(r[d.a] <= r[d.b])
+			pc++
+			continue
+		case opGt:
+			r[d.dst] = b2i(r[d.a] > r[d.b])
+			pc++
+			continue
+		case opGe:
+			r[d.dst] = b2i(r[d.a] >= r[d.b])
+			pc++
+			continue
+		case opAnd:
+			r[d.dst] = r[d.a] & r[d.b]
+			pc++
+			continue
+		case opOr:
+			r[d.dst] = r[d.a] | r[d.b]
+			pc++
+			continue
+		case opXor:
+			r[d.dst] = r[d.a] ^ r[d.b]
+			pc++
+			continue
+		case opShl:
+			r[d.dst] = r[d.a] << (uint64(r[d.b]) & 63)
+			pc++
+			continue
+		case opShr:
+			r[d.dst] = r[d.a] >> (uint64(r[d.b]) & 63)
+			pc++
+			continue
+		case opSelect:
+			if r[d.a] != 0 {
+				r[d.dst] = r[d.b]
 			} else {
-				r[in.Dst] = r[in.C]
+				r[d.dst] = r[d.c]
 			}
 			pc++
-
-		case machine.KLoad:
-			off := int64(in.GlobalOff)
-			if in.Index >= 0 {
-				off += r[in.Index]
-			}
-			r[in.Dst] = m.globals[wrap(off, len(m.globals))]
+			continue
+		case opLoad:
+			r[d.dst] = m.globals[d.imm]
 			pc++
-
-		case machine.KStore:
-			off := int64(in.GlobalOff)
-			if in.Index >= 0 {
-				off += r[in.Index]
-			}
-			m.globals[wrap(off, len(m.globals))] = r[in.A]
+			continue
+		case opLoadIdx:
+			r[d.dst] = m.globals[wrap(d.imm+r[d.b], len(m.globals))]
 			pc++
+			continue
+		case opStore:
+			m.globals[d.imm] = r[d.a]
+			pc++
+			continue
+		case opStoreIdx:
+			m.globals[wrap(d.imm+r[d.b], len(m.globals))] = r[d.a]
+			pc++
+			continue
+		case opCounter:
+			m.counters[d.imm]++
+			cycles += m.Cost.CounterCost
+			if m.meter != nil {
+				m.meter.ProbeHits[int32(d.imm)]++
+				m.meter.ProbeCycles += m.Cost.CounterCost
+			}
+			pc++
+			continue
+		default: // opStall
+			continue
 
-		case machine.KBranch:
+		case opBranch, opBranchNot:
 			m.stats.CondBranches++
-			cond := r[in.A] != 0
-			taken := cond != in.BranchNeg
-			c := m.pred[in.Addr-m.base]
+			taken := (r[d.a] != 0) == (d.op == opBranch)
+			c := m.pred[pc]
 			predictTaken := c >= 2
 			if taken && c < 3 {
 				c++
 			} else if !taken && c > 0 {
 				c--
 			}
-			m.pred[in.Addr-m.base] = c
+			m.pred[pc] = c
 			if predictTaken != taken {
 				m.stats.Mispredicts++
-				m.stats.Cycles += cost.Mispredict
+				cycles += m.Cost.Mispredict
 			}
-			if taken {
-				next := in.Addr + uint64(in.Size)
-				preStack := m.preStackIfNeeded(next)
-				pc = m.idxOf(in.Target)
-				m.branchEvent(in.Addr, in.Target, next, preStack)
-			} else {
+			if !taken {
 				pc++
+				continue
 			}
-
-		case machine.KJump:
-			next := in.Addr + uint64(in.Size)
-			preStack := m.preStackIfNeeded(next)
-			pc = m.idxOf(in.Target)
-			m.branchEvent(in.Addr, in.Target, next, preStack)
-
-		case machine.KICall:
-			m.stats.Calls++
-			m.stats.IndirectCalls++
-			calleeID := int32(wrap(r[in.A], len(m.Prog.Funcs)))
-			callee := m.Prog.Funcs[calleeID]
-			// Indirect calls pay an extra indirect-branch bubble, and a
-			// full mispredict when the BTB's last-target guess is wrong.
-			m.stats.Cycles += cost.CallOverhead + 2 + cost.ArgCost*uint64(len(in.ArgRegs))
-			if m.btb == nil {
-				m.btb = map[uint64]int32{}
+			if m.skidding() {
+				m.stackSnapshot(d.addr + uint64(m.Prog.Instrs[pc].Size))
 			}
-			if last, ok := m.btb[in.Addr]; !ok || last != calleeID {
-				if ok {
-					m.stats.Mispredicts++
-					m.stats.Cycles += cost.Mispredict
-				}
-				m.btb[in.Addr] = calleeID
+			to, npc = d.tgtAddr, int(d.tgt)
+		case opJump:
+			if m.skidding() {
+				m.stackSnapshot(d.addr + uint64(m.Prog.Instrs[pc].Size))
 			}
-			if m.Prog.Instrumented {
-				// Value profiling: per-site target histogram (costly RMW +
-				// hashing, the instrumentation-PGO price).
-				m.stats.Cycles += valueProfileCost
-				if m.meter != nil {
-					m.meter.VProfHits[in.Addr]++
-					m.meter.VProfCycles += valueProfileCost
-				}
-				if m.vprof == nil {
-					m.vprof = map[uint64]map[int32]uint64{}
-				}
-				t := m.vprof[in.Addr]
-				if t == nil {
-					t = map[int32]uint64{}
-					m.vprof[in.Addr] = t
-				}
-				t[calleeID]++
-			}
-			nregs := make([]int64, callee.NumRegs)
-			for i, a := range in.ArgRegs {
-				if i < int(callee.NumParams) {
-					nregs[i] = r[a]
-				}
-			}
-			retAddr := in.Addr + uint64(in.Size)
-			preStack := m.preStackIfNeeded(in.Addr)
-			m.frames = append(m.frames, frame{fn: callee, regs: nregs, retAddr: retAddr, retDst: in.Dst})
-			pc = m.idxOf(callee.Start)
-			m.branchEvent(in.Addr, callee.Start, in.Addr, preStack)
-
-		case machine.KCall:
-			m.stats.Calls++
-			m.stats.Cycles += cost.CallOverhead + cost.ArgCost*uint64(len(in.ArgRegs))
-			callee := m.Prog.Funcs[in.CalleeID]
-			nregs := make([]int64, callee.NumRegs)
-			for i, a := range in.ArgRegs {
-				nregs[i] = r[a]
-			}
-			retAddr := in.Addr + uint64(in.Size)
-			preStack := m.preStackIfNeeded(in.Addr)
-			m.frames = append(m.frames, frame{fn: callee, regs: nregs, retAddr: retAddr, retDst: in.Dst})
-			pc = m.idxOf(in.Target)
-			m.branchEvent(in.Addr, in.Target, in.Addr, preStack)
-
-		case machine.KTailCall:
-			m.stats.Calls++
-			m.stats.Cycles += cost.ArgCost * uint64(len(in.ArgRegs))
-			callee := m.Prog.Funcs[in.CalleeID]
-			nregs := make([]int64, callee.NumRegs)
-			for i, a := range in.ArgRegs {
-				nregs[i] = r[a]
-			}
-			preStack := m.preStackIfNeeded(in.Addr)
-			top := &m.frames[len(m.frames)-1]
-			top.fn = callee
-			top.regs = nregs
-			// retAddr and retDst inherited: the frame was reused.
-			pc = m.idxOf(in.Target)
-			m.branchEvent(in.Addr, in.Target, in.Addr, preStack)
-
-		case machine.KRet:
-			m.stats.Returns++
-			m.stats.Cycles += cost.RetOverhead
-			var val int64
-			if in.A >= 0 {
-				val = r[in.A]
-			}
-			preStack := m.preStackIfNeeded(in.Addr)
-			popped := m.frames[len(m.frames)-1]
-			m.frames = m.frames[:len(m.frames)-1]
-			if len(m.frames) == 0 {
-				// Process exit: the final ret is still a taken branch.
-				m.frames = append(m.frames, popped) // keep stack valid for snapshot
-				m.branchEvent(in.Addr, popped.retAddr, in.Addr, preStack)
-				m.frames = m.frames[:0]
-				return val, nil
-			}
-			caller := &m.frames[len(m.frames)-1]
-			if popped.retDst >= 0 {
-				caller.regs[popped.retDst] = val
-			}
-			pc = m.idxOf(popped.retAddr)
-			m.branchEvent(in.Addr, popped.retAddr, in.Addr, preStack)
-
-		case machine.KCounter:
-			m.counters[in.CounterID]++
-			m.stats.Cycles += cost.CounterCost
-			if m.meter != nil {
-				m.meter.ProbeHits[in.CounterID]++
-				m.meter.ProbeCycles += cost.CounterCost
-			}
-			pc++
+			to, npc = d.tgtAddr, int(d.tgt)
+		case opCall, opICall:
+			r, to, npc = m.call(d, pc, r)
+		case opTailCall:
+			r = m.tailCall(d, pc, r)
+			to, npc = d.tgtAddr, int(d.tgt)
+		case opRet:
+			r, to, npc = m.ret(d, r)
 		}
 
-		if pc < 0 {
-			return 0, fmt.Errorf("sim: jump to unmapped address")
+		m.stats.TakenBranches++
+		cycles += m.Cost.TakenBranch
+		if p := m.pmu; p.recordBranch(d.addr, to) && p.rearm() {
+			m.sample(to)
 		}
+		if npc < 0 {
+			if npc != exitPC {
+				err = errUnmapped
+			}
+			break
+		}
+		pc = npc
 	}
-}
 
-// preStackIfNeeded snapshots the pre-branch stack only when the next PMU
-// event will trigger a non-PEBS sample (avoids per-branch allocation).
-func (m *Machine) preStackIfNeeded(leafPC uint64) []uint64 {
-	if m.pmu.cfg.PEBS || m.pmu.cfg.SamplePeriod == 0 || m.pmu.countdown != 1 {
-		return nil
+	m.stats.Cycles += cycles
+	m.stats.Instructions += m.MaxSteps - budget
+	m.lastLine = lastLine
+	m.frames = m.frames[:0]
+	if err != nil {
+		return 0, err
 	}
-	return m.stackSnapshot(leafPC, m.frames)
+	return m.retVal, nil
 }
 
 func b2i(b bool) int64 {
@@ -481,6 +730,9 @@ func b2i(b bool) int64 {
 }
 
 func wrap(off int64, n int) int64 {
+	if uint64(off) < uint64(n) {
+		return off
+	}
 	if n == 0 {
 		return 0
 	}

@@ -2,9 +2,11 @@ package sim_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -125,19 +127,18 @@ type goldenEntry struct {
 	Meter        *goldenMeter `json:",omitempty"`
 }
 
-type digest struct{ h uint64 }
+// digest is FNV-1a over little-endian 64-bit words.
+type digest struct{ h hash.Hash64 }
 
-func newDigest() *digest { return &digest{14695981039346656037} }
+func newDigest() *digest { return &digest{fnv.New64a()} }
 
 func (d *digest) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		d.h ^= v & 0xff
-		d.h *= 1099511628211
-		v >>= 8
-	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	d.h.Write(b[:])
 }
 
-func (d *digest) String() string { return fmt.Sprintf("%016x", d.h) }
+func (d *digest) String() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 
 func (d *digest) sample(s sim.Sample) {
 	d.u64(uint64(len(s.LBR)))

@@ -104,8 +104,11 @@ func (p *pmu) nextPeriod() uint64 {
 	return period
 }
 
-// recordBranch pushes a taken branch into the LBR and returns true when
-// the sampling counter underflows (a sample must be taken).
+// recordBranch pushes a taken branch into the LBR and runs the sampling
+// counter; it returns true when the counter reaches zero, and the caller
+// then asks rearm whether that is a sample. It is small enough to inline
+// into Run's loop, so only the sampled branch (and, with sampling off, one
+// branch in 2^64) leaves it.
 func (p *pmu) recordBranch(from, to uint64) bool {
 	p.lbr[p.lbrPos] = BranchRec{From: from, To: to}
 	p.lbrPos++
@@ -113,20 +116,19 @@ func (p *pmu) recordBranch(from, to uint64) bool {
 		p.lbrPos = 0
 		p.lbrFull = true
 	}
-	if p.cfg.SamplePeriod == 0 {
-		return false
-	}
 	p.countdown--
-	if p.countdown == 0 {
-		p.countdown = p.nextPeriod()
-		return true
-	}
-	return false
+	return p.countdown == 0
 }
 
-// snapshotLBR returns the LBR contents newest-first.
+// rearm restarts the sampling counter and reports whether sampling is on.
+func (p *pmu) rearm() bool {
+	p.countdown = p.nextPeriod()
+	return p.cfg.SamplePeriod != 0
+}
+
+// snapshotLBR returns the LBR contents newest-first, in one allocation.
 func (p *pmu) snapshotLBR() []BranchRec {
-	return p.snapshotLBRInto(nil)
+	return p.snapshotLBRInto(make([]BranchRec, 0, len(p.lbr)))
 }
 
 // snapshotLBRInto appends the LBR contents newest-first to dst (reusing its

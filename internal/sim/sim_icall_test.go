@@ -180,8 +180,8 @@ func TestPMUJitterDeterministic(t *testing.T) {
 	a := newPMU(PMUConfig{SamplePeriod: 100, LBRDepth: 4, Jitter: true, Seed: 7})
 	b := newPMU(PMUConfig{SamplePeriod: 100, LBRDepth: 4, Jitter: true, Seed: 7})
 	for i := 0; i < 1000; i++ {
-		ra := a.recordBranch(uint64(i), uint64(i+1))
-		rb := b.recordBranch(uint64(i), uint64(i+1))
+		ra := a.recordBranch(uint64(i), uint64(i+1)) && a.rearm()
+		rb := b.recordBranch(uint64(i), uint64(i+1)) && b.rearm()
 		if ra != rb {
 			t.Fatalf("jitter diverged at branch %d", i)
 		}
@@ -191,7 +191,7 @@ func TestPMUJitterDeterministic(t *testing.T) {
 	diverged := false
 	a2 := newPMU(PMUConfig{SamplePeriod: 100, LBRDepth: 4, Jitter: true, Seed: 7})
 	for i := 0; i < 1000; i++ {
-		if a2.recordBranch(uint64(i), 0) != c.recordBranch(uint64(i), 0) {
+		if (a2.recordBranch(uint64(i), 0) && a2.rearm()) != (c.recordBranch(uint64(i), 0) && c.rearm()) {
 			diverged = true
 			break
 		}

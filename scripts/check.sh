@@ -21,6 +21,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== simulator contract (golden counts + allocation gate, then one pass of BenchmarkRun)"
+go test ./internal/sim -run 'Golden|SteadyStateAllocs' -count=1
+go test ./internal/sim -run '^$' -bench Run -benchtime 1x
+
 echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation)"
 go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
 
