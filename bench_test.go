@@ -331,7 +331,10 @@ func BenchmarkStreamingGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkInference measures the MCF profile-inference pass.
+// BenchmarkInference measures the MCF profile-inference pass on adfinder:
+// ProbeOnly hands it the flat profile's functions, FullCS the ones the
+// pre-inliner's decisions have grown (post-inline main is the largest
+// instance any workload solves).
 func BenchmarkInference(b *testing.B) {
 	w, err := workloads.Load("adfinder", 1)
 	if err != nil {
@@ -341,19 +344,27 @@ func BenchmarkInference(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prof, err := pgo.CollectProfileFor(res, pgo.ProbeOnly, w.Train)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		build, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true, Profile: prof, DisableInference: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		inference.InferProgram(build.IR)
+	for _, variant := range []pgo.Variant{pgo.ProbeOnly, pgo.FullCS} {
+		b.Run(string(variant), func(b *testing.B) {
+			prof, err := pgo.CollectProfileFor(res, variant, w.Train)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := pgo.BuildConfig{
+				Probes: true, Profile: prof, DisableInference: true,
+				UsePreInlineDecisions: variant == pgo.FullCS,
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				build, err := pgo.Build(w.Files, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				inference.InferProgram(build.IR)
+			}
+		})
 	}
 }
 

@@ -17,66 +17,74 @@ type Result struct {
 // virtual entry/exit).
 func Infer(f *ir.Function) Result {
 	blocks := f.ReachableOrder()
-	n := len(blocks)
-	if n == 0 {
+	if len(blocks) == 0 {
 		return Result{}
 	}
-	idx := make(map[*ir.Block]int, n)
-	for i, b := range blocks {
-		idx[b] = i
-	}
+	nw := buildNetwork(blocks)
+	augmentations, _ := nw.g.cancelNegativeCycles()
+	return Result{Augmentations: augmentations, Adjusted: nw.apply(blocks)}
+}
 
-	// Scale weights down so cycle canceling converges in few iterations.
+// network is one function's circulation instance: block i of the reachable
+// order is split into nodes 2i (in) and 2i+1 (out).
+type network struct {
+	g *mcfGraph
+	// Weights are scaled down so cycle canceling converges in few
+	// iterations.
+	scale uint64
+	// Block i's measurement arcs are ids [meas[i], meas[i+1]); the arc of
+	// its successor si is edge[i]+si.
+	meas, edge []int32
+}
+
+func buildNetwork(blocks []*ir.Block) *network {
+	n := len(blocks)
 	var maxW uint64
+	maxID, succs := 0, 0
 	for _, b := range blocks {
 		if b.HasWeight && b.Weight > maxW {
 			maxW = b.Weight
 		}
+		maxID = max(maxID, b.ID)
+		succs += len(b.Term.Succs)
 	}
 	scale := uint64(1)
 	for maxW/scale > 1<<16 {
 		scale *= 2
+	}
+	idx := make([]int32, maxID+1) // block ID -> position in blocks
+	for i, b := range blocks {
+		idx[b.ID] = int32(i)
 	}
 
 	inNode := func(i int) int { return 2 * i }
 	outNode := func(i int) int { return 2*i + 1 }
 	S, T := 2*n, 2*n+1
 	g := newMCF(2*n + 2)
+	// At most two measurement arcs and one sink arc per block.
+	g.specs = make([]arcSpec, 0, 3*n+succs+2)
+	nw := &network{g: g, scale: scale, meas: make([]int32, n+1), edge: make([]int32, n)}
 
-	// Measurement arcs.
-	type arcRef struct{ node, i int }
-	blockArcs := make([][]arcRef, n)
 	for i, b := range blocks {
 		w := int64(b.Weight / scale)
 		switch {
 		case b.HasWeight && w > 0:
-			n1, a1 := g.addArc(inNode(i), outNode(i), w, costReward)
-			n2, a2 := g.addArc(inNode(i), outNode(i), infCap, costExceed)
-			blockArcs[i] = []arcRef{{n1, a1}, {n2, a2}}
+			g.addArc(inNode(i), outNode(i), w, costReward)
+			g.addArc(inNode(i), outNode(i), infCap, costExceed)
 		case b.HasWeight:
-			n1, a1 := g.addArc(inNode(i), outNode(i), infCap, costColdUse)
-			blockArcs[i] = []arcRef{{n1, a1}}
+			g.addArc(inNode(i), outNode(i), infCap, costColdUse)
 		default:
-			n1, a1 := g.addArc(inNode(i), outNode(i), infCap, 0)
-			blockArcs[i] = []arcRef{{n1, a1}}
+			g.addArc(inNode(i), outNode(i), infCap, 0)
 		}
+		nw.meas[i+1] = int32(len(g.specs))
 	}
-
-	// CFG edge arcs.
-	type edgeKey struct{ b, s int }
-	edgeArcs := map[edgeKey]arcRef{}
+	// Every successor of a reachable block is reachable, so idx maps it.
 	for i, b := range blocks {
-		for si, s := range b.Term.Succs {
-			j, ok := idx[s]
-			if !ok {
-				continue
-			}
-			nn, ai := g.addArc(outNode(i), inNode(j), infCap, costEdge)
-			edgeArcs[edgeKey{i, si}] = arcRef{nn, ai}
-			_ = j
+		nw.edge[i] = int32(len(g.specs))
+		for _, s := range b.Term.Succs {
+			g.addArc(outNode(i), inNode(int(idx[s.ID])), infCap, costEdge)
 		}
 	}
-
 	// Virtual source/sink and the circulation-closing arc.
 	g.addArc(S, inNode(0), infCap, 0)
 	for i, b := range blocks {
@@ -85,29 +93,30 @@ func Infer(f *ir.Function) Result {
 		}
 	}
 	g.addArc(T, S, infCap, 0)
+	return nw
+}
 
-	res := Result{Augmentations: g.cancelNegativeCycles()}
-
-	// Read back flows.
+// apply writes the solved flows back as block and edge weights and returns
+// how many blocks changed weight.
+func (nw *network) apply(blocks []*ir.Block) int {
+	adjusted := 0
 	for i, b := range blocks {
 		var flow int64
-		for _, ar := range blockArcs[i] {
-			flow += g.arcs[ar.node][ar.i].flow
+		for id := nw.meas[i]; id < nw.meas[i+1]; id++ {
+			flow += nw.g.flow(int(id))
 		}
-		w := uint64(flow) * scale
+		w := uint64(flow) * nw.scale
 		if !b.HasWeight || b.Weight != w {
-			res.Adjusted++
+			adjusted++
 		}
 		b.Weight = w
 		b.HasWeight = true
 		b.Term.EnsureEdgeWeights()
 		for si := range b.Term.Succs {
-			if ar, ok := edgeArcs[edgeKey{i, si}]; ok {
-				b.Term.EdgeW[si] = uint64(g.arcs[ar.node][ar.i].flow) * scale
-			}
+			b.Term.EdgeW[si] = uint64(nw.g.flow(int(nw.edge[i])+si)) * nw.scale
 		}
 	}
-	return res
+	return adjusted
 }
 
 // InferProgram runs Infer on every function that carries any profile

@@ -8,13 +8,13 @@ func TestCancelNegativeCyclesSimple(t *testing.T) {
 	// 0 → 1 (cap 10, cost -5), 1 → 0 (cap 10, cost 1): each unit around
 	// the cycle gains 4; the engine must saturate it.
 	g := newMCF(2)
-	n1, a1 := g.addArc(0, 1, 10, -5)
+	reward := g.addArc(0, 1, 10, -5)
 	g.addArc(1, 0, 10, 1)
-	iters := g.cancelNegativeCycles()
+	iters, _ := g.cancelNegativeCycles()
 	if iters == 0 {
 		t.Fatal("no cycles canceled")
 	}
-	if got := g.arcs[n1][a1].flow; got != 10 {
+	if got := g.flow(reward); got != 10 {
 		t.Fatalf("rewarding arc flow = %d, want 10 (saturated)", got)
 	}
 }
@@ -24,16 +24,16 @@ func TestCancelNegativeCyclesStopsAtOptimum(t *testing.T) {
 	// only through the cheap return; the expensive return (cost 20) must
 	// stay unused.
 	g := newMCF(3)
-	_, _ = g.addArc(0, 1, 5, -10)
-	nCheap, aCheap := g.addArc(1, 0, 3, 3)
-	nExp, aExp := g.addArc(1, 2, 100, 10)
+	g.addArc(0, 1, 5, -10)
+	cheap := g.addArc(1, 0, 3, 3)
+	exp := g.addArc(1, 2, 100, 10)
 	g.addArc(2, 0, 100, 10)
 	g.cancelNegativeCycles()
-	if got := g.arcs[nCheap][aCheap].flow; got != 3 {
+	if got := g.flow(cheap); got != 3 {
 		t.Fatalf("cheap return flow = %d, want 3", got)
 	}
 	// Expensive path: -10+10+10 = +10 per unit → unused.
-	if got := g.arcs[nExp][aExp].flow; got != 0 {
+	if got := g.flow(exp); got != 0 {
 		t.Fatalf("expensive return used: %d", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestNoNegativeCyclesNoFlow(t *testing.T) {
 	g.addArc(0, 1, 10, 1)
 	g.addArc(1, 2, 10, 1)
 	g.addArc(2, 0, 10, 1)
-	if iters := g.cancelNegativeCycles(); iters != 0 {
+	if iters, _ := g.cancelNegativeCycles(); iters != 0 {
 		t.Fatalf("positive-cost cycle canceled %d times", iters)
 	}
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // CallSite is one static call instruction location within a function.
 type CallSite struct {
@@ -16,6 +19,12 @@ type CallGraph struct {
 	Calls map[string][]CallSite // caller name -> call sites
 	Edges map[string]map[string]bool
 	Rev   map[string]map[string]bool
+
+	// The SCC partition, computed once by BuildCallGraph (the graph is
+	// never mutated afterwards): components callees-first, and each name's
+	// index into them.
+	sccs [][]string
+	comp map[string]int
 }
 
 // BuildCallGraph scans every function for direct calls.
@@ -48,12 +57,21 @@ func BuildCallGraph(p *Program) *CallGraph {
 			}
 		}
 	}
+	cg.sccs = cg.SCCs()
+	cg.comp = make(map[string]int, len(cg.sccs))
+	for i, scc := range cg.sccs {
+		for _, n := range scc {
+			cg.comp[n] = i
+		}
+	}
 	return cg
 }
 
 // SCCs returns strongly connected components in reverse topological order
 // (callees before callers), computed with Tarjan's algorithm. Each SCC is
-// sorted by name for determinism.
+// sorted by name for determinism. A callee name that has no function is a
+// component of its own. Every call computes afresh; the queries below read
+// the partition BuildCallGraph stored.
 func (cg *CallGraph) SCCs() [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
@@ -112,8 +130,8 @@ func (cg *CallGraph) SCCs() [][]string {
 // flattened). Mutually recursive functions appear in name order within
 // their SCC.
 func (cg *CallGraph) BottomUpOrder() []string {
-	var out []string
-	for _, scc := range cg.SCCs() {
+	out := make([]string, 0, len(cg.comp))
+	for _, scc := range cg.sccs {
 		out = append(out, scc...)
 	}
 	return out
@@ -121,32 +139,20 @@ func (cg *CallGraph) BottomUpOrder() []string {
 
 // TopDownOrder returns function names callers-first.
 func (cg *CallGraph) TopDownOrder() []string {
-	bu := cg.BottomUpOrder()
-	out := make([]string, len(bu))
-	for i, n := range bu {
-		out[len(bu)-1-i] = n
-	}
+	out := cg.BottomUpOrder()
+	slices.Reverse(out)
 	return out
 }
 
 // InSameSCC reports whether a and b are mutually recursive (or a == b and
 // self-recursive for IsRecursive).
 func (cg *CallGraph) InSameSCC(a, b string) bool {
-	for _, scc := range cg.SCCs() {
-		ina, inb := false, false
-		for _, n := range scc {
-			if n == a {
-				ina = true
-			}
-			if n == b {
-				inb = true
-			}
-		}
-		if ina && inb {
-			return len(scc) > 1 || a == b && cg.Edges[a][a]
-		}
+	ca, ok := cg.comp[a]
+	if cb, okb := cg.comp[b]; !ok || !okb || ca != cb {
+		return false
 	}
-	return false
+	// A component of one holds a == b only.
+	return len(cg.sccs[ca]) > 1 || cg.Edges[a][a]
 }
 
 // IsRecursive reports whether fn participates in any cycle.
@@ -154,14 +160,6 @@ func (cg *CallGraph) IsRecursive(fn string) bool {
 	if cg.Edges[fn][fn] {
 		return true
 	}
-	for _, scc := range cg.SCCs() {
-		if len(scc) > 1 {
-			for _, n := range scc {
-				if n == fn {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	c, ok := cg.comp[fn]
+	return ok && len(cg.sccs[c]) > 1
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // callProg builds: main -> a -> b, main -> b, c <-> d (mutual recursion),
 // e -> e (self recursion), main -> c, main -> e.
@@ -112,6 +115,95 @@ func TestSCCsReverseTopological(t *testing.T) {
 	i := idxOf("c")
 	if i != idxOf("d") || len(sccs[i]) != 2 {
 		t.Fatalf("c,d should form one SCC: %v", sccs)
+	}
+}
+
+// CheckSCCQueries holds InSameSCC and IsRecursive, which read the partition
+// BuildCallGraph stored, to a scan of a fresh SCCs() — what they were before
+// the partition was stored — for every pair of names the graph knows,
+// callees without a function included. Exported to the corpus test in
+// package ir_test.
+func CheckSCCQueries(t testing.TB, cg *CallGraph) {
+	t.Helper()
+	sccs := cg.SCCs()
+	var names []string
+	for _, scc := range sccs {
+		names = append(names, scc...)
+	}
+	names = append(names, "no-such-name")
+	for _, a := range names {
+		recursive := cg.Edges[a][a]
+		for _, b := range names {
+			want := false
+			for _, scc := range sccs {
+				if slices.Contains(scc, a) && slices.Contains(scc, b) {
+					want = len(scc) > 1 || a == b && cg.Edges[a][a]
+				}
+			}
+			if got := cg.InSameSCC(a, b); got != want {
+				t.Errorf("InSameSCC(%s, %s) = %v, a fresh scan says %v", a, b, got, want)
+			}
+			recursive = recursive || a != b && want
+		}
+		if got := cg.IsRecursive(a); got != recursive {
+			t.Errorf("IsRecursive(%s) = %v, a fresh scan says %v", a, got, recursive)
+		}
+	}
+	flat := cg.BottomUpOrder()
+	if len(flat) != len(names)-1 {
+		t.Fatalf("BottomUpOrder has %d names, SCCs() %d", len(flat), len(names)-1)
+	}
+	td := cg.TopDownOrder()
+	for i, n := range flat {
+		if n != names[i] || td[len(td)-1-i] != n {
+			t.Fatalf("orders disagree with SCCs() at %d: bottom-up %v, top-down %v, SCCs %v", i, flat, td, sccs)
+		}
+	}
+}
+
+// sccProg builds a self-loop (s), a 3-cycle (x → y → z → x) entered from
+// main, and calls to "ghost", a callee name that has no function.
+func sccProg() *Program {
+	p := NewProgram()
+	for _, fn := range [][]string{
+		{"main", "s", "x", "ghost"},
+		{"s", "s"},
+		{"x", "y"},
+		{"y", "z", "ghost"},
+		{"z", "x"},
+	} {
+		f := NewFunction(fn[0], nil)
+		for _, c := range fn[1:] {
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Callee: c})
+		}
+		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
+		p.AddFunc(f)
+	}
+	return p
+}
+
+func TestSCCQueriesMatchFreshScan(t *testing.T) {
+	for _, p := range []*Program{callProg(t), sccProg()} {
+		CheckSCCQueries(t, BuildCallGraph(p))
+	}
+	cg := BuildCallGraph(sccProg())
+	if !cg.InSameSCC("x", "z") || !cg.InSameSCC("s", "s") || cg.InSameSCC("main", "main") {
+		t.Fatal("3-cycle and self-loop must be recursive, main not")
+	}
+	if cg.InSameSCC("ghost", "ghost") || cg.InSameSCC("y", "ghost") || cg.IsRecursive("ghost") {
+		t.Fatal("a callee without a function is in no cycle")
+	}
+}
+
+var sinkBool bool
+
+// BenchmarkInSameSCC is the inliners' per-call-site question.
+func BenchmarkInSameSCC(b *testing.B) {
+	cg := BuildCallGraph(callProg(b))
+	order := cg.BottomUpOrder()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkBool = cg.InSameSCC(order[i%len(order)], order[(i+1)%len(order)])
 	}
 }
 
