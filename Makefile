@@ -26,7 +26,7 @@ bench:
 	bash bench/run.sh
 
 # Fuzz smoke lane: native fuzzing of the profile readers, the folded
-# flamegraph codecs, the translation validator over random programs
+# flamegraph text codec, the translation validator over random programs
 # through the full checked pipeline, the chunked dispatcher (fuzzer-chosen
 # chunk size / worker count must stay byte-identical to the serial
 # per-sample reference), and the traceparent header parser (must never panic on
@@ -35,7 +35,6 @@ fuzz:
 	$(GO) test ./internal/profdata -run='^FuzzReadText$$' -fuzz='^FuzzReadText$$' -fuzztime=5s
 	$(GO) test ./internal/profdata -run='^FuzzReadBinary$$' -fuzz='^FuzzReadBinary$$' -fuzztime=5s
 	$(GO) test ./internal/introspect -run='^FuzzFoldedText$$' -fuzz='^FuzzFoldedText$$' -fuzztime=5s
-	$(GO) test ./internal/introspect -run='^FuzzFoldedBinary$$' -fuzz='^FuzzFoldedBinary$$' -fuzztime=5s
 	$(GO) test ./internal/opt -run='^FuzzTranslationValidate$$' -fuzz='^FuzzTranslationValidate$$' -fuzztime=5s
 	$(GO) test ./internal/sampling -run='^FuzzChunkedDispatcher$$' -fuzz='^FuzzChunkedDispatcher$$' -fuzztime=5s
 	$(GO) test ./internal/obs -run='^FuzzParseTraceparent$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=5s

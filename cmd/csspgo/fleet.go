@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"os/signal"
 	"strconv"
@@ -50,7 +49,7 @@ func cmdFleet(args []string) error {
 	tracePath := fs.String("trace", "", "write the aggregator's Chrome trace-event JSON (stitchable with serve-side traces)")
 	journalPath := fs.String("journal", "", "write the normalized event journal (JSONL, csspgo-events/v1)")
 	timeseriesPath := fs.String("timeseries", "", "write the normalized time-series store (JSON, csspgo-timeseries/v1)")
-	statusAddr := fs.String("status-addr", "", "serve the fleet status surface (/healthz /metrics /timeseries /events /dashboard) on this address")
+	statusAddr := fs.String("status-addr", "", "serve the fleet status surface (/healthz /metrics /timeseries /events /overhead /dashboard) on this address")
 	_ = fs.Parse(args)
 
 	if fs.NArg() == 0 {
@@ -110,35 +109,26 @@ func cmdFleet(args []string) error {
 	}
 
 	// Self-lint the metric namespace before serving numbers from it.
-	var lintErrs int
-	for _, d := range analysis.CheckMetricRegistry(reg) {
-		fmt.Fprintf(os.Stderr, "fleet: lint: %s\n", d)
-		if d.Sev == analysis.SevError {
-			lintErrs++
-		}
-	}
-	if lintErrs > 0 {
-		return fmt.Errorf("fleet: %d metric lint error(s)", lintErrs)
+	if err := failOnLint("fleet", analysis.CheckMetricRegistry(reg)); err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// The fleet's own observability surface, mirroring the serve daemon's.
+	// The fleet's own status surface: the one the serve daemon mounts, opened
+	// and served the same way.
 	status := (*fleet.StatusServer)(nil)
 	if *statusAddr != "" {
 		status = fleet.NewStatusServer(reg, journal, series)
 		status.SetAggregator(agg)
-		l, err := net.Listen("tcp", *statusAddr)
+		h := status.Handler()
+		l, err := openSurface("fleet", *statusAddr, "fleet status", "", h, obs.StatusEndpoints)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fleet status on http://%s\n", l.Addr())
-		for _, ep := range status.Endpoints() {
-			fmt.Printf("  http://%s%s\n", l.Addr(), ep)
-		}
 		statusDone := make(chan error, 1)
-		go func() { statusDone <- status.Serve(ctx, l) }()
+		go func() { statusDone <- obs.Serve(ctx, l, h) }()
 		defer func() {
 			stop() // release the status server if we exit early
 			<-statusDone
@@ -238,19 +228,8 @@ func cmdFleet(args []string) error {
 		sn, pn, _ := series.Stats()
 		fmt.Printf("wrote timeseries %s (%d series, %d points)\n", *timeseriesPath, sn, pn)
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obsrv.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s\n", *tracePath)
+	if err := writeTrace(obsrv, *tracePath); err != nil {
+		return err
 	}
 	if *reportPath != "" {
 		rep := obs.NewReport("csspgo fleet")

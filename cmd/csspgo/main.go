@@ -11,17 +11,20 @@
 //	csspgo preinline -bin app.bin -profile app.prof -o app.prof
 //	csspgo inspect -bin app.bin | -profile app.prof [-folded | -top N | -coverage -bin app.bin] [-json] | -diff old.prof new.prof [-json]
 //	csspgo lint    [-profile p.prof] [-probes] [-verify-each] [-tv [-inject kind@pass [-inject-seed N]]] [-stale-matching [-min-match-quality Q]] [-json] src.ml...
-//	csspgo report  a.json [b.json] | csspgo report -diff [-threshold PCT] a.json b.json | csspgo report -validate r.json | csspgo report -validate-trace t.json -min-spans N
-//	csspgo overhead -bin app.bin [-profile app.prof] [-n 200 -seed 1 -bound 1000] [-period 797] [-top 10] [-budget PCT] [-json] [-o overhead.json] | csspgo overhead -validate overhead.json
-//	csspgo serve   -addr :8572 [-workload hhvm -scale 1 | src.ml... [-n 60 -seed 1 -bound 1000]] [-name NAME] [-refresh 30s] [-period 797] [-workers N] [-trace t.json]
+//	csspgo report  a.json [b.json] | csspgo report -diff [-threshold PCT] a.json b.json | csspgo report -validate [-min-spans N] artifact...
+//	csspgo overhead -bin app.bin [-profile app.prof] [-n 200 -seed 1 -bound 1000] [-period 797] [-top 10] [-budget PCT] [-json] [-o overhead.json]
+//	csspgo serve   -addr :8572 [-workload hhvm -scale 1 | src.ml... [-n 60 -seed 1 -bound 1000]] [-name NAME] [-refresh 30s] [-period 797] [-workers N] [-trace t.json] [-overhead-budget PCT]
 //	csspgo fleet   -o fleet.prof [-rounds 1 -interval 30s] [-timeout 2s -retries 2] [-quota N -freshness 5m] [-min-overlap 0.5 -threshold 10] [-weights 1,2,...] [-inject poison-counts] [-report r.json] [-trace t.json -journal j.jsonl -timeseries ts.json -status-addr :8573] url...
 //	csspgo trace   -stitch fleet.json [-min-cross-links 1] [-require-ancestor span=ancestor] t1.json t2.json... | csspgo trace [-require-ancestor span=ancestor] t.json...
 //
 // -trace writes Chrome trace-event JSON (load it in chrome://tracing or
 // Perfetto); -report writes a machine-readable run manifest that `csspgo
-// report` pretty-prints, validates, or diffs. `csspgo trace -stitch` merges
-// per-process trace exports into one causally-linked fleet trace, resolving
-// traceparent-propagated parent links across process boundaries.
+// report` pretty-prints or diffs. `csspgo report -validate` checks any
+// artifact this tool writes — run report, time series, overhead ledger,
+// Chrome trace, event journal — picking the schema from the file itself.
+// `csspgo trace -stitch` merges per-process trace exports into one
+// causally-linked fleet trace, resolving traceparent-propagated parent links
+// across process boundaries.
 package main
 
 import (
@@ -239,19 +242,8 @@ func cmdBuild(args []string) error {
 // writeObservability flushes a run's trace and manifest to the paths the
 // -trace/-report flags named (either may be empty).
 func writeObservability(o *pgo.RunObserver, tool string, config map[string]any, tracePath, reportPath string) error {
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := o.Trace.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s\n", tracePath)
+	if err := writeTrace(o.Trace, tracePath); err != nil {
+		return err
 	}
 	if reportPath != "" {
 		if err := o.Report(tool, config).WriteFile(reportPath); err != nil {
@@ -259,6 +251,27 @@ func writeObservability(o *pgo.RunObserver, tool string, config map[string]any, 
 		}
 		fmt.Printf("wrote report %s\n", reportPath)
 	}
+	return nil
+}
+
+// writeTrace writes t as Chrome trace-event JSON to the path a -trace flag
+// named (empty = no trace wanted).
+func writeTrace(t *obs.Trace, path string) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote trace %s\n", path)
 	return nil
 }
 

@@ -1,0 +1,189 @@
+package main
+
+import (
+	"bytes"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"csspgo/internal/introspect"
+	"csspgo/internal/obs"
+	"csspgo/internal/overhead"
+	"csspgo/internal/profdata"
+)
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	defer func() { os.Stdout = saved }()
+	fn()
+	w.Close()
+	return <-done
+}
+
+// `report -validate` picks the check from the file itself: every artifact
+// csspgo writes validates under its own schema, and anything else is
+// refused with an error naming what the file declared.
+func TestValidateArtifact(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter(obs.MFleetRounds).Add(2)
+
+	rep := obs.NewReport("test")
+	rep.AddMetrics(reg)
+	report, err := rep.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := obs.NewTimeSeries(4)
+	ts.Sample(1, reg.Snapshot())
+	series, err := ts.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := obs.NewJournal()
+	jr.Emit(obs.Event{Type: obs.EvPromotion, Round: 1})
+	jr.Emit(obs.Event{Type: obs.EvRollback, Round: 2})
+	journal, err := jr.EncodeJSONL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	sp := tr.Span("build")
+	sp.Span("irgen").End()
+	sp.End()
+	var trace bytes.Buffer
+	if err := tr.WriteChrome(&trace); err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := (&overhead.Report{Schema: overhead.Schema}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name     string
+		data     []byte
+		minSpans int
+		kind     string // substring of the reported kind; "" = must fail
+		errText  string // substring of the error when it must fail
+	}{
+		{"run report", report, 1, obs.Schema, ""},
+		{"time series", series, 1, obs.TimeSeriesSchema, ""},
+		{"journal", journal, 1, obs.EventsSchema, ""},
+		{"one-line journal", journal[:bytes.IndexByte(journal, '\n')+1], 1, obs.EventsSchema, ""},
+		{"overhead ledger", ledger, 1, overhead.Schema, ""},
+		{"chrome trace", trace.Bytes(), 2, "Chrome trace", ""},
+		{"chrome trace, too few spans", trace.Bytes(), 3, "", "distinct span"},
+		{"journal with a seq gap", bytes.Replace(journal, []byte(`"seq":2`), []byte(`"seq":3`), 1), 1, "", "seq 3, want 2"},
+		{"unknown schema", []byte(`{"schema":"csspgo-remarks/v9"}`), 1, "", `unknown schema "csspgo-remarks/v9"`},
+		{"no schema", []byte(`{"tool":"x"}`), 1, "", `no "schema" and no "traceEvents"`},
+		{"not JSON", []byte("main 160\n"), 1, "", "not a JSON artifact"},
+		{"empty", nil, 1, "", "not a JSON artifact"},
+	}
+	for _, c := range cases {
+		kind, err := validateArtifact(c.data, c.minSpans)
+		switch {
+		case c.kind != "" && (err != nil || !strings.Contains(kind, c.kind)):
+			t.Errorf("%s: got (%q, %v), want a valid %s", c.name, kind, err, c.kind)
+		case c.kind == "" && (err == nil || !strings.Contains(err.Error(), c.errText)):
+			t.Errorf("%s: got (%q, %v), want an error containing %q", c.name, kind, err, c.errText)
+		}
+	}
+
+	// Through the subcommand: any mix of artifacts in one call, the file
+	// named on failure.
+	dir := t.TempDir()
+	paths := map[string][]byte{"r.json": report, "ts.json": series, "j.jsonl": journal, "bad.json": []byte(`{"schema":"nope/v1"}`)}
+	for name, data := range paths {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := captureStdout(t, func() {
+		err = cmdReport([]string{"-validate", filepath.Join(dir, "r.json"), filepath.Join(dir, "ts.json"), filepath.Join(dir, "j.jsonl")})
+	})
+	if err != nil || strings.Count(out, ": valid ") != 3 {
+		t.Fatalf("report -validate over three artifacts: %v\n%s", err, out)
+	}
+	captureStdout(t, func() { err = cmdReport([]string{"-validate", filepath.Join(dir, "bad.json")}) })
+	if err == nil || !strings.Contains(err.Error(), "bad.json") || !strings.Contains(err.Error(), `"nope/v1"`) {
+		t.Fatalf("report -validate on an unknown schema: %v", err)
+	}
+}
+
+// Both daemons open their HTTP surface through openSurface: a handler that
+// fails the endpoint lint never gets a listener, a clean one is listed
+// endpoint by endpoint.
+func TestOpenSurfaceLintsThenLists(t *testing.T) {
+	bad := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("no content type")) })
+	if l, err := openSurface("test", "127.0.0.1:0", "bad", "", bad, []string{"/x"}); err == nil {
+		l.Close()
+		t.Fatal("openSurface listened on a surface that fails the endpoint lint")
+	}
+
+	status := &obs.Status{Title: "t", Reg: obs.NewRegistry()}
+	mux := http.NewServeMux()
+	status.Mount(mux)
+	out := captureStdout(t, func() {
+		l, err := openSurface("test", "127.0.0.1:0", "test status", " (detail)", mux, obs.StatusEndpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+	})
+	if !strings.HasPrefix(out, "test status on http://127.0.0.1:") || !strings.Contains(out, " (detail)\n") {
+		t.Fatalf("banner: %q", out)
+	}
+	for _, ep := range obs.StatusEndpoints {
+		if !strings.Contains(out, ep+"\n") {
+			t.Fatalf("endpoint %s not listed:\n%s", ep, out)
+		}
+	}
+}
+
+// `csspgo fleet -status-addr` opens the status surface through the same
+// helper as `csspgo serve`: linted, then every obs.StatusEndpoints path
+// listed under the banner.
+func TestFleetStatusAddrOpensTheSharedSurface(t *testing.T) {
+	prof := profdata.New(profdata.ProbeBased, false)
+	prof.FuncProfile("main").AddBody(profdata.LocKey{ID: 1}, 500)
+	inst := introspect.NewServer("p", obs.NewRegistry())
+	if err := inst.SetProfile(prof, nil); err != nil {
+		t.Fatal(err)
+	}
+	src := httptest.NewServer(inst.Handler())
+	defer src.Close()
+
+	var err error
+	out := captureStdout(t, func() {
+		err = cmdFleet([]string{"-o", filepath.Join(t.TempDir(), "fleet.prof"),
+			"-status-addr", "127.0.0.1:0", src.URL + "/profiles/p"})
+	})
+	if err != nil {
+		t.Fatalf("fleet: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "fleet status on http://127.0.0.1:") || !strings.Contains(out, "promoted generation 1") {
+		t.Fatalf("fleet output:\n%s", out)
+	}
+	for _, ep := range obs.StatusEndpoints {
+		if !strings.Contains(out, ep+"\n") {
+			t.Fatalf("endpoint %s not listed:\n%s", ep, out)
+		}
+	}
+}

@@ -29,23 +29,8 @@ func cmdOverhead(args []string) error {
 	top := fs.Int("top", 10, "rows per table in text output (0 = all)")
 	budget := fs.Float64("budget", 0, "overhead budget in percent; exceeding it exits 2 (0 = no gate)")
 	asJSON := fs.Bool("json", false, "print the artifact instead of text tables")
-	validate := fs.Bool("validate", false, "validate an existing artifact (positional arg) and exit")
 	_ = fs.Parse(args)
 
-	if *validate {
-		if fs.NArg() != 1 {
-			return fmt.Errorf("overhead: -validate wants exactly one artifact path")
-		}
-		data, err := os.ReadFile(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		if _, err := overhead.Decode(data); err != nil {
-			return err
-		}
-		fmt.Printf("%s: valid %s artifact\n", fs.Arg(0), overhead.Schema)
-		return nil
-	}
 	if *bin == "" {
 		return fmt.Errorf("overhead: -bin is required")
 	}

@@ -1,34 +1,43 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"csspgo/internal/obs"
+	"csspgo/internal/overhead"
 )
 
-// cmdReport works with run manifests: pretty-print one, diff two (metric
-// deltas with regression highlighting), or validate manifests / Chrome
-// trace files against their schemas (the `make check` observability lane).
+// cmdReport works with run manifests — pretty-print one, diff two (metric
+// deltas with regression highlighting) — and, with -validate, checks any
+// artifact csspgo writes against the schema the file itself declares (the
+// `make check` observability lanes).
 func cmdReport(args []string) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
-	validate := fs.Bool("validate", false, "only validate the manifest(s) against the run-report schema")
-	validateTrace := fs.String("validate-trace", "", "validate a Chrome trace-event file instead of manifests")
-	minSpans := fs.Int("min-spans", 1, "distinct span names -validate-trace requires")
+	validate := fs.Bool("validate", false, "only validate the artifact(s): run report, time series, overhead ledger, Chrome trace or event journal, told apart by content")
+	minSpans := fs.Int("min-spans", 1, "distinct span names -validate requires of a Chrome trace")
 	diffGate := fs.Bool("diff", false, "diff two manifests and exit 2 if anything REGRESSED")
 	threshold := fs.Float64("threshold", 100*obs.DefaultRegressionThreshold, "regression threshold in percent for -diff")
 	_ = fs.Parse(args)
 
-	if *validateTrace != "" {
-		data, err := os.ReadFile(*validateTrace)
-		if err != nil {
-			return err
+	if *validate {
+		if fs.NArg() == 0 {
+			return fmt.Errorf("report: -validate wants at least one artifact path")
 		}
-		if err := obs.ValidateChromeTrace(data, *minSpans); err != nil {
-			return err
+		for _, path := range fs.Args() {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			kind, err := validateArtifact(data, *minSpans)
+			if err != nil {
+				return fmt.Errorf("%s: %w", path, err)
+			}
+			fmt.Printf("%s: valid %s\n", path, kind)
 		}
-		fmt.Printf("%s: valid Chrome trace (>= %d distinct spans)\n", *validateTrace, *minSpans)
 		return nil
 	}
 
@@ -37,10 +46,6 @@ func cmdReport(args []string) error {
 		rep, err := obs.ReadReport(fs.Arg(0))
 		if err != nil {
 			return err
-		}
-		if *validate {
-			fmt.Printf("%s: valid %s manifest\n", fs.Arg(0), obs.Schema)
-			return nil
 		}
 		fmt.Print(rep.Format())
 		return nil
@@ -53,10 +58,6 @@ func cmdReport(args []string) error {
 		if err != nil {
 			return err
 		}
-		if *validate {
-			fmt.Printf("%s, %s: valid %s manifests\n", fs.Arg(0), fs.Arg(1), obs.Schema)
-			return nil
-		}
 		res := obs.DiffReportsThreshold(a, b, *threshold/100)
 		fmt.Print(res.Text)
 		if *diffGate && res.Regressions > 0 {
@@ -68,5 +69,39 @@ func cmdReport(args []string) error {
 		return nil
 	default:
 		return fmt.Errorf("report: want 1 manifest (pretty-print) or 2 (diff), got %d", fs.NArg())
+	}
+}
+
+// validateArtifact is the one validator entry: it reads which artifact data
+// is off its first JSON value — a "schema" id, or "traceEvents" for a
+// Chrome trace, which carries none — and runs that schema's check over the
+// whole file (a journal is JSON Lines, every line tagged csspgo-events/v1).
+// It returns what the file was. The four checks share nothing but this
+// dispatch; each knows its own schema's invariants.
+func validateArtifact(data []byte, minSpans int) (string, error) {
+	var head struct {
+		Schema      string          `json:"schema"`
+		TraceEvents json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil {
+		return "", fmt.Errorf("not a JSON artifact: %w", err)
+	}
+	switch head.Schema {
+	case obs.Schema:
+		return obs.Schema + " manifest", obs.ValidateReport(data)
+	case obs.TimeSeriesSchema:
+		return obs.TimeSeriesSchema + " store", obs.ValidateTimeSeries(data)
+	case obs.EventsSchema:
+		return obs.EventsSchema + " journal", obs.ValidateJournal(data)
+	case overhead.Schema:
+		_, err := overhead.Decode(data)
+		return overhead.Schema + " artifact", err
+	case "":
+		if head.TraceEvents == nil {
+			return "", fmt.Errorf("no \"schema\" and no \"traceEvents\": not an artifact csspgo writes")
+		}
+		return fmt.Sprintf("Chrome trace (>= %d distinct spans)", minSpans), obs.ValidateChromeTrace(data, minSpans)
+	default:
+		return "", fmt.Errorf("unknown schema %q", head.Schema)
 	}
 }

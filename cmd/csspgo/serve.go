@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -16,6 +17,7 @@ import (
 	"csspgo/internal/pgo"
 	"csspgo/internal/sampling"
 	"csspgo/internal/source"
+	"csspgo/internal/workloads"
 )
 
 // cmdServe runs the continuous-profiling daemon: it profiles a workload
@@ -61,28 +63,27 @@ func cmdServe(args []string) error {
 	// low-confidence findings go to the journal the dashboard renders.
 	journal := obs.NewJournal()
 	oo := &pgo.OverheadObs{Journal: journal, BudgetPct: *ohBudget, Source: profName}
-	var refresher introspect.RefreshFunc
-	switch {
-	case *workload != "":
+	var files []*source.File
+	var train [][]int64
+	if *workload != "" {
 		if fs.NArg() > 0 {
 			return fmt.Errorf("serve: -workload and source files are mutually exclusive")
 		}
-		fn, err := pgo.NewWorkloadRefresherObserved(*workload, *scale, pc, reg, oo)
+		w, err := workloads.Load(*workload, *scale)
 		if err != nil {
 			return err
 		}
-		refresher = fn
-	default:
-		var files []*source.File
-		files, err := parseFiles(fs.Args())
-		if err != nil {
+		files, train = w.Files, w.Train
+	} else {
+		var err error
+		if files, err = parseFiles(fs.Args()); err != nil {
 			return err
 		}
-		fn, err := pgo.NewRefresherObserved(files, pgo.SeededRequests(*n, *seed, *bound), pc, reg, oo)
-		if err != nil {
-			return err
-		}
-		refresher = fn
+		train = pgo.SeededRequests(*n, *seed, *bound)
+	}
+	refresher, err := pgo.NewRefresherObserved(files, train, pc, reg, oo)
+	if err != nil {
+		return err
 	}
 
 	srv := introspect.NewServer(profName, reg)
@@ -110,51 +111,62 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	// Self-lint the HTTP surface and the metric namespace before exposing
-	// them: a handler writing before Content-Type or an uncataloged serve.*
-	// metric is a bug, not a runtime condition.
-	var lintErrs int
-	for _, d := range append(analysis.CheckHTTPEndpoints(srv.Handler(), srv.Endpoints()),
-		analysis.CheckMetricRegistry(reg)...) {
-		fmt.Fprintf(os.Stderr, "serve: lint: %s\n", d)
-		if d.Sev == analysis.SevError {
-			lintErrs++
-		}
+	// An uncataloged serve.* metric is a bug, not a runtime condition.
+	if err := failOnLint("serve", analysis.CheckMetricRegistry(reg)); err != nil {
+		return err
 	}
-	if lintErrs > 0 {
-		return fmt.Errorf("serve: %d lint error(s) on the HTTP surface", lintErrs)
+	h := srv.Handler()
+	l, err := openSurface("serve", *addr, fmt.Sprintf("serving profile %q", profName),
+		fmt.Sprintf(" (generation %d, %d samples)", srv.Generation(), prof.TotalSamples()), h, srv.Endpoints())
+	if err != nil {
+		return err
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("serving profile %q on http://%s (generation %d, %d samples)\n",
-		profName, l.Addr(), srv.Generation(), prof.TotalSamples())
-	for _, ep := range srv.Endpoints() {
-		fmt.Printf("  http://%s%s\n", l.Addr(), ep)
-	}
 	if *refresh > 0 {
 		fmt.Printf("refreshing every %s\n", *refresh)
 		go srv.RefreshLoop(ctx, *refresh, refresher)
 	}
-	serveErr := srv.Serve(ctx, l)
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			return err
-		}
-		if err := obsrv.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote trace %s\n", *tracePath)
+	serveErr := obs.Serve(ctx, l, h)
+	if err := writeTrace(obsrv, *tracePath); err != nil {
+		return err
 	}
 	return serveErr
+}
+
+// failOnLint prints lint diagnostics the way both daemons do and fails on
+// the first error-severity one.
+func failOnLint(tool string, diags []analysis.Diagnostic) error {
+	var errs int
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: lint: %s\n", tool, d)
+		if d.Sev == analysis.SevError {
+			errs++
+		}
+	}
+	if errs > 0 {
+		return fmt.Errorf("%s: %d lint error(s)", tool, errs)
+	}
+	return nil
+}
+
+// openSurface is how a daemon exposes an HTTP surface: self-lint every
+// endpoint first (a handler writing before Content-Type, or answering 5xx,
+// is a bug, not a runtime condition), then listen on addr and print
+// "<what> on http://<addr><detail>" followed by one probe URL per endpoint.
+// The caller hands the listener to obs.Serve.
+func openSurface(tool, addr, what, detail string, h http.Handler, endpoints []string) (net.Listener, error) {
+	if err := failOnLint(tool, analysis.CheckHTTPEndpoints(h, endpoints)); err != nil {
+		return nil, err
+	}
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("%s on http://%s%s\n", what, l.Addr(), detail)
+	for _, ep := range endpoints {
+		fmt.Printf("  http://%s%s\n", l.Addr(), ep)
+	}
+	return l, nil
 }

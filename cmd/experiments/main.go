@@ -8,8 +8,9 @@
 //	experiments [-run all|fig6|fig7|fig8|fig9|table1|client|drift|trim|tailcall|driftmatrix|corruption|fleetfaults|overheadsweep] [-scale N] [-report bench.json]
 //
 // -report writes a run manifest with each experiment's headline numbers as
-// experiment.<name>.* gauges and its wall time in the stage table; this is
-// what `make bench` uses to emit BENCH_4.json.
+// experiment.<name>.* gauges and its wall time in the stage table, for
+// `csspgo report` to print, diff or validate. (`make bench` does not run
+// this command: the repository's benchmark is bench/, see BENCHMARK.json.)
 package main
 
 import (

@@ -1,29 +1,24 @@
 package fleet
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
-	"time"
 
-	"csspgo/internal/introspect"
 	"csspgo/internal/obs"
 )
 
-// StatusServer is the aggregator's own observability surface — the fleet
-// counterpart of the `csspgo serve` daemon's HTTP endpoints. It exposes
-// liveness (/healthz), the registry (/metrics), the bounded time-series
-// store (/timeseries), the event journal (/events), and a self-contained
-// HTML dashboard (/dashboard). All state it reads is either snapshotted
-// under one epoch (metrics) or copied under its own lock, so a scrape
-// mid-round never observes a torn view.
+// StatusServer is the aggregator's observability surface: the obs.Status
+// it shares with the `csspgo serve` daemon, to which the fleet contributes
+// the last round's outcome and the per-source circuit-breaker states
+// (/healthz) and the per-source profile-confidence summaries (/overhead).
+// All state it reads is either snapshotted under one epoch (metrics) or
+// copied under its own lock, so a scrape mid-round never observes a torn
+// view.
 type StatusServer struct {
-	reg     *obs.Registry
-	journal *obs.Journal
-	series  *obs.TimeSeries
+	status obs.Status
 
 	mu          sync.Mutex
 	round       uint64
@@ -40,7 +35,12 @@ func NewStatusServer(reg *obs.Registry, journal *obs.Journal, series *obs.TimeSe
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &StatusServer{reg: reg, journal: journal, series: series, lastOutcome: "none"}
+	s := &StatusServer{lastOutcome: "none"}
+	s.status = obs.Status{
+		Title: "csspgo fleet", Reg: reg, Series: series, Journal: journal,
+		Health: s.health, Overhead: s.overhead,
+	}
+	return s
 }
 
 // ObserveRound records one round's outcome for /healthz.
@@ -68,112 +68,57 @@ func (s *StatusServer) SetAggregator(agg *Aggregator) {
 	s.mu.Unlock()
 }
 
-// Endpoints lists the status surface (as concrete probe paths — the
-// endpoint lint and the smoke tests iterate over these).
-func (s *StatusServer) Endpoints() []string {
-	return []string{"/healthz", "/metrics", "/timeseries", "/events", "/dashboard", "/overhead"}
+// health is the fleet's /healthz contribution.
+func (s *StatusServer) health() map[string]any {
+	s.mu.Lock()
+	st := map[string]any{
+		"round":      s.round,
+		"healthy":    s.healthy,
+		"generation": s.generation,
+		"last_round": s.lastOutcome,
+	}
+	agg := s.agg
+	s.mu.Unlock()
+	if agg != nil {
+		// Per-source circuit-breaker states (closed / open / half-open):
+		// a map keyed by source name, so the JSON shape is stable and
+		// the states marshal in sorted source order.
+		states := map[string]string{}
+		for _, src := range agg.Sources() {
+			states[src.Name] = src.Breaker().State().String()
+		}
+		st["sources"] = states
+	}
+	return st
 }
 
-// Handler returns the status HTTP handler. Every handler sets Content-Type
-// before writing (the analysis endpoint lint enforces this).
+// overhead is the fleet's /overhead document: the per-source confidence
+// summaries, once an aggregator is attached.
+func (s *StatusServer) overhead() ([]byte, bool) {
+	s.mu.Lock()
+	agg := s.agg
+	s.mu.Unlock()
+	if agg == nil {
+		return nil, false
+	}
+	rows := agg.ConfidenceSummaries()
+	low := 0
+	for _, sc := range rows {
+		if sc.HotUncertain > 0 {
+			low++
+		}
+	}
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(map[string]any{"sources": rows, "low_sources": low})
+	return buf.Bytes(), true
+}
+
+// Handler returns the status HTTP handler (obs.StatusEndpoints is its
+// probe list; obs.Serve runs it).
 func (s *StatusServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		st := map[string]any{
-			"status":     "ok",
-			"round":      s.round,
-			"healthy":    s.healthy,
-			"generation": s.generation,
-			"last_round": s.lastOutcome,
-		}
-		agg := s.agg
-		s.mu.Unlock()
-		if agg != nil {
-			// Per-source circuit-breaker states (closed / open / half-open):
-			// a map keyed by source name, so the JSON shape is stable and
-			// the states marshal in sorted source order.
-			states := map[string]string{}
-			for _, src := range agg.Sources() {
-				states[src.Name] = src.Breaker().State().String()
-			}
-			st["sources"] = states
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
-	})
-	mux.HandleFunc("/overhead", func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		agg := s.agg
-		s.mu.Unlock()
-		if agg == nil {
-			http.Error(w, "no aggregator attached", http.StatusNotFound)
-			return
-		}
-		rows := agg.ConfidenceSummaries()
-		low := 0
-		for _, sc := range rows {
-			if sc.HotUncertain > 0 {
-				low++
-			}
-		}
-		doc := map[string]any{"sources": rows, "low_sources": low}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(doc)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(introspect.RenderPrometheus(s.reg.Snapshot()))
-	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		data, err := s.series.EncodeJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		data, err := s.journal.EncodeJSONL()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Write(data)
-	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(obs.RenderDashboard("csspgo fleet", s.series, s.reg.Snapshot(), s.journal.Events()))
-	})
+	s.status.Mount(mux)
 	return mux
-}
-
-// Serve runs the status server on l until ctx is done, then shuts down
-// gracefully. I/O phases are bounded like the serve daemon's server, so a
-// slow-loris scraper cannot pin connections open.
-func (s *StatusServer) Serve(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case <-ctx.Done():
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return hs.Shutdown(shctx)
-	case err := <-errc:
-		if err == http.ErrServerClosed {
-			return nil
-		}
-		return err
-	}
 }
 
 // OutcomeString summarizes one round + gate result for /healthz (the fleet

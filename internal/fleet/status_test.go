@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,8 +20,33 @@ import (
 // before the body.
 func TestStatusServerEndpointLint(t *testing.T) {
 	s := NewStatusServer(obs.NewRegistry(), obs.NewJournal(), obs.NewTimeSeries(4))
-	for _, d := range analysis.CheckHTTPEndpoints(s.Handler(), s.Endpoints()) {
+	for _, d := range analysis.CheckHTTPEndpoints(s.Handler(), obs.StatusEndpoints) {
 		t.Errorf("endpoint lint: %s", d)
+	}
+}
+
+// The fleet status port runs behind the same hardened loop as the serve
+// daemon: an oversized upload is refused, not read.
+func TestStatusServerBodyCap(t *testing.T) {
+	s := NewStatusServer(obs.NewRegistry(), obs.NewJournal(), obs.NewTimeSeries(4))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- obs.Serve(ctx, l, s.Handler()) }()
+	res, err := http.Post("http://"+l.Addr().String()+"/healthz", "application/octet-stream", bytes.NewReader(make([]byte, 2<<20)))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB POST to the status port: %d, want %d", res.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }
 

@@ -52,11 +52,7 @@ func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 		}
 		ids[rec.ID] = true
 	}
-	flat := p
-	if p.CS {
-		flat = p.Clone()
-		flat.Flatten()
-	}
+	flat := p.Flat()
 	out := make([]FuncCoverage, 0, len(probes))
 	for fn, ids := range probes {
 		cov := FuncCoverage{Func: fn, Total: len(ids)}

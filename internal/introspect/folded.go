@@ -1,13 +1,10 @@
 // Package introspect makes profiles inspectable: folded-stack (flamegraph-
-// collapsed) export in deterministic text and binary encodings, a
-// context-trie walker with inclusive/exclusive weights, per-function probe
-// coverage, Prometheus rendering of metric snapshots, and the HTTP serving
-// daemon behind `csspgo serve`.
+// collapsed) export in a deterministic text encoding, a context-trie walker
+// with inclusive/exclusive weights, per-function probe coverage, and the
+// HTTP serving daemon behind `csspgo serve`.
 package introspect
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -242,130 +239,4 @@ func parseCanonicalInt32(s string) (int32, error) {
 		return 0, fmt.Errorf("non-canonical site %q", s)
 	}
 	return int32(v), nil
-}
-
-// The binary folded encoding: "CSFL" magic, a format version byte, then a
-// uvarint entry count followed by entries in canonical (sorted) order.
-// Each entry is: uvarint frame count; per frame a uvarint name length +
-// name bytes, plus (non-leaf frames only) zigzag-varint site ID and
-// discriminator; then the uvarint weight.
-var foldedMagic = []byte("CSFL\x01")
-
-// Decoder hardening bounds — far above anything a real profile produces,
-// low enough that fuzzing cannot allocate unbounded memory.
-const (
-	maxFoldedEntries = 1 << 22
-	maxFoldedFrames  = 1 << 12
-	maxFoldedNameLen = 1 << 12
-)
-
-// EncodeFoldedBinary renders entries in the compact binary folded format
-// (canonicalized first, like the text encoder).
-func EncodeFoldedBinary(entries []Entry) []byte {
-	canon := canonicalize(entries)
-	var buf bytes.Buffer
-	buf.Write(foldedMagic)
-	writeUvarint(&buf, uint64(len(canon)))
-	for _, e := range canon {
-		writeUvarint(&buf, uint64(len(e.Frames)))
-		for i, f := range e.Frames {
-			writeUvarint(&buf, uint64(len(f.Func)))
-			buf.WriteString(f.Func)
-			if i != len(e.Frames)-1 {
-				writeVarint(&buf, int64(f.Site.ID))
-				writeVarint(&buf, int64(f.Site.Disc))
-			}
-		}
-		writeUvarint(&buf, e.Weight)
-	}
-	return buf.Bytes()
-}
-
-// DecodeFoldedBinary parses the binary folded format, validating frame
-// names and bounds; the result is re-canonicalized so decode(encode(x))
-// equals canonicalize(x).
-func DecodeFoldedBinary(data []byte) ([]Entry, error) {
-	if !bytes.HasPrefix(data, foldedMagic) {
-		return nil, fmt.Errorf("folded: bad magic")
-	}
-	r := bytes.NewReader(data[len(foldedMagic):])
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("folded: entry count: %w", err)
-	}
-	if n > maxFoldedEntries {
-		return nil, fmt.Errorf("folded: implausible entry count %d", n)
-	}
-	entries := make([]Entry, 0, min(int(n), 1024))
-	for ei := uint64(0); ei < n; ei++ {
-		nf, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("folded: entry %d: frame count: %w", ei, err)
-		}
-		if nf == 0 || nf > maxFoldedFrames {
-			return nil, fmt.Errorf("folded: entry %d: bad frame count %d", ei, nf)
-		}
-		frames := make(profdata.Context, 0, nf)
-		for fi := uint64(0); fi < nf; fi++ {
-			nameLen, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, fmt.Errorf("folded: entry %d: name length: %w", ei, err)
-			}
-			if nameLen == 0 || nameLen > maxFoldedNameLen {
-				return nil, fmt.Errorf("folded: entry %d: bad name length %d", ei, nameLen)
-			}
-			name := make([]byte, nameLen)
-			if _, err := r.Read(name); err != nil || uint64(len(name)) != nameLen {
-				return nil, fmt.Errorf("folded: entry %d: truncated name", ei)
-			}
-			if !validFuncName(string(name)) {
-				return nil, fmt.Errorf("folded: entry %d: invalid function name %q", ei, name)
-			}
-			frame := profdata.ContextFrame{Func: string(name)}
-			if fi != nf-1 {
-				id, err := binary.ReadVarint(r)
-				if err != nil {
-					return nil, fmt.Errorf("folded: entry %d: site: %w", ei, err)
-				}
-				disc, err := binary.ReadVarint(r)
-				if err != nil {
-					return nil, fmt.Errorf("folded: entry %d: discriminator: %w", ei, err)
-				}
-				if id != int64(int32(id)) || disc != int64(int32(disc)) {
-					return nil, fmt.Errorf("folded: entry %d: site out of int32 range", ei)
-				}
-				frame.Site = profdata.LocKey{ID: int32(id), Disc: int32(disc)}
-			}
-			frames = append(frames, frame)
-		}
-		weight, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("folded: entry %d: weight: %w", ei, err)
-		}
-		if weight == 0 {
-			continue
-		}
-		entries = append(entries, Entry{Frames: frames, Weight: weight})
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("folded: %d trailing bytes", r.Len())
-	}
-	return canonicalize(entries), nil
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func writeVarint(buf *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutVarint(tmp[:], v)])
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -72,21 +72,6 @@ func TestFoldedTextRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFoldedBinaryRoundTrip(t *testing.T) {
-	entries := Folded(testProfile())
-	data := EncodeFoldedBinary(entries)
-	back, err := DecodeFoldedBinary(data)
-	if err != nil {
-		t.Fatalf("DecodeFoldedBinary: %v", err)
-	}
-	if !reflect.DeepEqual(entries, back) {
-		t.Fatalf("binary round trip:\n in  %+v\n out %+v", entries, back)
-	}
-	if again := EncodeFoldedBinary(back); !bytes.Equal(data, again) {
-		t.Fatalf("binary re-encode differs")
-	}
-}
-
 func TestParseFoldedTextSkipsCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\nmain 10\n\nmain 5\n"
 	entries, err := ParseFoldedText([]byte(in))
@@ -112,22 +97,6 @@ func TestParseFoldedTextErrors(t *testing.T) {
 	for _, in := range bad {
 		if _, err := ParseFoldedText([]byte(in)); err == nil {
 			t.Errorf("ParseFoldedText(%q) should fail", in)
-		}
-	}
-}
-
-func TestDecodeFoldedBinaryErrors(t *testing.T) {
-	entries := Folded(testProfile())
-	good := EncodeFoldedBinary(entries)
-	bad := [][]byte{
-		nil,
-		[]byte("nope"),
-		good[:len(good)-1],                    // truncated
-		append(good[:len(good):len(good)], 0), // trailing byte
-	}
-	for i, in := range bad {
-		if _, err := DecodeFoldedBinary(in); err == nil {
-			t.Errorf("case %d: decode should fail", i)
 		}
 	}
 }

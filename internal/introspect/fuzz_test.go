@@ -31,25 +31,3 @@ func FuzzFoldedText(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFoldedBinary checks the binary decoder never panics and that any
-// accepted input decodes to entries whose re-encoding decodes equally.
-func FuzzFoldedBinary(f *testing.F) {
-	f.Add(EncodeFoldedBinary(Folded(testProfile())))
-	f.Add([]byte("CSFL\x01\x00"))
-	f.Add([]byte("CSFL"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := DecodeFoldedBinary(data)
-		if err != nil {
-			return
-		}
-		enc := EncodeFoldedBinary(entries)
-		back, err := DecodeFoldedBinary(enc)
-		if err != nil {
-			t.Fatalf("canonical binary rejected: %v", err)
-		}
-		if !reflect.DeepEqual(entries, back) {
-			t.Fatalf("binary not a fixpoint:\n in  %+v\n out %+v", entries, back)
-		}
-	})
-}

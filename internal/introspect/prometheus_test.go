@@ -16,7 +16,7 @@ func TestRenderPrometheus(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
-	out := string(RenderPrometheus(reg.Snapshot()))
+	out := string(obs.RenderPrometheus(reg.Snapshot()))
 	for _, want := range []string{
 		"# TYPE pipeline_speedup gauge\npipeline_speedup 1.25\n",
 		"# TYPE serve_requests counter\nserve_requests 7\n",
@@ -32,11 +32,12 @@ func TestRenderPrometheus(t *testing.T) {
 		}
 	}
 	// Deterministic: same snapshot renders byte-identically.
-	if !bytes.Equal(RenderPrometheus(reg.Snapshot()), RenderPrometheus(reg.Snapshot())) {
+	if !bytes.Equal(obs.RenderPrometheus(reg.Snapshot()), obs.RenderPrometheus(reg.Snapshot())) {
 		t.Fatal("render not deterministic")
 	}
 }
 
+// Dotted names map onto the Prometheus name charset on the way out.
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
 		"serve.swap_latency_ns":   "serve_swap_latency_ns",
@@ -44,8 +45,9 @@ func TestPromName(t *testing.T) {
 		"9lives":                  "_lives",
 	}
 	for in, want := range cases {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
+		snap := obs.Snapshot{in: obs.MetricValue{Kind: obs.KindCounter, Value: 1}}
+		if got, line := string(obs.RenderPrometheus(snap)), want+" 1\n"; !strings.HasSuffix(got, "\n"+line) {
+			t.Errorf("metric %q rendered as %q, want a sample line %q", in, got, line)
 		}
 	}
 }

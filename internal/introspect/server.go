@@ -2,9 +2,7 @@ package introspect
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -37,12 +35,16 @@ type RefreshFunc func() (*profdata.Profile, *obs.Report, error)
 // Server is the continuous-profiling daemon behind `csspgo serve`: it
 // holds the current profile generation and exposes it over HTTP
 // (datadog-pgo-style — builds pull /profiles/<name>, humans pull
-// /flamegraph and /metrics). All serve.* metrics land in the registry the
+// /flamegraph and /metrics). What is a profile daemon's own lives here —
+// /profiles/ /flamegraph /report, the request counter, the traceparent
+// adoption; the status surface it shares with `csspgo fleet` is the
+// obs.Status it mounts, to which it contributes its health fields and the
+// latest overhead artifact. All serve.* metrics land in the registry the
 // server was built with, so /metrics covers both the pipeline and the
 // daemon itself.
 type Server struct {
-	name string
-	reg  *obs.Registry
+	name   string
+	status obs.Status
 
 	requests        *obs.Counter
 	refreshes       *obs.Counter
@@ -52,13 +54,10 @@ type Server struct {
 	cur atomic.Pointer[Served]
 	gen atomic.Uint64
 
-	// Observability extras, all optional. span parents the daemon's
-	// handler/refresh spans; series samples the registry once per refresh;
-	// fleetCtx remembers the last traceparent a fleet fetch carried, so
-	// refresh spans attribute to the aggregator round that consumed them.
-	span    *obs.Span
-	series  *obs.TimeSeries
-	journal *obs.Journal
+	// span (optional) parents the daemon's handler/refresh spans; fleetCtx
+	// remembers the last traceparent a fleet fetch carried, so refresh spans
+	// attribute to the aggregator round that consumed them.
+	span *obs.Span
 
 	// ohData holds the latest normalized csspgo-overhead/v1 artifact (the
 	// refresher delivers one per generation through SetOverhead).
@@ -75,18 +74,35 @@ type Server struct {
 // publishing serve.* metrics into reg (which may already carry pipeline
 // metrics; /metrics exposes whatever the registry holds).
 func NewServer(name string, reg *obs.Registry) *Server {
-	return &Server{
+	s := &Server{
 		name:            name,
-		reg:             reg,
 		requests:        reg.Counter(obs.MServeRequests),
 		refreshes:       reg.Counter(obs.MServeRefreshes),
 		refreshFailures: reg.Counter(obs.MServeRefreshFailures),
 		swapLatency:     reg.Histogram(obs.MServeSwapLatencyNS),
 	}
+	s.status = obs.Status{
+		Title: "csspgo serve: " + name,
+		Reg:   reg,
+		// Generation, uptime-in-rounds and the last refresh outcome let the
+		// fleet aggregator (and the dashboard) tell "alive" from "alive but
+		// stagnant".
+		Health: func() map[string]any {
+			return map[string]any{
+				"generation":    s.Generation(),
+				"uptime_rounds": s.rounds.Load(),
+				"last_refresh":  s.lastRefreshOutcome(),
+			}
+		},
+		Overhead: func() ([]byte, bool) {
+			if p := s.ohData.Load(); p != nil {
+				return *p, true
+			}
+			return nil, false
+		},
+	}
+	return s
 }
-
-// Name returns the served profile name.
-func (s *Server) Name() string { return s.name }
 
 // SetTrace parents the daemon's handler and refresh spans under parent
 // (typically the trace root). Without it the daemon records no spans.
@@ -94,14 +110,11 @@ func (s *Server) SetTrace(parent *obs.Span) { s.span = parent }
 
 // SetTimeSeries installs a bounded time-series store sampled once per
 // profile swap (nil disables sampling).
-func (s *Server) SetTimeSeries(ts *obs.TimeSeries) { s.series = ts }
+func (s *Server) SetTimeSeries(ts *obs.TimeSeries) { s.status.Series = ts }
 
-// TimeSeries returns the installed store (nil when sampling is off).
-func (s *Server) TimeSeries() *obs.TimeSeries { return s.series }
-
-// SetJournal installs the daemon's event journal; the dashboard then
-// renders its events (budget breaches, low-confidence findings).
-func (s *Server) SetJournal(j *obs.Journal) { s.journal = j }
+// SetJournal installs the daemon's event journal; /events serves it and
+// the dashboard renders it (budget breaches, low-confidence findings).
+func (s *Server) SetJournal(j *obs.Journal) { s.status.Journal = j }
 
 // SetOverhead atomically publishes a new overhead artifact for /overhead
 // (the refresher calls it once per generation; pgo.OverheadSink).
@@ -110,15 +123,6 @@ func (s *Server) SetOverhead(data []byte) {
 		return
 	}
 	s.ohData.Store(&data)
-}
-
-// Overhead returns the latest overhead artifact (nil before the first
-// delivery).
-func (s *Server) Overhead() []byte {
-	if p := s.ohData.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // fleetContext returns the last trace context a fleet fetch propagated
@@ -159,11 +163,11 @@ func (s *Server) SetProfile(p *profdata.Profile, rep *obs.Report) error {
 	sp.SetAttr("generation", served.Generation)
 	s.cur.Store(served)
 	s.swapLatency.Observe(time.Since(start).Nanoseconds())
-	if s.series != nil {
+	if series := s.status.Series; series != nil {
 		// Sample once per swap on the generation clock — logical, never
 		// wall time, so serialized series stay reproducible.
-		s.series.PublishStats(s.reg)
-		s.series.Sample(served.Generation, s.reg.Snapshot())
+		series.PublishStats(s.status.Reg)
+		series.Sample(served.Generation, s.status.Reg.Snapshot())
 	}
 	return nil
 }
@@ -240,61 +244,17 @@ func (s *Server) lastRefreshOutcome() string {
 // Endpoints lists the daemon's HTTP surface (as concrete probe paths — the
 // endpoint lint and the smoke tests iterate over these).
 func (s *Server) Endpoints() []string {
-	return []string{
-		"/healthz",
-		"/metrics",
-		"/timeseries",
-		"/dashboard",
-		"/report",
-		"/overhead",
-		"/flamegraph",
-		"/profiles/" + s.name,
-	}
+	return append(append([]string(nil), obs.StatusEndpoints...),
+		"/report", "/flamegraph", "/profiles/"+s.name)
 }
 
-// Handler returns the daemon's HTTP handler. Every handler sets
-// Content-Type before writing (the analysis endpoint lint enforces this).
+// Handler returns the daemon's HTTP handler (obs.Serve runs it): the shared
+// status surface plus the profile daemon's own endpoints. Every handler
+// sets Content-Type before writing (the analysis endpoint lint enforces
+// this).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		// Not a bare 200: generation, uptime-in-rounds, and the last refresh
-		// outcome let the fleet aggregator (and the dashboard) distinguish
-		// "alive" from "alive but stagnant".
-		st := map[string]any{
-			"status":        "ok",
-			"generation":    s.Generation(),
-			"uptime_rounds": s.rounds.Load(),
-			"last_refresh":  s.lastRefreshOutcome(),
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(st)
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(RenderPrometheus(s.reg.Snapshot()))
-	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		data, err := s.series.EncodeJSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(obs.RenderDashboard("csspgo serve: "+s.name, s.series, s.reg.Snapshot(), s.journal.Events()))
-	})
-	mux.HandleFunc("/overhead", func(w http.ResponseWriter, r *http.Request) {
-		data := s.Overhead()
-		if data == nil {
-			http.Error(w, "no overhead ledger collected yet", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	})
+	s.status.Mount(mux)
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
 		cur := s.Current()
 		if cur == nil || cur.Report == nil {
@@ -350,54 +310,4 @@ func (s *Server) serveFolded(w http.ResponseWriter, r *http.Request, name string
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Write(cur.Folded)
-}
-
-// maxRequestBody caps request bodies: the daemon's whole surface is GET,
-// so anything beyond a trivial body is a malformed or hostile client.
-const maxRequestBody = 1 << 20
-
-// capRequestBody rejects requests declaring an oversized body outright and
-// caps undeclared (chunked) bodies at the same limit.
-func capRequestBody(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.ContentLength > maxRequestBody {
-			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
-		h.ServeHTTP(w, r)
-	})
-}
-
-// httpServer builds the hardened http.Server the daemon runs: every I/O
-// phase is bounded, so a slow-loris client (or a stalled network) cannot
-// pin connections open indefinitely, and request bodies are capped.
-func (s *Server) httpServer() *http.Server {
-	return &http.Server{
-		Handler:           capRequestBody(s.Handler()),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
-// Serve runs an HTTP server on l until ctx is done, then shuts down
-// gracefully (in-flight requests get up to five seconds to finish).
-// A closed listener after shutdown is a clean exit, not an error.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	hs := s.httpServer()
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(l) }()
-	select {
-	case <-ctx.Done():
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		return hs.Shutdown(shctx)
-	case err := <-errc:
-		if err == http.ErrServerClosed {
-			return nil
-		}
-		return err
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -204,29 +205,43 @@ func TestRefreshLoopBacksOffAndRecovers(t *testing.T) {
 	}
 }
 
-// The daemon's http.Server bounds every connection phase and caps request
-// bodies — a slow or hostile client cannot pin it open.
+// The daemon runs behind obs.Serve's hardened loop (phase timeouts are
+// pinned next to it in internal/obs): through a real listener, an oversized
+// upload is refused instead of read and a normal request passes the cap
+// untouched.
 func TestHTTPServerHardened(t *testing.T) {
 	s := NewServer("p", obs.NewRegistry())
-	hs := s.httpServer()
-	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.WriteTimeout <= 0 || hs.IdleTimeout <= 0 {
-		t.Fatalf("unbounded server phase: %+v", hs)
-	}
 	if err := s.SetProfile(testProfile(), nil); err != nil {
 		t.Fatalf("SetProfile: %v", err)
 	}
-	// The body cap rejects oversized uploads instead of reading them.
-	rec := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/healthz", bytes.NewReader(make([]byte, maxRequestBody+1)))
-	hs.Handler.ServeHTTP(rec, req)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body: %d, want %d", rec.Code, http.StatusRequestEntityTooLarge)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Normal requests pass through the cap untouched.
-	rec = httptest.NewRecorder()
-	hs.Handler.ServeHTTP(rec, httptest.NewRequest("GET", "/profiles/p", nil))
-	if rec.Code != 200 {
-		t.Fatalf("GET through hardened handler: %d", rec.Code)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- obs.Serve(ctx, l, s.Handler()) }()
+	base := "http://" + l.Addr().String()
+
+	res, err := http.Post(base+"/healthz", "application/octet-stream", bytes.NewReader(make([]byte, 2<<20)))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d, want %d", res.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	res, err = http.Get(base + "/profiles/p")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	res.Body.Close()
+	if res.StatusCode != 200 {
+		t.Fatalf("GET through hardened loop: %d", res.StatusCode)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 }
 

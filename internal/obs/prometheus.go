@@ -1,12 +1,9 @@
-package introspect
+package obs
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-
-	"csspgo/internal/obs"
 )
 
 // RenderPrometheus renders a metric snapshot in the Prometheus text
@@ -15,22 +12,17 @@ import (
 // summaries with p50/p95/p99 quantile samples plus _sum and _count.
 // Output is sorted by metric name, so identical snapshots render
 // byte-identically.
-func RenderPrometheus(snap obs.Snapshot) []byte {
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+func RenderPrometheus(snap Snapshot) []byte {
 	var sb strings.Builder
-	for _, name := range names {
+	for _, name := range sortedKeys(snap) {
 		mv := snap[name]
 		pn := promName(name)
 		switch mv.Kind {
-		case obs.KindCounter:
+		case KindCounter:
 			fmt.Fprintf(&sb, "# TYPE %s counter\n%s %d\n", pn, pn, mv.Value)
-		case obs.KindGauge:
+		case KindGauge:
 			fmt.Fprintf(&sb, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(mv.Gauge))
-		case obs.KindHistogram:
+		case KindHistogram:
 			fmt.Fprintf(&sb, "# TYPE %s summary\n", pn)
 			fmt.Fprintf(&sb, "%s{quantile=\"0.5\"} %d\n", pn, mv.P50)
 			fmt.Fprintf(&sb, "%s{quantile=\"0.95\"} %d\n", pn, mv.P95)

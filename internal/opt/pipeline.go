@@ -104,11 +104,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// consumes the context table.
 		var flatView *profdata.Profile
 		if !cfg.DisableICP {
-			flatView = prof
-			if prof.CS {
-				flatView = prof.Clone()
-				flatView.Flatten()
-			}
+			flatView = prof.Flat()
 		}
 		// Top-down profile-guided inlining.
 		if err := r.run(sampleInlinePass, func() {
@@ -279,13 +275,4 @@ func hotLoopThreshold(f *ir.Function) uint64 {
 		return 1
 	}
 	return f.EntryCount * 2
-}
-
-// FlattenForAutoFDO converts any profile into the context-insensitive view
-// AutoFDO consumes (used when feeding a CS profile to a non-CS pipeline in
-// ablations).
-func FlattenForAutoFDO(prof *profdata.Profile) *profdata.Profile {
-	q := prof.Clone()
-	q.Flatten()
-	return q
 }

@@ -65,6 +65,7 @@ type ConfidenceReport struct {
 // the given period, joining per-function probe coverage. Thresholds <= 0
 // fall back to the defaults.
 func Score(bin *machine.Prog, prof *profdata.Profile, period uint64, hotSharePct, maxRelErrPct float64) *ConfidenceReport {
+	prof = prof.Flat() // once, for the coverage join and the totals
 	cov := map[string]float64{}
 	if bin != nil {
 		if rows, err := introspect.Coverage(bin, prof); err == nil {
@@ -151,13 +152,8 @@ func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period 
 // flatTotals returns per-function flattened sample totals (CS profiles are
 // flattened on a clone; flat profiles are read directly).
 func flatTotals(p *profdata.Profile) map[string]uint64 {
-	flat := p
-	if p.CS {
-		flat = p.Clone()
-		flat.Flatten()
-	}
 	totals := map[string]uint64{}
-	for name, fp := range flat.Funcs {
+	for name, fp := range p.Flat().Funcs {
 		if fp.TotalSamples > 0 {
 			totals[name] = fp.TotalSamples
 		}

@@ -296,6 +296,19 @@ func CollectSamples(bin *machine.Prog, requests [][]int64, pc ProfileConfig) ([]
 // probe-less for AutoFDO); Baseline yields a nil profile. pgo.Pipeline, the
 // CLIs and the public facade all generate profiles through here.
 func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+	if variant == AutoFDO || variant == ProbeOnly {
+		pc.Stacks = false // flat profiles are built from the LBR alone
+	}
+	return collectAndGenerate(bin, variant, requests, pc, nil)
+}
+
+// collectAndGenerate is how a profiled run is executed, and the only place
+// in this package that attaches a sink to a PMU. It samples with pc exactly
+// as given. With a meter the run is charged under the profiling cost model
+// (sampling interrupts cost cycles, like real PMIs — profiles are unchanged,
+// sampling is branch-count-driven) and every profiling-machinery cycle is
+// tallied on the meter; without one it costs what an unprofiled run costs.
+func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig, meter *sim.OverheadMeter) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
 	if variant == Baseline {
 		return nil, sampling.UnwindStats{}, sim.Stats{}, nil
 	}
@@ -304,7 +317,6 @@ func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, 
 	sp := pc.Trace.Span("collect_samples", obs.A("requests", len(requests)))
 	switch variant {
 	case AutoFDO, ProbeOnly:
-		pc.Stacks = false // flat profiles are built from the LBR alone
 		st := sampling.NewFlatStream(bin, flatOptions(pc))
 		sink = st
 		finish = func(*sim.Machine) (*profdata.Profile, sampling.UnwindStats) {
@@ -329,7 +341,12 @@ func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, 
 	if sink != nil {
 		pmu = pmuConfig(pc)
 	}
-	m := sim.New(bin, sim.DefaultCostParams(), pmu)
+	cost := sim.DefaultCostParams()
+	if meter != nil {
+		cost = sim.ProfilingCostParams()
+	}
+	m := sim.New(bin, cost, pmu)
+	m.SetOverheadMeter(meter)
 	if sink != nil {
 		m.SetSampleSink(sink, 0)
 	}
@@ -356,18 +373,11 @@ func CollectAndGenerateCS(bin *machine.Prog, requests [][]int64, pc ProfileConfi
 // returns its counters plus execution stats (whose cycle count reveals the
 // instrumentation overhead).
 func CollectCounters(bin *machine.Prog, requests [][]int64) ([]uint64, sim.Stats, error) {
-	counters, _, stats, err := CollectCountersAndValues(bin, requests)
-	return counters, stats, err
-}
-
-// CollectCountersAndValues additionally returns the exact indirect-call
-// value profiles the instrumented run gathered.
-func CollectCountersAndValues(bin *machine.Prog, requests [][]int64) ([]uint64, map[uint64]map[int32]uint64, sim.Stats, error) {
 	m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
 	if err := runAll(m, requests); err != nil {
-		return nil, nil, sim.Stats{}, err
+		return nil, sim.Stats{}, err
 	}
-	return m.Counters(), m.ValueProfile(), m.Stats(), nil
+	return m.Counters(), m.Stats(), nil
 }
 
 // Evaluate runs the request stream without any profiling and returns stats.

@@ -6,57 +6,38 @@ import (
 	"time"
 
 	"csspgo/internal/machine"
-	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
-	"csspgo/internal/sampling"
 	"csspgo/internal/sim"
 	"csspgo/internal/source"
 	"csspgo/internal/workloads"
 )
 
-// The overhead-observatory harness: metered collection runs under the
-// profiling cost model (sampling interrupts cost cycles, like real PMIs),
-// with the simulator's overhead meter attached, and the tallies become the
-// csspgo-overhead/v1 ledger plus a confidence-scored profile. One metered
-// run is enough — the attributed cycles are included in the run's total,
+// The overhead-observatory harness: a metered collection (collectAndGenerate
+// with the simulator's overhead meter attached) runs under the profiling
+// cost model, and the tallies become the csspgo-overhead/v1 ledger plus a
+// confidence-scored profile. One metered run is enough — the attributed cycles are included in the run's total,
 // so overhead% is attributed/(total-attributed) with no second baseline
 // run.
 
-// CollectSamplesMetered is CollectSamples under the profiling cost model
-// with an overhead meter attached: sampling interrupts are charged and
-// every profiling-machinery cycle is attributed.
-func CollectSamplesMetered(bin *machine.Prog, requests [][]int64, pc ProfileConfig) ([]sim.Sample, sim.Stats, *sim.OverheadMeter, error) {
-	sp := pc.Trace.Span("collect_samples_metered", obs.A("requests", len(requests)))
-	defer sp.End()
-	m := sim.New(bin, sim.ProfilingCostParams(), pmuConfig(pc))
-	meter := sim.NewOverheadMeter()
-	m.SetOverheadMeter(meter)
-	if err := runAll(m, requests); err != nil {
-		return nil, sim.Stats{}, nil, err
-	}
-	stats := m.Stats()
-	stats.Publish(pc.Metrics)
-	return m.Samples(), stats, meter, nil
-}
-
 // MeasureOverhead runs one metered collection on bin and assembles the full
 // observatory report: the cost ledger, the generated profile (CS when the
-// binary carries probe metadata and stacks are on, flat otherwise), and the
-// confidence heatmap scored against that profile. The returned report's
-// CollectWallNS is live; Normalize before byte-comparing artifacts.
+// binary carries probe metadata and stacks are on, flat otherwise — the PMU
+// samples as pc says either way, so the ledger prices the configuration it
+// was handed), and the confidence heatmap scored against that profile. The
+// returned report's CollectWallNS is live; Normalize before byte-comparing
+// artifacts.
 func MeasureOverhead(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*overhead.Report, *profdata.Profile, error) {
 	start := time.Now()
-	samples, stats, meter, err := CollectSamplesMetered(bin, requests, pc)
+	variant := AutoFDO
+	if len(bin.Probes) > 0 && pc.Stacks {
+		variant = FullCS
+	}
+	meter := sim.NewOverheadMeter()
+	prof, _, stats, err := collectAndGenerate(bin, variant, requests, pc, meter)
 	if err != nil {
 		return nil, nil, err
-	}
-	var prof *profdata.Profile
-	if len(bin.Probes) > 0 && pc.Stacks {
-		prof, _ = sampling.GenerateCSSPGO(bin, samples, csspgoOptions(pc))
-	} else {
-		prof = sampling.GenerateAutoFDO(bin, samples, flatOptions(pc))
 	}
 	rep := overhead.Attribute(bin, stats, meter, pc.Period)
 	rep.Confidence = overhead.Score(bin, prof, pc.Period, 0, 0)

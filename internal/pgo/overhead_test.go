@@ -2,9 +2,11 @@ package pgo
 
 import (
 	"bytes"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"csspgo/internal/introspect"
 	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
 	"csspgo/internal/workloads"
@@ -99,22 +101,35 @@ func TestOverheadSweepMonotone(t *testing.T) {
 	}
 }
 
-// The observed refresher publishes the overhead.* ledger and delivers a
-// normalized artifact to the sink; a tiny budget journals a breach and a
-// hot-uncertain heatmap journals a confidence event, all within the closed
-// event catalog.
-func TestRefresherOverheadObservatory(t *testing.T) {
+// observedRefresh runs one refresh of adretriever with the overhead
+// observatory attached and a microscopic budget, so the journal holds a
+// breach.
+func observedRefresh(t *testing.T) (*obs.Registry, *obs.Journal, *captureSink) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	journal := obs.NewJournal()
 	sink := &captureSink{}
 	oo := &OverheadObs{Sink: sink, Journal: journal, BudgetPct: 0.0001, Source: "adretriever"}
-	refresh, err := NewWorkloadRefresherObserved("adretriever", 1, DefaultProfileConfig(), reg, oo)
+	w, err := workloads.Load("adretriever", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refresh, err := NewRefresherObserved(w.Files, w.Train, DefaultProfileConfig(), reg, oo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := refresh(); err != nil {
 		t.Fatal(err)
 	}
+	return reg, journal, sink
+}
+
+// The observed refresher publishes the overhead.* ledger and delivers a
+// normalized artifact to the sink; a tiny budget journals a breach and a
+// hot-uncertain heatmap journals a confidence event, all within the closed
+// event catalog.
+func TestRefresherOverheadObservatory(t *testing.T) {
+	reg, journal, sink := observedRefresh(t)
 
 	snap := reg.Snapshot()
 	for _, name := range []string{obs.MOverheadPct, obs.MOverheadSamples, obs.MOverheadCycles} {
@@ -150,6 +165,26 @@ func TestRefresherOverheadObservatory(t *testing.T) {
 	}
 	if err := obs.ValidateJournal(data); err != nil {
 		t.Fatalf("journal outside the closed catalog: %v", err)
+	}
+}
+
+// The serve daemon's journal is on its /events, like the fleet's: the
+// budget breach a refresh journaled is served there as a valid
+// csspgo-events/v1 stream.
+func TestServeEventsEndpoint(t *testing.T) {
+	reg, journal, _ := observedRefresh(t)
+	srv := introspect.NewServer("adretriever", reg)
+	srv.SetJournal(journal)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
+	if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/x-ndjson" {
+		t.Fatalf("/events -> %d [%s]", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	if err := obs.ValidateJournal(rec.Body.Bytes()); err != nil {
+		t.Fatalf("/events is not a valid journal: %v", err)
+	}
+	if !strings.Contains(rec.Body.String(), `"type":"`+string(obs.EvOverheadBudgetBreach)+`"`) {
+		t.Fatalf("/events lacks the budget breach:\n%s", rec.Body.String())
 	}
 }
 

@@ -3,15 +3,12 @@ package pgo
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
-	"csspgo/internal/sampling"
 	"csspgo/internal/source"
-	"csspgo/internal/workloads"
 )
 
 // This file is the serving-daemon glue: it packages the train → sample →
@@ -105,19 +102,20 @@ func (o *OverheadObs) observe(rep *overhead.Report, reg *obs.Registry) {
 // NewRefresher builds the probed training binary once and returns a
 // refresh closure that re-samples the train stream and regenerates the CS
 // profile (trimmed + pre-inlined, like the FullCS pipeline) on every call,
-// together with a run manifest of that collection. When reg is non-nil,
-// each refresh also publishes profile-diff analytics against the previous
-// generation (quality.context_overlap and friends) into it, so the serving
-// daemon's /metrics exposes how much the profile moved between swaps.
-// The closure is safe for use from a single refresh goroutine.
+// together with a run manifest of that collection. Collection runs metered
+// (MeasureOverhead), so when reg is non-nil each refresh publishes the
+// overhead.* ledger into it, and from the second refresh on the
+// profile-diff analytics against the previous generation
+// (quality.context_overlap and friends) — the serving daemon's /metrics
+// then shows what profiling costs and how much the profile moved between
+// swaps. The closure is safe for use from a single refresh goroutine.
 func NewRefresher(files []*source.File, train [][]int64, pc ProfileConfig, reg *obs.Registry) (func() (*profdata.Profile, *obs.Report, error), error) {
 	return NewRefresherObserved(files, train, pc, reg, nil)
 }
 
-// NewRefresherObserved is NewRefresher with the overhead observatory
-// attached: collection runs metered under the profiling cost model, the
-// overhead.* ledger is published into reg every refresh, and oo (when
-// non-nil) receives the artifact and emits budget/confidence events.
+// NewRefresherObserved is NewRefresher with the overhead observatory's
+// outputs attached: oo (when non-nil) receives each refresh's artifact and
+// emits budget/confidence events.
 func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfig, reg *obs.Registry, oo *OverheadObs) (func() (*profdata.Profile, *obs.Report, error), error) {
 	base, err := Build(files, BuildConfig{Probes: true})
 	if err != nil {
@@ -132,24 +130,19 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 		rpc.Trace = obsrv.Trace
 		rpc.Metrics = obsrv.Metrics
 		obsrv.ObserveProfile(&rpc)
-		start := time.Now()
-		samples, stats, meter, err := CollectSamplesMetered(base.Bin, train, rpc)
+		ohRep, prof, err := MeasureOverhead(base.Bin, train, rpc)
 		if err != nil {
 			return nil, nil, err
 		}
-		prof, _ := sampling.GenerateCSSPGO(base.Bin, samples, csspgoOptions(rpc))
 		TrimAndPreInline(prof, base.Bin, 0)
-
-		ohRep := overhead.Attribute(base.Bin, stats, meter, rpc.Period)
-		ohRep.Confidence = overhead.Score(base.Bin, prof, rpc.Period, 0, 0)
-		ohRep.CollectWallNS = time.Since(start).Nanoseconds()
 		ohRep.Publish(reg)
 		ohRep.Publish(obsrv.Metrics)
 
 		mu.Lock()
 		if prev != nil {
-			quality.DiffProfilesObserved(prev, prof, reg)
-			quality.DiffProfilesObserved(prev, prof, obsrv.Metrics)
+			d := quality.DiffProfiles(prev, prof)
+			d.Publish(reg)
+			d.Publish(obsrv.Metrics)
 		}
 		prev = prof
 		oo.observe(ohRep, reg)
@@ -160,20 +153,4 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 		}
 		return prof, obsrv.Report("csspgo serve", echo), nil
 	}, nil
-}
-
-// NewWorkloadRefresher is NewRefresher for a named synthetic workload at
-// the given request-stream scale.
-func NewWorkloadRefresher(name string, scale int, pc ProfileConfig, reg *obs.Registry) (func() (*profdata.Profile, *obs.Report, error), error) {
-	return NewWorkloadRefresherObserved(name, scale, pc, reg, nil)
-}
-
-// NewWorkloadRefresherObserved is NewRefresherObserved for a named
-// synthetic workload.
-func NewWorkloadRefresherObserved(name string, scale int, pc ProfileConfig, reg *obs.Registry, oo *OverheadObs) (func() (*profdata.Profile, *obs.Report, error), error) {
-	w, err := workloads.Load(name, scale)
-	if err != nil {
-		return nil, err
-	}
-	return NewRefresherObserved(w.Files, w.Train, pc, reg, oo)
 }

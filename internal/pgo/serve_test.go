@@ -81,7 +81,7 @@ func TestServeHTTPSmoke(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, l) }()
+	go func() { done <- obs.Serve(ctx, l, srv.Handler()) }()
 	base := "http://" + l.Addr().String()
 
 	res, body := httpGet(t, base+"/healthz")

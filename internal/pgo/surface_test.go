@@ -102,6 +102,16 @@ func TestServeSurfaceGolden(t *testing.T) {
 	}
 	srv.SetOverhead([]byte("{\n  \"schema\": \"csspgo-overhead/v1\"\n}\n"))
 	checkSurfaceGolden(t, "serve", renderSurface(h, sharedSurface))
+
+	// /events came to the serve daemon with the shared registration: for
+	// the same journal it is the block fleet.golden opens with.
+	fleetGolden, err := os.ReadFile(filepath.Join("testdata", "surface", "fleet.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderSurface(h, []string{"/events"}); !strings.HasPrefix(string(fleetGolden), got) {
+		t.Fatalf("serve /events differs from the fleet's for the same journal:\n%s", got)
+	}
 }
 
 func TestFleetSurfaceGolden(t *testing.T) {

@@ -30,6 +30,18 @@ func (p *Profile) Flatten() {
 	p.CS = false
 }
 
+// Flat returns the context-insensitive view of the profile without
+// touching it: the receiver itself when it is already flat, otherwise a
+// flattened clone. Callers treat the result as read-only.
+func (p *Profile) Flat() *Profile {
+	if !p.CS {
+		return p
+	}
+	q := p.Clone()
+	q.Flatten()
+	return q
+}
+
 // TrimColdContexts merges into base every context whose total samples fall
 // below threshold, keeping context-sensitivity only for hot contexts. Cold
 // functions are unlikely to be inlined, so their specialized profiles buy

@@ -53,13 +53,8 @@ func contextWeights(p *profdata.Profile) map[string]uint64 {
 
 // flatFuncTotals returns per-function flattened body-sample totals.
 func flatFuncTotals(p *profdata.Profile) map[string]uint64 {
-	flat := p
-	if p.CS {
-		flat = p.Clone()
-		flat.Flatten()
-	}
 	totals := map[string]uint64{}
-	for name, fp := range flat.Funcs {
+	for name, fp := range p.Flat().Funcs {
 		totals[name] = fp.TotalSamples
 	}
 	return totals
@@ -142,16 +137,17 @@ func DiffProfiles(old, new *profdata.Profile) ProfileDiff {
 	return d
 }
 
-// DiffProfilesObserved is DiffProfiles plus publication into the unified
-// registry: quality.context_overlap / quality.func_divergence gauges and
+// Publish records the diff into the unified registry (nil-safe):
+// quality.context_overlap / quality.func_divergence gauges and
 // quality.contexts_gained / quality.contexts_lost counters.
-func DiffProfilesObserved(old, new *profdata.Profile, reg *obs.Registry) ProfileDiff {
-	d := DiffProfiles(old, new)
+func (d ProfileDiff) Publish(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
 	reg.Gauge(obs.MQualityContextOverlap).Set(d.ContextOverlap)
 	reg.Gauge(obs.MQualityFuncDivergence).Set(d.MeanFuncDivergence)
 	reg.Counter(obs.MQualityContextsGained).Add(int64(len(d.Gained)))
 	reg.Counter(obs.MQualityContextsLost).Add(int64(len(d.Lost)))
-	return d
 }
 
 // Format renders the diff for `csspgo inspect -diff`: the headline overlap,

@@ -79,7 +79,7 @@ func TestDiffProfilesFuncDivergence(t *testing.T) {
 
 func TestDiffProfilesObservedPublishes(t *testing.T) {
 	reg := obs.NewRegistry()
-	DiffProfilesObserved(diffProfile(60, 40), diffProfile(60, 0), reg)
+	DiffProfiles(diffProfile(60, 40), diffProfile(60, 0)).Publish(reg)
 	snap := reg.Snapshot()
 	if snap[obs.MQualityContextOverlap].Gauge >= 0.999 {
 		t.Fatalf("overlap gauge = %+v", snap[obs.MQualityContextOverlap])

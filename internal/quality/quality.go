@@ -80,11 +80,6 @@ func BlockOverlapObserved(prog *ir.Program, test, gt *profdata.Profile, reg *obs
 // view of the profile.
 func annotateClone(prog *ir.Program, prof *profdata.Profile) *ir.Program {
 	clone := ir.CloneProgram(prog)
-	flat := prof
-	if prof.CS {
-		flat = prof.Clone()
-		flat.Flatten()
-	}
-	opt.Annotate(clone, flat)
+	opt.Annotate(clone, prof.Flat())
 	return clone
 }

@@ -4,6 +4,40 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# wait_url LOG BANNER: print the http://host:port a daemon announced in LOG
+# as "BANNER on http://host:port ..." (both daemons print it through the
+# same helper), or fail with the log once ten seconds have passed.
+wait_url() {
+	i=0
+	while [ $i -lt 100 ]; do
+		u=$(sed -n "s|^$2 on \\(http://[^ ]*\\).*\$|\\1|p" "$1" | head -n 1)
+		if [ -n "$u" ]; then
+			echo "$u"
+			return 0
+		fi
+		i=$((i + 1))
+		sleep 0.1
+	done
+	echo "no \"$2 on http://...\" in $1:" >&2
+	cat "$1" >&2
+	return 1
+}
+
+# probe_status URL TAG: the status surface `csspgo serve` and `csspgo fleet`
+# share (obs.StatusEndpoints), probed the same way on either daemon; what
+# it serves as artifacts must validate by schema.
+probe_status() {
+	curl -sf "$1/healthz" | grep -q '"status":"ok"'
+	curl -sf "$1/metrics" | grep -q '^# TYPE '
+	curl -sf "$1/timeseries" > "$obsdir/$2.ts.json"
+	curl -sf "$1/events" > "$obsdir/$2.events.jsonl"
+	curl -sf "$1/overhead" | grep -q '^{'
+	curl -sf "$1/dashboard" | grep -qi '<html'
+	bin/csspgo report -validate "$obsdir/$2.ts.json"
+	# An empty journal is an empty file: nothing to tell a schema from.
+	[ ! -s "$obsdir/$2.events.jsonl" ] || bin/csspgo report -validate "$obsdir/$2.events.jsonl"
+}
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -28,15 +62,13 @@ go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation)"
 go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
 
-echo "== fuzz smoke (profile readers + folded codecs, 5s per target)"
+echo "== fuzz smoke (profile readers + folded codec, 5s per target)"
 # One target per invocation: go test rejects -fuzz patterns matching
 # multiple fuzz targets in a package.
 for target in FuzzReadText FuzzReadBinary; do
 	go test ./internal/profdata -run="^$target\$" -fuzz="^$target\$" -fuzztime=5s
 done
-for target in FuzzFoldedText FuzzFoldedBinary; do
-	go test ./internal/introspect -run="^$target\$" -fuzz="^$target\$" -fuzztime=5s
-done
+go test ./internal/introspect -run='^FuzzFoldedText$' -fuzz='^FuzzFoldedText$' -fuzztime=5s
 go test ./internal/opt -run='^FuzzTranslationValidate$' -fuzz='^FuzzTranslationValidate$' -fuzztime=5s
 go test ./internal/sampling -run='^FuzzChunkedDispatcher$' -fuzz='^FuzzChunkedDispatcher$' -fuzztime=5s
 go test ./internal/obs -run='^FuzzParseTraceparent$' -fuzz='^FuzzParseTraceparent$' -fuzztime=5s
@@ -84,8 +116,7 @@ src=$(ls examples/*/*.ml | head -n 1)
 bin/csspgo build -o "$obsdir/app.bin" -probes -trace "$obsdir/trace.json" -report "$obsdir/a.json" "$src" >/dev/null
 bin/csspgo profile -bin "$obsdir/app.bin" -o "$obsdir/app.prof" -kind cs -n 50 -v >/dev/null
 bin/csspgo build -o "$obsdir/app2.bin" -probes -profile "$obsdir/app.prof" -report "$obsdir/b.json" "$src" >/dev/null
-bin/csspgo report -validate-trace "$obsdir/trace.json" -min-spans 8
-bin/csspgo report -validate "$obsdir/a.json" "$obsdir/b.json"
+bin/csspgo report -validate -min-spans 8 "$obsdir/trace.json" "$obsdir/a.json" "$obsdir/b.json"
 bin/csspgo report "$obsdir/a.json" "$obsdir/b.json" >/dev/null
 
 echo "== one profile driver (csspgo profile and profgen write identical profiles)"
@@ -148,7 +179,7 @@ bin/csspgo build -o "$obsdir/oh.bin" -probes examples/quickstart/app.ml >/dev/nu
 bin/csspgo overhead -bin "$obsdir/oh.bin" -o "$obsdir/oh-a.json" -n 50 >/dev/null
 bin/csspgo overhead -bin "$obsdir/oh.bin" -o "$obsdir/oh-b.json" -n 50 >/dev/null
 cmp "$obsdir/oh-a.json" "$obsdir/oh-b.json"
-bin/csspgo overhead -validate "$obsdir/oh-a.json"
+bin/csspgo report -validate "$obsdir/oh-a.json"
 grep -q '"schema": "csspgo-overhead/v1"' "$obsdir/oh-a.json"
 rc=0
 bin/csspgo overhead -bin "$obsdir/oh.bin" -n 50 -budget 0.0001 >/dev/null 2>&1 || rc=$?
@@ -157,27 +188,12 @@ if [ "$rc" -ne 2 ]; then
 	exit 1
 fi
 
-echo "== serve smoke (HTTP daemon on an ephemeral port)"
+echo "== serve + fleet status smoke (both daemons on ephemeral ports, one status surface)"
 bin/csspgo serve -addr 127.0.0.1:0 -name quickstart examples/quickstart/app.ml > "$obsdir/serve.log" 2>&1 &
 servepid=$!
-url=""
-i=0
-while [ $i -lt 100 ]; do
-	url=$(sed -n 's|^serving profile .* on \(http://[^ ]*\).*$|\1|p' "$obsdir/serve.log" | head -n 1)
-	[ -n "$url" ] && break
-	i=$((i + 1))
-	sleep 0.1
-done
-if [ -z "$url" ]; then
-	echo "serve never came up:" >&2
-	cat "$obsdir/serve.log" >&2
-	kill "$servepid" 2>/dev/null || true
-	exit 1
-fi
-curl -sf "$url/healthz" | grep -q '"status":"ok"'
+url=$(wait_url "$obsdir/serve.log" 'serving profile .*') || { kill "$servepid" 2>/dev/null; exit 1; }
+probe_status "$url" serve
 curl -sf "$url/healthz" | grep -q '"last_refresh"'
-curl -sf "$url/timeseries" | grep -q '"schema": "csspgo-timeseries/v1"'
-curl -sf "$url/dashboard" | grep -qi '<html'
 curl -sf "$url/metrics" | grep -q '^serve_requests '
 curl -sf "$url/metrics" | grep -q '^serve_swap_latency_ns{quantile="0.99"} '
 curl -sf "$url/overhead" | grep -q '"schema": "csspgo-overhead/v1"'
@@ -186,6 +202,16 @@ curl -sf "$url/flamegraph" > "$obsdir/flame.folded"
 cmp "$obsdir/flame.folded" internal/pgo/testdata/quickstart.folded
 curl -sf "$url/profiles/quickstart" > "$obsdir/served.prof"
 bin/csspgo inspect -profile "$obsdir/served.prof" -folded >/dev/null
+# The aggregator's status port over the same instance: continuous mode, so
+# the surface stays up after the first round until it is interrupted.
+bin/csspgo fleet -rounds 0 -status-addr 127.0.0.1:0 -o "$obsdir/status.prof" "$url/profiles/quickstart" > "$obsdir/status.log" 2>&1 &
+statuspid=$!
+surl=$(wait_url "$obsdir/status.log" 'fleet status') || { kill "$servepid" "$statuspid" 2>/dev/null; exit 1; }
+probe_status "$surl" fleet
+curl -sf "$surl/healthz" | grep -q '"sources":{"src0":"'
+curl -sf "$surl/overhead" | grep -q '"low_sources"'
+kill -INT "$statuspid"
+wait "$statuspid"
 kill -INT "$servepid"
 wait "$servepid"
 
@@ -202,20 +228,7 @@ for s in 1 2 3 4; do
 	fleetpids="$fleetpids $!"
 done
 for s in 1 2 3 4; do
-	u=""
-	i=0
-	while [ $i -lt 100 ]; do
-		u=$(sed -n 's|^serving profile .* on \(http://[^ ]*\).*$|\1|p' "$obsdir/fleet$s.log" | head -n 1)
-		[ -n "$u" ] && break
-		i=$((i + 1))
-		sleep 0.1
-	done
-	if [ -z "$u" ]; then
-		echo "fleet instance $s never came up:" >&2
-		cat "$obsdir/fleet$s.log" >&2
-		kill $fleetpids 2>/dev/null || true
-		exit 1
-	fi
+	u=$(wait_url "$obsdir/fleet$s.log" 'serving profile .*') || { kill $fleetpids 2>/dev/null; exit 1; }
 	fleeturls="$fleeturls $u/profiles/quickstart"
 done
 # One-shot aggregate + first (ungated) promotion; the dead source must be
@@ -256,20 +269,7 @@ for s in 1 2 3; do
 	obspids="$obspids $!"
 done
 for s in 1 2 3; do
-	u=""
-	i=0
-	while [ $i -lt 100 ]; do
-		u=$(sed -n 's|^serving profile .* on \(http://[^ ]*\).*$|\1|p' "$obsdir/obs-serve$s.log" | head -n 1)
-		[ -n "$u" ] && break
-		i=$((i + 1))
-		sleep 0.1
-	done
-	if [ -z "$u" ]; then
-		echo "observability instance $s never came up:" >&2
-		cat "$obsdir/obs-serve$s.log" >&2
-		kill $obspids 2>/dev/null || true
-		exit 1
-	fi
+	u=$(wait_url "$obsdir/obs-serve$s.log" 'serving profile .*') || { kill $obspids 2>/dev/null; exit 1; }
 	obsurls="$obsurls $u/profiles/quickstart"
 done
 # Two identical one-shot runs, each promoting from scratch. Both mint the
@@ -281,6 +281,7 @@ bin/csspgo fleet -o "$obsdir/obs-b.prof" \
 	-journal "$obsdir/obs-b.journal.jsonl" -timeseries "$obsdir/obs-b.ts.json" $obsurls
 cmp "$obsdir/obs-a.journal.jsonl" "$obsdir/obs-b.journal.jsonl"
 cmp "$obsdir/obs-a.ts.json" "$obsdir/obs-b.ts.json"
+bin/csspgo report -validate "$obsdir/obs-a.journal.jsonl" "$obsdir/obs-a.ts.json"
 grep -q '"type":"promotion"' "$obsdir/obs-a.journal.jsonl"
 grep -q '"fleet.merge.rounds"' "$obsdir/obs-a.ts.json"
 # Instance traces are written on graceful shutdown; collect, then stitch.
