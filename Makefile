@@ -10,13 +10,16 @@ test:
 
 # Race lane: the packages exercising the profile-generation worker pool
 # under the race detector, the shared metric registry they publish
-# into, the serving daemon's atomic profile swap, and the fleet
-# aggregator's concurrent per-source fetches.
+# into, the serving daemon's atomic profile swap, the fleet aggregator's
+# concurrent per-source fetches, and the fleet fault harness that runs ten
+# instances against it.
 race:
-	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
+	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments
 
-# Bench lane: the Go micro-benchmarks, then the repository's benchmark
-# (BENCHMARK.json: five seeded, self-checking workloads; see bench/README.md).
+# Bench lane: the Go micro-benchmarks (root package, then the simulator's
+# BenchmarkRun), then the repository's benchmark (BENCHMARK.json: five seeded,
+# self-checking workloads; see bench/README.md). The paper's tables are not a
+# benchmark: `go run ./cmd/experiments`.
 # The allocation guards are TestSteadyStateAllocsPerSample[Flat] and
 # TestRunSteadyStateAllocs in tier-1 and the benchmark's rep_alloc_mb gate +
 # sampling.allocs_per_sample row.

@@ -1,22 +1,11 @@
 package csspgo
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation (run with `go test -bench=. -benchmem`). Each Benchmark* runs
-// the corresponding experiment and reports its headline numbers as custom
-// metrics, so `-bench` output doubles as the reproduction record:
-//
-//	BenchmarkFig6PerformanceVsAutoFDO  — Fig. 6 (perf vs AutoFDO per workload)
-//	BenchmarkFig7CodeSize              — Fig. 7 (code size ratios)
-//	BenchmarkFig8ProbeOverhead         — Fig. 8 (pseudo-instrumentation overhead)
-//	BenchmarkFig9MetadataSize          — Fig. 9 (probe metadata share)
-//	BenchmarkTable1ProfileQuality      — Table I (block overlap + overheads)
-//	BenchmarkClientWorkload            — §IV.D (clangish client workload)
-//	BenchmarkSourceDrift               — §III.A (drift resilience)
-//	BenchmarkProfileSizeTrim           — §III.B (CS profile blowup + trimming)
-//	BenchmarkTailCallRecovery          — §III.B (missing-frame inference)
-//
-// plus microbenchmarks of the substrates (simulator, unwinder, inference,
-// pre-inliner).
+// Micro-benchmarks of the substrates with no other home (run with
+// `go test -bench=. -benchmem`): the unwinder, the profile-generation worker
+// pool and its streaming engine, MCF inference, and one full CSSPGO
+// pipeline. The simulator's is internal/sim's BenchmarkRun; the paper's
+// tables and figures are cmd/experiments; the gated end-to-end numbers are
+// bench/ (BENCHMARK.json).
 
 import (
 	"fmt"
@@ -31,198 +20,6 @@ import (
 )
 
 const benchScale = 2
-
-func BenchmarkFig6PerformanceVsAutoFDO(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunFig6(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				b.ReportMetric(row.FullCSImpr, row.Workload+"_csspgo_%")
-				b.ReportMetric(row.ProbeOnlyImpr, row.Workload+"_probeonly_%")
-			}
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkFig7CodeSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunFig7(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				b.ReportMetric(row.FullCSRel, row.Workload+"_cs_sizerel")
-			}
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkFig8ProbeOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunFig8(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				b.ReportMetric(row.ProbeOverheadPct, row.Workload+"_probe_ovh_%")
-			}
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkFig9MetadataSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunFig9(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				b.ReportMetric(row.ProbeSharePct, row.Workload+"_probemeta_%")
-			}
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkTable1ProfileQuality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunTable1(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(100*r.OverlapAutoFDO, "overlap_autofdo_%")
-			b.ReportMetric(100*r.OverlapCSSPGO, "overlap_csspgo_%")
-			b.ReportMetric(r.OverheadInstrPct, "instr_ovh_%")
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkClientWorkload(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunClient(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.CSSPGOImpr, "csspgo_%")
-			b.ReportMetric(r.InstrImpr, "instr_%")
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkSourceDrift(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunDrift(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.AutoFDONoInfFreshImpr-r.AutoFDONoInfDriftedImpr, "autofdo_noinf_lost_pp")
-			b.ReportMetric(r.CSSPGOFreshImpr-r.CSSPGODriftedImpr, "csspgo_lost_pp")
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkProfileSizeTrim(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunTrim(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(r.BlowupX, "cs_blowup_x")
-			b.ReportMetric(r.TrimmedX, "trimmed_x")
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkTailCallRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunTailCall(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(100*r.RecoveryRate, "recovered_%")
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkValueProfileExtension(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := pgo.RunValueProfile(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.Log("\n" + r.String())
-		}
-	}
-}
-
-func BenchmarkAblations(b *testing.B) {
-	runs := map[string]func(int) (*pgo.AblationResult, error){
-		"PreInliner": pgo.RunAblationPreInliner,
-		"PEBS":       pgo.RunAblationPEBS,
-		"Inference":  pgo.RunAblationInference,
-		"Barrier":    pgo.RunAblationBarrier,
-		"LBRDepth":   pgo.RunAblationLBRDepth,
-		"ICP":        pgo.RunAblationICP,
-	}
-	for name, run := range runs {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := run(benchScale)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Log("\n" + r.String())
-				}
-			}
-		})
-	}
-}
-
-// ------------------------------------------------------ substrate micros
-
-// BenchmarkSimulator measures raw interpreter throughput (instructions/s).
-func BenchmarkSimulator(b *testing.B) {
-	w, err := workloads.Load("hhvm", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := pgo.Build(w.Files, pgo.BuildConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := sim.New(res.Bin, sim.DefaultCostParams(), sim.PMUConfig{})
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		before := m.Stats().Instructions
-		if _, err := m.Run(int64(i), 200); err != nil {
-			b.Fatal(err)
-		}
-		instrs += m.Stats().Instructions - before
-	}
-	b.ReportMetric(float64(instrs)/float64(b.N), "instrs/op")
-}
 
 // BenchmarkUnwinder measures Algorithm 1 throughput (samples/op).
 func BenchmarkUnwinder(b *testing.B) {

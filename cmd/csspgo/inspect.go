@@ -66,14 +66,14 @@ func cmdInspect(args []string) error {
 			if err != nil {
 				return err
 			}
-			covs, err := introspect.Coverage(bin, prof)
+			covs, err := quality.Coverage(bin, prof)
 			if err != nil {
 				return err
 			}
 			if *jsonOut {
 				return emit(covs)
 			}
-			fmt.Print(introspect.FormatCoverage(covs))
+			fmt.Print(quality.FormatCoverage(covs))
 		case *folded, *top > 0:
 			entries := introspect.Folded(prof)
 			if *top > 0 {

@@ -13,7 +13,9 @@ import (
 	"csspgo/internal/introspect"
 	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
+	"csspgo/internal/pgo"
 	"csspgo/internal/profdata"
+	"csspgo/internal/source"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it
@@ -185,5 +187,62 @@ func TestFleetStatusAddrOpensTheSharedSurface(t *testing.T) {
 		if !strings.Contains(out, ep+"\n") {
 			t.Fatalf("endpoint %s not listed:\n%s", ep, out)
 		}
+	}
+}
+
+func trainingBinary(t *testing.T) string {
+	t.Helper()
+	f, err := source.Parse("m.ml", `
+func main(n, unused) {
+	var s = 0;
+	for (var i = 0; i < n + 50; i = i + 1) { s = s + i; }
+	return s;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pgo.Build([]*source.File{f}, pgo.BuildConfig{Probes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "app.bin")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if err := res.Bin.Save(out); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// -bound 0 used to divide by zero in a private copy of the request
+// generator; the shared pgo.SeededRequests clamps it.
+func TestProfileBoundZero(t *testing.T) {
+	bin := trainingBinary(t)
+	for _, bound := range []string{"0", "-7"} {
+		out := filepath.Join(t.TempDir(), "app.prof")
+		var err error
+		captureStdout(t, func() {
+			err = cmdProfile([]string{"-bin", bin, "-o", out, "-kind", "cs", "-n", "20", "-seed", "1",
+				"-bound", bound, "-period", "97", "-workers", "1"})
+		})
+		if err != nil {
+			t.Fatalf("bound=%s: %v", bound, err)
+		}
+		if data, err := os.ReadFile(out); err != nil || len(data) == 0 {
+			t.Fatalf("bound=%s: no profile written (%v)", bound, err)
+		}
+	}
+}
+
+// An unknown -kind must be rejected before the binary is even opened, not
+// after the whole training simulation has run.
+func TestProfileRejectsUnknownKindFirst(t *testing.T) {
+	err := cmdProfile([]string{"-bin", filepath.Join(t.TempDir(), "missing.bin"), "-o", os.DevNull,
+		"-kind", "cz", "-n", "1", "-bound", "10"})
+	if err == nil || !strings.Contains(err.Error(), `unknown profile kind "cz"`) {
+		t.Fatalf("want an unknown-kind error, got %v", err)
 	}
 }

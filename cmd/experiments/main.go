@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	experiments [-run all|fig6|fig7|fig8|fig9|table1|client|drift|trim|tailcall|driftmatrix|corruption|fleetfaults|overheadsweep] [-scale N] [-report bench.json]
+//	experiments [-run all|NAME[,NAME...]] [-scale N] [-report bench.json]
+//
+// The names are those of experiments.All, in the order -run all runs them;
+// -h lists them.
 //
 // -report writes a run manifest with each experiment's headline numbers as
 // experiment.<name>.* gauges and its wall time in the stage table, for
@@ -19,11 +22,17 @@ import (
 	"os"
 	"strings"
 
+	"csspgo/internal/experiments"
 	"csspgo/internal/pgo"
 )
 
 func main() {
-	runSel := flag.String("run", "all", "comma-separated experiments to run")
+	all := experiments.All()
+	names := make([]string, len(all))
+	for i, e := range all {
+		names[i] = e.Name
+	}
+	runSel := flag.String("run", "all", "comma-separated experiments to run: all|"+strings.Join(names, "|"))
 	scale := flag.Int("scale", 2, "request-stream scale factor")
 	reportPath := flag.String("report", "", "write a machine-readable run manifest (JSON)")
 	flag.Parse()
@@ -32,49 +41,23 @@ func main() {
 	for _, s := range strings.Split(*runSel, ",") {
 		want[strings.TrimSpace(s)] = true
 	}
-	all := want["all"]
-
-	type experiment struct {
-		name string
-		run  func(int) (fmt.Stringer, error)
-	}
-	experiments := []experiment{
-		{"fig6", func(s int) (fmt.Stringer, error) { return pgo.RunFig6(s) }},
-		{"fig7", func(s int) (fmt.Stringer, error) { return pgo.RunFig7(s) }},
-		{"fig8", func(s int) (fmt.Stringer, error) { return pgo.RunFig8(s) }},
-		{"fig9", func(s int) (fmt.Stringer, error) { return pgo.RunFig9(s) }},
-		{"table1", func(s int) (fmt.Stringer, error) { return pgo.RunTable1(s) }},
-		{"client", func(s int) (fmt.Stringer, error) { return pgo.RunClient(s) }},
-		{"drift", func(s int) (fmt.Stringer, error) { return pgo.RunDrift(s) }},
-		{"trim", func(s int) (fmt.Stringer, error) { return pgo.RunTrim(s) }},
-		{"tailcall", func(s int) (fmt.Stringer, error) { return pgo.RunTailCall(s) }},
-		{"ablation-preinliner", func(s int) (fmt.Stringer, error) { return pgo.RunAblationPreInliner(s) }},
-		{"ablation-pebs", func(s int) (fmt.Stringer, error) { return pgo.RunAblationPEBS(s) }},
-		{"ablation-inference", func(s int) (fmt.Stringer, error) { return pgo.RunAblationInference(s) }},
-		{"ablation-barrier", func(s int) (fmt.Stringer, error) { return pgo.RunAblationBarrier(s) }},
-		{"ablation-lbrdepth", func(s int) (fmt.Stringer, error) { return pgo.RunAblationLBRDepth(s) }},
-		{"valueprofile", func(s int) (fmt.Stringer, error) { return pgo.RunValueProfile(s) }},
-		{"ablation-icp", func(s int) (fmt.Stringer, error) { return pgo.RunAblationICP(s) }},
-		{"driftmatrix", func(s int) (fmt.Stringer, error) { return pgo.RunDriftMatrix(s) }},
-		{"corruption", func(s int) (fmt.Stringer, error) { return pgo.RunCorruptionMatrix(s) }},
-		{"fleetfaults", func(s int) (fmt.Stringer, error) { return pgo.RunFleetFaults(s) }},
-		{"overheadsweep", func(s int) (fmt.Stringer, error) { return pgo.RunOverheadSweep(s) }},
-	}
 
 	obsrv := pgo.NewRunObserver()
 	ran := 0
-	for _, e := range experiments {
-		if !all && !want[e.name] {
+	for _, e := range all {
+		if !want["all"] && !want[e.Name] {
 			continue
 		}
-		sp := obsrv.Trace.Span("experiment." + e.name)
-		res, err := e.run(*scale)
+		sp := obsrv.Trace.Span("experiment." + e.Name)
+		res, err := e.Run(*scale)
 		sp.End()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
-		pgo.PublishExperiment(obsrv.Metrics, e.name, res)
+		for name, v := range experiments.Gauges(e.Name, res) {
+			obsrv.Metrics.Gauge(name).Set(v)
+		}
 		fmt.Println(res)
 		ran++
 	}

@@ -1,8 +1,10 @@
 // Package drift is the fault-injection half of the stale-profile work: it
-// manufactures the failure modes the degradation ladder must survive.
-// Source mutations model a developer editing code between profiling and
-// compiling (the profile goes stale); profile corruptions (corrupt.go) model
-// damaged profile artifacts. Mutations are deterministic in their seed.
+// manufactures the failure modes the degradation ladder must survive, and
+// is the one place that knows what a source edit between profiling and
+// compiling looks like. Source mutations model a developer editing code
+// (the profile goes stale); ShiftLines is the comment-only edit that moves
+// lines and nothing else; profile corruptions (corrupt.go) model damaged
+// profile artifacts. Mutations are deterministic in their seed.
 // Most preserve semantics exactly; DeleteStmts may not (removed calls can
 // have effects), but every variant the harness compares — baseline, fresh
 // profile, stale profile — builds and runs the *same* mutated program, so
@@ -295,6 +297,92 @@ func forEachBlock(b *source.BlockStmt, visit func(*source.BlockStmt)) {
 			forEachBlock(s.Default, visit)
 		}
 	}
+}
+
+// ShiftLines returns a deep copy of files in which every statement below a
+// function's header line sits delta lines lower, as if a delta-line comment
+// had been added right under each signature. The headers, the expressions
+// and the CFGs (so probe IDs and checksums) are untouched: only a profile
+// keyed by line offset goes stale. It is not a Mutation: All feeds the drift
+// matrix, whose cells must not move.
+func ShiftLines(files []*source.File, delta int) []*source.File {
+	out := make([]*source.File, len(files))
+	for i, f := range files {
+		out[i] = cloneFile(f)
+		for _, fn := range out[i].Funcs {
+			forEachStmt(fn.Body, func(s source.Stmt) {
+				if line := stmtLine(s); *line > fn.Line {
+					*line += delta
+				}
+			})
+		}
+	}
+	return out
+}
+
+// forEachStmt visits s and every statement nested in it, for-loop init and
+// post statements and else chains included, outermost first.
+func forEachStmt(s source.Stmt, visit func(source.Stmt)) {
+	visit(s)
+	switch s := s.(type) {
+	case *source.BlockStmt:
+		for _, sub := range s.Stmts {
+			forEachStmt(sub, visit)
+		}
+	case *source.IfStmt:
+		forEachStmt(s.Then, visit)
+		if s.Else != nil {
+			forEachStmt(s.Else, visit)
+		}
+	case *source.WhileStmt:
+		forEachStmt(s.Body, visit)
+	case *source.ForStmt:
+		if s.Init != nil {
+			forEachStmt(s.Init, visit)
+		}
+		if s.Post != nil {
+			forEachStmt(s.Post, visit)
+		}
+		forEachStmt(s.Body, visit)
+	case *source.SwitchStmt:
+		for _, cb := range s.Bodies {
+			forEachStmt(cb, visit)
+		}
+		if s.Default != nil {
+			forEachStmt(s.Default, visit)
+		}
+	}
+}
+
+// stmtLine addresses a statement's own line number.
+func stmtLine(s source.Stmt) *int {
+	switch s := s.(type) {
+	case *source.BlockStmt:
+		return &s.Line
+	case *source.VarStmt:
+		return &s.Line
+	case *source.AssignStmt:
+		return &s.Line
+	case *source.StoreStmt:
+		return &s.Line
+	case *source.IfStmt:
+		return &s.Line
+	case *source.WhileStmt:
+		return &s.Line
+	case *source.ForStmt:
+		return &s.Line
+	case *source.SwitchStmt:
+		return &s.Line
+	case *source.ReturnStmt:
+		return &s.Line
+	case *source.BreakStmt:
+		return &s.Line
+	case *source.ContinueStmt:
+		return &s.Line
+	case *source.ExprStmt:
+		return &s.Line
+	}
+	panic(fmt.Sprintf("drift: statement %T has no line", s))
 }
 
 // cloneFile deep-copies the statement structure of a file. Expressions are

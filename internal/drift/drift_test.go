@@ -171,3 +171,122 @@ func TestCorruptDeterministic(t *testing.T) {
 		}
 	}
 }
+
+const shiftSrc = `
+func finish(x) { return x % 4096; }
+func body(n) {
+  var s = 0;
+  for (var i = 0;
+       i < n;
+       i = i + 1) {
+    if (i > 3) {
+      s = s + 1;
+    } else if (i > 1) {
+      s = s + 2;
+    } else {
+      s = s + 3;
+    }
+  }
+  switch (s) {
+  case 1:
+    s = 0;
+  default:
+    s = 1;
+  }
+  return finish(s);
+}
+func main(a, b) { return body(a); }
+`
+
+// stmtLines lists every statement's line per function, in walk order.
+func stmtLines(files []*source.File) map[string][]int {
+	out := map[string][]int{}
+	for _, f := range files {
+		for _, fn := range f.Funcs {
+			forEachStmt(fn.Body, func(s source.Stmt) { out[fn.Name] = append(out[fn.Name], s.Pos()) })
+		}
+	}
+	return out
+}
+
+// ShiftLines is the comment-only edit of the §III.A drift experiment: every
+// statement below a function's header moves by exactly delta and nothing
+// else does — not the header, not a one-line function, not a CFG, not the
+// input.
+func TestShiftLinesMovesOnlyBodyLines(t *testing.T) {
+	f, err := source.Parse("t.ml", shiftSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []*source.File{f}
+	before := stmtLines(files)
+	sums := checksums(t, files)
+
+	const delta = 2
+	shifted := ShiftLines(files, delta)
+
+	for name, lines := range stmtLines(files) {
+		for i, line := range lines {
+			if line != before[name][i] {
+				t.Fatalf("ShiftLines mutated its input: %s statement %d at line %d, was %d", name, i, line, before[name][i])
+			}
+		}
+	}
+	for name, sum := range checksums(t, shifted) {
+		if sum != sums[name] {
+			t.Errorf("%s: CFG checksum moved under a line shift", name)
+		}
+	}
+
+	after := stmtLines(shifted)
+	for i, fn := range shifted[0].Funcs {
+		header := f.Funcs[i].Line
+		if fn.Line != header {
+			t.Errorf("%s: header moved from line %d to %d", fn.Name, header, fn.Line)
+		}
+		if len(after[fn.Name]) != len(before[fn.Name]) {
+			t.Fatalf("%s: %d statements, had %d", fn.Name, len(after[fn.Name]), len(before[fn.Name]))
+		}
+		for j, line := range after[fn.Name] {
+			want := before[fn.Name][j]
+			if want > header {
+				want += delta
+			}
+			if line != want {
+				t.Errorf("%s: statement %d (line %d) now at %d, want %d", fn.Name, j, before[fn.Name][j], line, want)
+			}
+		}
+	}
+	for _, name := range []string{"finish", "main"} {
+		for j, line := range after[name] {
+			if line != before[name][j] {
+				t.Errorf("one-line function %s moved: statement %d at line %d, was %d", name, j, line, before[name][j])
+			}
+		}
+	}
+
+	// The statements a block walk does not reach: for-loop init and post,
+	// and the arms of an else-if chain.
+	loop := shifted[0].Funcs[1].Body.Stmts[1].(*source.ForStmt)
+	orig := f.Funcs[1].Body.Stmts[1].(*source.ForStmt)
+	if got, want := loop.Init.Pos(), orig.Init.Pos()+delta; got != want {
+		t.Errorf("for init at line %d, want %d", got, want)
+	}
+	if got, want := loop.Post.Pos(), orig.Post.Pos()+delta; got != want {
+		t.Errorf("for post at line %d, want %d", got, want)
+	}
+	chain, origChain := loop.Body.Stmts[0].(*source.IfStmt), orig.Body.Stmts[0].(*source.IfStmt)
+	for arm := 0; chain != nil; arm++ {
+		if got, want := chain.Line, origChain.Line+delta; got != want {
+			t.Errorf("if-chain arm %d at line %d, want %d", arm, got, want)
+		}
+		next, _ := chain.Else.(*source.IfStmt)
+		if next == nil && chain.Else != nil {
+			if got, want := chain.Else.Pos(), origChain.Else.Pos()+delta; got != want {
+				t.Errorf("final else at line %d, want %d", got, want)
+			}
+		}
+		origNext, _ := origChain.Else.(*source.IfStmt)
+		chain, origChain = next, origNext
+	}
+}

@@ -1,4 +1,4 @@
-package pgo
+package experiments
 
 import (
 	"fmt"
@@ -8,7 +8,7 @@ import (
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
 	"csspgo/internal/opt"
-	"csspgo/internal/preinline"
+	"csspgo/internal/pgo"
 	"csspgo/internal/probe"
 	"csspgo/internal/quality"
 	"csspgo/internal/sampling"
@@ -56,42 +56,33 @@ func RunAblationPreInliner(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	samples, _, err := CollectSamples(base.Bin, w.Train, DefaultProfileConfig())
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pgo.DefaultProfileConfig())
 	if err != nil {
 		return nil, err
 	}
 
-	mk := func(withPre bool) (*BuildResult, error) {
+	mk := func(withPre bool) (*pgo.BuildResult, sim.Stats, error) {
 		prof, _ := sampling.GenerateCSSPGO(base.Bin, samples, sampling.DefaultCSSPGOOptions())
-		prof.TrimColdContexts(trimThreshold(prof))
-		cfg := BuildConfig{Probes: true, Profile: prof}
+		cfg := pgo.BuildConfig{Probes: true, Profile: prof}
 		if withPre {
-			sizes := preinline.ExtractSizes(base.Bin)
-			preinline.Run(prof, sizes, preinline.DeriveParams(prof))
+			pgo.TrimAndPreInline(prof, base.Bin, 0)
 			cfg.UsePreInlineDecisions = true
 		} else {
+			prof.TrimColdContexts(pgo.TrimThreshold(prof))
 			cfg.CSHotContextThreshold = prof.TotalSamples() / 500
 		}
-		return Build(w.Files, cfg)
+		return buildEval(w.Files, cfg, w.Eval)
 	}
 
-	withPre, err := mk(true)
+	withPre, sWith, err := mk(true)
 	if err != nil {
 		return nil, err
 	}
-	withoutPre, err := mk(false)
-	if err != nil {
-		return nil, err
-	}
-	sWith, err := Evaluate(withPre.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
-	sWithout, err := Evaluate(withoutPre.Bin, w.Eval)
+	withoutPre, sWithout, err := mk(false)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +108,7 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -132,21 +123,17 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 		{"PEBS off + skid detection", false, false},
 		{"PEBS off, naive unwinder", false, true},
 	} {
-		pc := DefaultProfileConfig()
+		pc := pgo.DefaultProfileConfig()
 		pc.PEBS = c.pebs
-		samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+		samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 		if err != nil {
 			return nil, err
 		}
 		opts := sampling.DefaultCSSPGOOptions()
 		opts.AssumeAligned = c.assume
 		prof, stats := sampling.GenerateCSSPGO(base.Bin, samples, opts)
-		TrimAndPreInline(prof, base.Bin, 0)
-		build, err := Build(w.Files, BuildConfig{Probes: true, Profile: prof, UsePreInlineDecisions: true})
-		if err != nil {
-			return nil, err
-		}
-		st, err := Evaluate(build.Bin, w.Eval)
+		pgo.TrimAndPreInline(prof, base.Bin, 0)
+		build, st, err := buildEval(w.Files, pgo.BuildConfig{Probes: true, Profile: prof, UsePreInlineDecisions: true}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
@@ -170,29 +157,21 @@ func RunAblationInference(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: false})
+	base, baseStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: false}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
-	pc := DefaultProfileConfig()
+	pc := pgo.DefaultProfileConfig()
 	pc.Stacks = false
-	samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
 	prof := sampling.GenerateAutoFDO(base.Bin, samples, sampling.FlatOptions{})
-	baseStats, err := Evaluate(base.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
 
 	res := &AblationResult{Title: "Ablation — MCF profile inference (adfinder, AutoFDO)"}
 	for _, inf := range []bool{false, true} {
-		build, err := Build(w.Files, BuildConfig{Probes: false, Profile: prof, DisableInference: !inf})
-		if err != nil {
-			return nil, err
-		}
-		st, err := Evaluate(build.Bin, w.Eval)
+		build, st, err := buildEval(w.Files, pgo.BuildConfig{Probes: false, Profile: prof, DisableInference: !inf}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
@@ -221,11 +200,11 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 		return nil, err
 	}
 
-	plain, err := Build(w.Files, BuildConfig{Probes: false})
+	plain, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: false})
 	if err != nil {
 		return nil, err
 	}
-	weak, err := Build(w.Files, BuildConfig{Probes: true})
+	weak, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -233,38 +212,38 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	instr, err := Build(w.Files, BuildConfig{Probes: true, Instrument: true})
+	instr, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true, Instrument: true})
 	if err != nil {
 		return nil, err
 	}
 
 	// Ground truth for quality.
-	counters, _, err := CollectCounters(instr.Bin, w.Train)
+	counters, _, err := pgo.CollectCounters(instr.Bin, w.Train)
 	if err != nil {
 		return nil, err
 	}
 	gt := sampling.GenerateInstrProfile(instr.Bin, counters)
 
 	res := &AblationResult{Title: "Ablation — probe barrier strength (adfinder): overhead vs profile quality"}
-	sPlain, err := Evaluate(plain.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range []struct {
+	var plainCycles uint64 // the first row's
+	for i, c := range []struct {
 		name  string
-		build *BuildResult
+		build *pgo.BuildResult
 	}{
 		{"no probes", plain},
 		{"weak barrier (production)", weak},
 		{"strong barrier", strong},
 	} {
-		st, err := Evaluate(c.build.Bin, w.Eval)
+		st, err := pgo.Evaluate(c.build.Bin, w.Eval)
 		if err != nil {
 			return nil, err
 		}
+		if i == 0 {
+			plainCycles = st.Cycles
+		}
 		note := "—"
 		if c.build != plain {
-			samples, _, err := CollectSamples(c.build.Bin, w.Train, DefaultProfileConfig())
+			samples, _, err := pgo.CollectSamples(c.build.Bin, w.Train, pgo.DefaultProfileConfig())
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +254,7 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 		res.Rows = append(res.Rows, AblationRow{
 			Name:         c.name,
 			CyclesPerReq: float64(st.Cycles) / float64(len(w.Eval)),
-			ImprPct:      pct(st.Cycles, sPlain.Cycles) * -1,
+			ImprPct:      pct(st.Cycles, plainCycles) * -1,
 			TextBytes:    c.build.Bin.TextSize,
 			Note:         note,
 		})
@@ -286,7 +265,7 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 // buildWithBarrier compiles a probed training build at an explicit probe
 // barrier level (the Fig. 8 builds use the production weak barrier; this
 // lets the ablation push probes to instrumentation-strength semantics).
-func buildWithBarrier(files []*source.File, barrier opt.BarrierStrength) (*BuildResult, error) {
+func buildWithBarrier(files []*source.File, barrier opt.BarrierStrength) (*pgo.BuildResult, error) {
 	prog, err := irgen.Lower(files...)
 	if err != nil {
 		return nil, err
@@ -303,7 +282,7 @@ func buildWithBarrier(files []*source.File, barrier opt.BarrierStrength) (*Build
 	if err != nil {
 		return nil, err
 	}
-	return &BuildResult{Bin: bin, IR: prog, FreshIR: fresh, Stats: stats}, nil
+	return &pgo.BuildResult{Bin: bin, IR: prog, FreshIR: fresh, Stats: stats}, nil
 }
 
 // RunAblationICP isolates indirect-call promotion on the dispatcher
@@ -313,13 +292,13 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	pc := DefaultProfileConfig()
+	pc := pgo.DefaultProfileConfig()
 	pc.Stacks = false
-	samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -327,11 +306,7 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 
 	res := &AblationResult{Title: "Ablation — indirect-call promotion (dispatcher, probe-only profile)"}
 	for _, disable := range []bool{true, false} {
-		b, err := Build(w.Files, BuildConfig{Probes: true, Profile: prof, DisableICP: disable})
-		if err != nil {
-			return nil, err
-		}
-		st, err := Evaluate(b.Bin, w.Eval)
+		b, st, err := buildEval(w.Files, pgo.BuildConfig{Probes: true, Profile: prof, DisableICP: disable}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +332,7 @@ func RunAblationLBRDepth(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
@@ -368,8 +343,10 @@ func RunAblationLBRDepth(scale int) (*AblationResult, error) {
 			SampleStacks: true, Jitter: true, Seed: 0x5eed,
 		}
 		m := sim.New(base.Bin, sim.DefaultCostParams(), cfg)
-		if err := runAll(m, w.Train); err != nil {
-			return nil, err
+		for _, req := range w.Train {
+			if _, err := m.Run(req...); err != nil {
+				return nil, err
+			}
 		}
 		prof, stats := sampling.GenerateCSSPGO(base.Bin, m.Samples(), sampling.DefaultCSSPGOOptions())
 		res.Rows = append(res.Rows, AblationRow{

@@ -1,10 +1,11 @@
-package pgo
+package experiments
 
 import (
 	"fmt"
 	"strings"
 
 	"csspgo/internal/drift"
+	"csspgo/internal/pgo"
 	"csspgo/internal/profdata"
 	"csspgo/internal/workloads"
 )
@@ -61,11 +62,11 @@ func runDriftMatrix(names []string, muts []drift.Mutation, scale int, seed uint6
 		// The stale profile: a full CS profile trained on the PRE-edit
 		// program, exactly what a production profile store would serve after
 		// the developer's change lands.
-		oldBase, err := Build(w.Files, BuildConfig{Probes: true})
+		oldBase, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s: pre-edit build: %w", name, err)
 		}
-		oldProf, err := CollectProfileFor(oldBase, FullCS, w.Train)
+		oldProf, err := pgo.CollectProfileFor(oldBase, pgo.FullCS, w.Train)
 		if err != nil {
 			return nil, fmt.Errorf("%s: pre-edit profile: %w", name, err)
 		}
@@ -88,32 +89,24 @@ func runDriftCell(w *workloads.Workload, oldProf *profdata.Profile, m drift.Muta
 
 	// The unprofiled probed build is both the improvement baseline and the
 	// training binary for the fresh profile.
-	base, err := Build(mfiles, BuildConfig{Probes: true})
+	base, baseStats, err := buildEval(mfiles, pgo.BuildConfig{Probes: true}, w.Eval)
 	if err != nil {
-		return cell, fmt.Errorf("baseline build: %w", err)
+		return cell, fmt.Errorf("baseline: %w", err)
 	}
-	baseStats, err := Evaluate(base.Bin, w.Eval)
-	if err != nil {
-		return cell, fmt.Errorf("baseline eval: %w", err)
-	}
-	freshProf, err := CollectProfileFor(base, FullCS, w.Train)
+	freshProf, err := pgo.CollectProfileFor(base, pgo.FullCS, w.Train)
 	if err != nil {
 		return cell, fmt.Errorf("fresh profile: %w", err)
 	}
 
 	// Optimize clones the profile it consumes, so one collection can feed
 	// several builds directly.
-	impr := func(prof *profdata.Profile, staleMatching bool) (float64, *BuildResult, error) {
-		res, err := Build(mfiles, BuildConfig{
+	impr := func(prof *profdata.Profile, staleMatching bool) (float64, *pgo.BuildResult, error) {
+		res, stats, err := buildEval(mfiles, pgo.BuildConfig{
 			Probes:                true,
 			Profile:               prof,
 			UsePreInlineDecisions: true,
 			StaleMatching:         staleMatching,
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		stats, err := Evaluate(res.Bin, w.Eval)
+		}, w.Eval)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -126,7 +119,7 @@ func runDriftCell(w *workloads.Workload, oldProf *profdata.Profile, m drift.Muta
 	if cell.DropImpr, _, err = impr(oldProf, false); err != nil {
 		return cell, fmt.Errorf("drop-stale build: %w", err)
 	}
-	var matched *BuildResult
+	var matched *pgo.BuildResult
 	if cell.MatchImpr, matched, err = impr(oldProf, true); err != nil {
 		return cell, fmt.Errorf("matched build: %w", err)
 	}
@@ -192,15 +185,11 @@ func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale i
 		if err != nil {
 			return nil, err
 		}
-		base, err := Build(w.Files, BuildConfig{Probes: true})
+		base, baseStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: true}, w.Eval)
 		if err != nil {
-			return nil, fmt.Errorf("%s: build: %w", name, err)
+			return nil, fmt.Errorf("%s: baseline: %w", name, err)
 		}
-		baseStats, err := Evaluate(base.Bin, w.Eval)
-		if err != nil {
-			return nil, fmt.Errorf("%s: baseline eval: %w", name, err)
-		}
-		prof, err := CollectProfileFor(base, FullCS, w.Train)
+		prof, err := pgo.CollectProfileFor(base, pgo.FullCS, w.Train)
 		if err != nil {
 			return nil, fmt.Errorf("%s: profile: %w", name, err)
 		}
@@ -242,16 +231,12 @@ func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale i
 // matching on, so damaged records degrade down the ladder instead of
 // poisoning the build) and returns its % cycle improvement over base.
 func profiledImprovement(w *workloads.Workload, prof *profdata.Profile, baseCycles uint64) (float64, error) {
-	res, err := Build(w.Files, BuildConfig{
+	_, stats, err := buildEval(w.Files, pgo.BuildConfig{
 		Probes:                true,
 		Profile:               prof,
 		UsePreInlineDecisions: true,
 		StaleMatching:         true,
-	})
-	if err != nil {
-		return 0, err
-	}
-	stats, err := Evaluate(res.Bin, w.Eval)
+	}, w.Eval)
 	if err != nil {
 		return 0, err
 	}

@@ -1,20 +1,19 @@
-package pgo
+package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"csspgo/internal/profdata"
+	"csspgo/internal/drift"
+	"csspgo/internal/pgo"
 	"csspgo/internal/quality"
 	"csspgo/internal/sampling"
-	"csspgo/internal/source"
 	"csspgo/internal/workloads"
 )
 
 // This file regenerates every table and figure of the paper's evaluation
 // (§IV) plus the in-text experiments (§III). Each Run* function returns
-// typed rows and renders a table via its String method; cmd/experiments and
-// the root bench harness drive them.
+// typed rows and renders a table via its String method.
 
 // ---------------------------------------------------------------- Fig. 6
 
@@ -43,25 +42,21 @@ type Fig6Result struct {
 func RunFig6(scale int) (*Fig6Result, error) {
 	out := &Fig6Result{}
 	for _, name := range workloads.ServerNames() {
-		w, err := workloads.Load(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		variants := []Variant{AutoFDO, ProbeOnly, FullCS}
+		variants := []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS}
 		if name == "hhvm" {
-			variants = append(variants, InstrPGO)
+			variants = append(variants, pgo.InstrPGO)
 		}
-		c, err := Compare(w, variants)
+		c, err := compareServer(name, scale, variants)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig6Row{
 			Workload:      name,
-			ProbeOnlyImpr: c.ImprovementOver(AutoFDO, ProbeOnly),
-			FullCSImpr:    c.ImprovementOver(AutoFDO, FullCS),
+			ProbeOnlyImpr: c.ImprovementOver(pgo.AutoFDO, pgo.ProbeOnly),
+			FullCSImpr:    c.ImprovementOver(pgo.AutoFDO, pgo.FullCS),
 		}
 		if name == "hhvm" {
-			row.InstrImpr = c.ImprovementOver(AutoFDO, InstrPGO)
+			row.InstrImpr = c.ImprovementOver(pgo.AutoFDO, pgo.InstrPGO)
 			row.HasInstr = true
 		}
 		if row.FullCSImpr != 0 {
@@ -87,6 +82,16 @@ func (r *Fig6Result) String() string {
 	return sb.String()
 }
 
+// Gauges publishes both improvements per workload.
+func (r *Fig6Result) Gauges() map[string]float64 {
+	g := map[string]float64{}
+	for _, row := range r.Rows {
+		g[row.Workload+".probeonly_impr_pct"] = row.ProbeOnlyImpr
+		g[row.Workload+".csspgo_impr_pct"] = row.FullCSImpr
+	}
+	return g
+}
+
 // ---------------------------------------------------------------- Fig. 7
 
 // Fig7Row is one workload's code-size comparison (text bytes; ratios
@@ -108,19 +113,15 @@ type Fig7Result struct {
 func RunFig7(scale int) (*Fig7Result, error) {
 	out := &Fig7Result{}
 	for _, name := range workloads.ServerNames() {
-		w, err := workloads.Load(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		c, err := Compare(w, []Variant{AutoFDO, ProbeOnly, FullCS})
+		c, err := compareServer(name, scale, []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS})
 		if err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, Fig7Row{
 			Workload:     name,
-			AutoFDOBytes: c.Results[AutoFDO].Build.Bin.TextSize,
-			ProbeOnlyRel: c.SizeRatio(AutoFDO, ProbeOnly),
-			FullCSRel:    c.SizeRatio(AutoFDO, FullCS),
+			AutoFDOBytes: c.Results[pgo.AutoFDO].Build.Bin.TextSize,
+			ProbeOnlyRel: c.SizeRatio(pgo.AutoFDO, pgo.ProbeOnly),
+			FullCSRel:    c.SizeRatio(pgo.AutoFDO, pgo.FullCS),
 		})
 	}
 	return out, nil
@@ -135,6 +136,15 @@ func (r *Fig7Result) String() string {
 			row.Workload, row.AutoFDOBytes, row.ProbeOnlyRel, row.FullCSRel)
 	}
 	return sb.String()
+}
+
+// Gauges publishes full CSSPGO's relative size per workload.
+func (r *Fig7Result) Gauges() map[string]float64 {
+	g := map[string]float64{}
+	for _, row := range r.Rows {
+		g[row.Workload+".csspgo_sizerel"] = row.FullCSRel
+	}
+	return g
 }
 
 // ---------------------------------------------------------------- Fig. 8
@@ -164,27 +174,15 @@ func RunFig8(scale int) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		plain, err := Build(w.Files, BuildConfig{Probes: false})
+		_, sPlain, err := buildEval(w.Files, pgo.BuildConfig{Probes: false}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
-		probed, err := Build(w.Files, BuildConfig{Probes: true})
+		_, sProbed, err := buildEval(w.Files, pgo.BuildConfig{Probes: true}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
-		instr, err := Build(w.Files, BuildConfig{Probes: true, Instrument: true})
-		if err != nil {
-			return nil, err
-		}
-		sPlain, err := Evaluate(plain.Bin, w.Eval)
-		if err != nil {
-			return nil, err
-		}
-		sProbed, err := Evaluate(probed.Bin, w.Eval)
-		if err != nil {
-			return nil, err
-		}
-		sInstr, err := Evaluate(instr.Bin, w.Eval)
+		_, sInstr, err := buildEval(w.Files, pgo.BuildConfig{Probes: true, Instrument: true}, w.Eval)
 		if err != nil {
 			return nil, err
 		}
@@ -199,13 +197,6 @@ func RunFig8(scale int) (*Fig8Result, error) {
 	return out, nil
 }
 
-func pct(x, base uint64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (float64(x) - float64(base)) / float64(base)
-}
-
 func (r *Fig8Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 8 — pseudo-instrumentation run-time overhead (%, vs plain -O2)\n")
@@ -215,6 +206,15 @@ func (r *Fig8Result) String() string {
 			row.Workload, row.ProbeOverheadPct, row.InstrOverheadPct, row.BaseCycles)
 	}
 	return sb.String()
+}
+
+// Gauges publishes the probe overhead per workload.
+func (r *Fig8Result) Gauges() map[string]float64 {
+	g := map[string]float64{}
+	for _, row := range r.Rows {
+		g[row.Workload+".probe_overhead_pct"] = row.ProbeOverheadPct
+	}
+	return g
 }
 
 // ---------------------------------------------------------------- Fig. 9
@@ -244,7 +244,7 @@ func RunFig9(scale int) (*Fig9Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		probed, err := Build(w.Files, BuildConfig{Probes: true})
+		probed, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 		if err != nil {
 			return nil, err
 		}
@@ -274,6 +274,15 @@ func (r *Fig9Result) String() string {
 	return sb.String()
 }
 
+// Gauges publishes the probe metadata share per workload.
+func (r *Fig9Result) Gauges() map[string]float64 {
+	g := map[string]float64{}
+	for _, row := range r.Rows {
+		g[row.Workload+".probemeta_share_pct"] = row.ProbeSharePct
+	}
+	return g
+}
+
 // --------------------------------------------------------------- Table I
 
 // Table1Result holds the HHVM profile-quality and overhead comparison.
@@ -296,38 +305,38 @@ func RunTable1(scale int) (*Table1Result, error) {
 	}
 
 	// Plain and probed training binaries + the instrumented ground truth.
-	plain, err := Build(w.Files, BuildConfig{Probes: false})
+	plain, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: false})
 	if err != nil {
 		return nil, err
 	}
-	probed, err := Build(w.Files, BuildConfig{Probes: true})
+	probed, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	instr, err := Build(w.Files, BuildConfig{Probes: true, Instrument: true})
+	instr, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true, Instrument: true})
 	if err != nil {
 		return nil, err
 	}
 
 	// Profile collection runs (same train stream).
-	pc := DefaultProfileConfig()
+	pc := pgo.DefaultProfileConfig()
 	pcNoStacks := pc
 	pcNoStacks.Stacks = false
-	lbrSamples, plainStats, err := CollectSamples(plain.Bin, w.Train, pcNoStacks)
+	lbrSamples, plainStats, err := pgo.CollectSamples(plain.Bin, w.Train, pcNoStacks)
 	if err != nil {
 		return nil, err
 	}
-	csSamples, probedStats, err := CollectSamples(probed.Bin, w.Train, pc)
+	csSamples, probedStats, err := pgo.CollectSamples(probed.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
-	counters, instrStats, err := CollectCounters(instr.Bin, w.Train)
+	counters, instrStats, err := pgo.CollectCounters(instr.Bin, w.Train)
 	if err != nil {
 		return nil, err
 	}
 
 	autofdoProf := sampling.GenerateAutoFDO(plain.Bin, lbrSamples, sampling.FlatOptions{Workers: pc.Workers})
-	csProf, _ := sampling.GenerateCSSPGO(probed.Bin, csSamples, csspgoOptions(pc))
+	csProf, _ := sampling.GenerateCSSPGO(probed.Bin, csSamples, sampling.DefaultCSSPGOOptions())
 	gt := sampling.GenerateInstrProfile(instr.Bin, counters)
 
 	common := probed.FreshIR
@@ -357,6 +366,15 @@ func (r *Table1Result) String() string {
 	return sb.String()
 }
 
+// Gauges publishes the two sampled overlaps and the instrumentation overhead.
+func (r *Table1Result) Gauges() map[string]float64 {
+	return map[string]float64{
+		"overlap_autofdo":    r.OverlapAutoFDO,
+		"overlap_csspgo":     r.OverlapCSSPGO,
+		"overhead_instr_pct": r.OverheadInstrPct,
+	}
+}
+
 // ----------------------------------------------------- §IV.D client workload
 
 // ClientResult holds the clangish client-workload comparison.
@@ -375,15 +393,15 @@ func RunClient(scale int) (*ClientResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := Compare(w, []Variant{AutoFDO, FullCS, InstrPGO})
+	c, err := Compare(w, []pgo.Variant{pgo.AutoFDO, pgo.FullCS, pgo.InstrPGO})
 	if err != nil {
 		return nil, err
 	}
 	return &ClientResult{
-		CSSPGOImpr: c.ImprovementOver(AutoFDO, FullCS),
-		CSSPGOSize: c.SizeRatio(AutoFDO, FullCS),
-		InstrImpr:  c.ImprovementOver(AutoFDO, InstrPGO),
-		InstrSize:  c.SizeRatio(AutoFDO, InstrPGO),
+		CSSPGOImpr: c.ImprovementOver(pgo.AutoFDO, pgo.FullCS),
+		CSSPGOSize: c.SizeRatio(pgo.AutoFDO, pgo.FullCS),
+		InstrImpr:  c.ImprovementOver(pgo.AutoFDO, pgo.InstrPGO),
+		InstrSize:  c.SizeRatio(pgo.AutoFDO, pgo.InstrPGO),
 	}, nil
 }
 
@@ -394,6 +412,14 @@ func (r *ClientResult) String() string {
 	fmt.Fprintf(&sb, "%-12s %+12.2f %12.3f\n", "CSSPGO", r.CSSPGOImpr, r.CSSPGOSize)
 	fmt.Fprintf(&sb, "%-12s %+12.2f %12.3f\n", "Instr PGO", r.InstrImpr, r.InstrSize)
 	return sb.String()
+}
+
+// Gauges publishes both improvements over AutoFDO.
+func (r *ClientResult) Gauges() map[string]float64 {
+	return map[string]float64{
+		"csspgo_impr_pct": r.CSSPGOImpr,
+		"instr_impr_pct":  r.InstrImpr,
+	}
 }
 
 // --------------------------------------------------------- §III.A drift
@@ -413,53 +439,38 @@ type DriftResult struct {
 	StaleDetected           int // functions whose checksum caught real CFG change
 }
 
-// RunDrift reproduces the §III.A source-drift experiment on adfinder: the
-// sources gain leading comments (every line shifts by three), and each
-// variant reuses the profile collected on the pre-drift binary. Line-offset
-// correlation silently mis-annotates; probe-based correlation is immune to
-// line shifts (probe IDs and checksums are line-independent).
+// RunDrift reproduces the §III.A source-drift experiment on adfinder: every
+// function gains a two-line comment under its header (drift.ShiftLines), and
+// each variant reuses the profile collected on the pre-drift binary.
+// Line-offset correlation silently mis-annotates; probe-based correlation is
+// immune to line shifts (probe IDs and checksums are line-independent).
 func RunDrift(scale int) (*DriftResult, error) {
 	w, err := workloads.Load("adfinder", scale)
 	if err != nil {
 		return nil, err
 	}
-	drifted, err := driftFiles(w.Files)
-	if err != nil {
-		return nil, err
-	}
+	drifted := drift.ShiftLines(w.Files, 2)
 
 	res := &DriftResult{}
 
 	// AutoFDO: train on the pristine binary.
-	base, err := Build(w.Files, BuildConfig{Probes: false})
+	base, baseStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: false}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
-	pc := DefaultProfileConfig()
+	pc := pgo.DefaultProfileConfig()
 	pc.Stacks = false
-	samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
 	lineProf := sampling.GenerateAutoFDO(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
 
-	baseStats, err := Evaluate(base.Bin, w.Eval)
+	_, freshStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: false, Profile: lineProf}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
-	fresh, err := Build(w.Files, BuildConfig{Probes: false, Profile: lineProf})
-	if err != nil {
-		return nil, err
-	}
-	freshStats, err := Evaluate(fresh.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
-	driftBuild, err := Build(drifted, BuildConfig{Probes: false, Profile: lineProf})
-	if err != nil {
-		return nil, err
-	}
-	driftStats, err := Evaluate(driftBuild.Bin, w.Eval)
+	_, driftStats, err := buildEval(drifted, pgo.BuildConfig{Probes: false, Profile: lineProf}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
@@ -467,19 +478,11 @@ func RunDrift(scale int) (*DriftResult, error) {
 	res.AutoFDODriftedImpr = pct(baseStats.Cycles, driftStats.Cycles)
 
 	// Without inference: raw correlation quality.
-	freshNI, err := Build(w.Files, BuildConfig{Probes: false, Profile: lineProf, DisableInference: true})
+	_, freshNIStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: false, Profile: lineProf, DisableInference: true}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
-	freshNIStats, err := Evaluate(freshNI.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
-	driftNI, err := Build(drifted, BuildConfig{Probes: false, Profile: lineProf, DisableInference: true})
-	if err != nil {
-		return nil, err
-	}
-	driftNIStats, err := Evaluate(driftNI.Bin, w.Eval)
+	_, driftNIStats, err := buildEval(drifted, pgo.BuildConfig{Probes: false, Profile: lineProf, DisableInference: true}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
@@ -487,28 +490,20 @@ func RunDrift(scale int) (*DriftResult, error) {
 	res.AutoFDONoInfDriftedImpr = pct(baseStats.Cycles, driftNIStats.Cycles)
 
 	// CSSPGO: probe-based correlation on the same drift.
-	pbase, err := Build(w.Files, BuildConfig{Probes: true})
+	pbase, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	csProf, err := CollectProfileFor(pbase, FullCS, w.Train)
+	csProf, err := pgo.CollectProfileFor(pbase, pgo.FullCS, w.Train)
 	if err != nil {
 		return nil, err
 	}
 
-	csFresh, err := Build(w.Files, BuildConfig{Probes: true, Profile: csProf, UsePreInlineDecisions: true})
+	_, csFreshStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: true, Profile: csProf, UsePreInlineDecisions: true}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
-	csFreshStats, err := Evaluate(csFresh.Bin, w.Eval)
-	if err != nil {
-		return nil, err
-	}
-	csDrift, err := Build(drifted, BuildConfig{Probes: true, Profile: csProf, UsePreInlineDecisions: true})
-	if err != nil {
-		return nil, err
-	}
-	csDriftStats, err := Evaluate(csDrift.Bin, w.Eval)
+	csDrift, csDriftStats, err := buildEval(drifted, pgo.BuildConfig{Probes: true, Profile: csProf, UsePreInlineDecisions: true}, w.Eval)
 	if err != nil {
 		return nil, err
 	}
@@ -516,223 +511,6 @@ func RunDrift(scale int) (*DriftResult, error) {
 	res.CSSPGODriftedImpr = pct(baseStats.Cycles, csDriftStats.Cycles)
 	res.StaleDetected = csDrift.Stats.StaleFuncs
 	return res, nil
-}
-
-// pct above computes (x-base)/base; improvements here want (base-x)/base.
-// driftImpr flips the sign convention: how much faster than `base` is x.
-// (kept inline at call sites via pct(base, x)).
-
-// driftFiles emulates a developer adding a two-line comment early inside
-// every function body: statements more than two lines below the function
-// header shift down by two, the header itself stays. Line-offset keyed
-// profiles now attribute those statements' counts to the wrong offsets;
-// probe IDs and CFG checksums are untouched.
-func driftFiles(files []*source.File) ([]*source.File, error) {
-	out := make([]*source.File, len(files))
-	for i, f := range files {
-		nf := *f
-		nf.Funcs = nil
-		for _, fn := range f.Funcs {
-			nfn := *fn
-			// A comment right after the signature: every body statement
-			// shifts, the header (and so the function's start line) stays.
-			cut := fn.Line
-			nfn.Body = shiftBlockAfter(fn.Body, cut, 2)
-			nf.Funcs = append(nf.Funcs, &nfn)
-		}
-		out[i] = &nf
-	}
-	return out, nil
-}
-
-func shiftBlockAfter(b *source.BlockStmt, cut, d int) *source.BlockStmt {
-	nb := shiftBlock(b, 0)
-	var apply func(s source.Stmt)
-	applyBlock := func(bb *source.BlockStmt) {
-		if bb.Line > cut {
-			bb.Line += d
-		}
-	}
-	apply = func(s source.Stmt) {
-		switch st := s.(type) {
-		case *source.BlockStmt:
-			applyBlock(st)
-			for _, sub := range st.Stmts {
-				apply(sub)
-			}
-			return
-		case *source.IfStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-			applyBlock(st.Then)
-			for _, sub := range st.Then.Stmts {
-				apply(sub)
-			}
-			if st.Else != nil {
-				apply(st.Else)
-			}
-			return
-		case *source.WhileStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-			applyBlock(st.Body)
-			for _, sub := range st.Body.Stmts {
-				apply(sub)
-			}
-			return
-		case *source.ForStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-			if st.Init != nil {
-				apply(st.Init)
-			}
-			if st.Post != nil {
-				apply(st.Post)
-			}
-			applyBlock(st.Body)
-			for _, sub := range st.Body.Stmts {
-				apply(sub)
-			}
-			return
-		case *source.SwitchStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-			for _, b := range st.Bodies {
-				applyBlock(b)
-				for _, sub := range b.Stmts {
-					apply(sub)
-				}
-			}
-			if st.Default != nil {
-				applyBlock(st.Default)
-				for _, sub := range st.Default.Stmts {
-					apply(sub)
-				}
-			}
-			return
-		}
-		// Leaf statements: bump via shiftStmt-style reflection.
-		switch st := s.(type) {
-		case *source.VarStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.AssignStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.StoreStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.ReturnStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.BreakStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.ContinueStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		case *source.ExprStmt:
-			if st.Line > cut {
-				st.Line += d
-			}
-		}
-	}
-	applyBlock(nb)
-	for _, sub := range nb.Stmts {
-		apply(sub)
-	}
-	return nb
-}
-
-func shiftBlock(b *source.BlockStmt, d int) *source.BlockStmt {
-	nb := *b
-	nb.Line += d
-	nb.Stmts = make([]source.Stmt, len(b.Stmts))
-	for i, s := range b.Stmts {
-		nb.Stmts[i] = shiftStmt(s, d)
-	}
-	return &nb
-}
-
-func shiftStmt(s source.Stmt, d int) source.Stmt {
-	switch st := s.(type) {
-	case *source.BlockStmt:
-		return shiftBlock(st, d)
-	case *source.VarStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.AssignStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.StoreStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.IfStmt:
-		n := *st
-		n.Line += d
-		n.Then = shiftBlock(st.Then, d)
-		if st.Else != nil {
-			n.Else = shiftStmt(st.Else, d)
-		}
-		return &n
-	case *source.WhileStmt:
-		n := *st
-		n.Line += d
-		n.Body = shiftBlock(st.Body, d)
-		return &n
-	case *source.ForStmt:
-		n := *st
-		n.Line += d
-		if st.Init != nil {
-			n.Init = shiftStmt(st.Init, d)
-		}
-		if st.Post != nil {
-			n.Post = shiftStmt(st.Post, d)
-		}
-		n.Body = shiftBlock(st.Body, d)
-		return &n
-	case *source.SwitchStmt:
-		n := *st
-		n.Line += d
-		n.Bodies = make([]*source.BlockStmt, len(st.Bodies))
-		for i, b := range st.Bodies {
-			n.Bodies[i] = shiftBlock(b, d)
-		}
-		if st.Default != nil {
-			n.Default = shiftBlock(st.Default, d)
-		}
-		return &n
-	case *source.ReturnStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.BreakStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.ContinueStmt:
-		n := *st
-		n.Line += d
-		return &n
-	case *source.ExprStmt:
-		n := *st
-		n.Line += d
-		return &n
-	}
-	return s
 }
 
 func (r *DriftResult) String() string {
@@ -776,12 +554,12 @@ func RunTrim(scale int) (*TrimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	pc := DefaultProfileConfig()
-	samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+	pc := pgo.DefaultProfileConfig()
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
@@ -835,16 +613,16 @@ func RunTailCall(scale int) (*TailCallResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, err
 	}
-	pc := DefaultProfileConfig()
-	samples, _, err := CollectSamples(base.Bin, w.Train, pc)
+	pc := pgo.DefaultProfileConfig()
+	samples, _, err := pgo.CollectSamples(base.Bin, w.Train, pc)
 	if err != nil {
 		return nil, err
 	}
-	_, stats := sampling.GenerateCSSPGO(base.Bin, samples, csspgoOptions(pc))
+	_, stats := sampling.GenerateCSSPGO(base.Bin, samples, sampling.DefaultCSSPGOOptions())
 	res := &TailCallResult{
 		MissingFrameEvents: stats.MissingFrameEvents,
 		EventsRecovered:    stats.EventsRecovered,
@@ -873,7 +651,7 @@ func (r *TailCallResult) String() string {
 // (§IV.A "value-profile-based optimizations").
 type ValueProfileResult struct {
 	Rows []struct {
-		Variant    Variant
+		Variant    pgo.Variant
 		ImprPct    float64 // vs AutoFDO
 		Promotions int
 	}
@@ -885,18 +663,18 @@ func RunValueProfile(scale int) (*ValueProfileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := Compare(w, []Variant{AutoFDO, ProbeOnly, FullCS, InstrPGO})
+	c, err := Compare(w, []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO})
 	if err != nil {
 		return nil, err
 	}
 	out := &ValueProfileResult{}
-	for _, v := range []Variant{AutoFDO, ProbeOnly, FullCS, InstrPGO} {
+	for _, v := range []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO} {
 		r := c.Results[v]
 		out.Rows = append(out.Rows, struct {
-			Variant    Variant
+			Variant    pgo.Variant
 			ImprPct    float64
 			Promotions int
-		}{v, c.ImprovementOver(AutoFDO, v), r.Build.Stats.ICPromotions})
+		}{v, c.ImprovementOver(pgo.AutoFDO, v), r.Build.Stats.ICPromotions})
 	}
 	return out, nil
 }
@@ -909,10 +687,4 @@ func (r *ValueProfileResult) String() string {
 		fmt.Fprintf(&sb, "%-12s %+14.2f %12d\n", row.Variant, row.ImprPct, row.Promotions)
 	}
 	return sb.String()
-}
-
-// Overlap computes block-overlap for any workload/profile pair on demand
-// (exposed for ablations and the public API).
-func Overlap(w *workloads.Workload, test, gt *profdata.Profile, probedFresh *BuildResult) float64 {
-	return quality.BlockOverlap(probedFresh.FreshIR, test, gt)
 }

@@ -1,18 +1,19 @@
-package pgo
+package experiments
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"csspgo/internal/drift"
 	"csspgo/internal/fleet"
 	"csspgo/internal/introspect"
 	"csspgo/internal/obs"
+	"csspgo/internal/pgo"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
 	"csspgo/internal/workloads"
@@ -93,7 +94,6 @@ func RunFleetFaults(scale int) (*FleetFaultsResult, error) {
 type fleetInstance struct {
 	srv      *introspect.Server
 	injector *fleet.Injector
-	hs       *http.Server
 	prof     *profdata.Profile
 	url      string
 }
@@ -106,7 +106,7 @@ func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	base, err := Build(w.Files, BuildConfig{Probes: true})
+	base, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
 	if err != nil {
 		return nil, fmt.Errorf("fleet harness: build: %w", err)
 	}
@@ -115,16 +115,15 @@ func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) 
 	// streams, so the fleet's shards agree on shape but not on weights —
 	// the heterogeneity a cross-instance merge exists to average out.
 	insts := make([]*fleetInstance, instances)
+	ctx, cancel := context.WithCancel(context.Background())
+	var serving sync.WaitGroup
 	defer func() {
-		for _, inst := range insts {
-			if inst != nil && inst.hs != nil {
-				inst.hs.Close()
-			}
-		}
+		cancel()
+		serving.Wait()
 	}()
 	for i := range insts {
-		train := SeededRequests(len(w.Train), int64(seed)+int64(i)*13, 1000)
-		prof, err := CollectProfileFor(base, FullCS, train)
+		train := pgo.SeededRequests(len(w.Train), int64(seed)+int64(i)*13, 1000)
+		prof, err := pgo.CollectProfileFor(base, pgo.FullCS, train)
 		if err != nil {
 			return nil, fmt.Errorf("fleet harness: instance %d profile: %w", i, err)
 		}
@@ -140,8 +139,14 @@ func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) 
 		if err != nil {
 			return nil, fmt.Errorf("fleet harness: listen: %w", err)
 		}
-		inst.hs = &http.Server{Handler: inst.injector}
-		go inst.hs.Serve(l)
+		// The daemons' own loop: its timeouts are seconds, the aggregator's
+		// 250 ms, so a hung or dripping instance still runs into the
+		// aggregator's deadline and never the server's.
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			obs.Serve(ctx, l, inst.injector)
+		}()
 		inst.url = "http://" + l.Addr().String() + "/profiles/fleet"
 		insts[i] = inst
 	}
@@ -336,6 +341,19 @@ func (r *FleetFaultsResult) String() string {
 	}
 	fmt.Fprintf(&sb, "poisoned candidate (overlap %.4f): %s\n", r.PoisonOverlap, poison)
 	return sb.String()
+}
+
+// Gauges publishes every cell's overlap and surviving sources, the bound
+// and the poisoned candidate's overlap.
+func (r *FleetFaultsResult) Gauges() map[string]float64 {
+	g := map[string]float64{"overlap_bound": r.Bound, "poison_overlap": r.PoisonOverlap}
+	for _, c := range r.Cells {
+		// Fault names use '-', the metric grammar wants '_'.
+		key := strings.ReplaceAll(c.Fault.String(), "-", "_")
+		g[key+".overlap"] = c.Overlap
+		g[key+".healthy_sources"] = float64(c.Healthy)
+	}
+	return g
 }
 
 func firstFaulty(r *FleetFaultsResult) int {

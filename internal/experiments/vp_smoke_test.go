@@ -1,6 +1,10 @@
-package pgo
+package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"csspgo/internal/pgo"
+)
 
 func TestValueProfileExtension(t *testing.T) {
 	if testing.Short() {
@@ -15,7 +19,7 @@ func TestValueProfileExtension(t *testing.T) {
 	// sites as any sampling variant.
 	var instrProm, bestSampled int
 	for _, row := range r.Rows {
-		if row.Variant == InstrPGO {
+		if row.Variant == pgo.InstrPGO {
 			instrProm = row.Promotions
 		} else if row.Promotions > bestSampled {
 			bestSampled = row.Promotions

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"csspgo/internal/ir"
-	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
 )
 
@@ -61,48 +59,5 @@ func TestTrieFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("format missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	bin := &machine.Prog{
-		Probes: []machine.ProbeRec{
-			{Func: "main", ID: 1, Kind: ir.ProbeBlock},
-			{Func: "main", ID: 2, Kind: ir.ProbeBlock},
-			{Func: "main", ID: 4, Kind: ir.ProbeBlock},
-			{Func: "main", ID: 3, Kind: ir.ProbeCall}, // call probes don't count
-			{Func: "foo", ID: 1, Kind: ir.ProbeBlock},
-			{Func: "foo", ID: 1, Kind: ir.ProbeBlock}, // inlined duplicate
-			{Func: "foo", ID: 2, Kind: ir.ProbeBlock},
-			{Func: "cold", ID: 1, Kind: ir.ProbeBlock},
-		},
-	}
-	covs, err := Coverage(bin, testProfile())
-	if err != nil {
-		t.Fatalf("Coverage: %v", err)
-	}
-	want := []FuncCoverage{
-		{Func: "cold", Covered: 0, Total: 1},
-		{Func: "foo", Covered: 2, Total: 2},
-		{Func: "main", Covered: 2, Total: 3},
-	}
-	if len(covs) != len(want) {
-		t.Fatalf("coverage = %+v", covs)
-	}
-	for i := range want {
-		if covs[i] != want[i] {
-			t.Fatalf("coverage[%d] = %+v, want %+v", i, covs[i], want[i])
-		}
-	}
-	table := FormatCoverage(covs)
-	if !strings.Contains(table, "TOTAL") || !strings.Contains(table, "cold") {
-		t.Fatalf("table:\n%s", table)
-	}
-}
-
-func TestCoverageRejectsLineBased(t *testing.T) {
-	p := profdata.New(profdata.LineBased, false)
-	if _, err := Coverage(&machine.Prog{}, p); err == nil {
-		t.Fatal("line-based profile should be rejected")
 	}
 }

@@ -202,15 +202,6 @@ func (b *Block) ReplaceSucc(old, new *Block) {
 	}
 }
 
-// TotalEdgeWeight sums the profile edge weights out of the block.
-func (b *Block) TotalEdgeWeight() uint64 {
-	var t uint64
-	for _, w := range b.Term.EdgeW {
-		t += w
-	}
-	return t
-}
-
 // EnsureEdgeWeights makes EdgeW parallel to Succs, zero-filling.
 func (t *Terminator) EnsureEdgeWeights() {
 	if len(t.EdgeW) != len(t.Succs) {

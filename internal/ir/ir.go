@@ -70,9 +70,6 @@ var binNames = [...]string{
 
 func (b BinKind) String() string { return binNames[b] }
 
-// IsCompare reports whether the operator produces a 0/1 truth value.
-func (b BinKind) IsCompare() bool { return b >= BinEq && b <= BinGe }
-
 // Loc is a source debug location. Inlined code carries a Parent chain: Line
 // is the line within Func, and Parent is the location of the call site this
 // code was inlined through (recursively), mirroring DWARF inlined_at.
@@ -179,12 +176,6 @@ type Instr struct {
 	TailCall bool
 	Loc      *Loc
 }
-
-// IsCall reports whether the instruction is a direct call.
-func (in *Instr) IsCall() bool { return in.Op == OpCall }
-
-// IsAnyCall reports whether the instruction transfers to another function.
-func (in *Instr) IsAnyCall() bool { return in.Op == OpCall || in.Op == OpICall }
 
 // TermKind enumerates block terminator kinds.
 type TermKind uint8

@@ -23,8 +23,9 @@ type Stage struct {
 }
 
 // Report is the machine-readable run manifest: what was built (config), how
-// long each stage took (stages), every metric the run published, and any
-// profile-quality scores. Encoding is deterministic — after Normalize, two
+// long each stage took (stages), every metric the run published, and the
+// quality scores a promotion gate recorded (fleet.Promoter is the section's
+// one writer). Encoding is deterministic — after Normalize, two
 // identical runs produce byte-identical manifests for any worker count.
 type Report struct {
 	Schema  string             `json:"schema"`
@@ -74,14 +75,6 @@ func (r *Report) AddMetrics(reg *Registry) {
 		r.Metrics = Snapshot{}
 	}
 	r.Metrics.Merge(reg.Snapshot())
-}
-
-// AddQuality records one profile-quality score (internal/quality).
-func (r *Report) AddQuality(name string, score float64) {
-	if r.Quality == nil {
-		r.Quality = map[string]float64{}
-	}
-	r.Quality[name] = score
 }
 
 // Normalize zeroes every nondeterministic field — stage wall times and
@@ -265,12 +258,6 @@ const DefaultRegressionThreshold = 0.10
 type DiffResult struct {
 	Text        string
 	Regressions int
-}
-
-// DiffReports renders the delta between two manifests with the default
-// regression threshold.
-func DiffReports(a, b *Report) string {
-	return DiffReportsThreshold(a, b, DefaultRegressionThreshold).Text
 }
 
 // DiffReportsThreshold renders the delta between two manifests: per-stage

@@ -22,7 +22,7 @@ func sampleReport() *Report {
 	r.Config["probes"] = true
 	r.AddTrace(tr)
 	r.AddMetrics(reg)
-	r.AddQuality("block_overlap", 0.97)
+	r.Quality = map[string]float64{"block_overlap": 0.97}
 	return r
 }
 
@@ -109,14 +109,14 @@ func TestDiffReportsHighlightsRegressions(t *testing.T) {
 	a := NewReport("t")
 	a.Stages = []Stage{{Name: "build", WallNS: 1_000_000, Count: 1}}
 	a.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: KindCounter, Value: 10}
-	a.AddQuality("block_overlap", 0.95)
+	a.Quality = map[string]float64{"block_overlap": 0.95}
 
 	b := NewReport("t")
 	b.Stages = []Stage{{Name: "build", WallNS: 2_000_000, Count: 1}}
 	b.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: KindCounter, Value: 12}
-	b.AddQuality("block_overlap", 0.50)
+	b.Quality = map[string]float64{"block_overlap": 0.50}
 
-	out := DiffReports(a, b)
+	out := DiffReportsThreshold(a, b, DefaultRegressionThreshold).Text
 	if !strings.Contains(out, "REGRESSED") {
 		t.Fatalf("no regression highlighted:\n%s", out)
 	}
@@ -128,7 +128,7 @@ func TestDiffReportsHighlightsRegressions(t *testing.T) {
 	}
 
 	// Identical reports: no regression, no metric noise.
-	out = DiffReports(a, a)
+	out = DiffReportsThreshold(a, a, DefaultRegressionThreshold).Text
 	if strings.Contains(out, "REGRESSED") {
 		t.Errorf("self-diff flagged a regression:\n%s", out)
 	}

@@ -28,12 +28,3 @@ func TCE(f *ir.Function) int {
 	}
 	return marked
 }
-
-// TCEProgram applies TCE everywhere.
-func TCEProgram(p *ir.Program) int {
-	n := 0
-	for _, f := range p.Functions() {
-		n += TCE(f)
-	}
-	return n
-}

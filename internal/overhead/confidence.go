@@ -6,9 +6,9 @@ import (
 	"sort"
 	"strings"
 
-	"csspgo/internal/introspect"
 	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
+	"csspgo/internal/quality"
 )
 
 // Profile-confidence scoring: a sampled profile is an estimate, and the
@@ -68,7 +68,7 @@ func Score(bin *machine.Prog, prof *profdata.Profile, period uint64, hotSharePct
 	prof = prof.Flat() // once, for the coverage join and the totals
 	cov := map[string]float64{}
 	if bin != nil {
-		if rows, err := introspect.Coverage(bin, prof); err == nil {
+		if rows, err := quality.Coverage(bin, prof); err == nil {
 			for _, row := range rows {
 				cov[row.Func] = row.Ratio()
 			}

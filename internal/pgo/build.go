@@ -3,7 +3,13 @@
 // CSSPGO (pseudo-instrumentation without context sensitivity), full CSSPGO
 // (pseudo-instrumentation + context-sensitive profiling + pre-inliner) and
 // traditional instrumentation-based PGO — and the train → profile →
-// re-optimize → evaluate workflow connecting them.
+// re-optimize → evaluate workflow connecting them. It is the compiler
+// driver and nothing else: build (Build, Pipeline), collect
+// (CollectAndGenerate, CollectSamples, TrimAndPreInline, MeasureOverhead,
+// the serve refresher) and evaluate (Evaluate). What is measured with it —
+// the paper's tables, the ablations, the fault matrices — is
+// internal/experiments, which imports this package; this package imports
+// neither it nor the daemons, fault injectors and workloads it uses.
 package pgo
 
 import (
@@ -38,7 +44,7 @@ const (
 )
 
 // ParseProfileKind maps the command-line spelling of a profile kind (the
-// -kind flag of `csspgo profile` and profgen) to the variant that consumes
+// -kind flag of `csspgo profile`) to the variant that consumes
 // it, so a typo is rejected before any training run starts.
 func ParseProfileKind(kind string) (Variant, error) {
 	switch kind {
@@ -64,10 +70,6 @@ type BuildConfig struct {
 	// CSHotContextThreshold drives compile-time context retention when no
 	// pre-inline decisions exist.
 	CSHotContextThreshold uint64
-	// StripProbeMeta drops probe metadata from the binary (AutoFDO builds).
-	StripProbeMeta bool
-	// UnrollFactor for profiled builds (0 = default policy).
-	UnrollFactor int
 	// DisableInference turns off MCF profile inference (ablations; the
 	// drift experiment uses it to isolate raw correlation quality).
 	DisableInference bool
@@ -182,9 +184,6 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	} else {
 		ocfg.UnrollFactor = 2 // static -O2-style unrolling of tiny loops
 	}
-	if cfg.UnrollFactor != 0 {
-		ocfg.UnrollFactor = cfg.UnrollFactor
-	}
 	ocfg.SelectiveInlining = cfg.UsePreInlineDecisions
 
 	osp := bsp.Span("optimize")
@@ -197,7 +196,7 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	sp = bsp.Span("codegen")
 	bin, err := codegen.Lower(prog, codegen.Options{
 		Instrument:     cfg.Instrument,
-		StripProbeMeta: cfg.StripProbeMeta || !cfg.Probes,
+		StripProbeMeta: !cfg.Probes,
 	})
 	sp.End()
 	if err != nil {
@@ -437,15 +436,15 @@ func CollectProfileFor(base *BuildResult, variant Variant, train [][]int64) (*pr
 // number of contexts trimmed and the pre-inliner's result.
 func TrimAndPreInline(prof *profdata.Profile, bin *machine.Prog, trim uint64) (int, preinline.Result) {
 	if trim == 0 {
-		trim = trimThreshold(prof)
+		trim = TrimThreshold(prof)
 	}
 	trimmed := prof.TrimColdContexts(trim)
 	return trimmed, preinline.Run(prof, preinline.ExtractSizes(bin), preinline.DeriveParams(prof))
 }
 
-// trimThreshold picks a cold-context trim threshold: contexts below 0.05%
+// TrimThreshold picks a cold-context trim threshold: contexts below 0.05%
 // of total samples are folded into base profiles.
-func trimThreshold(prof *profdata.Profile) uint64 {
+func TrimThreshold(prof *profdata.Profile) uint64 {
 	t := prof.TotalSamples() / 2000
 	if t < 2 {
 		t = 2

@@ -2,7 +2,6 @@ package pgo
 
 import (
 	"fmt"
-	"strings"
 
 	"csspgo/internal/obs"
 )
@@ -42,61 +41,6 @@ func (o *RunObserver) Report(tool string, config map[string]any) *obs.Report {
 	rep.AddTrace(o.Trace)
 	rep.AddMetrics(o.Metrics)
 	return rep
-}
-
-// PublishExperiment projects an experiment result's headline numbers into
-// the registry as experiment.<name>.* gauges, so `cmd/experiments -report`
-// manifests (and the BENCH trajectory) are diffable with `csspgo report`.
-// Results without a projection are recorded only by their stage timing.
-func PublishExperiment(reg *obs.Registry, name string, res any) {
-	if reg == nil {
-		return
-	}
-	gauge := func(parts string, v float64) {
-		reg.Gauge("experiment." + name + "." + parts).Set(v)
-	}
-	switch r := res.(type) {
-	case *Fig6Result:
-		for _, row := range r.Rows {
-			gauge(row.Workload+".probeonly_impr_pct", row.ProbeOnlyImpr)
-			gauge(row.Workload+".csspgo_impr_pct", row.FullCSImpr)
-		}
-	case *Fig7Result:
-		for _, row := range r.Rows {
-			gauge(row.Workload+".csspgo_sizerel", row.FullCSRel)
-		}
-	case *Fig8Result:
-		for _, row := range r.Rows {
-			gauge(row.Workload+".probe_overhead_pct", row.ProbeOverheadPct)
-		}
-	case *Fig9Result:
-		for _, row := range r.Rows {
-			gauge(row.Workload+".probemeta_share_pct", row.ProbeSharePct)
-		}
-	case *Table1Result:
-		gauge("overlap_autofdo", r.OverlapAutoFDO)
-		gauge("overlap_csspgo", r.OverlapCSSPGO)
-		gauge("overhead_instr_pct", r.OverheadInstrPct)
-	case *ClientResult:
-		gauge("csspgo_impr_pct", r.CSSPGOImpr)
-		gauge("instr_impr_pct", r.InstrImpr)
-	case *OverheadSweepResult:
-		for _, row := range r.Rows {
-			p := fmt.Sprintf("p%d", row.Period)
-			gauge(p+".overhead_pct", row.OverheadPct)
-			gauge(p+".context_overlap", row.ContextOverlap)
-			gauge(p+".samples", float64(row.Samples))
-		}
-	case *FleetFaultsResult:
-		for _, c := range r.Cells {
-			// Fault names use '-', the metric grammar wants '_'.
-			key := strings.ReplaceAll(c.Fault.String(), "-", "_")
-			gauge(key+".overlap", c.Overlap)
-			gauge(key+".healthy_sources", float64(c.Healthy))
-		}
-		gauge("overlap_bound", r.Bound)
-		gauge("poison_overlap", r.PoisonOverlap)
-	}
 }
 
 // BuildConfigEcho renders the parts of a build config that belong in a run

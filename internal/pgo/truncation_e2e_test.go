@@ -75,7 +75,7 @@ func TestTruncatedStackFallbackE2E(t *testing.T) {
 	if err != nil {
 		t.Fatalf("eval with truncation-degraded profile: %v", err)
 	}
-	if impr := -pct(eval.Cycles, baseEval.Cycles); impr <= 0 {
+	if impr := 100 * (float64(baseEval.Cycles) - float64(eval.Cycles)) / float64(baseEval.Cycles); impr <= 0 {
 		t.Errorf("degraded profile should still beat the unprofiled build, got %+.2f%%", impr)
 	}
 }

@@ -20,18 +20,5 @@ func (in *Interner) Intern(s string) string {
 	return s
 }
 
-// InternBytes returns the canonical string for b. The lookup probes the
-// table via string(b) without allocating (the compiler elides the copy for
-// map indexing), so repeated keys cost zero allocations; only the first
-// sighting materializes a string.
-func (in *Interner) InternBytes(b []byte) string {
-	if v, ok := in.m[string(b)]; ok {
-		return v
-	}
-	s := string(b)
-	in.m[s] = s
-	return s
-}
-
 // Len reports how many distinct strings have been interned.
 func (in *Interner) Len() int { return len(in.m) }

@@ -111,15 +111,6 @@ func (fp *FunctionProfile) AddCall(loc LocKey, callee string, n uint64) {
 // BodyAt returns the body count at loc.
 func (fp *FunctionProfile) BodyAt(loc LocKey) uint64 { return fp.Blocks[loc] }
 
-// CallTotalAt sums call-target counts at loc.
-func (fp *FunctionProfile) CallTotalAt(loc LocKey) uint64 {
-	var t uint64
-	for _, n := range fp.Calls[loc] {
-		t += n
-	}
-	return t
-}
-
 // Merge adds src's counts into fp (same function; contexts may differ —
 // merging a context profile into a base profile drops the context).
 func (fp *FunctionProfile) Merge(src *FunctionProfile) {

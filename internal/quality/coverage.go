@@ -1,4 +1,4 @@
-package introspect
+package quality
 
 import (
 	"fmt"
@@ -34,7 +34,7 @@ func (c FuncCoverage) Ratio() float64 {
 // Results are sorted by function name.
 func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 	if p.Kind != profdata.ProbeBased {
-		return nil, fmt.Errorf("introspect: coverage needs a probe-based profile, got kind %s", p.Kind)
+		return nil, fmt.Errorf("quality: coverage needs a probe-based profile, got kind %s", p.Kind)
 	}
 	// Distinct block-probe IDs per defining function, inlined copies
 	// deduplicated: the probe's identity is (Func, ID) however many times

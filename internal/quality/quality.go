@@ -8,7 +8,6 @@ package quality
 
 import (
 	"csspgo/internal/ir"
-	"csspgo/internal/obs"
 	"csspgo/internal/opt"
 	"csspgo/internal/profdata"
 )
@@ -64,16 +63,6 @@ func BlockOverlap(prog *ir.Program, test, gt *profdata.Profile) float64 {
 		total += o.d * o.fTotal / grandTotal
 	}
 	return total
-}
-
-// BlockOverlapObserved is BlockOverlap plus publication: the score lands on
-// the quality.block_overlap gauge of the unified registry (nil-safe), so
-// run manifests carry the profile-quality dimension next to the pipeline
-// metrics.
-func BlockOverlapObserved(prog *ir.Program, test, gt *profdata.Profile, reg *obs.Registry) float64 {
-	d := BlockOverlap(prog, test, gt)
-	reg.Gauge(obs.MQualityBlockOverlap).Set(d)
-	return d
 }
 
 // annotateClone deep-copies the program and annotates it with a flattened

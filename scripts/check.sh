@@ -59,8 +59,8 @@ echo "== simulator contract (golden counts + allocation gate, then one pass of B
 go test ./internal/sim -run 'Golden|SteadyStateAllocs' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
-echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation)"
-go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet
+echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation + fleet fault harness)"
+go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments
 
 echo "== fuzz smoke (profile readers + folded codec, 5s per target)"
 # One target per invocation: go test rejects -fuzz patterns matching
@@ -119,25 +119,9 @@ bin/csspgo build -o "$obsdir/app2.bin" -probes -profile "$obsdir/app.prof" -repo
 bin/csspgo report -validate -min-spans 8 "$obsdir/trace.json" "$obsdir/a.json" "$obsdir/b.json"
 bin/csspgo report "$obsdir/a.json" "$obsdir/b.json" >/dev/null
 
-echo "== one profile driver (csspgo profile and profgen write identical profiles)"
-# Both front-ends call pgo.CollectAndGenerate: same binary, same seed, same
-# bytes, for every -kind.
-go build -o bin/profgen ./cmd/profgen
-bin/csspgo build -o "$obsdir/plain.bin" "$src" >/dev/null
-bin/csspgo build -o "$obsdir/instr.bin" -instrument "$src" >/dev/null
-for kind in cs probe autofdo instr; do
-	case $kind in
-	autofdo) kbin="$obsdir/plain.bin" ;;
-	instr) kbin="$obsdir/instr.bin" ;;
-	*) kbin="$obsdir/app.bin" ;;
-	esac
-	bin/csspgo profile -bin "$kbin" -o "$obsdir/$kind.a.prof" -kind "$kind" -n 50 -seed 7 >/dev/null
-	bin/profgen -bin "$kbin" -o "$obsdir/$kind.b.prof" -kind "$kind" -n 50 -seed 7 >/dev/null
-	cmp "$obsdir/$kind.a.prof" "$obsdir/$kind.b.prof"
-	echo "$kind: identical"
-done
-if bin/profgen -bin "$obsdir/app.bin" -o "$obsdir/bad.prof" -kind bogus >/dev/null 2>&1; then
-	echo "profgen accepted an unknown -kind" >&2
+echo "== one profile driver (csspgo profile rejects an unknown -kind before it runs anything)"
+if bin/csspgo profile -bin "$obsdir/app.bin" -o "$obsdir/bad.prof" -kind bogus >/dev/null 2>&1; then
+	echo "csspgo profile accepted an unknown -kind" >&2
 	exit 1
 fi
 
