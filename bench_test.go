@@ -9,10 +9,13 @@ package csspgo
 
 import (
 	"fmt"
+	"syscall"
 	"testing"
+	"time"
 
 	"csspgo/internal/inference"
 	"csspgo/internal/machine"
+	"csspgo/internal/obs"
 	"csspgo/internal/pgo"
 	"csspgo/internal/sampling"
 	"csspgo/internal/sim"
@@ -45,46 +48,78 @@ func BenchmarkUnwinder(b *testing.B) {
 	b.ReportMetric(float64(len(samples)), "samples/op")
 }
 
-// BenchmarkParallelProfileGeneration measures the worker pool on the Fig. 6
-// server corpus: the same sample streams unwound with 1 (serial), 2 and 4
-// workers. Output profiles are byte-identical across the variants (the
-// golden tests pin that); this benchmark only trades cores for wall-clock.
+// BenchmarkParallelProfileGeneration measures the worker pool on two server
+// corpora: the Fig. 6 one (production period, ~1.5 k samples) and the dense
+// one bench/'s profgen-bound workload times (period 199, ~1000 requests a
+// program, ~42 k samples). The same sample streams are unwound with 1
+// (serial), 2 and 4 workers; distinct/op is how many of samples/op the
+// workers actually unwound after grouping each chunk's identical samples
+// (stream.distinct_samples). Output profiles are byte-identical across the
+// variants (the golden tests pin that); this benchmark only trades cores
+// for wall-clock, and cpu-ns/op (user + system time of the whole process,
+// collector included) says what the trade costs.
 func BenchmarkParallelProfileGeneration(b *testing.B) {
 	type corpus struct {
 		bin     *machine.Prog
 		samples []sim.Sample
 	}
-	var corpora []corpus
-	for _, name := range workloads.ServerNames() {
-		w, err := workloads.Load(name, benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples, _, err := pgo.CollectSamples(res.Bin, w.Train, pgo.DefaultProfileConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		corpora = append(corpora, corpus{res.Bin, samples})
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := sampling.DefaultCSSPGOOptions()
-			opts.Workers = workers
-			var samples int
-			for i := 0; i < b.N; i++ {
-				samples = 0
-				for _, c := range corpora {
-					_, stats := sampling.GenerateCSSPGO(c.bin, c.samples, opts)
-					samples += stats.Samples
-				}
+	for _, set := range []struct {
+		name   string
+		scale  int
+		period uint64
+	}{
+		{"fig6", benchScale, pgo.DefaultProfileConfig().Period},
+		{"period199", 14, 199},
+	} {
+		var corpora []corpus
+		for _, name := range workloads.ServerNames() {
+			w, err := workloads.Load(name, set.scale)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(samples), "samples/op")
-		})
+			res, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pc := pgo.DefaultProfileConfig()
+			pc.Period = set.period
+			samples, _, err := pgo.CollectSamples(res.Bin, w.Train, pc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			corpora = append(corpora, corpus{res.Bin, samples})
+		}
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", set.name, workers), func(b *testing.B) {
+				opts := sampling.DefaultCSSPGOOptions()
+				opts.Workers = workers
+				var samples int
+				var distinct int64
+				cpu0 := processCPU()
+				for i := 0; i < b.N; i++ {
+					samples = 0
+					opts.Metrics = obs.NewRegistry()
+					for _, c := range corpora {
+						_, stats := sampling.GenerateCSSPGO(c.bin, c.samples, opts)
+						samples += stats.Samples
+					}
+					distinct = opts.Metrics.Counter(obs.MStreamDistinctSamples).Value()
+				}
+				b.ReportMetric(float64(processCPU()-cpu0)/float64(b.N), "cpu-ns/op")
+				b.ReportMetric(float64(samples), "samples/op")
+				b.ReportMetric(float64(distinct), "distinct/op")
+			})
+		}
 	}
+}
+
+// processCPU is the user + system CPU time of this process so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // only an invalid argument can fail
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkStreamingGeneration measures the engine's samples/sec and

@@ -29,6 +29,7 @@ const (
 	MShardTailGraphBuildNS  = "shard.tailgraph_build_ns"
 	MStreamChunks           = "stream.chunks"
 	MStreamContexts         = "stream.pending_contexts"
+	MStreamDistinctSamples  = "stream.distinct_samples"
 	MProfileGenSamples      = "profilegen.samples"
 	MProfileGenFuncProfiles = "profilegen.func_profiles"
 	MProfileGenContexts     = "profilegen.contexts"
@@ -83,9 +84,6 @@ const (
 	MSimMispredicts   = "sim.mispredicts"
 	MSimICacheMisses  = "sim.icache_misses"
 	MSimSamples       = "sim.samples"
-
-	// internal/quality — profile-quality scores.
-	MQualityBlockOverlap = "quality.block_overlap"
 
 	// internal/quality — profile diff analytics (old vs. new profile).
 	MQualityContextOverlap = "quality.context_overlap"
@@ -166,7 +164,7 @@ func CatalogNames() []string {
 		MUnwindRangesTruncated, MUnwindSkidAdjusted, MUnwindMissingFrames,
 		MUnwindEventsRecovered, MUnwindFramesRecovered,
 		MShardWorkerBusyNS, MShardTailGraphBuildNS,
-		MStreamChunks, MStreamContexts,
+		MStreamChunks, MStreamContexts, MStreamDistinctSamples,
 		MProfileGenSamples, MProfileGenFuncProfiles, MProfileGenContexts,
 		MAnnotateFuncs, MAnnotateStale, MAnnotateNoProfile,
 		MStaleMatchAttempts, MStaleMatchAccepted, MStaleMatchRejected,
@@ -181,7 +179,6 @@ func CatalogNames() []string {
 		MProfdataSkippedRecords, MProfdataSkippedLines,
 		MSimCycles, MSimInstructions, MSimTakenBranches,
 		MSimMispredicts, MSimICacheMisses, MSimSamples,
-		MQualityBlockOverlap,
 		MQualityContextOverlap, MQualityContextsGained, MQualityContextsLost,
 		MQualityFuncDivergence,
 		MServeRequests, MServeRefreshes, MServeRefreshFailures,

@@ -16,7 +16,7 @@ func sampleReport() *Report {
 	reg := NewRegistry()
 	reg.Counter(MUnwindSamplesAccepted).Add(42)
 	reg.Counter(MShardTailGraphBuildNS).Add(12345)
-	reg.Gauge(MQualityBlockOverlap).Set(0.97)
+	reg.Gauge(MQualityContextOverlap).Set(0.97)
 
 	r := NewReport("test")
 	r.Config["probes"] = true

@@ -87,7 +87,22 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 	for _, fn := range topDownOrder(prof) {
 		budget := sizes.Of(fn)
 		limit := params.GrowthLimit
-		queue := rootedContexts(prof, fn, 2)
+		// One sorted snapshot per turn. The candidate loop only marks
+		// contexts, it adds and removes none, so the snapshot serves the
+		// initial candidates (depth 2), the children an admission enqueues
+		// (grouped by parent key, each group in key order) and the promotion
+		// pass after it.
+		rooted := rootedContexts(prof, fn)
+		var queue []string
+		children := map[string][]string{}
+		for _, key := range rooted {
+			if ctx := prof.Contexts[key].Context; ctx.Depth() == 2 {
+				queue = append(queue, key)
+			} else {
+				parent := ctx.Parent().Key()
+				children[parent] = append(children[parent], key)
+			}
+		}
 		for len(queue) > 0 && budget < limit && programSpent < programBudget {
 			// Pop the most beneficial candidate (hottest head count).
 			best := 0
@@ -115,11 +130,11 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 			res.Inlined++
 			budget += size
 			programSpent += size
-			queue = append(queue, childContexts(prof, key)...)
+			queue = append(queue, children[key]...)
 		}
 		// Promote every unadmitted context rooted at fn by one frame so
 		// the counts are available when the callee's own turn comes.
-		for _, key := range rootedContexts(prof, fn, 0) {
+		for _, key := range rooted {
 			cp, ok := prof.Contexts[key]
 			if !ok || cp.ShouldInline {
 				continue
@@ -207,35 +222,16 @@ func topDownOrder(prof *profdata.Profile) []string {
 	return order
 }
 
-// rootedContexts returns context keys whose outermost frame is fn;
-// depth == 0 matches any depth, otherwise exactly that depth.
-func rootedContexts(prof *profdata.Profile, fn string, depth int) []string {
+// rootedContexts returns, in key order, the keys of the contexts (depth 2
+// or more) whose outermost frame is fn.
+func rootedContexts(prof *profdata.Profile, fn string) []string {
 	var out []string
-	for _, key := range prof.SortedContextKeys() {
-		cp := prof.Contexts[key]
-		if len(cp.Context) < 2 || cp.Context[0].Func != fn {
-			continue
-		}
-		if depth != 0 && cp.Context.Depth() != depth {
-			continue
-		}
-		out = append(out, key)
-	}
-	return out
-}
-
-// childContexts returns keys extending key by exactly one frame.
-func childContexts(prof *profdata.Profile, key string) []string {
-	var out []string
-	for _, k := range prof.SortedContextKeys() {
-		cp := prof.Contexts[k]
-		if cp.Context.Depth() < 3 {
-			continue
-		}
-		if cp.Context.Parent().Key() == key {
-			out = append(out, k)
+	for key, cp := range prof.Contexts {
+		if len(cp.Context) >= 2 && cp.Context[0].Func == fn {
+			out = append(out, key)
 		}
 	}
+	sort.Strings(out)
 	return out
 }
 

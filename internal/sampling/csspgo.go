@@ -55,22 +55,27 @@ func GenerateCSSPGO(bin *machine.Prog, samples []sim.Sample, opts CSSPGOOptions)
 	return st.Finish()
 }
 
-// contextForProbe builds the full context of one probe record: the caller
-// frames recovered by the unwinder, the probe's inline chain (outermost
-// first), and the probe's defining function as leaf.
-func contextForProbe(callerCtx profdata.Context, rec *machine.ProbeRec, maxDepth int) profdata.Context {
-	var chain []profdata.ContextFrame
+// contextForProbe builds the full context of one probe record into dst
+// (reusing its backing array): the caller frames recovered by the unwinder,
+// the probe's inline chain (outermost first), and the probe's defining
+// function as leaf. The result aliases dst; Profile.ContextProfile copies a
+// context it has to keep.
+func contextForProbe(dst, callerCtx profdata.Context, rec *machine.ProbeRec, maxDepth int) profdata.Context {
+	ctx := append(dst[:0], callerCtx...)
+	// The InlinedAt chain is innermost-first: append it, then reverse it in
+	// place.
+	chain := len(ctx)
 	for s := rec.InlinedAt; s != nil; s = s.Parent {
-		chain = append(chain, profdata.ContextFrame{Func: s.Func, Site: profdata.LocKey{ID: s.CallID}})
+		ctx = append(ctx, profdata.ContextFrame{Func: s.Func, Site: profdata.LocKey{ID: s.CallID}})
 	}
-	ctx := make(profdata.Context, 0, len(callerCtx)+len(chain)+1)
-	ctx = append(ctx, callerCtx...)
-	for i := len(chain) - 1; i >= 0; i-- {
-		ctx = append(ctx, chain[i])
+	for i, j := chain, len(ctx)-1; i < j; i, j = i+1, j-1 {
+		ctx[i], ctx[j] = ctx[j], ctx[i]
 	}
 	ctx = append(ctx, profdata.ContextFrame{Func: rec.Func})
 	if maxDepth > 0 && len(ctx) > maxDepth {
-		ctx = ctx[len(ctx)-maxDepth:]
+		// Slide the innermost frames to the front, so that the result still
+		// starts where dst does and a caller reusing it keeps the capacity.
+		ctx = ctx[:copy(ctx, ctx[len(ctx)-maxDepth:])]
 	}
 	return ctx
 }

@@ -13,10 +13,7 @@
 // repairs stacks broken by tail-call elimination.
 package sampling
 
-import (
-	"csspgo/internal/machine"
-	"csspgo/internal/sim"
-)
+import "csspgo/internal/machine"
 
 // Range is a linear execution range [Begin, End]: every instruction whose
 // address lies in the closed interval executed exactly once when the range
@@ -28,35 +25,34 @@ type Range struct {
 // Valid reports whether the range is plausible on the given binary: both
 // ends map to instructions inside the same function section.
 func (r Range) Valid(bin *machine.Prog) bool {
-	if r.Begin > r.End {
-		return false
-	}
-	if bin.InstrAt(r.Begin) == nil || bin.InstrAt(r.End) == nil {
-		return false
-	}
-	fb, fe := bin.FuncAt(r.Begin), bin.FuncAt(r.End)
-	return fb != nil && fb == fe
+	_, _, fn := resolveRange(bin, r.Begin, r.End, bin.InstrIndexAt(r.End))
+	return fn != nil
 }
 
-// AppendLBRRanges derives the linear execution ranges from one LBR snapshot
-// (newest entry first): for consecutive records b[i] (newer) and b[i+1]
-// (older), execution ran linearly from b[i+1].To to b[i].From. Invalid
-// ranges (e.g. truncated LBR tails) are dropped. Ranges are appended into
-// dst (reusing its backing array), for hot loops that process one sample at
-// a time.
-func AppendLBRRanges(dst []Range, bin *machine.Prog, lbr []sim.BranchRec) []Range {
-	for i := 0; i+1 < len(lbr); i++ {
-		r := Range{Begin: lbr[i+1].To, End: lbr[i].From}
-		if r.Valid(bin) {
-			dst = append(dst, r)
-		}
+// resolveRange looks a range up once: the instruction-index interval
+// [lo, hi) it covers and the function both of its ends lie in, or fn == nil
+// when the range is not valid. endIdx is InstrIndexAt(end), which every
+// caller already has from decoding the branch record that ends the range.
+func resolveRange(bin *machine.Prog, begin, end uint64, endIdx int) (lo, hi int32, fn *machine.Func) {
+	if begin > end || endIdx < 0 {
+		return 0, 0, nil
 	}
-	return dst
+	beginIdx := bin.InstrIndexAt(begin)
+	if beginIdx < 0 {
+		return 0, 0, nil
+	}
+	fn = bin.FuncAt(begin)
+	if fn == nil || bin.FuncAt(end) != fn {
+		return 0, 0, nil
+	}
+	// Both ends are instruction starts, so InstrsIn(begin, end) is exactly
+	// this interval.
+	return int32(beginIdx), int32(endIdx) + 1, fn
 }
 
 // AddrCounter accumulates per-instruction execution counts from ranges.
 // Counts live in a dense slice indexed by instruction index (the text
-// segment is contiguous and known up front), so the hot AddRange loop is a
+// segment is contiguous and known up front), so the hot addInstrs loop is a
 // slice walk with no hashing and the shard-merge reduction is a vector add.
 type AddrCounter struct {
 	bin    *machine.Prog
@@ -68,9 +64,8 @@ func NewAddrCounter(bin *machine.Prog) *AddrCounter {
 	return &AddrCounter{bin: bin, counts: make([]uint64, len(bin.Instrs))}
 }
 
-// AddRange adds w to every instruction address covered by r.
-func (c *AddrCounter) AddRange(r Range, w uint64) {
-	lo, hi := c.bin.InstrsIn(r.Begin, r.End)
+// addInstrs adds w to every instruction of a resolved range [lo, hi).
+func (c *AddrCounter) addInstrs(lo, hi int32, w uint64) {
 	for i := lo; i < hi; i++ {
 		c.counts[i] += w
 	}

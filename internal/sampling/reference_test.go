@@ -100,7 +100,7 @@ func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *TailCallGraph, op
 						// context-insensitive base profile.
 						fp = p.FuncProfile(rec.Func)
 					} else {
-						ctx := contextForProbe(callerCtx, &rec, opts.MaxContextDepth)
+						ctx := contextForProbe(nil, callerCtx, &rec, opts.MaxContextDepth)
 						fp = p.ContextProfile(ctx)
 					}
 					w := probeWeight(rec.Factor)
@@ -147,6 +147,29 @@ func icallTargetsSerial(bin *machine.Prog, samples []sim.Sample) map[uint64]map[
 		}
 	}
 	return out
+}
+
+// AppendLBRRanges derives the linear execution ranges from one LBR snapshot
+// (newest entry first): for consecutive records b[i] (newer) and b[i+1]
+// (older), execution ran linearly from b[i+1].To to b[i].From. Invalid
+// ranges (e.g. truncated LBR tails) are dropped.
+func AppendLBRRanges(dst []Range, bin *machine.Prog, lbr []sim.BranchRec) []Range {
+	for i := 0; i+1 < len(lbr); i++ {
+		r := Range{Begin: lbr[i+1].To, End: lbr[i].From}
+		if r.Valid(bin) {
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
+// AddRange adds w to every instruction address covered by r, looking the
+// range up by address (the engine adds by resolved index, addInstrs).
+func (c *AddrCounter) AddRange(r Range, w uint64) {
+	lo, hi := c.bin.InstrsIn(r.Begin, r.End)
+	for i := lo; i < hi; i++ {
+		c.counts[i] += w
+	}
 }
 
 // addrCountsSerial accumulates per-address execution counts from every

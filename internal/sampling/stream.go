@@ -4,28 +4,37 @@ package sampling
 // chunks (sim.SampleSink), whether a live PMU hands them over as the
 // simulation runs or a Generate* function slices them off a materialized
 // sample set: a dispatcher channel feeds per-worker collectors, each of
-// which unwinds its chunks immediately and aggregates the results into
-// compact per-worker state, so peak memory is bounded by the chunk backlog
-// plus the number of *distinct* calling contexts — not the sample count.
-// Workers: 1 is the serial case.
+// which takes a chunk through aggregate → unwind → attribute and folds the
+// results into compact per-worker state, so peak memory is bounded by the
+// chunk backlog plus the number of *distinct* calling contexts — not the
+// sample count. Workers: 1 is the serial case.
+//
+// Aggregate first. A hot loop hands the PMU the same branch history and the
+// same stack again and again, so a worker first groups its chunk's samples
+// by exact content (sampleGrouper) and then scans, unwinds and attributes
+// each distinct sample once with the group's size n as its weight: the cost
+// of a chunk follows its distinct histories, not its samples.
 //
 // Determinism. Every profile count is a sum and serialization sorts, so the
 // output is byte-identical for any worker count and chunk size:
 //
 //   - Profile counts: each (context, probe) pair accumulates an occurrence
-//     count per worker; worker tables merge by summation and the final
-//     count is weight × occurrences — the sum a per-sample loop builds one
-//     range at a time, grouped differently.
+//     count per worker, n per distinct sample; worker tables merge by
+//     summation and the final count is weight × occurrences — the sum a
+//     per-sample loop builds one range at a time, grouped differently.
 //   - Tail-call graph: the graph keeps the first edge observation in stream
 //     order. Workers see chunks out of order, so each records the earliest
 //     (chunk, sample, branch) position it saw per edge and the merge takes
-//     the global minimum.
-//   - Unwinder stats: per-sample stats are position-independent sums.
-//     Context-resolution stats (MissingFrameEvents & co.) are defined as
-//     per-lookup replays of a per-context delta (see ctxEntry); workers
-//     count lookups during ingestion and Finish adds delta × lookups.
+//     the global minimum. A group stands at the position of its first
+//     occurrence: the copies carry the same records at later positions, so
+//     they can never be the minimum.
+//   - Unwinder stats: per-sample stats are position-independent sums (a
+//     group adds n). Context-resolution stats (MissingFrameEvents & co.)
+//     are defined as per-lookup replays of a per-context delta (see
+//     ctxEntry); workers count lookups during ingestion and Finish adds
+//     delta × lookups.
 //
-// Deferred context resolution is also where the throughput comes from: a
+// Deferred context resolution is the other half of the throughput: a
 // per-sample loop runs ContextOf + context-key hashing once per range,
 // while the engine resolves each distinct raw context exactly once at
 // Finish, after the complete tail-call graph is known. That per-sample loop
@@ -35,6 +44,7 @@ package sampling
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -130,29 +140,110 @@ func feedSlice(sink sim.SampleSink, samples []sim.Sample, chunkSize int) {
 	}
 }
 
+// ------------------------------------------------------- aggregation
+
+// sampleGroup is one distinct sample of a chunk: the index of its first
+// occurrence and the number of samples in the chunk with exactly its LBR
+// and stack.
+type sampleGroup struct {
+	first int32
+	n     int32
+	hash  uint64
+}
+
+// sampleGrouper groups a chunk's samples by exact content. The hash only
+// picks where to look in an open-addressed table; a sample joins a group
+// only after its LBR and stack compared equal, word for word, to the
+// group's first occurrence — a colliding hash can cost a probe, never a
+// count. Both slices are reused from chunk to chunk, and from stream to
+// stream through grouperPool.
+type sampleGrouper struct {
+	slots  []int32 // 1 + index into groups; 0 = empty
+	groups []sampleGroup
+}
+
+var grouperPool = sync.Pool{New: func() any { return new(sampleGrouper) }}
+
+// group returns the distinct samples of one chunk in order of first
+// occurrence. The result is valid until the next call.
+func (g *sampleGrouper) group(samples []sim.Sample) []sampleGroup {
+	// At most half full, and a power of two so that the hash masks.
+	size := 2
+	for size < 2*len(samples) {
+		size <<= 1
+	}
+	if cap(g.slots) < size {
+		g.slots = make([]int32, size)
+	} else {
+		g.slots = g.slots[:size]
+		clear(g.slots)
+	}
+	mask := uint64(size - 1)
+	g.groups = g.groups[:0]
+	for i := range samples {
+		s := &samples[i]
+		h := hashSample(s)
+		for slot := h & mask; ; slot = (slot + 1) & mask {
+			gi := g.slots[slot]
+			if gi == 0 {
+				g.groups = append(g.groups, sampleGroup{first: int32(i), n: 1, hash: h})
+				g.slots[slot] = int32(len(g.groups))
+				break
+			}
+			grp := &g.groups[gi-1]
+			if first := &samples[grp.first]; grp.hash == h && slices.Equal(first.LBR, s.LBR) && slices.Equal(first.Stack, s.Stack) {
+				grp.n++
+				break
+			}
+		}
+	}
+	return g.groups
+}
+
+// hashSample mixes every word of a sample, and both lengths, so that a
+// record moving between the LBR and the stack changes the hash.
+func hashSample(s *sim.Sample) uint64 {
+	const k = 0x9E3779B97F4A7C15
+	mix := func(h, w uint64) uint64 {
+		h = (h ^ w) * k
+		return h ^ h>>29
+	}
+	h := mix(uint64(len(s.LBR)), uint64(len(s.Stack)))
+	for i := range s.LBR {
+		h = mix(mix(h, s.LBR[i].From), s.LBR[i].To)
+	}
+	for _, a := range s.Stack {
+		h = mix(h, a)
+	}
+	return h
+}
+
 // ------------------------------------------------------------- CSSPGO
 
-// csWorker is one streaming worker's private state: an unwinder used for
-// range recovery only (context resolution is deferred), the pending-context
-// table, a base-profile shard for truncated ranges, and the tail-edge /
-// indirect-call aggregations.
+// csWorker is one streaming worker's private state: the chunk grouper, an
+// unwinder used for range recovery only (context resolution is deferred),
+// the pending-context table, a base-profile shard for truncated ranges, and
+// the tail-edge / indirect-call aggregations.
 type csWorker struct {
-	bin     *machine.Prog
-	u       *Unwinder
-	keyBuf  []byte
-	pending map[string]*pendingCtx
-	trunc   map[rangeKey]uint64 // truncated-range occurrences, expanded at drain
-	base    *profdata.Profile
-	tails   map[edgeKey]tailObs // nil when tail-call inference is off
-	icalls  map[uint64]map[string]uint64
-	samples int
-	busyNS  int64
+	bin      *machine.Prog
+	groups   *sampleGrouper // back to grouperPool at Finish
+	u        *Unwinder
+	keyBuf   []byte
+	pending  map[string]*pendingCtx
+	trunc    map[rangeKey]uint64 // truncated-range occurrences, expanded at drain
+	base     *profdata.Profile
+	tails    map[edgeKey]tailObs // nil when tail-call inference is off
+	icalls   map[uint64]map[string]uint64
+	samples  int
+	distinct int // groups unwound: the sum over chunks of their distinct samples
+	busyNS   int64
 }
 
 // newCSWorker builds one streaming worker's private state.
 func newCSWorker(bin *machine.Prog, opts CSSPGOOptions) *csWorker {
 	w := &csWorker{
 		bin:     bin,
+		groups:  grouperPool.Get().(*sampleGrouper),
 		u:       NewUnwinder(bin, nil),
 		pending: map[string]*pendingCtx{},
 		trunc:   map[rangeKey]uint64{},
@@ -219,49 +310,48 @@ func (s *CSSPGOStream) ConsumeChunk(ch *sim.SampleChunk) {
 }
 
 func (w *csWorker) consume(ch *sim.SampleChunk) {
-	for si := range ch.Samples {
-		smp := &ch.Samples[si]
-		w.samples++
-		w.scanLBR(ch.Index, si, smp.LBR)
+	w.samples += len(ch.Samples)
+	groups := w.groups.group(ch.Samples)
+	w.distinct += len(groups)
+	for _, g := range groups {
+		smp := &ch.Samples[g.first]
+		n := uint64(g.n)
+		from := w.u.decode(smp.LBR)
+		w.scanLBR(ch.Index, int(g.first), smp.LBR, from, n)
 		// Intra-function branches dominate hot LBRs: consecutive ranges with
 		// unchanged callers and the same leaf resolve to the same pending
 		// context, so the key hash + table probe can be skipped for them.
 		var lastPC *pendingCtx
 		var lastLeaf *machine.Func
-		for _, cr := range w.u.Unwind(*smp) {
+		for _, cr := range w.u.unwind(smp, from, int(g.n)) {
 			if !cr.SameCallers {
 				lastPC, lastLeaf = nil, nil
 			}
-			leafFn := w.bin.FuncAt(cr.R.Begin)
-			if leafFn == nil {
-				continue
-			}
-			lo, hi := w.bin.InstrsIn(cr.R.Begin, cr.R.End)
-			rk := rangeKey{int32(lo), int32(hi)}
+			rk := rangeKey{cr.Lo, cr.Hi}
 			if cr.Truncated {
 				// The outer context is unknown; the counts go to the base
 				// shard at drain and must not mint a false shallow context.
-				w.trunc[rk]++
+				w.trunc[rk] += n
 				continue
 			}
 			pc := lastPC
-			if pc == nil || leafFn != lastLeaf {
-				w.keyBuf = appendCacheKey(w.keyBuf[:0], cr.Callers, leafFn.Name, profdata.ProbeBased)
+			if pc == nil || cr.Fn != lastLeaf {
+				w.keyBuf = appendCacheKey(w.keyBuf[:0], cr.Callers, cr.Fn.Name, profdata.ProbeBased)
 				pc = w.pending[string(w.keyBuf)]
 				if pc == nil {
 					pc = &pendingCtx{
 						// cr.Callers lives in the unwinder's arena; copy once
 						// per distinct context.
 						callers: append([]uint64(nil), cr.Callers...),
-						leaf:    leafFn,
+						leaf:    cr.Fn,
 						ranges:  map[rangeKey]uint64{},
 					}
 					w.pending[string(w.keyBuf)] = pc
 				}
-				lastPC, lastLeaf = pc, leafFn
+				lastPC, lastLeaf = pc, cr.Fn
 			}
-			pc.lookups++
-			pc.ranges[rk]++
+			pc.lookups += int(g.n)
+			pc.ranges[rk] += n
 		}
 	}
 }
@@ -293,9 +383,9 @@ func attributeRange(bin *machine.Prog, rk rangeKey, occ uint64, pick func(*machi
 	}
 }
 
-// countICallTarget records one LBR call branch out of an indirect-call site
-// (site address -> callee name -> count).
-func countICallTarget(bin *machine.Prog, icalls map[uint64]map[string]uint64, br *sim.BranchRec) {
+// countICallTarget records n observations of one LBR call branch out of an
+// indirect-call site (site address -> callee name -> count).
+func countICallTarget(bin *machine.Prog, icalls map[uint64]map[string]uint64, br *sim.BranchRec, n uint64) {
 	callee := bin.FuncAt(br.To)
 	if callee == nil {
 		return
@@ -305,7 +395,7 @@ func countICallTarget(bin *machine.Prog, icalls map[uint64]map[string]uint64, br
 		m = map[string]uint64{}
 		icalls[br.From] = m
 	}
-	m[callee.Name]++
+	m[callee.Name] += n
 }
 
 // mergeICallTargets folds per-worker target maps into a freshly-allocated
@@ -335,31 +425,31 @@ func mergeICallTargets(parts []map[uint64]map[string]uint64) map[uint64]map[stri
 }
 
 // scanLBR collects tail-call edges (with their global stream position) and
-// indirect-call targets from one sample's LBR.
-func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec) {
-	for bi := range lbr {
-		br := &lbr[bi]
-		in := w.bin.InstrAt(br.From)
-		if in == nil {
+// indirect-call targets from the LBR of n identical samples, the first of
+// them at (chunkIdx, sampIdx); from is the unwinder's decode of lbr.
+func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec, from []int32, n uint64) {
+	for bi, ii := range from {
+		if ii < 0 {
 			continue
 		}
-		switch in.Kind {
+		br := &lbr[bi]
+		switch w.bin.Instrs[ii].Kind {
 		case machine.KTailCall:
 			if w.tails == nil {
 				continue
 			}
-			from := w.bin.FuncAt(br.From)
-			to := w.bin.FuncAt(br.To)
-			if from == nil || to == nil {
+			caller := w.bin.FuncAt(br.From)
+			callee := w.bin.FuncAt(br.To)
+			if caller == nil || callee == nil {
 				continue
 			}
-			k := edgeKey{from.Name, to.Name}
+			k := edgeKey{caller.Name, callee.Name}
 			pos := streamPos{chunkIdx, sampIdx, bi}
 			if cur, ok := w.tails[k]; !ok || pos.before(cur.pos) {
 				w.tails[k] = tailObs{site: br.From, pos: pos}
 			}
 		case machine.KICall:
-			countICallTarget(w.bin, w.icalls, br)
+			countICallTarget(w.bin, w.icalls, br, n)
 		}
 	}
 }
@@ -406,8 +496,10 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	bases := make([]*profdata.Profile, len(s.workers))
 	icallParts := make([]map[uint64]map[string]uint64, len(s.workers))
 	var st UnwindStats
-	total := 0
+	total, distinct := 0, 0
 	for i, w := range s.workers {
+		grouperPool.Put(w.groups)
+		w.groups = nil
 		// Truncated ranges have no known outer context: their counts go to
 		// the worker's base-profile shard.
 		inBase := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
@@ -420,6 +512,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 		icallParts[i] = w.icalls
 		st.Add(w.u.Stats)
 		total += w.samples
+		distinct += w.distinct
 	}
 	p := profdata.MergeShards(bases)
 	if p == nil {
@@ -446,9 +539,12 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending)))
 	ru := NewUnwinder(s.bin, tails)
 	ru.AssumeAligned = s.opts.AssumeAligned
-	var callerCtx profdata.Context
+	// ctxBuf is rebuilt for every probe of every range; ContextProfile
+	// copies the context it has to keep.
+	var callerCtx, ctxBuf profdata.Context
 	inContext := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
-		return p.ContextProfile(contextForProbe(callerCtx, rec, s.opts.MaxContextDepth))
+		ctxBuf = contextForProbe(ctxBuf, callerCtx, rec, s.opts.MaxContextDepth)
+		return p.ContextProfile(ctxBuf)
 	}
 	for _, pc := range pending {
 		before := ru.Stats
@@ -482,6 +578,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	if s.opts.Metrics != nil {
 		s.opts.Metrics.Counter(obs.MStreamChunks).Add(int64(s.chunks))
 		s.opts.Metrics.Counter(obs.MStreamContexts).Add(int64(len(pending)))
+		s.opts.Metrics.Counter(obs.MStreamDistinctSamples).Add(int64(distinct))
 	}
 	st.Publish(s.opts.Metrics)
 	publishProfileShape(s.opts.Metrics, p, total)
@@ -490,14 +587,24 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 
 // ------------------------------------------------------------- flat
 
-// flatWorker is one streaming worker's state for the flat generators: a
-// dense address counter plus the indirect-call histogram.
+// flatWorker is one streaming worker's state for the flat generators: the
+// chunk grouper, a dense address counter and the indirect-call histogram.
 type flatWorker struct {
-	bin     *machine.Prog
-	ac      *AddrCounter
-	icalls  map[uint64]map[string]uint64
-	ranges  []Range // per-sample scratch
-	samples int
+	bin      *machine.Prog
+	groups   *sampleGrouper // back to grouperPool at drain
+	ac       *AddrCounter
+	icalls   map[uint64]map[string]uint64
+	samples  int
+	distinct int
+}
+
+func newFlatWorker(bin *machine.Prog) *flatWorker {
+	return &flatWorker{
+		bin:    bin,
+		groups: grouperPool.Get().(*sampleGrouper),
+		ac:     NewAddrCounter(bin),
+		icalls: map[uint64]map[string]uint64{},
+	}
 }
 
 // FlatStream is the front half of the flat (context-insensitive)
@@ -524,7 +631,7 @@ func NewFlatStream(bin *machine.Prog, opts FlatOptions) *FlatStream {
 	}
 	s.csp = opts.Trace.Span("sampling.addr_counts", obs.A("workers", nw))
 	for i := range s.workers {
-		w := &flatWorker{bin: bin, ac: NewAddrCounter(bin), icalls: map[uint64]map[string]uint64{}}
+		w := newFlatWorker(bin)
 		s.workers[i] = w
 		s.wg.Add(1)
 		go func(w *flatWorker) {
@@ -542,17 +649,27 @@ func NewFlatStream(bin *machine.Prog, opts FlatOptions) *FlatStream {
 func (s *FlatStream) ConsumeChunk(ch *sim.SampleChunk) { s.ch <- ch }
 
 func (w *flatWorker) consume(ch *sim.SampleChunk) {
-	for si := range ch.Samples {
-		smp := &ch.Samples[si]
-		w.samples++
-		w.ranges = AppendLBRRanges(w.ranges[:0], w.bin, smp.LBR)
-		for _, r := range w.ranges {
-			w.ac.AddRange(r, 1)
-		}
-		for bi := range smp.LBR {
-			br := &smp.LBR[bi]
-			if in := w.bin.InstrAt(br.From); in != nil && in.Kind == machine.KICall {
-				countICallTarget(w.bin, w.icalls, br)
+	w.samples += len(ch.Samples)
+	groups := w.groups.group(ch.Samples)
+	w.distinct += len(groups)
+	for _, g := range groups {
+		lbr := ch.Samples[g.first].LBR
+		n := uint64(g.n)
+		for i := range lbr {
+			br := &lbr[i]
+			ii := w.bin.InstrIndexAt(br.From)
+			if ii < 0 {
+				continue
+			}
+			if w.bin.Instrs[ii].Kind == machine.KICall {
+				countICallTarget(w.bin, w.icalls, br, n)
+			}
+			// Execution ran linearly from the next-older record's target to
+			// this record's source.
+			if i+1 < len(lbr) {
+				if lo, hi, fn := resolveRange(w.bin, lbr[i+1].To, br.From, ii); fn != nil {
+					w.ac.addInstrs(lo, hi, n)
+				}
 			}
 		}
 	}
@@ -564,15 +681,21 @@ func (s *FlatStream) drain() (*AddrCounter, map[uint64]map[string]uint64, int) {
 	s.wg.Wait()
 	ac := s.workers[0].ac
 	icallParts := make([]map[uint64]map[string]uint64, len(s.workers))
-	total := 0
+	total, distinct := 0, 0
 	for i, w := range s.workers {
+		grouperPool.Put(w.groups)
+		w.groups = nil
 		if i > 0 {
 			ac.Merge(w.ac)
 		}
 		icallParts[i] = w.icalls
 		total += w.samples
+		distinct += w.distinct
 	}
 	s.csp.End()
+	if s.opts.Metrics != nil {
+		s.opts.Metrics.Counter(obs.MStreamDistinctSamples).Add(int64(distinct))
+	}
 	return ac, mergeICallTargets(icallParts), total
 }
 

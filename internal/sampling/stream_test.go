@@ -2,10 +2,12 @@ package sampling
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"csspgo/internal/machine"
+	"csspgo/internal/obs"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sim"
 )
@@ -100,6 +102,49 @@ func TestStreamSinkFromMachineMatchesBatch(t *testing.T) {
 	}
 }
 
+// stream.distinct_samples is what the workers actually unwound: per chunk,
+// the number of different (LBR, stack) contents in it. It depends on where
+// the chunk boundaries fall and on nothing else — not on the worker count —
+// and both engines publish it.
+func TestDistinctSamplesCounter(t *testing.T) {
+	bin := build(t, contextSrc, true)
+	base := profileRun(t, bin, sim.DefaultPMUConfig(16), 10, 100)
+	if len(base) < 8 {
+		t.Skipf("only %d samples", len(base))
+	}
+	samples := duplicate(base, 4, 1)
+	distinctIn := func(chunk []sim.Sample) int64 {
+		seen := map[string]bool{}
+		for _, s := range chunk {
+			seen[fmt.Sprint(s.LBR, s.Stack)] = true
+		}
+		return int64(len(seen))
+	}
+	for _, chunk := range []int{4, 6, len(samples)} {
+		var want int64
+		for start := 0; start < len(samples); start += chunk {
+			want += distinctIn(samples[start:min(start+chunk, len(samples))])
+		}
+		if chunk == 4 && want != int64(len(base)) {
+			t.Fatalf("chunk=4: every chunk is 4 copies of one sample, yet %d distinct for %d base samples", want, len(base))
+		}
+		for _, workers := range []int{1, 3} {
+			reg := obs.NewRegistry()
+			opts := DefaultCSSPGOOptions()
+			opts.Workers, opts.ChunkSize, opts.Metrics = workers, chunk, reg
+			GenerateCSSPGO(bin, samples, opts)
+			if got := reg.Counter(obs.MStreamDistinctSamples).Value(); got != want {
+				t.Errorf("cs: chunk=%d workers=%d: %s = %d, want %d", chunk, workers, obs.MStreamDistinctSamples, got, want)
+			}
+			reg = obs.NewRegistry()
+			GenerateProbeProfile(bin, samples, FlatOptions{Workers: workers, ChunkSize: chunk, Metrics: reg})
+			if got := reg.Counter(obs.MStreamDistinctSamples).Value(); got != want {
+				t.Errorf("flat: chunk=%d workers=%d: %s = %d, want %d", chunk, workers, obs.MStreamDistinctSamples, got, want)
+			}
+		}
+	}
+}
+
 // ------------------------------------ satellite: icall merge deep-copies
 
 // TestICallTargetsMergeDeepCopies is the regression test for the aliasing
@@ -169,7 +214,7 @@ func TestSteadyStateAllocsPerSampleFlat(t *testing.T) {
 	if len(samples) < 8 {
 		t.Skipf("only %d samples", len(samples))
 	}
-	w := &flatWorker{bin: bin, ac: NewAddrCounter(bin), icalls: map[uint64]map[string]uint64{}}
+	w := newFlatWorker(bin)
 	ch := &sim.SampleChunk{Index: 0, Samples: samples, Borrowed: true}
 	w.consume(ch)
 
@@ -183,44 +228,60 @@ func TestSteadyStateAllocsPerSampleFlat(t *testing.T) {
 
 // --------------------------------------------- fuzz: chunked dispatcher
 
-var fuzzStreamOnce struct {
-	sync.Once
-	bin     *machine.Prog
+// fuzzRef is the serial reference's answer for one duplication pattern.
+type fuzzRef struct {
 	samples []sim.Sample
 	want    []byte
 	stats   UnwindStats
 }
 
+var fuzzStream struct {
+	sync.Once
+	bin  *machine.Prog
+	base []sim.Sample
+	refs map[[2]int]*fuzzRef // (repeat, stride) -> reference, computed on first use
+}
+
 // FuzzChunkedDispatcher drives the chunk dispatcher with fuzzer-chosen
-// chunk sizes and worker counts; any combination must reproduce the serial
-// per-sample reference byte-for-byte.
+// chunk sizes, worker counts and duplication patterns (duplicate's repeat
+// count and stride over the seed samples, so identical samples land in one
+// chunk, straddle chunks and reach different workers); any combination must
+// reproduce the serial per-sample reference byte-for-byte.
 func FuzzChunkedDispatcher(f *testing.F) {
-	f.Add(uint16(1), uint8(1))
-	f.Add(uint16(3), uint8(2))
-	f.Add(uint16(17), uint8(5))
-	f.Add(uint16(4096), uint8(8))
-	f.Add(uint16(0), uint8(0))
-	f.Fuzz(func(t *testing.T, chunkSize uint16, workers uint8) {
-		fuzzStreamOnce.Do(func() {
-			fuzzStreamOnce.bin = build(t, contextSrc, true)
-			fuzzStreamOnce.samples = profileRun(t, fuzzStreamOnce.bin, sim.DefaultPMUConfig(16), 20, 300)
-			p, st := referenceCSSPGO(fuzzStreamOnce.bin, fuzzStreamOnce.samples, DefaultCSSPGOOptions())
-			fuzzStreamOnce.want = profdata.EncodeBinary(p)
-			fuzzStreamOnce.stats = st
+	f.Add(uint16(1), uint8(1), uint8(0), uint8(0))
+	f.Add(uint16(3), uint8(2), uint8(3), uint8(0))
+	f.Add(uint16(17), uint8(5), uint8(1), uint8(6))
+	f.Add(uint16(4096), uint8(8), uint8(2), uint8(11))
+	f.Add(uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, chunkSize uint16, workers, repeat, stride uint8) {
+		fuzzStream.Do(func() {
+			fuzzStream.bin = build(t, contextSrc, true)
+			fuzzStream.base = profileRun(t, fuzzStream.bin, sim.DefaultPMUConfig(16), 20, 300)
+			fuzzStream.refs = map[[2]int]*fuzzRef{}
 		})
-		if len(fuzzStreamOnce.samples) == 0 {
+		if len(fuzzStream.base) == 0 {
 			t.Skip("no samples")
+		}
+		pattern := [2]int{1 + int(repeat)%4, 1 + int(stride)%12}
+		ref := fuzzStream.refs[pattern]
+		if ref == nil {
+			// The more copies, the fewer originals: every pattern is a stream
+			// of about len(base) samples, so no pattern fuzzes slower.
+			ref = &fuzzRef{samples: duplicate(fuzzStream.base[:len(fuzzStream.base)/pattern[0]], pattern[0], pattern[1])}
+			p, st := referenceCSSPGO(fuzzStream.bin, ref.samples, DefaultCSSPGOOptions())
+			ref.want, ref.stats = profdata.EncodeBinary(p), st
+			fuzzStream.refs[pattern] = ref
 		}
 		opts := DefaultCSSPGOOptions()
 		opts.ChunkSize = int(chunkSize) // 0 falls back to the default size
 		opts.Workers = int(workers) % 17
-		got, gotStats := GenerateCSSPGO(fuzzStreamOnce.bin, fuzzStreamOnce.samples, opts)
-		if !bytes.Equal(profdata.EncodeBinary(got), fuzzStreamOnce.want) {
-			t.Fatalf("chunk=%d workers=%d: profile differs from the reference", chunkSize, opts.Workers)
+		got, gotStats := GenerateCSSPGO(fuzzStream.bin, ref.samples, opts)
+		if !bytes.Equal(profdata.EncodeBinary(got), ref.want) {
+			t.Fatalf("chunk=%d workers=%d repeat=%d stride=%d: profile differs from the reference", chunkSize, opts.Workers, pattern[0], pattern[1])
 		}
-		if gotStats != fuzzStreamOnce.stats {
-			t.Fatalf("chunk=%d workers=%d: stats differ:\nreference %+v\ngot       %+v",
-				chunkSize, opts.Workers, fuzzStreamOnce.stats, gotStats)
+		if gotStats != ref.stats {
+			t.Fatalf("chunk=%d workers=%d repeat=%d stride=%d: stats differ:\nreference %+v\ngot       %+v",
+				chunkSize, opts.Workers, pattern[0], pattern[1], ref.stats, gotStats)
 		}
 	})
 }

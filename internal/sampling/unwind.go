@@ -17,7 +17,13 @@ import (
 // return records) are an incomplete suffix of the real context and must not
 // be aggregated as if they were the whole of it.
 type CtxRange struct {
-	R         Range
+	R Range
+	// Lo, Hi and Fn are R resolved once against the binary: the
+	// instruction-index interval [Lo, Hi) it covers and the function it
+	// executed in, so consumers attribute the range without looking its
+	// addresses up again.
+	Lo, Hi    int32
+	Fn        *machine.Func
 	Callers   []uint64
 	Truncated bool
 	// SameCallers reports that Callers is content-identical to the previous
@@ -73,6 +79,7 @@ type Unwinder struct {
 	// steady-state hot path does not allocate.
 	keyBuf     []byte
 	callersBuf []uint64
+	fromBuf    []int32 // decode of the sample being unwound
 	outBuf     []CtxRange
 	arena      []uint64 // backing store for the returned Callers slices
 }
@@ -97,11 +104,31 @@ func NewUnwinder(bin *machine.Prog, tails *TailCallGraph) *Unwinder {
 
 // Unwind recovers the context of every linear range in one sample.
 func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
+	return u.unwind(&s, u.decode(s.LBR), 1)
+}
+
+// decode returns the instruction index of every record's branch source (-1
+// for an address that is no instruction start) in the unwinder's scratch
+// buffer, valid until the next call. One decode per record serves the
+// collector's tail-call / indirect-call scan, the frame effects undone
+// below and the end of the range the record closes.
+func (u *Unwinder) decode(lbr []sim.BranchRec) []int32 {
+	from := u.fromBuf[:0]
+	for i := range lbr {
+		from = append(from, int32(u.bin.InstrIndexAt(lbr[i].From)))
+	}
+	u.fromBuf = from
+	return from
+}
+
+// unwind is Unwind for n identical samples at once: from is decode of the
+// sample's LBR, and every per-sample stat counts n.
+func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 	if len(s.LBR) == 0 || len(s.Stack) == 0 {
-		u.Stats.Dropped++
+		u.Stats.Dropped += n
 		return nil
 	}
-	u.Stats.Samples++
+	u.Stats.Samples += n
 	// The stack sample is leaf-first [pc, ret1, ret2, ...]; the virtual
 	// stack keeps callers only, outermost first.
 	callers := u.callersBuf[:0]
@@ -118,7 +145,7 @@ func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
 		toFn := u.bin.FuncAt(s.LBR[0].To)
 		if leafFn == nil || toFn == nil || leafFn != toFn {
 			aligned = false
-			u.Stats.SkidAdjusted++
+			u.Stats.SkidAdjusted += n
 		}
 	}
 
@@ -130,11 +157,10 @@ func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
 		br := s.LBR[i]
 		if aligned || i > 0 {
 			// Undo br's frame effect (travelling back in time).
-			in := u.bin.InstrAt(br.From)
-			if in == nil {
+			if from[i] < 0 {
 				break // corrupt record; stop unwinding this sample
 			}
-			switch in.Kind {
+			switch u.bin.Instrs[from[i]].Kind {
 			case machine.KCall:
 				if len(callers) == 0 {
 					// Stack shallower than LBR history; every context
@@ -155,12 +181,13 @@ func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
 			}
 		}
 		r := Range{Begin: s.LBR[i+1].To, End: br.From}
-		if !r.Valid(u.bin) {
+		lo, hi, fn := resolveRange(u.bin, r.Begin, r.End, int(from[i]))
+		if fn == nil {
 			continue
 		}
-		u.Stats.Ranges++
+		u.Stats.Ranges += n
 		if truncated {
-			u.Stats.TruncatedRanges++
+			u.Stats.TruncatedRanges += n
 		}
 		// Snapshot callers into the arena. Each snapshot is capped with a
 		// three-index slice, so a later arena append either writes past it
@@ -168,7 +195,7 @@ func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
 		start := len(u.arena)
 		u.arena = append(u.arena, callers...)
 		cc := u.arena[start:len(u.arena):len(u.arena)]
-		out = append(out, CtxRange{R: r, Callers: cc, Truncated: truncated, SameCallers: len(out) > 0 && !mutated})
+		out = append(out, CtxRange{R: r, Lo: lo, Hi: hi, Fn: fn, Callers: cc, Truncated: truncated, SameCallers: len(out) > 0 && !mutated})
 		mutated = false
 	}
 	u.callersBuf = callers[:0]
