@@ -31,9 +31,10 @@ bench:
 # Fuzz smoke lane: native fuzzing of the profile readers, the folded
 # flamegraph text codec, the translation validator over random programs
 # through the full checked pipeline, the chunked dispatcher (fuzzer-chosen
-# chunk size / worker count must stay byte-identical to the serial
-# per-sample reference), and the traceparent header parser (must never panic on
-# hostile headers), one short burst per target (also part of `make check`).
+# chunk size / worker count / duplication pattern must stay byte-identical
+# to the serial per-sample reference), and the traceparent header parser
+# (must never panic on hostile headers), one short burst per target (also
+# part of `make check`).
 fuzz:
 	$(GO) test ./internal/profdata -run='^FuzzReadText$$' -fuzz='^FuzzReadText$$' -fuzztime=5s
 	$(GO) test ./internal/profdata -run='^FuzzReadBinary$$' -fuzz='^FuzzReadBinary$$' -fuzztime=5s

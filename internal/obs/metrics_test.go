@@ -117,6 +117,12 @@ func TestCatalogNamesValid(t *testing.T) {
 		}
 		seen[name] = true
 	}
+	if !seen[MStreamDistinctSamples] {
+		t.Errorf("%s is published by both sample streams but not cataloged", MStreamDistinctSamples)
+	}
+	if seen["quality.block_overlap"] {
+		t.Error("quality.block_overlap has had no publisher since PR 21 and is back in the catalog")
+	}
 	if !IsTimingMetric(MShardWorkerBusyNS) {
 		t.Error("worker_busy_ns not recognized as timing metric")
 	}
