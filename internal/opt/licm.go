@@ -1,6 +1,10 @@
 package opt
 
-import "csspgo/internal/ir"
+import (
+	"sort"
+
+	"csspgo/internal/ir"
+)
 
 // LICM hoists loop-invariant pure computation into a preheader — the
 // code-motion class of optimization that damages debug-info correlation:
@@ -165,10 +169,17 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 			delete(rename, r)
 		}
 	})
-	for r, nr := range rename {
+	// Ascending register order, not map order: the moves are independent,
+	// but their order is the emitted instruction order.
+	var residual []ir.Reg
+	for r := range rename {
 		if lastHoisted[r] && liveOutB.has(r) {
-			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: nr})
+			residual = append(residual, r)
 		}
+	}
+	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
+	for _, r := range residual {
+		b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: rename[r]})
 	}
 	return hoistedCount
 }

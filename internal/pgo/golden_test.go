@@ -2,11 +2,14 @@ package pgo
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
 	"csspgo/internal/source"
@@ -20,12 +23,83 @@ import (
 // bytes; the serial reference in internal/sampling/reference_test.go covers
 // the inputs no golden file does.
 
+// code.digest pins what the compiler emits: one line per program and
+// variant, "program variant fnv64 summary", where the hash is over
+// machine.Prog.String() followed by every instruction, symbol and probe
+// record of the binary Pipeline builds (the summary alone is six section
+// sizes). It was written at 9a30658, before ir took over the operand model
+// and the dominator tree, and an optimizer refactor must leave it
+// byte-identical. UPDATE_GOLDEN=1 rewrites a program's lines, only for a
+// change that means to move the optimizer's output.
+const codeDigestFile = "testdata/golden/code.digest"
+
+// codeDigest renders bin's digest and summary as they appear in the file.
+func codeDigest(bin *machine.Prog) string {
+	h := fnv.New64a()
+	fmt.Fprintln(h, bin.String())
+	for i := range bin.Instrs {
+		in := bin.Instrs[i]
+		loc := in.Loc
+		in.Loc = nil
+		fmt.Fprintf(h, "%+v %s\n", in, loc)
+	}
+	for _, f := range bin.Funcs {
+		fmt.Fprintf(h, "%+v\n", *f)
+	}
+	for _, p := range bin.Probes {
+		fmt.Fprintf(h, "%s %d %d %g %s %d\n", p.Func, p.ID, p.Kind, p.Factor, p.InlinedAt, p.Addr)
+	}
+	return fmt.Sprintf("%016x %s", h.Sum64(), bin)
+}
+
+// checkCodeDigest builds the program under all five variants and compares
+// each binary with its line of code.digest.
+func checkCodeDigest(t *testing.T, name string, files []*source.File, train [][]int64) {
+	t.Helper()
+	lines := map[string]string{} // "program variant" -> "fnv64 summary"
+	data, err := os.ReadFile(codeDigestFile)
+	update := os.Getenv("UPDATE_GOLDEN") == "1"
+	if err != nil && !update {
+		t.Fatal(err)
+	}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if f := strings.SplitN(l, " ", 3); len(f) == 3 {
+			lines[f[0]+" "+f[1]] = f[2]
+		}
+	}
+	for _, v := range []Variant{Baseline, AutoFDO, ProbeOnly, FullCS, InstrPGO} {
+		res, _, err := Pipeline(files, v, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := name + " " + string(v)
+		got := codeDigest(res.Bin)
+		if update {
+			lines[key] = got
+		} else if got != lines[key] {
+			t.Errorf("%s: code digest %s, want %s", key, got, lines[key])
+		}
+	}
+	if update {
+		var out []string
+		for k, v := range lines {
+			out = append(out, k+" "+v+"\n")
+		}
+		sort.Strings(out)
+		if err := os.WriteFile(codeDigestFile, []byte(strings.Join(out, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // checkGolden is the one table: for each kind, the profile the engine
 // generates from the program's training run must equal the golden bytes for
 // every worker count and chunk size, both from a materialized sample slice
-// and through the live-sink driver, and the CS UnwindStats must match.
+// and through the live-sink driver, and the CS UnwindStats must match; and
+// the binary each of the five variants builds must match code.digest.
 func checkGolden(t *testing.T, name string, files []*source.File, train [][]int64) {
 	t.Helper()
+	checkCodeDigest(t, name, files, train)
 	golden := func(suffix string) string {
 		data, err := os.ReadFile(filepath.Join("testdata", "golden", name+"."+suffix))
 		if err != nil {
