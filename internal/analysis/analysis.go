@@ -101,8 +101,7 @@ func DefaultOptions() Options {
 // run that first.
 func CheckFunction(f *ir.Function, opts Options) []Diagnostic {
 	var diags []Diagnostic
-	dt := NewDomTree(f)
-	diags = append(diags, checkUnreachable(f, dt)...)
+	diags = append(diags, checkUnreachable(f, f.DomTree())...)
 	diags = append(diags, checkUseBeforeDef(f)...)
 	if opts.Flow {
 		diags = append(diags, checkFlow(f, opts)...)

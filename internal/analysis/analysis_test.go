@@ -63,11 +63,16 @@ func buildLoop(t testing.TB) *ir.Function {
 	return f
 }
 
+// TestDomTree: the lint suite's reachability comes from ir's dominator
+// tree; the loop's dominance facts hold on it and a block no edge reaches
+// is the one checkUnreachable reports.
 func TestDomTree(t *testing.T) {
 	f := buildLoop(t)
-	dt := NewDomTree(f)
+	orphan := f.NewBlock()
+	orphan.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
+	dt := f.DomTree()
 	b := f.Blocks
-	for _, b2 := range b[1:] {
+	for _, b2 := range b[1:4] {
 		if !dt.Dominates(b[0], b2) {
 			t.Errorf("entry should dominate b%d", b2.ID)
 		}
@@ -80,6 +85,13 @@ func TestDomTree(t *testing.T) {
 	}
 	if dt.Dominates(b[2], b[1]) {
 		t.Error("back edge must not make the body dominate the header")
+	}
+	if dt.Reachable(orphan) || dt.Dominates(b[0], orphan) {
+		t.Error("a block no edge reaches must be outside the tree")
+	}
+	diags := checkUnreachable(f, dt)
+	if len(diags) != 1 || diags[0].Block != orphan.ID {
+		t.Errorf("want one unreachable finding on b%d, got %v", orphan.ID, diags)
 	}
 }
 

@@ -12,6 +12,9 @@ func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
 // Set sets bit i.
 func (s BitSet) Set(i int) { s[i/64] |= 1 << (i % 64) }
 
+// Clear clears bit i.
+func (s BitSet) Clear(i int) { s[i/64] &^= 1 << (i % 64) }
+
 // Has reports whether bit i is set.
 func (s BitSet) Has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
@@ -131,62 +134,4 @@ func SolveForward(f *ir.Function, prob ForwardProblem) map[*ir.Block]BitSet {
 		}
 	}
 	return in
-}
-
-// instrDef returns the register defined by the instruction, or NoReg.
-func instrDef(in *ir.Instr) ir.Reg {
-	switch in.Op {
-	case ir.OpConst, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpLoadG,
-		ir.OpCall, ir.OpSelect, ir.OpMove, ir.OpFuncRef, ir.OpICall:
-		return in.Dst
-	}
-	return ir.NoReg
-}
-
-// instrUses visits every register the instruction reads (NoReg skipped).
-func instrUses(in *ir.Instr, visit func(ir.Reg)) {
-	v := func(r ir.Reg) {
-		if r != ir.NoReg {
-			visit(r)
-		}
-	}
-	switch in.Op {
-	case ir.OpBin:
-		v(in.A)
-		v(in.B)
-	case ir.OpNot, ir.OpNeg, ir.OpMove:
-		v(in.A)
-	case ir.OpLoadG:
-		v(in.Index)
-	case ir.OpStoreG:
-		v(in.A)
-		v(in.Index)
-	case ir.OpCall:
-		for _, a := range in.Args {
-			v(a)
-		}
-	case ir.OpICall:
-		v(in.A)
-		for _, a := range in.Args {
-			v(a)
-		}
-	case ir.OpSelect:
-		v(in.A)
-		v(in.B)
-		v(in.C)
-	}
-}
-
-// termUses visits every register the terminator reads.
-func termUses(t *ir.Terminator, visit func(ir.Reg)) {
-	switch t.Kind {
-	case ir.TermBranch, ir.TermSwitch:
-		if t.Cond != ir.NoReg {
-			visit(t.Cond)
-		}
-	case ir.TermReturn:
-		if t.Val != ir.NoReg {
-			visit(t.Val)
-		}
-	}
 }

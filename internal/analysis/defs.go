@@ -25,7 +25,7 @@ func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if d := instrDef(&b.Instrs[i]); d != ir.NoReg {
+			if d := b.Instrs[i].Def(); d != ir.NoReg {
 				defsOf[d] = append(defsOf[d], len(sites))
 				sites = append(sites, DefSite{Reg: d, Block: b, Index: i})
 			}
@@ -43,7 +43,7 @@ func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
 		Transfer: func(b *ir.Block, in, out BitSet) {
 			copy(out, in)
 			for i := range b.Instrs {
-				d := instrDef(&b.Instrs[i])
+				d := b.Instrs[i].Def()
 				if d == ir.NoReg {
 					continue
 				}
@@ -52,7 +52,7 @@ func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
 					if sites[s].Block == b && sites[s].Index == i {
 						out.Set(s)
 					} else {
-						out[s/64] &^= 1 << (s % 64)
+						out.Clear(s)
 					}
 				}
 			}
@@ -88,7 +88,7 @@ func checkUseBeforeDef(f *ir.Function) []Diagnostic {
 		Transfer: func(b *ir.Block, in, out BitSet) {
 			copy(out, in)
 			for i := range b.Instrs {
-				if d := instrDef(&b.Instrs[i]); d != ir.NoReg {
+				if d := b.Instrs[i].Def(); d != ir.NoReg {
 					out.Set(int(d))
 				}
 			}
@@ -124,13 +124,13 @@ func checkUseBeforeDef(f *ir.Function) []Diagnostic {
 		}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			instrUses(in, report(fmt.Sprintf("by %q", in.String())))
-			if d := instrDef(in); d != ir.NoReg {
+			in.Uses(report(fmt.Sprintf("by %q", in.String())))
+			if d := in.Def(); d != ir.NoReg {
 				must.Set(int(d))
 				may.Set(int(d))
 			}
 		}
-		termUses(&b.Term, report("by the terminator"))
+		b.Term.Uses(report("by the terminator"))
 	}
 	return diags
 }
@@ -138,7 +138,7 @@ func checkUseBeforeDef(f *ir.Function) []Diagnostic {
 // checkUnreachable reports blocks with no dominator-tree node, i.e. not
 // reachable from entry. Passes create these transiently and clean them up
 // with RemoveUnreachable, so the finding is a warning, not an error.
-func checkUnreachable(f *ir.Function, dt *DomTree) []Diagnostic {
+func checkUnreachable(f *ir.Function, dt *ir.DomTree) []Diagnostic {
 	var diags []Diagnostic
 	for _, b := range f.Blocks {
 		if !dt.Reachable(b) {

@@ -37,7 +37,7 @@ func DiffFunctions(before, after *ir.Function) []analysis.Diagnostic {
 
 	liveB, liveA := liveness(before), liveness(after)
 	sigB, sigA := map[*ir.Block][]string{}, map[*ir.Block][]string{}
-	sigOf := func(cache map[*ir.Block][]string, live map[*ir.Block]map[ir.Reg]bool, b *ir.Block) []string {
+	sigOf := func(cache map[*ir.Block][]string, live map[*ir.Block]analysis.BitSet, b *ir.Block) []string {
 		if s, ok := cache[b]; ok {
 			return s
 		}

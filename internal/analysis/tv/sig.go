@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"csspgo/internal/analysis"
 	"csspgo/internal/ir"
 )
 
@@ -183,11 +184,11 @@ func (e *blockEval) eval(b *ir.Block) blockSummary {
 // terminator, one per live-out assignment. liveOut filters which written
 // registers matter; identity writes (register ends holding its own entry
 // value) serialize to nothing, matching a block that never touched it.
-func signature(b *ir.Block, liveOut map[ir.Reg]bool) []string {
+func signature(b *ir.Block, liveOut analysis.BitSet) []string {
 	e := newBlockEval()
 	sum := e.eval(b)
 	for r := range sum.outVals {
-		if !liveOut[r] {
+		if r == ir.NoReg || !liveOut.Has(int(r)) {
 			continue
 		}
 		if n := sum.outVals[r]; n.op == "in" && n.reg == r {
@@ -253,52 +254,17 @@ func (s *serializer) serEffect(e effectRec) string {
 	return out
 }
 
-// instrUses calls visit on every register an instruction reads.
-func instrUses(in *ir.Instr, visit func(ir.Reg)) {
-	switch in.Op {
-	case ir.OpConst, ir.OpFuncRef, ir.OpProbe, ir.OpCounter:
-	case ir.OpBin:
-		visit(in.A)
-		visit(in.B)
-	case ir.OpSelect:
-		visit(in.A)
-		visit(in.B)
-		visit(in.C)
-	case ir.OpLoadG:
-		visit(in.Index)
-	case ir.OpStoreG:
-		visit(in.A)
-		visit(in.Index)
-	case ir.OpCall, ir.OpICall:
-		if in.Op == ir.OpICall {
-			visit(in.A)
-		}
-		for _, a := range in.Args {
-			visit(a)
-		}
-	default: // OpMove, OpNot, OpNeg
-		visit(in.A)
-	}
-}
-
-// instrEffectful reports whether the instruction must execute regardless of
-// whether its result is consumed (mirrors DCE's keep set).
-func instrEffectful(in *ir.Instr) bool {
-	switch in.Op {
-	case ir.OpStoreG, ir.OpCall, ir.OpICall, ir.OpCounter, ir.OpProbe:
-		return true
-	}
-	return false
-}
-
 // liveness computes per-block live-out register sets. It is the *strong*
 // (transitive) form DCE converges to, not the single-step dataflow: a use by
 // an instruction that is itself dead does not keep its operands alive.
 // Matching DCE's fixpoint is what makes before/after signatures agree across
 // a dead-code-elimination boundary — deleting a dead chain legally shrinks
 // the live-out sets of upstream blocks, so the naive analysis would report
-// phantom "disappeared output" mismatches.
-func liveness(f *ir.Function) map[*ir.Block]map[ir.Reg]bool {
+// phantom "disappeared output" mismatches. The fixpoint is the validator's
+// own statement of what DCE may delete and calls nothing in opt; what an
+// instruction reads, writes and must keep comes from ir's operand model,
+// which Verify cross-checks.
+func liveness(f *ir.Function) map[*ir.Block]analysis.BitSet {
 	blocks := f.Blocks
 	// dead[b][i]: instruction i of block b is provably dead. Grows each
 	// round until no new pure def is found dead under the current sets.
@@ -308,39 +274,27 @@ func liveness(f *ir.Function) map[*ir.Block]map[ir.Reg]bool {
 	}
 
 	for {
-		liveOut := liveOnce(blocks, dead)
+		liveOut := liveOnce(blocks, f.NRegs, dead)
 		changed := false
 		for _, b := range blocks {
-			live := map[ir.Reg]bool{}
-			for r := range liveOut[b] {
-				live[r] = true
-			}
-			t := &b.Term
-			if t.Kind == ir.TermBranch || t.Kind == ir.TermSwitch {
-				live[t.Cond] = true
-			}
-			if t.Kind == ir.TermReturn && t.Val != ir.NoReg {
-				live[t.Val] = true
-			}
+			live := liveOut[b].Clone()
+			markLive := func(r ir.Reg) { live.Set(int(r)) }
+			b.Term.Uses(markLive)
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				if dead[b][i] {
 					continue
 				}
 				in := &b.Instrs[i]
-				d := instrDef(in)
-				if !instrEffectful(in) && d != ir.NoReg && !live[d] {
+				d := in.Def()
+				if !in.HasSideEffects() && d != ir.NoReg && !live.Has(int(d)) {
 					dead[b][i] = true
 					changed = true
 					continue
 				}
 				if d != ir.NoReg {
-					delete(live, d)
+					live.Clear(int(d))
 				}
-				instrUses(in, func(r ir.Reg) {
-					if r != ir.NoReg {
-						live[r] = true
-					}
-				})
+				in.Uses(markLive)
 			}
 		}
 		if !changed {
@@ -349,16 +303,19 @@ func liveness(f *ir.Function) map[*ir.Block]map[ir.Reg]bool {
 	}
 }
 
-// liveOnce is one round of the standard backward liveness dataflow, with
-// instructions marked dead contributing neither uses nor defs.
-func liveOnce(blocks []*ir.Block, dead map[*ir.Block][]bool) map[*ir.Block]map[ir.Reg]bool {
-	use := map[*ir.Block]map[ir.Reg]bool{}
-	def := map[*ir.Block]map[ir.Reg]bool{}
+// liveOnce is one round of the standard backward liveness dataflow over
+// sets of nregs registers, with instructions marked dead contributing
+// neither uses nor defs.
+func liveOnce(blocks []*ir.Block, nregs int, dead map[*ir.Block][]bool) map[*ir.Block]analysis.BitSet {
+	use := map[*ir.Block]analysis.BitSet{}
+	def := map[*ir.Block]analysis.BitSet{}
+	liveIn := map[*ir.Block]analysis.BitSet{}
+	liveOut := map[*ir.Block]analysis.BitSet{}
 	for _, b := range blocks {
-		u, d := map[ir.Reg]bool{}, map[ir.Reg]bool{}
+		u, d := analysis.NewBitSet(nregs), analysis.NewBitSet(nregs)
 		addUse := func(r ir.Reg) {
-			if r != ir.NoReg && !d[r] {
-				u[r] = true
+			if !d.Has(int(r)) {
+				u.Set(int(r))
 			}
 		}
 		for i := range b.Instrs {
@@ -366,63 +323,35 @@ func liveOnce(blocks []*ir.Block, dead map[*ir.Block][]bool) map[*ir.Block]map[i
 				continue
 			}
 			in := &b.Instrs[i]
-			instrUses(in, addUse)
-			if dst := instrDef(in); dst != ir.NoReg {
-				d[dst] = true
+			in.Uses(addUse)
+			if dst := in.Def(); dst != ir.NoReg {
+				d.Set(int(dst))
 			}
 		}
-		t := &b.Term
-		if t.Kind == ir.TermBranch || t.Kind == ir.TermSwitch {
-			addUse(t.Cond)
-		}
-		if t.Kind == ir.TermReturn {
-			addUse(t.Val)
-		}
+		b.Term.Uses(addUse)
 		use[b], def[b] = u, d
+		liveIn[b], liveOut[b] = analysis.NewBitSet(nregs), analysis.NewBitSet(nregs)
 	}
 
-	liveIn := map[*ir.Block]map[ir.Reg]bool{}
-	liveOut := map[*ir.Block]map[ir.Reg]bool{}
-	for _, b := range blocks {
-		liveIn[b] = map[ir.Reg]bool{}
-		liveOut[b] = map[ir.Reg]bool{}
-	}
 	for changed := true; changed; {
 		changed = false
 		for i := len(blocks) - 1; i >= 0; i-- {
 			b := blocks[i]
 			out := liveOut[b]
 			for _, s := range b.Term.Succs {
-				for r := range liveIn[s] {
-					if !out[r] {
-						out[r] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[b]
-			for r := range use[b] {
-				if !in[r] {
-					in[r] = true
+				if out.Union(liveIn[s]) {
 					changed = true
 				}
 			}
-			for r := range out {
-				if !def[b][r] && !in[r] {
-					in[r] = true
-					changed = true
-				}
+			// in = use ∪ (out − def)
+			next := out.Clone()
+			for w := range next {
+				next[w] = next[w]&^def[b][w] | use[b][w]
+			}
+			if liveIn[b].Union(next) {
+				changed = true
 			}
 		}
 	}
 	return liveOut
-}
-
-// instrDef returns the register an instruction assigns, or NoReg.
-func instrDef(in *ir.Instr) ir.Reg {
-	switch in.Op {
-	case ir.OpStoreG, ir.OpProbe, ir.OpCounter:
-		return ir.NoReg
-	}
-	return in.Dst
 }

@@ -40,84 +40,144 @@ func (f *Function) ReachableOrder() []*Block {
 // CFG. It returns the number of blocks removed.
 func (f *Function) RemoveUnreachable() int {
 	rpo := f.ReachableOrder()
-	if len(rpo) == len(f.Blocks) {
-		f.RebuildCFG()
-		return 0
-	}
-	keep := make(map[*Block]bool, len(rpo))
-	for _, b := range rpo {
-		keep[b] = true
-	}
 	removed := len(f.Blocks) - len(rpo)
-	f.Blocks = rpo
+	if removed > 0 {
+		f.Blocks = rpo
+	}
 	f.RebuildCFG()
 	return removed
 }
 
-// Dominators computes the immediate-dominator relation using the classic
-// iterative Cooper-Harvey-Kennedy algorithm. The returned map gives each
-// reachable block's immediate dominator; the entry maps to itself.
-func (f *Function) Dominators() map[*Block]*Block {
-	rpo := f.ReachableOrder()
-	index := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	idom := make(map[*Block]*Block, len(rpo))
-	entry := f.Entry()
-	idom[entry] = entry
+// DomTree is the dominator tree of a function's reachable CFG as of the
+// DomTree call that built it: the immediate-dominator table plus an
+// interval numbering that answers Dominates in O(1). Tables are indexed by
+// block ID; a block added to the function later is simply not in the tree.
+type DomTree struct {
+	rpo  []*Block // reachable blocks in reverse post-order
+	idom []*Block // by block ID; nil = unreachable, entry = itself
+	// pre is the block's number in a pre-order walk of the tree and end the
+	// number after its last descendant: a dominates b iff pre[b] is in
+	// [pre[a], end[a]).
+	pre, end []int32
+}
 
-	intersect := func(a, b *Block) *Block {
+// DomTree builds the dominator tree with the iterative
+// Cooper-Harvey-Kennedy algorithm over reverse post-order positions. It
+// rebuilds Preds first (RebuildCFG), so it is valid on a function whose
+// successor edges were just rewritten.
+func (f *Function) DomTree() *DomTree {
+	f.RebuildCFG()
+	rpo := f.ReachableOrder()
+	maxID := 0
+	for _, b := range rpo {
+		maxID = max(maxID, b.ID)
+	}
+	// Reverse post-order position by block ID; -1 = unreachable.
+	pos := make([]int32, maxID+1)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range rpo {
+		pos[b.ID] = int32(i)
+	}
+	posOf := func(b *Block) int32 {
+		if b.ID > maxID {
+			return -1
+		}
+		return pos[b.ID]
+	}
+
+	// idom by RPO position; -1 = not computed yet.
+	idom := make([]int32, len(rpo))
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[0] = 0
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for index[a] > index[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for index[b] > index[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-
-	f.RebuildCFG()
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo[1:] {
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if _, ok := idom[p]; !ok {
+		for i := 1; i < len(rpo); i++ {
+			next := int32(-1)
+			for _, p := range rpo[i].Preds {
+				pi := posOf(p)
+				if pi < 0 || idom[pi] < 0 {
 					continue
 				}
-				if newIdom == nil {
-					newIdom = p
+				if next < 0 {
+					next = pi
 				} else {
-					newIdom = intersect(newIdom, p)
+					next = intersect(next, pi)
 				}
 			}
-			if newIdom == nil {
-				continue
-			}
-			if idom[b] != newIdom {
-				idom[b] = newIdom
+			if next >= 0 && idom[i] != next {
+				idom[i] = next
 				changed = true
 			}
 		}
 	}
-	return idom
+
+	// A dominator precedes what it dominates in reverse post-order, so one
+	// backward sweep sums subtree sizes and one forward sweep hands every
+	// block the next free pre-order slot of its parent's interval.
+	size := make([]int32, len(rpo))
+	for i := len(rpo) - 1; i >= 0; i-- {
+		size[i]++
+		if i > 0 {
+			size[idom[i]] += size[i]
+		}
+	}
+	t := &DomTree{
+		rpo:  rpo,
+		idom: make([]*Block, maxID+1),
+		pre:  make([]int32, maxID+1),
+		end:  make([]int32, maxID+1),
+	}
+	free := make([]int32, len(rpo)) // next unassigned slot inside i's interval
+	for i, b := range rpo {
+		var pre int32
+		if i > 0 {
+			pre = free[idom[i]]
+			free[idom[i]] += size[i]
+		}
+		free[i] = pre + 1
+		t.idom[b.ID] = rpo[idom[i]]
+		t.pre[b.ID], t.end[b.ID] = pre, pre+size[i]
+	}
+	return t
 }
 
-// Dominates reports whether a dominates b under the given idom map.
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return a == b
-		}
-		b = next
+// Reachable reports whether b was reachable from entry when the tree was
+// built.
+func (t *DomTree) Reachable(b *Block) bool {
+	return b.ID < len(t.idom) && t.idom[b.ID] != nil
+}
+
+// Idom returns b's immediate dominator: the entry block for itself, nil
+// for a block outside the tree.
+func (t *DomTree) Idom(b *Block) *Block {
+	if !t.Reachable(b) {
+		return nil
 	}
+	return t.idom[b.ID]
+}
+
+// Dominates reports whether a dominates b (reflexively). Blocks outside
+// the tree dominate nothing and are dominated by nothing.
+func (t *DomTree) Dominates(a, b *Block) bool {
+	if !t.Reachable(a) || !t.Reachable(b) {
+		return false
+	}
+	return t.pre[a.ID] <= t.pre[b.ID] && t.pre[b.ID] < t.end[a.ID]
 }
 
 // Loop describes a natural loop: its header, the set of member blocks, and
@@ -126,23 +186,6 @@ type Loop struct {
 	Header  *Block
 	Blocks  map[*Block]bool
 	Latches []*Block
-}
-
-// Exits returns the blocks outside the loop that are targets of edges
-// leaving the loop, in deterministic block-ID order.
-func (l *Loop) Exits() []*Block {
-	seen := map[*Block]bool{}
-	var out []*Block
-	for b := range l.Blocks {
-		for _, s := range b.Term.Succs {
-			if !l.Blocks[s] && !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	sortBlocksByID(out)
-	return out
 }
 
 func sortBlocksByID(bs []*Block) {
@@ -154,14 +197,16 @@ func sortBlocksByID(bs []*Block) {
 }
 
 // NaturalLoops finds all natural loops via dominance + back edges. Loops
-// sharing a header are merged. Results are ordered by header block ID.
-func (f *Function) NaturalLoops() []*Loop {
-	idom := f.Dominators()
+// sharing a header are merged. Results are ordered by header block ID. The
+// dominator tree it built is returned with them, for callers that go on to
+// ask dominance questions about the loops.
+func (f *Function) NaturalLoops() ([]*Loop, *DomTree) {
+	dt := f.DomTree()
 	byHeader := map[*Block]*Loop{}
 	var headers []*Block
-	for _, b := range f.ReachableOrder() {
+	for _, b := range dt.rpo {
 		for _, s := range b.Term.Succs {
-			if !Dominates(idom, s, b) {
+			if !dt.Dominates(s, b) {
 				continue // not a back edge
 			}
 			l := byHeader[s]
@@ -189,7 +234,7 @@ func (f *Function) NaturalLoops() []*Loop {
 	for _, h := range headers {
 		out = append(out, byHeader[h])
 	}
-	return out
+	return out, dt
 }
 
 // ReplaceSucc rewrites every successor edge of b that points at old to

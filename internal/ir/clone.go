@@ -48,30 +48,23 @@ func CloneRegion(f *Function, blocks []*Block, mapReg func(Reg) Reg) map[*Block]
 		f.AdoptBlock(nb)
 		bmap[b] = nb
 	}
-	remap := func(r Reg) Reg {
-		if mapReg == nil || r == NoReg {
-			return r
-		}
-		return mapReg(r)
-	}
 	for _, b := range blocks {
 		nb := bmap[b]
 		nb.Instrs = make([]Instr, len(b.Instrs))
 		for i := range b.Instrs {
 			ni := b.Instrs[i].Clone()
-			ni.Dst = remap(ni.Dst)
-			ni.A = remap(ni.A)
-			ni.B = remap(ni.B)
-			ni.C = remap(ni.C)
-			ni.Index = remap(ni.Index)
-			for j, a := range ni.Args {
-				ni.Args[j] = remap(a)
+			if mapReg != nil {
+				ni.MapUses(mapReg)
+				if d := ni.Def(); d != NoReg {
+					ni.Dst = mapReg(d)
+				}
 			}
 			nb.Instrs[i] = ni
 		}
 		nb.Term = CloneTerm(&b.Term, bmap)
-		nb.Term.Cond = remap(nb.Term.Cond)
-		nb.Term.Val = remap(nb.Term.Val)
+		if mapReg != nil {
+			nb.Term.MapUses(mapReg)
+		}
 	}
 	return bmap
 }

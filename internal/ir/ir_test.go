@@ -168,22 +168,34 @@ func TestRemoveUnreachable(t *testing.T) {
 
 func TestDominatorsDiamond(t *testing.T) {
 	f := buildDiamond(t)
-	idom := f.Dominators()
+	dt := f.DomTree()
 	b := f.Blocks
-	if idom[b[1]] != b[0] || idom[b[2]] != b[0] || idom[b[3]] != b[0] {
-		t.Fatalf("entry must dominate all: %v %v %v", idom[b[1]].ID, idom[b[2]].ID, idom[b[3]].ID)
+	if dt.Idom(b[0]) != b[0] {
+		t.Fatalf("entry must be its own idom, got %v", dt.Idom(b[0]))
 	}
-	if !Dominates(idom, b[0], b[3]) {
+	if dt.Idom(b[1]) != b[0] || dt.Idom(b[2]) != b[0] || dt.Idom(b[3]) != b[0] {
+		t.Fatalf("entry must dominate all: %v %v %v", dt.Idom(b[1]).ID, dt.Idom(b[2]).ID, dt.Idom(b[3]).ID)
+	}
+	if !dt.Dominates(b[0], b[3]) {
 		t.Fatal("entry should dominate join")
 	}
-	if Dominates(idom, b[1], b[3]) {
+	if dt.Dominates(b[1], b[3]) {
 		t.Fatal("left arm must not dominate join")
+	}
+	// A block added after the tree was built is outside it.
+	late := f.NewBlock()
+	late.Term = Terminator{Kind: TermReturn, Val: NoReg}
+	if dt.Reachable(late) || dt.Idom(late) != nil || dt.Dominates(b[0], late) || dt.Dominates(late, late) {
+		t.Fatal("a block the tree never saw must be unreachable and outside every dominance relation")
+	}
+	if f.DomTree().Reachable(late) {
+		t.Fatal("a block no edge reaches must be unreachable in a fresh tree too")
 	}
 }
 
 func TestNaturalLoops(t *testing.T) {
 	f := buildLoop(t)
-	loops := f.NaturalLoops()
+	loops, dt := f.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("want 1 loop, got %d", len(loops))
 	}
@@ -197,18 +209,17 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Blocks[f.Blocks[3]] {
 		t.Fatal("exit must not be in loop")
 	}
-	exits := l.Exits()
-	if len(exits) != 1 || exits[0] != f.Blocks[3] {
-		t.Fatalf("want single exit b3, got %v", exits)
-	}
 	if len(l.Latches) != 1 || l.Latches[0] != f.Blocks[2] {
 		t.Fatalf("want latch b2, got %v", l.Latches)
+	}
+	if !dt.Dominates(l.Header, l.Latches[0]) || dt.Dominates(l.Latches[0], l.Header) {
+		t.Fatal("the tree handed out with the loops must have the header dominate its latch, not the reverse")
 	}
 }
 
 func TestDiamondHasNoLoops(t *testing.T) {
 	f := buildDiamond(t)
-	if loops := f.NaturalLoops(); len(loops) != 0 {
+	if loops, _ := f.NaturalLoops(); len(loops) != 0 {
 		t.Fatalf("diamond should have no loops, got %d", len(loops))
 	}
 }

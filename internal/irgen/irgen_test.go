@@ -50,7 +50,7 @@ func TestLowerIfElseShape(t *testing.T) {
 func TestLowerWhileLoopShape(t *testing.T) {
 	p := lower(t, "m", `func main(n) { var i = 0; while (i < n) { i = i + 1; } return i; }`)
 	f := p.Funcs["main"]
-	loops := f.NaturalLoops()
+	loops, _ := f.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("want 1 natural loop, got %d:\n%s", len(loops), f)
 	}
@@ -59,7 +59,7 @@ func TestLowerWhileLoopShape(t *testing.T) {
 func TestLowerForLoopShape(t *testing.T) {
 	p := lower(t, "m", `func main(n) { var s = 0; for (var i = 0; i < n; i = i + 1) { s = s + i; } return s; }`)
 	f := p.Funcs["main"]
-	if len(f.NaturalLoops()) != 1 {
+	if loops, _ := f.NaturalLoops(); len(loops) != 1 {
 		t.Fatalf("for loop should form one natural loop:\n%s", f)
 	}
 }

@@ -22,6 +22,9 @@ type AnnotateStats struct {
 	QualitySum      float64 // sum of match qualities over Matched functions
 }
 
+// annotatePass: raw profile counts are not flow-conserved until inference.
+var annotatePass = registerPass("annotate", flowPerturbs, semStructural)
+
 // Annotate maps base (context-insensitive) function profiles onto the IR:
 // block weights, entry counts. For probe-keyed profiles, blocks match by
 // probe ID and a CFG-checksum mismatch rejects the whole function profile
@@ -29,9 +32,6 @@ type AnnotateStats struct {
 // the maximum count among their statements' line offsets; line profiles
 // carry no checksum, so drifted profiles silently annotate wrong blocks —
 // the failure mode pseudo-instrumentation eliminates.
-// annotatePass: raw profile counts are not flow-conserved until inference.
-var annotatePass = registerPass("annotate", flowPerturbs, semStructural)
-
 func Annotate(p *ir.Program, prof *profdata.Profile) AnnotateStats {
 	return AnnotateWithMatcher(p, prof, nil)
 }

@@ -2,36 +2,37 @@ package opt
 
 import "csspgo/internal/ir"
 
-// DCE removes pure instructions whose results are never used, iterating to
-// a fixed point. Probes, counters, stores and calls are never removed.
-// Returns the number of instructions deleted.
 // dcePass removes only pure unused instructions — the CFG, block weights and
 // edge weights are untouched, so flow conservation is preserved.
 var dcePass = registerPass("dce", flowPreserves, semStructural)
 
+// DCE removes pure instructions whose results are never used, iterating to
+// a fixed point. Probes, counters, stores and calls are never removed.
+// Returns the number of instructions deleted.
 func DCE(f *ir.Function) int {
 	removed := 0
 	for {
 		out := liveOut(f)
 		changed := false
-		for _, b := range f.Blocks {
-			live := out[b].clone()
-			termUses(&b.Term, live.set)
+		for bi, b := range f.Blocks {
+			live := out[bi].Clone()
+			markLive := setReg(live)
+			b.Term.Uses(markLive)
 			// Walk backwards, deleting dead pure defs.
 			kept := b.Instrs[:0]
 			// Collect deletions first (backward), then rebuild forward.
 			dead := make([]bool, len(b.Instrs))
 			for i := len(b.Instrs) - 1; i >= 0; i-- {
 				in := &b.Instrs[i]
-				d := def(in)
-				if !hasSideEffects(in) && d >= 0 && !live.has(d) {
+				d := in.Def()
+				if !in.HasSideEffects() && d != ir.NoReg && !live.Has(int(d)) {
 					dead[i] = true
 					continue
 				}
-				if d >= 0 {
-					live.clear(d)
+				if d != ir.NoReg {
+					live.Clear(int(d))
 				}
-				uses(in, live.set)
+				in.Uses(markLive)
 			}
 			for i := range b.Instrs {
 				if dead[i] {

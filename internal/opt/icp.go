@@ -182,6 +182,10 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 	_ = p
 }
 
+// icpPass splits blocks and adds compare/branch diamonds with estimated
+// weights — not flow-conserved until the next inference run.
+var icpPass = registerPass("icp", flowPerturbs, semRestructures)
+
 // ICPProgram promotes across the whole program. prof must be a flat
 // (context-insensitive) view of the input profile — callers pass a
 // flattened clone so context-sensitive inputs also feed target data.
@@ -190,10 +194,6 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 // -style): a site qualifies only when its dominant target's count reaches
 // the program's hot-count threshold, so exact (instrumentation) profiles
 // don't promote every lukewarm site just because their counts are precise.
-// icpPass splits blocks and adds compare/branch diamonds with estimated
-// weights — not flow-conserved until the next inference run.
-var icpPass = registerPass("icp", flowPerturbs, semRestructures)
-
 func ICPProgram(p *ir.Program, prof *profdata.Profile, params ICPParams) int {
 	if hot := hotCallThreshold(prof); hot > params.MinCount {
 		params.MinCount = hot

@@ -9,6 +9,9 @@ type IfConvertResult struct {
 	Blocked   int
 }
 
+// ifConvertPass collapses diamonds to selects, merging arm weights.
+var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
+
 // IfConvert flattens small diamonds (branch → two tiny pure arms → join)
 // into straight-line code with select instructions, removing a conditional
 // branch. This is a code-merge optimization:
@@ -22,9 +25,6 @@ type IfConvertResult struct {
 //   - BarrierNone: proceeds.
 //
 // maxArmInstrs bounds each arm's real instruction count.
-// ifConvertPass collapses diamonds to selects, merging arm weights.
-var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
-
 func IfConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) IfConvertResult {
 	var res IfConvertResult
 	for {
@@ -105,18 +105,8 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 				continue // weak barrier: arm probes dropped
 			}
 			// Remap uses of earlier arm defs.
-			remap := func(r ir.Reg) ir.Reg {
-				if nr, ok := rename[r]; ok {
-					return nr
-				}
-				return r
-			}
-			in.A = remapIf(in.A, remap)
-			in.B = remapIf(in.B, remap)
-			in.C = remapIf(in.C, remap)
-			in.Index = remapIf(in.Index, remap)
-			d := def(&in)
-			if d >= 0 {
+			in.MapUses(renamer(rename))
+			if d := in.Def(); d != ir.NoReg {
 				nd := f.NewReg()
 				rename[d] = nd
 				final[d] = nd
@@ -172,11 +162,4 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	removeBlock(f, t)
 	removeBlock(f, fb)
 	f.RebuildCFG()
-}
-
-func remapIf(r ir.Reg, remap func(ir.Reg) ir.Reg) ir.Reg {
-	if r == ir.NoReg {
-		return r
-	}
-	return remap(r)
 }

@@ -189,14 +189,14 @@ func appendSite(chain, site *ir.ProbeSite) *ir.ProbeSite {
 	return &out
 }
 
+// inlinePass grafts scaled callee CFGs into callers.
+var inlinePass = registerPass("inline", flowPerturbs, semRestructures)
+
 // BottomUpInline is the main (CGSCC-order) inliner: functions are visited
 // callees-first; call sites are inlined when the callee is small enough,
 // with a larger budget at profile-hot call sites and a token budget for
 // cold ones. ThinLTO partitioning is respected: cross-module callees
 // inline only when small enough to have been imported by summary.
-// inlinePass grafts scaled callee CFGs into callers.
-var inlinePass = registerPass("inline", flowPerturbs, semRestructures)
-
 func BottomUpInline(p *ir.Program, params InlineParams, profiled bool) int {
 	cg := ir.BuildCallGraph(p)
 	inlines := 0

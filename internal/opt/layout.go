@@ -125,12 +125,12 @@ func Layout(f *ir.Function) bool {
 	return true
 }
 
-// LayoutProgram lays out every function with a profile; returns how many
-// functions were reordered.
 // layoutPass only reorders blocks; weights and edges are untouched, so the
 // flow guarantee established by inference survives it.
 var layoutPass = registerPass("layout", flowPreserves, semStructural)
 
+// LayoutProgram lays out every function with a profile; returns how many
+// functions were reordered.
 func LayoutProgram(p *ir.Program) int {
 	n := 0
 	for _, f := range p.Functions() {

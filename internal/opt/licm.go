@@ -3,8 +3,12 @@ package opt
 import (
 	"sort"
 
+	"csspgo/internal/analysis"
 	"csspgo/internal/ir"
 )
+
+// licmPass may materialize preheader blocks without profile weights.
+var licmPass = registerPass("licm", flowPerturbs, semRestructures)
 
 // LICM hoists loop-invariant pure computation into a preheader — the
 // code-motion class of optimization that damages debug-info correlation:
@@ -19,13 +23,14 @@ import (
 // renamed chains, so whole invariant expression trees move out together.
 //
 // Returns the number of instructions hoisted.
-// licmPass may materialize preheader blocks without profile weights.
-var licmPass = registerPass("licm", flowPerturbs, semRestructures)
-
 func LICM(f *ir.Function) int {
 	hoisted := 0
-	for _, loop := range f.NaturalLoops() {
-		hoisted += licmLoop(f, loop)
+	// One dominator tree for every loop: hoisting moves instructions and
+	// ensurePreheader only puts a block on the edges entering a header,
+	// neither of which changes dominance between the blocks the tree knows.
+	loops, dt := f.NaturalLoops()
+	for _, loop := range loops {
+		hoisted += licmLoop(f, loop, dt)
 	}
 	if hoisted > 0 {
 		f.RebuildCFG()
@@ -33,14 +38,12 @@ func LICM(f *ir.Function) int {
 	return hoisted
 }
 
-func licmLoop(f *ir.Function, loop *ir.Loop) int {
-	idom := f.Dominators()
-
+func licmLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
 	// Registers defined anywhere in the loop.
 	defCount := map[ir.Reg]int{}
 	for b := range loop.Blocks {
 		for i := range b.Instrs {
-			if d := def(&b.Instrs[i]); d >= 0 {
+			if d := b.Instrs[i].Def(); d != ir.NoReg {
 				defCount[d]++
 			}
 		}
@@ -61,7 +64,7 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 
 	dominatesAllLatches := func(b *ir.Block) bool {
 		for _, l := range loop.Latches {
-			if !ir.Dominates(idom, b, l) {
+			if !dt.Dominates(b, l) {
 				return false
 			}
 		}
@@ -80,11 +83,13 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 	hoisted := 0
 	// Function block order, not map order: blocks hoist into one shared
 	// preheader, so the visiting order decides the emitted instruction order.
-	for _, b := range f.Blocks {
+	// liveouts covers the blocks there were when it was taken; a preheader
+	// appended since is outside the loop.
+	for i, b := range f.Blocks[:len(liveouts)] {
 		if !loop.Blocks[b] || !dominatesAllLatches(b) {
 			continue
 		}
-		hoisted += licmBlock(f, loop, b, defCount, storedGlobals, hasCalls, getPreheader, liveouts[b])
+		hoisted += licmBlock(f, loop, b, defCount, storedGlobals, hasCalls, getPreheader, liveouts[i])
 	}
 	return hoisted
 }
@@ -92,7 +97,7 @@ func licmLoop(f *ir.Function, loop *ir.Loop) int {
 // licmBlock hoists invariant chains out of one always-executed loop block.
 func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 	defCount map[ir.Reg]int, storedGlobals map[string]bool, hasCalls bool,
-	getPreheader func() *ir.Block, liveOutB regSet) int {
+	getPreheader func() *ir.Block, liveOutB analysis.BitSet) int {
 
 	// rename maps a register to its hoisted preheader copy, valid until the
 	// register's next non-hoisted definition in this block.
@@ -101,15 +106,13 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 	// block was hoisted (to decide on a residual move at the end).
 	lastHoisted := map[ir.Reg]bool{}
 
-	invariantOperand := func(r ir.Reg) bool {
-		if r == ir.NoReg {
-			return true
-		}
-		if _, ok := rename[r]; ok {
-			return true
-		}
-		return defCount[r] == 0
+	// A register is invariant when it holds a hoisted value or nothing in
+	// the loop writes it.
+	invariantReg := func(r ir.Reg) bool {
+		_, renamed := rename[r]
+		return renamed || defCount[r] == 0
 	}
+	renamed := renamer(rename)
 
 	hoistedCount := 0
 	kept := b.Instrs[:0]
@@ -117,24 +120,17 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 		in := b.Instrs[i]
 		invariant := false
 		switch in.Op {
-		case ir.OpConst, ir.OpFuncRef:
+		case ir.OpConst, ir.OpFuncRef, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect:
 			invariant = true
-		case ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect:
-			invariant = invariantOperand(in.A) && invariantOperand(in.B) && invariantOperand(in.C)
-			if in.Op != ir.OpBin && in.Op != ir.OpSelect {
-				invariant = invariantOperand(in.A)
-			}
-			if in.Op == ir.OpBin {
-				invariant = invariantOperand(in.A) && invariantOperand(in.B)
-			}
 		case ir.OpLoadG:
-			invariant = !storedGlobals[in.Global] && !hasCalls && invariantOperand(in.Index)
+			invariant = !storedGlobals[in.Global] && !hasCalls
 		}
-		d := def(&in)
-		if !invariant || d < 0 {
+		in.Uses(func(r ir.Reg) { invariant = invariant && invariantReg(r) })
+		d := in.Def()
+		if !invariant || d == ir.NoReg {
 			// Not hoisted: uses of renamed regs still see preheader copies.
-			remapUses(&in, rename)
-			if d >= 0 {
+			in.MapUses(renamed)
+			if d != ir.NoReg {
 				delete(rename, d)
 				lastHoisted[d] = false
 			}
@@ -143,7 +139,7 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 		}
 		ph := getPreheader()
 		if ph == nil {
-			remapUses(&in, rename)
+			in.MapUses(renamed)
 			delete(rename, d)
 			lastHoisted[d] = false
 			kept = append(kept, in)
@@ -152,7 +148,7 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 		// Hoist a renamed clone; keep the original Loc (code motion keeps
 		// the source line — the correlation hazard).
 		clone := in.Clone()
-		remapUses(&clone, rename)
+		clone.MapUses(renamed)
 		nr := f.NewReg()
 		clone.Dst = nr
 		ph.Instrs = append(ph.Instrs, clone)
@@ -163,7 +159,7 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 	b.Instrs = append([]ir.Instr(nil), kept...)
 
 	// Residual moves for hoisted values that are live out of the block.
-	termUses(&b.Term, func(r ir.Reg) {
+	b.Term.Uses(func(r ir.Reg) {
 		if nr, ok := rename[r]; ok && lastHoisted[r] {
 			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: nr})
 			delete(rename, r)
@@ -173,7 +169,7 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 	// but their order is the emitted instruction order.
 	var residual []ir.Reg
 	for r := range rename {
-		if lastHoisted[r] && liveOutB.has(r) {
+		if lastHoisted[r] && liveOutB.Has(int(r)) {
 			residual = append(residual, r)
 		}
 	}
@@ -184,38 +180,14 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 	return hoistedCount
 }
 
-func remapUses(in *ir.Instr, rename map[ir.Reg]ir.Reg) {
-	get := func(r ir.Reg) ir.Reg {
+// renamer returns the register mapping for ir's MapUses that follows
+// rename (as it stands at each call) and leaves other registers alone.
+func renamer(rename map[ir.Reg]ir.Reg) func(ir.Reg) ir.Reg {
+	return func(r ir.Reg) ir.Reg {
 		if nr, ok := rename[r]; ok {
 			return nr
 		}
 		return r
-	}
-	switch in.Op {
-	case ir.OpBin:
-		in.A, in.B = get(in.A), get(in.B)
-	case ir.OpNot, ir.OpNeg, ir.OpMove:
-		in.A = get(in.A)
-	case ir.OpSelect:
-		in.A, in.B, in.C = get(in.A), get(in.B), get(in.C)
-	case ir.OpLoadG:
-		if in.Index != ir.NoReg {
-			in.Index = get(in.Index)
-		}
-	case ir.OpStoreG:
-		in.A = get(in.A)
-		if in.Index != ir.NoReg {
-			in.Index = get(in.Index)
-		}
-	case ir.OpCall:
-		for i := range in.Args {
-			in.Args[i] = get(in.Args[i])
-		}
-	case ir.OpICall:
-		in.A = get(in.A)
-		for i := range in.Args {
-			in.Args[i] = get(in.Args[i])
-		}
 	}
 }
 

@@ -1,150 +1,73 @@
 package opt
 
-import "csspgo/internal/ir"
+import (
+	"csspgo/internal/analysis"
+	"csspgo/internal/ir"
+)
 
-// regSet is a dense bitset over a function's virtual registers.
-type regSet []uint64
-
-func newRegSet(n int) regSet { return make(regSet, (n+63)/64) }
-
-func (s regSet) set(r ir.Reg) {
-	if r >= 0 {
-		s[r/64] |= 1 << (uint(r) % 64)
-	}
+// setReg returns the visitor that adds a register to s, for ir's Uses.
+func setReg(s analysis.BitSet) func(ir.Reg) {
+	return func(r ir.Reg) { s.Set(int(r)) }
 }
 
-func (s regSet) has(r ir.Reg) bool {
-	return r >= 0 && s[r/64]&(1<<(uint(r)%64)) != 0
-}
-
-func (s regSet) clear(r ir.Reg) {
-	if r >= 0 {
-		s[r/64] &^= 1 << (uint(r) % 64)
-	}
-}
-
-// orInto merges o into s; reports whether s changed.
-func (s regSet) orInto(o regSet) bool {
-	changed := false
-	for i := range s {
-		nv := s[i] | o[i]
-		if nv != s[i] {
-			s[i] = nv
-			changed = true
-		}
-	}
-	return changed
-}
-
-func (s regSet) clone() regSet { return append(regSet(nil), s...) }
-
-// uses visits every register an instruction reads.
-func uses(in *ir.Instr, visit func(ir.Reg)) {
-	switch in.Op {
-	case ir.OpBin:
-		visit(in.A)
-		visit(in.B)
-	case ir.OpNot, ir.OpNeg, ir.OpMove:
-		visit(in.A)
-	case ir.OpSelect:
-		visit(in.A)
-		visit(in.B)
-		visit(in.C)
-	case ir.OpLoadG:
-		visit(in.Index)
-	case ir.OpStoreG:
-		visit(in.A)
-		visit(in.Index)
-	case ir.OpCall:
-		for _, a := range in.Args {
-			visit(a)
-		}
-	case ir.OpICall:
-		visit(in.A)
-		for _, a := range in.Args {
-			visit(a)
-		}
-	}
-}
-
-// def returns the register an instruction writes, or NoReg.
-func def(in *ir.Instr) ir.Reg {
-	switch in.Op {
-	case ir.OpConst, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect, ir.OpLoadG, ir.OpCall,
-		ir.OpFuncRef, ir.OpICall:
-		return in.Dst
-	}
-	return ir.NoReg
-}
-
-// hasSideEffects reports whether an instruction must be preserved even if
-// its result is unused.
-func hasSideEffects(in *ir.Instr) bool {
-	switch in.Op {
-	case ir.OpStoreG, ir.OpCall, ir.OpICall, ir.OpProbe, ir.OpCounter:
-		return true
-	}
-	return false
-}
-
-// termUses visits registers a terminator reads.
-func termUses(t *ir.Terminator, visit func(ir.Reg)) {
-	switch t.Kind {
-	case ir.TermBranch, ir.TermSwitch:
-		visit(t.Cond)
-	case ir.TermReturn:
-		visit(t.Val)
-	}
-}
-
-// liveOut computes per-block live-out register sets by backward iteration.
-func liveOut(f *ir.Function) map[*ir.Block]regSet {
-	in := map[*ir.Block]regSet{}
-	out := map[*ir.Block]regSet{}
+// liveOut computes every block's live-out register set by backward
+// iteration to a fixed point. The result is indexed by block position in
+// f.Blocks.
+func liveOut(f *ir.Function) []analysis.BitSet {
+	n := len(f.Blocks)
+	// Block position by block ID, for following successor edges.
+	maxID := 0
 	for _, b := range f.Blocks {
-		in[b] = newRegSet(f.NRegs)
-		out[b] = newRegSet(f.NRegs)
+		maxID = max(maxID, b.ID)
 	}
-	// use/def per block.
-	useB := map[*ir.Block]regSet{}
-	defB := map[*ir.Block]regSet{}
-	for _, b := range f.Blocks {
-		u, d := newRegSet(f.NRegs), newRegSet(f.NRegs)
-		for i := range b.Instrs {
-			uses(&b.Instrs[i], func(r ir.Reg) {
-				if r >= 0 && !d.has(r) {
-					u.set(r)
-				}
-			})
-			if dr := def(&b.Instrs[i]); dr >= 0 {
-				d.set(dr)
+	pos := make([]int, maxID+1)
+	for i, b := range f.Blocks {
+		pos[b.ID] = i
+	}
+
+	// Four tables of n sets each, carved from one allocation.
+	words := (f.NRegs + 63) / 64
+	slab := make(analysis.BitSet, 4*n*words)
+	table := func() []analysis.BitSet {
+		t := make([]analysis.BitSet, n)
+		for i := range t {
+			t[i], slab = slab[:words:words], slab[words:]
+		}
+		return t
+	}
+	in, out, use, def := table(), table(), table(), table()
+
+	// use: read before any write in the block; def: written in the block.
+	for i, b := range f.Blocks {
+		u, d := use[i], def[i]
+		upward := func(r ir.Reg) {
+			if !d.Has(int(r)) {
+				u.Set(int(r))
 			}
 		}
-		termUses(&b.Term, func(r ir.Reg) {
-			if r >= 0 && !d.has(r) {
-				u.set(r)
+		for j := range b.Instrs {
+			b.Instrs[j].Uses(upward)
+			if dr := b.Instrs[j].Def(); dr != ir.NoReg {
+				d.Set(int(dr))
 			}
-		})
-		useB[b], defB[b] = u, d
+		}
+		b.Term.Uses(upward)
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			o := out[b]
-			for _, s := range b.Term.Succs {
-				if o.orInto(in[s]) {
+		for i := n - 1; i >= 0; i-- {
+			o := out[i]
+			for _, s := range f.Blocks[i].Term.Succs {
+				if o.Union(in[pos[s.ID]]) {
 					changed = true
 				}
 			}
-			// in = use ∪ (out − def)
-			ni := o.clone()
-			for w := range ni {
-				ni[w] &^= defB[b][w]
-				ni[w] |= useB[b][w]
-			}
-			if in[b].orInto(ni) {
-				changed = true
+			// in = use ∪ (out − def); in only ever grows.
+			for w := range o {
+				if nv := in[i][w] | use[i][w] | o[w]&^def[i][w]; nv != in[i][w] {
+					in[i][w] = nv
+					changed = true
+				}
 			}
 		}
 	}

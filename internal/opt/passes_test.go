@@ -167,7 +167,7 @@ func main(n) {
 		t.Fatal(err)
 	}
 	// The loop body must no longer contain the hoisted constants.
-	loops := f.NaturalLoops()
+	loops, _ := f.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatalf("loop destroyed: %d", len(loops))
 	}
@@ -188,7 +188,7 @@ func main(n) {
 	// s and i change every iteration: the adds must stay. Constants used
 	// by compares may hoist; the OpBin on loop-variant regs must not.
 	LICM(f)
-	loops := f.NaturalLoops()
+	loops, _ := f.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatal("loop destroyed")
 	}

@@ -6,6 +6,9 @@ import (
 	"csspgo/internal/stale"
 )
 
+// sampleInlinePass rewrites caller CFGs from context profiles.
+var sampleInlinePass = registerPass("sample-inline", flowPerturbs, semRestructures)
+
 // SampleInlineCS is the CSSPGO top-down sample-loader inliner. Functions
 // are visited callers-first. While compiling F, the profile's contexts
 // rooted at F ("F:site @ callee …") drive inlining: a retained context
@@ -20,9 +23,6 @@ import (
 // Returns the number of call sites inlined; stale-context rejections are
 // counted into st (which may be nil). A non-nil matcher lets stale contexts
 // degrade via anchor matching instead of merging straight into the base.
-// sampleInlinePass rewrites caller CFGs from context profiles.
-var sampleInlinePass = registerPass("sample-inline", flowPerturbs, semRestructures)
-
 func SampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st *Stats) int {
 	if !prof.CS || len(prof.Contexts) == 0 {
 		return 0

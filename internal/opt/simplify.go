@@ -10,16 +10,16 @@ type SimplifyResult struct {
 	TailMergeBlocked int // merges prevented by probe/counter barriers
 }
 
+// simplifyPass merges chains and removes empty blocks, folding weights in
+// ways that do not keep edge flows conserved.
+var simplifyPass = registerPass("simplify-cfg", flowPerturbs, semRestructures)
+
 // SimplifyCFG collapses straight-line chains, removes trivially empty
 // blocks and — when enabled — merges identical block tails (the code-merge
 // optimization the paper names as a profile-quality hazard). barrier
 // controls whether probes block tail merging: with BarrierWeak or
 // BarrierStrong, blocks whose tails differ only by probe identity do not
 // merge (the probes' distinct signatures preserve original control flow).
-// simplifyPass merges chains and removes empty blocks, folding weights in
-// ways that do not keep edge flows conserved.
-var simplifyPass = registerPass("simplify-cfg", flowPerturbs, semRestructures)
-
 func SimplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) SimplifyResult {
 	var res SimplifyResult
 	for {

@@ -35,10 +35,10 @@ func Split(f *ir.Function) int {
 	return n
 }
 
-// SplitProgram splits every function; returns total blocks marked cold.
 // splitPass only re-sections and reorders blocks; weights are untouched.
 var splitPass = registerPass("split", flowPreserves, semStructural)
 
+// SplitProgram splits every function; returns total blocks marked cold.
 func SplitProgram(p *ir.Program) int {
 	n := 0
 	for _, f := range p.Functions() {

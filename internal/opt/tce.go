@@ -2,14 +2,14 @@ package opt
 
 import "csspgo/internal/ir"
 
+// tcePass only flags calls as tail calls; the CFG is untouched.
+var tcePass = registerPass("tce", flowPreserves, semStructural)
+
 // TCE marks tail calls: a call whose result immediately feeds the block's
 // return becomes a frame-reusing transfer. Tail-call elimination is the
 // optimization that breaks frame-pointer stack sampling (the returning
 // function's caller frame disappears), exercising the profiler's
 // missing-frame inferrer. Returns the number of calls marked.
-// tcePass only flags calls as tail calls; the CFG is untouched.
-var tcePass = registerPass("tce", flowPreserves, semStructural)
-
 func TCE(f *ir.Function) int {
 	marked := 0
 	for _, b := range f.Blocks {

@@ -13,6 +13,9 @@ type UnrollParams struct {
 	HotWeight uint64
 }
 
+// unrollPass replicates loop bodies and rescales weights heuristically.
+var unrollPass = registerPass("unroll", flowPerturbs, semRestructures)
+
 // Unroll performs exit-check unrolling of simple two-block loops
 // (header: cond-branch {body, exit}; body: … jump header): the body and
 // header test are replicated Factor-1 times, so each trip through the
@@ -24,15 +27,13 @@ type UnrollParams struct {
 // weights are divided by Factor to maintain the profile.
 //
 // Returns the number of loops unrolled.
-// unrollPass replicates loop bodies and rescales weights heuristically.
-var unrollPass = registerPass("unroll", flowPerturbs, semRestructures)
-
 func Unroll(f *ir.Function, p UnrollParams) int {
 	if p.Factor < 2 {
 		return 0
 	}
 	unrolled := 0
-	for _, loop := range f.NaturalLoops() {
+	loops, _ := f.NaturalLoops()
+	for _, loop := range loops {
 		if unrollLoop(f, loop, p) {
 			unrolled++
 		}
