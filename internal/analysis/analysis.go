@@ -1,9 +1,10 @@
 // Package analysis is a reusable static-analysis framework over the IR,
-// plus the lint suite built on it: dominator trees, a generic forward
-// dataflow solver, reaching definitions and definite assignment powering a
-// use-before-def lint, an unreachable-block lint, a flow-conservation
-// (Kirchhoff) checker validating what profile inference claims to restore,
-// a probe-placement lint, and a profile lint over profdata.Profile.
+// plus the lint suite built on it: a generic forward dataflow solver over
+// bit sets, reaching definitions and definite assignment powering a
+// use-before-def lint, an unreachable-block lint (over ir's dominator
+// tree), a flow-conservation (Kirchhoff) checker validating what profile
+// inference claims to restore, a probe-placement lint, and a profile lint
+// over profdata.Profile.
 //
 // The optimizer's checked pipeline mode (opt.Config.VerifyEach) runs this
 // suite after every pass and attributes the first violation to the

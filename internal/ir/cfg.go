@@ -69,7 +69,7 @@ func (f *Function) DomTree() *DomTree {
 	f.RebuildCFG()
 	rpo := f.ReachableOrder()
 	maxID := 0
-	for _, b := range rpo {
+	for _, b := range f.Blocks {
 		maxID = max(maxID, b.ID)
 	}
 	// Reverse post-order position by block ID; -1 = unreachable.
@@ -79,12 +79,6 @@ func (f *Function) DomTree() *DomTree {
 	}
 	for i, b := range rpo {
 		pos[b.ID] = int32(i)
-	}
-	posOf := func(b *Block) int32 {
-		if b.ID > maxID {
-			return -1
-		}
-		return pos[b.ID]
 	}
 
 	// idom by RPO position; -1 = not computed yet.
@@ -109,7 +103,7 @@ func (f *Function) DomTree() *DomTree {
 		for i := 1; i < len(rpo); i++ {
 			next := int32(-1)
 			for _, p := range rpo[i].Preds {
-				pi := posOf(p)
+				pi := pos[p.ID]
 				if pi < 0 || idom[pi] < 0 {
 					continue
 				}

@@ -16,7 +16,7 @@ func DCE(f *ir.Function) int {
 		changed := false
 		for bi, b := range f.Blocks {
 			live := out[bi].Clone()
-			markLive := setReg(live)
+			markLive := func(r ir.Reg) { live.Set(int(r)) }
 			b.Term.Uses(markLive)
 			// Walk backwards, deleting dead pure defs.
 			kept := b.Instrs[:0]

@@ -98,6 +98,7 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	// Rename arm defs into fresh registers, tracking final value per dest.
 	emitArm := func(src *ir.Block) map[ir.Reg]ir.Reg {
 		rename := map[ir.Reg]ir.Reg{}
+		renamed := renamer(rename)
 		final := map[ir.Reg]ir.Reg{}
 		for i := range src.Instrs {
 			in := src.Instrs[i].Clone()
@@ -105,7 +106,7 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 				continue // weak barrier: arm probes dropped
 			}
 			// Remap uses of earlier arm defs.
-			in.MapUses(renamer(rename))
+			in.MapUses(renamed)
 			if d := in.Def(); d != ir.NoReg {
 				nd := f.NewReg()
 				rename[d] = nd

@@ -5,11 +5,6 @@ import (
 	"csspgo/internal/ir"
 )
 
-// setReg returns the visitor that adds a register to s, for ir's Uses.
-func setReg(s analysis.BitSet) func(ir.Reg) {
-	return func(r ir.Reg) { s.Set(int(r)) }
-}
-
 // liveOut computes every block's live-out register set by backward
 // iteration to a fixed point. The result is indexed by block position in
 // f.Blocks.

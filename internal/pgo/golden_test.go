@@ -27,10 +27,9 @@ import (
 // variant, "program variant fnv64 summary", where the hash is over
 // machine.Prog.String() followed by every instruction, symbol and probe
 // record of the binary Pipeline builds (the summary alone is six section
-// sizes). It was written at 9a30658, before ir took over the operand model
-// and the dominator tree, and an optimizer refactor must leave it
-// byte-identical. UPDATE_GOLDEN=1 rewrites a program's lines, only for a
-// change that means to move the optimizer's output.
+// sizes). A refactor of ir, opt or codegen must leave it byte-identical;
+// UPDATE_GOLDEN=1 rewrites a program's lines, only for a change that means
+// to move the emitted code.
 const codeDigestFile = "testdata/golden/code.digest"
 
 // codeDigest renders bin's digest and summary as they appear in the file.

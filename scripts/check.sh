@@ -59,19 +59,11 @@ echo "== simulator contract (golden counts + allocation gate, then one pass of B
 go test ./internal/sim -run 'Golden|SteadyStateAllocs' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
-echo "== go test -race (profile-generation worker pool + metric registry + profile serving + fleet aggregation + fleet fault harness)"
-go test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments
+echo "== go test -race (the Makefile's race lane)"
+make race
 
-echo "== fuzz smoke (profile readers + folded codec, 5s per target)"
-# One target per invocation: go test rejects -fuzz patterns matching
-# multiple fuzz targets in a package.
-for target in FuzzReadText FuzzReadBinary; do
-	go test ./internal/profdata -run="^$target\$" -fuzz="^$target\$" -fuzztime=5s
-done
-go test ./internal/introspect -run='^FuzzFoldedText$' -fuzz='^FuzzFoldedText$' -fuzztime=5s
-go test ./internal/opt -run='^FuzzTranslationValidate$' -fuzz='^FuzzTranslationValidate$' -fuzztime=5s
-go test ./internal/sampling -run='^FuzzChunkedDispatcher$' -fuzz='^FuzzChunkedDispatcher$' -fuzztime=5s
-go test ./internal/obs -run='^FuzzParseTraceparent$' -fuzz='^FuzzParseTraceparent$' -fuzztime=5s
+echo "== fuzz smoke (the Makefile's fuzz lane: one 5s burst per target)"
+make fuzz
 
 echo "== csspgo lint (examples)"
 go build -o bin/csspgo ./cmd/csspgo
@@ -91,7 +83,7 @@ done
 echo "== miscompile-injection matrix (every injected bug must be caught + attributed)"
 tvsrc=examples/quickstart/app.ml
 for kind in drop-branch swap-successors effectful-probe drop-store clobber-return; do
-	for pass in dce simplify-cfg; do
+	for pass in dce simplify-cfg licm unroll; do
 		if out=$(bin/csspgo lint -tv -inject "$kind@$pass" "$tvsrc" 2>&1); then
 			echo "tv missed injected $kind@$pass" >&2
 			echo "$out" >&2
