@@ -2,10 +2,10 @@ package csspgo
 
 // Micro-benchmarks of the substrates with no other home (run with
 // `go test -bench=. -benchmem`): the unwinder, the profile-generation worker
-// pool and its streaming engine, MCF inference, and one full CSSPGO
-// pipeline. The simulator's is internal/sim's BenchmarkRun; the paper's
-// tables and figures are cmd/experiments; the gated end-to-end numbers are
-// bench/ (BENCHMARK.json).
+// pool and its streaming engine, MCF inference, one full CSSPGO pipeline,
+// and pgo.Build alone. The simulator's is internal/sim's BenchmarkRun; the
+// paper's tables and figures are cmd/experiments; the gated end-to-end
+// numbers are bench/ (BENCHMARK.json).
 
 import (
 	"fmt"
@@ -13,12 +13,15 @@ import (
 	"testing"
 	"time"
 
+	"csspgo/internal/drift"
 	"csspgo/internal/inference"
 	"csspgo/internal/machine"
 	"csspgo/internal/obs"
 	"csspgo/internal/pgo"
+	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
 	"csspgo/internal/sim"
+	"csspgo/internal/source"
 	"csspgo/internal/workloads"
 )
 
@@ -211,5 +214,52 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 		if _, _, err := pgo.Pipeline(w.Files, pgo.FullCS, w.Train); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuild measures pgo.Build alone — the compile path the benchmark's
+// build-bound and stale-rebuild workloads time — on adfinder and hhvm, with
+// allocations: train is the probed build no profile guides, use the rebuild
+// from the program's own FullCS profile, stale the rebuild of the
+// InsertStmts-drifted source from the pristine profile through the stale
+// matcher. Its allocation twins in tier-1 are internal/pgo's
+// TestBuildAllocCeiling, internal/ir's TestVerifyAllocs and internal/opt's
+// TestDCEConvergedAllocs.
+func BenchmarkBuild(b *testing.B) {
+	type input struct {
+		w     *workloads.Workload
+		prof  *profdata.Profile
+		stale []*source.File
+	}
+	var inputs []input
+	for _, name := range []string{"adfinder", "hhvm"} {
+		w, err := workloads.Load(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, prof, err := pgo.Pipeline(w.Files, pgo.FullCS, w.Train)
+		if err != nil {
+			b.Fatal(err)
+		}
+		inputs = append(inputs, input{w, prof, drift.Apply(w.Files, drift.InsertStmts, 1)})
+	}
+	for _, mode := range []string{"train", "use", "stale"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, in := range inputs {
+					files, cfg := in.w.Files, pgo.BuildConfig{Probes: true}
+					if mode != "train" {
+						cfg.Profile, cfg.UsePreInlineDecisions = in.prof, true
+					}
+					if mode == "stale" {
+						files, cfg.StaleMatching = in.stale, true
+					}
+					if _, err := pgo.Build(files, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -153,3 +153,55 @@ func TestDomTreeMatchesReferenceOnRandomCFGs(t *testing.T) {
 		}
 	}
 }
+
+// referenceReachableOrder is ReachableOrder as it stood before it walked
+// with an explicit stack over a block-ID table: a recursive closure over a
+// map keyed by block.
+func referenceReachableOrder(f *Function) []*Block {
+	seen := make(map[*Block]bool, len(f.Blocks))
+	var post []*Block
+	var dfs func(b *Block)
+	dfs = func(b *Block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.Term.Succs {
+			dfs(s)
+		}
+		post = append(post, b)
+	}
+	dfs(f.Entry())
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
+	}
+	return post
+}
+
+// CheckReachableOrder holds f.ReachableOrder() to the reference: the same
+// blocks in the same order. Exported to the corpus test in package ir_test.
+func CheckReachableOrder(t testing.TB, f *Function) {
+	t.Helper()
+	want, got := referenceReachableOrder(f), f.ReachableOrder()
+	if len(got) != len(want) {
+		t.Errorf("%s: ReachableOrder has %d blocks, reference says %d", f.Name, len(got), len(want))
+		return
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: ReachableOrder[%d] = b%d, reference says b%d", f.Name, i, got[i].ID, want[i].ID)
+			return
+		}
+	}
+}
+
+func TestReachableOrderMatchesReferenceOnRandomCFGs(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 400; i++ {
+		f := randomCFG(rng, 1+rng.Intn(40))
+		CheckReachableOrder(t, f)
+		if t.Failed() {
+			t.Fatalf("cfg %d:\n%s", i, f)
+		}
+	}
+}

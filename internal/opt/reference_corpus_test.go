@@ -1,4 +1,4 @@
-package ir_test
+package opt_test
 
 import (
 	"os"
@@ -6,27 +6,30 @@ import (
 	"strings"
 	"testing"
 
-	"csspgo/internal/ir"
+	"csspgo/internal/opt"
 	"csspgo/internal/pgo"
 	"csspgo/internal/source"
 	"csspgo/internal/workloads"
 )
 
-// TestDomTreeMatchesReferenceOnCorpus runs ir.CheckDomTree and
-// ir.CheckReachableOrder over every function of the 14-program corpus (the
-// 7 workloads and the 7 examples/ modules) as opt.Optimize leaves it,
-// without a profile and with the full CSSPGO one (the pipelines live above
-// package ir, hence the external test package).
-func TestDomTreeMatchesReferenceOnCorpus(t *testing.T) {
+// TestDCEAndLICMMatchReferenceOnCorpus holds DCE and LICM to the references
+// in reference_test.go on every function of the 14-program corpus (the 7
+// workloads and the 7 examples/ modules), taken at the points the passes
+// run inside opt.Optimize, without a profile and with the full CSSPGO one
+// (the pipelines live above package opt, hence the external test package).
+func TestDCEAndLICMMatchReferenceOnCorpus(t *testing.T) {
 	check := func(t *testing.T, files []*source.File, train [][]int64) {
-		for _, v := range []pgo.Variant{pgo.Baseline, pgo.FullCS} {
-			res, _, err := pgo.Pipeline(files, v, train)
-			if err != nil {
+		_, prof, err := pgo.Pipeline(files, pgo.FullCS, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []pgo.BuildConfig{
+			{},
+			{Probes: true, Profile: prof, UsePreInlineDecisions: true},
+		} {
+			cfg.InjectAfter = opt.ReferenceHooks(t)
+			if _, err := pgo.Build(files, cfg); err != nil {
 				t.Fatal(err)
-			}
-			for _, f := range res.IR.Functions() {
-				ir.CheckDomTree(t, f)
-				ir.CheckReachableOrder(t, f)
 			}
 		}
 	}
