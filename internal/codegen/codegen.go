@@ -31,11 +31,14 @@ const (
 	fixFunc
 )
 
+// fixup is a control-flow target to patch once addresses are known: the
+// mark of a block (an index into lowerer.blockMark) or the start of a
+// function (an index into the program's definition order).
 type fixup struct {
-	instr int
-	kind  fixupKind
-	block *ir.Block
-	fn    string
+	instr  int
+	kind   fixupKind
+	target int
+	block  *ir.Block // fixBlock: the target, for the diagnostic
 }
 
 type probeMark struct {
@@ -47,13 +50,17 @@ type lowerer struct {
 	prog *ir.Program
 	opts Options
 
-	out        []machine.Instr
-	fixups     []fixup
-	blockMark  map[*ir.Block]int
-	funcHotLo  map[string]int
-	funcHotHi  map[string]int
-	funcColdLo map[string]int
-	funcColdHi map[string]int
+	out    []machine.Instr
+	fixups []fixup
+	// blockMark is the index in out of each block's first instruction, -1
+	// while unplaced: function i's block b is at markBase[i]+b.ID.
+	blockMark []int
+	markBase  []int
+	cur       int // index of the function being emitted
+	// hot and cold are each function's [lo, hi) range in out, by function
+	// index.
+	hot, cold  [][2]int
+	argRegs    []int32 // every call's ArgRegs is carved from this
 	probeMarks []probeMark
 	pending    []*ir.Probe
 
@@ -66,16 +73,16 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	if err := p.Verify(); err != nil {
 		return nil, fmt.Errorf("codegen: input IR invalid: %w", err)
 	}
+	funcs := p.Functions()
 	lw := &lowerer{
-		prog:       p,
-		opts:       opts,
-		blockMark:  map[*ir.Block]int{},
-		funcHotLo:  map[string]int{},
-		funcHotHi:  map[string]int{},
-		funcColdLo: map[string]int{},
-		funcColdHi: map[string]int{},
-		counters:   map[machine.CounterKey]int32{},
+		prog:     p,
+		opts:     opts,
+		markBase: make([]int, len(funcs)),
+		hot:      make([][2]int, len(funcs)),
+		cold:     make([][2]int, len(funcs)),
+		counters: map[machine.CounterKey]int32{},
 	}
+	lw.size(funcs)
 
 	// Globals layout.
 	goff := map[string]int32{}
@@ -95,15 +102,17 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	}
 
 	// Emit all hot parts, then all cold parts.
-	for _, f := range p.Functions() {
-		lw.funcHotLo[f.Name] = len(lw.out)
+	for i, f := range funcs {
+		lw.cur = i
+		lw.hot[i][0] = len(lw.out)
 		lw.emitBlocks(f, fnID, goff, false)
-		lw.funcHotHi[f.Name] = len(lw.out)
+		lw.hot[i][1] = len(lw.out)
 	}
-	for _, f := range p.Functions() {
-		lw.funcColdLo[f.Name] = len(lw.out)
+	for i, f := range funcs {
+		lw.cur = i
+		lw.cold[i][0] = len(lw.out)
 		lw.emitBlocks(f, fnID, goff, true)
-		lw.funcColdHi[f.Name] = len(lw.out)
+		lw.cold[i][1] = len(lw.out)
 	}
 
 	// Assign addresses.
@@ -128,22 +137,23 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 		GlobalOff:  goff,
 		Checksums:  map[string]uint64{},
 	}
-	for _, name := range p.Order {
-		f := p.Funcs[name]
+	mp.Funcs = make([]*machine.Func, 0, len(funcs))
+	for i, f := range funcs {
+		name := f.Name
 		mf := &machine.Func{
-			ID:        fnID[name],
+			ID:        int32(i),
 			Name:      name,
 			GUID:      f.GUID,
 			Module:    f.Module,
-			Start:     addrOfMark(lw.funcHotLo[name]),
-			End:       addrOfMark(lw.funcHotHi[name]),
+			Start:     addrOfMark(lw.hot[i][0]),
+			End:       addrOfMark(lw.hot[i][1]),
 			NumRegs:   int32(f.NRegs) + 2, // +2 switch-lowering scratch
 			NumParams: int32(len(f.Params)),
 			StartLine: f.StartLine,
 		}
-		if lw.funcColdHi[name] > lw.funcColdLo[name] {
-			mf.ColdStart = addrOfMark(lw.funcColdLo[name])
-			mf.ColdEnd = addrOfMark(lw.funcColdHi[name])
+		if lw.cold[i][1] > lw.cold[i][0] {
+			mf.ColdStart = addrOfMark(lw.cold[i][0])
+			mf.ColdEnd = addrOfMark(lw.cold[i][1])
 		}
 		mp.Funcs = append(mp.Funcs, mf)
 		mp.FuncByName[name] = mf
@@ -163,18 +173,19 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	for _, fx := range lw.fixups {
 		switch fx.kind {
 		case fixBlock:
-			mark, ok := lw.blockMark[fx.block]
-			if !ok {
+			mark := lw.blockMark[fx.target]
+			if mark < 0 {
 				return nil, fmt.Errorf("codegen: unplaced block b%d", fx.block.ID)
 			}
 			lw.out[fx.instr].Target = addrOfMark(mark)
 		case fixFunc:
-			lw.out[fx.instr].Target = mp.FuncByName[fx.fn].Start
+			lw.out[fx.instr].Target = mp.Funcs[fx.target].Start
 		}
 	}
 
 	// Materialize probe metadata.
 	if !opts.StripProbeMeta {
+		mp.Probes = make([]machine.ProbeRec, 0, len(lw.probeMarks))
 		for _, pm := range lw.probeMarks {
 			anchor := pm.instr
 			if anchor >= len(lw.out) {
@@ -202,24 +213,91 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	return mp, nil
 }
 
+// size allocates what Lower fills, once, at the size the IR says it will
+// have: out at the machine instructions every IR instruction and terminator
+// lowers to at most (a branch whose successors both need a jump, a switch's
+// compare-and-branch chain), the fixups, the block marks by function and
+// block ID, the call arguments and the probe marks.
+func (lw *lowerer) size(funcs []*ir.Function) {
+	var instrs, fixups, marks, args, probes int
+	for i, f := range funcs {
+		lw.markBase[i] = marks
+		maxID := 0
+		for _, b := range f.Blocks {
+			maxID = max(maxID, b.ID)
+			for ii := range b.Instrs {
+				in := &b.Instrs[ii]
+				if in.Probe != nil {
+					probes++
+				}
+				switch in.Op {
+				case ir.OpProbe:
+					if lw.opts.Instrument {
+						instrs++
+					}
+					continue
+				case ir.OpCall:
+					fixups++
+					args += len(in.Args)
+				case ir.OpICall:
+					args += len(in.Args)
+				}
+				instrs++
+			}
+			switch t := &b.Term; t.Kind {
+			case ir.TermBranch:
+				instrs += 2
+			case ir.TermSwitch:
+				instrs += 3*len(t.Cases) + 1
+			default:
+				instrs++
+			}
+			fixups += len(b.Term.Succs)
+		}
+		marks += maxID + 1
+	}
+	lw.out = make([]machine.Instr, 0, instrs)
+	lw.fixups = make([]fixup, 0, fixups)
+	lw.blockMark = make([]int, marks)
+	for i := range lw.blockMark {
+		lw.blockMark[i] = -1
+	}
+	lw.argRegs = make([]int32, args)
+	lw.probeMarks = make([]probeMark, 0, probes)
+}
+
+// args carves a call's argument registers from the slab size counted them
+// into.
+func (lw *lowerer) args(regs []ir.Reg) []int32 {
+	out := lw.argRegs[:len(regs):len(regs)]
+	lw.argRegs = lw.argRegs[len(regs):]
+	for i, a := range regs {
+		out[i] = int32(a)
+	}
+	return out
+}
+
 // emitBlocks lowers the function's hot (cold=false) or cold (cold=true)
 // blocks, in their current layout order.
 func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[string]int32, cold bool) {
-	var blocks []*ir.Block
-	for _, b := range f.Blocks {
-		if b.Cold == cold {
-			blocks = append(blocks, b)
+	// nextIn returns the first block of the section at or after position i.
+	nextIn := func(i int) *ir.Block {
+		for ; i < len(f.Blocks); i++ {
+			if f.Blocks[i].Cold == cold {
+				return f.Blocks[i]
+			}
 		}
+		return nil
 	}
 	scratch1 := int32(f.NRegs)
 	scratch2 := int32(f.NRegs) + 1
 
-	for bi, b := range blocks {
-		lw.blockMark[b] = len(lw.out)
-		var next *ir.Block
-		if bi+1 < len(blocks) {
-			next = blocks[bi+1]
+	for bi, b := range f.Blocks {
+		if b.Cold != cold {
+			continue
 		}
+		lw.blockMark[lw.markBase[lw.cur]+b.ID] = len(lw.out)
+		next := nextIn(bi + 1)
 		tailCalled := false
 		var tailDst ir.Reg = ir.NoReg
 
@@ -257,12 +335,8 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 				if in.Probe != nil {
 					lw.pending = append(lw.pending, in.Probe)
 				}
-				iargs := make([]int32, len(in.Args))
-				for i, a := range in.Args {
-					iargs[i] = int32(a)
-				}
 				lw.emit(machine.Instr{Kind: machine.KICall, Dst: int32(in.Dst),
-					A: int32(in.A), ArgRegs: iargs, Loc: in.Loc})
+					A: int32(in.A), ArgRegs: lw.args(in.Args), Loc: in.Loc})
 			case ir.OpCall:
 				// Call probe is metadata on the call's own address.
 				kind := machine.KCall
@@ -274,14 +348,10 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 				if in.Probe != nil {
 					lw.pending = append(lw.pending, in.Probe)
 				}
-				args := make([]int32, len(in.Args))
-				for i, a := range in.Args {
-					args[i] = int32(a)
-				}
 				idx := len(lw.out)
 				lw.emit(machine.Instr{Kind: kind, Dst: int32(in.Dst),
-					CalleeID: fnID[in.Callee], ArgRegs: args, Loc: in.Loc})
-				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, fn: in.Callee})
+					CalleeID: fnID[in.Callee], ArgRegs: lw.args(in.Args), Loc: in.Loc})
+				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(fnID[in.Callee])})
 			case ir.OpCounter:
 				lw.emit(machine.Instr{Kind: machine.KCounter, CounterID: int32(in.Value), Loc: in.Loc})
 			}
@@ -370,11 +440,17 @@ func (lw *lowerer) emitProbe(p *ir.Probe) {
 func (lw *lowerer) emitJump(to *ir.Block, loc *ir.Loc) {
 	idx := len(lw.out)
 	lw.emit(machine.Instr{Kind: machine.KJump, Loc: loc})
-	lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixBlock, block: to})
+	lw.fixups = append(lw.fixups, lw.blockFixup(idx, to))
+}
+
+// blockFixup is the fixup of instruction idx to a block of the function
+// being emitted.
+func (lw *lowerer) blockFixup(idx int, to *ir.Block) fixup {
+	return fixup{instr: idx, kind: fixBlock, target: lw.markBase[lw.cur] + to.ID, block: to}
 }
 
 func (lw *lowerer) emitBranch(cond int32, to *ir.Block, neg bool, loc *ir.Loc) {
 	idx := len(lw.out)
 	lw.emit(machine.Instr{Kind: machine.KBranch, A: cond, BranchNeg: neg, Loc: loc})
-	lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixBlock, block: to})
+	lw.fixups = append(lw.fixups, lw.blockFixup(idx, to))
 }

@@ -6,6 +6,38 @@ func (f *Function) RebuildCFG() {
 	for _, b := range f.Blocks {
 		b.Preds = b.Preds[:0]
 	}
+	// The lists as they are usually have the room: nothing is allocated.
+	edges, fits := 0, true
+	for _, b := range f.Blocks {
+		edges += len(b.Term.Succs)
+		for _, s := range b.Term.Succs {
+			if len(s.Preds) == cap(s.Preds) {
+				fits = false
+				continue
+			}
+			s.Preds = append(s.Preds, b)
+		}
+	}
+	if fits {
+		return
+	}
+	// One did not: count in-degrees by block ID and carve every block's
+	// list from one slab. The counts only size the lists — what fills them
+	// is append, in the same edge order as above, so a successor the
+	// function does not hold (Verify's business) just grows its own.
+	deg := make([]int32, f.maxBlockID()+1)
+	for _, b := range f.Blocks {
+		for _, s := range b.Term.Succs {
+			if s.ID >= 0 && s.ID < len(deg) {
+				deg[s.ID]++
+			}
+		}
+	}
+	slab := make([]*Block, edges)
+	for _, b := range f.Blocks {
+		n := min(int(deg[b.ID]), len(slab))
+		b.Preds, slab = slab[:0:n], slab[n:]
+	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Term.Succs {
 			s.Preds = append(s.Preds, b)
@@ -13,27 +45,63 @@ func (f *Function) RebuildCFG() {
 	}
 }
 
+// maxBlockID returns the largest ID among the function's blocks: the size,
+// less one, of a table indexed by block ID.
+func (f *Function) maxBlockID() int {
+	maxID := 0
+	for _, b := range f.Blocks {
+		maxID = max(maxID, b.ID)
+	}
+	return maxID
+}
+
 // ReachableOrder returns the blocks reachable from entry in reverse
-// post-order (a topological-ish order suitable for forward dataflow).
+// post-order (a topological-ish order suitable for forward dataflow): a
+// depth-first walk that takes successors in terminator order, on an
+// explicit stack, with the visited marks in a table by block ID.
 func (f *Function) ReachableOrder() []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var post []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
+	seen := make([]bool, f.maxBlockID()+1)
+	// visit marks b and reports whether it was unmarked. The table grows
+	// for a block the function does not hold (Verify's business).
+	visit := func(b *Block) bool {
+		if b.ID >= len(seen) {
+			seen = append(seen, make([]bool, b.ID+1-len(seen))...)
 		}
-		seen[b] = true
-		for _, s := range b.Term.Succs {
-			dfs(s)
+		if seen[b.ID] {
+			return false
 		}
-		post = append(post, b)
+		seen[b.ID] = true
+		return true
 	}
-	dfs(f.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
+	type frame struct {
+		b    *Block
+		next int // the successor to descend into next
 	}
-	return post
+	stack := make([]frame, 1, len(f.Blocks))
+	stack[0].b = f.Entry()
+	visit(f.Entry())
+	// Filled from the back: post-order, reversed.
+	rpo := make([]*Block, len(f.Blocks))
+	at := len(rpo)
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if succs := top.b.Term.Succs; top.next < len(succs) {
+			s := succs[top.next]
+			top.next++
+			if visit(s) {
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		if at == 0 { // more blocks reached than the function holds
+			rpo = append(make([]*Block, len(rpo)), rpo...)
+			at = len(rpo) / 2
+		}
+		at--
+		rpo[at] = top.b
+		stack = stack[:len(stack)-1]
+	}
+	return rpo[at:]
 }
 
 // RemoveUnreachable drops blocks not reachable from entry and rebuilds the
@@ -68,12 +136,19 @@ type DomTree struct {
 func (f *Function) DomTree() *DomTree {
 	f.RebuildCFG()
 	rpo := f.ReachableOrder()
-	maxID := 0
-	for _, b := range f.Blocks {
-		maxID = max(maxID, b.ID)
+	// Six tables of int32 carved from one allocation: three by block ID
+	// (the first two are the tree's own), three by reverse post-order
+	// position.
+	nID, n := f.maxBlockID()+1, len(rpo)
+	slab := make([]int32, 3*nID+3*n)
+	carve := func(n int) []int32 {
+		t := slab[:n:n]
+		slab = slab[n:]
+		return t
 	}
+	pre, end, pos := carve(nID), carve(nID), carve(nID)
+	idom, size, free := carve(n), carve(n), carve(n)
 	// Reverse post-order position by block ID; -1 = unreachable.
-	pos := make([]int32, maxID+1)
 	for i := range pos {
 		pos[i] = -1
 	}
@@ -82,7 +157,6 @@ func (f *Function) DomTree() *DomTree {
 	}
 
 	// idom by RPO position; -1 = not computed yet.
-	idom := make([]int32, len(rpo))
 	for i := range idom {
 		idom[i] = -1
 	}
@@ -123,20 +197,14 @@ func (f *Function) DomTree() *DomTree {
 	// A dominator precedes what it dominates in reverse post-order, so one
 	// backward sweep sums subtree sizes and one forward sweep hands every
 	// block the next free pre-order slot of its parent's interval.
-	size := make([]int32, len(rpo))
 	for i := len(rpo) - 1; i >= 0; i-- {
 		size[i]++
 		if i > 0 {
 			size[idom[i]] += size[i]
 		}
 	}
-	t := &DomTree{
-		rpo:  rpo,
-		idom: make([]*Block, maxID+1),
-		pre:  make([]int32, maxID+1),
-		end:  make([]int32, maxID+1),
-	}
-	free := make([]int32, len(rpo)) // next unassigned slot inside i's interval
+	t := &DomTree{rpo: rpo, idom: make([]*Block, nID), pre: pre, end: end}
+	// free[i] is the next unassigned slot inside i's interval.
 	for i, b := range rpo {
 		var pre int32
 		if i > 0 {

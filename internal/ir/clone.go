@@ -11,26 +11,66 @@ func (in *Instr) Clone() Instr {
 	return out
 }
 
-// CloneTerm deep-copies a terminator; successor pointers are remapped via
-// bmap where present (unmapped successors are kept as-is, which lets loop
-// cloning keep exit edges pointing at the original blocks).
-func CloneTerm(t *Terminator, bmap map[*Block]*Block) Terminator {
-	out := *t
-	out.Succs = make([]*Block, len(t.Succs))
-	for i, s := range t.Succs {
-		if m, ok := bmap[s]; ok {
-			out.Succs[i] = m
-		} else {
-			out.Succs[i] = s
+// cloneInstrs gives each block of dst a copy of the instructions of the
+// block of src at the same index, Args included. Every instruction slice is
+// carved from one slab and every Args from another, each with no capacity
+// to spare, so that appending to a block reallocates its slice instead of
+// running into its neighbour's.
+func cloneInstrs(dst, src []*Block) {
+	nInstrs, nArgs := 0, 0
+	for _, b := range src {
+		nInstrs += len(b.Instrs)
+		for i := range b.Instrs {
+			nArgs += len(b.Instrs[i].Args)
 		}
 	}
-	if t.Cases != nil {
-		out.Cases = append([]int64(nil), t.Cases...)
+	instrs, args := make([]Instr, nInstrs), make([]Reg, nArgs)
+	for k, b := range src {
+		n := copy(instrs, b.Instrs)
+		dst[k].Instrs, instrs = instrs[:n:n], instrs[n:]
+		for i := range dst[k].Instrs {
+			if in := &dst[k].Instrs[i]; in.Args != nil {
+				n := copy(args, in.Args)
+				in.Args, args = args[:n:n], args[n:]
+			}
+		}
 	}
-	if t.EdgeW != nil {
-		out.EdgeW = append([]uint64(nil), t.EdgeW...)
+}
+
+// cloneTerms gives each block of dst a deep copy of the terminator of the
+// block of src at the same index. Successor pointers are remapped via bmap
+// where present; unmapped successors are kept as they are, which lets loop
+// cloning keep exit edges pointing at the original blocks. The successor
+// lists, case values and edge weights are carved from one slab each, like
+// cloneInstrs' slices.
+func cloneTerms(dst, src []*Block, bmap map[*Block]*Block) {
+	nSuccs, nCases, nEdgeW := 0, 0, 0
+	for _, b := range src {
+		nSuccs += len(b.Term.Succs)
+		nCases += len(b.Term.Cases)
+		nEdgeW += len(b.Term.EdgeW)
 	}
-	return out
+	succs, cases, edgeW := make([]*Block, nSuccs), make([]int64, nCases), make([]uint64, nEdgeW)
+	for k, b := range src {
+		t := b.Term
+		n := len(t.Succs)
+		for i, s := range t.Succs {
+			if m, ok := bmap[s]; ok {
+				s = m
+			}
+			succs[i] = s
+		}
+		t.Succs, succs = succs[:n:n], succs[n:]
+		if t.Cases != nil {
+			n := copy(cases, t.Cases)
+			t.Cases, cases = cases[:n:n], cases[n:]
+		}
+		if t.EdgeW != nil {
+			n := copy(edgeW, t.EdgeW)
+			t.EdgeW, edgeW = edgeW[:n:n], edgeW[n:]
+		}
+		dst[k].Term = t
+	}
 }
 
 // CloneRegion copies the given blocks into f (via AdoptBlock), remapping
@@ -39,32 +79,28 @@ func CloneTerm(t *Terminator, bmap map[*Block]*Block) Terminator {
 // caller's register space). The returned map gives original→clone.
 func CloneRegion(f *Function, blocks []*Block, mapReg func(Reg) Reg) map[*Block]*Block {
 	bmap := make(map[*Block]*Block, len(blocks))
-	for _, b := range blocks {
-		nb := &Block{
-			Weight:    b.Weight,
-			HasWeight: b.HasWeight,
-			Cold:      b.Cold,
-		}
+	clones := make([]Block, len(blocks))
+	first := len(f.Blocks)
+	for i, b := range blocks {
+		nb := &clones[i]
+		nb.Weight, nb.HasWeight, nb.Cold = b.Weight, b.HasWeight, b.Cold
 		f.AdoptBlock(nb)
 		bmap[b] = nb
 	}
-	for _, b := range blocks {
-		nb := bmap[b]
-		nb.Instrs = make([]Instr, len(b.Instrs))
-		for i := range b.Instrs {
-			ni := b.Instrs[i].Clone()
-			if mapReg != nil {
-				ni.MapUses(mapReg)
-				if d := ni.Def(); d != NoReg {
-					ni.Dst = mapReg(d)
-				}
+	cloneInstrs(f.Blocks[first:], blocks)
+	cloneTerms(f.Blocks[first:], blocks, bmap)
+	if mapReg == nil {
+		return bmap
+	}
+	for _, nb := range f.Blocks[first:] {
+		for i := range nb.Instrs {
+			ni := &nb.Instrs[i]
+			ni.MapUses(mapReg)
+			if d := ni.Def(); d != NoReg {
+				ni.Dst = mapReg(d)
 			}
-			nb.Instrs[i] = ni
 		}
-		nb.Term = CloneTerm(&b.Term, bmap)
-		if mapReg != nil {
-			nb.Term.MapUses(mapReg)
-		}
+		nb.Term.MapUses(mapReg)
 	}
 	return bmap
 }
@@ -86,22 +122,19 @@ func CloneFunction(f *Function) *Function {
 		HasProfile:  f.HasProfile,
 	}
 	bmap := make(map[*Block]*Block, len(f.Blocks))
-	for _, b := range f.Blocks {
-		nb := &Block{ID: b.ID, Weight: b.Weight, HasWeight: b.HasWeight, Cold: b.Cold}
+	clones := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	for i, b := range f.Blocks {
+		nb := &clones[i]
+		nb.ID, nb.Weight, nb.HasWeight, nb.Cold = b.ID, b.Weight, b.HasWeight, b.Cold
 		bmap[b] = nb
-		nf.Blocks = append(nf.Blocks, nb)
+		nf.Blocks[i] = nb
 		if b.ID >= nf.nextBlockID {
 			nf.nextBlockID = b.ID + 1
 		}
 	}
-	for _, b := range f.Blocks {
-		nb := bmap[b]
-		nb.Instrs = make([]Instr, len(b.Instrs))
-		for i := range b.Instrs {
-			nb.Instrs[i] = b.Instrs[i].Clone()
-		}
-		nb.Term = CloneTerm(&b.Term, bmap)
-	}
+	cloneInstrs(nf.Blocks, f.Blocks)
+	cloneTerms(nf.Blocks, f.Blocks, bmap)
 	nf.RebuildCFG()
 	return nf
 }

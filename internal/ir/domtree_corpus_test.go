@@ -12,21 +12,20 @@ import (
 	"csspgo/internal/workloads"
 )
 
-// TestDomTreeMatchesReferenceOnCorpus runs ir.CheckDomTree and
-// ir.CheckReachableOrder over every function of the 14-program corpus (the
-// 7 workloads and the 7 examples/ modules) as opt.Optimize leaves it,
-// without a profile and with the full CSSPGO one (the pipelines live above
-// package ir, hence the external test package).
-func TestDomTreeMatchesReferenceOnCorpus(t *testing.T) {
-	check := func(t *testing.T, files []*source.File, train [][]int64) {
+// forEachCorpusFunction calls check on every function of the 14-program
+// corpus (the 7 workloads and the 7 examples/ modules) as opt.Optimize
+// leaves it, without a profile and with the full CSSPGO one, one subtest
+// per program (the pipelines live above package ir, hence the external
+// test package).
+func forEachCorpusFunction(t *testing.T, check func(t *testing.T, f *ir.Function)) {
+	run := func(t *testing.T, files []*source.File, train [][]int64) {
 		for _, v := range []pgo.Variant{pgo.Baseline, pgo.FullCS} {
 			res, _, err := pgo.Pipeline(files, v, train)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range res.IR.Functions() {
-				ir.CheckDomTree(t, f)
-				ir.CheckReachableOrder(t, f)
+				check(t, f)
 			}
 		}
 	}
@@ -36,7 +35,7 @@ func TestDomTreeMatchesReferenceOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, w.Files, w.Train)
+			run(t, w.Files, w.Train)
 		})
 	}
 	mods, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.ml"))
@@ -53,7 +52,36 @@ func TestDomTreeMatchesReferenceOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, []*source.File{f}, pgo.SeededRequests(60, 1, 1000))
+			run(t, []*source.File{f}, pgo.SeededRequests(60, 1, 1000))
 		})
 	}
+}
+
+// TestDomTreeMatchesReferenceOnCorpus runs ir.CheckDomTree and
+// ir.CheckReachableOrder over every function of the corpus.
+func TestDomTreeMatchesReferenceOnCorpus(t *testing.T) {
+	forEachCorpusFunction(t, func(t *testing.T, f *ir.Function) {
+		ir.CheckDomTree(t, f)
+		ir.CheckReachableOrder(t, f)
+	})
+}
+
+// TestVerifyAllocs is the allocation gate on Function.Verify, which every
+// build runs three times over every function: what a call allocates does
+// not grow with the function's instructions — at most 2 allocations (today
+// 1, the table of blocks by ID), on the smallest function of the corpus and
+// the largest alike.
+func TestVerifyAllocs(t *testing.T) {
+	forEachCorpusFunction(t, func(t *testing.T, f *ir.Function) {
+		if err := f.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { _ = f.Verify() }); allocs > 2 {
+			n := 0
+			for _, b := range f.Blocks {
+				n += len(b.Instrs)
+			}
+			t.Errorf("%s (%d instructions): Verify allocates %v times, want at most 2", f.Name, n, allocs)
+		}
+	})
 }

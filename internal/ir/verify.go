@@ -5,89 +5,79 @@ import "fmt"
 // Verify checks structural invariants of the function:
 // terminator successor arity, register indices in range, probe payload
 // presence, and that all successor blocks belong to the function.
+//
+// It keeps its own per-opcode list of operands — it is the independent
+// oracle the operand model is checked against — and checks each operand as
+// it names it, so a call costs one table by block ID whatever the
+// function's size.
 func (f *Function) Verify() error {
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	ids := make(map[int]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		inFunc[b] = true
-		if ids[b.ID] {
-			return fmt.Errorf("%s: duplicate block id b%d", f.Name, b.ID)
-		}
-		ids[b.ID] = true
-	}
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	checkReg := func(r Reg, what string, b *Block) error {
-		if r == NoReg {
-			return nil
+	// The function's blocks by ID, offset by the lowest.
+	minID, maxID := f.Blocks[0].ID, f.Blocks[0].ID
+	for _, b := range f.Blocks {
+		minID, maxID = min(minID, b.ID), max(maxID, b.ID)
+	}
+	byID := make([]*Block, maxID-minID+1)
+	for _, b := range f.Blocks {
+		if byID[b.ID-minID] != nil {
+			return fmt.Errorf("%s: duplicate block id b%d", f.Name, b.ID)
 		}
-		if r < 0 || int(r) >= f.NRegs {
-			return fmt.Errorf("%s b%d: %s register %%%d out of range [0,%d)", f.Name, b.ID, what, r, f.NRegs)
-		}
-		return nil
+		byID[b.ID-minID] = b
 	}
 	for _, b := range f.Blocks {
+		v := operandVerifier{f: f, b: b}
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			// Check only the operands each opcode actually uses; unused
 			// operand fields legitimately hold the zero value.
-			var used []struct {
-				r    Reg
-				what string
-			}
-			use := func(r Reg, what string) {
-				used = append(used, struct {
-					r    Reg
-					what string
-				}{r, what})
-			}
 			switch in.Op {
 			case OpConst:
-				use(in.Dst, "dst")
+				v.reg(in.Dst, "dst")
 			case OpBin:
-				use(in.Dst, "dst")
-				use(in.A, "A")
-				use(in.B, "B")
+				v.reg(in.Dst, "dst")
+				v.reg(in.A, "A")
+				v.reg(in.B, "B")
 			case OpNot, OpNeg, OpMove:
-				use(in.Dst, "dst")
-				use(in.A, "A")
+				v.reg(in.Dst, "dst")
+				v.reg(in.A, "A")
 			case OpLoadG:
-				use(in.Dst, "dst")
-				use(in.Index, "index")
 				if in.Global == "" {
 					return fmt.Errorf("%s b%d: global access without name", f.Name, b.ID)
 				}
+				v.reg(in.Dst, "dst")
+				v.reg(in.Index, "index")
 			case OpStoreG:
-				use(in.A, "A")
-				use(in.Index, "index")
 				if in.Global == "" {
 					return fmt.Errorf("%s b%d: global access without name", f.Name, b.ID)
 				}
+				v.reg(in.A, "A")
+				v.reg(in.Index, "index")
 			case OpCall:
-				use(in.Dst, "dst")
-				for _, a := range in.Args {
-					use(a, "arg")
-				}
 				if in.Callee == "" {
 					return fmt.Errorf("%s b%d: call without callee", f.Name, b.ID)
 				}
+				v.reg(in.Dst, "dst")
+				for _, a := range in.Args {
+					v.reg(a, "arg")
+				}
 			case OpFuncRef:
-				use(in.Dst, "dst")
 				if in.Callee == "" {
 					return fmt.Errorf("%s b%d: funcref without target", f.Name, b.ID)
 				}
+				v.reg(in.Dst, "dst")
 			case OpICall:
-				use(in.Dst, "dst")
-				use(in.A, "target")
+				v.reg(in.Dst, "dst")
+				v.reg(in.A, "target")
 				for _, a := range in.Args {
-					use(a, "arg")
+					v.reg(a, "arg")
 				}
 			case OpSelect:
-				use(in.Dst, "dst")
-				use(in.A, "A")
-				use(in.B, "B")
-				use(in.C, "C")
+				v.reg(in.Dst, "dst")
+				v.reg(in.A, "A")
+				v.reg(in.B, "B")
+				v.reg(in.C, "C")
 			case OpProbe:
 				if in.Probe == nil {
 					return fmt.Errorf("%s b%d: probe instruction without payload", f.Name, b.ID)
@@ -97,10 +87,8 @@ func (f *Function) Verify() error {
 			default:
 				return fmt.Errorf("%s b%d: unknown opcode %d", f.Name, b.ID, in.Op)
 			}
-			for _, p := range used {
-				if err := checkReg(p.r, p.what, b); err != nil {
-					return err
-				}
+			if v.err != nil {
+				return v.err
 			}
 		}
 		t := &b.Term
@@ -110,27 +98,24 @@ func (f *Function) Verify() error {
 			want = 1
 		case TermBranch:
 			want = 2
-			if err := checkReg(t.Cond, "branch cond", b); err != nil {
-				return err
-			}
+			v.reg(t.Cond, "branch cond")
 		case TermSwitch:
 			want = len(t.Cases) + 1
-			if err := checkReg(t.Cond, "switch cond", b); err != nil {
-				return err
-			}
+			v.reg(t.Cond, "switch cond")
 		case TermReturn:
 			want = 0
-			if err := checkReg(t.Val, "return val", b); err != nil {
-				return err
-			}
+			v.reg(t.Val, "return val")
 		default:
 			return fmt.Errorf("%s b%d: bad terminator kind %d", f.Name, b.ID, t.Kind)
+		}
+		if v.err != nil {
+			return v.err
 		}
 		if len(t.Succs) != want {
 			return fmt.Errorf("%s b%d: terminator %v wants %d succs, has %d", f.Name, b.ID, t.Kind, want, len(t.Succs))
 		}
 		for _, s := range t.Succs {
-			if !inFunc[s] {
+			if s.ID < minID || s.ID > maxID || byID[s.ID-minID] != s {
 				return fmt.Errorf("%s b%d: successor b%d not in function", f.Name, b.ID, s.ID)
 			}
 		}
@@ -139,6 +124,21 @@ func (f *Function) Verify() error {
 		}
 	}
 	return nil
+}
+
+// operandVerifier checks the register operands of one block's instructions
+// and terminator, keeping the first one out of range.
+type operandVerifier struct {
+	f   *Function
+	b   *Block
+	err error
+}
+
+// reg checks one operand: absent (NoReg), or a register of the function.
+func (v *operandVerifier) reg(r Reg, what string) {
+	if v.err == nil && r != NoReg && (r < 0 || int(r) >= v.f.NRegs) {
+		v.err = fmt.Errorf("%s b%d: %s register %%%d out of range [0,%d)", v.f.Name, v.b.ID, what, r, v.f.NRegs)
+	}
 }
 
 // Verify checks every function and that all call targets resolve.

@@ -61,6 +61,13 @@ type fnLower struct {
 	// isSealed records whether cur.Term was explicitly written; the zero
 	// Terminator value is indistinguishable from "ret 0" otherwise.
 	isSealed bool
+	// instrs holds every block's instructions, sized from the AST: blocks
+	// are filled one after the other and never returned to, so cur's are
+	// instrs[curStart:] until closeBlock hands them over. locs is the same
+	// for the debug locations.
+	instrs   []ir.Instr
+	curStart int
+	locs     []ir.Loc
 
 	nextPersistent int // next persistent register
 	tempBase       int // first temp register (== total persistent count)
@@ -72,8 +79,12 @@ func lowerFunc(prog *ir.Program, module string, decl *source.FuncDecl) (*ir.Func
 	f.Module = module
 	f.StartLine = int32(decl.Line)
 	lw := &fnLower{prog: prog, fn: f, cur: f.Entry()}
+	sz := astSize{globals: prog.Globals}
+	sz.stmt(decl.Body)
+	lw.instrs = make([]ir.Instr, 0, sz.instrs+sz.blocks+1)
+	lw.locs = make([]ir.Loc, 0, sz.instrs+sz.blocks+1)
 	lw.nextPersistent = len(decl.Params)
-	lw.tempBase = len(decl.Params) + countVarDecls(decl.Body)
+	lw.tempBase = len(decl.Params) + sz.vars
 	lw.tempNext = lw.tempBase
 	if f.NRegs < lw.tempBase {
 		f.NRegs = lw.tempBase
@@ -92,44 +103,107 @@ func lowerFunc(prog *ir.Program, module string, decl *source.FuncDecl) (*ir.Func
 	if !lw.terminated() {
 		lw.cur.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
 	}
+	lw.closeBlock()
 	f.RemoveUnreachable()
 	return f, nil
 }
 
-// countVarDecls counts named-local declarations in a statement tree.
-func countVarDecls(s source.Stmt) int {
-	n := 0
+// astSize is what one walk over a function body counts before lowering:
+// the named-local declarations (the persistent registers), and the
+// instructions and blocks lowering will emit, at most, short of the blocks
+// that hold statements after a return, break or continue.
+type astSize struct {
+	globals              map[string]*ir.Global // a name read as one costs a load
+	vars, instrs, blocks int
+}
+
+func (z *astSize) stmt(s source.Stmt) {
 	switch st := s.(type) {
 	case *source.BlockStmt:
 		for _, sub := range st.Stmts {
-			n += countVarDecls(sub)
+			z.stmt(sub)
 		}
 	case *source.VarStmt:
-		n = 1
+		z.vars++
+		z.instrs++
+		z.expr(st.Init)
+	case *source.AssignStmt:
+		z.instrs++
+		z.expr(st.Val)
+	case *source.StoreStmt:
+		z.instrs++
+		z.expr(st.Index)
+		z.expr(st.Val)
 	case *source.IfStmt:
-		n = countVarDecls(st.Then)
+		z.blocks += 2
+		z.expr(st.Cond)
+		z.stmt(st.Then)
 		if st.Else != nil {
-			n += countVarDecls(st.Else)
+			z.blocks++
+			z.stmt(st.Else)
 		}
 	case *source.WhileStmt:
-		n = countVarDecls(st.Body)
+		z.blocks += 3
+		z.expr(st.Cond)
+		z.stmt(st.Body)
 	case *source.ForStmt:
+		z.blocks += 4
 		if st.Init != nil {
-			n += countVarDecls(st.Init)
+			z.stmt(st.Init)
+		}
+		if st.Cond != nil {
+			z.expr(st.Cond)
 		}
 		if st.Post != nil {
-			n += countVarDecls(st.Post)
+			z.stmt(st.Post)
 		}
-		n += countVarDecls(st.Body)
+		z.stmt(st.Body)
 	case *source.SwitchStmt:
+		z.blocks += len(st.Values) + 2
+		z.expr(st.Cond)
 		for _, b := range st.Bodies {
-			n += countVarDecls(b)
+			z.stmt(b)
 		}
 		if st.Default != nil {
-			n += countVarDecls(st.Default)
+			z.stmt(st.Default)
 		}
+	case *source.ReturnStmt:
+		if st.Val != nil {
+			z.expr(st.Val)
+		}
+	case *source.ExprStmt:
+		z.expr(st.X)
 	}
-	return n
+}
+
+func (z *astSize) expr(e source.Expr) {
+	z.instrs++
+	switch x := e.(type) {
+	case *source.VarExpr:
+		if z.globals[x.Name] == nil {
+			z.instrs-- // a local: its register is the value
+		}
+	case *source.IndexExpr:
+		z.expr(x.Index)
+	case *source.CallExpr:
+		for _, a := range x.Args {
+			z.expr(a)
+		}
+	case *source.IndirectCallExpr:
+		z.expr(x.Target)
+		for _, a := range x.Args {
+			z.expr(a)
+		}
+	case *source.UnExpr:
+		z.expr(x.X)
+	case *source.BinExpr:
+		if x.Op == source.AndAnd || x.Op == source.OrOr {
+			z.instrs += 2
+			z.blocks += 3
+		}
+		z.expr(x.L)
+		z.expr(x.R)
+	}
 }
 
 // newTemp allocates an expression temporary from the per-statement pool.
@@ -165,14 +239,31 @@ func (lw *fnLower) lookup(name string) (ir.Reg, bool) {
 }
 
 func (lw *fnLower) loc(line int) *ir.Loc {
-	return &ir.Loc{Func: lw.fn.Name, Line: int32(line)}
+	if len(lw.locs) == cap(lw.locs) {
+		// The AST promised fewer; locations already handed out stay where
+		// they are.
+		lw.locs = make([]ir.Loc, 0, 16+cap(lw.locs)/2)
+	}
+	lw.locs = append(lw.locs, ir.Loc{Func: lw.fn.Name, Line: int32(line)})
+	return &lw.locs[len(lw.locs)-1]
 }
 
 // terminated reports whether the current block already has a terminator.
 func (lw *fnLower) terminated() bool { return lw.isSealed }
 
 func (lw *fnLower) emit(in ir.Instr) {
-	lw.cur.Instrs = append(lw.cur.Instrs, in)
+	lw.instrs = append(lw.instrs, in)
+}
+
+// closeBlock hands cur the instructions emitted since the last block was
+// closed, with room for one more — the block probe probe.Insert puts first
+// — and none beyond, so that appending to a block reallocates its slice
+// instead of running into the next block's.
+func (lw *fnLower) closeBlock() {
+	end := len(lw.instrs)
+	lw.instrs = append(lw.instrs, ir.Instr{})
+	lw.cur.Instrs = lw.instrs[lw.curStart:end:len(lw.instrs)]
+	lw.curStart = len(lw.instrs)
 }
 
 func (lw *fnLower) seal(t ir.Terminator) {
@@ -181,6 +272,7 @@ func (lw *fnLower) seal(t ir.Terminator) {
 }
 
 func (lw *fnLower) moveTo(b *ir.Block) {
+	lw.closeBlock()
 	lw.cur = b
 	lw.isSealed = false
 }

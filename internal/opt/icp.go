@@ -146,7 +146,7 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 	// Split b after the icall; the merge block takes the tail.
 	merge.Instrs = append(merge.Instrs, b.Instrs[idx+1:]...)
 	merge.Term = b.Term
-	b.Instrs = b.Instrs[:idx]
+	b.Instrs = truncate(b.Instrs, idx)
 
 	fref := f.NewReg()
 	cmp := f.NewReg()

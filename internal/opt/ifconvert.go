@@ -164,3 +164,14 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	removeBlock(f, fb)
 	f.RebuildCFG()
 }
+
+// renamer returns the register mapping for ir's MapUses that follows
+// rename (as it stands at each call) and leaves other registers alone.
+func renamer(rename map[ir.Reg]ir.Reg) func(ir.Reg) ir.Reg {
+	return func(r ir.Reg) ir.Reg {
+		if nr, ok := rename[r]; ok {
+			return nr
+		}
+		return r
+	}
+}

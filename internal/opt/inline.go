@@ -63,7 +63,7 @@ func InlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxPro
 	join.Instrs = append(join.Instrs, b.Instrs[idx+1:]...)
 	join.Term = b.Term
 	join.Weight, join.HasWeight = b.Weight, b.HasWeight
-	b.Instrs = b.Instrs[:idx]
+	b.Instrs = truncate(b.Instrs, idx)
 	b.Term = ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{entryClone}, Loc: call.Loc}
 	if b.HasWeight {
 		b.Term.EdgeW = []uint64{b.Weight}

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"csspgo/internal/analysis"
 	"csspgo/internal/ir"
@@ -29,8 +29,9 @@ func LICM(f *ir.Function) int {
 	// ensurePreheader only puts a block on the edges entering a header,
 	// neither of which changes dominance between the blocks the tree knows.
 	loops, dt := f.NaturalLoops()
+	lc := licm{f: f, dt: dt}
 	for _, loop := range loops {
-		hoisted += licmLoop(f, loop, dt)
+		hoisted += lc.loop(loop)
 	}
 	if hoisted > 0 {
 		f.RebuildCFG()
@@ -38,111 +39,140 @@ func LICM(f *ir.Function) int {
 	return hoisted
 }
 
-func licmLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
-	// Registers defined anywhere in the loop.
-	defCount := map[ir.Reg]int{}
-	for b := range loop.Blocks {
-		for i := range b.Instrs {
-			if d := b.Instrs[i].Def(); d != ir.NoReg {
-				defCount[d]++
-			}
+// licm is what LICM keeps for one function: the liveness workspace and the
+// register-indexed tables every loop and block reuse.
+type licm struct {
+	f  *ir.Function
+	dt *ir.DomTree
+	lv liveness
+
+	// Per loop: how many instructions of the loop define the register,
+	// the globals the loop stores to and whether it calls (both block load
+	// hoisting), and the preheader once something asked for it.
+	defCount      []int32
+	storedGlobals map[string]bool
+	hasCalls      bool
+	preheader     *ir.Block
+	// Per block: rename maps a register to its hoisted preheader copy
+	// (NoReg = none), valid until the register's next non-hoisted
+	// definition in the block; renamed lists the registers that have had an
+	// entry, so that only those are reset.
+	rename  []ir.Reg
+	renamed []ir.Reg
+}
+
+func (lc *licm) loop(loop *ir.Loop) int {
+	f := lc.f
+	// The registers there are now; the ones hoisting adds are only ever
+	// written by it, and read through rename.
+	if f.NRegs > cap(lc.defCount) {
+		lc.defCount = make([]int32, f.NRegs+f.NRegs/4)
+		lc.rename = make([]ir.Reg, cap(lc.defCount))
+		for i := range lc.rename {
+			lc.rename[i] = ir.NoReg
 		}
 	}
-	// Globals stored in the loop and calls block load hoisting.
-	storedGlobals := map[string]bool{}
-	hasCalls := false
+	lc.defCount = lc.defCount[:f.NRegs]
+	clear(lc.defCount)
+	lc.storedGlobals = nil
+	lc.hasCalls = false
+	lc.preheader = nil
 	for b := range loop.Blocks {
 		for i := range b.Instrs {
-			switch b.Instrs[i].Op {
+			in := &b.Instrs[i]
+			if d := in.Def(); d != ir.NoReg {
+				lc.defCount[d]++
+			}
+			switch in.Op {
 			case ir.OpStoreG:
-				storedGlobals[b.Instrs[i].Global] = true
+				if lc.storedGlobals == nil {
+					lc.storedGlobals = map[string]bool{}
+				}
+				lc.storedGlobals[in.Global] = true
 			case ir.OpCall, ir.OpICall:
-				hasCalls = true
+				lc.hasCalls = true
 			}
 		}
 	}
 
 	dominatesAllLatches := func(b *ir.Block) bool {
 		for _, l := range loop.Latches {
-			if !dt.Dominates(b, l) {
+			if !lc.dt.Dominates(b, l) {
 				return false
 			}
 		}
 		return true
 	}
 
-	var preheader *ir.Block
-	getPreheader := func() *ir.Block {
-		if preheader == nil {
-			preheader = ensurePreheader(f, loop)
-		}
-		return preheader
-	}
-
-	liveouts := liveOut(f)
+	// Liveness is taken again for every loop, into the one workspace. Once
+	// per function would not do: a register hoisted out of an inner loop
+	// did not exist when the function's liveness was taken, and it is
+	// hoisted once more out of the outer loop when the inner preheader is
+	// one of the outer loop's blocks; and moving a read into a preheader
+	// clears the operand's live-out bit there, which decides the residual
+	// move of an operand the outer loop hoists from that same block.
+	lc.lv.reset(f)
+	lc.lv.solve(f)
 	hoisted := 0
 	// Function block order, not map order: blocks hoist into one shared
 	// preheader, so the visiting order decides the emitted instruction order.
-	// liveouts covers the blocks there were when it was taken; a preheader
-	// appended since is outside the loop.
-	for i, b := range f.Blocks[:len(liveouts)] {
+	// The workspace covers the blocks there were when it was reset; a
+	// preheader appended since is outside the loop.
+	for i, b := range f.Blocks[:lc.lv.n] {
 		if !loop.Blocks[b] || !dominatesAllLatches(b) {
 			continue
 		}
-		hoisted += licmBlock(f, loop, b, defCount, storedGlobals, hasCalls, getPreheader, liveouts[i])
+		hoisted += lc.block(loop, b, lc.lv.out(i))
 	}
 	return hoisted
 }
 
-// licmBlock hoists invariant chains out of one always-executed loop block.
-func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
-	defCount map[ir.Reg]int, storedGlobals map[string]bool, hasCalls bool,
-	getPreheader func() *ir.Block, liveOutB analysis.BitSet) int {
-
-	// rename maps a register to its hoisted preheader copy, valid until the
-	// register's next non-hoisted definition in this block.
-	rename := map[ir.Reg]ir.Reg{}
-	// lastHoisted tracks, per register, whether its most recent def in this
-	// block was hoisted (to decide on a residual move at the end).
-	lastHoisted := map[ir.Reg]bool{}
-
+// block hoists invariant chains out of one always-executed loop block.
+func (lc *licm) block(loop *ir.Loop, b *ir.Block, liveOutB analysis.BitSet) int {
+	f, rename := lc.f, lc.rename
 	// A register is invariant when it holds a hoisted value or nothing in
 	// the loop writes it.
 	invariantReg := func(r ir.Reg) bool {
-		_, renamed := rename[r]
-		return renamed || defCount[r] == 0
+		return rename[r] != ir.NoReg || lc.defCount[r] == 0
 	}
-	renamed := renamer(rename)
+	// Uses of renamed registers see their preheader copies.
+	renamed := func(r ir.Reg) ir.Reg {
+		if nr := rename[r]; nr != ir.NoReg {
+			return nr
+		}
+		return r
+	}
 
 	hoistedCount := 0
-	kept := b.Instrs[:0]
+	kept := 0 // b.Instrs[:kept] are the instructions that stay, compacted in place
 	for i := range b.Instrs {
-		in := b.Instrs[i]
+		in := &b.Instrs[i]
 		invariant := false
 		switch in.Op {
 		case ir.OpConst, ir.OpFuncRef, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect:
 			invariant = true
 		case ir.OpLoadG:
-			invariant = !storedGlobals[in.Global] && !hasCalls
+			invariant = !lc.storedGlobals[in.Global] && !lc.hasCalls
 		}
 		in.Uses(func(r ir.Reg) { invariant = invariant && invariantReg(r) })
 		d := in.Def()
-		if !invariant || d == ir.NoReg {
-			// Not hoisted: uses of renamed regs still see preheader copies.
+		var ph *ir.Block
+		if invariant && d != ir.NoReg {
+			if lc.preheader == nil {
+				lc.preheader = ensurePreheader(f, loop)
+			}
+			ph = lc.preheader
+		}
+		if ph == nil {
+			// Not hoisted (no preheader can be had, at worst).
 			in.MapUses(renamed)
 			if d != ir.NoReg {
-				delete(rename, d)
-				lastHoisted[d] = false
+				rename[d] = ir.NoReg
 			}
-			kept = append(kept, in)
-			continue
-		}
-		ph := getPreheader()
-		if ph == nil {
-			in.MapUses(renamed)
-			delete(rename, d)
-			lastHoisted[d] = false
-			kept = append(kept, in)
+			if kept != i {
+				b.Instrs[kept] = *in
+			}
+			kept++
 			continue
 		}
 		// Hoist a renamed clone; keep the original Loc (code motion keeps
@@ -153,42 +183,37 @@ func licmBlock(f *ir.Function, loop *ir.Loop, b *ir.Block,
 		clone.Dst = nr
 		ph.Instrs = append(ph.Instrs, clone)
 		rename[d] = nr
-		lastHoisted[d] = true
+		lc.renamed = append(lc.renamed, d)
 		hoistedCount++
 	}
-	b.Instrs = append([]ir.Instr(nil), kept...)
+	if hoistedCount == 0 {
+		return 0 // nothing moved: no entry in rename, the slice as it was
+	}
+	b.Instrs = truncate(b.Instrs, kept)
 
-	// Residual moves for hoisted values that are live out of the block.
+	// Residual moves for hoisted values the terminator reads or that are
+	// live out of the block, the latter in ascending register order, not
+	// hoisting order: the moves are independent, but their order is the
+	// emitted instruction order.
 	b.Term.Uses(func(r ir.Reg) {
-		if nr, ok := rename[r]; ok && lastHoisted[r] {
+		if nr := rename[r]; nr != ir.NoReg {
 			b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: nr})
-			delete(rename, r)
+			rename[r] = ir.NoReg
 		}
 	})
-	// Ascending register order, not map order: the moves are independent,
-	// but their order is the emitted instruction order.
-	var residual []ir.Reg
-	for r := range rename {
-		if lastHoisted[r] && liveOutB.Has(int(r)) {
-			residual = append(residual, r)
+	slices.Sort(lc.renamed)
+	for _, r := range lc.renamed {
+		// A register hoisted twice is listed twice; its entry is gone the
+		// second time.
+		if nr := rename[r]; nr != ir.NoReg {
+			if liveOutB.Has(int(r)) {
+				b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: nr})
+			}
+			rename[r] = ir.NoReg
 		}
 	}
-	sort.Slice(residual, func(i, j int) bool { return residual[i] < residual[j] })
-	for _, r := range residual {
-		b.Instrs = append(b.Instrs, ir.Instr{Op: ir.OpMove, Dst: r, A: rename[r]})
-	}
+	lc.renamed = lc.renamed[:0]
 	return hoistedCount
-}
-
-// renamer returns the register mapping for ir's MapUses that follows
-// rename (as it stands at each call) and leaves other registers alone.
-func renamer(rename map[ir.Reg]ir.Reg) func(ir.Reg) ir.Reg {
-	return func(r ir.Reg) ir.Reg {
-		if nr, ok := rename[r]; ok {
-			return nr
-		}
-		return r
-	}
 }
 
 // ensurePreheader returns (creating if needed) a block that is the unique

@@ -366,3 +366,61 @@ func TestDCEAndLICMMatchReferenceOnGeneratedPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestLICMInnerLoopBeforeOuter is the case that rules out taking liveness
+// once per function: the inner loop's header has the lower block ID, so it
+// is processed first, and its preheader b4 is a block of the outer loop.
+// Hoisting out of the inner loop moves the only read of %3 into b4 and
+// defines fresh registers there; the outer loop then hoists all of those
+// out of b4, and its residual moves must be decided by liveness as it is
+// then — %3 is dead after b4, the fresh registers are live — not as it was
+// when LICM started, when %3 was live there and the fresh registers did not
+// exist.
+func TestLICMInnerLoopBeforeOuter(t *testing.T) {
+	const n, i, s, r, x, j, c, cj, one, three = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9
+	f := ir.NewFunction("f", []string{"n"})
+	b0 := f.Entry()
+	b1, b2, b3, b4, b5 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	f.Blocks = []*ir.Block{b0, b3, b4, b1, b2, b5}
+	f.NRegs = 10
+	konst := func(dst ir.Reg, v int64) ir.Instr { return ir.Instr{Op: ir.OpConst, Dst: dst, Value: v} }
+	bin := func(k ir.BinKind, dst, a, b ir.Reg) ir.Instr {
+		return ir.Instr{Op: ir.OpBin, BinKind: k, Dst: dst, A: a, B: b}
+	}
+	jump := func(to *ir.Block) ir.Terminator { return ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{to}} }
+	branch := func(cond ir.Reg, yes, no *ir.Block) ir.Terminator {
+		return ir.Terminator{Kind: ir.TermBranch, Cond: cond, Succs: []*ir.Block{yes, no}}
+	}
+	b0.Instrs, b0.Term = []ir.Instr{konst(i, 0), konst(s, 0), konst(one, 1)}, jump(b3)
+	b3.Instrs, b3.Term = []ir.Instr{bin(ir.BinLt, c, i, n)}, branch(c, b4, b5) // outer header
+	b4.Instrs, b4.Term = []ir.Instr{konst(r, 5), konst(j, 0)}, jump(b1)
+	b1.Instrs = []ir.Instr{ // inner header and latch
+		konst(one, 1), bin(ir.BinAdd, x, r, one), bin(ir.BinAdd, s, s, x),
+		bin(ir.BinAdd, j, j, one), konst(three, 3), bin(ir.BinLt, cj, j, three),
+	}
+	b1.Term = branch(cj, b1, b2)
+	b2.Instrs, b2.Term = []ir.Instr{bin(ir.BinAdd, i, i, one)}, jump(b3) // outer latch
+	b5.Term = ir.Terminator{Kind: ir.TermReturn, Val: s}
+	f.RebuildCFG()
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	loops, _ := f.NaturalLoops()
+	if len(loops) != 2 || loops[0].Header != b1 || !loops[1].Blocks[b4] {
+		t.Fatalf("want the inner loop (header b1) first and b4 in the outer one:\n%s", f)
+	}
+
+	checkAgainstReference(t, "LICM", f, referenceLICM, LICM)
+	LICM(f)
+	moved := map[ir.Reg]bool{}
+	for _, in := range b4.Instrs {
+		if in.Op != ir.OpMove {
+			t.Fatalf("b4 keeps %v after the outer loop hoisted everything out of it:\n%s", in.Op, f)
+		}
+		moved[in.Dst] = true
+	}
+	// j and the three registers the inner loop's hoisting defined in b4.
+	if len(moved) != 4 || moved[r] || !moved[j] {
+		t.Fatalf("b4's residual moves write %v, want %%%d and three fresh registers:\n%s", moved, j, f)
+	}
+}

@@ -162,8 +162,8 @@ func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int
 				m.Term = ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{target}}
 				m.Weight = a.Weight + b.Weight
 				m.HasWeight = a.HasWeight || b.HasWeight
-				a.Instrs = a.Instrs[:len(a.Instrs)-n]
-				b.Instrs = b.Instrs[:len(b.Instrs)-n]
+				a.Instrs = truncate(a.Instrs, len(a.Instrs)-n)
+				b.Instrs = truncate(b.Instrs, len(b.Instrs)-n)
 				a.Term.Succs[0] = m
 				b.Term.Succs[0] = m
 				f.RebuildCFG()

@@ -11,6 +11,7 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 
 	"csspgo/internal/ir"
 )
@@ -33,20 +34,31 @@ func Insert(f *ir.Function) {
 	if f.NumProbes > 0 {
 		return // already instrumented
 	}
-	next := int32(1)
+	// One payload per block and per call that has none yet, from one slab.
+	n := len(f.Blocks)
 	for _, b := range f.Blocks {
-		bp := ir.Instr{
-			Op:    ir.OpProbe,
-			Dst:   ir.NoReg,
-			Probe: &ir.Probe{Func: f.Name, ID: next, Kind: ir.ProbeBlock, Factor: 1},
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil {
+				n++
+			}
 		}
+	}
+	probes := make([]ir.Probe, n)
+	next := int32(1)
+	newProbe := func(kind ir.ProbeKind) *ir.Probe {
+		p := &probes[next-1]
+		*p = ir.Probe{Func: f.Name, ID: next, Kind: kind, Factor: 1}
 		next++
-		b.Instrs = append([]ir.Instr{bp}, b.Instrs...)
+		return p
+	}
+	for _, b := range f.Blocks {
+		bp := ir.Instr{Op: ir.OpProbe, Dst: ir.NoReg, Probe: newProbe(ir.ProbeBlock)}
+		// In the room irgen leaves every block for it, if it is still there.
+		b.Instrs = slices.Insert(b.Instrs, 0, bp)
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil {
-				in.Probe = &ir.Probe{Func: f.Name, ID: next, Kind: ir.ProbeCall, Factor: 1}
-				next++
+				in.Probe = newProbe(ir.ProbeCall)
 			}
 		}
 	}
