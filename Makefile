@@ -22,7 +22,10 @@ race:
 # benchmark: `go run ./cmd/experiments`.
 # The allocation guards are TestSteadyStateAllocsPerSample[Flat] and
 # TestRunSteadyStateAllocs in tier-1 and the benchmark's rep_alloc_mb gate +
-# sampling.allocs_per_sample row.
+# sampling.allocs_per_sample row; the compile path's are TestBuildAllocCeiling
+# (internal/pgo), TestVerifyAllocs (internal/ir) and TestDCEConvergedAllocs
+# (internal/opt) in tier-1, with BenchmarkBuild/{train,use,stale} (root
+# package, picked up by -bench=. below) as their `go test -bench` twin.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench Run -benchmem

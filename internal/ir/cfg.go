@@ -1,5 +1,7 @@
 package ir
 
+import "slices"
+
 // RebuildCFG recomputes predecessor lists from terminators. Passes that
 // mutate successor edges must call this before relying on Preds.
 func (f *Function) RebuildCFG() {
@@ -80,9 +82,7 @@ func (f *Function) ReachableOrder() []*Block {
 	stack := make([]frame, 1, len(f.Blocks))
 	stack[0].b = f.Entry()
 	visit(f.Entry())
-	// Filled from the back: post-order, reversed.
-	rpo := make([]*Block, len(f.Blocks))
-	at := len(rpo)
+	post := make([]*Block, 0, len(f.Blocks))
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if succs := top.b.Term.Succs; top.next < len(succs) {
@@ -93,15 +93,11 @@ func (f *Function) ReachableOrder() []*Block {
 			}
 			continue
 		}
-		if at == 0 { // more blocks reached than the function holds
-			rpo = append(make([]*Block, len(rpo)), rpo...)
-			at = len(rpo) / 2
-		}
-		at--
-		rpo[at] = top.b
+		post = append(post, top.b)
 		stack = stack[:len(stack)-1]
 	}
-	return rpo[at:]
+	slices.Reverse(post)
+	return post
 }
 
 // RemoveUnreachable drops blocks not reachable from entry and rebuilds the

@@ -81,8 +81,11 @@ func lowerFunc(prog *ir.Program, module string, decl *source.FuncDecl) (*ir.Func
 	lw := &fnLower{prog: prog, fn: f, cur: f.Entry()}
 	sz := astSize{globals: prog.Globals}
 	sz.stmt(decl.Body)
-	lw.instrs = make([]ir.Instr, 0, sz.instrs+sz.blocks+1)
-	lw.locs = make([]ir.Loc, 0, sz.instrs+sz.blocks+1)
+	// An instruction slot per instruction plus the spare one of every block,
+	// the entry included; a location per instruction or terminator.
+	slots := sz.instrs + sz.blocks + 1
+	lw.instrs = make([]ir.Instr, 0, slots)
+	lw.locs = make([]ir.Loc, 0, slots)
 	lw.nextPersistent = len(decl.Params)
 	lw.tempBase = len(decl.Params) + sz.vars
 	lw.tempNext = lw.tempBase

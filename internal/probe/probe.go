@@ -38,7 +38,7 @@ func Insert(f *ir.Function) {
 	n := len(f.Blocks)
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if in := &b.Instrs[i]; (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil {
+			if wantsCallProbe(&b.Instrs[i]) {
 				n++
 			}
 		}
@@ -56,14 +56,18 @@ func Insert(f *ir.Function) {
 		// In the room irgen leaves every block for it, if it is still there.
 		b.Instrs = slices.Insert(b.Instrs, 0, bp)
 		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil {
+			if in := &b.Instrs[i]; wantsCallProbe(in) {
 				in.Probe = newProbe(ir.ProbeCall)
 			}
 		}
 	}
 	f.NumProbes = next - 1
 	f.Checksum = f.CFGChecksum()
+}
+
+// wantsCallProbe reports whether in is a call site without a call probe yet.
+func wantsCallProbe(in *ir.Instr) bool {
+	return (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil
 }
 
 // BlockProbe returns the block probe heading b, or nil if b has none (e.g.

@@ -149,7 +149,8 @@ const (
 //
 // tgt and c are indices into code, resolved once at decode time from
 // tgtAddr and the return address; -1 means the address is not an
-// instruction start, which Run reports only after the transfer has retired. Call arguments stay in machine.Instr.ArgRegs.
+// instruction start, which Run reports only after the transfer has retired.
+// Call arguments stay in machine.Instr.ArgRegs.
 type dinstr struct {
 	addr         uint64
 	tgtAddr      uint64

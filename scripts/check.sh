@@ -59,6 +59,10 @@ echo "== simulator contract (golden counts + allocation gate, then one pass of B
 go test ./internal/sim -run 'Golden|SteadyStateAllocs' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
+echo "== compile-path contract (emitted bytes, references, allocation gates, then one pass of BenchmarkBuild)"
+go test ./internal/pgo ./internal/opt ./internal/ir -run 'Golden|ByteIdentical|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference' -count=1
+go test -run '^$' -bench Build -benchtime 1x .
+
 echo "== go test -race (the Makefile's race lane)"
 make race
 
