@@ -35,9 +35,11 @@ bench:
 # flamegraph text codec, the translation validator over random programs
 # through the full checked pipeline, the chunked dispatcher (fuzzer-chosen
 # chunk size / worker count / duplication pattern must stay byte-identical
-# to the serial per-sample reference), and the traceparent header parser
-# (must never panic on hostile headers), one short burst per target (also
-# part of `make check`).
+# to the serial per-sample reference), the traceparent header parser
+# (must never panic on hostile headers), and the simulator over generated
+# machine programs (fuzzer-chosen seed; every observable must match the
+# per-instruction reference loop), one short burst per target (also part
+# of `make check`).
 fuzz:
 	$(GO) test ./internal/profdata -run='^FuzzReadText$$' -fuzz='^FuzzReadText$$' -fuzztime=5s
 	$(GO) test ./internal/profdata -run='^FuzzReadBinary$$' -fuzz='^FuzzReadBinary$$' -fuzztime=5s
@@ -45,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/opt -run='^FuzzTranslationValidate$$' -fuzz='^FuzzTranslationValidate$$' -fuzztime=5s
 	$(GO) test ./internal/sampling -run='^FuzzChunkedDispatcher$$' -fuzz='^FuzzChunkedDispatcher$$' -fuzztime=5s
 	$(GO) test ./internal/obs -run='^FuzzParseTraceparent$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=5s
+	$(GO) test ./internal/sim -run='^FuzzRunReference$$' -fuzz='^FuzzRunReference$$' -fuzztime=5s
 
 # Full hygiene gate: gofmt, vet, build, tests, and `csspgo lint` over every
 # example module (checked pipeline + profile/IR lint suite).

@@ -257,6 +257,16 @@ func goldenRun(key string, bin *machine.Prog, cfg goldenConfig, reqs [][]int64) 
 	return e
 }
 
+// goldenBuilds are the three binaries of every golden program.
+var goldenBuilds = []struct {
+	name string
+	cfg  pgo.BuildConfig
+}{
+	{"plain", pgo.BuildConfig{}},
+	{"probed", pgo.BuildConfig{Probes: true}},
+	{"instr", pgo.BuildConfig{Probes: true, Instrument: true}},
+}
+
 // TestGolden replays the pinned matrix and compares it with
 // testdata/golden.json byte for byte. The streaming PMU path must deliver
 // the same sample stream as the materialized one, so each sampling
@@ -266,14 +276,7 @@ func TestGolden(t *testing.T) {
 	var entries []goldenEntry
 	for _, p := range goldenPrograms(t) {
 		reqs := goldenStream(p.name, p.bound)
-		for _, b := range []struct {
-			name string
-			cfg  pgo.BuildConfig
-		}{
-			{"plain", pgo.BuildConfig{}},
-			{"probed", pgo.BuildConfig{Probes: true}},
-			{"instr", pgo.BuildConfig{Probes: true, Instrument: true}},
-		} {
+		for _, b := range goldenBuilds {
 			res, err := pgo.Build(p.files, b.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p.name, b.name, err)

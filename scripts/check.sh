@@ -55,8 +55,8 @@ go build ./...
 echo "== go test"
 go test ./...
 
-echo "== simulator contract (golden counts + allocation gate, then one pass of BenchmarkRun)"
-go test ./internal/sim -run 'Golden|SteadyStateAllocs' -count=1
+echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, then one pass of BenchmarkRun)"
+go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
 echo "== compile-path contract (emitted bytes, references, allocation gates, then one pass of BenchmarkBuild)"
