@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"syscall"
 	"testing"
+	"time"
 
 	"csspgo/internal/machine"
 	"csspgo/internal/pgo"
@@ -85,9 +87,12 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkRun is the `go test -bench` twin of the repository benchmark's
-// sim.minstr_per_s.{plain,pmu} rows: simulated instructions per second of
-// host time on the probed hhvm and adranker binaries, without a PMU and
-// with the CSSPGO sampling configuration streaming into a sink.
+// sim.minstr_per_s.{plain,pmu} rows: simulated instructions per second on
+// the probed hhvm and adranker binaries, without a PMU and with the CSSPGO
+// sampling configuration streaming into a sink. Minstr/s is per second of
+// wall clock; cpu-ns/op and Minstr/cpu-s are per second of process CPU
+// time (user + system, as root bench_test.go reads it), which swings far
+// less between back-to-back runs on a shared machine.
 func BenchmarkRun(b *testing.B) {
 	progs := benchPrograms(b)
 	for _, mode := range []struct {
@@ -107,11 +112,13 @@ func BenchmarkRun(b *testing.B) {
 				ms = append(ms, m)
 			}
 			b.ResetTimer()
+			cpu0 := processCPU()
 			for i := 0; i < b.N; i++ {
 				for j, m := range ms {
 					progs[j].run(b, m)
 				}
 			}
+			cpu := processCPU() - cpu0
 			b.StopTimer()
 			var instrs uint64
 			for _, m := range ms {
@@ -119,6 +126,17 @@ func BenchmarkRun(b *testing.B) {
 				m.FlushSamples() // hand the partial chunk back to the pool
 			}
 			b.ReportMetric(float64(instrs)/1e6/b.Elapsed().Seconds(), "Minstr/s")
+			b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
+			b.ReportMetric(float64(instrs)/1e6/cpu.Seconds(), "Minstr/cpu-s")
 		})
 	}
+}
+
+// processCPU is the user + system CPU time of this process so far.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // only an invalid argument can fail
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
