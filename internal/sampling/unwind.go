@@ -22,8 +22,10 @@ type CtxRange struct {
 	// instruction-index interval [Lo, Hi) it covers and the function it
 	// executed in, so consumers attribute the range without looking its
 	// addresses up again.
-	Lo, Hi    int32
-	Fn        *machine.Func
+	Lo, Hi int32
+	Fn     *machine.Func
+	// Callers is valid until the next Unwind: it lives in the unwinder's
+	// arena, and a range with SameCallers shares the previous range's slice.
 	Callers   []uint64
 	Truncated bool
 	// SameCallers reports that Callers is content-identical to the previous
@@ -153,6 +155,7 @@ func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 	u.arena = u.arena[:0]
 	truncated := false
 	mutated := false // callers changed since the last emitted range
+	var cc []uint64  // the last emitted range's snapshot of callers
 	for i := 0; i+1 < len(s.LBR); i++ {
 		br := s.LBR[i]
 		if aligned || i > 0 {
@@ -189,13 +192,17 @@ func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 		if truncated {
 			u.Stats.TruncatedRanges += n
 		}
-		// Snapshot callers into the arena. Each snapshot is capped with a
-		// three-index slice, so a later arena append either writes past it
-		// or reallocates — never into an already-handed-out snapshot.
-		start := len(u.arena)
-		u.arena = append(u.arena, callers...)
-		cc := u.arena[start:len(u.arena):len(u.arena)]
-		out = append(out, CtxRange{R: r, Lo: lo, Hi: hi, Fn: fn, Callers: cc, Truncated: truncated, SameCallers: len(out) > 0 && !mutated})
+		same := len(out) > 0 && !mutated
+		if !same {
+			// Snapshot callers into the arena. Each snapshot is capped with
+			// a three-index slice, so a later arena append either writes
+			// past it or reallocates — never into an already-handed-out
+			// snapshot.
+			start := len(u.arena)
+			u.arena = append(u.arena, callers...)
+			cc = u.arena[start:len(u.arena):len(u.arena)]
+		}
+		out = append(out, CtxRange{R: r, Lo: lo, Hi: hi, Fn: fn, Callers: cc, Truncated: truncated, SameCallers: same})
 		mutated = false
 	}
 	u.callersBuf = callers[:0]
