@@ -56,11 +56,12 @@ func BenchmarkUnwinder(b *testing.B) {
 // one bench/'s profgen-bound workload times (period 199, ~1000 requests a
 // program, ~42 k samples). The same sample streams are unwound with 1
 // (serial), 2 and 4 workers; distinct/op is how many of samples/op the
-// workers actually unwound after grouping each chunk's identical samples
-// (stream.distinct_samples). Output profiles are byte-identical across the
-// variants (the golden tests pin that); this benchmark only trades cores
-// for wall-clock, and cpu-ns/op (user + system time of the whole process,
-// collector included) says what the trade costs.
+// workers actually unwound after grouping each slice's identical samples
+// (stream.distinct_samples; a slice is one chunk, whatever the worker
+// count). Output profiles are byte-identical across the variants (the
+// golden tests pin that); this benchmark only trades cores for wall-clock,
+// and cpu-ns/op (user + system time of the whole process, collector
+// included) says what the trade costs.
 func BenchmarkParallelProfileGeneration(b *testing.B) {
 	type corpus struct {
 		bin     *machine.Prog

@@ -29,7 +29,7 @@ const (
 	MShardTailGraphBuildNS  = "shard.tailgraph_build_ns"
 	MStreamChunks           = "stream.chunks"
 	MStreamContexts         = "stream.pending_contexts"
-	MStreamDistinctSamples  = "stream.distinct_samples"
+	MStreamDistinctSamples  = "stream.distinct_samples" // groups unwound, summed over chunks; a materialized slice is one chunk
 	MProfileGenSamples      = "profilegen.samples"
 	MProfileGenFuncProfiles = "profilegen.func_profiles"
 	MProfileGenContexts     = "profilegen.contexts"

@@ -20,14 +20,15 @@ type CSSPGOOptions struct {
 	// contexts exactly the way the paper warns about.
 	AssumeAligned bool
 	// Workers sizes the unwinder worker pool (0 = GOMAXPROCS, 1 = serial).
-	// Each worker unwinds the sample chunks it is handed with its own
-	// Unwinder and private aggregation tables; the tables merge with a
-	// deterministic sum reduction, so every worker count yields a
+	// Each worker unwinds the shares of distinct samples it is handed with
+	// its own Unwinder and private aggregation tables; the tables merge with
+	// a deterministic sum reduction, so every worker count yields a
 	// byte-identical serialized profile.
 	Workers int
 	// ChunkSize is the per-chunk sample count GenerateCSSPGO feeds a
-	// materialized sample slice in (0 = sim.DefaultChunkSize). Output is
-	// byte-identical for any value; the tests vary it.
+	// materialized sample slice in (0 = the whole slice as one chunk, so
+	// each distinct sample is unwound once). Output is byte-identical for
+	// any value; the tests vary it.
 	ChunkSize int
 	// Trace receives the profile-generation span tree (tail-call graph,
 	// per-worker unwinding, shard merge, finalization). Nil = no tracing.

@@ -14,8 +14,8 @@ type FlatOptions struct {
 	// 1 = serial). Any worker count produces a byte-identical profile.
 	Workers int
 	// ChunkSize is the per-chunk sample count the Generate* functions feed a
-	// materialized sample slice in (0 = sim.DefaultChunkSize). Output is
-	// byte-identical for any value; the tests vary it.
+	// materialized sample slice in (0 = the whole slice as one chunk). Output
+	// is byte-identical for any value; the tests vary it.
 	ChunkSize int
 	// Trace receives the generation span tree (nil = no tracing).
 	Trace *obs.Span
