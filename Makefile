@@ -8,11 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race lane: the packages exercising the profile-generation worker pool
-# under the race detector, the shared metric registry they publish
-# into, the serving daemon's atomic profile swap, the fleet aggregator's
-# concurrent per-source fetches, and the fleet fault harness that runs ten
-# instances against it.
+# Race lane: the packages exercising the profile-generation dispatcher
+# (chunks grouped on the feeding goroutine, shares of their distinct samples
+# consumed by the worker pool, each chunk recycled by whichever worker
+# finishes its last share) under the race detector, the shared metric
+# registry they publish into, the serving daemon's atomic profile swap, the
+# fleet aggregator's concurrent per-source fetches, and the fleet fault
+# harness that runs ten instances against it.
 race:
 	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments
 

@@ -63,6 +63,10 @@ echo "== compile-path contract (emitted bytes, references, allocation gates, the
 go test ./internal/pgo ./internal/opt ./internal/ir -run 'Golden|ByteIdentical|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference' -count=1
 go test -run '^$' -bench Build -benchtime 1x .
 
+echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, then one pass of BenchmarkParallelProfileGeneration)"
+go test ./internal/sampling ./internal/pgo -run 'Reference|Golden|ByteIdentical|MatchesBatch|SteadyStateAllocs|Distinct' -count=1
+go test -run '^$' -bench ParallelProfileGeneration -benchtime 1x .
+
 echo "== go test -race (the Makefile's race lane)"
 make race
 
