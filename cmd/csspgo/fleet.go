@@ -213,7 +213,7 @@ func cmdFleet(args []string) error {
 		// Normalized: trace/span IDs stripped, logical clocks kept — two
 		// identical runs write byte-identical journals.
 		journal.Normalize()
-		if err := journal.WriteFile(*journalPath); err != nil {
+		if err := obs.WriteFile(*journalPath, journal); err != nil {
 			return err
 		}
 		fmt.Printf("wrote journal %s (%d events)\n", *journalPath, journal.Len())
@@ -222,7 +222,7 @@ func cmdFleet(args []string) error {
 		// Normalized: *_ns series zeroed (wall time is nondeterministic);
 		// counts, gauges, and logical clocks survive byte-identically.
 		series.Normalize()
-		if err := series.WriteFile(*timeseriesPath); err != nil {
+		if err := obs.WriteFile(*timeseriesPath, series); err != nil {
 			return err
 		}
 		sn, pn, _ := series.Stats()
@@ -238,7 +238,7 @@ func cmdFleet(args []string) error {
 		rep.Config["min_overlap"] = fmt.Sprintf("%g", *minOverlap)
 		rep.AddTrace(obsrv)
 		rep.AddMetrics(reg)
-		if err := rep.WriteFile(*reportPath); err != nil {
+		if err := obs.WriteFile(*reportPath, rep); err != nil {
 			return err
 		}
 		fmt.Printf("wrote report %s\n", *reportPath)

@@ -91,11 +91,6 @@ func cmdLint(args []string) error {
 	}
 
 	rep := lintReport{Diagnostics: []analysis.Diagnostic{}}
-	// Metric-namespace and event-catalog hygiene: both static catalogs must
-	// be duplicate-free and follow the naming conventions before any run
-	// report or event journal is trusted.
-	rep.Diagnostics = append(rep.Diagnostics, analysis.CheckMetricCatalog()...)
-	rep.Diagnostics = append(rep.Diagnostics, analysis.CheckEventCatalog()...)
 	res, err := pgo.Build(files, cfg)
 	if err != nil {
 		var pv *opt.PassViolation

@@ -246,7 +246,7 @@ func writeObservability(o *pgo.RunObserver, tool string, config map[string]any, 
 		return err
 	}
 	if reportPath != "" {
-		if err := o.Report(tool, config).WriteFile(reportPath); err != nil {
+		if err := obs.WriteFile(reportPath, o.Report(tool, config)); err != nil {
 			return err
 		}
 		fmt.Printf("wrote report %s\n", reportPath)

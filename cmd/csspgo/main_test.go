@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -54,14 +55,14 @@ func TestValidateArtifact(t *testing.T) {
 	}
 	ts := obs.NewTimeSeries(4)
 	ts.Sample(1, reg.Snapshot())
-	series, err := ts.EncodeJSON()
+	series, err := ts.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	jr := obs.NewJournal()
 	jr.Emit(obs.Event{Type: obs.EvPromotion, Round: 1})
 	jr.Emit(obs.Event{Type: obs.EvRollback, Round: 2})
-	journal, err := jr.EncodeJSONL()
+	journal, err := jr.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestValidateArtifact(t *testing.T) {
 		{"empty", nil, 1, "", "not a JSON artifact"},
 	}
 	for _, c := range cases {
-		kind, err := validateArtifact(c.data, c.minSpans)
+		kind, err := obs.ValidateArtifact(c.data, c.minSpans)
 		switch {
 		case c.kind != "" && (err != nil || !strings.Contains(kind, c.kind)):
 			t.Errorf("%s: got (%q, %v), want a valid %s", c.name, kind, err, c.kind)
@@ -126,6 +127,47 @@ func TestValidateArtifact(t *testing.T) {
 	captureStdout(t, func() { err = cmdReport([]string{"-validate", filepath.Join(dir, "bad.json")}) })
 	if err == nil || !strings.Contains(err.Error(), "bad.json") || !strings.Contains(err.Error(), `"nope/v1"`) {
 		t.Fatalf("report -validate on an unknown schema: %v", err)
+	}
+}
+
+// `csspgo trace` parses each input once and asks everything of the parsed
+// traces: -stitch merges them in memory, checks links and ancestry, and
+// writes a file that validates on its own; a broken chain names the span.
+func TestTraceStitchesParsedInputs(t *testing.T) {
+	dir := t.TempDir()
+	agg := obs.NewTrace()
+	agg.SetTraceID(obs.DeriveTraceID("stitch", "agg"))
+	round := agg.Span("fleet.round")
+	inst := obs.NewTrace()
+	inst.SetTraceID(obs.DeriveTraceID("stitch", "inst"))
+	inst.Root().SpanRemote("serve.handle_profile", round.Context()).End()
+	round.End()
+	var paths []string
+	for i, tr := range []*obs.Trace{agg, inst} {
+		var buf bytes.Buffer
+		if err := tr.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(dir, fmt.Sprintf("p%d.json", i)))
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := filepath.Join(dir, "merged.json")
+	var err error
+	out := captureStdout(t, func() {
+		err = cmdTrace(append([]string{"-stitch", merged, "-require-ancestor", "serve.handle_profile=fleet.round"}, paths...))
+	})
+	if err != nil || !strings.Contains(out, "2 spans, 1 links (1 cross-process)") {
+		t.Fatalf("trace -stitch: %v\n%s", err, out)
+	}
+	out = captureStdout(t, func() { err = cmdTrace([]string{"-min-cross-links", "1", merged}) })
+	if err != nil || !strings.Contains(out, "valid trace: 2 spans") {
+		t.Fatalf("trace on the stitched file: %v\n%s", err, out)
+	}
+	captureStdout(t, func() { err = cmdTrace([]string{"-require-ancestor", "serve.handle_profile=fleet.round", paths[1]}) })
+	if err == nil || !strings.Contains(err.Error(), "broken parent link") {
+		t.Fatalf("trace on an instance export alone: %v", err)
 	}
 }
 

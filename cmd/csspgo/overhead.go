@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 
+	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
 	"csspgo/internal/pgo"
 )
@@ -57,7 +58,7 @@ func cmdOverhead(args []string) error {
 		return err
 	}
 	if *out != "" {
-		if err := rep.WriteFile(*out); err != nil {
+		if err := obs.WriteFile(*out, rep); err != nil {
 			return err
 		}
 		fmt.Printf("wrote overhead artifact %s\n", *out)

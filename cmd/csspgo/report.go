@@ -1,14 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 
 	"csspgo/internal/obs"
-	"csspgo/internal/overhead"
 )
 
 // cmdReport works with run manifests — pretty-print one, diff two (metric
@@ -32,7 +29,7 @@ func cmdReport(args []string) error {
 			if err != nil {
 				return err
 			}
-			kind, err := validateArtifact(data, *minSpans)
+			kind, err := obs.ValidateArtifact(data, *minSpans)
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
@@ -69,39 +66,5 @@ func cmdReport(args []string) error {
 		return nil
 	default:
 		return fmt.Errorf("report: want 1 manifest (pretty-print) or 2 (diff), got %d", fs.NArg())
-	}
-}
-
-// validateArtifact is the one validator entry: it reads which artifact data
-// is off its first JSON value — a "schema" id, or "traceEvents" for a
-// Chrome trace, which carries none — and runs that schema's check over the
-// whole file (a journal is JSON Lines, every line tagged csspgo-events/v1).
-// It returns what the file was. The four checks share nothing but this
-// dispatch; each knows its own schema's invariants.
-func validateArtifact(data []byte, minSpans int) (string, error) {
-	var head struct {
-		Schema      string          `json:"schema"`
-		TraceEvents json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&head); err != nil {
-		return "", fmt.Errorf("not a JSON artifact: %w", err)
-	}
-	switch head.Schema {
-	case obs.Schema:
-		return obs.Schema + " manifest", obs.ValidateReport(data)
-	case obs.TimeSeriesSchema:
-		return obs.TimeSeriesSchema + " store", obs.ValidateTimeSeries(data)
-	case obs.EventsSchema:
-		return obs.EventsSchema + " journal", obs.ValidateJournal(data)
-	case overhead.Schema:
-		_, err := overhead.Decode(data)
-		return overhead.Schema + " artifact", err
-	case "":
-		if head.TraceEvents == nil {
-			return "", fmt.Errorf("no \"schema\" and no \"traceEvents\": not an artifact csspgo writes")
-		}
-		return fmt.Sprintf("Chrome trace (>= %d distinct spans)", minSpans), obs.ValidateChromeTrace(data, minSpans)
-	default:
-		return "", fmt.Errorf("unknown schema %q", head.Schema)
 	}
 }

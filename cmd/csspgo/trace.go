@@ -11,13 +11,14 @@ import (
 
 // cmdTrace works with Chrome trace-event exports: stitch N per-process
 // traces (one per `csspgo serve` / `csspgo fleet` run) into a single
-// causally-linked fleet trace, or validate one file's link structure. The
-// stitcher reassigns each input to its own pid and then validates the
-// merged trace: every parent_span_id must resolve — a broken cross-process
-// link is an error, not a warning. -require-ancestor additionally asserts a
-// causal chain (e.g. every serve-side handler span must descend from the
-// aggregator's round span), which is how the `make check` observability
-// lane proves the fleet trace is really stitched and not just concatenated.
+// causally-linked fleet trace, or validate one file's link structure. Each
+// input is parsed once; the stitcher reassigns each input to its own pid
+// and then validates the merged trace in memory: every parent_span_id must
+// resolve — a broken cross-process link is an error, not a warning.
+// -require-ancestor additionally asserts a causal chain (e.g. every
+// serve-side handler span must descend from the aggregator's round span),
+// which is how the `make check` observability lane proves the fleet trace
+// is really stitched and not just concatenated.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	stitch := fs.String("stitch", "", "merge the input traces into this output file")
@@ -35,65 +36,66 @@ func cmdTrace(args []string) error {
 		reqs = append(reqs, [2]string{span, anc})
 	}
 
+	if fs.NArg() == 0 {
+		return fmt.Errorf("trace: no input traces (use -stitch OUT in1.json in2.json... or pass files to validate)")
+	}
+	traces := make([]*obs.ChromeTrace, fs.NArg())
+	for i, path := range fs.Args() {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if traces[i], err = obs.ParseChromeTrace(data); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	// check is what both modes ask of a trace: its parent links resolve, at
+	// least minCross of them cross a process, and every -require-ancestor
+	// chain holds.
+	check := func(ct *obs.ChromeTrace, minCross int) (obs.StitchStats, error) {
+		stats, err := ct.Links(minCross)
+		if err != nil {
+			return stats, err
+		}
+		for _, r := range reqs {
+			if err := ct.RequireAncestor(r[0], r[1]); err != nil {
+				return stats, err
+			}
+		}
+		return stats, nil
+	}
+
 	if *stitch != "" {
 		if fs.NArg() < 2 {
 			return fmt.Errorf("trace: -stitch wants >= 2 input traces, got %d", fs.NArg())
 		}
-		inputs := make([][]byte, fs.NArg())
-		for i, path := range fs.Args() {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			inputs[i] = data
-		}
-		merged, err := obs.StitchChromeTraces(inputs)
+		merged := obs.StitchChromeTraces(traces)
+		stats, err := check(merged, *minCross)
 		if err != nil {
 			return err
 		}
-		stats, err := obs.ValidateStitchedTrace(merged, *minCross)
+		data, err := merged.Encode()
 		if err != nil {
 			return err
 		}
-		for _, r := range reqs {
-			if err := obs.RequireAncestor(merged, r[0], r[1]); err != nil {
-				return err
-			}
-		}
-		if err := os.WriteFile(*stitch, merged, 0o644); err != nil {
-			return err
-		}
-		names, err := obs.SpanNames(merged)
-		if err != nil {
+		if err := os.WriteFile(*stitch, data, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("stitched %d traces into %s: %d spans, %d links (%d cross-process), span names: %s\n",
-			fs.NArg(), *stitch, stats.Spans, stats.Links, stats.CrossProcessLinks, strings.Join(names, ", "))
+			fs.NArg(), *stitch, stats.Spans, stats.Links, stats.CrossProcessLinks, strings.Join(merged.SpanNames(), ", "))
 		return nil
 	}
 
 	// Validation mode: check each input independently (single-process traces
 	// need no cross-links, so the floor is 0 unless overridden).
-	if fs.NArg() == 0 {
-		return fmt.Errorf("trace: no input traces (use -stitch OUT in1.json in2.json... or pass files to validate)")
-	}
 	floor := 0
 	if *minCross > 1 {
 		floor = *minCross
 	}
-	for _, path := range fs.Args() {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		stats, err := obs.ValidateStitchedTrace(data, floor)
+	for i, path := range fs.Args() {
+		stats, err := check(traces[i], floor)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
-		}
-		for _, r := range reqs {
-			if err := obs.RequireAncestor(data, r[0], r[1]); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
 		}
 		fmt.Printf("%s: valid trace: %d spans, %d links (%d cross-process)\n",
 			path, stats.Spans, stats.Links, stats.CrossProcessLinks)

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"csspgo/internal/experiments"
+	"csspgo/internal/obs"
 	"csspgo/internal/pgo"
 )
 
@@ -67,7 +68,7 @@ func main() {
 	}
 	if *reportPath != "" {
 		rep := obsrv.Report("experiments", map[string]any{"run": *runSel, "scale": *scale})
-		if err := rep.WriteFile(*reportPath); err != nil {
+		if err := obs.WriteFile(*reportPath, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

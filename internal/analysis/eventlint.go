@@ -9,8 +9,9 @@ import (
 // Event-catalog lint, mirroring the metric lint: every journaled event type
 // must be declared in internal/obs's static catalog and follow the
 // snake-case naming convention. Ad-hoc event types would make journals
-// unvalidatable (ValidateJournal pins the catalog), so `csspgo lint` and
-// the fleet CLI's self-lint flag them before they ship.
+// undecodable (obs.DecodeJournal pins the catalog), so the fleet CLI lints
+// the types a run emitted before it writes its journal. The static catalog
+// itself is checked by the tests.
 
 // CheckEventNames lints an event-type list: duplicates, names violating the
 // snake-case convention, and names missing from the static catalog are
@@ -45,14 +46,4 @@ func CheckEventNames(names []string) []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// CheckEventCatalog lints the static catalog itself (run by `csspgo lint`
-// and the analysis test suite, so a duplicate constant never ships).
-func CheckEventCatalog() []Diagnostic {
-	names := make([]string, 0, len(obs.EventTypes()))
-	for _, t := range obs.EventTypes() {
-		names = append(names, string(t))
-	}
-	return CheckEventNames(names)
 }

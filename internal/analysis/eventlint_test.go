@@ -2,12 +2,17 @@ package analysis
 
 import (
 	"testing"
+
+	"csspgo/internal/obs"
 )
 
-// The shipped event catalog must be duplicate-free and convention-clean —
-// the same check `csspgo lint` runs.
+// The shipped event catalog must be duplicate-free and convention-clean.
 func TestEventCatalogClean(t *testing.T) {
-	if diags := CheckEventCatalog(); len(diags) != 0 {
+	var names []string
+	for _, et := range obs.EventTypes() {
+		names = append(names, string(et))
+	}
+	if diags := CheckEventNames(names); len(diags) != 0 {
 		t.Fatalf("event-catalog lint found %d diagnostic(s): %v", len(diags), diags)
 	}
 }

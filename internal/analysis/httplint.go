@@ -3,40 +3,16 @@ package analysis
 import (
 	"fmt"
 	"net/http"
-	"strings"
-
-	"csspgo/internal/obs"
 )
 
-// HTTP-surface lint for the serving daemon (`csspgo serve`): every endpoint
-// must set Content-Type before writing its body — a body write with no
-// Content-Type makes net/http sniff the type, which is nondeterministic
-// across payloads and breaks byte-oriented clients (the folded-stack golden
-// compare, Prometheus scrapers). The lint drives the handler in-process
-// with a header-order-recording ResponseWriter; no listener is involved.
-
-// CheckMetricsCataloged flags live metric names under a reserved prefix
-// (see obs.ReservedMetricPrefixes) that are missing from the static
-// catalog. Reserved namespaces — serve.* today — feed dashboards and the
-// run-report determinism tests, so ad-hoc names there are errors.
-func CheckMetricsCataloged(names []string) []Diagnostic {
-	catalog := map[string]bool{}
-	for _, n := range obs.CatalogNames() {
-		catalog[n] = true
-	}
-	var diags []Diagnostic
-	for _, name := range names {
-		for _, prefix := range obs.ReservedMetricPrefixes() {
-			if strings.HasPrefix(name, prefix) && !catalog[name] {
-				diags = append(diags, Diagnostic{
-					Sev: SevError, Check: "metric-uncataloged", Block: -1,
-					Msg: fmt.Sprintf("metric %q is in the reserved %q namespace but missing from the obs catalog", name, prefix),
-				})
-			}
-		}
-	}
-	return diags
-}
+// HTTP-surface lint for both daemons (`csspgo serve`, `csspgo fleet
+// -status-addr`): every endpoint must set Content-Type before writing its
+// body — a body write with no Content-Type makes net/http sniff the type,
+// which is nondeterministic across payloads and breaks byte-oriented
+// clients (the folded-stack golden compare, Prometheus scrapers). A golden
+// body test would pin the sniffed type rather than catch the mistake. The
+// lint drives the handler in-process with a header-order-recording
+// ResponseWriter; no listener is involved.
 
 // headerOrderWriter records whether Content-Type was set before the first
 // body write (or explicit WriteHeader).

@@ -2,15 +2,17 @@ package analysis
 
 import (
 	"fmt"
+	"strings"
 
 	"csspgo/internal/obs"
 )
 
 // Metric-namespace lint: the observability layer keeps one unified metric
 // namespace (internal/obs's catalog plus any dynamically extended names).
-// Duplicate registrations — the same name declared twice in the catalog, or
-// registered at run time under conflicting kinds — make run-report diffs
-// ambiguous, so they are flagged here and surfaced by `csspgo lint`.
+// Duplicate registrations — registered at run time under conflicting kinds —
+// make run-report diffs ambiguous, and an ad-hoc name in a reserved
+// namespace escapes the catalog, so both daemons lint their live registry
+// before they serve it. The static catalog itself is checked by the tests.
 
 // CheckMetricNames lints a metric-name list: duplicate names and names
 // violating the dotted-lowercase namespace convention are errors.
@@ -52,8 +54,25 @@ func CheckMetricRegistry(reg *obs.Registry) []Diagnostic {
 	return diags
 }
 
-// CheckMetricCatalog lints the static catalog (run by `csspgo lint` and the
-// analysis test suite, so a duplicate constant never ships).
-func CheckMetricCatalog() []Diagnostic {
-	return CheckMetricNames(obs.CatalogNames())
+// CheckMetricsCataloged flags live metric names under a reserved prefix
+// (see obs.ReservedMetricPrefixes) that are missing from the static
+// catalog. Reserved namespaces feed dashboards and the run-report
+// determinism tests, so ad-hoc names there are errors.
+func CheckMetricsCataloged(names []string) []Diagnostic {
+	catalog := map[string]bool{}
+	for _, n := range obs.CatalogNames() {
+		catalog[n] = true
+	}
+	var diags []Diagnostic
+	for _, name := range names {
+		for _, prefix := range obs.ReservedMetricPrefixes() {
+			if strings.HasPrefix(name, prefix) && !catalog[name] {
+				diags = append(diags, Diagnostic{
+					Sev: SevError, Check: "metric-uncataloged", Block: -1,
+					Msg: fmt.Sprintf("metric %q is in the reserved %q namespace but missing from the obs catalog", name, prefix),
+				})
+			}
+		}
+	}
+	return diags
 }

@@ -6,10 +6,9 @@ import (
 	"csspgo/internal/obs"
 )
 
-// The shipped catalog must be duplicate-free and convention-clean — this is
-// the same check `csspgo lint` runs.
+// The shipped catalog must be duplicate-free and convention-clean.
 func TestMetricCatalogClean(t *testing.T) {
-	if diags := CheckMetricCatalog(); len(diags) != 0 {
+	if diags := CheckMetricNames(obs.CatalogNames()); len(diags) != 0 {
 		t.Fatalf("catalog lint found %d diagnostic(s): %v", len(diags), diags)
 	}
 }

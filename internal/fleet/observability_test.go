@@ -15,13 +15,17 @@ import (
 )
 
 // traceBytes exports a trace as Chrome trace-event JSON.
-func traceBytes(t *testing.T, tr *obs.Trace) []byte {
+func exportTrace(t *testing.T, tr *obs.Trace) *obs.ChromeTrace {
 	t.Helper()
 	var b bytes.Buffer
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
-	return b.Bytes()
+	ct, err := obs.ParseChromeTrace(b.Bytes())
+	if err != nil {
+		t.Fatalf("trace parse: %v", err)
+	}
+	return ct
 }
 
 // The acceptance path for the stitched fleet trace: a traced aggregation
@@ -73,15 +77,12 @@ func TestFleetTraceStitchAcrossProcesses(t *testing.T) {
 		}
 	}
 
-	inputs := [][]byte{traceBytes(t, fleetTrace)}
+	inputs := []*obs.ChromeTrace{exportTrace(t, fleetTrace)}
 	for _, tr := range serveTraces {
-		inputs = append(inputs, traceBytes(t, tr))
+		inputs = append(inputs, exportTrace(t, tr))
 	}
-	merged, err := obs.StitchChromeTraces(inputs)
-	if err != nil {
-		t.Fatalf("stitch: %v", err)
-	}
-	st, err := obs.ValidateStitchedTrace(merged, instances)
+	merged := obs.StitchChromeTraces(inputs)
+	st, err := merged.Links(instances)
 	if err != nil {
 		t.Fatalf("validate: %v", err)
 	}
@@ -91,14 +92,11 @@ func TestFleetTraceStitchAcrossProcesses(t *testing.T) {
 		t.Fatalf("cross-process links = %d, want %d (stats %+v)", st.CrossProcessLinks, 2*instances, st)
 	}
 	for _, span := range []string{"serve.handle_profile", "serve.refresh"} {
-		if err := obs.RequireAncestor(merged, span, "fleet.round"); err != nil {
+		if err := merged.RequireAncestor(span, "fleet.round"); err != nil {
 			t.Fatalf("ancestry: %v", err)
 		}
 	}
-	names, err := obs.SpanNames(merged)
-	if err != nil {
-		t.Fatalf("span names: %v", err)
-	}
+	names := merged.SpanNames()
 	for _, want := range []string{"fleet.round", "fleet.fetch", "fleet.poll", "fleet.merge",
 		"serve.handle_profile", "serve.refresh"} {
 		found := false
@@ -112,11 +110,8 @@ func TestFleetTraceStitchAcrossProcesses(t *testing.T) {
 
 	// Dropping the aggregator's export breaks every instance-side parent
 	// link — the validator must reject, not warn.
-	broken, err := obs.StitchChromeTraces(inputs[1:])
-	if err != nil {
-		t.Fatalf("stitch without fleet trace: %v", err)
-	}
-	if _, err := obs.ValidateStitchedTrace(broken, 0); err == nil ||
+	broken := obs.StitchChromeTraces(inputs[1:])
+	if _, err := broken.Links(0); err == nil ||
 		!strings.Contains(err.Error(), "broken parent link") {
 		t.Fatalf("broken stitch accepted: %v", err)
 	}
@@ -166,11 +161,11 @@ func observedRun(t *testing.T) (journal, timeseries []byte) {
 
 	jr.Normalize()
 	series.Normalize()
-	jd, err := jr.EncodeJSONL()
+	jd, err := jr.Encode()
 	if err != nil {
 		t.Fatalf("journal encode: %v", err)
 	}
-	sd, err := series.EncodeJSON()
+	sd, err := series.Encode()
 	if err != nil {
 		t.Fatalf("series encode: %v", err)
 	}
@@ -191,11 +186,10 @@ func TestFleetArtifactsByteIdenticalAcrossRuns(t *testing.T) {
 	}
 	// Both artifacts pass their own validators, and the run exercised the
 	// event types it was built to exercise.
-	if err := obs.ValidateJournal(j1); err != nil {
-		t.Fatalf("journal invalid: %v", err)
-	}
-	if err := obs.ValidateTimeSeries(s1); err != nil {
-		t.Fatalf("time-series invalid: %v", err)
+	for _, data := range [][]byte{j1, s1} {
+		if _, err := obs.ValidateArtifact(data, 0); err != nil {
+			t.Fatalf("invalid artifact: %v\n%s", err, data)
+		}
 	}
 	for _, want := range []string{`"type":"quota_clamp"`, `"type":"breaker_open"`, `"type":"promotion"`} {
 		if !bytes.Contains(j1, []byte(want)) {

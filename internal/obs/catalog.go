@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 )
@@ -217,7 +218,20 @@ var metricNameRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)+$`)
 // ValidMetricName reports whether name follows the namespace conventions.
 func ValidMetricName(name string) bool { return metricNameRE.MatchString(name) }
 
-// IsTimingMetric reports whether name records wall-clock time (the "_ns"
-// suffix convention); timing metrics are zeroed by Report.Normalize because
-// they are the only nondeterministic part of a run report.
-func IsTimingMetric(name string) bool { return strings.HasSuffix(name, "_ns") }
+// checkMetric is the name and kind check every artifact that carries
+// metrics (run reports, time-series stores) applies to each one.
+func checkMetric(name string, kind Kind) error {
+	if !ValidMetricName(name) {
+		return fmt.Errorf("malformed metric name %q (want a dotted lowercase path)", name)
+	}
+	switch kind {
+	case KindCounter, KindGauge, KindHistogram:
+		return nil
+	}
+	return fmt.Errorf("metric %q: unknown kind %q", name, kind)
+}
+
+// isTimingMetric reports whether name records wall-clock time (the "_ns"
+// suffix convention); timing metrics are zeroed by Normalize because they
+// are the only nondeterministic part of a run report or time series.
+func isTimingMetric(name string) bool { return strings.HasSuffix(name, "_ns") }

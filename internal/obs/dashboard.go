@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// RenderDashboard renders a self-contained HTML dashboard — inline CSS and
+// renderDashboard renders a self-contained HTML dashboard — inline CSS and
 // SVG sparklines, no external assets, so it loads from an air-gapped fleet
 // box — showing every tracked time series, the current metric snapshot, and
 // the tail of the event journal. Output is deterministic for a given
 // (store, snapshot, events) triple: series and metrics sort by name.
-func RenderDashboard(title string, ts *TimeSeries, snap Snapshot, events []Event) []byte {
+func renderDashboard(title string, ts *TimeSeries, snap Snapshot, events []Event) []byte {
 	var sb strings.Builder
 	sb.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n")
 	fmt.Fprintf(&sb, "<title>%s</title>\n", html.EscapeString(title))
@@ -30,8 +30,8 @@ th{color:#8ab}tr:nth-child(even){background:#181818}
 
 	if ts != nil {
 		sb.WriteString("<h2>time series</h2>\n<table><tr><th>metric</th><th>trend</th><th class=num>last</th><th class=num>points</th></tr>\n")
-		for _, name := range ts.SeriesNames() {
-			pts := ts.Points(name)
+		for _, name := range ts.seriesNames() {
+			pts := ts.points(name)
 			last := 0.0
 			if len(pts) > 0 {
 				last = pts[len(pts)-1].Value
@@ -96,7 +96,7 @@ th{color:#8ab}tr:nth-child(even){background:#181818}
 
 // sparkline renders a series as a tiny inline SVG polyline scaled to its own
 // [min, max]. Flat or single-point series draw a midline.
-func sparkline(pts []Point) string {
+func sparkline(pts []point) string {
 	const w, h = 120, 16
 	if len(pts) == 0 {
 		return ""

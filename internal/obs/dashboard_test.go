@@ -28,7 +28,7 @@ func TestDashboardEscapesHTML(t *testing.T) {
 		Round:  1, Seq: 1,
 	}}
 
-	out := string(RenderDashboard("t "+payload, ts, snap, events))
+	out := string(renderDashboard("t "+payload, ts, snap, events))
 	if strings.Contains(out, payload) {
 		t.Fatalf("dashboard contains unescaped payload:\n%s", out)
 	}
@@ -48,11 +48,11 @@ func TestDashboardEscapesHTML(t *testing.T) {
 // The overhead panel renders only overhead.* metrics; without any, the
 // section is absent entirely.
 func TestDashboardOverheadPanelConditional(t *testing.T) {
-	out := string(RenderDashboard("t", nil, Snapshot{"serve.requests": {Kind: KindCounter, Value: 1}}, nil))
+	out := string(renderDashboard("t", nil, Snapshot{"serve.requests": {Kind: KindCounter, Value: 1}}, nil))
 	if strings.Contains(out, "overhead observatory") {
 		t.Fatalf("overhead panel rendered with no overhead.* metrics:\n%s", out)
 	}
-	out = string(RenderDashboard("t", nil, Snapshot{MOverheadPct: {Kind: KindGauge, Gauge: 1.5}}, nil))
+	out = string(renderDashboard("t", nil, Snapshot{MOverheadPct: {Kind: KindGauge, Gauge: 1.5}}, nil))
 	if !strings.Contains(out, "overhead observatory") || !strings.Contains(out, MOverheadPct) {
 		t.Fatalf("overhead panel missing:\n%s", out)
 	}

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"regexp"
 	"sync"
 )
@@ -19,7 +18,7 @@ import (
 // reports and time-series store meet.
 
 // EventsSchema identifies the journal format. Bump on incompatible changes;
-// ValidateJournal pins it.
+// DecodeJournal pins it.
 const EventsSchema = "csspgo-events/v1"
 
 // EventType names one kind of control-plane event. Every emitted type must
@@ -172,10 +171,10 @@ func (j *Journal) Normalize() {
 	}
 }
 
-// EncodeJSONL renders the journal as JSON Lines, one event per line, in
-// emission order. Encoding is deterministic: struct field order plus sorted
-// metric keys.
-func (j *Journal) EncodeJSONL() ([]byte, error) {
+// Encode renders the journal as JSON Lines, one event per line, in emission
+// order. Encoding is deterministic: struct field order plus sorted metric
+// keys.
+func (j *Journal) Encode() ([]byte, error) {
 	var buf bytes.Buffer
 	for _, e := range j.Events() {
 		line, err := json.Marshal(e)
@@ -188,66 +187,36 @@ func (j *Journal) EncodeJSONL() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteFile encodes the journal to path.
-func (j *Journal) WriteFile(path string) error {
-	data, err := j.EncodeJSONL()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// DecodeJournal parses a JSONL journal, validating it first.
+// DecodeJournal parses a JSONL journal and validates it against the v1
+// schema as it goes: every line parses, pins the schema string, carries a
+// cataloged event type, and the sequence numbers run 1, 2, 3, ... Blank
+// lines are skipped; an empty journal is valid and has no events.
 func DecodeJournal(data []byte) ([]Event, error) {
-	if err := ValidateJournal(data); err != nil {
-		return nil, err
-	}
-	var out []Event
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
-// ValidateJournal checks a JSONL journal against the v1 schema: every line
-// parses, pins the schema string, carries a cataloged event type, and the
-// sequence numbers strictly increase from 1.
-func ValidateJournal(data []byte) error {
 	known := map[EventType]bool{}
 	for _, t := range EventTypes() {
 		known[t] = true
 	}
+	var out []Event
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line, wantSeq := 0, uint64(1)
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return fmt.Errorf("obs: journal line %d: not valid JSON: %w", line, err)
+			return nil, fmt.Errorf("obs: journal line %d: not valid JSON: %w", line, err)
 		}
 		if e.Schema != EventsSchema {
-			return fmt.Errorf("obs: journal line %d: schema %q, want %q", line, e.Schema, EventsSchema)
+			return nil, fmt.Errorf("obs: journal line %d: schema %q, want %q", line, e.Schema, EventsSchema)
 		}
 		if !known[e.Type] {
-			return fmt.Errorf("obs: journal line %d: uncataloged event type %q", line, e.Type)
+			return nil, fmt.Errorf("obs: journal line %d: uncataloged event type %q", line, e.Type)
 		}
-		if e.Seq != wantSeq {
-			return fmt.Errorf("obs: journal line %d: seq %d, want %d", line, e.Seq, wantSeq)
+		if want := uint64(len(out) + 1); e.Seq != want {
+			return nil, fmt.Errorf("obs: journal line %d: seq %d, want %d", line, e.Seq, want)
 		}
-		wantSeq++
+		out = append(out, e)
 	}
-	return sc.Err()
+	return out, sc.Err()
 }

@@ -54,13 +54,14 @@ func TestJournalTypesUsedFirstUseOrder(t *testing.T) {
 	}
 }
 
-// A journal round-trips through JSONL: encode, validate, decode, same events.
+// A journal round-trips through JSONL: encode, then decode (which
+// validates), same events.
 func TestJournalEncodeDecodeRoundTrip(t *testing.T) {
 	j := NewJournal()
 	j.Emit(Event{Type: EvBreakerOpen, Round: 3, Source: "src1", Detail: "closed -> open"})
 	j.Emit(Event{Type: EvOverlapDegrading, Round: 4,
 		Metrics: map[string]float64{"overlap": 0.85, "margin": 0.05}})
-	data, err := j.EncodeJSONL()
+	data, err := j.Encode()
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestJournalEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// ValidateJournal pins the schema, the static type catalog, and seq
+// DecodeJournal pins the schema, the static type catalog, and seq
 // continuity — each violation is an error naming the offending line.
 func TestValidateJournalRejections(t *testing.T) {
 	cases := []struct {
@@ -100,19 +101,15 @@ func TestValidateJournalRejections(t *testing.T) {
 		{"not json", `{"schema":`, "JSON"},
 	}
 	for _, tc := range cases {
-		err := ValidateJournal([]byte(tc.data + "\n"))
+		_, err := DecodeJournal([]byte(tc.data + "\n"))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
-	// The same violations must also fail DecodeJournal (it validates first).
-	if _, err := DecodeJournal([]byte(cases[0].data + "\n")); err == nil {
-		t.Fatalf("DecodeJournal accepted an invalid journal")
-	}
 }
 
 // Every cataloged type passes the name lint shape, and the catalog is what
-// ValidateJournal accepts.
+// DecodeJournal accepts.
 func TestEventCatalogNamesWellFormed(t *testing.T) {
 	for _, et := range EventTypes() {
 		if !ValidEventName(string(et)) {
@@ -138,15 +135,15 @@ func TestJournalNormalizeByteIdentical(t *testing.T) {
 	}
 	a := mk(DeriveTraceID("run", "a"))
 	b := mk(DeriveTraceID("run", "b"))
-	da, _ := a.EncodeJSONL()
-	db, _ := b.EncodeJSONL()
+	da, _ := a.Encode()
+	db, _ := b.Encode()
 	if bytes.Equal(da, db) {
 		t.Fatalf("differently-seeded journals identical before Normalize; test premise broken")
 	}
 	a.Normalize()
 	b.Normalize()
-	da, _ = a.EncodeJSONL()
-	db, _ = b.EncodeJSONL()
+	da, _ = a.Encode()
+	db, _ = b.Encode()
 	if !bytes.Equal(da, db) {
 		t.Fatalf("normalized journals differ:\n%s\nvs\n%s", da, db)
 	}
@@ -154,7 +151,7 @@ func TestJournalNormalizeByteIdentical(t *testing.T) {
 		t.Fatalf("normalized journal still carries trace identity:\n%s", da)
 	}
 	// Normalized output still validates.
-	if err := ValidateJournal(da); err != nil {
+	if _, err := DecodeJournal(da); err != nil {
 		t.Fatalf("normalized journal invalid: %v", err)
 	}
 }
@@ -167,7 +164,7 @@ func TestJournalNilSafety(t *testing.T) {
 	if j.Len() != 0 || j.Events() != nil || len(j.TypesUsed()) != 0 {
 		t.Fatalf("nil journal not inert")
 	}
-	if data, err := j.EncodeJSONL(); err != nil || len(data) != 0 {
+	if data, err := j.Encode(); err != nil || len(data) != 0 {
 		t.Fatalf("nil journal encode = %q, %v", data, err)
 	}
 }

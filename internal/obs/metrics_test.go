@@ -123,10 +123,10 @@ func TestCatalogNamesValid(t *testing.T) {
 	if seen["quality.block_overlap"] {
 		t.Error("quality.block_overlap has had no publisher since PR 21 and is back in the catalog")
 	}
-	if !IsTimingMetric(MShardWorkerBusyNS) {
+	if !isTimingMetric(MShardWorkerBusyNS) {
 		t.Error("worker_busy_ns not recognized as timing metric")
 	}
-	if IsTimingMetric(MUnwindSamplesAccepted) {
+	if isTimingMetric(MUnwindSamplesAccepted) {
 		t.Error("samples_accepted misclassified as timing metric")
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"strings"
 )
 
-// RenderPrometheus renders a metric snapshot in the Prometheus text
+// renderPrometheus renders a metric snapshot in the Prometheus text
 // exposition format (version 0.0.4): dotted metric names become underscore
 // paths, counters and gauges map directly, and histograms export as
 // summaries with p50/p95/p99 quantile samples plus _sum and _count.
 // Output is sorted by metric name, so identical snapshots render
 // byte-identically.
-func RenderPrometheus(snap Snapshot) []byte {
+func renderPrometheus(snap Snapshot) []byte {
 	var sb strings.Builder
 	for _, name := range sortedKeys(snap) {
 		mv := snap[name]

@@ -10,7 +10,7 @@ import (
 )
 
 // Schema identifies the run-report manifest format. Bump the version on
-// incompatible changes; ValidateReport pins it.
+// incompatible changes; DecodeReport pins it.
 const Schema = "csspgo-run-report/v1"
 
 // Stage is one pipeline stage's wall time, keyed by the span's slash-joined
@@ -86,7 +86,7 @@ func (r *Report) Normalize() {
 		r.Stages[i].Count = 0
 	}
 	for name, mv := range r.Metrics {
-		if IsTimingMetric(name) {
+		if isTimingMetric(name) {
 			r.Metrics[name] = MetricValue{Kind: mv.Kind}
 		}
 	}
@@ -102,23 +102,37 @@ func (r *Report) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteFile encodes the manifest to path.
-func (r *Report) WriteFile(path string) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// DecodeReport parses a manifest, validating it first.
+// DecodeReport parses a manifest and validates it against the v1 schema:
+// schema pin, tool string, well-formed stage entries, and metric names
+// following the namespace conventions with known kinds.
 func DecodeReport(data []byte) (*Report, error) {
-	if err := ValidateReport(data); err != nil {
-		return nil, err
-	}
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("obs: report: %w", err)
+		return nil, fmt.Errorf("obs: report: not valid JSON: %w", err)
+	}
+	if r.Schema != Schema {
+		return nil, fmt.Errorf("obs: report: schema %q, want %q", r.Schema, Schema)
+	}
+	if r.Tool == "" {
+		return nil, fmt.Errorf("obs: report: missing or empty \"tool\"")
+	}
+	seen := map[string]bool{}
+	for _, st := range r.Stages {
+		if st.Name == "" {
+			return nil, fmt.Errorf("obs: report: stage with empty name")
+		}
+		if st.WallNS < 0 || st.Count < 0 {
+			return nil, fmt.Errorf("obs: report: stage %q: negative wall_ns/count", st.Name)
+		}
+		if seen[st.Name] {
+			return nil, fmt.Errorf("obs: report: duplicate stage %q", st.Name)
+		}
+		seen[st.Name] = true
+	}
+	for name, mv := range r.Metrics {
+		if err := checkMetric(name, mv.Kind); err != nil {
+			return nil, fmt.Errorf("obs: report: %w", err)
+		}
 	}
 	return &r, nil
 }
@@ -134,66 +148,6 @@ func ReadReport(path string) (*Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return r, nil
-}
-
-// ValidateReport checks a manifest against the v1 schema: schema pin, tool
-// string, well-formed stage entries, metric names following the namespace
-// conventions with known kinds, and numeric quality scores.
-func ValidateReport(data []byte) error {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("obs: report: not valid JSON: %w", err)
-	}
-	var schema string
-	if err := json.Unmarshal(raw["schema"], &schema); err != nil || schema != Schema {
-		return fmt.Errorf("obs: report: schema %q, want %q", string(raw["schema"]), Schema)
-	}
-	var tool string
-	if err := json.Unmarshal(raw["tool"], &tool); err != nil || tool == "" {
-		return fmt.Errorf("obs: report: missing or empty \"tool\"")
-	}
-	if msg, ok := raw["stages"]; ok {
-		var stages []Stage
-		if err := json.Unmarshal(msg, &stages); err != nil {
-			return fmt.Errorf("obs: report: bad \"stages\": %w", err)
-		}
-		seen := map[string]bool{}
-		for _, st := range stages {
-			if st.Name == "" {
-				return fmt.Errorf("obs: report: stage with empty name")
-			}
-			if st.WallNS < 0 || st.Count < 0 {
-				return fmt.Errorf("obs: report: stage %q: negative wall_ns/count", st.Name)
-			}
-			if seen[st.Name] {
-				return fmt.Errorf("obs: report: duplicate stage %q", st.Name)
-			}
-			seen[st.Name] = true
-		}
-	}
-	if msg, ok := raw["metrics"]; ok {
-		var metrics Snapshot
-		if err := json.Unmarshal(msg, &metrics); err != nil {
-			return fmt.Errorf("obs: report: bad \"metrics\": %w", err)
-		}
-		for name, mv := range metrics {
-			if !ValidMetricName(name) {
-				return fmt.Errorf("obs: report: metric %q: malformed name (want dotted lowercase path)", name)
-			}
-			switch mv.Kind {
-			case KindCounter, KindGauge, KindHistogram:
-			default:
-				return fmt.Errorf("obs: report: metric %q: unknown kind %q", name, mv.Kind)
-			}
-		}
-	}
-	if msg, ok := raw["quality"]; ok {
-		var quality map[string]float64
-		if err := json.Unmarshal(msg, &quality); err != nil {
-			return fmt.Errorf("obs: report: bad \"quality\": %w", err)
-		}
-	}
-	return nil
 }
 
 // Format pretty-prints one manifest for humans.
@@ -302,7 +256,7 @@ func DiffReportsThreshold(a, b *Report, threshold float64) DiffResult {
 			changed++
 			mark := ""
 			switch {
-			case IsTimingMetric(name) && av > 0 && bv > av*(1+threshold):
+			case isTimingMetric(name) && av > 0 && bv > av*(1+threshold):
 				mark = regressed()
 			case strings.HasPrefix(name, "quality.") && bv < av*(1-threshold):
 				mark = regressed()
@@ -313,7 +267,7 @@ func DiffReportsThreshold(a, b *Report, threshold float64) DiffResult {
 			for _, q := range quantiles {
 				qa, qb := float64(q.a), float64(q.b)
 				qmark := ""
-				if IsTimingMetric(name) && qa > 0 && qb > qa*(1+threshold) {
+				if isTimingMetric(name) && qa > 0 && qb > qa*(1+threshold) {
 					qmark = regressed()
 				}
 				fmt.Fprintf(&sb, "    %-42s %14.6g -> %14.6g  %s%s\n", name+"."+q.name, qa, qb, pctChange(qa, qb), qmark)

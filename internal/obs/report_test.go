@@ -9,7 +9,7 @@ import (
 )
 
 func sampleReport() *Report {
-	tr := NewTraceWithClock(stepClock(time.Millisecond))
+	tr := newTraceWithClock(stepClock(time.Millisecond))
 	b := tr.Span("build")
 	b.Span("irgen").End()
 	b.End()
@@ -38,7 +38,7 @@ func TestReportEncodeDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two encodings of the same report differ:\n%s\n----\n%s", a, b)
 	}
-	if err := ValidateReport(a); err != nil {
+	if _, err := DecodeReport(a); err != nil {
 		t.Fatalf("encoded report does not validate: %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestNormalizeZeroesTimings(t *testing.T) {
 
 func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
-	if err := sampleReport().WriteFile(path); err != nil {
+	if err := WriteFile(path, sampleReport()); err != nil {
 		t.Fatal(err)
 	}
 	r, err := ReadReport(path)
@@ -90,7 +90,7 @@ func TestValidateReportRejects(t *testing.T) {
 		{"bad metric kind", `{"schema":"csspgo-run-report/v1","tool":"t","metrics":{"a.b":{"kind":"summary"}}}`},
 	}
 	for _, c := range cases {
-		if err := ValidateReport([]byte(c.data)); err == nil {
+		if _, err := DecodeReport([]byte(c.data)); err == nil {
 			t.Errorf("%s: validated, want error", c.name)
 		}
 	}

@@ -52,14 +52,14 @@ func (s *Status) Mount(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(RenderPrometheus(s.Reg.Snapshot()))
+		w.Write(renderPrometheus(s.Reg.Snapshot()))
 	})
 	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		data, err := s.Series.EncodeJSON()
+		data, err := s.Series.Encode()
 		writeEncoded(w, "application/json", data, err)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		data, err := s.Journal.EncodeJSONL()
+		data, err := s.Journal.Encode()
 		writeEncoded(w, "application/x-ndjson", data, err)
 	})
 	mux.HandleFunc("/overhead", func(w http.ResponseWriter, r *http.Request) {
@@ -73,7 +73,7 @@ func (s *Status) Mount(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		w.Write(RenderDashboard(s.Title, s.Series, s.Reg.Snapshot(), s.Journal.Events()))
+		w.Write(renderDashboard(s.Title, s.Series, s.Reg.Snapshot(), s.Journal.Events()))
 	})
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 )
@@ -18,12 +17,12 @@ import (
 // TimeSeriesSchema identifies the serialized store format.
 const TimeSeriesSchema = "csspgo-timeseries/v1"
 
-// DefaultSeriesCapacity bounds each ring buffer when the caller does not
+// defaultSeriesCapacity bounds each ring buffer when the caller does not
 // choose a capacity.
-const DefaultSeriesCapacity = 256
+const defaultSeriesCapacity = 256
 
-// Point is one sampled value: (round, seq) is the logical timestamp.
-type Point struct {
+// point is one sampled value: (round, seq) is the logical timestamp.
+type point struct {
 	Round uint64  `json:"round"`
 	Seq   uint64  `json:"seq"`
 	Value float64 `json:"value"`
@@ -33,13 +32,13 @@ type Point struct {
 // is evicted (memory stays bounded no matter how long the fleet runs).
 type tsRing struct {
 	kind   Kind
-	buf    []Point
+	buf    []point
 	head   int // index of the oldest point
 	count  int
 	capped int64 // points evicted from this ring
 }
 
-func (r *tsRing) push(p Point) {
+func (r *tsRing) push(p point) {
 	if r.count < len(r.buf) {
 		r.buf[(r.head+r.count)%len(r.buf)] = p
 		r.count++
@@ -50,8 +49,8 @@ func (r *tsRing) push(p Point) {
 	r.capped++
 }
 
-func (r *tsRing) points() []Point {
-	out := make([]Point, r.count)
+func (r *tsRing) points() []point {
+	out := make([]point, r.count)
 	for i := 0; i < r.count; i++ {
 		out[i] = r.buf[(r.head+i)%len(r.buf)]
 	}
@@ -69,20 +68,12 @@ type TimeSeries struct {
 }
 
 // NewTimeSeries returns a store whose rings hold up to capacity points
-// (DefaultSeriesCapacity when capacity <= 0).
+// (defaultSeriesCapacity when capacity <= 0).
 func NewTimeSeries(capacity int) *TimeSeries {
 	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
+		capacity = defaultSeriesCapacity
 	}
 	return &TimeSeries{cap: capacity, series: map[string]*tsRing{}}
-}
-
-// Capacity returns the per-series ring capacity (0 for a nil store).
-func (ts *TimeSeries) Capacity() int {
-	if ts == nil {
-		return 0
-	}
-	return ts.cap
 }
 
 // Sample appends one point per metric in the snapshot, stamped with the
@@ -100,25 +91,15 @@ func (ts *TimeSeries) Sample(round uint64, snap Snapshot) {
 	for name, mv := range snap {
 		r, ok := ts.series[name]
 		if !ok {
-			r = &tsRing{kind: mv.Kind, buf: make([]Point, ts.cap)}
+			r = &tsRing{kind: mv.Kind, buf: make([]point, ts.cap)}
 			ts.series[name] = r
 		}
-		r.push(Point{Round: round, Seq: ts.samples, Value: metricScalar(mv)})
+		r.push(point{Round: round, Seq: ts.samples, Value: metricScalar(mv)})
 	}
 }
 
-// Samples returns how many Sample calls the store has absorbed.
-func (ts *TimeSeries) Samples() uint64 {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.samples
-}
-
-// SeriesNames lists the tracked metric names, sorted.
-func (ts *TimeSeries) SeriesNames() []string {
+// seriesNames lists the tracked metric names, sorted.
+func (ts *TimeSeries) seriesNames() []string {
 	if ts == nil {
 		return nil
 	}
@@ -132,9 +113,9 @@ func (ts *TimeSeries) SeriesNames() []string {
 	return out
 }
 
-// Points returns one series' points in chronological order (nil when the
+// points returns one series' points in chronological order (nil when the
 // metric is not tracked).
-func (ts *TimeSeries) Points(name string) []Point {
+func (ts *TimeSeries) points(name string) []point {
 	if ts == nil {
 		return nil
 	}
@@ -186,7 +167,7 @@ func (ts *TimeSeries) Normalize() {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for name, r := range ts.series {
-		if !IsTimingMetric(name) {
+		if !isTimingMetric(name) {
 			continue
 		}
 		for i := range r.buf {
@@ -199,7 +180,7 @@ func (ts *TimeSeries) Normalize() {
 type tsSeriesJSON struct {
 	Name   string  `json:"name"`
 	Kind   Kind    `json:"kind"`
-	Points []Point `json:"points"`
+	Points []point `json:"points"`
 }
 
 // tsJSON is the serialized store: series sort by name, points are
@@ -212,9 +193,9 @@ type tsJSON struct {
 	Series   []tsSeriesJSON `json:"series"`
 }
 
-// EncodeJSON renders the store as deterministic, indented JSON with a
-// trailing newline (diff-friendly, like the run reports).
-func (ts *TimeSeries) EncodeJSON() ([]byte, error) {
+// Encode renders the store as deterministic, indented JSON with a trailing
+// newline (diff-friendly, like the run reports).
+func (ts *TimeSeries) Encode() ([]byte, error) {
 	out := tsJSON{Schema: TimeSeriesSchema, Series: []tsSeriesJSON{}}
 	if ts != nil {
 		ts.mu.Lock()
@@ -239,47 +220,33 @@ func (ts *TimeSeries) EncodeJSON() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// WriteFile encodes the store to path.
-func (ts *TimeSeries) WriteFile(path string) error {
-	data, err := ts.EncodeJSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ValidateTimeSeries checks a serialized store: schema pin, well-formed
-// metric names and kinds, per-series point counts within capacity, and
-// (round, seq) nondecreasing within each series.
-func ValidateTimeSeries(data []byte) error {
+// decodeTimeSeries parses a serialized store and validates it: schema pin,
+// well-formed metric names and kinds, per-series point counts within
+// capacity, and (round, seq) increasing within each series.
+func decodeTimeSeries(data []byte) (*tsJSON, error) {
 	var t tsJSON
 	if err := json.Unmarshal(data, &t); err != nil {
-		return fmt.Errorf("obs: timeseries: not valid JSON: %w", err)
+		return nil, fmt.Errorf("obs: timeseries: not valid JSON: %w", err)
 	}
 	if t.Schema != TimeSeriesSchema {
-		return fmt.Errorf("obs: timeseries: schema %q, want %q", t.Schema, TimeSeriesSchema)
+		return nil, fmt.Errorf("obs: timeseries: schema %q, want %q", t.Schema, TimeSeriesSchema)
 	}
 	if t.Capacity <= 0 {
-		return fmt.Errorf("obs: timeseries: capacity %d, want > 0", t.Capacity)
+		return nil, fmt.Errorf("obs: timeseries: capacity %d, want > 0", t.Capacity)
 	}
 	for _, s := range t.Series {
-		if !ValidMetricName(s.Name) {
-			return fmt.Errorf("obs: timeseries: series %q: malformed metric name", s.Name)
-		}
-		switch s.Kind {
-		case KindCounter, KindGauge, KindHistogram:
-		default:
-			return fmt.Errorf("obs: timeseries: series %q: unknown kind %q", s.Name, s.Kind)
+		if err := checkMetric(s.Name, s.Kind); err != nil {
+			return nil, fmt.Errorf("obs: timeseries: series %q: %w", s.Name, err)
 		}
 		if len(s.Points) > t.Capacity {
-			return fmt.Errorf("obs: timeseries: series %q: %d points exceed capacity %d", s.Name, len(s.Points), t.Capacity)
+			return nil, fmt.Errorf("obs: timeseries: series %q: %d points exceed capacity %d", s.Name, len(s.Points), t.Capacity)
 		}
 		for i := 1; i < len(s.Points); i++ {
 			a, b := s.Points[i-1], s.Points[i]
 			if b.Seq <= a.Seq || b.Round < a.Round {
-				return fmt.Errorf("obs: timeseries: series %q: point %d not after point %d", s.Name, i, i-1)
+				return nil, fmt.Errorf("obs: timeseries: series %q: point %d not after point %d", s.Name, i, i-1)
 			}
 		}
 	}
-	return nil
+	return &t, nil
 }

@@ -23,10 +23,10 @@ func TestTimeSeriesLogicalClocks(t *testing.T) {
 	ts.Sample(1, tsSnap(1))
 	ts.Sample(1, tsSnap(2)) // same round sampled twice (e.g. retry)
 	ts.Sample(2, tsSnap(3))
-	if ts.Samples() != 3 {
-		t.Fatalf("samples = %d, want 3", ts.Samples())
+	if ts.samples != 3 {
+		t.Fatalf("samples = %d, want 3", ts.samples)
 	}
-	pts := ts.Points("fleet.rounds")
+	pts := ts.points("fleet.rounds")
 	if len(pts) != 3 {
 		t.Fatalf("points = %d, want 3", len(pts))
 	}
@@ -39,10 +39,10 @@ func TestTimeSeriesLogicalClocks(t *testing.T) {
 		t.Fatalf("rounds = %v", pts)
 	}
 	// Histograms reduce to their Sum, the same scalar report diffs use.
-	if got := ts.Points("fleet.round_ns")[2].Value; got != 3000 {
+	if got := ts.points("fleet.round_ns")[2].Value; got != 3000 {
 		t.Fatalf("histogram scalar = %v, want Sum 3000", got)
 	}
-	names := ts.SeriesNames()
+	names := ts.seriesNames()
 	if len(names) != 3 || names[0] != "fleet.round_ns" {
 		t.Fatalf("series names = %v (want sorted)", names)
 	}
@@ -55,7 +55,7 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 	for r := int64(1); r <= 5; r++ {
 		ts.Sample(uint64(r), tsSnap(r))
 	}
-	pts := ts.Points("fleet.rounds")
+	pts := ts.points("fleet.rounds")
 	if len(pts) != 2 {
 		t.Fatalf("capped series holds %d points, want 2", len(pts))
 	}
@@ -78,10 +78,10 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 
 // NewTimeSeries(<=0) takes the default capacity.
 func TestTimeSeriesDefaultCapacity(t *testing.T) {
-	if got := NewTimeSeries(0).Capacity(); got != DefaultSeriesCapacity {
-		t.Fatalf("capacity = %d, want %d", got, DefaultSeriesCapacity)
+	if got := NewTimeSeries(0).cap; got != defaultSeriesCapacity {
+		t.Fatalf("capacity = %d, want %d", got, defaultSeriesCapacity)
 	}
-	if got := NewTimeSeries(7).Capacity(); got != 7 {
+	if got := NewTimeSeries(7).cap; got != 7 {
 		t.Fatalf("capacity = %d, want 7", got)
 	}
 }
@@ -96,12 +96,12 @@ func TestTimeSeriesEncodeDeterministic(t *testing.T) {
 		}
 		return ts
 	}
-	a, _ := mk().EncodeJSON()
-	b, _ := mk().EncodeJSON()
+	a, _ := mk().Encode()
+	b, _ := mk().Encode()
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical stores serialize differently:\n%s\nvs\n%s", a, b)
 	}
-	if err := ValidateTimeSeries(a); err != nil {
+	if _, err := decodeTimeSeries(a); err != nil {
 		t.Fatalf("encoded store invalid: %v", err)
 	}
 	if !bytes.HasSuffix(a, []byte("\n")) {
@@ -115,23 +115,23 @@ func TestTimeSeriesNormalizeZeroesTimingOnly(t *testing.T) {
 	ts.Sample(1, tsSnap(1))
 	ts.Sample(2, tsSnap(2))
 	ts.Normalize()
-	for _, p := range ts.Points("fleet.round_ns") {
+	for _, p := range ts.points("fleet.round_ns") {
 		if p.Value != 0 {
 			t.Fatalf("_ns series not zeroed: %v", p)
 		}
 	}
-	pts := ts.Points("fleet.rounds")
+	pts := ts.points("fleet.rounds")
 	if pts[0].Value != 1 || pts[1].Value != 2 {
 		t.Fatalf("non-timing series damaged by Normalize: %v", pts)
 	}
 	// Clocks are untouched: (round, seq) still validate as increasing.
-	data, _ := ts.EncodeJSON()
-	if err := ValidateTimeSeries(data); err != nil {
+	data, _ := ts.Encode()
+	if _, err := decodeTimeSeries(data); err != nil {
 		t.Fatalf("normalized store invalid: %v", err)
 	}
 }
 
-// ValidateTimeSeries rejects each way a serialized store can be malformed.
+// decodeTimeSeries rejects each way a serialized store can be malformed.
 func TestValidateTimeSeriesRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -169,7 +169,7 @@ func TestValidateTimeSeriesRejections(t *testing.T) {
 			"not after"},
 	}
 	for _, tc := range cases {
-		err := ValidateTimeSeries([]byte(tc.data))
+		_, err := decodeTimeSeries([]byte(tc.data))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
@@ -182,14 +182,14 @@ func TestTimeSeriesNilSafety(t *testing.T) {
 	ts.Sample(1, tsSnap(1))
 	ts.Normalize()
 	ts.PublishStats(NewRegistry())
-	if ts.Samples() != 0 || ts.Capacity() != 0 || ts.Points("a.b") != nil || ts.SeriesNames() != nil {
+	if ts.points("a.b") != nil || ts.seriesNames() != nil {
 		t.Fatalf("nil store not inert")
 	}
 	s, p, e := ts.Stats()
 	if s != 0 || p != 0 || e != 0 {
 		t.Fatalf("nil stats = (%d, %d, %d)", s, p, e)
 	}
-	data, err := ts.EncodeJSON()
+	data, err := ts.Encode()
 	if err != nil {
 		t.Fatalf("nil encode: %v", err)
 	}

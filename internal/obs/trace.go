@@ -1,8 +1,9 @@
 // Package obs is the pipeline's observability layer: a span-based tracer
-// covering every stage from parse to codegen (exportable as a human tree or
-// Chrome trace-event JSON), a unified metrics registry the per-subsystem
-// Stats structs publish into, and a deterministic machine-readable run
-// report that `csspgo report` pretty-prints and diffs.
+// covering every stage from parse to codegen (exported as Chrome
+// trace-event JSON), a unified metrics registry the per-subsystem Stats
+// structs publish into, a deterministic machine-readable run report that
+// `csspgo report` pretty-prints and diffs, and the one artifact contract
+// every file it writes meets (artifact.go).
 //
 // Everything is nil-safe: a nil *Trace, *Span, *Registry or metric handle
 // turns every method into a no-op, so pipeline code instruments
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -42,11 +42,11 @@ type Trace struct {
 }
 
 // NewTrace starts a trace whose epoch is now.
-func NewTrace() *Trace { return NewTraceWithClock(time.Now) }
+func NewTrace() *Trace { return newTraceWithClock(time.Now) }
 
-// NewTraceWithClock starts a trace on an injected clock (deterministic
+// newTraceWithClock starts a trace on an injected clock (deterministic
 // tests).
-func NewTraceWithClock(now func() time.Time) *Trace {
+func newTraceWithClock(now func() time.Time) *Trace {
 	t := &Trace{now: now, epoch: now()}
 	t.setTraceID(DeriveTraceID("csspgo"))
 	t.root = &Span{t: t, name: ""}
@@ -257,51 +257,6 @@ func flatten(root *Span) []flatSpan {
 	return out
 }
 
-// SpanPaths returns every recorded span's slash-joined path, in export
-// order (reports and tests use this to assert pipeline coverage).
-func (t *Trace) SpanPaths() []string {
-	if t == nil {
-		return nil
-	}
-	flat := flatten(t.snapshot())
-	out := make([]string, len(flat))
-	for i, f := range flat {
-		out[i] = f.path
-	}
-	return out
-}
-
-// Tree renders the span tree for humans, one span per line with durations
-// and attributes.
-func (t *Trace) Tree() string {
-	if t == nil {
-		return ""
-	}
-	var sb strings.Builder
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
-		for _, c := range s.children {
-			fmt.Fprintf(&sb, "%s%-*s %12s%s\n",
-				strings.Repeat("  ", depth), 40-2*depth, c.name,
-				c.dur.Round(time.Microsecond), attrString(c.attrs))
-			walk(c, depth+1)
-		}
-	}
-	walk(t.snapshot(), 0)
-	return sb.String()
-}
-
-func attrString(attrs []Attr) string {
-	if len(attrs) == 0 {
-		return ""
-	}
-	parts := make([]string, len(attrs))
-	for i, a := range attrs {
-		parts[i] = fmt.Sprintf("%s=%v", a.Key, a.Value)
-	}
-	return "  {" + strings.Join(parts, " ") + "}"
-}
-
 // chromeEvent is one Chrome trace-event ("X" = complete event). Timestamps
 // and durations are microseconds, per the trace-event format.
 type chromeEvent struct {
@@ -315,7 +270,11 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-type chromeTrace struct {
+// ChromeTrace is a Chrome trace-event document: what WriteChrome exports,
+// what ParseChromeTrace reads back, and what StitchChromeTraces merges.
+// Its checks (SpanNames, Links, RequireAncestor) work on the parsed value,
+// so a command parses each trace once, whatever it asks of it.
+type ChromeTrace struct {
 	TraceEvents []chromeEvent `json:"traceEvents"`
 }
 
@@ -326,7 +285,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		return nil
 	}
 	flat := flatten(t.snapshot())
-	ct := chromeTrace{TraceEvents: make([]chromeEvent, 0, len(flat))}
+	ct := ChromeTrace{TraceEvents: make([]chromeEvent, 0, len(flat))}
 	for _, f := range flat {
 		ev := chromeEvent{
 			Name: f.s.name,
@@ -343,7 +302,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		// Causal identity: every exported span carries its trace/span ID, and
 		// non-root spans their parent link, so per-process exports stitch into
-		// one fleet trace (ValidateStitchedTrace checks the links resolve).
+		// one fleet trace (ChromeTrace.Links checks the links resolve).
 		ev.Args["trace_id"] = f.s.sc.TraceID
 		ev.Args["span_id"] = f.s.sc.SpanID
 		if f.s.parentID != "" {
@@ -351,34 +310,50 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		}
 		ct.TraceEvents = append(ct.TraceEvents, ev)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ct)
+	data, err := ct.Encode()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
 }
 
-// ValidateChromeTrace checks that data is a well-formed Chrome trace-event
-// export with at least minDistinct distinct span names (the `make check`
-// observability lane and the acceptance tests use it).
-func ValidateChromeTrace(data []byte, minDistinct int) error {
-	var ct chromeTrace
-	if err := json.Unmarshal(data, &ct); err != nil {
-		return fmt.Errorf("obs: trace: not valid JSON: %w", err)
+// Encode renders the document as indented JSON with a trailing newline.
+func (ct *ChromeTrace) Encode() ([]byte, error) {
+	data, err := json.MarshalIndent(ct, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	names := map[string]bool{}
+	return append(data, '\n'), nil
+}
+
+// ParseChromeTrace parses a Chrome trace-event document and checks that
+// every event is a well-formed complete span: a name, phase "X", and no
+// negative timestamp or duration.
+func ParseChromeTrace(data []byte) (*ChromeTrace, error) {
+	var ct ChromeTrace
+	if err := json.Unmarshal(data, &ct); err != nil {
+		return nil, fmt.Errorf("obs: trace: not valid JSON: %w", err)
+	}
 	for i, ev := range ct.TraceEvents {
 		if ev.Name == "" {
-			return fmt.Errorf("obs: trace: event %d has no name", i)
+			return nil, fmt.Errorf("obs: trace: event %d has no name", i)
 		}
 		if ev.Ph != "X" {
-			return fmt.Errorf("obs: trace: event %d (%s): phase %q, want \"X\"", i, ev.Name, ev.Ph)
+			return nil, fmt.Errorf("obs: trace: event %d (%s): phase %q, want \"X\"", i, ev.Name, ev.Ph)
 		}
 		if ev.Ts < 0 || ev.Dur < 0 {
-			return fmt.Errorf("obs: trace: event %d (%s): negative ts/dur", i, ev.Name)
+			return nil, fmt.Errorf("obs: trace: event %d (%s): negative ts/dur", i, ev.Name)
 		}
-		names[ev.Name] = true
 	}
-	if len(names) < minDistinct {
-		return fmt.Errorf("obs: trace: %d distinct span name(s), want >= %d", len(names), minDistinct)
+	return &ct, nil
+}
+
+// SpanNames lists the distinct span names in the trace, sorted.
+func (ct *ChromeTrace) SpanNames() []string {
+	set := map[string]bool{}
+	for _, ev := range ct.TraceEvents {
+		set[ev.Name] = true
 	}
-	return nil
+	return sortedKeys(set)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,8 +20,20 @@ func stepClock(step time.Duration) func() time.Time {
 	}
 }
 
+// spanPaths lists every recorded span's slash-joined path, in export order.
+func spanPaths(t *Trace) []string {
+	if t == nil {
+		return nil
+	}
+	var out []string
+	for _, f := range flatten(t.snapshot()) {
+		out = append(out, f.path)
+	}
+	return out
+}
+
 func TestTraceSpanPaths(t *testing.T) {
-	tr := NewTraceWithClock(stepClock(time.Millisecond))
+	tr := newTraceWithClock(stepClock(time.Millisecond))
 	b := tr.Span("build")
 	ir := b.Span("irgen")
 	ir.End()
@@ -33,26 +44,13 @@ func TestTraceSpanPaths(t *testing.T) {
 	tr.Span("report").End()
 
 	want := []string{"build", "build/irgen", "build/optimize", "build/optimize/opt.inline", "report"}
-	if got := tr.SpanPaths(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("SpanPaths = %v, want %v", got, want)
-	}
-}
-
-func TestTraceTree(t *testing.T) {
-	tr := NewTraceWithClock(stepClock(time.Millisecond))
-	s := tr.Span("build", A("files", 3))
-	s.Span("irgen").End()
-	s.End()
-	tree := tr.Tree()
-	for _, want := range []string{"build", "irgen", "files=3"} {
-		if !strings.Contains(tree, want) {
-			t.Errorf("Tree() missing %q:\n%s", want, tree)
-		}
+	if got := spanPaths(tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("span paths = %v, want %v", got, want)
 	}
 }
 
 func TestChromeExport(t *testing.T) {
-	tr := NewTraceWithClock(stepClock(time.Millisecond))
+	tr := newTraceWithClock(stepClock(time.Millisecond))
 	s := tr.Span("build") // start at 1ms
 	w := s.WorkerSpan("unwind_shard", 2, A("samples", 7))
 	w.End()
@@ -62,7 +60,7 @@ func TestChromeExport(t *testing.T) {
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateChromeTrace(buf.Bytes(), 2); err != nil {
+	if _, err := ValidateArtifact(buf.Bytes(), 2); err != nil {
 		t.Fatalf("exported trace does not validate: %v", err)
 	}
 	var ct struct {
@@ -99,9 +97,9 @@ func TestChromeExport(t *testing.T) {
 }
 
 func TestOpenSpansClosedAtExport(t *testing.T) {
-	tr := NewTraceWithClock(stepClock(time.Millisecond))
+	tr := newTraceWithClock(stepClock(time.Millisecond))
 	tr.Span("never_ended")
-	paths := tr.SpanPaths()
+	paths := spanPaths(tr)
 	if !reflect.DeepEqual(paths, []string{"never_ended"}) {
 		t.Fatalf("paths = %v", paths)
 	}
@@ -109,14 +107,14 @@ func TestOpenSpansClosedAtExport(t *testing.T) {
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateChromeTrace(buf.Bytes(), 1); err != nil {
+	if _, err := ParseChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("open span broke export: %v", err)
 	}
 }
 
 func TestEndIdempotent(t *testing.T) {
 	clock := stepClock(time.Millisecond)
-	tr := NewTraceWithClock(clock)
+	tr := newTraceWithClock(clock)
 	s := tr.Span("x")
 	s.End()
 	d1 := s.dur
@@ -139,7 +137,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Root() != nil {
 		t.Error("nil trace Root != nil")
 	}
-	if tr.SpanPaths() != nil || tr.Tree() != "" {
+	if spanPaths(tr) != nil {
 		t.Error("nil trace export not empty")
 	}
 	if err := tr.WriteChrome(&bytes.Buffer{}); err != nil {
@@ -162,7 +160,7 @@ func TestConcurrentWorkerSpans(t *testing.T) {
 	}
 	wg.Wait()
 	parent.End()
-	paths := tr.SpanPaths()
+	paths := spanPaths(tr)
 	if len(paths) != 9 {
 		t.Fatalf("got %d paths, want 9: %v", len(paths), paths)
 	}
@@ -181,7 +179,7 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 		{"too few spans", `{"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":1}]}`, 2},
 	}
 	for _, c := range cases {
-		if err := ValidateChromeTrace([]byte(c.data), c.min); err == nil {
+		if _, err := ValidateArtifact([]byte(c.data), c.min); err == nil {
 			t.Errorf("%s: validated, want error", c.name)
 		}
 	}

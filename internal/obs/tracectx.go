@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -123,27 +121,19 @@ func spanIDFrom(base, n uint64) string {
 // Stitching: merge N per-process Chrome trace exports into one trace where
 // parent links resolve across process boundaries.
 
-// StitchChromeTraces merges per-process Chrome trace exports into one trace:
-// input i's events land on pid i+1 (tid lanes are preserved), and the
-// trace/span/parent IDs the exporter stamped into args are untouched, so a
-// span fetched under a remote parent links to its cross-process ancestor.
-func StitchChromeTraces(inputs [][]byte) ([]byte, error) {
-	var merged chromeTrace
-	for i, data := range inputs {
-		var ct chromeTrace
-		if err := json.Unmarshal(data, &ct); err != nil {
-			return nil, fmt.Errorf("obs: stitch: input %d: not valid JSON: %w", i, err)
-		}
+// StitchChromeTraces merges per-process Chrome traces into one: input i's
+// events land on pid i+1 (tid lanes are preserved), and the trace/span/
+// parent IDs the exporter stamped into args are untouched, so a span
+// fetched under a remote parent links to its cross-process ancestor.
+func StitchChromeTraces(traces []*ChromeTrace) *ChromeTrace {
+	var merged ChromeTrace
+	for i, ct := range traces {
 		for _, ev := range ct.TraceEvents {
 			ev.Pid = i + 1
 			merged.TraceEvents = append(merged.TraceEvents, ev)
 		}
 	}
-	data, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return &merged
 }
 
 // StitchStats summarizes a stitched trace's link structure.
@@ -163,18 +153,14 @@ func argString(args map[string]any, key string) string {
 	return ""
 }
 
-// ValidateStitchedTrace checks a (stitched or single-process) Chrome trace's
-// causal structure: every event must carry a well-formed trace/span ID,
-// span IDs must be unique per trace, and every parent_span_id must resolve
-// to a span in the same trace — a broken parent link is an error, not a
-// warning. At least minCrossLinks resolved links must cross a process
-// boundary (pass 0 for a single-process trace).
-func ValidateStitchedTrace(data []byte, minCrossLinks int) (StitchStats, error) {
+// Links checks the trace's causal structure (stitched or single-process):
+// every event must carry a well-formed trace/span ID, span IDs must be
+// unique per trace, and every parent_span_id must resolve to a span in the
+// same trace — a broken parent link is an error, not a warning. At least
+// minCrossLinks resolved links must cross a process boundary (pass 0 for a
+// single-process trace).
+func (ct *ChromeTrace) Links(minCrossLinks int) (StitchStats, error) {
 	var st StitchStats
-	var ct chromeTrace
-	if err := json.Unmarshal(data, &ct); err != nil {
-		return st, fmt.Errorf("obs: stitch: not valid JSON: %w", err)
-	}
 	owner := map[spanKey]int{} // -> pid
 	for i, ev := range ct.TraceEvents {
 		tid, sid := argString(ev.Args, "trace_id"), argString(ev.Args, "span_id")
@@ -213,11 +199,7 @@ func ValidateStitchedTrace(data []byte, minCrossLinks int) (StitchStats, error) 
 // RequireAncestor checks that every event named span has an event named
 // ancestor on its (possibly cross-process) parent chain. It errors when no
 // span named span exists at all — a vacuous pass would hide a dead lane.
-func RequireAncestor(data []byte, span, ancestor string) error {
-	var ct chromeTrace
-	if err := json.Unmarshal(data, &ct); err != nil {
-		return fmt.Errorf("obs: trace: not valid JSON: %w", err)
-	}
+func (ct *ChromeTrace) RequireAncestor(span, ancestor string) error {
 	byID := map[spanKey]chromeEvent{}
 	for _, ev := range ct.TraceEvents {
 		tid, sid := argString(ev.Args, "trace_id"), argString(ev.Args, "span_id")
@@ -256,23 +238,4 @@ func RequireAncestor(data []byte, span, ancestor string) error {
 		return fmt.Errorf("obs: trace: no spans named %q", span)
 	}
 	return nil
-}
-
-// SpanNames lists the distinct span names in a Chrome trace export, sorted
-// (stitch lanes report coverage with it).
-func SpanNames(data []byte) ([]string, error) {
-	var ct chromeTrace
-	if err := json.Unmarshal(data, &ct); err != nil {
-		return nil, fmt.Errorf("obs: trace: not valid JSON: %w", err)
-	}
-	set := map[string]bool{}
-	for _, ev := range ct.TraceEvents {
-		set[ev.Name] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
 }

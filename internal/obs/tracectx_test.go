@@ -16,6 +16,16 @@ func ctxTestClock() func() time.Time {
 	}
 }
 
+// parse is ParseChromeTrace for inputs the test itself exported.
+func parse(t *testing.T, data []byte) *ChromeTrace {
+	t.Helper()
+	ct, err := ParseChromeTrace(data)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return ct
+}
+
 // A valid context renders as a version-00 traceparent and parses back.
 func TestTraceparentRoundTrip(t *testing.T) {
 	c := SpanContext{TraceID: DeriveTraceID("round", "trip"), SpanID: "00000000000000ab"}
@@ -92,7 +102,7 @@ func TestDeriveTraceIDDeterministic(t *testing.T) {
 // link, so two per-process exports stitch into one causally-linked trace.
 func TestStitchCrossProcessLinks(t *testing.T) {
 	// Process 1: the "aggregator" trace.
-	fleet := NewTraceWithClock(ctxTestClock())
+	fleet := newTraceWithClock(ctxTestClock())
 	fleet.SetTraceID(DeriveTraceID("stitch", "fleet"))
 	round := fleet.Span("fleet.round")
 	poll := round.Span("fleet.poll")
@@ -100,7 +110,7 @@ func TestStitchCrossProcessLinks(t *testing.T) {
 
 	// Process 2: the "instance" trace; the handler span adopts the remote
 	// poll context, a refresh span nests under the handler.
-	inst := NewTraceWithClock(ctxTestClock())
+	inst := newTraceWithClock(ctxTestClock())
 	inst.SetTraceID(DeriveTraceID("stitch", "inst"))
 	h := inst.Root().SpanRemote("serve.handle_profile", remote)
 	r := h.Span("serve.refresh")
@@ -116,13 +126,10 @@ func TestStitchCrossProcessLinks(t *testing.T) {
 	if err := inst.WriteChrome(&ib); err != nil {
 		t.Fatalf("instance export: %v", err)
 	}
-	merged, err := StitchChromeTraces([][]byte{fb.Bytes(), ib.Bytes()})
+	merged := StitchChromeTraces([]*ChromeTrace{parse(t, fb.Bytes()), parse(t, ib.Bytes())})
+	st, err := merged.Links(1)
 	if err != nil {
-		t.Fatalf("stitch: %v", err)
-	}
-	st, err := ValidateStitchedTrace(merged, 1)
-	if err != nil {
-		t.Fatalf("validate: %v\n%s", err, merged)
+		t.Fatalf("validate: %v\n%+v", err, merged)
 	}
 	if st.Spans != 4 || st.Links != 3 {
 		t.Fatalf("stats = %+v, want 4 spans / 3 links", st)
@@ -134,26 +141,33 @@ func TestStitchCrossProcessLinks(t *testing.T) {
 	}
 	// Ancestry resolves across the process boundary: the instance-side spans
 	// have the aggregator round as an ancestor.
-	if err := RequireAncestor(merged, "serve.handle_profile", "fleet.round"); err != nil {
+	if err := merged.RequireAncestor("serve.handle_profile", "fleet.round"); err != nil {
 		t.Fatalf("handle ancestry: %v", err)
 	}
-	if err := RequireAncestor(merged, "serve.refresh", "fleet.round"); err != nil {
+	if err := merged.RequireAncestor("serve.refresh", "fleet.round"); err != nil {
 		t.Fatalf("refresh ancestry: %v", err)
 	}
-	names, err := SpanNames(merged)
-	if err != nil || len(names) != 4 || names[0] != "fleet.poll" {
-		t.Fatalf("span names = %v, %v", names, err)
+	if names := merged.SpanNames(); len(names) != 4 || names[0] != "fleet.poll" {
+		t.Fatalf("span names = %v", names)
+	}
+	// The merged document encodes and parses back to the same links.
+	data, err := merged.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := parse(t, data).Links(1); err != nil || again != st {
+		t.Fatalf("re-parsed stitch: %+v, %v; want %+v", again, err, st)
 	}
 }
 
 // A stitched trace whose remote parents are missing (one process's export
 // was dropped) fails validation: broken parent links are errors.
 func TestStitchBrokenParentLinkRejected(t *testing.T) {
-	fleet := NewTraceWithClock(ctxTestClock())
+	fleet := newTraceWithClock(ctxTestClock())
 	fleet.SetTraceID(DeriveTraceID("broken", "fleet"))
 	poll := fleet.Span("fleet.poll")
 
-	inst := NewTraceWithClock(ctxTestClock())
+	inst := newTraceWithClock(ctxTestClock())
 	inst.SetTraceID(DeriveTraceID("broken", "inst"))
 	h := inst.Root().SpanRemote("serve.handle_profile", poll.Context())
 	h.End()
@@ -164,15 +178,12 @@ func TestStitchBrokenParentLinkRejected(t *testing.T) {
 		t.Fatalf("export: %v", err)
 	}
 	// Stitch WITHOUT the fleet export: the handler's parent cannot resolve.
-	merged, err := StitchChromeTraces([][]byte{ib.Bytes()})
-	if err != nil {
-		t.Fatalf("stitch: %v", err)
-	}
-	if _, err := ValidateStitchedTrace(merged, 0); err == nil ||
+	merged := StitchChromeTraces([]*ChromeTrace{parse(t, ib.Bytes())})
+	if _, err := merged.Links(0); err == nil ||
 		!strings.Contains(err.Error(), "broken parent link") {
 		t.Fatalf("validator err = %v, want broken parent link", err)
 	}
-	if err := RequireAncestor(merged, "serve.handle_profile", "fleet.round"); err == nil {
+	if err := merged.RequireAncestor("serve.handle_profile", "fleet.round"); err == nil {
 		t.Fatalf("RequireAncestor accepted a broken chain")
 	}
 }
@@ -180,21 +191,18 @@ func TestStitchBrokenParentLinkRejected(t *testing.T) {
 // Two exports sharing a trace ID collide on span IDs — the validator calls
 // that out rather than silently merging two identities.
 func TestStitchDuplicateSpanIDRejected(t *testing.T) {
-	mk := func() []byte {
-		tr := NewTraceWithClock(ctxTestClock())
+	mk := func() *ChromeTrace {
+		tr := newTraceWithClock(ctxTestClock())
 		tr.SetTraceID(DeriveTraceID("dup"))
 		tr.Span("work").End()
 		var b bytes.Buffer
 		if err := tr.WriteChrome(&b); err != nil {
 			t.Fatalf("export: %v", err)
 		}
-		return b.Bytes()
+		return parse(t, b.Bytes())
 	}
-	merged, err := StitchChromeTraces([][]byte{mk(), mk()})
-	if err != nil {
-		t.Fatalf("stitch: %v", err)
-	}
-	if _, err := ValidateStitchedTrace(merged, 0); err == nil ||
+	merged := StitchChromeTraces([]*ChromeTrace{mk(), mk()})
+	if _, err := merged.Links(0); err == nil ||
 		!strings.Contains(err.Error(), "duplicate span id") {
 		t.Fatalf("validator err = %v, want duplicate span id", err)
 	}
@@ -203,7 +211,7 @@ func TestStitchDuplicateSpanIDRejected(t *testing.T) {
 // The cross-link floor is enforced, and RequireAncestor refuses a vacuous
 // pass when no span carries the required name.
 func TestStitchFloorsAndVacuousAncestor(t *testing.T) {
-	tr := NewTraceWithClock(ctxTestClock())
+	tr := newTraceWithClock(ctxTestClock())
 	tr.SetTraceID(DeriveTraceID("floor"))
 	sp := tr.Span("solo")
 	sp.Span("child").End()
@@ -212,31 +220,31 @@ func TestStitchFloorsAndVacuousAncestor(t *testing.T) {
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	data := b.Bytes()
-	if _, err := ValidateStitchedTrace(data, 0); err != nil {
+	ct := parse(t, b.Bytes())
+	if _, err := ct.Links(0); err != nil {
 		t.Fatalf("single-process trace invalid: %v", err)
 	}
-	if _, err := ValidateStitchedTrace(data, 1); err == nil ||
+	if _, err := ct.Links(1); err == nil ||
 		!strings.Contains(err.Error(), "cross-process") {
 		t.Fatalf("cross-link floor not enforced: %v", err)
 	}
-	if err := RequireAncestor(data, "absent", "solo"); err == nil ||
+	if err := ct.RequireAncestor("absent", "solo"); err == nil ||
 		!strings.Contains(err.Error(), "no spans named") {
 		t.Fatalf("vacuous ancestor check passed: %v", err)
 	}
-	if err := RequireAncestor(data, "child", "solo"); err != nil {
+	if err := ct.RequireAncestor("child", "solo"); err != nil {
 		t.Fatalf("direct ancestry rejected: %v", err)
 	}
-	// Stitch rejects non-JSON inputs outright.
-	if _, err := StitchChromeTraces([][]byte{[]byte("not json")}); err == nil {
-		t.Fatalf("stitch accepted garbage")
+	// The parser rejects non-JSON inputs outright.
+	if _, err := ParseChromeTrace([]byte("not json")); err == nil {
+		t.Fatalf("parse accepted garbage")
 	}
 }
 
 // An invalid remote context degrades SpanRemote to a plain local child: the
 // span still records, inside the local trace.
 func TestSpanRemoteInvalidContextDegrades(t *testing.T) {
-	tr := NewTraceWithClock(ctxTestClock())
+	tr := newTraceWithClock(ctxTestClock())
 	tid := DeriveTraceID("degrade")
 	tr.SetTraceID(tid)
 	sp := tr.Root().SpanRemote("serve.refresh", SpanContext{})
@@ -248,7 +256,7 @@ func TestSpanRemoteInvalidContextDegrades(t *testing.T) {
 	if err := tr.WriteChrome(&b); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if _, err := ValidateStitchedTrace(b.Bytes(), 0); err != nil {
+	if _, err := parse(t, b.Bytes()).Links(0); err != nil {
 		t.Fatalf("degraded span breaks validation: %v", err)
 	}
 }

@@ -11,17 +11,19 @@ package overhead
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
 	"csspgo/internal/machine"
+	"csspgo/internal/obs"
 	"csspgo/internal/sim"
 )
 
 // Schema identifies the overhead artifact format. Bump on incompatible
 // changes; Validate pins it.
 const Schema = "csspgo-overhead/v1"
+
+func init() { obs.RegisterSchema(Schema, "artifact", Decode) }
 
 // ProbeCost is the cost ledger for one instrumentation counter.
 type ProbeCost struct {
@@ -185,15 +187,6 @@ func (r *Report) Encode() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteFile encodes the artifact to path.
-func (r *Report) WriteFile(path string) error {
-	data, err := r.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // Decode parses and validates an overhead artifact.

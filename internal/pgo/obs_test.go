@@ -120,13 +120,15 @@ func TestBuildTraceCoverage(t *testing.T) {
 
 	want := []string{"build", "build/irgen", "build/probe_insert", "build/optimize",
 		"build/optimize/opt.annotate", "build/optimize/opt.inference", "build/codegen"}
+	// The run report's stage table is the trace's span paths.
+	stages := o.Report("t", nil).Stages
 	paths := map[string]bool{}
-	for _, p := range o.Trace.SpanPaths() {
-		paths[p] = true
+	for _, st := range stages {
+		paths[st.Name] = true
 	}
 	for _, p := range want {
 		if !paths[p] {
-			t.Errorf("pipeline span %q missing (got %v)", p, o.Trace.SpanPaths())
+			t.Errorf("pipeline span %q missing (got %v)", p, stages)
 		}
 	}
 
@@ -134,7 +136,7 @@ func TestBuildTraceCoverage(t *testing.T) {
 	if err := o.Trace.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateChromeTrace(buf.Bytes(), 8); err != nil {
+	if _, err := obs.ValidateArtifact(buf.Bytes(), 8); err != nil {
 		t.Fatalf("build trace below acceptance floor: %v", err)
 	}
 }

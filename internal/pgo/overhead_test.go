@@ -119,11 +119,11 @@ func TestRefresherOverheadObservatory(t *testing.T) {
 	if !breach {
 		t.Fatalf("no %s event journaled: %+v", obs.EvOverheadBudgetBreach, journal.Events())
 	}
-	data, err := journal.EncodeJSONL()
+	data, err := journal.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateJournal(data); err != nil {
+	if _, err := obs.DecodeJournal(data); err != nil {
 		t.Fatalf("journal outside the closed catalog: %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestServeEventsEndpoint(t *testing.T) {
 	if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/x-ndjson" {
 		t.Fatalf("/events -> %d [%s]", rec.Code, rec.Header().Get("Content-Type"))
 	}
-	if err := obs.ValidateJournal(rec.Body.Bytes()); err != nil {
+	if _, err := obs.DecodeJournal(rec.Body.Bytes()); err != nil {
 		t.Fatalf("/events is not a valid journal: %v", err)
 	}
 	if !strings.Contains(rec.Body.String(), `"type":"`+string(obs.EvOverheadBudgetBreach)+`"`) {

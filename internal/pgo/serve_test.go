@@ -145,7 +145,7 @@ func TestServeHTTPSmoke(t *testing.T) {
 	if res.StatusCode != 200 {
 		t.Fatalf("/report: %d", res.StatusCode)
 	}
-	if err := obs.ValidateReport(body); err != nil {
+	if _, err := obs.DecodeReport(body); err != nil {
 		t.Fatalf("/report invalid: %v", err)
 	}
 
