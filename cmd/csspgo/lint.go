@@ -13,7 +13,6 @@ import (
 	"csspgo/internal/ir"
 	"csspgo/internal/opt"
 	"csspgo/internal/pgo"
-	"csspgo/internal/stale"
 )
 
 // lintReport is the machine-readable output of `csspgo lint -json`.
@@ -47,7 +46,6 @@ func cmdLint(args []string) error {
 	inject := fs.String("inject", "", "miscompile-injection harness: corrupt the program as <kind>@<pass> and expect -tv to attribute it (kinds: "+strings.Join(tv.InjectionNames(), ", ")+")")
 	injectSeed := fs.Uint64("inject-seed", 1, "injection site selection seed")
 	staleMatch := fs.Bool("stale-matching", false, "build with anchor matching and report each stale function's rung on the degradation ladder")
-	minQuality := fs.Float64("min-match-quality", 0, "anchor-match acceptance threshold (0 = default)")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON diagnostics")
 	_ = fs.Parse(args)
 
@@ -61,7 +59,6 @@ func cmdLint(args []string) error {
 		VerifyEach:            *verifyEach,
 		ValidateSemantics:     *tvMode,
 		StaleMatching:         *staleMatch,
-		MinMatchQuality:       *minQuality,
 	}
 	var injectDesc string
 	if *inject != "" {
@@ -108,12 +105,8 @@ func cmdLint(args []string) error {
 		if cfg.Profile != nil {
 			rep.Diagnostics = append(rep.Diagnostics, analysis.CheckProfile(cfg.Profile, res.FreshIR)...)
 			if *staleMatch {
-				params := stale.DefaultParams()
-				if *minQuality > 0 {
-					params.MinQuality = *minQuality
-				}
 				rep.Diagnostics = append(rep.Diagnostics,
-					analysis.CheckStaleMatching(cfg.Profile, res.FreshIR, params)...)
+					analysis.CheckStaleMatching(cfg.Profile, res.FreshIR)...)
 			}
 		}
 		opts := analysis.DefaultOptions()

@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	csspgo build   -o app.bin [-probes] [-instrument] [-profile p.prof] [-preinline] [-checked] [-stale-matching [-min-match-quality Q]] [-trace t.json] [-report r.json] src.ml...
+//	csspgo build   -o app.bin [-probes] [-instrument] [-profile p.prof] [-preinline] [-checked] [-stale-matching] [-trace t.json] [-report r.json] src.ml...
 //	csspgo run     -bin app.bin [-args 100,7] [-n 50 -seed 1 -bound 1000] [-stats]
 //	csspgo profile -bin app.bin -o app.prof -kind cs|probe|autofdo|instr [-n 200 -seed 1 -bound 1000] [-period 797] [-workers N] [-v] [-trace t.json] [-report r.json]
 //	csspgo preinline -bin app.bin -profile app.prof -o app.prof
 //	csspgo inspect -bin app.bin | -profile app.prof [-folded | -top N | -coverage -bin app.bin] [-json] | -diff old.prof new.prof [-json]
-//	csspgo lint    [-profile p.prof] [-probes] [-verify-each] [-tv [-inject kind@pass [-inject-seed N]]] [-stale-matching [-min-match-quality Q]] [-json] src.ml...
+//	csspgo lint    [-profile p.prof] [-probes] [-verify-each] [-tv [-inject kind@pass [-inject-seed N]]] [-stale-matching] [-json] src.ml...
 //	csspgo report  a.json [b.json] | csspgo report -diff [-threshold PCT] a.json b.json | csspgo report -validate [-min-spans N] artifact...
 //	csspgo overhead -bin app.bin [-profile app.prof] [-n 200 -seed 1 -bound 1000] [-period 797] [-top 10] [-budget PCT] [-json] [-o overhead.json]
 //	csspgo serve   -addr :8572 [-workload hhvm -scale 1 | src.ml... [-n 60 -seed 1 -bound 1000]] [-name NAME] [-refresh 30s] [-period 797] [-workers N] [-trace t.json] [-overhead-budget PCT]
@@ -183,7 +183,6 @@ func cmdBuild(args []string) error {
 	preinl := fs.Bool("preinline", false, "honor pre-inliner decisions in the profile")
 	checked := fs.Bool("checked", false, "checked build: verify IR invariants and translation-validate every pass boundary; the first violation aborts the build naming the pass")
 	staleMatch := fs.Bool("stale-matching", false, "recover stale function profiles via anchor matching instead of dropping them")
-	minQuality := fs.Float64("min-match-quality", 0, "anchor-match acceptance threshold (0 = default)")
 	tracePath := fs.String("trace", "", "write Chrome trace-event JSON of the build pipeline")
 	reportPath := fs.String("report", "", "write a machine-readable run manifest (JSON)")
 	_ = fs.Parse(args)
@@ -202,7 +201,6 @@ func cmdBuild(args []string) error {
 		VerifyEach:            *checked,
 		ValidateSemantics:     *checked,
 		StaleMatching:         *staleMatch,
-		MinMatchQuality:       *minQuality,
 	}
 	obsrv.ObserveBuild(&cfg)
 	if *profPath != "" {

@@ -39,9 +39,7 @@ func build(barrier opt.BarrierStrength, probes, counters bool) *sim.Machine {
 	if probes {
 		probe.InsertProgram(p)
 	}
-	cfg := opt.TrainingConfig()
-	cfg.Barrier = barrier
-	if _, err := opt.Optimize(p, cfg); err != nil {
+	if _, err := opt.Optimize(p, &opt.Config{Barrier: barrier}); err != nil {
 		log.Fatal(err)
 	}
 	bin, err := codegen.Lower(p, codegen.Options{Instrument: counters})

@@ -22,7 +22,7 @@ import (
 //
 // Exact-checksum functions are skipped: they never enter the matcher. prog
 // must be the pristine probed program the profile would annotate.
-func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program, params stale.Params) []Diagnostic {
+func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 	var diags []Diagnostic
 	add := func(sev Severity, format string, args ...interface{}) {
 		diags = append(diags, Diagnostic{
@@ -30,7 +30,7 @@ func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program, params stale.P
 		})
 	}
 
-	m := stale.NewMatcher(params)
+	m := stale.NewMatcher()
 	matched, belowThreshold, dropped := 0, 0, 0
 	classify := func(what string, f *ir.Function, fp *profdata.FunctionProfile) {
 		res := m.Match(f, fp)
@@ -45,7 +45,7 @@ func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program, params stale.P
 		default:
 			belowThreshold++
 			add(SevWarning, "%s: match quality %.2f below threshold %.2f (%d/%d anchors) — counts degrade to the flat fallback",
-				what, res.Quality, params.MinQuality, res.MatchedAnchors, res.OldAnchors)
+				what, res.Quality, stale.MinQuality, res.MatchedAnchors, res.OldAnchors)
 		}
 	}
 	for _, name := range prof.SortedFuncNames() {
@@ -76,7 +76,7 @@ func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program, params stale.P
 	}
 	if matched+belowThreshold+dropped > 0 {
 		add(SevInfo, "degradation ladder: %d anchor-matched, %d flat-fallback, %d dropped (threshold %.2f)",
-			matched, belowThreshold, dropped, params.MinQuality)
+			matched, belowThreshold, dropped, stale.MinQuality)
 	}
 	return diags
 }

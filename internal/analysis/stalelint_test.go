@@ -98,7 +98,7 @@ func TestCheckStaleMatching(t *testing.T) {
 		}
 	}
 
-	diags := CheckStaleMatching(prof, prog, stale.DefaultParams())
+	diags := CheckStaleMatching(prof, prog)
 	find := func(substr string) *Diagnostic {
 		for i := range diags {
 			if strings.Contains(diags[i].Msg, substr) {

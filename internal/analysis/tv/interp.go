@@ -72,8 +72,8 @@ type RunResult struct {
 // trace is always folded into TraceHash/TraceLen.
 const maxRecordedEvents = 64
 
-// DefaultMaxSteps bounds one interpreted run (per corpus input).
-const DefaultMaxSteps = 2_000_000
+// maxSteps bounds one interpreted run (per corpus input).
+const maxSteps = 2_000_000
 
 // maxCallDepth bounds the interpreter's frame stack. TailCall'd calls are
 // interpreted as plain calls (the flag is a codegen contract, not a change
@@ -82,22 +82,18 @@ const maxCallDepth = 1 << 16
 
 // execContext fixes everything about execution that must be identical for
 // every program state under comparison: the flat global layout, the initial
-// image, the step budget, and the name-keyed funcref table. Build it once
+// image, and the name-keyed funcref table. Build it once
 // from the baseline program; passes never add globals and the table extends
 // by name, so it stays valid across the whole pipeline.
 type execContext struct {
-	goff    map[string]int64 // global name -> flat segment offset
-	ginit   []int64          // initial flat global image
-	fnID    map[string]int64 // function name -> stable funcref id
-	fnName  []string         // inverse of fnID
-	maxStep uint64
+	goff   map[string]int64 // global name -> flat segment offset
+	ginit  []int64          // initial flat global image
+	fnID   map[string]int64 // function name -> stable funcref id
+	fnName []string         // inverse of fnID
 }
 
-func newExecContext(p *ir.Program, maxSteps uint64) *execContext {
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	c := &execContext{goff: map[string]int64{}, fnID: map[string]int64{}, maxStep: maxSteps}
+func newExecContext(p *ir.Program) *execContext {
+	c := &execContext{goff: map[string]int64{}, fnID: map[string]int64{}}
 	for _, name := range p.GOrder {
 		g := p.Globals[name]
 		c.goff[name] = int64(len(c.ginit))
@@ -200,7 +196,7 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 	steps := uint64(0)
 	for {
 		steps++
-		if steps > c.maxStep {
+		if steps > maxSteps {
 			res.Status = StatusStepLimit
 			break
 		}

@@ -17,8 +17,8 @@ import (
 // writes), so exact-trace comparison is sound: it admits every legal
 // transformation and rejects every observable miscompile.
 
-// DefaultInputs is the corpus size per pass boundary.
-const DefaultInputs = 6
+// corpusSize is the number of inputs per pass boundary.
+const corpusSize = 6
 
 // corpusSeed seeds the splitmix64 input generator; fixed so checked builds
 // are reproducible run to run.
@@ -34,17 +34,14 @@ func splitmix64(x *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// makeCorpus builds n input vectors for a main with the given arity: an
+// makeCorpus builds the input vectors for a main with the given arity: an
 // all-zero vector (the edge case every off-by-one loves), a small negative
 // vector, and seeded small positives — bounded so loop trip counts stay
 // inside the step budget.
-func makeCorpus(arity, n int) [][]int64 {
-	if n <= 0 {
-		n = DefaultInputs
-	}
+func makeCorpus(arity int) [][]int64 {
 	rng := uint64(corpusSeed)
-	corpus := make([][]int64, 0, n)
-	for i := 0; i < n; i++ {
+	corpus := make([][]int64, 0, corpusSize)
+	for i := 0; i < corpusSize; i++ {
 		in := make([]int64, arity)
 		switch i {
 		case 0:

@@ -118,7 +118,7 @@ func helper(x, y) {
 			t.Fatal(err)
 		}
 		m := sim.New(bin, sim.DefaultCostParams(), sim.PMUConfig{})
-		ctx := newExecContext(p, 0)
+		ctx := newExecContext(p)
 		for _, in := range inputs {
 			m.Reset()
 			want, err := m.Run(in...)
@@ -138,7 +138,7 @@ func helper(x, y) {
 
 func TestInterpreterTraceObservesStores(t *testing.T) {
 	p := lower(t, effectsSrc)
-	ctx := newExecContext(p, 0)
+	ctx := newExecContext(p)
 	res := ctx.Run(p, []int64{3, 4})
 	if res.TraceLen == 0 {
 		t.Fatal("main stores to g0 and acc: trace must be non-empty")
@@ -155,9 +155,9 @@ func TestInterpreterTraceObservesStores(t *testing.T) {
 }
 
 func TestCorpusIsDeterministic(t *testing.T) {
-	a, b := makeCorpus(2, DefaultInputs), makeCorpus(2, DefaultInputs)
-	if len(a) != DefaultInputs {
-		t.Fatalf("corpus size %d, want %d", len(a), DefaultInputs)
+	a, b := makeCorpus(2), makeCorpus(2)
+	if len(a) != corpusSize {
+		t.Fatalf("corpus size %d, want %d", len(a), corpusSize)
 	}
 	for i := range a {
 		for j := range a[i] {
@@ -199,7 +199,7 @@ func TestBisimCatchesSwappedSuccessors(t *testing.T) {
 // bisimulation and the oracle.
 func TestValidatorAcceptsProbeInsertion(t *testing.T) {
 	p := lower(t, effectsSrc)
-	v := NewValidator(p, 0, 0)
+	v := NewValidator(p)
 	q := ir.CloneProgram(p)
 	probe.InsertProgram(q)
 	if diags := v.ValidatePass("probe-insert", q, ModeStructural); len(diags) != 0 {
@@ -211,7 +211,7 @@ func TestValidatorCatchesEveryInjection(t *testing.T) {
 	p := lower(t, effectsSrc)
 	probe.InsertProgram(p)
 	for _, kind := range Injections() {
-		v := NewValidator(p, 0, 0)
+		v := NewValidator(p)
 		q := ir.CloneProgram(p)
 		desc, ok := Apply(q, kind, 1)
 		if !ok {
@@ -231,7 +231,7 @@ func TestValidatorCatchesEveryInjection(t *testing.T) {
 // program again afterwards must still succeed.
 func TestValidatorKeepsBaselineOnViolation(t *testing.T) {
 	p := lower(t, effectsSrc)
-	v := NewValidator(p, 0, 0)
+	v := NewValidator(p)
 	bad := ir.CloneProgram(p)
 	if _, ok := Apply(bad, InjClobberReturn, 1); !ok {
 		t.Fatal("no return to clobber")
@@ -264,7 +264,7 @@ global g0;
 func main(a, b) { return quiet(a) + b; }
 func quiet(x) { return x * 3; }
 `)
-	v := NewValidator(p, 0, 0)
+	v := NewValidator(p)
 	q := ir.CloneProgram(p)
 	f := q.Funcs["quiet"]
 	entry := f.Entry()

@@ -45,14 +45,14 @@ type Validator struct {
 }
 
 // NewValidator snapshots p as the initial baseline and runs the oracle on
-// it. inputs and maxSteps of 0 select the defaults.
-func NewValidator(p *ir.Program, inputs int, maxSteps uint64) *Validator {
-	v := &Validator{ctx: newExecContext(p, maxSteps)}
+// it.
+func NewValidator(p *ir.Program) *Validator {
+	v := &Validator{ctx: newExecContext(p)}
 	arity := 0
 	if main := p.Funcs["main"]; main != nil {
 		arity = len(main.Params)
 	}
-	v.corpus = makeCorpus(arity, inputs)
+	v.corpus = makeCorpus(arity)
 	v.accept(p)
 	return v
 }

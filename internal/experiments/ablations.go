@@ -272,9 +272,7 @@ func buildWithBarrier(files []*source.File, barrier opt.BarrierStrength) (*pgo.B
 	}
 	probe.InsertProgram(prog)
 	fresh := ir.CloneProgram(prog)
-	ocfg := opt.TrainingConfig()
-	ocfg.Barrier = barrier
-	stats, err := opt.Optimize(prog, ocfg)
+	stats, err := opt.Optimize(prog, &opt.Config{Barrier: barrier})
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,8 +70,6 @@ type PromoteConfig struct {
 	// Journal, when set, receives promotion / rollback / overlap_degrading
 	// events carrying the gate's triggering metric values.
 	Journal *obs.Journal
-	// TrendAlpha tunes the EWMA overlap-trend detector (0 = default).
-	TrendAlpha float64
 }
 
 // GateResult says what the gate decided about one candidate.
@@ -126,7 +123,7 @@ func NewPromoter(cfg PromoteConfig, reg *obs.Registry) *Promoter {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Promoter{cfg: cfg, reg: reg, now: cfg.Now, trend: NewOverlapTrend(cfg.TrendAlpha)}
+	return &Promoter{cfg: cfg, reg: reg, now: cfg.Now, trend: NewOverlapTrend()}
 }
 
 // BeginRound tells the promoter which aggregation round (and round span)
@@ -275,7 +272,9 @@ func (p *Promoter) gate(last *Artifact, cand *profdata.Profile, manifest *obs.Re
 	// manifest diff: each generation's recorded overlap is measured against
 	// a *different* predecessor, so diffing them across generations would
 	// compare incommensurable numbers.
-	a, b := normalized(last.Manifest), normalized(manifest)
+	a, b := last.Manifest.Clone(), manifest.Clone()
+	a.Normalize()
+	b.Normalize()
 	delete(a.Quality, "fleet.gate.context_overlap")
 	delete(b.Quality, "fleet.gate.context_overlap")
 	diff := obs.DiffReportsThreshold(a, b, p.cfg.Threshold)
@@ -286,22 +285,4 @@ func (p *Promoter) gate(last *Artifact, cand *profdata.Profile, manifest *obs.Re
 			fmt.Sprintf("%d manifest regression(s) beyond %.0f%%", diff.Regressions, 100*p.cfg.Threshold))
 	}
 	return res
-}
-
-// normalized deep-copies a manifest and zeroes its nondeterministic parts,
-// so the gate diff compares only reproducible numbers.
-func normalized(r *obs.Report) *obs.Report {
-	if r == nil {
-		return obs.NewReport("")
-	}
-	data, err := json.Marshal(r)
-	if err != nil {
-		return obs.NewReport(r.Tool)
-	}
-	out := obs.NewReport(r.Tool)
-	if err := json.Unmarshal(data, out); err != nil {
-		return obs.NewReport(r.Tool)
-	}
-	out.Normalize()
-	return out
 }

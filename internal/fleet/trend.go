@@ -7,26 +7,21 @@ package fleet
 // merely noisy. Driven once per Promote call, so its state advances on the
 // same deterministic logical clock as everything else in the control plane.
 type OverlapTrend struct {
-	alpha    float64 // EWMA smoothing factor in (0, 1]
 	ewma     float64
 	seeded   bool
 	declines int // consecutive observations below the EWMA
 }
 
-// DefaultTrendAlpha weights recent margins heavily: the detector should
-// react within a few rounds, not after the gate already fired.
-const DefaultTrendAlpha = 0.5
+// trendAlpha is the EWMA smoothing factor. It weights recent margins
+// heavily: the detector should react within a few rounds, not after the
+// gate already fired.
+const trendAlpha = 0.5
 
 // trendEps absorbs float noise: a decline smaller than this is flat.
 const trendEps = 1e-9
 
-// NewOverlapTrend returns a detector (alpha <= 0 or > 1 takes the default).
-func NewOverlapTrend(alpha float64) *OverlapTrend {
-	if alpha <= 0 || alpha > 1 {
-		alpha = DefaultTrendAlpha
-	}
-	return &OverlapTrend{alpha: alpha}
-}
+// NewOverlapTrend returns a detector with no observations.
+func NewOverlapTrend() *OverlapTrend { return &OverlapTrend{} }
 
 // Observe folds one round's gate margin in and reports whether the margin
 // is degrading: at least two consecutive observations fell below the
@@ -45,7 +40,7 @@ func (t *OverlapTrend) Observe(margin float64) bool {
 	} else {
 		t.declines = 0
 	}
-	t.ewma = t.alpha*margin + (1-t.alpha)*t.ewma
+	t.ewma = trendAlpha*margin + (1-trendAlpha)*t.ewma
 	return t.declines >= 2
 }
 

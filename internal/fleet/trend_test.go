@@ -5,7 +5,7 @@ import "testing"
 // The first observation seeds the EWMA and never flags; it takes two
 // consecutive declines below the smoothed level to call the margin degrading.
 func TestOverlapTrendSeedAndDegrade(t *testing.T) {
-	tr := NewOverlapTrend(0.5)
+	tr := NewOverlapTrend()
 	if tr.Observe(0.15) {
 		t.Fatalf("seeding observation flagged degradation")
 	}
@@ -27,7 +27,7 @@ func TestOverlapTrendSeedAndDegrade(t *testing.T) {
 // A recovery (observation at or above the EWMA) resets the consecutive
 // count: noise around a stable margin never alarms.
 func TestOverlapTrendRecoveryResets(t *testing.T) {
-	tr := NewOverlapTrend(0.5)
+	tr := NewOverlapTrend()
 	tr.Observe(0.20) // seed
 	if tr.Observe(0.10) {
 		t.Fatalf("first decline flagged")
@@ -41,7 +41,7 @@ func TestOverlapTrendRecoveryResets(t *testing.T) {
 		t.Fatalf("post-recovery single decline flagged")
 	}
 	// Flat observations (within epsilon of the EWMA) are not declines.
-	tr2 := NewOverlapTrend(1)
+	tr2 := NewOverlapTrend()
 	tr2.Observe(0.5)
 	for i := 0; i < 5; i++ {
 		if tr2.Observe(0.5) {
@@ -50,14 +50,8 @@ func TestOverlapTrendRecoveryResets(t *testing.T) {
 	}
 }
 
-// Out-of-range alphas take the default; a nil detector is inert.
-func TestOverlapTrendDefaultsAndNil(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		tr := NewOverlapTrend(alpha)
-		if tr.alpha != DefaultTrendAlpha {
-			t.Fatalf("alpha %v not defaulted: %v", alpha, tr.alpha)
-		}
-	}
+// A nil detector is inert.
+func TestOverlapTrendNilIsInert(t *testing.T) {
 	var tr *OverlapTrend
 	if tr.Observe(0.1) || tr.EWMA() != 0 {
 		t.Fatalf("nil trend not inert")

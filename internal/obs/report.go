@@ -3,8 +3,10 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -75,6 +77,23 @@ func (r *Report) AddMetrics(reg *Registry) {
 		r.Metrics = Snapshot{}
 	}
 	r.Metrics.Merge(reg.Snapshot())
+}
+
+// Clone returns a deep copy of the manifest (Config values are copied
+// shallowly: they are the scalars of a config echo).
+func (r *Report) Clone() *Report {
+	out := *r
+	out.Config = maps.Clone(r.Config)
+	out.Stages = slices.Clone(r.Stages)
+	if r.Metrics != nil {
+		out.Metrics = make(Snapshot, len(r.Metrics))
+		for name, mv := range r.Metrics {
+			mv.Buckets = slices.Clone(mv.Buckets)
+			out.Metrics[name] = mv
+		}
+	}
+	out.Quality = maps.Clone(r.Quality)
+	return &out
 }
 
 // Normalize zeroes every nondeterministic field — stage wall times and

@@ -62,6 +62,25 @@ func TestNormalizeZeroesTimings(t *testing.T) {
 	}
 }
 
+// A clone encodes like its source, and normalizing or editing it leaves the
+// source untouched.
+func TestReportCloneIsDeep(t *testing.T) {
+	r := sampleReport()
+	r.Metrics["h"] = MetricValue{Kind: KindHistogram, Count: 1, Buckets: []int64{1}}
+	want, _ := r.Encode()
+	c := r.Clone()
+	if got, _ := c.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("clone encodes differently:\n%s\n----\n%s", got, want)
+	}
+	c.Normalize()
+	c.Config["probes"] = false
+	c.Quality["block_overlap"] = 0
+	c.Metrics["h"].Buckets[0] = 9
+	if got, _ := r.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("editing the clone changed the source:\n%s\n----\n%s", got, want)
+	}
+}
+
 func TestReportRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "r.json")
 	if err := WriteFile(path, sampleReport()); err != nil {

@@ -73,7 +73,7 @@ func newChecker(p *ir.Program, cfg *Config) *checker {
 		c.snaps[f.Name] = f.String()
 	}
 	if cfg.ValidateSemantics {
-		c.tvv = tv.NewValidator(p, cfg.TVInputs, cfg.TVMaxSteps)
+		c.tvv = tv.NewValidator(p)
 	}
 	return c
 }

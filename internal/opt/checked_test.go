@@ -42,11 +42,8 @@ func checkedConfig(t *testing.T) (*ir.Program, *Config) {
 	}
 	probe.InsertProgram(p)
 	cfg := &Config{
-		Profile: prof, Barrier: BarrierWeak, Inference: true,
-		Inline: DefaultInlineParams(), UnrollFactor: 4,
-		EnableTCE: true, Layout: true, Split: true,
-		CSHotContextThreshold: 2,
-		VerifyEach:            true,
+		Profile: prof, Barrier: BarrierWeak,
+		CSHotContextThreshold: 2, VerifyEach: true,
 	}
 	return p, cfg
 }

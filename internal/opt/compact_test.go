@@ -47,8 +47,7 @@ func TestCompactionInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		probe.InsertProgram(p)
-		cfg := TrainingConfig()
-		cfg.Barrier = BarrierWeak
+		cfg := &Config{Barrier: BarrierWeak}
 		cfg.InjectAfter = map[string]func(*ir.Program){simplifyPass.name: func(p *ir.Program) {
 			for _, f := range p.Functions() {
 				g := ir.CloneFunction(f)

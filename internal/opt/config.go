@@ -64,35 +64,27 @@ func DefaultInlineParams() InlineParams {
 	}
 }
 
-// Config drives one compilation's optimization pipeline.
+// Config drives one compilation's optimization pipeline. It holds only what
+// a caller decides; the zero Config is the production -O2 pipeline, and
+// Optimize derives the rest from the profile: with one, annotation,
+// inference (twice), sample inlining, ICP, hot-loop unrolling by 4, layout
+// and splitting run; without one, tiny loops unroll by 2. The bottom-up
+// inliner and TCE always run.
 type Config struct {
 	// Profile is the input PGO profile (nil for a training build).
 	Profile *profdata.Profile
 	// UsePreInlineDecisions honors ShouldInline decisions persisted in a
-	// context-sensitive profile by the offline pre-inliner.
+	// context-sensitive profile by the offline pre-inliner, and damps the
+	// bottom-up inliner's hot-site boost: the pre-inliner already made the
+	// global hot-path decisions, so extra static inlining only grows code.
 	UsePreInlineDecisions bool
 	// Barrier is the probe barrier strength in effect.
 	Barrier BarrierStrength
-	// Inference runs MCF profile inference after annotation (profi).
-	Inference bool
-	// Inline tunes both inliners.
-	Inline InlineParams
-	// UnrollFactor for hot loops (profiled builds); training builds unroll
-	// tiny loops by 2. 0 disables unrolling.
-	UnrollFactor int
-	// EnableTCE turns call+return pairs into frame-reusing tail calls.
-	EnableTCE bool
-	// Layout reorders blocks by edge weights (needs a profile).
-	Layout bool
-	// Split moves never-sampled blocks of hot functions into the cold
-	// section (needs a profile).
-	Split bool
-	// DisableICP turns off indirect-call promotion.
+	// DisableInference turns off MCF profile inference (profi) after
+	// annotation and before layout (ablations).
+	DisableInference bool
+	// DisableICP turns off indirect-call promotion (ablations).
 	DisableICP bool
-	// SelectiveInlining damps the bottom-up inliner's hot-site boost —
-	// used by full CSSPGO, where the pre-inliner already made the global
-	// hot-path decisions and extra static inlining only grows code.
-	SelectiveInlining bool
 	// CSHotContextThreshold: when using a CS profile without pre-inliner
 	// decisions, contexts at least this hot are inlined by the top-down
 	// sample inliner.
@@ -101,9 +93,6 @@ type Config struct {
 	// CFG-checksum mismatch the function profile degrades down the ladder
 	// (anchor-matched, then flat fallback) instead of being dropped.
 	StaleMatching bool
-	// MinMatchQuality overrides the matcher's minimum acceptable match
-	// quality (0 = stale.DefaultParams().MinQuality).
-	MinMatchQuality float64
 	// VerifyEach enables checked pipeline mode (LLVM -verify-each style):
 	// after every pass, Function.Verify and the analysis suite run over the
 	// whole program, and the first error-severity finding aborts Optimize
@@ -118,10 +107,6 @@ type Config struct {
 	// seeded corpus inputs). Violations abort with a *PassViolation exactly
 	// like VerifyEach findings. Implies checked mode.
 	ValidateSemantics bool
-	// TVInputs sizes the oracle corpus per pass boundary (0 = tv default).
-	TVInputs int
-	// TVMaxSteps bounds one interpreted oracle run (0 = tv default).
-	TVMaxSteps uint64
 	// Trace receives one child span per executed pass ("opt.<pass>"), in
 	// checked and unchecked mode alike (nil = no tracing), plus a
 	// "tv.<pass>" child per validated boundary when ValidateSemantics is on.
@@ -135,17 +120,6 @@ type Config struct {
 	// harness (tv.Apply) and checked-mode tests use it to prove detection
 	// and attribution land on that pass. Nil in production builds.
 	InjectAfter map[string]func(*ir.Program)
-}
-
-// TrainingConfig is the -O2, no-PGO pipeline used to build profiling
-// binaries.
-func TrainingConfig() *Config {
-	return &Config{
-		Inline:       DefaultInlineParams(),
-		UnrollFactor: 2, // static unrolling of small loops, like -O2
-		EnableTCE:    true,
-		Barrier:      BarrierNone,
-	}
 }
 
 // Stats reports what the pipeline did.

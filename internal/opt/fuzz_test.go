@@ -207,20 +207,18 @@ func TestRandomProgramsSemanticPreservation(t *testing.T) {
 			}
 
 			check("training-none", func(p *ir.Program) error {
-				_, err := Optimize(p, TrainingConfig())
+				_, err := Optimize(p, &Config{})
 				return err
 			})
 			check("training-weak-probes", func(p *ir.Program) error {
 				probe.InsertProgram(p)
-				cfg := TrainingConfig()
-				cfg.Barrier = BarrierWeak
+				cfg := &Config{Barrier: BarrierWeak}
 				_, err := Optimize(p, cfg)
 				return err
 			})
 			check("training-strong-probes", func(p *ir.Program) error {
 				probe.InsertProgram(p)
-				cfg := TrainingConfig()
-				cfg.Barrier = BarrierStrong
+				cfg := &Config{Barrier: BarrierStrong}
 				_, err := Optimize(p, cfg)
 				return err
 			})
@@ -231,11 +229,8 @@ func TestRandomProgramsSemanticPreservation(t *testing.T) {
 				train := runTrainingBuild(t, src)
 				probe.InsertProgram(p)
 				cfg := &Config{
-					Profile: train, Barrier: BarrierWeak, Inference: true,
-					Inline: DefaultInlineParams(), UnrollFactor: 4,
-					EnableTCE: true, Layout: true, Split: true,
-					CSHotContextThreshold: 2,
-					VerifyEach:            true,
+					Profile: train, Barrier: BarrierWeak,
+					CSHotContextThreshold: 2, VerifyEach: true,
 				}
 				if _, err := Optimize(p, cfg); err != nil {
 					return err
@@ -265,7 +260,7 @@ func runTrainingBuild(t *testing.T, src string) *profdata.Profile {
 		t.Fatal(err)
 	}
 	probe.InsertProgram(p)
-	if _, err := Optimize(p, TrainingConfig()); err != nil {
+	if _, err := Optimize(p, &Config{}); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := codegen.Lower(p, codegen.Options{})

@@ -6,24 +6,19 @@ import (
 	"csspgo/internal/profdata"
 )
 
-// ICPParams tunes indirect-call promotion.
-type ICPParams struct {
-	// MinRatioPct: the dominant target must cover at least this share of
-	// the site's sampled targets.
-	MinRatioPct int
-	// MinCount: minimum sampled/counted calls to the dominant target.
-	MinCount uint64
-	// MaxPerFunction bounds promotions per function.
-	MaxPerFunction int
-}
-
-// DefaultICPParams returns production-flavoured thresholds.
-func DefaultICPParams() ICPParams {
-	// High dominance required: a guarded compare at a 70/30 site
-	// mispredicts as often as the indirect branch it replaces; the win
-	// appears at ~85%+ dominance (plus the inlining it unlocks).
-	return ICPParams{MinRatioPct: 80, MinCount: 6, MaxPerFunction: 8}
-}
+// Indirect-call promotion thresholds.
+const (
+	// icpMinRatioPct: the dominant target must cover at least this share of
+	// the site's sampled targets. High dominance is required: a guarded
+	// compare at a 70/30 site mispredicts as often as the indirect branch
+	// it replaces; the win appears at ~85%+ dominance (plus the inlining it
+	// unlocks).
+	icpMinRatioPct = 80
+	// icpMinCount: minimum sampled/counted calls to the dominant target.
+	icpMinCount = 6
+	// icpMaxPerFunction bounds promotions per function.
+	icpMaxPerFunction = 8
+)
 
 // ICP performs profile-guided indirect-call promotion: an indirect call
 // whose target distribution is dominated by one callee is rewritten to
@@ -37,8 +32,9 @@ func DefaultICPParams() ICPParams {
 //
 // Both copies of the call keep the original call-site probe (duplication
 // semantics: future probe profiles sum the copies), and block weights are
-// split by the observed ratio. Returns the number of promotions.
-func ICP(p *ir.Program, f *ir.Function, prof *profdata.Profile, params ICPParams) int {
+// split by the observed ratio. A site qualifies when its dominant target
+// has at least minCount calls. Returns the number of promotions.
+func ICP(p *ir.Program, f *ir.Function, prof *profdata.Profile, minCount uint64) int {
 	if prof == nil {
 		return 0
 	}
@@ -50,7 +46,7 @@ func ICP(p *ir.Program, f *ir.Function, prof *profdata.Profile, params ICPParams
 		loc   profdata.LocKey
 	}
 	done := map[siteKey]bool{}
-	for pass := 0; pass < params.MaxPerFunction; pass++ {
+	for pass := 0; pass < icpMaxPerFunction; pass++ {
 		promoted := false
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
@@ -69,10 +65,10 @@ func ICP(p *ir.Program, f *ir.Function, prof *profdata.Profile, params ICPParams
 				}
 				targets := fp.Calls[loc]
 				dominant, domCount, total := dominantTarget(targets)
-				if dominant == "" || total == 0 || domCount < params.MinCount {
+				if dominant == "" || total == 0 || domCount < minCount {
 					continue
 				}
-				if int(100*domCount/total) < params.MinRatioPct {
+				if int(100*domCount/total) < icpMinRatioPct {
 					continue
 				}
 				if _, exists := p.Funcs[dominant]; !exists {
@@ -194,16 +190,14 @@ var icpPass = registerPass("icp", flowPerturbs, semRestructures)
 // -style): a site qualifies only when its dominant target's count reaches
 // the program's hot-count threshold, so exact (instrumentation) profiles
 // don't promote every lukewarm site just because their counts are precise.
-func ICPProgram(p *ir.Program, prof *profdata.Profile, params ICPParams) int {
-	if hot := hotCallThreshold(prof); hot > params.MinCount {
-		params.MinCount = hot
-	}
+func ICPProgram(p *ir.Program, prof *profdata.Profile) int {
+	minCount := max(hotCallThreshold(prof), icpMinCount)
 	n := 0
 	for _, f := range p.Functions() {
 		if !f.HasProfile {
 			continue
 		}
-		n += ICP(p, f, prof, params)
+		n += ICP(p, f, prof, minCount)
 	}
 	return n
 }

@@ -89,8 +89,7 @@ func TestIndirectCallExecution(t *testing.T) {
 
 func TestIndirectCallWithProbesAndOptimizer(t *testing.T) {
 	p := buildDispatch(t, true)
-	cfg := TrainingConfig()
-	cfg.Barrier = BarrierWeak
+	cfg := &Config{Barrier: BarrierWeak}
 	if _, err := Optimize(p, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 	fp.AddCall(loc, "handler2", 20)
 	f.HasProfile = true
 
-	n := ICP(p, f, prof, DefaultICPParams())
+	n := ICP(p, f, prof, icpMinCount)
 	if n != 1 {
 		t.Fatalf("promotions = %d, want 1", n)
 	}
@@ -225,7 +224,7 @@ func TestICPRefusesWeakDominance(t *testing.T) {
 	fp.AddCall(loc, "handler1", 35)
 	fp.AddCall(loc, "handler2", 25)
 	f.HasProfile = true
-	if n := ICP(p, f, prof, DefaultICPParams()); n != 0 {
+	if n := ICP(p, f, prof, icpMinCount); n != 0 {
 		t.Fatalf("weakly dominated site promoted (%d)", n)
 	}
 }
@@ -238,7 +237,7 @@ func TestICPPromotedCallIsInlinable(t *testing.T) {
 	_ = probeP
 	// Build a real profile via simulation.
 	train := buildDispatch(t, true)
-	if _, err := Optimize(train, TrainingConfig()); err != nil {
+	if _, err := Optimize(train, &Config{}); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := codegen.Lower(train, codegen.Options{})
@@ -252,11 +251,7 @@ func TestICPPromotedCallIsInlinable(t *testing.T) {
 		}
 	}
 	prof := generateProbeProfileForTest(t, bin, m)
-	cfg := &Config{
-		Profile: prof, Barrier: BarrierWeak, Inference: true,
-		Inline: DefaultInlineParams(), EnableTCE: true, Layout: true, Split: true,
-	}
-	st, err := Optimize(p, cfg)
+	st, err := Optimize(p, &Config{Profile: prof, Barrier: BarrierWeak})
 	if err != nil {
 		t.Fatal(err)
 	}

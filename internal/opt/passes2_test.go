@@ -234,8 +234,7 @@ func unused(x) { return x * 2; }`, true)
 func TestOptimizeDeterministic(t *testing.T) {
 	run := func() string {
 		p := lower(t, semanticPrograms[0].src, true)
-		cfg := TrainingConfig()
-		cfg.Barrier = BarrierWeak
+		cfg := &Config{Barrier: BarrierWeak}
 		if _, err := Optimize(p, cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,8 @@ func (r *runner) run(id PassID, fn func()) error {
 // pipeline (SimplifyCFG, DCE, LICM, unroll, if-convert, tail merge), the
 // main bottom-up inliner, tail-call elimination, then the profile-consuming
 // backend passes (layout, splitting) after a final inference pass restores
-// flow consistency. With cfg.VerifyEach, every pass boundary is verified
+// flow consistency. The profile-consuming passes run iff cfg.Profile is
+// set. With cfg.VerifyEach, every pass boundary is verified
 // and the first violation aborts with a *PassViolation attributing it.
 func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	st := &Stats{}
@@ -68,11 +69,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	prof := cfg.Profile
 	var matcher *stale.Matcher
 	if cfg.StaleMatching {
-		params := stale.DefaultParams()
-		if cfg.MinMatchQuality > 0 {
-			params.MinQuality = cfg.MinMatchQuality
-		}
-		matcher = stale.NewMatcher(params)
+		matcher = stale.NewMatcher()
 	}
 	if prof != nil {
 		prof = prof.Clone() // the pipeline consumes/mutates the profile
@@ -93,7 +90,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		}); err != nil {
 			return st, err
 		}
-		if cfg.Inference {
+		if !cfg.DisableInference {
 			if err := r.run(inferencePass, func() {
 				st.InferenceAdjust = inference.InferProgram(p)
 			}); err != nil {
@@ -111,7 +108,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 			if prof.CS {
 				st.SampleInlines = SampleInlineCS(p, prof, matcher, st)
 			} else {
-				st.SampleInlines = SampleInlineAutoFDO(p, cfg.Inline)
+				st.SampleInlines = SampleInlineAutoFDO(p, DefaultInlineParams())
 			}
 		}); err != nil {
 			return st, err
@@ -122,7 +119,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// bottom-up inliner (so promoted direct calls can inline).
 		if !cfg.DisableICP {
 			if err := r.run(icpPass, func() {
-				st.ICPromotions = ICPProgram(p, flatView, DefaultICPParams())
+				st.ICPromotions = ICPProgram(p, flatView)
 			}); err != nil {
 				return st, err
 			}
@@ -150,8 +147,8 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}
 
 	// Main bottom-up inliner.
-	inl := cfg.Inline
-	if cfg.SelectiveInlining {
+	inl := DefaultInlineParams()
+	if cfg.UsePreInlineDecisions {
 		// The pre-inliner already claimed the hot paths; the static pass
 		// only picks up cheap wins.
 		inl.HotThreshold = inl.SizeThreshold
@@ -170,19 +167,18 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}); err != nil {
 		return st, err
 	}
-	if cfg.UnrollFactor >= 2 {
-		if err := r.run(unrollPass, func() {
-			for _, f := range p.Functions() {
-				params := UnrollParams{Factor: cfg.UnrollFactor, MaxBodyInstrs: 10}
-				if prof != nil {
-					params.HotWeight = hotLoopThreshold(f)
-					params.MaxBodyInstrs = 24
-				}
-				st.Unrolled += Unroll(f, params)
+	// Profiled builds unroll hot loops by 4; training builds unroll tiny
+	// loops by 2, like -O2.
+	if err := r.run(unrollPass, func() {
+		for _, f := range p.Functions() {
+			params := UnrollParams{Factor: 2, MaxBodyInstrs: 10}
+			if prof != nil {
+				params = UnrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
 			}
-		}); err != nil {
-			return st, err
+			st.Unrolled += Unroll(f, params)
 		}
+	}); err != nil {
+		return st, err
 	}
 	if err := r.run(ifConvertPass, func() {
 		for _, f := range p.Functions() {
@@ -211,37 +207,31 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}); err != nil {
 		return st, err
 	}
-	if cfg.EnableTCE {
-		if err := r.run(tcePass, func() {
-			for _, f := range p.Functions() {
-				st.TailCalls += TCE(f)
-			}
-		}); err != nil {
-			return st, err
+	if err := r.run(tcePass, func() {
+		for _, f := range p.Functions() {
+			st.TailCalls += TCE(f)
 		}
+	}); err != nil {
+		return st, err
 	}
 
 	if prof != nil {
-		if cfg.Inference {
+		if !cfg.DisableInference {
 			if err := r.run(inferencePass, func() {
 				inference.InferProgram(p)
 			}); err != nil {
 				return st, err
 			}
 		}
-		if cfg.Layout {
-			if err := r.run(layoutPass, func() {
-				st.LayoutFuncs = LayoutProgram(p)
-			}); err != nil {
-				return st, err
-			}
+		if err := r.run(layoutPass, func() {
+			st.LayoutFuncs = LayoutProgram(p)
+		}); err != nil {
+			return st, err
 		}
-		if cfg.Split {
-			if err := r.run(splitPass, func() {
-				st.SplitBlocks = SplitProgram(p)
-			}); err != nil {
-				return st, err
-			}
+		if err := r.run(splitPass, func() {
+			st.SplitBlocks = SplitProgram(p)
+		}); err != nil {
+			return st, err
 		}
 	}
 

@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"strings"
 	"testing"
 
 	"csspgo/internal/codegen"
 	"csspgo/internal/ir"
+	"csspgo/internal/obs"
 	"csspgo/internal/probe"
 	"csspgo/internal/sampling"
 	"csspgo/internal/sim"
@@ -132,7 +134,7 @@ func TestPipelinePreservesSemanticsTraining(t *testing.T) {
 
 			for _, probes := range []bool{false, true} {
 				p := lower(t, prog.src, probes)
-				cfg := TrainingConfig()
+				cfg := &Config{}
 				if probes {
 					cfg.Barrier = BarrierWeak
 				}
@@ -161,8 +163,7 @@ func TestPipelinePreservesSemanticsPGO(t *testing.T) {
 
 			// Training build with probes, profiled.
 			train := lower(t, prog.src, true)
-			tcfg := TrainingConfig()
-			tcfg.Barrier = BarrierWeak
+			tcfg := &Config{Barrier: BarrierWeak}
 			if _, err := Optimize(train, tcfg); err != nil {
 				t.Fatal(err)
 			}
@@ -189,25 +190,10 @@ func TestPipelinePreservesSemanticsPGO(t *testing.T) {
 				cfg    *Config
 			}
 			variants := []variant{
-				{"autofdo", false, &Config{
-					Profile: lineProf, Inference: true, Inline: DefaultInlineParams(),
-					UnrollFactor: 4, EnableTCE: true, Layout: true, Split: true,
-				}},
-				{"probeonly", true, &Config{
-					Profile: flatProf, Barrier: BarrierWeak, Inference: true,
-					Inline: DefaultInlineParams(), UnrollFactor: 4, EnableTCE: true,
-					Layout: true, Split: true,
-				}},
-				{"csspgo", true, &Config{
-					Profile: csProf, Barrier: BarrierWeak, Inference: true,
-					Inline: DefaultInlineParams(), UnrollFactor: 4, EnableTCE: true,
-					Layout: true, Split: true, CSHotContextThreshold: 2,
-				}},
-				{"instr", true, &Config{
-					Profile: flatProf, Barrier: BarrierStrong, Inference: true,
-					Inline: DefaultInlineParams(), UnrollFactor: 4, EnableTCE: true,
-					Layout: true, Split: true,
-				}},
+				{"autofdo", false, &Config{Profile: lineProf}},
+				{"probeonly", true, &Config{Profile: flatProf, Barrier: BarrierWeak}},
+				{"csspgo", true, &Config{Profile: csProf, Barrier: BarrierWeak, CSHotContextThreshold: 2}},
+				{"instr", true, &Config{Profile: flatProf, Barrier: BarrierStrong}},
 			}
 			for _, v := range variants {
 				p := lower(t, prog.src, v.probes)
@@ -244,7 +230,7 @@ func shared(x, mode) {
 `
 	// Train.
 	train := lower(t, src, true)
-	if _, err := Optimize(train, TrainingConfig()); err != nil {
+	if _, err := Optimize(train, &Config{}); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := codegen.Lower(train, codegen.Options{})
@@ -260,12 +246,7 @@ func shared(x, mode) {
 	prof, _ := sampling.GenerateCSSPGO(bin, m.Samples(), sampling.DefaultCSSPGOOptions())
 
 	p := lower(t, src, true)
-	cfg := &Config{
-		Profile: prof, Barrier: BarrierWeak, Inference: true,
-		Inline: DefaultInlineParams(), EnableTCE: false,
-		Layout: true, Split: true, CSHotContextThreshold: 5,
-	}
-	st, err := Optimize(p, cfg)
+	st, err := Optimize(p, &Config{Profile: prof, Barrier: BarrierWeak, CSHotContextThreshold: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +268,7 @@ func TestPipelineProducesFasterCode(t *testing.T) {
 	// PGO with a real profile should beat the training build on eval runs.
 	src := semanticPrograms[1].src // loops
 	train := lower(t, src, true)
-	if _, err := Optimize(train, TrainingConfig()); err != nil {
+	if _, err := Optimize(train, &Config{}); err != nil {
 		t.Fatal(err)
 	}
 	bin, err := codegen.Lower(train, codegen.Options{})
@@ -318,11 +299,7 @@ func TestPipelineProducesFasterCode(t *testing.T) {
 
 	base := cycles(train)
 	pgo := lower(t, src, true)
-	if _, err := Optimize(pgo, &Config{
-		Profile: prof, Barrier: BarrierWeak, Inference: true,
-		Inline: DefaultInlineParams(), UnrollFactor: 4, EnableTCE: true,
-		Layout: true, Split: true, CSHotContextThreshold: 2,
-	}); err != nil {
+	if _, err := Optimize(pgo, &Config{Profile: prof, Barrier: BarrierWeak, CSHotContextThreshold: 2}); err != nil {
 		t.Fatal(err)
 	}
 	opt := cycles(pgo)
@@ -331,10 +308,90 @@ func TestPipelineProducesFasterCode(t *testing.T) {
 	}
 }
 
+// TestOptimizeDerivesPipelineFromProfile reads the opt.<pass> spans of
+// traced Optimize runs: the profile, not the caller, turns the
+// profile-consuming passes on, and each ablation switch removes exactly its
+// pass.
+func TestOptimizeDerivesPipelineFromProfile(t *testing.T) {
+	src := semanticPrograms[1].src // loops
+	train := lower(t, src, true)
+	if _, err := Optimize(train, &Config{Barrier: BarrierWeak}); err != nil {
+		t.Fatal(err)
+	}
+	bin, err := codegen.Lower(train, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := sim.New(bin, sim.DefaultCostParams(), sim.DefaultPMUConfig(16))
+	for r := 0; r < 20; r++ {
+		if _, err := m.Run(200); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prof, _ := sampling.GenerateCSSPGO(bin, m.Samples(), sampling.DefaultCSSPGOOptions())
+
+	// ran maps each executed pass to its number of runs.
+	ran := func(cfg *Config) map[string]int {
+		tr := obs.NewTrace()
+		cfg.Trace = tr.Span("optimize")
+		if _, err := Optimize(lower(t, src, true), cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Trace.End()
+		rep := obs.NewReport("test")
+		rep.AddTrace(tr)
+		out := map[string]int{}
+		for _, st := range rep.Stages {
+			if pass, ok := strings.CutPrefix(st.Name, "optimize/opt."); ok {
+				out[pass] = st.Count
+			}
+		}
+		return out
+	}
+	profileOnly := []string{"annotate", "inference", "icp", "layout", "split"}
+
+	bare := ran(&Config{Barrier: BarrierWeak})
+	for _, pass := range []string{"unroll", "tce"} {
+		if bare[pass] != 1 {
+			t.Errorf("no profile: %s ran %d times, want 1", pass, bare[pass])
+		}
+	}
+	for _, pass := range profileOnly {
+		if bare[pass] != 0 {
+			t.Errorf("no profile: %s ran %d times, want 0", pass, bare[pass])
+		}
+	}
+
+	full := ran(&Config{Profile: prof, Barrier: BarrierWeak})
+	for _, pass := range append(profileOnly, "unroll", "tce") {
+		want := 1
+		if pass == "inference" {
+			want = 2
+		}
+		if full[pass] != want {
+			t.Errorf("profiled: %s ran %d times, want %d", pass, full[pass], want)
+		}
+	}
+
+	for pass, cfg := range map[string]*Config{
+		"inference": {Profile: prof, Barrier: BarrierWeak, DisableInference: true},
+		"icp":       {Profile: prof, Barrier: BarrierWeak, DisableICP: true},
+	} {
+		got := ran(cfg)
+		for name, n := range full {
+			if name == pass {
+				n = 0
+			}
+			if got[name] != n {
+				t.Errorf("without %s: %s ran %d times, want %d", pass, name, got[name], n)
+			}
+		}
+	}
+}
+
 func TestOptimizeKeepsProbeInvariants(t *testing.T) {
 	p := lower(t, semanticPrograms[0].src, true)
-	cfg := TrainingConfig()
-	cfg.Barrier = BarrierWeak
+	cfg := &Config{Barrier: BarrierWeak}
 	if _, err := Optimize(p, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -355,8 +355,7 @@ func TestDCEAndLICMMatchReferenceOnGeneratedPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		probe.InsertProgram(p)
-		cfg := TrainingConfig()
-		cfg.Barrier = BarrierWeak
+		cfg := &Config{Barrier: BarrierWeak}
 		cfg.InjectAfter = ReferenceHooks(t)
 		if _, err := Optimize(p, cfg); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -121,14 +121,7 @@ func TestOptimizeDegradationLadder(t *testing.T) {
 	run := func(staleMatching bool) *Stats {
 		prog := ladderProgram(t, ladderNewSrc)
 		prof := ladderProfile(t, ladderProgram(t, ladderOldSrc))
-		st, err := Optimize(prog, &Config{
-			Profile:       prof,
-			StaleMatching: staleMatching,
-			Inline:        DefaultInlineParams(),
-			EnableTCE:     true,
-			Barrier:       BarrierWeak,
-			UnrollFactor:  2,
-		})
+		st, err := Optimize(prog, &Config{Profile: prof, Barrier: BarrierWeak, StaleMatching: staleMatching})
 		if err != nil {
 			t.Fatal(err)
 		}

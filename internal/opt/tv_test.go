@@ -52,18 +52,14 @@ func tvProgram(t *testing.T) *ir.Program {
 	return p
 }
 
-// tvTrainingConfig is the training pipeline with translation validation on.
-func tvTrainingConfig() *Config {
-	cfg := TrainingConfig()
-	cfg.Barrier = BarrierWeak
-	cfg.VerifyEach = true
-	cfg.ValidateSemantics = true
-	return cfg
+// tvConfig is the training pipeline with translation validation on.
+func tvConfig() *Config {
+	return &Config{Barrier: BarrierWeak, VerifyEach: true, ValidateSemantics: true}
 }
 
 func TestValidateSemanticsCleanTrainingPipeline(t *testing.T) {
 	p := tvProgram(t)
-	cfg := tvTrainingConfig()
+	cfg := tvConfig()
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	if _, err := Optimize(p, cfg); err != nil {
@@ -99,7 +95,7 @@ func TestMiscompileInjectionMatrix(t *testing.T) {
 			kind, pass := kind, pass
 			t.Run(fmt.Sprintf("%s@%s", kind, pass), func(t *testing.T) {
 				p := tvProgram(t)
-				cfg := tvTrainingConfig()
+				cfg := tvConfig()
 				applied := ""
 				cfg.InjectAfter = map[string]func(*ir.Program){pass: func(p *ir.Program) {
 					if d, ok := tv.Apply(p, kind, 1); ok {
@@ -133,7 +129,7 @@ func TestMiscompileInjectionMatrix(t *testing.T) {
 // the PR-1 flow checker must NOT be what fires).
 func TestTVViolationGoldenDiff(t *testing.T) {
 	p := tvProgram(t)
-	cfg := tvTrainingConfig()
+	cfg := tvConfig()
 	cfg.InjectAfter = map[string]func(*ir.Program){"simplify-cfg": func(p *ir.Program) {
 		if _, ok := tv.Apply(p, tv.InjSwapSuccessors, 1); !ok {
 			t.Fatal("no branch to swap")
@@ -176,7 +172,7 @@ func TestTVViolationGoldenDiff(t *testing.T) {
 // the plain pipeline and VerifyEach — the tv tier is what catches it.
 func TestFlowBalancedMiscompileNeedsTV(t *testing.T) {
 	p := tvProgram(t)
-	cfg := tvTrainingConfig()
+	cfg := tvConfig()
 	cfg.ValidateSemantics = false
 	cfg.InjectAfter = map[string]func(*ir.Program){"dce": func(p *ir.Program) {
 		tv.Apply(p, tv.InjSwapSuccessors, 1)
@@ -204,7 +200,7 @@ func FuzzTranslationValidate(f *testing.F) {
 			t.Skip()
 		}
 		probe.InsertProgram(p)
-		cfg := tvTrainingConfig()
+		cfg := tvConfig()
 		if _, err := Optimize(p, cfg); err != nil {
 			t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, src)
 		}

@@ -92,9 +92,6 @@ type BuildConfig struct {
 	// function profiles degrade down the ladder (anchor-matched, then flat
 	// fallback) instead of being dropped.
 	StaleMatching bool
-	// MinMatchQuality overrides the matcher's acceptance threshold (0 =
-	// the stale package default).
-	MinMatchQuality float64
 	// Trace receives the build's span tree (irgen → probes → per-opt-pass →
 	// codegen). Nil = no tracing.
 	Trace *obs.Trace
@@ -132,7 +129,7 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 		// Probe insertion must be semantically invisible: validate it like
 		// any other structural pass boundary.
 		if preProbe != nil {
-			vv := tv.NewValidator(preProbe, 0, 0)
+			vv := tv.NewValidator(preProbe)
 			if diags := vv.ValidatePass("probe-insert", prog, tv.ModeStructural); len(diags) > 0 {
 				fn := "main"
 				if e := analysis.FirstError(diags); e != nil && e.Func != "" {
@@ -154,41 +151,28 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	}
 	fresh := ir.CloneProgram(prog)
 
-	ocfg := &opt.Config{
-		Profile:               cfg.Profile,
-		UsePreInlineDecisions: cfg.UsePreInlineDecisions,
-		CSHotContextThreshold: cfg.CSHotContextThreshold,
-		Inference:             cfg.Profile != nil && !cfg.DisableInference,
-		DisableICP:            cfg.DisableICP,
-		StaleMatching:         cfg.StaleMatching,
-		MinMatchQuality:       cfg.MinMatchQuality,
-		Inline:                opt.DefaultInlineParams(),
-		EnableTCE:             true,
-		Layout:                cfg.Profile != nil,
-		Split:                 cfg.Profile != nil,
-		VerifyEach:            cfg.VerifyEach,
-		ValidateSemantics:     cfg.ValidateSemantics,
-		InjectAfter:           cfg.InjectAfter,
-		Metrics:               cfg.Metrics,
-	}
+	barrier := opt.BarrierNone
 	switch {
 	case cfg.Instrument:
-		ocfg.Barrier = opt.BarrierStrong
+		barrier = opt.BarrierStrong
 	case cfg.Probes:
-		ocfg.Barrier = opt.BarrierWeak
-	default:
-		ocfg.Barrier = opt.BarrierNone
+		barrier = opt.BarrierWeak
 	}
-	if cfg.Profile != nil {
-		ocfg.UnrollFactor = 4
-	} else {
-		ocfg.UnrollFactor = 2 // static -O2-style unrolling of tiny loops
-	}
-	ocfg.SelectiveInlining = cfg.UsePreInlineDecisions
-
 	osp := bsp.Span("optimize")
-	ocfg.Trace = osp
-	stats, err := opt.Optimize(prog, ocfg)
+	stats, err := opt.Optimize(prog, &opt.Config{
+		Profile:               cfg.Profile,
+		UsePreInlineDecisions: cfg.UsePreInlineDecisions,
+		Barrier:               barrier,
+		DisableInference:      cfg.DisableInference,
+		DisableICP:            cfg.DisableICP,
+		CSHotContextThreshold: cfg.CSHotContextThreshold,
+		StaleMatching:         cfg.StaleMatching,
+		VerifyEach:            cfg.VerifyEach,
+		ValidateSemantics:     cfg.ValidateSemantics,
+		Trace:                 osp,
+		Metrics:               cfg.Metrics,
+		InjectAfter:           cfg.InjectAfter,
+	})
 	osp.End()
 	if err != nil {
 		return nil, fmt.Errorf("pgo: optimize: %w", err)

@@ -1,10 +1,6 @@
 package pgo
 
-import (
-	"fmt"
-
-	"csspgo/internal/obs"
-)
+import "csspgo/internal/obs"
 
 // RunObserver bundles one run's trace and metric registry and assembles the
 // machine-readable run manifest at the end — the glue `csspgo build
@@ -54,7 +50,6 @@ func BuildConfigEcho(cfg BuildConfig) map[string]any {
 	}
 	if cfg.StaleMatching {
 		out["stale_matching"] = true
-		out["min_match_quality"] = fmt.Sprintf("%g", cfg.MinMatchQuality)
 	}
 	if cfg.VerifyEach {
 		out["verify_each"] = true

@@ -35,24 +35,18 @@ type Anchor struct {
 	Callee string
 }
 
-// Params tunes the matcher.
-type Params struct {
-	// MinQuality is the match quality below which the alignment is rejected
-	// and the caller should fall back down the degradation ladder.
-	MinQuality float64
-	// CallWeight is the alignment weight of a call anchor relative to a
-	// block anchor (weight 1): callee names are far stronger evidence of
-	// identity than bare block order.
-	CallWeight int
-	// MaxDPCells caps the alignment table size (old anchors × new anchors);
-	// larger problems skip matching rather than stall compilation.
-	MaxDPCells int
-}
+// MinQuality is the match quality below which the alignment is rejected
+// and the caller should fall back down the degradation ladder.
+const MinQuality = 0.5
 
-// DefaultParams returns the tuning used by the pipeline.
-func DefaultParams() Params {
-	return Params{MinQuality: 0.5, CallWeight: 4, MaxDPCells: 1 << 22}
-}
+// callWeight is the alignment weight of a call anchor relative to a block
+// anchor (weight 1): callee names are far stronger evidence of identity
+// than bare block order.
+const callWeight = 4
+
+// maxDPCells caps the alignment table size (old anchors × new anchors);
+// larger problems skip matching rather than stall compilation.
+const maxDPCells = 1 << 22
 
 // MatcherStats counts match attempts across one matcher's lifetime (one
 // compilation) — the stale.match.* slice of the unified metric namespace.
@@ -65,24 +59,11 @@ type MatcherStats struct {
 
 // Matcher aligns stale function profiles against fresh IR.
 type Matcher struct {
-	P     Params
 	Stats MatcherStats
 }
 
-// NewMatcher returns a matcher, filling zero params from DefaultParams.
-func NewMatcher(p Params) *Matcher {
-	d := DefaultParams()
-	if p.MinQuality == 0 {
-		p.MinQuality = d.MinQuality
-	}
-	if p.CallWeight == 0 {
-		p.CallWeight = d.CallWeight
-	}
-	if p.MaxDPCells == 0 {
-		p.MaxDPCells = d.MaxDPCells
-	}
-	return &Matcher{P: p}
-}
+// NewMatcher returns a matcher with zeroed stats.
+func NewMatcher() *Matcher { return &Matcher{} }
 
 // Result reports one match attempt. Profile is non-nil iff OK: the input
 // profile remapped into f's probe-ID space, counts scaled by Quality, and
@@ -180,18 +161,18 @@ func anchorsCompatible(a, b Anchor) bool {
 	return true
 }
 
-func (m *Matcher) weight(a Anchor) int {
+func weight(a Anchor) int {
 	if a.Kind == Call {
-		return m.P.CallWeight
+		return callWeight
 	}
 	return 1
 }
 
 // align computes the maximum-weight common subsequence of the two anchor
 // sequences and returns the matched index pairs (old, new), in order.
-func (m *Matcher) align(old, new []Anchor) [][2]int {
+func align(old, new []Anchor) [][2]int {
 	n, k := len(old), len(new)
-	if n == 0 || k == 0 || n*k > m.P.MaxDPCells {
+	if n == 0 || k == 0 || n*k > maxDPCells {
 		return nil
 	}
 	// dp[i*(k+1)+j]: best weight aligning old[i:] with new[j:].
@@ -203,7 +184,7 @@ func (m *Matcher) align(old, new []Anchor) [][2]int {
 				best = d
 			}
 			if anchorsCompatible(old[i], new[j]) {
-				if d := dp[(i+1)*(k+1)+j+1] + int32(m.weight(old[i])); d > best {
+				if d := dp[(i+1)*(k+1)+j+1] + int32(weight(old[i])); d > best {
 					best = d
 				}
 			}
@@ -214,7 +195,7 @@ func (m *Matcher) align(old, new []Anchor) [][2]int {
 	for i, j := 0, 0; i < n && j < k; {
 		switch {
 		case anchorsCompatible(old[i], new[j]) &&
-			dp[i*(k+1)+j] == dp[(i+1)*(k+1)+j+1]+int32(m.weight(old[i])):
+			dp[i*(k+1)+j] == dp[(i+1)*(k+1)+j+1]+int32(weight(old[i])):
 			pairs = append(pairs, [2]int{i, j})
 			i++
 			j++
@@ -229,9 +210,9 @@ func (m *Matcher) align(old, new []Anchor) [][2]int {
 
 // Match aligns a stale profile against the current IR of f. The returned
 // Result always carries the computed Quality (for diagnostics); Profile is
-// populated only when the quality clears Params.MinQuality.
+// populated only when the quality clears MinQuality.
 func (m *Matcher) Match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
-	res := m.match(f, fp)
+	res := match(f, fp)
 	m.Stats.Attempts++
 	if res.OK {
 		m.Stats.Accepted++
@@ -242,24 +223,24 @@ func (m *Matcher) Match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 	return res
 }
 
-func (m *Matcher) match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
+func match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 	old := AnchorsFromProfile(fp)
 	fresh := AnchorsFromIR(f)
 	res := &Result{OldAnchors: len(old), NewAnchors: len(fresh)}
 	if len(old) == 0 || len(fresh) == 0 {
 		return res
 	}
-	pairs := m.align(old, fresh)
+	pairs := align(old, fresh)
 	oldWeight, oldCalls := 0, 0
 	for _, a := range old {
-		oldWeight += m.weight(a)
+		oldWeight += weight(a)
 		if a.Kind == Call {
 			oldCalls++
 		}
 	}
 	matchedWeight, matchedCalls := 0, 0
 	for _, pr := range pairs {
-		matchedWeight += m.weight(old[pr[0]])
+		matchedWeight += weight(old[pr[0]])
 		if old[pr[0]].Kind == Call {
 			matchedCalls++
 		}
@@ -271,7 +252,7 @@ func (m *Matcher) match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 	if oldCalls > 0 && matchedCalls == 0 {
 		res.Quality = 0
 	}
-	if res.Quality < m.P.MinQuality {
+	if res.Quality < MinQuality {
 		return res
 	}
 

@@ -114,7 +114,7 @@ func TestMatchDriftedCFG(t *testing.T) {
 		t.Fatal("edit did not change the CFG checksum; test premise broken")
 	}
 	fp := profileOf(oldF, 10)
-	res := NewMatcher(DefaultParams()).Match(newF, fp)
+	res := NewMatcher().Match(newF, fp)
 	if !res.OK {
 		t.Fatalf("expected a match, got quality %.2f (%d/%d anchors)",
 			res.Quality, res.MatchedAnchors, res.OldAnchors)
@@ -185,7 +185,7 @@ func gamma(x) { return x; }
 func main(a, b) { return work(a); }
 `, "work")
 	fp := profileOf(oldF, 10)
-	res := NewMatcher(DefaultParams()).Match(unrelated, fp)
+	res := NewMatcher().Match(unrelated, fp)
 	if res.OK {
 		t.Fatalf("matched an unrelated function with quality %.2f", res.Quality)
 	}
@@ -193,7 +193,7 @@ func main(a, b) { return work(a); }
 
 func TestMatchEmptyInputs(t *testing.T) {
 	newF := lower(t, newSrc, "work")
-	m := NewMatcher(DefaultParams())
+	m := NewMatcher()
 	if res := m.Match(newF, profdata.NewFunctionProfile("work")); res.OK {
 		t.Error("matched an empty profile")
 	}
@@ -207,7 +207,7 @@ func TestMatchEmptyInputs(t *testing.T) {
 func TestMatchIdenticalIsPerfect(t *testing.T) {
 	f := lower(t, oldSrc, "work")
 	fp := profileOf(f, 10)
-	res := NewMatcher(DefaultParams()).Match(f, fp)
+	res := NewMatcher().Match(f, fp)
 	if !res.OK || res.Quality != 1 {
 		t.Fatalf("identical CFG should match perfectly, got ok=%v quality=%.2f", res.OK, res.Quality)
 	}

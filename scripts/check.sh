@@ -155,6 +155,20 @@ if bin/csspgo inspect -diff "$obsdir/old.prof" "$obsdir/new.prof" | grep -q "con
 	exit 1
 fi
 
+echo "== stale ladder (the pristine profile applied to the CFG-changed source)"
+# The build must recover the stale function on the anchor-matched rung,
+# and the stale-matching lint must pass (its rung reports are warnings).
+bin/csspgo build -o "$obsdir/stale.bin" -probes -profile "$obsdir/old.prof" -preinline -stale-matching \
+	examples/sourcedrift/cfgchanged.ml > "$obsdir/stale.log"
+if ! grep -q 'degradation ladder: .*: [1-9][0-9]* anchor-matched' "$obsdir/stale.log"; then
+	echo "stale build recovered no function by anchor matching:" >&2
+	cat "$obsdir/stale.log" >&2
+	exit 1
+fi
+grep 'degradation ladder:' "$obsdir/stale.log"
+out=$(bin/csspgo lint -profile "$obsdir/old.prof" -stale-matching examples/sourcedrift/cfgchanged.ml)
+echo "$out" | tail -n 1
+
 echo "== overhead observatory (cost ledger determinism + budget gate)"
 # Two metered runs of the quickstart binary must produce byte-identical
 # normalized artifacts, the artifact must validate, and a microscopic
