@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"csspgo/internal/analysis"
 	"csspgo/internal/drift"
 	"csspgo/internal/fleet"
 	"csspgo/internal/obs"
@@ -108,11 +107,6 @@ func cmdFleet(args []string) error {
 		return fmt.Errorf("fleet: -inject needs an existing last-good artifact at %s (the first promotion is ungated)", *out)
 	}
 
-	// Self-lint the metric namespace before serving numbers from it.
-	if err := failOnLint("fleet", analysis.CheckMetricRegistry(reg)); err != nil {
-		return err
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -122,13 +116,12 @@ func cmdFleet(args []string) error {
 	if *statusAddr != "" {
 		status = fleet.NewStatusServer(reg, journal, series)
 		status.SetAggregator(agg)
-		h := status.Handler()
-		l, err := openSurface("fleet", *statusAddr, "fleet status", "", h, obs.StatusEndpoints)
+		l, err := openSurface(*statusAddr, "fleet status", "", obs.StatusEndpoints)
 		if err != nil {
 			return err
 		}
 		statusDone := make(chan error, 1)
-		go func() { statusDone <- obs.Serve(ctx, l, h) }()
+		go func() { statusDone <- obs.Serve(ctx, l, status.Handler()) }()
 		defer func() {
 			stop() // release the status server if we exit early
 			<-statusDone
@@ -201,14 +194,6 @@ func cmdFleet(args []string) error {
 			art.Generation, res.Overlap, art.Profile.TotalSamples(), *out)
 	}
 
-	// Journal hygiene before anything persists it: every event type this run
-	// emitted must be cataloged (the same check `csspgo lint` runs statically).
-	if diags := analysis.CheckEventNames(journal.TypesUsed()); len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintf(os.Stderr, "fleet: lint: %s\n", d)
-		}
-		return fmt.Errorf("fleet: %d event lint error(s)", len(diags))
-	}
 	if *journalPath != "" {
 		// Normalized: trace/span IDs stripped, logical clocks kept — two
 		// identical runs write byte-identical journals.

@@ -5,13 +5,11 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"syscall"
 
-	"csspgo/internal/analysis"
 	"csspgo/internal/introspect"
 	"csspgo/internal/obs"
 	"csspgo/internal/pgo"
@@ -111,13 +109,8 @@ func cmdServe(args []string) error {
 		return err
 	}
 
-	// An uncataloged serve.* metric is a bug, not a runtime condition.
-	if err := failOnLint("serve", analysis.CheckMetricRegistry(reg)); err != nil {
-		return err
-	}
-	h := srv.Handler()
-	l, err := openSurface("serve", *addr, fmt.Sprintf("serving profile %q", profName),
-		fmt.Sprintf(" (generation %d, %d samples)", srv.Generation(), prof.TotalSamples()), h, srv.Endpoints())
+	l, err := openSurface(*addr, fmt.Sprintf("serving profile %q", profName),
+		fmt.Sprintf(" (generation %d, %d samples)", srv.Generation(), prof.TotalSamples()), srv.Endpoints())
 	if err != nil {
 		return err
 	}
@@ -128,38 +121,17 @@ func cmdServe(args []string) error {
 		fmt.Printf("refreshing every %s\n", *refresh)
 		go srv.RefreshLoop(ctx, *refresh, refresher)
 	}
-	serveErr := obs.Serve(ctx, l, h)
+	serveErr := obs.Serve(ctx, l, srv.Handler())
 	if err := writeTrace(obsrv, *tracePath); err != nil {
 		return err
 	}
 	return serveErr
 }
 
-// failOnLint prints lint diagnostics the way both daemons do and fails on
-// the first error-severity one.
-func failOnLint(tool string, diags []analysis.Diagnostic) error {
-	var errs int
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: lint: %s\n", tool, d)
-		if d.Sev == analysis.SevError {
-			errs++
-		}
-	}
-	if errs > 0 {
-		return fmt.Errorf("%s: %d lint error(s)", tool, errs)
-	}
-	return nil
-}
-
-// openSurface is how a daemon exposes an HTTP surface: self-lint every
-// endpoint first (a handler writing before Content-Type, or answering 5xx,
-// is a bug, not a runtime condition), then listen on addr and print
-// "<what> on http://<addr><detail>" followed by one probe URL per endpoint.
-// The caller hands the listener to obs.Serve.
-func openSurface(tool, addr, what, detail string, h http.Handler, endpoints []string) (net.Listener, error) {
-	if err := failOnLint(tool, analysis.CheckHTTPEndpoints(h, endpoints)); err != nil {
-		return nil, err
-	}
+// openSurface is how a daemon exposes an HTTP surface: listen on addr and
+// print "<what> on http://<addr><detail>" followed by one probe URL per
+// endpoint. The caller hands the listener to obs.Serve.
+func openSurface(addr, what, detail string, endpoints []string) (net.Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

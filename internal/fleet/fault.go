@@ -71,16 +71,6 @@ func (f Fault) String() string {
 	}
 }
 
-// ParseFault maps a fault name back to its kind.
-func ParseFault(s string) (Fault, error) {
-	for _, f := range append(AllFaults(), FaultNone) {
-		if f.String() == s {
-			return f, nil
-		}
-	}
-	return FaultNone, fmt.Errorf("fleet: unknown fault %q", s)
-}
-
 // Injector wraps a serving instance's HTTP handler with a switchable,
 // deterministic fault. Payload mutations reuse the drift corruptions, so
 // the damage is deterministic in (seed, request index).

@@ -135,15 +135,3 @@ func TestInjectorStaleEpochReplays(t *testing.T) {
 		t.Fatalf("stale replay wrong: gen=%d", res.Generation)
 	}
 }
-
-func TestParseFaultRoundTrips(t *testing.T) {
-	for _, f := range append(AllFaults(), FaultNone) {
-		got, err := ParseFault(f.String())
-		if err != nil || got != f {
-			t.Fatalf("round trip %s: got %v, %v", f, got, err)
-		}
-	}
-	if _, err := ParseFault("nope"); err == nil {
-		t.Fatalf("unknown fault parsed")
-	}
-}

@@ -7,9 +7,8 @@ import (
 )
 
 // The unified metric namespace. Every pipeline publisher records under a
-// constant declared here, so the whole namespace is auditable in one place
-// and the analysis metric lint can flag duplicate or malformed
-// registrations statically.
+// constant declared here, so the whole namespace is auditable in one place;
+// Registry checks every other name the first time it is registered.
 //
 // Naming conventions:
 //   - dotted lowercase path: <subsystem>.<area>.<metric> (at least one dot)
@@ -74,10 +73,6 @@ const (
 	MTVOracleRuns      = "analysis.tv.oracle_runs"
 	MTVViolations      = "analysis.tv.violations"
 
-	// internal/profdata — lenient profile readers.
-	MProfdataSkippedRecords = "profdata.read.skipped_records"
-	MProfdataSkippedLines   = "profdata.read.skipped_lines"
-
 	// internal/sim — simulated execution.
 	MSimCycles        = "sim.cycles"
 	MSimInstructions  = "sim.instructions"
@@ -93,8 +88,8 @@ const (
 	MQualityFuncDivergence = "quality.func_divergence"
 
 	// internal/introspect — the `csspgo serve` profile daemon. The serve.*
-	// prefix is reserved: the analysis metric lint rejects serve.* names
-	// that are not declared here.
+	// prefix is reserved: Registry refuses serve.* names that are not
+	// declared here.
 	MServeRequests        = "serve.requests"
 	MServeRefreshes       = "serve.refreshes"
 	MServeRefreshFailures = "serve.refresh_failures"
@@ -102,7 +97,7 @@ const (
 
 	// internal/fleet — the fleet aggregation control plane. Like serve.*,
 	// the fleet.* prefix is reserved: these metrics are the control plane's
-	// public health surface, so ad-hoc names are lint errors.
+	// public health surface, so ad-hoc names are refused.
 	MFleetFetchAttempts        = "fleet.fetch.attempts"
 	MFleetFetchRetries         = "fleet.fetch.retries"
 	MFleetFetchFailures        = "fleet.fetch.failures"
@@ -139,7 +134,7 @@ const (
 
 	// internal/overhead — the cost-and-confidence observatory. The
 	// overhead.* prefix is reserved: the cost ledger feeds the /overhead
-	// endpoints and dashboards, so ad-hoc names there are lint errors.
+	// endpoints and dashboards, so ad-hoc names there are refused.
 	MOverheadTotalCycles      = "overhead.total_cycles"
 	MOverheadAppCycles        = "overhead.app_cycles"
 	MOverheadCycles           = "overhead.overhead_cycles"
@@ -156,10 +151,10 @@ const (
 	MOverheadColdInstrumented = "overhead.confidence.cold_instrumented"
 )
 
-// CatalogNames lists every statically declared metric name (dynamic names,
-// e.g. per-workload experiment gauges, extend the namespace at run time and
-// are validated structurally by the report schema instead).
-func CatalogNames() []string {
+// catalogNames lists every statically declared metric name. Dynamic names,
+// e.g. per-workload experiment gauges, extend the namespace at run time
+// outside the reserved prefixes.
+func catalogNames() []string {
 	return []string{
 		MUnwindSamplesAccepted, MUnwindSamplesDropped, MUnwindRanges,
 		MUnwindRangesTruncated, MUnwindSkidAdjusted, MUnwindMissingFrames,
@@ -177,7 +172,6 @@ func CatalogNames() []string {
 		MOptIfConvertBlocked, MOptUnrolled, MOptLICMHoisted,
 		MOptDCERemoved, MOptTailCalls, MOptSplitBlocks, MOptLayoutFuncs,
 		MTVValidateNS, MTVPassesValidated, MTVOracleRuns, MTVViolations,
-		MProfdataSkippedRecords, MProfdataSkippedLines,
 		MSimCycles, MSimInstructions, MSimTakenBranches,
 		MSimMispredicts, MSimICacheMisses, MSimSamples,
 		MQualityContextOverlap, MQualityContextsGained, MQualityContextsLost,
@@ -203,25 +197,35 @@ func CatalogNames() []string {
 	}
 }
 
-// ReservedMetricPrefixes lists namespaces whose every metric must be
-// declared in the static catalog. The serving daemon's, the fleet control
-// plane's, the observability layer's, and the overhead observatory's
-// metrics are part of their public contracts (`/metrics`, run manifests,
-// the /overhead surface), so ad-hoc serve.* / fleet.* / obs.* /
-// overhead.* names are lint errors rather than dynamic extensions.
-func ReservedMetricPrefixes() []string { return []string{"serve.", "fleet.", "obs.", "overhead."} }
+// metricCatalog is catalogNames as a set: the names Registry accepts with
+// no further check.
+var metricCatalog = func() map[string]bool {
+	set := map[string]bool{}
+	for _, n := range catalogNames() {
+		set[n] = true
+	}
+	return set
+}()
+
+// reservedPrefixes are the namespaces whose every metric must be
+// cataloged. The serving daemon's, the fleet control plane's, the
+// observability layer's and the overhead observatory's metrics are part of
+// their public contracts (`/metrics`, run manifests, the /overhead
+// surface), so ad-hoc serve.* / fleet.* / obs.* / overhead.* names are
+// refused rather than taken as dynamic extensions.
+var reservedPrefixes = []string{"serve.", "fleet.", "obs.", "overhead."}
 
 // metricNameRE is the canonical metric-name shape: dotted lowercase path
 // with at least two segments.
 var metricNameRE = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)+$`)
 
-// ValidMetricName reports whether name follows the namespace conventions.
-func ValidMetricName(name string) bool { return metricNameRE.MatchString(name) }
+// validMetricName reports whether name follows the namespace conventions.
+func validMetricName(name string) bool { return metricNameRE.MatchString(name) }
 
 // checkMetric is the name and kind check every artifact that carries
 // metrics (run reports, time-series stores) applies to each one.
 func checkMetric(name string, kind Kind) error {
-	if !ValidMetricName(name) {
+	if !validMetricName(name) {
 		return fmt.Errorf("malformed metric name %q (want a dotted lowercase path)", name)
 	}
 	switch kind {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"regexp"
 	"sync"
 )
 
@@ -22,8 +21,8 @@ import (
 const EventsSchema = "csspgo-events/v1"
 
 // EventType names one kind of control-plane event. Every emitted type must
-// be declared in the static catalog below — analysis.CheckEventNames
-// rejects ad-hoc types, mirroring the metric-name lint.
+// be declared in the static catalog below: Journal.Emit panics on any other,
+// and DecodeJournal rejects it on read.
 type EventType string
 
 // The static event catalog.
@@ -54,22 +53,20 @@ const (
 	EvConfidenceLow EventType = "confidence_low"
 )
 
-// EventTypes lists every cataloged event type, in declaration order.
-func EventTypes() []EventType {
-	return []EventType{
-		EvPromotion, EvRollback,
-		EvBreakerOpen, EvBreakerHalfOpen, EvBreakerClose,
-		EvFreshnessExclusion, EvQuotaClamp, EvDecodeSkip,
-		EvOverlapDegrading,
-		EvOverheadBudgetBreach, EvConfidenceLow,
-	}
+// eventCatalog is the static event catalog as a set.
+var eventCatalog = map[EventType]bool{
+	EvPromotion:            true,
+	EvRollback:             true,
+	EvBreakerOpen:          true,
+	EvBreakerHalfOpen:      true,
+	EvBreakerClose:         true,
+	EvFreshnessExclusion:   true,
+	EvQuotaClamp:           true,
+	EvDecodeSkip:           true,
+	EvOverlapDegrading:     true,
+	EvOverheadBudgetBreach: true,
+	EvConfidenceLow:        true,
 }
-
-// eventNameRE is the canonical event-type shape: lowercase snake case.
-var eventNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-
-// ValidEventName reports whether name follows the event-type conventions.
-func ValidEventName(name string) bool { return eventNameRE.MatchString(name) }
 
 // Event is one journal record. Field order is the serialization order;
 // Metrics maps marshal with sorted keys, so encoding is deterministic.
@@ -107,10 +104,14 @@ type Journal struct {
 func NewJournal() *Journal { return &Journal{} }
 
 // Emit appends one event, stamping the schema and the next sequence number.
-// The caller fills every other field.
+// The caller fills every other field. An uncataloged event type is a
+// programming error: Emit panics, naming it.
 func (j *Journal) Emit(e Event) {
 	if j == nil {
 		return
+	}
+	if !eventCatalog[e.Type] {
+		panic(fmt.Sprintf("obs: event type %q is not in the event catalog", e.Type))
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -139,20 +140,6 @@ func (j *Journal) Events() []Event {
 	defer j.mu.Unlock()
 	out := make([]Event, len(j.events))
 	copy(out, j.events)
-	return out
-}
-
-// TypesUsed lists the distinct event types emitted so far, in first-use
-// order (the fleet CLI self-lints them against the static catalog).
-func (j *Journal) TypesUsed() []string {
-	seen := map[EventType]bool{}
-	var out []string
-	for _, e := range j.Events() {
-		if !seen[e.Type] {
-			seen[e.Type] = true
-			out = append(out, string(e.Type))
-		}
-	}
 	return out
 }
 
@@ -192,10 +179,6 @@ func (j *Journal) Encode() ([]byte, error) {
 // cataloged event type, and the sequence numbers run 1, 2, 3, ... Blank
 // lines are skipped; an empty journal is valid and has no events.
 func DecodeJournal(data []byte) ([]Event, error) {
-	known := map[EventType]bool{}
-	for _, t := range EventTypes() {
-		known[t] = true
-	}
 	var out []Event
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -210,7 +193,7 @@ func DecodeJournal(data []byte) ([]Event, error) {
 		if e.Schema != EventsSchema {
 			return nil, fmt.Errorf("obs: journal line %d: schema %q, want %q", line, e.Schema, EventsSchema)
 		}
-		if !known[e.Type] {
+		if !eventCatalog[e.Type] {
 			return nil, fmt.Errorf("obs: journal line %d: uncataloged event type %q", line, e.Type)
 		}
 		if want := uint64(len(out) + 1); e.Seq != want {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -31,26 +32,6 @@ func TestJournalEmitStampsSchemaAndSeq(t *testing.T) {
 	evs[0].Source = "mutated"
 	if j.Events()[0].Source != "src0" {
 		t.Fatalf("Events leaked internal state")
-	}
-}
-
-// TypesUsed lists distinct types in first-use order (the fleet CLI feeds it
-// to analysis.CheckEventNames).
-func TestJournalTypesUsedFirstUseOrder(t *testing.T) {
-	j := NewJournal()
-	j.Emit(Event{Type: EvQuotaClamp})
-	j.Emit(Event{Type: EvPromotion})
-	j.Emit(Event{Type: EvQuotaClamp})
-	j.Emit(Event{Type: EvBreakerOpen})
-	got := j.TypesUsed()
-	want := []string{"quota_clamp", "promotion", "breaker_open"}
-	if len(got) != len(want) {
-		t.Fatalf("types = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("types = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -108,17 +89,12 @@ func TestValidateJournalRejections(t *testing.T) {
 	}
 }
 
-// Every cataloged type passes the name lint shape, and the catalog is what
-// DecodeJournal accepts.
+// Every cataloged type is lowercase snake case.
 func TestEventCatalogNamesWellFormed(t *testing.T) {
-	for _, et := range EventTypes() {
-		if !ValidEventName(string(et)) {
-			t.Fatalf("cataloged type %q fails ValidEventName", et)
-		}
-	}
-	for _, bad := range []string{"", "Promotion", "has-dash", "9starts_digit", "has space"} {
-		if ValidEventName(bad) {
-			t.Fatalf("ValidEventName accepted %q", bad)
+	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	for et := range eventCatalog {
+		if !snake.MatchString(string(et)) {
+			t.Errorf("cataloged type %q is not lowercase snake case", et)
 		}
 	}
 }
@@ -161,7 +137,7 @@ func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.Emit(Event{Type: EvPromotion})
 	j.Normalize()
-	if j.Len() != 0 || j.Events() != nil || len(j.TypesUsed()) != 0 {
+	if j.Len() != 0 || j.Events() != nil {
 		t.Fatalf("nil journal not inert")
 	}
 	if data, err := j.Encode(); err != nil || len(data) != 0 {

@@ -11,8 +11,8 @@ import (
 // the -race lane; it also exercises the epochMu lock ordering.)
 func TestGroupedSnapshotNotTorn(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.Counter("fleet.family.sources")
-	b := reg.Counter("fleet.family.samples")
+	a := reg.Counter("test.family.sources")
+	b := reg.Counter("test.family.samples")
 
 	const writers, iters = 4, 500
 	var writerWG, readerWG sync.WaitGroup
@@ -40,9 +40,9 @@ func TestGroupedSnapshotNotTorn(t *testing.T) {
 			default:
 			}
 			snap := reg.Snapshot()
-			if snap["fleet.family.sources"].Value != snap["fleet.family.samples"].Value {
+			if snap["test.family.sources"].Value != snap["test.family.samples"].Value {
 				t.Errorf("torn snapshot: sources=%d samples=%d",
-					snap["fleet.family.sources"].Value, snap["fleet.family.samples"].Value)
+					snap["test.family.sources"].Value, snap["test.family.samples"].Value)
 				return
 			}
 		}
@@ -54,9 +54,9 @@ func TestGroupedSnapshotNotTorn(t *testing.T) {
 
 	final := reg.Snapshot()
 	want := int64(writers * iters)
-	if final["fleet.family.sources"].Value != want || final["fleet.family.samples"].Value != want {
+	if final["test.family.sources"].Value != want || final["test.family.samples"].Value != want {
 		t.Fatalf("final counts = %d/%d, want %d",
-			final["fleet.family.sources"].Value, final["fleet.family.samples"].Value, want)
+			final["test.family.sources"].Value, final["test.family.samples"].Value, want)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestGroupedNilAndConcurrent(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	c := reg.Counter("obs.test.counter")
+	c := reg.Counter("test.grouped.counter")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

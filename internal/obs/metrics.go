@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math/bits"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -17,10 +18,10 @@ const (
 )
 
 // Registry is the unified metric namespace for one run. Handles are
-// get-or-create: the first registration of a name fixes its kind, and a
-// later registration under a different kind is recorded as a conflict (the
-// analysis metric lint surfaces those) while the offending caller receives
-// a detached handle so the pipeline keeps running.
+// get-or-create, and the create path checks the name once (see
+// checkNewName): a malformed name, a second kind for a taken name, or an
+// uncataloged name in a reserved namespace is a programming error, so it
+// panics where it is made rather than surfacing later in a report.
 //
 // All handles are safe for concurrent use; counters are atomic so shard
 // workers aggregate race-free under -race.
@@ -29,23 +30,42 @@ type Registry struct {
 	// must be observed together hold it shared (Grouped), Snapshot holds it
 	// exclusive — so a snapshot never lands between two updates of one
 	// family (a torn read). Lock order is epochMu before mu.
-	epochMu   sync.RWMutex
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	kinds     map[string]Kind
-	conflicts map[string]bool
+	epochMu  sync.RWMutex
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	kinds    map[string]Kind
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  map[string]*Counter{},
-		gauges:    map[string]*Gauge{},
-		hists:     map[string]*Histogram{},
-		kinds:     map[string]Kind{},
-		conflicts: map[string]bool{},
+		counters: map[string]*Counter{},
+		gauges:   map[string]*Gauge{},
+		hists:    map[string]*Histogram{},
+		kinds:    map[string]Kind{},
+	}
+}
+
+// checkNewName panics, naming the metric, unless name may be registered
+// for the first time as kind: it must not be taken by another kind, and it
+// must be cataloged or else be a well-formed name outside the reserved
+// namespaces. Cataloged names cost one set lookup. Called with r.mu held.
+func (r *Registry) checkNewName(name string, kind Kind) {
+	if k, taken := r.kinds[name]; taken {
+		panic(fmt.Sprintf("obs: metric %q registered as a %s, already a %s", name, kind, k))
+	}
+	if metricCatalog[name] {
+		return
+	}
+	if !validMetricName(name) {
+		panic(fmt.Sprintf("obs: malformed metric name %q (want a dotted lowercase path)", name))
+	}
+	for _, prefix := range reservedPrefixes {
+		if strings.HasPrefix(name, prefix) {
+			panic(fmt.Sprintf("obs: metric %q is in the reserved %q namespace but not in the catalog", name, prefix))
+		}
 	}
 }
 
@@ -197,10 +217,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	if _, taken := r.kinds[name]; taken {
-		r.conflicts[name] = true
-		return &Counter{} // detached
-	}
+	r.checkNewName(name, KindCounter)
 	c := &Counter{}
 	r.counters[name] = c
 	r.kinds[name] = KindCounter
@@ -218,10 +235,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	if _, taken := r.kinds[name]; taken {
-		r.conflicts[name] = true
-		return &Gauge{}
-	}
+	r.checkNewName(name, KindGauge)
 	g := &Gauge{}
 	r.gauges[name] = g
 	r.kinds[name] = KindGauge
@@ -239,45 +253,11 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	if _, taken := r.kinds[name]; taken {
-		r.conflicts[name] = true
-		return &Histogram{}
-	}
+	r.checkNewName(name, KindHistogram)
 	h := &Histogram{}
 	r.hists[name] = h
 	r.kinds[name] = KindHistogram
 	return h
-}
-
-// Names lists every registered metric name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.kinds))
-	for n := range r.kinds {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Conflicts lists names that were registered under more than one kind
-// (sorted) — duplicate registrations the metric lint flags.
-func (r *Registry) Conflicts() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.conflicts))
-	for n := range r.conflicts {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // MetricValue is one metric's exported state. Exactly the fields for its

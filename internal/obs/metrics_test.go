@@ -2,6 +2,8 @@ package obs
 
 import (
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,25 +29,30 @@ func TestRegistryKinds(t *testing.T) {
 	if hv.Kind != KindHistogram || hv.Count != 3 || hv.Sum != 44 || hv.Min != 4 || hv.Max != 30 {
 		t.Errorf("histogram snapshot = %+v", hv)
 	}
+	var names []string
+	for n := range snap {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	want := []string{"shard.worker_busy_ns", "stale.ladder.mean_match_quality", "unwind.samples_accepted"}
-	if got := r.Names(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Names = %v, want %v", got, want)
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("snapshot names = %v, want %v", names, want)
 	}
 }
 
+// A second kind for a taken name panics, naming the metric, and leaves the
+// first registration (and the registry's lock) as they were.
 func TestRegistryKindConflict(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.b").Add(1)
-	g := r.Gauge("a.b") // conflicting kind: detached handle, recorded
-	g.Set(9)
+	if msg := panicMessage(func() { r.Gauge("a.b") }); !strings.Contains(msg, `"a.b"`) {
+		t.Fatalf("conflicting Gauge(\"a.b\"): panic %q, want one naming the metric", msg)
+	}
 	if got := r.Counter("a.b").Value(); got != 1 {
 		t.Errorf("original counter clobbered: %d", got)
 	}
-	if got := r.Conflicts(); !reflect.DeepEqual(got, []string{"a.b"}) {
-		t.Errorf("Conflicts = %v", got)
-	}
-	if _, ok := r.Snapshot()["a.b"]; !ok {
-		t.Error("counter missing from snapshot")
+	if mv, ok := r.Snapshot()["a.b"]; !ok || mv.Kind != KindCounter {
+		t.Errorf("snapshot[a.b] = %+v, %v; want the counter", mv, ok)
 	}
 }
 
@@ -54,7 +61,7 @@ func TestRegistryNilSafe(t *testing.T) {
 	r.Counter("a.b").Add(1)
 	r.Gauge("a.b").Set(1)
 	r.Histogram("a.b").Observe(1)
-	if len(r.Snapshot()) != 0 || r.Names() != nil || r.Conflicts() != nil {
+	if len(r.Snapshot()) != 0 {
 		t.Error("nil registry leaked state")
 	}
 }
@@ -108,12 +115,12 @@ func TestSnapshotMerge(t *testing.T) {
 
 func TestCatalogNamesValid(t *testing.T) {
 	seen := map[string]bool{}
-	for _, name := range CatalogNames() {
-		if !ValidMetricName(name) {
+	for _, name := range catalogNames() {
+		if !validMetricName(name) {
 			t.Errorf("catalog name %q violates convention", name)
 		}
 		if seen[name] {
-			t.Errorf("catalog name %q duplicated", name)
+			t.Errorf("catalog name %q declared more than once", name)
 		}
 		seen[name] = true
 	}
@@ -135,12 +142,12 @@ func TestValidMetricName(t *testing.T) {
 	good := []string{"a.b", "unwind.ranges_truncated", "experiment.fig6.wl_1.csspgo_impr_pct"}
 	bad := []string{"", "a", "a.", ".b", "A.b", "a b.c", "a..b", "a.b-c"}
 	for _, n := range good {
-		if !ValidMetricName(n) {
+		if !validMetricName(n) {
 			t.Errorf("%q rejected", n)
 		}
 	}
 	for _, n := range bad {
-		if ValidMetricName(n) {
+		if validMetricName(n) {
 			t.Errorf("%q accepted", n)
 		}
 	}

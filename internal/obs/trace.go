@@ -72,16 +72,6 @@ func (t *Trace) setTraceID(id string) {
 	t.idBase = fnv1a64(id)
 }
 
-// TraceID returns the trace's local ID ("" for a nil trace).
-func (t *Trace) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID
-}
-
 // Span is one timed region of the pipeline. End it exactly once; nested
 // spans are opened with Span.Span.
 type Span struct {

@@ -1,11 +1,14 @@
 package opt
 
-import "csspgo/internal/obs"
+import (
+	"csspgo/internal/obs"
+	"csspgo/internal/stale"
+)
 
 // This file is the bridge between the pipeline's Stats structs and the
 // unified metric registry: the structs remain the Go API, and Publish
 // projects them into the obs namespace as thin views. Every name is a
-// catalog constant, so the analysis metric lint audits the whole mapping.
+// catalog constant, so obs.Registry accepts each with one set lookup.
 
 // Publish records the pipeline stats into the unified registry (nil-safe).
 func (st *Stats) Publish(reg *obs.Registry) {
@@ -44,4 +47,17 @@ func (a AnnotateStats) Publish(reg *obs.Registry) {
 	reg.Counter(obs.MAnnotateFuncs).Add(int64(a.Annotated))
 	reg.Counter(obs.MAnnotateStale).Add(int64(a.Stale))
 	reg.Counter(obs.MAnnotateNoProfile).Add(int64(a.NoProfile))
+}
+
+// publishMatcherStats records the stale matcher's lifetime counters into
+// the unified registry (nil-safe). The degradation-ladder outcomes (which
+// rung each stale function landed on) are published by Stats; these count
+// the raw alignment attempts underneath them.
+func publishMatcherStats(reg *obs.Registry, s stale.MatcherStats) {
+	if reg == nil {
+		return
+	}
+	reg.Counter(obs.MStaleMatchAttempts).Add(int64(s.Attempts))
+	reg.Counter(obs.MStaleMatchAccepted).Add(int64(s.Accepted))
+	reg.Counter(obs.MStaleMatchRejected).Add(int64(s.Rejected))
 }

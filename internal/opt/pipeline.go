@@ -252,7 +252,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}
 	st.Publish(cfg.Metrics)
 	if matcher != nil {
-		matcher.Stats.Publish(cfg.Metrics)
+		publishMatcherStats(cfg.Metrics, matcher.Stats)
 	}
 	return st, nil
 }

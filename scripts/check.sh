@@ -187,10 +187,18 @@ if [ "$rc" -ne 2 ]; then
 fi
 
 echo "== serve + fleet status smoke (both daemons on ephemeral ports, one status surface)"
-bin/csspgo serve -addr 127.0.0.1:0 -name quickstart examples/quickstart/app.ml > "$obsdir/serve.log" 2>&1 &
+# A 1 % overhead budget is below quickstart's profiling overhead (~4.3 %),
+# so the first collection journals a budget breach: /events is non-empty
+# and its journal is validated, not skipped.
+bin/csspgo serve -addr 127.0.0.1:0 -name quickstart -overhead-budget 1 examples/quickstart/app.ml > "$obsdir/serve.log" 2>&1 &
 servepid=$!
 url=$(wait_url "$obsdir/serve.log" 'serving profile .*') || { kill "$servepid" 2>/dev/null; exit 1; }
 probe_status "$url" serve
+if [ ! -s "$obsdir/serve.events.jsonl" ]; then
+	echo "serve -overhead-budget 1 journaled no budget breach" >&2
+	kill "$servepid" 2>/dev/null
+	exit 1
+fi
 curl -sf "$url/healthz" | grep -q '"last_refresh"'
 curl -sf "$url/metrics" | grep -q '^serve_requests '
 curl -sf "$url/metrics" | grep -q '^serve_swap_latency_ns{quantile="0.99"} '
