@@ -50,7 +50,7 @@ func TestAllScale1Golden(t *testing.T) {
 	}
 	var gauges []string
 	for name, mv := range rep.Metrics {
-		if strings.HasPrefix(name, "experiment.") && mv.Kind == obs.KindGauge {
+		if strings.HasPrefix(name, "experiment.") && mv.Kind == "gauge" {
 			gauges = append(gauges, name+" "+strconv.FormatFloat(mv.Gauge, 'g', -1, 64))
 		}
 	}

@@ -73,7 +73,7 @@ func TestProfileTextRoundTripViaAPI(t *testing.T) {
 	}
 	_ = res
 	text := EncodeProfile(prof)
-	back, err := DecodeProfile(text)
+	back, err := DecodeProfileAny([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ type Severity uint8
 
 // Diagnostic severities.
 const (
-	SevInfo Severity = iota
+	sevInfo Severity = iota
 	SevWarning
 	SevError
 )

@@ -217,7 +217,9 @@ func TestFlowPartialAnnotationIsSingleWarning(t *testing.T) {
 func TestProbeLint(t *testing.T) {
 	mk := func() *ir.Function {
 		f := buildDiamond(t)
-		probe.Insert(f)
+		p := ir.NewProgram()
+		p.AddFunc(f)
+		probe.InsertProgram(p)
 		return f
 	}
 	if diags := checkProbes(mk()); ErrorCount(diags) != 0 {
@@ -259,8 +261,8 @@ func TestCheckProfile(t *testing.T) {
 		p := ir.NewProgram()
 		f := buildDiamond(t)
 		f.Name = "main"
-		probe.Insert(f)
 		p.AddFunc(f)
+		probe.InsertProgram(p)
 
 		prof := profdata.New(profdata.ProbeBased, true)
 		fp := profdata.NewFunctionProfile("main")

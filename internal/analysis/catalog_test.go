@@ -97,7 +97,7 @@ func obsConstants(t *testing.T, keep func(ident string, spec *ast.ValueSpec) boo
 	return idents, values
 }
 
-var metricConstRE = regexp.MustCompile(`^M[A-Z]`)
+var metricConstRE = regexp.MustCompile(`^[mM][A-Z]`)
 
 // metricConstants are obs's declared metric names (the M* constants).
 func metricConstants(t *testing.T) (idents, names []string) {

@@ -18,8 +18,8 @@ func (s BitSet) Clear(i int) { s[i/64] &^= 1 << (i % 64) }
 // Has reports whether bit i is set.
 func (s BitSet) Has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
-// Fill sets the first n bits.
-func (s BitSet) Fill(n int) {
+// fill sets the first n bits.
+func (s BitSet) fill(n int) {
 	for i := 0; i < n; i++ {
 		s.Set(i)
 	}
@@ -41,8 +41,8 @@ func (s BitSet) Union(o BitSet) bool {
 	return changed
 }
 
-// Intersect ands o into s, reporting whether s changed.
-func (s BitSet) Intersect(o BitSet) bool {
+// intersect ands o into s, reporting whether s changed.
+func (s BitSet) intersect(o BitSet) bool {
 	changed := false
 	for i := range s {
 		n := s[i] & o[i]
@@ -54,21 +54,21 @@ func (s BitSet) Intersect(o BitSet) bool {
 	return changed
 }
 
-// Meet combines predecessor out-values in a forward dataflow problem.
-type Meet uint8
+// meet combines predecessor out-values in a forward dataflow problem.
+type meet uint8
 
 // Meet operators: union for may-analyses (reaching definitions), intersect
 // for must-analyses (definite assignment).
 const (
-	MeetUnion Meet = iota
-	MeetIntersect
+	meetUnion meet = iota
+	meetIntersect
 )
 
-// ForwardProblem describes a forward dataflow problem over a function's
+// forwardProblem describes a forward dataflow problem over a function's
 // reachable blocks. All sets have Bits bits.
-type ForwardProblem struct {
+type forwardProblem struct {
 	Bits  int
-	Meet  Meet
+	Meet  meet
 	Entry BitSet // boundary in-value of the entry block
 	// Transfer computes the out-value of b from its in-value. It must not
 	// retain or mutate in; write the result into the provided out set
@@ -76,10 +76,10 @@ type ForwardProblem struct {
 	Transfer func(b *ir.Block, in, out BitSet)
 }
 
-// SolveForward computes the fixed point of the problem and returns each
+// solveForward computes the fixed point of the problem and returns each
 // reachable block's in-value. The iteration is over reverse post-order,
 // which converges in a couple of sweeps for reducible CFGs.
-func SolveForward(f *ir.Function, prob ForwardProblem) map[*ir.Block]BitSet {
+func solveForward(f *ir.Function, prob forwardProblem) map[*ir.Block]BitSet {
 	rpo := f.ReachableOrder()
 	f.RebuildCFG()
 	reach := make(map[*ir.Block]bool, len(rpo))
@@ -92,13 +92,13 @@ func SolveForward(f *ir.Function, prob ForwardProblem) map[*ir.Block]BitSet {
 	for _, b := range rpo {
 		in[b] = NewBitSet(prob.Bits)
 		out[b] = NewBitSet(prob.Bits)
-		if prob.Meet == MeetIntersect && b != f.Entry() {
+		if prob.Meet == meetIntersect && b != f.Entry() {
 			// A must-analysis starts at top and descends to the greatest
 			// fixed point. Out-values must start at top too: otherwise a
 			// not-yet-visited back-edge predecessor contributes ⊥ on the
 			// first sweep and wrongly kills facts that do hold on the loop.
-			in[b].Fill(prob.Bits)
-			out[b].Fill(prob.Bits)
+			in[b].fill(prob.Bits)
+			out[b].fill(prob.Bits)
 		}
 	}
 	copy(in[f.Entry()], prob.Entry)
@@ -115,10 +115,10 @@ func SolveForward(f *ir.Function, prob ForwardProblem) map[*ir.Block]BitSet {
 					if first {
 						copy(in[b], out[p])
 						first = false
-					} else if prob.Meet == MeetUnion {
+					} else if prob.Meet == meetUnion {
 						in[b].Union(out[p])
 					} else {
-						in[b].Intersect(out[p])
+						in[b].intersect(out[p])
 					}
 				}
 			}

@@ -6,28 +6,28 @@ import (
 	"csspgo/internal/ir"
 )
 
-// DefSite is one definition of a register: instruction Index within Block.
+// defSite is one definition of a register: instruction Index within Block.
 // Function parameters are pseudo-sites with Block == nil.
-type DefSite struct {
+type defSite struct {
 	Reg   ir.Reg
 	Block *ir.Block
 	Index int
 }
 
-// ReachingDefs computes, per reachable block, which definition sites may
+// reachingDefs computes, per reachable block, which definition sites may
 // reach the block entry (classic may-reach union dataflow). The returned
 // sites slice gives the bit ↔ definition-site mapping.
-func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
+func reachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []defSite) {
 	defsOf := make(map[ir.Reg][]int, f.NRegs) // register -> site bits
 	for i := range f.Params {
 		defsOf[ir.Reg(i)] = append(defsOf[ir.Reg(i)], len(sites))
-		sites = append(sites, DefSite{Reg: ir.Reg(i), Index: -1})
+		sites = append(sites, defSite{Reg: ir.Reg(i), Index: -1})
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
 				defsOf[d] = append(defsOf[d], len(sites))
-				sites = append(sites, DefSite{Reg: d, Block: b, Index: i})
+				sites = append(sites, defSite{Reg: d, Block: b, Index: i})
 			}
 		}
 	}
@@ -36,9 +36,9 @@ func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
 	for i := range f.Params {
 		entry.Set(i)
 	}
-	prob := ForwardProblem{
+	prob := forwardProblem{
 		Bits:  len(sites),
-		Meet:  MeetUnion,
+		Meet:  meetUnion,
 		Entry: entry,
 		Transfer: func(b *ir.Block, in, out BitSet) {
 			copy(out, in)
@@ -58,7 +58,7 @@ func ReachingDefs(f *ir.Function) (in map[*ir.Block]BitSet, sites []DefSite) {
 			}
 		},
 	}
-	return SolveForward(f, prob), sites
+	return solveForward(f, prob), sites
 }
 
 // checkUseBeforeDef lints register uses that happen before any definition,
@@ -74,16 +74,16 @@ func checkUseBeforeDef(f *ir.Function) []Diagnostic {
 		return nil
 	}
 
-	reachIn, sites := ReachingDefs(f)
+	reachIn, sites := reachingDefs(f)
 
 	// Definite assignment: must-analysis directly over registers.
 	entry := NewBitSet(nregs)
 	for i := range f.Params {
 		entry.Set(i)
 	}
-	defIn := SolveForward(f, ForwardProblem{
+	defIn := solveForward(f, forwardProblem{
 		Bits:  nregs,
-		Meet:  MeetIntersect,
+		Meet:  meetIntersect,
 		Entry: entry,
 		Transfer: func(b *ir.Block, in, out BitSet) {
 			copy(out, in)

@@ -37,7 +37,7 @@ func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 		switch {
 		case res.OK:
 			matched++
-			add(SevInfo, "%s: stale profile recoverable — quality %.2f (%d/%d anchors, %d probes transfer)",
+			add(sevInfo, "%s: stale profile recoverable — quality %.2f (%d/%d anchors, %d probes transfer)",
 				what, res.Quality, res.MatchedAnchors, res.OldAnchors, res.RecoveredProbes)
 		case res.OldAnchors == 0 || res.NewAnchors == 0:
 			dropped++
@@ -75,7 +75,7 @@ func CheckStaleMatching(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 		classify(fmt.Sprintf("context %q", key), f, cp)
 	}
 	if matched+belowThreshold+dropped > 0 {
-		add(SevInfo, "degradation ladder: %d anchor-matched, %d flat-fallback, %d dropped (threshold %.2f)",
+		add(sevInfo, "degradation ladder: %d anchor-matched, %d flat-fallback, %d dropped (threshold %.2f)",
 			matched, belowThreshold, dropped, stale.MinQuality)
 	}
 	return diags

@@ -9,7 +9,6 @@ import (
 	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/source"
-	"csspgo/internal/stale"
 )
 
 const stalelintOldSrc = `
@@ -89,11 +88,18 @@ func TestCheckStaleMatching(t *testing.T) {
 		fp := prof.FuncProfile(f.Name)
 		fp.Checksum = f.Checksum
 		fp.HeadSamples = 20
-		for _, a := range stale.AnchorsFromIR(f) {
-			if a.Kind == stale.Block {
-				fp.AddBody(profdata.LocKey{ID: a.ID}, 20)
-			} else if a.Callee != "" {
-				fp.AddCall(profdata.LocKey{ID: a.ID}, a.Callee, 20)
+		// Every own probe is sampled: block probes as body counts, call
+		// probes on direct calls as call-target counts.
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Probe == nil || in.Probe.Func != f.Name || in.Probe.InlinedAt != nil {
+					continue
+				}
+				if in.Probe.Kind == ir.ProbeBlock {
+					fp.AddBody(profdata.LocKey{ID: in.Probe.ID}, 20)
+				} else if in.Op == ir.OpCall {
+					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Callee, 20)
+				}
 			}
 		}
 	}
@@ -108,7 +114,7 @@ func TestCheckStaleMatching(t *testing.T) {
 		return nil
 	}
 
-	if d := find("func work: stale profile recoverable"); d == nil || d.Sev != SevInfo {
+	if d := find("func work: stale profile recoverable"); d == nil || d.Sev != sevInfo {
 		t.Errorf("work should be reported recoverable at info severity; got %v", d)
 	}
 	if d := find("func mix: match quality"); d == nil || d.Sev != SevWarning {

@@ -19,10 +19,10 @@ import (
 // maxSigDetail truncates signature components quoted in diagnostics.
 const maxSigDetail = 160
 
-// DiffFunctions bisimulates before against after and returns tv-bisim
+// diffFunctions bisimulates before against after and returns tv-bisim
 // error diagnostics for every inequivalence found on the visited product
 // graph (empty = proven equivalent for this tier).
-func DiffFunctions(before, after *ir.Function) []analysis.Diagnostic {
+func diffFunctions(before, after *ir.Function) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	emit := func(block int, format string, a ...any) {
 		diags = append(diags, analysis.Diagnostic{

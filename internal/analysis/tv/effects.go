@@ -28,43 +28,34 @@ import (
 	"csspgo/internal/ir"
 )
 
-// Effect is a bitmask lattice of observable behaviors an instruction (or
+// effect is a bitmask lattice of observable behaviors an instruction (or
 // transitively a function) may have. MiniLang has no I/O: the observable
 // events of a program are its global stores and instrumentation counter
 // increments, so those — plus the transfers that can reach them — are what
 // the lattice tracks. Join is bitwise-or; bottom (0) is pure.
-type Effect uint8
+type effect uint8
 
 // Effect lattice bits.
 const (
-	// EffReadGlobal: may read a global (legal to reorder against other
+	// effReadGlobal: may read a global (legal to reorder against other
 	// reads, not against stores).
-	EffReadGlobal Effect = 1 << iota
-	// EffWriteGlobal: may store to a global — an observable event.
-	EffWriteGlobal
-	// EffCounter: increments an instrumentation counter (Instr PGO);
+	effReadGlobal effect = 1 << iota
+	// effWriteGlobal: may store to a global — an observable event.
+	effWriteGlobal
+	// effCounter: increments an instrumentation counter (Instr PGO);
 	// observable in the counter vector, so passes may not invent them.
-	EffCounter
-	// EffICall: performs an indirect call whose callee set is unknown;
+	effCounter
+	// effICall: performs an indirect call whose callee set is unknown;
 	// conservatively may read and write every global.
-	EffICall
+	effICall
 )
 
-// Pure reports whether the mask allows arbitrary reordering and deletion
-// (when the result is dead). Pseudo-probes are deliberately pure: the
-// paper's invariant is that probe insertion is observationally invisible.
-func (e Effect) Pure() bool { return e == 0 }
-
-// Writes reports whether the mask includes an observable write (direct, or
-// via an unknown indirect callee).
-func (e Effect) Writes() bool { return e&(EffWriteGlobal|EffICall) != 0 }
-
-// FuncEffects is one function's transitive effect summary over its
+// funcEffects is one function's transitive effect summary over its
 // reachable blocks: the joined mask plus the may-read and may-write global
 // sets. All=true means the summary was poisoned by an indirect call and the
 // sets stand for "every global".
-type FuncEffects struct {
-	Mask   Effect
+type funcEffects struct {
+	Mask   effect
 	Reads  map[string]bool
 	Writes map[string]bool
 	// All: an indirect call makes the callee set — and thus the global
@@ -73,8 +64,8 @@ type FuncEffects struct {
 }
 
 // clone returns a deep copy of the summary.
-func (fe *FuncEffects) clone() *FuncEffects {
-	c := &FuncEffects{Mask: fe.Mask, All: fe.All,
+func (fe *funcEffects) clone() *funcEffects {
+	c := &funcEffects{Mask: fe.Mask, All: fe.All,
 		Reads: map[string]bool{}, Writes: map[string]bool{}}
 	for g := range fe.Reads {
 		c.Reads[g] = true
@@ -86,7 +77,7 @@ func (fe *FuncEffects) clone() *FuncEffects {
 }
 
 // merge joins other into fe, reporting whether fe changed.
-func (fe *FuncEffects) merge(other *FuncEffects) bool {
+func (fe *funcEffects) merge(other *funcEffects) bool {
 	changed := false
 	if m := fe.Mask | other.Mask; m != fe.Mask {
 		fe.Mask = m
@@ -111,8 +102,8 @@ func (fe *FuncEffects) merge(other *FuncEffects) bool {
 	return changed
 }
 
-// WriteSet renders the may-write set sorted, for deterministic diagnostics.
-func (fe *FuncEffects) WriteSet() []string {
+// writeSet renders the may-write set sorted, for deterministic diagnostics.
+func (fe *funcEffects) writeSet() []string {
 	out := make([]string, 0, len(fe.Writes))
 	for g := range fe.Writes {
 		out = append(out, g)
@@ -121,40 +112,40 @@ func (fe *FuncEffects) WriteSet() []string {
 	return out
 }
 
-// InstrEffect classifies one instruction's direct effect (not counting
-// callee bodies; AnalyzeProgram folds those in transitively).
-func InstrEffect(in *ir.Instr) Effect {
+// instrEffect classifies one instruction's direct effect (not counting
+// callee bodies; analyzeProgram folds those in transitively).
+func instrEffect(in *ir.Instr) effect {
 	switch in.Op {
 	case ir.OpLoadG:
-		return EffReadGlobal
+		return effReadGlobal
 	case ir.OpStoreG:
-		return EffWriteGlobal
+		return effWriteGlobal
 	case ir.OpCounter:
-		return EffCounter
+		return effCounter
 	case ir.OpICall:
-		return EffICall
+		return effICall
 	}
 	// OpCall is handled by the callgraph fixpoint; OpProbe and the pure
 	// value ops are bottom.
 	return 0
 }
 
-// AnalyzeProgram computes per-function transitive effect summaries with a
+// analyzeProgram computes per-function transitive effect summaries with a
 // callgraph fixpoint: each function starts from the direct effects of its
 // reachable blocks, then absorbs its direct callees' summaries until
 // nothing changes (recursion converges because the lattice is finite).
 // Unreachable blocks are excluded — they cannot execute, so removing them
 // must not change a summary.
-func AnalyzeProgram(p *ir.Program) map[string]*FuncEffects {
-	effs := map[string]*FuncEffects{}
+func analyzeProgram(p *ir.Program) map[string]*funcEffects {
+	effs := map[string]*funcEffects{}
 	callees := map[string][]string{}
 	for _, f := range p.Functions() {
-		fe := &FuncEffects{Reads: map[string]bool{}, Writes: map[string]bool{}}
+		fe := &funcEffects{Reads: map[string]bool{}, Writes: map[string]bool{}}
 		var calls []string
 		for _, b := range f.ReachableOrder() {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
-				fe.Mask |= InstrEffect(in)
+				fe.Mask |= instrEffect(in)
 				switch in.Op {
 				case ir.OpLoadG:
 					fe.Reads[in.Global] = true
@@ -199,7 +190,7 @@ func AnalyzeProgram(p *ir.Program) map[string]*FuncEffects {
 		}
 	}
 	if anyAll {
-		everything := &FuncEffects{Reads: map[string]bool{}, Writes: map[string]bool{}}
+		everything := &funcEffects{Reads: map[string]bool{}, Writes: map[string]bool{}}
 		for _, fe := range effs {
 			everything.merge(fe)
 		}

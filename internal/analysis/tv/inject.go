@@ -19,42 +19,42 @@ type Injection uint8
 
 // Injection kinds.
 const (
-	// InjDropBranch rewrites a conditional branch into an unconditional
+	// injDropBranch rewrites a conditional branch into an unconditional
 	// jump to its taken successor (edge weights merged, flow preserved).
-	InjDropBranch Injection = iota
-	// InjSwapSuccessors swaps a branch's taken/not-taken successors along
+	injDropBranch Injection = iota
+	// injSwapSuccessors swaps a branch's taken/not-taken successors along
 	// with their edge weights — polarity inverted, flow still balanced.
-	InjSwapSuccessors
-	// InjEffectfulProbe gives a pseudo-probe a real side effect (a global
+	injSwapSuccessors
+	// injEffectfulProbe gives a pseudo-probe a real side effect (a global
 	// store), violating the observational-invisibility contract.
-	InjEffectfulProbe
-	// InjDropStore deletes a global store, erasing an observable event.
-	InjDropStore
-	// InjClobberReturn overwrites main's return register with a constant
+	injEffectfulProbe
+	// injDropStore deletes a global store, erasing an observable event.
+	injDropStore
+	// injClobberReturn overwrites main's return register with a constant
 	// right before the return.
-	InjClobberReturn
+	injClobberReturn
 )
 
 var injNames = map[Injection]string{
-	InjDropBranch:     "drop-branch",
-	InjSwapSuccessors: "swap-successors",
-	InjEffectfulProbe: "effectful-probe",
-	InjDropStore:      "drop-store",
-	InjClobberReturn:  "clobber-return",
+	injDropBranch:     "drop-branch",
+	injSwapSuccessors: "swap-successors",
+	injEffectfulProbe: "effectful-probe",
+	injDropStore:      "drop-store",
+	injClobberReturn:  "clobber-return",
 }
 
 func (k Injection) String() string { return injNames[k] }
 
-// Injections lists every kind in declaration order (the CLI matrix).
-func Injections() []Injection {
-	return []Injection{InjDropBranch, InjSwapSuccessors, InjEffectfulProbe,
-		InjDropStore, InjClobberReturn}
+// injections lists every kind in declaration order (the CLI matrix).
+func injections() []Injection {
+	return []Injection{injDropBranch, injSwapSuccessors, injEffectfulProbe,
+		injDropStore, injClobberReturn}
 }
 
 // InjectionNames lists every kind's CLI name in declaration order.
 func InjectionNames() []string {
 	names := make([]string, 0, len(injNames))
-	for _, k := range Injections() {
+	for _, k := range injections() {
 		names = append(names, k.String())
 	}
 	return names
@@ -96,7 +96,7 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 	s := sites[splitmix64(&rng)%uint64(len(sites))]
 
 	switch kind {
-	case InjDropBranch:
+	case injDropBranch:
 		t := s.b.Term // copy: the field is about to be replaced
 		w := uint64(0)
 		for _, ew := range t.EdgeW {
@@ -112,7 +112,7 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 		return fmt.Sprintf("dropped branch in %s b%d (now always jumps to b%d)",
 			s.f.Name, s.b.ID, taken.ID), true
 
-	case InjSwapSuccessors:
+	case injSwapSuccessors:
 		t := &s.b.Term
 		t.Succs[0], t.Succs[1] = t.Succs[1], t.Succs[0]
 		if len(t.EdgeW) == 2 {
@@ -120,7 +120,7 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 		}
 		return fmt.Sprintf("swapped branch successors in %s b%d", s.f.Name, s.b.ID), true
 
-	case InjEffectfulProbe:
+	case injEffectfulProbe:
 		g := p.GOrder[0]
 		tmp := s.f.NewReg()
 		probe := s.b.Instrs[s.instr]
@@ -133,12 +133,12 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 		return fmt.Sprintf("gave probe %s:%d in %s b%d a real side effect (store to %s)",
 			probe.Probe.Func, probe.Probe.ID, s.f.Name, s.b.ID, g), true
 
-	case InjDropStore:
+	case injDropStore:
 		st := s.b.Instrs[s.instr]
 		s.b.Instrs = append(s.b.Instrs[:s.instr], s.b.Instrs[s.instr+1:]...)
 		return fmt.Sprintf("dropped store to %s in %s b%d", st.Global, s.f.Name, s.b.ID), true
 
-	case InjClobberReturn:
+	case injClobberReturn:
 		t := &s.b.Term
 		s.b.Instrs = append(s.b.Instrs, ir.Instr{
 			Op: ir.OpConst, Dst: t.Val, Value: 12345, Loc: t.Loc,
@@ -156,7 +156,7 @@ func collectSites(p *ir.Program, kind Injection) []injSite {
 		inMain := f.Name == "main"
 		for _, b := range f.ReachableOrder() {
 			switch kind {
-			case InjDropBranch, InjSwapSuccessors:
+			case injDropBranch, injSwapSuccessors:
 				t := &b.Term
 				if t.Kind == ir.TermBranch && t.Succs[0] != t.Succs[1] {
 					s := injSite{f: f, b: b, instr: -1}
@@ -165,7 +165,7 @@ func collectSites(p *ir.Program, kind Injection) []injSite {
 						preferred = append(preferred, s)
 					}
 				}
-			case InjEffectfulProbe:
+			case injEffectfulProbe:
 				if len(p.GOrder) == 0 {
 					continue
 				}
@@ -178,7 +178,7 @@ func collectSites(p *ir.Program, kind Injection) []injSite {
 						}
 					}
 				}
-			case InjDropStore:
+			case injDropStore:
 				for i := range b.Instrs {
 					if b.Instrs[i].Op == ir.OpStoreG {
 						s := injSite{f: f, b: b, instr: i}
@@ -188,7 +188,7 @@ func collectSites(p *ir.Program, kind Injection) []injSite {
 						}
 					}
 				}
-			case InjClobberReturn:
+			case injClobberReturn:
 				if inMain && b.Term.Kind == ir.TermReturn && b.Term.Val != ir.NoReg {
 					all = append(all, injSite{f: f, b: b, instr: -1})
 				}

@@ -26,23 +26,23 @@ type EventKind uint8
 
 // Observable event kinds.
 const (
-	// EvStore: a global store retired (offset into the flat segment + value).
-	EvStore EventKind = iota
-	// EvCounter: an instrumentation counter increment.
-	EvCounter
+	// evStore: a global store retired (offset into the flat segment + value).
+	evStore EventKind = iota
+	// evCounter: an instrumentation counter increment.
+	evCounter
 )
 
 // Event is one observable effect, with enough context to attribute a trace
 // divergence to a function.
 type Event struct {
 	Kind EventKind
-	Off  int64  // flat global offset (EvStore) or counter index (EvCounter)
-	Val  int64  // stored value (EvStore)
+	Off  int64  // flat global offset (evStore) or counter index (evCounter)
+	Val  int64  // stored value (evStore)
 	Func string // function executing the event
 }
 
 func (e Event) String() string {
-	if e.Kind == EvCounter {
+	if e.Kind == evCounter {
 		return fmt.Sprintf("counter[%d] in %s", e.Off, e.Func)
 	}
 	return fmt.Sprintf("store g[%d]=%d in %s", e.Off, e.Val, e.Func)
@@ -50,16 +50,16 @@ func (e Event) String() string {
 
 // Run statuses.
 const (
-	StatusOK        = "ok"
-	StatusStepLimit = "step-limit"
-	StatusDepth     = "depth-limit"
+	statusOK        = "ok"
+	statusStepLimit = "step-limit"
+	statusDepth     = "depth-limit"
 )
 
 // RunResult is one interpreted execution's observable outcome: the return
 // value, a digest of the full effect trace plus its length, the final
 // global state, and a prefix of the trace verbatim for attribution.
 type RunResult struct {
-	Status     string // StatusOK/StatusStepLimit/StatusDepth or "trap: ..."
+	Status     string // statusOK/statusStepLimit/statusDepth or "trap: ..."
 	Ret        int64
 	Steps      uint64
 	TraceHash  uint64
@@ -152,7 +152,7 @@ func fnvMix(h, v uint64) uint64 {
 // observable outcome. p may be any pipeline state of the program the
 // context was built from.
 func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
-	res := RunResult{Status: StatusOK, TraceHash: fnvOffset}
+	res := RunResult{Status: statusOK, TraceHash: fnvOffset}
 	globals := make([]int64, len(c.ginit))
 	copy(globals, c.ginit)
 
@@ -197,7 +197,7 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 	for {
 		steps++
 		if steps > maxSteps {
-			res.Status = StatusStepLimit
+			res.Status = statusStepLimit
 			break
 		}
 		fr := &stack[len(stack)-1]
@@ -278,9 +278,9 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 					return o
 				}(), len(globals))
 				globals[off] = r[in.A]
-				event(Event{Kind: EvStore, Off: off, Val: r[in.A], Func: fr.f.Name})
+				event(Event{Kind: evStore, Off: off, Val: r[in.A], Func: fr.f.Name})
 			case ir.OpCounter:
-				event(Event{Kind: EvCounter, Off: in.Value, Func: fr.f.Name})
+				event(Event{Kind: evCounter, Off: in.Value, Func: fr.f.Name})
 			case ir.OpProbe:
 				// Pseudo-probes are observationally invisible by contract.
 			case ir.OpFuncRef:
@@ -312,7 +312,7 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 					break
 				}
 				if len(stack) >= maxCallDepth {
-					res.Status = StatusDepth
+					res.Status = statusDepth
 					break
 				}
 				cargs := make([]int64, len(in.Args))
@@ -321,7 +321,7 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 				}
 				stack = append(stack, newFrame(callee, cargs, in.Dst))
 			}
-			if res.Status != StatusOK {
+			if res.Status != statusOK {
 				break
 			}
 			continue

@@ -92,7 +92,7 @@ func compareRuns(corpus [][]int64, before, after []RunResult) []analysis.Diagnos
 				in, b.TraceLen, a.TraceLen, detail)
 		case b.GlobalHash != a.GlobalHash:
 			emit("", "input %v: final global state diverged", in)
-		case b.Status == StatusOK && b.Ret != a.Ret:
+		case b.Status == statusOK && b.Ret != a.Ret:
 			emit("main", "input %v: return value diverged: %d before, %d after", in, b.Ret, a.Ret)
 		default:
 			continue

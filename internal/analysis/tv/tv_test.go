@@ -54,28 +54,28 @@ func unreached(x) { return x; }
 
 func TestAnalyzeProgramSummaries(t *testing.T) {
 	p := lower(t, effectsSrc)
-	eff := AnalyzeProgram(p)
+	eff := analyzeProgram(p)
 
 	pe := eff["pure"]
-	if !pe.Mask.Pure() || pe.All {
+	if !pe.Mask.pure() || pe.All {
 		t.Fatalf("pure: want bottom summary, got mask %03b All=%v", pe.Mask, pe.All)
 	}
 	we := eff["writer"]
-	if we.Mask&EffWriteGlobal == 0 || !we.Writes["acc"] || we.Writes["g0"] {
-		t.Fatalf("writer: want may-write {acc}, got mask %03b writes %v", we.Mask, we.WriteSet())
+	if we.Mask&effWriteGlobal == 0 || !we.Writes["acc"] || we.Writes["g0"] {
+		t.Fatalf("writer: want may-write {acc}, got mask %03b writes %v", we.Mask, we.writeSet())
 	}
 	re := eff["reader"]
-	if re.Mask&EffReadGlobal == 0 || re.Mask.Writes() {
+	if re.Mask&effReadGlobal == 0 || re.Mask.writes() {
 		t.Fatalf("reader: want read-only, got mask %03b", re.Mask)
 	}
 	// main calls pure and writer and stores g0 itself: transitive summary.
 	me := eff["main"]
 	if !me.Writes["g0"] || !me.Writes["acc"] {
-		t.Fatalf("main: transitive write set = %v, want [acc g0]", me.WriteSet())
+		t.Fatalf("main: transitive write set = %v, want [acc g0]", me.writeSet())
 	}
 	// The icall poisons indirect's summary to the whole-program join.
 	ie := eff["indirect"]
-	if !ie.All || ie.Mask&EffICall == 0 {
+	if !ie.All || ie.Mask&effICall == 0 {
 		t.Fatalf("indirect: want All-poisoned summary, got mask %03b All=%v", ie.Mask, ie.All)
 	}
 	// main never calls indirect, so the poison must not leak into main.
@@ -86,7 +86,7 @@ func TestAnalyzeProgramSummaries(t *testing.T) {
 
 func TestInstrEffectProbesArePure(t *testing.T) {
 	in := &ir.Instr{Op: ir.OpProbe, Probe: &ir.Probe{Func: "f", ID: 1, Factor: 1}}
-	if !InstrEffect(in).Pure() {
+	if !instrEffect(in).pure() {
 		t.Fatal("probes must be effect-free (observational invisibility)")
 	}
 }
@@ -126,7 +126,7 @@ func helper(x, y) {
 				t.Fatalf("src %d sim%v: %v", si, in, err)
 			}
 			res := ctx.Run(p, in)
-			if res.Status != StatusOK {
+			if res.Status != statusOK {
 				t.Fatalf("src %d interp%v: status %q", si, in, res.Status)
 			}
 			if res.Ret != want {
@@ -145,7 +145,7 @@ func TestInterpreterTraceObservesStores(t *testing.T) {
 	}
 	var sawStore bool
 	for _, ev := range res.Events {
-		if ev.Kind == EvStore {
+		if ev.Kind == evStore {
 			sawStore = true
 		}
 	}
@@ -172,7 +172,7 @@ func TestBisimAcceptsClone(t *testing.T) {
 	p := lower(t, effectsSrc)
 	q := ir.CloneProgram(p)
 	for name, f := range p.Funcs {
-		if diags := DiffFunctions(f, q.Funcs[name]); len(diags) != 0 {
+		if diags := diffFunctions(f, q.Funcs[name]); len(diags) != 0 {
 			t.Fatalf("%s: bisim rejected an identical clone: %v", name, diags)
 		}
 	}
@@ -181,12 +181,12 @@ func TestBisimAcceptsClone(t *testing.T) {
 func TestBisimCatchesSwappedSuccessors(t *testing.T) {
 	p := lower(t, effectsSrc)
 	q := ir.CloneProgram(p)
-	if _, ok := Apply(q, InjSwapSuccessors, 1); !ok {
+	if _, ok := Apply(q, injSwapSuccessors, 1); !ok {
 		t.Fatal("no branch to swap")
 	}
 	found := false
 	for name, f := range p.Funcs {
-		if len(DiffFunctions(f, q.Funcs[name])) > 0 {
+		if len(diffFunctions(f, q.Funcs[name])) > 0 {
 			found = true
 		}
 	}
@@ -210,7 +210,7 @@ func TestValidatorAcceptsProbeInsertion(t *testing.T) {
 func TestValidatorCatchesEveryInjection(t *testing.T) {
 	p := lower(t, effectsSrc)
 	probe.InsertProgram(p)
-	for _, kind := range Injections() {
+	for _, kind := range injections() {
 		v := NewValidator(p)
 		q := ir.CloneProgram(p)
 		desc, ok := Apply(q, kind, 1)
@@ -233,7 +233,7 @@ func TestValidatorKeepsBaselineOnViolation(t *testing.T) {
 	p := lower(t, effectsSrc)
 	v := NewValidator(p)
 	bad := ir.CloneProgram(p)
-	if _, ok := Apply(bad, InjClobberReturn, 1); !ok {
+	if _, ok := Apply(bad, injClobberReturn, 1); !ok {
 		t.Fatal("no return to clobber")
 	}
 	if len(v.ValidatePass("bad", bad, ModeRestructure)) == 0 {
@@ -245,7 +245,7 @@ func TestValidatorKeepsBaselineOnViolation(t *testing.T) {
 }
 
 func TestParseInjectionRoundTrip(t *testing.T) {
-	for _, kind := range Injections() {
+	for _, kind := range injections() {
 		got, err := ParseInjection(kind.String())
 		if err != nil || got != kind {
 			t.Fatalf("round trip %q: got %v, %v", kind.String(), got, err)
@@ -287,3 +287,12 @@ func quiet(x) { return x * 3; }
 		t.Fatalf("want a tv-effects finding naming g0, got %v", diags)
 	}
 }
+
+// pure reports whether the mask allows arbitrary reordering and deletion
+// (when the result is dead). Pseudo-probes are deliberately pure: the
+// paper's invariant is that probe insertion is observationally invisible.
+func (e effect) pure() bool { return e == 0 }
+
+// writes reports whether the mask includes an observable write (direct, or
+// via an unknown indirect callee).
+func (e effect) writes() bool { return e&(effWriteGlobal|effICall) != 0 }

@@ -41,7 +41,7 @@ type Validator struct {
 	corpus  [][]int64
 	base    *ir.Program // clone of the last validated state
 	baseRes []RunResult
-	baseEff map[string]*FuncEffects
+	baseEff map[string]*funcEffects
 }
 
 // NewValidator snapshots p as the initial baseline and runs the oracle on
@@ -62,7 +62,7 @@ func (v *Validator) accept(p *ir.Program) {
 	v.base = ir.CloneProgram(p)
 	v.baseRes = v.ctx.runCorpus(v.base, v.corpus)
 	v.Stats.OracleRuns += len(v.corpus)
-	v.baseEff = AnalyzeProgram(v.base)
+	v.baseEff = analyzeProgram(v.base)
 }
 
 // BaselineIR returns the last accepted snapshot of the named function as
@@ -86,7 +86,7 @@ func (v *Validator) ValidatePass(pass string, after *ir.Program, mode Mode) []an
 	// Tier 1: effect analysis. Observable-effect growth is illegal for
 	// every pass: probe handling must be invisible, and no transformation
 	// may invent stores or counters.
-	afterEff := AnalyzeProgram(after)
+	afterEff := analyzeProgram(after)
 	diags = append(diags, v.checkEffects(after, afterEff, mode)...)
 
 	// Tier 2: CFG bisimulation, block-for-block, for structure-preserving
@@ -102,7 +102,7 @@ func (v *Validator) ValidatePass(pass string, after *ir.Program, mode Mode) []an
 				continue
 			}
 			v.Stats.BisimFuncs++
-			diags = append(diags, DiffFunctions(bf, f)...)
+			diags = append(diags, diffFunctions(bf, f)...)
 		}
 	}
 
@@ -127,7 +127,7 @@ func (v *Validator) ValidatePass(pass string, after *ir.Program, mode Mode) []an
 // structural mode each surviving function's own observable summary must be
 // preserved exactly (reads excluded: deleting a dead load is legal and
 // unobservable).
-func (v *Validator) checkEffects(after *ir.Program, afterEff map[string]*FuncEffects, mode Mode) []analysis.Diagnostic {
+func (v *Validator) checkEffects(after *ir.Program, afterEff map[string]*funcEffects, mode Mode) []analysis.Diagnostic {
 	var diags []analysis.Diagnostic
 	emit := func(fn, format string, a ...any) {
 		diags = append(diags, analysis.Diagnostic{
@@ -142,12 +142,12 @@ func (v *Validator) checkEffects(after *ir.Program, afterEff map[string]*FuncEff
 			emit("main", "program gained an indirect call with statically unbounded effects")
 		}
 		if !bm.All {
-			for _, g := range am.WriteSet() {
+			for _, g := range am.writeSet() {
 				if !bm.Writes[g] {
 					emit("main", "program gained an observable store to global %q", g)
 				}
 			}
-			if am.Mask&EffCounter != 0 && bm.Mask&EffCounter == 0 {
+			if am.Mask&effCounter != 0 && bm.Mask&effCounter == 0 {
 				emit("main", "program gained an instrumentation counter increment (probe materialized with a real side effect?)")
 			}
 		}
@@ -165,12 +165,12 @@ func (v *Validator) checkEffects(after *ir.Program, afterEff map[string]*FuncEff
 			emit(f.Name, "indirect-call effect changed: All=%v before, All=%v after", be.All, ae.All)
 			continue
 		}
-		obsMask := EffWriteGlobal | EffCounter | EffICall
+		obsMask := effWriteGlobal | effCounter | effICall
 		if ae.Mask&obsMask != be.Mask&obsMask {
 			emit(f.Name, "observable effect mask changed: %03b before, %03b after",
 				be.Mask&obsMask, ae.Mask&obsMask)
 		}
-		bw, aw := be.WriteSet(), ae.WriteSet()
+		bw, aw := be.writeSet(), ae.writeSet()
 		if fmt.Sprint(bw) != fmt.Sprint(aw) {
 			emit(f.Name, "may-write set changed: %v before, %v after", bw, aw)
 		}

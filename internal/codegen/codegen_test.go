@@ -226,8 +226,8 @@ func TestInlinedFramesAt(t *testing.T) {
 	// Some instruction in helper carries a single-frame location.
 	h := mp.FuncByName["helper"]
 	var got []machine.Frame
-	for a := h.Start; a < h.End; a = mp.NextInstrAddr(a) {
-		if fr := mp.InlinedFramesAt(a); fr != nil {
+	for _, in := range funcInstrs(mp, h) {
+		if fr := mp.InlinedFramesAt(in.Addr); fr != nil {
 			got = fr
 			break
 		}
@@ -282,8 +282,8 @@ func leaf(y) { return y * 2; }
 	}
 	var tcalls, rets int
 	ch := mp.FuncByName["chain"]
-	for a := ch.Start; a < ch.End; a = mp.NextInstrAddr(a) {
-		switch mp.InstrAt(a).Kind {
+	for _, in := range funcInstrs(mp, ch) {
+		switch in.Kind {
 		case machine.KTailCall:
 			tcalls++
 		case machine.KRet:
@@ -296,4 +296,14 @@ func leaf(y) { return y * 2; }
 	if rets != 0 {
 		t.Fatalf("tail-calling block must suppress its ret, found %d", rets)
 	}
+}
+
+// funcInstrs returns fn's hot-range instructions, in address order.
+func funcInstrs(mp *machine.Prog, fn *machine.Func) []machine.Instr {
+	lo := mp.InstrIndexAt(fn.Start)
+	hi := lo
+	for hi < len(mp.Instrs) && mp.Instrs[hi].Addr < fn.End {
+		hi++
+	}
+	return mp.Instrs[lo:hi]
 }

@@ -15,17 +15,17 @@ const (
 	TruncateTail Corruption = iota
 	// FlipBits flips random bits past the header — storage rot.
 	FlipBits
-	// DropRecord removes one whole function/context record (text format) or
+	// dropRecord removes one whole function/context record (text format) or
 	// a byte window (binary, which has no record framing to splice at).
-	DropRecord
-	// DupRecord duplicates one record (text) or a byte window (binary) — a
+	dropRecord
+	// dupRecord duplicates one record (text) or a byte window (binary) — a
 	// botched shard merge.
-	DupRecord
+	dupRecord
 )
 
 // AllCorruptions returns every corruption kind, in declaration order.
 func AllCorruptions() []Corruption {
-	return []Corruption{TruncateTail, FlipBits, DropRecord, DupRecord}
+	return []Corruption{TruncateTail, FlipBits, dropRecord, dupRecord}
 }
 
 func (c Corruption) String() string {
@@ -34,9 +34,9 @@ func (c Corruption) String() string {
 		return "truncate-tail"
 	case FlipBits:
 		return "flip-bits"
-	case DropRecord:
+	case dropRecord:
 		return "drop-record"
-	case DupRecord:
+	case dupRecord:
 		return "dup-record"
 	default:
 		return fmt.Sprintf("corruption(%d)", uint8(c))
@@ -71,13 +71,13 @@ func Corrupt(data []byte, c Corruption, seed uint64) []byte {
 			pos := lo + r.intn(len(out)-lo)
 			out[pos] ^= byte(1 << r.intn(8))
 		}
-	case DropRecord:
+	case dropRecord:
 		if binary {
 			out = dropWindow(out, r)
 		} else {
 			out = editTextSection(out, r, func(section []byte) []byte { return nil })
 		}
-	case DupRecord:
+	case dupRecord:
 		if binary {
 			out = dupWindow(out, r)
 		} else {

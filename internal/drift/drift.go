@@ -5,7 +5,7 @@
 // (the profile goes stale); ShiftLines is the comment-only edit that moves
 // lines and nothing else; profile corruptions (corrupt.go) model damaged
 // profile artifacts. Mutations are deterministic in their seed.
-// Most preserve semantics exactly; DeleteStmts may not (removed calls can
+// Most preserve semantics exactly; deleteStmts may not (removed calls can
 // have effects), but every variant the harness compares — baseline, fresh
 // profile, stale profile — builds and runs the *same* mutated program, so
 // the comparison stays apples-to-apples either way.
@@ -25,9 +25,9 @@ const (
 	// InsertStmts inserts dead `if (0) { var __driftN = 1; }` guards into
 	// function bodies: extra blocks and edges, no runtime effect.
 	InsertStmts Mutation = iota
-	// DeleteStmts deletes call-for-effect statements (`f(x);`), removing
+	// deleteStmts deletes call-for-effect statements (`f(x);`), removing
 	// call sites and their probes.
-	DeleteStmts
+	deleteStmts
 	// AddBranches wraps a leaf statement in `if (1) { ... }`: a new branch
 	// that always executes, preserving semantics while reshaping the CFG.
 	AddBranches
@@ -42,14 +42,14 @@ const (
 
 // All returns every mutation kind, in declaration order.
 func All() []Mutation {
-	return []Mutation{InsertStmts, DeleteStmts, AddBranches, RemoveBranches, ReorderFuncs}
+	return []Mutation{InsertStmts, deleteStmts, AddBranches, RemoveBranches, ReorderFuncs}
 }
 
 func (m Mutation) String() string {
 	switch m {
 	case InsertStmts:
 		return "insert-stmts"
-	case DeleteStmts:
+	case deleteStmts:
 		return "delete-stmts"
 	case AddBranches:
 		return "add-branches"
@@ -61,10 +61,6 @@ func (m Mutation) String() string {
 		return fmt.Sprintf("mutation(%d)", uint8(m))
 	}
 }
-
-// ChangesCFG says whether the mutation alters function CFGs (and hence
-// their checksums). ReorderFuncs does not — it drifts only the layout.
-func (m Mutation) ChangesCFG() bool { return m != ReorderFuncs }
 
 // rng is a splitmix64 generator: tiny, deterministic, seed-stable across
 // platforms.
@@ -122,7 +118,7 @@ func (m *mutator) mutateFunc(fn *source.FuncDecl) {
 	switch m.kind {
 	case InsertStmts:
 		m.insertDeadGuard(fn.Body)
-	case DeleteStmts:
+	case deleteStmts:
 		m.deleteOneCallStmt(fn.Body)
 	case AddBranches:
 		m.wrapOneLeafStmt(fn.Body)

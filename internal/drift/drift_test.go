@@ -69,10 +69,10 @@ func TestMutationsLowerAndDrift(t *testing.T) {
 					changed++
 				}
 			}
-			if m.ChangesCFG() && changed == 0 {
+			if m.changesCFG() && changed == 0 {
 				t.Errorf("%s: no checksum drifted", m)
 			}
-			if !m.ChangesCFG() && changed != 0 {
+			if !m.changesCFG() && changed != 0 {
 				t.Errorf("%s: %d checksums drifted but the mutation is layout-only", m, changed)
 			}
 		})
@@ -133,7 +133,7 @@ func TestCorruptionsNeverPanicAndDegrade(t *testing.T) {
 			for seed := uint64(0); seed < 8; seed++ {
 				name := format + "/" + c.String()
 				data := Corrupt(enc, c, seed)
-				if bytes.Equal(data, enc) && c != DupRecord {
+				if bytes.Equal(data, enc) && c != dupRecord {
 					t.Errorf("%s seed %d: corruption was a no-op", name, seed)
 				}
 				// Lenient decode must survive anything Corrupt produces.
@@ -154,7 +154,7 @@ func TestCorruptionsNeverPanicAndDegrade(t *testing.T) {
 				// A dropped record must be visible either as a smaller
 				// profile or in the skip stats — never silently identical
 				// with full trust.
-				if c == DropRecord && stats.SkippedRecords == 0 && stats.SkippedLines == 0 &&
+				if c == dropRecord && stats.SkippedRecords == 0 && stats.SkippedLines == 0 &&
 					len(prof.Funcs)+len(prof.Contexts) >= len(p.Funcs)+len(p.Contexts) {
 					t.Errorf("%s seed %d: dropped record went unnoticed", name, seed)
 				}
@@ -290,3 +290,7 @@ func TestShiftLinesMovesOnlyBodyLines(t *testing.T) {
 		chain, origChain = next, origNext
 	}
 }
+
+// changesCFG says whether the mutation alters function CFGs (and hence
+// their checksums). ReorderFuncs does not — it drifts only the layout.
+func (m Mutation) changesCFG() bool { return m != ReorderFuncs }

@@ -6,13 +6,13 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for name, run := range map[string]func(int) (*AblationResult, error){
-		"preinliner": RunAblationPreInliner,
-		"pebs":       RunAblationPEBS,
-		"inference":  RunAblationInference,
-		"barrier":    RunAblationBarrier,
-		"lbrdepth":   RunAblationLBRDepth,
-		"icp":        RunAblationICP,
+	for name, run := range map[string]func(int) (*ablationResult, error){
+		"preinliner": runAblationPreInliner,
+		"pebs":       runAblationPEBS,
+		"inference":  runAblationInference,
+		"barrier":    runAblationBarrier,
+		"lbrdepth":   runAblationLBRDepth,
+		"icp":        runAblationICP,
 	} {
 		r, err := run(1)
 		if err != nil {
@@ -29,7 +29,7 @@ func TestAblationBarrierOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunAblationBarrier(1)
+	r, err := runAblationBarrier(1)
 	if err != nil {
 		t.Fatal(err)
 	}

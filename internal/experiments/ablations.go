@@ -22,8 +22,8 @@ import (
 // inference, and the probe barrier strength each switched off/over
 // individually.
 
-// AblationRow is one configuration's outcome.
-type AblationRow struct {
+// ablationRow is one configuration's outcome.
+type ablationRow struct {
 	Name         string
 	CyclesPerReq float64
 	ImprPct      float64 // vs the study's own reference row
@@ -31,13 +31,13 @@ type AblationRow struct {
 	Note         string
 }
 
-// AblationResult is one ablation study.
-type AblationResult struct {
+// ablationResult is one ablation study.
+type ablationResult struct {
 	Title string
-	Rows  []AblationRow
+	Rows  []ablationRow
 }
 
-func (r *AblationResult) String() string {
+func (r *ablationResult) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s\n", r.Title)
 	fmt.Fprintf(&sb, "%-34s %14s %10s %10s  %s\n", "configuration", "cycles/req", "impr %", "text B", "")
@@ -48,10 +48,10 @@ func (r *AblationResult) String() string {
 	return sb.String()
 }
 
-// RunAblationPreInliner compares full CSSPGO with and without the offline
+// runAblationPreInliner compares full CSSPGO with and without the offline
 // pre-inliner (without it, the compile-time sample inliner falls back to a
 // hotness threshold for context retention).
-func RunAblationPreInliner(scale int) (*AblationResult, error) {
+func runAblationPreInliner(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("adranker", scale)
 	if err != nil {
 		return nil, err
@@ -88,11 +88,11 @@ func RunAblationPreInliner(scale int) (*AblationResult, error) {
 	}
 
 	n := float64(len(w.Eval))
-	res := &AblationResult{Title: "Ablation — pre-inliner (adranker, full CSSPGO)"}
+	res := &ablationResult{Title: "Ablation — pre-inliner (adranker, full CSSPGO)"}
 	res.Rows = append(res.Rows,
-		AblationRow{Name: "compile-time hot-context inlining", CyclesPerReq: float64(sWithout.Cycles) / n,
+		ablationRow{Name: "compile-time hot-context inlining", CyclesPerReq: float64(sWithout.Cycles) / n,
 			TextBytes: withoutPre.Bin.TextSize, Note: "no offline decisions"},
-		AblationRow{Name: "offline pre-inliner (Alg. 2+3)", CyclesPerReq: float64(sWith.Cycles) / n,
+		ablationRow{Name: "offline pre-inliner (Alg. 2+3)", CyclesPerReq: float64(sWith.Cycles) / n,
 			ImprPct:   100 * (float64(sWithout.Cycles) - float64(sWith.Cycles)) / float64(sWithout.Cycles),
 			TextBytes: withPre.Bin.TextSize,
 			Note:      "binary-extracted sizes, global top-down, ThinLTO-compatible"},
@@ -100,10 +100,10 @@ func RunAblationPreInliner(scale int) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblationPEBS measures context-recovery quality with and without
+// runAblationPEBS measures context-recovery quality with and without
 // precise sampling: without PEBS, stacks lag the LBR by one frame on
 // call/return samples and the unwinder must detect and compensate.
-func RunAblationPEBS(scale int) (*AblationResult, error) {
+func runAblationPEBS(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("adranker", scale)
 	if err != nil {
 		return nil, err
@@ -112,7 +112,7 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Title: "Ablation — PEBS precision & skid handling (adranker)"}
+	res := &ablationResult{Title: "Ablation — PEBS precision & skid handling (adranker)"}
 	type cfg struct {
 		name   string
 		pebs   bool
@@ -137,7 +137,7 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows = append(res.Rows, ablationRow{
 			Name:         c.name,
 			CyclesPerReq: float64(st.Cycles) / float64(len(w.Eval)),
 			TextBytes:    build.Bin.TextSize,
@@ -150,9 +150,9 @@ func RunAblationPEBS(scale int) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblationInference measures MCF profile inference's contribution to
+// runAblationInference measures MCF profile inference's contribution to
 // AutoFDO (the variant whose raw correlation is noisiest).
-func RunAblationInference(scale int) (*AblationResult, error) {
+func runAblationInference(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("adfinder", scale)
 	if err != nil {
 		return nil, err
@@ -169,7 +169,7 @@ func RunAblationInference(scale int) (*AblationResult, error) {
 	}
 	prof := sampling.GenerateAutoFDO(base.Bin, samples, sampling.FlatOptions{})
 
-	res := &AblationResult{Title: "Ablation — MCF profile inference (adfinder, AutoFDO)"}
+	res := &ablationResult{Title: "Ablation — MCF profile inference (adfinder, AutoFDO)"}
 	for _, inf := range []bool{false, true} {
 		build, st, err := buildEval(w.Files, pgo.BuildConfig{Probes: false, Profile: prof, DisableInference: !inf}, w.Eval)
 		if err != nil {
@@ -179,7 +179,7 @@ func RunAblationInference(scale int) (*AblationResult, error) {
 		if inf {
 			name = "with MCF inference (profi)"
 		}
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows = append(res.Rows, ablationRow{
 			Name:         name,
 			CyclesPerReq: float64(st.Cycles) / float64(len(w.Eval)),
 			ImprPct:      pct(baseStats.Cycles, st.Cycles) * -1,
@@ -190,11 +190,11 @@ func RunAblationInference(scale int) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblationBarrier measures the probe-barrier strength trade-off on the
+// runAblationBarrier measures the probe-barrier strength trade-off on the
 // training binary: run-time overhead (vs no probes) against profile
 // quality (block overlap vs instrumented ground truth) — the paper's
 // "flexible framework" knob quantified.
-func RunAblationBarrier(scale int) (*AblationResult, error) {
+func runAblationBarrier(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("adfinder", scale)
 	if err != nil {
 		return nil, err
@@ -224,7 +224,7 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 	}
 	gt := sampling.GenerateInstrProfile(instr.Bin, counters)
 
-	res := &AblationResult{Title: "Ablation — probe barrier strength (adfinder): overhead vs profile quality"}
+	res := &ablationResult{Title: "Ablation — probe barrier strength (adfinder): overhead vs profile quality"}
 	var plainCycles uint64 // the first row's
 	for i, c := range []struct {
 		name  string
@@ -251,7 +251,7 @@ func RunAblationBarrier(scale int) (*AblationResult, error) {
 			overlap := quality.BlockOverlap(c.build.FreshIR, prof, gt)
 			note = fmt.Sprintf("block overlap %.1f%%", 100*overlap)
 		}
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows = append(res.Rows, ablationRow{
 			Name:         c.name,
 			CyclesPerReq: float64(st.Cycles) / float64(len(w.Eval)),
 			ImprPct:      pct(st.Cycles, plainCycles) * -1,
@@ -283,9 +283,9 @@ func buildWithBarrier(files []*source.File, barrier opt.BarrierStrength) (*pgo.B
 	return &pgo.BuildResult{Bin: bin, IR: prog, FreshIR: fresh, Stats: stats}, nil
 }
 
-// RunAblationICP isolates indirect-call promotion on the dispatcher
+// runAblationICP isolates indirect-call promotion on the dispatcher
 // workload (probe-only profile): same profile, ICP on vs off.
-func RunAblationICP(scale int) (*AblationResult, error) {
+func runAblationICP(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("dispatcher", scale)
 	if err != nil {
 		return nil, err
@@ -302,7 +302,7 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 	}
 	prof := sampling.GenerateProbeProfile(base.Bin, samples, sampling.FlatOptions{})
 
-	res := &AblationResult{Title: "Ablation — indirect-call promotion (dispatcher, probe-only profile)"}
+	res := &ablationResult{Title: "Ablation — indirect-call promotion (dispatcher, probe-only profile)"}
 	for _, disable := range []bool{true, false} {
 		b, st, err := buildEval(w.Files, pgo.BuildConfig{Probes: true, Profile: prof, DisableICP: disable}, w.Eval)
 		if err != nil {
@@ -312,7 +312,7 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 		if !disable {
 			name = "ICP enabled"
 		}
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows = append(res.Rows, ablationRow{
 			Name:         name,
 			CyclesPerReq: float64(st.Cycles) / float64(len(w.Eval)),
 			TextBytes:    b.Bin.TextSize,
@@ -324,8 +324,8 @@ func RunAblationICP(scale int) (*AblationResult, error) {
 	return res, nil
 }
 
-// RunAblationLBRDepth compares context recovery at LBR depths 8/16/32.
-func RunAblationLBRDepth(scale int) (*AblationResult, error) {
+// runAblationLBRDepth compares context recovery at LBR depths 8/16/32.
+func runAblationLBRDepth(scale int) (*ablationResult, error) {
 	w, err := workloads.Load("haas", scale)
 	if err != nil {
 		return nil, err
@@ -334,12 +334,10 @@ func RunAblationLBRDepth(scale int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Title: "Ablation — LBR depth (haas, ranges & contexts recovered)"}
+	res := &ablationResult{Title: "Ablation — LBR depth (haas, ranges & contexts recovered)"}
 	for _, depth := range []int{8, 16, 32} {
-		cfg := sim.PMUConfig{
-			SamplePeriod: 797, LBRDepth: depth, PEBS: true,
-			SampleStacks: true, Jitter: true, Seed: 0x5eed,
-		}
+		cfg := sim.DefaultPMUConfig(pgo.DefaultProfileConfig().Period)
+		cfg.LBRDepth = depth
 		m := sim.New(base.Bin, sim.DefaultCostParams(), cfg)
 		for _, req := range w.Train {
 			if _, err := m.Run(req...); err != nil {
@@ -347,7 +345,7 @@ func RunAblationLBRDepth(scale int) (*AblationResult, error) {
 			}
 		}
 		prof, stats := sampling.GenerateCSSPGO(base.Bin, m.Samples(), sampling.DefaultCSSPGOOptions())
-		res.Rows = append(res.Rows, AblationRow{
+		res.Rows = append(res.Rows, ablationRow{
 			Name:         fmt.Sprintf("LBR depth %d", depth),
 			CyclesPerReq: float64(stats.Ranges),
 			TextBytes:    uint64(len(prof.Contexts)),

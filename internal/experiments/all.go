@@ -24,26 +24,26 @@ func experiment[R fmt.Stringer](name string, run func(int) (R, error)) Experimen
 // All lists every experiment in the order `experiments -run all` runs them.
 func All() []Experiment {
 	return []Experiment{
-		experiment("fig6", RunFig6),
-		experiment("fig7", RunFig7),
-		experiment("fig8", RunFig8),
-		experiment("fig9", RunFig9),
-		experiment("table1", RunTable1),
-		experiment("client", RunClient),
-		experiment("drift", RunDrift),
-		experiment("trim", RunTrim),
-		experiment("tailcall", RunTailCall),
-		experiment("ablation-preinliner", RunAblationPreInliner),
-		experiment("ablation-pebs", RunAblationPEBS),
-		experiment("ablation-inference", RunAblationInference),
-		experiment("ablation-barrier", RunAblationBarrier),
-		experiment("ablation-lbrdepth", RunAblationLBRDepth),
-		experiment("valueprofile", RunValueProfile),
-		experiment("ablation-icp", RunAblationICP),
-		experiment("driftmatrix", RunDriftMatrix),
-		experiment("corruption", RunCorruptionMatrix),
-		experiment("fleetfaults", RunFleetFaults),
-		experiment("overheadsweep", RunOverheadSweep),
+		experiment("fig6", runFig6),
+		experiment("fig7", runFig7),
+		experiment("fig8", runFig8),
+		experiment("fig9", runFig9),
+		experiment("table1", runTable1),
+		experiment("client", runClient),
+		experiment("drift", runDrift),
+		experiment("trim", runTrim),
+		experiment("tailcall", runTailCall),
+		experiment("ablation-preinliner", runAblationPreInliner),
+		experiment("ablation-pebs", runAblationPEBS),
+		experiment("ablation-inference", runAblationInference),
+		experiment("ablation-barrier", runAblationBarrier),
+		experiment("ablation-lbrdepth", runAblationLBRDepth),
+		experiment("valueprofile", runValueProfile),
+		experiment("ablation-icp", runAblationICP),
+		experiment("driftmatrix", driftMatrix),
+		experiment("corruption", corruptionMatrix),
+		experiment("fleetfaults", fleetFaults),
+		experiment("overheadsweep", runOverheadSweep),
 	}
 }
 

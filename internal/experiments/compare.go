@@ -11,8 +11,8 @@ import (
 	"csspgo/internal/workloads"
 )
 
-// VariantResult is one PGO variant's outcome on a workload.
-type VariantResult struct {
+// variantResult is one PGO variant's outcome on a workload.
+type variantResult struct {
 	Variant      pgo.Variant
 	Build        *pgo.BuildResult
 	Profile      *profdata.Profile
@@ -20,17 +20,17 @@ type VariantResult struct {
 	CyclesPerReq float64
 }
 
-// Comparison evaluates several PGO variants on one workload with identical
+// comparison evaluates several PGO variants on one workload with identical
 // train and eval streams.
-type Comparison struct {
+type comparison struct {
 	Workload *workloads.Workload
-	Results  map[pgo.Variant]*VariantResult
+	Results  map[pgo.Variant]*variantResult
 	Order    []pgo.Variant
 }
 
-// Compare trains, builds and evaluates each variant.
-func Compare(w *workloads.Workload, variants []pgo.Variant) (*Comparison, error) {
-	c := &Comparison{Workload: w, Results: map[pgo.Variant]*VariantResult{}}
+// compare trains, builds and evaluates each variant.
+func compare(w *workloads.Workload, variants []pgo.Variant) (*comparison, error) {
+	c := &comparison{Workload: w, Results: map[pgo.Variant]*variantResult{}}
 	for _, v := range variants {
 		res, prof, err := pgo.Pipeline(w.Files, v, w.Train)
 		if err != nil {
@@ -40,7 +40,7 @@ func Compare(w *workloads.Workload, variants []pgo.Variant) (*Comparison, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s eval: %w", w.Name, v, err)
 		}
-		c.Results[v] = &VariantResult{
+		c.Results[v] = &variantResult{
 			Variant:      v,
 			Build:        res,
 			Profile:      prof,
@@ -52,9 +52,9 @@ func Compare(w *workloads.Workload, variants []pgo.Variant) (*Comparison, error)
 	return c, nil
 }
 
-// ImprovementOver returns the percentage cycle improvement of variant v
+// improvementOver returns the percentage cycle improvement of variant v
 // over the base variant (positive = v is faster).
-func (c *Comparison) ImprovementOver(base, v pgo.Variant) float64 {
+func (c *comparison) improvementOver(base, v pgo.Variant) float64 {
 	b, x := c.Results[base], c.Results[v]
 	if b == nil || x == nil || b.Eval.Cycles == 0 {
 		return 0
@@ -62,8 +62,8 @@ func (c *Comparison) ImprovementOver(base, v pgo.Variant) float64 {
 	return 100 * (float64(b.Eval.Cycles) - float64(x.Eval.Cycles)) / float64(b.Eval.Cycles)
 }
 
-// SizeRatio returns variant v's text size relative to base (1.0 = equal).
-func (c *Comparison) SizeRatio(base, v pgo.Variant) float64 {
+// sizeRatio returns variant v's text size relative to base (1.0 = equal).
+func (c *comparison) sizeRatio(base, v pgo.Variant) float64 {
 	b, x := c.Results[base], c.Results[v]
 	if b == nil || x == nil || b.Build.Bin.TextSize == 0 {
 		return 0
@@ -76,8 +76,8 @@ func (c *Comparison) SizeRatio(base, v pgo.Variant) float64 {
 // a pipeline is deterministic, so a second run could only reproduce the first.
 var pipelines = struct {
 	sync.Mutex
-	m map[pipelineKey]*VariantResult
-}{m: map[pipelineKey]*VariantResult{}}
+	m map[pipelineKey]*variantResult
+}{m: map[pipelineKey]*variantResult{}}
 
 type pipelineKey struct {
 	workload string
@@ -87,18 +87,18 @@ type pipelineKey struct {
 
 // compareServer is Compare on a named workload at a scale, running only the
 // variants no earlier call has run.
-func compareServer(name string, scale int, variants []pgo.Variant) (*Comparison, error) {
+func compareServer(name string, scale int, variants []pgo.Variant) (*comparison, error) {
 	w, err := workloads.Load(name, scale)
 	if err != nil {
 		return nil, err
 	}
-	c := &Comparison{Workload: w, Results: map[pgo.Variant]*VariantResult{}, Order: variants}
+	c := &comparison{Workload: w, Results: map[pgo.Variant]*variantResult{}, Order: variants}
 	pipelines.Lock()
 	defer pipelines.Unlock()
 	for _, v := range variants {
 		key := pipelineKey{name, scale, v}
 		if pipelines.m[key] == nil {
-			one, err := Compare(w, []pgo.Variant{v})
+			one, err := compare(w, []pgo.Variant{v})
 			if err != nil {
 				return nil, err
 			}

@@ -20,11 +20,11 @@ import (
 
 // ------------------------------------------------------------ drift matrix
 
-// DriftCell is one workload × mutation measurement. Improvements are
+// driftCell is one workload × mutation measurement. Improvements are
 // percentage cycle reductions over the unprofiled (probed, -O2) build of the
 // mutated program; positive = faster. Recovered fractions are each stale
 // variant's share of the fresh-profile improvement (1.0 = no loss).
-type DriftCell struct {
+type driftCell struct {
 	Workload string
 	Mutation drift.Mutation
 
@@ -41,19 +41,19 @@ type DriftCell struct {
 	MatchQuality      float64 // mean over MatchedFuncs
 }
 
-// DriftMatrixResult is the full matrix.
-type DriftMatrixResult struct {
-	Rows []DriftCell
+// driftMatrixResult is the full matrix.
+type driftMatrixResult struct {
+	Rows []driftCell
 }
 
-// RunDriftMatrix measures graceful degradation under source drift across
+// driftMatrix measures graceful degradation under source drift across
 // the five server workloads and every mutation kind.
-func RunDriftMatrix(scale int) (*DriftMatrixResult, error) {
+func driftMatrix(scale int) (*driftMatrixResult, error) {
 	return runDriftMatrix(workloads.ServerNames(), drift.All(), scale, 11)
 }
 
-func runDriftMatrix(names []string, muts []drift.Mutation, scale int, seed uint64) (*DriftMatrixResult, error) {
-	out := &DriftMatrixResult{}
+func runDriftMatrix(names []string, muts []drift.Mutation, scale int, seed uint64) (*driftMatrixResult, error) {
+	out := &driftMatrixResult{}
 	for _, name := range names {
 		w, err := workloads.Load(name, scale)
 		if err != nil {
@@ -83,8 +83,8 @@ func runDriftMatrix(names []string, muts []drift.Mutation, scale int, seed uint6
 
 // runDriftCell builds and evaluates one mutated program under the three
 // profile regimes.
-func runDriftCell(w *workloads.Workload, oldProf *profdata.Profile, m drift.Mutation, seed uint64) (DriftCell, error) {
-	cell := DriftCell{Workload: w.Name, Mutation: m}
+func runDriftCell(w *workloads.Workload, oldProf *profdata.Profile, m drift.Mutation, seed uint64) (driftCell, error) {
+	cell := driftCell{Workload: w.Name, Mutation: m}
 	mfiles := drift.Apply(w.Files, m, seed)
 
 	// The unprofiled probed build is both the improvement baseline and the
@@ -133,7 +133,7 @@ func runDriftCell(w *workloads.Workload, oldProf *profdata.Profile, m drift.Muta
 	return cell, nil
 }
 
-func (r *DriftMatrixResult) String() string {
+func (r *driftMatrixResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("Drift matrix — % cycle improvement over unprofiled build of the mutated program\n")
 	fmt.Fprintf(&sb, "%-12s %-16s %8s %8s %8s %9s %9s %8s %8s\n",
@@ -148,12 +148,12 @@ func (r *DriftMatrixResult) String() string {
 
 // ------------------------------------------------------- corruption matrix
 
-// CorruptionCell is one workload × corruption × encoding measurement: the
+// corruptionCell is one workload × corruption × encoding measurement: the
 // profile artifact is damaged, decoded leniently and the surviving counts
 // (with stale matching on) drive a build. DecodeOK=false means even the
 // lenient reader had to give up (header destroyed) and the build ran
 // unprofiled — the bottom of the ladder, never a crash.
-type CorruptionCell struct {
+type corruptionCell struct {
 	Workload   string
 	Corruption drift.Corruption
 	Format     string // "text" or "binary"
@@ -166,20 +166,20 @@ type CorruptionCell struct {
 	Impr      float64 // corrupted profile, stale matching on
 }
 
-// CorruptionMatrixResult is the full matrix.
-type CorruptionMatrixResult struct {
-	Rows []CorruptionCell
+// corruptionMatrixResult is the full matrix.
+type corruptionMatrixResult struct {
+	Rows []corruptionCell
 }
 
-// RunCorruptionMatrix measures graceful degradation under profile-artifact
+// corruptionMatrix measures graceful degradation under profile-artifact
 // corruption across the five server workloads, both encodings and every
 // corruption kind.
-func RunCorruptionMatrix(scale int) (*CorruptionMatrixResult, error) {
+func corruptionMatrix(scale int) (*corruptionMatrixResult, error) {
 	return runCorruptionMatrix(workloads.ServerNames(), drift.AllCorruptions(), scale, 17)
 }
 
-func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale int, seed uint64) (*CorruptionMatrixResult, error) {
-	out := &CorruptionMatrixResult{}
+func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale int, seed uint64) (*corruptionMatrixResult, error) {
+	out := &corruptionMatrixResult{}
 	for _, name := range names {
 		w, err := workloads.Load(name, scale)
 		if err != nil {
@@ -203,7 +203,7 @@ func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale i
 		}
 		for _, format := range []string{"text", "binary"} {
 			for _, c := range corruptions {
-				cell := CorruptionCell{
+				cell := corruptionCell{
 					Workload:   name,
 					Corruption: c,
 					Format:     format,
@@ -243,7 +243,7 @@ func profiledImprovement(w *workloads.Workload, prof *profdata.Profile, baseCycl
 	return -pct(stats.Cycles, baseCycles), nil
 }
 
-func (r *CorruptionMatrixResult) String() string {
+func (r *corruptionMatrixResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("Corruption matrix — % cycle improvement over unprofiled build (damaged profile, stale matching on)\n")
 	fmt.Fprintf(&sb, "%-12s %-14s %-7s %7s %8s %8s %8s\n",

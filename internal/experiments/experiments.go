@@ -17,9 +17,9 @@ import (
 
 // ---------------------------------------------------------------- Fig. 6
 
-// Fig6Row is one workload's performance comparison (improvements are
+// fig6Row is one workload's performance comparison (improvements are
 // percentages over the AutoFDO baseline; positive = faster).
-type Fig6Row struct {
+type fig6Row struct {
 	Workload      string
 	ProbeOnlyImpr float64
 	FullCSImpr    float64
@@ -30,17 +30,17 @@ type Fig6Row struct {
 	ProbeShare float64
 }
 
-// Fig6Result is the full figure.
-type Fig6Result struct {
-	Rows []Fig6Row
+// fig6Result is the full figure.
+type fig6Result struct {
+	Rows []fig6Row
 }
 
-// RunFig6 reproduces Fig. 6: CSSPGO performance vs AutoFDO across the five
+// runFig6 reproduces Fig. 6: CSSPGO performance vs AutoFDO across the five
 // server workloads, with the probe-only breakdown, plus Instr PGO on hhvm
 // (the only workload the paper could instrument — here mirrored
 // deliberately).
-func RunFig6(scale int) (*Fig6Result, error) {
-	out := &Fig6Result{}
+func runFig6(scale int) (*fig6Result, error) {
+	out := &fig6Result{}
 	for _, name := range workloads.ServerNames() {
 		variants := []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS}
 		if name == "hhvm" {
@@ -50,13 +50,13 @@ func RunFig6(scale int) (*Fig6Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig6Row{
+		row := fig6Row{
 			Workload:      name,
-			ProbeOnlyImpr: c.ImprovementOver(pgo.AutoFDO, pgo.ProbeOnly),
-			FullCSImpr:    c.ImprovementOver(pgo.AutoFDO, pgo.FullCS),
+			ProbeOnlyImpr: c.improvementOver(pgo.AutoFDO, pgo.ProbeOnly),
+			FullCSImpr:    c.improvementOver(pgo.AutoFDO, pgo.FullCS),
 		}
 		if name == "hhvm" {
-			row.InstrImpr = c.ImprovementOver(pgo.AutoFDO, pgo.InstrPGO)
+			row.InstrImpr = c.improvementOver(pgo.AutoFDO, pgo.InstrPGO)
 			row.HasInstr = true
 		}
 		if row.FullCSImpr != 0 {
@@ -67,7 +67,7 @@ func RunFig6(scale int) (*Fig6Result, error) {
 	return out, nil
 }
 
-func (r *Fig6Result) String() string {
+func (r *fig6Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 6 — performance improvement over AutoFDO (%)\n")
 	fmt.Fprintf(&sb, "%-14s %12s %12s %12s %14s\n", "workload", "probe-only", "full CSSPGO", "Instr PGO", "probe share %")
@@ -83,7 +83,7 @@ func (r *Fig6Result) String() string {
 }
 
 // Gauges publishes both improvements per workload.
-func (r *Fig6Result) Gauges() map[string]float64 {
+func (r *fig6Result) Gauges() map[string]float64 {
 	g := map[string]float64{}
 	for _, row := range r.Rows {
 		g[row.Workload+".probeonly_impr_pct"] = row.ProbeOnlyImpr
@@ -94,40 +94,40 @@ func (r *Fig6Result) Gauges() map[string]float64 {
 
 // ---------------------------------------------------------------- Fig. 7
 
-// Fig7Row is one workload's code-size comparison (text bytes; ratios
+// fig7Row is one workload's code-size comparison (text bytes; ratios
 // relative to AutoFDO).
-type Fig7Row struct {
+type fig7Row struct {
 	Workload     string
 	AutoFDOBytes uint64
 	ProbeOnlyRel float64
 	FullCSRel    float64
 }
 
-// Fig7Result is the code-size figure.
-type Fig7Result struct {
-	Rows []Fig7Row
+// fig7Result is the code-size figure.
+type fig7Result struct {
+	Rows []fig7Row
 }
 
-// RunFig7 reproduces Fig. 7: code size of probe-only and full CSSPGO
+// runFig7 reproduces Fig. 7: code size of probe-only and full CSSPGO
 // relative to AutoFDO.
-func RunFig7(scale int) (*Fig7Result, error) {
-	out := &Fig7Result{}
+func runFig7(scale int) (*fig7Result, error) {
+	out := &fig7Result{}
 	for _, name := range workloads.ServerNames() {
 		c, err := compareServer(name, scale, []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS})
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, Fig7Row{
+		out.Rows = append(out.Rows, fig7Row{
 			Workload:     name,
 			AutoFDOBytes: c.Results[pgo.AutoFDO].Build.Bin.TextSize,
-			ProbeOnlyRel: c.SizeRatio(pgo.AutoFDO, pgo.ProbeOnly),
-			FullCSRel:    c.SizeRatio(pgo.AutoFDO, pgo.FullCS),
+			ProbeOnlyRel: c.sizeRatio(pgo.AutoFDO, pgo.ProbeOnly),
+			FullCSRel:    c.sizeRatio(pgo.AutoFDO, pgo.FullCS),
 		})
 	}
 	return out, nil
 }
 
-func (r *Fig7Result) String() string {
+func (r *fig7Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 7 — code size relative to AutoFDO (1.0 = equal)\n")
 	fmt.Fprintf(&sb, "%-14s %12s %12s %12s\n", "workload", "AutoFDO B", "probe-only", "full CSSPGO")
@@ -139,7 +139,7 @@ func (r *Fig7Result) String() string {
 }
 
 // Gauges publishes full CSSPGO's relative size per workload.
-func (r *Fig7Result) Gauges() map[string]float64 {
+func (r *fig7Result) Gauges() map[string]float64 {
 	g := map[string]float64{}
 	for _, row := range r.Rows {
 		g[row.Workload+".csspgo_sizerel"] = row.FullCSRel
@@ -149,8 +149,8 @@ func (r *Fig7Result) Gauges() map[string]float64 {
 
 // ---------------------------------------------------------------- Fig. 8
 
-// Fig8Row measures pseudo-instrumentation runtime overhead on one workload.
-type Fig8Row struct {
+// fig8Row measures pseudo-instrumentation runtime overhead on one workload.
+type fig8Row struct {
 	Workload         string
 	BaseCycles       uint64
 	ProbedCycles     uint64
@@ -158,17 +158,17 @@ type Fig8Row struct {
 	InstrOverheadPct float64 // counter instrumentation, for contrast
 }
 
-// Fig8Result is the probing-overhead figure.
-type Fig8Result struct {
-	Rows []Fig8Row
+// fig8Result is the probing-overhead figure.
+type fig8Result struct {
+	Rows []fig8Row
 }
 
-// RunFig8 reproduces Fig. 8: run-time overhead of pseudo-instrumentation
+// runFig8 reproduces Fig. 8: run-time overhead of pseudo-instrumentation
 // (probes inserted but materialized as metadata only) versus a plain build,
 // contrasted with real counter instrumentation (the Table I 73%-class
 // overhead).
-func RunFig8(scale int) (*Fig8Result, error) {
-	out := &Fig8Result{}
+func runFig8(scale int) (*fig8Result, error) {
+	out := &fig8Result{}
 	for _, name := range workloads.ServerNames() {
 		w, err := workloads.Load(name, scale)
 		if err != nil {
@@ -186,7 +186,7 @@ func RunFig8(scale int) (*Fig8Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, Fig8Row{
+		out.Rows = append(out.Rows, fig8Row{
 			Workload:         name,
 			BaseCycles:       sPlain.Cycles,
 			ProbedCycles:     sProbed.Cycles,
@@ -197,7 +197,7 @@ func RunFig8(scale int) (*Fig8Result, error) {
 	return out, nil
 }
 
-func (r *Fig8Result) String() string {
+func (r *fig8Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 8 — pseudo-instrumentation run-time overhead (%, vs plain -O2)\n")
 	fmt.Fprintf(&sb, "%-14s %14s %14s %16s\n", "workload", "probe ovh %", "instr ovh %", "(cycles plain)")
@@ -209,7 +209,7 @@ func (r *Fig8Result) String() string {
 }
 
 // Gauges publishes the probe overhead per workload.
-func (r *Fig8Result) Gauges() map[string]float64 {
+func (r *fig8Result) Gauges() map[string]float64 {
 	g := map[string]float64{}
 	for _, row := range r.Rows {
 		g[row.Workload+".probe_overhead_pct"] = row.ProbeOverheadPct
@@ -219,8 +219,8 @@ func (r *Fig8Result) Gauges() map[string]float64 {
 
 // ---------------------------------------------------------------- Fig. 9
 
-// Fig9Row is one workload's metadata-size breakdown.
-type Fig9Row struct {
+// fig9Row is one workload's metadata-size breakdown.
+type fig9Row struct {
 	Workload      string
 	TextBytes     uint64
 	DebugBytes    uint64
@@ -229,16 +229,16 @@ type Fig9Row struct {
 	DebugSharePct float64
 }
 
-// Fig9Result is the metadata-size figure.
-type Fig9Result struct {
-	Rows []Fig9Row
+// fig9Result is the metadata-size figure.
+type fig9Result struct {
+	Rows []fig9Row
 }
 
-// RunFig9 reproduces Fig. 9: the pseudo-probe metadata section's share of
+// runFig9 reproduces Fig. 9: the pseudo-probe metadata section's share of
 // total binary size (text + debug info + probe metadata), with the debug
 // info share for comparison.
-func RunFig9(scale int) (*Fig9Result, error) {
-	out := &Fig9Result{}
+func runFig9(scale int) (*fig9Result, error) {
+	out := &fig9Result{}
 	for _, name := range workloads.ServerNames() {
 		w, err := workloads.Load(name, scale)
 		if err != nil {
@@ -250,7 +250,7 @@ func RunFig9(scale int) (*Fig9Result, error) {
 		}
 		bin := probed.Bin
 		total := bin.TextSize + bin.DebugSize + bin.ProbeMetaSize
-		out.Rows = append(out.Rows, Fig9Row{
+		out.Rows = append(out.Rows, fig9Row{
 			Workload:      name,
 			TextBytes:     bin.TextSize,
 			DebugBytes:    bin.DebugSize,
@@ -262,7 +262,7 @@ func RunFig9(scale int) (*Fig9Result, error) {
 	return out, nil
 }
 
-func (r *Fig9Result) String() string {
+func (r *fig9Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Fig. 9 — size overhead of probe metadata (share of text+debug+probe)\n")
 	fmt.Fprintf(&sb, "%-14s %10s %10s %10s %12s %12s\n", "workload", "text B", "debug B", "probe B", "probe %", "debug %")
@@ -275,7 +275,7 @@ func (r *Fig9Result) String() string {
 }
 
 // Gauges publishes the probe metadata share per workload.
-func (r *Fig9Result) Gauges() map[string]float64 {
+func (r *fig9Result) Gauges() map[string]float64 {
 	g := map[string]float64{}
 	for _, row := range r.Rows {
 		g[row.Workload+".probemeta_share_pct"] = row.ProbeSharePct
@@ -285,8 +285,8 @@ func (r *Fig9Result) Gauges() map[string]float64 {
 
 // --------------------------------------------------------------- Table I
 
-// Table1Result holds the HHVM profile-quality and overhead comparison.
-type Table1Result struct {
+// table1Result holds the HHVM profile-quality and overhead comparison.
+type table1Result struct {
 	OverlapAutoFDO     float64
 	OverlapCSSPGO      float64
 	OverlapInstr       float64 // 1.0 by construction
@@ -295,10 +295,10 @@ type Table1Result struct {
 	OverheadInstrPct   float64
 }
 
-// RunTable1 reproduces Table I on the hhvm workload: block overlap degree
+// runTable1 reproduces Table I on the hhvm workload: block overlap degree
 // against instrumentation ground truth, plus profiling (training-run)
 // overhead of each collection mechanism.
-func RunTable1(scale int) (*Table1Result, error) {
+func runTable1(scale int) (*table1Result, error) {
 	w, err := workloads.Load("hhvm", scale)
 	if err != nil {
 		return nil, err
@@ -340,7 +340,7 @@ func RunTable1(scale int) (*Table1Result, error) {
 	gt := sampling.GenerateInstrProfile(instr.Bin, counters)
 
 	common := probed.FreshIR
-	res := &Table1Result{
+	res := &table1Result{
 		OverlapAutoFDO: quality.BlockOverlap(common, autofdoProf, gt),
 		OverlapCSSPGO:  quality.BlockOverlap(common, csProf, gt),
 		OverlapInstr:   quality.BlockOverlap(common, gt, gt),
@@ -355,7 +355,7 @@ func RunTable1(scale int) (*Table1Result, error) {
 	return res, nil
 }
 
-func (r *Table1Result) String() string {
+func (r *table1Result) String() string {
 	var sb strings.Builder
 	sb.WriteString("Table I — HHVM profile quality and profiling overhead\n")
 	fmt.Fprintf(&sb, "%-22s %10s %10s %10s\n", "", "AutoFDO", "CSSPGO", "Instr PGO")
@@ -367,7 +367,7 @@ func (r *Table1Result) String() string {
 }
 
 // Gauges publishes the two sampled overlaps and the instrumentation overhead.
-func (r *Table1Result) Gauges() map[string]float64 {
+func (r *table1Result) Gauges() map[string]float64 {
 	return map[string]float64{
 		"overlap_autofdo":    r.OverlapAutoFDO,
 		"overlap_csspgo":     r.OverlapCSSPGO,
@@ -377,35 +377,35 @@ func (r *Table1Result) Gauges() map[string]float64 {
 
 // ----------------------------------------------------- §IV.D client workload
 
-// ClientResult holds the clangish client-workload comparison.
-type ClientResult struct {
+// clientResult holds the clangish client-workload comparison.
+type clientResult struct {
 	CSSPGOImpr float64
 	CSSPGOSize float64 // relative to AutoFDO
 	InstrImpr  float64
 	InstrSize  float64
 }
 
-// RunClient reproduces §IV.D: the client workload (clangish) where short
+// runClient reproduces §IV.D: the client workload (clangish) where short
 // training runs starve sampling of coverage, widening the gap between
 // sampling-based and instrumentation-based PGO.
-func RunClient(scale int) (*ClientResult, error) {
+func runClient(scale int) (*clientResult, error) {
 	w, err := workloads.Load("clangish", scale)
 	if err != nil {
 		return nil, err
 	}
-	c, err := Compare(w, []pgo.Variant{pgo.AutoFDO, pgo.FullCS, pgo.InstrPGO})
+	c, err := compare(w, []pgo.Variant{pgo.AutoFDO, pgo.FullCS, pgo.InstrPGO})
 	if err != nil {
 		return nil, err
 	}
-	return &ClientResult{
-		CSSPGOImpr: c.ImprovementOver(pgo.AutoFDO, pgo.FullCS),
-		CSSPGOSize: c.SizeRatio(pgo.AutoFDO, pgo.FullCS),
-		InstrImpr:  c.ImprovementOver(pgo.AutoFDO, pgo.InstrPGO),
-		InstrSize:  c.SizeRatio(pgo.AutoFDO, pgo.InstrPGO),
+	return &clientResult{
+		CSSPGOImpr: c.improvementOver(pgo.AutoFDO, pgo.FullCS),
+		CSSPGOSize: c.sizeRatio(pgo.AutoFDO, pgo.FullCS),
+		InstrImpr:  c.improvementOver(pgo.AutoFDO, pgo.InstrPGO),
+		InstrSize:  c.sizeRatio(pgo.AutoFDO, pgo.InstrPGO),
 	}, nil
 }
 
-func (r *ClientResult) String() string {
+func (r *clientResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("§IV.D — client workload (clangish), vs AutoFDO\n")
 	fmt.Fprintf(&sb, "%-12s %12s %12s\n", "variant", "perf %", "size rel")
@@ -415,7 +415,7 @@ func (r *ClientResult) String() string {
 }
 
 // Gauges publishes both improvements over AutoFDO.
-func (r *ClientResult) Gauges() map[string]float64 {
+func (r *clientResult) Gauges() map[string]float64 {
 	return map[string]float64{
 		"csspgo_impr_pct": r.CSSPGOImpr,
 		"instr_impr_pct":  r.InstrImpr,
@@ -424,10 +424,10 @@ func (r *ClientResult) Gauges() map[string]float64 {
 
 // --------------------------------------------------------- §III.A drift
 
-// DriftResult measures source-drift resilience: a comment-only edit shifts
+// driftResult measures source-drift resilience: a comment-only edit shifts
 // every line; the stale-but-line-shifted profile is reused by both
 // correlation mechanisms.
-type DriftResult struct {
+type driftResult struct {
 	AutoFDOFreshImpr   float64 // improvement with a matching profile
 	AutoFDODriftedImpr float64 // improvement with the drifted profile
 	// The same pair with MCF inference disabled, isolating raw
@@ -439,19 +439,19 @@ type DriftResult struct {
 	StaleDetected           int // functions whose checksum caught real CFG change
 }
 
-// RunDrift reproduces the §III.A source-drift experiment on adfinder: every
+// runDrift reproduces the §III.A source-drift experiment on adfinder: every
 // function gains a two-line comment under its header (drift.ShiftLines), and
 // each variant reuses the profile collected on the pre-drift binary.
 // Line-offset correlation silently mis-annotates; probe-based correlation is
 // immune to line shifts (probe IDs and checksums are line-independent).
-func RunDrift(scale int) (*DriftResult, error) {
+func runDrift(scale int) (*driftResult, error) {
 	w, err := workloads.Load("adfinder", scale)
 	if err != nil {
 		return nil, err
 	}
 	drifted := drift.ShiftLines(w.Files, 2)
 
-	res := &DriftResult{}
+	res := &driftResult{}
 
 	// AutoFDO: train on the pristine binary.
 	base, baseStats, err := buildEval(w.Files, pgo.BuildConfig{Probes: false}, w.Eval)
@@ -513,7 +513,7 @@ func RunDrift(scale int) (*DriftResult, error) {
 	return res, nil
 }
 
-func (r *DriftResult) String() string {
+func (r *driftResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("§III.A — source drift (comment-only edit, profile reused)\n")
 	fmt.Fprintf(&sb, "%-22s %14s %14s %10s\n", "variant", "fresh impr %", "drifted impr %", "lost pp")
@@ -529,8 +529,8 @@ func (r *DriftResult) String() string {
 
 // --------------------------------------------------------- §III.B trimming
 
-// TrimResult quantifies the CS-profile size blowup and the trim mitigation.
-type TrimResult struct {
+// trimResult quantifies the CS-profile size blowup and the trim mitigation.
+type trimResult struct {
 	FlatBytes    int
 	FullCSBytes  int
 	TrimmedBytes int
@@ -545,11 +545,11 @@ type TrimResult struct {
 	TrimmedX        float64
 }
 
-// RunTrim reproduces the §III.B scalability discussion on haas (dense
+// runTrim reproduces the §III.B scalability discussion on haas (dense
 // dynamic call graph): full context-sensitive profiles are several times
 // larger than flat ones; trimming cold contexts brings them back to
 // comparable size.
-func RunTrim(scale int) (*TrimResult, error) {
+func runTrim(scale int) (*trimResult, error) {
 	w, err := workloads.Load("haas", scale)
 	if err != nil {
 		return nil, err
@@ -566,7 +566,7 @@ func RunTrim(scale int) (*TrimResult, error) {
 	flat := sampling.GenerateProbeProfile(base.Bin, samples, sampling.FlatOptions{Workers: pc.Workers})
 	cs, _ := sampling.GenerateCSSPGO(base.Bin, samples, sampling.CSSPGOOptions{TailCallInference: true, MaxContextDepth: 10, Workers: pc.Workers})
 
-	res := &TrimResult{
+	res := &trimResult{
 		FlatBytes:      flat.SizeBytes(),
 		FullCSBytes:    cs.SizeBytes(),
 		FlatBinBytes:   flat.BinarySizeBytes(),
@@ -586,7 +586,7 @@ func RunTrim(scale int) (*TrimResult, error) {
 	return res, nil
 }
 
-func (r *TrimResult) String() string {
+func (r *trimResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("§III.B — CS profile size and cold-context trimming (haas)\n")
 	fmt.Fprintf(&sb, "flat profile:      %8d B text   %8d B binary\n", r.FlatBytes, r.FlatBinBytes)
@@ -597,18 +597,18 @@ func (r *TrimResult) String() string {
 
 // ------------------------------------------------------ §III.B tail calls
 
-// TailCallResult quantifies missing-frame recovery.
-type TailCallResult struct {
+// tailCallResult quantifies missing-frame recovery.
+type tailCallResult struct {
 	MissingFrameEvents int
 	EventsRecovered    int
 	FramesRecovered    int
 	RecoveryRate       float64
 }
 
-// RunTailCall reproduces the §III.B missing-frame experiment on
+// runTailCall reproduces the §III.B missing-frame experiment on
 // adretriever (tail-call-eliminated pipeline stages): the share of missing
 // tail-call frames the DFS inferrer recovers (paper: more than two-thirds).
-func RunTailCall(scale int) (*TailCallResult, error) {
+func runTailCall(scale int) (*tailCallResult, error) {
 	w, err := workloads.Load("adretriever", scale)
 	if err != nil {
 		return nil, err
@@ -623,7 +623,7 @@ func RunTailCall(scale int) (*TailCallResult, error) {
 		return nil, err
 	}
 	_, stats := sampling.GenerateCSSPGO(base.Bin, samples, sampling.DefaultCSSPGOOptions())
-	res := &TailCallResult{
+	res := &tailCallResult{
 		MissingFrameEvents: stats.MissingFrameEvents,
 		EventsRecovered:    stats.EventsRecovered,
 		FramesRecovered:    stats.FramesRecovered,
@@ -634,7 +634,7 @@ func RunTailCall(scale int) (*TailCallResult, error) {
 	return res, nil
 }
 
-func (r *TailCallResult) String() string {
+func (r *tailCallResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("§III.B — tail-call missing-frame recovery (adretriever)\n")
 	fmt.Fprintf(&sb, "missing-frame events: %d\nevents repaired:      %d (%.0f%%)\nframes reinserted:    %d\n",
@@ -644,12 +644,12 @@ func (r *TailCallResult) String() string {
 
 // ---------------------------------------------- extension: value profiling
 
-// ValueProfileResult compares PGO variants on the indirect-dispatch
+// valueProfileResult compares PGO variants on the indirect-dispatch
 // workload, where instrumentation's exact value profiles drive more (and
 // more confident) indirect-call promotion than LBR-sampled target
 // histograms — the paper's acknowledged remaining advantage of Instr PGO
 // (§IV.A "value-profile-based optimizations").
-type ValueProfileResult struct {
+type valueProfileResult struct {
 	Rows []struct {
 		Variant    pgo.Variant
 		ImprPct    float64 // vs AutoFDO
@@ -657,29 +657,29 @@ type ValueProfileResult struct {
 	}
 }
 
-// RunValueProfile runs the extension experiment on the dispatcher workload.
-func RunValueProfile(scale int) (*ValueProfileResult, error) {
+// runValueProfile runs the extension experiment on the dispatcher workload.
+func runValueProfile(scale int) (*valueProfileResult, error) {
 	w, err := workloads.Load("dispatcher", scale)
 	if err != nil {
 		return nil, err
 	}
-	c, err := Compare(w, []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO})
+	c, err := compare(w, []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO})
 	if err != nil {
 		return nil, err
 	}
-	out := &ValueProfileResult{}
+	out := &valueProfileResult{}
 	for _, v := range []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO} {
 		r := c.Results[v]
 		out.Rows = append(out.Rows, struct {
 			Variant    pgo.Variant
 			ImprPct    float64
 			Promotions int
-		}{v, c.ImprovementOver(pgo.AutoFDO, v), r.Build.Stats.ICPromotions})
+		}{v, c.improvementOver(pgo.AutoFDO, v), r.Build.Stats.ICPromotions})
 	}
 	return out, nil
 }
 
-func (r *ValueProfileResult) String() string {
+func (r *valueProfileResult) String() string {
 	var sb strings.Builder
 	sb.WriteString("Extension — value profiling & indirect-call promotion (dispatcher)\n")
 	fmt.Fprintf(&sb, "%-12s %14s %12s\n", "variant", "impr vs AF %", "promotions")

@@ -16,11 +16,11 @@ func TestPGOBeatsBaselineOnServerWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compare(w, []pgo.Variant{pgo.Baseline, pgo.FullCS})
+		c, err := compare(w, []pgo.Variant{pgo.Baseline, pgo.FullCS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if impr := c.ImprovementOver(pgo.Baseline, pgo.FullCS); impr <= 0 {
+		if impr := c.improvementOver(pgo.Baseline, pgo.FullCS); impr <= 0 {
 			t.Errorf("%s: CSSPGO not faster than baseline (%+.2f%%)", name, impr)
 		}
 	}
@@ -37,11 +37,11 @@ func TestFullCSBeatsAutoFDO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := Compare(w, []pgo.Variant{pgo.AutoFDO, pgo.FullCS})
+		c, err := compare(w, []pgo.Variant{pgo.AutoFDO, pgo.FullCS})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if impr := c.ImprovementOver(pgo.AutoFDO, pgo.FullCS); impr <= 0 {
+		if impr := c.improvementOver(pgo.AutoFDO, pgo.FullCS); impr <= 0 {
 			t.Errorf("%s: CSSPGO not faster than AutoFDO (%+.2f%%)", name, impr)
 		}
 	}
@@ -51,7 +51,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunTable1(1)
+	r, err := runTable1(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestFig8ProbesNearZeroOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunFig8(1)
+	r, err := runFig8(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestDriftShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunDrift(1)
+	r, err := runDrift(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTrimShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunTrim(1)
+	r, err := runTrim(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestTailCallRecoveryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunTailCall(1)
+	r, err := runTailCall(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestClientWorkloadGapShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunClient(1)
+	r, err := runClient(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestClientWorkloadGapShape(t *testing.T) {
 }
 
 func TestCompareAccessors(t *testing.T) {
-	c := &Comparison{Results: map[pgo.Variant]*VariantResult{}}
-	if c.ImprovementOver(pgo.AutoFDO, pgo.FullCS) != 0 || c.SizeRatio(pgo.AutoFDO, pgo.FullCS) != 0 {
+	c := &comparison{Results: map[pgo.Variant]*variantResult{}}
+	if c.improvementOver(pgo.AutoFDO, pgo.FullCS) != 0 || c.sizeRatio(pgo.AutoFDO, pgo.FullCS) != 0 {
 		t.Fatal("missing variants should yield zero, not panic")
 	}
 }

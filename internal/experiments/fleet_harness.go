@@ -26,22 +26,22 @@ import (
 // injectable fault kind at a fixed incidence — how far the merged profile
 // drifts from the all-healthy merge. The pinned bound below is the
 // robustness contract: a 30%-faulty fleet must still aggregate to within
-// FleetOverlapBound context overlap of the healthy merge, the promotion
+// fleetOverlapBound context overlap of the healthy merge, the promotion
 // gate must promote exactly the candidates inside the bound, and a poisoned
 // candidate must be rejected with last-good preserved byte-for-byte.
 
 const (
-	// FleetInstances is the simulated fleet size of the full matrix.
-	FleetInstances = 10
-	// FleetFaultyInstances is how many instances each cell breaks (30%).
-	FleetFaultyInstances = 3
-	// FleetOverlapBound is the pinned floor on the context overlap between
+	// fleetInstances is the simulated fleet size of the full matrix.
+	fleetInstances = 10
+	// fleetFaultyInstances is how many instances each cell breaks (30%).
+	fleetFaultyInstances = 3
+	// fleetOverlapBound is the pinned floor on the context overlap between
 	// the faulty-fleet merge and the all-healthy merge of the same round.
-	FleetOverlapBound = 0.80
+	fleetOverlapBound = 0.80
 )
 
-// FleetFaultCell is one fault kind's measurement at the fixed incidence.
-type FleetFaultCell struct {
+// fleetFaultCell is one fault kind's measurement at the fixed incidence.
+type fleetFaultCell struct {
 	Fault  fleet.Fault
 	Faulty int // instances the fault was injected into
 
@@ -58,14 +58,14 @@ type FleetFaultCell struct {
 	Excluded     map[fleet.SourceState]int
 }
 
-// FleetFaultsResult is the full fault matrix plus the poisoned-candidate
+// fleetFaultsResult is the full fault matrix plus the poisoned-candidate
 // gate check.
-type FleetFaultsResult struct {
+type fleetFaultsResult struct {
 	Workload  string
 	Instances int
 	Bound     float64
 
-	Cells []FleetFaultCell
+	Cells []fleetFaultCell
 
 	// The poisoned-candidate check: a structurally valid profile with
 	// adversarially skewed counts must be rejected by the gate, and the
@@ -75,14 +75,14 @@ type FleetFaultsResult struct {
 	PoisonByteIdentical bool
 }
 
-// RunFleetFaults runs the fleet fault matrix: FleetInstances simulated
+// runFleetFaults runs the fleet fault matrix: fleetInstances simulated
 // serve instances over loopback HTTP, every fault kind injected into
-// FleetFaultyInstances of them, merged under quota/freshness/breaker policy
+// fleetFaultyInstances of them, merged under quota/freshness/breaker policy
 // and gated. It returns an error if any cell violates the pinned contract,
 // so `experiments -run fleetfaults` fails loudly instead of printing a
 // quietly-degraded table.
-func RunFleetFaults(scale int) (*FleetFaultsResult, error) {
-	res, err := runFleetFaults("adranker", FleetInstances, FleetFaultyInstances, scale, 23)
+func fleetFaults(scale int) (*fleetFaultsResult, error) {
+	res, err := runFleetFaults("adranker", fleetInstances, fleetFaultyInstances, scale, 23)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ type fleetInstance struct {
 	url      string
 }
 
-func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) (*FleetFaultsResult, error) {
+func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) (*fleetFaultsResult, error) {
 	if faulty >= instances {
 		return nil, fmt.Errorf("fleet harness: %d faulty of %d instances", faulty, instances)
 	}
@@ -151,7 +151,7 @@ func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) 
 		insts[i] = inst
 	}
 
-	out := &FleetFaultsResult{Workload: workload, Instances: instances, Bound: FleetOverlapBound}
+	out := &fleetFaultsResult{Workload: workload, Instances: instances, Bound: fleetOverlapBound}
 	for _, f := range fleet.AllFaults() {
 		cell, err := runFleetFaultCell(insts, f, faulty, seed)
 		if err != nil {
@@ -168,7 +168,7 @@ func runFleetFaults(workload string, instances, faulty, scale int, seed uint64) 
 	if err != nil {
 		return nil, err
 	}
-	prom := fleet.NewPromoter(fleet.PromoteConfig{MinOverlap: FleetOverlapBound}, nil)
+	prom := fleet.NewPromoter(fleet.PromoteConfig{MinOverlap: fleetOverlapBound}, nil)
 	art, _ := prom.Promote(healthy.Clone(), nil)
 	if art == nil {
 		return nil, fmt.Errorf("fleet harness: seeding promoter failed")
@@ -233,8 +233,8 @@ func healthyMerge(insts []*fleetInstance, seed uint64) (*profdata.Profile, error
 // also fixes the all-healthy reference merge), then the fault injected into
 // the first `faulty` instances and a second round aggregated under the same
 // policy.
-func runFleetFaultCell(insts []*fleetInstance, f fleet.Fault, faulty int, seed uint64) (FleetFaultCell, error) {
-	cell := FleetFaultCell{Fault: f, Faulty: faulty, Excluded: map[fleet.SourceState]int{}}
+func runFleetFaultCell(insts []*fleetInstance, f fleet.Fault, faulty int, seed uint64) (fleetFaultCell, error) {
+	cell := fleetFaultCell{Fault: f, Faulty: faulty, Excluded: map[fleet.SourceState]int{}}
 
 	// Advance every instance one generation, remembering the outgoing
 	// payload as the stale epoch a faulty replica would serve.
@@ -280,11 +280,11 @@ func runFleetFaultCell(insts []*fleetInstance, f fleet.Fault, faulty int, seed u
 	}
 
 	cell.Overlap = quality.DiffProfiles(warm.Merged, round.Merged).ContextOverlap
-	cell.WithinBound = cell.Overlap >= FleetOverlapBound
+	cell.WithinBound = cell.Overlap >= fleetOverlapBound
 
 	// The promotion gate sees exactly what `csspgo fleet` would hand it:
 	// last-good = the healthy merge, candidate = the faulty-round merge.
-	prom := fleet.NewPromoter(fleet.PromoteConfig{MinOverlap: FleetOverlapBound}, nil)
+	prom := fleet.NewPromoter(fleet.PromoteConfig{MinOverlap: fleetOverlapBound}, nil)
 	if art, _ := prom.Promote(warm.Merged, nil); art == nil {
 		return cell, fmt.Errorf("seeding promoter failed")
 	}
@@ -295,7 +295,7 @@ func runFleetFaultCell(insts []*fleetInstance, f fleet.Fault, faulty int, seed u
 }
 
 // Check enforces the pinned contract the matrix exists to prove.
-func (r *FleetFaultsResult) Check() error {
+func (r *fleetFaultsResult) Check() error {
 	for _, c := range r.Cells {
 		if !c.WithinBound {
 			return fmt.Errorf("fleet harness: %s at %d/%d faulty: overlap %.4f below pinned bound %.2f",
@@ -318,7 +318,7 @@ func (r *FleetFaultsResult) Check() error {
 	return nil
 }
 
-func (r *FleetFaultsResult) String() string {
+func (r *fleetFaultsResult) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fleet fault matrix — %s, %d instances, %d faulty, overlap bound %.2f\n",
 		r.Workload, r.Instances, firstFaulty(r), r.Bound)
@@ -345,7 +345,7 @@ func (r *FleetFaultsResult) String() string {
 
 // Gauges publishes every cell's overlap and surviving sources, the bound
 // and the poisoned candidate's overlap.
-func (r *FleetFaultsResult) Gauges() map[string]float64 {
+func (r *fleetFaultsResult) Gauges() map[string]float64 {
 	g := map[string]float64{"overlap_bound": r.Bound, "poison_overlap": r.PoisonOverlap}
 	for _, c := range r.Cells {
 		// Fault names use '-', the metric grammar wants '_'.
@@ -356,7 +356,7 @@ func (r *FleetFaultsResult) Gauges() map[string]float64 {
 	return g
 }
 
-func firstFaulty(r *FleetFaultsResult) int {
+func firstFaulty(r *fleetFaultsResult) int {
 	if len(r.Cells) == 0 {
 		return 0
 	}

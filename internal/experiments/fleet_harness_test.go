@@ -22,27 +22,27 @@ func TestFleetFaultMatrixSmall(t *testing.T) {
 		t.Fatalf("cells = %d, want one per fault kind", len(res.Cells))
 	}
 
-	byFault := map[fleet.Fault]FleetFaultCell{}
+	byFault := map[string]fleetFaultCell{}
 	for _, c := range res.Cells {
-		byFault[c.Fault] = c
+		byFault[c.Fault.String()] = c
 	}
 	// Hard faults exclude exactly the broken instance.
-	for _, f := range []fleet.Fault{fleet.FaultOutage, fleet.FaultHang, fleet.FaultSlowDrip} {
+	for _, f := range []string{"outage", "hang", "slow-drip"} {
 		c := byFault[f]
-		if c.Healthy != 3 || c.Excluded[fleet.StateFetchFailed] != 1 {
+		if c.Healthy != 3 || c.Excluded["fetch-failed"] != 1 {
 			t.Fatalf("%s: healthy=%d excluded=%v", f, c.Healthy, c.Excluded)
 		}
 	}
 	// A stale-epoch replica is rejected by generation monotonicity.
-	if c := byFault[fleet.FaultStaleEpoch]; c.Replays != 1 || c.Healthy != 3 {
+	if c := byFault["stale-epoch"]; c.Replays != 1 || c.Healthy != 3 {
 		t.Fatalf("stale-epoch: replays=%d healthy=%d", c.Replays, c.Healthy)
 	}
 	// A flapping source is absorbed by the retry budget — nothing excluded.
-	if c := byFault[fleet.FaultFlap]; c.Healthy != 4 {
+	if c := byFault["flap"]; c.Healthy != 4 {
 		t.Fatalf("flap: healthy=%d excluded=%v", c.Healthy, c.Excluded)
 	}
 	// A truncated payload still contributes its decodable prefix.
-	if c := byFault[fleet.FaultTruncate]; c.Skipped == 0 {
+	if c := byFault["truncate"]; c.Skipped == 0 {
 		t.Fatalf("truncate: no skipped records surfaced")
 	}
 

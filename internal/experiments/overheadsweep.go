@@ -11,14 +11,14 @@ import (
 	"csspgo/internal/workloads"
 )
 
-// OverheadSweepPeriods is the sampling-period axis of the Pareto sweep,
+// overheadSweepPeriods is the sampling-period axis of the Pareto sweep,
 // densest first: the densest period is the quality reference the other
 // points' context overlap is measured against.
-func OverheadSweepPeriods() []uint64 { return []uint64{199, 797, 3203, 12799} }
+func overheadSweepPeriods() []uint64 { return []uint64{199, 797, 3203, 12799} }
 
-// OverheadSweepRow is one point on the overhead/quality Pareto surface:
+// overheadSweepRow is one point on the overhead/quality Pareto surface:
 // one sampling period, aggregated across the Fig. 6 server corpus.
-type OverheadSweepRow struct {
+type overheadSweepRow struct {
 	Period  uint64
 	Samples uint64 // total samples across the corpus
 	// OverheadPct is aggregate profiling overhead: summed attributed
@@ -33,14 +33,14 @@ type OverheadSweepRow struct {
 	HotUncertain int
 }
 
-// OverheadSweepResult is the Pareto sweep over sampling periods.
-type OverheadSweepResult struct {
+// overheadSweepResult is the Pareto sweep over sampling periods.
+type overheadSweepResult struct {
 	Workloads []string
-	Rows      []OverheadSweepRow
+	Rows      []overheadSweepRow
 }
 
 // String renders the Pareto table.
-func (r *OverheadSweepResult) String() string {
+func (r *overheadSweepResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Overhead/quality Pareto sweep (%s)\n", strings.Join(r.Workloads, ", "))
 	fmt.Fprintf(&b, "%8s %10s %12s %16s %8s %8s\n",
@@ -54,7 +54,7 @@ func (r *OverheadSweepResult) String() string {
 }
 
 // Gauges publishes every period's point on the curve.
-func (r *OverheadSweepResult) Gauges() map[string]float64 {
+func (r *overheadSweepResult) Gauges() map[string]float64 {
 	g := map[string]float64{}
 	for _, row := range r.Rows {
 		p := fmt.Sprintf("p%d", row.Period)
@@ -65,13 +65,13 @@ func (r *OverheadSweepResult) Gauges() map[string]float64 {
 	return g
 }
 
-// RunOverheadSweep sweeps the sampling period over the Fig. 6 server corpus
+// runOverheadSweep sweeps the sampling period over the Fig. 6 server corpus
 // under the profiling cost model and traces the overhead-vs-quality curve:
 // denser sampling costs more interrupt cycles and buys higher context
 // overlap against the densest-period reference profile.
-func RunOverheadSweep(scale int) (*OverheadSweepResult, error) {
+func runOverheadSweep(scale int) (*overheadSweepResult, error) {
 	names := workloads.ServerNames()
-	periods := OverheadSweepPeriods()
+	periods := overheadSweepPeriods()
 	type wl struct {
 		train [][]int64
 		bin   *machine.Prog
@@ -89,13 +89,13 @@ func RunOverheadSweep(scale int) (*OverheadSweepResult, error) {
 		corpus = append(corpus, wl{train: w.Train, bin: built.Bin})
 	}
 
-	res := &OverheadSweepResult{Workloads: names}
+	res := &overheadSweepResult{Workloads: names}
 	// refs[i] is workload i's profile at the densest (first) period.
 	refs := make([]*profdata.Profile, len(corpus))
 	for pi, period := range periods {
 		pc := pgo.DefaultProfileConfig()
 		pc.Period = period
-		row := OverheadSweepRow{Period: period}
+		row := overheadSweepRow{Period: period}
 		var appCycles, ohCycles uint64
 		var overlapSum float64
 		for wi := range corpus {

@@ -12,11 +12,11 @@ func TestOverheadSweepMonotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunOverheadSweep(1)
+	res, err := runOverheadSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Rows), len(OverheadSweepPeriods()); got != want {
+	if got, want := len(res.Rows), len(overheadSweepPeriods()); got != want {
 		t.Fatalf("%d rows, want %d", got, want)
 	}
 	for i, row := range res.Rows {

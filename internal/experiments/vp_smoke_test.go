@@ -10,7 +10,7 @@ func TestValueProfileExtension(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r, err := RunValueProfile(2)
+	r, err := runValueProfile(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,10 +32,6 @@ type Source struct {
 	pending []obs.Event
 }
 
-// Breaker exposes the source's circuit breaker (nil before the source is
-// adopted by an aggregator).
-func (s *Source) Breaker() *Breaker { return s.breaker }
-
 // Config tunes one aggregator.
 type Config struct {
 	Fetch   FetchConfig
@@ -68,12 +64,12 @@ type SourceState string
 // Source outcomes. Only StateMerged contributes to the merged profile.
 const (
 	StateMerged       SourceState = "merged"
-	StateBreakerOpen  SourceState = "breaker-open"
-	StateFetchFailed  SourceState = "fetch-failed"
-	StateDecodeFailed SourceState = "decode-failed"
+	stateBreakerOpen  SourceState = "breaker-open"
+	stateFetchFailed  SourceState = "fetch-failed"
+	stateDecodeFailed SourceState = "decode-failed"
 	StateEpochReplay  SourceState = "epoch-replay"
-	StateStale        SourceState = "stale"
-	StateKindMismatch SourceState = "kind-mismatch"
+	stateStale        SourceState = "stale"
+	stateKindMismatch SourceState = "kind-mismatch"
 )
 
 // SourceOutcome is one source's result in one aggregation round.
@@ -129,7 +125,7 @@ func (r *Round) Summary() string {
 type Aggregator struct {
 	cfg     Config
 	sources []*Source
-	fetcher *Fetcher
+	fetcher *fetcher
 	reg     *obs.Registry
 	now     func() time.Time
 	round   uint64 // rounds completed + 1 during RoundOnce (1-based)
@@ -152,14 +148,14 @@ func NewAggregator(sources []*Source, cfg Config, reg *obs.Registry) *Aggregator
 		now = time.Now
 	}
 	for _, s := range sources {
-		s.breaker = NewBreaker(cfg.Breaker, now)
+		s.breaker = newBreaker(cfg.Breaker, now)
 		if s.Weight == 0 {
 			s.Weight = 1
 		}
 		// Journal every breaker transition. The hook fires on the source's
 		// own poll goroutine, so buffering into pending is race-free.
 		src := s
-		s.breaker.SetTransitionHook(func(from, to BreakerState) {
+		s.breaker.setTransitionHook(func(from, to BreakerState) {
 			src.pending = append(src.pending, obs.Event{
 				Type:   breakerEventType(to),
 				Source: src.Name,
@@ -170,16 +166,16 @@ func NewAggregator(sources []*Source, cfg Config, reg *obs.Registry) *Aggregator
 	return &Aggregator{
 		cfg:     cfg,
 		sources: sources,
-		fetcher: NewFetcher(cfg.Fetch),
+		fetcher: newFetcher(cfg.Fetch),
 		reg:     reg,
 		now:     now,
 		conf:    map[string]*overhead.ConfidenceReport{},
 	}
 }
 
-// SourceConfidence is one source's profile-confidence summary, the
+// sourceConfidence is one source's profile-confidence summary, the
 // fleet-level aggregation the status server's /overhead endpoint reports.
-type SourceConfidence struct {
+type sourceConfidence struct {
 	Source           string `json:"source"`
 	TotalSamples     uint64 `json:"total_samples"`
 	HotConfident     int    `json:"hot_confident"`
@@ -187,18 +183,18 @@ type SourceConfidence struct {
 	ColdInstrumented int    `json:"cold_instrumented"`
 }
 
-// ConfidenceSummaries returns the latest per-source confidence summaries,
+// confidenceSummaries returns the latest per-source confidence summaries,
 // in fleet order (sources that never decoded a profile are omitted).
-func (a *Aggregator) ConfidenceSummaries() []SourceConfidence {
+func (a *Aggregator) confidenceSummaries() []sourceConfidence {
 	a.confMu.Lock()
 	defer a.confMu.Unlock()
-	var out []SourceConfidence
+	var out []sourceConfidence
 	for _, s := range a.sources {
 		c := a.conf[s.Name]
 		if c == nil {
 			continue
 		}
-		out = append(out, SourceConfidence{
+		out = append(out, sourceConfidence{
 			Source:           s.Name,
 			TotalSamples:     c.TotalSamples,
 			HotConfident:     c.HotConfident,
@@ -230,9 +226,6 @@ func (a *Aggregator) observeConfidence(s *Source, prof *profdata.Profile) {
 		})
 	}
 }
-
-// Sources returns the fleet in order.
-func (a *Aggregator) Sources() []*Source { return a.sources }
 
 // RoundOnce fetches every admissible source once (concurrently, each under
 // its own deadline/retry budget), applies freshness, epoch, quota and
@@ -274,7 +267,7 @@ func (a *Aggregator) RoundOnce(ctx context.Context) *Round {
 			if len(shards) == 0 {
 				kind = p.Kind
 			} else if p.Kind != kind {
-				o.State = StateKindMismatch
+				o.State = stateKindMismatch
 				o.Err = fmt.Sprintf("profile kind %s, fleet merges %s", p.Kind, kind)
 				o.Samples = 0
 				a.reg.Counter(obs.MFleetDecodeFailures).Add(1)
@@ -299,7 +292,7 @@ func (a *Aggregator) RoundOnce(ctx context.Context) *Round {
 	}
 	msp.End()
 	low := 0
-	for _, sc := range a.ConfidenceSummaries() {
+	for _, sc := range a.confidenceSummaries() {
 		if sc.HotUncertain > 0 {
 			low++
 		}
@@ -315,9 +308,9 @@ func (a *Aggregator) RoundOnce(ctx context.Context) *Round {
 // breakerEventType maps a breaker's post-transition state to its event.
 func breakerEventType(to BreakerState) obs.EventType {
 	switch to {
-	case BreakerOpen:
+	case breakerOpen:
 		return obs.EvBreakerOpen
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return obs.EvBreakerHalfOpen
 	default:
 		return obs.EvBreakerClose
@@ -362,8 +355,8 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 	before := s.breaker.Stats()
 	defer func() { a.publishBreakerDelta(before, s.breaker.Stats()) }()
 
-	if !s.breaker.Allow() {
-		o.State = StateBreakerOpen
+	if !s.breaker.allow() {
+		o.State = stateBreakerOpen
 		o.Err = "circuit breaker open"
 		return o, nil
 	}
@@ -373,7 +366,7 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 	// round's trace.
 	psp := parent.Span("fleet.poll", obs.A("source", s.Name))
 	defer psp.End()
-	res, err := a.fetcher.Fetch(ctx, s.URL, psp.Context().Traceparent())
+	res, err := a.fetcher.fetch(ctx, s.URL, psp.Context().Traceparent())
 	o.Attempts = res.Attempts
 	a.reg.Grouped(func() {
 		a.reg.Counter(obs.MFleetFetchAttempts).Add(int64(res.Attempts))
@@ -382,9 +375,9 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 		}
 	})
 	if err != nil {
-		s.breaker.OnFailure()
+		s.breaker.onFailure()
 		a.reg.Counter(obs.MFleetFetchFailures).Add(1)
-		o.State = StateFetchFailed
+		o.State = stateFetchFailed
 		o.Err = err.Error()
 		return o, nil
 	}
@@ -402,9 +395,9 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 	if err != nil {
 		// A payload even the lenient decoder rejects is a source fault, the
 		// same as a failed fetch: it counts against the breaker.
-		s.breaker.OnFailure()
+		s.breaker.onFailure()
 		a.reg.Counter(obs.MFleetDecodeFailures).Add(1)
-		o.State = StateDecodeFailed
+		o.State = stateDecodeFailed
 		o.Err = err.Error()
 		return o, nil
 	}
@@ -424,7 +417,7 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 			// A generation older than one we already saw: a replayed or
 			// rolled-back artifact. Reject it and count it against the
 			// breaker — a replaying source is a faulty source.
-			s.breaker.OnFailure()
+			s.breaker.onFailure()
 			a.reg.Counter(obs.MFleetEpochReplays).Add(1)
 			o.State = StateEpochReplay
 			o.Err = fmt.Sprintf("generation %d older than observed %d", res.Generation, s.lastGen)
@@ -439,7 +432,7 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 
 	// The source answered correctly — it is healthy HTTP-wise even if its
 	// data is stale, so the breaker hears success either way.
-	s.breaker.OnSuccess()
+	s.breaker.onSuccess()
 	if stale {
 		a.reg.Counter(obs.MFleetStaleDrops).Add(1)
 		s.pending = append(s.pending, obs.Event{
@@ -447,7 +440,7 @@ func (a *Aggregator) pollSource(ctx context.Context, s *Source, parent *obs.Span
 			Metrics: map[string]float64{"generation": float64(o.Generation)},
 			Detail:  fmt.Sprintf("generation stagnant beyond %s", a.cfg.Freshness),
 		})
-		o.State = StateStale
+		o.State = stateStale
 		o.Err = fmt.Sprintf("generation %d stagnant beyond %s", o.Generation, a.cfg.Freshness)
 		return o, nil
 	}

@@ -197,7 +197,7 @@ func TestAggregateIngestBitFlippedBinary(t *testing.T) {
 
 		o := outcomeFor(t, round, "rot")
 		if wantErr != nil {
-			if o.State != StateDecodeFailed {
+			if o.State != stateDecodeFailed {
 				t.Fatalf("seed %d: state = %s, want decode-failed (%v)", seed, o.State, wantErr)
 			}
 			if reg.Counter(obs.MFleetDecodeFailures).Value() != 1 {
@@ -266,13 +266,13 @@ func TestAggregateFreshnessWindow(t *testing.T) {
 	}
 	clock.advance(11 * time.Second) // same generation, past the window
 	o := outcomeFor(t, agg.RoundOnce(context.Background()), "s")
-	if o.State != StateStale {
+	if o.State != stateStale {
 		t.Fatalf("state = %s, want stale", o.State)
 	}
 	if reg.Counter(obs.MFleetStaleDrops).Value() != 1 {
 		t.Fatalf("stale drop not counted")
 	}
-	if agg.Sources()[0].Breaker().State() != BreakerClosed {
+	if agg.sources[0].breaker.State() != breakerClosed {
 		t.Fatalf("staleness tripped the breaker")
 	}
 	// A new generation revives the source.
@@ -340,7 +340,7 @@ func TestAggregateBreakerQuarantine(t *testing.T) {
 	// Two failed rounds trip the threshold-2 breaker.
 	for i := 0; i < 2; i++ {
 		r := agg.RoundOnce(context.Background())
-		if o := outcomeFor(t, r, "bad"); o.State != StateFetchFailed {
+		if o := outcomeFor(t, r, "bad"); o.State != stateFetchFailed {
 			t.Fatalf("round %d: bad state = %s", i, o.State)
 		}
 		if r.Healthy != 1 || r.Merged == nil {
@@ -349,7 +349,7 @@ func TestAggregateBreakerQuarantine(t *testing.T) {
 	}
 	reqs := badCalls.Load()
 	r := agg.RoundOnce(context.Background())
-	if o := outcomeFor(t, r, "bad"); o.State != StateBreakerOpen {
+	if o := outcomeFor(t, r, "bad"); o.State != stateBreakerOpen {
 		t.Fatalf("state = %s, want breaker-open", o.State)
 	}
 	if badCalls.Load() != reqs {
@@ -380,7 +380,7 @@ func TestAggregateKindMismatchExcluded(t *testing.T) {
 		{Name: "line", URL: sl.URL},
 	}, testAggConfig(), obs.NewRegistry())
 	round := agg.RoundOnce(context.Background())
-	if o := outcomeFor(t, round, "line"); o.State != StateKindMismatch {
+	if o := outcomeFor(t, round, "line"); o.State != stateKindMismatch {
 		t.Fatalf("line source state = %s, want kind-mismatch", o.State)
 	}
 	if round.Merged == nil || round.Merged.Kind != profdata.ProbeBased {

@@ -17,16 +17,16 @@ type BreakerState uint8
 // Breaker states. Closed passes traffic; Open short-circuits it; HalfOpen
 // lets probe traffic through to decide between the two.
 const (
-	BreakerClosed BreakerState = iota
-	BreakerOpen
-	BreakerHalfOpen
+	breakerClosed BreakerState = iota
+	breakerOpen
+	breakerHalfOpen
 )
 
 func (s BreakerState) String() string {
 	switch s {
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	default:
 		return "closed"
@@ -87,19 +87,19 @@ type Breaker struct {
 	stats     BreakerStats
 }
 
-// NewBreaker returns a closed breaker. A nil clock means time.Now.
-func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
+// newBreaker returns a closed breaker. A nil clock means time.Now.
+func newBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 	if now == nil {
 		now = time.Now
 	}
 	return &Breaker{cfg: cfg.withDefaults(), now: now}
 }
 
-// SetTransitionHook installs a callback fired on every state transition
+// setTransitionHook installs a callback fired on every state transition
 // (including the lazy open -> half-open flip inside State). The hook runs
 // on the goroutine driving the breaker, with the transition already
 // applied; the aggregator uses it to journal breaker events.
-func (b *Breaker) SetTransitionHook(hook func(from, to BreakerState)) { b.hook = hook }
+func (b *Breaker) setTransitionHook(hook func(from, to BreakerState)) { b.hook = hook }
 
 func (b *Breaker) transitioned(from, to BreakerState) {
 	if b.hook != nil {
@@ -110,50 +110,50 @@ func (b *Breaker) transitioned(from, to BreakerState) {
 // State returns the current state, first applying any due open -> half-open
 // transition (cooldown expiry is observed lazily, on the next call).
 func (b *Breaker) State() BreakerState {
-	if b.state == BreakerOpen && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
-		b.state = BreakerHalfOpen
+	if b.state == breakerOpen && b.now().Sub(b.openedAt) >= b.cfg.Cooldown {
+		b.state = breakerHalfOpen
 		b.successes = 0
 		b.stats.HalfOpens++
-		b.transitioned(BreakerOpen, BreakerHalfOpen)
+		b.transitioned(breakerOpen, breakerHalfOpen)
 	}
 	return b.state
 }
 
-// Allow reports whether a call may proceed. Open short-circuits (and counts
+// allow reports whether a call may proceed. Open short-circuits (and counts
 // it); closed and half-open let the call through.
-func (b *Breaker) Allow() bool {
-	if b.State() == BreakerOpen {
+func (b *Breaker) allow() bool {
+	if b.State() == breakerOpen {
 		b.stats.ShortCircuits++
 		return false
 	}
 	return true
 }
 
-// OnSuccess records a successful call.
-func (b *Breaker) OnSuccess() {
+// onSuccess records a successful call.
+func (b *Breaker) onSuccess() {
 	switch b.State() {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		b.successes++
 		if b.successes >= b.cfg.HalfOpenSuccesses {
-			b.state = BreakerClosed
+			b.state = breakerClosed
 			b.failures = 0
 			b.successes = 0
 			b.stats.Closes++
-			b.transitioned(BreakerHalfOpen, BreakerClosed)
+			b.transitioned(breakerHalfOpen, breakerClosed)
 		}
-	case BreakerClosed:
+	case breakerClosed:
 		b.failures = 0
 	}
 }
 
-// OnFailure records a failed call. A half-open probe failure reopens the
+// onFailure records a failed call. A half-open probe failure reopens the
 // breaker immediately; in closed state the consecutive-failure count trips
 // it at the threshold.
-func (b *Breaker) OnFailure() {
+func (b *Breaker) onFailure() {
 	switch b.State() {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		b.trip()
-	case BreakerClosed:
+	case breakerClosed:
 		b.failures++
 		if b.failures >= b.cfg.FailureThreshold {
 			b.trip()
@@ -163,12 +163,12 @@ func (b *Breaker) OnFailure() {
 
 func (b *Breaker) trip() {
 	from := b.state
-	b.state = BreakerOpen
+	b.state = breakerOpen
 	b.openedAt = b.now()
 	b.failures = 0
 	b.successes = 0
 	b.stats.Opens++
-	b.transitioned(from, BreakerOpen)
+	b.transitioned(from, breakerOpen)
 }
 
 // Stats returns the transition counters accumulated so far.

@@ -20,16 +20,16 @@ func TestBreakerTransitionSequence(t *testing.T) {
 	clock := newFakeClock()
 	b := newTestBreaker(clock, BreakerConfig{FailureThreshold: 2, Cooldown: 10 * time.Second, HalfOpenSuccesses: 1})
 	var got []transition
-	b.SetTransitionHook(func(from, to BreakerState) {
+	b.setTransitionHook(func(from, to BreakerState) {
 		got = append(got, transition{from, to})
 	})
 
 	// closed -> open: two consecutive failures.
-	b.OnFailure()
+	b.onFailure()
 	if len(got) != 0 {
 		t.Fatalf("transition before threshold: %+v", got)
 	}
-	b.OnFailure()
+	b.onFailure()
 
 	// Cooldown expiry alone fires nothing: the flip is lazy. Advance past
 	// the cooldown, confirm no event until the state is actually read.
@@ -38,27 +38,27 @@ func TestBreakerTransitionSequence(t *testing.T) {
 		t.Fatalf("cooldown expiry fired a transition eagerly: %+v", got)
 	}
 	// open -> half-open: observed on the next State() read.
-	if s := b.State(); s != BreakerHalfOpen {
+	if s := b.State(); s != breakerHalfOpen {
 		t.Fatalf("state after cooldown = %s", s)
 	}
 
 	// half-open -> open: a probe failure reopens immediately.
-	b.OnFailure()
+	b.onFailure()
 
-	// open -> half-open again (via Allow, which reads State), then
+	// open -> half-open again (via allow, which reads State), then
 	// half-open -> closed after the single required probe success.
 	clock.advance(11 * time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatalf("probe rejected after fresh cooldown")
 	}
-	b.OnSuccess()
+	b.onSuccess()
 
 	want := []transition{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
+		{breakerClosed, breakerOpen},
+		{breakerOpen, breakerHalfOpen},
+		{breakerHalfOpen, breakerOpen},
+		{breakerOpen, breakerHalfOpen},
+		{breakerHalfOpen, breakerClosed},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("transitions = %+v, want %+v", got, want)
@@ -81,15 +81,15 @@ func TestBreakerHookSeesAppliedState(t *testing.T) {
 	clock := newFakeClock()
 	b := newTestBreaker(clock, BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, HalfOpenSuccesses: 1})
 	var states []BreakerState
-	b.SetTransitionHook(func(from, to BreakerState) {
+	b.setTransitionHook(func(from, to BreakerState) {
 		states = append(states, b.state) // raw field: State() would recurse on flips
 	})
-	b.OnFailure()
+	b.onFailure()
 	clock.advance(2 * time.Second)
 	b.State()
-	b.OnSuccess()
+	b.onSuccess()
 	if len(states) != 3 ||
-		states[0] != BreakerOpen || states[1] != BreakerHalfOpen || states[2] != BreakerClosed {
+		states[0] != breakerOpen || states[1] != breakerHalfOpen || states[2] != breakerClosed {
 		t.Fatalf("hook-observed states = %v", states)
 	}
 }

@@ -11,7 +11,7 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time                           { return c.t }
 func (c *fakeClock) advance(d time.Duration)                  { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock                                { return &fakeClock{t: time.Unix(1000, 0)} }
-func newTestBreaker(c *fakeClock, cfg BreakerConfig) *Breaker { return NewBreaker(cfg, c.now) }
+func newTestBreaker(c *fakeClock, cfg BreakerConfig) *Breaker { return newBreaker(cfg, c.now) }
 
 // The full closed -> open -> half-open -> closed cycle, with transition
 // counts checked at every step.
@@ -19,23 +19,23 @@ func TestBreakerLifecycle(t *testing.T) {
 	clock := newFakeClock()
 	b := newTestBreaker(clock, BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, HalfOpenSuccesses: 2})
 
-	if b.State() != BreakerClosed || !b.Allow() {
+	if b.State() != breakerClosed || !b.allow() {
 		t.Fatalf("new breaker not closed/allowing")
 	}
 	// Two failures and a success: consecutive counter resets, stays closed.
-	b.OnFailure()
-	b.OnFailure()
-	b.OnSuccess()
-	b.OnFailure()
-	b.OnFailure()
-	if b.State() != BreakerClosed {
+	b.onFailure()
+	b.onFailure()
+	b.onSuccess()
+	b.onFailure()
+	b.onFailure()
+	if b.State() != breakerClosed {
 		t.Fatalf("breaker tripped below threshold")
 	}
-	b.OnFailure() // third consecutive: trips
-	if b.State() != BreakerOpen {
+	b.onFailure() // third consecutive: trips
+	if b.State() != breakerOpen {
 		t.Fatalf("breaker did not trip at threshold, state=%s", b.State())
 	}
-	if b.Allow() {
+	if b.allow() {
 		t.Fatalf("open breaker allowed a call")
 	}
 	if s := b.Stats(); s.Opens != 1 || s.ShortCircuits != 1 {
@@ -44,24 +44,24 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Cooldown expiry moves to half-open lazily.
 	clock.advance(59 * time.Second)
-	if b.Allow() {
+	if b.allow() {
 		t.Fatalf("open breaker allowed before cooldown")
 	}
 	clock.advance(2 * time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatalf("half-open breaker rejected the probe")
 	}
-	if b.State() != BreakerHalfOpen {
+	if b.State() != breakerHalfOpen {
 		t.Fatalf("state after cooldown = %s", b.State())
 	}
 
 	// Two probe successes close it again.
-	b.OnSuccess()
-	if b.State() != BreakerHalfOpen {
+	b.onSuccess()
+	if b.State() != breakerHalfOpen {
 		t.Fatalf("closed after one probe success")
 	}
-	b.OnSuccess()
-	if b.State() != BreakerClosed {
+	b.onSuccess()
+	if b.State() != breakerClosed {
 		t.Fatalf("did not close after enough probe successes")
 	}
 	s := b.Stats()
@@ -74,25 +74,25 @@ func TestBreakerLifecycle(t *testing.T) {
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	clock := newFakeClock()
 	b := newTestBreaker(clock, BreakerConfig{FailureThreshold: 1, Cooldown: 10 * time.Second, HalfOpenSuccesses: 1})
-	b.OnFailure()
-	if b.State() != BreakerOpen {
+	b.onFailure()
+	if b.State() != breakerOpen {
 		t.Fatalf("threshold-1 breaker did not trip on first failure")
 	}
 	clock.advance(11 * time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatalf("probe rejected after cooldown")
 	}
-	b.OnFailure()
-	if b.State() != BreakerOpen {
+	b.onFailure()
+	if b.State() != breakerOpen {
 		t.Fatalf("half-open probe failure did not reopen")
 	}
 	// The reopened cooldown starts from the failure, not the original trip.
 	clock.advance(9 * time.Second)
-	if b.Allow() {
+	if b.allow() {
 		t.Fatalf("reopened breaker allowed before fresh cooldown elapsed")
 	}
 	clock.advance(2 * time.Second)
-	if !b.Allow() {
+	if !b.allow() {
 		t.Fatalf("reopened breaker rejected after fresh cooldown")
 	}
 	if s := b.Stats(); s.Opens != 2 || s.HalfOpens != 2 {
@@ -108,10 +108,10 @@ func TestBreakerFlappingResetsConsecutive(t *testing.T) {
 	clock := newFakeClock()
 	b := newTestBreaker(clock, BreakerConfig{FailureThreshold: 2, Cooldown: time.Second, HalfOpenSuccesses: 1})
 	for i := 0; i < 10; i++ {
-		b.OnFailure()
-		b.OnSuccess()
+		b.onFailure()
+		b.onSuccess()
 	}
-	if b.State() != BreakerClosed {
+	if b.State() != breakerClosed {
 		t.Fatalf("alternating outcomes tripped the breaker")
 	}
 	if s := b.Stats(); s.Opens != 0 {

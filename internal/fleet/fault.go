@@ -19,52 +19,52 @@ type Fault uint8
 const (
 	// FaultNone passes requests through untouched.
 	FaultNone Fault = iota
-	// FaultOutage answers every request 503 — a crashed or partitioned
+	// faultOutage answers every request 503 — a crashed or partitioned
 	// instance (the HTTP-visible half of a partial fleet outage).
-	FaultOutage
-	// FaultHang accepts the request and never answers: the client's
+	faultOutage
+	// faultHang accepts the request and never answers: the client's
 	// deadline is the only way out.
-	FaultHang
-	// FaultSlowDrip writes a short prefix of the real payload, then stalls
+	faultHang
+	// faultSlowDrip writes a short prefix of the real payload, then stalls
 	// until the client gives up — a wedged connection mid-transfer.
-	FaultSlowDrip
-	// FaultTruncate serves a truncated profile payload (complete HTTP
+	faultSlowDrip
+	// faultTruncate serves a truncated profile payload (complete HTTP
 	// response, cut-short artifact) — a crashed writer or partial upload.
-	FaultTruncate
-	// FaultCorrupt serves the real payload with bits flipped past the
+	faultTruncate
+	// faultCorrupt serves the real payload with bits flipped past the
 	// header — storage rot in the profile store.
-	FaultCorrupt
-	// FaultFlap alternates failure and success per request — a source
+	faultCorrupt
+	// faultFlap alternates failure and success per request — a source
 	// oscillating in and out of health, the circuit breaker's prey.
-	FaultFlap
-	// FaultStaleEpoch replays a captured older generation with its old
+	faultFlap
+	// faultStaleEpoch replays a captured older generation with its old
 	// X-Profile-Generation — a source serving from a rolled-back replica.
-	FaultStaleEpoch
+	faultStaleEpoch
 )
 
 // AllFaults returns every injectable fault kind (FaultNone excluded), in
 // declaration order.
 func AllFaults() []Fault {
-	return []Fault{FaultOutage, FaultHang, FaultSlowDrip, FaultTruncate, FaultCorrupt, FaultFlap, FaultStaleEpoch}
+	return []Fault{faultOutage, faultHang, faultSlowDrip, faultTruncate, faultCorrupt, faultFlap, faultStaleEpoch}
 }
 
 func (f Fault) String() string {
 	switch f {
 	case FaultNone:
 		return "none"
-	case FaultOutage:
+	case faultOutage:
 		return "outage"
-	case FaultHang:
+	case faultHang:
 		return "hang"
-	case FaultSlowDrip:
+	case faultSlowDrip:
 		return "slow-drip"
-	case FaultTruncate:
+	case faultTruncate:
 		return "truncate"
-	case FaultCorrupt:
+	case faultCorrupt:
 		return "corrupt"
-	case FaultFlap:
+	case faultFlap:
 		return "flap"
-	case FaultStaleEpoch:
+	case faultStaleEpoch:
 		return "stale-epoch"
 	default:
 		return fmt.Sprintf("fault(%d)", uint8(f))
@@ -81,7 +81,7 @@ type Injector struct {
 	fault    Fault
 	seed     uint64
 	reqs     uint64
-	stale    []byte // payload replayed by FaultStaleEpoch
+	stale    []byte // payload replayed by faultStaleEpoch
 	staleGen uint64
 }
 
@@ -104,7 +104,7 @@ func (in *Injector) Fault() Fault {
 	return in.fault
 }
 
-// SetStalePayload captures the body and generation FaultStaleEpoch replays.
+// SetStalePayload captures the body and generation faultStaleEpoch replays.
 func (in *Injector) SetStalePayload(body []byte, gen uint64) {
 	in.mu.Lock()
 	in.stale = append([]byte(nil), body...)
@@ -152,11 +152,11 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch fault {
 	case FaultNone:
 		in.inner.ServeHTTP(w, r)
-	case FaultOutage:
+	case faultOutage:
 		http.Error(w, "injected outage", http.StatusServiceUnavailable)
-	case FaultHang:
+	case faultHang:
 		<-r.Context().Done()
-	case FaultSlowDrip:
+	case faultSlowDrip:
 		cw := newCaptureWriter()
 		in.inner.ServeHTTP(cw, r)
 		body := cw.buf.Bytes()
@@ -171,21 +171,21 @@ func (in *Injector) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.Flush()
 		}
 		<-r.Context().Done()
-	case FaultTruncate:
+	case faultTruncate:
 		cw := newCaptureWriter()
 		in.inner.ServeHTTP(cw, r)
 		cw.replay(w, drift.Corrupt(cw.buf.Bytes(), drift.TruncateTail, seed+n))
-	case FaultCorrupt:
+	case faultCorrupt:
 		cw := newCaptureWriter()
 		in.inner.ServeHTTP(cw, r)
 		cw.replay(w, drift.Corrupt(cw.buf.Bytes(), drift.FlipBits, seed+n))
-	case FaultFlap:
+	case faultFlap:
 		if n%2 == 0 {
 			http.Error(w, "injected flap", http.StatusServiceUnavailable)
 			return
 		}
 		in.inner.ServeHTTP(w, r)
-	case FaultStaleEpoch:
+	case faultStaleEpoch:
 		if stale == nil {
 			http.Error(w, "no stale payload captured", http.StatusServiceUnavailable)
 			return

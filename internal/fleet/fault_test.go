@@ -13,18 +13,18 @@ import (
 // fetchVia runs one short-deadline fetch against the injector and returns
 // the result (the fetcher is the same client the aggregator uses, so this
 // exercises the exact ingest path the faults target).
-func fetchVia(t *testing.T, in *Injector, retries int) (FetchResult, error) {
+func fetchVia(t *testing.T, in *Injector, retries int) (fetchResult, error) {
 	t.Helper()
 	srv := httptest.NewServer(in)
 	defer srv.Close()
-	f := NewFetcher(FetchConfig{
+	f := newFetcher(FetchConfig{
 		Timeout:     200 * time.Millisecond,
 		Retries:     retries,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  2 * time.Millisecond,
 		JitterSeed:  3,
 	})
-	return f.Fetch(context.Background(), srv.URL, "")
+	return f.fetch(context.Background(), srv.URL, "")
 }
 
 func TestInjectorPassThrough(t *testing.T) {
@@ -43,11 +43,11 @@ func TestInjectorPassThrough(t *testing.T) {
 
 func TestInjectorOutageAndHang(t *testing.T) {
 	in := NewInjector(newProfileServer(testProfile("f"), 1), 1)
-	in.SetFault(FaultOutage)
+	in.SetFault(faultOutage)
 	if _, err := fetchVia(t, in, -1); err == nil {
 		t.Fatalf("outage fetch succeeded")
 	}
-	in.SetFault(FaultHang)
+	in.SetFault(faultHang)
 	start := time.Now()
 	if _, err := fetchVia(t, in, -1); err == nil {
 		t.Fatalf("hanging fetch succeeded")
@@ -59,7 +59,7 @@ func TestInjectorOutageAndHang(t *testing.T) {
 
 func TestInjectorSlowDripStalls(t *testing.T) {
 	in := NewInjector(newProfileServer(testProfile("f"), 1), 1)
-	in.SetFault(FaultSlowDrip)
+	in.SetFault(faultSlowDrip)
 	start := time.Now()
 	if _, err := fetchVia(t, in, -1); err == nil {
 		t.Fatalf("slow-drip fetch delivered a full body")
@@ -75,7 +75,7 @@ func TestInjectorPayloadFaults(t *testing.T) {
 	clean := profdata.EncodeBinary(testProfile("f0", "f1", "f2", "f3"))
 
 	in := NewInjector(newProfileServer(testProfile("f0", "f1", "f2", "f3"), 1), 9)
-	in.SetFault(FaultTruncate)
+	in.SetFault(faultTruncate)
 	res, err := fetchVia(t, in, -1)
 	if err != nil {
 		t.Fatalf("truncate fetch: %v", err)
@@ -87,7 +87,7 @@ func TestInjectorPayloadFaults(t *testing.T) {
 		t.Fatalf("truncate changed bytes instead of cutting the tail")
 	}
 
-	in.SetFault(FaultCorrupt)
+	in.SetFault(faultCorrupt)
 	res, err = fetchVia(t, in, -1)
 	if err != nil {
 		t.Fatalf("corrupt fetch: %v", err)
@@ -103,7 +103,7 @@ func TestInjectorPayloadFaults(t *testing.T) {
 // one retry deterministically succeeds on the second attempt.
 func TestInjectorFlapRecoversOnRetry(t *testing.T) {
 	in := NewInjector(newProfileServer(testProfile("f"), 1), 1)
-	in.SetFault(FaultFlap)
+	in.SetFault(faultFlap)
 	// Retries -1 = genuinely none (0 means "default budget").
 	if _, err := fetchVia(t, in, -1); err == nil {
 		t.Fatalf("first flap request succeeded")
@@ -126,7 +126,7 @@ func TestInjectorStaleEpochReplays(t *testing.T) {
 	old := profdata.EncodeBinary(testProfile("old"))
 	in := NewInjector(newProfileServer(testProfile("new"), 9), 1)
 	in.SetStalePayload(old, 2)
-	in.SetFault(FaultStaleEpoch)
+	in.SetFault(faultStaleEpoch)
 	res, err := fetchVia(t, in, -1)
 	if err != nil {
 		t.Fatalf("stale-epoch fetch: %v", err)

@@ -56,26 +56,26 @@ func (c FetchConfig) withDefaults() FetchConfig {
 	return c
 }
 
-// FetchResult is one successful profile fetch.
-type FetchResult struct {
+// fetchResult is one successful profile fetch.
+type fetchResult struct {
 	Body       []byte
 	Generation uint64 // X-Profile-Generation header (0 when absent)
 	Attempts   int    // attempts spent, successful one included
 }
 
-// Fetcher retrieves profile artifacts from serving instances with
+// fetcher retrieves profile artifacts from serving instances with
 // per-attempt deadlines and bounded, jitter-backed retries. It is safe for
 // concurrent use; backoff jitter is deterministic per URL so concurrent
 // fetches do not perturb each other.
-type Fetcher struct {
+type fetcher struct {
 	cfg    FetchConfig
 	client *http.Client
 }
 
-// NewFetcher returns a fetcher with its own HTTP client (the per-attempt
+// newFetcher returns a fetcher with its own HTTP client (the per-attempt
 // deadline rides on the request context, not the client).
-func NewFetcher(cfg FetchConfig) *Fetcher {
-	return &Fetcher{cfg: cfg.withDefaults(), client: &http.Client{}}
+func newFetcher(cfg FetchConfig) *fetcher {
+	return &fetcher{cfg: cfg.withDefaults(), client: &http.Client{}}
 }
 
 // xorshift64 is the repo's small deterministic generator.
@@ -92,7 +92,7 @@ func (x *xorshift64) next() uint64 {
 
 // seedFor folds the URL into the jitter seed (FNV-1a) so every source gets
 // an independent but reproducible jitter stream.
-func (f *Fetcher) seedFor(url string) xorshift64 {
+func (f *fetcher) seedFor(url string) xorshift64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(url); i++ {
 		h ^= uint64(url[i])
@@ -106,7 +106,7 @@ func (f *Fetcher) seedFor(url string) xorshift64 {
 }
 
 // backoffDelay returns the jittered sleep before retry attempt k (0-based).
-func (f *Fetcher) backoffDelay(k int, rng *xorshift64) time.Duration {
+func (f *fetcher) backoffDelay(k int, rng *xorshift64) time.Duration {
 	d := f.cfg.BackoffBase
 	for i := 0; i < k && d < f.cfg.BackoffMax; i++ {
 		d *= 2
@@ -121,14 +121,14 @@ func (f *Fetcher) backoffDelay(k int, rng *xorshift64) time.Duration {
 	return half + time.Duration(rng.next()%uint64(half))
 }
 
-// Fetch GETs url with up to 1+Retries attempts, each under its own
+// fetch GETs url with up to 1+Retries attempts, each under its own
 // deadline. Transport errors, non-200 statuses, and oversized bodies all
 // count as attempt failures; ctx cancellation aborts the retry loop. A
 // non-empty traceparent is sent on every attempt, so the serving instance
 // can adopt the aggregator's trace context on its handler spans.
-func (f *Fetcher) Fetch(ctx context.Context, url, traceparent string) (FetchResult, error) {
+func (f *fetcher) fetch(ctx context.Context, url, traceparent string) (fetchResult, error) {
 	rng := f.seedFor(url)
-	var res FetchResult
+	var res fetchResult
 	var lastErr error
 	for attempt := 0; attempt <= f.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -154,7 +154,7 @@ func (f *Fetcher) Fetch(ctx context.Context, url, traceparent string) (FetchResu
 	return res, fmt.Errorf("fleet: fetch %s: %d attempt(s) failed: %w", url, res.Attempts, lastErr)
 }
 
-func (f *Fetcher) fetchOnce(ctx context.Context, url, traceparent string) ([]byte, uint64, error) {
+func (f *fetcher) fetchOnce(ctx context.Context, url, traceparent string) ([]byte, uint64, error) {
 	actx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)

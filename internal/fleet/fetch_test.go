@@ -26,8 +26,8 @@ func TestFetchSuccessParsesGeneration(t *testing.T) {
 		w.Write([]byte("payload"))
 	}))
 	defer srv.Close()
-	f := NewFetcher(testFetchConfig())
-	res, err := f.Fetch(context.Background(), srv.URL, "")
+	f := newFetcher(testFetchConfig())
+	res, err := f.fetch(context.Background(), srv.URL, "")
 	if err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
@@ -48,8 +48,8 @@ func TestFetchRetriesBounded(t *testing.T) {
 		w.Write([]byte("ok"))
 	}))
 	defer srv.Close()
-	f := NewFetcher(testFetchConfig())
-	res, err := f.Fetch(context.Background(), srv.URL, "")
+	f := newFetcher(testFetchConfig())
+	res, err := f.fetch(context.Background(), srv.URL, "")
 	if err != nil {
 		t.Fatalf("fetch after transient failures: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestFetchRetriesBounded(t *testing.T) {
 	}
 
 	calls.Store(-1000) // always failing from here on
-	res, err = f.Fetch(context.Background(), srv.URL, "")
+	res, err = f.fetch(context.Background(), srv.URL, "")
 	if err == nil {
 		t.Fatalf("fetch succeeded against always-failing server")
 	}
@@ -79,9 +79,9 @@ func TestFetchDeadlineBoundsHang(t *testing.T) {
 	cfg := testFetchConfig()
 	cfg.Timeout = 50 * time.Millisecond
 	cfg.Retries = 1
-	f := NewFetcher(cfg)
+	f := newFetcher(cfg)
 	start := time.Now()
-	if _, err := f.Fetch(context.Background(), srv.URL, ""); err == nil {
+	if _, err := f.fetch(context.Background(), srv.URL, ""); err == nil {
 		t.Fatalf("fetch from hanging server succeeded")
 	}
 	if el := time.Since(start); el > 2*time.Second {
@@ -98,8 +98,8 @@ func TestFetchBodyCap(t *testing.T) {
 	cfg := testFetchConfig()
 	cfg.MaxBody = 1024
 	cfg.Retries = 1
-	f := NewFetcher(cfg)
-	if _, err := f.Fetch(context.Background(), srv.URL, ""); err == nil || !strings.Contains(err.Error(), "cap") {
+	f := newFetcher(cfg)
+	if _, err := f.fetch(context.Background(), srv.URL, ""); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized body not rejected: %v", err)
 	}
 }
@@ -114,11 +114,11 @@ func TestFetchContextCancel(t *testing.T) {
 	cfg.Retries = 100
 	cfg.BackoffBase = 50 * time.Millisecond
 	cfg.BackoffMax = 50 * time.Millisecond
-	f := NewFetcher(cfg)
+	f := newFetcher(cfg)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := f.Fetch(ctx, srv.URL, "")
+	_, err := f.fetch(ctx, srv.URL, "")
 	if err == nil {
 		t.Fatalf("fetch succeeded against 503 server")
 	}
@@ -131,8 +131,8 @@ func TestFetchContextCancel(t *testing.T) {
 // [d/2, d) of the capped exponential schedule.
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	cfg := FetchConfig{BackoffBase: 100 * time.Millisecond, BackoffMax: time.Second, JitterSeed: 9}
-	f1 := NewFetcher(cfg)
-	f2 := NewFetcher(cfg)
+	f1 := newFetcher(cfg)
+	f2 := newFetcher(cfg)
 	r1, r2 := f1.seedFor("http://a/profiles/x"), f2.seedFor("http://a/profiles/x")
 	for k := 0; k < 8; k++ {
 		d1 := f1.backoffDelay(k, &r1)

@@ -220,7 +220,7 @@ func TestOverlapDegradingPrecedesFirstRejection(t *testing.T) {
 	jr := obs.NewJournal()
 	reg := obs.NewRegistry()
 	prom := NewPromoter(PromoteConfig{MinOverlap: 0.8, Journal: jr}, reg)
-	prom.Adopt(&Artifact{Profile: flatProfile(map[string]uint64{"base": 1000})})
+	prom.adopt(&Artifact{Profile: flatProfile(map[string]uint64{"base": 1000})})
 
 	// Each candidate shifts k weight from "base" into a fresh drift key, so
 	// overlap against the previous generation is (1000-k)/1000: 0.95, 0.90,

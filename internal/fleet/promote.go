@@ -97,7 +97,7 @@ type Promoter struct {
 	cfg   PromoteConfig
 	reg   *obs.Registry
 	now   func() time.Time
-	trend *OverlapTrend
+	trend *overlapTrend
 
 	cur atomic.Pointer[Artifact]
 	gen atomic.Uint64
@@ -123,7 +123,7 @@ func NewPromoter(cfg PromoteConfig, reg *obs.Registry) *Promoter {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Promoter{cfg: cfg, reg: reg, now: cfg.Now, trend: NewOverlapTrend()}
+	return &Promoter{cfg: cfg, reg: reg, now: cfg.Now, trend: newOverlapTrend()}
 }
 
 // BeginRound tells the promoter which aggregation round (and round span)
@@ -154,9 +154,9 @@ func (p *Promoter) emit(e obs.Event) {
 // LastGood returns the current artifact (nil before the first promotion).
 func (p *Promoter) LastGood() *Artifact { return p.cur.Load() }
 
-// Adopt installs an artifact as last-good without gating — used to seed
+// adopt installs an artifact as last-good without gating — used to seed
 // the promoter from a persisted artifact at startup.
-func (p *Promoter) Adopt(a *Artifact) {
+func (p *Promoter) adopt(a *Artifact) {
 	if a.Generation == 0 {
 		a.Generation = p.gen.Add(1)
 	} else {
@@ -176,7 +176,7 @@ func (p *Promoter) AdoptEncoded(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("fleet: adopt last-good: %w", err)
 	}
-	p.Adopt(&Artifact{
+	p.adopt(&Artifact{
 		Profile:    prof,
 		Encoded:    append([]byte(nil), data...),
 		PromotedAt: p.now(),
@@ -208,7 +208,7 @@ func (p *Promoter) Promote(cand *profdata.Profile, manifest *obs.Report) (*Artif
 			p.emit(obs.Event{
 				Type: obs.EvOverlapDegrading,
 				Metrics: map[string]float64{
-					"overlap": res.Overlap, "margin": margin, "ewma_margin": p.trend.EWMA(),
+					"overlap": res.Overlap, "margin": margin, "ewma_margin": p.trend.level(),
 				},
 				Detail: "promotion-gate margin eroding across rounds",
 			})

@@ -84,8 +84,8 @@ func (s *StatusServer) health() map[string]any {
 		// a map keyed by source name, so the JSON shape is stable and
 		// the states marshal in sorted source order.
 		states := map[string]string{}
-		for _, src := range agg.Sources() {
-			states[src.Name] = src.Breaker().State().String()
+		for _, src := range agg.sources {
+			states[src.Name] = src.breaker.State().String()
 		}
 		st["sources"] = states
 	}
@@ -101,7 +101,7 @@ func (s *StatusServer) overhead() ([]byte, bool) {
 	if agg == nil {
 		return nil, false
 	}
-	rows := agg.ConfidenceSummaries()
+	rows := agg.confidenceSummaries()
 	low := 0
 	for _, sc := range rows {
 		if sc.HotUncertain > 0 {

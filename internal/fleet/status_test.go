@@ -162,7 +162,7 @@ func TestStatusServerAggregatorSurfaces(t *testing.T) {
 
 	oh := get("/overhead")
 	var doc struct {
-		Sources    []SourceConfidence `json:"sources"`
+		Sources    []sourceConfidence `json:"sources"`
 		LowSources int                `json:"low_sources"`
 	}
 	if err := json.Unmarshal([]byte(oh), &doc); err != nil {

@@ -5,12 +5,12 @@ import "testing"
 // The first observation seeds the EWMA and never flags; it takes two
 // consecutive declines below the smoothed level to call the margin degrading.
 func TestOverlapTrendSeedAndDegrade(t *testing.T) {
-	tr := NewOverlapTrend()
+	tr := newOverlapTrend()
 	if tr.Observe(0.15) {
 		t.Fatalf("seeding observation flagged degradation")
 	}
-	if tr.EWMA() != 0.15 {
-		t.Fatalf("seed ewma = %v, want 0.15", tr.EWMA())
+	if tr.level() != 0.15 {
+		t.Fatalf("seed ewma = %v, want 0.15", tr.level())
 	}
 	if tr.Observe(0.10) { // first decline: not yet
 		t.Fatalf("single decline flagged degradation")
@@ -27,7 +27,7 @@ func TestOverlapTrendSeedAndDegrade(t *testing.T) {
 // A recovery (observation at or above the EWMA) resets the consecutive
 // count: noise around a stable margin never alarms.
 func TestOverlapTrendRecoveryResets(t *testing.T) {
-	tr := NewOverlapTrend()
+	tr := newOverlapTrend()
 	tr.Observe(0.20) // seed
 	if tr.Observe(0.10) {
 		t.Fatalf("first decline flagged")
@@ -41,7 +41,7 @@ func TestOverlapTrendRecoveryResets(t *testing.T) {
 		t.Fatalf("post-recovery single decline flagged")
 	}
 	// Flat observations (within epsilon of the EWMA) are not declines.
-	tr2 := NewOverlapTrend()
+	tr2 := newOverlapTrend()
 	tr2.Observe(0.5)
 	for i := 0; i < 5; i++ {
 		if tr2.Observe(0.5) {
@@ -52,8 +52,8 @@ func TestOverlapTrendRecoveryResets(t *testing.T) {
 
 // A nil detector is inert.
 func TestOverlapTrendNilIsInert(t *testing.T) {
-	var tr *OverlapTrend
-	if tr.Observe(0.1) || tr.EWMA() != 0 {
+	var tr *overlapTrend
+	if tr.Observe(0.1) || tr.level() != 0 {
 		t.Fatalf("nil trend not inert")
 	}
 }

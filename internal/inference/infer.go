@@ -2,27 +2,27 @@ package inference
 
 import "csspgo/internal/ir"
 
-// Result summarizes one function's inference run.
-type Result struct {
+// result summarizes one function's inference run.
+type result struct {
 	Augmentations int
 	// Adjusted counts how many blocks changed weight.
 	Adjusted int
 }
 
-// Infer repairs the function's annotated block weights into a consistent
+// infer repairs the function's annotated block weights into a consistent
 // flow and derives edge weights. Blocks with HasWeight are treated as
 // measurements; others are free. On return every reachable block has
 // HasWeight set and Term.EdgeW parallel to its successors, and flow
 // conservation holds (inflow == block weight == outflow, modulo the
 // virtual entry/exit).
-func Infer(f *ir.Function) Result {
+func infer(f *ir.Function) result {
 	blocks := f.ReachableOrder()
 	if len(blocks) == 0 {
-		return Result{}
+		return result{}
 	}
 	nw := buildNetwork(blocks)
 	augmentations, _ := nw.g.cancelNegativeCycles()
-	return Result{Augmentations: augmentations, Adjusted: nw.apply(blocks)}
+	return result{Augmentations: augmentations, Adjusted: nw.apply(blocks)}
 }
 
 // network is one function's circulation instance: block i of the reachable
@@ -119,7 +119,7 @@ func (nw *network) apply(blocks []*ir.Block) int {
 	return adjusted
 }
 
-// InferProgram runs Infer on every function that carries any profile
+// InferProgram runs infer on every function that carries any profile
 // weights, returning the total number of adjusted blocks.
 func InferProgram(p *ir.Program) int {
 	adjusted := 0
@@ -132,17 +132,17 @@ func InferProgram(p *ir.Program) int {
 			}
 		}
 		if any {
-			adjusted += Infer(f).Adjusted
+			adjusted += infer(f).Adjusted
 		}
 	}
 	return adjusted
 }
 
-// CheckConsistency verifies flow conservation on a function whose weights
-// and edge weights were produced by Infer: for every reachable block, the
+// checkConsistency verifies flow conservation on a function whose weights
+// and edge weights were produced by infer: for every reachable block, the
 // sum of outgoing edge weights equals the block weight (returns the number
 // of violations; exits contribute their weight to the virtual sink).
-func CheckConsistency(f *ir.Function) int {
+func checkConsistency(f *ir.Function) int {
 	violations := 0
 	blocks := f.ReachableOrder()
 	inFlow := map[*ir.Block]uint64{}

@@ -36,8 +36,8 @@ func diamond(t testing.TB, wEntry, wLeft, wRight, wJoin uint64) *ir.Function {
 
 func TestInferConsistentInputUnchanged(t *testing.T) {
 	f := diamond(t, 100, 70, 30, 100)
-	Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("consistency violations: %d\n%s", v, f)
 	}
 	if f.Blocks[0].Weight != 100 || f.Blocks[1].Weight != 70 || f.Blocks[2].Weight != 30 {
@@ -51,8 +51,8 @@ func TestInferConsistentInputUnchanged(t *testing.T) {
 func TestInferRepairsInconsistentCounts(t *testing.T) {
 	// Arms sum to 90, join says 100, entry says 100: sampling noise.
 	f := diamond(t, 100, 60, 30, 100)
-	res := Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	res := infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations: %d\n%s", v, f)
 	}
 	if res.Adjusted == 0 {
@@ -68,8 +68,8 @@ func TestInferRepairsInconsistentCounts(t *testing.T) {
 
 func TestInferFillsUnknownBlocks(t *testing.T) {
 	f := diamond(t, 100, ^uint64(0), 30, 100)
-	Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations: %d\n%s", v, f)
 	}
 	if f.Blocks[1].Weight != 70 {
@@ -93,8 +93,8 @@ func TestInferLoop(t *testing.T) {
 		b.HasWeight = true
 	}
 	f.RebuildCFG()
-	Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations: %d\n%s", v, f)
 	}
 	if f.Blocks[1].Weight < 900 {
@@ -111,8 +111,8 @@ func bodyW(f *ir.Function) uint64 { return f.Blocks[2].Weight }
 func TestInferZeroSampledColdPath(t *testing.T) {
 	// Right arm sampled zero: flow should route left.
 	f := diamond(t, 100, ^uint64(0), 0, 100)
-	Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations: %d", v)
 	}
 	if f.Blocks[2].Weight != 0 {
@@ -125,8 +125,8 @@ func TestInferZeroSampledColdPath(t *testing.T) {
 
 func TestInferLargeWeightsScale(t *testing.T) {
 	f := diamond(t, 10_000_000, 7_000_000, 2_000_000, 10_000_000)
-	res := Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	res := infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations: %d", v)
 	}
 	if res.Augmentations > 5000 {
@@ -142,7 +142,7 @@ func TestInferRandomCFGsAlwaysConsistent(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		f := randomCFG(rng, 3+rng.Intn(10))
 		InferProgram(progOf(f))
-		if v := CheckConsistency(f); v != 0 {
+		if v := checkConsistency(f); v != 0 {
 			t.Fatalf("trial %d: %d violations\n%s", trial, v, f)
 		}
 	}
@@ -187,9 +187,9 @@ func randomCFG(rng *rand.Rand, n int) *ir.Function {
 
 func TestCheckConsistencyDetectsViolations(t *testing.T) {
 	f := diamond(t, 100, 70, 30, 100)
-	Infer(f)
+	infer(f)
 	f.Blocks[1].Weight = 999 // corrupt
-	if CheckConsistency(f) == 0 {
+	if checkConsistency(f) == 0 {
 		t.Fatal("checker must notice corruption")
 	}
 }

@@ -51,8 +51,8 @@ func TestNoNegativeCyclesNoFlow(t *testing.T) {
 func TestInferEmptyFunctionSafe(t *testing.T) {
 	// A function with one block and no weights must not crash.
 	f := diamond(t, ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0))
-	res := Infer(f)
-	if v := CheckConsistency(f); v != 0 {
+	res := infer(f)
+	if v := checkConsistency(f); v != 0 {
 		t.Fatalf("violations on unweighted function: %d", v)
 	}
 	_ = res
@@ -60,9 +60,9 @@ func TestInferEmptyFunctionSafe(t *testing.T) {
 
 func TestInferIdempotent(t *testing.T) {
 	f := diamond(t, 100, 60, 30, 100)
-	Infer(f)
+	infer(f)
 	snapshot := f.String()
-	res := Infer(f)
+	res := infer(f)
 	if f.String() != snapshot {
 		t.Fatal("second inference changed a consistent profile")
 	}

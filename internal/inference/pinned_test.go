@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/flows_pinned.txt from 
 //
 // The tie-break the file freezes: every search starts from all-zero labels
 // and sweeps nodes in ascending order (block i of the reachable order is
-// nodes 2i and 2i+1), each node's arcs in the order Infer added them,
+// nodes 2i and 2i+1), each node's arcs in the order infer added them,
 // lowering labels in place; after each improving round the cycle canceled
 // is the first one of the predecessor graph met when walking back from
 // node 0, 1, 2, …. It was rewritten once, when cycles began to be canceled

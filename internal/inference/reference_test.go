@@ -131,10 +131,10 @@ type Solved struct {
 	Cost, RefCost                   int64
 	Augmentations, RefAugmentations int
 	Rounds, RefRounds               int
-	Violations                      int // CheckConsistency after the production solve
+	Violations                      int // checkConsistency after the production solve
 }
 
-// SolveBoth runs Infer's steps on f (which must still carry its raw
+// SolveBoth runs infer's steps on f (which must still carry its raw
 // weights) with the production solver, and the reference on a copy of the
 // same instance. It is the external corpus tests' way in.
 func SolveBoth(f *ir.Function) Solved {
@@ -148,7 +148,7 @@ func SolveBoth(f *ir.Function) Solved {
 		s.Cost += nw.g.flow(id) * spec.cost
 	}
 	nw.apply(blocks)
-	s.Violations = CheckConsistency(f)
+	s.Violations = checkConsistency(f)
 
 	s.RefAugmentations, s.RefRounds = ref.cancelNegativeCycles()
 	s.RefCost = ref.cost()

@@ -2,7 +2,10 @@ package introspect
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"csspgo/internal/profdata"
@@ -59,7 +62,7 @@ func TestTopOrdering(t *testing.T) {
 func TestFoldedTextRoundTrip(t *testing.T) {
 	entries := Folded(testProfile())
 	data := EncodeFoldedText(entries)
-	back, err := ParseFoldedText(data)
+	back, err := parseFoldedText(data)
 	if err != nil {
 		t.Fatalf("ParseFoldedText: %v", err)
 	}
@@ -74,7 +77,7 @@ func TestFoldedTextRoundTrip(t *testing.T) {
 
 func TestParseFoldedTextSkipsCommentsAndBlank(t *testing.T) {
 	in := "# comment\n\nmain 10\n\nmain 5\n"
-	entries, err := ParseFoldedText([]byte(in))
+	entries, err := parseFoldedText([]byte(in))
 	if err != nil {
 		t.Fatalf("ParseFoldedText: %v", err)
 	}
@@ -95,7 +98,7 @@ func TestParseFoldedTextErrors(t *testing.T) {
 		"main:1;fo o 3 4 5 x", // bad weight token
 	}
 	for _, in := range bad {
-		if _, err := ParseFoldedText([]byte(in)); err == nil {
+		if _, err := parseFoldedText([]byte(in)); err == nil {
 			t.Errorf("ParseFoldedText(%q) should fail", in)
 		}
 	}
@@ -109,4 +112,72 @@ func TestFoldedLineBasedProfile(t *testing.T) {
 	if got != "alpha 9\nbeta 4\n" {
 		t.Fatalf("flat folded = %q", got)
 	}
+}
+
+// parseFoldedText parses the folded text format back into canonical
+// (merged, sorted) entries. Duplicate stacks accumulate; malformed lines
+// are errors, blank lines and '#' comments are skipped.
+func parseFoldedText(data []byte) ([]Entry, error) {
+	byKey := map[string]*Entry{}
+	for ln, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return nil, fmt.Errorf("folded: line %d: missing weight", ln+1)
+		}
+		weight, err := strconv.ParseUint(line[sp+1:], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("folded: line %d: bad weight %q", ln+1, line[sp+1:])
+		}
+		frames, err := parseStack(line[:sp])
+		if err != nil {
+			return nil, fmt.Errorf("folded: line %d: %w", ln+1, err)
+		}
+		if weight == 0 {
+			continue
+		}
+		e := Entry{Frames: frames, Weight: weight}
+		key := e.Key()
+		if cur, ok := byKey[key]; ok {
+			cur.Weight += weight
+			continue
+		}
+		byKey[key] = &e
+	}
+	return sortEntries(byKey), nil
+}
+
+// parseStack parses "main:2;foo:5.1;bar" into context frames.
+func parseStack(s string) (profdata.Context, error) {
+	if s == "" {
+		return nil, fmt.Errorf("empty stack")
+	}
+	parts := strings.Split(s, ";")
+	frames := make(profdata.Context, 0, len(parts))
+	for i, part := range parts {
+		if i == len(parts)-1 {
+			if !validFuncName(part) {
+				return nil, fmt.Errorf("bad leaf frame %q", part)
+			}
+			frames = append(frames, profdata.ContextFrame{Func: part})
+			continue
+		}
+		colon := strings.LastIndexByte(part, ':')
+		if colon < 0 {
+			return nil, fmt.Errorf("frame %q missing call site", part)
+		}
+		fn := part[:colon]
+		if !validFuncName(fn) {
+			return nil, fmt.Errorf("bad frame function %q", fn)
+		}
+		site, err := parseSite(part[colon+1:])
+		if err != nil {
+			return nil, fmt.Errorf("frame %q: %w", part, err)
+		}
+		frames = append(frames, profdata.ContextFrame{Func: fn, Site: site})
+	}
+	return frames, nil
 }

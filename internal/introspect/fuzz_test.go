@@ -14,12 +14,12 @@ func FuzzFoldedText(f *testing.F) {
 	f.Add([]byte("x:1.2;y 18446744073709551615\n"))
 	f.Add([]byte("a:-3;b 7\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := ParseFoldedText(data)
+		entries, err := parseFoldedText(data)
 		if err != nil {
 			return
 		}
 		enc := EncodeFoldedText(entries)
-		back, err := ParseFoldedText(enc)
+		back, err := parseFoldedText(enc)
 		if err != nil {
 			t.Fatalf("canonical text rejected: %v\n%q", err, enc)
 		}

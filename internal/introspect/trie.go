@@ -91,9 +91,9 @@ func (n *TrieNode) freeze() {
 	}
 }
 
-// Walk visits every node except the synthetic root in preorder,
+// walk visits every node except the synthetic root in preorder,
 // deterministic child order, with its depth (1 = context root).
-func (n *TrieNode) Walk(fn func(node *TrieNode, depth int)) {
+func (n *TrieNode) walk(fn func(node *TrieNode, depth int)) {
 	var rec func(node *TrieNode, depth int)
 	rec = func(node *TrieNode, depth int) {
 		if depth > 0 {
@@ -112,7 +112,7 @@ func (n *TrieNode) Format() string {
 	var sb strings.Builder
 	total := n.Inclusive
 	fmt.Fprintf(&sb, "context trie: %d total samples\n", total)
-	n.Walk(func(node *TrieNode, depth int) {
+	n.walk(func(node *TrieNode, depth int) {
 		label := node.Func
 		if depth > 1 {
 			label = fmt.Sprintf("%s (from site %s)", node.Func, node.Site)

@@ -39,7 +39,7 @@ func TestBuildTrieWeights(t *testing.T) {
 func TestTrieWalkOrderAndDepth(t *testing.T) {
 	root := BuildTrie(testProfile())
 	var got []string
-	root.Walk(func(n *TrieNode, depth int) {
+	root.walk(func(n *TrieNode, depth int) {
 		got = append(got, strings.Repeat(">", depth)+n.Func)
 	})
 	want := []string{">main", ">>foo", ">>>bar"}

@@ -57,7 +57,7 @@ func BuildCallGraph(p *Program) *CallGraph {
 			}
 		}
 	}
-	cg.sccs = cg.SCCs()
+	cg.sccs = cg.computeSCCs()
 	cg.comp = make(map[string]int, len(cg.sccs))
 	for i, scc := range cg.sccs {
 		for _, n := range scc {
@@ -67,12 +67,12 @@ func BuildCallGraph(p *Program) *CallGraph {
 	return cg
 }
 
-// SCCs returns strongly connected components in reverse topological order
+// computeSCCs returns strongly connected components in reverse topological order
 // (callees before callers), computed with Tarjan's algorithm. Each SCC is
 // sorted by name for determinism. A callee name that has no function is a
 // component of its own. Every call computes afresh; the queries below read
 // the partition BuildCallGraph stored.
-func (cg *CallGraph) SCCs() [][]string {
+func (cg *CallGraph) computeSCCs() [][]string {
 	index := map[string]int{}
 	low := map[string]int{}
 	onStack := map[string]bool{}
@@ -145,7 +145,7 @@ func (cg *CallGraph) TopDownOrder() []string {
 }
 
 // InSameSCC reports whether a and b are mutually recursive (or a == b and
-// self-recursive for IsRecursive).
+// self-recursive for isRecursive).
 func (cg *CallGraph) InSameSCC(a, b string) bool {
 	ca, ok := cg.comp[a]
 	if cb, okb := cg.comp[b]; !ok || !okb || ca != cb {
@@ -153,13 +153,4 @@ func (cg *CallGraph) InSameSCC(a, b string) bool {
 	}
 	// A component of one holds a == b only.
 	return len(cg.sccs[ca]) > 1 || cg.Edges[a][a]
-}
-
-// IsRecursive reports whether fn participates in any cycle.
-func (cg *CallGraph) IsRecursive(fn string) bool {
-	if cg.Edges[fn][fn] {
-		return true
-	}
-	c, ok := cg.comp[fn]
-	return ok && len(cg.sccs[c]) > 1
 }

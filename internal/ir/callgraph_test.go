@@ -82,7 +82,7 @@ func TestRecursionDetection(t *testing.T) {
 		"main": false, "a": false, "b": false,
 		"c": true, "d": true, "e": true,
 	} {
-		if got := cg.IsRecursive(fn); got != want {
+		if got := cg.isRecursive(fn); got != want {
 			t.Errorf("IsRecursive(%s) = %v, want %v", fn, got, want)
 		}
 	}
@@ -96,7 +96,7 @@ func TestRecursionDetection(t *testing.T) {
 
 func TestSCCsReverseTopological(t *testing.T) {
 	cg := BuildCallGraph(callProg(t))
-	sccs := cg.SCCs()
+	sccs := cg.computeSCCs()
 	// Find SCC containing main; it must come after the one containing b.
 	idxOf := func(name string) int {
 		for i, scc := range sccs {
@@ -118,14 +118,14 @@ func TestSCCsReverseTopological(t *testing.T) {
 	}
 }
 
-// CheckSCCQueries holds InSameSCC and IsRecursive, which read the partition
-// BuildCallGraph stored, to a scan of a fresh SCCs() — what they were before
+// CheckSCCQueries holds InSameSCC and isRecursive, which read the partition
+// BuildCallGraph stored, to a scan of a fresh computeSCCs() — what they were before
 // the partition was stored — for every pair of names the graph knows,
 // callees without a function included. Exported to the corpus test in
 // package ir_test.
 func CheckSCCQueries(t testing.TB, cg *CallGraph) {
 	t.Helper()
-	sccs := cg.SCCs()
+	sccs := cg.computeSCCs()
 	var names []string
 	for _, scc := range sccs {
 		names = append(names, scc...)
@@ -145,7 +145,7 @@ func CheckSCCQueries(t testing.TB, cg *CallGraph) {
 			}
 			recursive = recursive || a != b && want
 		}
-		if got := cg.IsRecursive(a); got != recursive {
+		if got := cg.isRecursive(a); got != recursive {
 			t.Errorf("IsRecursive(%s) = %v, a fresh scan says %v", a, got, recursive)
 		}
 	}
@@ -190,7 +190,7 @@ func TestSCCQueriesMatchFreshScan(t *testing.T) {
 	if !cg.InSameSCC("x", "z") || !cg.InSameSCC("s", "s") || cg.InSameSCC("main", "main") {
 		t.Fatal("3-cycle and self-loop must be recursive, main not")
 	}
-	if cg.InSameSCC("ghost", "ghost") || cg.InSameSCC("y", "ghost") || cg.IsRecursive("ghost") {
+	if cg.InSameSCC("ghost", "ghost") || cg.InSameSCC("y", "ghost") || cg.isRecursive("ghost") {
 		t.Fatal("a callee without a function is in no cycle")
 	}
 }
@@ -238,4 +238,13 @@ func TestCFGChecksumProperties(t *testing.T) {
 	if m.CFGChecksum() != sum {
 		t.Fatal("checksum should ignore straight-line non-call instructions")
 	}
+}
+
+// isRecursive reports whether fn participates in any cycle.
+func (cg *CallGraph) isRecursive(fn string) bool {
+	if cg.Edges[fn][fn] {
+		return true
+	}
+	c, ok := cg.comp[fn]
+	return ok && len(cg.sccs[c]) > 1
 }

@@ -220,15 +220,6 @@ func (t *DomTree) Reachable(b *Block) bool {
 	return b.ID < len(t.idom) && t.idom[b.ID] != nil
 }
 
-// Idom returns b's immediate dominator: the entry block for itself, nil
-// for a block outside the tree.
-func (t *DomTree) Idom(b *Block) *Block {
-	if !t.Reachable(b) {
-		return nil
-	}
-	return t.idom[b.ID]
-}
-
 // Dominates reports whether a dominates b (reflexively). Blocks outside
 // the tree dominate nothing and are dominated by nothing.
 func (t *DomTree) Dominates(a, b *Block) bool {

@@ -73,7 +73,7 @@ func cloneTerms(dst, src []*Block, bmap map[*Block]*Block) {
 	}
 }
 
-// CloneRegion copies the given blocks into f (via AdoptBlock), remapping
+// CloneRegion copies the given blocks into f (via adoptBlock), remapping
 // intra-region successor edges. mapReg, when non-nil, rewrites every
 // register operand (used by the inliner to shift callee registers into the
 // caller's register space). The returned map gives original→clone.
@@ -84,7 +84,7 @@ func CloneRegion(f *Function, blocks []*Block, mapReg func(Reg) Reg) map[*Block]
 	for i, b := range blocks {
 		nb := &clones[i]
 		nb.Weight, nb.HasWeight, nb.Cold = b.Weight, b.HasWeight, b.Cold
-		f.AdoptBlock(nb)
+		f.adoptBlock(nb)
 		bmap[b] = nb
 	}
 	cloneInstrs(f.Blocks[first:], blocks)

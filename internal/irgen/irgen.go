@@ -259,7 +259,7 @@ func (lw *fnLower) emit(in ir.Instr) {
 }
 
 // closeBlock hands cur the instructions emitted since the last block was
-// closed, with room for one more — the block probe probe.Insert puts first
+// closed, with room for one more — the block probe probe.InsertProgram puts first
 // — and none beyond, so that appending to a block reallocates its slice
 // instead of running into the next block's.
 func (lw *fnLower) closeBlock() {

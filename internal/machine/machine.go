@@ -77,17 +77,6 @@ type Instr struct {
 	Loc *ir.Loc // debug line info with inline chain; nil if stripped
 }
 
-// IsTakenBranchKind reports whether executing the instruction can produce an
-// LBR record (calls, returns and jumps are taken branches; KBranch only
-// when taken — the simulator decides that dynamically).
-func (in *Instr) IsTakenBranchKind() bool {
-	switch in.Kind {
-	case KBranch, KJump, KCall, KTailCall, KICall, KRet:
-		return true
-	}
-	return false
-}
-
 // Func is a binary symbol: one function's hot range plus an optional cold
 // (split) range.
 type Func struct {
@@ -299,15 +288,6 @@ func (p *Prog) InstrAt(addr uint64) *Instr {
 	return nil
 }
 
-// NextInstrAddr returns the address just past the instruction at addr.
-func (p *Prog) NextInstrAddr(addr uint64) uint64 {
-	in := p.InstrAt(addr)
-	if in == nil {
-		return addr
-	}
-	return in.Addr + uint64(in.Size)
-}
-
 // FuncAt returns the function covering addr (hot or cold range), or nil.
 // After Freeze it is a binary search over the span index; before Freeze it
 // falls back to a linear symbol-table scan.
@@ -380,44 +360,6 @@ func (p *Prog) InlinedFramesAt(addr uint64) []Frame {
 		out = append(out, Frame{Func: l.Func, Line: l.Line, Disc: l.Disc})
 	}
 	return out
-}
-
-// FramesEqual reports element-wise equality of two frame stacks.
-func FramesEqual(a, b []Frame) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// InstrsIn returns the instruction index range [lo, hi) covering the
-// address range [start, end] (inclusive of the instruction at end).
-func (p *Prog) InstrsIn(start, end uint64) (lo, hi int) {
-	if p.denseIdx != nil {
-		return p.ceilIndex(start), p.ceilIndex(end + 1)
-	}
-	lo = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] >= start })
-	hi = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] > end })
-	return lo, hi
-}
-
-// ceilIndex returns the index of the first instruction at or after addr.
-// The scan over hole slots is bounded by the largest instruction size.
-func (p *Prog) ceilIndex(addr uint64) int {
-	if addr <= p.denseBase {
-		return 0
-	}
-	for off := addr - p.denseBase; off < uint64(len(p.denseIdx)); off++ {
-		if i := p.denseIdx[off]; i >= 0 {
-			return int(i)
-		}
-	}
-	return len(p.Instrs)
 }
 
 // String summarizes the binary.

@@ -54,10 +54,10 @@ func (e *sectionEncoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// EncodeDebugSection serializes the line+inline table for all instructions
+// encodeDebugSection serializes the line+inline table for all instructions
 // that carry debug locations, mimicking DWARF .debug_line/.debug_info under
 // -g2. Returns the encoded bytes.
-func (p *Prog) EncodeDebugSection() []byte {
+func (p *Prog) encodeDebugSection() []byte {
 	e := newSectionEncoder()
 	var prevAddr uint64
 	var prevLine int64
@@ -157,6 +157,6 @@ func (p *Prog) ComputeSizes() {
 		text += uint64(p.Instrs[i].Size)
 	}
 	p.TextSize = text
-	p.DebugSize = uint64(len(p.EncodeDebugSection()))
+	p.DebugSize = uint64(len(p.encodeDebugSection()))
 	p.ProbeMetaSize = uint64(len(p.EncodeProbeSection()))
 }

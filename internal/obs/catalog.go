@@ -128,9 +128,9 @@ const (
 	// internal/obs — the bounded time-series store's own footprint. The
 	// obs.* prefix is reserved like serve.* and fleet.*: the observability
 	// layer's self-metrics are part of its public surface.
-	MObsTimeseriesSeries  = "obs.timeseries.series"
-	MObsTimeseriesPoints  = "obs.timeseries.points"
-	MObsTimeseriesEvicted = "obs.timeseries.evicted_points"
+	mObsTimeseriesSeries  = "obs.timeseries.series"
+	mObsTimeseriesPoints  = "obs.timeseries.points"
+	mObsTimeseriesEvicted = "obs.timeseries.evicted_points"
 
 	// internal/overhead — the cost-and-confidence observatory. The
 	// overhead.* prefix is reserved: the cost ledger feeds the /overhead
@@ -188,7 +188,7 @@ func catalogNames() []string {
 		MFleetRoundNS,
 		MFleetEventsEmitted, MFleetEventsOverlapDegrading,
 		MFleetConfidenceLowSources,
-		MObsTimeseriesSeries, MObsTimeseriesPoints, MObsTimeseriesEvicted,
+		mObsTimeseriesSeries, mObsTimeseriesPoints, mObsTimeseriesEvicted,
 		MOverheadTotalCycles, MOverheadAppCycles, MOverheadCycles,
 		MOverheadProbeCycles, MOverheadSampleCycles, MOverheadVProfCycles,
 		MOverheadSamples, MOverheadProbeIncrements, MOverheadFramesWalked,
@@ -229,7 +229,7 @@ func checkMetric(name string, kind Kind) error {
 		return fmt.Errorf("malformed metric name %q (want a dotted lowercase path)", name)
 	}
 	switch kind {
-	case KindCounter, KindGauge, KindHistogram:
+	case kindCounter, kindGauge, kindHistogram:
 		return nil
 	}
 	return fmt.Errorf("metric %q: unknown kind %q", name, kind)

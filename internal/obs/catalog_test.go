@@ -24,9 +24,9 @@ func panicMessage(fn func()) (msg string) {
 // well-formed name outside the reserved namespaces, is accepted.
 func TestCatalogsCheckNamesOnEntry(t *testing.T) {
 	register := map[Kind]func(*Registry, string){
-		KindCounter:   func(r *Registry, n string) { r.Counter(n) },
-		KindGauge:     func(r *Registry, n string) { r.Gauge(n) },
-		KindHistogram: func(r *Registry, n string) { r.Histogram(n) },
+		kindCounter:   func(r *Registry, n string) { r.Counter(n) },
+		kindGauge:     func(r *Registry, n string) { r.Gauge(n) },
+		kindHistogram: func(r *Registry, n string) { r.Histogram(n) },
 	}
 	type entry struct {
 		name  string
@@ -34,8 +34,8 @@ func TestCatalogsCheckNamesOnEntry(t *testing.T) {
 		panic string // substring of the panic message; "" = must not panic
 	}
 	var cases []entry
-	for _, first := range []Kind{KindCounter, KindGauge, KindHistogram} {
-		for _, second := range []Kind{KindCounter, KindGauge, KindHistogram} {
+	for _, first := range []Kind{kindCounter, kindGauge, kindHistogram} {
+		for _, second := range []Kind{kindCounter, kindGauge, kindHistogram} {
 			if first == second {
 				continue
 			}

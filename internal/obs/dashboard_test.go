@@ -13,12 +13,12 @@ func TestDashboardEscapesHTML(t *testing.T) {
 	const payload = `<script>alert(1)</script>`
 
 	ts := NewTimeSeries(4)
-	ts.Sample(1, Snapshot{payload + ".series": {Kind: KindGauge, Gauge: 1}})
+	ts.Sample(1, Snapshot{payload + ".series": {Kind: kindGauge, Gauge: 1}})
 
 	snap := Snapshot{
-		payload + ".metric":   {Kind: KindCounter, Value: 2},
-		"overhead." + payload: {Kind: KindGauge, Gauge: 3},
-		"clean.metric":        {Kind: KindCounter, Value: 4},
+		payload + ".metric":   {Kind: kindCounter, Value: 2},
+		"overhead." + payload: {Kind: kindGauge, Gauge: 3},
+		"clean.metric":        {Kind: kindCounter, Value: 4},
 	}
 
 	events := []Event{{
@@ -48,11 +48,11 @@ func TestDashboardEscapesHTML(t *testing.T) {
 // The overhead panel renders only overhead.* metrics; without any, the
 // section is absent entirely.
 func TestDashboardOverheadPanelConditional(t *testing.T) {
-	out := string(renderDashboard("t", nil, Snapshot{"serve.requests": {Kind: KindCounter, Value: 1}}, nil))
+	out := string(renderDashboard("t", nil, Snapshot{"serve.requests": {Kind: kindCounter, Value: 1}}, nil))
 	if strings.Contains(out, "overhead observatory") {
 		t.Fatalf("overhead panel rendered with no overhead.* metrics:\n%s", out)
 	}
-	out = string(renderDashboard("t", nil, Snapshot{MOverheadPct: {Kind: KindGauge, Gauge: 1.5}}, nil))
+	out = string(renderDashboard("t", nil, Snapshot{MOverheadPct: {Kind: kindGauge, Gauge: 1.5}}, nil))
 	if !strings.Contains(out, "overhead observatory") || !strings.Contains(out, MOverheadPct) {
 		t.Fatalf("overhead panel missing:\n%s", out)
 	}

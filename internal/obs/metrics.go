@@ -12,9 +12,9 @@ import (
 type Kind string
 
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	kindCounter   Kind = "counter"
+	kindGauge     Kind = "gauge"
+	kindHistogram Kind = "histogram"
 )
 
 // Registry is the unified metric namespace for one run. Handles are
@@ -217,10 +217,10 @@ func (r *Registry) Counter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	r.checkNewName(name, KindCounter)
+	r.checkNewName(name, kindCounter)
 	c := &Counter{}
 	r.counters[name] = c
-	r.kinds[name] = KindCounter
+	r.kinds[name] = kindCounter
 	return c
 }
 
@@ -235,10 +235,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	r.checkNewName(name, KindGauge)
+	r.checkNewName(name, kindGauge)
 	g := &Gauge{}
 	r.gauges[name] = g
-	r.kinds[name] = KindGauge
+	r.kinds[name] = kindGauge
 	return g
 }
 
@@ -253,10 +253,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	r.checkNewName(name, KindHistogram)
+	r.checkNewName(name, kindHistogram)
 	h := &Histogram{}
 	r.hists[name] = h
-	r.kinds[name] = KindHistogram
+	r.kinds[name] = kindHistogram
 	return h
 }
 
@@ -322,15 +322,15 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	out := make(Snapshot, len(r.kinds))
 	for n, c := range r.counters {
-		out[n] = MetricValue{Kind: KindCounter, Value: c.Value()}
+		out[n] = MetricValue{Kind: kindCounter, Value: c.Value()}
 	}
 	for n, g := range r.gauges {
-		out[n] = MetricValue{Kind: KindGauge, Gauge: g.Value()}
+		out[n] = MetricValue{Kind: kindGauge, Gauge: g.Value()}
 	}
 	for n, h := range r.hists {
 		h.mu.Lock()
 		mv := MetricValue{
-			Kind: KindHistogram, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+			Kind: kindHistogram, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			Buckets: trimBuckets(h.buckets[:]),
 		}
 		h.mu.Unlock()
@@ -354,13 +354,13 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 			continue
 		}
 		switch mv.Kind {
-		case KindCounter:
+		case kindCounter:
 			cur.Value += mv.Value
-		case KindGauge:
+		case kindGauge:
 			if mv.Gauge > cur.Gauge {
 				cur.Gauge = mv.Gauge
 			}
-		case KindHistogram:
+		case kindHistogram:
 			if mv.Count > 0 {
 				if cur.Count == 0 || mv.Min < cur.Min {
 					cur.Min = mv.Min

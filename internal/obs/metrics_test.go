@@ -26,7 +26,7 @@ func TestRegistryKinds(t *testing.T) {
 	}
 	snap := r.Snapshot()
 	hv := snap["shard.worker_busy_ns"]
-	if hv.Kind != KindHistogram || hv.Count != 3 || hv.Sum != 44 || hv.Min != 4 || hv.Max != 30 {
+	if hv.Kind != kindHistogram || hv.Count != 3 || hv.Sum != 44 || hv.Min != 4 || hv.Max != 30 {
 		t.Errorf("histogram snapshot = %+v", hv)
 	}
 	var names []string
@@ -51,7 +51,7 @@ func TestRegistryKindConflict(t *testing.T) {
 	if got := r.Counter("a.b").Value(); got != 1 {
 		t.Errorf("original counter clobbered: %d", got)
 	}
-	if mv, ok := r.Snapshot()["a.b"]; !ok || mv.Kind != KindCounter {
+	if mv, ok := r.Snapshot()["a.b"]; !ok || mv.Kind != kindCounter {
 		t.Errorf("snapshot[a.b] = %+v, %v; want the counter", mv, ok)
 	}
 }
@@ -90,15 +90,15 @@ func TestCountersRaceFree(t *testing.T) {
 
 func TestSnapshotMerge(t *testing.T) {
 	a := Snapshot{
-		"c.x": {Kind: KindCounter, Value: 3},
-		"g.x": {Kind: KindGauge, Gauge: 0.5},
-		"h.x": {Kind: KindHistogram, Count: 2, Sum: 10, Min: 3, Max: 7},
+		"c.x": {Kind: kindCounter, Value: 3},
+		"g.x": {Kind: kindGauge, Gauge: 0.5},
+		"h.x": {Kind: kindHistogram, Count: 2, Sum: 10, Min: 3, Max: 7},
 	}
 	b := Snapshot{
-		"c.x": {Kind: KindCounter, Value: 4},
-		"c.y": {Kind: KindCounter, Value: 1},
-		"g.x": {Kind: KindGauge, Gauge: 0.9},
-		"h.x": {Kind: KindHistogram, Count: 1, Sum: 1, Min: 1, Max: 1},
+		"c.x": {Kind: kindCounter, Value: 4},
+		"c.y": {Kind: kindCounter, Value: 1},
+		"g.x": {Kind: kindGauge, Gauge: 0.9},
+		"h.x": {Kind: kindHistogram, Count: 1, Sum: 1, Min: 1, Max: 1},
 	}
 	m := a.Merge(b)
 	if m["c.x"].Value != 7 || m["c.y"].Value != 1 {

@@ -18,11 +18,11 @@ func renderPrometheus(snap Snapshot) []byte {
 		mv := snap[name]
 		pn := promName(name)
 		switch mv.Kind {
-		case KindCounter:
+		case kindCounter:
 			fmt.Fprintf(&sb, "# TYPE %s counter\n%s %d\n", pn, pn, mv.Value)
-		case KindGauge:
+		case kindGauge:
 			fmt.Fprintf(&sb, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(mv.Gauge))
-		case KindHistogram:
+		case kindHistogram:
 			fmt.Fprintf(&sb, "# TYPE %s summary\n", pn)
 			fmt.Fprintf(&sb, "%s{quantile=\"0.5\"} %d\n", pn, mv.P50)
 			fmt.Fprintf(&sb, "%s{quantile=\"0.95\"} %d\n", pn, mv.P95)

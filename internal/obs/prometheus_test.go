@@ -43,7 +43,7 @@ func TestPromName(t *testing.T) {
 		"9lives":                  "_lives",
 	}
 	for in, want := range cases {
-		snap := Snapshot{in: MetricValue{Kind: KindCounter, Value: 1}}
+		snap := Snapshot{in: MetricValue{Kind: kindCounter, Value: 1}}
 		if got, line := string(renderPrometheus(snap)), want+" 1\n"; !strings.HasSuffix(got, "\n"+line) {
 			t.Errorf("metric %q rendered as %q, want a sample line %q", in, got, line)
 		}

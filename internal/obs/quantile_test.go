@@ -66,7 +66,7 @@ func TestNormalizeZeroesHistogramQuantiles(t *testing.T) {
 	rep.AddMetrics(reg)
 	rep.Normalize()
 	mv := rep.Metrics[MServeSwapLatencyNS]
-	if mv.Kind != KindHistogram {
+	if mv.Kind != kindHistogram {
 		t.Fatalf("normalized _ns histogram lost its kind: %+v", mv)
 	}
 	if mv.Count != 0 || mv.Sum != 0 || mv.P50 != 0 || mv.P95 != 0 || mv.P99 != 0 || mv.Buckets != nil {
@@ -82,12 +82,12 @@ func TestNormalizeZeroesHistogramQuantiles(t *testing.T) {
 func TestDiffReportsThresholdRegressions(t *testing.T) {
 	a := NewReport("t")
 	a.Stages = []Stage{{Name: "build", WallNS: 1_000_000, Count: 1}}
-	a.Metrics[MShardWorkerBusyNS] = MetricValue{Kind: KindCounter, Value: 100}
-	a.Metrics[MQualityContextOverlap] = MetricValue{Kind: KindGauge, Gauge: 0.9}
+	a.Metrics[MShardWorkerBusyNS] = MetricValue{Kind: kindCounter, Value: 100}
+	a.Metrics[MQualityContextOverlap] = MetricValue{Kind: kindGauge, Gauge: 0.9}
 	b := NewReport("t")
 	b.Stages = []Stage{{Name: "build", WallNS: 3_000_000, Count: 1}}
-	b.Metrics[MShardWorkerBusyNS] = MetricValue{Kind: KindCounter, Value: 150}
-	b.Metrics[MQualityContextOverlap] = MetricValue{Kind: KindGauge, Gauge: 0.5}
+	b.Metrics[MShardWorkerBusyNS] = MetricValue{Kind: kindCounter, Value: 150}
+	b.Metrics[MQualityContextOverlap] = MetricValue{Kind: kindGauge, Gauge: 0.5}
 
 	res := DiffReportsThreshold(a, b, 0.10)
 	if res.Regressions != 3 {

@@ -202,9 +202,9 @@ func (r *Report) Format() string {
 
 func formatMetric(mv MetricValue) string {
 	switch mv.Kind {
-	case KindGauge:
+	case kindGauge:
 		return fmt.Sprintf("%.4g", mv.Gauge)
-	case KindHistogram:
+	case kindHistogram:
 		return fmt.Sprintf("count=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d",
 			mv.Count, mv.Sum, mv.Min, mv.Max, mv.P50, mv.P95, mv.P99)
 	default:
@@ -329,7 +329,7 @@ type quantileDelta struct {
 // values when at least one side is a histogram (empty otherwise — counters
 // and gauges have no distribution to drift).
 func histQuantileDeltas(a, b MetricValue) []quantileDelta {
-	if a.Kind != KindHistogram && b.Kind != KindHistogram {
+	if a.Kind != kindHistogram && b.Kind != kindHistogram {
 		return nil
 	}
 	var out []quantileDelta
@@ -347,9 +347,9 @@ func histQuantileDeltas(a, b MetricValue) []quantileDelta {
 // compare by sum).
 func metricScalar(mv MetricValue) float64 {
 	switch mv.Kind {
-	case KindGauge:
+	case kindGauge:
 		return mv.Gauge
-	case KindHistogram:
+	case kindHistogram:
 		return float64(mv.Sum)
 	default:
 		return float64(mv.Value)

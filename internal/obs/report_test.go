@@ -51,7 +51,7 @@ func TestNormalizeZeroesTimings(t *testing.T) {
 			t.Errorf("stage %q not normalized: %+v", st.Name, st)
 		}
 	}
-	if mv := r.Metrics[MShardTailGraphBuildNS]; mv.Value != 0 || mv.Kind != KindCounter {
+	if mv := r.Metrics[MShardTailGraphBuildNS]; mv.Value != 0 || mv.Kind != kindCounter {
 		t.Errorf("_ns metric not normalized: %+v", mv)
 	}
 	if r.Metrics[MUnwindSamplesAccepted].Value != 42 {
@@ -66,7 +66,7 @@ func TestNormalizeZeroesTimings(t *testing.T) {
 // source untouched.
 func TestReportCloneIsDeep(t *testing.T) {
 	r := sampleReport()
-	r.Metrics["h"] = MetricValue{Kind: KindHistogram, Count: 1, Buckets: []int64{1}}
+	r.Metrics["h"] = MetricValue{Kind: kindHistogram, Count: 1, Buckets: []int64{1}}
 	want, _ := r.Encode()
 	c := r.Clone()
 	if got, _ := c.Encode(); !bytes.Equal(got, want) {
@@ -127,12 +127,12 @@ func TestFormatMentionsEverySection(t *testing.T) {
 func TestDiffReportsHighlightsRegressions(t *testing.T) {
 	a := NewReport("t")
 	a.Stages = []Stage{{Name: "build", WallNS: 1_000_000, Count: 1}}
-	a.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: KindCounter, Value: 10}
+	a.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: kindCounter, Value: 10}
 	a.Quality = map[string]float64{"block_overlap": 0.95}
 
 	b := NewReport("t")
 	b.Stages = []Stage{{Name: "build", WallNS: 2_000_000, Count: 1}}
-	b.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: KindCounter, Value: 12}
+	b.Metrics[MUnwindSamplesAccepted] = MetricValue{Kind: kindCounter, Value: 12}
 	b.Quality = map[string]float64{"block_overlap": 0.50}
 
 	out := DiffReportsThreshold(a, b, DefaultRegressionThreshold).Text

@@ -152,9 +152,9 @@ func (ts *TimeSeries) PublishStats(reg *Registry) {
 		return
 	}
 	series, points, evicted := ts.Stats()
-	reg.Gauge(MObsTimeseriesSeries).Set(float64(series))
-	reg.Gauge(MObsTimeseriesPoints).Set(float64(points))
-	reg.Gauge(MObsTimeseriesEvicted).Set(float64(evicted))
+	reg.Gauge(mObsTimeseriesSeries).Set(float64(series))
+	reg.Gauge(mObsTimeseriesPoints).Set(float64(points))
+	reg.Gauge(mObsTimeseriesEvicted).Set(float64(evicted))
 }
 
 // Normalize zeroes the values of wall-clock (_ns) series, the only

@@ -10,9 +10,9 @@ import (
 // scaled by round so successive samples differ.
 func tsSnap(round int64) Snapshot {
 	return Snapshot{
-		"fleet.rounds":   {Kind: KindCounter, Value: round},
-		"quality.ctxov":  {Kind: KindGauge, Gauge: float64(round) / 10},
-		"fleet.round_ns": {Kind: KindHistogram, Count: 1, Sum: 1000 * round, Min: 7, Max: 7000},
+		"fleet.rounds":   {Kind: kindCounter, Value: round},
+		"quality.ctxov":  {Kind: kindGauge, Gauge: float64(round) / 10},
+		"fleet.round_ns": {Kind: kindHistogram, Count: 1, Sum: 1000 * round, Min: 7, Max: 7000},
 	}
 }
 
@@ -69,9 +69,9 @@ func TestTimeSeriesRingEviction(t *testing.T) {
 	reg := NewRegistry()
 	ts.PublishStats(reg)
 	snap := reg.Snapshot()
-	if snap[MObsTimeseriesSeries].Gauge != 3 ||
-		snap[MObsTimeseriesPoints].Gauge != 6 ||
-		snap[MObsTimeseriesEvicted].Gauge != 9 {
+	if snap[mObsTimeseriesSeries].Gauge != 3 ||
+		snap[mObsTimeseriesPoints].Gauge != 6 ||
+		snap[mObsTimeseriesEvicted].Gauge != 9 {
 		t.Fatalf("published stats wrong: %+v", snap)
 	}
 }

@@ -33,14 +33,14 @@ var annotatePass = registerPass("annotate", flowPerturbs, semStructural)
 // carry no checksum, so drifted profiles silently annotate wrong blocks —
 // the failure mode pseudo-instrumentation eliminates.
 func Annotate(p *ir.Program, prof *profdata.Profile) AnnotateStats {
-	return AnnotateWithMatcher(p, prof, nil)
+	return annotateWithMatcher(p, prof, nil)
 }
 
-// AnnotateWithMatcher is Annotate with the degradation ladder enabled: a
+// annotateWithMatcher is Annotate with the degradation ladder enabled: a
 // non-nil matcher lets stale probe-based profiles degrade to anchor-matched
 // counts, and failing that to a flat (context- and position-insensitive)
 // fallback, instead of being dropped.
-func AnnotateWithMatcher(p *ir.Program, prof *profdata.Profile, m *stale.Matcher) AnnotateStats {
+func annotateWithMatcher(p *ir.Program, prof *profdata.Profile, m *stale.Matcher) AnnotateStats {
 	var st AnnotateStats
 	for _, f := range p.Functions() {
 		fp := prof.Funcs[f.Name]
@@ -164,14 +164,14 @@ func annotateLine(f *ir.Function, fp *profdata.FunctionProfile) {
 	}
 }
 
-// PrepareCSProfile splits a context-sensitive profile for compilation:
+// prepareCSProfile splits a context-sensitive profile for compilation:
 // contexts whose ShouldInline bit is set (pre-inliner decisions), or — when
 // decisions are absent and hotThreshold > 0 — contexts at least that hot,
 // stay in the context table for the top-down sample inliner; every other
 // context merges into its leaf's base profile so standalone functions get
 // complete counts (Algorithm 2's move-to-base step performed at compile
 // time). Returns the retained (inline-candidate) context count.
-func PrepareCSProfile(prof *profdata.Profile, useDecisions bool, hotThreshold uint64) int {
+func prepareCSProfile(prof *profdata.Profile, useDecisions bool, hotThreshold uint64) int {
 	if !prof.CS {
 		return 0
 	}

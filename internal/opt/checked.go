@@ -81,7 +81,7 @@ func newChecker(p *ir.Program, cfg *Config) *checker {
 // after verifies the program state following the named pass. On the first
 // function with an error-severity finding it returns a *PassViolation;
 // otherwise it refreshes the snapshots and returns nil.
-func (c *checker) after(pass PassID) error {
+func (c *checker) after(pass passID) error {
 	switch pass.flow {
 	case flowRestores:
 		c.flowOK = true
@@ -127,7 +127,7 @@ func (c *checker) after(pass PassID) error {
 // validateSemantics runs the translation validator at this pass boundary
 // (no-op unless Config.ValidateSemantics), publishing its cost and verdict
 // under the analysis.tv.* metrics and a "tv.<pass>" trace span.
-func (c *checker) validateSemantics(pass PassID) error {
+func (c *checker) validateSemantics(pass passID) error {
 	if c.tvv == nil {
 		return nil
 	}

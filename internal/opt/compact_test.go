@@ -59,7 +59,7 @@ func TestCompactionInPlace(t *testing.T) {
 				for i, b := range g.Blocks {
 					before[i] = slice{unsafe.SliceData(b.Instrs), len(b.Instrs)}
 				}
-				DCE(g)
+				dce(g)
 				for i, b := range g.Blocks {
 					if unsafe.SliceData(b.Instrs) != before[i].data {
 						t.Errorf("seed %d: DCE moved %s b%d to another backing array", seed, g.Name, b.ID)
@@ -100,11 +100,11 @@ func TestDCEConvergedAllocs(t *testing.T) {
 	}
 	probe.InsertProgram(p)
 	for _, f := range p.Functions() {
-		DCE(f)
-		if n := DCE(f); n != 0 {
+		dce(f)
+		if n := dce(f); n != 0 {
 			t.Fatalf("%s: DCE removed %d more instructions after converging", f.Name, n)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { DCE(f) }); allocs > 2 {
+		if allocs := testing.AllocsPerRun(10, func() { dce(f) }); allocs > 2 {
 			t.Errorf("%s (%d blocks): a converged DCE allocates %v times, want its workspace's 2", f.Name, len(f.Blocks), allocs)
 		}
 	}

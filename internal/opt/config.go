@@ -1,5 +1,5 @@
 // Package opt implements the optimization pipeline: profile annotation,
-// profile-guided and static inlining, SimplifyCFG with tail merging, LICM,
+// profile-guided and static inlining, simplifyCFG with tail merging, LICM,
 // loop unrolling, if-conversion, dead-code elimination, tail-call
 // elimination, Ext-TSP-style block layout and hot/cold function splitting —
 // each maintaining profile data the way the paper's Fig. 1 "profile
@@ -30,8 +30,8 @@ const (
 	BarrierStrong
 )
 
-// InlineParams tunes the inliners.
-type InlineParams struct {
+// inlineParams tunes the inliners.
+type inlineParams struct {
 	// SizeThreshold admits callees up to this many real (non-probe)
 	// instructions for static inlining.
 	SizeThreshold int
@@ -52,9 +52,9 @@ type InlineParams struct {
 	ImportThreshold int
 }
 
-// DefaultInlineParams returns -O2-flavoured inlining thresholds.
-func DefaultInlineParams() InlineParams {
-	return InlineParams{
+// defaultInlineParams returns -O2-flavoured inlining thresholds.
+func defaultInlineParams() inlineParams {
+	return inlineParams{
 		SizeThreshold:       18,
 		HotThreshold:        60,
 		TinyThreshold:       6,

@@ -6,7 +6,7 @@ import "csspgo/internal/ir"
 // edge weights are untouched, so flow conservation is preserved.
 var dcePass = registerPass("dce", flowPreserves, semStructural)
 
-// DCE removes pure instructions whose results are never used, iterating to
+// dce removes pure instructions whose results are never used, iterating to
 // a fixed point. Probes, counters, stores and calls are never removed.
 // Returns the number of instructions deleted.
 //
@@ -15,7 +15,7 @@ var dcePass = registerPass("dce", flowPreserves, semStructural)
 // loops and would change the emitted code. One workspace serves every
 // iteration, only a block that lost an instruction has its use/def taken
 // again, and only such a block is compacted, in place.
-func DCE(f *ir.Function) int {
+func dce(f *ir.Function) int {
 	var lv liveness
 	lv.reset(f)
 	live := lv.scratch()

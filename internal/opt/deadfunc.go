@@ -5,12 +5,12 @@ import "csspgo/internal/ir"
 // deadFuncPass drops whole functions; surviving bodies are untouched.
 var deadFuncPass = registerPass("drop-dead-functions", flowPreserves, semStructural)
 
-// DropDeadFunctions removes functions unreachable from main in the static
+// dropDeadFunctions removes functions unreachable from main in the static
 // call graph — after aggressive inlining, fully inlined callees have no
 // remaining callers and their standalone bodies disappear from the binary
 // (the code-size payoff the pre-inliner's binary-extracted sizes predict).
 // Returns the number of functions dropped.
-func DropDeadFunctions(p *ir.Program) int {
+func dropDeadFunctions(p *ir.Program) int {
 	reach := map[string]bool{"main": true}
 	work := []string{"main"}
 	for len(work) > 0 {

@@ -20,7 +20,7 @@ const (
 	icpMaxPerFunction = 8
 )
 
-// ICP performs profile-guided indirect-call promotion: an indirect call
+// icp performs profile-guided indirect-call promotion: an indirect call
 // whose target distribution is dominated by one callee is rewritten to
 //
 //	if target == &dominant { dominant(args) } else { icall target(args) }
@@ -34,7 +34,7 @@ const (
 // semantics: future probe profiles sum the copies), and block weights are
 // split by the observed ratio. A site qualifies when its dominant target
 // has at least minCount calls. Returns the number of promotions.
-func ICP(p *ir.Program, f *ir.Function, prof *profdata.Profile, minCount uint64) int {
+func icp(p *ir.Program, f *ir.Function, prof *profdata.Profile, minCount uint64) int {
 	if prof == nil {
 		return 0
 	}
@@ -182,7 +182,7 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 // weights — not flow-conserved until the next inference run.
 var icpPass = registerPass("icp", flowPerturbs, semRestructures)
 
-// ICPProgram promotes across the whole program. prof must be a flat
+// icpProgram promotes across the whole program. prof must be a flat
 // (context-insensitive) view of the input profile — callers pass a
 // flattened clone so context-sensitive inputs also feed target data.
 //
@@ -190,14 +190,14 @@ var icpPass = registerPass("icp", flowPerturbs, semRestructures)
 // -style): a site qualifies only when its dominant target's count reaches
 // the program's hot-count threshold, so exact (instrumentation) profiles
 // don't promote every lukewarm site just because their counts are precise.
-func ICPProgram(p *ir.Program, prof *profdata.Profile) int {
+func icpProgram(p *ir.Program, prof *profdata.Profile) int {
 	minCount := max(hotCallThreshold(prof), icpMinCount)
 	n := 0
 	for _, f := range p.Functions() {
 		if !f.HasProfile {
 			continue
 		}
-		n += ICP(p, f, prof, minCount)
+		n += icp(p, f, prof, minCount)
 	}
 	return n
 }

@@ -2,9 +2,9 @@ package opt
 
 import "csspgo/internal/ir"
 
-// IfConvertResult reports conversions performed and ones a probe barrier
+// ifConvertResult reports conversions performed and ones a probe barrier
 // prevented.
-type IfConvertResult struct {
+type ifConvertResult struct {
 	Converted int
 	Blocked   int
 }
@@ -12,7 +12,7 @@ type IfConvertResult struct {
 // ifConvertPass collapses diamonds to selects, merging arm weights.
 var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
 
-// IfConvert flattens small diamonds (branch → two tiny pure arms → join)
+// ifConvert flattens small diamonds (branch → two tiny pure arms → join)
 // into straight-line code with select instructions, removing a conditional
 // branch. This is a code-merge optimization:
 //
@@ -25,8 +25,8 @@ var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
 //   - BarrierNone: proceeds.
 //
 // maxArmInstrs bounds each arm's real instruction count.
-func IfConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) IfConvertResult {
-	var res IfConvertResult
+func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
+	var res ifConvertResult
 	for {
 		converted := false
 		f.RebuildCFG()

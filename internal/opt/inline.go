@@ -29,7 +29,7 @@ func realSize(f *ir.Function) int {
 	return n
 }
 
-// InlineCall inlines the call at (b, idx) in caller. ctxProfile, when
+// inlineCall inlines the call at (b, idx) in caller. ctxProfile, when
 // non-nil, annotates the inlined body with its context-sensitive profile;
 // otherwise, when the caller/callee carry weights, the inlined body is
 // scaled by callsiteWeight/calleeEntryCount — the inaccurate
@@ -39,7 +39,7 @@ func realSize(f *ir.Function) int {
 // chains) and cloned probes get their inline contexts extended through the
 // call site's probe — exactly the bookkeeping DWARF and pseudo-probe
 // metadata need for later correlation.
-func InlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxProfile *profdata.FunctionProfile) error {
+func inlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxProfile *profdata.FunctionProfile) error {
 	call := b.Instrs[idx]
 	if call.Op != ir.OpCall {
 		return fmt.Errorf("inline: not a call")
@@ -192,12 +192,12 @@ func appendSite(chain, site *ir.ProbeSite) *ir.ProbeSite {
 // inlinePass grafts scaled callee CFGs into callers.
 var inlinePass = registerPass("inline", flowPerturbs, semRestructures)
 
-// BottomUpInline is the main (CGSCC-order) inliner: functions are visited
+// bottomUpInline is the main (CGSCC-order) inliner: functions are visited
 // callees-first; call sites are inlined when the callee is small enough,
 // with a larger budget at profile-hot call sites and a token budget for
 // cold ones. ThinLTO partitioning is respected: cross-module callees
 // inline only when small enough to have been imported by summary.
-func BottomUpInline(p *ir.Program, params InlineParams, profiled bool) int {
+func bottomUpInline(p *ir.Program, params inlineParams, profiled bool) int {
 	cg := ir.BuildCallGraph(p)
 	inlines := 0
 	for _, name := range cg.BottomUpOrder() {
@@ -210,7 +210,7 @@ func BottomUpInline(p *ir.Program, params InlineParams, profiled bool) int {
 	return inlines
 }
 
-func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params InlineParams, profiled bool) int {
+func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params inlineParams, profiled bool) int {
 	inlines := 0
 	budgetSize := realSize(f)
 	for pass := 0; pass < 4; pass++ {
@@ -232,7 +232,7 @@ func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params InlinePa
 				if budgetSize+size > params.GrowthCap {
 					continue
 				}
-				if err := InlineCall(p, f, b, i, nil); err != nil {
+				if err := inlineCall(p, f, b, i, nil); err != nil {
 					continue
 				}
 				budgetSize += size
@@ -251,7 +251,7 @@ func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params InlinePa
 	return inlines
 }
 
-func shouldInline(caller *ir.Function, site *ir.Block, callee *ir.Function, size int, params InlineParams, profiled bool) bool {
+func shouldInline(caller *ir.Function, site *ir.Block, callee *ir.Function, size int, params inlineParams, profiled bool) bool {
 	if size <= params.TinyThreshold {
 		return true
 	}

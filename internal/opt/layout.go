@@ -6,7 +6,7 @@ import (
 	"csspgo/internal/ir"
 )
 
-// Layout reorders the function's blocks to maximize fallthrough along hot
+// layout reorders the function's blocks to maximize fallthrough along hot
 // edges — an Ext-TSP-inspired greedy chain merge (Newell & Pupyrev [15],
 // degenerating to Pettis-Hansen chaining): every block starts as its own
 // chain; candidate (tail→head) edges merge chains in decreasing weight
@@ -15,7 +15,7 @@ import (
 // selection then turn hot edges into straight-line execution.
 //
 // Requires edge weights (run inference first); does nothing without them.
-func Layout(f *ir.Function) bool {
+func layout(f *ir.Function) bool {
 	hasW := false
 	for _, b := range f.Blocks {
 		if b.HasWeight {
@@ -129,13 +129,13 @@ func Layout(f *ir.Function) bool {
 // flow guarantee established by inference survives it.
 var layoutPass = registerPass("layout", flowPreserves, semStructural)
 
-// LayoutProgram lays out every function with a profile; returns how many
+// layoutProgram lays out every function with a profile; returns how many
 // functions were reordered.
-func LayoutProgram(p *ir.Program) int {
+func layoutProgram(p *ir.Program) int {
 	n := 0
 	for _, f := range p.Functions() {
 		f.RemoveUnreachable()
-		if Layout(f) {
+		if layout(f) {
 			n++
 		}
 	}

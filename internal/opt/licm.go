@@ -10,7 +10,7 @@ import (
 // licmPass may materialize preheader blocks without profile weights.
 var licmPass = registerPass("licm", flowPerturbs, semRestructures)
 
-// LICM hoists loop-invariant pure computation into a preheader — the
+// licm hoists loop-invariant pure computation into a preheader — the
 // code-motion class of optimization that damages debug-info correlation:
 // hoisted instructions keep their source lines while moving to a colder
 // block. Probes are never moved (their frequency semantics forbid it).
@@ -23,13 +23,13 @@ var licmPass = registerPass("licm", flowPerturbs, semRestructures)
 // renamed chains, so whole invariant expression trees move out together.
 //
 // Returns the number of instructions hoisted.
-func LICM(f *ir.Function) int {
+func licm(f *ir.Function) int {
 	hoisted := 0
 	// One dominator tree for every loop: hoisting moves instructions and
 	// ensurePreheader only puts a block on the edges entering a header,
 	// neither of which changes dominance between the blocks the tree knows.
 	loops, dt := f.NaturalLoops()
-	lc := licm{f: f, dt: dt}
+	lc := hoister{f: f, dt: dt}
 	for _, loop := range loops {
 		hoisted += lc.loop(loop)
 	}
@@ -39,9 +39,9 @@ func LICM(f *ir.Function) int {
 	return hoisted
 }
 
-// licm is what LICM keeps for one function: the liveness workspace and the
+// hoister is what licm keeps for one function: the liveness workspace and the
 // register-indexed tables every loop and block reuse.
-type licm struct {
+type hoister struct {
 	f  *ir.Function
 	dt *ir.DomTree
 	lv liveness
@@ -61,7 +61,7 @@ type licm struct {
 	renamed []ir.Reg
 }
 
-func (lc *licm) loop(loop *ir.Loop) int {
+func (lc *hoister) loop(loop *ir.Loop) int {
 	f := lc.f
 	// The registers there are now; the ones hoisting adds are only ever
 	// written by it, and read through rename.
@@ -128,7 +128,7 @@ func (lc *licm) loop(loop *ir.Loop) int {
 }
 
 // block hoists invariant chains out of one always-executed loop block.
-func (lc *licm) block(loop *ir.Loop, b *ir.Block, liveOutB analysis.BitSet) int {
+func (lc *hoister) block(loop *ir.Loop, b *ir.Block, liveOutB analysis.BitSet) int {
 	f, rename := lc.f, lc.rename
 	// A register is invariant when it holds a hoisted value or nothing in
 	// the loop writes it.

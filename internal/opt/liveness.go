@@ -11,7 +11,7 @@ import (
 // function — DCE's iterations, LICM's loops — so the tables are allocated
 // once (again only when the function outgrows them) and a caller that
 // changed a few blocks recomputes only their use/def. It stays a backward
-// fixpoint in opt, not a SolveForward problem.
+// fixpoint in opt, not a solveForward problem.
 type liveness struct {
 	n     int     // blocks
 	words int     // 64-bit words per set

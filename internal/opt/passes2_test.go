@@ -19,7 +19,7 @@ func fact(n) {
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Callee == "fact" {
-				if err := InlineCall(p, f, b, i, nil); err == nil {
+				if err := inlineCall(p, f, b, i, nil); err == nil {
 					t.Fatal("direct recursion must not inline")
 				}
 				return
@@ -38,10 +38,10 @@ func TestBottomUpInlineRespectsGrowthCap(t *testing.T) {
 	src += "\treturn s;\n}\nfunc work(x) { var r = x * 3 + 1; r = r % 97; r = r + x; return r; }\n"
 	p := lower(t, src, false)
 	before := realSize(p.Funcs["main"])
-	params := DefaultInlineParams()
+	params := defaultInlineParams()
 	params.GrowthCap = before + 30 // room for ~2 inlines of `work`
 	params.TinyThreshold = 0
-	BottomUpInline(p, params, false)
+	bottomUpInline(p, params, false)
 	after := realSize(p.Funcs["main"])
 	if after > params.GrowthCap+20 {
 		t.Fatalf("growth cap exceeded: %d -> %d (cap %d)", before, after, params.GrowthCap)
@@ -69,7 +69,7 @@ func main(n) {
 }
 func leaf(x) { return x + 1; }`, false)
 	f := p.Funcs["main"]
-	if n := Unroll(f, UnrollParams{Factor: 4, MaxBodyInstrs: 50}); n != 0 {
+	if n := unroll(f, unrollParams{Factor: 4, MaxBodyInstrs: 50}); n != 0 {
 		t.Fatalf("loop with call unrolled (%d)", n)
 	}
 }
@@ -85,7 +85,7 @@ func TestUnrollRefusesOversizedBody(t *testing.T) {
 }`
 	p := lower(t, src, false)
 	f := p.Funcs["main"]
-	if n := Unroll(f, UnrollParams{Factor: 4, MaxBodyInstrs: 4}); n != 0 {
+	if n := unroll(f, unrollParams{Factor: 4, MaxBodyInstrs: 4}); n != 0 {
 		t.Fatalf("oversized body unrolled (%d)", n)
 	}
 }
@@ -117,8 +117,8 @@ func main(a) {
 		return f
 	}
 	a, b := mk(), mk()
-	Layout(a)
-	Layout(b)
+	layout(a)
+	layout(b)
 	if len(a.Blocks) != len(b.Blocks) {
 		t.Fatal("layout changed block count")
 	}
@@ -139,7 +139,7 @@ func TestLayoutKeepsEntryFirst(t *testing.T) {
 	}
 	// Make a non-entry block the hottest.
 	f.Blocks[2].Weight = 1000
-	Layout(f)
+	layout(f)
 	if f.Blocks[0] != entry {
 		t.Fatal("entry must stay first regardless of heat")
 	}
@@ -152,7 +152,7 @@ func main(a) {
 	return icall(h, a);
 }
 func leaf(x) { return x + 1; }`, false)
-	if n := TCE(p.Funcs["main"]); n != 0 {
+	if n := tce(p.Funcs["main"]); n != 0 {
 		t.Fatalf("icall must not be TCE-marked (%d)", n)
 	}
 }
@@ -167,7 +167,7 @@ func main(a) {
 }
 func effectful(x) { g = g + x; return 0; }`, false)
 	f := p.Funcs["main"]
-	DCE(f)
+	dce(f)
 	found := false
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -193,7 +193,7 @@ func TestSimplifyRemovesEmptyForwarders(t *testing.T) {
 	entry.Term.Succs[0] = fwd
 	f.RebuildCFG()
 	before := len(f.Blocks)
-	res := SimplifyCFG(f, false, BarrierNone)
+	res := simplifyCFG(f, false, BarrierNone)
 	// The forwarder disappears either via empty-block removal or by being
 	// merged with its single-predecessor target.
 	if res.EmptyRemoved == 0 && res.Merged == 0 {
@@ -215,7 +215,7 @@ func main(a) {
 }
 func used(x) { return x; }
 func unused(x) { return x * 2; }`, true)
-	dropped := DropDeadFunctions(p)
+	dropped := dropDeadFunctions(p)
 	if dropped != 1 {
 		t.Fatalf("dropped %d, want 1 (only `unused`)", dropped)
 	}

@@ -30,7 +30,7 @@ func TestDCERemovesDeadCode(t *testing.T) {
 	p := lower(t, `func main(a) { var dead = a * 2 + 7; return a; }`, false)
 	f := p.Funcs["main"]
 	before := realSize(f)
-	removed := DCE(f)
+	removed := dce(f)
 	if removed == 0 {
 		t.Fatal("dead computation not removed")
 	}
@@ -48,7 +48,7 @@ global g;
 func main(a) { g = a; noisy(a); return 0; }
 func noisy(x) { g = g + x; return x; }`, false)
 	f := p.Funcs["main"]
-	DCE(f)
+	dce(f)
 	stores, calls := 0, 0
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
@@ -67,11 +67,11 @@ func noisy(x) { g = g + x; return x; }`, false)
 
 func TestSimplifyMergesChains(t *testing.T) {
 	// The for-loop body jumps to its single-predecessor post block: a
-	// straight-line chain SimplifyCFG must collapse.
+	// straight-line chain simplifyCFG must collapse.
 	p := lower(t, `func main(n) { var s = 0; for (var i = 0; i < n; i = i + 1) { s = s + i; } return s; }`, false)
 	f := p.Funcs["main"]
 	n := len(f.Blocks)
-	res := SimplifyCFG(f, false, BarrierNone)
+	res := simplifyCFG(f, false, BarrierNone)
 	if res.Merged == 0 || len(f.Blocks) >= n {
 		t.Fatalf("no blocks merged: %d -> %d (%+v)", n, len(f.Blocks), res)
 	}
@@ -102,7 +102,7 @@ func main(a) {
 func TestTailMergeWithoutProbes(t *testing.T) {
 	p := lower(t, tailMergeSrc, false)
 	f := p.Funcs["main"]
-	res := SimplifyCFG(f, true, BarrierNone)
+	res := simplifyCFG(f, true, BarrierNone)
 	if res.TailMerges == 0 {
 		t.Fatalf("identical tails not merged:\n%s", f)
 	}
@@ -124,7 +124,7 @@ func TestTailMergeKeepsProbesPerArm(t *testing.T) {
 			want[pr.ID] = true
 		}
 	}
-	res := SimplifyCFG(f, true, BarrierWeak)
+	res := simplifyCFG(f, true, BarrierWeak)
 	if res.TailMergeBlocked == 0 {
 		t.Fatalf("probe-limited merge not reported: %+v", res)
 	}
@@ -159,7 +159,7 @@ func main(n) {
 	return s;
 }`, false)
 	f := p.Funcs["main"]
-	hoisted := LICM(f)
+	hoisted := licm(f)
 	if hoisted == 0 {
 		t.Fatalf("nothing hoisted:\n%s", f)
 	}
@@ -187,7 +187,7 @@ func main(n) {
 	f := p.Funcs["main"]
 	// s and i change every iteration: the adds must stay. Constants used
 	// by compares may hoist; the OpBin on loop-variant regs must not.
-	LICM(f)
+	licm(f)
 	loops, _ := f.NaturalLoops()
 	if len(loops) != 1 {
 		t.Fatal("loop destroyed")
@@ -215,7 +215,7 @@ func TestUnrollDuplicatesProbesAndScalesWeights(t *testing.T) {
 		b.HasWeight = true
 	}
 	blocksBefore := len(f.Blocks)
-	n := Unroll(f, UnrollParams{Factor: 4, MaxBodyInstrs: 24})
+	n := unroll(f, unrollParams{Factor: 4, MaxBodyInstrs: 24})
 	if n != 1 {
 		t.Fatalf("loop not unrolled:\n%s", f)
 	}
@@ -259,7 +259,7 @@ func main(a) {
 func TestIfConvert(t *testing.T) {
 	p := lower(t, diamondSrc, false)
 	f := p.Funcs["main"]
-	res := IfConvert(f, BarrierNone, 3)
+	res := ifConvert(f, BarrierNone, 3)
 	if res.Converted != 1 {
 		t.Fatalf("diamond not converted:\n%s", f)
 	}
@@ -286,13 +286,13 @@ func TestIfConvert(t *testing.T) {
 func TestIfConvertBarriers(t *testing.T) {
 	// Strong barrier (instrumentation): blocked.
 	p1 := lower(t, diamondSrc, true)
-	res1 := IfConvert(p1.Funcs["main"], BarrierStrong, 3)
+	res1 := ifConvert(p1.Funcs["main"], BarrierStrong, 3)
 	if res1.Converted != 0 || res1.Blocked == 0 {
 		t.Fatalf("strong barrier should block: %+v", res1)
 	}
 	// Weak barrier (tuned pseudo-probes): proceeds.
 	p2 := lower(t, diamondSrc, true)
-	res2 := IfConvert(p2.Funcs["main"], BarrierWeak, 3)
+	res2 := ifConvert(p2.Funcs["main"], BarrierWeak, 3)
 	if res2.Converted != 1 {
 		t.Fatalf("weak barrier should proceed: %+v", res2)
 	}
@@ -305,7 +305,7 @@ func TestTCEMarksTailCalls(t *testing.T) {
 	p := lower(t, `
 func main(a) { return chain(a); }
 func chain(x) { return x * 2; }`, false)
-	if n := TCE(p.Funcs["main"]); n != 1 {
+	if n := tce(p.Funcs["main"]); n != 1 {
 		t.Fatalf("tail call not marked: %d", n)
 	}
 	var marked *ir.Instr
@@ -325,7 +325,7 @@ func TestTCESkipsNonTailCalls(t *testing.T) {
 	p := lower(t, `
 func main(a) { return helper(a) + 1; }
 func helper(x) { return x; }`, false)
-	if n := TCE(p.Funcs["main"]); n != 0 {
+	if n := tce(p.Funcs["main"]); n != 0 {
 		t.Fatalf("non-tail call marked: %d", n)
 	}
 }
@@ -353,7 +353,7 @@ func TestLayoutPutsHotSuccessorFallthrough(t *testing.T) {
 			b.Term.EdgeW[i] = b.Weight
 		}
 	}
-	if !Layout(f) {
+	if !layout(f) {
 		t.Fatalf("layout did not run:\n%s", f)
 	}
 	// The hot arm must directly follow the entry in layout order.
@@ -374,7 +374,7 @@ func TestSplitMarksColdBlocks(t *testing.T) {
 			b.Weight = 100
 		}
 	}
-	if n := Split(f); n != 1 {
+	if n := split(f); n != 1 {
 		t.Fatalf("split marked %d", n)
 	}
 	if !f.Blocks[2].Cold {
@@ -460,7 +460,7 @@ func helper(x, y) { if (x > y) { return x; } return y; }`, true)
 		}
 	}
 	callProbeID := b.Instrs[idx].Probe.ID
-	if err := InlineCall(p, f, b, idx, nil); err != nil {
+	if err := inlineCall(p, f, b, idx, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Verify(); err != nil {
@@ -522,7 +522,7 @@ func helper(x) { if (x > 0) { return 1; } return 2; }`, true)
 			}
 		}
 	}
-	if err := InlineCall(p, f, b, idx, nil); err != nil {
+	if err := inlineCall(p, f, b, idx, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Cloned blocks scale 100 * 10/100 = 10.
@@ -558,9 +558,9 @@ func tiny(x) { return x + 1; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := DefaultInlineParams()
+	params := defaultInlineParams()
 	params.SizeThreshold = 100 // same-module would admit big
-	BottomUpInline(p, params, false)
+	bottomUpInline(p, params, false)
 	calls := map[string]bool{}
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {

@@ -29,7 +29,7 @@ type runner struct {
 // structural verifier and the analysis suite run afterwards, and the first
 // error-severity finding aborts the pipeline with a *PassViolation naming
 // this pass.
-func (r *runner) run(id PassID, fn func()) error {
+func (r *runner) run(id passID, fn func()) error {
 	sp := r.cfg.Trace.Span("opt." + id.name)
 	defer sp.End()
 	fn()
@@ -47,7 +47,7 @@ func (r *runner) run(id PassID, fn func()) error {
 // Optimize runs the full pipeline over the program, mirroring the paper's
 // Fig. 1 flow: profile annotation + inference, profile-guided top-down
 // inlining (sample loader / early inliner), the scalar and control-flow
-// pipeline (SimplifyCFG, DCE, LICM, unroll, if-convert, tail merge), the
+// pipeline (simplifyCFG, DCE, LICM, unroll, if-convert, tail merge), the
 // main bottom-up inliner, tail-call elimination, then the profile-consuming
 // backend passes (layout, splitting) after a final inference pass restores
 // flow consistency. The profile-consuming passes run iff cfg.Profile is
@@ -74,10 +74,10 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	if prof != nil {
 		prof = prof.Clone() // the pipeline consumes/mutates the profile
 		if prof.CS {
-			PrepareCSProfile(prof, cfg.UsePreInlineDecisions, cfg.CSHotContextThreshold)
+			prepareCSProfile(prof, cfg.UsePreInlineDecisions, cfg.CSHotContextThreshold)
 		}
 		if err := r.run(annotatePass, func() {
-			a := AnnotateWithMatcher(p, prof, matcher)
+			a := annotateWithMatcher(p, prof, matcher)
 			a.Publish(cfg.Metrics)
 			st.AnnotatedFuncs = a.Annotated
 			st.StaleFuncs = a.Stale
@@ -97,7 +97,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 				return st, err
 			}
 		}
-		// ICP needs the flat target histograms before the CS inliner
+		// icp needs the flat target histograms before the CS inliner
 		// consumes the context table.
 		var flatView *profdata.Profile
 		if !cfg.DisableICP {
@@ -106,9 +106,9 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// Top-down profile-guided inlining.
 		if err := r.run(sampleInlinePass, func() {
 			if prof.CS {
-				st.SampleInlines = SampleInlineCS(p, prof, matcher, st)
+				st.SampleInlines = sampleInlineCS(p, prof, matcher, st)
 			} else {
-				st.SampleInlines = SampleInlineAutoFDO(p, DefaultInlineParams())
+				st.SampleInlines = sampleInlineAutoFDO(p, defaultInlineParams())
 			}
 		}); err != nil {
 			return st, err
@@ -119,7 +119,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// bottom-up inliner (so promoted direct calls can inline).
 		if !cfg.DisableICP {
 			if err := r.run(icpPass, func() {
-				st.ICPromotions = ICPProgram(p, flatView)
+				st.ICPromotions = icpProgram(p, flatView)
 			}); err != nil {
 				return st, err
 			}
@@ -129,7 +129,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	// Early cleanup.
 	if err := r.run(simplifyPass, func() {
 		for _, f := range p.Functions() {
-			sr := SimplifyCFG(f, false, cfg.Barrier)
+			sr := simplifyCFG(f, false, cfg.Barrier)
 			st.CFGMerged += sr.Merged
 			st.CFGEmptyRemoved += sr.EmptyRemoved
 			st.TailMerges += sr.TailMerges
@@ -140,21 +140,21 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}
 	if err := r.run(dcePass, func() {
 		for _, f := range p.Functions() {
-			st.DCERemoved += DCE(f)
+			st.DCERemoved += dce(f)
 		}
 	}); err != nil {
 		return st, err
 	}
 
 	// Main bottom-up inliner.
-	inl := DefaultInlineParams()
+	inl := defaultInlineParams()
 	if cfg.UsePreInlineDecisions {
 		// The pre-inliner already claimed the hot paths; the static pass
 		// only picks up cheap wins.
 		inl.HotThreshold = inl.SizeThreshold
 	}
 	if err := r.run(inlinePass, func() {
-		st.StaticInlines = BottomUpInline(p, inl, prof != nil)
+		st.StaticInlines = bottomUpInline(p, inl, prof != nil)
 	}); err != nil {
 		return st, err
 	}
@@ -162,7 +162,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	// Scalar/control-flow pipeline.
 	if err := r.run(licmPass, func() {
 		for _, f := range p.Functions() {
-			st.LICMHoisted += LICM(f)
+			st.LICMHoisted += licm(f)
 		}
 	}); err != nil {
 		return st, err
@@ -171,18 +171,18 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	// loops by 2, like -O2.
 	if err := r.run(unrollPass, func() {
 		for _, f := range p.Functions() {
-			params := UnrollParams{Factor: 2, MaxBodyInstrs: 10}
+			params := unrollParams{Factor: 2, MaxBodyInstrs: 10}
 			if prof != nil {
-				params = UnrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
+				params = unrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
 			}
-			st.Unrolled += Unroll(f, params)
+			st.Unrolled += unroll(f, params)
 		}
 	}); err != nil {
 		return st, err
 	}
 	if err := r.run(ifConvertPass, func() {
 		for _, f := range p.Functions() {
-			ic := IfConvert(f, cfg.Barrier, 3)
+			ic := ifConvert(f, cfg.Barrier, 3)
 			st.IfConverts += ic.Converted
 			st.IfConvertBlocked += ic.Blocked
 		}
@@ -191,7 +191,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}
 	if err := r.run(simplifyPass, func() {
 		for _, f := range p.Functions() {
-			sr := SimplifyCFG(f, true, cfg.Barrier)
+			sr := simplifyCFG(f, true, cfg.Barrier)
 			st.CFGMerged += sr.Merged
 			st.CFGEmptyRemoved += sr.EmptyRemoved
 			st.TailMerges += sr.TailMerges
@@ -202,14 +202,14 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 	}
 	if err := r.run(dcePass, func() {
 		for _, f := range p.Functions() {
-			st.DCERemoved += DCE(f)
+			st.DCERemoved += dce(f)
 		}
 	}); err != nil {
 		return st, err
 	}
 	if err := r.run(tcePass, func() {
 		for _, f := range p.Functions() {
-			st.TailCalls += TCE(f)
+			st.TailCalls += tce(f)
 		}
 	}); err != nil {
 		return st, err
@@ -224,12 +224,12 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 			}
 		}
 		if err := r.run(layoutPass, func() {
-			st.LayoutFuncs = LayoutProgram(p)
+			st.LayoutFuncs = layoutProgram(p)
 		}); err != nil {
 			return st, err
 		}
 		if err := r.run(splitPass, func() {
-			st.SplitBlocks = SplitProgram(p)
+			st.SplitBlocks = splitProgram(p)
 		}); err != nil {
 			return st, err
 		}
@@ -243,7 +243,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		return st, err
 	}
 	if err := r.run(deadFuncPass, func() {
-		DropDeadFunctions(p)
+		dropDeadFunctions(p)
 	}); err != nil {
 		return st, err
 	}

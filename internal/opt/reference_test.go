@@ -11,7 +11,7 @@ import (
 	"csspgo/internal/source"
 )
 
-// DCE, LICM and liveOut as they stood before they stopped copying what did
+// dce, licm and liveOut as they stood before they stopped copying what did
 // not change (whole-function liveness per fixpoint iteration and per loop,
 // every block's instruction slice reallocated, map-keyed rename tables),
 // kept verbatim as the test oracle.
@@ -317,19 +317,19 @@ func checkAgainstReference(t testing.TB, pass string, f *ir.Function, reference,
 
 // ReferenceHooks returns Config.InjectAfter hooks that hold DCE and LICM to
 // their references on every function of the program at the two points DCE
-// runs inside Optimize (after each SimplifyCFG) and the one point LICM runs
+// runs inside Optimize (after each simplifyCFG) and the one point LICM runs
 // (after the bottom-up inliner). The hooks mutate nothing. Exported to the
 // corpus test in package opt_test.
 func ReferenceHooks(t testing.TB) map[string]func(*ir.Program) {
 	return map[string]func(*ir.Program){
 		simplifyPass.name: func(p *ir.Program) {
 			for _, f := range p.Functions() {
-				checkAgainstReference(t, "DCE", f, referenceDCE, DCE)
+				checkAgainstReference(t, "DCE", f, referenceDCE, dce)
 			}
 		},
 		inlinePass.name: func(p *ir.Program) {
 			for _, f := range p.Functions() {
-				checkAgainstReference(t, "LICM", f, referenceLICM, LICM)
+				checkAgainstReference(t, "LICM", f, referenceLICM, licm)
 			}
 		},
 	}
@@ -409,8 +409,8 @@ func TestLICMInnerLoopBeforeOuter(t *testing.T) {
 		t.Fatalf("want the inner loop (header b1) first and b4 in the outer one:\n%s", f)
 	}
 
-	checkAgainstReference(t, "LICM", f, referenceLICM, LICM)
-	LICM(f)
+	checkAgainstReference(t, "LICM", f, referenceLICM, licm)
+	licm(f)
 	moved := map[ir.Reg]bool{}
 	for _, in := range b4.Instrs {
 		if in.Op != ir.OpMove {

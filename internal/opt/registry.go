@@ -13,7 +13,7 @@ type flowEffect uint8
 
 const (
 	// flowPerturbs: the pass rewrites the CFG or weights without keeping
-	// edge flows conserved (inliners, SimplifyCFG, unroll, ...).
+	// edge flows conserved (inliners, simplifyCFG, unroll, ...).
 	flowPerturbs flowEffect = iota
 	// flowPreserves: the pass leaves block and edge weights conserved if
 	// they already were (layout, splitting, DCE, TCE, cleanup).
@@ -36,34 +36,34 @@ const (
 	// split, cleanup, dead-function dropping).
 	semStructural semContract = iota
 	// semRestructures: the pass rewrites the CFG wholesale (inliners, ICP,
-	// SimplifyCFG, LICM, unroll, if-convert) — block-level bisimulation
+	// simplifyCFG, LICM, unroll, if-convert) — block-level bisimulation
 	// would reject legal rewrites, so effect-growth checks and the
 	// differential oracle carry the proof alone.
 	semRestructures
 )
 
-// PassID names a registered optimization pass. Every pass entry point
+// passID names a registered optimization pass. Every pass entry point
 // registers itself once; pipeline and checked mode refer to passes only
 // through their registration, which is what makes violation attribution
 // ("pass X broke function Y") possible.
-type PassID struct {
+type passID struct {
 	name string
 	flow flowEffect
 	sem  semContract
 }
 
 // Name returns the registered pass name.
-func (p PassID) Name() string { return p.name }
+func (p passID) Name() string { return p.name }
 
-var passRegistry = map[string]PassID{}
+var passRegistry = map[string]passID{}
 
 // registerPass records a pass name at init time. Duplicate names are a
 // programming error: attribution would be ambiguous.
-func registerPass(name string, fe flowEffect, sc semContract) PassID {
+func registerPass(name string, fe flowEffect, sc semContract) passID {
 	if _, dup := passRegistry[name]; dup {
 		panic(fmt.Sprintf("opt: duplicate pass registration %q", name))
 	}
-	id := PassID{name: name, flow: fe, sem: sc}
+	id := passID{name: name, flow: fe, sem: sc}
 	passRegistry[name] = id
 	return id
 }

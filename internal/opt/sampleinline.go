@@ -9,7 +9,7 @@ import (
 // sampleInlinePass rewrites caller CFGs from context profiles.
 var sampleInlinePass = registerPass("sample-inline", flowPerturbs, semRestructures)
 
-// SampleInlineCS is the CSSPGO top-down sample-loader inliner. Functions
+// sampleInlineCS is the CSSPGO top-down sample-loader inliner. Functions
 // are visited callers-first. While compiling F, the profile's contexts
 // rooted at F ("F:site @ callee …") drive inlining: a retained context
 // (pre-inliner ShouldInline decision, or hot context when compiling without
@@ -23,7 +23,7 @@ var sampleInlinePass = registerPass("sample-inline", flowPerturbs, semRestructur
 // Returns the number of call sites inlined; stale-context rejections are
 // counted into st (which may be nil). A non-nil matcher lets stale contexts
 // degrade via anchor matching instead of merging straight into the base.
-func SampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st *Stats) int {
+func sampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st *Stats) int {
 	if !prof.CS || len(prof.Contexts) == 0 {
 		return 0
 	}
@@ -78,7 +78,7 @@ func SampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st 
 							}
 							cp = remapped
 						}
-						if err := InlineCall(p, f, b, i, cp); err != nil {
+						if err := inlineCall(p, f, b, i, cp); err != nil {
 							continue
 						}
 						delete(prof.Contexts, key)
@@ -190,13 +190,13 @@ func contextKeyForCall(call *ir.Instr, callee string) string {
 	return ctx.Key()
 }
 
-// SampleInlineAutoFDO is AutoFDO's early top-down inliner: with only
+// sampleInlineAutoFDO is AutoFDO's early top-down inliner: with only
 // context-insensitive line profiles available, it inlines call sites whose
 // block weight is hot relative to the caller, conservatively (the paper
 // notes early inlining on unoptimized IR must be conservative because cost
 // estimates are poor). The inlined body is annotated by scaling the
 // callee's base profile — the context-insensitive approximation.
-func SampleInlineAutoFDO(p *ir.Program, params InlineParams) int {
+func sampleInlineAutoFDO(p *ir.Program, params inlineParams) int {
 	cg := ir.BuildCallGraph(p)
 	inlines := 0
 	for _, name := range cg.TopDownOrder() {
@@ -236,7 +236,7 @@ func SampleInlineAutoFDO(p *ir.Program, params InlineParams) int {
 					if callee.Module != f.Module && summarySize(callee) > params.ImportThreshold {
 						continue
 					}
-					if err := InlineCall(p, f, b, i, nil); err != nil {
+					if err := inlineCall(p, f, b, i, nil); err != nil {
 						continue
 					}
 					inlines++

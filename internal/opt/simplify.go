@@ -2,8 +2,8 @@ package opt
 
 import "csspgo/internal/ir"
 
-// SimplifyResult reports what SimplifyCFG did.
-type SimplifyResult struct {
+// simplifyResult reports what simplifyCFG did.
+type simplifyResult struct {
 	Merged           int // straight-line chains collapsed
 	EmptyRemoved     int
 	TailMerges       int
@@ -14,14 +14,14 @@ type SimplifyResult struct {
 // ways that do not keep edge flows conserved.
 var simplifyPass = registerPass("simplify-cfg", flowPerturbs, semRestructures)
 
-// SimplifyCFG collapses straight-line chains, removes trivially empty
+// simplifyCFG collapses straight-line chains, removes trivially empty
 // blocks and — when enabled — merges identical block tails (the code-merge
 // optimization the paper names as a profile-quality hazard). barrier
 // controls whether probes block tail merging: with BarrierWeak or
 // BarrierStrong, blocks whose tails differ only by probe identity do not
 // merge (the probes' distinct signatures preserve original control flow).
-func SimplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) SimplifyResult {
-	var res SimplifyResult
+func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simplifyResult {
+	var res simplifyResult
 	for {
 		changed := false
 		f.RebuildCFG()

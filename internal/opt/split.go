@@ -2,14 +2,14 @@ package opt
 
 import "csspgo/internal/ir"
 
-// Split marks cold blocks of profiled functions for the cold section at
+// split marks cold blocks of profiled functions for the cold section at
 // the end of the text segment, improving i-cache density of the hot path
 // (the function-splitting optimization the paper enables for all PGO
 // variants). A block is cold when its weight falls below 0.2% of the
 // function's entry count — zero-sampled blocks always qualify, and exact
 // (instrumentation) profiles split genuinely rare blocks the same way.
 // Returns blocks marked.
-func Split(f *ir.Function) int {
+func split(f *ir.Function) int {
 	anyHot := false
 	for _, b := range f.Blocks {
 		if b.HasWeight && b.Weight > 0 {
@@ -38,11 +38,11 @@ func Split(f *ir.Function) int {
 // splitPass only re-sections and reorders blocks; weights are untouched.
 var splitPass = registerPass("split", flowPreserves, semStructural)
 
-// SplitProgram splits every function; returns total blocks marked cold.
-func SplitProgram(p *ir.Program) int {
+// splitProgram splits every function; returns total blocks marked cold.
+func splitProgram(p *ir.Program) int {
 	n := 0
 	for _, f := range p.Functions() {
-		n += Split(f)
+		n += split(f)
 	}
 	return n
 }

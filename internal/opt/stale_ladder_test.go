@@ -8,7 +8,6 @@ import (
 	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/source"
-	"csspgo/internal/stale"
 )
 
 // ladderOldSrc is the profiled version. work drifts recoverably in the new
@@ -102,11 +101,18 @@ func ladderProfile(t *testing.T, old *ir.Program) *profdata.Profile {
 		fp := p.FuncProfile(f.Name)
 		fp.Checksum = f.Checksum
 		fp.HeadSamples = 50
-		for _, a := range stale.AnchorsFromIR(f) {
-			if a.Kind == stale.Block {
-				fp.AddBody(profdata.LocKey{ID: a.ID}, 50)
-			} else if a.Callee != "" {
-				fp.AddCall(profdata.LocKey{ID: a.ID}, a.Callee, 50)
+		// Every own probe is sampled: block probes as body counts, call
+		// probes on direct calls as call-target counts.
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Probe == nil || in.Probe.Func != f.Name || in.Probe.InlinedAt != nil {
+					continue
+				}
+				if in.Probe.Kind == ir.ProbeBlock {
+					fp.AddBody(profdata.LocKey{ID: in.Probe.ID}, 50)
+				} else if in.Op == ir.OpCall {
+					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Callee, 50)
+				}
 			}
 		}
 	}

@@ -5,12 +5,12 @@ import "csspgo/internal/ir"
 // tcePass only flags calls as tail calls; the CFG is untouched.
 var tcePass = registerPass("tce", flowPreserves, semStructural)
 
-// TCE marks tail calls: a call whose result immediately feeds the block's
+// tce marks tail calls: a call whose result immediately feeds the block's
 // return becomes a frame-reusing transfer. Tail-call elimination is the
 // optimization that breaks frame-pointer stack sampling (the returning
 // function's caller frame disappears), exercising the profiler's
 // missing-frame inferrer. Returns the number of calls marked.
-func TCE(f *ir.Function) int {
+func tce(f *ir.Function) int {
 	marked := 0
 	for _, b := range f.Blocks {
 		if b.Term.Kind != ir.TermReturn || len(b.Instrs) == 0 {

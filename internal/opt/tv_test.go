@@ -84,13 +84,24 @@ func TestValidateSemanticsCleanProfiledPipeline(t *testing.T) {
 	}
 }
 
+// mustInjection parses an injection kind by its CLI name.
+func mustInjection(t testing.TB, name string) tv.Injection {
+	t.Helper()
+	kind, err := tv.ParseInjection(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kind
+}
+
 // The miscompile-injection matrix: every kind at every always-run pass
 // boundary must be detected and attributed to exactly that pass, with zero
 // false negatives.
 func TestMiscompileInjectionMatrix(t *testing.T) {
 	passes := []string{"simplify-cfg", "dce", "inline", "licm", "unroll",
 		"if-convert", "tce", "remove-unreachable", "drop-dead-functions"}
-	for _, kind := range tv.Injections() {
+	for _, name := range tv.InjectionNames() {
+		kind := mustInjection(t, name)
 		for _, pass := range passes {
 			kind, pass := kind, pass
 			t.Run(fmt.Sprintf("%s@%s", kind, pass), func(t *testing.T) {
@@ -131,7 +142,7 @@ func TestTVViolationGoldenDiff(t *testing.T) {
 	p := tvProgram(t)
 	cfg := tvConfig()
 	cfg.InjectAfter = map[string]func(*ir.Program){"simplify-cfg": func(p *ir.Program) {
-		if _, ok := tv.Apply(p, tv.InjSwapSuccessors, 1); !ok {
+		if _, ok := tv.Apply(p, mustInjection(t, "swap-successors"), 1); !ok {
 			t.Fatal("no branch to swap")
 		}
 	}}
@@ -175,7 +186,7 @@ func TestFlowBalancedMiscompileNeedsTV(t *testing.T) {
 	cfg := tvConfig()
 	cfg.ValidateSemantics = false
 	cfg.InjectAfter = map[string]func(*ir.Program){"dce": func(p *ir.Program) {
-		tv.Apply(p, tv.InjSwapSuccessors, 1)
+		tv.Apply(p, mustInjection(t, "swap-successors"), 1)
 	}}
 	if _, err := Optimize(p, cfg); err != nil {
 		t.Fatalf("VerifyEach alone should not catch a flow-balanced swap, got %v", err)

@@ -2,8 +2,8 @@ package opt
 
 import "csspgo/internal/ir"
 
-// UnrollParams controls loop unrolling.
-type UnrollParams struct {
+// unrollParams controls loop unrolling.
+type unrollParams struct {
 	// Factor is the unroll factor for qualifying loops (≥2).
 	Factor int
 	// MaxBodyInstrs bounds the body size (real instructions).
@@ -16,7 +16,7 @@ type UnrollParams struct {
 // unrollPass replicates loop bodies and rescales weights heuristically.
 var unrollPass = registerPass("unroll", flowPerturbs, semRestructures)
 
-// Unroll performs exit-check unrolling of simple two-block loops
+// unroll performs exit-check unrolling of simple two-block loops
 // (header: cond-branch {body, exit}; body: … jump header): the body and
 // header test are replicated Factor-1 times, so each trip through the
 // rotated loop retires Factor bodies with Factor exit checks but only one
@@ -27,7 +27,7 @@ var unrollPass = registerPass("unroll", flowPerturbs, semRestructures)
 // weights are divided by Factor to maintain the profile.
 //
 // Returns the number of loops unrolled.
-func Unroll(f *ir.Function, p UnrollParams) int {
+func unroll(f *ir.Function, p unrollParams) int {
 	if p.Factor < 2 {
 		return 0
 	}
@@ -44,7 +44,7 @@ func Unroll(f *ir.Function, p UnrollParams) int {
 	return unrolled
 }
 
-func unrollLoop(f *ir.Function, loop *ir.Loop, p UnrollParams) bool {
+func unrollLoop(f *ir.Function, loop *ir.Loop, p unrollParams) bool {
 	if len(loop.Blocks) != 2 || len(loop.Latches) != 1 {
 		return false
 	}

@@ -20,17 +20,17 @@ import (
 
 // Confidence classes.
 const (
-	ClassHotConfident     = "hot-confident"
-	ClassHotUncertain     = "hot-uncertain"
-	ClassColdInstrumented = "cold-instrumented"
+	classHotConfident     = "hot-confident"
+	classHotUncertain     = "hot-uncertain"
+	classColdInstrumented = "cold-instrumented"
 )
 
 // Default classification thresholds: a function is hot when it holds at
 // least 1% of flattened samples, and confident when its relative-error
 // bound is at most 10% (>= 100 samples).
 const (
-	DefaultHotSharePct  = 1.0
-	DefaultMaxRelErrPct = 10.0
+	defaultHotSharePct  = 1.0
+	defaultMaxRelErrPct = 10.0
 )
 
 // FuncConfidence is one row of the coverage/hotness heatmap.
@@ -85,10 +85,10 @@ func ScoreProfile(prof *profdata.Profile, period uint64, hotSharePct, maxRelErrP
 
 func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period uint64, hotSharePct, maxRelErrPct float64) *ConfidenceReport {
 	if hotSharePct <= 0 {
-		hotSharePct = DefaultHotSharePct
+		hotSharePct = defaultHotSharePct
 	}
 	if maxRelErrPct <= 0 {
-		maxRelErrPct = DefaultMaxRelErrPct
+		maxRelErrPct = defaultMaxRelErrPct
 	}
 	totals := flatTotals(prof)
 	// The heatmap covers the union of sampled functions and instrumented
@@ -128,13 +128,13 @@ func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period 
 		}
 		switch {
 		case fc.SharePct >= hotSharePct && fc.RelErrPct <= maxRelErrPct:
-			fc.Class = ClassHotConfident
+			fc.Class = classHotConfident
 			r.HotConfident++
 		case fc.SharePct >= hotSharePct:
-			fc.Class = ClassHotUncertain
+			fc.Class = classHotUncertain
 			r.HotUncertain++
 		default:
-			fc.Class = ClassColdInstrumented
+			fc.Class = classColdInstrumented
 			r.ColdInstrumented++
 		}
 		r.Funcs = append(r.Funcs, fc)
@@ -169,7 +169,7 @@ func (c *ConfidenceReport) validate() error {
 	}
 	for i, fc := range c.Funcs {
 		switch fc.Class {
-		case ClassHotConfident, ClassHotUncertain, ClassColdInstrumented:
+		case classHotConfident, classHotUncertain, classColdInstrumented:
 		default:
 			return fmt.Errorf("overhead: confidence[%d]: unknown class %q", i, fc.Class)
 		}

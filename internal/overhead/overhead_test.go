@@ -176,9 +176,9 @@ func TestConfidenceClassification(t *testing.T) {
 		}
 	}
 	want := map[string]string{
-		"hotok":   ClassHotConfident,
-		"hotunc":  ClassHotUncertain,
-		"coldish": ClassColdInstrumented,
+		"hotok":   classHotConfident,
+		"hotunc":  classHotUncertain,
+		"coldish": classColdInstrumented,
 	}
 	for name, cls := range want {
 		if classes[name] != cls {
@@ -216,7 +216,7 @@ func TestConfidenceJoinsCoverage(t *testing.T) {
 	if !ok {
 		t.Fatalf("never-sampled probed function missing from heatmap: %+v", c.Funcs)
 	}
-	if cold.Class != ClassColdInstrumented || cold.Samples != 0 {
+	if cold.Class != classColdInstrumented || cold.Samples != 0 {
 		t.Fatalf("cold row: %+v", cold)
 	}
 }

@@ -232,16 +232,13 @@ func flatOptions(pc ProfileConfig) sampling.FlatOptions {
 	}
 }
 
-// pmuConfig derives the PMU settings every collection path shares.
+// pmuConfig derives the PMU settings every collection path shares: the
+// CSSPGO defaults, with PEBS and stack sampling as the config says.
 func pmuConfig(pc ProfileConfig) sim.PMUConfig {
-	return sim.PMUConfig{
-		SamplePeriod: pc.Period,
-		LBRDepth:     16,
-		PEBS:         pc.PEBS,
-		SampleStacks: pc.Stacks,
-		Jitter:       true,
-		Seed:         0x5eed,
-	}
+	cfg := sim.DefaultPMUConfig(pc.Period)
+	cfg.PEBS = pc.PEBS
+	cfg.SampleStacks = pc.Stacks
+	return cfg
 }
 
 // runAll executes every request on m, stopping at the first fault.

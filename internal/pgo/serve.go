@@ -127,8 +127,6 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 		obsrv := NewRunObserver()
 		rpc := pc
 		rpc.Stacks = true
-		rpc.Trace = obsrv.Trace
-		rpc.Metrics = obsrv.Metrics
 		obsrv.ObserveProfile(&rpc)
 		ohRep, prof, err := MeasureOverhead(base.Bin, train, rpc)
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"csspgo/internal/workloads"
 )
 
-// TestTruncatedStackFallbackE2E drives the sticky CtxRange.Truncated
+// TestTruncatedStackFallbackE2E drives the sticky ctxRange.Truncated
 // fallback through the whole pipeline: synchronized stacks are cut to one
 // frame, so every context recovered below a call record is missing its
 // outer frames. Those counts must fall back to context-insensitive base

@@ -17,9 +17,6 @@ type Params struct {
 	// HotCountThreshold: a context at least this hot (head samples) is a
 	// hot candidate. Derive from the profile with DeriveParams.
 	HotCountThreshold uint64
-	// ProgramBudget caps total bytes admitted across all roots; 0 derives
-	// 30% of the profiled binary's standalone text.
-	ProgramBudget uint64
 }
 
 // DeriveParams picks thresholds from the profile's sample distribution: a
@@ -71,21 +68,17 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 		return res
 	}
 
-	programBudget := params.ProgramBudget
-	if programBudget == 0 {
-		var text uint64
-		for _, sz := range sizes.ByFunc {
-			text += sz
-		}
-		programBudget = text * 35 / 100
-		if programBudget < 3000 {
-			programBudget = 3000
-		}
+	// The program budget caps the bytes admitted across all roots: 35 % of
+	// the profiled binary's standalone text, and at least 3000 bytes.
+	var text uint64
+	for _, sz := range sizes.ByFunc {
+		text += sz
 	}
+	programBudget := max(text*35/100, 3000)
 	var programSpent uint64
 
 	for _, fn := range topDownOrder(prof) {
-		budget := sizes.Of(fn)
+		budget := sizes.of(fn)
 		limit := params.GrowthLimit
 		// One sorted snapshot per turn. The candidate loop only marks
 		// contexts, it adds and removes none, so the snapshot serves the
@@ -122,7 +115,7 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 			if cp == nil {
 				continue
 			}
-			size := sizes.OfContext(cp.Context)
+			size := sizes.ofContext(cp.Context)
 			if !shouldInline(size, cp.HeadSamples, params) {
 				continue
 			}

@@ -46,16 +46,16 @@ func tiny(x) { return x + 1; }
 func TestExtractSizes(t *testing.T) {
 	bin := buildBinary(t, srcSizes)
 	st := ExtractSizes(bin)
-	if st.Of("big") <= st.Of("tiny") {
-		t.Fatalf("big (%d) should out-size tiny (%d)", st.Of("big"), st.Of("tiny"))
+	if st.of("big") <= st.of("tiny") {
+		t.Fatalf("big (%d) should out-size tiny (%d)", st.of("big"), st.of("tiny"))
 	}
-	if st.Of("main") == 0 || st.Of("nonexistent") != st.DefaultSize {
-		t.Fatalf("standalone sizes wrong: main=%d", st.Of("main"))
+	if st.of("main") == 0 || st.of("nonexistent") != st.DefaultSize {
+		t.Fatalf("standalone sizes wrong: main=%d", st.of("main"))
 	}
 	// Total attributed bytes equal the text size.
 	var sum uint64
 	for _, fn := range []string{"main", "big", "tiny"} {
-		sum += st.Of(fn)
+		sum += st.of(fn)
 	}
 	if sum != bin.TextSize {
 		t.Fatalf("attributed %d of %d text bytes", sum, bin.TextSize)

@@ -76,18 +76,18 @@ func nameChain(ctx profdata.Context) string {
 	return strings.Join(names, " @ ")
 }
 
-// OfContext returns the best size estimate for a profile context: the
+// ofContext returns the best size estimate for a profile context: the
 // context-specific copy if the profiled binary contains one, else the
 // standalone size of the leaf function, else the default.
-func (st *SizeTable) OfContext(ctx profdata.Context) uint64 {
+func (st *SizeTable) ofContext(ctx profdata.Context) uint64 {
 	if s, ok := st.ByContext[nameChain(ctx)]; ok {
 		return s
 	}
-	return st.Of(ctx.Leaf())
+	return st.of(ctx.Leaf())
 }
 
-// Of returns the standalone size of a function.
-func (st *SizeTable) Of(name string) uint64 {
+// of returns the standalone size of a function.
+func (st *SizeTable) of(name string) uint64 {
 	if s, ok := st.ByFunc[name]; ok {
 		return s
 	}

@@ -10,7 +10,6 @@
 package probe
 
 import (
-	"fmt"
 	"slices"
 
 	"csspgo/internal/ir"
@@ -19,18 +18,18 @@ import (
 // InsertProgram inserts probes into every function of the program.
 func InsertProgram(p *ir.Program) {
 	for _, f := range p.Functions() {
-		Insert(f)
+		insert(f)
 	}
 }
 
-// Insert instruments one function: a block probe at the head of every basic
+// insert instruments one function: a block probe at the head of every basic
 // block and a call probe on every call instruction. Probe IDs are assigned
 // deterministically (block order, then instruction order), so recompiling
 // identical source reproduces identical IDs — the property profile
 // correlation relies on. The function's CFG checksum is computed and stored
 // alongside, which lets profile annotation detect stale profiles whose CFG
 // shape no longer matches (source drift detection).
-func Insert(f *ir.Function) {
+func insert(f *ir.Function) {
 	if f.NumProbes > 0 {
 		return // already instrumented
 	}
@@ -107,42 +106,4 @@ func BuildIndex(f *ir.Function) *Index {
 		}
 	}
 	return idx
-}
-
-// Verify checks probe invariants after insertion: every block has exactly
-// one block probe at its head, every call carries a call probe, and IDs are
-// unique within the function.
-func Verify(f *ir.Function) error {
-	seen := map[int32]bool{}
-	for _, b := range f.Blocks {
-		if len(b.Instrs) == 0 || b.Instrs[0].Op != ir.OpProbe {
-			return fmt.Errorf("%s b%d: missing leading block probe", f.Name, b.ID)
-		}
-		for i := range b.Instrs {
-			in := &b.Instrs[i]
-			if in.Op == ir.OpProbe && i > 0 {
-				return fmt.Errorf("%s b%d: stray probe at position %d", f.Name, b.ID, i)
-			}
-			var p *ir.Probe
-			switch {
-			case in.Op == ir.OpProbe:
-				p = in.Probe
-			case in.Op == ir.OpCall, in.Op == ir.OpICall:
-				if in.Probe == nil {
-					return fmt.Errorf("%s b%d: call without call probe", f.Name, b.ID)
-				}
-				p = in.Probe
-			default:
-				continue
-			}
-			if p.InlinedAt != nil || p.Func != f.Name {
-				continue // inlined probes may repeat IDs of their origin
-			}
-			if seen[p.ID] {
-				return fmt.Errorf("%s: duplicate probe id %d", f.Name, p.ID)
-			}
-			seen[p.ID] = true
-		}
-	}
-	return nil
 }

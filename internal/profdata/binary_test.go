@@ -66,7 +66,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 	for i, data := range cases {
 		if i == 1 || i == 2 {
-			if IsBinaryProfile(data) {
+			if isBinaryProfile(data) {
 				t.Errorf("case %d: misdetected as binary", i)
 			}
 			continue

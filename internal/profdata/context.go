@@ -48,12 +48,12 @@ func (c Context) Leaf() string {
 }
 
 // Key renders the canonical key: "main:2 @ foo:5 @ bar".
-func (c Context) Key() string { return string(c.AppendKey(nil)) }
+func (c Context) Key() string { return string(c.appendKey(nil)) }
 
-// AppendKey appends the canonical key to dst and returns the extended
+// appendKey appends the canonical key to dst and returns the extended
 // slice. Hot paths use it with a reused scratch buffer to build keys
 // without allocating.
-func (c Context) AppendKey(dst []byte) []byte {
+func (c Context) appendKey(dst []byte) []byte {
 	for i, f := range c {
 		if i > 0 {
 			dst = append(dst, " @ "...)
@@ -67,17 +67,6 @@ func (c Context) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// WithCallee extends the context by one frame: the current leaf calls
-// callee at site.
-func (c Context) WithCallee(site LocKey, callee string) Context {
-	out := make(Context, len(c), len(c)+1)
-	copy(out, c)
-	if len(out) > 0 {
-		out[len(out)-1].Site = site
-	}
-	return append(out, ContextFrame{Func: callee})
-}
-
 // Parent returns the context with the leaf frame removed (the caller's
 // context). Returns nil for contexts of length <= 1.
 func (c Context) Parent() Context {
@@ -88,15 +77,6 @@ func (c Context) Parent() Context {
 	copy(out, c[:len(c)-1])
 	out[len(out)-1].Site = LocKey{} // parent's leaf site is cleared
 	return out
-}
-
-// CallerSite returns the call site in the parent frame that produced this
-// context's leaf (zero LocKey for top-level contexts).
-func (c Context) CallerSite() LocKey {
-	if len(c) < 2 {
-		return LocKey{}
-	}
-	return c[len(c)-2].Site
 }
 
 // Depth returns the number of frames.

@@ -20,10 +20,10 @@ func (p *Profile) MergeContextIntoBase(key string) {
 	delete(p.Contexts, key)
 }
 
-// Flatten merges every context profile into base profiles, producing a
+// flatten merges every context profile into base profiles, producing a
 // fully context-insensitive view (what AutoFDO would have seen). The
 // receiver is modified in place.
-func (p *Profile) Flatten() {
+func (p *Profile) flatten() {
 	for _, key := range p.SortedContextKeys() {
 		p.MergeContextIntoBase(key)
 	}
@@ -38,7 +38,7 @@ func (p *Profile) Flat() *Profile {
 		return p
 	}
 	q := p.Clone()
-	q.Flatten()
+	q.flatten()
 	return q
 }
 

@@ -37,14 +37,14 @@ func TestContextHelpers(t *testing.T) {
 	if parent.Key() != "main:2 @ foo" {
 		t.Fatalf("parent = %q", parent.Key())
 	}
-	if ctx.CallerSite() != (LocKey{ID: 5}) {
-		t.Fatalf("caller site = %v", ctx.CallerSite())
+	if ctx.callerSite() != (LocKey{ID: 5}) {
+		t.Fatalf("caller site = %v", ctx.callerSite())
 	}
-	ext := parent.WithCallee(LocKey{ID: 9}, "baz")
+	ext := parent.withCallee(LocKey{ID: 9}, "baz")
 	if ext.Key() != "main:2 @ foo:9 @ baz" {
 		t.Fatalf("extended = %q", ext.Key())
 	}
-	// WithCallee must not mutate the receiver.
+	// withCallee must not mutate the receiver.
 	if parent.Key() != "main:2 @ foo" {
 		t.Fatalf("WithCallee mutated parent: %q", parent.Key())
 	}
@@ -147,7 +147,7 @@ func TestMergeContextIntoBase(t *testing.T) {
 func TestFlatten(t *testing.T) {
 	p := makeProfile()
 	total := p.TotalSamples()
-	p.Flatten()
+	p.flatten()
 	if len(p.Contexts) != 0 || p.CS {
 		t.Fatal("flatten left contexts behind")
 	}
@@ -350,4 +350,24 @@ func TestEncodeDeterministicOrder(t *testing.T) {
 	if !strings.Contains(a, "[main:3 @ foo]") {
 		t.Fatalf("context section missing:\n%s", a)
 	}
+}
+
+// withCallee extends the context by one frame: the current leaf calls
+// callee at site.
+func (c Context) withCallee(site LocKey, callee string) Context {
+	out := make(Context, len(c), len(c)+1)
+	copy(out, c)
+	if len(out) > 0 {
+		out[len(out)-1].Site = site
+	}
+	return append(out, ContextFrame{Func: callee})
+}
+
+// callerSite returns the call site in the parent frame that produced this
+// context's leaf (zero LocKey for top-level contexts).
+func (c Context) callerSite() LocKey {
+	if len(c) < 2 {
+		return LocKey{}
+	}
+	return c[len(c)-2].Site
 }

@@ -201,8 +201,8 @@ func appendSortedKeys[V any](dst []string, m map[string]V) []string {
 	return dst
 }
 
-// SortedLocs returns body locations in deterministic order.
-func (fp *FunctionProfile) SortedLocs() []LocKey {
+// sortedLocs returns body locations in deterministic order.
+func (fp *FunctionProfile) sortedLocs() []LocKey {
 	return appendSortedLocs(make([]LocKey, 0, len(fp.Blocks)), fp.Blocks)
 }
 
@@ -254,7 +254,7 @@ func (p *Profile) FuncProfile(name string) *FunctionProfile {
 // non-copying string conversion; the key string is only materialized when
 // a new entry must be inserted.
 func (p *Profile) ContextProfile(ctx Context) *FunctionProfile {
-	p.keyScratch = ctx.AppendKey(p.keyScratch[:0])
+	p.keyScratch = ctx.appendKey(p.keyScratch[:0])
 	if fp := p.Contexts[string(p.keyScratch)]; fp != nil {
 		return fp
 	}
@@ -263,23 +263,6 @@ func (p *Profile) ContextProfile(ctx Context) *FunctionProfile {
 	fp.Context = append(Context(nil), ctx...)
 	p.Contexts[key] = fp
 	return fp
-}
-
-// ContextsOf returns all context profiles whose leaf function is name, in
-// deterministic key order.
-func (p *Profile) ContextsOf(name string) []*FunctionProfile {
-	var keys []string
-	for k, fp := range p.Contexts {
-		if fp.Name == name {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]*FunctionProfile, len(keys))
-	for i, k := range keys {
-		out[i] = p.Contexts[k]
-	}
-	return out
 }
 
 // SortedFuncNames returns base profile names sorted.

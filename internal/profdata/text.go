@@ -28,8 +28,8 @@ import (
 // Sections are emitted in deterministic (sorted) order. TotalSamples is
 // recomputed from body lines on read.
 
-// Encode writes the profile in text form.
-func Encode(w io.Writer, p *Profile) error {
+// encode writes the profile in text form.
+func encode(w io.Writer, p *Profile) error {
 	bw := bufio.NewWriter(w)
 	cs := 0
 	if p.CS {
@@ -50,7 +50,7 @@ func Encode(w io.Writer, p *Profile) error {
 		if fp.Checksum != 0 {
 			fmt.Fprintf(bw, "checksum %d\n", fp.Checksum)
 		}
-		for _, loc := range fp.SortedLocs() {
+		for _, loc := range fp.sortedLocs() {
 			fmt.Fprintf(bw, "body %s %d\n", loc, fp.Blocks[loc])
 		}
 		for _, loc := range fp.SortedCallLocs() {
@@ -76,7 +76,7 @@ func Encode(w io.Writer, p *Profile) error {
 // EncodeToString returns the text encoding.
 func EncodeToString(p *Profile) string {
 	var sb strings.Builder
-	_ = Encode(&sb, p)
+	_ = encode(&sb, p)
 	return sb.String()
 }
 
@@ -139,7 +139,7 @@ func DecodeLenient(data []byte) (*Profile, ReadStats, error) {
 }
 
 func decode(data []byte, lenient bool) (*Profile, ReadStats, error) {
-	if IsBinaryProfile(data) {
+	if isBinaryProfile(data) {
 		return decodeBinary(data, lenient)
 	}
 	return decodeText(data, lenient)
@@ -154,7 +154,7 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	// Function and callee names repeat across thousands of lines; interning
 	// shares one backing string per distinct name instead of pinning a
 	// substring of every scanned line.
-	in := NewInterner()
+	in := newInterner()
 	lineNo := 0
 	// fail reports a malformed line: strict mode aborts the decode, lenient
 	// mode records the damage and skips the line. A malformed section header
@@ -208,11 +208,11 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 					continue
 				}
 				for i := range ctx {
-					ctx[i].Func = in.Intern(ctx[i].Func)
+					ctx[i].Func = in.intern(ctx[i].Func)
 				}
 				cur = p.ContextProfile(ctx)
 			} else {
-				cur = p.FuncProfile(in.Intern(key))
+				cur = p.FuncProfile(in.intern(key))
 			}
 			continue
 		}
@@ -282,7 +282,7 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
 				break
 			}
-			cur.AddCall(loc, in.Intern(fields[2]), v)
+			cur.AddCall(loc, in.intern(fields[2]), v)
 		default:
 			lineErr = fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
 		}

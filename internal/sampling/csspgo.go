@@ -21,7 +21,7 @@ type CSSPGOOptions struct {
 	AssumeAligned bool
 	// Workers sizes the unwinder worker pool (0 = GOMAXPROCS, 1 = serial).
 	// Each worker unwinds the shares of distinct samples it is handed with
-	// its own Unwinder and private aggregation tables; the tables merge with
+	// its own unwinder and private aggregation tables; the tables merge with
 	// a deterministic sum reduction, so every worker count yields a
 	// byte-identical serialized profile.
 	Workers int

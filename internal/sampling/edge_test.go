@@ -13,11 +13,11 @@ import (
 
 func TestUnwinderHandlesEmptySample(t *testing.T) {
 	bin := build(t, hotColdSrc, true)
-	u := NewUnwinder(bin, nil)
-	if out := u.Unwind(sim.Sample{}); out != nil {
+	u := newUnwinder(bin, nil)
+	if out := u.unwindOne(sim.Sample{}); out != nil {
 		t.Fatalf("empty sample should unwind to nothing, got %d ranges", len(out))
 	}
-	if out := u.Unwind(sim.Sample{Stack: []uint64{0x1000}}); out != nil {
+	if out := u.unwindOne(sim.Sample{Stack: []uint64{0x1000}}); out != nil {
 		t.Fatalf("LBR-less sample should unwind to nothing, got %d", len(out))
 	}
 }
@@ -33,8 +33,8 @@ func TestUnwinderHandlesCorruptLBR(t *testing.T) {
 	for i := range s.LBR {
 		s.LBR[i].From = 0xDEADBEEF + uint64(i)
 	}
-	u := NewUnwinder(bin, nil)
-	out := u.Unwind(s) // must not panic; ranges dropped
+	u := newUnwinder(bin, nil)
+	out := u.unwindOne(s) // must not panic; ranges dropped
 	for _, cr := range out {
 		if !cr.R.Valid(bin) {
 			t.Fatal("invalid range emitted")
@@ -59,8 +59,8 @@ func TestUnwinderHandlesShallowStack(t *testing.T) {
 	// frames while rewinding calls and must degrade to empty context, not
 	// panic or emit garbage.
 	deep.Stack = deep.Stack[:1]
-	u := NewUnwinder(bin, nil)
-	out := u.Unwind(deep)
+	u := newUnwinder(bin, nil)
+	out := u.unwindOne(deep)
 	for _, cr := range out {
 		if !cr.R.Valid(bin) {
 			t.Fatal("invalid range from truncated stack")
@@ -173,4 +173,9 @@ func TestProbeProfileChecksumPresence(t *testing.T) {
 		}
 	}
 	_ = profdata.LocKey{}
+}
+
+// unwindOne recovers the context of every linear range in one sample.
+func (u *unwinder) unwindOne(s sim.Sample) []ctxRange {
+	return u.unwind(&s, u.decode(s.LBR), 1)
 }

@@ -74,7 +74,7 @@ func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]m
 		}
 	}
 
-	ac.Each(func(addr, count uint64) {
+	ac.each(func(addr, count uint64) {
 		frames := bin.InlinedFramesAt(addr)
 		if len(frames) == 0 {
 			return
@@ -95,8 +95,6 @@ func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]m
 		if in.Kind == machine.KCall || in.Kind == machine.KTailCall {
 			callee := bin.Funcs[in.CalleeID].Name
 			fp.AddCall(loc, callee, count)
-			// AddCall bumps TotalSamples via AddBody only; adjust: call
-			// target counts are not body samples, so undo nothing —
 			// AddCall does not touch TotalSamples.
 		}
 	})

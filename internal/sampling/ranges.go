@@ -15,16 +15,16 @@ package sampling
 
 import "csspgo/internal/machine"
 
-// Range is a linear execution range [Begin, End]: every instruction whose
+// addrRange is a linear execution range [Begin, End]: every instruction whose
 // address lies in the closed interval executed exactly once when the range
 // was recorded.
-type Range struct {
+type addrRange struct {
 	Begin, End uint64
 }
 
 // Valid reports whether the range is plausible on the given binary: both
 // ends map to instructions inside the same function section.
-func (r Range) Valid(bin *machine.Prog) bool {
+func (r addrRange) Valid(bin *machine.Prog) bool {
 	_, _, fn := resolveRange(bin, r.Begin, r.End, bin.InstrIndexAt(r.End))
 	return fn != nil
 }
@@ -45,7 +45,7 @@ func resolveRange(bin *machine.Prog, begin, end uint64, endIdx int) (lo, hi int3
 	if fn == nil || bin.FuncAt(end) != fn {
 		return 0, 0, nil
 	}
-	// Both ends are instruction starts, so InstrsIn(begin, end) is exactly
+	// Both ends are instruction starts, so [beginIdx, endIdx] is exactly
 	// this interval.
 	return int32(beginIdx), int32(endIdx) + 1, fn
 }
@@ -59,8 +59,8 @@ type AddrCounter struct {
 	counts []uint64 // indexed by instruction index
 }
 
-// NewAddrCounter returns an empty counter over bin.
-func NewAddrCounter(bin *machine.Prog) *AddrCounter {
+// newAddrCounter returns an empty counter over bin.
+func newAddrCounter(bin *machine.Prog) *AddrCounter {
 	return &AddrCounter{bin: bin, counts: make([]uint64, len(bin.Instrs))}
 }
 
@@ -89,9 +89,9 @@ func (c *AddrCounter) Count(addr uint64) uint64 {
 	return c.counts[i]
 }
 
-// Each calls fn for every instruction with a non-zero count, in address
+// each calls fn for every instruction with a non-zero count, in address
 // order.
-func (c *AddrCounter) Each(fn func(addr uint64, count uint64)) {
+func (c *AddrCounter) each(fn func(addr uint64, count uint64)) {
 	for i, n := range c.counts {
 		if n != 0 {
 			fn(c.bin.Instrs[i].Addr, n)

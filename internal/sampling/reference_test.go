@@ -9,6 +9,8 @@ package sampling
 // engine; everything that touches a sample is separate code.
 
 import (
+	"sort"
+
 	"csspgo/internal/ir"
 	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
@@ -17,7 +19,7 @@ import (
 
 // referenceCSSPGO is GenerateCSSPGO as a serial loop over samples.
 func referenceCSSPGO(bin *machine.Prog, samples []sim.Sample, opts CSSPGOOptions) (*profdata.Profile, UnwindStats) {
-	var tails *TailCallGraph
+	var tails *tailCallGraph
 	if opts.TailCallInference {
 		tails = BuildTailCallGraph(bin, samples)
 	}
@@ -45,8 +47,8 @@ func referenceProbeProfile(bin *machine.Prog, samples []sim.Sample) *profdata.Pr
 // BuildTailCallGraph scans every LBR record of every sample and collects
 // edges whose source instruction is a tail call, keeping the first
 // observation of each edge.
-func BuildTailCallGraph(bin *machine.Prog, samples []sim.Sample) *TailCallGraph {
-	g := &TailCallGraph{edges: map[string]map[string]*TailEdge{}}
+func BuildTailCallGraph(bin *machine.Prog, samples []sim.Sample) *tailCallGraph {
+	g := &tailCallGraph{edges: map[string]map[string]*tailEdge{}}
 	for _, s := range samples {
 		for _, br := range s.LBR {
 			in := bin.InstrAt(br.From)
@@ -60,35 +62,35 @@ func BuildTailCallGraph(bin *machine.Prog, samples []sim.Sample) *TailCallGraph 
 			}
 			m := g.edges[from.Name]
 			if m == nil {
-				m = map[string]*TailEdge{}
+				m = map[string]*tailEdge{}
 				g.edges[from.Name] = m
 			}
 			if _, ok := m[to.Name]; !ok {
-				m[to.Name] = &TailEdge{From: from.Name, To: to.Name, SiteAddr: br.From}
+				m[to.Name] = &tailEdge{From: from.Name, To: to.Name, SiteAddr: br.From}
 			}
 		}
 	}
 	return g
 }
 
-// unwindShard runs the per-sample attribution loop with one Unwinder and
+// unwindShard runs the per-sample attribution loop with one unwinder and
 // one profile.
-func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *TailCallGraph, opts CSSPGOOptions) (*profdata.Profile, UnwindStats) {
-	u := NewUnwinder(bin, tails)
+func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *tailCallGraph, opts CSSPGOOptions) (*profdata.Profile, UnwindStats) {
+	u := newUnwinder(bin, tails)
 	u.AssumeAligned = opts.AssumeAligned
 	p := profdata.New(profdata.ProbeBased, true)
 
 	for _, s := range shard {
-		for _, cr := range u.Unwind(s) {
+		for _, cr := range u.unwindOne(s) {
 			leafFn := bin.FuncAt(cr.R.Begin)
 			if leafFn == nil {
 				continue
 			}
 			var callerCtx profdata.Context
 			if !cr.Truncated {
-				callerCtx = u.ContextOf(cr.Callers, leafFn.Name, profdata.ProbeBased)
+				callerCtx = u.contextOf(cr.Callers, leafFn.Name, profdata.ProbeBased)
 			}
-			lo, hi := bin.InstrsIn(cr.R.Begin, cr.R.End)
+			lo, hi := instrsIn(bin, cr.R.Begin, cr.R.End)
 			for i := lo; i < hi; i++ {
 				addr := bin.Instrs[i].Addr
 				for _, rec := range bin.ProbesAt(addr) {
@@ -153,9 +155,9 @@ func icallTargetsSerial(bin *machine.Prog, samples []sim.Sample) map[uint64]map[
 // (newest entry first): for consecutive records b[i] (newer) and b[i+1]
 // (older), execution ran linearly from b[i+1].To to b[i].From. Invalid
 // ranges (e.g. truncated LBR tails) are dropped.
-func AppendLBRRanges(dst []Range, bin *machine.Prog, lbr []sim.BranchRec) []Range {
+func AppendLBRRanges(dst []addrRange, bin *machine.Prog, lbr []sim.BranchRec) []addrRange {
 	for i := 0; i+1 < len(lbr); i++ {
-		r := Range{Begin: lbr[i+1].To, End: lbr[i].From}
+		r := addrRange{Begin: lbr[i+1].To, End: lbr[i].From}
 		if r.Valid(bin) {
 			dst = append(dst, r)
 		}
@@ -165,8 +167,8 @@ func AppendLBRRanges(dst []Range, bin *machine.Prog, lbr []sim.BranchRec) []Rang
 
 // AddRange adds w to every instruction address covered by r, looking the
 // range up by address (the engine adds by resolved index, addInstrs).
-func (c *AddrCounter) AddRange(r Range, w uint64) {
-	lo, hi := c.bin.InstrsIn(r.Begin, r.End)
+func (c *AddrCounter) AddRange(r addrRange, w uint64) {
+	lo, hi := instrsIn(c.bin, r.Begin, r.End)
 	for i := lo; i < hi; i++ {
 		c.counts[i] += w
 	}
@@ -175,11 +177,20 @@ func (c *AddrCounter) AddRange(r Range, w uint64) {
 // addrCountsSerial accumulates per-address execution counts from every
 // sample's LBR ranges into one AddrCounter.
 func addrCountsSerial(bin *machine.Prog, samples []sim.Sample) *AddrCounter {
-	ac := NewAddrCounter(bin)
+	ac := newAddrCounter(bin)
 	for _, s := range samples {
 		for _, r := range AppendLBRRanges(nil, bin, s.LBR) {
 			ac.AddRange(r, 1)
 		}
 	}
 	return ac
+}
+
+// instrsIn returns the instruction index range [lo, hi) covering the
+// address range [start, end] (inclusive of the instruction at end), by
+// binary search over the instruction addresses.
+func instrsIn(bin *machine.Prog, start, end uint64) (lo, hi int) {
+	lo = sort.Search(len(bin.Instrs), func(i int) bool { return bin.Instrs[i].Addr >= start })
+	hi = sort.Search(len(bin.Instrs), func(i int) bool { return bin.Instrs[i].Addr > end })
+	return lo, hi
 }

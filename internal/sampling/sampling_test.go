@@ -67,7 +67,7 @@ func TestLBRRangesAreValid(t *testing.T) {
 	for _, s := range samples {
 		for i := 0; i+1 < len(s.LBR); i++ {
 			total++
-			r := Range{Begin: s.LBR[i+1].To, End: s.LBR[i].From}
+			r := addrRange{Begin: s.LBR[i+1].To, End: s.LBR[i].From}
 			if r.Valid(bin) {
 				valid++
 			}
@@ -166,7 +166,7 @@ func TestCSSPGORecoveredContexts(t *testing.T) {
 		t.Fatalf("unwinder did nothing: %+v", stats)
 	}
 	// scalarOp must appear under at least two distinct calling contexts.
-	ctxs := p.ContextsOf("scalarOp")
+	ctxs := contextsOf(p, "scalarOp")
 	if len(ctxs) < 2 {
 		t.Fatalf("scalarOp contexts = %d, want >=2; keys=%v", len(ctxs), p.SortedContextKeys())
 	}
@@ -192,9 +192,7 @@ func TestCSSPGORecoveredContexts(t *testing.T) {
 		t.Fatal("context profiles lost their own call targets")
 	}
 	// Flattening must merge both targets into the base profile.
-	q := p.Clone()
-	q.Flatten()
-	base := q.Funcs["scalarOp"]
+	base := p.Flat().Funcs["scalarOp"]
 	if callTotal(base, "scalarAdd") == 0 || callTotal(base, "scalarSub") == 0 {
 		t.Fatalf("flattened profile should see both callees: %+v", base.Calls)
 	}
@@ -231,37 +229,37 @@ func TestCSSPGOWithSkid(t *testing.T) {
 		t.Fatal("non-PEBS samples should trigger skid adjustment")
 	}
 	// Contexts must still be recoverable.
-	if len(p.ContextsOf("scalarOp")) < 2 {
+	if len(contextsOf(p, "scalarOp")) < 2 {
 		t.Fatalf("skid handling lost contexts: %v", p.SortedContextKeys())
 	}
 }
 
 func TestTailCallGraphInference(t *testing.T) {
-	g := &TailCallGraph{edges: map[string]map[string]*TailEdge{}}
+	g := &tailCallGraph{edges: map[string]map[string]*tailEdge{}}
 	add := func(from, to string) {
 		if g.edges[from] == nil {
-			g.edges[from] = map[string]*TailEdge{}
+			g.edges[from] = map[string]*tailEdge{}
 		}
-		g.edges[from][to] = &TailEdge{From: from, To: to}
+		g.edges[from][to] = &tailEdge{From: from, To: to}
 	}
 	add("a", "b")
 	add("b", "c")
 	add("a", "d")
 	add("d", "c") // two paths a→c: via b and via d
 
-	if path := g.InferPath("a", "b"); len(path) != 1 || path[0].To != "b" {
+	if path := g.inferPath("a", "b"); len(path) != 1 || path[0].To != "b" {
 		t.Fatalf("direct path: %v", path)
 	}
-	if path := g.InferPath("b", "c"); len(path) != 1 {
+	if path := g.inferPath("b", "c"); len(path) != 1 {
 		t.Fatalf("b→c: %v", path)
 	}
-	if path := g.InferPath("a", "c"); path != nil {
+	if path := g.inferPath("a", "c"); path != nil {
 		t.Fatalf("ambiguous path must fail: %v", path)
 	}
-	if path := g.InferPath("c", "a"); path != nil {
+	if path := g.inferPath("c", "a"); path != nil {
 		t.Fatalf("absent path must fail: %v", path)
 	}
-	if path := g.InferPath("x", "x"); path == nil || len(path) != 0 {
+	if path := g.inferPath("x", "x"); path == nil || len(path) != 0 {
 		t.Fatalf("self path must be empty, non-nil: %v", path)
 	}
 }
@@ -323,7 +321,7 @@ func TestMissingFrameInference(t *testing.T) {
 	}
 	// With inference, leaf must appear under a context that includes middle.
 	found := false
-	for _, c := range with.ContextsOf("leaf") {
+	for _, c := range contextsOf(with, "leaf") {
 		if indexOf(c.Context.Key(), "middle") >= 0 {
 			found = true
 		}
@@ -453,4 +451,16 @@ func TestInstrProfileIsExact(t *testing.T) {
 	if !found {
 		t.Fatalf("loop body count missing: %v", mainP.Blocks)
 	}
+}
+
+// contextsOf returns all context profiles of p whose leaf function is name,
+// in key order.
+func contextsOf(p *profdata.Profile, name string) []*profdata.FunctionProfile {
+	var out []*profdata.FunctionProfile
+	for _, k := range p.SortedContextKeys() {
+		if fp := p.Contexts[k]; fp.Name == name {
+			out = append(out, fp)
+		}
+	}
+	return out
 }

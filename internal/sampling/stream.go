@@ -32,14 +32,14 @@ package sampling
 //     the global minimum. A group stands at the position of its first
 //     occurrence: the copies carry the same records at later positions, so
 //     they can never be the minimum.
-//   - Unwinder stats: per-sample stats are position-independent sums (a
+//   - unwinder stats: per-sample stats are position-independent sums (a
 //     group adds n). Context-resolution stats (MissingFrameEvents & co.)
 //     are defined as per-lookup replays of a per-context delta (see
 //     ctxEntry); workers count lookups during ingestion and Finish adds
 //     delta × lookups.
 //
 // Deferred context resolution is the other half of the throughput: a
-// per-sample loop runs ContextOf + context-key hashing once per range,
+// per-sample loop runs contextOf + context-key hashing once per range,
 // while the engine resolves each distinct raw context exactly once at
 // Finish, after the complete tail-call graph is known. That per-sample loop
 // survives as the test-only oracle in reference_test.go; committed golden
@@ -330,7 +330,7 @@ func (d *dispatcher) wait() {
 // indirect-call aggregations.
 type csWorker struct {
 	bin     *machine.Prog
-	u       *Unwinder
+	u       *unwinder
 	keyBuf  []byte
 	pending map[string]*pendingCtx
 	trunc   map[rangeKey]uint64 // truncated-range occurrences, expanded at drain
@@ -344,7 +344,7 @@ type csWorker struct {
 func newCSWorker(bin *machine.Prog, opts CSSPGOOptions) *csWorker {
 	w := &csWorker{
 		bin:     bin,
-		u:       NewUnwinder(bin, nil),
+		u:       newUnwinder(bin, nil),
 		pending: map[string]*pendingCtx{},
 		trunc:   map[rangeKey]uint64{},
 		base:    profdata.New(profdata.ProbeBased, true),
@@ -543,7 +543,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	}
 
 	// Tail-call graph: global first observation per edge.
-	var tails *TailCallGraph
+	var tails *tailCallGraph
 	if s.opts.TailCallInference {
 		tsp := s.opts.Trace.Span("sampling.tailcall_graph")
 		t0 := time.Now()
@@ -555,14 +555,14 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 				}
 			}
 		}
-		tails = &TailCallGraph{edges: map[string]map[string]*TailEdge{}}
+		tails = &tailCallGraph{edges: map[string]map[string]*tailEdge{}}
 		for k, o := range first {
 			m := tails.edges[k.from]
 			if m == nil {
-				m = map[string]*TailEdge{}
+				m = map[string]*tailEdge{}
 				tails.edges[k.from] = m
 			}
-			m[k.to] = &TailEdge{From: k.from, To: k.to, SiteAddr: o.site}
+			m[k.to] = &tailEdge{From: k.from, To: k.to, SiteAddr: o.site}
 		}
 		s.opts.Metrics.Counter(obs.MShardTailGraphBuildNS).Add(time.Since(t0).Nanoseconds())
 		tsp.End()
@@ -609,7 +609,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 
 	// Resolve each distinct context once and attribute its deferred counts.
 	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending)))
-	ru := NewUnwinder(s.bin, tails)
+	ru := newUnwinder(s.bin, tails)
 	ru.AssumeAligned = s.opts.AssumeAligned
 	// ctxBuf is rebuilt for every probe of every range; ContextProfile
 	// copies the context it has to keep.
@@ -620,8 +620,8 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	}
 	for _, pc := range pending {
 		before := ru.Stats
-		callerCtx = ru.ContextOf(pc.callers, pc.leaf.Name, profdata.ProbeBased)
-		// Inference-stat deltas are defined per lookup; ContextOf above
+		callerCtx = ru.contextOf(pc.callers, pc.leaf.Name, profdata.ProbeBased)
+		// Inference-stat deltas are defined per lookup; contextOf above
 		// charged them once, add the rest.
 		if n := pc.lookups - 1; n > 0 {
 			dm := ru.Stats.MissingFrameEvents - before.MissingFrameEvents
@@ -670,7 +670,7 @@ type flatWorker struct {
 func newFlatWorker(bin *machine.Prog) *flatWorker {
 	return &flatWorker{
 		bin:    bin,
-		ac:     NewAddrCounter(bin),
+		ac:     newAddrCounter(bin),
 		icalls: map[uint64]map[string]uint64{},
 	}
 }

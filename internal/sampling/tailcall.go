@@ -2,34 +2,34 @@ package sampling
 
 import "sort"
 
-// TailEdge is one observed dynamic tail-call edge.
-type TailEdge struct {
+// tailEdge is one observed dynamic tail-call edge.
+type tailEdge struct {
 	From     string
 	To       string
 	SiteAddr uint64 // address of the tail-call instruction in From
 }
 
-// TailCallGraph is the dynamic call graph of tail-call edges observed in
+// tailCallGraph is the dynamic call graph of tail-call edges observed in
 // LBR samples. The missing-frame inferrer (§III.B "Reliable stack
 // sampling") DFS-searches it for a unique path between a call's static
 // target and the frame actually observed below it; a unique path recovers
 // the frames that tail-call elimination removed from the stack.
 // CSSPGOStream.Finish builds it from the workers' first edge observations.
-type TailCallGraph struct {
-	edges map[string]map[string]*TailEdge
+type tailCallGraph struct {
+	edges map[string]map[string]*tailEdge
 }
 
-// InferPath returns the unique tail-call path from → … → to as the list of
+// inferPath returns the unique tail-call path from → … → to as the list of
 // edges traversed, or nil when no path or more than one path exists (the
 // ambiguous case where inference must give up). from == to yields an empty
 // (non-nil) path. Search depth is bounded.
-func (g *TailCallGraph) InferPath(from, to string) []*TailEdge {
+func (g *tailCallGraph) inferPath(from, to string) []*tailEdge {
 	if from == to {
-		return []*TailEdge{}
+		return []*tailEdge{}
 	}
 	const maxDepth = 8
-	var found [][]*TailEdge
-	var path []*TailEdge
+	var found [][]*tailEdge
+	var path []*tailEdge
 	onPath := map[string]bool{from: true}
 
 	var dfs func(cur string, depth int)
@@ -50,7 +50,7 @@ func (g *TailCallGraph) InferPath(from, to string) []*TailEdge {
 			e := succs[next]
 			path = append(path, e)
 			if next == to {
-				found = append(found, append([]*TailEdge(nil), path...))
+				found = append(found, append([]*tailEdge(nil), path...))
 			} else {
 				onPath[next] = true
 				dfs(next, depth+1)

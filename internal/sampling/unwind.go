@@ -9,27 +9,27 @@ import (
 	"csspgo/internal/sim"
 )
 
-// CtxRange is a linear execution range together with the virtual call stack
+// ctxRange is a linear execution range together with the virtual call stack
 // in effect while it executed: Callers holds resume addresses of the frames
 // above the range's function, outermost first. Truncated marks ranges whose
 // outer context is unknown because the stack sample was shallower than the
 // LBR history reached back; their Callers (possibly re-grown by later
 // return records) are an incomplete suffix of the real context and must not
 // be aggregated as if they were the whole of it.
-type CtxRange struct {
-	R Range
+type ctxRange struct {
+	R addrRange
 	// Lo, Hi and Fn are R resolved once against the binary: the
 	// instruction-index interval [Lo, Hi) it covers and the function it
 	// executed in, so consumers attribute the range without looking its
 	// addresses up again.
 	Lo, Hi int32
 	Fn     *machine.Func
-	// Callers is valid until the next Unwind: it lives in the unwinder's
+	// Callers is valid until the next unwind: it lives in the unwinder's
 	// arena, and a range with SameCallers shares the previous range's slice.
 	Callers   []uint64
 	Truncated bool
 	// SameCallers reports that Callers is content-identical to the previous
-	// CtxRange emitted for this sample (false for the first). Intra-function
+	// ctxRange emitted for this sample (false for the first). Intra-function
 	// branches dominate hot LBRs, so consumers aggregating by context can
 	// reuse the previous range's context lookup instead of re-hashing.
 	SameCallers bool
@@ -59,30 +59,30 @@ func (s *UnwindStats) Add(o UnwindStats) {
 	s.FramesRecovered += o.FramesRecovered
 }
 
-// Unwinder reconstructs calling contexts from synchronized LBR + stack
+// unwinder reconstructs calling contexts from synchronized LBR + stack
 // samples — the paper's Algorithm 1. LBR branches are processed in reverse
 // execution order (newest first), undoing each branch's frame effect to
 // recover the stack in effect when each linear range executed.
 //
-// Unwind reuses internal scratch buffers: the returned ranges and their
-// Callers slices stay valid only until the next Unwind call. Callers that
+// unwind reuses internal scratch buffers: the returned ranges and their
+// Callers slices stay valid only until the next unwind call. Callers that
 // need the data longer must copy it (the streaming collector copies Callers
 // once per distinct context).
-type Unwinder struct {
+type unwinder struct {
 	bin   *machine.Prog
-	tails *TailCallGraph // nil disables missing-frame inference
+	tails *tailCallGraph // nil disables missing-frame inference
 	Stats UnwindStats
 	// AssumeAligned skips skid detection (PEBS ablation only).
 	AssumeAligned bool
 
 	ctxCache map[string]ctxEntry
 
-	// Per-call scratch, reused across Unwind/ContextOf calls so the
+	// Per-call scratch, reused across unwind/contextOf calls so the
 	// steady-state hot path does not allocate.
 	keyBuf     []byte
 	callersBuf []uint64
 	fromBuf    []int32 // decode of the sample being unwound
-	outBuf     []CtxRange
+	outBuf     []ctxRange
 	arena      []uint64 // backing store for the returned Callers slices
 }
 
@@ -99,14 +99,9 @@ type ctxEntry struct {
 	frames    int
 }
 
-// NewUnwinder returns an unwinder over bin. tails may be nil.
-func NewUnwinder(bin *machine.Prog, tails *TailCallGraph) *Unwinder {
-	return &Unwinder{bin: bin, tails: tails, ctxCache: map[string]ctxEntry{}}
-}
-
-// Unwind recovers the context of every linear range in one sample.
-func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
-	return u.unwind(&s, u.decode(s.LBR), 1)
+// newUnwinder returns an unwinder over bin. tails may be nil.
+func newUnwinder(bin *machine.Prog, tails *tailCallGraph) *unwinder {
+	return &unwinder{bin: bin, tails: tails, ctxCache: map[string]ctxEntry{}}
 }
 
 // decode returns the instruction index of every record's branch source (-1
@@ -114,7 +109,7 @@ func (u *Unwinder) Unwind(s sim.Sample) []CtxRange {
 // buffer, valid until the next call. One decode per record serves the
 // collector's tail-call / indirect-call scan, the frame effects undone
 // below and the end of the range the record closes.
-func (u *Unwinder) decode(lbr []sim.BranchRec) []int32 {
+func (u *unwinder) decode(lbr []sim.BranchRec) []int32 {
 	from := u.fromBuf[:0]
 	for i := range lbr {
 		from = append(from, int32(u.bin.InstrIndexAt(lbr[i].From)))
@@ -123,9 +118,9 @@ func (u *Unwinder) decode(lbr []sim.BranchRec) []int32 {
 	return from
 }
 
-// unwind is Unwind for n identical samples at once: from is decode of the
+// unwind is unwindOne for n identical samples at once: from is decode of the
 // sample's LBR, and every per-sample stat counts n.
-func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
+func (u *unwinder) unwind(s *sim.Sample, from []int32, n int) []ctxRange {
 	if len(s.LBR) == 0 || len(s.Stack) == 0 {
 		u.Stats.Dropped += n
 		return nil
@@ -183,7 +178,7 @@ func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 				// Frame was reused: leaf function changes, callers do not.
 			}
 		}
-		r := Range{Begin: s.LBR[i+1].To, End: br.From}
+		r := addrRange{Begin: s.LBR[i+1].To, End: br.From}
 		lo, hi, fn := resolveRange(u.bin, r.Begin, r.End, int(from[i]))
 		if fn == nil {
 			continue
@@ -202,7 +197,7 @@ func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 			u.arena = append(u.arena, callers...)
 			cc = u.arena[start:len(u.arena):len(u.arena)]
 		}
-		out = append(out, CtxRange{R: r, Lo: lo, Hi: hi, Fn: fn, Callers: cc, Truncated: truncated, SameCallers: same})
+		out = append(out, ctxRange{R: r, Lo: lo, Hi: hi, Fn: fn, Callers: cc, Truncated: truncated, SameCallers: same})
 		mutated = false
 	}
 	u.callersBuf = callers[:0]
@@ -210,12 +205,12 @@ func (u *Unwinder) unwind(s *sim.Sample, from []int32, n int) []CtxRange {
 	return out
 }
 
-// ContextOf converts a virtual caller stack into profile context frames
+// contextOf converts a virtual caller stack into profile context frames
 // (outermost first), expanding inlined call sites via debug info or probe
 // metadata and repairing tail-call holes via the tail-call graph. The
 // returned context holds caller frames only — the caller appends the leaf
 // frame(s). leafFunc is the physical function the ranges execute in.
-func (u *Unwinder) ContextOf(callers []uint64, leafFunc string, kind profdata.Kind) profdata.Context {
+func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Kind) profdata.Context {
 	// The map lookup through string(keyBuf) compiles to a no-copy probe, so
 	// the cache-hit path allocates nothing; the key is materialized as a
 	// string only when a new entry must be stored.
@@ -249,7 +244,7 @@ func (u *Unwinder) ContextOf(callers []uint64, leafFunc string, kind profdata.Ki
 		if target != next {
 			e.missing++
 			if u.tails != nil {
-				if path := u.tails.InferPath(target, next); path != nil {
+				if path := u.tails.inferPath(target, next); path != nil {
 					for _, pe := range path {
 						site := u.siteOfAddr(pe.SiteAddr, pe.From, kind)
 						ctx = append(ctx, profdata.ContextFrame{Func: pe.From, Site: site})
@@ -270,7 +265,7 @@ func (u *Unwinder) ContextOf(callers []uint64, leafFunc string, kind profdata.Ki
 
 // callSiteBefore finds the call/tail-call instruction immediately preceding
 // a return (resume) address.
-func (u *Unwinder) callSiteBefore(resume uint64) *machine.Instr {
+func (u *unwinder) callSiteBefore(resume uint64) *machine.Instr {
 	idx := u.bin.InstrIndexAt(resume)
 	if idx <= 0 {
 		return nil
@@ -286,7 +281,7 @@ func (u *Unwinder) callSiteBefore(resume uint64) *machine.Instr {
 // (outermost first): inline frames the call was compiled through, then the
 // frame of the function textually containing the call, each with its call
 // site in the chosen key space.
-func (u *Unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []profdata.ContextFrame {
+func (u *unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []profdata.ContextFrame {
 	if kind == profdata.ProbeBased {
 		for _, rec := range u.bin.ProbesAt(call.Addr) {
 			if rec.Kind != ir.ProbeCall {
@@ -324,7 +319,7 @@ func (u *Unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []pro
 }
 
 // siteOfAddr keys the instruction at addr within function fn.
-func (u *Unwinder) siteOfAddr(addr uint64, fn string, kind profdata.Kind) profdata.LocKey {
+func (u *unwinder) siteOfAddr(addr uint64, fn string, kind profdata.Kind) profdata.LocKey {
 	if kind == profdata.ProbeBased {
 		for _, rec := range u.bin.ProbesAt(addr) {
 			if rec.Kind == ir.ProbeCall && rec.Func == fn {

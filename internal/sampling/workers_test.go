@@ -40,9 +40,9 @@ func TestUnwindStatsCountAcceptedOnly(t *testing.T) {
 	mixed = append(mixed, samples[1:]...)
 	mixed = append(mixed, sim.Sample{LBR: samples[0].LBR})
 
-	u := NewUnwinder(bin, nil)
+	u := newUnwinder(bin, nil)
 	for _, s := range mixed {
-		u.Unwind(s)
+		u.unwindOne(s)
 	}
 	if u.Stats.Samples != len(samples) {
 		t.Fatalf("Samples must count accepted only: got %d, want %d", u.Stats.Samples, len(samples))
@@ -64,7 +64,7 @@ func TestTruncatedStackIsSticky(t *testing.T) {
 	bin := build(t, contextSrc, true)
 	samples := profileRun(t, bin, sim.DefaultPMUConfig(16), 30, 300)
 
-	u := NewUnwinder(bin, nil)
+	u := newUnwinder(bin, nil)
 	sawTruncated := false
 	for _, s := range samples {
 		if len(s.Stack) < 2 || len(s.LBR) < 8 {
@@ -74,7 +74,7 @@ func TestTruncatedStackIsSticky(t *testing.T) {
 		// from an empty caller stack and every context from there back in
 		// time is missing its outer frames.
 		s.Stack = s.Stack[:1]
-		out := u.Unwind(s)
+		out := u.unwindOne(s)
 		seen := false
 		for _, cr := range out {
 			if cr.Truncated {

@@ -367,7 +367,7 @@ func TestStepLimitStatsPinned(t *testing.T) {
 				m.SetOverheadMeter(NewOverheadMeter())
 			}
 			m.MaxSteps = steps
-			if _, err := m.Run(40, 1); err != ErrStepLimit {
+			if _, err := m.Run(40, 1); err != errStepLimit {
 				t.Fatalf("%s steps=%d: err = %v", c.name, steps, err)
 			}
 			if m.Stats().Instructions != steps {
@@ -412,7 +412,7 @@ func TestStepLimitStallPinned(t *testing.T) {
 		m.SetOverheadMeter(NewOverheadMeter())
 		m.MaxSteps = steps
 		for run := 0; run < 2; run++ {
-			if _, err := m.Run(int64(steps)); err != ErrStepLimit {
+			if _, err := m.Run(int64(steps)); err != errStepLimit {
 				t.Fatalf("steps=%d run %d: err = %v", steps, run, err)
 			}
 		}
@@ -434,7 +434,7 @@ func TestRunAfterFailedRunStartsClean(t *testing.T) {
 	mp := compile(t, recurseSrc, codegen.Options{}, false)
 	m := New(mp, DefaultCostParams(), DefaultPMUConfig(16))
 	m.MaxSteps = 5000
-	if _, err := m.Run(3000, 1); err != ErrStepLimit {
+	if _, err := m.Run(3000, 1); err != errStepLimit {
 		t.Fatalf("err = %v", err)
 	}
 	m.MaxSteps = 500_000_000

@@ -380,8 +380,8 @@ func (m *Machine) Samples() []Sample { return m.pmu.samples }
 // address (instrumented binaries only; nil otherwise).
 func (m *Machine) ValueProfile() map[uint64]map[int32]uint64 { return m.vprof }
 
-// ErrStepLimit is returned when a run exceeds MaxSteps.
-var ErrStepLimit = errors.New("sim: step limit exceeded")
+// errStepLimit is returned when a run exceeds MaxSteps.
+var errStepLimit = errors.New("sim: step limit exceeded")
 
 var errUnmapped = errors.New("sim: jump to unmapped address")
 
@@ -615,7 +615,7 @@ run:
 		if budget < uint64(d.run) {
 			cycles += m.retirePrefix(pc, int(budget), r, &lastLine)
 			budget = 0
-			err = ErrStepLimit
+			err = errStepLimit
 			break
 		}
 		budget -= uint64(d.run)
@@ -846,7 +846,7 @@ run:
 			default: // opStall: retires in place, one BaseCPI a step
 				cycles += budget * m.Cost.BaseCPI
 				budget = 0
-				err = ErrStepLimit
+				err = errStepLimit
 				break run
 			}
 

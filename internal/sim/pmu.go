@@ -165,7 +165,7 @@ func (p *pmu) takeSample(stack []uint64) {
 // sink when it reaches the configured chunk size.
 func (p *pmu) takeSampleStreaming(stack []uint64) {
 	if p.chunk == nil {
-		p.chunk = GetChunk(p.chunkSize)
+		p.chunk = getChunk(p.chunkSize)
 		p.chunk.Index = p.chunkIdx
 	}
 	s := p.chunk.appendSlot()

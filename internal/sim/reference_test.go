@@ -151,7 +151,7 @@ func (m *Machine) refRun(args ...int64) (int64, error) {
 	)
 	for {
 		if budget == 0 {
-			err = ErrStepLimit
+			err = errStepLimit
 			break
 		}
 		budget--

@@ -253,7 +253,7 @@ func leaf(x) { return x * 2 + 1; }`
 			if in == nil {
 				t.Fatalf("LBR From %#x unmapped", br.From)
 			}
-			if !in.IsTakenBranchKind() {
+			if !isTakenBranchKind(in.Kind) {
 				t.Fatalf("LBR From %#x is %v, not a branch", br.From, in.Kind)
 			}
 			if mp.InstrAt(br.To) == nil {
@@ -369,7 +369,7 @@ func TestStepLimit(t *testing.T) {
 	mp := compile(t, src, codegen.Options{}, false)
 	m := New(mp, DefaultCostParams(), PMUConfig{})
 	m.MaxSteps = 10000
-	if _, err := m.Run(); err != ErrStepLimit {
+	if _, err := m.Run(); err != errStepLimit {
 		t.Fatalf("want ErrStepLimit, got %v", err)
 	}
 }
@@ -415,4 +415,15 @@ func TestBranchPredictorLearnsBias(t *testing.T) {
 	if b*10 >= a {
 		t.Fatalf("biased branch mispredicts %d should be ≪ alternating %d", b, a)
 	}
+}
+
+// isTakenBranchKind reports whether an instruction of kind k can produce an
+// LBR record (calls, returns and jumps are taken branches; KBranch only
+// when taken).
+func isTakenBranchKind(k machine.Kind) bool {
+	switch k {
+	case machine.KBranch, machine.KJump, machine.KCall, machine.KTailCall, machine.KICall, machine.KRet:
+		return true
+	}
+	return false
 }

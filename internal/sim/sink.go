@@ -38,9 +38,9 @@ type SampleSink interface {
 
 var chunkPool = sync.Pool{New: func() any { return new(SampleChunk) }}
 
-// GetChunk returns a pooled chunk with zero samples and at least the given
+// getChunk returns a pooled chunk with zero samples and at least the given
 // capacity hint (chunks recycled from larger configurations may have more).
-func GetChunk(capacity int) *SampleChunk {
+func getChunk(capacity int) *SampleChunk {
 	if capacity <= 0 {
 		capacity = DefaultChunkSize
 	}

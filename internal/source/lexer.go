@@ -2,26 +2,26 @@ package source
 
 import "fmt"
 
-// Lexer turns MiniLang source text into tokens.
-type Lexer struct {
+// lexer turns MiniLang source text into tokens.
+type lexer struct {
 	src  string
 	pos  int
 	line int
 }
 
-// NewLexer returns a lexer over src, starting at line 1.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1}
+// newLexer returns a lexer over src, starting at line 1.
+func newLexer(src string) *lexer {
+	return &lexer{src: src, line: 1}
 }
 
-func (lx *Lexer) peekByte() byte {
+func (lx *lexer) peekByte() byte {
 	if lx.pos >= len(lx.src) {
 		return 0
 	}
 	return lx.src[lx.pos]
 }
 
-func (lx *Lexer) nextByte() byte {
+func (lx *lexer) nextByte() byte {
 	c := lx.peekByte()
 	lx.pos++
 	if c == '\n' {
@@ -36,7 +36,7 @@ func isAlpha(c byte) bool {
 }
 
 // skipSpace consumes whitespace and // and /* */ comments.
-func (lx *Lexer) skipSpace() error {
+func (lx *lexer) skipSpace() error {
 	for {
 		c := lx.peekByte()
 		switch {
@@ -67,15 +67,15 @@ func (lx *Lexer) skipSpace() error {
 	}
 }
 
-// Next returns the next token.
-func (lx *Lexer) Next() (Token, error) {
+// next returns the next token.
+func (lx *lexer) next() (token, error) {
 	if err := lx.skipSpace(); err != nil {
-		return Token{}, err
+		return token{}, err
 	}
 	line := lx.line
 	c := lx.peekByte()
 	if c == 0 {
-		return Token{Kind: EOF, Line: line}, nil
+		return token{Kind: eof, Line: line}, nil
 	}
 	switch {
 	case isDigit(c):
@@ -83,7 +83,7 @@ func (lx *Lexer) Next() (Token, error) {
 		for isDigit(lx.peekByte()) {
 			n = n*10 + int64(lx.nextByte()-'0')
 		}
-		return Token{Kind: NUM, Num: n, Line: line}, nil
+		return token{Kind: num, Num: n, Line: line}, nil
 	case isAlpha(c):
 		start := lx.pos
 		for isAlpha(lx.peekByte()) || isDigit(lx.peekByte()) {
@@ -91,63 +91,63 @@ func (lx *Lexer) Next() (Token, error) {
 		}
 		word := lx.src[start:lx.pos]
 		if k, ok := keywords[word]; ok {
-			return Token{Kind: k, Text: word, Line: line}, nil
+			return token{Kind: k, Text: word, Line: line}, nil
 		}
-		return Token{Kind: IDENT, Text: word, Line: line}, nil
+		return token{Kind: ident, Text: word, Line: line}, nil
 	}
-	two := func(second byte, yes, no Kind) Token {
+	two := func(second byte, yes, no Kind) token {
 		lx.nextByte()
 		if lx.peekByte() == second {
 			lx.nextByte()
-			return Token{Kind: yes, Line: line}
+			return token{Kind: yes, Line: line}
 		}
-		return Token{Kind: no, Line: line}
+		return token{Kind: no, Line: line}
 	}
 	switch c {
 	case '(':
 		lx.nextByte()
-		return Token{Kind: LParen, Line: line}, nil
+		return token{Kind: lParen, Line: line}, nil
 	case ')':
 		lx.nextByte()
-		return Token{Kind: RParen, Line: line}, nil
+		return token{Kind: rParen, Line: line}, nil
 	case '{':
 		lx.nextByte()
-		return Token{Kind: LBrace, Line: line}, nil
+		return token{Kind: lBrace, Line: line}, nil
 	case '}':
 		lx.nextByte()
-		return Token{Kind: RBrace, Line: line}, nil
+		return token{Kind: rBrace, Line: line}, nil
 	case '[':
 		lx.nextByte()
-		return Token{Kind: LBrack, Line: line}, nil
+		return token{Kind: lBrack, Line: line}, nil
 	case ']':
 		lx.nextByte()
-		return Token{Kind: RBrack, Line: line}, nil
+		return token{Kind: rBrack, Line: line}, nil
 	case ',':
 		lx.nextByte()
-		return Token{Kind: Comma, Line: line}, nil
+		return token{Kind: comma, Line: line}, nil
 	case ';':
 		lx.nextByte()
-		return Token{Kind: Semi, Line: line}, nil
+		return token{Kind: semi, Line: line}, nil
 	case ':':
 		lx.nextByte()
-		return Token{Kind: Colon, Line: line}, nil
+		return token{Kind: colon, Line: line}, nil
 	case '+':
 		lx.nextByte()
-		return Token{Kind: Plus, Line: line}, nil
+		return token{Kind: Plus, Line: line}, nil
 	case '-':
 		lx.nextByte()
-		return Token{Kind: Minus, Line: line}, nil
+		return token{Kind: Minus, Line: line}, nil
 	case '*':
 		lx.nextByte()
-		return Token{Kind: Star, Line: line}, nil
+		return token{Kind: Star, Line: line}, nil
 	case '/':
 		lx.nextByte()
-		return Token{Kind: Slash, Line: line}, nil
+		return token{Kind: Slash, Line: line}, nil
 	case '%':
 		lx.nextByte()
-		return Token{Kind: Percent, Line: line}, nil
+		return token{Kind: Percent, Line: line}, nil
 	case '=':
-		return two('=', Eq, Assign), nil
+		return two('=', Eq, assign), nil
 	case '!':
 		return two('=', Ne, Not), nil
 	case '<':
@@ -158,31 +158,31 @@ func (lx *Lexer) Next() (Token, error) {
 		lx.nextByte()
 		if lx.peekByte() == '&' {
 			lx.nextByte()
-			return Token{Kind: AndAnd, Line: line}, nil
+			return token{Kind: AndAnd, Line: line}, nil
 		}
-		return Token{Kind: Amp, Line: line}, nil
+		return token{Kind: amp, Line: line}, nil
 	case '|':
 		lx.nextByte()
 		if lx.peekByte() == '|' {
 			lx.nextByte()
-			return Token{Kind: OrOr, Line: line}, nil
+			return token{Kind: OrOr, Line: line}, nil
 		}
-		return Token{}, fmt.Errorf("line %d: unexpected '|'", line)
+		return token{}, fmt.Errorf("line %d: unexpected '|'", line)
 	}
-	return Token{}, fmt.Errorf("line %d: unexpected character %q", line, string(c))
+	return token{}, fmt.Errorf("line %d: unexpected character %q", line, string(c))
 }
 
-// Lex tokenizes the entire input (EOF token included last).
-func Lex(src string) ([]Token, error) {
-	lx := NewLexer(src)
-	var toks []Token
+// lex tokenizes the entire input (EOF token included last).
+func lex(src string) ([]token, error) {
+	lx := newLexer(src)
+	var toks []token
 	for {
-		t, err := lx.Next()
+		t, err := lx.next()
 		if err != nil {
 			return nil, err
 		}
 		toks = append(toks, t)
-		if t.Kind == EOF {
+		if t.Kind == eof {
 			return toks, nil
 		}
 	}

@@ -2,20 +2,20 @@ package source
 
 import "fmt"
 
-// Parser is a recursive-descent parser for MiniLang.
-type Parser struct {
-	toks []Token
+// parser is a recursive-descent parser for MiniLang.
+type parser struct {
+	toks []token
 	pos  int
 	name string
 }
 
 // Parse parses one MiniLang file. name becomes the module id.
 func Parse(name, src string) (*File, error) {
-	toks, err := Lex(src)
+	toks, err := lex(src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
-	p := &Parser{toks: toks, name: name}
+	p := &parser{toks: toks, name: name}
 	f, err := p.file()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -23,11 +23,11 @@ func Parse(name, src string) (*File, error) {
 	return f, nil
 }
 
-func (p *Parser) peek() Token    { return p.toks[p.pos] }
-func (p *Parser) next() Token    { t := p.toks[p.pos]; p.pos++; return t }
-func (p *Parser) at(k Kind) bool { return p.peek().Kind == k }
+func (p *parser) peek() token    { return p.toks[p.pos] }
+func (p *parser) next() token    { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) at(k Kind) bool { return p.peek().Kind == k }
 
-func (p *Parser) accept(k Kind) bool {
+func (p *parser) accept(k Kind) bool {
 	if p.at(k) {
 		p.pos++
 		return true
@@ -35,7 +35,7 @@ func (p *Parser) accept(k Kind) bool {
 	return false
 }
 
-func (p *Parser) expect(k Kind) (Token, error) {
+func (p *parser) expect(k Kind) (token, error) {
 	t := p.peek()
 	if t.Kind != k {
 		return t, fmt.Errorf("line %d: expected %s, found %s", t.Line, k, t)
@@ -44,17 +44,17 @@ func (p *Parser) expect(k Kind) (Token, error) {
 	return t, nil
 }
 
-func (p *Parser) file() (*File, error) {
+func (p *parser) file() (*File, error) {
 	f := &File{Name: p.name}
-	for !p.at(EOF) {
+	for !p.at(eof) {
 		switch p.peek().Kind {
-		case KwGlobal:
+		case kwGlobal:
 			g, err := p.globalDecl()
 			if err != nil {
 				return nil, err
 			}
 			f.Globals = append(f.Globals, g)
-		case KwFunc:
+		case kwFunc:
 			fn, err := p.funcDecl()
 			if err != nil {
 				return nil, err
@@ -69,15 +69,15 @@ func (p *Parser) file() (*File, error) {
 }
 
 // globalDecl := "global" IDENT ("[" NUM "]")? ("=" NUM ("," NUM)*)? ";"
-func (p *Parser) globalDecl() (*GlobalDecl, error) {
-	kw, _ := p.expect(KwGlobal)
-	id, err := p.expect(IDENT)
+func (p *parser) globalDecl() (*GlobalDecl, error) {
+	kw, _ := p.expect(kwGlobal)
+	id, err := p.expect(ident)
 	if err != nil {
 		return nil, err
 	}
 	g := &GlobalDecl{Name: id.Text, Size: 1, Line: kw.Line}
-	if p.accept(LBrack) {
-		n, err := p.expect(NUM)
+	if p.accept(lBrack) {
+		n, err := p.expect(num)
 		if err != nil {
 			return nil, err
 		}
@@ -85,14 +85,14 @@ func (p *Parser) globalDecl() (*GlobalDecl, error) {
 			return nil, fmt.Errorf("line %d: array size must be positive", n.Line)
 		}
 		g.Size = int(n.Num)
-		if _, err := p.expect(RBrack); err != nil {
+		if _, err := p.expect(rBrack); err != nil {
 			return nil, err
 		}
 	}
-	if p.accept(Assign) {
+	if p.accept(assign) {
 		for {
 			neg := p.accept(Minus)
-			n, err := p.expect(NUM)
+			n, err := p.expect(num)
 			if err != nil {
 				return nil, err
 			}
@@ -101,7 +101,7 @@ func (p *Parser) globalDecl() (*GlobalDecl, error) {
 				v = -v
 			}
 			g.Init = append(g.Init, v)
-			if !p.accept(Comma) {
+			if !p.accept(comma) {
 				break
 			}
 		}
@@ -109,36 +109,36 @@ func (p *Parser) globalDecl() (*GlobalDecl, error) {
 			return nil, fmt.Errorf("line %d: %d initializers for global of size %d", kw.Line, len(g.Init), g.Size)
 		}
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(semi); err != nil {
 		return nil, err
 	}
 	return g, nil
 }
 
 // funcDecl := "func" IDENT "(" (IDENT ("," IDENT)*)? ")" block
-func (p *Parser) funcDecl() (*FuncDecl, error) {
-	kw, _ := p.expect(KwFunc)
-	id, err := p.expect(IDENT)
+func (p *parser) funcDecl() (*FuncDecl, error) {
+	kw, _ := p.expect(kwFunc)
+	id, err := p.expect(ident)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LParen); err != nil {
+	if _, err := p.expect(lParen); err != nil {
 		return nil, err
 	}
 	fn := &FuncDecl{Name: id.Text, Line: kw.Line}
-	if !p.at(RParen) {
+	if !p.at(rParen) {
 		for {
-			param, err := p.expect(IDENT)
+			param, err := p.expect(ident)
 			if err != nil {
 				return nil, err
 			}
 			fn.Params = append(fn.Params, param.Text)
-			if !p.accept(Comma) {
+			if !p.accept(comma) {
 				break
 			}
 		}
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(rParen); err != nil {
 		return nil, err
 	}
 	body, err := p.block()
@@ -149,14 +149,14 @@ func (p *Parser) funcDecl() (*FuncDecl, error) {
 	return fn, nil
 }
 
-func (p *Parser) block() (*BlockStmt, error) {
-	lb, err := p.expect(LBrace)
+func (p *parser) block() (*BlockStmt, error) {
+	lb, err := p.expect(lBrace)
 	if err != nil {
 		return nil, err
 	}
 	b := &BlockStmt{Line: lb.Line}
-	for !p.at(RBrace) {
-		if p.at(EOF) {
+	for !p.at(rBrace) {
+		if p.at(eof) {
 			return nil, fmt.Errorf("line %d: unterminated block", lb.Line)
 		}
 		s, err := p.stmt()
@@ -169,28 +169,28 @@ func (p *Parser) block() (*BlockStmt, error) {
 	return b, nil
 }
 
-func (p *Parser) stmt() (Stmt, error) {
+func (p *parser) stmt() (Stmt, error) {
 	t := p.peek()
 	switch t.Kind {
-	case KwVar:
+	case kwVar:
 		s, err := p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(Semi)
+		_, err = p.expect(semi)
 		return s, err
-	case KwIf:
+	case kwIf:
 		return p.ifStmt()
-	case KwWhile:
+	case kwWhile:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(lParen); err != nil {
 			return nil, err
 		}
 		cond, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(rParen); err != nil {
 			return nil, err
 		}
 		body, err := p.block()
@@ -198,60 +198,60 @@ func (p *Parser) stmt() (Stmt, error) {
 			return nil, err
 		}
 		return &WhileStmt{Cond: cond, Body: body, Line: t.Line}, nil
-	case KwFor:
+	case kwFor:
 		return p.forStmt()
-	case KwSwitch:
+	case kwSwitch:
 		return p.switchStmt()
-	case KwReturn:
+	case kwReturn:
 		p.next()
 		var val Expr
-		if !p.at(Semi) {
+		if !p.at(semi) {
 			var err error
 			val, err = p.expr()
 			if err != nil {
 				return nil, err
 			}
 		}
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(semi); err != nil {
 			return nil, err
 		}
 		return &ReturnStmt{Val: val, Line: t.Line}, nil
-	case KwBreak:
+	case kwBreak:
 		p.next()
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(semi); err != nil {
 			return nil, err
 		}
 		return &BreakStmt{Line: t.Line}, nil
-	case KwContinue:
+	case kwContinue:
 		p.next()
-		if _, err := p.expect(Semi); err != nil {
+		if _, err := p.expect(semi); err != nil {
 			return nil, err
 		}
 		return &ContinueStmt{Line: t.Line}, nil
-	case LBrace:
+	case lBrace:
 		return p.block()
 	default:
 		s, err := p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
-		_, err = p.expect(Semi)
+		_, err = p.expect(semi)
 		return s, err
 	}
 }
 
 // simpleStmt handles var decls, assignments, stores and expression
 // statements — the statement forms allowed in for-headers.
-func (p *Parser) simpleStmt() (Stmt, error) {
+func (p *parser) simpleStmt() (Stmt, error) {
 	t := p.peek()
 	switch t.Kind {
-	case KwVar:
+	case kwVar:
 		p.next()
-		id, err := p.expect(IDENT)
+		id, err := p.expect(ident)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(Assign); err != nil {
+		if _, err := p.expect(assign); err != nil {
 			return nil, err
 		}
 		init, err := p.expr()
@@ -259,10 +259,10 @@ func (p *Parser) simpleStmt() (Stmt, error) {
 			return nil, err
 		}
 		return &VarStmt{Name: id.Text, Init: init, Line: t.Line}, nil
-	case IDENT:
+	case ident:
 		// Lookahead: IDENT "=" → assign; IDENT "[" → index store or
 		// (after ]) read; IDENT "(" → call statement; otherwise expr stmt.
-		if p.toks[p.pos+1].Kind == Assign {
+		if p.toks[p.pos+1].Kind == assign {
 			id := p.next()
 			p.next() // '='
 			val, err := p.expr()
@@ -271,7 +271,7 @@ func (p *Parser) simpleStmt() (Stmt, error) {
 			}
 			return &AssignStmt{Name: id.Text, Val: val, Line: t.Line}, nil
 		}
-		if p.toks[p.pos+1].Kind == LBrack {
+		if p.toks[p.pos+1].Kind == lBrack {
 			// Could be a store `g[i] = e` — parse index then check '='.
 			save := p.pos
 			id := p.next()
@@ -280,10 +280,10 @@ func (p *Parser) simpleStmt() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBrack); err != nil {
+			if _, err := p.expect(rBrack); err != nil {
 				return nil, err
 			}
-			if p.accept(Assign) {
+			if p.accept(assign) {
 				val, err := p.expr()
 				if err != nil {
 					return nil, err
@@ -301,16 +301,16 @@ func (p *Parser) simpleStmt() (Stmt, error) {
 	return &ExprStmt{X: x, Line: t.Line}, nil
 }
 
-func (p *Parser) ifStmt() (Stmt, error) {
-	t, _ := p.expect(KwIf)
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) ifStmt() (Stmt, error) {
+	t, _ := p.expect(kwIf)
+	if _, err := p.expect(lParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(rParen); err != nil {
 		return nil, err
 	}
 	then, err := p.block()
@@ -318,8 +318,8 @@ func (p *Parser) ifStmt() (Stmt, error) {
 		return nil, err
 	}
 	s := &IfStmt{Cond: cond, Then: then, Line: t.Line}
-	if p.accept(KwElse) {
-		if p.at(KwIf) {
+	if p.accept(kwElse) {
+		if p.at(kwIf) {
 			s.Else, err = p.ifStmt()
 		} else {
 			s.Else, err = p.block()
@@ -331,38 +331,38 @@ func (p *Parser) ifStmt() (Stmt, error) {
 	return s, nil
 }
 
-func (p *Parser) forStmt() (Stmt, error) {
-	t, _ := p.expect(KwFor)
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) forStmt() (Stmt, error) {
+	t, _ := p.expect(kwFor)
+	if _, err := p.expect(lParen); err != nil {
 		return nil, err
 	}
 	s := &ForStmt{Line: t.Line}
 	var err error
-	if !p.at(Semi) {
+	if !p.at(semi) {
 		s.Init, err = p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(semi); err != nil {
 		return nil, err
 	}
-	if !p.at(Semi) {
+	if !p.at(semi) {
 		s.Cond, err = p.expr()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(Semi); err != nil {
+	if _, err := p.expect(semi); err != nil {
 		return nil, err
 	}
-	if !p.at(RParen) {
+	if !p.at(rParen) {
 		s.Post, err = p.simpleStmt()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(rParen); err != nil {
 		return nil, err
 	}
 	s.Body, err = p.block()
@@ -372,28 +372,28 @@ func (p *Parser) forStmt() (Stmt, error) {
 	return s, nil
 }
 
-func (p *Parser) switchStmt() (Stmt, error) {
-	t, _ := p.expect(KwSwitch)
-	if _, err := p.expect(LParen); err != nil {
+func (p *parser) switchStmt() (Stmt, error) {
+	t, _ := p.expect(kwSwitch)
+	if _, err := p.expect(lParen); err != nil {
 		return nil, err
 	}
 	cond, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(RParen); err != nil {
+	if _, err := p.expect(rParen); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(LBrace); err != nil {
+	if _, err := p.expect(lBrace); err != nil {
 		return nil, err
 	}
 	s := &SwitchStmt{Cond: cond, Line: t.Line}
 	seen := map[int64]bool{}
-	for !p.at(RBrace) {
+	for !p.at(rBrace) {
 		switch {
-		case p.accept(KwCase):
+		case p.accept(kwCase):
 			neg := p.accept(Minus)
-			n, err := p.expect(NUM)
+			n, err := p.expect(num)
 			if err != nil {
 				return nil, err
 			}
@@ -405,7 +405,7 @@ func (p *Parser) switchStmt() (Stmt, error) {
 				return nil, fmt.Errorf("line %d: duplicate case %d", n.Line, v)
 			}
 			seen[v] = true
-			if _, err := p.expect(Colon); err != nil {
+			if _, err := p.expect(colon); err != nil {
 				return nil, err
 			}
 			body, err := p.caseBody(n.Line)
@@ -414,11 +414,11 @@ func (p *Parser) switchStmt() (Stmt, error) {
 			}
 			s.Values = append(s.Values, v)
 			s.Bodies = append(s.Bodies, body)
-		case p.accept(KwDefault):
+		case p.accept(kwDefault):
 			if s.Default != nil {
 				return nil, fmt.Errorf("line %d: duplicate default", p.peek().Line)
 			}
-			if _, err := p.expect(Colon); err != nil {
+			if _, err := p.expect(colon); err != nil {
 				return nil, err
 			}
 			body, err := p.caseBody(t.Line)
@@ -436,10 +436,10 @@ func (p *Parser) switchStmt() (Stmt, error) {
 
 // caseBody parses statements until the next case/default/closing brace.
 // MiniLang cases do not fall through.
-func (p *Parser) caseBody(line int) (*BlockStmt, error) {
+func (p *parser) caseBody(line int) (*BlockStmt, error) {
 	b := &BlockStmt{Line: line}
-	for !p.at(KwCase) && !p.at(KwDefault) && !p.at(RBrace) {
-		if p.at(EOF) {
+	for !p.at(kwCase) && !p.at(kwDefault) && !p.at(rBrace) {
+		if p.at(eof) {
 			return nil, fmt.Errorf("line %d: unterminated switch", line)
 		}
 		s, err := p.stmt()
@@ -452,9 +452,9 @@ func (p *Parser) caseBody(line int) (*BlockStmt, error) {
 }
 
 // Operator precedence (lowest first): || , &&, comparisons, +/-, */ /%.
-func (p *Parser) expr() (Expr, error) { return p.orExpr() }
+func (p *parser) expr() (Expr, error) { return p.orExpr() }
 
-func (p *Parser) orExpr() (Expr, error) {
+func (p *parser) orExpr() (Expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
 		return nil, err
@@ -470,7 +470,7 @@ func (p *Parser) orExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) andExpr() (Expr, error) {
+func (p *parser) andExpr() (Expr, error) {
 	l, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
@@ -486,7 +486,7 @@ func (p *Parser) andExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) cmpExpr() (Expr, error) {
+func (p *parser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
@@ -505,7 +505,7 @@ func (p *Parser) cmpExpr() (Expr, error) {
 	}
 }
 
-func (p *Parser) addExpr() (Expr, error) {
+func (p *parser) addExpr() (Expr, error) {
 	l, err := p.mulExpr()
 	if err != nil {
 		return nil, err
@@ -521,7 +521,7 @@ func (p *Parser) addExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) mulExpr() (Expr, error) {
+func (p *parser) mulExpr() (Expr, error) {
 	l, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
@@ -537,7 +537,7 @@ func (p *Parser) mulExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *Parser) unaryExpr() (Expr, error) {
+func (p *parser) unaryExpr() (Expr, error) {
 	t := p.peek()
 	if t.Kind == Minus || t.Kind == Not {
 		p.next()
@@ -550,19 +550,19 @@ func (p *Parser) unaryExpr() (Expr, error) {
 	return p.primary()
 }
 
-func (p *Parser) primary() (Expr, error) {
+func (p *parser) primary() (Expr, error) {
 	t := p.peek()
 	switch t.Kind {
-	case Amp:
+	case amp:
 		p.next()
-		id, err := p.expect(IDENT)
+		id, err := p.expect(ident)
 		if err != nil {
 			return nil, err
 		}
 		return &FuncRefExpr{Name: id.Text, Line: t.Line}, nil
-	case KwICall:
+	case kwICall:
 		p.next()
-		if _, err := p.expect(LParen); err != nil {
+		if _, err := p.expect(lParen); err != nil {
 			return nil, err
 		}
 		target, err := p.expr()
@@ -570,61 +570,61 @@ func (p *Parser) primary() (Expr, error) {
 			return nil, err
 		}
 		call := &IndirectCallExpr{Target: target, Line: t.Line}
-		for p.accept(Comma) {
+		for p.accept(comma) {
 			a, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
 			call.Args = append(call.Args, a)
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(rParen); err != nil {
 			return nil, err
 		}
 		return call, nil
-	case NUM:
+	case num:
 		p.next()
 		return &NumExpr{Val: t.Num, Line: t.Line}, nil
-	case IDENT:
+	case ident:
 		p.next()
 		switch p.peek().Kind {
-		case LParen:
+		case lParen:
 			p.next()
 			call := &CallExpr{Callee: t.Text, Line: t.Line}
-			if !p.at(RParen) {
+			if !p.at(rParen) {
 				for {
 					a, err := p.expr()
 					if err != nil {
 						return nil, err
 					}
 					call.Args = append(call.Args, a)
-					if !p.accept(Comma) {
+					if !p.accept(comma) {
 						break
 					}
 				}
 			}
-			if _, err := p.expect(RParen); err != nil {
+			if _, err := p.expect(rParen); err != nil {
 				return nil, err
 			}
 			return call, nil
-		case LBrack:
+		case lBrack:
 			p.next()
 			idx, err := p.expr()
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.expect(RBrack); err != nil {
+			if _, err := p.expect(rBrack); err != nil {
 				return nil, err
 			}
 			return &IndexExpr{Global: t.Text, Index: idx, Line: t.Line}, nil
 		}
 		return &VarExpr{Name: t.Text, Line: t.Line}, nil
-	case LParen:
+	case lParen:
 		p.next()
 		x, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(RParen); err != nil {
+		if _, err := p.expect(rParen); err != nil {
 			return nil, err
 		}
 		return x, nil

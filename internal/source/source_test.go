@@ -6,11 +6,11 @@ import (
 )
 
 func TestLexBasics(t *testing.T) {
-	toks, err := Lex("func f(a) { return a + 42; } // tail comment")
+	toks, err := lex("func f(a) { return a + 42; } // tail comment")
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []Kind{KwFunc, IDENT, LParen, IDENT, RParen, LBrace, KwReturn, IDENT, Plus, NUM, Semi, RBrace, EOF}
+	kinds := []Kind{kwFunc, ident, lParen, ident, rParen, lBrace, kwReturn, ident, Plus, num, semi, rBrace, eof}
 	if len(toks) != len(kinds) {
 		t.Fatalf("token count = %d, want %d: %v", len(toks), len(kinds), toks)
 	}
@@ -26,15 +26,15 @@ func TestLexBasics(t *testing.T) {
 
 func TestLexLineTracking(t *testing.T) {
 	src := "func f()\n{\n  return 1;\n}\n"
-	toks, err := Lex(src)
+	toks, err := lex(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if toks[0].Line != 1 {
 		t.Fatalf("func at line %d", toks[0].Line)
 	}
-	// KwReturn is the 5th token (func, f, (, ), {, return).
-	if toks[5].Kind != KwReturn || toks[5].Line != 3 {
+	// kwReturn is the 5th token (func, f, (, ), {, return).
+	if toks[5].Kind != kwReturn || toks[5].Line != 3 {
 		t.Fatalf("return token at line %d (tok %v)", toks[5].Line, toks[5])
 	}
 }
@@ -42,32 +42,32 @@ func TestLexLineTracking(t *testing.T) {
 func TestLexCommentsShiftLines(t *testing.T) {
 	// The same code with a comment line above must report shifted lines —
 	// this is the "source drift" mechanism the paper discusses.
-	base, _ := Lex("func f() { return 1; }")
-	shifted, _ := Lex("// a comment\nfunc f() { return 1; }")
+	base, _ := lex("func f() { return 1; }")
+	shifted, _ := lex("// a comment\nfunc f() { return 1; }")
 	if base[0].Line != 1 || shifted[0].Line != 2 {
 		t.Fatalf("comment must shift lines: %d vs %d", base[0].Line, shifted[0].Line)
 	}
 }
 
 func TestLexBlockComment(t *testing.T) {
-	toks, err := Lex("/* multi\nline */ func f() { }")
+	toks, err := lex("/* multi\nline */ func f() { }")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Kind != KwFunc || toks[0].Line != 2 {
+	if toks[0].Kind != kwFunc || toks[0].Line != 2 {
 		t.Fatalf("block comment handling wrong: %v", toks[0])
 	}
-	if _, err := Lex("/* unterminated"); err == nil {
+	if _, err := lex("/* unterminated"); err == nil {
 		t.Fatal("unterminated block comment must error")
 	}
 }
 
 func TestLexTwoCharOps(t *testing.T) {
-	toks, err := Lex("== != <= >= && || < > = !")
+	toks, err := lex("== != <= >= && || < > = !")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Kind{Eq, Ne, Le, Ge, AndAnd, OrOr, Lt, Gt, Assign, Not, EOF}
+	want := []Kind{Eq, Ne, Le, Ge, AndAnd, OrOr, Lt, Gt, assign, Not, eof}
 	for i, k := range want {
 		if toks[i].Kind != k {
 			t.Fatalf("token %d = %v, want %v", i, toks[i].Kind, k)
@@ -77,18 +77,18 @@ func TestLexTwoCharOps(t *testing.T) {
 
 func TestLexErrors(t *testing.T) {
 	for _, bad := range []string{"|", "$", "#"} {
-		if _, err := Lex(bad); err == nil {
+		if _, err := lex(bad); err == nil {
 			t.Errorf("Lex(%q) should fail", bad)
 		}
 	}
 }
 
 func TestLexAmpAndICall(t *testing.T) {
-	toks, err := Lex("icall(&handler, 3)")
+	toks, err := lex("icall(&handler, 3)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Kind{KwICall, LParen, Amp, IDENT, Comma, NUM, RParen, EOF}
+	want := []Kind{kwICall, lParen, amp, ident, comma, num, rParen, eof}
 	for i, k := range want {
 		if toks[i].Kind != k {
 			t.Fatalf("token %d = %v, want %v", i, toks[i].Kind, k)

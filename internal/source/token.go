@@ -13,34 +13,34 @@ type Kind uint8
 
 // Token kinds.
 const (
-	EOF Kind = iota
-	IDENT
-	NUM
+	eof Kind = iota
+	ident
+	num
 	// Keywords.
-	KwFunc
-	KwGlobal
-	KwVar
-	KwIf
-	KwElse
-	KwWhile
-	KwFor
-	KwSwitch
-	KwCase
-	KwDefault
-	KwReturn
-	KwBreak
-	KwContinue
+	kwFunc
+	kwGlobal
+	kwVar
+	kwIf
+	kwElse
+	kwWhile
+	kwFor
+	kwSwitch
+	kwCase
+	kwDefault
+	kwReturn
+	kwBreak
+	kwContinue
 	// Punctuation and operators.
-	LParen
-	RParen
-	LBrace
-	RBrace
-	LBrack
-	RBrack
-	Comma
-	Semi
-	Colon
-	Assign
+	lParen
+	rParen
+	lBrace
+	rBrace
+	lBrack
+	rBrack
+	comma
+	semi
+	colon
+	assign
 	Plus
 	Minus
 	Star
@@ -55,20 +55,20 @@ const (
 	AndAnd
 	OrOr
 	Not
-	Amp // & (address-of-function)
-	KwICall
+	amp // & (address-of-function)
+	kwICall
 )
 
 var kindNames = map[Kind]string{
-	EOF: "EOF", IDENT: "identifier", NUM: "number",
-	KwFunc: "func", KwGlobal: "global", KwVar: "var", KwIf: "if", KwElse: "else",
-	KwWhile: "while", KwFor: "for", KwSwitch: "switch", KwCase: "case",
-	KwDefault: "default", KwReturn: "return", KwBreak: "break", KwContinue: "continue",
-	LParen: "(", RParen: ")", LBrace: "{", RBrace: "}", LBrack: "[", RBrack: "]",
-	Comma: ",", Semi: ";", Colon: ":", Assign: "=",
+	eof: "EOF", ident: "identifier", num: "number",
+	kwFunc: "func", kwGlobal: "global", kwVar: "var", kwIf: "if", kwElse: "else",
+	kwWhile: "while", kwFor: "for", kwSwitch: "switch", kwCase: "case",
+	kwDefault: "default", kwReturn: "return", kwBreak: "break", kwContinue: "continue",
+	lParen: "(", rParen: ")", lBrace: "{", rBrace: "}", lBrack: "[", rBrack: "]",
+	comma: ",", semi: ";", colon: ":", assign: "=",
 	Plus: "+", Minus: "-", Star: "*", Slash: "/", Percent: "%",
 	Eq: "==", Ne: "!=", Lt: "<", Le: "<=", Gt: ">", Ge: ">=",
-	AndAnd: "&&", OrOr: "||", Not: "!", Amp: "&", KwICall: "icall",
+	AndAnd: "&&", OrOr: "||", Not: "!", amp: "&", kwICall: "icall",
 }
 
 func (k Kind) String() string {
@@ -79,25 +79,25 @@ func (k Kind) String() string {
 }
 
 var keywords = map[string]Kind{
-	"func": KwFunc, "global": KwGlobal, "var": KwVar, "if": KwIf, "else": KwElse,
-	"while": KwWhile, "for": KwFor, "switch": KwSwitch, "case": KwCase,
-	"default": KwDefault, "return": KwReturn, "break": KwBreak, "continue": KwContinue,
-	"icall": KwICall,
+	"func": kwFunc, "global": kwGlobal, "var": kwVar, "if": kwIf, "else": kwElse,
+	"while": kwWhile, "for": kwFor, "switch": kwSwitch, "case": kwCase,
+	"default": kwDefault, "return": kwReturn, "break": kwBreak, "continue": kwContinue,
+	"icall": kwICall,
 }
 
-// Token is a lexed token with its source line.
-type Token struct {
+// token is a lexed token with its source line.
+type token struct {
 	Kind Kind
 	Text string
 	Num  int64
 	Line int
 }
 
-func (t Token) String() string {
+func (t token) String() string {
 	switch t.Kind {
-	case IDENT:
+	case ident:
 		return fmt.Sprintf("ident(%s)", t.Text)
-	case NUM:
+	case num:
 		return fmt.Sprintf("num(%d)", t.Num)
 	default:
 		return t.Kind.String()

@@ -17,20 +17,20 @@ import (
 	"csspgo/internal/profdata"
 )
 
-// AnchorKind distinguishes the two probe flavors used as anchors.
-type AnchorKind uint8
+// anchorKind distinguishes the two probe flavors used as anchors.
+type anchorKind uint8
 
-// Anchor kinds.
+// anchor kinds.
 const (
-	Block AnchorKind = iota
-	Call
+	block anchorKind = iota
+	call
 )
 
-// Anchor is one alignment unit: a probe in its version's ID space. For call
+// anchor is one alignment unit: a probe in its version's ID space. For call
 // anchors, Callee is the static callee name — the version-stable signal the
 // alignment keys on — or "" for indirect calls, which match any callee.
-type Anchor struct {
-	Kind   AnchorKind
+type anchor struct {
+	Kind   anchorKind
 	ID     int32
 	Callee string
 }
@@ -80,11 +80,11 @@ type Result struct {
 	RecoveredProbes int // old probe IDs whose nonzero counts transferred
 }
 
-// AnchorsFromIR extracts the anchor sequence of a freshly probed function:
+// anchorsFromIR extracts the anchor sequence of a freshly probed function:
 // its own (non-inlined) probes in ID order, which is the order probe
 // insertion walked the CFG.
-func AnchorsFromIR(f *ir.Function) []Anchor {
-	var out []Anchor
+func anchorsFromIR(f *ir.Function) []anchor {
+	var out []anchor
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -93,13 +93,13 @@ func AnchorsFromIR(f *ir.Function) []Anchor {
 			}
 			switch in.Probe.Kind {
 			case ir.ProbeBlock:
-				out = append(out, Anchor{Kind: Block, ID: in.Probe.ID})
+				out = append(out, anchor{Kind: block, ID: in.Probe.ID})
 			case ir.ProbeCall:
 				callee := ""
 				if in.Op == ir.OpCall {
 					callee = in.Callee
 				}
-				out = append(out, Anchor{Kind: Call, ID: in.Probe.ID, Callee: callee})
+				out = append(out, anchor{Kind: call, ID: in.Probe.ID, Callee: callee})
 			}
 		}
 	}
@@ -107,29 +107,29 @@ func AnchorsFromIR(f *ir.Function) []Anchor {
 	return out
 }
 
-// AnchorsFromProfile reconstructs the anchor sequence the profiled binary
+// anchorsFromProfile reconstructs the anchor sequence the profiled binary
 // had, from the profile alone: every sampled probe ID, call anchors carrying
 // the dominant observed callee. Probe IDs were assigned in CFG order, so
 // sorting by ID recovers the original sequence. Zero-sample probes are
 // invisible here — quality is therefore coverage of the *sampled* anchors,
 // which are exactly the ones whose counts matter.
-func AnchorsFromProfile(fp *profdata.FunctionProfile) []Anchor {
-	byID := map[int32]Anchor{}
+func anchorsFromProfile(fp *profdata.FunctionProfile) []anchor {
+	byID := map[int32]anchor{}
 	for loc := range fp.Blocks {
 		if loc.Disc != 0 {
 			continue // not a probe key
 		}
 		if _, ok := byID[loc.ID]; !ok {
-			byID[loc.ID] = Anchor{Kind: Block, ID: loc.ID}
+			byID[loc.ID] = anchor{Kind: block, ID: loc.ID}
 		}
 	}
 	for loc, targets := range fp.Calls {
 		if loc.Disc != 0 {
 			continue
 		}
-		byID[loc.ID] = Anchor{Kind: Call, ID: loc.ID, Callee: dominantCallee(targets)}
+		byID[loc.ID] = anchor{Kind: call, ID: loc.ID, Callee: dominantCallee(targets)}
 	}
-	out := make([]Anchor, 0, len(byID))
+	out := make([]anchor, 0, len(byID))
 	for _, a := range byID {
 		out = append(out, a)
 	}
@@ -151,18 +151,18 @@ func dominantCallee(targets map[string]uint64) string {
 
 // anchorsCompatible says whether two anchors may align: same kind, and for
 // calls the same callee — with "" (an indirect site) matching any target.
-func anchorsCompatible(a, b Anchor) bool {
+func anchorsCompatible(a, b anchor) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
-	if a.Kind == Call {
+	if a.Kind == call {
 		return a.Callee == b.Callee || a.Callee == "" || b.Callee == ""
 	}
 	return true
 }
 
-func weight(a Anchor) int {
-	if a.Kind == Call {
+func weight(a anchor) int {
+	if a.Kind == call {
 		return callWeight
 	}
 	return 1
@@ -170,7 +170,7 @@ func weight(a Anchor) int {
 
 // align computes the maximum-weight common subsequence of the two anchor
 // sequences and returns the matched index pairs (old, new), in order.
-func align(old, new []Anchor) [][2]int {
+func align(old, new []anchor) [][2]int {
 	n, k := len(old), len(new)
 	if n == 0 || k == 0 || n*k > maxDPCells {
 		return nil
@@ -224,8 +224,8 @@ func (m *Matcher) Match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 }
 
 func match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
-	old := AnchorsFromProfile(fp)
-	fresh := AnchorsFromIR(f)
+	old := anchorsFromProfile(fp)
+	fresh := anchorsFromIR(f)
 	res := &Result{OldAnchors: len(old), NewAnchors: len(fresh)}
 	if len(old) == 0 || len(fresh) == 0 {
 		return res
@@ -234,14 +234,14 @@ func match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 	oldWeight, oldCalls := 0, 0
 	for _, a := range old {
 		oldWeight += weight(a)
-		if a.Kind == Call {
+		if a.Kind == call {
 			oldCalls++
 		}
 	}
 	matchedWeight, matchedCalls := 0, 0
 	for _, pr := range pairs {
 		matchedWeight += weight(old[pr[0]])
-		if old[pr[0]].Kind == Call {
+		if old[pr[0]].Kind == call {
 			matchedCalls++
 		}
 	}

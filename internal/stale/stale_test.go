@@ -35,8 +35,8 @@ func profileOf(f *ir.Function, blockCount uint64) *profdata.FunctionProfile {
 	fp := profdata.NewFunctionProfile(f.Name)
 	fp.Checksum = f.Checksum
 	fp.HeadSamples = blockCount
-	for _, a := range AnchorsFromIR(f) {
-		if a.Kind == Block {
+	for _, a := range anchorsFromIR(f) {
+		if a.Kind == block {
 			fp.AddBody(profdata.LocKey{ID: a.ID}, blockCount)
 		} else {
 			callee := a.Callee
@@ -95,8 +95,8 @@ func main(a, b) { return work(a); }
 func TestAnchorsRoundTrip(t *testing.T) {
 	f := lower(t, oldSrc, "work")
 	fp := profileOf(f, 10)
-	fromIR := AnchorsFromIR(f)
-	fromProf := AnchorsFromProfile(fp)
+	fromIR := anchorsFromIR(f)
+	fromProf := anchorsFromProfile(fp)
 	if len(fromIR) != len(fromProf) {
 		t.Fatalf("anchor count mismatch: IR %d vs profile %d", len(fromIR), len(fromProf))
 	}

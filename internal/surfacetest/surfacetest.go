@@ -1,8 +1,9 @@
-// Package surfacetest drives HTTP handlers in-process and reports
-// endpoints that write before they set Content-Type. It is imported only
-// by tests: the daemons' surfaces (`csspgo serve`, `csspgo fleet
-// -status-addr`) are fixed at compile time, so their tests check them once
-// rather than the daemons at every start-up.
+// Package surfacetest holds the checks the daemons' tests share: it drives
+// HTTP handlers in-process and reports endpoints that write before they set
+// Content-Type, and it fails a package whose tests leave goroutines running
+// (RunWithoutLeaks). It is imported only by tests: the daemons' surfaces
+// (`csspgo serve`, `csspgo fleet -status-addr`) are fixed at compile time,
+// so their tests check them once rather than the daemons at every start-up.
 //
 // A body written with no Content-Type makes net/http sniff the type, which
 // varies with the payload and breaks byte-oriented clients (the

@@ -55,6 +55,10 @@ go build ./...
 echo "== go test"
 go test ./...
 
+echo "== exported surface (every exported identifier in internal/ has a caller outside its package that is not a test)"
+out=$(go test ./internal/analysis -run 'TestExportedMeansUsed$' -count=1 -v) || { echo "$out" >&2; exit 1; }
+echo "$out" | sed -n 's/^.*\(exported surface: .*\)$/\1/p'
+
 echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, then one pass of BenchmarkRun)"
 go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
