@@ -162,3 +162,9 @@ func (p *Prog) ceilIndex(addr uint64) int {
 	}
 	return len(p.Instrs)
 }
+
+// EncodedSectionLens returns the lengths of the debug and probe sections
+// the encoders write, for the external corpus test.
+func (p *Prog) EncodedSectionLens() (debug, probes int) {
+	return len(p.encodeDebugSection()), len(p.EncodeProbeSection())
+}

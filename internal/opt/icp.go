@@ -202,6 +202,50 @@ func icpProgram(p *ir.Program, prof *profdata.Profile) int {
 	return n
 }
 
+// callHistograms is the context-insensitive call-target view ICP reads:
+// defining function -> call location -> callee -> count.
+type callHistograms map[string]map[profdata.LocKey]map[string]uint64
+
+// flatCallHistograms sums the call targets of prof's base and context
+// profiles by defining function: the Calls of prof.Flat().Funcs, read
+// without cloning the profile. A flat profile's maps are shared, not copied.
+func flatCallHistograms(prof *profdata.Profile) callHistograms {
+	out := make(callHistograms, len(prof.Funcs))
+	if !prof.CS {
+		for name, fp := range prof.Funcs {
+			out[name] = fp.Calls
+		}
+		return out
+	}
+	add := func(fp *profdata.FunctionProfile) {
+		sites := out[fp.Name]
+		if sites == nil {
+			sites = make(map[profdata.LocKey]map[string]uint64, len(fp.Calls))
+			out[fp.Name] = sites
+		}
+		for loc, targets := range fp.Calls {
+			for callee, n := range targets {
+				if n == 0 {
+					continue
+				}
+				h := sites[loc]
+				if h == nil {
+					h = make(map[string]uint64, len(targets))
+					sites[loc] = h
+				}
+				h[callee] += n
+			}
+		}
+	}
+	for _, fp := range prof.Funcs {
+		add(fp)
+	}
+	for _, fp := range prof.Contexts {
+		add(fp)
+	}
+	return out
+}
+
 // hotCallThreshold derives the hot bar from the call-site count
 // distribution itself: a site qualifies when its traffic is within 16x of
 // the program's hottest call site. This scales with profile units (sample
