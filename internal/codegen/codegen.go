@@ -208,7 +208,6 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	if mf, ok := mp.FuncByName["main"]; ok {
 		mp.EntryAddr = mf.Start
 	}
-	mp.Freeze()
 	mp.ComputeSizes()
 	return mp, nil
 }

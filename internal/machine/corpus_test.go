@@ -1,6 +1,7 @@
 package machine_test
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -169,6 +170,40 @@ func TestFirstLookupsConcurrent(t *testing.T) {
 			if e != "" {
 				t.Errorf("probes=%v: goroutine %d: %s differs from the reference", probes, g, e)
 			}
+		}
+	}
+}
+
+// TestUnsampledBinaryHasNoIndex: the lookup tables are built for the
+// profile generators, on their first lookup. A binary that codegen emits
+// and the simulator runs, with the PMU sampling and without, and that is
+// saved, never builds them.
+func TestUnsampledBinaryHasNoIndex(t *testing.T) {
+	w, err := workloads.Load("adfinder", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []pgo.BuildConfig{{}, {Probes: true}, {Probes: true, Instrument: true}} {
+		res, err := pgo.Build(w.Files, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin := res.Bin
+		if _, err := pgo.Evaluate(bin, w.Train); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := pgo.CollectSamples(bin, w.Train, pgo.DefaultProfileConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if err := bin.Save(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if bin.HasIndex() {
+			t.Errorf("%+v: building, running and saving the binary built its lookup tables", cfg)
+		}
+		bin.FuncAt(bin.EntryAddr)
+		if !bin.HasIndex() {
+			t.Errorf("%+v: a lookup did not build the tables", cfg)
 		}
 	}
 }

@@ -9,8 +9,11 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"csspgo/internal/ir"
 )
@@ -150,135 +153,170 @@ type Prog struct {
 	DebugSize     uint64 // DWARF-like line+inline tables (-g2)
 	ProbeMetaSize uint64
 
-	addrIndex []uint64 // Instrs[i].Addr cache for binary search
-	probeAt   map[uint64][]int
-	funcSpans []funcSpan // address-sorted hot+cold ranges for FuncAt
-
-	// Dense O(1) address indexes, built by Freeze when the text segment's
-	// address span is small enough (always, for programs this machine
-	// produces). denseIdx maps addr-denseBase to an instruction index (-1
-	// between instruction starts); probeFlat/probeStart give the probe
-	// indices anchored at each address slot without a map probe.
-	denseBase  uint64
-	denseIdx   []int32
-	probeFlat  []int
-	probeStart []int32
-	funcDense  []int32 // addr-denseBase -> funcSpans index (-1 outside any span)
+	// ix holds the address lookup tables, built on the first lookup: a
+	// binary that is only executed, encoded or saved never builds them.
+	ixOnce sync.Once
+	ix     *Index
 }
 
-// maxDenseSpan bounds the memory spent on the dense address indexes; binary
-// search and the probe map remain as fallback beyond it.
+// maxDenseSpan bounds the text span, and so the memory, of the dense
+// address tables. Every binary this machine produces is far below it;
+// ReadProg rejects one that is not.
 const maxDenseSpan = 1 << 22
 
+// Index is a binary's address lookup tables, each a slice by address
+// offset from the first instruction: the instruction starting at the
+// address, the function span covering it, and the probe records anchored
+// there. Prog.Index builds it once, on first use and race-safely; a hot
+// loop fetches it once and asks it directly.
+type Index struct {
+	prog *Prog
+	base uint64
+	// instr maps addr-base to an instruction index, -1 between
+	// instruction starts.
+	instr []int32
+	// fn maps addr-base to a funcSpans index, -1 outside every span.
+	fn []int32
+	// The probes anchored at slot s are probes[probeStart[s]:probeStart[s+1]].
+	probeStart []int32
+	probes     []int32
+	// funcSpans are the functions' hot and cold ranges, by address; FuncAt
+	// searches them for an address past the last instruction start.
+	funcSpans []funcSpan
+}
+
 // funcSpan is one contiguous address range owned by a function (a hot or a
-// cold section), used by the binary-search FuncAt index.
+// cold section).
 type funcSpan struct {
 	start, end uint64
 	fn         *Func
 }
 
-// Freeze finalizes lookup structures after construction.
-func (p *Prog) Freeze() {
-	p.addrIndex = make([]uint64, len(p.Instrs))
-	for i := range p.Instrs {
-		p.addrIndex[i] = p.Instrs[i].Addr
+// Index returns the binary's lookup tables, building them on the first
+// call. The binary must not change after that.
+func (p *Prog) Index() *Index {
+	p.ixOnce.Do(func() { p.ix = newIndex(p) })
+	return p.ix
+}
+
+// textSpan is the number of addresses from the first instruction start to
+// the last.
+func (p *Prog) textSpan() uint64 {
+	if len(p.Instrs) == 0 {
+		return 0
 	}
-	p.probeAt = make(map[uint64][]int, len(p.Probes))
+	return p.Instrs[len(p.Instrs)-1].Addr - p.Instrs[0].Addr + 1
+}
+
+// newIndex builds the tables. The three by-slot tables and the probe list
+// are carved from one allocation. A probe anchored outside the text span
+// is not indexed: no instruction start can name it.
+func newIndex(p *Prog) *Index {
+	x := &Index{prog: p}
+	span := p.textSpan()
+	if span > maxDenseSpan {
+		panic(fmt.Sprintf("machine: text span of %d bytes is over the %d the lookup tables cover", span, maxDenseSpan))
+	}
+	if len(p.Instrs) > 0 {
+		x.base = p.Instrs[0].Addr
+	}
+	inSpan := 0
 	for i := range p.Probes {
-		p.probeAt[p.Probes[i].Addr] = append(p.probeAt[p.Probes[i].Addr], i)
-	}
-	p.denseIdx = nil
-	p.probeFlat = nil
-	p.probeStart = nil
-	if n := len(p.Instrs); n > 0 {
-		base := p.Instrs[0].Addr
-		span := p.Instrs[n-1].Addr - base + 1
-		if span <= maxDenseSpan {
-			p.denseBase = base
-			p.denseIdx = make([]int32, span)
-			for i := range p.denseIdx {
-				p.denseIdx[i] = -1
-			}
-			for i := range p.Instrs {
-				p.denseIdx[p.Instrs[i].Addr-base] = int32(i)
-			}
-			// Counting sort of probe indices by address slot: probes at
-			// slot s are probeFlat[probeStart[s]:probeStart[s+1]].
-			p.probeStart = make([]int32, span+1)
-			inRange := 0
-			for i := range p.Probes {
-				if off := p.Probes[i].Addr - base; off < span {
-					p.probeStart[off+1]++
-					inRange++
-				}
-			}
-			for s := uint64(1); s <= span; s++ {
-				p.probeStart[s] += p.probeStart[s-1]
-			}
-			if inRange != len(p.Probes) {
-				// A probe outside the instruction span would silently
-				// vanish from dense lookups; keep the map for probes.
-				p.probeStart = nil
-			} else {
-				p.probeFlat = make([]int, inRange)
-				fill := make([]int32, span)
-				for i := range p.Probes {
-					off := p.Probes[i].Addr - base
-					p.probeFlat[p.probeStart[off]+fill[off]] = i
-					fill[off]++
-				}
-			}
+		if p.Probes[i].Addr-x.base < span {
+			inSpan++
 		}
 	}
-	p.funcSpans = p.funcSpans[:0]
+	n := int(span)
+	slab := make([]int32, 3*n+1+inSpan)
+	x.instr, x.fn, x.probeStart, x.probes = slab[:n:n], slab[n:2*n:2*n], slab[2*n:3*n+1:3*n+1], slab[3*n+1:]
+	for i := range x.instr {
+		x.instr[i] = -1
+		x.fn[i] = -1
+	}
+	for i := range p.Instrs {
+		x.instr[p.Instrs[i].Addr-x.base] = int32(i)
+	}
+	// Counting sort of probe indices by slot, in index order within a slot:
+	// count into probeStart[s+1], take prefix sums, then place each probe at
+	// its slot's running start, which leaves probeStart[s] at slot s's end;
+	// shifting by one restores the starts.
+	for i := range p.Probes {
+		if off := p.Probes[i].Addr - x.base; off < span {
+			x.probeStart[off+1]++
+		}
+	}
+	for s := 1; s <= n; s++ {
+		x.probeStart[s] += x.probeStart[s-1]
+	}
+	for i := range p.Probes {
+		if off := p.Probes[i].Addr - x.base; off < span {
+			x.probes[x.probeStart[off]] = int32(i)
+			x.probeStart[off]++
+		}
+	}
+	copy(x.probeStart[1:], x.probeStart[:n])
+	if n > 0 {
+		x.probeStart[0] = 0
+	}
+
+	x.funcSpans = make([]funcSpan, 0, 2*len(p.Funcs))
 	for _, f := range p.Funcs {
 		if f.End > f.Start {
-			p.funcSpans = append(p.funcSpans, funcSpan{f.Start, f.End, f})
+			x.funcSpans = append(x.funcSpans, funcSpan{f.Start, f.End, f})
 		}
 		if f.ColdEnd > f.ColdStart {
-			p.funcSpans = append(p.funcSpans, funcSpan{f.ColdStart, f.ColdEnd, f})
+			x.funcSpans = append(x.funcSpans, funcSpan{f.ColdStart, f.ColdEnd, f})
 		}
 	}
-	sort.Slice(p.funcSpans, func(i, j int) bool { return p.funcSpans[i].start < p.funcSpans[j].start })
-	p.funcDense = nil
-	if p.denseIdx != nil && len(p.funcSpans) > 0 {
-		// Paint each span's intersection with the dense window; slots left
-		// at -1 are genuine holes, so the dense answer is authoritative for
-		// every in-window address.
-		p.funcDense = make([]int32, len(p.denseIdx))
-		for i := range p.funcDense {
-			p.funcDense[i] = -1
-		}
-		limit := p.denseBase + uint64(len(p.funcDense))
-		for si := range p.funcSpans {
-			lo, hi := p.funcSpans[si].start, p.funcSpans[si].end
-			if lo < p.denseBase {
-				lo = p.denseBase
-			}
-			if hi > limit {
-				hi = limit
-			}
-			for a := lo; a < hi; a++ {
-				p.funcDense[a-p.denseBase] = int32(si)
-			}
+	slices.SortStableFunc(x.funcSpans, func(a, b funcSpan) int { return cmp.Compare(a.start, b.start) })
+	// Paint each span's intersection with the window; slots left at -1 are
+	// genuine holes, so the table's answer is final for every address in it.
+	limit := x.base + span
+	for si, fs := range x.funcSpans {
+		for a := max(fs.start, x.base); a < min(fs.end, limit); a++ {
+			x.fn[a-x.base] = int32(si)
 		}
 	}
+	return x
 }
 
 // InstrIndexAt returns the index of the instruction at addr, or -1.
-func (p *Prog) InstrIndexAt(addr uint64) int {
-	if p.denseIdx != nil {
-		if off := addr - p.denseBase; off < uint64(len(p.denseIdx)) {
-			return int(p.denseIdx[off])
-		}
-		return -1
-	}
-	i := sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] >= addr })
-	if i < len(p.addrIndex) && p.addrIndex[i] == addr {
-		return i
+func (x *Index) InstrIndexAt(addr uint64) int {
+	if off := addr - x.base; off < uint64(len(x.instr)) {
+		return int(x.instr[off])
 	}
 	return -1
 }
+
+// FuncAt returns the function covering addr (hot or cold range), or nil.
+func (x *Index) FuncAt(addr uint64) *Func {
+	if off := addr - x.base; off < uint64(len(x.fn)) {
+		if i := x.fn[off]; i >= 0 {
+			return x.funcSpans[i].fn
+		}
+		return nil
+	}
+	// Outside the window (a function range may extend past the last
+	// instruction start): search the spans.
+	i := sort.Search(len(x.funcSpans), func(i int) bool { return x.funcSpans[i].end > addr })
+	if i < len(x.funcSpans) && addr >= x.funcSpans[i].start {
+		return x.funcSpans[i].fn
+	}
+	return nil
+}
+
+// ProbeIndicesAt returns the indices into Probes of the records anchored at
+// addr, in index order. The slice belongs to the index and must not be
+// changed.
+func (x *Index) ProbeIndicesAt(addr uint64) []int32 {
+	if off := addr - x.base; off < uint64(len(x.instr)) {
+		return x.probes[x.probeStart[off]:x.probeStart[off+1]]
+	}
+	return nil
+}
+
+// InstrIndexAt returns the index of the instruction at addr, or -1.
+func (p *Prog) InstrIndexAt(addr uint64) int { return p.Index().InstrIndexAt(addr) }
 
 // InstrAt returns the instruction at addr, or nil.
 func (p *Prog) InstrAt(addr uint64) *Instr {
@@ -289,56 +327,11 @@ func (p *Prog) InstrAt(addr uint64) *Instr {
 }
 
 // FuncAt returns the function covering addr (hot or cold range), or nil.
-// After Freeze it is a binary search over the span index; before Freeze it
-// falls back to a linear symbol-table scan.
-func (p *Prog) FuncAt(addr uint64) *Func {
-	if p.funcDense != nil {
-		if off := addr - p.denseBase; off < uint64(len(p.funcDense)) {
-			if i := p.funcDense[off]; i >= 0 {
-				return p.funcSpans[i].fn
-			}
-			return nil
-		}
-		// Outside the dense window: fall through to the span search (a
-		// function range may extend past the last instruction start).
-	}
-	if len(p.funcSpans) > 0 {
-		i := sort.Search(len(p.funcSpans), func(i int) bool { return p.funcSpans[i].end > addr })
-		if i < len(p.funcSpans) && addr >= p.funcSpans[i].start {
-			return p.funcSpans[i].fn
-		}
-		return nil
-	}
-	for _, f := range p.Funcs {
-		if f.Contains(addr) {
-			return f
-		}
-	}
-	return nil
-}
-
-// ProbesAt returns probe metadata records anchored at addr.
-func (p *Prog) ProbesAt(addr uint64) []ProbeRec {
-	var out []ProbeRec
-	for _, i := range p.probeAt[addr] {
-		out = append(out, p.Probes[i])
-	}
-	return out
-}
+func (p *Prog) FuncAt(addr uint64) *Func { return p.Index().FuncAt(addr) }
 
 // ProbeIndicesAt returns the indices into Probes of the records anchored at
-// addr. Unlike ProbesAt it does not copy records — the returned slice is
-// owned by the index and must not be mutated — so hot paths can walk probe
-// metadata without a per-call allocation.
-func (p *Prog) ProbeIndicesAt(addr uint64) []int {
-	if p.probeStart != nil {
-		if off := addr - p.denseBase; off < uint64(len(p.probeStart)-1) {
-			return p.probeFlat[p.probeStart[off]:p.probeStart[off+1]]
-		}
-		return nil
-	}
-	return p.probeAt[addr]
-}
+// addr (see Index.ProbeIndicesAt).
+func (p *Prog) ProbeIndicesAt(addr uint64) []int32 { return p.Index().ProbeIndicesAt(addr) }
 
 // Frame is one logical (possibly inlined) frame at an address.
 type Frame struct {

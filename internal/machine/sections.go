@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"csspgo/internal/ir"
 )
@@ -13,32 +14,39 @@ import (
 // encodings are honest byte-level encodings (delta + varint compressed,
 // with a shared string table) so section-size comparisons are meaningful.
 
+// sectionEncoder writes a section's bytes into buf, or, when sizeOnly is
+// set, only counts them into size: ComputeSizes measures a section with the
+// very calls that encode it.
 type sectionEncoder struct {
-	buf     []byte
-	strings map[string]int
-	nstr    int
-}
-
-func newSectionEncoder() *sectionEncoder {
-	return &sectionEncoder{strings: map[string]int{}}
+	buf      []byte
+	size     uint64
+	sizeOnly bool
+	strings  map[string]int
 }
 
 func (e *sectionEncoder) uvarint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf = append(e.buf, tmp[:n]...)
+	if e.sizeOnly {
+		e.size += uint64(bits.Len64(v|1)+6) / 7
+		return
+	}
+	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
+// varint zig-zags v into a uvarint, as binary.PutVarint does.
 func (e *sectionEncoder) varint(v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	e.buf = append(e.buf, tmp[:n]...)
+	ux := uint64(v) << 1
+	if v < 0 {
+		ux = ^ux
+	}
+	e.uvarint(ux)
 }
 
 func (e *sectionEncoder) u64(v uint64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], v)
-	e.buf = append(e.buf, tmp[:]...)
+	if e.sizeOnly {
+		e.size += 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 }
 
 // str interns a string: first use costs len+1 bytes plus the index varint;
@@ -48,9 +56,15 @@ func (e *sectionEncoder) str(s string) {
 		e.uvarint(uint64(idx))
 		return
 	}
-	e.strings[s] = e.nstr
-	e.nstr++
+	if e.strings == nil {
+		e.strings = map[string]int{}
+	}
+	e.strings[s] = len(e.strings)
 	e.uvarint(uint64(len(s)))
+	if e.sizeOnly {
+		e.size += uint64(len(s))
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 
@@ -58,7 +72,12 @@ func (e *sectionEncoder) str(s string) {
 // that carry debug locations, mimicking DWARF .debug_line/.debug_info under
 // -g2. Returns the encoded bytes.
 func (p *Prog) encodeDebugSection() []byte {
-	e := newSectionEncoder()
+	var e sectionEncoder
+	p.debugSection(&e)
+	return e.buf
+}
+
+func (p *Prog) debugSection(e *sectionEncoder) {
 	var prevAddr uint64
 	var prevLine int64
 	for i := range p.Instrs {
@@ -85,7 +104,6 @@ func (p *Prog) encodeDebugSection() []byte {
 			}
 		}
 	}
-	return e.buf
 }
 
 // EncodeProbeSection serializes the pseudo-probe metadata section: per
@@ -95,30 +113,52 @@ func (p *Prog) encodeDebugSection() []byte {
 // references it, so it could be split out of the object file, as the paper
 // notes.
 func (p *Prog) EncodeProbeSection() []byte {
+	var e sectionEncoder
+	p.probeSection(&e)
+	return e.buf
+}
+
+func (p *Prog) probeSection(e *sectionEncoder) {
 	if len(p.Probes) == 0 {
-		return nil
+		return
 	}
-	e := newSectionEncoder()
-	// Group probes by defining function, preserving order.
-	byFunc := map[string][]int{}
+	// Group probes by defining function, functions in order of first
+	// appearance and probes in index order within one: a counting sort of
+	// the probe indices by the function's rank.
+	rank := map[string]int32{}
 	var order []string
 	for i := range p.Probes {
-		fn := p.Probes[i].Func
-		if _, ok := byFunc[fn]; !ok {
-			order = append(order, fn)
+		if _, ok := rank[p.Probes[i].Func]; !ok {
+			rank[p.Probes[i].Func] = int32(len(order))
+			order = append(order, p.Probes[i].Func)
 		}
-		byFunc[fn] = append(byFunc[fn], i)
 	}
-	for _, fn := range order {
+	start := make([]int32, len(order)+1)
+	for i := range p.Probes {
+		start[rank[p.Probes[i].Func]+1]++
+	}
+	for r := range order {
+		start[r+1] += start[r]
+	}
+	// Placing a probe advances its function's start, which leaves start[r]
+	// at function r's end; shifting by one restores the starts.
+	byFunc := make([]int32, len(p.Probes))
+	for i := range p.Probes {
+		r := rank[p.Probes[i].Func]
+		byFunc[start[r]] = int32(i)
+		start[r]++
+	}
+	copy(start[1:], start[:len(order)])
+	start[0] = 0
+	for r, fn := range order {
 		e.str(fn)
-		var guid, sum uint64
+		var guid uint64
 		if f, ok := p.FuncByName[fn]; ok {
 			guid = f.GUID
 		}
-		sum = p.Checksums[fn]
 		e.u64(guid)
-		e.u64(sum)
-		idxs := byFunc[fn]
+		e.u64(p.Checksums[fn])
+		idxs := byFunc[start[r]:start[r+1]]
 		e.uvarint(uint64(len(idxs)))
 		var prevAddr uint64
 		for _, i := range idxs {
@@ -147,16 +187,20 @@ func (p *Prog) EncodeProbeSection() []byte {
 			}
 		}
 	}
-	return e.buf
 }
 
-// ComputeSizes fills TextSize, DebugSize and ProbeMetaSize.
+// ComputeSizes fills TextSize, DebugSize and ProbeMetaSize. The two
+// metadata sections are counted, not encoded.
 func (p *Prog) ComputeSizes() {
 	var text uint64
 	for i := range p.Instrs {
 		text += uint64(p.Instrs[i].Size)
 	}
 	p.TextSize = text
-	p.DebugSize = uint64(len(p.encodeDebugSection()))
-	p.ProbeMetaSize = uint64(len(p.EncodeProbeSection()))
+	debug := sectionEncoder{sizeOnly: true}
+	p.debugSection(&debug)
+	p.DebugSize = debug.size
+	probes := sectionEncoder{sizeOnly: true}
+	p.probeSection(&probes)
+	p.ProbeMetaSize = probes.size
 }

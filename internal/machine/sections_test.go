@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"sort"
 	"testing"
 
 	"csspgo/internal/ir"
@@ -29,7 +28,6 @@ func sampleProg() *Prog {
 		Checksums: map[string]uint64{"main": 42, "leaf": 43},
 	}
 	p.FuncByName["main"] = p.Funcs[0]
-	p.Freeze()
 	return p
 }
 
@@ -65,7 +63,6 @@ func TestProbeSectionEncoding(t *testing.T) {
 	}
 	// No probes → no section.
 	q := &Prog{}
-	q.Freeze()
 	if q.EncodeProbeSection() != nil {
 		t.Fatal("probe-less binary should have no probe section")
 	}
@@ -114,14 +111,14 @@ func TestInstrsInRange(t *testing.T) {
 
 func TestProbesAtAndFactor(t *testing.T) {
 	p := sampleProg()
-	recs := p.ProbesAt(0x1005)
-	if len(recs) != 1 || recs[0].Factor != 0.5 {
-		t.Fatalf("probes at 0x1005: %+v", recs)
+	recs := p.ProbeIndicesAt(0x1005)
+	if len(recs) != 1 || p.Probes[recs[0]].Factor != 0.5 {
+		t.Fatalf("probes at 0x1005: %v", recs)
 	}
-	if len(p.ProbesAt(0x1008)) != 1 {
+	if len(p.ProbeIndicesAt(0x1008)) != 1 {
 		t.Fatal("inlined probe not indexed")
 	}
-	if p.ProbesAt(0x100b) != nil {
+	if len(p.ProbeIndicesAt(0x100b)) != 0 {
 		t.Fatal("no probes expected at ret")
 	}
 }
@@ -141,22 +138,18 @@ func TestFuncContains(t *testing.T) {
 // instrsIn returns the instruction index range [lo, hi) covering the
 // address range [start, end] (inclusive of the instruction at end).
 func (p *Prog) instrsIn(start, end uint64) (lo, hi int) {
-	if p.denseIdx != nil {
-		return p.ceilIndex(start), p.ceilIndex(end + 1)
-	}
-	lo = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] >= start })
-	hi = sort.Search(len(p.addrIndex), func(i int) bool { return p.addrIndex[i] > end })
-	return lo, hi
+	return p.ceilIndex(start), p.ceilIndex(end + 1)
 }
 
 // ceilIndex returns the index of the first instruction at or after addr.
 // The scan over hole slots is bounded by the largest instruction size.
 func (p *Prog) ceilIndex(addr uint64) int {
-	if addr <= p.denseBase {
+	x := p.Index()
+	if addr <= x.base {
 		return 0
 	}
-	for off := addr - p.denseBase; off < uint64(len(p.denseIdx)); off++ {
-		if i := p.denseIdx[off]; i >= 0 {
+	for off := addr - x.base; off < uint64(len(x.instr)); off++ {
+		if i := x.instr[off]; i >= 0 {
 			return int(i)
 		}
 	}
@@ -168,3 +161,7 @@ func (p *Prog) ceilIndex(addr uint64) int {
 func (p *Prog) EncodedSectionLens() (debug, probes int) {
 	return len(p.encodeDebugSection()), len(p.EncodeProbeSection())
 }
+
+// HasIndex reports whether the binary's lookup tables have been built, for
+// the external corpus test.
+func (p *Prog) HasIndex() bool { return p.ix != nil }

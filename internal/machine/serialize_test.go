@@ -25,7 +25,6 @@ func TestProgGobRoundTrip(t *testing.T) {
 		EntryAddr: 0x1000,
 	}
 	p.FuncByName["main"] = p.Funcs[0]
-	p.Freeze()
 	p.ComputeSizes()
 
 	var buf bytes.Buffer
@@ -42,7 +41,7 @@ func TestProgGobRoundTrip(t *testing.T) {
 	if q.FuncByName["main"].Start != 0x1000 {
 		t.Fatal("symbol table lost")
 	}
-	if len(q.ProbesAt(0x1000)) != 1 {
+	if len(q.ProbeIndicesAt(0x1000)) != 1 {
 		t.Fatal("probe index not rebuilt")
 	}
 	if q.Probes[0].InlinedAt == nil || q.Probes[0].InlinedAt.Func != "outer" {

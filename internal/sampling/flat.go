@@ -144,13 +144,14 @@ func generateProbeProfileFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uin
 // site → callee → count histogram) under the call probes anchored at each
 // site.
 func attributeICallTargets(bin *machine.Prog, targets map[uint64]map[string]uint64, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
+	ix := bin.Index()
 	for site, ts := range targets {
-		for _, rec := range bin.ProbesAt(site) {
+		for _, pi := range ix.ProbeIndicesAt(site) {
+			rec := &bin.Probes[pi]
 			if rec.Kind != ir.ProbeCall {
 				continue
 			}
-			rec := rec
-			fp := pick(&rec)
+			fp := pick(rec)
 			for callee, n := range ts {
 				fp.AddCall(profdata.LocKey{ID: rec.ID}, callee, n)
 			}
@@ -222,8 +223,10 @@ func GenerateInstrProfileWithValues(bin *machine.Prog, counters []uint64, vprof 
 		}
 		p.FuncProfile(key.Func).AddBody(profdata.LocKey{ID: key.ID}, counters[i])
 	}
+	ix := bin.Index()
 	for site, targets := range vprof {
-		for _, rec := range bin.ProbesAt(site) {
+		for _, pi := range ix.ProbeIndicesAt(site) {
+			rec := &bin.Probes[pi]
 			if rec.Kind != ir.ProbeCall {
 				continue
 			}

@@ -25,7 +25,8 @@ type addrRange struct {
 // Valid reports whether the range is plausible on the given binary: both
 // ends map to instructions inside the same function section.
 func (r addrRange) Valid(bin *machine.Prog) bool {
-	_, _, fn := resolveRange(bin, r.Begin, r.End, bin.InstrIndexAt(r.End))
+	ix := bin.Index()
+	_, _, fn := resolveRange(ix, r.Begin, r.End, ix.InstrIndexAt(r.End))
 	return fn != nil
 }
 
@@ -33,16 +34,16 @@ func (r addrRange) Valid(bin *machine.Prog) bool {
 // [lo, hi) it covers and the function both of its ends lie in, or fn == nil
 // when the range is not valid. endIdx is InstrIndexAt(end), which every
 // caller already has from decoding the branch record that ends the range.
-func resolveRange(bin *machine.Prog, begin, end uint64, endIdx int) (lo, hi int32, fn *machine.Func) {
+func resolveRange(ix *machine.Index, begin, end uint64, endIdx int) (lo, hi int32, fn *machine.Func) {
 	if begin > end || endIdx < 0 {
 		return 0, 0, nil
 	}
-	beginIdx := bin.InstrIndexAt(begin)
+	beginIdx := ix.InstrIndexAt(begin)
 	if beginIdx < 0 {
 		return 0, 0, nil
 	}
-	fn = bin.FuncAt(begin)
-	if fn == nil || bin.FuncAt(end) != fn {
+	fn = ix.FuncAt(begin)
+	if fn == nil || ix.FuncAt(end) != fn {
 		return 0, 0, nil
 	}
 	// Both ends are instruction starts, so [beginIdx, endIdx] is exactly

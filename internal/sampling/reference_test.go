@@ -79,6 +79,11 @@ func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *tailCallGraph, op
 	u := newUnwinder(bin, tails)
 	u.AssumeAligned = opts.AssumeAligned
 	p := profdata.New(profdata.ProbeBased, true)
+	// The probe records anchored at each address, copied, in index order.
+	probesAt := map[uint64][]machine.ProbeRec{}
+	for _, rec := range bin.Probes {
+		probesAt[rec.Addr] = append(probesAt[rec.Addr], rec)
+	}
 
 	for _, s := range shard {
 		for _, cr := range u.unwindOne(s) {
@@ -93,7 +98,7 @@ func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *tailCallGraph, op
 			lo, hi := instrsIn(bin, cr.R.Begin, cr.R.End)
 			for i := lo; i < hi; i++ {
 				addr := bin.Instrs[i].Addr
-				for _, rec := range bin.ProbesAt(addr) {
+				for _, rec := range probesAt[addr] {
 					var fp *profdata.FunctionProfile
 					if cr.Truncated {
 						// Outer context unknown: attributing under the

@@ -439,9 +439,10 @@ func (w *csWorker) consume(sh share) {
 // AddBody/AddCall accumulate, so weight × occurrences yields the same sums
 // as one add per observed range.
 func attributeRange(bin *machine.Prog, rk rangeKey, occ uint64, pick func(*machine.ProbeRec) *profdata.FunctionProfile) {
+	ix := bin.Index()
 	for i := int(rk.lo); i < int(rk.hi); i++ {
 		in := &bin.Instrs[i]
-		for _, pi := range bin.ProbeIndicesAt(in.Addr) {
+		for _, pi := range ix.ProbeIndicesAt(in.Addr) {
 			rec := &bin.Probes[pi]
 			wt := probeWeight(rec.Factor)
 			if wt == 0 {
@@ -463,8 +464,8 @@ func attributeRange(bin *machine.Prog, rk rangeKey, occ uint64, pick func(*machi
 
 // countICallTarget records n observations of one LBR call branch out of an
 // indirect-call site (site address -> callee name -> count).
-func countICallTarget(bin *machine.Prog, icalls map[uint64]map[string]uint64, br *sim.BranchRec, n uint64) {
-	callee := bin.FuncAt(br.To)
+func countICallTarget(ix *machine.Index, icalls map[uint64]map[string]uint64, br *sim.BranchRec, n uint64) {
+	callee := ix.FuncAt(br.To)
 	if callee == nil {
 		return
 	}
@@ -516,8 +517,8 @@ func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec, from []in
 			if w.tails == nil {
 				continue
 			}
-			caller := w.bin.FuncAt(br.From)
-			callee := w.bin.FuncAt(br.To)
+			caller := w.u.ix.FuncAt(br.From)
+			callee := w.u.ix.FuncAt(br.To)
 			if caller == nil || callee == nil {
 				continue
 			}
@@ -527,7 +528,7 @@ func (w *csWorker) scanLBR(chunkIdx, sampIdx int, lbr []sim.BranchRec, from []in
 				w.tails[k] = tailObs{site: br.From, pos: pos}
 			}
 		case machine.KICall:
-			countICallTarget(w.bin, w.icalls, br, n)
+			countICallTarget(w.u.ix, w.icalls, br, n)
 		}
 	}
 }
@@ -663,6 +664,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 // dense address counter and the indirect-call histogram.
 type flatWorker struct {
 	bin    *machine.Prog
+	ix     *machine.Index // bin's lookup tables, fetched once
 	ac     *AddrCounter
 	icalls map[uint64]map[string]uint64
 }
@@ -670,6 +672,7 @@ type flatWorker struct {
 func newFlatWorker(bin *machine.Prog) *flatWorker {
 	return &flatWorker{
 		bin:    bin,
+		ix:     bin.Index(),
 		ac:     newAddrCounter(bin),
 		icalls: map[uint64]map[string]uint64{},
 	}
@@ -705,17 +708,17 @@ func (w *flatWorker) consume(sh share) {
 		n := uint64(g.n)
 		for i := range lbr {
 			br := &lbr[i]
-			ii := w.bin.InstrIndexAt(br.From)
+			ii := w.ix.InstrIndexAt(br.From)
 			if ii < 0 {
 				continue
 			}
 			if w.bin.Instrs[ii].Kind == machine.KICall {
-				countICallTarget(w.bin, w.icalls, br, n)
+				countICallTarget(w.ix, w.icalls, br, n)
 			}
 			// Execution ran linearly from the next-older record's target to
 			// this record's source.
 			if i+1 < len(lbr) {
-				if lo, hi, fn := resolveRange(w.bin, lbr[i+1].To, br.From, ii); fn != nil {
+				if lo, hi, fn := resolveRange(w.ix, lbr[i+1].To, br.From, ii); fn != nil {
 					w.ac.addInstrs(lo, hi, n)
 				}
 			}

@@ -70,6 +70,7 @@ func (s *UnwindStats) Add(o UnwindStats) {
 // once per distinct context).
 type unwinder struct {
 	bin   *machine.Prog
+	ix    *machine.Index // bin's lookup tables, fetched once
 	tails *tailCallGraph // nil disables missing-frame inference
 	Stats UnwindStats
 	// AssumeAligned skips skid detection (PEBS ablation only).
@@ -101,7 +102,7 @@ type ctxEntry struct {
 
 // newUnwinder returns an unwinder over bin. tails may be nil.
 func newUnwinder(bin *machine.Prog, tails *tailCallGraph) *unwinder {
-	return &unwinder{bin: bin, tails: tails, ctxCache: map[string]ctxEntry{}}
+	return &unwinder{bin: bin, ix: bin.Index(), tails: tails, ctxCache: map[string]ctxEntry{}}
 }
 
 // decode returns the instruction index of every record's branch source (-1
@@ -112,7 +113,7 @@ func newUnwinder(bin *machine.Prog, tails *tailCallGraph) *unwinder {
 func (u *unwinder) decode(lbr []sim.BranchRec) []int32 {
 	from := u.fromBuf[:0]
 	for i := range lbr {
-		from = append(from, int32(u.bin.InstrIndexAt(lbr[i].From)))
+		from = append(from, int32(u.ix.InstrIndexAt(lbr[i].From)))
 	}
 	u.fromBuf = from
 	return from
@@ -138,8 +139,8 @@ func (u *unwinder) unwind(s *sim.Sample, from []int32, n int) []ctxRange {
 	// state *before* that branch, so its frame effect must not be undone.
 	aligned := true
 	if !u.AssumeAligned {
-		leafFn := u.bin.FuncAt(s.Stack[0])
-		toFn := u.bin.FuncAt(s.LBR[0].To)
+		leafFn := u.ix.FuncAt(s.Stack[0])
+		toFn := u.ix.FuncAt(s.LBR[0].To)
 		if leafFn == nil || toFn == nil || leafFn != toFn {
 			aligned = false
 			u.Stats.SkidAdjusted += n
@@ -179,7 +180,7 @@ func (u *unwinder) unwind(s *sim.Sample, from []int32, n int) []ctxRange {
 			}
 		}
 		r := addrRange{Begin: s.LBR[i+1].To, End: br.From}
-		lo, hi, fn := resolveRange(u.bin, r.Begin, r.End, int(from[i]))
+		lo, hi, fn := resolveRange(u.ix, r.Begin, r.End, int(from[i]))
 		if fn == nil {
 			continue
 		}
@@ -237,7 +238,7 @@ func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Ki
 		target := u.bin.Funcs[call.CalleeID].Name
 		next := leafFunc
 		if i+1 < len(callers) {
-			if nf := u.bin.FuncAt(callers[i+1]); nf != nil {
+			if nf := u.ix.FuncAt(callers[i+1]); nf != nil {
 				next = nf.Name
 			}
 		}
@@ -266,7 +267,7 @@ func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Ki
 // callSiteBefore finds the call/tail-call instruction immediately preceding
 // a return (resume) address.
 func (u *unwinder) callSiteBefore(resume uint64) *machine.Instr {
-	idx := u.bin.InstrIndexAt(resume)
+	idx := u.ix.InstrIndexAt(resume)
 	if idx <= 0 {
 		return nil
 	}
@@ -283,7 +284,8 @@ func (u *unwinder) callSiteBefore(resume uint64) *machine.Instr {
 // site in the chosen key space.
 func (u *unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []profdata.ContextFrame {
 	if kind == profdata.ProbeBased {
-		for _, rec := range u.bin.ProbesAt(call.Addr) {
+		for _, pi := range u.ix.ProbeIndicesAt(call.Addr) {
+			rec := &u.bin.Probes[pi]
 			if rec.Kind != ir.ProbeCall {
 				continue
 			}
@@ -299,7 +301,7 @@ func (u *unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []pro
 			return append(out, profdata.ContextFrame{Func: rec.Func, Site: profdata.LocKey{ID: rec.ID}})
 		}
 		// No call probe (e.g. probe-less build); fall back to symbol+0.
-		if f := u.bin.FuncAt(call.Addr); f != nil {
+		if f := u.ix.FuncAt(call.Addr); f != nil {
 			return []profdata.ContextFrame{{Func: f.Name}}
 		}
 		return nil
@@ -321,8 +323,8 @@ func (u *unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []pro
 // siteOfAddr keys the instruction at addr within function fn.
 func (u *unwinder) siteOfAddr(addr uint64, fn string, kind profdata.Kind) profdata.LocKey {
 	if kind == profdata.ProbeBased {
-		for _, rec := range u.bin.ProbesAt(addr) {
-			if rec.Kind == ir.ProbeCall && rec.Func == fn {
+		for _, pi := range u.ix.ProbeIndicesAt(addr) {
+			if rec := &u.bin.Probes[pi]; rec.Kind == ir.ProbeCall && rec.Func == fn {
 				return profdata.LocKey{ID: rec.ID}
 			}
 		}

@@ -60,7 +60,6 @@ func link(fns ...asmFunc) *machine.Prog {
 		}
 	}
 	p.EntryAddr = p.FuncByName["main"].Start
-	p.Freeze()
 	return p
 }
 
