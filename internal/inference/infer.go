@@ -1,6 +1,10 @@
 package inference
 
-import "csspgo/internal/ir"
+import (
+	"slices"
+
+	"csspgo/internal/ir"
+)
 
 // result summarizes one function's inference run.
 type result struct {
@@ -9,18 +13,38 @@ type result struct {
 	Adjusted int
 }
 
+// workspace is InferProgram's storage for one call: the reachable order,
+// the block-ID map, the network's arcs and residual graph, and the
+// Bellman-Ford tables. It grows to the largest function it meets and is
+// reused for every function.
+type workspace struct {
+	reach ir.ReachScratch
+	idx   []int32 // block ID -> position in the reachable order
+	nw    network
+	g     mcfGraph
+}
+
+// resize returns s with length n, on s's array when it has the room. The
+// contents are left as they were: callers write before they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // infer repairs the function's annotated block weights into a consistent
 // flow and derives edge weights. Blocks with HasWeight are treated as
 // measurements; others are free. On return every reachable block has
 // HasWeight set and Term.EdgeW parallel to its successors, and flow
 // conservation holds (inflow == block weight == outflow, modulo the
 // virtual entry/exit).
-func infer(f *ir.Function) result {
-	blocks := f.ReachableOrder()
+func (w *workspace) infer(f *ir.Function) result {
+	blocks := f.ReachableOrderIn(&w.reach)
 	if len(blocks) == 0 {
 		return result{}
 	}
-	nw := buildNetwork(blocks)
+	nw := w.buildNetwork(blocks)
 	augmentations, _ := nw.g.cancelNegativeCycles()
 	return result{Augmentations: augmentations, Adjusted: nw.apply(blocks)}
 }
@@ -37,7 +61,8 @@ type network struct {
 	meas, edge []int32
 }
 
-func buildNetwork(blocks []*ir.Block) *network {
+// buildNetwork lays the blocks' instance out in the workspace.
+func (w *workspace) buildNetwork(blocks []*ir.Block) *network {
 	n := len(blocks)
 	var maxW uint64
 	maxID, succs := 0, 0
@@ -52,7 +77,8 @@ func buildNetwork(blocks []*ir.Block) *network {
 	for maxW/scale > 1<<16 {
 		scale *= 2
 	}
-	idx := make([]int32, maxID+1) // block ID -> position in blocks
+	idx := resize(w.idx, maxID+1)
+	w.idx = idx
 	for i, b := range blocks {
 		idx[b.ID] = int32(i)
 	}
@@ -60,16 +86,20 @@ func buildNetwork(blocks []*ir.Block) *network {
 	inNode := func(i int) int { return 2 * i }
 	outNode := func(i int) int { return 2*i + 1 }
 	S, T := 2*n, 2*n+1
-	g := newMCF(2*n + 2)
+	g := &w.g
+	g.n = 2*n + 2
 	// At most two measurement arcs and one sink arc per block.
-	g.specs = make([]arcSpec, 0, 3*n+succs+2)
-	nw := &network{g: g, scale: scale, meas: make([]int32, n+1), edge: make([]int32, n)}
+	g.specs = slices.Grow(g.specs[:0], 3*n+succs+2)
+	nw := &w.nw
+	nw.g, nw.scale = g, scale
+	nw.meas, nw.edge = resize(nw.meas, n+1), resize(nw.edge, n)
+	nw.meas[0] = 0
 
 	for i, b := range blocks {
-		w := int64(b.Weight / scale)
+		wt := int64(b.Weight / scale)
 		switch {
-		case b.HasWeight && w > 0:
-			g.addArc(inNode(i), outNode(i), w, costReward)
+		case b.HasWeight && wt > 0:
+			g.addArc(inNode(i), outNode(i), wt, costReward)
 			g.addArc(inNode(i), outNode(i), infCap, costExceed)
 		case b.HasWeight:
 			g.addArc(inNode(i), outNode(i), infCap, costColdUse)
@@ -122,6 +152,7 @@ func (nw *network) apply(blocks []*ir.Block) int {
 // InferProgram runs infer on every function that carries any profile
 // weights, returning the total number of adjusted blocks.
 func InferProgram(p *ir.Program) int {
+	var w workspace
 	adjusted := 0
 	for _, f := range p.Functions() {
 		any := false
@@ -132,7 +163,7 @@ func InferProgram(p *ir.Program) int {
 			}
 		}
 		if any {
-			adjusted += infer(f).Adjusted
+			adjusted += w.infer(f).Adjusted
 		}
 	}
 	return adjusted

@@ -1,11 +1,18 @@
 package inference
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"csspgo/internal/ir"
 )
+
+// infer runs one function's inference in a workspace of its own.
+func infer(f *ir.Function) result {
+	var w workspace
+	return w.infer(f)
+}
 
 // diamond builds entry→{left,right}→join→ret with given measured weights
 // (use ^uint64(0) to leave a block unmeasured).
@@ -191,5 +198,25 @@ func TestCheckConsistencyDetectsViolations(t *testing.T) {
 	f.Blocks[1].Weight = 999 // corrupt
 	if checkConsistency(f) == 0 {
 		t.Fatal("checker must notice corruption")
+	}
+}
+
+// TestInferProgramAllocs: InferProgram solves every function in one
+// workspace, so what a call allocates does not grow with the number of
+// functions it solves (here 1 and 64 copies of one CFG).
+func TestInferProgramAllocs(t *testing.T) {
+	allocs := func(copies int) float64 {
+		p := ir.NewProgram()
+		for i := 0; i < copies; i++ {
+			f := randomCFG(rand.New(rand.NewSource(1)), 16)
+			f.Name = fmt.Sprintf("r%d", i)
+			p.AddFunc(f)
+		}
+		return testing.AllocsPerRun(5, func() { InferProgram(p) })
+	}
+	one, many := allocs(1), allocs(64)
+	t.Logf("allocations per call: %.0f for 1 function, %.0f for 64", one, many)
+	if many > one {
+		t.Errorf("InferProgram allocates %.0f times for 64 functions, %.0f for 1", many, one)
 	}
 }

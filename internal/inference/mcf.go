@@ -60,9 +60,15 @@ type mcfGraph struct {
 	// twin[id] is the position of arc id's twin, whose residual capacity
 	// is exactly the flow on id.
 	twin []int32
-}
+	next []int32 // layout's fill cursor per node
 
-func newMCF(n int) *mcfGraph { return &mcfGraph{n: n} }
+	// Bellman-Ford tables, by node.
+	dist     []int64
+	predNode []int32 // tail of the arc that last lowered dist[v], -1 = none
+	predArc  []int32 // position of that arc
+	moved    []bool  // dist[u] was lowered since u's arcs were last scanned
+	mark     []int32 // predCycle's colours
+}
 
 // addArc adds a directed arc and returns its id for flow.
 func (g *mcfGraph) addArc(from, to int, cap, cost int64) int {
@@ -73,10 +79,12 @@ func (g *mcfGraph) addArc(from, to int, cap, cost int64) int {
 // flow returns the flow the solve put on arc id.
 func (g *mcfGraph) flow(id int) int64 { return g.resid[g.twin[id]] }
 
-// layout builds the compressed residual graph from the collected arcs.
+// layout builds the compressed residual graph from the collected arcs, on
+// the arrays of the graph's previous instance where they have the room.
 func (g *mcfGraph) layout() {
 	n, m := g.n, 2*len(g.specs)
-	g.start = make([]int32, n+1)
+	g.start = resize(g.start, n+1)
+	clear(g.start)
 	for _, s := range g.specs {
 		g.start[s.from+1]++
 		g.start[s.to+1]++
@@ -84,12 +92,11 @@ func (g *mcfGraph) layout() {
 	for u := 0; u < n; u++ {
 		g.start[u+1] += g.start[u]
 	}
-	g.to = make([]int32, m)
-	g.cost = make([]int64, m)
-	g.resid = make([]int64, m)
-	g.rev = make([]int32, m)
-	g.twin = make([]int32, len(g.specs))
-	next := make([]int32, n)
+	// Every position of the four arc arrays and of twin is written below.
+	g.to, g.cost, g.resid, g.rev = resize(g.to, m), resize(g.cost, m), resize(g.resid, m), resize(g.rev, m)
+	g.twin = resize(g.twin, len(g.specs))
+	next := resize(g.next, n)
+	g.next = next
 	copy(next, g.start)
 	for id, s := range g.specs {
 		fwd := next[s.from]
@@ -110,11 +117,11 @@ func (g *mcfGraph) cancelNegativeCycles() (augmentations, rounds int) {
 	g.layout()
 	n := g.n
 	start, to, cost, resid, rev := g.start, g.to, g.cost, g.resid, g.rev
-	dist := make([]int64, n)
-	predNode := make([]int32, n) // tail of the arc that last lowered dist[v], -1 = none
-	predArc := make([]int32, n)  // position of that arc
-	moved := make([]bool, n)     // dist[u] was lowered since u's arcs were last scanned
-	mark := make([]int32, n)
+	// Every pass clears dist and resets predNode and moved; predArc is read
+	// only where predNode was set in the same pass; predCycle clears mark.
+	g.dist, g.predNode, g.predArc = resize(g.dist, n), resize(g.predNode, n), resize(g.predArc, n)
+	g.moved, g.mark = resize(g.moved, n), resize(g.mark, n)
+	dist, predNode, predArc, moved, mark := g.dist, g.predNode, g.predArc, g.moved, g.mark
 	for augmentations < maxAugmentations {
 		clear(dist)
 		for i := range predNode {

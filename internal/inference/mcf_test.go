@@ -4,6 +4,8 @@ import "testing"
 
 // Unit tests of the min-cost-circulation engine on hand-built graphs.
 
+func newMCF(n int) *mcfGraph { return &mcfGraph{n: n} }
+
 func TestCancelNegativeCyclesSimple(t *testing.T) {
 	// 0 → 1 (cap 10, cost -5), 1 → 0 (cap 10, cost 1): each unit around
 	// the cycle gains 4; the engine must saturate it.

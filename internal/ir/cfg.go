@@ -62,7 +62,30 @@ func (f *Function) maxBlockID() int {
 // depth-first walk that takes successors in terminator order, on an
 // explicit stack, with the visited marks in a table by block ID.
 func (f *Function) ReachableOrder() []*Block {
-	seen := make([]bool, f.maxBlockID()+1)
+	var s ReachScratch
+	return f.ReachableOrderIn(&s)
+}
+
+// ReachScratch is the storage of ReachableOrderIn: the visited marks, the
+// walk's stack and the order it returns. A caller that orders many
+// functions keeps one and lets it grow to the largest.
+type ReachScratch struct {
+	seen  []bool
+	stack []reachFrame
+	order []*Block
+}
+
+type reachFrame struct {
+	b    *Block
+	next int // the successor to descend into next
+}
+
+// ReachableOrderIn is ReachableOrder in s's storage. The result is valid
+// until s is used again.
+func (f *Function) ReachableOrderIn(s *ReachScratch) []*Block {
+	n := f.maxBlockID() + 1
+	seen := slices.Grow(s.seen[:0], n)[:n]
+	clear(seen)
 	// visit marks b and reports whether it was unmarked. The table grows
 	// for a block the function does not hold (Verify's business).
 	visit := func(b *Block) bool {
@@ -75,21 +98,16 @@ func (f *Function) ReachableOrder() []*Block {
 		seen[b.ID] = true
 		return true
 	}
-	type frame struct {
-		b    *Block
-		next int // the successor to descend into next
-	}
-	stack := make([]frame, 1, len(f.Blocks))
-	stack[0].b = f.Entry()
+	stack := append(slices.Grow(s.stack[:0], len(f.Blocks)), reachFrame{b: f.Entry()})
 	visit(f.Entry())
-	post := make([]*Block, 0, len(f.Blocks))
+	post := slices.Grow(s.order[:0], len(f.Blocks))
 	for len(stack) > 0 {
 		top := &stack[len(stack)-1]
 		if succs := top.b.Term.Succs; top.next < len(succs) {
-			s := succs[top.next]
+			succ := succs[top.next]
 			top.next++
-			if visit(s) {
-				stack = append(stack, frame{b: s})
+			if visit(succ) {
+				stack = append(stack, reachFrame{b: succ})
 			}
 			continue
 		}
@@ -97,6 +115,7 @@ func (f *Function) ReachableOrder() []*Block {
 		stack = stack[:len(stack)-1]
 	}
 	slices.Reverse(post)
+	s.seen, s.stack, s.order = seen, stack, post
 	return post
 }
 
