@@ -34,10 +34,7 @@ const (
 // semantics: future probe profiles sum the copies), and block weights are
 // split by the observed ratio. A site qualifies when its dominant target
 // has at least minCount calls. Returns the number of promotions.
-func icp(p *ir.Program, f *ir.Function, prof *profdata.Profile, minCount uint64) int {
-	if prof == nil {
-		return 0
-	}
+func icp(p *ir.Program, f *ir.Function, calls callHistograms, kind profdata.Kind, minCount uint64) int {
 	promotions := 0
 	// The fallback copy a promotion leaves behind matches the same profile
 	// entry; remember promoted sites so each is rewritten at most once.
@@ -54,17 +51,12 @@ func icp(p *ir.Program, f *ir.Function, prof *profdata.Profile, minCount uint64)
 				if in.Op != ir.OpICall {
 					continue
 				}
-				owner, loc, ok := icallLoc(f, in, prof.Kind)
+				owner, loc, ok := icallLoc(f, in, kind)
 				if !ok || done[siteKey{owner, loc}] {
 					continue
 				}
 				done[siteKey{owner, loc}] = true
-				fp := prof.Funcs[owner]
-				if fp == nil {
-					continue
-				}
-				targets := fp.Calls[loc]
-				dominant, domCount, total := dominantTarget(targets)
+				dominant, domCount, total := dominantTarget(calls[owner][loc])
 				if dominant == "" || total == 0 || domCount < minCount {
 					continue
 				}
@@ -182,22 +174,22 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 // weights — not flow-conserved until the next inference run.
 var icpPass = registerPass("icp", flowPerturbs, semRestructures)
 
-// icpProgram promotes across the whole program. prof must be a flat
-// (context-insensitive) view of the input profile — callers pass a
-// flattened clone so context-sensitive inputs also feed target data.
+// icpProgram promotes across the whole program. calls is the flat
+// (context-insensitive) view of the input profile's call targets, so
+// context-sensitive inputs also feed target data; kind is the profile's.
 //
 // The per-site count floor is derived from the profile summary (LLVM
 // -style): a site qualifies only when its dominant target's count reaches
 // the program's hot-count threshold, so exact (instrumentation) profiles
 // don't promote every lukewarm site just because their counts are precise.
-func icpProgram(p *ir.Program, prof *profdata.Profile) int {
-	minCount := max(hotCallThreshold(prof), icpMinCount)
+func icpProgram(p *ir.Program, calls callHistograms, kind profdata.Kind) int {
+	minCount := max(hotCallThreshold(calls), icpMinCount)
 	n := 0
 	for _, f := range p.Functions() {
 		if !f.HasProfile {
 			continue
 		}
-		n += icp(p, f, prof, minCount)
+		n += icp(p, f, calls, kind, minCount)
 	}
 	return n
 }
@@ -252,10 +244,10 @@ func flatCallHistograms(prof *profdata.Profile) callHistograms {
 // counts vs exact execution counts) so exact instrumentation profiles
 // don't promote every lukewarm site merely because their counts are
 // precise.
-func hotCallThreshold(prof *profdata.Profile) uint64 {
+func hotCallThreshold(calls callHistograms) uint64 {
 	var max uint64
-	for _, fp := range prof.Funcs {
-		for _, m := range fp.Calls {
+	for _, sites := range calls {
+		for _, m := range sites {
 			var total uint64
 			for _, n := range m {
 				total += n

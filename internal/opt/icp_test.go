@@ -162,7 +162,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 	fp.AddCall(loc, "handler2", 20)
 	f.HasProfile = true
 
-	n := icp(p, f, prof, icpMinCount)
+	n := icp(p, f, flatCallHistograms(prof), prof.Kind, icpMinCount)
 	if n != 1 {
 		t.Fatalf("promotions = %d, want 1", n)
 	}
@@ -224,7 +224,7 @@ func TestICPRefusesWeakDominance(t *testing.T) {
 	fp.AddCall(loc, "handler1", 35)
 	fp.AddCall(loc, "handler2", 25)
 	f.HasProfile = true
-	if n := icp(p, f, prof, icpMinCount); n != 0 {
+	if n := icp(p, f, flatCallHistograms(prof), prof.Kind, icpMinCount); n != 0 {
 		t.Fatalf("weakly dominated site promoted (%d)", n)
 	}
 }

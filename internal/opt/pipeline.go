@@ -3,7 +3,6 @@ package opt
 import (
 	"csspgo/internal/inference"
 	"csspgo/internal/ir"
-	"csspgo/internal/profdata"
 	"csspgo/internal/stale"
 )
 
@@ -99,9 +98,9 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		}
 		// icp needs the flat target histograms before the CS inliner
 		// consumes the context table.
-		var flatView *profdata.Profile
+		var icalls callHistograms
 		if !cfg.DisableICP {
-			flatView = prof.Flat()
+			icalls = flatCallHistograms(prof)
 		}
 		// Top-down profile-guided inlining.
 		if err := r.run(sampleInlinePass, func() {
@@ -119,7 +118,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// bottom-up inliner (so promoted direct calls can inline).
 		if !cfg.DisableICP {
 			if err := r.run(icpPass, func() {
-				st.ICPromotions = icpProgram(p, flatView)
+				st.ICPromotions = icpProgram(p, icalls, prof.Kind)
 			}); err != nil {
 				return st, err
 			}

@@ -29,8 +29,8 @@ func (c FuncCoverage) Ratio() float64 {
 }
 
 // Coverage computes per-function profile coverage for a probe-based
-// profile against the binary it was collected on. Context profiles are
-// flattened first (a block counts as covered if any context exercised it).
+// profile against the binary it was collected on. Context profiles count
+// as flattened (a block counts as covered if any context exercised it).
 // Results are sorted by function name.
 func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 	if p.Kind != profdata.ProbeBased {
@@ -38,7 +38,7 @@ func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 	}
 	// Distinct block-probe IDs per defining function, inlined copies
 	// deduplicated: the probe's identity is (Func, ID) however many times
-	// inlining materialized it.
+	// inlining materialized it. The value says whether it is covered.
 	probes := map[string]map[int32]bool{}
 	for i := range bin.Probes {
 		rec := &bin.Probes[i]
@@ -50,17 +50,31 @@ func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 			ids = map[int32]bool{}
 			probes[rec.Func] = ids
 		}
-		ids[rec.ID] = true
+		ids[rec.ID] = false
 	}
-	flat := p.Flat()
+	// The flat profile's count at a block is the sum over the function's
+	// base and (for a CS profile) context profiles: positive iff one is.
+	cover := func(fp *profdata.FunctionProfile) {
+		for id, covered := range probes[fp.Name] {
+			if !covered && fp.Blocks[profdata.LocKey{ID: id}] > 0 {
+				probes[fp.Name][id] = true
+			}
+		}
+	}
+	for _, fp := range p.Funcs {
+		cover(fp)
+	}
+	if p.CS {
+		for _, fp := range p.Contexts {
+			cover(fp)
+		}
+	}
 	out := make([]FuncCoverage, 0, len(probes))
 	for fn, ids := range probes {
 		cov := FuncCoverage{Func: fn, Total: len(ids)}
-		if fp := flat.Funcs[fn]; fp != nil {
-			for id := range ids {
-				if fp.Blocks[profdata.LocKey{ID: id}] > 0 {
-					cov.Covered++
-				}
+		for _, covered := range ids {
+			if covered {
+				cov.Covered++
 			}
 		}
 		out = append(out, cov)

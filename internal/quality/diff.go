@@ -51,11 +51,17 @@ func contextWeights(p *profdata.Profile) map[string]uint64 {
 	return w
 }
 
-// flatFuncTotals returns per-function flattened body-sample totals.
+// flatFuncTotals returns per-function flattened body-sample totals: what
+// p.Flat() holds, summed without cloning the profile.
 func flatFuncTotals(p *profdata.Profile) map[string]uint64 {
-	totals := map[string]uint64{}
-	for name, fp := range p.Flat().Funcs {
-		totals[name] = fp.TotalSamples
+	totals := make(map[string]uint64, len(p.Funcs))
+	for name, fp := range p.Funcs {
+		totals[name] += fp.TotalSamples
+	}
+	if p.CS {
+		for _, fp := range p.Contexts {
+			totals[fp.Name] += fp.TotalSamples
+		}
 	}
 	return totals
 }
