@@ -149,23 +149,25 @@ type Probe struct {
 	InlinedAt *ProbeSite // inline context, nil if not inlined
 }
 
-// Instr is a single (non-terminator) IR instruction.
+// Instr is a single (non-terminator) IR instruction. The fields are
+// ordered by size so the struct packs into 104 bytes.
 type Instr struct {
 	Op      Opcode
-	Dst     Reg // NoReg when the result is unused/absent
-	A, B, C Reg // generic operands (C used by OpSelect)
 	BinKind BinKind
-	Value   int64  // OpConst immediate; OpCounter counter index
-	Callee  string // OpCall target
-	Args    []Reg  // OpCall arguments
-	Global  string // OpLoadG/OpStoreG global name
-	Index   Reg    // OpLoadG/OpStoreG array index (NoReg = scalar)
-	Probe   *Probe // OpProbe payload, or call-site probe for OpCall
 	// TailCall marks an OpCall that tail-call elimination proved can reuse
 	// the caller's frame; codegen emits a frame-replacing jump and the
 	// block's trailing return of the call result is suppressed.
 	TailCall bool
-	Loc      *Loc
+	Dst      Reg // NoReg when the result is unused/absent
+	A, B, C  Reg // generic operands (C used by OpSelect)
+	Index    Reg // OpLoadG/OpStoreG array index (NoReg = scalar)
+
+	Value  int64  // OpConst immediate; OpCounter counter index
+	Callee string // OpCall target
+	Args   []Reg  // OpCall arguments
+	Global string // OpLoadG/OpStoreG global name
+	Probe  *Probe // OpProbe payload, or call-site probe for OpCall
+	Loc    *Loc
 }
 
 // TermKind enumerates block terminator kinds.

@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // buildDiamond constructs:
@@ -295,4 +296,15 @@ func (p *Probe) contextKey() string {
 		return p.Func
 	}
 	return p.Func + " @ " + p.InlinedAt.String()
+}
+
+// TestInstrSize pins the packed size of an IR instruction: the fields are
+// ordered so that only the tail of the struct is padding.
+func TestInstrSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instr{}); got != 104 {
+		t.Errorf("ir.Instr is %d bytes, want 104", got)
+	}
 }

@@ -55,27 +55,27 @@ var kindSizes = [...]uint32{
 func SizeOf(k Kind) uint32 { return kindSizes[k] }
 
 // Instr is one machine instruction. Operand registers index the executing
-// frame's register file; -1 means absent.
+// frame's register file; -1 means absent. The fields are ordered by size so
+// the struct packs into 96 bytes.
 type Instr struct {
 	Addr uint64
 	Size uint32
 	Kind Kind
 
-	Op  ir.Opcode  // KOp: OpBin/OpNot/OpNeg; KSelect: OpSelect
-	Bin ir.BinKind // KOp with Op==OpBin
+	Op        ir.Opcode  // KOp: OpBin/OpNot/OpNeg; KSelect: OpSelect
+	Bin       ir.BinKind // KOp with Op==OpBin
+	BranchNeg bool       // KBranch: take when cond == 0 instead of != 0
 
 	Dst, A, B, C int32
-	Value        int64
 
 	GlobalOff int32 // KLoad/KStore: base offset into global storage
 	Index     int32 // KLoad/KStore: index register, -1 for scalar access
-
-	Target    uint64 // KBranch/KJump/KCall/KTailCall destination address
-	BranchNeg bool   // KBranch: take when cond == 0 instead of != 0
-	CalleeID  int32  // KCall/KTailCall
-	ArgRegs   []int32
-
+	CalleeID  int32 // KCall/KTailCall
 	CounterID int32 // KCounter
+
+	Value   int64
+	Target  uint64 // KBranch/KJump/KCall/KTailCall destination address
+	ArgRegs []int32
 
 	Loc *ir.Loc // debug line info with inline chain; nil if stripped
 }

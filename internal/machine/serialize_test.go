@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"csspgo/internal/ir"
 )
@@ -52,5 +53,16 @@ func TestProgGobRoundTrip(t *testing.T) {
 	}
 	if q.Instrs[0].Loc == nil || q.Instrs[0].Loc.Func != "main" {
 		t.Fatal("debug info lost")
+	}
+}
+
+// TestInstrSize pins the packed size of a machine instruction: the fields
+// are ordered so no padding is left but the struct's tail.
+func TestInstrSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pin is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instr{}); got != 96 {
+		t.Errorf("machine.Instr is %d bytes, want 96", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"csspgo/internal/ir"
 	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sampling"
@@ -37,10 +38,12 @@ func codeDigest(bin *machine.Prog) string {
 	h := fnv.New64a()
 	fmt.Fprintln(h, bin.String())
 	for i := range bin.Instrs {
-		in := bin.Instrs[i]
-		loc := in.Loc
-		in.Loc = nil
-		fmt.Fprintf(h, "%+v %s\n", in, loc)
+		// Field by field, in the order the hashed text has always had,
+		// whatever order the struct declares them in.
+		in := &bin.Instrs[i]
+		fmt.Fprintf(h, "{Addr:%v Size:%v Kind:%v Op:%v Bin:%v Dst:%v A:%v B:%v C:%v Value:%v GlobalOff:%v Index:%v Target:%v BranchNeg:%v CalleeID:%v ArgRegs:%v CounterID:%v Loc:%v} %s\n",
+			in.Addr, in.Size, in.Kind, in.Op, in.Bin, in.Dst, in.A, in.B, in.C, in.Value, in.GlobalOff, in.Index,
+			in.Target, in.BranchNeg, in.CalleeID, in.ArgRegs, in.CounterID, (*ir.Loc)(nil), in.Loc)
 	}
 	for _, f := range bin.Funcs {
 		fmt.Fprintf(h, "%+v\n", *f)
