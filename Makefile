@@ -13,10 +13,11 @@ test:
 # consumed by the worker pool, each chunk recycled by whichever worker
 # finishes its last share) under the race detector, the shared metric
 # registry they publish into, the serving daemon's atomic profile swap, the
-# fleet aggregator's concurrent per-source fetches, and the fleet fault
-# harness that runs ten instances against it.
+# fleet aggregator's concurrent per-source fetches, the fleet fault harness
+# that runs ten instances against it, and a binary's lookup tables built by
+# whichever of many goroutines looks an address up first.
 race:
-	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments
+	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments ./internal/machine
 
 # Bench lane: the Go micro-benchmarks (root package, then the simulator's
 # BenchmarkRun), then the repository's benchmark (BENCHMARK.json: five seeded,
@@ -25,9 +26,11 @@ race:
 # The allocation guards are TestSteadyStateAllocsPerSample[Flat] and
 # TestRunSteadyStateAllocs in tier-1 and the benchmark's rep_alloc_mb gate +
 # sampling.allocs_per_sample row; the compile path's are TestBuildAllocCeiling
-# (internal/pgo), TestVerifyAllocs (internal/ir) and TestDCEConvergedAllocs
-# (internal/opt) in tier-1, with BenchmarkBuild/{train,use,stale} (root
-# package, picked up by -bench=. below) as their `go test -bench` twin.
+# (internal/pgo), TestVerifyAllocs (internal/ir), TestDCEConvergedAllocs
+# (internal/opt), TestInferProgramAllocs (internal/inference) and
+# TestUnsampledBinaryHasNoIndex (internal/machine) in tier-1, with
+# BenchmarkBuild/{train,use,stale} (root package, picked up by -bench=.
+# below) as their `go test -bench` twin.
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench Run -benchmem

@@ -170,7 +170,6 @@ const maxDenseSpan = 1 << 22
 // there. Prog.Index builds it once, on first use and race-safely; a hot
 // loop fetches it once and asks it directly.
 type Index struct {
-	prog *Prog
 	base uint64
 	// instr maps addr-base to an instruction index, -1 between
 	// instruction starts.
@@ -212,7 +211,7 @@ func (p *Prog) textSpan() uint64 {
 // are carved from one allocation. A probe anchored outside the text span
 // is not indexed: no instruction start can name it.
 func newIndex(p *Prog) *Index {
-	x := &Index{prog: p}
+	x := &Index{}
 	span := p.textSpan()
 	if span > maxDenseSpan {
 		panic(fmt.Sprintf("machine: text span of %d bytes is over the %d the lookup tables cover", span, maxDenseSpan))

@@ -8,12 +8,19 @@ import (
 )
 
 // buildAllocCeilings are what one profiled, stale-matching pgo.Build of the
-// program may allocate. Provenance: measured by this test at the commit
-// that introduced it (go1.24, linux/amd64; the minimum of three builds, which
-// repeats to the allocation), plus about 15 %:
+// program may allocate. Provenance: measured by this test (go1.24,
+// linux/amd64; the minimum of three builds, which repeats to the
+// allocation), plus about 15 %. At the commit that introduced it:
 //
-//	hhvm   6 808 allocations, 1 117 KB  (at the parent commit: 12 466, 1 708 KB)
-//	haas  10 770 allocations, 1 823 KB  (at the parent commit: 21 792, 3 121 KB)
+//	hhvm   6 808 allocations, 1 117 KB  (at its parent: 12 466, 1 708 KB)
+//	haas  10 770 allocations, 1 823 KB  (at its parent: 21 792, 3 121 KB)
+//
+// Re-based when the lookup tables became lazy, section sizes were counted,
+// inference got one workspace per program, ICP stopped cloning the profile
+// and the instruction structs were packed:
+//
+//	hhvm   5 804 allocations,   894 KB
+//	haas   9 300 allocations, 1 445 KB
 //
 // A build that goes over has started copying or growing something again on
 // the path irgen → probe → opt → codegen; `go test -run '^$' -bench Build
@@ -23,8 +30,8 @@ var buildAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 7_800, 1_285 << 10},
-	{"haas", 12_400, 2_100 << 10},
+	{"hhvm", 6_700, 1_030 << 10},
+	{"haas", 10_700, 1_665 << 10},
 }
 
 // TestBuildAllocCeiling is the allocation gate on the compile path: one
