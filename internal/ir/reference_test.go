@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -197,9 +198,15 @@ func CheckReachableOrder(t testing.TB, f *Function) {
 
 func TestReachableOrderMatchesReferenceOnRandomCFGs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	// One scratch for all 400 CFGs, as InferProgram keeps one: what a
+	// larger function left in it must not leak into a smaller one's order.
+	var s ReachScratch
 	for i := 0; i < 400; i++ {
 		f := randomCFG(rng, 1+rng.Intn(40))
 		CheckReachableOrder(t, f)
+		if want, got := referenceReachableOrder(f), f.ReachableOrderIn(&s); !slices.Equal(got, want) {
+			t.Errorf("ReachableOrderIn on a used scratch: %d blocks, reference says %d", len(got), len(want))
+		}
 		if t.Failed() {
 			t.Fatalf("cfg %d:\n%s", i, f)
 		}
