@@ -121,7 +121,7 @@ func (r *lookupRef) check(bin *machine.Prog) string {
 		if got := bin.InstrIndexAt(addr); got != r.instr[off] {
 			return "InstrIndexAt"
 		}
-		got := bin.ProbeIndicesAt(addr)
+		got := bin.Index().ProbeIndicesAt(addr)
 		if len(got) != len(r.probes[off]) {
 			return "ProbeIndicesAt"
 		}

@@ -328,10 +328,6 @@ func (p *Prog) InstrAt(addr uint64) *Instr {
 // FuncAt returns the function covering addr (hot or cold range), or nil.
 func (p *Prog) FuncAt(addr uint64) *Func { return p.Index().FuncAt(addr) }
 
-// ProbeIndicesAt returns the indices into Probes of the records anchored at
-// addr (see Index.ProbeIndicesAt).
-func (p *Prog) ProbeIndicesAt(addr uint64) []int32 { return p.Index().ProbeIndicesAt(addr) }
-
 // Frame is one logical (possibly inlined) frame at an address.
 type Frame struct {
 	Func string

@@ -68,15 +68,10 @@ func (e *sectionEncoder) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// encodeDebugSection serializes the line+inline table for all instructions
-// that carry debug locations, mimicking DWARF .debug_line/.debug_info under
-// -g2. Returns the encoded bytes.
-func (p *Prog) encodeDebugSection() []byte {
-	var e sectionEncoder
-	p.debugSection(&e)
-	return e.buf
-}
-
+// debugSection writes (or counts) the line+inline table for all
+// instructions that carry debug locations, mimicking DWARF
+// .debug_line/.debug_info under -g2. Only its size is recorded; the tests
+// encode it.
 func (p *Prog) debugSection(e *sectionEncoder) {
 	var prevAddr uint64
 	var prevLine int64
@@ -118,6 +113,8 @@ func (p *Prog) EncodeProbeSection() []byte {
 	return e.buf
 }
 
+// probeSection writes (or counts) the probe section EncodeProbeSection
+// returns.
 func (p *Prog) probeSection(e *sectionEncoder) {
 	if len(p.Probes) == 0 {
 		return

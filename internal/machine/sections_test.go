@@ -31,6 +31,13 @@ func sampleProg() *Prog {
 	return p
 }
 
+// encodeDebugSection returns the debug section's bytes.
+func (p *Prog) encodeDebugSection() []byte {
+	var e sectionEncoder
+	p.debugSection(&e)
+	return e.buf
+}
+
 func TestDebugSectionEncoding(t *testing.T) {
 	p := sampleProg()
 	sec := p.encodeDebugSection()
@@ -111,14 +118,14 @@ func TestInstrsInRange(t *testing.T) {
 
 func TestProbesAtAndFactor(t *testing.T) {
 	p := sampleProg()
-	recs := p.ProbeIndicesAt(0x1005)
+	recs := p.Index().ProbeIndicesAt(0x1005)
 	if len(recs) != 1 || p.Probes[recs[0]].Factor != 0.5 {
 		t.Fatalf("probes at 0x1005: %v", recs)
 	}
-	if len(p.ProbeIndicesAt(0x1008)) != 1 {
+	if len(p.Index().ProbeIndicesAt(0x1008)) != 1 {
 		t.Fatal("inlined probe not indexed")
 	}
-	if len(p.ProbeIndicesAt(0x100b)) != 0 {
+	if len(p.Index().ProbeIndicesAt(0x100b)) != 0 {
 		t.Fatal("no probes expected at ret")
 	}
 }

@@ -42,7 +42,7 @@ func TestProgGobRoundTrip(t *testing.T) {
 	if q.FuncByName["main"].Start != 0x1000 {
 		t.Fatal("symbol table lost")
 	}
-	if len(q.ProbeIndicesAt(0x1000)) != 1 {
+	if len(q.Index().ProbeIndicesAt(0x1000)) != 1 {
 		t.Fatal("probe index not rebuilt")
 	}
 	if q.Probes[0].InlinedAt == nil || q.Probes[0].InlinedAt.Func != "outer" {
