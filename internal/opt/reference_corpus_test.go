@@ -18,7 +18,7 @@ import (
 // run inside opt.Optimize, without a profile and with the full CSSPGO one
 // (the pipelines live above package opt, hence the external test package).
 func TestDCEAndLICMMatchReferenceOnCorpus(t *testing.T) {
-	check := func(t *testing.T, files []*source.File, train [][]int64) {
+	forEachCorpusProgram(t, func(t *testing.T, files []*source.File, train [][]int64) {
 		_, prof, err := pgo.Pipeline(files, pgo.FullCS, train)
 		if err != nil {
 			t.Fatal(err)
@@ -32,7 +32,12 @@ func TestDCEAndLICMMatchReferenceOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
+	})
+}
+
+// forEachCorpusProgram runs check on every program of the 14-program corpus
+// (the 7 workloads and the 7 examples/ modules) with its training stream.
+func forEachCorpusProgram(t *testing.T, check func(t *testing.T, files []*source.File, train [][]int64)) {
 	for _, name := range workloads.AllNames() {
 		t.Run(name, func(t *testing.T) {
 			w, err := workloads.Load(name, 1)

@@ -423,3 +423,7 @@ func TestLICMInnerLoopBeforeOuter(t *testing.T) {
 		t.Fatalf("b4's residual moves write %v, want %%%d and three fresh registers:\n%s", moved, j, f)
 	}
 }
+
+// ContextKeyForCall exports contextKeyForCall to the key-agreement test in
+// package opt_test, which needs the generator's pipelines above package opt.
+var ContextKeyForCall = contextKeyForCall

@@ -63,13 +63,14 @@ echo "== simulator contract (golden counts, allocation gate, reference loop, ste
 go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
-echo "== compile-path contract (emitted bytes, references, allocation gates, lazy lookup tables, counted sizes, flat readers, then one pass of BenchmarkBuild)"
-go test ./internal/pgo ./internal/opt ./internal/ir ./internal/inference ./internal/machine ./internal/quality \
-	-run 'Golden|ByteIdentical|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize' -count=1
+echo "== compile-path contract (emitted bytes, references, allocation gates, lazy lookup tables, counted sizes, flat readers, context-model pins, then one pass of BenchmarkBuild)"
+go test ./internal/pgo ./internal/opt ./internal/ir ./internal/inference ./internal/machine ./internal/quality ./internal/profdata ./internal/overhead \
+	-run 'Golden|ByteIdentical|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|ContextKeyForCall|Promote|ReadsCSProfilesFlat' -count=1
 go test -run '^$' -bench Build -benchtime 1x .
 
-echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, then one pass of BenchmarkParallelProfileGeneration)"
+echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, context-model pins, then one pass of BenchmarkParallelProfileGeneration)"
 go test ./internal/sampling ./internal/pgo -run 'Reference|Golden|ByteIdentical|MatchesBatch|SteadyStateAllocs|Distinct' -count=1
+go test ./internal/opt ./internal/profdata ./internal/overhead -run 'ContextKeyForCall|Promote|ReadsCSProfilesFlat' -count=1
 go test -run '^$' -bench ParallelProfileGeneration -benchtime 1x .
 
 echo "== go test -race (the Makefile's race lane)"
