@@ -50,7 +50,7 @@ func cmdOverhead(args []string) error {
 		if err != nil {
 			return err
 		}
-		rep.Confidence = overhead.Score(prog, prof, *period, 0, 0)
+		rep.Confidence = overhead.Score(prog, prof, *period)
 	}
 	rep.Binary = *bin
 	rep.Normalize()

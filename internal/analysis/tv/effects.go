@@ -63,19 +63,6 @@ type funcEffects struct {
 	All bool
 }
 
-// clone returns a deep copy of the summary.
-func (fe *funcEffects) clone() *funcEffects {
-	c := &funcEffects{Mask: fe.Mask, All: fe.All,
-		Reads: map[string]bool{}, Writes: map[string]bool{}}
-	for g := range fe.Reads {
-		c.Reads[g] = true
-	}
-	for g := range fe.Writes {
-		c.Writes[g] = true
-	}
-	return c
-}
-
 // merge joins other into fe, reporting whether fe changed.
 func (fe *funcEffects) merge(other *funcEffects) bool {
 	changed := false

@@ -210,7 +210,7 @@ func (a *Aggregator) confidenceSummaries() []sourceConfidence {
 // the source's hot set is under-sampled. Runs on the source's poll
 // goroutine; only the summary map needs locking.
 func (a *Aggregator) observeConfidence(s *Source, prof *profdata.Profile) {
-	c := overhead.ScoreProfile(prof, 0, 0, 0)
+	c := overhead.ScoreProfile(prof, 0)
 	a.confMu.Lock()
 	a.conf[s.Name] = c
 	a.confMu.Unlock()

@@ -136,6 +136,18 @@ func (p *ProbeSite) String() string {
 	return s
 }
 
+// InlinedAt returns the chain p once the function holding it is inlined at
+// site: p's frames, copied, with site as the new outermost frame (site
+// itself when p is nil). site is shared, not copied.
+func (p *ProbeSite) InlinedAt(site *ProbeSite) *ProbeSite {
+	if p == nil {
+		return site
+	}
+	out := *p
+	out.Parent = p.Parent.InlinedAt(site)
+	return &out
+}
+
 // Probe is the payload of an OpProbe instruction or of a call site's probe.
 // ID is unique within the defining function (Func). Factor scales the
 // expected execution frequency when optimizations duplicate or partially
@@ -212,9 +224,6 @@ type Block struct {
 	// Cold marks the block for the cold section during function splitting.
 	Cold bool
 }
-
-// Succs returns the block's successor list (aliasing the terminator's).
-func (b *Block) Succs() []*Block { return b.Term.Succs }
 
 // Function is a single IR function. Blocks[0] is the entry block.
 type Function struct {

@@ -240,14 +240,24 @@ func TestLocString(t *testing.T) {
 	}
 }
 
-func TestProbeContextKey(t *testing.T) {
-	p := &Probe{Func: "leaf", ID: 1, Kind: ProbeBlock, Factor: 1}
-	if p.contextKey() != "leaf" {
-		t.Fatalf("top-level key = %q", p.contextKey())
+// TestProbeSiteInlinedAt: inlining extends a probe's chain outward,
+// copying the frames it had and leaving the original chain untouched.
+func TestProbeSiteInlinedAt(t *testing.T) {
+	site := &ProbeSite{Func: "main", CallID: 7}
+	var top *ProbeSite
+	if got := top.InlinedAt(site); got != site {
+		t.Fatalf("nil chain inlined at %v = %v, want the site itself", site, got)
 	}
-	p.InlinedAt = &ProbeSite{Func: "mid", CallID: 2, Parent: &ProbeSite{Func: "main", CallID: 7}}
-	if got := p.contextKey(); got != "leaf @ mid:2 @ main:7" {
-		t.Fatalf("inlined key = %q", got)
+	chain := &ProbeSite{Func: "mid", CallID: 2, Parent: &ProbeSite{Func: "handle", CallID: 4}}
+	got := chain.InlinedAt(site)
+	if s := got.String(); s != "mid:2 @ handle:4 @ main:7" {
+		t.Fatalf("inlined chain = %q", s)
+	}
+	if s := chain.String(); s != "mid:2 @ handle:4" {
+		t.Fatalf("original chain changed to %q", s)
+	}
+	if got.Parent.Parent != site {
+		t.Fatal("the outermost frame must be the site, shared")
 	}
 }
 
@@ -287,15 +297,6 @@ func TestReplaceSucc(t *testing.T) {
 	if err := f.Verify(); err != nil {
 		t.Fatalf("verify after ReplaceSucc: %v", err)
 	}
-}
-
-// contextKey renders the probe's full context string used as a
-// context-sensitive profile key fragment.
-func (p *Probe) contextKey() string {
-	if p.InlinedAt == nil {
-		return p.Func
-	}
-	return p.Func + " @ " + p.InlinedAt.String()
 }
 
 // TestInstrSize pins the packed size of an IR instruction: the fields are

@@ -48,42 +48,44 @@ func annotateWithMatcher(p *ir.Program, prof *profdata.Profile, m *stale.Matcher
 			st.NoProfile++
 			continue
 		}
-		if prof.Kind == profdata.ProbeBased {
-			if fp.Checksum != 0 && f.Checksum != 0 && fp.Checksum != f.Checksum {
-				st.Stale++
-				degradeStale(f, fp, m, &st)
-				continue
-			}
-			annotateProbe(f, fp)
-		} else {
+		if prof.Kind != profdata.ProbeBased {
 			annotateLine(f, fp)
+			f.EntryCount = fp.HeadSamples
+			f.HasProfile = true
+		} else if !annotateFromBase(f, fp, m, &st) {
+			continue
 		}
-		f.EntryCount = fp.HeadSamples
-		f.HasProfile = true
 		st.Annotated++
 	}
 	return st
 }
 
-// degradeStale walks the sub-exact rungs of the degradation ladder for one
-// stale function profile and reports whether f received any annotation.
-func degradeStale(f *ir.Function, fp *profdata.FunctionProfile, m *stale.Matcher, st *AnnotateStats) bool {
+// annotateFromBase annotates f from its probe-keyed base profile fp and
+// reports whether fp was current. On a checksum match the counts land by
+// probe ID. On a mismatch (counted in st.Stale) f walks the rest of the
+// degradation ladder, and st counts the rung it lands on: anchor-matched
+// counts when m recovers them, a flat fallback when it does not, and no
+// annotation at all (dropped) without a matcher.
+func annotateFromBase(f *ir.Function, fp *profdata.FunctionProfile, m *stale.Matcher, st *AnnotateStats) bool {
+	if fp.Checksum == 0 || f.Checksum == 0 || fp.Checksum == f.Checksum {
+		annotateProbe(f, fp)
+		return true
+	}
+	st.Stale++
 	if m == nil {
 		st.Dropped++
 		return false
 	}
 	if res := m.Match(f, fp); res.OK {
 		annotateProbe(f, res.Profile)
-		f.EntryCount = res.Profile.HeadSamples
-		f.HasProfile = true
 		st.Matched++
 		st.RecoveredProbes += res.RecoveredProbes
 		st.QualitySum += res.Quality
-		return true
+	} else {
+		annotateFlat(f, fp)
+		st.FlatFallback++
 	}
-	annotateFlat(f, fp)
-	st.FlatFallback++
-	return true
+	return false
 }
 
 // annotateFlat is the last profiled rung of the ladder: the function is
@@ -110,7 +112,11 @@ func annotateFlat(f *ir.Function, fp *profdata.FunctionProfile) {
 	f.HasProfile = true
 }
 
+// annotateProbe weights f's blocks by probe ID and takes its entry count
+// from fp.
 func annotateProbe(f *ir.Function, fp *profdata.FunctionProfile) {
+	f.EntryCount = fp.HeadSamples
+	f.HasProfile = true
 	idx := probe.BuildIndex(f)
 	for id, blocks := range idx.Blocks {
 		// A probe with no profile entry was sampled zero times: with the

@@ -176,16 +176,7 @@ func reparentLoc(l, callLoc *ir.Loc) *ir.Loc {
 // call site.
 func reparentProbe(p *ir.Probe, site *ir.ProbeSite) *ir.Probe {
 	out := *p
-	out.InlinedAt = appendSite(p.InlinedAt, site)
-	return &out
-}
-
-func appendSite(chain, site *ir.ProbeSite) *ir.ProbeSite {
-	if chain == nil {
-		return site
-	}
-	out := *chain
-	out.Parent = appendSite(chain.Parent, site)
+	out.InlinedAt = p.InlinedAt.InlinedAt(site)
 	return &out
 }
 

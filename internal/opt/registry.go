@@ -52,9 +52,6 @@ type passID struct {
 	sem  semContract
 }
 
-// Name returns the registered pass name.
-func (p passID) Name() string { return p.name }
-
 var passRegistry = map[string]passID{}
 
 // registerPass records a pass name at init time. Duplicate names are a

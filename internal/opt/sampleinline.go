@@ -2,6 +2,7 @@ package opt
 
 import (
 	"csspgo/internal/ir"
+	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/stale"
 )
@@ -95,98 +96,57 @@ func sampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st 
 				}
 			}
 		}
-		promoteContextsRootedAt(p, prof, name, m)
+		// Leftover contexts rooted at F: the calls were not inlined, so
+		// each callee runs standalone and its context counts move one
+		// frame down; a base profile that received counts is
+		// re-annotated.
+		reannotate := map[string]bool{}
+		for _, key := range prof.RootedAt(name) {
+			if base := prof.Promote(key); base != "" {
+				reannotate[base] = true
+			}
+		}
+		annotateFromBases(p, prof, reannotate, m)
 	}
 
 	// Safety net: any context that survived both consumption and promotion
 	// (vanished call sites, cross-SCC chains, roots outside the static call
 	// graph) folds into its leaf's base profile so no samples are lost.
+	// Function-level match counters stay with Annotate — this sweep
+	// revisits functions it already classified — but a stale base the
+	// ladder drops counts as a stale function.
 	reannotate := map[string]bool{}
 	for _, key := range prof.SortedContextKeys() {
-		cp := prof.Contexts[key]
-		reannotate[cp.Name] = true
+		reannotate[prof.Contexts[key].Name] = true
 		prof.MergeContextIntoBase(key)
 	}
-	for name := range reannotate {
-		f, fp := p.Funcs[name], prof.Funcs[name]
-		if f == nil || fp == nil {
-			continue
-		}
-		if fp.Checksum != 0 && f.Checksum != 0 && fp.Checksum != f.Checksum {
-			// The merged base is stale: walk the ladder rather than leaving
-			// whatever annotation the function had. Function-level match
-			// counters stay with Annotate — this sweep revisits functions it
-			// already classified.
-			var ast AnnotateStats
-			if !degradeStale(f, fp, m, &ast) && st != nil {
-				st.StaleFuncs++
-			}
-			continue
-		}
-		annotateProbe(f, fp)
-		f.EntryCount = fp.HeadSamples
-		f.HasProfile = true
+	if dropped := annotateFromBases(p, prof, reannotate, m); st != nil {
+		st.StaleFuncs += dropped
 	}
 	return inlines
 }
 
-// promoteContextsRootedAt drops the leading frame from every remaining
-// context rooted at fname: the call was not inlined, so the callee runs
-// standalone and its context counts belong one level down. Depth-1 results
-// merge into base profiles, whose functions are immediately re-annotated.
-func promoteContextsRootedAt(p *ir.Program, prof *profdata.Profile, fname string, m *stale.Matcher) {
-	reannotate := map[string]bool{}
-	for _, key := range prof.SortedContextKeys() {
-		cp, ok := prof.Contexts[key]
-		if !ok || len(cp.Context) < 2 || cp.Context[0].Func != fname {
-			continue
+// annotateFromBases re-annotates the named functions from their base
+// profiles after context counts merged into them, and returns how many
+// stale ones the degradation ladder dropped.
+func annotateFromBases(p *ir.Program, prof *profdata.Profile, names map[string]bool, m *stale.Matcher) int {
+	var st AnnotateStats
+	for name := range names {
+		if f, fp := p.Funcs[name], prof.Funcs[name]; f != nil && fp != nil {
+			annotateFromBase(f, fp, m, &st)
 		}
-		newCtx := append(profdata.Context(nil), cp.Context[1:]...)
-		delete(prof.Contexts, key)
-		if newCtx.Depth() == 1 {
-			base := prof.FuncProfile(cp.Name)
-			if base.Checksum == 0 {
-				base.Checksum = cp.Checksum
-			}
-			base.Merge(cp)
-			reannotate[cp.Name] = true
-			continue
-		}
-		dst := prof.ContextProfile(newCtx)
-		dst.ShouldInline = dst.ShouldInline || cp.ShouldInline
-		dst.Merge(cp)
 	}
-	for name := range reannotate {
-		f := p.Funcs[name]
-		fp := prof.Funcs[name]
-		if f == nil || fp == nil {
-			continue
-		}
-		if fp.Checksum != 0 && f.Checksum != 0 && fp.Checksum != f.Checksum {
-			var ast AnnotateStats
-			degradeStale(f, fp, m, &ast)
-			continue
-		}
-		annotateProbe(f, fp)
-		f.EntryCount = fp.HeadSamples
-		f.HasProfile = true
-	}
+	return st.Dropped
 }
 
 // contextKeyForCall renders the profile context key of a call instruction
 // rooted at the enclosing physical function: the call probe's inline chain
 // (outermost first), the probe's own site, and the callee as leaf.
 func contextKeyForCall(call *ir.Instr, callee string) string {
-	var chain []profdata.ContextFrame
-	for s := call.Probe.InlinedAt; s != nil; s = s.Parent {
-		chain = append(chain, profdata.ContextFrame{Func: s.Func, Site: profdata.LocKey{ID: s.CallID}})
-	}
-	ctx := make(profdata.Context, 0, len(chain)+2)
-	for i := len(chain) - 1; i >= 0; i-- {
-		ctx = append(ctx, chain[i])
-	}
-	ctx = append(ctx, profdata.ContextFrame{Func: call.Probe.Func, Site: profdata.LocKey{ID: call.Probe.ID}})
-	ctx = append(ctx, profdata.ContextFrame{Func: callee})
+	ctx := probe.AppendInlineContext(nil, call.Probe.InlinedAt)
+	ctx = append(ctx,
+		profdata.ContextFrame{Func: call.Probe.Func, Site: profdata.LocKey{ID: call.Probe.ID}},
+		profdata.ContextFrame{Func: callee})
 	return ctx.Key()
 }
 

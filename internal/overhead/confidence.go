@@ -2,6 +2,7 @@ package overhead
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strings"
@@ -25,12 +26,12 @@ const (
 	classColdInstrumented = "cold-instrumented"
 )
 
-// Default classification thresholds: a function is hot when it holds at
-// least 1% of flattened samples, and confident when its relative-error
-// bound is at most 10% (>= 100 samples).
+// Classification thresholds: a function is hot when it holds at least 1%
+// of flattened samples, and confident when its relative-error bound is at
+// most 10% (>= 100 samples).
 const (
-	defaultHotSharePct  = 1.0
-	defaultMaxRelErrPct = 10.0
+	hotSharePct  = 1.0
+	maxRelErrPct = 10.0
 )
 
 // FuncConfidence is one row of the coverage/hotness heatmap.
@@ -62,10 +63,9 @@ type ConfidenceReport struct {
 }
 
 // Score builds the confidence heatmap for a profile collected from bin at
-// the given period, joining per-function probe coverage. Thresholds <= 0
-// fall back to the defaults.
-func Score(bin *machine.Prog, prof *profdata.Profile, period uint64, hotSharePct, maxRelErrPct float64) *ConfidenceReport {
-	prof = prof.Flat() // once, for the coverage join and the totals
+// the given period, joining per-function probe coverage. A CS profile is
+// read as its flat view, in place.
+func Score(bin *machine.Prog, prof *profdata.Profile, period uint64) *ConfidenceReport {
 	cov := map[string]float64{}
 	if bin != nil {
 		if rows, err := quality.Coverage(bin, prof); err == nil {
@@ -74,23 +74,19 @@ func Score(bin *machine.Prog, prof *profdata.Profile, period uint64, hotSharePct
 			}
 		}
 	}
-	return score(prof, cov, bin != nil, period, hotSharePct, maxRelErrPct)
+	return score(prof, cov, bin != nil, period)
 }
 
 // ScoreProfile scores a profile alone — the fleet side, where only the
 // fetched profile payload is available. Coverage is reported as -1.
-func ScoreProfile(prof *profdata.Profile, period uint64, hotSharePct, maxRelErrPct float64) *ConfidenceReport {
-	return score(prof, nil, false, period, hotSharePct, maxRelErrPct)
+func ScoreProfile(prof *profdata.Profile, period uint64) *ConfidenceReport {
+	return score(prof, nil, false, period)
 }
 
-func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period uint64, hotSharePct, maxRelErrPct float64) *ConfidenceReport {
-	if hotSharePct <= 0 {
-		hotSharePct = defaultHotSharePct
-	}
-	if maxRelErrPct <= 0 {
-		maxRelErrPct = defaultMaxRelErrPct
-	}
-	totals := flatTotals(prof)
+func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period uint64) *ConfidenceReport {
+	// Sampled functions only: a zero total is no sample.
+	totals := quality.FlatFuncTotals(prof)
+	maps.DeleteFunc(totals, func(_ string, n uint64) bool { return n == 0 })
 	// The heatmap covers the union of sampled functions and instrumented
 	// (probed) functions, so fully-cold instrumented code still shows up.
 	names := map[string]bool{}
@@ -147,18 +143,6 @@ func score(prof *profdata.Profile, cov map[string]float64, haveBin bool, period 
 		return a.Func < b.Func
 	})
 	return r
-}
-
-// flatTotals returns per-function flattened sample totals (CS profiles are
-// flattened on a clone; flat profiles are read directly).
-func flatTotals(p *profdata.Profile) map[string]uint64 {
-	totals := map[string]uint64{}
-	for name, fp := range p.Flat().Funcs {
-		if fp.TotalSamples > 0 {
-			totals[name] = fp.TotalSamples
-		}
-	}
-	return totals
 }
 
 // validate checks the confidence block's internal invariants.

@@ -57,13 +57,13 @@ func TestScoreReadsCSProfilesFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		flat := prof.Flat()
-		if got, want := overhead.Score(res.Bin, prof, 797, 0, 0), overhead.Score(res.Bin, flat, 797, 0, 0); !reflect.DeepEqual(got, want) {
+		if got, want := overhead.Score(res.Bin, prof, 797), overhead.Score(res.Bin, flat, 797); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Score of the CS profile differs from Score of its Flat()\ngot  %+v\nwant %+v", name, got, want)
 		}
-		if got, want := overhead.Score(nil, prof, 797, 0, 0), overhead.Score(nil, flat, 797, 0, 0); !reflect.DeepEqual(got, want) {
+		if got, want := overhead.Score(nil, prof, 797), overhead.Score(nil, flat, 797); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Score without a binary differs from Score of the Flat()", name)
 		}
-		if got, want := overhead.ScoreProfile(prof, 797, 0, 0), overhead.ScoreProfile(flat, 797, 0, 0); !reflect.DeepEqual(got, want) {
+		if got, want := overhead.ScoreProfile(prof, 797), overhead.ScoreProfile(flat, 797); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ScoreProfile of the CS profile differs from ScoreProfile of its Flat()", name)
 		}
 	}

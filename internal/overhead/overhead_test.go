@@ -101,7 +101,7 @@ func TestArtifactDeterminism(t *testing.T) {
 		bin := compileProg(t, true)
 		stats, meter := meteredRun(t, bin)
 		rep := Attribute(bin, stats, meter, 17)
-		rep.Confidence = Score(bin, flatProfile("hot", 400, "cold", 3), 17, 0, 0)
+		rep.Confidence = Score(bin, flatProfile("hot", 400, "cold", 3), 17)
 		rep.CollectWallNS = 12345 // pretend wall time differs per run
 		rep.Normalize()
 		data, err := rep.Encode()
@@ -167,7 +167,7 @@ func flatProfile(kv ...any) *profdata.Profile {
 // probed-but-never-sampled functions) is cold-instrumented.
 func TestConfidenceClassification(t *testing.T) {
 	prof := flatProfile("hotok", 2000, "hotunc", 50, "coldish", 3)
-	c := ScoreProfile(prof, 797, 0, 0)
+	c := ScoreProfile(prof, 797)
 	classes := map[string]string{}
 	for _, fc := range c.Funcs {
 		classes[fc.Func] = fc.Class
@@ -203,7 +203,7 @@ func TestConfidenceClassification(t *testing.T) {
 func TestConfidenceJoinsCoverage(t *testing.T) {
 	bin := compileProg(t, false)
 	prof := flatProfile("hot", 500)
-	c := Score(bin, prof, 797, 0, 0)
+	c := Score(bin, prof, 797)
 	byName := map[string]FuncConfidence{}
 	for _, fc := range c.Funcs {
 		byName[fc.Func] = fc
@@ -226,7 +226,7 @@ func TestFormatTruncates(t *testing.T) {
 	bin := compileProg(t, true)
 	stats, meter := meteredRun(t, bin)
 	rep := Attribute(bin, stats, meter, 17)
-	rep.Confidence = ScoreProfile(flatProfile("a", 100, "b", 200, "c", 300), 17, 0, 0)
+	rep.Confidence = ScoreProfile(flatProfile("a", 100, "b", 200, "c", 300), 17)
 	full := rep.Format(0)
 	trunc := rep.Format(1)
 	if !strings.Contains(full, "overhead ledger") || !strings.Contains(full, "profile confidence") {

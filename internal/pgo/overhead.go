@@ -35,7 +35,7 @@ func MeasureOverhead(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*
 		return nil, nil, err
 	}
 	rep := overhead.Attribute(bin, stats, meter, pc.Period)
-	rep.Confidence = overhead.Score(bin, prof, pc.Period, 0, 0)
+	rep.Confidence = overhead.Score(bin, prof, pc.Period)
 	rep.CollectWallNS = time.Since(start).Nanoseconds()
 	return rep, prof, nil
 }

@@ -85,7 +85,7 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 		// initial candidates (depth 2), the children an admission enqueues
 		// (grouped by parent key, each group in key order) and the promotion
 		// pass after it.
-		rooted := rootedContexts(prof, fn)
+		rooted := prof.RootedAt(fn)
 		var queue []string
 		children := map[string][]string{}
 		for _, key := range rooted {
@@ -136,7 +136,7 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 				continue // belongs to an admitted expansion; keep intact
 			}
 			res.Promoted++
-			promote(prof, key)
+			prof.Promote(key)
 		}
 	}
 	return res
@@ -215,19 +215,6 @@ func topDownOrder(prof *profdata.Profile) []string {
 	return order
 }
 
-// rootedContexts returns, in key order, the keys of the contexts (depth 2
-// or more) whose outermost frame is fn.
-func rootedContexts(prof *profdata.Profile, fn string) []string {
-	var out []string
-	for key, cp := range prof.Contexts {
-		if len(cp.Context) >= 2 && cp.Context[0].Func == fn {
-			out = append(out, key)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // inMarkedSubtree reports whether any ancestor context of cp is marked for
 // inlining (the context will be consumed as part of that expansion).
 func inMarkedSubtree(prof *profdata.Profile, cp *profdata.FunctionProfile) bool {
@@ -244,31 +231,4 @@ func shouldInline(size, hotness uint64, p Params) bool {
 		return true
 	}
 	return hotness >= p.HotCountThreshold && size <= p.HotCalleeBytes
-}
-
-// promote merges a context one frame down: "A:1 @ B:2 @ C" folds into
-// "B:2 @ C" (or into C's base profile at depth 2). If the shallower
-// context exists its ShouldInline decision is preserved.
-func promote(prof *profdata.Profile, key string) {
-	cp := prof.Contexts[key]
-	if cp == nil {
-		return
-	}
-	delete(prof.Contexts, key)
-	if cp.Context.Depth() <= 2 {
-		base := prof.FuncProfile(cp.Name)
-		if base.Checksum == 0 {
-			base.Checksum = cp.Checksum
-		}
-		base.Merge(cp)
-		return
-	}
-	newCtx := append(profdata.Context(nil), cp.Context[1:]...)
-	dst := prof.ContextProfile(newCtx)
-	if dst.Checksum == 0 {
-		dst.Checksum = cp.Checksum
-	}
-	wasMarked := dst.ShouldInline
-	dst.Merge(cp)
-	dst.ShouldInline = wasMarked
 }

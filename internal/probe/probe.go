@@ -13,6 +13,7 @@ import (
 	"slices"
 
 	"csspgo/internal/ir"
+	"csspgo/internal/profdata"
 )
 
 // InsertProgram inserts probes into every function of the program.
@@ -106,4 +107,18 @@ func BuildIndex(f *ir.Function) *Index {
 		}
 	}
 	return idx
+}
+
+// AppendInlineContext appends the context frames of an inline chain to ctx,
+// outermost first: one frame per call site the probe's function was inlined
+// through, keyed by that call's probe ID. It is the one place a probe's
+// InlinedAt chain (innermost first) becomes context frames, so the contexts
+// the profile generator mints and the keys the sample inliner looks up
+// cannot drift apart. A nil site appends nothing.
+func AppendInlineContext(ctx profdata.Context, site *ir.ProbeSite) profdata.Context {
+	if site == nil {
+		return ctx
+	}
+	ctx = AppendInlineContext(ctx, site.Parent)
+	return append(ctx, profdata.ContextFrame{Func: site.Func, Site: profdata.LocKey{ID: site.CallID}})
 }

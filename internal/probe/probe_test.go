@@ -2,11 +2,13 @@ package probe
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
+	"csspgo/internal/profdata"
 	"csspgo/internal/source"
 )
 
@@ -224,4 +226,35 @@ func verify(f *ir.Function) error {
 		}
 	}
 	return nil
+}
+
+// TestAppendInlineContext renders inline chains of depth 0 to 3 onto an
+// existing context, outermost call site first.
+func TestAppendInlineContext(t *testing.T) {
+	root := profdata.Context{{Func: "caller", Site: profdata.LocKey{ID: 9}}}
+	main7 := &ir.ProbeSite{Func: "main", CallID: 7}
+	mid2 := &ir.ProbeSite{Func: "mid", CallID: 2, Parent: main7}
+	inner4 := &ir.ProbeSite{Func: "inner", CallID: 4, Parent: mid2}
+	for depth, c := range []struct {
+		site *ir.ProbeSite
+		want string
+	}{
+		{nil, "caller:9"},
+		{main7, "caller:9 @ main:7"},
+		{mid2, "caller:9 @ main:7 @ mid:2"},
+		{inner4, "caller:9 @ main:7 @ mid:2 @ inner:4"},
+	} {
+		got := AppendInlineContext(slices.Clone(root), c.site)
+		// Key renders the last frame without its site; add a leaf.
+		got = append(got, profdata.ContextFrame{Func: "leaf"})
+		if key := got.Key(); key != c.want+" @ leaf" {
+			t.Errorf("chain %v: got %q, want %q", c.site, key, c.want+" @ leaf")
+		}
+		if len(got) != len(root)+depth+1 {
+			t.Errorf("chain %v: %d frames", c.site, len(got))
+		}
+	}
+	if got := AppendInlineContext(nil, nil); got != nil {
+		t.Errorf("nil chain onto nil context = %v, want nil", got)
+	}
 }

@@ -19,6 +19,3 @@ func (in *interner) intern(s string) string {
 	in.m[s] = s
 	return s
 }
-
-// Len reports how many distinct strings have been interned.
-func (in *interner) Len() int { return len(in.m) }

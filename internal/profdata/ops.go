@@ -1,9 +1,11 @@
 package profdata
 
+import "sort"
+
 // This file implements whole-profile transformations: merging context
-// profiles down to base profiles, cold-context trimming (the paper's
-// mitigation for the ~10x context-sensitive profile blowup on dense call
-// graphs), and flattening.
+// profiles down to base profiles, context promotion, cold-context trimming
+// (the paper's mitigation for the ~10x context-sensitive profile blowup on
+// dense call graphs), and flattening.
 
 // MergeContextIntoBase folds one context profile into the base profile of
 // its leaf function and removes it from the context table.
@@ -12,12 +14,45 @@ func (p *Profile) MergeContextIntoBase(key string) {
 	if fp == nil {
 		return
 	}
-	base := p.FuncProfile(fp.Name)
-	if base.Checksum == 0 {
-		base.Checksum = fp.Checksum
-	}
-	base.Merge(fp)
+	p.FuncProfile(fp.Name).Merge(fp)
 	delete(p.Contexts, key)
+}
+
+// RootedAt returns, in key order, the keys of the contexts of depth 2 or
+// more whose outermost frame is fn: the contexts a call made from fn can
+// inline, and the ones promoted when fn is done with them.
+func (p *Profile) RootedAt(fn string) []string {
+	var out []string
+	for key, cp := range p.Contexts {
+		if len(cp.Context) >= 2 && cp.Context[0].Func == fn {
+			out = append(out, key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Promote folds the context under key one frame toward its leaf, the step
+// both Algorithm 2's pre-inliner and the compile-time sample inliner take
+// for a context whose outermost call was not inlined: "A:1 @ B:2 @ C"
+// merges into "B:2 @ C", and a depth-2 context into its leaf's base
+// profile. The shorter context keeps ShouldInline if either side had it.
+// Promote returns the function whose base profile received the counts, or
+// "" when they stayed in a context (or key named none).
+func (p *Profile) Promote(key string) (base string) {
+	cp := p.Contexts[key]
+	if cp == nil {
+		return ""
+	}
+	if cp.Context.Depth() <= 2 {
+		p.MergeContextIntoBase(key)
+		return cp.Name
+	}
+	delete(p.Contexts, key)
+	dst := p.ContextProfile(cp.Context[1:])
+	dst.ShouldInline = dst.ShouldInline || cp.ShouldInline
+	dst.Merge(cp)
+	return ""
 }
 
 // flatten merges every context profile into base profiles, producing a

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -145,31 +146,57 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// TestPromoteReferencesAgree: on profiles nothing is marked in, the
-// pre-inliner's promotion of every context rooted at F and the sample
-// inliner's promotion loop for F produce the same profile, conserving
-// sample mass.
-func TestPromoteReferencesAgree(t *testing.T) {
-	checked := 0
+// TestPromoteMatchesReferences holds RootedAt and Promote to the
+// references on every golden CS profile: Promote of every context the
+// pre-inliner may promote (it promotes unmarked ones only) equals its
+// promote, and promoting every context rooted at F equals the sample
+// inliner's loop for F, the same leaves to re-annotate included. Every
+// promotion conserves sample mass.
+func TestPromoteMatchesReferences(t *testing.T) {
+	keys, roots := 0, 0
 	for path, p := range goldenCSProfiles(t) {
-		if !strings.HasSuffix(path, ".cs.prof") {
-			continue
+		for _, key := range p.SortedContextKeys() {
+			if p.Contexts[key].ShouldInline {
+				continue
+			}
+			want, got := p.Clone(), p.Clone()
+			referencePreinlinePromote(want, key)
+			got.Promote(key)
+			assertSameProfile(t, path+" promoting "+key, want, got)
+			assertConserved(t, path+" promoting "+key, p, got)
+			keys++
 		}
 		for _, fn := range contextRoots(p) {
-			a, b := p.Clone(), p.Clone()
-			for _, key := range referenceRootedContexts(a, fn) {
-				referencePreinlinePromote(a, key)
+			want, got := p.Clone(), p.Clone()
+			if w, g := referenceRootedContexts(want, fn), got.RootedAt(fn); !slices.Equal(w, g) {
+				t.Errorf("%s: RootedAt(%s) = %q, want %q", path, fn, g, w)
 			}
-			referencePromoteRootedAt(b, fn)
-			assertSameProfile(t, path+" rooted at "+fn, a, b)
-			if a.TotalSamples() != p.TotalSamples() {
-				t.Errorf("%s rooted at %s: promotion moved %d samples to %d", path, fn, p.TotalSamples(), a.TotalSamples())
+			wantRe := referencePromoteRootedAt(want, fn)
+			gotRe := map[string]bool{}
+			for _, key := range got.RootedAt(fn) {
+				if base := got.Promote(key); base != "" {
+					gotRe[base] = true
+				}
 			}
-			checked++
+			assertSameProfile(t, path+" rooted at "+fn, want, got)
+			assertConserved(t, path+" rooted at "+fn, p, got)
+			if !maps.Equal(wantRe, gotRe) {
+				t.Errorf("%s rooted at %s: base profiles to re-annotate %v, want %v", path, fn, sortedKeys(gotRe), sortedKeys(wantRe))
+			}
+			roots++
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no context root checked")
+	if keys == 0 || roots == 0 {
+		t.Fatalf("checked %d keys and %d roots", keys, roots)
+	}
+	t.Logf("%d promotions and %d roots checked", keys, roots)
+}
+
+// assertConserved fails unless promotion kept the profile's sample mass.
+func assertConserved(t *testing.T, what string, before, after *Profile) {
+	t.Helper()
+	if b, a := before.TotalSamples(), after.TotalSamples(); a != b {
+		t.Errorf("%s: %d samples became %d", what, b, a)
 	}
 }
 

@@ -51,9 +51,9 @@ func contextWeights(p *profdata.Profile) map[string]uint64 {
 	return w
 }
 
-// flatFuncTotals returns per-function flattened body-sample totals: what
+// FlatFuncTotals returns per-function flattened body-sample totals: what
 // p.Flat() holds, summed without cloning the profile.
-func flatFuncTotals(p *profdata.Profile) map[string]uint64 {
+func FlatFuncTotals(p *profdata.Profile) map[string]uint64 {
 	totals := make(map[string]uint64, len(p.Funcs))
 	for name, fp := range p.Funcs {
 		totals[name] += fp.TotalSamples
@@ -114,7 +114,7 @@ func DiffProfiles(old, new *profdata.Profile) ProfileDiff {
 	sort.Strings(d.Lost)
 	d.ContextOverlap = overlap
 
-	of, nf := flatFuncTotals(old), flatFuncTotals(new)
+	of, nf := FlatFuncTotals(old), FlatFuncTotals(new)
 	fKeys := make([]string, 0, len(of))
 	for name := range of {
 		fKeys = append(fKeys, name)

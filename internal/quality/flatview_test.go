@@ -75,7 +75,7 @@ func TestFlatTotalsMatchFlat(t *testing.T) {
 		for name, fp := range flat.Funcs {
 			want[name] = fp.TotalSamples
 		}
-		got := flatFuncTotals(p)
+		got := FlatFuncTotals(p)
 		if len(got) != len(want) {
 			t.Errorf("%s: %d flat totals, Flat has %d functions", path, len(got), len(want))
 		}

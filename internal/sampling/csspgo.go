@@ -3,6 +3,7 @@ package sampling
 import (
 	"csspgo/internal/machine"
 	"csspgo/internal/obs"
+	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sim"
 )
@@ -59,19 +60,11 @@ func GenerateCSSPGO(bin *machine.Prog, samples []sim.Sample, opts CSSPGOOptions)
 // contextForProbe builds the full context of one probe record into dst
 // (reusing its backing array): the caller frames recovered by the unwinder,
 // the probe's inline chain (outermost first), and the probe's defining
-// function as leaf. The result aliases dst; Profile.ContextProfile copies a
-// context it has to keep.
+// function as leaf, keeping the innermost maxDepth frames (0 = all). The
+// result aliases dst; Profile.ContextProfile copies a context it has to
+// keep.
 func contextForProbe(dst, callerCtx profdata.Context, rec *machine.ProbeRec, maxDepth int) profdata.Context {
-	ctx := append(dst[:0], callerCtx...)
-	// The InlinedAt chain is innermost-first: append it, then reverse it in
-	// place.
-	chain := len(ctx)
-	for s := rec.InlinedAt; s != nil; s = s.Parent {
-		ctx = append(ctx, profdata.ContextFrame{Func: s.Func, Site: profdata.LocKey{ID: s.CallID}})
-	}
-	for i, j := chain, len(ctx)-1; i < j; i, j = i+1, j-1 {
-		ctx[i], ctx[j] = ctx[j], ctx[i]
-	}
+	ctx := probe.AppendInlineContext(append(dst[:0], callerCtx...), rec.InlinedAt)
 	ctx = append(ctx, profdata.ContextFrame{Func: rec.Func})
 	if maxDepth > 0 && len(ctx) > maxDepth {
 		// Slide the innermost frames to the front, so that the result still

@@ -3,6 +3,8 @@ package sampling
 import (
 	"testing"
 
+	"csspgo/internal/ir"
+	"csspgo/internal/machine"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sim"
 )
@@ -81,6 +83,38 @@ func TestGenerateAutoFDOWithNoSamples(t *testing.T) {
 	prof := GenerateAutoFDO(bin, nil, FlatOptions{})
 	if prof.TotalSamples() != 0 {
 		t.Fatalf("empty input should be empty: %v", prof)
+	}
+}
+
+// TestContextForProbeKeepsInnermostFrames: a probe's full context is the
+// caller frames, its inline chain outermost first and its function as
+// leaf; MaxContextDepth keeps the innermost frames, in the buffer passed in.
+func TestContextForProbeKeepsInnermostFrames(t *testing.T) {
+	// leaf is inlined into mid at call 4, mid into handle at call 2, and
+	// handle runs under main:3 @ serve:5.
+	callers := profdata.NewContext("main", 3, "serve", 5)
+	rec := &machine.ProbeRec{Func: "leaf", ID: 1, Kind: ir.ProbeBlock,
+		InlinedAt: &ir.ProbeSite{Func: "mid", CallID: 4, Parent: &ir.ProbeSite{Func: "handle", CallID: 2}}}
+	full := "main:3 @ serve:5 @ handle:2 @ mid:4 @ leaf"
+	for _, c := range []struct {
+		maxDepth int
+		want     string
+	}{
+		{0, full},
+		{5, full},
+		{6, full},
+		{4, "serve:5 @ handle:2 @ mid:4 @ leaf"},
+		{2, "mid:4 @ leaf"},
+		{1, "leaf"},
+	} {
+		buf := make(profdata.Context, 0, 8)
+		got := contextForProbe(buf, callers, rec, c.maxDepth)
+		if key := got.Key(); key != c.want {
+			t.Errorf("MaxContextDepth %d: got %q, want %q", c.maxDepth, key, c.want)
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Errorf("MaxContextDepth %d: result does not start at the buffer passed in", c.maxDepth)
+		}
 	}
 }
 

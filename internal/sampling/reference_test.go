@@ -93,7 +93,7 @@ func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *tailCallGraph, op
 			}
 			var callerCtx profdata.Context
 			if !cr.Truncated {
-				callerCtx = u.contextOf(cr.Callers, leafFn.Name, profdata.ProbeBased)
+				callerCtx = u.contextOf(nil, cr.Callers, leafFn.Name)
 			}
 			lo, hi := instrsIn(bin, cr.R.Begin, cr.R.End)
 			for i := lo; i < hi; i++ {

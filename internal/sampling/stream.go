@@ -34,9 +34,9 @@ package sampling
 //     they can never be the minimum.
 //   - unwinder stats: per-sample stats are position-independent sums (a
 //     group adds n). Context-resolution stats (MissingFrameEvents & co.)
-//     are defined as per-lookup replays of a per-context delta (see
-//     ctxEntry); workers count lookups during ingestion and Finish adds
-//     delta × lookups.
+//     are defined per lookup, and every lookup of a raw context resolves
+//     it the same way: workers count lookups during ingestion, and Finish
+//     resolves each distinct context once and adds its delta × lookups.
 //
 // Deferred context resolution is the other half of the throughput: a
 // per-sample loop runs contextOf + context-key hashing once per range,
@@ -612,8 +612,9 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending)))
 	ru := newUnwinder(s.bin, tails)
 	ru.AssumeAligned = s.opts.AssumeAligned
-	// ctxBuf is rebuilt for every probe of every range; ContextProfile
-	// copies the context it has to keep.
+	// callerCtx is rebuilt for every pending context and ctxBuf for every
+	// probe of every range; ContextProfile copies the context it has to
+	// keep.
 	var callerCtx, ctxBuf profdata.Context
 	inContext := func(rec *machine.ProbeRec) *profdata.FunctionProfile {
 		ctxBuf = contextForProbe(ctxBuf, callerCtx, rec, s.opts.MaxContextDepth)
@@ -621,7 +622,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	}
 	for _, pc := range pending {
 		before := ru.Stats
-		callerCtx = ru.contextOf(pc.callers, pc.leaf.Name, profdata.ProbeBased)
+		callerCtx = ru.contextOf(callerCtx, pc.callers, pc.leaf.Name)
 		// Inference-stat deltas are defined per lookup; contextOf above
 		// charged them once, add the rest.
 		if n := pc.lookups - 1; n > 0 {

@@ -5,6 +5,7 @@ import (
 
 	"csspgo/internal/ir"
 	"csspgo/internal/machine"
+	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/sim"
 )
@@ -76,33 +77,17 @@ type unwinder struct {
 	// AssumeAligned skips skid detection (PEBS ablation only).
 	AssumeAligned bool
 
-	ctxCache map[string]ctxEntry
-
-	// Per-call scratch, reused across unwind/contextOf calls so the
-	// steady-state hot path does not allocate.
-	keyBuf     []byte
+	// Per-call scratch, reused across unwind calls so the steady-state hot
+	// path does not allocate.
 	callersBuf []uint64
 	fromBuf    []int32 // decode of the sample being unwound
 	outBuf     []ctxRange
 	arena      []uint64 // backing store for the returned Callers slices
 }
 
-// ctxEntry memoizes one resolved context together with the inference-stat
-// deltas its construction produced. Replaying the deltas on every cache hit
-// keeps the stats proportional to lookups, not cache misses — otherwise a
-// sharded run (one private cache per worker) would rebuild and re-count the
-// same context up to once per worker and the stats would depend on the
-// worker count.
-type ctxEntry struct {
-	ctx       profdata.Context
-	missing   int
-	recovered int
-	frames    int
-}
-
 // newUnwinder returns an unwinder over bin. tails may be nil.
 func newUnwinder(bin *machine.Prog, tails *tailCallGraph) *unwinder {
-	return &unwinder{bin: bin, ix: bin.Index(), tails: tails, ctxCache: map[string]ctxEntry{}}
+	return &unwinder{bin: bin, ix: bin.Index(), tails: tails}
 }
 
 // decode returns the instruction index of every record's branch source (-1
@@ -206,25 +191,14 @@ func (u *unwinder) unwind(s *sim.Sample, from []int32, n int) []ctxRange {
 	return out
 }
 
-// contextOf converts a virtual caller stack into profile context frames
-// (outermost first), expanding inlined call sites via debug info or probe
-// metadata and repairing tail-call holes via the tail-call graph. The
-// returned context holds caller frames only — the caller appends the leaf
-// frame(s). leafFunc is the physical function the ranges execute in.
-func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Kind) profdata.Context {
-	// The map lookup through string(keyBuf) compiles to a no-copy probe, so
-	// the cache-hit path allocates nothing; the key is materialized as a
-	// string only when a new entry must be stored.
-	u.keyBuf = appendCacheKey(u.keyBuf[:0], callers, leafFunc, kind)
-	if e, ok := u.ctxCache[string(u.keyBuf)]; ok {
-		u.Stats.MissingFrameEvents += e.missing
-		u.Stats.EventsRecovered += e.recovered
-		u.Stats.FramesRecovered += e.frames
-		return e.ctx
-	}
-	key := string(u.keyBuf)
-	var ctx profdata.Context
-	var e ctxEntry
+// contextOf appends the profile context frames of a virtual caller stack
+// to dst (outermost first), expanding inlined call sites via probe metadata
+// and repairing tail-call holes via the tail-call graph. The result holds
+// caller frames only — the caller appends the leaf frame(s). leafFunc is the
+// physical function the ranges execute in. Every caller/callee mismatch
+// counts into Stats, once per call.
+func (u *unwinder) contextOf(dst profdata.Context, callers []uint64, leafFunc string) profdata.Context {
+	ctx := dst[:0]
 	for i, resume := range callers {
 		call := u.callSiteBefore(resume)
 		if call == nil {
@@ -232,8 +206,7 @@ func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Ki
 			ctx = ctx[:0]
 			continue
 		}
-		frames := u.callSiteFrames(call, kind)
-		ctx = append(ctx, frames...)
+		ctx = u.appendCallSite(ctx, call)
 		// Static target vs. observed next frame: repair tail-call holes.
 		target := u.bin.Funcs[call.CalleeID].Name
 		next := leafFunc
@@ -243,25 +216,19 @@ func (u *unwinder) contextOf(callers []uint64, leafFunc string, kind profdata.Ki
 			}
 		}
 		if target != next {
-			e.missing++
+			u.Stats.MissingFrameEvents++
 			if u.tails != nil {
 				if path := u.tails.inferPath(target, next); path != nil {
 					for _, pe := range path {
-						site := u.siteOfAddr(pe.SiteAddr, pe.From, kind)
-						ctx = append(ctx, profdata.ContextFrame{Func: pe.From, Site: site})
+						ctx = append(ctx, profdata.ContextFrame{Func: pe.From, Site: u.callProbeAt(pe.SiteAddr, pe.From)})
 					}
-					e.recovered++
-					e.frames += len(path)
+					u.Stats.EventsRecovered++
+					u.Stats.FramesRecovered += len(path)
 				}
 			}
 		}
 	}
-	e.ctx = append(profdata.Context(nil), ctx...)
-	u.ctxCache[key] = e
-	u.Stats.MissingFrameEvents += e.missing
-	u.Stats.EventsRecovered += e.recovered
-	u.Stats.FramesRecovered += e.frames
-	return e.ctx
+	return ctx
 }
 
 // callSiteBefore finds the call/tail-call instruction immediately preceding
@@ -278,78 +245,42 @@ func (u *unwinder) callSiteBefore(resume uint64) *machine.Instr {
 	return in
 }
 
-// callSiteFrames expands one physical call site into context frames
-// (outermost first): inline frames the call was compiled through, then the
-// frame of the function textually containing the call, each with its call
-// site in the chosen key space.
-func (u *unwinder) callSiteFrames(call *machine.Instr, kind profdata.Kind) []profdata.ContextFrame {
-	if kind == profdata.ProbeBased {
-		for _, pi := range u.ix.ProbeIndicesAt(call.Addr) {
-			rec := &u.bin.Probes[pi]
-			if rec.Kind != ir.ProbeCall {
-				continue
-			}
-			// InlinedAt chain is innermost-first; reverse it.
-			var chain []profdata.ContextFrame
-			for s := rec.InlinedAt; s != nil; s = s.Parent {
-				chain = append(chain, profdata.ContextFrame{Func: s.Func, Site: profdata.LocKey{ID: s.CallID}})
-			}
-			out := make([]profdata.ContextFrame, 0, len(chain)+1)
-			for i := len(chain) - 1; i >= 0; i-- {
-				out = append(out, chain[i])
-			}
-			return append(out, profdata.ContextFrame{Func: rec.Func, Site: profdata.LocKey{ID: rec.ID}})
+// appendCallSite appends the context frames of one physical call site to
+// ctx (outermost first): the inline frames its call probe was compiled
+// through, then the frame of the function textually containing the call,
+// keyed by the call probe.
+func (u *unwinder) appendCallSite(ctx profdata.Context, call *machine.Instr) profdata.Context {
+	for _, pi := range u.ix.ProbeIndicesAt(call.Addr) {
+		if rec := &u.bin.Probes[pi]; rec.Kind == ir.ProbeCall {
+			ctx = probe.AppendInlineContext(ctx, rec.InlinedAt)
+			return append(ctx, profdata.ContextFrame{Func: rec.Func, Site: profdata.LocKey{ID: rec.ID}})
 		}
-		// No call probe (e.g. probe-less build); fall back to symbol+0.
-		if f := u.ix.FuncAt(call.Addr); f != nil {
-			return []profdata.ContextFrame{{Func: f.Name}}
-		}
-		return nil
 	}
-	// Line-based: the Loc chain is innermost-first.
-	frames := u.bin.InlinedFramesAt(call.Addr)
-	out := make([]profdata.ContextFrame, 0, len(frames))
-	for i := len(frames) - 1; i >= 0; i-- {
-		fr := frames[i]
-		site := profdata.LocKey{Disc: fr.Disc}
-		if fn := u.bin.FuncByName[fr.Func]; fn != nil {
-			site = lineLoc(fr, fn)
-		}
-		out = append(out, profdata.ContextFrame{Func: fr.Func, Site: site})
+	// No call probe (e.g. probe-less build); fall back to symbol+0.
+	if f := u.ix.FuncAt(call.Addr); f != nil {
+		return append(ctx, profdata.ContextFrame{Func: f.Name})
 	}
-	return out
+	return ctx
 }
 
-// siteOfAddr keys the instruction at addr within function fn.
-func (u *unwinder) siteOfAddr(addr uint64, fn string, kind profdata.Kind) profdata.LocKey {
-	if kind == profdata.ProbeBased {
-		for _, pi := range u.ix.ProbeIndicesAt(addr) {
-			if rec := &u.bin.Probes[pi]; rec.Kind == ir.ProbeCall && rec.Func == fn {
-				return profdata.LocKey{ID: rec.ID}
-			}
-		}
-		return profdata.LocKey{}
-	}
-	frames := u.bin.InlinedFramesAt(addr)
-	if len(frames) > 0 {
-		if f := u.bin.FuncByName[frames[0].Func]; f != nil {
-			return lineLoc(frames[0], f)
+// callProbeAt keys the call instruction at addr within function fn by its
+// call probe (the zero key when it has none).
+func (u *unwinder) callProbeAt(addr uint64, fn string) profdata.LocKey {
+	for _, pi := range u.ix.ProbeIndicesAt(addr) {
+		if rec := &u.bin.Probes[pi]; rec.Kind == ir.ProbeCall && rec.Func == fn {
+			return profdata.LocKey{ID: rec.ID}
 		}
 	}
 	return profdata.LocKey{}
 }
 
-// cacheKey renders one (callers, leaf, kind) triple injectively. The caller
-// count is length-prefixed and addresses are fixed-width, so the boundary
-// between the address block and the leaf name is unambiguous — without the
-// prefix, a context of N callers could alias a context of N-1 callers whose
-// leaf name happened to start with the missing address's bytes.
-func cacheKey(callers []uint64, leaf string, kind profdata.Kind) string {
-	return string(appendCacheKey(nil, callers, leaf, kind))
-}
-
-// appendCacheKey renders the key into dst (reusing its backing array), so
-// hot paths can probe key-indexed maps without materializing a string.
+// appendCacheKey renders one (callers, leaf, kind) triple injectively into
+// dst (reusing its backing array), so hot paths can probe key-indexed maps
+// without materializing a string. The caller count is length-prefixed and
+// addresses are fixed-width, so the boundary between the address block and
+// the leaf name is unambiguous — without the prefix, a context of N callers
+// could alias a context of N-1 callers whose leaf name happened to start
+// with the missing address's bytes.
 func appendCacheKey(dst []byte, callers []uint64, leaf string, kind profdata.Kind) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(callers)))
 	for _, a := range callers {

@@ -151,6 +151,12 @@ func TestLineLocClampsNegativeOffset(t *testing.T) {
 
 // -------------------------------------------- satellite: cache-key aliasing
 
+// cacheKey renders one (callers, leaf, kind) triple as appendCacheKey does,
+// as a string.
+func cacheKey(callers []uint64, leaf string, kind profdata.Kind) string {
+	return string(appendCacheKey(nil, callers, leaf, kind))
+}
+
 // TestCacheKeyInjective feeds pairs that collided under the old delimiter-free
 // encoding (address bytes ran straight into the leaf name) and requires
 // distinct keys for distinct triples.

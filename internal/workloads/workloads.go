@@ -46,8 +46,6 @@ func (r *rng) next() uint64 {
 	return x
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // stream builds n requests of the given arity with bounded magnitudes.
 func stream(seed uint64, n, arity int, bound int64) [][]int64 {
 	r := rng(seed)
