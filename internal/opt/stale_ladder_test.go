@@ -8,6 +8,7 @@ import (
 	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/source"
+	"csspgo/internal/stale"
 )
 
 // ladderOldSrc is the profiled version. work drifts recoverably in the new
@@ -157,5 +158,42 @@ func TestOptimizeDegradationLadder(t *testing.T) {
 	}
 	if off.MatchedFuncs != 0 || off.FlatFallbackFuncs != 0 || off.RecoveredProbes != 0 {
 		t.Errorf("matching disabled but ladder used: %+v", off)
+	}
+}
+
+// TestSampleInlineSweepCountsDroppedStaleBases: a context no turn of the
+// sample inliner reaches (its root is not in the program) folds into its
+// leaf's base profile in the safety-net sweep, which re-annotates the leaf
+// down the ladder. Without a matcher the stale base is dropped and counts
+// as a stale function; with one it lands on the flat fallback and the
+// sweep counts nothing (Annotate already classified the function).
+func TestSampleInlineSweepCountsDroppedStaleBases(t *testing.T) {
+	oldMix := ladderProgram(t, ladderOldSrc).Funcs["mix"]
+	for _, c := range []struct {
+		m    *stale.Matcher
+		want int
+	}{{nil, 1}, {stale.NewMatcher(), 0}} {
+		prog := ladderProgram(t, ladderNewSrc)
+		prof := profdata.New(profdata.ProbeBased, true)
+		for _, fp := range []*profdata.FunctionProfile{
+			prof.FuncProfile("mix"),
+			prof.ContextProfile(profdata.NewContext("ghost", 1, "mix")),
+		} {
+			fp.Checksum = oldMix.Checksum
+			fp.HeadSamples = 10
+			fp.AddBody(profdata.LocKey{ID: 1}, 10)
+		}
+		var st Stats
+		sampleInlineCS(prog, prof, c.m, &st)
+		if st.StaleFuncs != c.want {
+			t.Errorf("matcher %v: StaleFuncs = %d, want %d", c.m != nil, st.StaleFuncs, c.want)
+		}
+		if len(prof.Contexts) != 0 || prof.Funcs["mix"].TotalSamples != 20 {
+			t.Errorf("matcher %v: the sweep left %d contexts and %d samples in mix's base, want 0 and 20",
+				c.m != nil, len(prof.Contexts), prof.Funcs["mix"].TotalSamples)
+		}
+		if mix := prog.Funcs["mix"]; mix.HasProfile != (c.m != nil) {
+			t.Errorf("matcher %v: mix annotated = %v", c.m != nil, mix.HasProfile)
+		}
 	}
 }
