@@ -96,10 +96,7 @@ func sampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st 
 				}
 			}
 		}
-		// Leftover contexts rooted at F: the calls were not inlined, so
-		// each callee runs standalone and its context counts move one
-		// frame down; a base profile that received counts is
-		// re-annotated.
+		// Promote what F did not inline (see above).
 		reannotate := map[string]bool{}
 		for _, key := range prof.RootedAt(name) {
 			if base := prof.Promote(key); base != "" {
