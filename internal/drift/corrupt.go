@@ -90,23 +90,30 @@ func Corrupt(data []byte, c Corruption, seed uint64) []byte {
 }
 
 // editTextSection applies edit to one randomly chosen section (a "[...]"
-// header plus its following lines) of a text profile.
+// header plus its following data lines) of a text profile. A comment line,
+// such as the closing "# end", ends a section too, so it is never edited.
 func editTextSection(data []byte, r *rng, edit func([]byte) []byte) []byte {
 	lines := bytes.SplitAfter(data, []byte("\n"))
-	var starts []int
+	var starts, bounds []int
 	for i, ln := range lines {
-		if bytes.HasPrefix(bytes.TrimSpace(ln), []byte("[")) {
+		switch ln = bytes.TrimSpace(ln); {
+		case bytes.HasPrefix(ln, []byte("[")):
 			starts = append(starts, i)
+			bounds = append(bounds, i)
+		case bytes.HasPrefix(ln, []byte("#")):
+			bounds = append(bounds, i)
 		}
 	}
 	if len(starts) == 0 {
 		return data
 	}
-	k := r.intn(len(starts))
-	begin := starts[k]
+	begin := starts[r.intn(len(starts))]
 	end := len(lines)
-	if k+1 < len(starts) {
-		end = starts[k+1]
+	for _, b := range bounds {
+		if b > begin {
+			end = b
+			break
+		}
 	}
 	var section []byte
 	for _, ln := range lines[begin:end] {

@@ -42,32 +42,26 @@ func (e Entry) Key() string {
 
 // Folded flattens a profile into folded-stack entries: one entry per
 // calling context (weight = the context's body samples) plus one
-// single-frame entry per base function profile (flat residue). Entries with
-// identical stacks merge; the result is sorted by stack key, so the export
-// is deterministic for any map iteration order.
+// single-frame entry per base function profile (flat residue). A context
+// has at least two frames, so no two entries share a stack; the result is
+// sorted by stack key, so the export is deterministic for any map
+// iteration order.
 func Folded(p *profdata.Profile) []Entry {
-	byKey := map[string]*Entry{}
+	byKey := make(map[string]*Entry, len(p.Funcs)+len(p.Contexts))
 	add := func(frames profdata.Context, w uint64) {
-		if w == 0 || len(frames) == 0 {
+		if w == 0 {
 			return
 		}
 		e := Entry{Frames: append(profdata.Context(nil), frames...), Weight: w}
-		// The leaf frame's site is meaningless; clear it so merged keys and
-		// re-parsed entries compare equal.
+		// The leaf frame's site is meaningless; clear it so re-parsed
+		// entries compare equal.
 		e.Frames[len(e.Frames)-1].Site = profdata.LocKey{}
-		key := e.Key()
-		if cur, ok := byKey[key]; ok {
-			cur.Weight += w
-			return
-		}
-		byKey[key] = &e
+		byKey[e.Key()] = &e
 	}
-	for _, name := range p.SortedFuncNames() {
-		fp := p.Funcs[name]
+	for name, fp := range p.Funcs {
 		add(profdata.Context{{Func: name}}, fp.TotalSamples)
 	}
-	for _, key := range p.SortedContextKeys() {
-		fp := p.Contexts[key]
+	for _, fp := range p.Contexts {
 		add(fp.Context, fp.TotalSamples)
 	}
 	return sortEntries(byKey)

@@ -185,15 +185,10 @@ func prepareCSProfile(prof *profdata.Profile, useDecisions bool, hotThreshold ui
 	for _, key := range prof.SortedContextKeys() {
 		cp := prof.Contexts[key]
 		keep := false
-		// Depth-1 contexts (a bare function) have no caller frame and are
-		// never inline candidates; they are the function's own top-level
-		// samples and always fold into its base profile.
-		if cp.Context.Depth() > 1 {
-			if useDecisions {
-				keep = cp.ShouldInline
-			} else if hotThreshold > 0 {
-				keep = cp.TotalSamples >= hotThreshold
-			}
+		if useDecisions {
+			keep = cp.ShouldInline
+		} else if hotThreshold > 0 {
+			keep = cp.TotalSamples >= hotThreshold
 		}
 		if keep {
 			kept++

@@ -15,7 +15,7 @@ import (
 // Profile-confidence scoring: a sampled profile is an estimate, and the
 // estimate's relative error per function is ~1/sqrt(n) for n samples
 // (Poisson counting). Joining that with probe coverage yields the three
-// classes ROADMAP item 5's governor acts on: hot-confident (trust and
+// classes ROADMAP item 3's governor acts on: hot-confident (trust and
 // optimize), hot-uncertain (densify sampling), cold-instrumented (candidate
 // probes to drop).
 

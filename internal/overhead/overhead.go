@@ -4,7 +4,7 @@
 // artifact, and scores profile confidence per function from sample counts
 // at the configured sampling period. The paper's pseudo-instrumentation
 // argument is an overhead argument — probes are "free" only if the cost
-// ledger shows where every profiling cycle lands — and ROADMAP item 5's
+// ledger shows where every profiling cycle lands — and ROADMAP item 3's
 // adaptive governor consumes exactly this ledger.
 package overhead
 

@@ -20,8 +20,8 @@ type Params struct {
 }
 
 // DeriveParams picks thresholds from the profile's sample distribution: a
-// context is "hot" when its entry count reaches the 90th percentile of
-// non-zero context entry counts.
+// context is "hot" when its entry count reaches the median of non-zero
+// context entry counts.
 func DeriveParams(prof *profdata.Profile) Params {
 	var heads []uint64
 	for _, cp := range prof.Contexts {

@@ -139,6 +139,25 @@ func EncodeBinary(p *Profile) []byte {
 type binReader struct {
 	r       *bytes.Reader
 	strings []string
+	// bad is the first reason the record being read cannot be kept. The
+	// record is still read to its end, so the stream stays in step.
+	bad error
+}
+
+// reject records why the current record cannot be kept (nil: no reason).
+func (r *binReader) reject(err error) {
+	if r.bad == nil {
+		r.bad = err
+	}
+}
+
+// name reads a function name and holds it to the text reader's rules.
+func (r *binReader) name() (string, error) {
+	s, err := r.str()
+	if err == nil {
+		r.reject(checkName(s))
+	}
+	return s, err
 }
 
 func (r *binReader) uvarint() (uint64, error) { return binary.ReadUvarint(r.r) }
@@ -209,6 +228,10 @@ func (r *binReader) funcProfile(fp *FunctionProfile) error {
 		if err != nil {
 			return err
 		}
+		if addOverflows(fp.TotalSamples, n) {
+			r.reject(fmt.Errorf("profdata: body count overflows"))
+			continue
+		}
 		fp.AddBody(loc, n)
 	}
 	nc, err := r.uvarint()
@@ -225,13 +248,17 @@ func (r *binReader) funcProfile(fp *FunctionProfile) error {
 			return err
 		}
 		for j := uint64(0); j < nt; j++ {
-			callee, err := r.str()
+			callee, err := r.name()
 			if err != nil {
 				return err
 			}
 			n, err := r.uvarint()
 			if err != nil {
 				return err
+			}
+			if addOverflows(fp.Calls[loc][callee], n) {
+				r.reject(fmt.Errorf("profdata: call count overflows"))
+				continue
 			}
 			fp.AddCall(loc, callee, n)
 		}
@@ -250,8 +277,19 @@ func clampRecords(n uint64) int {
 }
 
 // install merges one decoded record into the profile's entry, preserving
-// flag semantics for (corrupt) inputs that repeat a record.
-func install(dst, src *FunctionProfile) {
+// flag semantics for (corrupt) inputs that repeat a record. A record whose
+// counts would wrap the entry's is rejected instead.
+func (r *binReader) install(dst, src *FunctionProfile) {
+	overflow := addOverflows(dst.TotalSamples, src.TotalSamples) || addOverflows(dst.HeadSamples, src.HeadSamples)
+	for loc, m := range src.Calls {
+		for callee, n := range m {
+			overflow = overflow || addOverflows(dst.Calls[loc][callee], n)
+		}
+	}
+	if overflow {
+		r.reject(fmt.Errorf("profdata: repeated record's counts overflow"))
+		return
+	}
 	dst.Merge(src)
 	dst.ShouldInline = dst.ShouldInline || src.ShouldInline
 }
@@ -281,12 +319,30 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		return p, stats, nil
 	}
 
+	// keep installs a record read whole into the entry named by entry
+	// (only called for a record with no fault), or settles one that broke
+	// a rule: strict aborts, lenient counts it and reads on.
+	keep := func(entry func() *FunctionProfile, tmp *FunctionProfile) error {
+		if r.bad == nil {
+			r.install(entry(), tmp)
+		}
+		if r.bad == nil {
+			return nil
+		}
+		if !lenient {
+			return r.bad
+		}
+		stats.SkippedRecords++
+		return nil
+	}
+
 	nf, err := r.uvarint()
 	if err != nil {
 		return bail(1, err)
 	}
 	for i := uint64(0); i < nf; i++ {
-		name, err := r.str()
+		r.bad = nil
+		name, err := r.name()
 		if err != nil {
 			return bail(nf-i, err)
 		}
@@ -294,47 +350,41 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		if err := r.funcProfile(tmp); err != nil {
 			return bail(nf-i, err)
 		}
-		install(p.FuncProfile(name), tmp)
+		if err := keep(func() *FunctionProfile { return p.FuncProfile(name) }, tmp); err != nil {
+			return nil, stats, err
+		}
 	}
 	nctx, err := r.uvarint()
 	if err != nil {
 		return bail(1, err)
 	}
 	for i := uint64(0); i < nctx; i++ {
+		r.bad = nil
 		depth, err := r.uvarint()
 		if err != nil {
 			return bail(nctx-i, err)
 		}
-		if depth == 0 || depth > 1024 {
+		if depth == 0 || depth > maxContextDepth {
 			return bail(nctx-i, fmt.Errorf("profdata: context depth %d implausible", depth))
 		}
 		ctx := make(Context, depth)
-		bad := false
-		for j := uint64(0); j < depth; j++ {
-			fn, err := r.str()
-			if err != nil {
+		for j := range ctx {
+			if ctx[j].Func, err = r.name(); err != nil {
 				return bail(nctx-i, err)
 			}
-			ctx[j].Func = fn
-			if fn == "" {
-				bad = true
-			}
-			if j != depth-1 {
+			if j != len(ctx)-1 {
 				if ctx[j].Site, err = r.loc(); err != nil {
 					return bail(nctx-i, err)
 				}
 			}
 		}
-		if bad {
-			// An empty frame name cannot round-trip through the canonical
-			// context key; reject the record rather than corrupt the table.
-			return bail(nctx-i, fmt.Errorf("profdata: empty context frame name"))
-		}
 		tmp := NewFunctionProfile(ctx.Leaf())
 		if err := r.funcProfile(tmp); err != nil {
 			return bail(nctx-i, err)
 		}
-		install(p.ContextProfile(ctx), tmp)
+		if err := keep(func() *FunctionProfile { return p.ContextProfile(ctx) }, tmp); err != nil {
+			return nil, stats, err
+		}
 	}
 	return p, stats, nil
 }

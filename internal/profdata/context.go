@@ -2,8 +2,8 @@ package profdata
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ContextFrame is one frame of a calling context. For every frame except
@@ -98,49 +98,51 @@ func (c Context) Equal(o Context) bool {
 	return true
 }
 
-// ParseContext parses a canonical context key produced by Key.
+// maxContextDepth bounds the frames of a decoded context, in either
+// encoding.
+const maxContextDepth = 1024
+
+// maxNameLen bounds a decoded function name, in either encoding.
+const maxNameLen = 1 << 20
+
+// checkName is the one name check both decoders apply: a name must be one
+// the text format can carry back unchanged, so it is non-empty, bounded,
+// and free of whitespace (the field separator), ':' (the call-site
+// separator) and '@' (the frame separator).
+func checkName(s string) error {
+	if s == "" || len(s) > maxNameLen || strings.ContainsAny(s, ":@") || strings.IndexFunc(s, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("malformed function name %q", s)
+	}
+	return nil
+}
+
+// ParseContext parses a canonical context key produced by Key. A key
+// without a call site parses as a one-frame context: a base profile's name.
 func ParseContext(s string) (Context, error) {
 	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
 	parts := strings.Split(s, " @ ")
-	ctx := make(Context, 0, len(parts))
+	if len(parts) > maxContextDepth {
+		return nil, fmt.Errorf("context of %d frames is deeper than %d", len(parts), maxContextDepth)
+	}
+	ctx := make(Context, len(parts))
 	for i, part := range parts {
-		part = strings.TrimSpace(part)
-		if i == len(parts)-1 {
-			// Leaf: bare function name.
-			if part == "" || strings.ContainsAny(part, " @:") {
-				return nil, fmt.Errorf("malformed leaf frame %q in context %q", part, s)
+		fn := strings.TrimSpace(part)
+		if i != len(parts)-1 {
+			// Every frame but the leaf carries its call site.
+			colon := strings.LastIndexByte(fn, ':')
+			if colon < 0 {
+				return nil, fmt.Errorf("frame %q missing call site in context %q", part, s)
 			}
-			ctx = append(ctx, ContextFrame{Func: part})
-			continue
-		}
-		colon := strings.LastIndexByte(part, ':')
-		if colon < 0 {
-			return nil, fmt.Errorf("frame %q missing call site in context %q", part, s)
-		}
-		fn := part[:colon]
-		siteStr := part[colon+1:]
-		var site LocKey
-		if dot := strings.IndexByte(siteStr, '.'); dot >= 0 {
-			id, err := strconv.ParseInt(siteStr[:dot], 10, 32)
+			site, err := parseLocKey(fn[colon+1:])
 			if err != nil {
 				return nil, fmt.Errorf("bad site in %q: %v", part, err)
 			}
-			disc, err := strconv.ParseInt(siteStr[dot+1:], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("bad discriminator in %q: %v", part, err)
-			}
-			site = LocKey{ID: int32(id), Disc: int32(disc)}
-		} else {
-			id, err := strconv.ParseInt(siteStr, 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("bad site in %q: %v", part, err)
-			}
-			site = LocKey{ID: int32(id)}
+			fn, ctx[i].Site = fn[:colon], site
 		}
-		ctx = append(ctx, ContextFrame{Func: fn, Site: site})
+		if err := checkName(fn); err != nil {
+			return nil, fmt.Errorf("context %q: %v", s, err)
+		}
+		ctx[i].Func = fn
 	}
 	return ctx, nil
 }

@@ -1,6 +1,7 @@
 package profdata
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -24,65 +25,76 @@ func fuzzSeedProfile() *Profile {
 	return p
 }
 
-// FuzzReadText checks, from a text seed corpus, that Decode/DecodeLenient
-// never panic, that strict and lenient decoding agree on well-formed input,
-// and that whatever decodes re-encodes (as text) to a stable fixed point.
+// checkFixpoint asserts that a decoded profile is a fixed point of both
+// codecs at round 1 — encode(decode(encode(p))) = encode(p) in text and in
+// binary — and that the two encodings agree: the binary round trip
+// re-encodes to the text encoding.
+func checkFixpoint(t *testing.T, p *Profile) {
+	t.Helper()
+	text := EncodeToString(p)
+	back, err := Decode([]byte(text))
+	if err != nil {
+		t.Fatalf("re-decoding own text encoding failed: %v\n%s", err, text)
+	}
+	if got := EncodeToString(back); got != text {
+		t.Fatalf("text encoding not a fixed point:\n-- encode(p):\n%s\n-- encode(decode(encode(p))):\n%s", text, got)
+	}
+	bin := EncodeBinary(p)
+	back, err = Decode(bin)
+	if err != nil {
+		t.Fatalf("re-decoding own binary encoding failed: %v", err)
+	}
+	if got := EncodeBinary(back); !bytes.Equal(got, bin) {
+		t.Fatalf("binary encoding not a fixed point (%d vs %d bytes)", len(bin), len(got))
+	}
+	if got := EncodeToString(back); got != text {
+		t.Fatalf("binary round trip disagrees with the text encoding:\n-- text:\n%s\n-- via binary:\n%s", text, got)
+	}
+}
+
+// checkDecode holds both decode entry points to their contract on data:
+// no panic, strict and lenient agree on well-formed input and lenient
+// reports damage where strict fails, and whatever decodes is a round-1
+// fixed point of both codecs.
+func checkDecode(t *testing.T, data []byte) {
+	strict, strictErr := Decode(data)
+	lenient, stats, lenientErr := DecodeLenient(data)
+	if strictErr == nil {
+		if lenientErr != nil {
+			t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
+		}
+		if !stats.clean() {
+			t.Fatalf("strict decode ok but lenient skipped records: %+v", stats)
+		}
+		if EncodeToString(strict) != EncodeToString(lenient) {
+			t.Fatalf("strict and lenient decode disagree on well-formed input")
+		}
+	} else if lenientErr == nil && stats.clean() {
+		t.Fatalf("strict decode failed (%v) but lenient reported clean input", strictErr)
+	}
+	if lenient != nil {
+		checkFixpoint(t, lenient)
+	}
+}
+
+// FuzzReadText runs checkDecode from a text seed corpus.
 func FuzzReadText(f *testing.F) {
-	p := fuzzSeedProfile()
-	enc := EncodeToString(p)
+	enc := EncodeToString(fuzzSeedProfile())
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
 	f.Add(strings.Replace(enc, "body", "bogus", 1))
+	f.Add("# csspgo-profile kind=line cs=0\n[f]\nbody 1 1\n# end\n")
 	f.Add("# csspgo-profile kind=line cs=0\n[f]\nbody 1 1\n")
+	f.Add("# csspgo-profile kind=probe cs=1\n[f]\nbody 1 18446744073709551615\nbody 2 1\n[a b]\ncall 1 g:h 2\n# end\n")
 	f.Add("")
-
-	f.Fuzz(func(t *testing.T, s string) {
-		strict, strictErr := Decode([]byte(s))
-		lenient, stats, lenientErr := DecodeLenient([]byte(s))
-		if strictErr == nil {
-			if lenientErr != nil {
-				t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
-			}
-			if !stats.clean() {
-				t.Fatalf("strict decode ok but lenient skipped records: %+v", stats)
-			}
-			if EncodeToString(strict) != EncodeToString(lenient) {
-				t.Fatalf("strict and lenient decode disagree on well-formed input")
-			}
-		} else if lenientErr == nil && stats.clean() {
-			t.Fatalf("strict decode failed (%v) but lenient reported clean input", strictErr)
-		}
-		// Whatever we got back must re-encode to a stable fixed point. The
-		// first re-encode may still shed counter-wraparound zero entries, so
-		// compare the second round against the third.
-		src := strict
-		if src == nil {
-			src = lenient
-		}
-		if src == nil {
-			return
-		}
-		enc1 := EncodeToString(src)
-		p2, err := Decode([]byte(enc1))
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v\n%s", err, enc1)
-		}
-		enc2 := EncodeToString(p2)
-		p3, err := Decode([]byte(enc2))
-		if err != nil {
-			t.Fatalf("re-decoding settled encoding failed: %v", err)
-		}
-		if enc3 := EncodeToString(p3); enc3 != enc2 {
-			t.Fatalf("text encoding not a fixed point:\n-- round 2:\n%s\n-- round 3:\n%s", enc2, enc3)
-		}
-	})
+	f.Fuzz(func(t *testing.T, s string) { checkDecode(t, []byte(s)) })
 }
 
-// FuzzReadBinary checks the same properties from a binary seed corpus, with
-// the binary encoding as the fixed point. Inputs without the binary magic
-// reach the text reader through the same two entry points.
+// FuzzReadBinary runs checkDecode from a binary seed corpus. Inputs without
+// the binary magic reach the text reader through the same two entry points.
 func FuzzReadBinary(f *testing.F) {
 	p := fuzzSeedProfile()
+	p.Contexts["main"] = &FunctionProfile{Name: "main", Context: NewContext("main"), HeadSamples: 1}
 	enc := EncodeBinary(p)
 	f.Add(enc)
 	f.Add(enc[:len(enc)/2])
@@ -91,42 +103,5 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("CSPF"))
 	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		strict, strictErr := Decode(data)
-		lenient, stats, lenientErr := DecodeLenient(data)
-		if strictErr == nil {
-			if lenientErr != nil {
-				t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
-			}
-			if !stats.clean() {
-				t.Fatalf("strict decode ok but lenient skipped records: %+v", stats)
-			}
-			if EncodeToString(strict) != EncodeToString(lenient) {
-				t.Fatalf("strict and lenient decode disagree on well-formed input")
-			}
-		} else if lenientErr == nil && stats.clean() {
-			t.Fatalf("strict decode failed (%v) but lenient reported clean input", strictErr)
-		}
-		src := strict
-		if src == nil {
-			src = lenient
-		}
-		if src == nil {
-			return
-		}
-		enc1 := EncodeBinary(src)
-		p2, err := Decode(enc1)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v", err)
-		}
-		enc2 := EncodeBinary(p2)
-		p3, err := Decode(enc2)
-		if err != nil {
-			t.Fatalf("re-decoding settled encoding failed: %v", err)
-		}
-		if enc3 := EncodeBinary(p3); string(enc3) != string(enc2) {
-			t.Fatalf("binary encoding not a fixed point (%d vs %d bytes)", len(enc2), len(enc3))
-		}
-	})
+	f.Fuzz(checkDecode)
 }

@@ -18,13 +18,13 @@ func (p *Profile) MergeContextIntoBase(key string) {
 	delete(p.Contexts, key)
 }
 
-// RootedAt returns, in key order, the keys of the contexts of depth 2 or
-// more whose outermost frame is fn: the contexts a call made from fn can
-// inline, and the ones promoted when fn is done with them.
+// RootedAt returns, in key order, the keys of the contexts whose outermost
+// frame is fn: the contexts a call made from fn can inline, and the ones
+// promoted when fn is done with them.
 func (p *Profile) RootedAt(fn string) []string {
 	var out []string
 	for key, cp := range p.Contexts {
-		if len(cp.Context) >= 2 && cp.Context[0].Func == fn {
+		if cp.Context[0].Func == fn {
 			out = append(out, key)
 		}
 	}

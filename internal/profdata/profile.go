@@ -249,11 +249,16 @@ func (p *Profile) FuncProfile(name string) *FunctionProfile {
 }
 
 // ContextProfile returns the context profile for ctx, creating on demand.
+// A context has a caller: for one with fewer than two frames it returns
+// the leaf's base profile, so no such context is ever stored.
 // Lookups of an already-known context are allocation-free: the key is
 // rendered into a reused scratch buffer and the map is probed via a
 // non-copying string conversion; the key string is only materialized when
 // a new entry must be inserted.
 func (p *Profile) ContextProfile(ctx Context) *FunctionProfile {
+	if len(ctx) < 2 {
+		return p.FuncProfile(ctx.Leaf())
+	}
 	p.keyScratch = ctx.appendKey(p.keyScratch[:0])
 	if fp := p.Contexts[string(p.keyScratch)]; fp != nil {
 		return fp

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // The profile text format, modeled on llvm-profdata's extended binary /
@@ -24,9 +25,15 @@ import (
 //	shouldinline
 //	head 25
 //	body 1 25
+//	# end
 //
 // Sections are emitted in deterministic (sorted) order. TotalSamples is
-// recomputed from body lines on read.
+// recomputed from body lines on read. The end line closes every profile:
+// text cut anywhere is missing it, so a reader can tell a truncated
+// profile from a complete one.
+
+// endLine is the last line of every text profile.
+const endLine = "# end"
 
 // encode writes the profile in text form.
 func encode(w io.Writer, p *Profile) error {
@@ -70,6 +77,7 @@ func encode(w io.Writer, p *Profile) error {
 	for _, key := range p.SortedContextKeys() {
 		writeFP(key, p.Contexts[key])
 	}
+	fmt.Fprintf(bw, "%s\n", endLine)
 	return bw.Flush()
 }
 
@@ -145,12 +153,44 @@ func decode(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	return decodeText(data, lenient)
 }
 
+// truncated reports whether text lacks its end line, newline included; a
+// profile cut anywhere does.
+func truncated(data []byte) bool {
+	body := bytes.TrimRightFunc(data, unicode.IsSpace)
+	last := body[bytes.LastIndexByte(body, '\n')+1:]
+	return string(bytes.TrimSpace(last)) != endLine || bytes.IndexByte(data[len(body):], '\n') < 0
+}
+
+// lastSectionStart returns the offset of the last line that opens a
+// section, or len(data) when no line does.
+func lastSectionStart(data []byte) int {
+	for end := len(data); end > 0; {
+		start := bytes.LastIndexByte(data[:end], '\n') + 1
+		if bytes.HasPrefix(bytes.TrimSpace(data[start:end]), []byte("[")) {
+			return start
+		}
+		end = start - 1
+	}
+	return len(data)
+}
+
+// addOverflows reports whether a+b wraps around.
+func addOverflows(a, b uint64) bool { return a+b < a }
+
 func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
+	var stats ReadStats
+	if truncated(data) {
+		// The cut can only have damaged the last section: drop it whole.
+		if !lenient {
+			return nil, stats, fmt.Errorf("profdata: text profile truncated (no %q line)", endLine)
+		}
+		stats.SkippedRecords++
+		data = data[:lastSectionStart(data)]
+	}
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var p *Profile
 	var cur *FunctionProfile
-	var stats ReadStats
 	// Function and callee names repeat across thousands of lines; interning
 	// shares one backing string per distinct name instead of pinning a
 	// substring of every scanned line.
@@ -190,30 +230,25 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			return nil, stats, fmt.Errorf("line %d: missing profile header", lineNo)
 		}
 		if strings.HasPrefix(line, "[") {
+			cur = nil
 			if !strings.HasSuffix(line, "]") {
-				cur = nil
 				if err := fail(true, "line %d: malformed section %q", lineNo, line); err != nil {
 					return nil, stats, err
 				}
 				continue
 			}
-			key := line[1 : len(line)-1]
-			if strings.Contains(key, " @ ") || strings.Contains(key, ":") {
-				ctx, err := ParseContext(key)
-				if err != nil {
-					cur = nil
-					if err := fail(true, "line %d: %v", lineNo, err); err != nil {
-						return nil, stats, err
-					}
-					continue
+			// A one-frame key names a base profile: ContextProfile folds it.
+			ctx, err := ParseContext(line[1 : len(line)-1])
+			if err != nil {
+				if err := fail(true, "line %d: %v", lineNo, err); err != nil {
+					return nil, stats, err
 				}
-				for i := range ctx {
-					ctx[i].Func = in.intern(ctx[i].Func)
-				}
-				cur = p.ContextProfile(ctx)
-			} else {
-				cur = p.FuncProfile(in.intern(key))
+				continue
 			}
+			for i := range ctx {
+				ctx[i].Func = in.intern(ctx[i].Func)
+			}
+			cur = p.ContextProfile(ctx)
 			continue
 		}
 		if cur == nil {
@@ -222,72 +257,8 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			}
 			continue
 		}
-		fields := strings.Fields(line)
-		var lineErr error
-		switch fields[0] {
-		case "shouldinline":
-			cur.ShouldInline = true
-		case "approx":
-			cur.Approx = true
-		case "head":
-			if len(fields) != 2 {
-				lineErr = fmt.Errorf("line %d: bad head", lineNo)
-				break
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			cur.HeadSamples = v
-		case "checksum":
-			if len(fields) != 2 {
-				lineErr = fmt.Errorf("line %d: bad checksum", lineNo)
-				break
-			}
-			v, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			cur.Checksum = v
-		case "body":
-			if len(fields) != 3 {
-				lineErr = fmt.Errorf("line %d: bad body", lineNo)
-				break
-			}
-			loc, err := parseLocKey(fields[1])
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			v, err := strconv.ParseUint(fields[2], 10, 64)
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			cur.AddBody(loc, v)
-		case "call":
-			if len(fields) != 4 {
-				lineErr = fmt.Errorf("line %d: bad call", lineNo)
-				break
-			}
-			loc, err := parseLocKey(fields[1])
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			v, err := strconv.ParseUint(fields[3], 10, 64)
-			if err != nil {
-				lineErr = fmt.Errorf("line %d: %v", lineNo, err)
-				break
-			}
-			cur.AddCall(loc, in.intern(fields[2]), v)
-		default:
-			lineErr = fmt.Errorf("line %d: unknown directive %q", lineNo, fields[0])
-		}
-		if lineErr != nil {
-			if err := fail(false, "%v", lineErr); err != nil {
+		if err := cur.parseLine(line, in); err != nil {
+			if err := fail(false, "line %d: %v", lineNo, err); err != nil {
 				return nil, stats, err
 			}
 		}
@@ -305,4 +276,72 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		return nil, stats, fmt.Errorf("empty profile")
 	}
 	return p, stats, nil
+}
+
+// parseLine applies one data line of a section to fp. A line that is
+// malformed, names a function no encoding can carry, or would overflow a
+// count leaves fp untouched.
+func (fp *FunctionProfile) parseLine(line string, in *interner) error {
+	fields := strings.Fields(line)
+	switch fields[0] {
+	case "shouldinline":
+		fp.ShouldInline = true
+	case "approx":
+		fp.Approx = true
+	case "head", "checksum":
+		if len(fields) != 2 {
+			return fmt.Errorf("bad %s", fields[0])
+		}
+		v, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return err
+		}
+		if fields[0] == "checksum" {
+			fp.Checksum = v
+		} else if addOverflows(fp.HeadSamples, v) {
+			return fmt.Errorf("head count overflows")
+		} else {
+			fp.HeadSamples += v
+		}
+	case "body":
+		if len(fields) != 3 {
+			return fmt.Errorf("bad body")
+		}
+		loc, err := parseLocKey(fields[1])
+		if err != nil {
+			return err
+		}
+		v, err := strconv.ParseUint(fields[2], 10, 64)
+		if err != nil {
+			return err
+		}
+		// Every body count is part of TotalSamples, so no sum can wrap
+		// unless this one does.
+		if addOverflows(fp.TotalSamples, v) {
+			return fmt.Errorf("body count overflows")
+		}
+		fp.AddBody(loc, v)
+	case "call":
+		if len(fields) != 4 {
+			return fmt.Errorf("bad call")
+		}
+		loc, err := parseLocKey(fields[1])
+		if err != nil {
+			return err
+		}
+		if err := checkName(fields[2]); err != nil {
+			return err
+		}
+		v, err := strconv.ParseUint(fields[3], 10, 64)
+		if err != nil {
+			return err
+		}
+		if addOverflows(fp.Calls[loc][fields[2]], v) {
+			return fmt.Errorf("call count overflows")
+		}
+		fp.AddCall(loc, in.intern(fields[2]), v)
+	default:
+		return fmt.Errorf("unknown directive %q", fields[0])
+	}
+	return nil
 }

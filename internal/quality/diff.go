@@ -33,9 +33,9 @@ type ProfileDiff struct {
 }
 
 // contextWeights returns the per-key sample weights the overlap is computed
-// over: context profiles plus the flat base residue (under a "flat:" key
-// prefix so a depth-1 context can never collide with a base entry). Both
-// must participate — a shift of weight between a context and its flat
+// over: context profiles plus the flat base residue, under a "flat:" key
+// prefix that Gained and Lost print. A context has at least two frames, so
+// no context key can equal a base name either way. Both must participate — a shift of weight between a context and its flat
 // residue is a real distribution change even when the context set is
 // stable. For non-CS profiles only base entries exist.
 func contextWeights(p *profdata.Profile) map[string]uint64 {
