@@ -1,6 +1,8 @@
 package profdata
 
 import (
+	"bytes"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -190,6 +192,100 @@ func TestPromoteMatchesReferences(t *testing.T) {
 		t.Fatalf("checked %d keys and %d roots", keys, roots)
 	}
 	t.Logf("%d promotions and %d roots checked", keys, roots)
+
+	// Hand-built profiles cover what no decoded golden can hold: a source
+	// with a zero-count body entry and zero-count call targets (what
+	// FunctionProfile.Scale leaves; both readers drop zero counts), a
+	// Checksum and Approx, promoted to a destination that exists and to one
+	// that does not, at depth 3 and at depth 2.
+	for _, c := range handBuiltPromotions() {
+		if !c.p.Contexts[c.key].ShouldInline {
+			want, got := c.p.Clone(), c.p.Clone()
+			referencePreinlinePromote(want, c.key)
+			got.Promote(c.key)
+			assertSameProfile(t, c.name, want, got)
+			assertSameBinary(t, c.name, want, got)
+			assertConserved(t, c.name, c.p, got)
+		}
+		fn := c.p.Contexts[c.key].Context[0].Func
+		want, got := c.p.Clone(), c.p.Clone()
+		wantRe := referencePromoteRootedAt(want, fn)
+		gotRe := map[string]bool{}
+		for _, key := range got.RootedAt(fn) {
+			if base := got.Promote(key); base != "" {
+				gotRe[base] = true
+			}
+		}
+		assertSameProfile(t, c.name+" rooted at "+fn, want, got)
+		assertSameBinary(t, c.name+" rooted at "+fn, want, got)
+		assertConserved(t, c.name+" rooted at "+fn, c.p, got)
+		if !maps.Equal(wantRe, gotRe) {
+			t.Errorf("%s rooted at %s: base profiles to re-annotate %v, want %v", c.name, fn, sortedKeys(gotRe), sortedKeys(wantRe))
+		}
+	}
+}
+
+type handBuiltPromotion struct {
+	name string
+	p    *Profile
+	key  string // the context promoted
+}
+
+// handBuiltPromotions returns one profile per case, each with the source
+// context under key: "A:1 @ B:2 @ C" (depth 3) or "B:2 @ C" (depth 2),
+// unmarked or marked, with or without a destination already present.
+func handBuiltPromotions() []handBuiltPromotion {
+	source := func(p *Profile, ctx Context, marked bool) string {
+		fp := p.ContextProfile(ctx)
+		fp.AddBody(LocKey{ID: 1}, 7)
+		fp.Blocks[LocKey{ID: 2}] = 0
+		fp.AddBody(LocKey{ID: 3, Disc: 1}, 5)
+		fp.HeadSamples = 4
+		fp.AddCall(LocKey{ID: 3}, "D", 6)
+		fp.Calls[LocKey{ID: 3}]["E"] = 0
+		fp.Calls[LocKey{ID: 4}] = map[string]uint64{"F": 0}
+		fp.Checksum = 0xc0ffee
+		fp.Approx = true
+		fp.ShouldInline = marked
+		return ctx.Key()
+	}
+	dest := func(fp *FunctionProfile, marked bool) {
+		fp.AddBody(LocKey{ID: 1}, 3)
+		fp.AddBody(LocKey{ID: 5}, 2)
+		fp.HeadSamples = 1
+		fp.AddCall(LocKey{ID: 3}, "D", 1)
+		fp.ShouldInline = marked
+	}
+	var out []handBuiltPromotion
+	for _, depth := range []int{3, 2} {
+		ctx := NewContext("A", 1, "B", 2, "C")
+		if depth == 2 {
+			ctx = ctx[1:]
+		}
+		for _, marked := range []bool{false, true} {
+			for _, present := range []string{"none", "unmarked", "marked"} {
+				if depth == 2 && present == "marked" {
+					continue // a base profile carries no decision
+				}
+				p := New(ProbeBased, true)
+				key := source(p, ctx, marked)
+				// An unrelated context rooted elsewhere stays put.
+				p.ContextProfile(NewContext("Z", 9, "C")).AddBody(LocKey{ID: 1}, 1)
+				if present != "none" {
+					if depth == 2 {
+						dest(p.FuncProfile("C"), false)
+					} else {
+						dest(p.ContextProfile(ctx[1:]), present == "marked")
+					}
+				}
+				out = append(out, handBuiltPromotion{
+					name: fmt.Sprintf("hand-built depth %d marked=%v destination %s: promoting %s", depth, marked, present, key),
+					p:    p, key: key,
+				})
+			}
+		}
+	}
+	return out
 }
 
 // assertConserved fails unless promotion kept the profile's sample mass.
@@ -197,6 +293,13 @@ func assertConserved(t *testing.T, what string, before, after *Profile) {
 	t.Helper()
 	if b, a := before.TotalSamples(), after.TotalSamples(); a != b {
 		t.Errorf("%s: %d samples became %d", what, b, a)
+	}
+}
+
+func assertSameBinary(t *testing.T, what string, want, got *Profile) {
+	t.Helper()
+	if w, g := EncodeBinary(want), EncodeBinary(got); !bytes.Equal(w, g) {
+		t.Errorf("%s: binary encodings differ", what)
 	}
 }
 
