@@ -2,8 +2,8 @@ package csspgo
 
 // Micro-benchmarks of the substrates with no other home (run with
 // `go test -bench=. -benchmem`): the unwinder, the profile-generation worker
-// pool and its streaming engine, MCF inference, one full CSSPGO pipeline,
-// and pgo.Build alone. The simulator's is internal/sim's BenchmarkRun; the
+// pool and its streaming engine, the pre-inliner, MCF inference, one full
+// CSSPGO pipeline, and pgo.Build alone. The simulator's is internal/sim's BenchmarkRun; the
 // paper's tables and figures are cmd/experiments; the gated end-to-end
 // numbers are bench/ (BENCHMARK.json).
 
@@ -164,6 +164,43 @@ func BenchmarkStreamingGeneration(b *testing.B) {
 	b.StopTimer()
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(total)*float64(b.N)/sec, "samples/s")
+	}
+}
+
+// BenchmarkPreInline measures pgo.TrimAndPreInline (cold-context trimming,
+// ExtractSizes and the pre-inliner, Algorithms 2 and 3) on haas's and
+// hhvm's raw FullCS profile, with allocations; each op runs on a fresh
+// clone, made with the timer stopped. cpu-ns/op is the process's user +
+// system time over the timed part, as BenchmarkParallelProfileGeneration
+// reads it. Its allocation twin in tier-1 is internal/pgo's
+// TestPreInlineAllocCeiling.
+func BenchmarkPreInline(b *testing.B) {
+	for _, name := range []string{"haas", "hhvm"} {
+		w, err := workloads.Load(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := pgo.Build(w.Files, pgo.BuildConfig{Probes: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, _, _, err := pgo.CollectAndGenerate(res.Bin, pgo.FullCS, w.Train, pgo.DefaultProfileConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cpu time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				prof := raw.Clone()
+				b.StartTimer()
+				cpu0 := processCPU()
+				pgo.TrimAndPreInline(prof, res.Bin, 0)
+				cpu += processCPU() - cpu0
+			}
+			b.ReportMetric(float64(cpu)/float64(b.N), "cpu-ns/op")
+		})
 	}
 }
 

@@ -72,3 +72,65 @@ func TestBuildAllocCeiling(t *testing.T) {
 		}
 	}
 }
+
+// preInlineAllocCeilings are what one TrimAndPreInline of the program's
+// raw FullCS profile may allocate: cold-context trimming, ExtractSizes and
+// the pre-inliner. Provenance: measured by this test (go1.24,
+// linux/amd64; the minimum of three runs, which repeats to the
+// allocation), plus about 15 %. At the commit that introduced it, where
+// promotion became a move, parent keys slices of the key and ExtractSizes
+// built each chain string once:
+//
+//	hhvm  229 allocations, 38 KB  (at its parent:  2 878, 105 KB)
+//	haas  602 allocations, 87 KB  (at its parent: 12 429, 588 KB)
+//
+// A run that goes over has started copying a context profile or rendering
+// a key again; `go test -run '^$' -bench PreInline -benchmem .` at the
+// repository root says how much, a -memprofile of it says where. Raise a
+// ceiling only for a change that means to allocate more.
+var preInlineAllocCeilings = []struct {
+	program       string
+	allocs, bytes uint64
+}{
+	{"hhvm", 263, 45 << 10},
+	{"haas", 692, 101 << 10},
+}
+
+// TestPreInlineAllocCeiling is the allocation gate on the pre-inliner: one
+// TrimAndPreInline of a fresh clone of hhvm's and haas's raw FullCS profile
+// stays under a committed ceiling of allocations and of allocated bytes.
+func TestPreInlineAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	for _, ceiling := range preInlineAllocCeilings {
+		name := ceiling.program
+		w, err := workloads.Load(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Build(w.Files, BuildConfig{Probes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _, _, err := CollectAndGenerate(res.Bin, FullCS, w.Train, DefaultProfileConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs, bytes := ^uint64(0), ^uint64(0)
+		for i := 0; i < 3; i++ {
+			prof := raw.Clone()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			TrimAndPreInline(prof, res.Bin, 0)
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, after.Mallocs-before.Mallocs)
+			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s: %d allocations, %d KB", name, allocs, bytes>>10)
+		if allocs > ceiling.allocs || bytes > ceiling.bytes {
+			t.Errorf("%s: one TrimAndPreInline allocates %d times, %d KB; the ceiling is %d, %d KB",
+				name, allocs, bytes>>10, ceiling.allocs, ceiling.bytes>>10)
+		}
+	}
+}

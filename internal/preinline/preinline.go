@@ -2,6 +2,7 @@ package preinline
 
 import (
 	"sort"
+	"strings"
 
 	"csspgo/internal/profdata"
 )
@@ -89,22 +90,20 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 		var queue []string
 		children := map[string][]string{}
 		for _, key := range rooted {
-			if ctx := prof.Contexts[key].Context; ctx.Depth() == 2 {
+			if prof.Contexts[key].Context.Depth() == 2 {
 				queue = append(queue, key)
 			} else {
-				parent := ctx.Parent().Key()
+				parent := parentKey(key)
 				children[parent] = append(children[parent], key)
 			}
 		}
 		for len(queue) > 0 && budget < limit && programSpent < programBudget {
-			// Pop the most beneficial candidate (hottest head count).
+			// Pop the most beneficial candidate (hottest head count). Every
+			// queued key is in the snapshot, so every lookup finds it.
 			best := 0
 			for i := 1; i < len(queue); i++ {
 				a, b := prof.Contexts[queue[i]], prof.Contexts[queue[best]]
-				if a == nil {
-					continue
-				}
-				if b == nil || a.HeadSamples > b.HeadSamples ||
+				if a.HeadSamples > b.HeadSamples ||
 					a.HeadSamples == b.HeadSamples && queue[i] < queue[best] {
 					best = i
 				}
@@ -112,9 +111,6 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 			key := queue[best]
 			queue = append(queue[:best], queue[best+1:]...)
 			cp := prof.Contexts[key]
-			if cp == nil {
-				continue
-			}
 			size := sizes.ofContext(cp.Context)
 			if !shouldInline(size, cp.HeadSamples, params) {
 				continue
@@ -132,7 +128,7 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 			if !ok || cp.ShouldInline {
 				continue
 			}
-			if inMarkedSubtree(prof, cp) {
+			if inMarkedSubtree(prof, key) {
 				continue // belongs to an admitted expansion; keep intact
 			}
 			res.Promoted++
@@ -215,15 +211,25 @@ func topDownOrder(prof *profdata.Profile) []string {
 	return order
 }
 
-// inMarkedSubtree reports whether any ancestor context of cp is marked for
-// inlining (the context will be consumed as part of that expansion).
-func inMarkedSubtree(prof *profdata.Profile, cp *profdata.FunctionProfile) bool {
-	for ctx := cp.Context.Parent(); ctx.Depth() >= 2; ctx = ctx.Parent() {
-		if p := prof.Contexts[ctx.Key()]; p != nil && p.ShouldInline {
+// inMarkedSubtree reports whether any ancestor context of the context
+// under key is marked for inlining (the context will be consumed as part
+// of that expansion).
+func inMarkedSubtree(prof *profdata.Profile, key string) bool {
+	for k := parentKey(key); strings.Contains(k, " @ "); k = parentKey(k) {
+		if p := prof.Contexts[k]; p != nil && p.ShouldInline {
 			return true
 		}
 	}
 	return false
+}
+
+// parentKey returns the canonical key of the caller's context by slicing
+// a canonical key of two frames or more: the leaf frame goes, and so does
+// the call site of the frame that becomes the leaf ("A:1 @ B:2 @ C" →
+// "A:1 @ B").
+func parentKey(key string) string {
+	key = key[:strings.LastIndex(key, " @ ")]
+	return key[:strings.LastIndexByte(key, ':')]
 }
 
 func shouldInline(size, hotness uint64, p Params) bool {

@@ -29,58 +29,77 @@ type SizeTable struct {
 // byte size to the inline-frame chain of its debug info — Algorithm 3. All
 // prefix chains are materialized (zero-initialized), so the trie can answer
 // "this copy was fully optimized away" with an explicit zero.
+//
+// Each instruction's chain is rendered from its Loc into one reused buffer
+// and looked up in seen without a copy. A chain's string is built once,
+// when it is first seen, and that is also when its prefixes — substrings
+// of it — are materialized: their own prefixes are prefixes of it too.
 func ExtractSizes(bin *machine.Prog) *SizeTable {
 	st := &SizeTable{
 		ByContext:   map[string]uint64{},
 		ByFunc:      map[string]uint64{},
 		DefaultSize: 20,
 	}
+	var names []string          // the chain's functions, leaf first
+	var buf []byte              // the chain, outermost first
+	seen := map[string]string{} // each chain's one string
 	for i := range bin.Instrs {
 		in := &bin.Instrs[i]
-		frames := bin.InlinedFramesAt(in.Addr)
-		if len(frames) == 0 {
+		size := uint64(in.Size)
+		if in.Loc == nil {
 			// No debug info: attribute to the owning symbol.
 			if f := bin.FuncAt(in.Addr); f != nil {
-				st.ByFunc[f.Name] += uint64(in.Size)
+				st.ByFunc[f.Name] += size
 			}
 			continue
 		}
-		// frames are leaf-first; build the outermost-first name chain.
-		names := make([]string, len(frames))
-		for j, fr := range frames {
-			names[len(frames)-1-j] = fr.Func
+		if in.Loc.Parent == nil {
+			st.ByFunc[in.Loc.Func] += size
 		}
-		chain := strings.Join(names, " @ ")
-		st.ByContext[chain] += uint64(in.Size)
-		if len(frames) == 1 {
-			st.ByFunc[frames[0].Func] += uint64(in.Size)
+		names = names[:0]
+		for l := in.Loc; l != nil; l = l.Parent {
+			names = append(names, l.Func)
 		}
-		// Materialize prefixes with zero so absent copies read as
-		// "optimized away" rather than "unknown" (Algorithm 3 lines 7-13).
-		for j := len(names) - 1; j > 0; j-- {
-			prefix := strings.Join(names[:j], " @ ")
-			if _, ok := st.ByContext[prefix]; !ok {
-				st.ByContext[prefix] = 0
+		buf = buf[:0]
+		for j := len(names) - 1; j >= 0; j-- {
+			if j != len(names)-1 {
+				buf = append(buf, " @ "...)
+			}
+			buf = append(buf, names[j]...)
+		}
+		chain, ok := seen[string(buf)]
+		if !ok {
+			chain = string(buf)
+			seen[chain] = chain
+			// Materialize prefixes with zero so absent copies read as
+			// "optimized away" rather than "unknown" (Algorithm 3 lines
+			// 7-13).
+			for end := strings.LastIndex(chain, " @ "); end > 0; end = strings.LastIndex(chain[:end], " @ ") {
+				if _, ok := st.ByContext[chain[:end]]; !ok {
+					st.ByContext[chain[:end]] = 0
+				}
 			}
 		}
+		st.ByContext[chain] += size
 	}
 	return st
 }
 
-// nameChain renders a profile context as its function-name chain.
-func nameChain(ctx profdata.Context) string {
-	names := make([]string, len(ctx))
-	for i, fr := range ctx {
-		names[i] = fr.Func
-	}
-	return strings.Join(names, " @ ")
-}
-
 // ofContext returns the best size estimate for a profile context: the
 // context-specific copy if the profiled binary contains one, else the
-// standalone size of the leaf function, else the default.
+// standalone size of the leaf function, else the default. The context's
+// function-name chain is rendered into a stack buffer and looked up
+// without a copy.
 func (st *SizeTable) ofContext(ctx profdata.Context) uint64 {
-	if s, ok := st.ByContext[nameChain(ctx)]; ok {
+	var scratch [256]byte
+	chain := scratch[:0]
+	for i, fr := range ctx {
+		if i > 0 {
+			chain = append(chain, " @ "...)
+		}
+		chain = append(chain, fr.Func...)
+	}
+	if s, ok := st.ByContext[string(chain)]; ok {
 		return s
 	}
 	return st.of(ctx.Leaf())

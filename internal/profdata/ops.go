@@ -1,6 +1,9 @@
 package profdata
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // This file implements whole-profile transformations: merging context
 // profiles down to base profiles, context promotion, cold-context trimming
@@ -8,14 +11,22 @@ import "sort"
 // dense call graphs), and flattening.
 
 // MergeContextIntoBase folds one context profile into the base profile of
-// its leaf function and removes it from the context table.
+// its leaf function and removes it from the context table. When the leaf
+// has no base profile yet, the context profile becomes it: moved, not
+// copied.
 func (p *Profile) MergeContextIntoBase(key string) {
 	fp := p.Contexts[key]
 	if fp == nil {
 		return
 	}
-	p.FuncProfile(fp.Name).Merge(fp)
 	delete(p.Contexts, key)
+	if base := p.Funcs[fp.Name]; base != nil {
+		base.Merge(fp)
+		return
+	}
+	fp.Context, fp.ShouldInline = nil, false
+	fp.dropZeroCalls()
+	p.Funcs[fp.Name] = fp
 }
 
 // RootedAt returns, in key order, the keys of the contexts whose outermost
@@ -39,6 +50,11 @@ func (p *Profile) RootedAt(fn string) []string {
 // profile. The shorter context keeps ShouldInline if either side had it.
 // Promote returns the function whose base profile received the counts, or
 // "" when they stayed in a context (or key named none).
+//
+// When the shorter context is not in the profile yet, the context profile
+// moves there instead of being merged into a fresh copy: its key is the
+// suffix of key after the first " @ " (keys are canonical), its Context
+// the tail of its own.
 func (p *Profile) Promote(key string) (base string) {
 	cp := p.Contexts[key]
 	if cp == nil {
@@ -49,10 +65,32 @@ func (p *Profile) Promote(key string) (base string) {
 		return cp.Name
 	}
 	delete(p.Contexts, key)
-	dst := p.ContextProfile(cp.Context[1:])
-	dst.ShouldInline = dst.ShouldInline || cp.ShouldInline
-	dst.Merge(cp)
+	shorter := key[strings.Index(key, " @ ")+len(" @ "):]
+	if dst := p.Contexts[shorter]; dst != nil {
+		dst.ShouldInline = dst.ShouldInline || cp.ShouldInline
+		dst.Merge(cp)
+		return ""
+	}
+	cp.Context = cp.Context[1:]
+	cp.dropZeroCalls()
+	p.Contexts[shorter] = cp
 	return ""
+}
+
+// dropZeroCalls deletes the zero-count call targets, and the call
+// locations left with none, that Merge does not carry over (AddCall ignores
+// a zero count), so a moved profile reads as a merged copy of it would.
+func (fp *FunctionProfile) dropZeroCalls() {
+	for loc, m := range fp.Calls {
+		for callee, n := range m {
+			if n == 0 {
+				delete(m, callee)
+			}
+		}
+		if len(m) == 0 {
+			delete(fp.Calls, loc)
+		}
+	}
 }
 
 // flatten merges every context profile into base profiles, producing a
