@@ -3,9 +3,9 @@ package csspgo
 // Micro-benchmarks of the substrates with no other home (run with
 // `go test -bench=. -benchmem`): the unwinder, the profile-generation worker
 // pool and its streaming engine, the pre-inliner, MCF inference, one full
-// CSSPGO pipeline, and pgo.Build alone. The simulator's is internal/sim's BenchmarkRun; the
-// paper's tables and figures are cmd/experiments; the gated end-to-end
-// numbers are bench/ (BENCHMARK.json).
+// CSSPGO pipeline, and pgo.Build alone. The simulator's is internal/sim's
+// BenchmarkRun; the paper's tables and figures are cmd/experiments; the
+// gated end-to-end numbers are bench/ (BENCHMARK.json).
 
 import (
 	"fmt"

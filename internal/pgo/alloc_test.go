@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"csspgo/internal/profdata"
 	"csspgo/internal/workloads"
 )
 
@@ -54,17 +55,11 @@ func TestBuildAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := BuildConfig{Probes: true, Profile: prof, UsePreInlineDecisions: true, StaleMatching: true}
-		allocs, bytes := ^uint64(0), ^uint64(0)
-		for i := 0; i < 3; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
+		allocs, bytes := fewestAllocs(nil, func() {
 			if _, err := Build(w.Files, cfg); err != nil {
 				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&after)
-			allocs = min(allocs, after.Mallocs-before.Mallocs)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		}
+		})
 		t.Logf("%s: %d allocations, %d KB", name, allocs, bytes>>10)
 		if allocs > ceiling.allocs || bytes > ceiling.bytes {
 			t.Errorf("%s: one build allocates %d times, %d KB; the ceiling is %d, %d KB",
@@ -117,20 +112,30 @@ func TestPreInlineAllocCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs, bytes := ^uint64(0), ^uint64(0)
-		for i := 0; i < 3; i++ {
-			prof := raw.Clone()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			TrimAndPreInline(prof, res.Bin, 0)
-			runtime.ReadMemStats(&after)
-			allocs = min(allocs, after.Mallocs-before.Mallocs)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		}
+		var prof *profdata.Profile
+		allocs, bytes := fewestAllocs(func() { prof = raw.Clone() }, func() { TrimAndPreInline(prof, res.Bin, 0) })
 		t.Logf("%s: %d allocations, %d KB", name, allocs, bytes>>10)
 		if allocs > ceiling.allocs || bytes > ceiling.bytes {
 			t.Errorf("%s: one TrimAndPreInline allocates %d times, %d KB; the ceiling is %d, %d KB",
 				name, allocs, bytes>>10, ceiling.allocs, ceiling.bytes>>10)
 		}
 	}
+}
+
+// fewestAllocs runs run three times, each after setup unless it is nil,
+// and returns the fewest allocations and allocated bytes one run made.
+func fewestAllocs(setup, run func()) (allocs, bytes uint64) {
+	allocs, bytes = ^uint64(0), ^uint64(0)
+	for i := 0; i < 3; i++ {
+		if setup != nil {
+			setup()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return allocs, bytes
 }

@@ -62,7 +62,7 @@ func ExtractSizes(bin *machine.Prog) *SizeTable {
 		}
 		buf = buf[:0]
 		for j := len(names) - 1; j >= 0; j-- {
-			if j != len(names)-1 {
+			if len(buf) > 0 {
 				buf = append(buf, " @ "...)
 			}
 			buf = append(buf, names[j]...)
