@@ -30,13 +30,15 @@ race:
 # (internal/opt), TestInferProgramAllocs (internal/inference) and
 # TestUnsampledBinaryHasNoIndex (internal/machine) in tier-1, with
 # BenchmarkBuild/{train,use,stale} (root package, picked up by -bench=.
-# below) as their `go test -bench` twin.
+# below) as their `go test -bench` twin; the serve/fleet path's is
+# TestServeRoundAllocCeiling (internal/pgo: one swap, one lenient decode).
 bench:
 	$(GO) test -bench=. -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench Run -benchmem
 	bash bench/run.sh
 
-# Fuzz smoke lane: native fuzzing of the profile readers, the folded
+# Fuzz smoke lane: native fuzzing of the profile readers, the text codec
+# against the fmt/bufio.Scanner one it replaced, the folded
 # flamegraph text codec, the translation validator over random programs
 # through the full checked pipeline, the chunked dispatcher (fuzzer-chosen
 # chunk size / worker count / duplication pattern must stay byte-identical
@@ -48,6 +50,7 @@ bench:
 fuzz:
 	$(GO) test ./internal/profdata -run='^FuzzReadText$$' -fuzz='^FuzzReadText$$' -fuzztime=5s
 	$(GO) test ./internal/profdata -run='^FuzzReadBinary$$' -fuzz='^FuzzReadBinary$$' -fuzztime=5s
+	$(GO) test ./internal/profdata -run='^FuzzTextMatchesReference$$' -fuzz='^FuzzTextMatchesReference$$' -fuzztime=5s
 	$(GO) test ./internal/introspect -run='^FuzzFoldedText$$' -fuzz='^FuzzFoldedText$$' -fuzztime=5s
 	$(GO) test ./internal/opt -run='^FuzzTranslationValidate$$' -fuzz='^FuzzTranslationValidate$$' -fuzztime=5s
 	$(GO) test ./internal/sampling -run='^FuzzChunkedDispatcher$$' -fuzz='^FuzzChunkedDispatcher$$' -fuzztime=5s

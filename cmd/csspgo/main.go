@@ -113,7 +113,7 @@ func cmdMerge(args []string) error {
 		}
 		profdata.MergeProfiles(merged, prof)
 	}
-	if err := os.WriteFile(*out, []byte(profdata.EncodeToString(merged)), 0o644); err != nil {
+	if err := os.WriteFile(*out, profdata.AppendText(nil, merged), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("merged %d profiles into %s: %s\n", fs.NArg(), *out, merged)
@@ -353,10 +353,11 @@ func cmdProfile(args []string) error {
 			fmt.Printf("sim: %+v\n", stats)
 		}
 	}
-	if err := os.WriteFile(*out, []byte(profdata.EncodeToString(prof)), 0o644); err != nil {
+	text := profdata.AppendText(nil, prof)
+	if err := os.WriteFile(*out, text, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: %s (%d bytes)\n", *out, prof, prof.SizeBytes())
+	fmt.Printf("wrote %s: %s (%d bytes)\n", *out, prof, len(text))
 	// The echo records the run's semantic inputs, not its execution strategy:
 	// -workers changes wall time only, so manifests from different machine
 	// parallelism stay diffable.
@@ -387,7 +388,7 @@ func cmdPreinline(args []string) error {
 		return fmt.Errorf("profile is not context-sensitive")
 	}
 	trimmed, res := pgo.TrimAndPreInline(prof, bin, *trim)
-	if err := os.WriteFile(*out, []byte(profdata.EncodeToString(prof)), 0o644); err != nil {
+	if err := os.WriteFile(*out, profdata.AppendText(nil, prof), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("trimmed %d cold contexts; pre-inliner marked %d, promoted %d; wrote %s\n",

@@ -198,7 +198,7 @@ func runCorruptionMatrix(names []string, corruptions []drift.Corruption, scale i
 			return nil, fmt.Errorf("%s: fresh build: %w", name, err)
 		}
 		encodings := map[string][]byte{
-			"text":   []byte(profdata.EncodeToString(prof)),
+			"text":   profdata.AppendText(nil, prof),
 			"binary": profdata.EncodeBinary(prof),
 		}
 		for _, format := range []string{"text", "binary"} {

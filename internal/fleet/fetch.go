@@ -56,6 +56,11 @@ func (c FetchConfig) withDefaults() FetchConfig {
 	return c
 }
 
+// fetchPresizeMax bounds the body buffer a response's Content-Length may
+// reserve before any of the body has arrived: a source declaring more
+// than it sends costs at most this much.
+const fetchPresizeMax = 1 << 20
+
 // fetchResult is one successful profile fetch.
 type fetchResult struct {
 	Body       []byte
@@ -174,7 +179,7 @@ func (f *fetcher) fetchOnce(ctx context.Context, url, traceparent string) ([]byt
 		io.CopyN(io.Discard, resp.Body, 512)
 		return nil, 0, fmt.Errorf("status %s", resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, f.cfg.MaxBody+1))
+	body, err := readBody(resp, f.cfg.MaxBody)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,4 +191,30 @@ func (f *fetcher) fetchOnce(ctx context.Context, url, traceparent string) ([]byt
 		gen, _ = strconv.ParseUint(h, 10, 64)
 	}
 	return body, gen, nil
+}
+
+// readBody reads at most maxBody+1 bytes of resp's body, the one byte over
+// telling an oversized body from one that fits. The buffer starts at the
+// declared Content-Length, up to fetchPresizeMax, and one byte more, so a
+// body that matches its header is read without growing the buffer even to
+// see its end; without a header it grows as io.ReadAll's does.
+func readBody(resp *http.Response, maxBody int64) ([]byte, error) {
+	r := io.LimitReader(resp.Body, maxBody+1)
+	if resp.ContentLength < 0 {
+		return io.ReadAll(r)
+	}
+	body := make([]byte, 0, min(resp.ContentLength, fetchPresizeMax, maxBody)+1)
+	for {
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+		n, err := r.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return body, err
+		}
+	}
 }

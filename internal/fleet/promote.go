@@ -228,9 +228,14 @@ func (p *Promoter) Promote(cand *profdata.Profile, manifest *obs.Report) (*Artif
 		})
 		return nil, res
 	}
+	// The last-good encoding, plus an eighth, is room for the candidate's.
+	var room int
+	if last != nil {
+		room = len(last.Encoded) + len(last.Encoded)/8
+	}
 	art := &Artifact{
 		Profile:    cand,
-		Encoded:    []byte(profdata.EncodeToString(cand)),
+		Encoded:    profdata.AppendText(make([]byte, 0, room), cand),
 		Manifest:   manifest,
 		Generation: p.gen.Add(1),
 		PromotedAt: p.now(),

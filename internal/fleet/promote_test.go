@@ -200,3 +200,24 @@ func TestArtifactWriteFileAtomic(t *testing.T) {
 		t.Fatalf("stray temp files left: %v", ents)
 	}
 }
+
+// TestPromotedBytesAreTheEncoding promotes a profile whose counts grow
+// tenfold, then shrink back, round by round, so each encoding is written
+// into room sized by the last-good one, too little or too much: the
+// promoted bytes are the text encoding every time.
+func TestPromotedBytesAreTheEncoding(t *testing.T) {
+	p := NewPromoter(PromoteConfig{MinOverlap: 0.5}, obs.NewRegistry())
+	for _, scale := range []uint64{1, 10, 1000, 100000, 10, 1} {
+		cand := testProfile("a", "b", "c")
+		for _, fp := range cand.Funcs {
+			fp.Scale(scale, 1)
+		}
+		art, gate := p.Promote(cand, nil)
+		if art == nil {
+			t.Fatalf("scale %d: not promoted: %s", scale, gate)
+		}
+		if got, want := string(art.Encoded), profdata.EncodeToString(cand); got != want {
+			t.Errorf("scale %d: promoted bytes are not the text encoding", scale)
+		}
+	}
+}

@@ -5,7 +5,9 @@
 package introspect
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -25,19 +27,25 @@ type Entry struct {
 // flamegraph convention, call sites are kept so distinct calling contexts
 // through the same functions stay distinct and the encoding round-trips
 // losslessly.
-func (e Entry) Key() string {
-	var sb strings.Builder
+func (e Entry) Key() string { return string(e.appendKey(nil)) }
+
+// appendKey appends the folded-stack key to dst.
+func (e Entry) appendKey(dst []byte) []byte {
 	for i, f := range e.Frames {
 		if i > 0 {
-			sb.WriteByte(';')
+			dst = append(dst, ';')
 		}
-		sb.WriteString(f.Func)
+		dst = append(dst, f.Func...)
 		if i != len(e.Frames)-1 {
-			sb.WriteByte(':')
-			sb.WriteString(f.Site.String())
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(f.Site.ID), 10)
+			if f.Site.Disc != 0 {
+				dst = append(dst, '.')
+				dst = strconv.AppendInt(dst, int64(f.Site.Disc), 10)
+			}
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Folded flattens a profile into folded-stack entries: one entry per
@@ -45,18 +53,25 @@ func (e Entry) Key() string {
 // single-frame entry per base function profile (flat residue). A context
 // has at least two frames, so no two entries share a stack; the result is
 // sorted by stack key, so the export is deterministic for any map
-// iteration order.
+// iteration order. The entries' frames share one backing array.
 func Folded(p *profdata.Profile) []Entry {
-	byKey := make(map[string]*Entry, len(p.Funcs)+len(p.Contexts))
-	add := func(frames profdata.Context, w uint64) {
+	frames := len(p.Funcs)
+	for _, fp := range p.Contexts {
+		frames += len(fp.Context)
+	}
+	backing := make(profdata.Context, 0, frames)
+	entries := make([]Entry, 0, len(p.Funcs)+len(p.Contexts))
+	add := func(ctx profdata.Context, w uint64) {
 		if w == 0 {
 			return
 		}
-		e := Entry{Frames: append(profdata.Context(nil), frames...), Weight: w}
+		start := len(backing)
+		backing = append(backing, ctx...)
+		e := Entry{Frames: backing[start:len(backing):len(backing)], Weight: w}
 		// The leaf frame's site is meaningless; clear it so re-parsed
 		// entries compare equal.
 		e.Frames[len(e.Frames)-1].Site = profdata.LocKey{}
-		byKey[e.Key()] = &e
+		entries = append(entries, e)
 	}
 	for name, fp := range p.Funcs {
 		add(profdata.Context{{Func: name}}, fp.TotalSamples)
@@ -64,20 +79,7 @@ func Folded(p *profdata.Profile) []Entry {
 	for _, fp := range p.Contexts {
 		add(fp.Context, fp.TotalSamples)
 	}
-	return sortEntries(byKey)
-}
-
-func sortEntries(byKey map[string]*Entry) []Entry {
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Entry, len(keys))
-	for i, k := range keys {
-		out[i] = *byKey[k]
-	}
-	return out
+	return canonicalize(entries)
 }
 
 // Top returns the n heaviest entries, weight-descending (ties broken by
@@ -97,33 +99,72 @@ func Top(entries []Entry, n int) []Entry {
 }
 
 // EncodeFoldedText renders entries in the folded text format, one
-// "stack weight" line each. Entries are re-canonicalized (merged + sorted)
-// first, so the output is deterministic regardless of input order.
+// "stack weight" line each, merged by stack and sorted by key, so the
+// output is deterministic regardless of input order. Entries already in
+// that order, as Folded returns them, are written as they are into a
+// buffer of the exact size.
 func EncodeFoldedText(entries []Entry) []byte {
-	var sb strings.Builder
-	for _, e := range canonicalize(entries) {
-		sb.WriteString(e.Key())
-		sb.WriteByte(' ')
-		sb.WriteString(strconv.FormatUint(e.Weight, 10))
-		sb.WriteByte('\n')
+	size, ok := foldedSize(entries)
+	if !ok {
+		entries = canonicalize(entries)
+		size, _ = foldedSize(entries)
 	}
-	return []byte(sb.String())
+	out := make([]byte, 0, size)
+	for _, e := range entries {
+		out = append(e.appendKey(out), ' ')
+		out = append(strconv.AppendUint(out, e.Weight, 10), '\n')
+	}
+	return out
 }
 
-// canonicalize merges duplicate stacks and sorts by key.
+// foldedSize returns the length of the folded text of entries, and
+// whether they are canonical: each key greater than the one before it.
+func foldedSize(entries []Entry) (size int, canonical bool) {
+	var prev, cur []byte
+	var digits [20]byte
+	canonical = true
+	for i, e := range entries {
+		cur = e.appendKey(cur[:0])
+		if i > 0 && bytes.Compare(prev, cur) >= 0 {
+			canonical = false
+		}
+		size += len(cur) + len(" \n") + len(strconv.AppendUint(digits[:0], e.Weight, 10))
+		prev, cur = cur, prev
+	}
+	return size, canonical
+}
+
+// canonicalize returns entries merged by stack (weights summed, the first
+// entry's frames kept) and sorted by key; entries itself is left as it
+// was, and the result shares its frames. Every key is rendered once, into
+// one buffer.
 func canonicalize(entries []Entry) []Entry {
-	byKey := map[string]*Entry{}
-	for _, e := range entries {
-		key := e.Key()
-		if cur, ok := byKey[key]; ok {
-			cur.Weight += e.Weight
+	var keys []byte
+	ends := make([]int, len(entries))
+	for i, e := range entries {
+		keys = e.appendKey(keys)
+		ends[i] = len(keys)
+	}
+	key := func(i int) []byte {
+		if i == 0 {
+			return keys[:ends[0]]
+		}
+		return keys[ends[i-1]:ends[i]]
+	}
+	order := make([]int, len(entries))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return bytes.Compare(key(a), key(b)) })
+	out := make([]Entry, 0, len(entries))
+	for k, i := range order {
+		if k > 0 && bytes.Equal(key(i), key(order[k-1])) {
+			out[len(out)-1].Weight += entries[i].Weight
 			continue
 		}
-		c := e
-		c.Frames = append(profdata.Context(nil), e.Frames...)
-		byKey[key] = &c
+		out = append(out, entries[i])
 	}
-	return sortEntries(byKey)
+	return out
 }
 
 // validFuncName rejects names that would collide with the folded syntax.

@@ -118,7 +118,7 @@ func TestFoldedLineBasedProfile(t *testing.T) {
 // (merged, sorted) entries. Duplicate stacks accumulate; malformed lines
 // are errors, blank lines and '#' comments are skipped.
 func parseFoldedText(data []byte) ([]Entry, error) {
-	byKey := map[string]*Entry{}
+	var entries []Entry
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -139,15 +139,9 @@ func parseFoldedText(data []byte) ([]Entry, error) {
 		if weight == 0 {
 			continue
 		}
-		e := Entry{Frames: frames, Weight: weight}
-		key := e.Key()
-		if cur, ok := byKey[key]; ok {
-			cur.Weight += weight
-			continue
-		}
-		byKey[key] = &e
+		entries = append(entries, Entry{Frames: frames, Weight: weight})
 	}
-	return sortEntries(byKey), nil
+	return canonicalize(entries), nil
 }
 
 // parseStack parses "main:2;foo:5.1;bar" into context frames.

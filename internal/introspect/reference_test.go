@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"csspgo/internal/obs"
 	"csspgo/internal/profdata"
 )
 
@@ -151,6 +152,38 @@ func TestFoldedMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(shuffled, before) {
 			t.Errorf("%s: EncodeFoldedText changed its input", path)
+		}
+	}
+}
+
+// TestServedBytesAreTheEncodings swaps every golden profile, in path
+// order, into one server, so each swap starts from the last one's room:
+// the served profile is the text encoding, byte for byte, however the two
+// sizes compare; /profiles/ declares its length; the served flamegraph is
+// the reference export.
+func TestServedBytesAreTheEncodings(t *testing.T) {
+	golden := goldenProfiles(t)
+	paths := make([]string, 0, len(golden))
+	for path := range golden {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	s := NewServer("p", obs.NewRegistry())
+	h := s.Handler()
+	for _, path := range paths {
+		p := golden[path]
+		if err := s.SetProfile(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(s.Current().Profile), profdata.EncodeToString(p); got != want {
+			t.Errorf("%s: served profile is not the text encoding", path)
+		}
+		if got, want := s.Current().Folded, referenceEncodeFoldedText(referenceFolded(p)); !bytes.Equal(got, want) {
+			t.Errorf("%s: served flamegraph is not the reference export", path)
+		}
+		res, body := get(t, h, "/profiles/p")
+		if cl := res.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || !bytes.Equal(body, s.Current().Profile) {
+			t.Errorf("%s: /profiles/ sent %d bytes with Content-Length %q", path, len(body), cl)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,7 +151,14 @@ func (s *Server) SetProfile(p *profdata.Profile, rep *obs.Report) error {
 	sp := s.span.SpanRemote("serve.refresh", s.fleetContext())
 	defer sp.End()
 	served := &Served{Name: s.name, SwappedAt: start}
-	served.Profile = []byte(profdata.EncodeToString(p))
+	// Successive generations of one daemon's profile are about the same
+	// size: the last one's, plus an eighth, is room for the encoding to be
+	// written without growing.
+	var room int
+	if prev := s.Current(); prev != nil {
+		room = len(prev.Profile) + len(prev.Profile)/8
+	}
+	served.Profile = profdata.AppendText(make([]byte, 0, room), p)
 	served.Folded = EncodeFoldedText(Folded(p))
 	if rep != nil {
 		data, err := rep.Encode()
@@ -289,7 +297,8 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Profile-Generation", fmt.Sprint(cur.Generation))
+		w.Header().Set("Content-Length", strconv.Itoa(len(cur.Profile)))
+		w.Header().Set("X-Profile-Generation", strconv.FormatUint(cur.Generation, 10))
 		w.Write(cur.Profile)
 	})
 	// Count every request, whatever the endpoint.

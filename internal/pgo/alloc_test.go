@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"csspgo/internal/introspect"
+	"csspgo/internal/obs"
 	"csspgo/internal/profdata"
 	"csspgo/internal/workloads"
 )
@@ -138,4 +140,71 @@ func fewestAllocs(setup, run func()) (allocs, bytes uint64) {
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	return allocs, bytes
+}
+
+// serveRoundAllocCeilings are what the serving daemon's swap and the fleet
+// aggregator's decode of haas's refresh profile may allocate: one
+// introspect.Server.SetProfile after a first one (text encoding, folded
+// export, run report), and one profdata.DecodeLenient of the 19.5 KB of
+// text it serves. Provenance: measured by this test (go1.24, linux/amd64;
+// the minimum of three runs, which repeats to the allocation), plus about
+// 15 %. At the commit that introduced it, where the text codec appended
+// into one buffer and split lines and fields over one copy of the input,
+// and the folded export rendered each key once:
+//
+//	swap     119 allocations, 101 KB  (at its parent: 6 274, 284 KB)
+//	decode 1 592 allocations, 172 KB  (at its parent: 3 631, 276 KB)
+//
+// A swap or decode that goes over has started formatting through fmt,
+// copying the encoding or rendering keys per entry again; a -memprofile
+// of this test, focused on SetProfile or DecodeLenient, says where. Raise
+// a ceiling only for a change that means to allocate more.
+var serveRoundAllocCeilings = struct {
+	swapAllocs, swapBytes, decodeAllocs, decodeBytes uint64
+}{137, 116 << 10, 1_831, 198 << 10}
+
+// TestServeRoundAllocCeiling is the allocation gate on the serve/fleet
+// path: one swap of haas's refresh profile and one lenient decode of the
+// bytes it serves stay under a committed ceiling of allocations and of
+// allocated bytes.
+func TestServeRoundAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w, err := workloads.Load("haas", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refresh, err := NewRefresher(w.Files, w.Train, DefaultProfileConfig(), obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, rep, err := refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := introspect.NewServer("haas", obs.NewRegistry())
+	if err := srv.SetProfile(prof, rep); err != nil {
+		t.Fatal(err)
+	}
+	c := serveRoundAllocCeilings
+	allocs, bytes := fewestAllocs(nil, func() {
+		if err := srv.SetProfile(prof, rep); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("swap: %d allocations, %d KB", allocs, bytes>>10)
+	if allocs > c.swapAllocs || bytes > c.swapBytes {
+		t.Errorf("one SetProfile allocates %d times, %d KB; the ceiling is %d, %d KB", allocs, bytes>>10, c.swapAllocs, c.swapBytes>>10)
+	}
+	text := srv.Current().Profile
+	allocs, bytes = fewestAllocs(nil, func() {
+		if _, stats, err := profdata.DecodeLenient(text); err != nil || stats != (profdata.ReadStats{}) {
+			t.Fatalf("decode: %+v, %v", stats, err)
+		}
+	})
+	t.Logf("decode: %d allocations, %d KB", allocs, bytes>>10)
+	if allocs > c.decodeAllocs || bytes > c.decodeBytes {
+		t.Errorf("one DecodeLenient allocates %d times, %d KB; the ceiling is %d, %d KB", allocs, bytes>>10, c.decodeAllocs, c.decodeBytes>>10)
+	}
 }

@@ -7,8 +7,9 @@
 package profdata
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -183,11 +184,11 @@ func appendSortedLocs[V any](dst []LocKey, m map[LocKey]V) []LocKey {
 	for l := range m {
 		dst = append(dst, l)
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		if dst[i].ID != dst[j].ID {
-			return dst[i].ID < dst[j].ID
+	slices.SortFunc(dst, func(a, b LocKey) int {
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
 		}
-		return dst[i].Disc < dst[j].Disc
+		return cmp.Compare(a.Disc, b.Disc)
 	})
 	return dst
 }
@@ -197,13 +198,8 @@ func appendSortedKeys[V any](dst []string, m map[string]V) []string {
 	for k := range m {
 		dst = append(dst, k)
 	}
-	sort.Strings(dst)
+	slices.Sort(dst)
 	return dst
-}
-
-// sortedLocs returns body locations in deterministic order.
-func (fp *FunctionProfile) sortedLocs() []LocKey {
-	return appendSortedLocs(make([]LocKey, 0, len(fp.Blocks)), fp.Blocks)
 }
 
 // SortedCallLocs returns call locations in deterministic order.

@@ -1,14 +1,12 @@
 package profdata
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // The profile text format, modeled on llvm-profdata's extended binary /
@@ -35,62 +33,87 @@ import (
 // endLine is the last line of every text profile.
 const endLine = "# end"
 
-// encode writes the profile in text form.
-func encode(w io.Writer, p *Profile) error {
-	bw := bufio.NewWriter(w)
-	cs := 0
+// AppendText appends the text encoding of p to dst and returns the
+// extended slice. Every record sorts its locations and callee names into
+// the same two scratch slices, so the encoding allocates only what dst
+// has to grow by; pass a dst with room for the profile to allocate
+// nothing else.
+func AppendText(dst []byte, p *Profile) []byte {
+	dst = append(dst, "# csspgo-profile kind="...)
+	dst = append(dst, p.Kind.String()...)
 	if p.CS {
-		cs = 1
+		dst = append(dst, " cs=1\n"...)
+	} else {
+		dst = append(dst, " cs=0\n"...)
 	}
-	fmt.Fprintf(bw, "# csspgo-profile kind=%s cs=%d\n", p.Kind, cs)
-	writeFP := func(header string, fp *FunctionProfile) {
-		fmt.Fprintf(bw, "[%s]\n", header)
-		if fp.ShouldInline {
-			fmt.Fprintf(bw, "shouldinline\n")
-		}
-		if fp.Approx {
-			fmt.Fprintf(bw, "approx\n")
-		}
-		if fp.HeadSamples != 0 {
-			fmt.Fprintf(bw, "head %d\n", fp.HeadSamples)
-		}
-		if fp.Checksum != 0 {
-			fmt.Fprintf(bw, "checksum %d\n", fp.Checksum)
-		}
-		for _, loc := range fp.sortedLocs() {
-			fmt.Fprintf(bw, "body %s %d\n", loc, fp.Blocks[loc])
-		}
-		for _, loc := range fp.SortedCallLocs() {
-			callees := make([]string, 0, len(fp.Calls[loc]))
-			for c := range fp.Calls[loc] {
-				callees = append(callees, c)
-			}
-			sort.Strings(callees)
-			for _, c := range callees {
-				fmt.Fprintf(bw, "call %s %s %d\n", loc, c, fp.Calls[loc][c])
-			}
-		}
-	}
+	e := textEncoder{buf: dst}
 	for _, name := range p.SortedFuncNames() {
-		writeFP(name, p.Funcs[name])
+		e.record(name, p.Funcs[name])
 	}
 	for _, key := range p.SortedContextKeys() {
-		writeFP(key, p.Contexts[key])
+		e.record(key, p.Contexts[key])
 	}
-	fmt.Fprintf(bw, "%s\n", endLine)
-	return bw.Flush()
+	return append(e.buf, endLine+"\n"...)
+}
+
+// textEncoder holds AppendText's output and its sort scratch.
+type textEncoder struct {
+	buf     []byte
+	locs    []LocKey
+	callees []string
+}
+
+// record appends one section: its header line, flags, head and checksum,
+// then body and call lines in location order, callees by name.
+func (e *textEncoder) record(header string, fp *FunctionProfile) {
+	e.buf = append(e.buf, '[')
+	e.buf = append(e.buf, header...)
+	e.buf = append(e.buf, "]\n"...)
+	if fp.ShouldInline {
+		e.buf = append(e.buf, "shouldinline\n"...)
+	}
+	if fp.Approx {
+		e.buf = append(e.buf, "approx\n"...)
+	}
+	if fp.HeadSamples != 0 {
+		e.buf = append(e.buf, "head "...)
+		e.count(fp.HeadSamples)
+	}
+	if fp.Checksum != 0 {
+		e.buf = append(e.buf, "checksum "...)
+		e.count(fp.Checksum)
+	}
+	e.locs = appendSortedLocs(e.locs[:0], fp.Blocks)
+	for _, loc := range e.locs {
+		e.buf = append(e.buf, "body "...)
+		e.buf = append(loc.appendString(e.buf), ' ')
+		e.count(fp.Blocks[loc])
+	}
+	e.locs = appendSortedLocs(e.locs[:0], fp.Calls)
+	for _, loc := range e.locs {
+		targets := fp.Calls[loc]
+		e.callees = appendSortedKeys(e.callees[:0], targets)
+		for _, c := range e.callees {
+			e.buf = append(e.buf, "call "...)
+			e.buf = append(loc.appendString(e.buf), ' ')
+			e.buf = append(e.buf, c...)
+			e.buf = append(e.buf, ' ')
+			e.count(targets[c])
+		}
+	}
+}
+
+// count ends a line with n.
+func (e *textEncoder) count(n uint64) {
+	e.buf = append(strconv.AppendUint(e.buf, n, 10), '\n')
 }
 
 // EncodeToString returns the text encoding.
-func EncodeToString(p *Profile) string {
-	var sb strings.Builder
-	_ = encode(&sb, p)
-	return sb.String()
-}
+func EncodeToString(p *Profile) string { return string(AppendText(nil, p)) }
 
 // SizeBytes returns the size of the text encoding — the profile-size metric
 // used by the scalability experiments (§III.B "Scalability").
-func (p *Profile) SizeBytes() int { return len(EncodeToString(p)) }
+func (p *Profile) SizeBytes() int { return len(AppendText(nil, p)) }
 
 func parseLocKey(s string) (LocKey, error) {
 	if dot := strings.IndexByte(s, '.'); dot >= 0 {
@@ -177,6 +200,11 @@ func lastSectionStart(data []byte) int {
 // addOverflows reports whether a+b wraps around.
 func addOverflows(a, b uint64) bool { return a+b < a }
 
+// maxTextLine bounds one line of text, its newline excluded; a longer line
+// ends the input (strict decode fails, lenient decode keeps what came
+// before it and counts one lost record).
+const maxTextLine = 16<<20 - 1
+
 func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	var stats ReadStats
 	if truncated(data) {
@@ -187,15 +215,13 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		stats.SkippedRecords++
 		data = data[:lastSectionStart(data)]
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// Lines and fields are substrings of one copy of the input. Names are
+	// interned, and the interner keeps a copy of its own, so the profile
+	// never pins the text.
+	text := string(data)
 	var p *Profile
 	var cur *FunctionProfile
-	// Function and callee names repeat across thousands of lines; interning
-	// shares one backing string per distinct name instead of pinning a
-	// substring of every scanned line.
 	in := newInterner()
-	lineNo := 0
 	// fail reports a malformed line: strict mode aborts the decode, lenient
 	// mode records the damage and skips the line. A malformed section header
 	// also poisons `cur` so following data lines are not misattributed.
@@ -210,9 +236,18 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		}
 		return nil
 	}
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	for lineNo := 1; text != ""; lineNo++ {
+		line, rest, _ := strings.Cut(text, "\n")
+		text = rest
+		if len(line) > maxTextLine {
+			if !lenient || p == nil {
+				return nil, stats, fmt.Errorf("line %d: longer than %d bytes", lineNo, maxTextLine)
+			}
+			// Whatever followed is lost with it: count one record.
+			stats.SkippedRecords++
+			return p, stats, nil
+		}
+		line = strings.TrimSpace(line)
 		if line == "" {
 			continue
 		}
@@ -263,26 +298,47 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		if !lenient || p == nil {
-			return nil, stats, err
-		}
-		// A scanner error (e.g. an absurdly long line) ends the input early;
-		// treat whatever followed as one lost record.
-		stats.SkippedRecords++
-		return p, stats, nil
-	}
 	if p == nil {
 		return nil, stats, fmt.Errorf("empty profile")
 	}
 	return p, stats, nil
 }
 
+// appendFields appends the whitespace-separated fields of s to dst, as
+// strings.Fields splits them. Only a line holding a byte >= 0x80 can
+// contain a Unicode space, so only such a line goes to strings.Fields.
+func appendFields(dst []string, s string) []string {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return append(dst, strings.Fields(s)...)
+		}
+	}
+	for i := 0; i < len(s); {
+		for i < len(s) && asciiSpace(s[i]) {
+			i++
+		}
+		start := i
+		for i < len(s) && !asciiSpace(s[i]) {
+			i++
+		}
+		if start < i {
+			dst = append(dst, s[start:i])
+		}
+	}
+	return dst
+}
+
+// asciiSpace reports the ASCII bytes unicode.IsSpace accepts.
+func asciiSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
+}
+
 // parseLine applies one data line of a section to fp. A line that is
 // malformed, names a function no encoding can carry, or would overflow a
 // count leaves fp untouched.
 func (fp *FunctionProfile) parseLine(line string, in *interner) error {
-	fields := strings.Fields(line)
+	var buf [4]string
+	fields := appendFields(buf[:0], line)
 	switch fields[0] {
 	case "shouldinline":
 		fp.ShouldInline = true

@@ -60,6 +60,12 @@ func referenceEncode(w io.Writer, p *Profile) error {
 	return bw.Flush()
 }
 
+// sortedLocs returns body locations in deterministic order; the reference
+// encoder sorted them with it.
+func (fp *FunctionProfile) sortedLocs() []LocKey {
+	return appendSortedLocs(make([]LocKey, 0, len(fp.Blocks)), fp.Blocks)
+}
+
 func referenceEncodeToString(p *Profile) string {
 	var sb strings.Builder
 	_ = referenceEncode(&sb, p)

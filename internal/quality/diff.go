@@ -3,6 +3,7 @@ package quality
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,23 +33,79 @@ type ProfileDiff struct {
 	MeanFuncDivergence float64
 }
 
-// contextWeights returns the per-key sample weights the overlap is computed
-// over: context profiles plus the flat base residue, under a "flat:" key
-// prefix that Gained and Lost print. A context has at least two frames, so
-// no context key can equal a base name either way. Both must participate — a shift of weight between a context and its flat
-// residue is a real distribution change even when the context set is
-// stable. For non-CS profiles only base entries exist.
-func contextWeights(p *profdata.Profile) map[string]uint64 {
-	w := map[string]uint64{}
+// The overlap is computed over per-key sample weights: context profiles
+// under their context key, plus the flat base residue of every base
+// function with samples, under "flat:"+name — the key Gained and Lost
+// print. A context has at least two frames, so no context key can equal a
+// base name either way. Both must participate — a shift of weight between
+// a context and its flat residue is a real distribution change even when
+// the context set is stable. For non-CS profiles only base entries exist.
+// DiffProfiles reads the weights off the profiles' maps in place; only a
+// gained or lost base function's key is ever built.
+const flatPrefix = "flat:"
+
+// weightKey is one key of the overlap and its weight in one profile: a
+// context key, or a base function name standing for flatPrefix+name.
+type weightKey struct {
+	name string
+	flat bool
+	w    uint64
+}
+
+func (k weightKey) String() string {
+	if k.flat {
+		return flatPrefix + k.name
+	}
+	return k.name
+}
+
+// compare orders keys as their strings order, without building them.
+func (k weightKey) compare(o weightKey) int {
+	if k.flat == o.flat {
+		return strings.Compare(k.name, o.name)
+	}
+	if k.flat {
+		return -o.compare(k)
+	}
+	// k is a context key, o stands for flatPrefix+o.name.
+	n := min(len(k.name), len(flatPrefix))
+	if c := strings.Compare(k.name[:n], flatPrefix[:n]); c != 0 {
+		return c
+	}
+	if n < len(flatPrefix) {
+		return -1 // k is a proper prefix of o's string
+	}
+	return strings.Compare(k.name[n:], o.name)
+}
+
+// weightKeys returns p's overlap keys, with their weights, in string
+// order.
+func weightKeys(p *profdata.Profile) []weightKey {
+	keys := make([]weightKey, 0, len(p.Contexts)+len(p.Funcs))
 	for key, fp := range p.Contexts {
-		w[key] += fp.TotalSamples
+		keys = append(keys, weightKey{name: key, w: fp.TotalSamples})
 	}
 	for name, fp := range p.Funcs {
 		if fp.TotalSamples > 0 {
-			w["flat:"+name] += fp.TotalSamples
+			keys = append(keys, weightKey{name: name, flat: true, w: fp.TotalSamples})
 		}
 	}
-	return w
+	slices.SortFunc(keys, weightKey.compare)
+	return keys
+}
+
+// weight returns p's weight under k's key, and whether p has the key.
+func weight(p *profdata.Profile, k weightKey) (uint64, bool) {
+	if k.flat {
+		if fp := p.Funcs[k.name]; fp != nil && fp.TotalSamples > 0 {
+			return fp.TotalSamples, true
+		}
+		return 0, false
+	}
+	if fp := p.Contexts[k.name]; fp != nil {
+		return fp.TotalSamples, true
+	}
+	return 0, false
 }
 
 // FlatFuncTotals returns per-function flattened body-sample totals: what
@@ -71,47 +128,36 @@ func FlatFuncTotals(p *profdata.Profile) map[string]uint64 {
 // should come from the same program; the metric is purely profile-side (no
 // IR needed), so it also works on decoded profiles without sources.
 func DiffProfiles(old, new *profdata.Profile) ProfileDiff {
-	ow, nw := contextWeights(old), contextWeights(new)
 	// Integer accumulation is order-independent; only convert once summed.
-	var oSum, nSum uint64
-	for _, w := range ow {
-		oSum += w
-	}
-	for _, w := range nw {
-		nSum += w
-	}
-	oTotal, nTotal := float64(oSum), float64(nSum)
+	oTotal, nTotal := float64(old.TotalSamples()), float64(new.TotalSamples())
 
 	d := ProfileDiff{FuncDivergence: map[string]float64{}}
-	// Sum in sorted key order: float addition is not associative, and the
+	// Sum in key order: float addition is not associative, and the
 	// overlap lands in journals and manifests that must be byte-identical
 	// across reruns — map iteration order would leak in as 1-ulp noise.
-	oKeys := make([]string, 0, len(ow))
-	for key := range ow {
-		oKeys = append(oKeys, key)
-	}
-	sort.Strings(oKeys)
 	overlap := 0.0
-	for _, key := range oKeys {
-		w := ow[key]
-		nwv, ok := nw[key]
+	for _, k := range weightKeys(old) {
+		nw, ok := weight(new, k)
 		if !ok {
-			d.Lost = append(d.Lost, key)
+			d.Lost = append(d.Lost, k.String())
 			continue
 		}
 		if oTotal > 0 && nTotal > 0 {
-			ov := float64(w) / oTotal
-			nv := float64(nwv) / nTotal
-			overlap += math.Min(ov, nv)
+			overlap += math.Min(float64(k.w)/oTotal, float64(nw)/nTotal)
 		}
 	}
-	for key := range nw {
-		if _, ok := ow[key]; !ok {
+	for key := range new.Contexts {
+		if _, ok := old.Contexts[key]; !ok {
 			d.Gained = append(d.Gained, key)
 		}
 	}
+	for name, fp := range new.Funcs {
+		k := weightKey{name: name, flat: true}
+		if _, ok := weight(old, k); !ok && fp.TotalSamples > 0 {
+			d.Gained = append(d.Gained, k.String())
+		}
+	}
 	sort.Strings(d.Gained)
-	sort.Strings(d.Lost)
 	d.ContextOverlap = overlap
 
 	of, nf := FlatFuncTotals(old), FlatFuncTotals(new)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"csspgo/internal/profdata"
@@ -124,6 +125,26 @@ func TestDiffProfilesMatchesReference(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: DiffProfiles differs from the reference\n got %+v\nwant %+v", path, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestWeightKeysOrderAsTheirStrings: comparing a context key with a base
+// function's key orders them as their strings would, around every prefix
+// of "flat:".
+func TestWeightKeysOrderAsTheirStrings(t *testing.T) {
+	var keys []weightKey
+	for _, s := range []string{"", "a", "f", "fl", "flat", "flat:", "flat:a", "flat:a @ b", "flat:b", "flaz", "fz", "zz"} {
+		keys = append(keys, weightKey{name: s})
+	}
+	for _, s := range []string{"", "a", "a @ b", "b", "c"} {
+		keys = append(keys, weightKey{name: s, flat: true})
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			if got, want := a.compare(b), strings.Compare(a.String(), b.String()); got != want {
+				t.Errorf("compare(%q, %q) = %d, want %d", a, b, got, want)
 			}
 		}
 	}

@@ -74,6 +74,10 @@ go test ./internal/opt ./internal/profdata ./internal/overhead ./internal/preinl
 	-run 'ContextKeyForCall|Promote|ReadsCSProfilesFlat|OneFrameIsBase|GoldenProfilesRoundTrip|TruncatedTextNeverDecodesClean|CannotCarry|SameAfterTextRoundTrip|ExtractSizesMatchesReference' -count=1
 go test -run '^$' -bench 'ParallelProfileGeneration|PreInline' -benchtime 1x .
 
+echo "== serve/fleet path contract (text codec, folded export and profile diff held to their references, served and promoted bytes, dishonest fetch sources, allocation gate)"
+go test ./internal/profdata ./internal/introspect ./internal/quality ./internal/fleet ./internal/pgo \
+	-run 'TextCodecMatchesReference|FoldedMatchesReference|DiffProfilesMatchesReference|WeightKeysOrderAsTheirStrings|ServedBytesAreTheEncodings|PromotedBytesAreTheEncoding|DishonestSources|ServeRoundAllocCeiling' -count=1
+
 echo "== go test -race (the Makefile's race lane)"
 make race
 
