@@ -37,12 +37,7 @@ func (e Entry) appendKey(dst []byte) []byte {
 		}
 		dst = append(dst, f.Func...)
 		if i != len(e.Frames)-1 {
-			dst = append(dst, ':')
-			dst = strconv.AppendInt(dst, int64(f.Site.ID), 10)
-			if f.Site.Disc != 0 {
-				dst = append(dst, '.')
-				dst = strconv.AppendInt(dst, int64(f.Site.Disc), 10)
-			}
+			dst = f.Site.AppendTo(append(dst, ':'))
 		}
 	}
 	return dst

@@ -61,7 +61,7 @@ func (c Context) appendKey(dst []byte) []byte {
 		dst = append(dst, f.Func...)
 		if i != len(c)-1 {
 			dst = append(dst, ':')
-			dst = f.Site.appendString(dst)
+			dst = f.Site.AppendTo(dst)
 		}
 	}
 	return dst

@@ -39,10 +39,10 @@ type LocKey struct {
 	Disc int32
 }
 
-func (l LocKey) String() string { return string(l.appendString(nil)) }
+func (l LocKey) String() string { return string(l.AppendTo(nil)) }
 
-// appendString appends the canonical "ID" or "ID.Disc" rendering to dst.
-func (l LocKey) appendString(dst []byte) []byte {
+// AppendTo appends the canonical "ID" or "ID.Disc" rendering to dst.
+func (l LocKey) AppendTo(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, int64(l.ID), 10)
 	if l.Disc != 0 {
 		dst = append(dst, '.')

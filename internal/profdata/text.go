@@ -35,9 +35,8 @@ const endLine = "# end"
 
 // AppendText appends the text encoding of p to dst and returns the
 // extended slice. Every record sorts its locations and callee names into
-// the same two scratch slices, so the encoding allocates only what dst
-// has to grow by; pass a dst with room for the profile to allocate
-// nothing else.
+// the same two scratch slices; given a dst with room for the encoding, it
+// is written without growing.
 func AppendText(dst []byte, p *Profile) []byte {
 	dst = append(dst, "# csspgo-profile kind="...)
 	dst = append(dst, p.Kind.String()...)
@@ -86,7 +85,7 @@ func (e *textEncoder) record(header string, fp *FunctionProfile) {
 	e.locs = appendSortedLocs(e.locs[:0], fp.Blocks)
 	for _, loc := range e.locs {
 		e.buf = append(e.buf, "body "...)
-		e.buf = append(loc.appendString(e.buf), ' ')
+		e.buf = append(loc.AppendTo(e.buf), ' ')
 		e.count(fp.Blocks[loc])
 	}
 	e.locs = appendSortedLocs(e.locs[:0], fp.Calls)
@@ -95,7 +94,7 @@ func (e *textEncoder) record(header string, fp *FunctionProfile) {
 		e.callees = appendSortedKeys(e.callees[:0], targets)
 		for _, c := range e.callees {
 			e.buf = append(e.buf, "call "...)
-			e.buf = append(loc.appendString(e.buf), ' ')
+			e.buf = append(loc.AppendTo(e.buf), ' ')
 			e.buf = append(e.buf, c...)
 			e.buf = append(e.buf, ' ')
 			e.count(targets[c])
