@@ -2,11 +2,13 @@ package opt
 
 import (
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
+	"csspgo/internal/obs"
 	"csspgo/internal/probe"
 	"csspgo/internal/source"
 )
@@ -105,20 +107,7 @@ func TestVerifyEachAttributesEdgeWeightCorruption(t *testing.T) {
 // Second corruption class from the ISSUE: a pass mangles a probe payload.
 func TestVerifyEachAttributesProbePayloadCorruption(t *testing.T) {
 	p, cfg := checkedConfig(t)
-	cfg.InjectAfter = map[string]func(*ir.Program){
-		"unroll": func(p *ir.Program) {
-			f := p.Funcs["main"]
-			for _, b := range f.Blocks {
-				for i := range b.Instrs {
-					if b.Instrs[i].Op == ir.OpProbe && b.Instrs[i].Probe != nil {
-						b.Instrs[i].Probe.Factor = 0 // would zero counts at annotation
-						return
-					}
-				}
-			}
-			t.Fatal("no probe to corrupt")
-		},
-	}
+	cfg.InjectAfter = map[string]func(*ir.Program){"unroll": zeroProbeFactor(t)}
 	_, err := Optimize(p, cfg)
 	var pv *PassViolation
 	if !errors.As(err, &pv) {
@@ -130,6 +119,50 @@ func TestVerifyEachAttributesProbePayloadCorruption(t *testing.T) {
 	e := pv.Diags[0]
 	if e.Check != "probe-placement" || !strings.Contains(e.Msg, "duplication factor") {
 		t.Fatalf("want probe factor finding, got %v", pv.Diags)
+	}
+}
+
+// zeroProbeFactor returns an injection that zeroes the duplication factor
+// of main's first probe, which would zero its counts at annotation.
+func zeroProbeFactor(t *testing.T) func(*ir.Program) {
+	return func(p *ir.Program) {
+		for _, b := range p.Funcs["main"].Blocks {
+			for i := range b.Instrs {
+				if b.Instrs[i].Op == ir.OpProbe && b.Instrs[i].Probe != nil {
+					b.Instrs[i].Probe.Factor = 0
+					return
+				}
+			}
+		}
+		t.Fatal("no probe to corrupt")
+	}
+}
+
+// The runner stops at the first violation: a miscompile after an early pass
+// comes back as a *PassViolation naming that pass, and no later pass runs,
+// so the trace holds an "opt.<pass>" span only for the passes up to it.
+func TestVerifyEachStopsAtFirstViolation(t *testing.T) {
+	p, cfg := checkedConfig(t)
+	cfg.InjectAfter = map[string]func(*ir.Program){"sample-inline": zeroProbeFactor(t)}
+	tr := obs.NewTrace()
+	cfg.Trace = tr.Span("optimize")
+	_, err := Optimize(p, cfg)
+	cfg.Trace.End()
+	var pv *PassViolation
+	if !errors.As(err, &pv) || pv.Pass != "sample-inline" {
+		t.Fatalf("want a sample-inline *PassViolation, got %v", err)
+	}
+	rep := obs.NewReport("test")
+	rep.AddTrace(tr)
+	var ran []string
+	for _, st := range rep.Stages {
+		if pass, ok := strings.CutPrefix(st.Name, "optimize/opt."); ok {
+			ran = append(ran, pass)
+		}
+	}
+	sort.Strings(ran)
+	if got, want := strings.Join(ran, " "), "annotate inference sample-inline"; got != want {
+		t.Fatalf("passes with a span: %s, want %s", got, want)
 	}
 }
 

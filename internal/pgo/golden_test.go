@@ -54,13 +54,54 @@ func codeDigest(bin *machine.Prog) string {
 	return fmt.Sprintf("%016x %s", h.Sum64(), bin)
 }
 
+// opt.stats pins what the optimizer did to get there: one line per program
+// and variant, "program variant {Stats}", the %+v of the opt.Stats of the
+// build Pipeline returns. checkCodeDigest checks and rewrites it with
+// code.digest, so a refactor of opt that moves a counter but not the code
+// still shows.
+const optStatsFile = "testdata/golden/opt.stats"
+
 // checkCodeDigest builds the program under all five variants and compares
-// each binary with its line of code.digest.
+// each binary with its line of code.digest and each build's opt.Stats with
+// its line of opt.stats.
 func checkCodeDigest(t *testing.T, name string, files []*source.File, train [][]int64) {
 	t.Helper()
-	lines := map[string]string{} // "program variant" -> "fnv64 summary"
-	data, err := os.ReadFile(codeDigestFile)
 	update := os.Getenv("UPDATE_GOLDEN") == "1"
+	digests := readGoldenLines(t, codeDigestFile, update) // "program variant" -> "fnv64 summary"
+	stats := readGoldenLines(t, optStatsFile, update)     // "program variant" -> "{Stats}"
+	for _, v := range []Variant{Baseline, AutoFDO, ProbeOnly, FullCS, InstrPGO} {
+		res, _, err := Pipeline(files, v, train)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := name + " " + string(v)
+		for _, g := range []struct {
+			lines     map[string]string
+			what, got string
+		}{
+			{digests, "code digest", codeDigest(res.Bin)},
+			{stats, "opt stats", fmt.Sprintf("%+v", *res.Stats)},
+		} {
+			if update {
+				g.lines[key] = g.got
+			} else if g.got != g.lines[key] {
+				t.Errorf("%s: %s %s, want %s", key, g.what, g.got, g.lines[key])
+			}
+		}
+	}
+	if update {
+		writeGoldenLines(t, codeDigestFile, digests)
+		writeGoldenLines(t, optStatsFile, stats)
+	}
+}
+
+// readGoldenLines reads a "program variant rest" file into a map keyed by
+// "program variant"; a missing file is an error unless it is about to be
+// written.
+func readGoldenLines(t *testing.T, path string, update bool) map[string]string {
+	t.Helper()
+	lines := map[string]string{}
+	data, err := os.ReadFile(path)
 	if err != nil && !update {
 		t.Fatal(err)
 	}
@@ -69,28 +110,19 @@ func checkCodeDigest(t *testing.T, name string, files []*source.File, train [][]
 			lines[f[0]+" "+f[1]] = f[2]
 		}
 	}
-	for _, v := range []Variant{Baseline, AutoFDO, ProbeOnly, FullCS, InstrPGO} {
-		res, _, err := Pipeline(files, v, train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := name + " " + string(v)
-		got := codeDigest(res.Bin)
-		if update {
-			lines[key] = got
-		} else if got != lines[key] {
-			t.Errorf("%s: code digest %s, want %s", key, got, lines[key])
-		}
+	return lines
+}
+
+// writeGoldenLines writes lines back in sorted order, one per key.
+func writeGoldenLines(t *testing.T, path string, lines map[string]string) {
+	t.Helper()
+	var out []string
+	for k, v := range lines {
+		out = append(out, k+" "+v+"\n")
 	}
-	if update {
-		var out []string
-		for k, v := range lines {
-			out = append(out, k+" "+v+"\n")
-		}
-		sort.Strings(out)
-		if err := os.WriteFile(codeDigestFile, []byte(strings.Join(out, "")), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	sort.Strings(out)
+	if err := os.WriteFile(path, []byte(strings.Join(out, "")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
