@@ -2,7 +2,6 @@ package opt
 
 import (
 	"csspgo/internal/ir"
-	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 )
 
@@ -35,7 +34,6 @@ const (
 // split by the observed ratio. A site qualifies when its dominant target
 // has at least minCount calls. Returns the number of promotions.
 func icp(p *ir.Program, f *ir.Function, calls callHistograms, kind profdata.Kind, minCount uint64) int {
-	promotions := 0
 	// The fallback copy a promotion leaves behind matches the same profile
 	// entry; remember promoted sites so each is rewritten at most once.
 	type siteKey struct {
@@ -43,42 +41,26 @@ func icp(p *ir.Program, f *ir.Function, calls callHistograms, kind profdata.Kind
 		loc   profdata.LocKey
 	}
 	done := map[siteKey]bool{}
-	for pass := 0; pass < icpMaxPerFunction; pass++ {
-		promoted := false
-		for _, b := range f.Blocks {
-			for i := 0; i < len(b.Instrs); i++ {
-				in := &b.Instrs[i]
-				if in.Op != ir.OpICall {
-					continue
-				}
-				owner, loc, ok := icallLoc(f, in, kind)
-				if !ok || done[siteKey{owner, loc}] {
-					continue
-				}
-				done[siteKey{owner, loc}] = true
-				dominant, domCount, total := dominantTarget(calls[owner][loc])
-				if dominant == "" || total == 0 || domCount < minCount {
-					continue
-				}
-				if int(100*domCount/total) < icpMinRatioPct {
-					continue
-				}
-				if _, exists := p.Funcs[dominant]; !exists {
-					continue
-				}
-				promoteICall(p, f, b, i, dominant, domCount, total)
-				promotions++
-				promoted = true
-				break
-			}
-			if promoted {
-				break
-			}
+	promotions := rewriteSites(f, icpMaxPerFunction, func(b *ir.Block, i int) bool {
+		in := &b.Instrs[i]
+		if in.Op != ir.OpICall {
+			return false
 		}
-		if !promoted {
-			break
+		owner, loc, ok := icallLoc(f, in, kind)
+		if !ok || done[siteKey{owner, loc}] {
+			return false
 		}
-	}
+		done[siteKey{owner, loc}] = true
+		dominant, domCount, total := dominantTarget(calls[owner][loc])
+		if dominant == "" || total == 0 || domCount < minCount || int(100*domCount/total) < icpMinRatioPct {
+			return false
+		}
+		if _, exists := p.Funcs[dominant]; !exists {
+			return false
+		}
+		promoteICall(f, b, i, dominant, domCount, total)
+		return true
+	})
 	if promotions > 0 {
 		f.RebuildCFG()
 	}
@@ -123,8 +105,9 @@ func dominantTarget(targets map[string]uint64) (string, uint64, uint64) {
 }
 
 // promoteICall rewrites the indirect call at (b, idx) into a guarded
-// direct call to dominant.
-func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant string, domCount, total uint64) {
+// direct call to dominant. The new blocks get no block probes: they are
+// compiler-introduced control flow, like LLVM's ICP-generated blocks.
+func promoteICall(f *ir.Function, b *ir.Block, idx int, dominant string, domCount, total uint64) {
 	icall := b.Instrs[idx]
 
 	direct := f.NewBlock()
@@ -166,8 +149,6 @@ func promoteICall(p *ir.Program, f *ir.Function, b *ir.Block, idx int, dominant 
 		direct.Term.EdgeW = []uint64{direct.Weight}
 		indirect.Term.EdgeW = []uint64{indirect.Weight}
 	}
-	_ = probe.BlockProbe // (block probes for the new blocks are intentionally absent: they are compiler-introduced control flow, like LLVM's ICP-generated blocks)
-	_ = p
 }
 
 // icpPass splits blocks and adds compare/branch diamonds with estimated

@@ -202,44 +202,59 @@ func bottomUpInline(p *ir.Program, params inlineParams, profiled bool) int {
 }
 
 func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params inlineParams, profiled bool) int {
-	inlines := 0
 	budgetSize := realSize(f)
-	for pass := 0; pass < 4; pass++ {
-		changed := false
+	return rewriteSites(f, 4, func(b *ir.Block, i int) bool {
+		callee := inlinableCallee(p, cg, f, &b.Instrs[i])
+		if callee == nil {
+			return false
+		}
+		size := realSize(callee)
+		if !shouldInline(f, b, callee, size, params, profiled) || budgetSize+size > params.GrowthCap {
+			return false
+		}
+		if inlineCall(p, f, b, i, nil) != nil {
+			return false
+		}
+		budgetSize += size
+		return true
+	})
+}
+
+// rewriteSites is the one scan the call-site rewriters share — both sample
+// inliners, the bottom-up inliner and ICP, each of which is only its
+// decision, try. It offers try every instruction of f in block order; a
+// rewrite try reports has split a block and reshaped the instruction
+// lists, so the scan starts over from the first block. It stops after
+// rounds rewrites or a scan with none, and returns the rewrites.
+func rewriteSites(f *ir.Function, rounds int, try func(b *ir.Block, i int) bool) int {
+	n := 0
+scan:
+	for n < rounds {
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
-				in := &b.Instrs[i]
-				if in.Op != ir.OpCall || in.TailCall {
-					continue
+				if try(b, i) {
+					n++
+					continue scan // rescan after a rewrite
 				}
-				callee := p.Funcs[in.Callee]
-				if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Callee) {
-					continue
-				}
-				size := realSize(callee)
-				if !shouldInline(f, b, callee, size, params, profiled) {
-					continue
-				}
-				if budgetSize+size > params.GrowthCap {
-					continue
-				}
-				if err := inlineCall(p, f, b, i, nil); err != nil {
-					continue
-				}
-				budgetSize += size
-				inlines++
-				changed = true
-				break // b's instruction list changed; rescan function
-			}
-			if changed {
-				break
 			}
 		}
-		if !changed {
-			break
-		}
+		break
 	}
-	return inlines
+	return n
+}
+
+// inlinableCallee is the filter the three inliners share: the callee of in
+// when in is a direct call, not a tail call, to a defined function other
+// than f and outside f's SCC; nil otherwise.
+func inlinableCallee(p *ir.Program, cg *ir.CallGraph, f *ir.Function, in *ir.Instr) *ir.Function {
+	if in.Op != ir.OpCall || in.TailCall {
+		return nil
+	}
+	callee := p.Funcs[in.Callee]
+	if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Callee) {
+		return nil
+	}
+	return callee
 }
 
 func shouldInline(caller *ir.Function, site *ir.Block, callee *ir.Function, size int, params inlineParams, profiled bool) bool {

@@ -119,10 +119,8 @@ func TestTailMergeKeepsProbesPerArm(t *testing.T) {
 	p := lower(t, tailMergeSrc, true)
 	f := p.Funcs["main"]
 	want := map[int32]bool{}
-	for _, b := range f.Blocks {
-		if pr := probe.BlockProbe(b); pr != nil {
-			want[pr.ID] = true
-		}
+	for id := range probe.BuildIndex(f).Blocks {
+		want[id] = true
 	}
 	res := simplifyCFG(f, true, BarrierWeak)
 	if res.TailMergeBlocked == 0 {
@@ -227,10 +225,8 @@ func TestUnrollDuplicatesProbesAndScalesWeights(t *testing.T) {
 	}
 	// Probe copies share IDs: some probe ID appears 4 times.
 	counts := map[int32]int{}
-	for _, b := range f.Blocks {
-		if pr := probe.BlockProbe(b); pr != nil {
-			counts[pr.ID]++
-		}
+	for id, blocks := range probe.BuildIndex(f).Blocks {
+		counts[id] = len(blocks)
 	}
 	found4 := false
 	for _, c := range counts {

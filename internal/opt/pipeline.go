@@ -20,27 +20,37 @@ type runner struct {
 	p     *ir.Program
 	cfg   *Config
 	check *checker
+	err   error // the first pass violation; no pass runs after it
 }
 
 // run executes one pass under its registered identity, opening an
 // "opt.<pass>" span on the configured trace (so per-pass timings are
 // recorded whether or not checked mode is on). In checked mode the
 // structural verifier and the analysis suite run afterwards, and the first
-// error-severity finding aborts the pipeline with a *PassViolation naming
-// this pass.
-func (r *runner) run(id passID, fn func()) error {
+// error-severity finding is kept in r.err as a *PassViolation naming this
+// pass; from then on run does nothing.
+func (r *runner) run(id passID, fn func()) {
+	if r.err != nil {
+		return
+	}
 	sp := r.cfg.Trace.Span("opt." + id.name)
 	defer sp.End()
 	fn()
-	if r.cfg.InjectAfter != nil {
-		if corrupt := r.cfg.InjectAfter[id.name]; corrupt != nil {
-			corrupt(r.p)
-		}
+	if corrupt := r.cfg.InjectAfter[id.name]; corrupt != nil {
+		corrupt(r.p)
 	}
 	if r.check != nil {
-		return r.check.after(id)
+		r.err = r.check.after(id)
 	}
-	return nil
+}
+
+// each runs fn over every function, in program order, as one pass.
+func (r *runner) each(id passID, fn func(f *ir.Function)) {
+	r.run(id, func() {
+		for _, f := range r.p.Functions() {
+			fn(f)
+		}
+	})
 }
 
 // Optimize runs the full pipeline over the program, mirroring the paper's
@@ -75,7 +85,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		if prof.CS {
 			prepareCSProfile(prof, cfg.UsePreInlineDecisions, cfg.CSHotContextThreshold)
 		}
-		if err := r.run(annotatePass, func() {
+		r.run(annotatePass, func() {
 			a := annotateWithMatcher(p, prof, matcher)
 			a.Publish(cfg.Metrics)
 			st.AnnotatedFuncs = a.Annotated
@@ -86,15 +96,11 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 			if a.Matched > 0 {
 				st.MatchQuality = a.QualitySum / float64(a.Matched)
 			}
-		}); err != nil {
-			return st, err
-		}
+		})
 		if !cfg.DisableInference {
-			if err := r.run(inferencePass, func() {
+			r.run(inferencePass, func() {
 				st.InferenceAdjust = inference.InferProgram(p)
-			}); err != nil {
-				return st, err
-			}
+			})
 		}
 		// icp needs the flat target histograms before the CS inliner
 		// consumes the context table.
@@ -103,47 +109,38 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 			icalls = flatCallHistograms(prof)
 		}
 		// Top-down profile-guided inlining.
-		if err := r.run(sampleInlinePass, func() {
+		r.run(sampleInlinePass, func() {
 			if prof.CS {
 				st.SampleInlines = sampleInlineCS(p, prof, matcher, st)
 			} else {
 				st.SampleInlines = sampleInlineAutoFDO(p, defaultInlineParams())
 			}
-		}); err != nil {
-			return st, err
-		}
+		})
 		// Indirect-call promotion runs after the sample inliner (so the
 		// hot wrappers are already merged into their callers and promotion
 		// does not inflate them out of inlining range) and before the
 		// bottom-up inliner (so promoted direct calls can inline).
 		if !cfg.DisableICP {
-			if err := r.run(icpPass, func() {
+			r.run(icpPass, func() {
 				st.ICPromotions = icpProgram(p, icalls, prof.Kind)
-			}); err != nil {
-				return st, err
-			}
+			})
 		}
 	}
 
-	// Early cleanup.
-	if err := r.run(simplifyPass, func() {
-		for _, f := range p.Functions() {
-			sr := simplifyCFG(f, false, cfg.Barrier)
+	simplify := func(tailMerge bool) func(*ir.Function) {
+		return func(f *ir.Function) {
+			sr := simplifyCFG(f, tailMerge, cfg.Barrier)
 			st.CFGMerged += sr.Merged
 			st.CFGEmptyRemoved += sr.EmptyRemoved
 			st.TailMerges += sr.TailMerges
 			st.TailMergeBlocked += sr.TailMergeBlocked
 		}
-	}); err != nil {
-		return st, err
 	}
-	if err := r.run(dcePass, func() {
-		for _, f := range p.Functions() {
-			st.DCERemoved += dce(f)
-		}
-	}); err != nil {
-		return st, err
-	}
+	dceEach := func(f *ir.Function) { st.DCERemoved += dce(f) }
+
+	// Early cleanup.
+	r.each(simplifyPass, simplify(false))
+	r.each(dcePass, dceEach)
 
 	// Main bottom-up inliner.
 	inl := defaultInlineParams()
@@ -152,99 +149,42 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// only picks up cheap wins.
 		inl.HotThreshold = inl.SizeThreshold
 	}
-	if err := r.run(inlinePass, func() {
+	r.run(inlinePass, func() {
 		st.StaticInlines = bottomUpInline(p, inl, prof != nil)
-	}); err != nil {
-		return st, err
-	}
+	})
 
 	// Scalar/control-flow pipeline.
-	if err := r.run(licmPass, func() {
-		for _, f := range p.Functions() {
-			st.LICMHoisted += licm(f)
-		}
-	}); err != nil {
-		return st, err
-	}
+	r.each(licmPass, func(f *ir.Function) { st.LICMHoisted += licm(f) })
 	// Profiled builds unroll hot loops by 4; training builds unroll tiny
 	// loops by 2, like -O2.
-	if err := r.run(unrollPass, func() {
-		for _, f := range p.Functions() {
-			params := unrollParams{Factor: 2, MaxBodyInstrs: 10}
-			if prof != nil {
-				params = unrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
-			}
-			st.Unrolled += unroll(f, params)
+	r.each(unrollPass, func(f *ir.Function) {
+		params := unrollParams{Factor: 2, MaxBodyInstrs: 10}
+		if prof != nil {
+			params = unrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
 		}
-	}); err != nil {
-		return st, err
-	}
-	if err := r.run(ifConvertPass, func() {
-		for _, f := range p.Functions() {
-			ic := ifConvert(f, cfg.Barrier, 3)
-			st.IfConverts += ic.Converted
-			st.IfConvertBlocked += ic.Blocked
-		}
-	}); err != nil {
-		return st, err
-	}
-	if err := r.run(simplifyPass, func() {
-		for _, f := range p.Functions() {
-			sr := simplifyCFG(f, true, cfg.Barrier)
-			st.CFGMerged += sr.Merged
-			st.CFGEmptyRemoved += sr.EmptyRemoved
-			st.TailMerges += sr.TailMerges
-			st.TailMergeBlocked += sr.TailMergeBlocked
-		}
-	}); err != nil {
-		return st, err
-	}
-	if err := r.run(dcePass, func() {
-		for _, f := range p.Functions() {
-			st.DCERemoved += dce(f)
-		}
-	}); err != nil {
-		return st, err
-	}
-	if err := r.run(tcePass, func() {
-		for _, f := range p.Functions() {
-			st.TailCalls += tce(f)
-		}
-	}); err != nil {
-		return st, err
-	}
+		st.Unrolled += unroll(f, params)
+	})
+	r.each(ifConvertPass, func(f *ir.Function) {
+		ic := ifConvert(f, cfg.Barrier, 3)
+		st.IfConverts += ic.Converted
+		st.IfConvertBlocked += ic.Blocked
+	})
+	r.each(simplifyPass, simplify(true))
+	r.each(dcePass, dceEach)
+	r.each(tcePass, func(f *ir.Function) { st.TailCalls += tce(f) })
 
 	if prof != nil {
 		if !cfg.DisableInference {
-			if err := r.run(inferencePass, func() {
-				inference.InferProgram(p)
-			}); err != nil {
-				return st, err
-			}
+			r.run(inferencePass, func() { inference.InferProgram(p) })
 		}
-		if err := r.run(layoutPass, func() {
-			st.LayoutFuncs = layoutProgram(p)
-		}); err != nil {
-			return st, err
-		}
-		if err := r.run(splitPass, func() {
-			st.SplitBlocks = splitProgram(p)
-		}); err != nil {
-			return st, err
-		}
+		r.run(layoutPass, func() { st.LayoutFuncs = layoutProgram(p) })
+		r.run(splitPass, func() { st.SplitBlocks = splitProgram(p) })
 	}
 
-	if err := r.run(unreachablePass, func() {
-		for _, f := range p.Functions() {
-			f.RemoveUnreachable()
-		}
-	}); err != nil {
-		return st, err
-	}
-	if err := r.run(deadFuncPass, func() {
-		dropDeadFunctions(p)
-	}); err != nil {
-		return st, err
+	r.each(unreachablePass, func(f *ir.Function) { f.RemoveUnreachable() })
+	r.run(deadFuncPass, func() { dropDeadFunctions(p) })
+	if r.err != nil {
+		return st, r.err
 	}
 	if err := p.Verify(); err != nil {
 		return st, err

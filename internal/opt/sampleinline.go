@@ -32,69 +32,51 @@ func sampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st 
 	inlines := 0
 
 	for _, name := range cg.TopDownOrder() {
-		f := p.Funcs[name]
-		if f != nil && f.HasProfile {
+		if f := p.Funcs[name]; f != nil && f.HasProfile {
 			// Fixed point: inlining exposes deeper call sites whose probes
 			// carry extended inline chains, matching deeper contexts.
-			for pass := 0; pass < 8; pass++ {
-				changed := false
-				for _, b := range f.Blocks {
-					for i := 0; i < len(b.Instrs); i++ {
-						in := &b.Instrs[i]
-						if in.Op != ir.OpCall || in.Probe == nil || in.TailCall {
-							continue
-						}
-						callee := p.Funcs[in.Callee]
-						if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Callee) {
-							continue
-						}
-						key := contextKeyForCall(in, in.Callee)
-						cp := prof.Contexts[key]
-						if cp == nil {
-							continue
-						}
-						// Stale defense: a context profile whose CFG
-						// checksum no longer matches the callee must not
-						// annotate an inlined body (source drift changed
-						// the callee's shape). The anchor matcher may remap
-						// it into the callee's new ID space; otherwise it
-						// falls through to the base-merge sweep, where
-						// annotation re-checks.
-						if cp.Checksum != 0 && callee.Checksum != 0 && cp.Checksum != callee.Checksum {
-							var remapped *profdata.FunctionProfile
-							if m != nil {
-								if res := m.Match(callee, cp); res.OK {
-									remapped = res.Profile
-								}
-							}
-							if remapped == nil {
-								if st != nil {
-									st.StaleFuncs++
-								}
-								prof.MergeContextIntoBase(key)
-								continue
-							}
-							if st != nil {
-								st.MatchedContexts++
-							}
-							cp = remapped
-						}
-						if err := inlineCall(p, f, b, i, cp); err != nil {
-							continue
-						}
-						delete(prof.Contexts, key)
-						inlines++
-						changed = true
-						break
-					}
-					if changed {
-						break
-					}
+			inlines += rewriteSites(f, 8, func(b *ir.Block, i int) bool {
+				in := &b.Instrs[i]
+				callee := inlinableCallee(p, cg, f, in)
+				if callee == nil || in.Probe == nil {
+					return false
 				}
-				if !changed {
-					break
+				key := contextKeyForCall(in, in.Callee)
+				cp := prof.Contexts[key]
+				if cp == nil {
+					return false
 				}
-			}
+				// Stale defense: a context profile whose CFG checksum no
+				// longer matches the callee must not annotate an inlined
+				// body (source drift changed the callee's shape). The
+				// anchor matcher may remap it into the callee's new ID
+				// space; otherwise it falls through to the base-merge
+				// sweep, where annotation re-checks.
+				if cp.Checksum != 0 && callee.Checksum != 0 && cp.Checksum != callee.Checksum {
+					var remapped *profdata.FunctionProfile
+					if m != nil {
+						if res := m.Match(callee, cp); res.OK {
+							remapped = res.Profile
+						}
+					}
+					if remapped == nil {
+						if st != nil {
+							st.StaleFuncs++
+						}
+						prof.MergeContextIntoBase(key)
+						return false
+					}
+					if st != nil {
+						st.MatchedContexts++
+					}
+					cp = remapped
+				}
+				if inlineCall(p, f, b, i, cp) != nil {
+					return false
+				}
+				delete(prof.Contexts, key)
+				return true
+			})
 		}
 		// Promote what F did not inline (see above).
 		reannotate := map[string]bool{}
@@ -161,53 +143,25 @@ func sampleInlineAutoFDO(p *ir.Program, params inlineParams) int {
 		if f == nil || !f.HasProfile || f.EntryCount == 0 {
 			continue
 		}
-		for pass := 0; pass < 4; pass++ {
-			changed := false
-			for _, b := range f.Blocks {
-				if !b.HasWeight || b.Weight == 0 {
-					continue
-				}
-				hot := b.Weight*1000 >= f.EntryCount*uint64(params.HotCallsiteFraction)
-				if !hot {
-					continue
-				}
-				for i := 0; i < len(b.Instrs); i++ {
-					in := &b.Instrs[i]
-					if in.Op != ir.OpCall || in.TailCall {
-						continue
-					}
-					callee := p.Funcs[in.Callee]
-					if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Callee) {
-						continue
-					}
-					if !callee.HasProfile || callee.EntryCount == 0 {
-						continue
-					}
-					// Conservative: early IR cost estimate, modest cap.
-					size := realSize(callee)
-					if size > params.SizeThreshold {
-						continue
-					}
-					// ThinLTO: cross-module bodies only via summary import
-					// (judged on the pre-optimization summary size).
-					if callee.Module != f.Module && summarySize(callee) > params.ImportThreshold {
-						continue
-					}
-					if err := inlineCall(p, f, b, i, nil); err != nil {
-						continue
-					}
-					inlines++
-					changed = true
-					break
-				}
-				if changed {
-					break
-				}
+		inlines += rewriteSites(f, 4, func(b *ir.Block, i int) bool {
+			if !b.HasWeight || b.Weight == 0 || b.Weight*1000 < f.EntryCount*uint64(params.HotCallsiteFraction) {
+				return false // not a hot site
 			}
-			if !changed {
-				break
+			callee := inlinableCallee(p, cg, f, &b.Instrs[i])
+			if callee == nil || !callee.HasProfile || callee.EntryCount == 0 {
+				return false
 			}
-		}
+			// Conservative: early IR cost estimate, modest cap.
+			if realSize(callee) > params.SizeThreshold {
+				return false
+			}
+			// ThinLTO: cross-module bodies only via summary import (judged
+			// on the pre-optimization summary size).
+			if callee.Module != f.Module && summarySize(callee) > params.ImportThreshold {
+				return false
+			}
+			return inlineCall(p, f, b, i, nil) == nil
+		})
 	}
 	return inlines
 }

@@ -70,17 +70,6 @@ func wantsCallProbe(in *ir.Instr) bool {
 	return (in.Op == ir.OpCall || in.Op == ir.OpICall) && in.Probe == nil
 }
 
-// BlockProbe returns the block probe heading b, or nil if b has none (e.g.
-// probes were never inserted).
-func BlockProbe(b *ir.Block) *ir.Probe {
-	for i := range b.Instrs {
-		if b.Instrs[i].Op == ir.OpProbe {
-			return b.Instrs[i].Probe
-		}
-	}
-	return nil
-}
-
 // Index maps a function's own (non-inlined) probe IDs back to the blocks
 // and call sites currently carrying them. Multiple blocks may carry copies
 // of the same probe after duplication (unrolling); all are returned.

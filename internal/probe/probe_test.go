@@ -66,7 +66,7 @@ func TestInsertIsDeterministic(t *testing.T) {
 		t.Fatal("probe insertion must be deterministic across compilations")
 	}
 	for i := range f1.Blocks {
-		p1b, p2b := BlockProbe(f1.Blocks[i]), BlockProbe(f2.Blocks[i])
+		p1b, p2b := blockProbe(f1.Blocks[i]), blockProbe(f2.Blocks[i])
 		if p1b.ID != p2b.ID {
 			t.Fatalf("block %d probe ids differ: %d vs %d", i, p1b.ID, p2b.ID)
 		}
@@ -168,7 +168,7 @@ func TestVerifyRejectsDuplicateProbeIDs(t *testing.T) {
 	f := p.Funcs["main"]
 	// Give the second block's probe the first block's ID — the shape a buggy
 	// duplication pass would produce.
-	BlockProbe(f.Blocks[1]).ID = BlockProbe(f.Blocks[0]).ID
+	blockProbe(f.Blocks[1]).ID = blockProbe(f.Blocks[0]).ID
 	err := verify(f)
 	if err == nil || !strings.Contains(err.Error(), "duplicate probe id") {
 		t.Fatalf("want duplicate-probe error, got %v", err)
@@ -181,9 +181,9 @@ func TestVerifyAllowsRepeatedInlinedIDs(t *testing.T) {
 	f := p.Funcs["main"]
 	// An inlined copy of another function's probe may repeat IDs already
 	// used by the host: only the host's own ID space must stay unique.
-	bp := BlockProbe(f.Blocks[1])
+	bp := blockProbe(f.Blocks[1])
 	bp.Func = "helper"
-	bp.ID = BlockProbe(f.Blocks[0]).ID
+	bp.ID = blockProbe(f.Blocks[0]).ID
 	bp.InlinedAt = &ir.ProbeSite{Func: "main", CallID: 2}
 	if err := verify(f); err != nil {
 		t.Fatalf("inlined probe with repeated id rejected: %v", err)
@@ -257,4 +257,15 @@ func TestAppendInlineContext(t *testing.T) {
 	if got := AppendInlineContext(nil, nil); got != nil {
 		t.Errorf("nil chain onto nil context = %v, want nil", got)
 	}
+}
+
+// blockProbe returns the block probe heading b, or nil if b has none (e.g.
+// probes were never inserted).
+func blockProbe(b *ir.Block) *ir.Probe {
+	for i := range b.Instrs {
+		if b.Instrs[i].Op == ir.OpProbe {
+			return b.Instrs[i].Probe
+		}
+	}
+	return nil
 }
