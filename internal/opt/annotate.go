@@ -130,40 +130,32 @@ func annotateProbe(f *ir.Function, fp *profdata.FunctionProfile) {
 }
 
 func annotateLine(f *ir.Function, fp *profdata.FunctionProfile) {
+	// A block weighs the max count over its own (not inlined) locations
+	// that have samples.
+	var w uint64
+	var has bool
+	see := func(loc *ir.Loc) {
+		if loc == nil || loc.Parent != nil || loc.Func != f.Name {
+			return
+		}
+		if c, ok := fp.Blocks[profdata.LocKey{ID: loc.Line - f.StartLine, Disc: loc.Disc}]; ok {
+			has = true
+			w = max(w, c)
+		}
+	}
 	for _, b := range f.Blocks {
-		var w uint64
-		has := false
+		w, has = 0, false
 		for i := range b.Instrs {
-			loc := b.Instrs[i].Loc
-			if loc == nil || loc.Parent != nil || loc.Func != f.Name {
-				continue
-			}
-			key := profdata.LocKey{ID: loc.Line - f.StartLine, Disc: loc.Disc}
-			if c, ok := fp.Blocks[key]; ok {
-				has = true
-				if c > w {
-					w = c
-				}
-			} else {
-				// A statement with no samples pulls the max down only if
-				// nothing else matched; absence is not evidence of zero.
-				_ = key
-			}
+			see(b.Instrs[i].Loc)
 		}
-		if loc := b.Term.Loc; loc != nil && loc.Parent == nil && loc.Func == f.Name {
-			key := profdata.LocKey{ID: loc.Line - f.StartLine, Disc: loc.Disc}
-			if c, ok := fp.Blocks[key]; ok {
-				has = true
-				if c > w {
-					w = c
-				}
-			}
-		}
+		see(b.Term.Loc)
 		if has {
 			b.Weight = w
 			b.HasWeight = true
 		} else if fp.TotalSamples > 0 {
-			// Function was sampled but this block never was: sampled zero.
+			// A location without samples is not evidence of zero, so it
+			// never pulls the max down; only a block none of whose
+			// locations was sampled, in a function that was, weighs zero.
 			b.Weight = 0
 			b.HasWeight = true
 		}

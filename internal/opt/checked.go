@@ -150,24 +150,27 @@ func (c *checker) validateSemantics(pass passID) error {
 		return nil
 	}
 	reg.Counter(obs.MTVViolations).Add(int64(analysis.ErrorCount(diags)))
+	return NewPassViolation(pass.name, c.p, diags, func(fn string) string { return c.snaps[fn] })
+}
+
+// NewPassViolation reports the translation validator's findings at one pass
+// boundary, in opt's pipeline or before it (probe insertion): it stamps
+// every finding with the pass and attributes the violation to the first
+// error's function (main when that finding names none), with the
+// function's IR before the pass, as before returns it, and after, from p.
+func NewPassViolation(pass string, p *ir.Program, diags []analysis.Diagnostic, before func(fn string) string) *PassViolation {
 	for i := range diags {
-		diags[i].Pass = pass.name
+		diags[i].Pass = pass
 	}
 	fn := "main"
 	if e := analysis.FirstError(diags); e != nil && e.Func != "" {
 		fn = e.Func
 	}
 	var after string
-	if f := c.p.Funcs[fn]; f != nil {
+	if f := p.Funcs[fn]; f != nil {
 		after = f.String()
 	}
-	return &PassViolation{
-		Pass:   pass.name,
-		Func:   fn,
-		Diags:  diags,
-		Before: c.snaps[fn],
-		After:  after,
-	}
+	return &PassViolation{Pass: pass, Func: fn, Diags: diags, Before: before(fn), After: after}
 }
 
 func modeName(m tv.Mode) string {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"csspgo/internal/analysis"
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
 	"csspgo/internal/obs"
@@ -163,6 +164,32 @@ func TestVerifyEachStopsAtFirstViolation(t *testing.T) {
 	sort.Strings(ran)
 	if got, want := strings.Join(ran, " "), "annotate inference sample-inline"; got != want {
 		t.Fatalf("passes with a span: %s, want %s", got, want)
+	}
+}
+
+// NewPassViolation, which probe insertion and the translation validator
+// share, stamps every finding with the pass and attributes the violation
+// to the first error's function, or to main when that finding names none.
+func TestNewPassViolationAttributesFirstError(t *testing.T) {
+	p := lower(t, checkedSrc, false)
+	before := func(fn string) string { return "before " + fn }
+	for _, errFunc := range []string{"", "work"} {
+		want := "main"
+		if errFunc != "" {
+			want = errFunc
+		}
+		pv := NewPassViolation("probe-insert", p, []analysis.Diagnostic{
+			{Sev: analysis.SevWarning, Func: "other", Block: -1},
+			{Sev: analysis.SevError, Func: errFunc, Block: -1},
+		}, before)
+		if pv.Pass != "probe-insert" || pv.Func != want || pv.Before != "before "+want || pv.After != p.Funcs[want].String() {
+			t.Fatalf("error in %q: got pass %q func %q before %q", errFunc, pv.Pass, pv.Func, pv.Before)
+		}
+		for _, d := range pv.Diags {
+			if d.Pass != "probe-insert" {
+				t.Fatalf("finding not stamped with the pass: %v", d)
+			}
+		}
 	}
 }
 

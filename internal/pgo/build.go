@@ -15,7 +15,6 @@ package pgo
 import (
 	"fmt"
 
-	"csspgo/internal/analysis"
 	"csspgo/internal/analysis/tv"
 	"csspgo/internal/codegen"
 	"csspgo/internal/ir"
@@ -131,21 +130,7 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 		if preProbe != nil {
 			vv := tv.NewValidator(preProbe)
 			if diags := vv.ValidatePass("probe-insert", prog, tv.ModeStructural); len(diags) > 0 {
-				fn := "main"
-				if e := analysis.FirstError(diags); e != nil && e.Func != "" {
-					fn = e.Func
-				}
-				for i := range diags {
-					diags[i].Pass = "probe-insert"
-				}
-				var after string
-				if f := prog.Funcs[fn]; f != nil {
-					after = f.String()
-				}
-				return nil, fmt.Errorf("pgo: optimize: %w", &opt.PassViolation{
-					Pass: "probe-insert", Func: fn, Diags: diags,
-					Before: vv.BaselineIR(fn), After: after,
-				})
+				return nil, fmt.Errorf("pgo: optimize: %w", opt.NewPassViolation("probe-insert", prog, diags, vv.BaselineIR))
 			}
 		}
 	}
