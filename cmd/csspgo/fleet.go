@@ -40,7 +40,6 @@ func cmdFleet(args []string) error {
 	quota := fs.Uint64("quota", 0, "per-source sample quota per round (0 = unlimited)")
 	freshness := fs.Duration("freshness", 0, "drop sources whose profile generation stagnates longer than this (0 = off)")
 	minOverlap := fs.Float64("min-overlap", 0.5, "promotion-gate context-overlap floor against last-good")
-	threshold := fs.Float64("threshold", 100*obs.DefaultRegressionThreshold, "manifest regression threshold in percent")
 	weights := fs.String("weights", "", "comma-separated per-source merge weights (default 1 each)")
 	inject := fs.String("inject", "", "fault self-test: \"poison-counts\" poisons the candidate; the gate must reject it")
 	reportPath := fs.String("report", "", "write a machine-readable run manifest (JSON)")
@@ -89,7 +88,6 @@ func cmdFleet(args []string) error {
 	agg := fleet.NewAggregator(sources, cfg, reg)
 	prom := fleet.NewPromoter(fleet.PromoteConfig{
 		MinOverlap: *minOverlap,
-		Threshold:  *threshold / 100,
 		Journal:    journal,
 	}, reg)
 

@@ -14,7 +14,7 @@
 //	csspgo report  a.json [b.json] | csspgo report -diff [-threshold PCT] a.json b.json | csspgo report -validate [-min-spans N] artifact...
 //	csspgo overhead -bin app.bin [-profile app.prof] [-n 200 -seed 1 -bound 1000] [-period 797] [-top 10] [-budget PCT] [-json] [-o overhead.json]
 //	csspgo serve   -addr :8572 [-workload hhvm -scale 1 | src.ml... [-n 60 -seed 1 -bound 1000]] [-name NAME] [-refresh 30s] [-period 797] [-workers N] [-trace t.json] [-overhead-budget PCT]
-//	csspgo fleet   -o fleet.prof [-rounds 1 -interval 30s] [-timeout 2s -retries 2] [-quota N -freshness 5m] [-min-overlap 0.5 -threshold 10] [-weights 1,2,...] [-inject poison-counts] [-report r.json] [-trace t.json -journal j.jsonl -timeseries ts.json -status-addr :8573] url...
+//	csspgo fleet   -o fleet.prof [-rounds 1 -interval 30s] [-timeout 2s -retries 2] [-quota N -freshness 5m] [-min-overlap 0.5] [-weights 1,2,...] [-inject poison-counts] [-report r.json] [-trace t.json -journal j.jsonl -timeseries ts.json -status-addr :8573] url...
 //	csspgo trace   -stitch fleet.json [-min-cross-links 1] [-require-ancestor span=ancestor] t1.json t2.json... | csspgo trace [-require-ancestor span=ancestor] t.json...
 //
 // -trace writes Chrome trace-event JSON (load it in chrome://tracing or

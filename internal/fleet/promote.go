@@ -55,16 +55,6 @@ type PromoteConfig struct {
 	// moved further than this is rejected (default 0.5; the "Stale Profile
 	// Matching" guard against promoting degraded or poisoned profiles).
 	MinOverlap float64
-	// Threshold is the manifest regression threshold handed to the
-	// existing `report -diff` gate over the last-good and candidate run
-	// manifests (default obs.DefaultRegressionThreshold). Manifests are
-	// normalized first, so only deterministic quality/metric regressions
-	// can fail the gate — never wall-clock noise.
-	Threshold float64
-	// Quality, when set, scores a candidate with extra gate qualities
-	// (e.g. build-and-evaluate speedup) merged into its manifest before
-	// the diff; a scoring error is a gate failure, not a promotion.
-	Quality func(cand *profdata.Profile) (map[string]float64, error)
 	// Now is the promotion clock (nil = time.Now).
 	Now func() time.Time
 	// Journal, when set, receives promotion / rollback / overlap_degrading
@@ -113,9 +103,6 @@ type Promoter struct {
 func NewPromoter(cfg PromoteConfig, reg *obs.Registry) *Promoter {
 	if cfg.MinOverlap <= 0 {
 		cfg.MinOverlap = 0.5
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = obs.DefaultRegressionThreshold
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -251,9 +238,11 @@ func (p *Promoter) Promote(cand *profdata.Profile, manifest *obs.Report) (*Artif
 }
 
 // gate runs the two-part promotion check: the context-overlap floor against
-// last-good, and the existing run-manifest regression diff (normalized, so
-// wall-clock noise cannot fail it) optionally extended with caller-supplied
-// gate qualities.
+// last-good, and the `report -diff` regression diff of the last-good and
+// candidate run manifests at obs.DefaultRegressionThreshold. The manifests
+// are normalized first, so only deterministic quality/metric regressions
+// can fail it, never wall-clock noise; a caller that passes no manifest
+// diffs two empty ones, and only the overlap floor gates.
 func (p *Promoter) gate(last *Artifact, cand *profdata.Profile, manifest *obs.Report) GateResult {
 	res := GateResult{OK: true}
 	res.Overlap = quality.DiffProfiles(last.Profile, cand).ContextOverlap
@@ -261,17 +250,6 @@ func (p *Promoter) gate(last *Artifact, cand *profdata.Profile, manifest *obs.Re
 		res.OK = false
 		res.Reasons = append(res.Reasons,
 			fmt.Sprintf("context overlap %.4f below floor %.4f", res.Overlap, p.cfg.MinOverlap))
-	}
-	if p.cfg.Quality != nil {
-		scores, err := p.cfg.Quality(cand)
-		if err != nil {
-			res.OK = false
-			res.Reasons = append(res.Reasons, fmt.Sprintf("gate quality: %v", err))
-			return res
-		}
-		for k, v := range scores {
-			manifest.Quality[k] = v
-		}
 	}
 	// The overlap score is gated by its explicit floor above, not by the
 	// manifest diff: each generation's recorded overlap is measured against
@@ -282,12 +260,12 @@ func (p *Promoter) gate(last *Artifact, cand *profdata.Profile, manifest *obs.Re
 	b.Normalize()
 	delete(a.Quality, "fleet.gate.context_overlap")
 	delete(b.Quality, "fleet.gate.context_overlap")
-	diff := obs.DiffReportsThreshold(a, b, p.cfg.Threshold)
+	diff := obs.DiffReportsThreshold(a, b, obs.DefaultRegressionThreshold)
 	res.Diff = diff.Text
 	if diff.Regressions > 0 {
 		res.OK = false
 		res.Reasons = append(res.Reasons,
-			fmt.Sprintf("%d manifest regression(s) beyond %.0f%%", diff.Regressions, 100*p.cfg.Threshold))
+			fmt.Sprintf("%d manifest regression(s) beyond %.0f%%", diff.Regressions, 100*obs.DefaultRegressionThreshold))
 	}
 	return res
 }

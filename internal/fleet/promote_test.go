@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -76,10 +75,10 @@ func TestPromoteOverlapFloorRollsBack(t *testing.T) {
 	}
 }
 
-// A manifest quality regression beyond the threshold fails the gate even
-// when the profile shape is unchanged.
+// A manifest quality regression beyond obs.DefaultRegressionThreshold (10%)
+// fails the gate even when the profile shape is unchanged.
 func TestPromoteManifestRegressionRollsBack(t *testing.T) {
-	p := NewPromoter(PromoteConfig{Threshold: 0.10}, obs.NewRegistry())
+	p := NewPromoter(PromoteConfig{}, obs.NewRegistry())
 	prof := testProfile("a", "b")
 	if art, _ := p.Promote(prof, manifestWithQuality(map[string]float64{"speedup": 1.00})); art == nil {
 		t.Fatalf("seed promotion failed")
@@ -115,20 +114,6 @@ func TestPromoteOverlapKeyNotSelfDiffed(t *testing.T) {
 		if v := art.Manifest.Quality["fleet.gate.context_overlap"]; v < 0.999 {
 			t.Fatalf("generation %d recorded overlap %f", gen, v)
 		}
-	}
-}
-
-// A gate-quality scorer error is a gate failure, not a crash or promotion.
-func TestPromoteQualityErrorFailsGate(t *testing.T) {
-	p := NewPromoter(PromoteConfig{
-		Quality: func(*profdata.Profile) (map[string]float64, error) {
-			return nil, fmt.Errorf("evaluation broke")
-		},
-	}, obs.NewRegistry())
-	good, _ := p.Promote(testProfile("a"), nil) // first is ungated
-	_, res := p.Promote(testProfile("a"), nil)
-	if res.OK || p.LastGood() != good {
-		t.Fatalf("scorer error did not roll back: %+v", res)
 	}
 }
 
