@@ -220,12 +220,11 @@ func inlineInto(p *ir.Program, cg *ir.CallGraph, f *ir.Function, params inlinePa
 	})
 }
 
-// rewriteSites is the one scan the call-site rewriters share — both sample
-// inliners, the bottom-up inliner and ICP, each of which is only its
-// decision, try. It offers try every instruction of f in block order; a
-// rewrite try reports has split a block and reshaped the instruction
-// lists, so the scan starts over from the first block. It stops after
-// rounds rewrites or a scan with none, and returns the rewrites.
+// rewriteSites is the one scan behind the call-site rewriters (both sample
+// inliners, the bottom-up inliner and ICP); each of them is only its
+// decision, try. The scan offers try every instruction of f in block
+// order. It stops after rounds rewrites or a scan with none, and returns
+// the number of rewrites.
 func rewriteSites(f *ir.Function, rounds int, try func(b *ir.Block, i int) bool) int {
 	n := 0
 scan:
@@ -234,7 +233,8 @@ scan:
 			for i := 0; i < len(b.Instrs); i++ {
 				if try(b, i) {
 					n++
-					continue scan // rescan after a rewrite
+					// The rewrite split b: rescan from the first block.
+					continue scan
 				}
 			}
 		}
