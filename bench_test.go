@@ -241,12 +241,15 @@ func BenchmarkInference(b *testing.B) {
 	}
 }
 
-// BenchmarkEndToEndPipeline measures one full CSSPGO train→optimize cycle.
+// BenchmarkEndToEndPipeline measures one full CSSPGO train→optimize cycle,
+// with allocations; its allocation twin in tier-1 is internal/pgo's
+// TestPipelineAllocCeiling.
 func BenchmarkEndToEndPipeline(b *testing.B) {
 	w, err := workloads.Load("adretriever", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := pgo.Pipeline(w.Files, pgo.FullCS, w.Train); err != nil {

@@ -5,20 +5,10 @@ import (
 	"sort"
 )
 
-// CallSite is one static call instruction location within a function.
-type CallSite struct {
-	Caller *Function
-	Block  *Block
-	Index  int // instruction index within Block
-	Callee string
-}
-
 // CallGraph is the static call graph of a program.
 type CallGraph struct {
 	Prog  *Program
-	Calls map[string][]CallSite // caller name -> call sites
-	Edges map[string]map[string]bool
-	Rev   map[string]map[string]bool
+	Edges map[string]map[string]bool // caller name -> direct callees
 
 	// The SCC partition, computed once by BuildCallGraph (the graph is
 	// never mutated afterwards): components callees-first, and each name's
@@ -29,33 +19,17 @@ type CallGraph struct {
 
 // BuildCallGraph scans every function for direct calls.
 func BuildCallGraph(p *Program) *CallGraph {
-	cg := &CallGraph{
-		Prog:  p,
-		Calls: map[string][]CallSite{},
-		Edges: map[string]map[string]bool{},
-		Rev:   map[string]map[string]bool{},
-	}
+	cg := &CallGraph{Prog: p, Edges: map[string]map[string]bool{}}
 	for _, f := range p.Functions() {
-		cg.Edges[f.Name] = map[string]bool{}
-		if cg.Rev[f.Name] == nil {
-			cg.Rev[f.Name] = map[string]bool{}
-		}
-	}
-	for _, f := range p.Functions() {
+		callees := map[string]bool{}
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
-				in := &b.Instrs[i]
-				if in.Op != OpCall {
-					continue
+				if in := &b.Instrs[i]; in.Op == OpCall {
+					callees[in.Callee] = true
 				}
-				cg.Calls[f.Name] = append(cg.Calls[f.Name], CallSite{Caller: f, Block: b, Index: i, Callee: in.Callee})
-				cg.Edges[f.Name][in.Callee] = true
-				if cg.Rev[in.Callee] == nil {
-					cg.Rev[in.Callee] = map[string]bool{}
-				}
-				cg.Rev[in.Callee][f.Name] = true
 			}
 		}
+		cg.Edges[f.Name] = callees
 	}
 	cg.sccs = cg.computeSCCs()
 	cg.comp = make(map[string]int, len(cg.sccs))

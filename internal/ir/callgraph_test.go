@@ -36,11 +36,8 @@ func TestCallGraphEdges(t *testing.T) {
 	if !cg.Edges["main"]["a"] || !cg.Edges["a"]["b"] {
 		t.Fatal("missing forward edges")
 	}
-	if !cg.Rev["b"]["a"] || !cg.Rev["b"]["main"] {
-		t.Fatal("missing reverse edges")
-	}
-	if len(cg.Calls["main"]) != 4 {
-		t.Fatalf("main should have 4 call sites, got %d", len(cg.Calls["main"]))
+	if len(cg.Edges["main"]) != 4 || len(cg.Edges["b"]) != 0 {
+		t.Fatalf("main should call 4 functions and b none, got %v and %v", cg.Edges["main"], cg.Edges["b"])
 	}
 }
 

@@ -120,15 +120,51 @@ func (f *Function) ReachableOrderIn(s *ReachScratch) []*Block {
 }
 
 // RemoveUnreachable drops blocks not reachable from entry and rebuilds the
-// CFG. It returns the number of blocks removed.
+// CFG. It returns the number of blocks removed. The survivors are put in
+// reverse post-order; when nothing is dropped the blocks keep their order,
+// and a walk that only counts finds that out without building one.
 func (f *Function) RemoveUnreachable() int {
-	rpo := f.ReachableOrder()
-	removed := len(f.Blocks) - len(rpo)
+	removed := len(f.Blocks) - f.countReachable()
 	if removed > 0 {
-		f.Blocks = rpo
+		f.Blocks = f.ReachableOrder()
 	}
 	f.RebuildCFG()
 	return removed
+}
+
+// countReachable returns how many blocks ReachableOrder would return: the
+// blocks a walk from entry marks, in a table by block ID. Its table and
+// stack live in the frame up to a size most functions stay under.
+func (f *Function) countReachable() int {
+	var seenBuf [256]bool
+	var stackBuf [64]*Block
+	n := f.maxBlockID() + 1
+	seen := seenBuf[:0]
+	if n <= len(seenBuf) {
+		seen = seenBuf[:n]
+	} else {
+		seen = make([]bool, n)
+	}
+	stack := append(stackBuf[:0], f.Entry())
+	seen[f.Entry().ID] = true
+	count := 1
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Term.Succs {
+			// The table grows for a block the function does not hold
+			// (Verify's business), as in ReachableOrderIn.
+			if s.ID >= len(seen) {
+				seen = append(seen, make([]bool, s.ID+1-len(seen))...)
+			}
+			if !seen[s.ID] {
+				seen[s.ID] = true
+				count++
+				stack = append(stack, s)
+			}
+		}
+	}
+	return count
 }
 
 // DomTree is the dominator tree of a function's reachable CFG as of the

@@ -15,19 +15,26 @@ func (in *Instr) Clone() Instr {
 // block of src at the same index, Args included. Every instruction slice is
 // carved from one slab and every Args from another, each with no capacity
 // to spare, so that appending to a block reallocates its slice instead of
-// running into its neighbour's.
-func cloneInstrs(dst, src []*Block) {
+// running into its neighbour's. With retSlot, each block that returns gets
+// one slot to spare, carved for it alone.
+func cloneInstrs(dst, src []*Block, retSlot bool) {
 	nInstrs, nArgs := 0, 0
 	for _, b := range src {
 		nInstrs += len(b.Instrs)
+		if retSlot && b.Term.Kind == TermReturn {
+			nInstrs++
+		}
 		for i := range b.Instrs {
 			nArgs += len(b.Instrs[i].Args)
 		}
 	}
 	instrs, args := make([]Instr, nInstrs), make([]Reg, nArgs)
 	for k, b := range src {
-		n := copy(instrs, b.Instrs)
-		dst[k].Instrs, instrs = instrs[:n:n], instrs[n:]
+		n, c := copy(instrs, b.Instrs), len(b.Instrs)
+		if retSlot && b.Term.Kind == TermReturn {
+			c++
+		}
+		dst[k].Instrs, instrs = instrs[:n:c], instrs[c:]
 		for i := range dst[k].Instrs {
 			if in := &dst[k].Instrs[i]; in.Args != nil {
 				n := copy(args, in.Args)
@@ -76,7 +83,10 @@ func cloneTerms(dst, src []*Block, bmap map[*Block]*Block) {
 // CloneRegion copies the given blocks into f (via adoptBlock), remapping
 // intra-region successor edges. mapReg, when non-nil, rewrites every
 // register operand (used by the inliner to shift callee registers into the
-// caller's register space). The returned map gives original→clone.
+// caller's register space). The returned map gives original→clone. Each
+// cloned block that returns has room for one more instruction: the
+// inliner turns its return into a jump and appends the move of the return
+// value.
 func CloneRegion(f *Function, blocks []*Block, mapReg func(Reg) Reg) map[*Block]*Block {
 	bmap := make(map[*Block]*Block, len(blocks))
 	clones := make([]Block, len(blocks))
@@ -87,7 +97,7 @@ func CloneRegion(f *Function, blocks []*Block, mapReg func(Reg) Reg) map[*Block]
 		f.adoptBlock(nb)
 		bmap[b] = nb
 	}
-	cloneInstrs(f.Blocks[first:], blocks)
+	cloneInstrs(f.Blocks[first:], blocks, true)
 	cloneTerms(f.Blocks[first:], blocks, bmap)
 	if mapReg == nil {
 		return bmap
@@ -133,7 +143,7 @@ func CloneFunction(f *Function) *Function {
 			nf.nextBlockID = b.ID + 1
 		}
 	}
-	cloneInstrs(nf.Blocks, f.Blocks)
+	cloneInstrs(nf.Blocks, f.Blocks, false)
 	cloneTerms(nf.Blocks, f.Blocks, bmap)
 	nf.RebuildCFG()
 	return nf

@@ -1,6 +1,10 @@
 package opt
 
-import "csspgo/internal/ir"
+import (
+	"slices"
+
+	"csspgo/internal/ir"
+)
 
 // simplifyResult reports what simplifyCFG did.
 type simplifyResult struct {
@@ -24,22 +28,32 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 	var res simplifyResult
 	for {
 		changed := false
+		// The one rebuild of the round: each step below keeps the lists
+		// right as it rewrites edges, and tail merging reads none.
 		f.RebuildCFG()
 
 		// 1. Merge A → B where A jumps to B and B has exactly one pred.
+		// A merge moves B's out-edges to A and so leaves every other
+		// block's in-degree as it was: the chain A → B → … that collapses
+		// into A is known up front, and A is sized for all of it once.
 		for _, a := range f.Blocks {
-			for a.Term.Kind == ir.TermJump {
-				b := a.Term.Succs[0]
-				if b == a || len(b.Preds) != 1 || b == f.Entry() {
-					break
-				}
+			n := len(a.Instrs)
+			for x := chainNext(f, a, a); x != nil; x = chainNext(f, a, x) {
+				n += len(x.Instrs)
+			}
+			if n > cap(a.Instrs) {
+				a.Instrs = append(make([]ir.Instr, 0, n), a.Instrs...)
+			}
+			for b := chainNext(f, a, a); b != nil; b = chainNext(f, a, a) {
 				a.Instrs = append(a.Instrs, b.Instrs...)
 				a.Term = b.Term
+				for _, s := range a.Term.Succs {
+					replacePred(s, b, a)
+				}
 				// Weight: the chain executes as one; keep A's weight.
 				b.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
 				b.Instrs = nil
 				removeBlock(f, b)
-				f.RebuildCFG()
 				res.Merged++
 				changed = true
 			}
@@ -57,8 +71,9 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 			for _, p := range b.Preds {
 				p.ReplaceSucc(b, tgt)
 			}
+			// Only tgt's list changes: b's edge leaves it, b's preds' join.
+			tgt.Preds = append(slices.DeleteFunc(tgt.Preds, func(p *ir.Block) bool { return p == b }), b.Preds...)
 			removeBlock(f, b)
-			f.RebuildCFG()
 			res.EmptyRemoved++
 			changed = true
 		}
@@ -79,6 +94,29 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 	}
 	f.RemoveUnreachable()
 	return res
+}
+
+// chainNext returns the block that merges into a after x, the last block
+// of a's chain so far: x's jump target, when a is not it, it is not the
+// entry and x is its only predecessor.
+func chainNext(f *ir.Function, a, x *ir.Block) *ir.Block {
+	if x.Term.Kind != ir.TermJump {
+		return nil
+	}
+	b := x.Term.Succs[0]
+	if b == a || len(b.Preds) != 1 || b == f.Entry() {
+		return nil
+	}
+	return b
+}
+
+// replacePred makes every old in s's predecessor list new.
+func replacePred(s, old, new *ir.Block) {
+	for i, p := range s.Preds {
+		if p == old {
+			s.Preds[i] = new
+		}
+	}
 }
 
 func removeBlock(f *ir.Function, b *ir.Block) {
@@ -124,9 +162,10 @@ func probeInsensitiveEqual(a, b *ir.Instr) bool {
 // tailMergePass merges identical instruction suffixes of sibling blocks
 // that jump to the same successor. With a probe barrier active, suffixes
 // containing probes never match across blocks (IDs differ), so the merge is
-// blocked — counted separately so experiments can report it.
+// blocked — counted separately so experiments can report it. It reads no
+// predecessor lists and leaves them stale; simplifyCFG's next round
+// rebuilds them.
 func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
-	f.RebuildCFG()
 	// Group candidate blocks by their unique jump target.
 	groups := map[*ir.Block][]*ir.Block{}
 	for _, b := range f.Blocks {
@@ -166,7 +205,6 @@ func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int
 				b.Instrs = truncate(b.Instrs, len(b.Instrs)-n)
 				a.Term.Succs[0] = m
 				b.Term.Succs[0] = m
-				f.RebuildCFG()
 				return 1, blocked
 			}
 		}

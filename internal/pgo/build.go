@@ -107,35 +107,54 @@ type BuildResult struct {
 }
 
 // Build parses nothing — it consumes already-parsed files — lowers them,
-// optionally inserts probes, optimizes per the config and emits a binary.
+// optionally inserts probes, optimizes per the config and emits a binary:
+// lower, then snapshot the lowered program as FreshIR, then compile.
 func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	bsp := cfg.Trace.Span("build", obs.A("files", len(files)))
 	defer bsp.End()
+	prog, err := lower(files, cfg, bsp)
+	if err != nil {
+		return nil, err
+	}
+	return compile(prog, ir.CloneProgram(prog), cfg, bsp)
+}
+
+// lower is the front half of a build: irgen, then, with cfg.Probes, probe
+// insertion, validated like any pass boundary under ValidateSemantics. Of
+// the config it reads only Probes and ValidateSemantics, so one lowering
+// serves every build of the same source with the same probes.
+func lower(files []*source.File, cfg BuildConfig, bsp *obs.Span) (*ir.Program, error) {
 	sp := bsp.Span("irgen")
 	prog, err := irgen.Lower(files...)
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("pgo: lower: %w", err)
 	}
-	if cfg.Probes {
-		var preProbe *ir.Program
-		if cfg.ValidateSemantics {
-			preProbe = ir.CloneProgram(prog)
-		}
-		sp = bsp.Span("probe_insert")
-		probe.InsertProgram(prog)
-		sp.End()
-		// Probe insertion must be semantically invisible: validate it like
-		// any other structural pass boundary.
-		if preProbe != nil {
-			vv := tv.NewValidator(preProbe)
-			if diags := vv.ValidatePass("probe-insert", prog, tv.ModeStructural); len(diags) > 0 {
-				return nil, fmt.Errorf("pgo: optimize: %w", opt.NewPassViolation("probe-insert", prog, diags, vv.BaselineIR))
-			}
+	if !cfg.Probes {
+		return prog, nil
+	}
+	var preProbe *ir.Program
+	if cfg.ValidateSemantics {
+		preProbe = ir.CloneProgram(prog)
+	}
+	sp = bsp.Span("probe_insert")
+	probe.InsertProgram(prog)
+	sp.End()
+	// Probe insertion must be semantically invisible: validate it like
+	// any other structural pass boundary.
+	if preProbe != nil {
+		vv := tv.NewValidator(preProbe)
+		if diags := vv.ValidatePass("probe-insert", prog, tv.ModeStructural); len(diags) > 0 {
+			return nil, fmt.Errorf("pgo: optimize: %w", opt.NewPassViolation("probe-insert", prog, diags, vv.BaselineIR))
 		}
 	}
-	fresh := ir.CloneProgram(prog)
+	return prog, nil
+}
 
+// compile is the back half of a build: it optimizes prog in place per cfg
+// and emits the binary. fresh is the result's FreshIR; nil for a build
+// whose IR nothing reads.
+func compile(prog, fresh *ir.Program, cfg BuildConfig, bsp *obs.Span) (*BuildResult, error) {
 	barrier := opt.BarrierNone
 	switch {
 	case cfg.Instrument:
@@ -162,7 +181,7 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pgo: optimize: %w", err)
 	}
-	sp = bsp.Span("codegen")
+	sp := bsp.Span("codegen")
 	bin, err := codegen.Lower(prog, codegen.Options{
 		Instrument:     cfg.Instrument,
 		StripProbeMeta: !cfg.Probes,
@@ -359,21 +378,34 @@ func Evaluate(bin *machine.Prog, requests [][]int64) (sim.Stats, error) {
 // All PGO variants train on the plain -O2 baseline binary appropriate to
 // their correlation mechanism (probe-less for AutoFDO, probed for the
 // pseudo-instrumentation variants, counter-instrumented for Instr PGO).
+// Both binaries come from one lowering, as they come from one source and
+// one set of probes: the training build compiles a clone of it, and the
+// optimizing build the lowered program itself.
 func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildResult, *profdata.Profile, error) {
 	probes := variant != Baseline && variant != AutoFDO
-	base, err := Build(files, BuildConfig{Probes: probes, Instrument: variant == InstrPGO})
-	if err != nil || variant == Baseline {
+	trainCfg := BuildConfig{Probes: probes, Instrument: variant == InstrPGO}
+	if variant == Baseline {
+		base, err := Build(files, trainCfg)
 		return base, nil, err
+	}
+	prog, err := lower(files, trainCfg, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	// No FreshIR: CollectProfileFor reads only the training binary.
+	base, err := compile(ir.CloneProgram(prog), nil, trainCfg, nil)
+	if err != nil {
+		return nil, nil, err
 	}
 	prof, err := CollectProfileFor(base, variant, train)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := Build(files, BuildConfig{
+	res, err := compile(prog, ir.CloneProgram(prog), BuildConfig{
 		Probes:                probes,
 		Profile:               prof,
 		UsePreInlineDecisions: variant == FullCS,
-	})
+	}, nil)
 	return res, prof, err
 }
 

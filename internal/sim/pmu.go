@@ -165,10 +165,10 @@ func (p *pmu) takeSample(stack []uint64) {
 // sink when it reaches the configured chunk size.
 func (p *pmu) takeSampleStreaming(stack []uint64) {
 	if p.chunk == nil {
-		p.chunk = getChunk(p.chunkSize)
+		p.chunk = getChunk()
 		p.chunk.Index = p.chunkIdx
 	}
-	s := p.chunk.appendSlot()
+	s := p.chunk.appendSlot(p.chunkSize)
 	s.LBR = p.snapshotLBRInto(s.LBR[:0])
 	s.Stack = s.Stack[:0]
 	if p.cfg.SampleStacks {

@@ -1,6 +1,9 @@
 package sim
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // This file is the streaming half of the PMU: instead of materializing the
 // whole sample stream in memory (Samples()), the machine can hand off
@@ -38,20 +41,15 @@ type SampleSink interface {
 
 var chunkPool = sync.Pool{New: func() any { return new(SampleChunk) }}
 
-// getChunk returns a pooled chunk with zero samples and at least the given
-// capacity hint (chunks recycled from larger configurations may have more).
-func getChunk(capacity int) *SampleChunk {
-	if capacity <= 0 {
-		capacity = DefaultChunkSize
-	}
+// getChunk returns a pooled chunk with zero samples. A fresh chunk has no
+// slots yet: appendSlot grows them with the stream, so a collection of a
+// hundred samples does not pay for a chunk size of them, and a chunk
+// recycled from an earlier stream keeps the slots it grew.
+func getChunk() *SampleChunk {
 	ch := chunkPool.Get().(*SampleChunk)
 	ch.Index = 0
 	ch.Borrowed = false
-	if ch.Samples == nil {
-		ch.Samples = make([]Sample, 0, capacity)
-	} else {
-		ch.Samples = ch.Samples[:0]
-	}
+	ch.Samples = ch.Samples[:0]
 	return ch
 }
 
@@ -65,15 +63,19 @@ func RecycleChunk(ch *SampleChunk) {
 	chunkPool.Put(ch)
 }
 
+// firstChunkSlots is how many slots a fresh chunk grows to first.
+const firstChunkSlots = 64
+
 // appendSlot extends the chunk by one sample and returns the slot. Slots
 // recovered from the pool keep their LBR/Stack backing arrays so the hot
-// path appends into already-sized memory.
-func (c *SampleChunk) appendSlot() *Sample {
-	if len(c.Samples) < cap(c.Samples) {
-		c.Samples = c.Samples[:len(c.Samples)+1]
-	} else {
-		c.Samples = append(c.Samples, Sample{})
+// path appends into already-sized memory. A full chunk doubles its slots,
+// up to limit (the chunk size, at which the chunk is handed off).
+func (c *SampleChunk) appendSlot(limit int) *Sample {
+	if n := len(c.Samples); n == cap(c.Samples) {
+		more := min(max(n, firstChunkSlots), limit-n)
+		c.Samples = slices.Grow(c.Samples, max(more, 1))
 	}
+	c.Samples = c.Samples[:len(c.Samples)+1]
 	return &c.Samples[len(c.Samples)-1]
 }
 
