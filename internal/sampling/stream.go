@@ -39,9 +39,11 @@ package sampling
 //     resolves each distinct context once and adds its delta × lookups.
 //
 // Deferred context resolution is the other half of the throughput: a
-// per-sample loop runs contextOf + context-key hashing once per range,
-// while the engine resolves each distinct raw context exactly once at
-// Finish, after the complete tail-call graph is known. That per-sample loop
+// per-sample loop resolves a context with contextOf once per range, while
+// the engine counts each range under its raw context (callers, leaf) in a
+// per-worker table found by content (pendingTable) and resolves each
+// distinct raw context exactly once at Finish, after the complete tail-call
+// graph is known. That per-sample loop
 // survives as the test-only oracle in reference_test.go; committed golden
 // profiles (internal/pgo/testdata/golden) pin the engine's bytes.
 
@@ -101,15 +103,138 @@ type tailObs struct {
 // at Finish instead of once per sample.
 type rangeKey struct{ lo, hi int32 }
 
+// fewRanges is how many distinct ranges a pending context counts in place
+// before it spills to a map. Most contexts of a sample stream cover only a
+// handful of ranges, and a linear search of that many beats a map probe.
+const fewRanges = 8
+
+// rangeCount is one covered range and its occurrences.
+type rangeCount struct {
+	rangeKey
+	occ uint64
+}
+
 // pendingCtx aggregates everything observed under one raw calling context
-// (callers, leaf, kind) before the context itself is resolved: how many
-// ranges looked the context up (the stat-replay multiplier), and how often
-// each instruction range executed under it.
+// (callers, leaf) before the context itself is resolved: how many ranges
+// looked the context up (the stat-replay multiplier), and how often each
+// instruction range executed under it — the first fewRanges distinct
+// ranges in few, any others in more.
 type pendingCtx struct {
+	hash    uint64 // hashContext(callers, leaf)
 	callers []uint64
 	leaf    *machine.Func
 	lookups int
-	ranges  map[rangeKey]uint64 // covered range -> occurrences
+	nFew    int
+	few     [fewRanges]rangeCount
+	more    map[rangeKey]uint64 // nil until a context covers more than fewRanges ranges
+}
+
+// count adds occ occurrences of the range rk.
+func (pc *pendingCtx) count(rk rangeKey, occ uint64) {
+	for i := range pc.few[:pc.nFew] {
+		if pc.few[i].rangeKey == rk {
+			pc.few[i].occ += occ
+			return
+		}
+	}
+	if pc.nFew < fewRanges {
+		pc.few[pc.nFew] = rangeCount{rk, occ}
+		pc.nFew++
+		return
+	}
+	if pc.more == nil {
+		pc.more = map[rangeKey]uint64{}
+	}
+	pc.more[rk] += occ
+}
+
+// hashContext mixes a raw context's callers, their count and the leaf's
+// function ID.
+func hashContext(callers []uint64, leaf *machine.Func) uint64 {
+	h := mix(uint64(len(callers)), uint64(leaf.ID))
+	for _, a := range callers {
+		h = mix(h, a)
+	}
+	return h
+}
+
+// pendingTable is one worker's pending contexts, found by content in the
+// idiom of sampleGrouper: the hash picks where to look in an open-addressed
+// index, and a context matches only after its leaf is the same function and
+// its callers compare equal word for word, so a colliding hash can cost a
+// probe, never a count. Contexts stay in ctxs in order of first lookup.
+type pendingTable struct {
+	slots []int32 // 1 + index into ctxs; 0 = empty
+	ctxs  []*pendingCtx
+}
+
+// find returns the slot that holds the context (h, callers, leaf), or the
+// empty slot where it belongs.
+func (t *pendingTable) find(h uint64, callers []uint64, leaf *machine.Func) *int32 {
+	mask := uint64(len(t.slots) - 1)
+	for s := h & mask; ; s = (s + 1) & mask {
+		i := t.slots[s]
+		if i == 0 {
+			return &t.slots[s]
+		}
+		if pc := t.ctxs[i-1]; pc.hash == h && pc.leaf == leaf && slices.Equal(pc.callers, callers) {
+			return &t.slots[s]
+		}
+	}
+}
+
+// index returns the index in ctxs of the context (callers, leaf), adding it
+// — with its own copy of callers — on first sight.
+func (t *pendingTable) index(callers []uint64, leaf *machine.Func) int32 {
+	t.reserve()
+	h := hashContext(callers, leaf)
+	s := t.find(h, callers, leaf)
+	if *s == 0 {
+		t.ctxs = append(t.ctxs, &pendingCtx{hash: h, callers: slices.Clone(callers), leaf: leaf})
+		*s = int32(len(t.ctxs))
+	}
+	return *s - 1
+}
+
+// reserve keeps room for one more context with the index at most half
+// full, doubling it (a power of two, so that the hash masks) and
+// re-placing every context when it would not be.
+func (t *pendingTable) reserve() {
+	if 2*(len(t.ctxs)+1) <= len(t.slots) {
+		return
+	}
+	t.slots = make([]int32, max(2*len(t.slots), 64))
+	mask := uint64(len(t.slots) - 1)
+	for i, pc := range t.ctxs {
+		s := pc.hash & mask
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(i + 1)
+	}
+}
+
+// merge folds another worker's table into t by content: a context t
+// already holds sums the other's lookups and range counts into its own,
+// and a new one is adopted as it is.
+func (t *pendingTable) merge(o *pendingTable) {
+	for _, pc := range o.ctxs {
+		t.reserve()
+		s := t.find(pc.hash, pc.callers, pc.leaf)
+		if *s == 0 {
+			t.ctxs = append(t.ctxs, pc)
+			*s = int32(len(t.ctxs))
+			continue
+		}
+		dst := t.ctxs[*s-1]
+		dst.lookups += pc.lookups
+		for _, rc := range pc.few[:pc.nFew] {
+			dst.count(rc.rangeKey, rc.occ)
+		}
+		for rk, occ := range pc.more {
+			dst.count(rk, occ)
+		}
+	}
 }
 
 // ValidateWorkers rejects worker counts the pool cannot interpret. The CLI
@@ -203,14 +328,15 @@ func (g *sampleGrouper) group(samples []sim.Sample) []sampleGroup {
 	return g.groups
 }
 
+// mix folds one word into a multiply-xorshift hash.
+func mix(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
+}
+
 // hashSample mixes every word of a sample, and both lengths, so that a
 // record moving between the LBR and the stack changes the hash.
 func hashSample(s *sim.Sample) uint64 {
-	const k = 0x9E3779B97F4A7C15
-	mix := func(h, w uint64) uint64 {
-		h = (h ^ w) * k
-		return h ^ h>>29
-	}
 	h := mix(uint64(len(s.LBR)), uint64(len(s.Stack)))
 	for i := range s.LBR {
 		h = mix(mix(h, s.LBR[i].From), s.LBR[i].To)
@@ -331,8 +457,7 @@ func (d *dispatcher) wait() {
 type csWorker struct {
 	bin     *machine.Prog
 	u       *unwinder
-	keyBuf  []byte
-	pending map[string]*pendingCtx
+	pending pendingTable
 	trunc   map[rangeKey]uint64 // truncated-range occurrences, expanded at drain
 	base    *profdata.Profile
 	tails   map[edgeKey]tailObs // nil when tail-call inference is off
@@ -343,12 +468,11 @@ type csWorker struct {
 // newCSWorker builds one streaming worker's private state.
 func newCSWorker(bin *machine.Prog, opts CSSPGOOptions) *csWorker {
 	w := &csWorker{
-		bin:     bin,
-		u:       newUnwinder(bin, nil),
-		pending: map[string]*pendingCtx{},
-		trunc:   map[rangeKey]uint64{},
-		base:    profdata.New(profdata.ProbeBased, true),
-		icalls:  map[uint64]map[string]uint64{},
+		bin:    bin,
+		u:      newUnwinder(bin, nil),
+		trunc:  map[rangeKey]uint64{},
+		base:   profdata.New(profdata.ProbeBased, true),
+		icalls: map[uint64]map[string]uint64{},
 	}
 	w.u.AssumeAligned = opts.AssumeAligned
 	if opts.TailCallInference {
@@ -398,12 +522,12 @@ func (w *csWorker) consume(sh share) {
 		w.scanLBR(ch.Index, int(g.first), smp.LBR, from, n)
 		// Intra-function branches dominate hot LBRs: consecutive ranges with
 		// unchanged callers and the same leaf resolve to the same pending
-		// context, so the key hash + table probe can be skipped for them.
-		var lastPC *pendingCtx
+		// context, so the hash + table probe can be skipped for them.
+		last := int32(-1)
 		var lastLeaf *machine.Func
 		for _, cr := range w.u.unwind(smp, from, int(g.n)) {
 			if !cr.SameCallers {
-				lastPC, lastLeaf = nil, nil
+				last = -1
 			}
 			rk := rangeKey{cr.Lo, cr.Hi}
 			if cr.Truncated {
@@ -412,24 +536,14 @@ func (w *csWorker) consume(sh share) {
 				w.trunc[rk] += n
 				continue
 			}
-			pc := lastPC
-			if pc == nil || cr.Fn != lastLeaf {
-				w.keyBuf = appendCacheKey(w.keyBuf[:0], cr.Callers, cr.Fn.Name, profdata.ProbeBased)
-				pc = w.pending[string(w.keyBuf)]
-				if pc == nil {
-					pc = &pendingCtx{
-						// cr.Callers lives in the unwinder's arena; copy once
-						// per distinct context.
-						callers: append([]uint64(nil), cr.Callers...),
-						leaf:    cr.Fn,
-						ranges:  map[rangeKey]uint64{},
-					}
-					w.pending[string(w.keyBuf)] = pc
-				}
-				lastPC, lastLeaf = pc, cr.Fn
+			if last < 0 || cr.Fn != lastLeaf {
+				// cr.Callers lives in the unwinder's arena; the table copies
+				// it once per distinct context.
+				last, lastLeaf = w.pending.index(cr.Callers, cr.Fn), cr.Fn
 			}
+			pc := w.pending.ctxs[last]
 			pc.lookups += int(g.n)
-			pc.ranges[rk] += n
+			pc.count(rk, n)
 		}
 	}
 }
@@ -591,25 +705,15 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 	if p == nil {
 		p = profdata.New(profdata.ProbeBased, true)
 	}
-	pending := s.workers[0].pending
+	pending := &s.workers[0].pending
 	for _, w := range s.workers[1:] {
-		for k, pc := range w.pending {
-			dst := pending[k]
-			if dst == nil {
-				pending[k] = pc
-				continue
-			}
-			dst.lookups += pc.lookups
-			for rk, n := range pc.ranges {
-				dst.ranges[rk] += n
-			}
-		}
+		pending.merge(&w.pending)
 	}
 	icalls := mergeICallTargets(icallParts)
 	msp.End()
 
 	// Resolve each distinct context once and attribute its deferred counts.
-	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending)))
+	rsp := s.opts.Trace.Span("sampling.resolve_contexts", obs.A("contexts", len(pending.ctxs)))
 	ru := newUnwinder(s.bin, tails)
 	ru.AssumeAligned = s.opts.AssumeAligned
 	// callerCtx is rebuilt for every pending context and ctxBuf for every
@@ -620,7 +724,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 		ctxBuf = contextForProbe(ctxBuf, callerCtx, rec, s.opts.MaxContextDepth)
 		return p.ContextProfile(ctxBuf)
 	}
-	for _, pc := range pending {
+	for _, pc := range pending.ctxs {
 		before := ru.Stats
 		callerCtx = ru.contextOf(callerCtx, pc.callers, pc.leaf.Name)
 		// Inference-stat deltas are defined per lookup; contextOf above
@@ -633,7 +737,10 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 			ru.Stats.EventsRecovered += n * de
 			ru.Stats.FramesRecovered += n * df
 		}
-		for rk, occ := range pc.ranges {
+		for _, rc := range pc.few[:pc.nFew] {
+			attributeRange(s.bin, rc.rangeKey, rc.occ, inContext)
+		}
+		for rk, occ := range pc.more {
 			attributeRange(s.bin, rk, occ, inContext)
 		}
 	}
@@ -651,7 +758,7 @@ func (s *CSSPGOStream) Finish() (*profdata.Profile, UnwindStats) {
 
 	if s.opts.Metrics != nil {
 		s.opts.Metrics.Counter(obs.MStreamChunks).Add(int64(s.chunks))
-		s.opts.Metrics.Counter(obs.MStreamContexts).Add(int64(len(pending)))
+		s.opts.Metrics.Counter(obs.MStreamContexts).Add(int64(len(pending.ctxs)))
 		s.opts.Metrics.Counter(obs.MStreamDistinctSamples).Add(int64(s.distinct))
 	}
 	st.Publish(s.opts.Metrics)

@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"encoding/binary"
-
 	"csspgo/internal/ir"
 	"csspgo/internal/machine"
 	"csspgo/internal/probe"
@@ -272,23 +270,4 @@ func (u *unwinder) callProbeAt(addr uint64, fn string) profdata.LocKey {
 		}
 	}
 	return profdata.LocKey{}
-}
-
-// appendCacheKey renders one (callers, leaf, kind) triple injectively into
-// dst (reusing its backing array), so hot paths can probe key-indexed maps
-// without materializing a string. The caller count is length-prefixed and
-// addresses are fixed-width, so the boundary between the address block and
-// the leaf name is unambiguous — without the prefix, a context of N callers
-// could alias a context of N-1 callers whose leaf name happened to start
-// with the missing address's bytes.
-func appendCacheKey(dst []byte, callers []uint64, leaf string, kind profdata.Kind) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(callers)))
-	for _, a := range callers {
-		for s := 0; s < 64; s += 8 {
-			dst = append(dst, byte(a>>s))
-		}
-	}
-	dst = append(dst, byte(kind))
-	dst = append(dst, leaf...)
-	return dst
 }

@@ -2,6 +2,9 @@ package sampling
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"csspgo/internal/machine"
@@ -149,44 +152,171 @@ func TestLineLocClampsNegativeOffset(t *testing.T) {
 	}
 }
 
-// -------------------------------------------- satellite: cache-key aliasing
+// ------------------------------------------------ the pending-context table
 
-// cacheKey renders one (callers, leaf, kind) triple as appendCacheKey does,
-// as a string.
-func cacheKey(callers []uint64, leaf string, kind profdata.Kind) string {
-	return string(appendCacheKey(nil, callers, leaf, kind))
+// pendingKey renders a raw context for the tests' reference maps.
+func pendingKey(callers []uint64, leaf *machine.Func) string {
+	return fmt.Sprint(leaf.ID, callers)
 }
 
-// TestCacheKeyInjective feeds pairs that collided under the old delimiter-free
-// encoding (address bytes ran straight into the leaf name) and requires
-// distinct keys for distinct triples.
-func TestCacheKeyInjective(t *testing.T) {
-	type triple struct {
-		callers []uint64
-		leaf    string
-		kind    profdata.Kind
-	}
-	cases := []triple{
-		{nil, "", profdata.ProbeBased},
-		{nil, "a", profdata.ProbeBased},
-		{[]uint64{'a'}, "", profdata.ProbeBased},
-		{[]uint64{'a'}, "", profdata.LineBased},
-		{nil, "a\x00\x00\x00\x00\x00\x00\x00", profdata.ProbeBased},
-		{[]uint64{0x61, 0x62}, "", profdata.ProbeBased},
-		{[]uint64{0x61}, "b\x00\x00\x00\x00\x00\x00\x00", profdata.ProbeBased},
-		{[]uint64{0x6261}, "", profdata.ProbeBased},
-		{[]uint64{1, 2}, "f", profdata.ProbeBased},
-		{[]uint64{1}, "f", profdata.ProbeBased},
-		{[]uint64{2, 1}, "f", profdata.ProbeBased},
-	}
-	seen := map[string]triple{}
-	for _, c := range cases {
-		k := cacheKey(c.callers, c.leaf, c.kind)
-		if prev, dup := seen[k]; dup {
-			t.Fatalf("cache key collision: %+v vs %+v", prev, c)
+// pendingCounts is what a pending table holds, by rendered context: the
+// lookups and the occurrences of each range.
+func pendingCounts(t *pendingTable) map[string]map[rangeKey]uint64 {
+	out := map[string]map[rangeKey]uint64{}
+	for _, pc := range t.ctxs {
+		m := map[rangeKey]uint64{{-1, -1}: uint64(pc.lookups)}
+		for _, rc := range pc.few[:pc.nFew] {
+			m[rc.rangeKey] += rc.occ
 		}
-		seen[k] = c
+		for rk, occ := range pc.more {
+			m[rk] += occ
+		}
+		out[pendingKey(pc.callers, pc.leaf)] = m
 	}
+	return out
+}
+
+// TestPendingTableFindsByContent holds the workers' pending-context table to
+// what a map keyed by each context's rendering would do: distinct contexts
+// get distinct entries whatever their words look like, an entry keeps its
+// index while the table grows, per-worker tables merged the way Finish
+// merges them equal one table fed everything, and a context covering more
+// ranges than it counts in place loses none of them.
+func TestPendingTableFindsByContent(t *testing.T) {
+	f, g := &machine.Func{ID: 0, Name: "f"}, &machine.Func{ID: 1, Name: "g"}
+	leaves := []*machine.Func{f, g, {ID: 2, Name: "h"}}
+
+	t.Run("aliases", func(t *testing.T) {
+		cases := []struct {
+			callers []uint64
+			leaf    *machine.Func
+		}{
+			{[]uint64{0x61, 0x62}, f},
+			{[]uint64{0x6261}, f},
+			{[]uint64{1, 2}, f},
+			{[]uint64{2, 1}, f},
+			{[]uint64{1}, f},
+			{nil, f},
+			{[]uint64{1, 2}, g},
+			{nil, g},
+		}
+		var tab pendingTable
+		seen := map[int32]int{}
+		for i, c := range cases {
+			idx := tab.index(c.callers, c.leaf)
+			if prev, dup := seen[idx]; dup {
+				t.Fatalf("%v under %s and %v under %s share entry %d",
+					cases[prev].callers, cases[prev].leaf.Name, c.callers, c.leaf.Name, idx)
+			}
+			seen[idx] = i
+		}
+		for i, c := range cases {
+			if idx := tab.index(c.callers, c.leaf); seen[idx] != i {
+				t.Fatalf("%v under %s: found again at entry %d, which belongs to case %d", c.callers, c.leaf.Name, idx, seen[idx])
+			}
+		}
+		// Every hash equal: only the comparison tells the contexts apart.
+		for _, pc := range tab.ctxs {
+			pc.hash = 7
+		}
+		tab.slots = nil
+		tab.reserve()
+		for i, c := range cases {
+			if s := tab.find(7, c.callers, c.leaf); *s == 0 || seen[*s-1] != i {
+				t.Fatalf("%v under %s, all hashes equal: found entry %d, want case %d's", c.callers, c.leaf.Name, *s-1, i)
+			}
+		}
+	})
+
+	// Contexts over a small address alphabet share prefixes and suffixes.
+	rng := rand.New(rand.NewSource(1))
+	randomContext := func() ([]uint64, *machine.Func) {
+		callers := make([]uint64, rng.Intn(7))
+		for i := range callers {
+			callers[i] = 0x1000 + uint64(rng.Intn(8))*4
+		}
+		return callers, leaves[rng.Intn(len(leaves))]
+	}
+
+	t.Run("indices", func(t *testing.T) {
+		var tab pendingTable
+		ref := map[string]int32{}
+		growths, size := 0, 0
+		for len(ref) < 1500 {
+			callers, leaf := randomContext()
+			idx := tab.index(callers, leaf)
+			k := pendingKey(callers, leaf)
+			want, ok := ref[k]
+			if !ok {
+				want = int32(len(ref))
+				ref[k] = want
+			}
+			if idx != want {
+				t.Fatalf("%s: entry %d, want %d", k, idx, want)
+			}
+			if len(tab.slots) != size {
+				growths, size = growths+1, len(tab.slots)
+			}
+			if 2*len(tab.ctxs) > len(tab.slots) || len(tab.slots)&(len(tab.slots)-1) != 0 {
+				t.Fatalf("%d contexts in %d slots: more than half full, or not a power of two", len(tab.ctxs), len(tab.slots))
+			}
+		}
+		if growths < 4 {
+			t.Fatalf("the table grew %d times; the test means to cross several growths", growths)
+		}
+		for i, pc := range tab.ctxs {
+			if k := pendingKey(pc.callers, pc.leaf); ref[k] != int32(i) {
+				t.Fatalf("entry %d holds %s, which the reference has at %d", i, k, ref[k])
+			}
+		}
+	})
+
+	t.Run("merge", func(t *testing.T) {
+		var whole pendingTable
+		workers := make([]pendingTable, 3)
+		for range 4000 {
+			callers, leaf := randomContext()
+			rk := rangeKey{int32(rng.Intn(12)), int32(12 + rng.Intn(4))}
+			occ, w := uint64(1+rng.Intn(5)), &workers[rng.Intn(len(workers))]
+			for _, tab := range []*pendingTable{&whole, w} {
+				pc := tab.ctxs[tab.index(callers, leaf)]
+				pc.lookups += int(occ)
+				pc.count(rk, occ)
+			}
+		}
+		want := pendingCounts(&whole)
+		for _, w := range workers[1:] {
+			workers[0].merge(&w)
+		}
+		if got := pendingCounts(&workers[0]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("merged tables hold %d contexts, one table fed everything %d; the counts differ", len(got), len(want))
+		}
+		for _, pc := range workers[0].ctxs {
+			if i := workers[0].index(pc.callers, pc.leaf); workers[0].ctxs[i] != pc {
+				t.Fatalf("%s: found at entry %d after the merge, which holds another context", pendingKey(pc.callers, pc.leaf), i)
+			}
+		}
+	})
+
+	t.Run("spill", func(t *testing.T) {
+		var tab pendingTable
+		pc := tab.ctxs[tab.index([]uint64{7}, f)]
+		ref := map[rangeKey]uint64{}
+		for i := range 300 {
+			rk := rangeKey{int32(rng.Intn(5 * fewRanges)), int32(i % 3)}
+			occ := uint64(1 + rng.Intn(9))
+			pc.count(rk, occ)
+			ref[rk] += occ
+		}
+		if pc.more == nil {
+			t.Fatalf("%d distinct ranges never spilled past the %d counted in place", len(ref), fewRanges)
+		}
+		got := pendingCounts(&tab)[pendingKey([]uint64{7}, f)]
+		delete(got, rangeKey{-1, -1})
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("range counts differ from a map's:\ngot  %v\nwant %v", got, ref)
+		}
+	})
 }
 
 // --------------------------------- worker-count invariance vs the reference

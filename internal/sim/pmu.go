@@ -161,17 +161,24 @@ func (p *pmu) takeSample(stack []uint64) {
 }
 
 // takeSampleStreaming writes the sample into the current pooled chunk,
-// reusing the slot's LBR/Stack backing arrays, and hands the chunk to the
-// sink when it reaches the configured chunk size.
+// reusing the slot's LBR/Stack backing arrays (or carving them from the
+// chunk's slabs: LBRDepth records, and the stack's exact length), and hands
+// the chunk to the sink when it reaches the configured chunk size.
 func (p *pmu) takeSampleStreaming(stack []uint64) {
 	if p.chunk == nil {
 		p.chunk = getChunk()
 		p.chunk.Index = p.chunkIdx
 	}
 	s := p.chunk.appendSlot(p.chunkSize)
+	if cap(s.LBR) < len(p.lbr) {
+		s.LBR = carve(&p.chunk.lbrSlab, len(p.lbr))
+	}
 	s.LBR = p.snapshotLBRInto(s.LBR[:0])
 	s.Stack = s.Stack[:0]
 	if p.cfg.SampleStacks {
+		if cap(s.Stack) < len(stack) {
+			s.Stack = carve(&p.chunk.stackSlab, len(stack))
+		}
 		s.Stack = append(s.Stack, stack...)
 	}
 	if len(p.chunk.Samples) >= p.chunkSize {

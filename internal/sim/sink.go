@@ -29,6 +29,11 @@ type SampleChunk struct {
 	// RecycleChunk drops borrowed chunks instead of pooling them, so the
 	// pool never hands out a chunk that would overwrite foreign samples.
 	Borrowed bool
+
+	// The unused rest of the slabs that slots' LBR and stack arrays are
+	// carved from (see carve).
+	lbrSlab   []BranchRec
+	stackSlab []uint64
 }
 
 // SampleSink consumes streamed sample chunks. ConsumeChunk transfers
@@ -77,6 +82,21 @@ func (c *SampleChunk) appendSlot(limit int) *Sample {
 	}
 	c.Samples = c.Samples[:len(c.Samples)+1]
 	return &c.Samples[len(c.Samples)-1]
+}
+
+// carve returns an empty slice of capacity n cut from the front of *slab,
+// first replacing the slab with one of firstChunkSlots × n elements when
+// fewer than n are left. A slot whose LBR or stack array is too small takes
+// one from its chunk's slabs this way, so filling a fresh chunk allocates
+// once per 64 slots instead of growing every slot's arrays by append. The
+// capacity is capped, so an append to one slot never writes into the next.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, firstChunkSlots*n)
+	}
+	s := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // SetSampleSink switches the machine's PMU into streaming mode: samples are

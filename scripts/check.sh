@@ -68,8 +68,8 @@ go test ./internal/pgo ./internal/opt ./internal/ir ./internal/inference ./inter
 	-run 'Golden|ByteIdentical|WorkerInvariant|PipelineMatchesBuild|StopsAtFirstViolation|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|ContextKeyForCall|Promote|ReadsCSProfilesFlat' -count=1
 go test -run '^$' -bench Build -benchtime 1x .
 
-echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, context-model and codec pins, canonical keys, size-extraction reference, then one pass of BenchmarkParallelProfileGeneration and BenchmarkPreInline)"
-go test ./internal/sampling ./internal/pgo -run 'Reference|Golden|ByteIdentical|MatchesBatch|SteadyStateAllocs|Distinct|PreInlineAllocCeiling|ContextKeysAreCanonical' -count=1
+echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, pending-context table, context-model and codec pins, canonical keys, size-extraction reference, then one pass of BenchmarkParallelProfileGeneration and BenchmarkPreInline)"
+go test ./internal/sampling ./internal/pgo -run 'Reference|Golden|ByteIdentical|MatchesBatch|SteadyStateAllocs|Distinct|PendingTable|GenerateAllocCeiling|PreInlineAllocCeiling|ContextKeysAreCanonical' -count=1
 go test ./internal/opt ./internal/profdata ./internal/overhead ./internal/preinline \
 	-run 'ContextKeyForCall|Promote|ReadsCSProfilesFlat|OneFrameIsBase|GoldenProfilesRoundTrip|TruncatedTextNeverDecodesClean|CannotCarry|SameAfterTextRoundTrip|ExtractSizesMatchesReference' -count=1
 go test -run '^$' -bench 'ParallelProfileGeneration|PreInline' -benchtime 1x .
