@@ -89,7 +89,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 // BenchmarkRun is the `go test -bench` twin of the repository benchmark's
 // sim.minstr_per_s.{plain,pmu} rows: simulated instructions per second on
 // the probed hhvm and adranker binaries, without a PMU and with the CSSPGO
-// sampling configuration streaming into a sink. Minstr/s is per second of
+// sampling configuration streaming into a sink, both timed; untimed is the
+// second on the untimed machine (CostParams{}), as profile collection runs
+// it. Minstr/s is per second of
 // wall clock; cpu-ns/op and Minstr/cpu-s are per second of process CPU
 // time (user + system, as root bench_test.go reads it), which swings far
 // less between back-to-back runs on a shared machine.
@@ -97,15 +99,17 @@ func BenchmarkRun(b *testing.B) {
 	progs := benchPrograms(b)
 	for _, mode := range []struct {
 		name string
+		cost sim.CostParams
 		pmu  sim.PMUConfig
 	}{
-		{"plain", sim.PMUConfig{}},
-		{"pmu", sim.DefaultPMUConfig(199)},
+		{"plain", sim.DefaultCostParams(), sim.PMUConfig{}},
+		{"pmu", sim.DefaultCostParams(), sim.DefaultPMUConfig(199)},
+		{"untimed", sim.CostParams{}, sim.DefaultPMUConfig(199)},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var ms []*sim.Machine
 			for _, p := range progs {
-				m := sim.New(p.bin, sim.DefaultCostParams(), mode.pmu)
+				m := sim.New(p.bin, mode.cost, mode.pmu)
 				if mode.pmu.SamplePeriod != 0 {
 					m.SetSampleSink(recycleSink{}, 0)
 				}

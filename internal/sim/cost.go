@@ -5,6 +5,12 @@ package sim
 // (inlining), taken-branch bubbles and i-cache locality (block layout,
 // function splitting), mispredicts (branch bias), and counter increments
 // (instrumentation overhead).
+//
+// The zero CostParams is the untimed machine (see New): no i-cache, no
+// branch predictor or BTB, no charge of any kind, so Stats.Cycles,
+// Mispredicts and ICacheMisses stay 0 while samples, counters and the
+// value profile come out as under any timed model. Profile collection
+// that drops its Stats runs on it.
 type CostParams struct {
 	BaseCPI         uint64 // cycles per retired instruction
 	TakenBranch     uint64 // front-end redirect bubble for any taken branch

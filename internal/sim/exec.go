@@ -213,6 +213,16 @@ const (
 )
 
 // New creates a machine for prog with the given cost model and PMU config.
+//
+// The zero CostParams is the untimed machine: it charges nothing and models
+// nothing, so New builds no i-cache, no branch predictor and no BTB, and Run
+// skips their fetches and updates. Everything a sample, a counter or a
+// return value depends on — the LBR, the sampling countdown and its jitter,
+// skidded stack walks, counters, the value profile, globals — runs exactly
+// as on a timed machine, because the PMU counts retired taken branches, not
+// cycles. Its Stats are the timed machine's with Cycles, Mispredicts and
+// ICacheMisses left at 0. Use it for runs whose only product is samples or
+// counters.
 func New(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {
 	m := &Machine{
 		Prog:     prog,
@@ -233,7 +243,8 @@ func New(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {
 // and compare→branch sequences are fused (one forward pass).
 func (m *Machine) decode() {
 	instrs := m.Prog.Instrs
-	if n := len(instrs); n > 0 {
+	timed := m.Cost != CostParams{}
+	if n := len(instrs); n > 0 && timed {
 		m.ic = newICache(m.Cost, instrs[0].Addr, instrs[n-1].Addr)
 	}
 	idxOf := func(addr uint64) int32 {
@@ -249,9 +260,11 @@ func (m *Machine) decode() {
 		m.funcEntry[i] = idxOf(f.Start)
 	}
 	m.code = make([]dinstr, len(instrs))
-	m.pred = make([]uint8, len(instrs))
-	for i := range m.pred {
-		m.pred[i] = 2 // weakly taken
+	if timed {
+		m.pred = make([]uint8, len(instrs))
+		for i := range m.pred {
+			m.pred[i] = 2 // weakly taken
+		}
 	}
 	for i := range instrs {
 		in := &instrs[i]
@@ -298,7 +311,7 @@ func (m *Machine) decode() {
 			d.op, d.imm, d.c = opICall, int64(ret), idxOf(ret)
 			if in.Kind == machine.KCall {
 				d.op, d.b, d.tgt = opCall, in.CalleeID, idxOf(in.Target)
-			} else if m.btb == nil {
+			} else if m.btb == nil && timed {
 				m.btb = make([]int32, len(instrs))
 				for j := range m.btb {
 					m.btb[j] = -1
@@ -385,6 +398,11 @@ var errStepLimit = errors.New("sim: step limit exceeded")
 
 var errUnmapped = errors.New("sim: jump to unmapped address")
 
+// predNext is the 2-bit branch predictor's transition table: entry i, at
+// bits 2i, is the next counter for i = counter<<1 | taken. A taken branch
+// moves the counter up and a not-taken one down, saturating at 0 and 3.
+const predNext uint16 = 3<<14 | 2<<12 | 3<<10 | 1<<8 | 2<<6 | 0<<4 | 1<<2 | 0
+
 // valueProfileCost is the per-indirect-call bookkeeping charge on
 // instrumented binaries (hash + histogram RMW).
 const valueProfileCost = 8
@@ -462,14 +480,17 @@ func (m *Machine) call(d *dinstr, pc int, r []int64) (regs []int64, to uint64, n
 		to, npc = callee.Start, int(m.funcEntry[id])
 		nargs = min(nargs, int(callee.NumParams))
 		// Indirect calls pay an extra indirect-branch bubble, and a full
-		// mispredict when the BTB's last-target guess is wrong.
-		m.stats.Cycles += 2
-		if last := m.btb[pc]; last != id {
-			if last >= 0 {
-				m.stats.Mispredicts++
-				m.stats.Cycles += m.Cost.Mispredict
+		// mispredict when the BTB's last-target guess is wrong; the untimed
+		// machine (no i-cache, no BTB) charges neither.
+		if m.ic != nil {
+			m.stats.Cycles += 2
+			if last := m.btb[pc]; last != id {
+				if last >= 0 {
+					m.stats.Mispredicts++
+					m.stats.Cycles += m.Cost.Mispredict
+				}
+				m.btb[pc] = id
 			}
-			m.btb[pc] = id
 		}
 		if m.Prog.Instrumented {
 			m.profileValue(d.addr, id)
@@ -539,12 +560,16 @@ func (m *Machine) ret(d *dinstr, r []int64) (regs []int64, to uint64, npc int) {
 
 // profileValue records one indirect call on an instrumented binary: the
 // per-site target histogram (costly RMW + hashing, the instrumentation-PGO
-// price).
+// price; the untimed machine records it for free).
 func (m *Machine) profileValue(site uint64, callee int32) {
-	m.stats.Cycles += valueProfileCost
+	var cost uint64
+	if m.ic != nil {
+		cost = valueProfileCost
+	}
+	m.stats.Cycles += cost
 	if m.meter != nil {
 		m.meter.VProfHits[site]++
-		m.meter.VProfCycles += valueProfileCost
+		m.meter.VProfCycles += cost
 	}
 	if m.vprof == nil {
 		m.vprof = map[uint64]map[int32]uint64{}
@@ -571,7 +596,8 @@ func (m *Machine) profileValue(site uint64, callee int32) {
 //
 // Bookkeeping is paid once per straight-line run, at its head: the whole
 // run comes off the budget, its fixed cycles are added, and its line
-// changes are fetched through the i-cache (see dinstr). That is exact
+// changes are fetched through the i-cache (see dinstr), which the untimed
+// machine skips, as it skips the predictor (see New). That is exact
 // because nothing reads the cache, Stats or the cycle delta before the
 // run's last instruction, and the fetches happen in the order the
 // instructions would have made them. A run the budget cuts short is
@@ -620,19 +646,21 @@ run:
 		}
 		budget -= uint64(d.run)
 		cycles += d.cost
-		fetch := d.nextLine
-		if d.addr>>6 != lastLine {
-			fetch = int32(pc)
-		}
-		for fetch >= 0 {
-			f := &code[fetch]
-			lastLine = f.addr >> 6
-			if !m.ic.hit(f.addr) {
-				m.ic.fill(f.addr)
-				m.stats.ICacheMisses++
-				cycles += m.Cost.ICacheMiss
+		if m.ic != nil {
+			fetch := d.nextLine
+			if d.addr>>6 != lastLine {
+				fetch = int32(pc)
 			}
-			fetch = f.nextLine
+			for fetch >= 0 {
+				f := &code[fetch]
+				lastLine = f.addr >> 6
+				if !m.ic.hit(f.addr) {
+					m.ic.fill(f.addr)
+					m.stats.ICacheMisses++
+					cycles += m.Cost.ICacheMiss
+				}
+				fetch = f.nextLine
+			}
 		}
 
 		var (
@@ -852,21 +880,23 @@ run:
 
 			// The conditional branch at pc, on cond. A fused sequence trains
 			// the predictor, and walks a skidded stack, at the branch's own
-			// index and address, exactly as the branch alone does.
+			// index and address, exactly as the branch alone does. The
+			// predictor update is branchless: the counter moves through
+			// predNext, and it mispredicted when its high bit (predict
+			// taken) differs from the outcome.
 			d = &code[pc]
 			m.stats.CondBranches++
 			taken := (cond != 0) == (d.op == opBranch)
-			c := m.pred[pc]
-			predictTaken := c >= 2
-			if taken && c < 3 {
-				c++
-			} else if !taken && c > 0 {
-				c--
-			}
-			m.pred[pc] = c
-			if predictTaken != taken {
-				m.stats.Mispredicts++
-				cycles += m.Cost.Mispredict
+			if pred := m.pred; pred != nil {
+				var t uint8
+				if taken {
+					t = 1
+				}
+				c := pred[pc]
+				pred[pc] = uint8(predNext >> ((c<<1 | t) << 1 & 15) & 3)
+				miss := uint64(c>>1 ^ t)
+				m.stats.Mispredicts += miss
+				cycles += miss * m.Cost.Mispredict
 			}
 			if !taken {
 				pc++
@@ -913,7 +943,7 @@ func (m *Machine) retirePrefix(pc, k int, r []int64, lastLine *uint64) uint64 {
 	cycles := code[pc].cost - code[pc+k].cost
 	for i := pc; i < pc+k; i++ {
 		d := &code[i]
-		if line := d.addr >> 6; line != *lastLine {
+		if line := d.addr >> 6; m.ic != nil && line != *lastLine {
 			*lastLine = line
 			if !m.ic.hit(d.addr) {
 				m.ic.fill(d.addr)

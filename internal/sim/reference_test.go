@@ -410,6 +410,49 @@ func StateDiff(got, want *Machine, from int) string {
 
 func b2u(b bool) uint64 { return uint64(b2i(b)) }
 
+// UntimedDiff describes the first observable in which the untimed machine u
+// (CostParams{}) differs from the timed machine t it ran beside: Stats, with
+// Cycles, Mispredicts and ICacheMisses — which u must leave at 0 — aside;
+// globals, registers, counters, value profile, the sample stream (from
+// sample `from` on), the meter with its cycle tallies — 0 on u — aside; and
+// the PMU state the next request starts from (LBR ring, write position,
+// full flag, sampling countdown, jitter state). u must hold no i-cache,
+// predictor or BTB. "" when they agree.
+func UntimedDiff(t, u *Machine, from int) string {
+	if u.ic != nil || u.pred != nil || u.btb != nil {
+		return "the untimed machine built a timing model"
+	}
+	ts, us := t.stats, u.stats
+	ts.Cycles, ts.Mispredicts, ts.ICacheMisses = 0, 0, 0
+	if ts != us {
+		return fmt.Sprintf("stats\n timed   %+v\n untimed %+v", t.stats, u.stats)
+	}
+	var tm, um OverheadMeter
+	if t.meter != nil {
+		tm, um = *t.meter, *u.meter
+		tm.ProbeCycles, tm.SampleCycles, tm.VProfCycles = 0, 0, 0
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"globals", u.globals, t.globals},
+		{"registers", u.arena[:u.sp], t.arena[:t.sp]},
+		{"counters", u.counters, t.counters},
+		{"value profile", u.vprof, t.vprof},
+		{"meter", um, tm},
+		{"samples", u.pmu.samples[min(from, len(u.pmu.samples)):], t.pmu.samples[min(from, len(t.pmu.samples)):]},
+		{"lbr", u.pmu.lbr, t.pmu.lbr},
+		{"pmu", [4]uint64{uint64(u.pmu.lbrPos), b2u(u.pmu.lbrFull), u.pmu.countdown, u.pmu.rng},
+			[4]uint64{uint64(t.pmu.lbrPos), b2u(t.pmu.lbrFull), t.pmu.countdown, t.pmu.rng}},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			return fmt.Sprintf("%s\n untimed %v\n timed   %v", c.name, c.got, c.want)
+		}
+	}
+	return ""
+}
+
 // RefCase is one generated machine program with its requests and step
 // limit.
 type RefCase struct {

@@ -43,6 +43,68 @@ func TestRunMatchesReference(t *testing.T) {
 	})
 }
 
+// TestUntimedMatchesTimed holds the untimed machine (CostParams{}) to the
+// timed one running the same requests beside it: after every request the
+// same return value, error, globals, registers, counters, value profile,
+// sample stream, meter tallies and PMU state, and the same Stats but for
+// Cycles, Mispredicts and ICacheMisses, which the untimed machine leaves at
+// 0 — on the golden matrix and on the generated machine programs, whose
+// step limits from 1 up end runs inside retirePrefix.
+func TestUntimedMatchesTimed(t *testing.T) {
+	t.Run("golden", func(t *testing.T) {
+		for _, p := range goldenPrograms(t) {
+			reqs := goldenStream(p.name, p.bound)
+			for _, b := range goldenBuilds {
+				res, err := pgo.Build(p.files, b.cfg)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", p.name, b.name, err)
+				}
+				for _, cfg := range goldenConfigs() {
+					c := sim.RefCase{Prog: res.Bin, Reqs: reqs, PMU: cfg.pmu, Cost: cfg.cost, Meter: cfg.meter}
+					checkUntimed(t, p.name+"/"+b.name+"/"+cfg.name, c)
+				}
+			}
+		}
+	})
+	t.Run("generated", func(t *testing.T) {
+		n := int64(600)
+		if testing.Short() {
+			n = 100
+		}
+		for seed := int64(1); seed <= n; seed++ {
+			checkUntimed(t, fmt.Sprintf("seed %d", seed), sim.GenRefCase(seed))
+		}
+	})
+}
+
+// checkUntimed runs c's requests on a machine under c.Cost and on an
+// untimed one side by side and stops at the first request after which they
+// differ.
+func checkUntimed(t *testing.T, key string, c sim.RefCase) {
+	t.Helper()
+	timed := sim.New(c.Prog, c.Cost, c.PMU)
+	untimed := sim.New(c.Prog, sim.CostParams{}, c.PMU)
+	if c.Meter {
+		timed.SetOverheadMeter(sim.NewOverheadMeter())
+		untimed.SetOverheadMeter(sim.NewOverheadMeter())
+	}
+	if c.MaxSteps != 0 {
+		timed.MaxSteps, untimed.MaxSteps = c.MaxSteps, c.MaxSteps
+	}
+	seen := 0
+	for i, req := range c.Reqs {
+		tv, terr := timed.Run(req...)
+		uv, uerr := untimed.Run(req...)
+		if tv != uv || fmt.Sprint(terr) != fmt.Sprint(uerr) {
+			t.Fatalf("%s request %d: untimed Run = %d, %v; timed %d, %v\n%s", key, i, uv, uerr, tv, terr, listing(c.Prog))
+		}
+		if d := sim.UntimedDiff(timed, untimed, seen); d != "" {
+			t.Fatalf("%s request %d (%v): %s\n%s", key, i, terr, d, listing(c.Prog))
+		}
+		seen = len(timed.Samples())
+	}
+}
+
 // FuzzRunReference is the generated half of TestRunMatchesReference with a
 // fuzzer-chosen seed.
 func FuzzRunReference(f *testing.F) {
