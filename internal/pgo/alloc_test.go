@@ -103,6 +103,13 @@ func TestBuildAllocCeiling(t *testing.T) {
 //	hhvm   8 239 allocations, 1 423 KB  (8 263, 1 503 KB)
 //	haas  14 949 allocations, 2 543 KB  (14 948, 2 543 KB)
 //
+// Bytes re-based when CollectProfileFor's training run became untimed and
+// stopped allocating the i-cache, predictor and BTB tables (three runs on
+// each tree; allocations moved by under 0.2 %, so their ceilings stand):
+//
+//	hhvm   8 233 allocations, 1 416 KB  (at its parent:  8 237, 1 419 KB)
+//	haas  14 925 allocations, 2 484–2 492 KB  (at its parent: 14 931–14 947, 2 495–2 504 KB)
+//
 // A pipeline that goes over has started lowering, cloning or growing
 // something again; `go test -run '^$' -bench EndToEndPipeline -benchmem .`
 // at the repository root says how much, a -memprofile of it says where.
@@ -111,8 +118,8 @@ var pipelineAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 9_500, 1_635 << 10},
-	{"haas", 17_200, 2_895 << 10},
+	{"hhvm", 9_500, 1_630 << 10},
+	{"haas", 17_200, 2_870 << 10},
 }
 
 // TestPipelineAllocCeiling is the allocation gate on the whole FullCS

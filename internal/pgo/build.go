@@ -277,22 +277,31 @@ func CollectSamples(bin *machine.Prog, requests [][]int64, pc ProfileConfig) ([]
 // returns the raw profile (untrimmed, no pre-inline decisions), the unwinder
 // stats (CS only) and the execution stats. The training build must match
 // the variant (probed for ProbeOnly/FullCS, instrumented for InstrPGO,
-// probe-less for AutoFDO); Baseline yields a nil profile. pgo.Pipeline, the
-// CLIs and the public facade all generate profiles through here.
+// probe-less for AutoFDO); Baseline yields a nil profile. The CLIs and the
+// public facade generate profiles through here; CollectProfileFor, and so
+// pgo.Pipeline, runs the same collection untimed.
 func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+	return collectAndGenerate(bin, variant, requests, sampledAs(variant, pc), sim.DefaultCostParams(), nil)
+}
+
+// sampledAs is pc as variant samples: flat profiles are built from the LBR
+// alone, so their runs take no stack samples.
+func sampledAs(variant Variant, pc ProfileConfig) ProfileConfig {
 	if variant == AutoFDO || variant == ProbeOnly {
-		pc.Stacks = false // flat profiles are built from the LBR alone
+		pc.Stacks = false
 	}
-	return collectAndGenerate(bin, variant, requests, pc, nil)
+	return pc
 }
 
 // collectAndGenerate is how a profiled run is executed, and the only place
 // in this package that attaches a sink to a PMU. It samples with pc exactly
-// as given. With a meter the run is charged under the profiling cost model
-// (sampling interrupts cost cycles, like real PMIs — profiles are unchanged,
-// sampling is branch-count-driven) and every profiling-machinery cycle is
-// tallied on the meter; without one it costs what an unprofiled run costs.
-func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig, meter *sim.OverheadMeter) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+// as given and charges the run under cost. Which samples are taken does not
+// depend on cost (sampling is branch-count-driven), so only the returned
+// Stats do: the untimed model (CostParams{}) for a caller that drops them,
+// the default one for a caller that reports them, and the profiling model
+// (sampling interrupts cost cycles, like real PMIs) with a meter, on which
+// every profiling-machinery cycle is tallied.
+func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig, cost sim.CostParams, meter *sim.OverheadMeter) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
 	if variant == Baseline {
 		return nil, sampling.UnwindStats{}, sim.Stats{}, nil
 	}
@@ -324,10 +333,6 @@ func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, 
 	var pmu sim.PMUConfig // instrumented runs read counters, not samples
 	if sink != nil {
 		pmu = pmuConfig(pc)
-	}
-	cost := sim.DefaultCostParams()
-	if meter != nil {
-		cost = sim.ProfilingCostParams()
 	}
 	m := sim.New(bin, cost, pmu)
 	m.SetOverheadMeter(meter)
@@ -413,9 +418,12 @@ func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildRes
 // profile the given variant consumes, ready for the optimizing build: for
 // FullCS that includes cold-context trimming and the pre-inliner. The
 // training build must match the variant (see CollectAndGenerate); Baseline
-// yields nil.
+// yields nil. It returns no execution stats, so the training run is
+// untimed (sim.New's zero CostParams): the same samples, counters and value
+// profile as CollectAndGenerate's timed run, without paying for the
+// i-cache and the branch predictor.
 func CollectProfileFor(base *BuildResult, variant Variant, train [][]int64) (*profdata.Profile, error) {
-	prof, _, _, err := CollectAndGenerate(base.Bin, variant, train, DefaultProfileConfig())
+	prof, _, _, err := collectAndGenerate(base.Bin, variant, train, sampledAs(variant, DefaultProfileConfig()), sim.CostParams{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func MeasureOverhead(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*
 		variant = FullCS
 	}
 	meter := sim.NewOverheadMeter()
-	prof, _, stats, err := collectAndGenerate(bin, variant, requests, pc, meter)
+	prof, _, stats, err := collectAndGenerate(bin, variant, requests, pc, sim.ProfilingCostParams(), meter)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -53,3 +53,39 @@ func TestPipelineMatchesBuildCollectBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectProfileForMatchesTimed holds CollectProfileFor's untimed
+// training run to the timed one: on every workload and profiled variant,
+// the profile it returns encodes to the same bytes as a CollectAndGenerate
+// of the same build, followed for FullCS by TrimAndPreInline.
+func TestCollectProfileForMatchesTimed(t *testing.T) {
+	for _, name := range workloads.AllNames() {
+		w, err := workloads.Load(name, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []Variant{AutoFDO, ProbeOnly, FullCS, InstrPGO} {
+			base, err := Build(w.Files, BuildConfig{Probes: v != AutoFDO, Instrument: v == InstrPGO})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CollectProfileFor(base, v, w.Train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, stats, err := CollectAndGenerate(base.Bin, v, w.Train, DefaultProfileConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Cycles == 0 {
+				t.Fatalf("%s %s: CollectAndGenerate's run was not timed", name, v)
+			}
+			if v == FullCS {
+				TrimAndPreInline(want, base.Bin, 0)
+			}
+			if profdata.EncodeToString(got) != profdata.EncodeToString(want) {
+				t.Errorf("%s %s: CollectProfileFor's profile differs from the timed CollectAndGenerate's", name, v)
+			}
+		}
+	}
+}
