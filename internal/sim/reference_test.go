@@ -383,24 +383,61 @@ func StateDiff(got, want *Machine, from int) string {
 	if got.stats != want.stats {
 		return fmt.Sprintf("stats\n got  %+v\n want %+v", got.stats, want.stats)
 	}
-	for _, c := range []struct {
-		name      string
-		got, want any
-	}{
+	return firstDiff(append(untimedState(got, want, from, got.meter, want.meter),
+		observable{"predictor", got.pred, want.pred},
+		observable{"btb", got.btb, want.btb},
+		observable{"i-cache", *got.ic, *want.ic},
+		observable{"last line", got.lastLine, want.lastLine}))
+}
+
+// UntimedDiff is StateDiff for an untimed machine got (CostParams{}) that
+// ran beside a timed machine want: Stats but for Cycles, Mispredicts and
+// ICacheMisses, which got must leave at 0, the meter but for its cycle
+// tallies, which got must leave at 0 too, and no timing state, which got
+// must not hold.
+func UntimedDiff(got, want *Machine, from int) string {
+	if got.ic != nil || got.pred != nil || got.btb != nil {
+		return "the untimed machine built a timing model"
+	}
+	ws := want.stats
+	ws.Cycles, ws.Mispredicts, ws.ICacheMisses = 0, 0, 0
+	if got.stats != ws {
+		return fmt.Sprintf("stats\n got  %+v\n want %+v", got.stats, want.stats)
+	}
+	var gm, wm OverheadMeter
+	if want.meter != nil {
+		gm, wm = *got.meter, *want.meter
+		wm.ProbeCycles, wm.SampleCycles, wm.VProfCycles = 0, 0, 0
+	}
+	return firstDiff(untimedState(got, want, from, gm, wm))
+}
+
+// observable is one piece of state two machines are compared on.
+type observable struct {
+	name      string
+	got, want any
+}
+
+// untimedState is the state a run leaves that the timing model does not
+// write, with the meters to compare given apart.
+func untimedState(got, want *Machine, from int, gotMeter, wantMeter any) []observable {
+	return []observable{
 		{"globals", got.globals, want.globals},
 		{"registers", got.arena[:got.sp], want.arena[:want.sp]},
 		{"counters", got.counters, want.counters},
 		{"value profile", got.vprof, want.vprof},
-		{"meter", got.meter, want.meter},
+		{"meter", gotMeter, wantMeter},
 		{"samples", got.pmu.samples[min(from, len(got.pmu.samples)):], want.pmu.samples[min(from, len(want.pmu.samples)):]},
-		{"predictor", got.pred, want.pred},
-		{"btb", got.btb, want.btb},
-		{"i-cache", *got.ic, *want.ic},
 		{"lbr", got.pmu.lbr, want.pmu.lbr},
 		{"pmu", [4]uint64{uint64(got.pmu.lbrPos), b2u(got.pmu.lbrFull), got.pmu.countdown, got.pmu.rng},
 			[4]uint64{uint64(want.pmu.lbrPos), b2u(want.pmu.lbrFull), want.pmu.countdown, want.pmu.rng}},
-		{"last line", got.lastLine, want.lastLine},
-	} {
+	}
+}
+
+// firstDiff describes the first observable whose two sides differ; "" when
+// none does.
+func firstDiff(obs []observable) string {
+	for _, c := range obs {
 		if !reflect.DeepEqual(c.got, c.want) {
 			return fmt.Sprintf("%s\n got  %v\n want %v", c.name, c.got, c.want)
 		}
@@ -409,49 +446,6 @@ func StateDiff(got, want *Machine, from int) string {
 }
 
 func b2u(b bool) uint64 { return uint64(b2i(b)) }
-
-// UntimedDiff describes the first observable in which the untimed machine u
-// (CostParams{}) differs from the timed machine t it ran beside: Stats, with
-// Cycles, Mispredicts and ICacheMisses — which u must leave at 0 — aside;
-// globals, registers, counters, value profile, the sample stream (from
-// sample `from` on), the meter with its cycle tallies — 0 on u — aside; and
-// the PMU state the next request starts from (LBR ring, write position,
-// full flag, sampling countdown, jitter state). u must hold no i-cache,
-// predictor or BTB. "" when they agree.
-func UntimedDiff(t, u *Machine, from int) string {
-	if u.ic != nil || u.pred != nil || u.btb != nil {
-		return "the untimed machine built a timing model"
-	}
-	ts, us := t.stats, u.stats
-	ts.Cycles, ts.Mispredicts, ts.ICacheMisses = 0, 0, 0
-	if ts != us {
-		return fmt.Sprintf("stats\n timed   %+v\n untimed %+v", t.stats, u.stats)
-	}
-	var tm, um OverheadMeter
-	if t.meter != nil {
-		tm, um = *t.meter, *u.meter
-		tm.ProbeCycles, tm.SampleCycles, tm.VProfCycles = 0, 0, 0
-	}
-	for _, c := range []struct {
-		name      string
-		got, want any
-	}{
-		{"globals", u.globals, t.globals},
-		{"registers", u.arena[:u.sp], t.arena[:t.sp]},
-		{"counters", u.counters, t.counters},
-		{"value profile", u.vprof, t.vprof},
-		{"meter", um, tm},
-		{"samples", u.pmu.samples[min(from, len(u.pmu.samples)):], t.pmu.samples[min(from, len(t.pmu.samples)):]},
-		{"lbr", u.pmu.lbr, t.pmu.lbr},
-		{"pmu", [4]uint64{uint64(u.pmu.lbrPos), b2u(u.pmu.lbrFull), u.pmu.countdown, u.pmu.rng},
-			[4]uint64{uint64(t.pmu.lbrPos), b2u(t.pmu.lbrFull), t.pmu.countdown, t.pmu.rng}},
-	} {
-		if !reflect.DeepEqual(c.got, c.want) {
-			return fmt.Sprintf("%s\n untimed %v\n timed   %v", c.name, c.got, c.want)
-		}
-	}
-	return ""
-}
 
 // RefCase is one generated machine program with its requests and step
 // limit.

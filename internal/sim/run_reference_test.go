@@ -98,7 +98,7 @@ func checkUntimed(t *testing.T, key string, c sim.RefCase) {
 		if tv != uv || fmt.Sprint(terr) != fmt.Sprint(uerr) {
 			t.Fatalf("%s request %d: untimed Run = %d, %v; timed %d, %v\n%s", key, i, uv, uerr, tv, terr, listing(c.Prog))
 		}
-		if d := sim.UntimedDiff(timed, untimed, seen); d != "" {
+		if d := sim.UntimedDiff(untimed, timed, seen); d != "" {
 			t.Fatalf("%s request %d (%v): %s\n%s", key, i, terr, d, listing(c.Prog))
 		}
 		seen = len(timed.Samples())

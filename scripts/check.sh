@@ -59,13 +59,13 @@ echo "== exported surface (every exported identifier in internal/ has a caller o
 out=$(go test ./internal/analysis -run 'TestExportedMeansUsed$' -count=1 -v) || { echo "$out" >&2; exit 1; }
 echo "$out" | sed -n 's/^.*\(exported surface: .*\)$/\1/p'
 
-echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, then one pass of BenchmarkRun)"
-go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit' -count=1
+echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, untimed = timed minus the clock, then one pass of BenchmarkRun)"
+go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit|Untimed' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
-echo "== compile-path contract (emitted bytes and opt.Stats, Pipeline = Build → CollectProfileFor → Build, runner stops at the first violation, references, allocation gates, lazy lookup tables, counted sizes, flat readers, context-model pins, then one pass of BenchmarkBuild)"
+echo "== compile-path contract (emitted bytes and opt.Stats, Pipeline = Build → CollectProfileFor → Build, untimed collection = timed, runner stops at the first violation, references, allocation gates, lazy lookup tables, counted sizes, flat readers, context-model pins, then one pass of BenchmarkBuild)"
 go test ./internal/pgo ./internal/opt ./internal/ir ./internal/inference ./internal/machine ./internal/quality ./internal/profdata ./internal/overhead \
-	-run 'Golden|ByteIdentical|WorkerInvariant|PipelineMatchesBuild|StopsAtFirstViolation|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|ContextKeyForCall|Promote|ReadsCSProfilesFlat' -count=1
+	-run 'Golden|ByteIdentical|WorkerInvariant|PipelineMatchesBuild|CollectProfileForMatchesTimed|StopsAtFirstViolation|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|ContextKeyForCall|Promote|ReadsCSProfilesFlat' -count=1
 go test -run '^$' -bench Build -benchtime 1x .
 
 echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, pending-context table, context-model and codec pins, canonical keys, size-extraction reference, then one pass of BenchmarkParallelProfileGeneration and BenchmarkPreInline)"
