@@ -91,10 +91,10 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 // the probed hhvm and adranker binaries, without a PMU and with the CSSPGO
 // sampling configuration streaming into a sink, both timed; untimed is the
 // second on the untimed machine (CostParams{}), as profile collection runs
-// it. Minstr/s is per second of
-// wall clock; cpu-ns/op and Minstr/cpu-s are per second of process CPU
-// time (user + system, as root bench_test.go reads it), which swings far
-// less between back-to-back runs on a shared machine.
+// it. Minstr/s is per second of wall clock; cpu-ns/op and Minstr/cpu-s are
+// per second of process CPU time (user + system, as root bench_test.go
+// reads it), which swings far less between back-to-back runs on a shared
+// machine.
 func BenchmarkRun(b *testing.B) {
 	progs := benchPrograms(b)
 	for _, mode := range []struct {
