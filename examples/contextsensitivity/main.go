@@ -45,10 +45,8 @@ func main() {
 
 	fmt.Println("— flat (context-insensitive) view of scalarOp —")
 	if fp := flat.Funcs["scalarOp"]; fp != nil {
-		for _, loc := range fp.SortedCallLocs() {
-			for callee, n := range fp.Calls[loc] {
-				fmt.Printf("  callsite %s -> %-10s %d samples\n", loc, callee, n)
-			}
+		for _, c := range fp.Calls {
+			fmt.Printf("  callsite %s -> %-10s %d samples\n", c.Loc, c.Callee, c.N)
 		}
 		fmt.Println("  (both callees blended: inlining must clone both paths everywhere)")
 	}

@@ -267,17 +267,15 @@ func TestCheckProfile(t *testing.T) {
 		prof := profdata.New(profdata.ProbeBased, true)
 		fp := profdata.NewFunctionProfile("main")
 		fp.Checksum = f.Checksum
-		fp.Blocks[profdata.LocKey{ID: 1}] = 80
-		fp.Blocks[profdata.LocKey{ID: 2}] = 20
-		fp.TotalSamples = 100
+		fp.AddBody(profdata.LocKey{ID: 1}, 80)
+		fp.AddBody(profdata.LocKey{ID: 2}, 20)
 		fp.HeadSamples = 50
 		prof.Funcs["main"] = fp
 
 		cp := profdata.NewFunctionProfile("main")
 		cp.Context = profdata.NewContext("main")
 		cp.Checksum = f.Checksum
-		cp.Blocks[profdata.LocKey{ID: 1}] = 7
-		cp.TotalSamples = 7
+		cp.AddBody(profdata.LocKey{ID: 1}, 7)
 		prof.Contexts[cp.Context.Key()] = cp
 		return prof, p
 	}
@@ -294,7 +292,7 @@ func TestCheckProfile(t *testing.T) {
 	}
 
 	prof, prog = fresh()
-	prof.Funcs["main"].Blocks[profdata.LocKey{ID: 1}] = ^uint64(0) - 3 // underflowed subtraction
+	prof.Funcs["main"].Blocks[0].N = ^uint64(0) - 3 // underflowed subtraction at probe 1
 	if e := FirstError(CheckProfile(prof, prog)); e == nil || !strings.Contains(e.Msg, "underflow") {
 		t.Fatal("want underflow error")
 	}
@@ -343,7 +341,8 @@ func TestCheckProfile(t *testing.T) {
 
 	// Probe ID beyond the allocation with matching checksums is corruption.
 	prof, prog = fresh()
-	prof.Funcs["main"].Blocks[profdata.LocKey{ID: 99}] = 0
+	mainFP := prof.Funcs["main"]
+	mainFP.Blocks = append(mainFP.Blocks, profdata.BodyCount{Loc: profdata.LocKey{ID: 99}})
 	if e := FirstError(CheckProfile(prof, prog)); e == nil || !strings.Contains(e.Msg, "allocated probes") {
 		t.Fatal("want out-of-allocation probe id error")
 	}

@@ -55,13 +55,13 @@ func CheckProfile(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 			return
 		}
 		var sum uint64
-		for loc, n := range fp.Blocks {
-			sum += n
-			if n >= suspiciousCount {
-				add(SevError, "%s: count %d at %s looks like unsigned underflow", what, n, loc)
+		for _, b := range fp.Blocks {
+			sum += b.N
+			if b.N >= suspiciousCount {
+				add(SevError, "%s: count %d at %s looks like unsigned underflow", what, b.N, b.Loc)
 			}
-			if prof.Kind == profdata.ProbeBased && loc.ID < 1 {
-				add(SevError, "%s: probe-keyed location %s has id < 1", what, loc)
+			if prof.Kind == profdata.ProbeBased && b.Loc.ID < 1 {
+				add(SevError, "%s: probe-keyed location %s has id < 1", what, b.Loc)
 			}
 		}
 		if sum != fp.TotalSamples {
@@ -70,19 +70,18 @@ func CheckProfile(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 		if fp.HeadSamples >= suspiciousCount {
 			add(SevError, "%s: head sample count %d looks like unsigned underflow", what, fp.HeadSamples)
 		}
-		for loc, m := range fp.Calls {
-			if prof.Kind == profdata.ProbeBased && loc.ID < 1 {
-				add(SevError, "%s: probe-keyed call site %s has id < 1", what, loc)
+		for i, c := range fp.Calls {
+			newSite := i == 0 || fp.Calls[i-1].Loc != c.Loc
+			if newSite && prof.Kind == profdata.ProbeBased && c.Loc.ID < 1 {
+				add(SevError, "%s: probe-keyed call site %s has id < 1", what, c.Loc)
 			}
-			for callee, n := range m {
-				if callee == "" {
-					add(SevError, "%s: call site %s records an empty callee name", what, loc)
-				} else if !known(callee) {
-					add(SevWarning, "%s: call site %s records unknown callee %q", what, loc, callee)
-				}
-				if n >= suspiciousCount {
-					add(SevError, "%s: call count %d at %s->%s looks like unsigned underflow", what, n, loc, callee)
-				}
+			if c.Callee == "" {
+				add(SevError, "%s: call site %s records an empty callee name", what, c.Loc)
+			} else if !known(c.Callee) {
+				add(SevWarning, "%s: call site %s records unknown callee %q", what, c.Loc, c.Callee)
+			}
+			if c.N >= suspiciousCount {
+				add(SevError, "%s: call count %d at %s->%s looks like unsigned underflow", what, c.N, c.Loc, c.Callee)
 			}
 		}
 		if !known(fp.Name) {
@@ -98,9 +97,9 @@ func CheckProfile(prof *profdata.Profile, prog *ir.Program) []Diagnostic {
 					add(SevWarning, "%s: stale profile — CFG checksum %#x no longer matches the function's %#x", what, fp.Checksum, f.Checksum)
 				}
 				if !stale && f.NumProbes > 0 {
-					for loc := range fp.Blocks {
-						if loc.ID > f.NumProbes {
-							add(SevError, "%s: probe id %d exceeds the function's %d allocated probes despite matching checksums", what, loc.ID, f.NumProbes)
+					for _, b := range fp.Blocks {
+						if b.Loc.ID > f.NumProbes {
+							add(SevError, "%s: probe id %d exceeds the function's %d allocated probes despite matching checksums", what, b.Loc.ID, f.NumProbes)
 						}
 					}
 				}

@@ -19,9 +19,9 @@ func PoisonCounts(p *profdata.Profile) *profdata.Profile {
 	// The hottest single body count anywhere, for the inversion ceiling.
 	var max uint64
 	for _, fp := range allRecords(out) {
-		for _, v := range fp.Blocks {
-			if v > max {
-				max = v
+		for _, b := range fp.Blocks {
+			if b.N > max {
+				max = b.N
 			}
 		}
 	}
@@ -75,21 +75,10 @@ func allRecords(p *profdata.Profile) []*profdata.FunctionProfile {
 	return out
 }
 
-// invert maps every count v to max-v+1 and rebuilds the record's totals.
+// invert maps every count v to max-v+1 (a call count above max reads as
+// max first) and rebuilds the record's totals.
 func invert(fp *profdata.FunctionProfile, max uint64) {
-	fp.TotalSamples = 0
-	for loc, v := range fp.Blocks {
-		fp.Blocks[loc] = max - v + 1
-		fp.TotalSamples += fp.Blocks[loc]
-	}
-	for _, m := range fp.Calls {
-		for callee, v := range m {
-			if v > max {
-				v = max
-			}
-			m[callee] = max - v + 1
-		}
-	}
+	fp.MapCounts(func(v uint64) uint64 { return max - min(v, max) + 1 })
 	if fp.HeadSamples > 0 {
 		fp.HeadSamples = max - fp.HeadSamples%max
 	}

@@ -33,9 +33,9 @@ func TestPoisonCountsCollapsesOverlap(t *testing.T) {
 		t.Fatalf("poisoning changed the function set")
 	}
 	for name, fp := range bad.Funcs {
-		for loc, v := range fp.Blocks {
-			if v == 0 {
-				t.Fatalf("%s %s: zero count after poisoning", name, loc)
+		for _, b := range fp.Blocks {
+			if b.N == 0 {
+				t.Fatalf("%s %s: zero count after poisoning", name, b.Loc)
 			}
 		}
 	}

@@ -138,7 +138,7 @@ func annotateLine(f *ir.Function, fp *profdata.FunctionProfile) {
 		if loc == nil || loc.Parent != nil || loc.Func != f.Name {
 			return
 		}
-		if c, ok := fp.Blocks[profdata.LocKey{ID: loc.Line - f.StartLine, Disc: loc.Disc}]; ok {
+		if c, ok := fp.FindBody(profdata.LocKey{ID: loc.Line - f.StartLine, Disc: loc.Disc}); ok {
 			has = true
 			w = max(w, c)
 		}

@@ -43,13 +43,21 @@ func corpusProfiles(t *testing.T) map[string]*profdata.Profile {
 // sameCounts reports whether two call histograms hold the same non-zero
 // counts (a location or callee absent from one counts as zero there).
 func sameCounts(a, b callHistograms) bool {
+	count := func(h callHistograms, owner string, c profdata.CallCount) uint64 {
+		if fp := h[owner]; fp != nil {
+			for _, d := range fp.CallsAt(c.Loc) {
+				if d.Callee == c.Callee {
+					return d.N
+				}
+			}
+		}
+		return 0
+	}
 	covers := func(a, b callHistograms) bool {
-		for owner, sites := range a {
-			for loc, targets := range sites {
-				for callee, n := range targets {
-					if n != b[owner][loc][callee] {
-						return false
-					}
+		for owner, fp := range a {
+			for _, c := range fp.Calls {
+				if c.N != count(b, owner, c) {
+					return false
 				}
 			}
 		}
@@ -69,7 +77,7 @@ func TestICPHistogramsMatchFlat(t *testing.T) {
 		for _, prof := range []*profdata.Profile{p, prepared} {
 			want := callHistograms{}
 			for name, fp := range prof.Flat().Funcs {
-				want[name] = fp.Calls
+				want[name] = fp
 			}
 			if got := flatCallHistograms(prof); !sameCounts(got, want) {
 				t.Errorf("%s (cs=%v, %d contexts): call histograms differ from Flat's", path, prof.CS, len(prof.Contexts))

@@ -51,7 +51,11 @@ func icp(p *ir.Program, f *ir.Function, calls callHistograms, kind profdata.Kind
 			return false
 		}
 		done[siteKey{owner, loc}] = true
-		dominant, domCount, total := dominantTarget(calls[owner][loc])
+		var targets []profdata.CallCount
+		if h := calls[owner]; h != nil {
+			targets = h.CallsAt(loc)
+		}
+		dominant, domCount, total := dominantTarget(targets)
 		if dominant == "" || total == 0 || domCount < minCount || int(100*domCount/total) < icpMinRatioPct {
 			return false
 		}
@@ -91,14 +95,16 @@ func icallLoc(f *ir.Function, in *ir.Instr, kind profdata.Kind) (string, profdat
 	return in.Loc.Func, profdata.LocKey{ID: in.Loc.Line - start, Disc: in.Loc.Disc}, true
 }
 
-func dominantTarget(targets map[string]uint64) (string, uint64, uint64) {
+// dominantTarget returns the hottest of one site's targets, which come by
+// name (ties to the smallest name; none when every count is zero), its
+// count and the site's total.
+func dominantTarget(targets []profdata.CallCount) (string, uint64, uint64) {
 	var best string
 	var bestN, total uint64
-	for callee, n := range targets {
-		total += n
-		if n > bestN || n == bestN && callee < best {
-			best = callee
-			bestN = n
+	for _, c := range targets {
+		total += c.N
+		if c.N > bestN {
+			best, bestN = c.Callee, c.N
 		}
 	}
 	return best, bestN, total
@@ -176,38 +182,30 @@ func icpProgram(p *ir.Program, calls callHistograms, kind profdata.Kind) int {
 }
 
 // callHistograms is the context-insensitive call-target view ICP reads:
-// defining function -> call location -> callee -> count.
-type callHistograms map[string]map[profdata.LocKey]map[string]uint64
+// defining function -> a profile whose Calls are that function's call
+// records (its other counts are not part of the view).
+type callHistograms map[string]*profdata.FunctionProfile
 
 // flatCallHistograms sums the call targets of prof's base and context
 // profiles by defining function: the Calls of prof.Flat().Funcs, read
-// without cloning the profile. A flat profile's maps are shared, not copied.
+// without cloning the profile. A flat profile's base profiles are shared,
+// not copied.
 func flatCallHistograms(prof *profdata.Profile) callHistograms {
 	out := make(callHistograms, len(prof.Funcs))
 	if !prof.CS {
 		for name, fp := range prof.Funcs {
-			out[name] = fp.Calls
+			out[name] = fp
 		}
 		return out
 	}
 	add := func(fp *profdata.FunctionProfile) {
-		sites := out[fp.Name]
-		if sites == nil {
-			sites = make(map[profdata.LocKey]map[string]uint64, len(fp.Calls))
-			out[fp.Name] = sites
+		h := out[fp.Name]
+		if h == nil {
+			h = profdata.NewFunctionProfile(fp.Name)
+			out[fp.Name] = h
 		}
-		for loc, targets := range fp.Calls {
-			for callee, n := range targets {
-				if n == 0 {
-					continue
-				}
-				h := sites[loc]
-				if h == nil {
-					h = make(map[string]uint64, len(targets))
-					sites[loc] = h
-				}
-				h[callee] += n
-			}
+		for _, c := range fp.Calls {
+			h.AddCall(c.Loc, c.Callee, c.N)
 		}
 	}
 	for _, fp := range prof.Funcs {
@@ -226,14 +224,13 @@ func flatCallHistograms(prof *profdata.Profile) callHistograms {
 // don't promote every lukewarm site merely because their counts are
 // precise.
 func hotCallThreshold(calls callHistograms) uint64 {
-	var max uint64
-	for _, sites := range calls {
-		for _, m := range sites {
-			var total uint64
-			for _, n := range m {
-				total += n
+	var max, total uint64
+	for _, h := range calls {
+		for i, c := range h.Calls {
+			if i == 0 || h.Calls[i-1].Loc != c.Loc {
+				total = 0
 			}
-			if total > max {
+			if total += c.N; total > max {
 				max = total
 			}
 		}

@@ -139,7 +139,7 @@ func Run(prof *profdata.Profile, sizes *SizeTable, params Params) Result {
 }
 
 // topDownOrder orders functions callers-first using the profiled call
-// graph (edges from every profile's call-target maps), falling back to
+// graph (edges from every profile's call records), falling back to
 // name order within cycles.
 func topDownOrder(prof *profdata.Profile) []string {
 	edges := map[string]map[string]bool{}
@@ -153,10 +153,8 @@ func topDownOrder(prof *profdata.Profile) []string {
 	}
 	for name, fp := range prof.Funcs {
 		nodes[name] = true
-		for _, m := range fp.Calls {
-			for callee := range m {
-				addEdge(name, callee)
-			}
+		for _, c := range fp.Calls {
+			addEdge(name, c.Callee)
 		}
 	}
 	for _, cp := range prof.Contexts {
@@ -164,10 +162,8 @@ func topDownOrder(prof *profdata.Profile) []string {
 		for i := 0; i+1 < len(cp.Context); i++ {
 			addEdge(cp.Context[i].Func, cp.Context[i+1].Func)
 		}
-		for _, m := range cp.Calls {
-			for callee := range m {
-				addEdge(cp.Name, callee)
-			}
+		for _, c := range cp.Calls {
+			addEdge(cp.Name, c.Callee)
 		}
 	}
 	// Kahn-style order with deterministic ties; cycles broken by name.

@@ -21,15 +21,11 @@ const binVersion = 1
 type binWriter struct {
 	buf     bytes.Buffer
 	strings map[string]uint64
-	// Reused sort scratch, so encoding a large profile does not allocate a
-	// fresh slice per function record.
-	locs  []LocKey
-	names []string
 }
 
-// binWriterPool recycles encoders (buffer, string table and sort scratch)
-// across EncodeBinary calls; the encoder is the hot serialization path for
-// shard merging and benchmark pins.
+// binWriterPool recycles encoders (buffer and string table) across
+// EncodeBinary calls; the encoder is the hot serialization path for shard
+// merging and benchmark pins.
 var binWriterPool = sync.Pool{
 	New: func() any { return &binWriter{strings: map[string]uint64{}} },
 }
@@ -74,28 +70,40 @@ func (w *binWriter) funcProfile(fp *FunctionProfile) {
 	w.uvarint(flags)
 	w.uvarint(fp.HeadSamples)
 	w.uvarint(fp.Checksum)
-	w.locs = appendSortedLocs(w.locs[:0], fp.Blocks)
-	w.uvarint(uint64(len(w.locs)))
-	for _, loc := range w.locs {
-		w.loc(loc)
-		w.uvarint(fp.Blocks[loc])
+	w.uvarint(uint64(len(fp.Blocks)))
+	for _, b := range fp.Blocks {
+		w.loc(b.Loc)
+		w.uvarint(b.N)
 	}
-	w.locs = appendSortedLocs(w.locs[:0], fp.Calls)
-	w.uvarint(uint64(len(w.locs)))
-	for _, loc := range w.locs {
-		w.loc(loc)
-		m := fp.Calls[loc]
-		w.names = appendSortedKeys(w.names[:0], m)
-		w.uvarint(uint64(len(w.names)))
-		for _, c := range w.names {
-			w.str(c)
-			w.uvarint(m[c])
+	sites := 0
+	for rest := fp.Calls; len(rest) > 0; rest = rest[siteLen(rest):] {
+		sites++
+	}
+	w.uvarint(uint64(sites))
+	for rest := fp.Calls; len(rest) > 0; {
+		n := siteLen(rest)
+		w.loc(rest[0].Loc)
+		w.uvarint(uint64(n))
+		for _, c := range rest[:n] {
+			w.str(c.Callee)
+			w.uvarint(c.N)
 		}
+		rest = rest[n:]
 	}
 }
 
+// siteLen returns how many of the leading call records share the first
+// one's location: the callees of one call site.
+func siteLen(calls []CallCount) int {
+	n := 1
+	for n < len(calls) && calls[n].Loc == calls[0].Loc {
+		n++
+	}
+	return n
+}
+
 // EncodeBinary renders the profile in the compact binary format. The
-// encoder state (buffer, string table, sort scratch) is pooled; the
+// encoder state (buffer, string table) is pooled; the
 // returned slice is an exact-size copy the caller owns.
 func EncodeBinary(p *Profile) []byte {
 	w := binWriterPool.Get().(*binWriter)
@@ -142,6 +150,9 @@ type binReader struct {
 	// bad is the first reason the record being read cannot be kept. The
 	// record is still read to its end, so the stream stays in step.
 	bad error
+	// rec is the record being read. Its lists are reused from record to
+	// record; install copies them into the profile at their length.
+	rec FunctionProfile
 }
 
 // reject records why the current record cannot be kept (nil: no reason).
@@ -202,6 +213,13 @@ func (r *binReader) loc() (LocKey, error) {
 	return LocKey{ID: int32(uint32(id)), Disc: int32(uint32(disc))}, nil
 }
 
+// record reads one function record of name into r.rec, its body and call
+// records in stream order.
+func (r *binReader) record(name string) error {
+	r.rec = FunctionProfile{Name: name, Blocks: r.rec.Blocks[:0], Calls: r.rec.Calls[:0]}
+	return r.funcProfile(&r.rec)
+}
+
 func (r *binReader) funcProfile(fp *FunctionProfile) error {
 	flags, err := r.uvarint()
 	if err != nil {
@@ -232,7 +250,10 @@ func (r *binReader) funcProfile(fp *FunctionProfile) error {
 			r.reject(fmt.Errorf("profdata: body count overflows"))
 			continue
 		}
-		fp.AddBody(loc, n)
+		if n != 0 {
+			fp.Blocks = append(fp.Blocks, BodyCount{Loc: loc, N: n})
+			fp.TotalSamples += n
+		}
 	}
 	nc, err := r.uvarint()
 	if err != nil {
@@ -256,11 +277,9 @@ func (r *binReader) funcProfile(fp *FunctionProfile) error {
 			if err != nil {
 				return err
 			}
-			if addOverflows(fp.Calls[loc][callee], n) {
-				r.reject(fmt.Errorf("profdata: call count overflows"))
-				continue
+			if n != 0 {
+				fp.Calls = append(fp.Calls, CallCount{Loc: loc, Callee: callee, N: n})
 			}
-			fp.AddCall(loc, callee, n)
 		}
 	}
 	return nil
@@ -276,25 +295,45 @@ func clampRecords(n uint64) int {
 	return int(n)
 }
 
-// install merges one decoded record into the profile's entry, preserving
-// flag semantics for (corrupt) inputs that repeat a record. A record whose
-// counts would wrap the entry's is rejected instead.
+// install adds one decoded record to the profile's entry, preserving flag
+// semantics for (corrupt) inputs that repeat a record. A record whose
+// total or head count would wrap the entry's is rejected instead. Its
+// records are appended in stream order, for decodeBinary to sort at the
+// end.
 func (r *binReader) install(dst, src *FunctionProfile) {
-	overflow := addOverflows(dst.TotalSamples, src.TotalSamples) || addOverflows(dst.HeadSamples, src.HeadSamples)
-	for loc, m := range src.Calls {
-		for callee, n := range m {
-			overflow = overflow || addOverflows(dst.Calls[loc][callee], n)
-		}
-	}
-	if overflow {
+	if addOverflows(dst.TotalSamples, src.TotalSamples) || addOverflows(dst.HeadSamples, src.HeadSamples) {
 		r.reject(fmt.Errorf("profdata: repeated record's counts overflow"))
 		return
 	}
-	dst.Merge(src)
+	dst.Blocks = append(dst.Blocks, src.Blocks...)
+	dst.Calls = append(dst.Calls, src.Calls...)
+	dst.TotalSamples += src.TotalSamples
+	dst.HeadSamples += src.HeadSamples
+	if dst.Checksum == 0 {
+		dst.Checksum = src.Checksum
+	}
+	dst.Approx = dst.Approx || src.Approx
 	dst.ShouldInline = dst.ShouldInline || src.ShouldInline
 }
 
+// decodeBinary reads a binary profile, then puts the records of entries
+// that came out of order or repeated in order; a call count that would
+// wrap its (location, callee) sum is malformed.
 func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
+	p, stats, err := readBinary(data, lenient)
+	if p == nil {
+		return p, stats, err
+	}
+	if n := p.normalize(); n > 0 {
+		if !lenient {
+			return nil, stats, fmt.Errorf("profdata: call count overflows")
+		}
+		stats.SkippedLines += n
+	}
+	return p, stats, err
+}
+
+func readBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	var stats ReadStats
 	if !isBinaryProfile(data) {
 		return nil, stats, fmt.Errorf("profdata: not a binary profile")
@@ -319,12 +358,12 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		return p, stats, nil
 	}
 
-	// keep installs a record read whole into the entry named by entry
+	// keep installs the record read whole into the entry named by entry
 	// (only called for a record with no fault), or settles one that broke
 	// a rule: strict aborts, lenient counts it and reads on.
-	keep := func(entry func() *FunctionProfile, tmp *FunctionProfile) error {
+	keep := func(entry func() *FunctionProfile) error {
 		if r.bad == nil {
-			r.install(entry(), tmp)
+			r.install(entry(), &r.rec)
 		}
 		if r.bad == nil {
 			return nil
@@ -346,11 +385,10 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 		if err != nil {
 			return bail(nf-i, err)
 		}
-		tmp := NewFunctionProfile(name)
-		if err := r.funcProfile(tmp); err != nil {
+		if err := r.record(name); err != nil {
 			return bail(nf-i, err)
 		}
-		if err := keep(func() *FunctionProfile { return p.FuncProfile(name) }, tmp); err != nil {
+		if err := keep(func() *FunctionProfile { return p.FuncProfile(name) }); err != nil {
 			return nil, stats, err
 		}
 	}
@@ -378,11 +416,10 @@ func decodeBinary(data []byte, lenient bool) (*Profile, ReadStats, error) {
 				}
 			}
 		}
-		tmp := NewFunctionProfile(ctx.Leaf())
-		if err := r.funcProfile(tmp); err != nil {
+		if err := r.record(ctx.Leaf()); err != nil {
 			return bail(nctx-i, err)
 		}
-		if err := keep(func() *FunctionProfile { return p.ContextProfile(ctx) }, tmp); err != nil {
+		if err := keep(func() *FunctionProfile { return p.contextProfile(ctx, true) }); err != nil {
 			return nil, stats, err
 		}
 	}

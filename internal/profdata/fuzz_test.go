@@ -52,13 +52,29 @@ func checkFixpoint(t *testing.T, p *Profile) {
 	}
 }
 
+// checkRecords fails t if a profile of p has records out of order,
+// repeating a key, or an empty non-nil list.
+func checkRecords(t *testing.T, p *Profile) {
+	t.Helper()
+	for _, fps := range []map[string]*FunctionProfile{p.Funcs, p.Contexts} {
+		for key, fp := range fps {
+			if msg := recordsSortedUnique(fp); msg != "" {
+				t.Fatalf("decoded [%s]: %s", key, msg)
+			}
+		}
+	}
+}
+
 // checkDecode holds both decode entry points to their contract on data:
 // no panic, strict and lenient agree on well-formed input and lenient
-// reports damage where strict fails, and whatever decodes is a round-1
-// fixed point of both codecs.
+// reports damage where strict fails, whatever decodes has sorted, unique
+// records, and it is a round-1 fixed point of both codecs.
 func checkDecode(t *testing.T, data []byte) {
 	strict, strictErr := Decode(data)
 	lenient, stats, lenientErr := DecodeLenient(data)
+	if strict != nil {
+		checkRecords(t, strict)
+	}
 	if strictErr == nil {
 		if lenientErr != nil {
 			t.Fatalf("strict decode ok but lenient failed: %v", lenientErr)
@@ -73,6 +89,7 @@ func checkDecode(t *testing.T, data []byte) {
 		t.Fatalf("strict decode failed (%v) but lenient reported clean input", strictErr)
 	}
 	if lenient != nil {
+		checkRecords(t, lenient)
 		checkFixpoint(t, lenient)
 	}
 }
@@ -86,6 +103,7 @@ func FuzzReadText(f *testing.F) {
 	f.Add("# csspgo-profile kind=line cs=0\n[f]\nbody 1 1\n# end\n")
 	f.Add("# csspgo-profile kind=line cs=0\n[f]\nbody 1 1\n")
 	f.Add("# csspgo-profile kind=probe cs=1\n[f]\nbody 1 18446744073709551615\nbody 2 1\n[a b]\ncall 1 g:h 2\n# end\n")
+	f.Add("# csspgo-profile kind=probe cs=1\n[f]\nbody 3 1\nbody 1 2\nbody 3 4\ncall 2 h 1\ncall 2 g 3\ncall 2 h 18446744073709551615\n[g]\n[f]\nbody 2 5\n# end\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) { checkDecode(t, []byte(s)) })
 }

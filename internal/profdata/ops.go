@@ -1,6 +1,7 @@
 package profdata
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,19 +78,13 @@ func (p *Profile) Promote(key string) (base string) {
 	return ""
 }
 
-// dropZeroCalls deletes the zero-count call targets, and the call
-// locations left with none, that Merge does not carry over (AddCall ignores
-// a zero count), so a moved profile reads as a merged copy of it would.
+// dropZeroCalls deletes the zero-count call records that Merge does not
+// carry over (AddCall ignores a zero count), so a moved profile reads as a
+// merged copy of it would.
 func (fp *FunctionProfile) dropZeroCalls() {
-	for loc, m := range fp.Calls {
-		for callee, n := range m {
-			if n == 0 {
-				delete(m, callee)
-			}
-		}
-		if len(m) == 0 {
-			delete(fp.Calls, loc)
-		}
+	fp.Calls = slices.DeleteFunc(fp.Calls, func(c CallCount) bool { return c.N == 0 })
+	if len(fp.Calls) == 0 {
+		fp.Calls = nil
 	}
 }
 
@@ -184,8 +179,8 @@ func (p *Profile) Clone() *Profile {
 
 // MergeShards deterministically reduces per-worker profile shards into one
 // profile by folding them in shard-index order. Every count is a sum and
-// the text/binary encoders iterate maps in sorted order, so the merged
-// profile serializes byte-identically for any shard count — including the
+// every profile keeps its records sorted, so the merged profile
+// serializes byte-identically for any shard count — including the
 // single-shard (serial) case. The first shard is reused as the
 // accumulator; returns nil for an empty shard list.
 func MergeShards(shards []*Profile) *Profile {

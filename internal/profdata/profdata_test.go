@@ -103,7 +103,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("main profile corrupted: %+v", fp)
 	}
 	c1 := q.Contexts["main:3 @ foo"]
-	if c1 == nil || !c1.ShouldInline || c1.Calls[LocKey{ID: 2}]["bar"] != 40 {
+	if c1 == nil || !c1.ShouldInline || callAt(c1, LocKey{ID: 2}, "bar") != 40 {
 		t.Fatalf("context profile corrupted: %+v", c1)
 	}
 	if c1.TotalSamples != 100 {
@@ -232,7 +232,7 @@ func TestScale(t *testing.T) {
 	if fp.BodyAt(LocKey{ID: 1}) != 50 || fp.BodyAt(LocKey{ID: 2}) != 25 {
 		t.Fatalf("scaled blocks: %v", fp.Blocks)
 	}
-	if fp.Calls[LocKey{ID: 2}]["g"] != 25 || fp.HeadSamples != 5 {
+	if callAt(fp, LocKey{ID: 2}, "g") != 25 || fp.HeadSamples != 5 {
 		t.Fatal("calls/head not scaled")
 	}
 	if fp.TotalSamples != 75 {

@@ -7,7 +7,6 @@
 package profdata
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -65,8 +64,14 @@ type FunctionProfile struct {
 	TotalSamples uint64 // sum of body samples
 	HeadSamples  uint64 // entry count (times this context/function was entered)
 
-	Blocks map[LocKey]uint64            // body location -> count
-	Calls  map[LocKey]map[string]uint64 // call location -> callee -> count
+	// Blocks holds one record per body location, in (ID, Disc) order.
+	// Calls holds one record per (call location, callee), in location
+	// order and callees by name within a location. An empty list is nil.
+	// Only this package's methods write them (AddBody, AddCall, Merge,
+	// Scale, MapCounts, Clone, the decoders); readers range over them or
+	// use BodyAt, FindBody and CallsAt.
+	Blocks []BodyCount
+	Calls  []CallCount
 
 	// ShouldInline is the pre-inliner's persisted decision that this
 	// context should be inlined into its caller (CS profiles only).
@@ -80,11 +85,7 @@ type FunctionProfile struct {
 
 // NewFunctionProfile returns an empty profile for name.
 func NewFunctionProfile(name string) *FunctionProfile {
-	return &FunctionProfile{
-		Name:   name,
-		Blocks: map[LocKey]uint64{},
-		Calls:  map[LocKey]map[string]uint64{},
-	}
+	return &FunctionProfile{Name: name}
 }
 
 // AddBody accumulates a body sample count at loc.
@@ -92,7 +93,7 @@ func (fp *FunctionProfile) AddBody(loc LocKey, n uint64) {
 	if n == 0 {
 		return
 	}
-	fp.Blocks[loc] += n
+	fp.Blocks = addRecord(fp.Blocks, BodyCount{Loc: loc, N: n})
 	fp.TotalSamples += n
 }
 
@@ -101,30 +102,45 @@ func (fp *FunctionProfile) AddCall(loc LocKey, callee string, n uint64) {
 	if n == 0 {
 		return
 	}
-	m := fp.Calls[loc]
-	if m == nil {
-		m = map[string]uint64{}
-		fp.Calls[loc] = m
-	}
-	m[callee] += n
+	fp.Calls = addRecord(fp.Calls, CallCount{Loc: loc, Callee: callee, N: n})
 }
 
 // BodyAt returns the body count at loc.
-func (fp *FunctionProfile) BodyAt(loc LocKey) uint64 { return fp.Blocks[loc] }
+func (fp *FunctionProfile) BodyAt(loc LocKey) uint64 {
+	n, _ := fp.FindBody(loc)
+	return n
+}
+
+// FindBody returns the body count at loc and whether fp has a record
+// there (a zero-valued one too).
+func (fp *FunctionProfile) FindBody(loc LocKey) (uint64, bool) {
+	i, ok := slices.BinarySearchFunc(fp.Blocks, loc, func(b BodyCount, l LocKey) int { return b.Loc.compare(l) })
+	if !ok {
+		return 0, false
+	}
+	return fp.Blocks[i].N, true
+}
+
+// CallsAt returns the call records at loc, callees by name: a sub-slice of
+// Calls, empty when loc has none.
+func (fp *FunctionProfile) CallsAt(loc LocKey) []CallCount {
+	lo, _ := slices.BinarySearchFunc(fp.Calls, loc, func(c CallCount, l LocKey) int { return c.Loc.compare(l) })
+	hi := lo
+	for hi < len(fp.Calls) && fp.Calls[hi].Loc == loc {
+		hi++
+	}
+	return fp.Calls[lo:hi]
+}
 
 // Merge adds src's counts into fp (same function; contexts may differ —
-// merging a context profile into a base profile drops the context).
+// merging a context profile into a base profile drops the context). Every
+// body record of src reaches fp, a zero-valued one too; a zero-valued call
+// record does not, as AddCall ignores a zero count.
 func (fp *FunctionProfile) Merge(src *FunctionProfile) {
-	for loc, n := range src.Blocks {
-		fp.Blocks[loc] += n
-	}
+	fp.Blocks = mergeRecords(fp.Blocks, src.Blocks, true)
 	fp.TotalSamples += src.TotalSamples
 	fp.HeadSamples += src.HeadSamples
-	for loc, m := range src.Calls {
-		for callee, n := range m {
-			fp.AddCall(loc, callee, n)
-		}
-	}
+	fp.Calls = mergeRecords(fp.Calls, src.Calls, false)
 	if fp.Checksum == 0 {
 		fp.Checksum = src.Checksum
 	}
@@ -132,65 +148,36 @@ func (fp *FunctionProfile) Merge(src *FunctionProfile) {
 }
 
 // Scale multiplies every count by num/den (used by profile maintenance when
-// slicing or scaling inlined-body profiles).
+// slicing or scaling inlined-body profiles). Records scaled to zero stay.
 func (fp *FunctionProfile) Scale(num, den uint64) {
 	if den == 0 {
 		return
 	}
-	scale := func(v uint64) uint64 { return v * num / den }
+	fp.MapCounts(func(v uint64) uint64 { return v * num / den })
+	fp.HeadSamples = fp.HeadSamples * num / den
+}
+
+// MapCounts replaces every body and call count v with f(v), keeping every
+// record (one mapped to zero too) and TotalSamples the sum of the body
+// counts. HeadSamples is the caller's to set.
+func (fp *FunctionProfile) MapCounts(f func(uint64) uint64) {
 	fp.TotalSamples = 0
-	for loc := range fp.Blocks {
-		fp.Blocks[loc] = scale(fp.Blocks[loc])
-		fp.TotalSamples += fp.Blocks[loc]
+	for i := range fp.Blocks {
+		fp.Blocks[i].N = f(fp.Blocks[i].N)
+		fp.TotalSamples += fp.Blocks[i].N
 	}
-	fp.HeadSamples = scale(fp.HeadSamples)
-	for _, m := range fp.Calls {
-		for callee := range m {
-			m[callee] = scale(m[callee])
-		}
+	for i := range fp.Calls {
+		fp.Calls[i].N = f(fp.Calls[i].N)
 	}
 }
 
-// Clone deep-copies the profile, sizing the copied maps exactly so merge
-// paths that clone-then-accumulate do not rehash while filling them.
+// Clone deep-copies the profile.
 func (fp *FunctionProfile) Clone() *FunctionProfile {
-	out := &FunctionProfile{
-		Name:   fp.Name,
-		Blocks: make(map[LocKey]uint64, len(fp.Blocks)),
-		Calls:  make(map[LocKey]map[string]uint64, len(fp.Calls)),
-	}
+	out := *fp
 	out.Context = append(Context(nil), fp.Context...)
-	out.Checksum = fp.Checksum
-	out.TotalSamples = fp.TotalSamples
-	out.HeadSamples = fp.HeadSamples
-	out.ShouldInline = fp.ShouldInline
-	out.Approx = fp.Approx
-	for loc, n := range fp.Blocks {
-		out.Blocks[loc] = n
-	}
-	for loc, m := range fp.Calls {
-		nm := make(map[string]uint64, len(m))
-		for k, v := range m {
-			nm[k] = v
-		}
-		out.Calls[loc] = nm
-	}
-	return out
-}
-
-// appendSortedLocs appends m's keys to dst in deterministic (ID, Disc)
-// order. Encoders pass reused scratch slices to avoid per-record garbage.
-func appendSortedLocs[V any](dst []LocKey, m map[LocKey]V) []LocKey {
-	for l := range m {
-		dst = append(dst, l)
-	}
-	slices.SortFunc(dst, func(a, b LocKey) int {
-		if c := cmp.Compare(a.ID, b.ID); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Disc, b.Disc)
-	})
-	return dst
+	out.Blocks = slices.Clone(fp.Blocks)
+	out.Calls = slices.Clone(fp.Calls)
+	return &out
 }
 
 // appendSortedKeys appends m's string keys to dst in sorted order.
@@ -200,11 +187,6 @@ func appendSortedKeys[V any](dst []string, m map[string]V) []string {
 	}
 	slices.Sort(dst)
 	return dst
-}
-
-// SortedCallLocs returns call locations in deterministic order.
-func (fp *FunctionProfile) SortedCallLocs() []LocKey {
-	return appendSortedLocs(make([]LocKey, 0, len(fp.Calls)), fp.Calls)
 }
 
 // Profile is a whole-program profile.
@@ -252,6 +234,12 @@ func (p *Profile) FuncProfile(name string) *FunctionProfile {
 // non-copying string conversion; the key string is only materialized when
 // a new entry must be inserted.
 func (p *Profile) ContextProfile(ctx Context) *FunctionProfile {
+	return p.contextProfile(ctx, false)
+}
+
+// contextProfile is ContextProfile. A new profile keeps a copy of ctx, or,
+// with adopt set, ctx itself: the decoders give up the context they parsed.
+func (p *Profile) contextProfile(ctx Context, adopt bool) *FunctionProfile {
 	if len(ctx) < 2 {
 		return p.FuncProfile(ctx.Leaf())
 	}
@@ -260,8 +248,11 @@ func (p *Profile) ContextProfile(ctx Context) *FunctionProfile {
 		return fp
 	}
 	key := string(p.keyScratch)
+	if !adopt {
+		ctx = append(Context(nil), ctx...)
+	}
 	fp := NewFunctionProfile(ctx.Leaf())
-	fp.Context = append(Context(nil), ctx...)
+	fp.Context = ctx
 	p.Contexts[key] = fp
 	return fp
 }

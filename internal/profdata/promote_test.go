@@ -237,13 +237,12 @@ type handBuiltPromotion struct {
 func handBuiltPromotions() []handBuiltPromotion {
 	source := func(p *Profile, ctx Context, marked bool) string {
 		fp := p.ContextProfile(ctx)
-		fp.AddBody(LocKey{ID: 1}, 7)
-		fp.Blocks[LocKey{ID: 2}] = 0
-		fp.AddBody(LocKey{ID: 3, Disc: 1}, 5)
+		// Zero-valued records, as Scale leaves them, at body 2 and calls
+		// 3 -> E and 4 -> F.
+		fp.Blocks = []BodyCount{{LocKey{ID: 1}, 7}, {LocKey{ID: 2}, 0}, {LocKey{ID: 3, Disc: 1}, 5}}
+		fp.TotalSamples = 12
 		fp.HeadSamples = 4
-		fp.AddCall(LocKey{ID: 3}, "D", 6)
-		fp.Calls[LocKey{ID: 3}]["E"] = 0
-		fp.Calls[LocKey{ID: 4}] = map[string]uint64{"F": 0}
+		fp.Calls = []CallCount{{LocKey{ID: 3}, "D", 6}, {LocKey{ID: 3}, "E", 0}, {LocKey{ID: 4}, "F", 0}}
 		fp.Checksum = 0xc0ffee
 		fp.Approx = true
 		fp.ShouldInline = marked

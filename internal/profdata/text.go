@@ -34,9 +34,8 @@ import (
 const endLine = "# end"
 
 // AppendText appends the text encoding of p to dst and returns the
-// extended slice. Every record sorts its locations and callee names into
-// the same two scratch slices; given a dst with room for the encoding, it
-// is written without growing.
+// extended slice. Records are written in the order they are kept; given a
+// dst with room for the encoding, it is written without growing.
 func AppendText(dst []byte, p *Profile) []byte {
 	dst = append(dst, "# csspgo-profile kind="...)
 	dst = append(dst, p.Kind.String()...)
@@ -45,66 +44,48 @@ func AppendText(dst []byte, p *Profile) []byte {
 	} else {
 		dst = append(dst, " cs=0\n"...)
 	}
-	e := textEncoder{buf: dst}
 	for _, name := range p.SortedFuncNames() {
-		e.record(name, p.Funcs[name])
+		dst = appendRecord(dst, name, p.Funcs[name])
 	}
 	for _, key := range p.SortedContextKeys() {
-		e.record(key, p.Contexts[key])
+		dst = appendRecord(dst, key, p.Contexts[key])
 	}
-	return append(e.buf, endLine+"\n"...)
+	return append(dst, endLine+"\n"...)
 }
 
-// textEncoder holds AppendText's output and its sort scratch.
-type textEncoder struct {
-	buf     []byte
-	locs    []LocKey
-	callees []string
-}
-
-// record appends one section: its header line, flags, head and checksum,
-// then body and call lines in location order, callees by name.
-func (e *textEncoder) record(header string, fp *FunctionProfile) {
-	e.buf = append(e.buf, '[')
-	e.buf = append(e.buf, header...)
-	e.buf = append(e.buf, "]\n"...)
+// appendRecord appends one section: its header line, flags, head and
+// checksum, then body and call lines in location order, callees by name.
+func appendRecord(dst []byte, header string, fp *FunctionProfile) []byte {
+	dst = append(dst, '[')
+	dst = append(dst, header...)
+	dst = append(dst, "]\n"...)
 	if fp.ShouldInline {
-		e.buf = append(e.buf, "shouldinline\n"...)
+		dst = append(dst, "shouldinline\n"...)
 	}
 	if fp.Approx {
-		e.buf = append(e.buf, "approx\n"...)
+		dst = append(dst, "approx\n"...)
 	}
 	if fp.HeadSamples != 0 {
-		e.buf = append(e.buf, "head "...)
-		e.count(fp.HeadSamples)
+		dst = appendCount(append(dst, "head "...), fp.HeadSamples)
 	}
 	if fp.Checksum != 0 {
-		e.buf = append(e.buf, "checksum "...)
-		e.count(fp.Checksum)
+		dst = appendCount(append(dst, "checksum "...), fp.Checksum)
 	}
-	e.locs = appendSortedLocs(e.locs[:0], fp.Blocks)
-	for _, loc := range e.locs {
-		e.buf = append(e.buf, "body "...)
-		e.buf = append(loc.AppendTo(e.buf), ' ')
-		e.count(fp.Blocks[loc])
+	for _, b := range fp.Blocks {
+		dst = b.Loc.AppendTo(append(dst, "body "...))
+		dst = appendCount(append(dst, ' '), b.N)
 	}
-	e.locs = appendSortedLocs(e.locs[:0], fp.Calls)
-	for _, loc := range e.locs {
-		targets := fp.Calls[loc]
-		e.callees = appendSortedKeys(e.callees[:0], targets)
-		for _, c := range e.callees {
-			e.buf = append(e.buf, "call "...)
-			e.buf = append(loc.AppendTo(e.buf), ' ')
-			e.buf = append(e.buf, c...)
-			e.buf = append(e.buf, ' ')
-			e.count(targets[c])
-		}
+	for _, c := range fp.Calls {
+		dst = c.Loc.AppendTo(append(dst, "call "...))
+		dst = append(append(append(dst, ' '), c.Callee...), ' ')
+		dst = appendCount(dst, c.N)
 	}
+	return dst
 }
 
-// count ends a line with n.
-func (e *textEncoder) count(n uint64) {
-	e.buf = append(strconv.AppendUint(e.buf, n, 10), '\n')
+// appendCount ends a line with n.
+func appendCount(dst []byte, n uint64) []byte {
+	return append(strconv.AppendUint(dst, n, 10), '\n')
 }
 
 // EncodeToString returns the text encoding.
@@ -142,7 +123,8 @@ type ReadStats struct {
 	// records declared by the header but unreadable.
 	SkippedRecords int
 	// SkippedLines counts individual malformed data lines dropped from
-	// otherwise-readable text sections.
+	// otherwise-readable text sections, and call counts either decoder
+	// drops because they would wrap the sum for their location and callee.
 	SkippedLines int
 }
 
@@ -219,11 +201,12 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	// never pins the text.
 	text := string(data)
 	var p *Profile
-	var cur *FunctionProfile
+	var sec section
 	in := newInterner()
 	// fail reports a malformed line: strict mode aborts the decode, lenient
 	// mode records the damage and skips the line. A malformed section header
-	// also poisons `cur` so following data lines are not misattributed.
+	// also poisons the section so following data lines are not
+	// misattributed.
 	fail := func(record bool, format string, args ...any) error {
 		if !lenient {
 			return fmt.Errorf(format, args...)
@@ -244,7 +227,7 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			}
 			// Whatever followed is lost with it: count one record.
 			stats.SkippedRecords++
-			return p, stats, nil
+			break
 		}
 		line = strings.TrimSpace(line)
 		if line == "" {
@@ -264,7 +247,7 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			return nil, stats, fmt.Errorf("line %d: missing profile header", lineNo)
 		}
 		if strings.HasPrefix(line, "[") {
-			cur = nil
+			sec.end(nil)
 			if !strings.HasSuffix(line, "]") {
 				if err := fail(true, "line %d: malformed section %q", lineNo, line); err != nil {
 					return nil, stats, err
@@ -282,16 +265,16 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 			for i := range ctx {
 				ctx[i].Func = in.intern(ctx[i].Func)
 			}
-			cur = p.ContextProfile(ctx)
+			sec.end(p.contextProfile(ctx, true))
 			continue
 		}
-		if cur == nil {
+		if sec.fp == nil {
 			if err := fail(false, "line %d: data before any section", lineNo); err != nil {
 				return nil, stats, err
 			}
 			continue
 		}
-		if err := cur.parseLine(line, in); err != nil {
+		if err := sec.parseLine(line, in); err != nil {
 			if err := fail(false, "line %d: %v", lineNo, err); err != nil {
 				return nil, stats, err
 			}
@@ -299,6 +282,16 @@ func decodeText(data []byte, lenient bool) (*Profile, ReadStats, error) {
 	}
 	if p == nil {
 		return nil, stats, fmt.Errorf("empty profile")
+	}
+	sec.end(nil)
+	// Records went in as they came; put any that came out of order or
+	// repeated in order now. A call line whose count wraps its sum is
+	// malformed.
+	if n := p.normalize(); n > 0 {
+		if !lenient {
+			return nil, stats, fmt.Errorf("call count overflows")
+		}
+		stats.SkippedLines += n
 	}
 	return p, stats, nil
 }
@@ -332,10 +325,33 @@ func asciiSpace(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
 }
 
-// parseLine applies one data line of a section to fp. A line that is
-// malformed, names a function no encoding can carry, or would overflow a
-// count leaves fp untouched.
-func (fp *FunctionProfile) parseLine(line string, in *interner) error {
+// section is the text section being read: its profile, and the body and
+// call records read so far, in stream order. The records move into the
+// profile when the section ends, so its lists are allocated once, at their
+// size.
+type section struct {
+	fp     *FunctionProfile
+	blocks []BodyCount
+	calls  []CallCount
+}
+
+// end appends the section's records to its profile and starts reading
+// into next (nil: lines go nowhere until the next header).
+func (s *section) end(next *FunctionProfile) {
+	if s.fp != nil {
+		s.fp.Blocks = append(s.fp.Blocks, s.blocks...)
+		s.fp.Calls = append(s.fp.Calls, s.calls...)
+	}
+	clear(s.calls)
+	s.fp, s.blocks, s.calls = next, s.blocks[:0], s.calls[:0]
+}
+
+// parseLine applies one data line to the section, appending a body or call
+// record as it comes. A line that is malformed, names a function no
+// encoding can carry, or would overflow a head or body count changes
+// nothing.
+func (s *section) parseLine(line string, in *interner) error {
+	fp := s.fp
 	var buf [4]string
 	fields := appendFields(buf[:0], line)
 	switch fields[0] {
@@ -375,7 +391,10 @@ func (fp *FunctionProfile) parseLine(line string, in *interner) error {
 		if addOverflows(fp.TotalSamples, v) {
 			return fmt.Errorf("body count overflows")
 		}
-		fp.AddBody(loc, v)
+		if v != 0 {
+			s.blocks = append(s.blocks, BodyCount{Loc: loc, N: v})
+			fp.TotalSamples += v
+		}
 	case "call":
 		if len(fields) != 4 {
 			return fmt.Errorf("bad call")
@@ -391,10 +410,11 @@ func (fp *FunctionProfile) parseLine(line string, in *interner) error {
 		if err != nil {
 			return err
 		}
-		if addOverflows(fp.Calls[loc][fields[2]], v) {
-			return fmt.Errorf("call count overflows")
+		// Whether the sum of this (location, callee) wraps is settled once
+		// the records are in order.
+		if v != 0 {
+			s.calls = append(s.calls, CallCount{Loc: loc, Callee: in.intern(fields[2]), N: v})
 		}
-		fp.AddCall(loc, in.intern(fields[2]), v)
 	default:
 		return fmt.Errorf("unknown directive %q", fields[0])
 	}

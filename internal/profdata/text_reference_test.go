@@ -13,8 +13,10 @@ import (
 )
 
 // referenceEncode is the text encoder as it was before it appended into
-// one buffer: fmt.Fprintf through a bufio.Writer, kept verbatim so
+// one buffer: fmt.Fprintf through a bufio.Writer, kept so
 // TestTextCodecMatchesReference can hold the live encoder to its bytes.
+// It sorts copies of each profile's records itself, as it sorted the map
+// keys that held them, rather than trusting the order they are kept in.
 func referenceEncode(w io.Writer, p *Profile) error {
 	bw := bufio.NewWriter(w)
 	cs := 0
@@ -36,18 +38,19 @@ func referenceEncode(w io.Writer, p *Profile) error {
 		if fp.Checksum != 0 {
 			fmt.Fprintf(bw, "checksum %d\n", fp.Checksum)
 		}
-		for _, loc := range fp.sortedLocs() {
-			fmt.Fprintf(bw, "body %s %d\n", loc, fp.Blocks[loc])
+		locLess := func(a, b LocKey) bool { return a.ID < b.ID || a.ID == b.ID && a.Disc < b.Disc }
+		bodies := append([]BodyCount(nil), fp.Blocks...)
+		sort.Slice(bodies, func(i, j int) bool { return locLess(bodies[i].Loc, bodies[j].Loc) })
+		for _, b := range bodies {
+			fmt.Fprintf(bw, "body %s %d\n", b.Loc, b.N)
 		}
-		for _, loc := range fp.SortedCallLocs() {
-			callees := make([]string, 0, len(fp.Calls[loc]))
-			for c := range fp.Calls[loc] {
-				callees = append(callees, c)
-			}
-			sort.Strings(callees)
-			for _, c := range callees {
-				fmt.Fprintf(bw, "call %s %s %d\n", loc, c, fp.Calls[loc][c])
-			}
+		calls := append([]CallCount(nil), fp.Calls...)
+		sort.Slice(calls, func(i, j int) bool {
+			a, b := calls[i], calls[j]
+			return locLess(a.Loc, b.Loc) || a.Loc == b.Loc && a.Callee < b.Callee
+		})
+		for _, c := range calls {
+			fmt.Fprintf(bw, "call %s %s %d\n", c.Loc, c.Callee, c.N)
 		}
 	}
 	for _, name := range p.SortedFuncNames() {
@@ -58,12 +61,6 @@ func referenceEncode(w io.Writer, p *Profile) error {
 	}
 	fmt.Fprintf(bw, "%s\n", endLine)
 	return bw.Flush()
-}
-
-// sortedLocs returns body locations in deterministic order; the reference
-// encoder sorted them with it.
-func (fp *FunctionProfile) sortedLocs() []LocKey {
-	return appendSortedLocs(make([]LocKey, 0, len(fp.Blocks)), fp.Blocks)
 }
 
 func referenceEncodeToString(p *Profile) string {
@@ -168,7 +165,8 @@ func referenceDecodeText(data []byte, lenient bool) (*Profile, ReadStats, error)
 }
 
 // referenceParseLine is the data-line parser that went with
-// referenceDecodeText, kept verbatim.
+// referenceDecodeText, kept verbatim but for reading a call's running
+// count through callAt.
 func referenceParseLine(fp *FunctionProfile, line string, in *interner) error {
 	fields := strings.Fields(line)
 	switch fields[0] {
@@ -222,7 +220,7 @@ func referenceParseLine(fp *FunctionProfile, line string, in *interner) error {
 		if err != nil {
 			return err
 		}
-		if addOverflows(fp.Calls[loc][fields[2]], v) {
+		if addOverflows(callAt(fp, loc, fields[2]), v) {
 			return fmt.Errorf("call count overflows")
 		}
 		fp.AddCall(loc, in.intern(fields[2]), v)
@@ -230,6 +228,18 @@ func referenceParseLine(fp *FunctionProfile, line string, in *interner) error {
 		return fmt.Errorf("unknown directive %q", fields[0])
 	}
 	return nil
+}
+
+// callAt returns fp's count for calls from loc to callee, found by a scan
+// that assumes nothing of the records' order.
+func callAt(fp *FunctionProfile, loc LocKey, callee string) uint64 {
+	var n uint64
+	for _, c := range fp.Calls {
+		if c.Loc == loc && c.Callee == callee {
+			n += c.N
+		}
+	}
+	return n
 }
 
 // textCodecInputs are the inputs both text codecs are compared on: every
@@ -360,6 +370,7 @@ func FuzzTextMatchesReference(f *testing.F) {
 	f.Add(strings.ReplaceAll(enc, "\n", "\r\n"))
 	f.Add("# csspgo-profile kind=line cs=0\n[f]\nbody 1 1\n# end\n")
 	f.Add("# csspgo-profile kind=probe cs=1\n[f]\nbody 1 18446744073709551615\nbody 2 1\n[a b]\ncall 1 g:h 2\n# end\n")
+	f.Add("# csspgo-profile kind=probe cs=1\n[f]\nbody 3 1\nbody 1 2\nbody 3 4\ncall 2 h 1\ncall 2 g 3\ncall 2 h 18446744073709551615\n[g]\n[f]\nbody 2 5\n# end\n")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, s string) { checkTextCodecMatchesReference(t, "input", []byte(s)) })
 }

@@ -55,9 +55,10 @@ func Coverage(bin *machine.Prog, p *profdata.Profile) ([]FuncCoverage, error) {
 	// The flat profile's count at a block is the sum over the function's
 	// base and (for a CS profile) context profiles: positive iff one is.
 	cover := func(fp *profdata.FunctionProfile) {
-		for id, covered := range probes[fp.Name] {
-			if !covered && fp.Blocks[profdata.LocKey{ID: id}] > 0 {
-				probes[fp.Name][id] = true
+		ids := probes[fp.Name]
+		for _, b := range fp.Blocks {
+			if _, ok := ids[b.Loc.ID]; ok && b.Loc.Disc == 0 && b.N > 0 {
+				ids[b.Loc.ID] = true
 			}
 		}
 	}

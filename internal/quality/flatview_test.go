@@ -47,8 +47,8 @@ func goldenProfiles(t *testing.T) map[string]*profdata.Profile {
 func probesFor(p *profdata.Profile) *machine.Prog {
 	bin := &machine.Prog{}
 	add := func(fp *profdata.FunctionProfile) {
-		for loc := range fp.Blocks {
-			bin.Probes = append(bin.Probes, machine.ProbeRec{Func: fp.Name, ID: loc.ID, Kind: ir.ProbeBlock})
+		for _, b := range fp.Blocks {
+			bin.Probes = append(bin.Probes, machine.ProbeRec{Func: fp.Name, ID: b.Loc.ID, Kind: ir.ProbeBlock})
 		}
 		bin.Probes = append(bin.Probes, machine.ProbeRec{Func: fp.Name, ID: 1 << 20, Kind: ir.ProbeBlock})
 	}
@@ -95,9 +95,9 @@ func TestFlatTotalsMatchFlat(t *testing.T) {
 		for _, c := range covs {
 			covered := map[int32]bool{}
 			if fp := flat.Funcs[c.Func]; fp != nil {
-				for loc, n := range fp.Blocks {
-					if n > 0 {
-						covered[loc.ID] = true
+				for _, b := range fp.Blocks {
+					if b.N > 0 {
+						covered[b.Loc.ID] = true
 					}
 				}
 			}

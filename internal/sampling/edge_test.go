@@ -186,9 +186,12 @@ func odd(x) { return x * 3; }
 	prof := GenerateProbeProfile(bin, samples, FlatOptions{})
 	found := false
 	for _, fp := range prof.Funcs {
-		for _, m := range fp.Calls {
-			if m["even"] > 0 && m["odd"] > 0 {
-				found = true
+		for _, c := range fp.Calls {
+			if c.Callee != "even" || c.N == 0 {
+				continue
+			}
+			for _, d := range fp.CallsAt(c.Loc) {
+				found = found || d.Callee == "odd" && d.N > 0
 			}
 		}
 	}

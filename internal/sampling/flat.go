@@ -86,9 +86,9 @@ func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]m
 		}
 		loc := lineLoc(leaf, fn)
 		fp := p.FuncProfile(leaf.Func)
+		// The location keeps the largest count: raise it to count.
 		if cur := fp.BodyAt(loc); count > cur {
-			fp.TotalSamples += count - cur
-			fp.Blocks[loc] = count
+			fp.AddBody(loc, count-cur)
 		}
 		// Call-target counts at call instructions.
 		in := bin.InstrAt(addr)

@@ -98,10 +98,8 @@ func TestAutoFDOProfileShape(t *testing.T) {
 	}
 	// main must record call targets to hot.
 	foundCall := false
-	for _, m := range mainP.Calls {
-		if m["hot"] > 0 {
-			foundCall = true
-		}
+	for _, c := range mainP.Calls {
+		foundCall = foundCall || c.Callee == "hot" && c.N > 0
 	}
 	if !foundCall {
 		t.Fatalf("main's call to hot not recorded: %+v", mainP.Calls)
@@ -125,10 +123,8 @@ func TestProbeProfileShape(t *testing.T) {
 	mainP := p.Funcs["main"]
 	// The loop-body probe must dominate main's counts.
 	var maxCount uint64
-	for _, c := range mainP.Blocks {
-		if c > maxCount {
-			maxCount = c
-		}
+	for _, b := range mainP.Blocks {
+		maxCount = max(maxCount, b.N)
 	}
 	if maxCount <= mainP.HeadSamples {
 		t.Fatalf("loop body should out-sample entry: max=%d head=%d", maxCount, mainP.HeadSamples)
@@ -200,8 +196,10 @@ func TestCSSPGORecoveredContexts(t *testing.T) {
 
 func callTotal(fp *profdata.FunctionProfile, callee string) uint64 {
 	var t uint64
-	for _, m := range fp.Calls {
-		t += m[callee]
+	for _, c := range fp.Calls {
+		if c.Callee == callee {
+			t += c.N
+		}
 	}
 	return t
 }
@@ -443,10 +441,8 @@ func TestInstrProfileIsExact(t *testing.T) {
 	}
 	// Some block executed exactly 123 times (the loop body).
 	found := false
-	for _, c := range mainP.Blocks {
-		if c == 123 {
-			found = true
-		}
+	for _, b := range mainP.Blocks {
+		found = found || b.N == 123
 	}
 	if !found {
 		t.Fatalf("loop body count missing: %v", mainP.Blocks)

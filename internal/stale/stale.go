@@ -115,19 +115,18 @@ func anchorsFromIR(f *ir.Function) []anchor {
 // which are exactly the ones whose counts matter.
 func anchorsFromProfile(fp *profdata.FunctionProfile) []anchor {
 	byID := map[int32]anchor{}
-	for loc := range fp.Blocks {
-		if loc.Disc != 0 {
+	for _, b := range fp.Blocks {
+		if b.Loc.Disc != 0 {
 			continue // not a probe key
 		}
-		if _, ok := byID[loc.ID]; !ok {
-			byID[loc.ID] = anchor{Kind: block, ID: loc.ID}
-		}
+		byID[b.Loc.ID] = anchor{Kind: block, ID: b.Loc.ID}
 	}
-	for loc, targets := range fp.Calls {
-		if loc.Disc != 0 {
-			continue
+	for i := 0; i < len(fp.Calls); {
+		targets := fp.CallsAt(fp.Calls[i].Loc)
+		i += len(targets)
+		if loc := targets[0].Loc; loc.Disc == 0 {
+			byID[loc.ID] = anchor{Kind: call, ID: loc.ID, Callee: dominantCallee(targets)}
 		}
-		byID[loc.ID] = anchor{Kind: call, ID: loc.ID, Callee: dominantCallee(targets)}
 	}
 	out := make([]anchor, 0, len(byID))
 	for _, a := range byID {
@@ -137,13 +136,13 @@ func anchorsFromProfile(fp *profdata.FunctionProfile) []anchor {
 	return out
 }
 
-// dominantCallee picks the hottest target (ties to the lexicographically
-// smallest, for determinism).
-func dominantCallee(targets map[string]uint64) string {
+// dominantCallee picks the hottest of one site's targets, which come by
+// name (ties to the lexicographically smallest, for determinism).
+func dominantCallee(targets []profdata.CallCount) string {
 	best, bestN := "", uint64(0)
-	for callee, n := range targets {
-		if n > bestN || (n == bestN && (best == "" || callee < best)) {
-			best, bestN = callee, n
+	for _, c := range targets {
+		if best == "" || c.N > bestN {
+			best, bestN = c.Callee, c.N
 		}
 	}
 	return best
@@ -266,13 +265,13 @@ func match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 		oldLoc := profdata.LocKey{ID: old[pr[0]].ID}
 		newLoc := profdata.LocKey{ID: fresh[pr[1]].ID}
 		recovered := false
-		if n := fp.Blocks[oldLoc]; n > 0 {
+		if n := fp.BodyAt(oldLoc); n > 0 {
 			out.AddBody(newLoc, n)
 			recovered = true
 		}
-		for callee, n := range fp.Calls[oldLoc] {
-			out.AddCall(newLoc, callee, n)
-			recovered = recovered || n > 0
+		for _, c := range fp.CallsAt(oldLoc) {
+			out.AddCall(newLoc, c.Callee, c.N)
+			recovered = recovered || c.N > 0
 		}
 		if recovered {
 			res.RecoveredProbes++

@@ -134,35 +134,29 @@ func TestMatchDriftedCFG(t *testing.T) {
 	// The transferred call counts must land on probes that really carry
 	// those callees in the new IR.
 	idx := probe.BuildIndex(newF)
-	for loc, targets := range res.Profile.Calls {
-		calls := idx.Calls[loc.ID]
+	for _, c := range res.Profile.Calls {
+		calls := idx.Calls[c.Loc.ID]
 		if len(calls) == 0 {
-			t.Errorf("call counts transferred to non-call probe %d", loc.ID)
+			t.Errorf("call counts transferred to non-call probe %d", c.Loc.ID)
 			continue
 		}
-		for callee := range targets {
-			found := false
-			for _, in := range calls {
-				if in.Callee == callee {
-					found = true
-				}
+		found := false
+		for _, in := range calls {
+			if in.Callee == c.Callee {
+				found = true
 			}
-			if !found {
-				t.Errorf("probe %d: callee %s not at that site in new IR", loc.ID, callee)
-			}
+		}
+		if !found {
+			t.Errorf("probe %d: callee %s not at that site in new IR", c.Loc.ID, c.Callee)
 		}
 	}
 	// Confidence scaling: counts must not exceed the originals.
 	var oldMax, newMax uint64
-	for _, n := range fp.Blocks {
-		if n > oldMax {
-			oldMax = n
-		}
+	for _, b := range fp.Blocks {
+		oldMax = max(oldMax, b.N)
 	}
-	for _, n := range res.Profile.Blocks {
-		if n > newMax {
-			newMax = n
-		}
+	for _, b := range res.Profile.Blocks {
+		newMax = max(newMax, b.N)
 	}
 	if newMax > oldMax {
 		t.Errorf("scaled counts grew: %d > %d", newMax, oldMax)
@@ -211,9 +205,9 @@ func TestMatchIdenticalIsPerfect(t *testing.T) {
 	if !res.OK || res.Quality != 1 {
 		t.Fatalf("identical CFG should match perfectly, got ok=%v quality=%.2f", res.OK, res.Quality)
 	}
-	for loc, n := range fp.Blocks {
-		if res.Profile.Blocks[loc] != n {
-			t.Errorf("perfect match must preserve counts at %s: %d vs %d", loc, res.Profile.Blocks[loc], n)
+	for _, b := range fp.Blocks {
+		if got := res.Profile.BodyAt(b.Loc); got != b.N {
+			t.Errorf("perfect match must preserve counts at %s: %d vs %d", b.Loc, got, b.N)
 		}
 	}
 }
