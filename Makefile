@@ -14,10 +14,12 @@ test:
 # finishes its last share) under the race detector, the shared metric
 # registry they publish into, the serving daemon's atomic profile swap, the
 # fleet aggregator's concurrent per-source fetches, the fleet fault harness
-# that runs ten instances against it, and a binary's lookup tables built by
-# whichever of many goroutines looks an address up first.
+# that runs ten instances against it, a binary's lookup tables built by
+# whichever of many goroutines looks an address up first, and machines
+# running one shared sim.Code at once.
 race:
 	$(GO) test -race ./internal/sampling ./internal/pgo ./internal/obs ./internal/introspect ./internal/fleet ./internal/experiments ./internal/machine
+	$(GO) test -race ./internal/sim -run SharedCode
 
 # Bench lane: the Go micro-benchmarks (root package, then the simulator's
 # BenchmarkRun), then the repository's benchmark (BENCHMARK.json: five seeded,

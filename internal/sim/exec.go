@@ -32,27 +32,45 @@ type Stats struct {
 	Samples       uint64
 }
 
-// Machine is a simulated CPU + process executing one binary. Global state
-// persists across Run calls (a long-lived server process handling many
-// requests); Reset restores the initial image.
-type Machine struct {
+// Code is a binary decoded for one cost model: one compact record per
+// instruction, every function's entry, and what a machine that runs it must
+// size. All of it depends only on the binary and the cost model, so Decode
+// builds it once and any number of machines, on any goroutines, run it:
+// nothing writes to a Code after Decode returns. It belongs to one cost
+// model because a record's cost folds in BaseCPI and CounterCost.
+type Code struct {
 	Prog *machine.Prog
 	Cost CostParams
 
-	// code is Prog.Instrs decoded once by New: one compact record per
-	// instruction, same indices. funcEntry is each function's entry as an
-	// index into code, entry is main's.
+	// code is Prog.Instrs decoded: one record per instruction, same
+	// indices. funcEntry is each function's entry as an index into code,
+	// entry is main's.
 	code      []dinstr
 	funcEntry []int32
 	entry     int32
+	// tailArgs is the widest tail call's argument list, the size of a
+	// machine's argTmp; icall says the text has an indirect call, so a
+	// timed machine needs a BTB.
+	tailArgs int
+	icall    bool
+}
+
+// Machine is a simulated CPU + process executing one decoded binary. It
+// holds only what a run mutates; the Code it runs is shared and read-only.
+// Global state persists across Run calls (a long-lived server process
+// handling many requests); Reset restores the initial image.
+type Machine struct {
+	*Code
 
 	globals  []int64
 	counters []uint64
-	pred     []uint8 // 2-bit counters, one per instruction index
-	// btb predicts indirect-call targets by last-seen target per site
-	// (instruction index; -1 before the first call); a wrong prediction
-	// costs a full mispredict (the penalty ICP's guarded direct call removes
-	// on the dominant path).
+	// The timing model, nil on an untimed machine: 2-bit branch counters
+	// (one per instruction index), the i-cache, and a BTB that predicts
+	// indirect-call targets by last-seen target per site (instruction
+	// index; -1 before the first call); a wrong prediction costs a full
+	// mispredict (the penalty ICP's guarded direct call removes on the
+	// dominant path).
+	pred     []uint8
 	btb      []int32
 	ic       *icache
 	pmu      *pmu
@@ -60,7 +78,7 @@ type Machine struct {
 
 	// arena holds every live register file back to back; frames[i].base is
 	// where frame i's starts. argTmp stages a tail call's arguments (sized
-	// by decode), snap is the reusable stack-snapshot buffer.
+	// by the Code), snap is the reusable stack-snapshot buffer.
 	arena  []int64
 	sp     int // end of the innermost frame's registers in arena
 	argTmp []int64
@@ -212,7 +230,16 @@ const (
 	initialArena = 1024
 )
 
-// New creates a machine for prog with the given cost model and PMU config.
+// New creates a machine for prog with the given cost model and PMU config:
+// Decode(prog, cost).New(pmuCfg). A caller that builds several machines
+// over one binary and cost model decodes once and keeps the Code.
+func New(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {
+	return Decode(prog, cost).New(pmuCfg)
+}
+
+// New creates a machine that runs c with the given PMU config, with its
+// own globals, counters, register arena and PMU and, on a timed Code, its
+// own i-cache, predictor table (every branch weakly taken) and BTB.
 //
 // The zero CostParams is the untimed machine: it charges nothing and models
 // nothing, so New builds no i-cache, no branch predictor and no BTB, and Run
@@ -223,30 +250,45 @@ const (
 // cycles. Its Stats are the timed machine's with Cycles, Mispredicts and
 // ICacheMisses left at 0. Use it for runs whose only product is samples or
 // counters.
-func New(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {
+func (c *Code) New(pmuCfg PMUConfig) *Machine {
 	m := &Machine{
-		Prog:     prog,
-		Cost:     cost,
+		Code:     c,
 		pmu:      newPMU(pmuCfg),
 		lastLine: noLine,
 		arena:    make([]int64, initialArena),
 		MaxSteps: 500_000_000,
 	}
 	m.Reset()
-	m.decode()
+	if c.tailArgs > 0 {
+		m.argTmp = make([]int64, c.tailArgs)
+	}
+	if c.Cost == (CostParams{}) {
+		return m
+	}
+	instrs := c.Prog.Instrs
+	if n := len(instrs); n > 0 {
+		m.ic = newICache(c.Cost, instrs[0].Addr, instrs[n-1].Addr)
+	}
+	m.pred = make([]uint8, len(instrs))
+	for i := range m.pred {
+		m.pred[i] = 2 // weakly taken
+	}
+	if c.icall {
+		m.btb = make([]int32, len(instrs))
+		for i := range m.btb {
+			m.btb[i] = -1
+		}
+	}
 	return m
 }
 
-// decode builds m.code from m.Prog. Every address a transfer can name is
-// turned into an instruction index here, so the run loop never searches;
+// Decode decodes prog for the cost model. Every address a transfer can name
+// is turned into an instruction index here, so the run loop never searches;
 // every index learns the straight-line run it starts (one backward pass)
 // and compare→branch sequences are fused (one forward pass).
-func (m *Machine) decode() {
-	instrs := m.Prog.Instrs
-	timed := m.Cost != CostParams{}
-	if n := len(instrs); n > 0 && timed {
-		m.ic = newICache(m.Cost, instrs[0].Addr, instrs[n-1].Addr)
-	}
+func Decode(prog *machine.Prog, cost CostParams) *Code {
+	c := &Code{Prog: prog, Cost: cost}
+	instrs := prog.Instrs
 	idxOf := func(addr uint64) int32 {
 		i := sort.Search(len(instrs), func(i int) bool { return instrs[i].Addr >= addr })
 		if i < len(instrs) && instrs[i].Addr == addr {
@@ -254,21 +296,16 @@ func (m *Machine) decode() {
 		}
 		return -1
 	}
-	m.entry = idxOf(m.Prog.EntryAddr)
-	m.funcEntry = make([]int32, len(m.Prog.Funcs))
-	for i, f := range m.Prog.Funcs {
-		m.funcEntry[i] = idxOf(f.Start)
+	c.entry = idxOf(prog.EntryAddr)
+	c.funcEntry = make([]int32, len(prog.Funcs))
+	for i, f := range prog.Funcs {
+		c.funcEntry[i] = idxOf(f.Start)
 	}
-	m.code = make([]dinstr, len(instrs))
-	if timed {
-		m.pred = make([]uint8, len(instrs))
-		for i := range m.pred {
-			m.pred[i] = 2 // weakly taken
-		}
-	}
+	code := make([]dinstr, len(instrs))
+	c.code = code
 	for i := range instrs {
 		in := &instrs[i]
-		d := &m.code[i]
+		d := &code[i]
 		*d = dinstr{addr: in.Addr, tgtAddr: in.Target, dst: in.Dst, a: in.A, b: in.B, c: in.C, tgt: -1}
 		switch in.Kind {
 		case machine.KConst:
@@ -297,7 +334,7 @@ func (m *Machine) decode() {
 				d.op++ // the Idx form follows its scalar form
 				d.b = in.Index
 			} else {
-				d.imm = wrap(d.imm, len(m.globals))
+				d.imm = wrap(d.imm, len(prog.GlobalInit))
 			}
 		case machine.KBranch:
 			d.op, d.tgt = opBranch, idxOf(in.Target)
@@ -311,17 +348,12 @@ func (m *Machine) decode() {
 			d.op, d.imm, d.c = opICall, int64(ret), idxOf(ret)
 			if in.Kind == machine.KCall {
 				d.op, d.b, d.tgt = opCall, in.CalleeID, idxOf(in.Target)
-			} else if m.btb == nil && timed {
-				m.btb = make([]int32, len(instrs))
-				for j := range m.btb {
-					m.btb[j] = -1
-				}
+			} else {
+				c.icall = true
 			}
 		case machine.KTailCall:
 			d.op, d.b, d.tgt = opTailCall, in.CalleeID, idxOf(in.Target)
-			if len(in.ArgRegs) > len(m.argTmp) {
-				m.argTmp = make([]int64, len(in.ArgRegs))
-			}
+			c.tailArgs = max(c.tailArgs, len(in.ArgRegs))
 		case machine.KRet:
 			d.op = opRet
 		case machine.KCounter:
@@ -334,19 +366,19 @@ func (m *Machine) decode() {
 	// Runs: an ordinary instruction's run is itself plus its successor's.
 	// (The text's last instruction ends one whatever it is: running off the
 	// end of the text was never defined, and still panics.)
-	for i := len(m.code) - 1; i >= 0; i-- {
-		d := &m.code[i]
-		d.run, d.cost, d.nextLine = 1, m.Cost.BaseCPI, -1
+	for i := len(code) - 1; i >= 0; i-- {
+		d := &code[i]
+		d.run, d.cost, d.nextLine = 1, cost.BaseCPI, -1
 		switch d.op {
 		case opMove:
 			d.cost = 0
 		case opCounter:
-			d.cost += m.Cost.CounterCost
+			d.cost += cost.CounterCost
 		}
-		if d.op >= opBranch || i == len(m.code)-1 {
+		if d.op >= opBranch || i == len(code)-1 {
 			continue
 		}
-		next := &m.code[i+1]
+		next := &code[i+1]
 		d.run += next.run
 		d.cost += next.cost
 		d.nextLine = next.nextLine
@@ -357,8 +389,8 @@ func (m *Machine) decode() {
 
 	// Fusion: every index keeps a record that runs on its own, so a branch
 	// into the middle of a sequence runs its unfused suffix.
-	for i := 0; i+1 < len(m.code); i++ {
-		d, br := &m.code[i], &m.code[i+1]
+	for i := 0; i+1 < len(code); i++ {
+		d, br := &code[i], &code[i+1]
 		if d.op < opEq || d.op > opGe || br.op != opBranch && br.op != opBranchNot || br.a != d.dst {
 			continue
 		}
@@ -367,10 +399,11 @@ func (m *Machine) decode() {
 		if i == 0 {
 			continue
 		}
-		if c := &m.code[i-1]; c.op == opConst && c.dst == d.b && c.dst != d.a {
-			c.op, c.a, c.c = opEqKBr+k, d.a, d.dst
+		if k0 := &code[i-1]; k0.op == opConst && k0.dst == d.b && k0.dst != d.a {
+			k0.op, k0.a, k0.c = opEqKBr+k, d.a, d.dst
 		}
 	}
+	return c
 }
 
 // Reset restores globals and counters to the program image.

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"csspgo/internal/machine"
 	"csspgo/internal/pgo"
 	"csspgo/internal/sim"
 	"csspgo/internal/source"
@@ -184,10 +183,11 @@ func goldenConfigs() []goldenConfig {
 	}
 }
 
-func goldenRun(key string, bin *machine.Prog, cfg goldenConfig, reqs [][]int64) goldenEntry {
-	m := sim.New(bin, cfg.cost, cfg.pmu)
+// goldenRun runs reqs on m, with an overhead meter attached when metered,
+// and records everything the machine observed.
+func goldenRun(key string, m *sim.Machine, metered bool, reqs [][]int64) goldenEntry {
 	var meter *sim.OverheadMeter
-	if cfg.meter {
+	if metered {
 		meter = sim.NewOverheadMeter()
 		m.SetOverheadMeter(meter)
 	}
@@ -283,7 +283,7 @@ func TestGolden(t *testing.T) {
 			}
 			for _, cfg := range goldenConfigs() {
 				key := p.name + "/" + b.name + "/" + cfg.name
-				e := goldenRun(key, res.Bin, cfg, reqs)
+				e := goldenRun(key, sim.New(res.Bin, cfg.cost, cfg.pmu), cfg.meter, reqs)
 				entries = append(entries, e)
 				if cfg.pmu.SamplePeriod == 0 {
 					continue

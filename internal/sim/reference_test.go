@@ -360,7 +360,9 @@ func (m *Machine) refRun(args ...int64) (int64, error) {
 }
 
 // NewReference is New with the reference decoder: RunReference on it runs
-// the per-instruction loop above. Exported for the golden-matrix half of
+// the per-instruction loop above. refDecode rewrites the machine's Code in
+// place, which only this machine runs: New decoded it for this call alone.
+// Exported for the golden-matrix half of
 // TestRunMatchesReference, which lives in package sim_test with the golden
 // helpers (it builds binaries through pgo, which imports sim).
 func NewReference(prog *machine.Prog, cost CostParams, pmuCfg PMUConfig) *Machine {

@@ -59,8 +59,8 @@ echo "== exported surface (every exported identifier in internal/ has a caller o
 out=$(go test ./internal/analysis -run 'TestExportedMeansUsed$' -count=1 -v) || { echo "$out" >&2; exit 1; }
 echo "$out" | sed -n 's/^.*\(exported surface: .*\)$/\1/p'
 
-echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, untimed = timed minus the clock, then one pass of BenchmarkRun)"
-go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit|Untimed' -count=1
+echo "== simulator contract (golden counts, allocation gate, reference loop, step-limit pins, untimed = timed minus the clock, machines sharing one Code = machines decoding their own, then one pass of BenchmarkRun)"
+go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit|Untimed|SharedCode' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
 echo "== compile-path contract (emitted bytes and opt.Stats, Pipeline = Build → CollectProfileFor → Build, untimed collection = timed, runner stops at the first violation, references, allocation gates, lazy lookup tables, counted sizes, flat readers, context-model pins, then one pass of BenchmarkBuild)"
