@@ -281,7 +281,7 @@ func CollectSamples(bin *machine.Prog, requests [][]int64, pc ProfileConfig) ([]
 // public facade generate profiles through here; CollectProfileFor, and so
 // pgo.Pipeline, runs the same collection untimed.
 func CollectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
-	return collectAndGenerate(bin, variant, requests, sampledAs(variant, pc), sim.DefaultCostParams(), nil)
+	return collectAndGenerate(sim.Decode(bin, sim.DefaultCostParams()), variant, requests, sampledAs(variant, pc), nil)
 }
 
 // sampledAs is pc as variant samples: flat profiles are built from the LBR
@@ -294,14 +294,16 @@ func sampledAs(variant Variant, pc ProfileConfig) ProfileConfig {
 }
 
 // collectAndGenerate is how a profiled run is executed, and the only place
-// in this package that attaches a sink to a PMU. It samples with pc exactly
-// as given and charges the run under cost. Which samples are taken does not
-// depend on cost (sampling is branch-count-driven), so only the returned
-// Stats do: the untimed model (CostParams{}) for a caller that drops them,
-// the default one for a caller that reports them, and the profiling model
-// (sampling interrupts cost cycles, like real PMIs) with a meter, on which
-// every profiling-machinery cycle is tallied.
-func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, pc ProfileConfig, cost sim.CostParams, meter *sim.OverheadMeter) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+// in this package that attaches a sink to a PMU. It runs the training
+// binary as code, decoded by the caller, samples with pc exactly as given
+// and charges the run under code's cost model. Which samples are taken
+// does not depend on the cost model (sampling is branch-count-driven), so
+// only the returned Stats do: the untimed model (CostParams{}) for a caller
+// that drops them, the default one for a caller that reports them, and the
+// profiling model (sampling interrupts cost cycles, like real PMIs) with a
+// meter, on which every profiling-machinery cycle is tallied.
+func collectAndGenerate(code *sim.Code, variant Variant, requests [][]int64, pc ProfileConfig, meter *sim.OverheadMeter) (*profdata.Profile, sampling.UnwindStats, sim.Stats, error) {
+	bin := code.Prog
 	if variant == Baseline {
 		return nil, sampling.UnwindStats{}, sim.Stats{}, nil
 	}
@@ -334,7 +336,7 @@ func collectAndGenerate(bin *machine.Prog, variant Variant, requests [][]int64, 
 	if sink != nil {
 		pmu = pmuConfig(pc)
 	}
-	m := sim.New(bin, cost, pmu)
+	m := code.New(pmu)
 	m.SetOverheadMeter(meter)
 	if sink != nil {
 		m.SetSampleSink(sink, 0)
@@ -419,11 +421,11 @@ func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildRes
 // FullCS that includes cold-context trimming and the pre-inliner. The
 // training build must match the variant (see CollectAndGenerate); Baseline
 // yields nil. It returns no execution stats, so the training run is
-// untimed (sim.New's zero CostParams): the same samples, counters and value
-// profile as CollectAndGenerate's timed run, without paying for the
-// i-cache and the branch predictor.
+// untimed (decoded under the zero CostParams): the same samples, counters
+// and value profile as CollectAndGenerate's timed run, without paying for
+// the i-cache and the branch predictor.
 func CollectProfileFor(base *BuildResult, variant Variant, train [][]int64) (*profdata.Profile, error) {
-	prof, _, _, err := collectAndGenerate(base.Bin, variant, train, sampledAs(variant, DefaultProfileConfig()), sim.CostParams{}, nil)
+	prof, _, _, err := collectAndGenerate(sim.Decode(base.Bin, sim.CostParams{}), variant, train, sampledAs(variant, DefaultProfileConfig()), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -441,11 +443,17 @@ func CollectProfileFor(base *BuildResult, variant Variant, train [][]int64) (*pr
 // binary (Algorithms 2+3) and marks them in the profile. It returns the
 // number of contexts trimmed and the pre-inliner's result.
 func TrimAndPreInline(prof *profdata.Profile, bin *machine.Prog, trim uint64) (int, preinline.Result) {
+	return trimAndPreInline(prof, preinline.ExtractSizes(bin), trim)
+}
+
+// trimAndPreInline is TrimAndPreInline with the binary's sizes already
+// extracted, for a caller that prepares many profiles of one binary.
+func trimAndPreInline(prof *profdata.Profile, sizes *preinline.SizeTable, trim uint64) (int, preinline.Result) {
 	if trim == 0 {
 		trim = TrimThreshold(prof)
 	}
 	trimmed := prof.TrimColdContexts(trim)
-	return trimmed, preinline.Run(prof, preinline.ExtractSizes(bin), preinline.DeriveParams(prof))
+	return trimmed, preinline.Run(prof, sizes, preinline.DeriveParams(prof))
 }
 
 // TrimThreshold picks a cold-context trim threshold: contexts below 0.05%

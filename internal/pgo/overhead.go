@@ -24,13 +24,20 @@ import (
 // returned report's CollectWallNS is live; Normalize before byte-comparing
 // artifacts.
 func MeasureOverhead(bin *machine.Prog, requests [][]int64, pc ProfileConfig) (*overhead.Report, *profdata.Profile, error) {
+	return measureOverhead(sim.Decode(bin, sim.ProfilingCostParams()), requests, pc)
+}
+
+// measureOverhead is MeasureOverhead on a binary already decoded under
+// sim.ProfilingCostParams, for a caller that measures one binary many times.
+func measureOverhead(code *sim.Code, requests [][]int64, pc ProfileConfig) (*overhead.Report, *profdata.Profile, error) {
 	start := time.Now()
+	bin := code.Prog
 	variant := AutoFDO
 	if len(bin.Probes) > 0 && pc.Stacks {
 		variant = FullCS
 	}
 	meter := sim.NewOverheadMeter()
-	prof, _, stats, err := collectAndGenerate(bin, variant, requests, pc, sim.ProfilingCostParams(), meter)
+	prof, _, stats, err := collectAndGenerate(code, variant, requests, pc, meter)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,8 +6,10 @@ import (
 
 	"csspgo/internal/obs"
 	"csspgo/internal/overhead"
+	"csspgo/internal/preinline"
 	"csspgo/internal/profdata"
 	"csspgo/internal/quality"
+	"csspgo/internal/sim"
 	"csspgo/internal/source"
 )
 
@@ -99,16 +101,17 @@ func (o *OverheadObs) observe(rep *overhead.Report, reg *obs.Registry) {
 	}
 }
 
-// NewRefresher builds the probed training binary once and returns a
-// refresh closure that re-samples the train stream and regenerates the CS
-// profile (trimmed + pre-inlined, like the FullCS pipeline) on every call,
-// together with a run manifest of that collection. Collection runs metered
-// (MeasureOverhead), so when reg is non-nil each refresh publishes the
-// overhead.* ledger into it, and from the second refresh on the
-// profile-diff analytics against the previous generation
-// (quality.context_overlap and friends) — the serving daemon's /metrics
-// then shows what profiling costs and how much the profile moved between
-// swaps. The closure is safe for use from a single refresh goroutine.
+// NewRefresher builds the probed training binary once, decodes it and
+// extracts its sizes once, and returns a refresh closure that re-samples
+// the train stream and regenerates the CS profile (trimmed + pre-inlined,
+// like the FullCS pipeline) on every call, together with a run manifest of
+// that collection. Collection runs metered (MeasureOverhead), so when reg
+// is non-nil each refresh publishes the overhead.* ledger into it, and
+// from the second refresh on the profile-diff analytics against the
+// previous generation (quality.context_overlap and friends) — the serving
+// daemon's /metrics then shows what profiling costs and how much the
+// profile moved between swaps. The closure is safe for use from a single
+// refresh goroutine.
 func NewRefresher(files []*source.File, train [][]int64, pc ProfileConfig, reg *obs.Registry) (func() (*profdata.Profile, *obs.Report, error), error) {
 	return NewRefresherObserved(files, train, pc, reg, nil)
 }
@@ -121,6 +124,8 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 	if err != nil {
 		return nil, fmt.Errorf("pgo: build training binary: %w", err)
 	}
+	code := sim.Decode(base.Bin, sim.ProfilingCostParams())
+	sizes := preinline.ExtractSizes(base.Bin)
 	var mu sync.Mutex
 	var prev *profdata.Profile
 	return func() (*profdata.Profile, *obs.Report, error) {
@@ -128,11 +133,11 @@ func NewRefresherObserved(files []*source.File, train [][]int64, pc ProfileConfi
 		rpc := pc
 		rpc.Stacks = true
 		obsrv.ObserveProfile(&rpc)
-		ohRep, prof, err := MeasureOverhead(base.Bin, train, rpc)
+		ohRep, prof, err := measureOverhead(code, train, rpc)
 		if err != nil {
 			return nil, nil, err
 		}
-		TrimAndPreInline(prof, base.Bin, 0)
+		trimAndPreInline(prof, sizes, 0)
 		ohRep.Publish(reg)
 		ohRep.Publish(obsrv.Metrics)
 

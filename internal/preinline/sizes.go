@@ -17,7 +17,8 @@ import (
 
 // SizeTable holds function sizes extracted from a profiled binary
 // (Algorithm 3): per inline-context sizes keyed by the function-name chain
-// ("main @ foo @ bar", outermost first), plus standalone sizes.
+// ("main @ foo @ bar", outermost first), plus standalone sizes. Run only
+// reads it, so one table serves every profile of its binary.
 type SizeTable struct {
 	ByContext map[string]uint64
 	ByFunc    map[string]uint64

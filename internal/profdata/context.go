@@ -120,14 +120,19 @@ func checkName(s string) error {
 // without a call site parses as a one-frame context: a base profile's name.
 func ParseContext(s string) (Context, error) {
 	s = strings.TrimSpace(s)
-	parts := strings.Split(s, " @ ")
-	if len(parts) > maxContextDepth {
-		return nil, fmt.Errorf("context of %d frames is deeper than %d", len(parts), maxContextDepth)
+	// The frames are counted and checked before anything is allocated, then
+	// cut off the key one by one: the Context is the only allocation.
+	n := strings.Count(s, " @ ") + 1
+	if n > maxContextDepth {
+		return nil, fmt.Errorf("context of %d frames is deeper than %d", n, maxContextDepth)
 	}
-	ctx := make(Context, len(parts))
-	for i, part := range parts {
+	ctx := make(Context, n)
+	rest := s
+	for i := range ctx {
+		var part string
+		part, rest, _ = strings.Cut(rest, " @ ")
 		fn := strings.TrimSpace(part)
-		if i != len(parts)-1 {
+		if i != n-1 {
 			// Every frame but the leaf carries its call site.
 			colon := strings.LastIndexByte(fn, ':')
 			if colon < 0 {
