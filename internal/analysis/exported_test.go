@@ -43,17 +43,21 @@ const (
 // exportAllowlist holds exported identifiers with no caller outside their
 // package that stay exported anyway; the value is the entry's category.
 var exportAllowlist = map[string]string{
-	"obs.DecodeReport":      schemaReadSide,
-	"obs.DecodeJournal":     schemaReadSide,
-	"obs.Schema":            schemaReadSide,
-	"obs.EventsSchema":      schemaReadSide,
-	"obs.TimeSeriesSchema":  schemaReadSide,
-	"overhead.Decode":       schemaReadSide,
-	"overhead.Schema":       schemaReadSide,
-	"obs.SpanContext.Valid": testHandle,
-	"profdata.NewContext":   testHook, // contexts built by hand in quality, drift, introspect, preinline, analysis tests
-	"ir.CloneFunction":      testHook, // opt's reference tests run both versions of a pass on clones
-	"workloads.AllNames":    testHook, // the whole corpus, walked by the golden and reference tests
+	"obs.DecodeReport":         schemaReadSide,
+	"obs.DecodeJournal":        schemaReadSide,
+	"obs.Schema":               schemaReadSide,
+	"obs.EventsSchema":         schemaReadSide,
+	"obs.TimeSeriesSchema":     schemaReadSide,
+	"overhead.Decode":          schemaReadSide,
+	"overhead.Schema":          schemaReadSide,
+	"obs.SpanContext.Valid":    testHandle,
+	"probe.Index":              testHandle, // what probe.BuildIndex hands the tests
+	"profdata.NewContext":      testHook,   // contexts built by hand in quality, drift, introspect, preinline, analysis tests
+	"ir.CloneFunction":         testHook,   // opt's reference tests run both versions of a pass on clones
+	"workloads.AllNames":       testHook,   // the whole corpus, walked by the golden and reference tests
+	"ir.Function.NaturalLoops": testHook,   // loops without a scratch, for opt's reference LICM and the irgen tests
+	"inference.InferProgram":   testHook,   // inference without a workspace, for the root package's BenchmarkInference
+	"probe.BuildIndex":         testHook,   // opt's reference annotation and the stale and opt tests read probes by ID
 }
 
 // stdlibInterfaceMethods are method names that standard-library interfaces

@@ -13,11 +13,11 @@ type result struct {
 	Adjusted int
 }
 
-// workspace is InferProgram's storage for one call: the reachable order,
-// the block-ID map, the network's arcs and residual graph, and the
-// Bellman-Ford tables. It grows to the largest function it meets and is
-// reused for every function.
-type workspace struct {
+// Workspace is InferProgramIn's storage: the reachable order, the block-ID
+// map, the network's arcs and residual graph, and the Bellman-Ford tables.
+// It grows to the largest function it meets and is reused for every
+// function, and for every program of a caller that keeps it.
+type Workspace struct {
 	reach ir.ReachScratch
 	idx   []int32 // block ID -> position in the reachable order
 	nw    network
@@ -39,7 +39,7 @@ func resize[T any](s []T, n int) []T {
 // HasWeight set and Term.EdgeW parallel to its successors, and flow
 // conservation holds (inflow == block weight == outflow, modulo the
 // virtual entry/exit).
-func (w *workspace) infer(f *ir.Function) result {
+func (w *Workspace) infer(f *ir.Function) result {
 	blocks := f.ReachableOrderIn(&w.reach)
 	if len(blocks) == 0 {
 		return result{}
@@ -62,7 +62,7 @@ type network struct {
 }
 
 // buildNetwork lays the blocks' instance out in the workspace.
-func (w *workspace) buildNetwork(blocks []*ir.Block) *network {
+func (w *Workspace) buildNetwork(blocks []*ir.Block) *network {
 	n := len(blocks)
 	var maxW uint64
 	maxID, succs := 0, 0
@@ -151,8 +151,10 @@ func (nw *network) apply(blocks []*ir.Block) int {
 
 // InferProgram runs infer on every function that carries any profile
 // weights, returning the total number of adjusted blocks.
-func InferProgram(p *ir.Program) int {
-	var w workspace
+func InferProgram(p *ir.Program) int { return InferProgramIn(p, new(Workspace)) }
+
+// InferProgramIn is InferProgram in w's storage.
+func InferProgramIn(p *ir.Program, w *Workspace) int {
 	adjusted := 0
 	for _, f := range p.Functions() {
 		any := false

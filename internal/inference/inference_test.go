@@ -10,7 +10,7 @@ import (
 
 // infer runs one function's inference in a workspace of its own.
 func infer(f *ir.Function) result {
-	var w workspace
+	var w Workspace
 	return w.infer(f)
 }
 

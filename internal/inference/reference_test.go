@@ -139,7 +139,7 @@ type Solved struct {
 // same instance. It is the external corpus tests' way in.
 func SolveBoth(f *ir.Function) Solved {
 	blocks := f.ReachableOrder()
-	nw := new(workspace).buildNetwork(blocks)
+	nw := new(Workspace).buildNetwork(blocks)
 	ref := newRefGraph(nw.g)
 
 	var s Solved

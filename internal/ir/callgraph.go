@@ -1,24 +1,38 @@
 package ir
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // CallGraph is the static call graph of a program.
 type CallGraph struct {
 	Prog  *Program
 	Edges map[string]map[string]bool // caller name -> direct callees
 
-	// The SCC partition, computed once by BuildCallGraph (the graph is
+	// The SCC partition, computed once by BuildCallGraphIn (the graph is
 	// never mutated afterwards): components callees-first, and each name's
 	// index into them.
 	sccs [][]string
 	comp map[string]int
 }
 
-// BuildCallGraph scans every function for direct calls.
-func BuildCallGraph(p *Program) *CallGraph {
+// CallGraphScratch is the storage of BuildCallGraphIn's SCC computation:
+// Tarjan's tables and the partition the graph keeps. A caller that builds
+// many call graphs keeps one.
+type CallGraphScratch struct {
+	index   map[string]int32 // a name's visit number
+	low     []int32          // by visit number
+	onStack []bool           // by visit number
+	stack   []string
+	succs   []string // the sorted callees of every name on the walk
+	members []string // the components' names, callees first
+	ends    []int    // where each component ends in members
+	sccs    [][]string
+	comp    map[string]int
+}
+
+// BuildCallGraphIn scans every function for direct calls and partitions
+// the graph into SCCs, in s's storage: the graph's queries are valid until
+// s is used again.
+func BuildCallGraphIn(p *Program, s *CallGraphScratch) *CallGraph {
 	cg := &CallGraph{Prog: p, Edges: map[string]map[string]bool{}}
 	for _, f := range p.Functions() {
 		callees := map[string]bool{}
@@ -31,8 +45,12 @@ func BuildCallGraph(p *Program) *CallGraph {
 		}
 		cg.Edges[f.Name] = callees
 	}
-	cg.sccs = cg.computeSCCs()
-	cg.comp = make(map[string]int, len(cg.sccs))
+	cg.sccs = cg.computeSCCsIn(s)
+	if s.comp == nil {
+		s.comp = make(map[string]int, len(cg.sccs))
+	}
+	clear(s.comp)
+	cg.comp = s.comp
 	for i, scc := range cg.sccs {
 		for _, n := range scc {
 			cg.comp[n] = i
@@ -45,58 +63,70 @@ func BuildCallGraph(p *Program) *CallGraph {
 // (callees before callers), computed with Tarjan's algorithm. Each SCC is
 // sorted by name for determinism. A callee name that has no function is a
 // component of its own. Every call computes afresh; the queries below read
-// the partition BuildCallGraph stored.
-func (cg *CallGraph) computeSCCs() [][]string {
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var sccs [][]string
-	next := 0
+// the partition BuildCallGraphIn stored.
+func (cg *CallGraph) computeSCCs() [][]string { return cg.computeSCCsIn(new(CallGraphScratch)) }
 
-	names := append([]string(nil), cg.Prog.Order...)
+// computeSCCsIn is computeSCCs in s's storage.
+func (cg *CallGraph) computeSCCsIn(s *CallGraphScratch) [][]string {
+	if s.index == nil {
+		s.index = make(map[string]int32, len(cg.Prog.Order))
+	}
+	clear(s.index)
+	index := s.index
+	low, onStack := s.low[:0], s.onStack[:0]
+	stack, members, ends := s.stack[:0], s.members[:0], s.ends[:0]
+	succs := s.succs[:0]
+
 	var strongconnect func(v string)
 	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
+		vi := int32(len(low))
+		index[v] = vi
+		low = append(low, vi)
+		onStack = append(onStack, true)
 		stack = append(stack, v)
-		onStack[v] = true
-		succs := make([]string, 0, len(cg.Edges[v]))
+		// v's callees by name, on top of its callers' in the succs stack.
+		base := len(succs)
 		for w := range cg.Edges[v] {
 			succs = append(succs, w)
 		}
-		sort.Strings(succs)
-		for _, w := range succs {
-			if _, seen := index[w]; !seen {
+		slices.Sort(succs[base:])
+		for k := base; k < len(succs); k++ {
+			w := succs[k]
+			if wi, seen := index[w]; !seen {
 				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[vi] = min(low[vi], low[index[w]])
+			} else if onStack[wi] && wi < low[vi] {
+				low[vi] = wi
 			}
 		}
-		if low[v] == index[v] {
-			var scc []string
+		succs = succs[:base]
+		if low[vi] == vi {
+			first := len(members)
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
+				onStack[index[w]] = false
+				members = append(members, w)
 				if w == v {
 					break
 				}
 			}
-			sort.Strings(scc)
-			sccs = append(sccs, scc)
+			slices.Sort(members[first:])
+			ends = append(ends, len(members))
 		}
 	}
-	for _, n := range names {
+	for _, n := range cg.Prog.Order {
 		if _, seen := index[n]; !seen {
 			strongconnect(n)
 		}
 	}
+	sccs := slices.Grow(s.sccs[:0], len(ends))
+	first := 0
+	for _, end := range ends {
+		sccs = append(sccs, members[first:end:end])
+		first = end
+	}
+	s.low, s.onStack, s.stack, s.members, s.ends, s.succs, s.sccs = low, onStack, stack, members, ends, succs, sccs
 	return sccs
 }
 

@@ -32,7 +32,7 @@ func callProg(t testing.TB) *Program {
 }
 
 func TestCallGraphEdges(t *testing.T) {
-	cg := BuildCallGraph(callProg(t))
+	cg := buildCallGraph(callProg(t))
 	if !cg.Edges["main"]["a"] || !cg.Edges["a"]["b"] {
 		t.Fatal("missing forward edges")
 	}
@@ -42,7 +42,7 @@ func TestCallGraphEdges(t *testing.T) {
 }
 
 func TestBottomUpOrder(t *testing.T) {
-	cg := BuildCallGraph(callProg(t))
+	cg := buildCallGraph(callProg(t))
 	order := cg.BottomUpOrder()
 	pos := map[string]int{}
 	for i, n := range order {
@@ -60,7 +60,7 @@ func TestBottomUpOrder(t *testing.T) {
 }
 
 func TestTopDownOrderIsReverse(t *testing.T) {
-	cg := BuildCallGraph(callProg(t))
+	cg := buildCallGraph(callProg(t))
 	bu := cg.BottomUpOrder()
 	td := cg.TopDownOrder()
 	for i := range bu {
@@ -74,7 +74,7 @@ func TestTopDownOrderIsReverse(t *testing.T) {
 }
 
 func TestRecursionDetection(t *testing.T) {
-	cg := BuildCallGraph(callProg(t))
+	cg := buildCallGraph(callProg(t))
 	for fn, want := range map[string]bool{
 		"main": false, "a": false, "b": false,
 		"c": true, "d": true, "e": true,
@@ -92,7 +92,7 @@ func TestRecursionDetection(t *testing.T) {
 }
 
 func TestSCCsReverseTopological(t *testing.T) {
-	cg := BuildCallGraph(callProg(t))
+	cg := buildCallGraph(callProg(t))
 	sccs := cg.computeSCCs()
 	// Find SCC containing main; it must come after the one containing b.
 	idxOf := func(name string) int {
@@ -181,9 +181,9 @@ func sccProg() *Program {
 
 func TestSCCQueriesMatchFreshScan(t *testing.T) {
 	for _, p := range []*Program{callProg(t), sccProg()} {
-		CheckSCCQueries(t, BuildCallGraph(p))
+		CheckSCCQueries(t, buildCallGraph(p))
 	}
-	cg := BuildCallGraph(sccProg())
+	cg := buildCallGraph(sccProg())
 	if !cg.InSameSCC("x", "z") || !cg.InSameSCC("s", "s") || cg.InSameSCC("main", "main") {
 		t.Fatal("3-cycle and self-loop must be recursive, main not")
 	}
@@ -196,7 +196,7 @@ var sinkBool bool
 
 // BenchmarkInSameSCC is the inliners' per-call-site question.
 func BenchmarkInSameSCC(b *testing.B) {
-	cg := BuildCallGraph(callProg(b))
+	cg := buildCallGraph(callProg(b))
 	order := cg.BottomUpOrder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -245,3 +245,6 @@ func (cg *CallGraph) isRecursive(fn string) bool {
 	c, ok := cg.comp[fn]
 	return ok && len(cg.sccs[c]) > 1
 }
+
+// buildCallGraph is BuildCallGraphIn with a scratch of its own.
+func buildCallGraph(p *Program) *CallGraph { return BuildCallGraphIn(p, new(CallGraphScratch)) }

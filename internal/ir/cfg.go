@@ -180,18 +180,32 @@ type DomTree struct {
 	pre, end []int32
 }
 
+// domScratch is the storage of domTreeIn: the reverse post-order walk, the
+// tree's tables and the tree itself. A caller that builds the trees of many
+// functions keeps one and lets it grow to the largest.
+type domScratch struct {
+	reach ReachScratch
+	slab  []int32
+	tree  DomTree
+}
+
 // DomTree builds the dominator tree with the iterative
 // Cooper-Harvey-Kennedy algorithm over reverse post-order positions. It
 // rebuilds Preds first (RebuildCFG), so it is valid on a function whose
 // successor edges were just rewritten.
-func (f *Function) DomTree() *DomTree {
+func (f *Function) DomTree() *DomTree { return f.domTreeIn(new(domScratch)) }
+
+// domTreeIn is DomTree in s's storage. The tree is valid until s is used
+// again.
+func (f *Function) domTreeIn(s *domScratch) *DomTree {
 	f.RebuildCFG()
-	rpo := f.ReachableOrder()
-	// Six tables of int32 carved from one allocation: three by block ID
-	// (the first two are the tree's own), three by reverse post-order
-	// position.
+	rpo := f.ReachableOrderIn(&s.reach)
+	// Six tables of int32 carved from one slab: three by block ID (the
+	// first two are the tree's own), three by reverse post-order position.
 	nID, n := f.maxBlockID()+1, len(rpo)
-	slab := make([]int32, 3*nID+3*n)
+	slab := slices.Grow(s.slab[:0], 3*nID+3*n)[:3*nID+3*n]
+	s.slab = slab
+	clear(slab)
 	carve := func(n int) []int32 {
 		t := slab[:n:n]
 		slab = slab[n:]
@@ -254,7 +268,10 @@ func (f *Function) DomTree() *DomTree {
 			size[idom[i]] += size[i]
 		}
 	}
-	t := &DomTree{rpo: rpo, idom: make([]*Block, nID), pre: pre, end: end}
+	t := &s.tree
+	byID := slices.Grow(t.idom[:0], nID)[:nID]
+	clear(byID)
+	*t = DomTree{rpo: rpo, idom: byID, pre: pre, end: end}
 	// free[i] is the next unassigned slot inside i's interval.
 	for i, b := range rpo {
 		var pre int32
@@ -284,60 +301,115 @@ func (t *DomTree) Dominates(a, b *Block) bool {
 	return t.pre[a.ID] <= t.pre[b.ID] && t.pre[b.ID] < t.end[a.ID]
 }
 
-// Loop describes a natural loop: its header, the set of member blocks, and
-// the back-edge sources (latches).
+// Loop describes a natural loop: its header, its member blocks and the
+// back-edge sources (latches).
 type Loop struct {
-	Header  *Block
-	Blocks  map[*Block]bool
+	Header *Block
+	// Blocks are the members, the header first, in the order the walk up
+	// from the latches found them.
+	Blocks  []*Block
 	Latches []*Block
+	member  []uint64 // a bit per block ID
 }
 
-func sortBlocksByID(bs []*Block) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && bs[j].ID < bs[j-1].ID; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
+// Contains reports whether b is one of the loop's blocks. A block added to
+// the function after NaturalLoops is in no loop.
+func (l *Loop) Contains(b *Block) bool {
+	w := b.ID / 64
+	return w < len(l.member) && l.member[w]&(1<<(b.ID%64)) != 0
 }
+
+// LoopScratch is the storage of NaturalLoopsIn: the dominator tree's, the
+// back edges, and every loop's blocks and membership set. A caller that
+// finds the loops of many functions keeps one and lets it grow to the
+// largest.
+type LoopScratch struct {
+	dom    domScratch
+	edges  []backEdge
+	loops  []Loop
+	out    []*Loop
+	blocks []*Block // every loop's members, then its latches
+	member []uint64 // every loop's membership set
+	stack  []*Block
+}
+
+// backEdge is an edge latch → header whose header dominates its latch.
+type backEdge struct{ header, latch *Block }
 
 // NaturalLoops finds all natural loops via dominance + back edges. Loops
 // sharing a header are merged. Results are ordered by header block ID. The
 // dominator tree it built is returned with them, for callers that go on to
 // ask dominance questions about the loops.
-func (f *Function) NaturalLoops() ([]*Loop, *DomTree) {
-	dt := f.DomTree()
-	byHeader := map[*Block]*Loop{}
-	var headers []*Block
+func (f *Function) NaturalLoops() ([]*Loop, *DomTree) { return f.NaturalLoopsIn(new(LoopScratch)) }
+
+// NaturalLoopsIn is NaturalLoops in s's storage. The loops and the tree are
+// valid until s is used again.
+func (f *Function) NaturalLoopsIn(s *LoopScratch) ([]*Loop, *DomTree) {
+	dt := f.domTreeIn(&s.dom)
+	edges := s.edges[:0]
 	for _, b := range dt.rpo {
-		for _, s := range b.Term.Succs {
-			if !dt.Dominates(s, b) {
-				continue // not a back edge
-			}
-			l := byHeader[s]
-			if l == nil {
-				l = &Loop{Header: s, Blocks: map[*Block]bool{s: true}}
-				byHeader[s] = l
-				headers = append(headers, s)
-			}
-			l.Latches = append(l.Latches, b)
-			// Walk predecessors from the latch up to the header.
-			stack := []*Block{b}
-			for len(stack) > 0 {
-				n := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.Blocks[n] {
-					continue
-				}
-				l.Blocks[n] = true
-				stack = append(stack, n.Preds...)
+		for _, h := range b.Term.Succs {
+			if dt.Dominates(h, b) {
+				edges = append(edges, backEdge{header: h, latch: b})
 			}
 		}
 	}
-	sortBlocksByID(headers)
-	out := make([]*Loop, 0, len(headers))
-	for _, h := range headers {
-		out = append(out, byHeader[h])
+	// By header ID; a header's latches stay in reverse post-order.
+	slices.SortStableFunc(edges, func(a, b backEdge) int { return a.header.ID - b.header.ID })
+	s.edges = edges
+	nLoops := 0
+	for i, e := range edges {
+		if i == 0 || e.header != edges[i-1].header {
+			nLoops++
+		}
 	}
+	words := (len(dt.idom) + 63) / 64
+	member := slices.Grow(s.member[:0], nLoops*words)[:nLoops*words]
+	clear(member)
+	loops := slices.Grow(s.loops[:0], nLoops)[:nLoops]
+	out := slices.Grow(s.out[:0], nLoops)[:nLoops]
+	// Every loop's members and latches go on one slice. A loop keeps a
+	// capped slice of it, which stays right when an append moves the rest.
+	blocks, stack := s.blocks[:0], s.stack
+	for k, i := 0, 0; i < len(edges); k++ {
+		h := edges[i].header
+		set := member[k*words : (k+1)*words : (k+1)*words]
+		mark := func(b *Block) bool {
+			if set[b.ID/64]&(1<<(b.ID%64)) != 0 {
+				return false
+			}
+			set[b.ID/64] |= 1 << (b.ID % 64)
+			blocks = append(blocks, b)
+			return true
+		}
+		first := len(blocks)
+		mark(h)
+		j := i
+		for ; j < len(edges) && edges[j].header == h; j++ {
+			// Walk predecessors from the latch up to the header.
+			stack = append(stack[:0], edges[j].latch)
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if mark(n) {
+					stack = append(stack, n.Preds...)
+				}
+			}
+		}
+		latches := len(blocks)
+		for _, e := range edges[i:j] {
+			blocks = append(blocks, e.latch)
+		}
+		loops[k] = Loop{
+			Header:  h,
+			Blocks:  blocks[first:latches:latches],
+			Latches: blocks[latches:len(blocks):len(blocks)],
+			member:  set,
+		}
+		out[k] = &loops[k]
+		i = j
+	}
+	s.member, s.loops, s.out, s.blocks, s.stack = member, loops, out, blocks, stack
 	return out, dt
 }
 

@@ -204,10 +204,10 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Header != f.Blocks[1] {
 		t.Fatalf("loop header should be b1, got b%d", l.Header.ID)
 	}
-	if !l.Blocks[f.Blocks[2]] {
+	if !l.Contains(f.Blocks[2]) {
 		t.Fatal("latch body must be in loop")
 	}
-	if l.Blocks[f.Blocks[3]] {
+	if l.Contains(f.Blocks[3]) {
 		t.Fatal("exit must not be in loop")
 	}
 	if len(l.Latches) != 1 || l.Latches[0] != f.Blocks[2] {

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"csspgo/internal/ir"
-	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
 	"csspgo/internal/stale"
 )
@@ -113,17 +112,20 @@ func annotateFlat(f *ir.Function, fp *profdata.FunctionProfile) {
 }
 
 // annotateProbe weights f's blocks by probe ID and takes its entry count
-// from fp.
+// from fp: a block carrying a block probe of f's own (not inlined) weighs
+// that probe's count, every copy of a probe the same.
 func annotateProbe(f *ir.Function, fp *profdata.FunctionProfile) {
 	f.EntryCount = fp.HeadSamples
 	f.HasProfile = true
-	idx := probe.BuildIndex(f)
-	for id, blocks := range idx.Blocks {
-		// A probe with no profile entry was sampled zero times: with the
-		// function sampled at all, absence is evidence of coldness.
-		w := fp.BodyAt(profdata.LocKey{ID: id})
-		for _, b := range blocks {
-			b.Weight = w
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			pr := b.Instrs[i].Probe
+			if pr == nil || pr.Kind != ir.ProbeBlock || pr.Func != f.Name || pr.InlinedAt != nil {
+				continue
+			}
+			// A probe with no profile entry was sampled zero times: with
+			// the function sampled at all, absence is evidence of coldness.
+			b.Weight = fp.BodyAt(profdata.LocKey{ID: pr.ID})
 			b.HasWeight = true
 		}
 	}

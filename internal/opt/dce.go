@@ -15,8 +15,8 @@ var dcePass = registerPass("dce", flowPreserves, semStructural)
 // loops and would change the emitted code. One workspace serves every
 // iteration, only a block that lost an instruction has its use/def taken
 // again, and only such a block is compacted, in place.
-func dce(f *ir.Function) int {
-	var lv liveness
+func (ws *workspace) dce(f *ir.Function) int {
+	lv := &ws.lv
 	lv.reset(f)
 	live := lv.scratch()
 	markLive := func(r ir.Reg) { live.Set(int(r)) }

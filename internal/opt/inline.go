@@ -188,8 +188,8 @@ var inlinePass = registerPass("inline", flowPerturbs, semRestructures)
 // with a larger budget at profile-hot call sites and a token budget for
 // cold ones. ThinLTO partitioning is respected: cross-module callees
 // inline only when small enough to have been imported by summary.
-func bottomUpInline(p *ir.Program, params inlineParams, profiled bool) int {
-	cg := ir.BuildCallGraph(p)
+func bottomUpInline(p *ir.Program, calls *ir.CallGraphScratch, params inlineParams, profiled bool) int {
+	cg := ir.BuildCallGraphIn(p, calls)
 	inlines := 0
 	for _, name := range cg.BottomUpOrder() {
 		f := p.Funcs[name]

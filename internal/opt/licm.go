@@ -23,13 +23,14 @@ var licmPass = registerPass("licm", flowPerturbs, semRestructures)
 // renamed chains, so whole invariant expression trees move out together.
 //
 // Returns the number of instructions hoisted.
-func licm(f *ir.Function) int {
+func (ws *workspace) licm(f *ir.Function) int {
 	hoisted := 0
 	// One dominator tree for every loop: hoisting moves instructions and
 	// ensurePreheader only puts a block on the edges entering a header,
 	// neither of which changes dominance between the blocks the tree knows.
-	loops, dt := f.NaturalLoops()
-	lc := hoister{f: f, dt: dt}
+	loops, dt := f.NaturalLoopsIn(&ws.loops)
+	lc := &ws.hoist
+	lc.f, lc.dt, lc.lv = f, dt, &ws.lv
 	for _, loop := range loops {
 		hoisted += lc.loop(loop)
 	}
@@ -39,12 +40,14 @@ func licm(f *ir.Function) int {
 	return hoisted
 }
 
-// hoister is what licm keeps for one function: the liveness workspace and the
-// register-indexed tables every loop and block reuse.
+// hoister is what licm keeps: the function, its dominator tree, the
+// liveness workspace and the register-indexed tables every loop and block
+// reuse. It lives in the build's workspace, so the tables serve every
+// function too; rename is all NoReg between blocks.
 type hoister struct {
 	f  *ir.Function
 	dt *ir.DomTree
-	lv liveness
+	lv *liveness
 
 	// Per loop: how many instructions of the loop define the register,
 	// the globals the loop stores to and whether it calls (both block load
@@ -77,7 +80,7 @@ func (lc *hoister) loop(loop *ir.Loop) int {
 	lc.storedGlobals = nil
 	lc.hasCalls = false
 	lc.preheader = nil
-	for b := range loop.Blocks {
+	for _, b := range loop.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if d := in.Def(); d != ir.NoReg {
@@ -119,7 +122,7 @@ func (lc *hoister) loop(loop *ir.Loop) int {
 	// The workspace covers the blocks there were when it was reset; a
 	// preheader appended since is outside the loop.
 	for i, b := range f.Blocks[:lc.lv.n] {
-		if !loop.Blocks[b] || !dominatesAllLatches(b) {
+		if !loop.Contains(b) || !dominatesAllLatches(b) {
 			continue
 		}
 		hoisted += lc.block(loop, b, lc.lv.out(i))
@@ -224,7 +227,7 @@ func ensurePreheader(f *ir.Function, loop *ir.Loop) *ir.Block {
 	f.RebuildCFG()
 	var outside []*ir.Block
 	for _, p := range header.Preds {
-		if !loop.Blocks[p] {
+		if !loop.Contains(p) {
 			outside = append(outside, p)
 		}
 	}

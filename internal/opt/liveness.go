@@ -7,11 +7,11 @@ import (
 
 // liveness is the workspace of the backward live-register fixpoint: every
 // block's live-in, live-out, use and def sets, by block position in
-// f.Blocks. One workspace serves every fixpoint a pass takes over one
-// function — DCE's iterations, LICM's loops — so the tables are allocated
-// once (again only when the function outgrows them) and a caller that
-// changed a few blocks recomputes only their use/def. It stays a backward
-// fixpoint in opt, not a solveForward problem.
+// f.Blocks. The build's workspace holds one, which serves every fixpoint
+// of every function — DCE's iterations, LICM's loops, both DCE runs — so
+// the tables are allocated again only when a function outgrows them, and a
+// caller that changed a few blocks recomputes only their use/def. It stays
+// a backward fixpoint in opt, not a solveForward problem.
 type liveness struct {
 	n     int     // blocks
 	words int     // 64-bit words per set

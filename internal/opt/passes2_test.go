@@ -41,7 +41,7 @@ func TestBottomUpInlineRespectsGrowthCap(t *testing.T) {
 	params := defaultInlineParams()
 	params.GrowthCap = before + 30 // room for ~2 inlines of `work`
 	params.TinyThreshold = 0
-	bottomUpInline(p, params, false)
+	bottomUpInline(p, new(ir.CallGraphScratch), params, false)
 	after := realSize(p.Funcs["main"])
 	if after > params.GrowthCap+20 {
 		t.Fatalf("growth cap exceeded: %d -> %d (cap %d)", before, after, params.GrowthCap)

@@ -191,7 +191,7 @@ func main(n) {
 		t.Fatal("loop destroyed")
 	}
 	varAdds := 0
-	for b := range loops[0].Blocks {
+	for _, b := range loops[0].Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
 			if in.Op == ir.OpBin && in.BinKind == ir.BinAdd {
@@ -556,7 +556,7 @@ func tiny(x) { return x + 1; }`)
 	}
 	params := defaultInlineParams()
 	params.SizeThreshold = 100 // same-module would admit big
-	bottomUpInline(p, params, false)
+	bottomUpInline(p, new(ir.CallGraphScratch), params, false)
 	calls := map[string]bool{}
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {

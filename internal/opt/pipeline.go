@@ -62,7 +62,11 @@ func (r *runner) each(id passID, fn func(f *ir.Function)) {
 // flow consistency. The profile-consuming passes run iff cfg.Profile is
 // set. With cfg.VerifyEach, every pass boundary is verified
 // and the first violation aborts with a *PassViolation attributing it.
-func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
+func Optimize(p *ir.Program, cfg *Config) (*Stats, error) { return optimize(p, cfg, new(workspace)) }
+
+// optimize is Optimize with the passes' tables in ws, which every pass and
+// function of the build shares.
+func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 	st := &Stats{}
 	// Record ThinLTO summary sizes on pristine bodies (importability is
 	// decided on summaries, not on transformed IR).
@@ -99,7 +103,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		})
 		if !cfg.DisableInference {
 			r.run(inferencePass, func() {
-				st.InferenceAdjust = inference.InferProgram(p)
+				st.InferenceAdjust = inference.InferProgramIn(p, &ws.infer)
 			})
 		}
 		// icp needs the flat target histograms before the CS inliner
@@ -111,9 +115,9 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		// Top-down profile-guided inlining.
 		r.run(sampleInlinePass, func() {
 			if prof.CS {
-				st.SampleInlines = sampleInlineCS(p, prof, matcher, st)
+				st.SampleInlines = sampleInlineCS(p, &ws.calls, prof, matcher, st)
 			} else {
-				st.SampleInlines = sampleInlineAutoFDO(p, defaultInlineParams())
+				st.SampleInlines = sampleInlineAutoFDO(p, &ws.calls, defaultInlineParams())
 			}
 		})
 		// Indirect-call promotion runs after the sample inliner (so the
@@ -129,14 +133,14 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 
 	simplify := func(tailMerge bool) func(*ir.Function) {
 		return func(f *ir.Function) {
-			sr := simplifyCFG(f, tailMerge, cfg.Barrier)
+			sr := ws.simplifyCFG(f, tailMerge, cfg.Barrier)
 			st.CFGMerged += sr.Merged
 			st.CFGEmptyRemoved += sr.EmptyRemoved
 			st.TailMerges += sr.TailMerges
 			st.TailMergeBlocked += sr.TailMergeBlocked
 		}
 	}
-	dceEach := func(f *ir.Function) { st.DCERemoved += dce(f) }
+	dceEach := func(f *ir.Function) { st.DCERemoved += ws.dce(f) }
 
 	// Early cleanup.
 	r.each(simplifyPass, simplify(false))
@@ -150,11 +154,11 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		inl.HotThreshold = inl.SizeThreshold
 	}
 	r.run(inlinePass, func() {
-		st.StaticInlines = bottomUpInline(p, inl, prof != nil)
+		st.StaticInlines = bottomUpInline(p, &ws.calls, inl, prof != nil)
 	})
 
 	// Scalar/control-flow pipeline.
-	r.each(licmPass, func(f *ir.Function) { st.LICMHoisted += licm(f) })
+	r.each(licmPass, func(f *ir.Function) { st.LICMHoisted += ws.licm(f) })
 	// Profiled builds unroll hot loops by 4; training builds unroll tiny
 	// loops by 2, like -O2.
 	r.each(unrollPass, func(f *ir.Function) {
@@ -162,7 +166,7 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 		if prof != nil {
 			params = unrollParams{Factor: 4, HotWeight: hotLoopThreshold(f), MaxBodyInstrs: 24}
 		}
-		st.Unrolled += unroll(f, params)
+		st.Unrolled += ws.unroll(f, params)
 	})
 	r.each(ifConvertPass, func(f *ir.Function) {
 		ic := ifConvert(f, cfg.Barrier, 3)
@@ -175,9 +179,9 @@ func Optimize(p *ir.Program, cfg *Config) (*Stats, error) {
 
 	if prof != nil {
 		if !cfg.DisableInference {
-			r.run(inferencePass, func() { inference.InferProgram(p) })
+			r.run(inferencePass, func() { inference.InferProgramIn(p, &ws.infer) })
 		}
-		r.run(layoutPass, func() { st.LayoutFuncs = layoutProgram(p) })
+		r.run(layoutPass, func() { st.LayoutFuncs = ws.layoutProgram(p) })
 		r.run(splitPass, func() { st.SplitBlocks = splitProgram(p) })
 	}
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"csspgo/internal/drift"
 	"csspgo/internal/opt"
 	"csspgo/internal/pgo"
 	"csspgo/internal/source"
@@ -33,6 +34,39 @@ func TestDCEAndLICMMatchReferenceOnCorpus(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestProfiledPassesMatchReferenceOnWorkloads holds annotateProbe, tail
+// merging and layout to the map-based references in
+// reference_profile_test.go on the optimizing build of every workload for
+// every profiled variant, and on the stale-matching rebuild of a drifted
+// copy of its source with the CSSPGO profile.
+func TestProfiledPassesMatchReferenceOnWorkloads(t *testing.T) {
+	for _, name := range workloads.AllNames() {
+		t.Run(name, func(t *testing.T) {
+			w, err := workloads.Load(name, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO} {
+				_, prof, err := pgo.Pipeline(w.Files, v, w.Train)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := pgo.BuildConfig{Probes: v != pgo.AutoFDO, Profile: prof, UsePreInlineDecisions: v == pgo.FullCS}
+				cfg.InjectAfter = opt.ProfileReferenceHooks(t, prof)
+				if _, err := pgo.Build(w.Files, cfg); err != nil {
+					t.Fatal(err)
+				}
+				if v == pgo.FullCS {
+					cfg.StaleMatching = true
+					if _, err := pgo.Build(drift.Apply(w.Files, drift.InsertStmts, 1), cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
+	}
 }
 
 // forEachCorpusProgram runs check on every program of the 14-program corpus

@@ -133,7 +133,7 @@ func referenceLICM(f *ir.Function) int {
 func referenceLICMLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
 	// Registers defined anywhere in the loop.
 	defCount := map[ir.Reg]int{}
-	for b := range loop.Blocks {
+	for _, b := range loop.Blocks {
 		for i := range b.Instrs {
 			if d := b.Instrs[i].Def(); d != ir.NoReg {
 				defCount[d]++
@@ -143,7 +143,7 @@ func referenceLICMLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
 	// Globals stored in the loop and calls block load hoisting.
 	storedGlobals := map[string]bool{}
 	hasCalls := false
-	for b := range loop.Blocks {
+	for _, b := range loop.Blocks {
 		for i := range b.Instrs {
 			switch b.Instrs[i].Op {
 			case ir.OpStoreG:
@@ -174,7 +174,7 @@ func referenceLICMLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
 	liveouts := referenceLiveOut(f)
 	hoisted := 0
 	for i, b := range f.Blocks[:len(liveouts)] {
-		if !loop.Blocks[b] || !dominatesAllLatches(b) {
+		if !loop.Contains(b) || !dominatesAllLatches(b) {
 			continue
 		}
 		hoisted += referenceLICMBlock(f, b, defCount, storedGlobals, hasCalls, getPreheader, liveouts[i])
@@ -265,7 +265,7 @@ func referenceEnsurePreheader(f *ir.Function, loop *ir.Loop) *ir.Block {
 	f.RebuildCFG()
 	var outside []*ir.Block
 	for _, p := range header.Preds {
-		if !loop.Blocks[p] {
+		if !loop.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
@@ -405,7 +405,7 @@ func TestLICMInnerLoopBeforeOuter(t *testing.T) {
 		t.Fatal(err)
 	}
 	loops, _ := f.NaturalLoops()
-	if len(loops) != 2 || loops[0].Header != b1 || !loops[1].Blocks[b4] {
+	if len(loops) != 2 || loops[0].Header != b1 || !loops[1].Contains(b4) {
 		t.Fatalf("want the inner loop (header b1) first and b4 in the outer one:\n%s", f)
 	}
 

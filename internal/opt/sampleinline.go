@@ -24,11 +24,11 @@ var sampleInlinePass = registerPass("sample-inline", flowPerturbs, semRestructur
 // Returns the number of call sites inlined; stale-context rejections are
 // counted into st (which may be nil). A non-nil matcher lets stale contexts
 // degrade via anchor matching instead of merging straight into the base.
-func sampleInlineCS(p *ir.Program, prof *profdata.Profile, m *stale.Matcher, st *Stats) int {
+func sampleInlineCS(p *ir.Program, calls *ir.CallGraphScratch, prof *profdata.Profile, m *stale.Matcher, st *Stats) int {
 	if !prof.CS || len(prof.Contexts) == 0 {
 		return 0
 	}
-	cg := ir.BuildCallGraph(p)
+	cg := ir.BuildCallGraphIn(p, calls)
 	inlines := 0
 
 	for _, name := range cg.TopDownOrder() {
@@ -135,8 +135,8 @@ func contextKeyForCall(call *ir.Instr, callee string) string {
 // notes early inlining on unoptimized IR must be conservative because cost
 // estimates are poor). The inlined body is annotated by scaling the
 // callee's base profile — the context-insensitive approximation.
-func sampleInlineAutoFDO(p *ir.Program, params inlineParams) int {
-	cg := ir.BuildCallGraph(p)
+func sampleInlineAutoFDO(p *ir.Program, calls *ir.CallGraphScratch, params inlineParams) int {
+	cg := ir.BuildCallGraphIn(p, calls)
 	inlines := 0
 	for _, name := range cg.TopDownOrder() {
 		f := p.Funcs[name]

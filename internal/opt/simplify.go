@@ -24,7 +24,7 @@ var simplifyPass = registerPass("simplify-cfg", flowPerturbs, semRestructures)
 // controls whether probes block tail merging: with BarrierWeak or
 // BarrierStrong, blocks whose tails differ only by probe identity do not
 // merge (the probes' distinct signatures preserve original control flow).
-func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simplifyResult {
+func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simplifyResult {
 	var res simplifyResult
 	for {
 		changed := false
@@ -80,7 +80,7 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 
 		// 3. Tail merging.
 		if tailMerge {
-			tm, blocked := tailMergePass(f, barrier)
+			tm, blocked := ws.tailMergePass(f, barrier)
 			res.TailMerges += tm
 			res.TailMergeBlocked += blocked
 			if tm > 0 {
@@ -165,19 +165,44 @@ func probeInsensitiveEqual(a, b *ir.Instr) bool {
 // blocked — counted separately so experiments can report it. It reads no
 // predecessor lists and leaves them stale; simplifyCFG's next round
 // rebuilds them.
-func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
-	// Group candidate blocks by their unique jump target.
-	groups := map[*ir.Block][]*ir.Block{}
+func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
+	// Group candidate blocks by their unique jump target: a counting sort
+	// by the target's position, which keeps each group in block order.
+	pos := ws.positions(f)
+	s := &ws.tails
+	nb := len(f.Blocks)
+	start := slices.Grow(s.start[:0], nb+1)[:nb+1]
+	clear(start)
+	candidates := 0
+	targetPos := func(b *ir.Block) int32 {
+		if b.Term.Kind != ir.TermJump || len(b.Instrs) == 0 {
+			return -1
+		}
+		return position(pos, b.Term.Succs[0])
+	}
 	for _, b := range f.Blocks {
-		if b.Term.Kind == ir.TermJump && len(b.Instrs) > 0 {
-			t := b.Term.Succs[0]
-			groups[t] = append(groups[t], b)
+		if t := targetPos(b); t >= 0 {
+			start[t+1]++
+			candidates++
 		}
 	}
-	// Targets in function block order, not map order: the first mergeable
-	// group found is the one merged, and the merge order names the blocks.
-	for _, target := range f.Blocks {
-		siblings := groups[target]
+	for t := range nb {
+		start[t+1] += start[t]
+	}
+	grouped := slices.Grow(s.grouped[:0], candidates)[:candidates]
+	fill := slices.Grow(s.fill[:0], nb)[:nb]
+	copy(fill, start)
+	for _, b := range f.Blocks {
+		if t := targetPos(b); t >= 0 {
+			grouped[fill[t]] = b
+			fill[t]++
+		}
+	}
+	s.start, s.grouped, s.fill = start, grouped, fill
+	// Targets in function block order: the first mergeable group found is
+	// the one merged, and the merge order names the blocks.
+	for t, target := range f.Blocks {
+		siblings := grouped[start[t]:start[t+1]]
 		if len(siblings) < 2 {
 			continue
 		}
@@ -210,6 +235,15 @@ func tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int
 		}
 	}
 	return 0, blocked
+}
+
+// tailScratch is tailMergePass's storage: the candidate blocks grouped by
+// jump target, the group of the target at position t being
+// grouped[start[t]:start[t+1]].
+type tailScratch struct {
+	start   []int32
+	fill    []int32
+	grouped []*ir.Block
 }
 
 // commonSuffix counts the longest common instruction suffix under eq.

@@ -184,7 +184,7 @@ func TestSampleInlineSweepCountsDroppedStaleBases(t *testing.T) {
 			fp.AddBody(profdata.LocKey{ID: 1}, 10)
 		}
 		var st Stats
-		sampleInlineCS(prog, prof, c.m, &st)
+		sampleInlineCS(prog, new(ir.CallGraphScratch), prof, c.m, &st)
 		if st.StaleFuncs != c.want {
 			t.Errorf("matcher %v: StaleFuncs = %d, want %d", c.m != nil, st.StaleFuncs, c.want)
 		}

@@ -27,12 +27,12 @@ var unrollPass = registerPass("unroll", flowPerturbs, semRestructures)
 // weights are divided by Factor to maintain the profile.
 //
 // Returns the number of loops unrolled.
-func unroll(f *ir.Function, p unrollParams) int {
+func (ws *workspace) unroll(f *ir.Function, p unrollParams) int {
 	if p.Factor < 2 {
 		return 0
 	}
 	unrolled := 0
-	loops, _ := f.NaturalLoops()
+	loops, _ := f.NaturalLoopsIn(&ws.loops)
 	for _, loop := range loops {
 		if unrollLoop(f, loop, p) {
 			unrolled++

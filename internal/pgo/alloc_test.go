@@ -40,6 +40,15 @@ import (
 //	hhvm   4 719 allocations,   724 KB
 //	haas   7 848 allocations, 1 198 KB
 //
+// Re-based when one Optimize call came to lend every pass and function one
+// workspace (liveness, loops and dominator tree, inference, SCC tables,
+// the stale matcher's tables) and layout, tail merging and probe
+// annotation moved from maps to tables by block position (three runs,
+// each the same):
+//
+//	hhvm   3 170 allocations,   630 KB
+//	haas   5 398 allocations, 1 020 KB
+//
 // A build that goes over has started copying or growing something again on
 // the path irgen → probe → opt → codegen; `go test -run '^$' -bench Build
 // -benchmem .` at the repository root says how much, a -memprofile of it
@@ -48,8 +57,8 @@ var buildAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 5_430, 835 << 10},
-	{"haas", 9_030, 1_380 << 10},
+	{"hhvm", 3_650, 725 << 10},
+	{"haas", 6_210, 1_175 << 10},
 }
 
 // TestBuildAllocCeiling is the allocation gate on the compile path: one
@@ -123,6 +132,14 @@ func TestBuildAllocCeiling(t *testing.T) {
 //	hhvm   7 975 allocations, 1 390 KB  (7 999, 1 474 KB)
 //	haas  13 832–13 851 allocations, 2 355–2 410 KB  (13 849, 2 409 KB)
 //
+// Re-based when one Optimize call came to lend every pass and function one
+// workspace and layout, tail merging and probe annotation moved to tables
+// by block position (three runs; the same build at its parent read hhvm
+// 7 976–7 977, 1 390–1 394 KB and haas 13 834–13 852, 2 362–2 410 KB):
+//
+//	hhvm   5 645–5 659 allocations, 1 248–1 250 KB
+//	haas  10 491–10 492 allocations, 2 112–2 119 KB
+//
 // A pipeline that goes over has started lowering, cloning or growing
 // something again; `go test -run '^$' -bench EndToEndPipeline -benchmem .`
 // at the repository root says how much, a -memprofile of it says where.
@@ -131,8 +148,8 @@ var pipelineAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 9_200, 1_600 << 10},
-	{"haas", 15_930, 2_780 << 10},
+	{"hhvm", 6_510, 1_440 << 10},
+	{"haas", 12_070, 2_440 << 10},
 }
 
 // TestPipelineAllocCeiling is the allocation gate on the whole FullCS

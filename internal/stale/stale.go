@@ -11,7 +11,8 @@
 package stale
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"csspgo/internal/ir"
 	"csspgo/internal/profdata"
@@ -57,9 +58,15 @@ type MatcherStats struct {
 	RecoveredProbes int // old probe IDs whose nonzero counts transferred
 }
 
-// Matcher aligns stale function profiles against fresh IR.
+// Matcher aligns stale function profiles against fresh IR. It keeps the
+// anchor sequences and the alignment table of one match for the next, so a
+// compilation's matches share them; a Matcher is not for concurrent use.
 type Matcher struct {
 	Stats MatcherStats
+
+	old, fresh []anchor
+	dp         []int32
+	pairs      [][2]int
 }
 
 // NewMatcher returns a matcher with zeroed stats.
@@ -80,11 +87,11 @@ type Result struct {
 	RecoveredProbes int // old probe IDs whose nonzero counts transferred
 }
 
-// anchorsFromIR extracts the anchor sequence of a freshly probed function:
-// its own (non-inlined) probes in ID order, which is the order probe
-// insertion walked the CFG.
-func anchorsFromIR(f *ir.Function) []anchor {
-	var out []anchor
+// anchorsFromIR returns the anchor sequence of a freshly probed function,
+// in buf's storage: its own (non-inlined) probes in ID order, which is the
+// order probe insertion walked the CFG.
+func anchorsFromIR(buf []anchor, f *ir.Function) []anchor {
+	out := buf[:0]
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
@@ -103,7 +110,7 @@ func anchorsFromIR(f *ir.Function) []anchor {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b anchor) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -112,28 +119,27 @@ func anchorsFromIR(f *ir.Function) []anchor {
 // the dominant observed callee. Probe IDs were assigned in CFG order, so
 // sorting by ID recovers the original sequence. Zero-sample probes are
 // invisible here — quality is therefore coverage of the *sampled* anchors,
-// which are exactly the ones whose counts matter.
-func anchorsFromProfile(fp *profdata.FunctionProfile) []anchor {
-	byID := map[int32]anchor{}
-	for _, b := range fp.Blocks {
-		if b.Loc.Disc != 0 {
-			continue // not a probe key
-		}
-		byID[b.Loc.ID] = anchor{Kind: block, ID: b.Loc.ID}
-	}
+// which are exactly the ones whose counts matter. A call site takes the
+// place of a block record at the same ID. The sequence is built in buf's
+// storage.
+func anchorsFromProfile(buf []anchor, fp *profdata.FunctionProfile) []anchor {
+	out := buf[:0]
 	for i := 0; i < len(fp.Calls); {
 		targets := fp.CallsAt(fp.Calls[i].Loc)
 		i += len(targets)
 		if loc := targets[0].Loc; loc.Disc == 0 {
-			byID[loc.ID] = anchor{Kind: call, ID: loc.ID, Callee: dominantCallee(targets)}
+			out = append(out, anchor{Kind: call, ID: loc.ID, Callee: dominantCallee(targets)})
 		}
 	}
-	out := make([]anchor, 0, len(byID))
-	for _, a := range byID {
-		out = append(out, a)
+	for _, b := range fp.Blocks {
+		if b.Loc.Disc == 0 { // a probe key
+			out = append(out, anchor{Kind: block, ID: b.Loc.ID})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	// Calls were appended first, so a stable sort puts a site's call anchor
+	// ahead of its block anchor, and compacting keeps the call.
+	slices.SortStableFunc(out, func(a, b anchor) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.CompactFunc(out, func(a, b anchor) bool { return a.ID == b.ID })
 }
 
 // dominantCallee picks the hottest of one site's targets, which come by
@@ -168,14 +174,21 @@ func weight(a anchor) int {
 }
 
 // align computes the maximum-weight common subsequence of the two anchor
-// sequences and returns the matched index pairs (old, new), in order.
-func align(old, new []anchor) [][2]int {
+// sequences and returns the matched index pairs (old, new), in order, in
+// the matcher's storage.
+func (m *Matcher) align(old, new []anchor) [][2]int {
 	n, k := len(old), len(new)
 	if n == 0 || k == 0 || n*k > maxDPCells {
 		return nil
 	}
-	// dp[i*(k+1)+j]: best weight aligning old[i:] with new[j:].
-	dp := make([]int32, (n+1)*(k+1))
+	// dp[i*(k+1)+j]: best weight aligning old[i:] with new[j:]. Only the
+	// last row and column are read before they are written.
+	dp := slices.Grow(m.dp[:0], (n+1)*(k+1))[:(n+1)*(k+1)]
+	m.dp = dp
+	clear(dp[n*(k+1):])
+	for i := range n {
+		dp[i*(k+1)+k] = 0
+	}
 	for i := n - 1; i >= 0; i-- {
 		for j := k - 1; j >= 0; j-- {
 			best := dp[(i+1)*(k+1)+j]
@@ -190,7 +203,7 @@ func align(old, new []anchor) [][2]int {
 			dp[i*(k+1)+j] = best
 		}
 	}
-	var pairs [][2]int
+	pairs := m.pairs[:0]
 	for i, j := 0, 0; i < n && j < k; {
 		switch {
 		case anchorsCompatible(old[i], new[j]) &&
@@ -204,6 +217,7 @@ func align(old, new []anchor) [][2]int {
 			j++
 		}
 	}
+	m.pairs = pairs
 	return pairs
 }
 
@@ -211,7 +225,7 @@ func align(old, new []anchor) [][2]int {
 // Result always carries the computed Quality (for diagnostics); Profile is
 // populated only when the quality clears MinQuality.
 func (m *Matcher) Match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
-	res := match(f, fp)
+	res := m.match(f, fp)
 	m.Stats.Attempts++
 	if res.OK {
 		m.Stats.Accepted++
@@ -222,14 +236,15 @@ func (m *Matcher) Match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
 	return res
 }
 
-func match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
-	old := anchorsFromProfile(fp)
-	fresh := anchorsFromIR(f)
+func (m *Matcher) match(f *ir.Function, fp *profdata.FunctionProfile) *Result {
+	old := anchorsFromProfile(m.old, fp)
+	fresh := anchorsFromIR(m.fresh, f)
+	m.old, m.fresh = old, fresh
 	res := &Result{OldAnchors: len(old), NewAnchors: len(fresh)}
 	if len(old) == 0 || len(fresh) == 0 {
 		return res
 	}
-	pairs := align(old, fresh)
+	pairs := m.align(old, fresh)
 	oldWeight, oldCalls := 0, 0
 	for _, a := range old {
 		oldWeight += weight(a)

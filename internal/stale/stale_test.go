@@ -35,7 +35,7 @@ func profileOf(f *ir.Function, blockCount uint64) *profdata.FunctionProfile {
 	fp := profdata.NewFunctionProfile(f.Name)
 	fp.Checksum = f.Checksum
 	fp.HeadSamples = blockCount
-	for _, a := range anchorsFromIR(f) {
+	for _, a := range anchorsFromIR(nil, f) {
 		if a.Kind == block {
 			fp.AddBody(profdata.LocKey{ID: a.ID}, blockCount)
 		} else {
@@ -95,8 +95,8 @@ func main(a, b) { return work(a); }
 func TestAnchorsRoundTrip(t *testing.T) {
 	f := lower(t, oldSrc, "work")
 	fp := profileOf(f, 10)
-	fromIR := anchorsFromIR(f)
-	fromProf := anchorsFromProfile(fp)
+	fromIR := anchorsFromIR(nil, f)
+	fromProf := anchorsFromProfile(nil, fp)
 	if len(fromIR) != len(fromProf) {
 		t.Fatalf("anchor count mismatch: IR %d vs profile %d", len(fromIR), len(fromProf))
 	}
