@@ -334,17 +334,45 @@ func mix(h, w uint64) uint64 {
 	return h ^ h>>29
 }
 
-// hashSample mixes every word of a sample, and both lengths, so that a
-// record moving between the LBR and the stack changes the hash.
+// hashSample hashes every word of a sample, and both lengths, so that a
+// record moving between the LBR and the stack changes the hash. The words
+// go round four independent multiply lanes — an LBR record's two addresses
+// into one pair of lanes, the next record's into the other, the stack's
+// words one per lane — so that no multiply waits for the one before it;
+// mix folds the lanes together at the end.
 func hashSample(s *sim.Sample) uint64 {
-	h := mix(uint64(len(s.LBR)), uint64(len(s.Stack)))
-	for i := range s.LBR {
-		h = mix(mix(h, s.LBR[i].From), s.LBR[i].To)
+	const k = 0x9E3779B97F4A7C15
+	a, b := uint64(len(s.LBR)), uint64(len(s.Stack))
+	c, d := uint64(0x243F6A8885A308D3), uint64(0x13198A2E03707344)
+	lbr := s.LBR
+	for ; len(lbr) >= 2; lbr = lbr[2:] {
+		a = (a ^ lbr[0].From) * k
+		b = (b ^ lbr[0].To) * k
+		c = (c ^ lbr[1].From) * k
+		d = (d ^ lbr[1].To) * k
 	}
-	for _, a := range s.Stack {
-		h = mix(h, a)
+	if len(lbr) == 1 {
+		a = (a ^ lbr[0].From) * k
+		b = (b ^ lbr[0].To) * k
 	}
-	return h
+	stack := s.Stack
+	for ; len(stack) >= 4; stack = stack[4:] {
+		a = (a ^ stack[0]) * k
+		b = (b ^ stack[1]) * k
+		c = (c ^ stack[2]) * k
+		d = (d ^ stack[3]) * k
+	}
+	for i, w := range stack {
+		switch i {
+		case 0:
+			a = (a ^ w) * k
+		case 1:
+			b = (b ^ w) * k
+		default:
+			c = (c ^ w) * k
+		}
+	}
+	return mix(mix(mix(a, b), c), d)
 }
 
 // ------------------------------------------------------------ dispatch
