@@ -321,15 +321,15 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 					Dst: int32(in.Dst), A: int32(in.A), B: int32(in.B), C: int32(in.C), Loc: in.Loc})
 			case ir.OpLoadG:
 				lw.emit(machine.Instr{Kind: machine.KLoad, Dst: int32(in.Dst),
-					GlobalOff: goff[in.Global], Index: int32(in.Index), Loc: in.Loc})
+					GlobalOff: goff[in.Sym], Index: int32(in.Index), Loc: in.Loc})
 			case ir.OpStoreG:
 				lw.emit(machine.Instr{Kind: machine.KStore, A: int32(in.A),
-					GlobalOff: goff[in.Global], Index: int32(in.Index), Loc: in.Loc})
+					GlobalOff: goff[in.Sym], Index: int32(in.Index), Loc: in.Loc})
 			case ir.OpFuncRef:
 				// Function ids are assigned by program order; materialize
 				// as a constant and fix it up like any call target.
 				lw.emit(machine.Instr{Kind: machine.KConst, Dst: int32(in.Dst),
-					Value: int64(fnID[in.Callee]), Loc: in.Loc})
+					Value: int64(fnID[in.Sym]), Loc: in.Loc})
 			case ir.OpICall:
 				if in.Probe != nil {
 					lw.pending = append(lw.pending, in.Probe)
@@ -349,8 +349,8 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 				}
 				idx := len(lw.out)
 				lw.emit(machine.Instr{Kind: kind, Dst: int32(in.Dst),
-					CalleeID: fnID[in.Callee], ArgRegs: lw.args(in.Args), Loc: in.Loc})
-				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(fnID[in.Callee])})
+					CalleeID: fnID[in.Sym], ArgRegs: lw.args(in.Args), Loc: in.Loc})
+				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(fnID[in.Sym])})
 			case ir.OpCounter:
 				lw.emit(machine.Instr{Kind: machine.KCounter, CounterID: int32(in.Value), Loc: in.Loc})
 			}

@@ -4,47 +4,73 @@ import "slices"
 
 // CallGraph is the static call graph of a program.
 type CallGraph struct {
-	Prog  *Program
-	Edges map[string]map[string]bool // caller name -> direct callees
+	Prog *Program
 
-	// The SCC partition, computed once by BuildCallGraphIn (the graph is
-	// never mutated afterwards): components callees-first, and each name's
-	// index into them.
-	sccs [][]string
-	comp map[string]int
+	// Computed once by BuildCallGraphIn (the graph is never mutated
+	// afterwards): each function's direct callees, sorted and unique, and
+	// whether it calls itself, both by its position in Prog.Order; the SCC
+	// partition, components callees-first; and each name's index into it.
+	pos      map[string]int32
+	callees  [][]string
+	selfCall []bool
+	sccs     [][]string
+	comp     map[string]int
 }
 
-// CallGraphScratch is the storage of BuildCallGraphIn's SCC computation:
+// CallGraphScratch is the storage of BuildCallGraphIn: the callee lists,
 // Tarjan's tables and the partition the graph keeps. A caller that builds
 // many call graphs keeps one.
 type CallGraphScratch struct {
-	index   map[string]int32 // a name's visit number
-	low     []int32          // by visit number
-	onStack []bool           // by visit number
-	stack   []string
-	succs   []string // the sorted callees of every name on the walk
-	members []string // the components' names, callees first
-	ends    []int    // where each component ends in members
-	sccs    [][]string
-	comp    map[string]int
+	pos      map[string]int32 // a function's position in Prog.Order
+	slab     []string         // every function's callees, back to back
+	callees  [][]string       // sub-slices of slab, by position
+	selfCall []bool           // by position
+	index    map[string]int32 // a name's visit number
+	low      []int32          // by visit number
+	onStack  []bool           // by visit number
+	stack    []string
+	members  []string // the components' names, callees first
+	ends     []int    // where each component ends in members
+	sccs     [][]string
+	comp     map[string]int
 }
 
 // BuildCallGraphIn scans every function for direct calls and partitions
 // the graph into SCCs, in s's storage: the graph's queries are valid until
 // s is used again.
 func BuildCallGraphIn(p *Program, s *CallGraphScratch) *CallGraph {
-	cg := &CallGraph{Prog: p, Edges: map[string]map[string]bool{}}
-	for _, f := range p.Functions() {
-		callees := map[string]bool{}
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if in := &b.Instrs[i]; in.Op == OpCall {
-					callees[in.Callee] = true
+	if s.pos == nil {
+		s.pos = make(map[string]int32, len(p.Order))
+	}
+	clear(s.pos)
+	slab, ends := s.slab[:0], s.ends[:0]
+	selfCall := s.selfCall[:0]
+	for i, name := range p.Order {
+		s.pos[name] = int32(i)
+		base := len(slab)
+		for _, b := range p.Funcs[name].Blocks {
+			for j := range b.Instrs {
+				if in := &b.Instrs[j]; in.Op == OpCall {
+					slab = append(slab, in.Sym)
 				}
 			}
 		}
-		cg.Edges[f.Name] = callees
+		slices.Sort(slab[base:])
+		slab = slab[:base+len(slices.Compact(slab[base:]))]
+		_, self := slices.BinarySearch(slab[base:], name)
+		selfCall = append(selfCall, self)
+		ends = append(ends, len(slab))
 	}
+	// Cut the sub-slices once the slab has stopped growing (the SCC walk
+	// reuses ends afterwards).
+	callees := slices.Grow(s.callees[:0], len(ends))
+	first := 0
+	for _, end := range ends {
+		callees = append(callees, slab[first:end:end])
+		first = end
+	}
+	s.slab, s.ends, s.callees, s.selfCall = slab, ends, callees, selfCall
+	cg := &CallGraph{Prog: p, pos: s.pos, callees: callees, selfCall: selfCall}
 	cg.sccs = cg.computeSCCsIn(s)
 	if s.comp == nil {
 		s.comp = make(map[string]int, len(cg.sccs))
@@ -57,6 +83,21 @@ func BuildCallGraphIn(p *Program, s *CallGraphScratch) *CallGraph {
 		}
 	}
 	return cg
+}
+
+// calleesOf returns name's direct callees, sorted and unique; nil for a
+// name that has no function.
+func (cg *CallGraph) calleesOf(name string) []string {
+	if i, ok := cg.pos[name]; ok {
+		return cg.callees[i]
+	}
+	return nil
+}
+
+// callsItself reports whether name's function calls itself directly.
+func (cg *CallGraph) callsItself(name string) bool {
+	i, ok := cg.pos[name]
+	return ok && cg.selfCall[i]
 }
 
 // computeSCCs returns strongly connected components in reverse topological order
@@ -75,7 +116,6 @@ func (cg *CallGraph) computeSCCsIn(s *CallGraphScratch) [][]string {
 	index := s.index
 	low, onStack := s.low[:0], s.onStack[:0]
 	stack, members, ends := s.stack[:0], s.members[:0], s.ends[:0]
-	succs := s.succs[:0]
 
 	var strongconnect func(v string)
 	strongconnect = func(v string) {
@@ -84,14 +124,7 @@ func (cg *CallGraph) computeSCCsIn(s *CallGraphScratch) [][]string {
 		low = append(low, vi)
 		onStack = append(onStack, true)
 		stack = append(stack, v)
-		// v's callees by name, on top of its callers' in the succs stack.
-		base := len(succs)
-		for w := range cg.Edges[v] {
-			succs = append(succs, w)
-		}
-		slices.Sort(succs[base:])
-		for k := base; k < len(succs); k++ {
-			w := succs[k]
+		for _, w := range cg.calleesOf(v) {
 			if wi, seen := index[w]; !seen {
 				strongconnect(w)
 				low[vi] = min(low[vi], low[index[w]])
@@ -99,7 +132,6 @@ func (cg *CallGraph) computeSCCsIn(s *CallGraphScratch) [][]string {
 				low[vi] = wi
 			}
 		}
-		succs = succs[:base]
 		if low[vi] == vi {
 			first := len(members)
 			for {
@@ -126,7 +158,7 @@ func (cg *CallGraph) computeSCCsIn(s *CallGraphScratch) [][]string {
 		sccs = append(sccs, members[first:end:end])
 		first = end
 	}
-	s.low, s.onStack, s.stack, s.members, s.ends, s.succs, s.sccs = low, onStack, stack, members, ends, succs, sccs
+	s.low, s.onStack, s.stack, s.members, s.ends, s.sccs = low, onStack, stack, members, ends, sccs
 	return sccs
 }
 
@@ -156,5 +188,5 @@ func (cg *CallGraph) InSameSCC(a, b string) bool {
 		return false
 	}
 	// A component of one holds a == b only.
-	return len(cg.sccs[ca]) > 1 || cg.Edges[a][a]
+	return len(cg.sccs[ca]) > 1 || cg.callsItself(a)
 }

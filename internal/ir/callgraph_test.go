@@ -13,7 +13,7 @@ func callProg(t testing.TB) *Program {
 	mk := func(name string, callees ...string) *Function {
 		f := NewFunction(name, nil)
 		for _, c := range callees {
-			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Callee: c})
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
 		}
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		p.AddFunc(f)
@@ -33,11 +33,58 @@ func callProg(t testing.TB) *Program {
 
 func TestCallGraphEdges(t *testing.T) {
 	cg := buildCallGraph(callProg(t))
-	if !cg.Edges["main"]["a"] || !cg.Edges["a"]["b"] {
-		t.Fatal("missing forward edges")
+	if got := cg.calleesOf("main"); !slices.Equal(got, []string{"a", "b", "c", "e"}) {
+		t.Fatalf("main's callees = %v, want a b c e", got)
 	}
-	if len(cg.Edges["main"]) != 4 || len(cg.Edges["b"]) != 0 {
-		t.Fatalf("main should call 4 functions and b none, got %v and %v", cg.Edges["main"], cg.Edges["b"])
+	if got := cg.calleesOf("a"); !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("a's callees = %v, want b", got)
+	}
+	if len(cg.calleesOf("b")) != 0 || cg.calleesOf("no-such-name") != nil {
+		t.Fatal("b and an unknown name call nothing")
+	}
+	if !cg.callsItself("e") || cg.callsItself("c") || cg.callsItself("no-such-name") {
+		t.Fatal("e calls itself, c and an unknown name do not")
+	}
+}
+
+// TestCallGraphCalleesSortedAndUnique: a function that calls the same
+// callees many times, in any order, lists each once, sorted; a function
+// reference is no edge; and each list has no capacity to spare, so an
+// append to one cannot run into its neighbour in the slab they share.
+func TestCallGraphCalleesSortedAndUnique(t *testing.T) {
+	p := NewProgram()
+	for _, fn := range [][]string{
+		{"main", "z", "a", "z", "main", "a", "m"},
+		{"a", "z", "z"},
+		{"m"},
+		{"z", "a", "main", "a"},
+	} {
+		f := NewFunction(fn[0], nil)
+		for _, c := range fn[1:] {
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
+		}
+		f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpFuncRef, Dst: 0, Sym: "m"})
+		f.NRegs = 1
+		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
+		p.AddFunc(f)
+	}
+	var s CallGraphScratch
+	for range 2 { // the second build reuses the first's storage
+		cg := BuildCallGraphIn(p, &s)
+		for name, want := range map[string][]string{
+			"main": {"a", "m", "main", "z"},
+			"a":    {"z"},
+			"m":    nil,
+			"z":    {"a", "main"},
+		} {
+			if got := cg.calleesOf(name); !slices.Equal(got, want) || cap(got) != len(got) {
+				t.Errorf("%s's callees = %v (cap %d), want %v", name, got, cap(got), want)
+			}
+		}
+		if !cg.callsItself("main") || cg.callsItself("z") {
+			t.Error("main calls itself, z does not")
+		}
+		CheckSCCQueries(t, cg)
 	}
 }
 
@@ -129,12 +176,13 @@ func CheckSCCQueries(t testing.TB, cg *CallGraph) {
 	}
 	names = append(names, "no-such-name")
 	for _, a := range names {
-		recursive := cg.Edges[a][a]
+		self := callsItselfInIR(cg.Prog, a)
+		recursive := self
 		for _, b := range names {
 			want := false
 			for _, scc := range sccs {
 				if slices.Contains(scc, a) && slices.Contains(scc, b) {
-					want = len(scc) > 1 || a == b && cg.Edges[a][a]
+					want = len(scc) > 1 || a == b && self
 				}
 			}
 			if got := cg.InSameSCC(a, b); got != want {
@@ -171,7 +219,7 @@ func sccProg() *Program {
 	} {
 		f := NewFunction(fn[0], nil)
 		for _, c := range fn[1:] {
-			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Callee: c})
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
 		}
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		p.AddFunc(f)
@@ -224,7 +272,7 @@ func TestCFGChecksumProperties(t *testing.T) {
 	}
 	// Adding a call must change the checksum.
 	k := CloneFunction(f)
-	k.Blocks[1].Instrs = append(k.Blocks[1].Instrs, Instr{Op: OpCall, Dst: NoReg, Callee: "x"})
+	k.Blocks[1].Instrs = append(k.Blocks[1].Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: "x"})
 	if k.CFGChecksum() == sum {
 		t.Fatal("checksum must reflect call additions")
 	}
@@ -237,9 +285,26 @@ func TestCFGChecksumProperties(t *testing.T) {
 	}
 }
 
+// callsItselfInIR reports whether the function named name holds a direct
+// call to itself, read from its instructions rather than from a graph.
+func callsItselfInIR(p *Program, name string) bool {
+	f := p.Funcs[name]
+	if f == nil {
+		return false
+	}
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if b.Instrs[i].Op == OpCall && b.Instrs[i].Sym == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // isRecursive reports whether fn participates in any cycle.
 func (cg *CallGraph) isRecursive(fn string) bool {
-	if cg.Edges[fn][fn] {
+	if cg.callsItself(fn) {
 		return true
 	}
 	c, ok := cg.comp[fn]

@@ -92,7 +92,7 @@ func TestCloneProgram(t *testing.T) {
 }
 
 func TestInstrCloneCopiesArgs(t *testing.T) {
-	in := Instr{Op: OpCall, Callee: "f", Args: []Reg{1, 2, 3}, Dst: 4}
+	in := Instr{Op: OpCall, Sym: "f", Args: []Reg{1, 2, 3}, Dst: 4}
 	out := in.Clone()
 	out.Args[0] = 9
 	if in.Args[0] == 9 {

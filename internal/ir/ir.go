@@ -28,12 +28,12 @@ const (
 	OpBin                   // Dst = A <BinKind> B
 	OpNot                   // Dst = !A (logical)
 	OpNeg                   // Dst = -A
-	OpLoadG                 // Dst = Global[Index] (Index==NoReg: scalar global)
-	OpStoreG                // Global[Index] = A
-	OpCall                  // Dst = Callee(Args...) (Dst may be NoReg)
+	OpLoadG                 // Dst = global Sym[Index] (Index==NoReg: scalar global)
+	OpStoreG                // global Sym[Index] = A
+	OpCall                  // Dst = Sym(Args...) (Dst may be NoReg)
 	OpSelect                // Dst = A != 0 ? B : C  (produced by if-conversion)
 	OpMove                  // Dst = A (register copy; used by the inliner)
-	OpFuncRef               // Dst = opaque id of function Callee
+	OpFuncRef               // Dst = opaque id of function Sym
 	OpICall                 // Dst = (*A)(Args...) — indirect call through a function id
 	OpProbe                 // pseudo-probe intrinsic; no dataflow
 	OpCounter               // instrumentation counter increment (Instr PGO)
@@ -161,25 +161,29 @@ type Probe struct {
 	InlinedAt *ProbeSite // inline context, nil if not inlined
 }
 
-// Instr is a single (non-terminator) IR instruction. The fields are
-// ordered by size so the struct packs into 104 bytes.
+// Instr is a single (non-terminator) IR instruction. The pointer-carrying
+// fields come first, so the collector scans 56 of its 88 bytes, and the
+// scalars follow by size, so only the tail is padding. DESIGN.md
+// "Instruction records" gives the fields each opcode uses.
 type Instr struct {
+	// Sym is the instruction's one symbol operand: the callee of OpCall,
+	// the referenced function of OpFuncRef, the global of OpLoadG and
+	// OpStoreG. Every other opcode leaves it empty.
+	Sym   string
+	Args  []Reg  // OpCall/OpICall arguments
+	Probe *Probe // OpProbe payload, or call-site probe for OpCall
+	Loc   *Loc
+
+	Value   int64 // OpConst immediate; OpCounter counter index
+	Dst     Reg   // NoReg when the result is unused/absent
+	A, B, C Reg   // generic operands (C used by OpSelect)
+	Index   Reg   // OpLoadG/OpStoreG array index (NoReg = scalar)
 	Op      Opcode
 	BinKind BinKind
 	// TailCall marks an OpCall that tail-call elimination proved can reuse
 	// the caller's frame; codegen emits a frame-replacing jump and the
 	// block's trailing return of the call result is suppressed.
 	TailCall bool
-	Dst      Reg // NoReg when the result is unused/absent
-	A, B, C  Reg // generic operands (C used by OpSelect)
-	Index    Reg // OpLoadG/OpStoreG array index (NoReg = scalar)
-
-	Value  int64  // OpConst immediate; OpCounter counter index
-	Callee string // OpCall target
-	Args   []Reg  // OpCall arguments
-	Global string // OpLoadG/OpStoreG global name
-	Probe  *Probe // OpProbe payload, or call-site probe for OpCall
-	Loc    *Loc
 }
 
 // TermKind enumerates block terminator kinds.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -118,7 +119,7 @@ func TestProgramVerifyCatchesUndefinedCallee(t *testing.T) {
 	p := NewProgram()
 	f := NewFunction("main", nil)
 	r := f.NewReg()
-	f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: r, Callee: "missing"})
+	f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: r, Sym: "missing"})
 	f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 	p.AddFunc(f)
 	if err := p.Verify(); err == nil {
@@ -305,7 +306,45 @@ func TestInstrSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Instr{}); got != 104 {
-		t.Errorf("ir.Instr is %d bytes, want 104", got)
+	if got := unsafe.Sizeof(Instr{}); got != 88 {
+		t.Errorf("ir.Instr is %d bytes, want 88", got)
 	}
+}
+
+// TestInstrPointersFirst requires that no field holding a pointer follows a
+// pointer-free one: the collector scans a value only up to its last pointer
+// word, so with the pointers first it scans 56 of ir.Instr's 88 bytes.
+func TestInstrPointersFirst(t *testing.T) {
+	typ := reflect.TypeFor[Instr]()
+	scalar := ""
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		switch {
+		case !holdsPointer(f.Type):
+			if scalar == "" {
+				scalar = f.Name
+			}
+		case scalar != "":
+			t.Errorf("ir.Instr: pointer field %s follows pointer-free field %s", f.Name, scalar)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t contains a word the
+// garbage collector must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -37,7 +37,7 @@ func TestOperandModelAgreesWithVerify(t *testing.T) {
 	for op := OpConst; op <= OpCounter; op++ {
 		fresh := func() Instr {
 			return Instr{Op: op, Dst: 0, A: 1, B: 2, C: 3, Index: 4, Args: []Reg{5, 6},
-				Callee: "g", Global: "G", Probe: &Probe{Func: "f", ID: 1, Factor: 1}}
+				Sym: "g", Probe: &Probe{Func: "f", ID: 1, Factor: 1}}
 		}
 		valid := fresh()
 		if err := build(valid, ret).Verify(); err != nil {

@@ -91,3 +91,30 @@ func TestVerifyProbeNeedsPayload(t *testing.T) {
 		t.Fatalf("want probe payload error, got %v", err)
 	}
 }
+
+// TestVerifySymbolOpcodesNeedSym: the four opcodes that name a symbol
+// carry it in Sym, and Verify rejects each with an empty one.
+func TestVerifySymbolOpcodesNeedSym(t *testing.T) {
+	for _, c := range []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpLoadG, Dst: 0, Index: NoReg}, "global access without name"},
+		{Instr{Op: OpStoreG, A: 0, Index: NoReg}, "global access without name"},
+		{Instr{Op: OpCall, Dst: NoReg}, "call without callee"},
+		{Instr{Op: OpFuncRef, Dst: 0}, "funcref without target"},
+	} {
+		f := NewFunction("f", []string{"x"})
+		f.Entry().Instrs = []Instr{c.in}
+		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
+		f.RebuildCFG()
+		err := f.Verify()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v with empty Sym: want %q, got %v", c.in.Op, c.want, err)
+		}
+		f.Entry().Instrs[0].Sym = "s"
+		if err := f.Verify(); err != nil {
+			t.Errorf("%v with Sym %q: %v", c.in.Op, "s", err)
+		}
+	}
+}

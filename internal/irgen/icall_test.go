@@ -22,8 +22,8 @@ func helper(x, y) { return x * y; }
 			switch b.Instrs[i].Op {
 			case ir.OpFuncRef:
 				refs++
-				if b.Instrs[i].Callee != "helper" {
-					t.Fatalf("funcref target = %q", b.Instrs[i].Callee)
+				if b.Instrs[i].Sym != "helper" {
+					t.Fatalf("funcref target = %q", b.Instrs[i].Sym)
 				}
 			case ir.OpICall:
 				icalls++
@@ -72,7 +72,7 @@ func two(x) { return x * 2; }
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpFuncRef {
-				seen[b.Instrs[i].Callee] = true
+				seen[b.Instrs[i].Sym] = true
 			}
 		}
 	}

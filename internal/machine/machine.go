@@ -55,13 +55,20 @@ var kindSizes = [...]uint32{
 func SizeOf(k Kind) uint32 { return kindSizes[k] }
 
 // Instr is one machine instruction. Operand registers index the executing
-// frame's register file; -1 means absent. The fields are ordered by size so
-// the struct packs into 96 bytes.
+// frame's register file; -1 means absent. The pointer-carrying fields come
+// first, so the collector scans 32 of its 96 bytes; the rest are ordered by
+// size. Gob encodes fields by name, so a saved binary loads whatever the
+// order.
 type Instr struct {
-	Addr uint64
-	Size uint32
-	Kind Kind
+	ArgRegs []int32
+	Loc     *ir.Loc // debug line info with inline chain; nil if stripped
 
+	Addr   uint64
+	Value  int64
+	Target uint64 // KBranch/KJump/KCall/KTailCall destination address
+	Size   uint32
+
+	Kind      Kind
 	Op        ir.Opcode  // KOp: OpBin/OpNot/OpNeg; KSelect: OpSelect
 	Bin       ir.BinKind // KOp with Op==OpBin
 	BranchNeg bool       // KBranch: take when cond == 0 instead of != 0
@@ -72,12 +79,6 @@ type Instr struct {
 	Index     int32 // KLoad/KStore: index register, -1 for scalar access
 	CalleeID  int32 // KCall/KTailCall
 	CounterID int32 // KCounter
-
-	Value   int64
-	Target  uint64 // KBranch/KJump/KCall/KTailCall destination address
-	ArgRegs []int32
-
-	Loc *ir.Loc // debug line info with inline chain; nil if stripped
 }
 
 // Func is a binary symbol: one function's hot range plus an optional cold

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -65,4 +66,42 @@ func TestInstrSize(t *testing.T) {
 	if got := unsafe.Sizeof(Instr{}); got != 96 {
 		t.Errorf("machine.Instr is %d bytes, want 96", got)
 	}
+}
+
+// TestInstrPointersFirst requires that no field holding a pointer follows a
+// pointer-free one: the collector scans a value only up to its last pointer
+// word, so with the pointers first it scans 32 of machine.Instr's 96 bytes.
+func TestInstrPointersFirst(t *testing.T) {
+	typ := reflect.TypeFor[Instr]()
+	scalar := ""
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		switch {
+		case !holdsPointer(f.Type):
+			if scalar == "" {
+				scalar = f.Name
+			}
+		case scalar != "":
+			t.Errorf("machine.Instr: pointer field %s follows pointer-free field %s", f.Name, scalar)
+		}
+	}
+}
+
+// holdsPointer reports whether a value of type t contains a word the
+// garbage collector must scan.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -175,7 +175,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 		for i := range b.Instrs {
 			switch b.Instrs[i].Op {
 			case ir.OpCall:
-				if b.Instrs[i].Callee == "handler0" {
+				if b.Instrs[i].Sym == "handler0" {
 					foundDirect = true
 					if b.Instrs[i].Probe == nil || b.Instrs[i].Probe.ID != icallProbeID {
 						t.Fatal("promoted call lost its call probe identity")
@@ -192,7 +192,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 	// Weight split ~90/10.
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Callee == "handler0" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "handler0" {
 				if b.Weight != 900 {
 					t.Fatalf("direct block weight = %d, want 900", b.Weight)
 				}

@@ -44,9 +44,9 @@ func inlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxPro
 	if call.Op != ir.OpCall {
 		return fmt.Errorf("inline: not a call")
 	}
-	callee := p.Funcs[call.Callee]
+	callee := p.Funcs[call.Sym]
 	if callee == nil {
-		return fmt.Errorf("inline: unknown callee %q", call.Callee)
+		return fmt.Errorf("inline: unknown callee %q", call.Sym)
 	}
 	if callee == caller {
 		return fmt.Errorf("inline: direct recursion")
@@ -250,8 +250,8 @@ func inlinableCallee(p *ir.Program, cg *ir.CallGraph, f *ir.Function, in *ir.Ins
 	if in.Op != ir.OpCall || in.TailCall {
 		return nil
 	}
-	callee := p.Funcs[in.Callee]
-	if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Callee) {
+	callee := p.Funcs[in.Sym]
+	if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Sym) {
 		return nil
 	}
 	return callee

@@ -312,7 +312,7 @@ func chain(x) { return x * 2; }`, false)
 			}
 		}
 	}
-	if marked == nil || marked.Callee != "chain" {
+	if marked == nil || marked.Sym != "chain" {
 		t.Fatal("wrong instruction marked")
 	}
 }
@@ -561,7 +561,7 @@ func tiny(x) { return x + 1; }`)
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpCall {
-				calls[b.Instrs[i].Callee] = true
+				calls[b.Instrs[i].Sym] = true
 			}
 		}
 	}

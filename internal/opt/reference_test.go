@@ -147,7 +147,7 @@ func referenceLICMLoop(f *ir.Function, loop *ir.Loop, dt *ir.DomTree) int {
 		for i := range b.Instrs {
 			switch b.Instrs[i].Op {
 			case ir.OpStoreG:
-				storedGlobals[b.Instrs[i].Global] = true
+				storedGlobals[b.Instrs[i].Sym] = true
 			case ir.OpCall, ir.OpICall:
 				hasCalls = true
 			}
@@ -209,7 +209,7 @@ func referenceLICMBlock(f *ir.Function, b *ir.Block,
 		case ir.OpConst, ir.OpFuncRef, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect:
 			invariant = true
 		case ir.OpLoadG:
-			invariant = !storedGlobals[in.Global] && !hasCalls
+			invariant = !storedGlobals[in.Sym] && !hasCalls
 		}
 		in.Uses(func(r ir.Reg) { invariant = invariant && invariantReg(r) })
 		d := in.Def()

@@ -49,6 +49,14 @@ import (
 //	hhvm   3 170 allocations,   630 KB
 //	haas   5 398 allocations, 1 020 KB
 //
+// Re-based when the IR instruction record merged its two symbol fields
+// into one (104 → 88 bytes) and the call graph stopped building a map per
+// function (three runs, each the same; the parent read hhvm 3 169, 630 KB
+// and haas 5 397, 1 020 KB):
+//
+//	hhvm   3 084 allocations,   583 KB
+//	haas   5 290 allocations,   953 KB
+//
 // A build that goes over has started copying or growing something again on
 // the path irgen → probe → opt → codegen; `go test -run '^$' -bench Build
 // -benchmem .` at the repository root says how much, a -memprofile of it
@@ -57,8 +65,8 @@ var buildAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 3_650, 725 << 10},
-	{"haas", 6_210, 1_175 << 10},
+	{"hhvm", 3_550, 670 << 10},
+	{"haas", 6_090, 1_095 << 10},
 }
 
 // TestBuildAllocCeiling is the allocation gate on the compile path: one
@@ -140,6 +148,14 @@ func TestBuildAllocCeiling(t *testing.T) {
 //	hhvm   5 645–5 659 allocations, 1 248–1 250 KB
 //	haas  10 491–10 492 allocations, 2 112–2 119 KB
 //
+// Re-based when the IR instruction record merged its two symbol fields
+// into one and the call graph stopped building a map per function (three
+// runs; the parent read hhvm 5 643–5 648, 1 248–1 249 KB and haas
+// 10 490–10 510, 2 112–2 167 KB):
+//
+//	hhvm   5 516–5 517 allocations, 1 168 KB
+//	haas  10 337–10 355 allocations, 2 005–2 059 KB
+//
 // A pipeline that goes over has started lowering, cloning or growing
 // something again; `go test -run '^$' -bench EndToEndPipeline -benchmem .`
 // at the repository root says how much, a -memprofile of it says where.
@@ -148,8 +164,8 @@ var pipelineAllocCeilings = []struct {
 	program       string
 	allocs, bytes uint64
 }{
-	{"hhvm", 6_510, 1_440 << 10},
-	{"haas", 12_070, 2_440 << 10},
+	{"hhvm", 6_350, 1_345 << 10},
+	{"haas", 11_910, 2_370 << 10},
 }
 
 // TestPipelineAllocCeiling is the allocation gate on the whole FullCS
