@@ -1,6 +1,10 @@
 package opt
 
-import "csspgo/internal/ir"
+import (
+	"slices"
+
+	"csspgo/internal/ir"
+)
 
 // ifConvertResult reports conversions performed and ones a probe barrier
 // prevented.
@@ -25,11 +29,17 @@ var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
 //   - BarrierNone: proceeds.
 //
 // maxArmInstrs bounds each arm's real instruction count.
-func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
+//
+// The pass rebuilds the CFG once and then sweeps the blocks in rounds,
+// converting every diamond a sweep finds; a conversion keeps the
+// predecessor lists right itself, and its arms leave f.Blocks after the
+// sweep. A conversion can make a diamond of blocks the sweep has passed,
+// so the pass stops after a sweep that converts nothing.
+func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
 	var res ifConvertResult
+	f.RebuildCFG()
 	for {
-		converted := false
-		f.RebuildCFG()
+		converted := 0
 		for _, a := range f.Blocks {
 			if a.Term.Kind != ir.TermBranch {
 				continue
@@ -51,14 +61,14 @@ func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConv
 				res.Blocked++
 				continue
 			}
-			convertDiamond(f, a, t, fb, join)
-			res.Converted++
-			converted = true
-			break
+			ws.convertDiamond(f, a, t, fb, join)
+			converted++
 		}
-		if !converted {
+		if converted == 0 {
 			return res
 		}
+		res.Converted += converted
+		ws.dropMarked(f)
 	}
 }
 
@@ -93,7 +103,7 @@ func armConvertible(b *ir.Block, max int) (ok, hasProbes bool) {
 // convertDiamond rewrites A: br cond {T, F} → J into straight-line code:
 // both arms' computations run into renamed temporaries, then selects pick
 // per destination register.
-func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
+func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	cond := a.Term.Cond
 	// Rename arm defs into fresh registers, tracking final value per dest.
 	emitArm := func(src *ir.Block) map[ir.Reg]ir.Reg {
@@ -121,25 +131,15 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	fFinal := emitArm(fb)
 
 	// Selects per destination register (sorted for determinism).
-	var dests []ir.Reg
-	seen := map[ir.Reg]bool{}
+	dests := make([]ir.Reg, 0, len(tFinal)+len(fFinal))
 	for d := range tFinal {
-		if !seen[d] {
-			seen[d] = true
-			dests = append(dests, d)
-		}
+		dests = append(dests, d)
 	}
 	for d := range fFinal {
-		if !seen[d] {
-			seen[d] = true
-			dests = append(dests, d)
-		}
+		dests = append(dests, d)
 	}
-	for i := 1; i < len(dests); i++ {
-		for j := i; j > 0 && dests[j] < dests[j-1]; j-- {
-			dests[j], dests[j-1] = dests[j-1], dests[j]
-		}
-	}
+	slices.Sort(dests)
+	dests = slices.Compact(dests)
 	for _, d := range dests {
 		tv, ok := tFinal[d]
 		if !ok {
@@ -157,12 +157,11 @@ func convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	if a.HasWeight {
 		a.Term.EdgeW = []uint64{a.Weight}
 	}
-	t.Instrs, fb.Instrs = nil, nil
-	t.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
-	fb.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
-	removeBlock(f, t)
-	removeBlock(f, fb)
-	f.RebuildCFG()
+	// The join's list is the only one that changes: both arms leave it
+	// and a joins it.
+	join.Preds = append(slices.DeleteFunc(join.Preds, func(p *ir.Block) bool { return p == t || p == fb }), a)
+	ws.markRemoved(t)
+	ws.markRemoved(fb)
 }
 
 // renamer returns the register mapping for ir's MapUses that follows

@@ -169,7 +169,7 @@ func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 		st.Unrolled += ws.unroll(f, params)
 	})
 	r.each(ifConvertPass, func(f *ir.Function) {
-		ic := ifConvert(f, cfg.Barrier, 3)
+		ic := ws.ifConvert(f, cfg.Barrier, 3)
 		st.IfConverts += ic.Converted
 		st.IfConvertBlocked += ic.Blocked
 	})

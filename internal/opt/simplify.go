@@ -32,6 +32,10 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 		// right as it rewrites edges, and tail merging reads none.
 		f.RebuildCFG()
 
+		// Steps 1 and 2 each visit every block once. A block they remove
+		// becomes an empty return, which neither step picks up, and is
+		// marked; the marked blocks leave f.Blocks once, before step 3.
+
 		// 1. Merge A → B where A jumps to B and B has exactly one pred.
 		// A merge moves B's out-edges to A and so leaves every other
 		// block's in-degree as it was: the chain A → B → … that collapses
@@ -51,9 +55,7 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 					replacePred(s, b, a)
 				}
 				// Weight: the chain executes as one; keep A's weight.
-				b.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
-				b.Instrs = nil
-				removeBlock(f, b)
+				ws.markRemoved(b)
 				res.Merged++
 				changed = true
 			}
@@ -73,9 +75,12 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 			}
 			// Only tgt's list changes: b's edge leaves it, b's preds' join.
 			tgt.Preds = append(slices.DeleteFunc(tgt.Preds, func(p *ir.Block) bool { return p == b }), b.Preds...)
-			removeBlock(f, b)
+			ws.markRemoved(b)
 			res.EmptyRemoved++
 			changed = true
+		}
+		if changed {
+			ws.dropMarked(f)
 		}
 
 		// 3. Tail merging.
@@ -115,15 +120,6 @@ func replacePred(s, old, new *ir.Block) {
 	for i, p := range s.Preds {
 		if p == old {
 			s.Preds[i] = new
-		}
-	}
-}
-
-func removeBlock(f *ir.Function, b *ir.Block) {
-	for i, bb := range f.Blocks {
-		if bb == b {
-			f.Blocks = append(f.Blocks[:i], f.Blocks[i+1:]...)
-			return
 		}
 	}
 }

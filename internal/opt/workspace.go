@@ -21,6 +21,7 @@ type workspace struct {
 	chains layoutScratch
 	tails  tailScratch
 	pos    []int32 // block position by block ID, for layout and tail merging
+	marked []bool  // blocks simplify-cfg or if-convert removed, by block ID
 }
 
 // positions returns a table of every block's position in f.Blocks by block
@@ -48,4 +49,24 @@ func position(pos []int32, b *ir.Block) int32 {
 		return -1
 	}
 	return pos[b.ID]
+}
+
+// markRemoved turns b into an empty return, so that nothing later in a
+// sweep picks it up, and marks it for the next dropMarked.
+func (ws *workspace) markRemoved(b *ir.Block) {
+	b.Instrs = nil
+	b.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
+	if n := b.ID + 1; n > len(ws.marked) {
+		ws.marked = slices.Grow(ws.marked, n-len(ws.marked))[:n]
+	}
+	ws.marked[b.ID] = true
+}
+
+// dropMarked drops the marked blocks from f.Blocks in one pass, keeping the
+// order of the rest, and clears the marks.
+func (ws *workspace) dropMarked(f *ir.Function) {
+	f.Blocks = slices.DeleteFunc(f.Blocks, func(b *ir.Block) bool {
+		return b.ID < len(ws.marked) && ws.marked[b.ID]
+	})
+	clear(ws.marked)
 }

@@ -35,6 +35,10 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 	return new(workspace).simplifyCFG(f, tailMerge, barrier)
 }
 
+func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
+	return new(workspace).ifConvert(f, barrier, maxArmInstrs)
+}
+
 // TestUsedWorkspaceBuildsTheSame runs the training build, the optimizing
 // build and two stale-matching rebuilds of drifted sources of every
 // workload twice: in a workspace of its own, and in one workspace that the
