@@ -138,9 +138,9 @@ type Stats struct {
 	CFGMerged         int
 	CFGEmptyRemoved   int
 	TailMerges        int
-	TailMergeBlocked  int
+	TailMergeBlocked  int // tail merges a probe barrier shortened or prevented, one per pair
 	IfConverts        int
-	IfConvertBlocked  int
+	IfConvertBlocked  int // diamonds the instrumentation barrier left standing, one each
 	Unrolled          int
 	LICMHoisted       int
 	DCERemoved        int

@@ -39,7 +39,7 @@ func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmIn
 	var res ifConvertResult
 	f.RebuildCFG()
 	for {
-		converted := 0
+		converted, blocked := 0, 0
 		for _, a := range f.Blocks {
 			if a.Term.Kind != ir.TermBranch {
 				continue
@@ -58,13 +58,16 @@ func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmIn
 				continue
 			}
 			if (tProbes || fProbes) && barrier == BarrierStrong {
-				res.Blocked++
+				blocked++
 				continue
 			}
 			ws.convertDiamond(f, a, t, fb, join)
 			converted++
 		}
 		if converted == 0 {
+			// Each diamond the barrier keeps counts once: in the sweep
+			// that converts nothing.
+			res.Blocked = blocked
 			return res
 		}
 		res.Converted += converted

@@ -139,8 +139,10 @@ func referenceLayout(f *ir.Function) bool {
 // tailMergePass merges identical instruction suffixes of sibling blocks
 // that jump to the same successor. With a probe barrier active, suffixes
 // containing probes never match across blocks (IDs differ), so the merge is
-// blocked — counted separately so experiments can report it. It reads no
-// predecessor lists and leaves them stale; simplifyCFG's next round
+// blocked — counted separately so experiments can report it: a round that
+// merges reports 1 when the barrier shortened that merge, and the round
+// that merges nothing reports every pair the barrier kept apart. It reads
+// no predecessor lists and leaves them stale; simplifyCFG's next round
 // rebuilds them.
 func referenceTailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
 	// Group candidate blocks by their unique jump target.
@@ -165,11 +167,13 @@ func referenceTailMergePass(f *ir.Function, barrier BarrierStrength) (merges, bl
 				n := commonSuffix(a, b, instrsSemanticallyEqual)
 				// Probes at block heads carry distinct IDs, so the
 				// semantic common suffix always stops short of a full
-				// block merge; count how often probes limited the merge.
-				if barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n {
-					blocked++
-				}
+				// block merge: the pair counts as blocked once, in the
+				// round that merges it or in the one that finds no merge.
+				shortened := barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n
 				if n == 0 {
+					if shortened {
+						blocked++
+					}
 					continue
 				}
 				// Move the shared suffix into a new block M.
@@ -182,7 +186,10 @@ func referenceTailMergePass(f *ir.Function, barrier BarrierStrength) (merges, bl
 				b.Instrs = truncate(b.Instrs, len(b.Instrs)-n)
 				a.Term.Succs[0] = m
 				b.Term.Succs[0] = m
-				return 1, blocked
+				if shortened {
+					return 1, 1
+				}
+				return 1, 0
 			}
 		}
 	}

@@ -11,7 +11,7 @@ type simplifyResult struct {
 	Merged           int // straight-line chains collapsed
 	EmptyRemoved     int
 	TailMerges       int
-	TailMergeBlocked int // merges prevented by probe/counter barriers
+	TailMergeBlocked int // merges a probe/counter barrier shortened or prevented, one per pair
 }
 
 // simplifyPass merges chains and removes empty blocks, folding weights in
@@ -86,8 +86,12 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 		// 3. Tail merging.
 		if tailMerge {
 			tm, blocked := ws.tailMergePass(f, barrier)
+			// A pair the barrier keeps apart counts once, at the fixed
+			// point: in the round where nothing changes.
+			if tm > 0 || !changed {
+				res.TailMergeBlocked += blocked
+			}
 			res.TailMerges += tm
-			res.TailMergeBlocked += blocked
 			if tm > 0 {
 				changed = true
 			}
@@ -158,8 +162,10 @@ func probeInsensitiveEqual(a, b *ir.Instr) bool {
 // tailMergePass merges identical instruction suffixes of sibling blocks
 // that jump to the same successor. With a probe barrier active, suffixes
 // containing probes never match across blocks (IDs differ), so the merge is
-// blocked — counted separately so experiments can report it. It reads no
-// predecessor lists and leaves them stale; simplifyCFG's next round
+// blocked — counted separately so experiments can report it: a round that
+// merges reports 1 when the barrier shortened that merge, and the round
+// that merges nothing reports every pair the barrier kept apart. It reads
+// no predecessor lists and leaves them stale; simplifyCFG's next round
 // rebuilds them.
 func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
 	// Group candidate blocks by their unique jump target: a counting sort
@@ -209,11 +215,13 @@ func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (mer
 				n := commonSuffix(a, b, instrsSemanticallyEqual)
 				// Probes at block heads carry distinct IDs, so the
 				// semantic common suffix always stops short of a full
-				// block merge; count how often probes limited the merge.
-				if barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n {
-					blocked++
-				}
+				// block merge: the pair counts as blocked once, in the
+				// round that merges it or in the one that finds no merge.
+				shortened := barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n
 				if n == 0 {
+					if shortened {
+						blocked++
+					}
 					continue
 				}
 				// Move the shared suffix into a new block M.
@@ -226,7 +234,10 @@ func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (mer
 				b.Instrs = truncate(b.Instrs, len(b.Instrs)-n)
 				a.Term.Succs[0] = m
 				b.Term.Succs[0] = m
-				return 1, blocked
+				if shortened {
+					return 1, 1
+				}
+				return 1, 0
 			}
 		}
 	}

@@ -73,3 +73,58 @@ func main(a) {
 		t.Fatal(err)
 	}
 }
+
+// TestTailMergeCountsEachBlockedPairOnce: the probed arms of tailMergeSrc
+// merge their common tail, which the arms' probes shortened (1), and their
+// probe-only remnants, which the probes keep apart, count at the fixed
+// point (1) — not once more for every round simplify-cfg takes to get
+// there.
+func TestTailMergeCountsEachBlockedPairOnce(t *testing.T) {
+	for _, c := range []struct {
+		barrier BarrierStrength
+		blocked int
+	}{{BarrierNone, 0}, {BarrierWeak, 2}} {
+		f := lower(t, tailMergeSrc, true).Funcs["main"]
+		res := simplifyCFG(f, true, c.barrier)
+		if res.TailMerges != 1 || res.TailMergeBlocked != c.blocked {
+			t.Errorf("barrier %v: %d tail merges, %d blocked, want 1 and %d:\n%s", c.barrier, res.TailMerges, res.TailMergeBlocked, c.blocked, f)
+		}
+	}
+}
+
+// TestIfConvertCountsEachBlockedDiamondOnce: under the instrumentation
+// barrier, the first of two diamonds keeps its arms' probes and stays, and
+// the second, whose arms have none, converts. The one that stays counts
+// once, in the sweep that converts nothing.
+func TestIfConvertCountsEachBlockedDiamondOnce(t *testing.T) {
+	f := lower(t, `
+func main(a, b) {
+	var x = 0;
+	var y = 0;
+	if (a > 0) { x = a + 1; } else { x = a - 1; }
+	if (b > 0) { y = b + 1; } else { y = b - 1; }
+	return x + y;
+}`, true).Funcs["main"]
+	var second *ir.Block
+	for _, b := range f.Blocks[1:] {
+		if b.Term.Kind == ir.TermBranch {
+			second = b
+		}
+	}
+	if f.Entry().Term.Kind != ir.TermBranch || second == nil {
+		t.Fatalf("want a diamond in the entry block and one after it:\n%s", f)
+	}
+	for _, arm := range second.Term.Succs {
+		arm.Instrs = slices.DeleteFunc(arm.Instrs, func(in ir.Instr) bool { return in.Op == ir.OpProbe })
+	}
+	res := ifConvert(f, BarrierStrong, 3)
+	if res.Converted != 1 || res.Blocked != 1 {
+		t.Fatalf("%d converted, %d blocked, want 1 and 1:\n%s", res.Converted, res.Blocked, f)
+	}
+	if f.Entry().Term.Kind != ir.TermBranch || second.Term.Kind != ir.TermJump {
+		t.Fatalf("want the entry's diamond kept and the second converted:\n%s", f)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
