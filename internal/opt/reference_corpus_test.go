@@ -36,6 +36,41 @@ func TestDCEAndLICMMatchReferenceOnCorpus(t *testing.T) {
 	})
 }
 
+// TestCleanupsReachTheirFixedPointOnCorpus holds simplify-cfg, DCE and
+// if-conversion to their fixed point (opt.FixpointHooks) on every build of
+// the 14-program corpus: the unprobed build, and the training and
+// optimizing builds of every profiled variant.
+func TestCleanupsReachTheirFixedPointOnCorpus(t *testing.T) {
+	forEachCorpusProgram(t, func(t *testing.T, files []*source.File, train [][]int64) {
+		cfgs := []pgo.BuildConfig{{}}
+		for _, v := range []pgo.Variant{pgo.AutoFDO, pgo.ProbeOnly, pgo.FullCS, pgo.InstrPGO} {
+			_, prof, err := pgo.Pipeline(files, v, train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := v != pgo.AutoFDO
+			if probes {
+				cfgs = append(cfgs, pgo.BuildConfig{Probes: true, Instrument: v == pgo.InstrPGO})
+			}
+			cfgs = append(cfgs, pgo.BuildConfig{Probes: probes, Profile: prof, UsePreInlineDecisions: v == pgo.FullCS})
+		}
+		for _, cfg := range cfgs {
+			// The barrier pgo.Build gives the optimizer.
+			barrier := opt.BarrierNone
+			switch {
+			case cfg.Instrument:
+				barrier = opt.BarrierStrong
+			case cfg.Probes:
+				barrier = opt.BarrierWeak
+			}
+			cfg.InjectAfter = opt.FixpointHooks(t, barrier)
+			if _, err := pgo.Build(files, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestProfiledPassesMatchReferenceOnWorkloads holds annotateProbe, tail
 // merging and layout to the map-based references in
 // reference_profile_test.go on the optimizing build of every workload for

@@ -335,6 +335,89 @@ func ReferenceHooks(t testing.TB) map[string]func(*ir.Program) {
 	}
 }
 
+// FixpointHooks returns Config.InjectAfter hooks that hold the cleanups to
+// their fixed point: after each simplify-cfg run (the one after
+// if-conversion merges tails, as Optimize runs it), each DCE run and
+// if-conversion, the pass runs again on a clone of every function and must
+// find nothing to do and leave the printed IR as it was. barrier is the
+// build's. The hooks mutate nothing. Exported to the corpus test in package
+// opt_test.
+func FixpointHooks(t testing.TB, barrier BarrierStrength) map[string]func(*ir.Program) {
+	ws := new(workspace)
+	tailMerge := false // set by if-conversion, which the merging run follows
+	return map[string]func(*ir.Program){
+		simplifyPass.name: func(p *ir.Program) {
+			checkFixpoint(t, "simplify-cfg", p, func(f *ir.Function) int {
+				r := ws.simplifyCFG(f, tailMerge, barrier)
+				return r.Merged + r.EmptyRemoved + r.TailMerges
+			})
+			tailMerge = false
+		},
+		dcePass.name: func(p *ir.Program) {
+			checkFixpoint(t, "DCE", p, ws.dce)
+		},
+		ifConvertPass.name: func(p *ir.Program) {
+			checkFixpoint(t, "if-convert", p, func(f *ir.Function) int {
+				return ws.ifConvert(f, barrier, 3).Converted
+			})
+			tailMerge = true
+		},
+	}
+}
+
+// checkFixpoint runs pass again on a clone of every function of p and
+// requires a count of 0 and the same printed IR.
+func checkFixpoint(t testing.TB, pass string, p *ir.Program, again func(*ir.Function) int) {
+	t.Helper()
+	for _, f := range p.Functions() {
+		g := ir.CloneFunction(f)
+		if n := again(g); n != 0 {
+			t.Errorf("%s on %s is not at its fixed point: run again, it counts %d", pass, f.Name, n)
+		}
+		if was, now := f.String(), g.String(); now != was {
+			t.Errorf("%s on %s is not at its fixed point: run again, it changes the IR:\n%s", pass, f.Name, analysis.DiffLines(was, now))
+		}
+	}
+}
+
+// TestCleanupsReachTheirFixedPointOnGeneratedPrograms holds simplify-cfg,
+// DCE and if-conversion to their fixed point (FixpointHooks) inside the
+// pipeline, on the seeded programs FuzzTranslationValidate draws from:
+// unprobed, probed, and probed with the instrumentation barrier.
+func TestCleanupsReachTheirFixedPointOnGeneratedPrograms(t *testing.T) {
+	n := 400
+	if testing.Short() {
+		n = 40
+	}
+	for seed := int64(0); seed < int64(n); seed++ {
+		src := generateProgram(seed)
+		for _, c := range []struct {
+			probed  bool
+			barrier BarrierStrength
+		}{{false, BarrierNone}, {true, BarrierWeak}, {true, BarrierStrong}} {
+			file, err := source.Parse("fixpoint.ml", src)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			p, err := irgen.Lower(file)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if c.probed {
+				probe.InsertProgram(p)
+			}
+			cfg := &Config{Barrier: c.barrier}
+			cfg.InjectAfter = FixpointHooks(t, c.barrier)
+			if _, err := Optimize(p, cfg); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if t.Failed() {
+				t.Fatalf("seed %d, probed %v, barrier %v:\n%s", seed, c.probed, c.barrier, src)
+			}
+		}
+	}
+}
+
 // TestDCEAndLICMMatchReferenceOnGeneratedPrograms holds the two passes to
 // their references on 320 seeded programs from the generator
 // FuzzTranslationValidate draws from, probed, at the points the passes run

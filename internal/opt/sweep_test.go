@@ -128,3 +128,36 @@ func main(a, b) {
 		t.Fatal(err)
 	}
 }
+
+// TestIfConvertSweepsUntilNothingConverts: the outer diamond's first arm is
+// the inner diamond's branch block, so the outer one becomes convertible
+// only after the sweep that visits it first has converted the inner one.
+// The pass sweeps again and converts both.
+func TestIfConvertSweepsUntilNothingConverts(t *testing.T) {
+	const a, b, x = 0, 1, 2
+	f := ir.NewFunction("f", []string{"a", "b"})
+	f.NRegs = 3
+	outer := f.Entry()
+	inner, yes, no, other, join := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	outer.Term = ir.Terminator{Kind: ir.TermBranch, Cond: a, Succs: []*ir.Block{inner, other}}
+	inner.Term = ir.Terminator{Kind: ir.TermBranch, Cond: b, Succs: []*ir.Block{yes, no}}
+	for i, arm := range []*ir.Block{yes, no, other} {
+		arm.Instrs = []ir.Instr{{Op: ir.OpConst, Dst: x, Value: int64(i + 1)}}
+		arm.Term = ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{join}}
+	}
+	join.Term = ir.Terminator{Kind: ir.TermReturn, Val: x}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+
+	res := ifConvert(f, BarrierNone, 3)
+	if res.Converted != 2 || !slices.Equal(f.Blocks, []*ir.Block{outer, join}) {
+		t.Fatalf("converted %d diamonds, want both:\n%s", res.Converted, f)
+	}
+	if !slices.Equal(join.Preds, []*ir.Block{outer}) {
+		t.Fatalf("join's predecessors %v, want the outer branch block only:\n%s", join.Preds, f)
+	}
+	if err := f.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
