@@ -55,11 +55,12 @@ func (r *runner) each(id passID, fn func(f *ir.Function)) {
 
 // Optimize runs the full pipeline over the program, mirroring the paper's
 // Fig. 1 flow: profile annotation + inference, profile-guided top-down
-// inlining (sample loader / early inliner), the scalar and control-flow
-// pipeline (simplifyCFG, DCE, LICM, unroll, if-convert, tail merge), the
-// main bottom-up inliner, tail-call elimination, then the profile-consuming
-// backend passes (layout, splitting) after a final inference pass restores
-// flow consistency. The profile-consuming passes run iff cfg.Profile is
+// inlining (sample loader / early inliner) and ICP, an early cleanup
+// (simplifyCFG, DCE), the main bottom-up inliner, which the functions it
+// leaves without a caller do not survive, the scalar and control-flow
+// pipeline (LICM, unroll, if-convert, simplifyCFG with tail merging, DCE),
+// tail-call elimination, then the profile-consuming backend passes (layout,
+// splitting) after a final inference pass restores flow consistency. The profile-consuming passes run iff cfg.Profile is
 // set. With cfg.VerifyEach, every pass boundary is verified
 // and the first violation aborts with a *PassViolation attributing it.
 func Optimize(p *ir.Program, cfg *Config) (*Stats, error) { return optimize(p, cfg, new(workspace)) }
@@ -156,6 +157,9 @@ func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 	r.run(inlinePass, func() {
 		st.StaticInlines = bottomUpInline(p, &ws.calls, inl, prof != nil)
 	})
+	// Functions the inliner left without a caller go before any later pass
+	// spends time on them; no later pass adds a call.
+	r.run(deadFuncPass, func() { dropDeadFunctions(p) })
 
 	// Scalar/control-flow pipeline.
 	r.each(licmPass, func(f *ir.Function) { st.LICMHoisted += ws.licm(f) })
@@ -186,7 +190,6 @@ func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 	}
 
 	r.each(unreachablePass, func(f *ir.Function) { f.RemoveUnreachable() })
-	r.run(deadFuncPass, func() { dropDeadFunctions(p) })
 	if r.err != nil {
 		return st, r.err
 	}
