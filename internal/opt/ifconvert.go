@@ -6,13 +6,6 @@ import (
 	"csspgo/internal/ir"
 )
 
-// ifConvertResult reports conversions performed and ones a probe barrier
-// prevented.
-type ifConvertResult struct {
-	Converted int
-	Blocked   int
-}
-
 // ifConvertPass collapses diamonds to selects, merging arm weights.
 var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
 
@@ -28,18 +21,15 @@ var ifConvertPass = registerPass("if-convert", flowPerturbs, semRestructures)
 //     run-time overhead.
 //   - BarrierNone: proceeds.
 //
-// maxArmInstrs bounds each arm's real instruction count.
-//
-// The pass rebuilds the CFG once and then sweeps the blocks in rounds,
-// converting every diamond a sweep finds; a conversion keeps the
-// predecessor lists right itself, and its arms leave f.Blocks after the
-// sweep. A conversion can make a diamond of blocks the sweep has passed,
-// so the pass stops after a sweep that converts nothing.
-func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
-	var res ifConvertResult
+// maxArmInstrs bounds each arm's real instruction count. Each sweep
+// converts every diamond it finds, and may make one of blocks it passed;
+// the pass stops after a sweep that converts nothing. It returns the
+// diamonds converted and, once each, those a probe barrier kept.
+func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) (converted, blocked int) {
 	f.RebuildCFG()
 	for {
-		converted, blocked := 0, 0
+		n := 0
+		blocked = 0
 		for _, a := range f.Blocks {
 			if a.Term.Kind != ir.TermBranch {
 				continue
@@ -62,15 +52,12 @@ func (ws *workspace) ifConvert(f *ir.Function, barrier BarrierStrength, maxArmIn
 				continue
 			}
 			ws.convertDiamond(f, a, t, fb, join)
-			converted++
+			n++
 		}
-		if converted == 0 {
-			// Each diamond the barrier keeps counts once: in the sweep
-			// that converts nothing.
-			res.Blocked = blocked
-			return res
+		if n == 0 {
+			return converted, blocked // blocked as the fixed point has it
 		}
-		res.Converted += converted
+		converted += n
 		ws.dropMarked(f)
 	}
 }
@@ -108,11 +95,16 @@ func armConvertible(b *ir.Block, max int) (ok, hasProbes bool) {
 // per destination register.
 func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	cond := a.Term.Cond
-	// Rename arm defs into fresh registers, tracking final value per dest.
+	// Rename arm defs into fresh registers; the renaming ends as the final
+	// value per dest.
 	emitArm := func(src *ir.Block) map[ir.Reg]ir.Reg {
 		rename := map[ir.Reg]ir.Reg{}
-		renamed := renamer(rename)
-		final := map[ir.Reg]ir.Reg{}
+		renamed := func(r ir.Reg) ir.Reg {
+			if nr, ok := rename[r]; ok {
+				return nr
+			}
+			return r
+		}
 		for i := range src.Instrs {
 			in := src.Instrs[i].Clone()
 			if in.Op == ir.OpProbe || in.Op == ir.OpCounter {
@@ -123,12 +115,11 @@ func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 			if d := in.Def(); d != ir.NoReg {
 				nd := f.NewReg()
 				rename[d] = nd
-				final[d] = nd
 				in.Dst = nd
 			}
 			a.Instrs = append(a.Instrs, in)
 		}
-		return final
+		return rename
 	}
 	tFinal := emitArm(t)
 	fFinal := emitArm(fb)
@@ -160,20 +151,8 @@ func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	if a.HasWeight {
 		a.Term.EdgeW = []uint64{a.Weight}
 	}
-	// The join's list is the only one that changes: both arms leave it
-	// and a joins it.
+	// The only list that changes: both arms leave the join's, and a joins it.
 	join.Preds = append(slices.DeleteFunc(join.Preds, func(p *ir.Block) bool { return p == t || p == fb }), a)
 	ws.markRemoved(t)
 	ws.markRemoved(fb)
-}
-
-// renamer returns the register mapping for ir's MapUses that follows
-// rename (as it stands at each call) and leaves other registers alone.
-func renamer(rename map[ir.Reg]ir.Reg) func(ir.Reg) ir.Reg {
-	return func(r ir.Reg) ir.Reg {
-		if nr, ok := rename[r]; ok {
-			return nr
-		}
-		return r
-	}
 }

@@ -255,8 +255,7 @@ func main(a) {
 func TestIfConvert(t *testing.T) {
 	p := lower(t, diamondSrc, false)
 	f := p.Funcs["main"]
-	res := ifConvert(f, BarrierNone, 3)
-	if res.Converted != 1 {
+	if converted, _ := ifConvert(f, BarrierNone, 3); converted != 1 {
 		t.Fatalf("diamond not converted:\n%s", f)
 	}
 	branches := 0
@@ -282,15 +281,13 @@ func TestIfConvert(t *testing.T) {
 func TestIfConvertBarriers(t *testing.T) {
 	// Strong barrier (instrumentation): blocked.
 	p1 := lower(t, diamondSrc, true)
-	res1 := ifConvert(p1.Funcs["main"], BarrierStrong, 3)
-	if res1.Converted != 0 || res1.Blocked == 0 {
-		t.Fatalf("strong barrier should block: %+v", res1)
+	if converted, blocked := ifConvert(p1.Funcs["main"], BarrierStrong, 3); converted != 0 || blocked == 0 {
+		t.Fatalf("strong barrier should block: %d converted, %d blocked", converted, blocked)
 	}
 	// Weak barrier (tuned pseudo-probes): proceeds.
 	p2 := lower(t, diamondSrc, true)
-	res2 := ifConvert(p2.Funcs["main"], BarrierWeak, 3)
-	if res2.Converted != 1 {
-		t.Fatalf("weak barrier should proceed: %+v", res2)
+	if converted, blocked := ifConvert(p2.Funcs["main"], BarrierWeak, 3); converted != 1 {
+		t.Fatalf("weak barrier should proceed: %d converted, %d blocked", converted, blocked)
 	}
 	if err := p2.Funcs["main"].Verify(); err != nil {
 		t.Fatal(err)

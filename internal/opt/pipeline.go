@@ -55,12 +55,11 @@ func (r *runner) each(id passID, fn func(f *ir.Function)) {
 
 // Optimize runs the full pipeline over the program, mirroring the paper's
 // Fig. 1 flow: profile annotation + inference, profile-guided top-down
-// inlining (sample loader / early inliner) and ICP, an early cleanup
-// (simplifyCFG, DCE), the main bottom-up inliner, which the functions it
-// leaves without a caller do not survive, the scalar and control-flow
-// pipeline (LICM, unroll, if-convert, simplifyCFG with tail merging, DCE),
-// tail-call elimination, then the profile-consuming backend passes (layout,
-// splitting) after a final inference pass restores flow consistency. The profile-consuming passes run iff cfg.Profile is
+// inlining (sample loader / early inliner), simplifyCFG and DCE, the main
+// bottom-up inliner (dropping the functions it leaves dead), LICM, unroll,
+// if-convert, tail merge, tail-call elimination, then the profile-consuming
+// backend passes (layout, splitting) after a final inference pass restores
+// flow consistency. The profile-consuming passes run iff cfg.Profile is
 // set. With cfg.VerifyEach, every pass boundary is verified
 // and the first violation aborts with a *PassViolation attributing it.
 func Optimize(p *ir.Program, cfg *Config) (*Stats, error) { return optimize(p, cfg, new(workspace)) }
@@ -157,8 +156,7 @@ func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 	r.run(inlinePass, func() {
 		st.StaticInlines = bottomUpInline(p, &ws.calls, inl, prof != nil)
 	})
-	// Functions the inliner left without a caller go before any later pass
-	// spends time on them; no later pass adds a call.
+	// No later pass adds a call, so no later pass need see a dead function.
 	r.run(deadFuncPass, func() { dropDeadFunctions(p) })
 
 	// Scalar/control-flow pipeline.
@@ -173,9 +171,9 @@ func optimize(p *ir.Program, cfg *Config, ws *workspace) (*Stats, error) {
 		st.Unrolled += ws.unroll(f, params)
 	})
 	r.each(ifConvertPass, func(f *ir.Function) {
-		ic := ws.ifConvert(f, cfg.Barrier, 3)
-		st.IfConverts += ic.Converted
-		st.IfConvertBlocked += ic.Blocked
+		converted, blocked := ws.ifConvert(f, cfg.Barrier, 3)
+		st.IfConverts += converted
+		st.IfConvertBlocked += blocked
 	})
 	r.each(simplifyPass, simplify(true))
 	r.each(dcePass, dceEach)

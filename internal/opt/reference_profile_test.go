@@ -139,11 +139,10 @@ func referenceLayout(f *ir.Function) bool {
 // tailMergePass merges identical instruction suffixes of sibling blocks
 // that jump to the same successor. With a probe barrier active, suffixes
 // containing probes never match across blocks (IDs differ), so the merge is
-// blocked — counted separately so experiments can report it: a round that
-// merges reports 1 when the barrier shortened that merge, and the round
-// that merges nothing reports every pair the barrier kept apart. It reads
-// no predecessor lists and leaves them stale; simplifyCFG's next round
-// rebuilds them.
+// blocked — counted separately so experiments can report it: 1 for a merge
+// the barrier shortened, or every pair it kept apart in a round that merges
+// nothing. It reads no predecessor lists and leaves them stale;
+// simplifyCFG's next round rebuilds them.
 func referenceTailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
 	// Group candidate blocks by their unique jump target.
 	groups := map[*ir.Block][]*ir.Block{}
@@ -167,8 +166,7 @@ func referenceTailMergePass(f *ir.Function, barrier BarrierStrength) (merges, bl
 				n := commonSuffix(a, b, instrsSemanticallyEqual)
 				// Probes at block heads carry distinct IDs, so the
 				// semantic common suffix always stops short of a full
-				// block merge: the pair counts as blocked once, in the
-				// round that merges it or in the one that finds no merge.
+				// block merge.
 				shortened := barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n
 				if n == 0 {
 					if shortened {

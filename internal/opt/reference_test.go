@@ -358,7 +358,8 @@ func FixpointHooks(t testing.TB, barrier BarrierStrength) map[string]func(*ir.Pr
 		},
 		ifConvertPass.name: func(p *ir.Program) {
 			checkFixpoint(t, "if-convert", p, func(f *ir.Function) int {
-				return ws.ifConvert(f, barrier, 3).Converted
+				converted, _ := ws.ifConvert(f, barrier, 3)
+				return converted
 			})
 			tailMerge = true
 		},

@@ -32,10 +32,6 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 		// right as it rewrites edges, and tail merging reads none.
 		f.RebuildCFG()
 
-		// Steps 1 and 2 each visit every block once. A block they remove
-		// becomes an empty return, which neither step picks up, and is
-		// marked; the marked blocks leave f.Blocks once, before step 3.
-
 		// 1. Merge A → B where A jumps to B and B has exactly one pred.
 		// A merge moves B's out-edges to A and so leaves every other
 		// block's in-degree as it was: the chain A → B → … that collapses
@@ -79,15 +75,12 @@ func (ws *workspace) simplifyCFG(f *ir.Function, tailMerge bool, barrier Barrier
 			res.EmptyRemoved++
 			changed = true
 		}
-		if changed {
-			ws.dropMarked(f)
-		}
+		ws.dropMarked(f) // what steps 1 and 2 removed, at once
 
 		// 3. Tail merging.
 		if tailMerge {
 			tm, blocked := ws.tailMergePass(f, barrier)
-			// A pair the barrier keeps apart counts once, at the fixed
-			// point: in the round where nothing changes.
+			// A pair the barrier keeps apart counts at the fixed point.
 			if tm > 0 || !changed {
 				res.TailMergeBlocked += blocked
 			}
@@ -162,11 +155,10 @@ func probeInsensitiveEqual(a, b *ir.Instr) bool {
 // tailMergePass merges identical instruction suffixes of sibling blocks
 // that jump to the same successor. With a probe barrier active, suffixes
 // containing probes never match across blocks (IDs differ), so the merge is
-// blocked — counted separately so experiments can report it: a round that
-// merges reports 1 when the barrier shortened that merge, and the round
-// that merges nothing reports every pair the barrier kept apart. It reads
-// no predecessor lists and leaves them stale; simplifyCFG's next round
-// rebuilds them.
+// blocked — counted separately so experiments can report it: 1 for a merge
+// the barrier shortened, or every pair it kept apart in a round that merges
+// nothing. It reads no predecessor lists and leaves them stale;
+// simplifyCFG's next round rebuilds them.
 func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (merges, blocked int) {
 	// Group candidate blocks by their unique jump target: a counting sort
 	// by the target's position, which keeps each group in block order.
@@ -215,8 +207,7 @@ func (ws *workspace) tailMergePass(f *ir.Function, barrier BarrierStrength) (mer
 				n := commonSuffix(a, b, instrsSemanticallyEqual)
 				// Probes at block heads carry distinct IDs, so the
 				// semantic common suffix always stops short of a full
-				// block merge: the pair counts as blocked once, in the
-				// round that merges it or in the one that finds no merge.
+				// block merge.
 				shortened := barrier != BarrierNone && commonSuffix(a, b, probeInsensitiveEqual) > n
 				if n == 0 {
 					if shortened {

@@ -117,9 +117,8 @@ func main(a, b) {
 	for _, arm := range second.Term.Succs {
 		arm.Instrs = slices.DeleteFunc(arm.Instrs, func(in ir.Instr) bool { return in.Op == ir.OpProbe })
 	}
-	res := ifConvert(f, BarrierStrong, 3)
-	if res.Converted != 1 || res.Blocked != 1 {
-		t.Fatalf("%d converted, %d blocked, want 1 and 1:\n%s", res.Converted, res.Blocked, f)
+	if converted, blocked := ifConvert(f, BarrierStrong, 3); converted != 1 || blocked != 1 {
+		t.Fatalf("%d converted, %d blocked, want 1 and 1:\n%s", converted, blocked, f)
 	}
 	if f.Entry().Term.Kind != ir.TermBranch || second.Term.Kind != ir.TermJump {
 		t.Fatalf("want the entry's diamond kept and the second converted:\n%s", f)
@@ -150,9 +149,8 @@ func TestIfConvertSweepsUntilNothingConverts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := ifConvert(f, BarrierNone, 3)
-	if res.Converted != 2 || !slices.Equal(f.Blocks, []*ir.Block{outer, join}) {
-		t.Fatalf("converted %d diamonds, want both:\n%s", res.Converted, f)
+	if converted, _ := ifConvert(f, BarrierNone, 3); converted != 2 || !slices.Equal(f.Blocks, []*ir.Block{outer, join}) {
+		t.Fatalf("converted %d diamonds, want both:\n%s", converted, f)
 	}
 	if !slices.Equal(join.Preds, []*ir.Block{outer}) {
 		t.Fatalf("join's predecessors %v, want the outer branch block only:\n%s", join.Preds, f)

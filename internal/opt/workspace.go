@@ -51,19 +51,18 @@ func position(pos []int32, b *ir.Block) int32 {
 	return pos[b.ID]
 }
 
-// markRemoved turns b into an empty return, so that nothing later in a
-// sweep picks it up, and marks it for the next dropMarked.
+// markRemoved turns b into an empty return, which no sweep picks up, and
+// marks it for dropMarked.
 func (ws *workspace) markRemoved(b *ir.Block) {
-	b.Instrs = nil
-	b.Term = ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
+	b.Instrs, b.Term = nil, ir.Terminator{Kind: ir.TermReturn, Val: ir.NoReg}
 	if n := b.ID + 1; n > len(ws.marked) {
 		ws.marked = slices.Grow(ws.marked, n-len(ws.marked))[:n]
 	}
 	ws.marked[b.ID] = true
 }
 
-// dropMarked drops the marked blocks from f.Blocks in one pass, keeping the
-// order of the rest, and clears the marks.
+// dropMarked drops the marked blocks from f.Blocks, keeping the order of the
+// rest, and clears the marks.
 func (ws *workspace) dropMarked(f *ir.Function) {
 	f.Blocks = slices.DeleteFunc(f.Blocks, func(b *ir.Block) bool {
 		return b.ID < len(ws.marked) && ws.marked[b.ID]

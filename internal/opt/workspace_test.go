@@ -35,7 +35,7 @@ func simplifyCFG(f *ir.Function, tailMerge bool, barrier BarrierStrength) simpli
 	return new(workspace).simplifyCFG(f, tailMerge, barrier)
 }
 
-func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) ifConvertResult {
+func ifConvert(f *ir.Function, barrier BarrierStrength, maxArmInstrs int) (converted, blocked int) {
 	return new(workspace).ifConvert(f, barrier, maxArmInstrs)
 }
 
