@@ -7,12 +7,12 @@ import (
 	"csspgo/internal/ir"
 )
 
-// TestSimplifyRemovesEachForwardingBlockOnce is the CFG on which removing a
-// forwarding block from the block list being swept used to revisit the
-// block after it: the entry branches to two empty forwarding blocks that
-// both jump to one return block, and the second forwarding block is last.
-// Each is removed once, and the return block keeps one entry per edge of
-// the entry block.
+// TestSimplifyRemovesEachForwardingBlockOnce is the CFG on which cutting
+// forwarding blocks out of the block list being swept made the sweep visit
+// the second one twice: the entry branches to two empty forwarding blocks
+// that both jump to one return block, and the second forwarding block is
+// last. Each is removed once, and the return block keeps one entry per
+// edge of the entry block.
 func TestSimplifyRemovesEachForwardingBlockOnce(t *testing.T) {
 	f := ir.NewFunction("f", []string{"a"})
 	f.NRegs = 1
