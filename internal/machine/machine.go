@@ -26,15 +26,15 @@ const (
 	KConst    Kind = iota // Dst = Value
 	KOp                   // ALU: Dst = A <Bin> B / not / neg
 	KSelect               // Dst = A != 0 ? B : C (cmov)
-	KLoad                 // Dst = globals[GlobalOff (+ reg Index)]
-	KStore                // globals[GlobalOff (+ reg Index)] = A
+	KLoad                 // Dst = globals[Ref (+ reg B)]
+	KStore                // globals[Ref (+ reg B)] = A
 	KBranch               // conditional; taken → Target, else fall through
 	KJump                 // unconditional → Target
-	KCall                 // call function CalleeID, result → Dst
-	KTailCall             // frame-reusing jump to CalleeID (TCE)
+	KCall                 // call function Ref, result → Dst
+	KTailCall             // frame-reusing jump to function Ref (TCE)
 	KICall                // indirect call: target function id in register A
 	KRet                  // return value in A (−1 ⇒ 0)
-	KCounter              // instrumentation: counters[CounterID]++
+	KCounter              // instrumentation: counters[Ref]++
 )
 
 var kindNames = [...]string{
@@ -55,30 +55,33 @@ var kindSizes = [...]uint32{
 func SizeOf(k Kind) uint32 { return kindSizes[k] }
 
 // Instr is one machine instruction. Operand registers index the executing
-// frame's register file; -1 means absent. The pointer-carrying fields come
-// first, so the collector scans 32 of its 96 bytes; the rest are ordered by
-// size. Gob encodes fields by name, so a saved binary loads whatever the
-// order.
+// frame's register file; -1 means absent. Loc is the one field that holds a
+// pointer and comes first, so the collector scans 8 of its 64 bytes; the
+// rest are ordered by size. An instruction's byte size is SizeOf(Kind).
 type Instr struct {
-	ArgRegs []int32
-	Loc     *ir.Loc // debug line info with inline chain; nil if stripped
+	Loc *ir.Loc // debug line info with inline chain; nil if stripped
 
 	Addr   uint64
 	Value  int64
 	Target uint64 // KBranch/KJump/KCall/KTailCall destination address
-	Size   uint32
+
+	// A, B and C are the source registers. KLoad and KStore keep their
+	// index register in B, -1 for a scalar access.
+	Dst, A, B, C int32
+
+	// Ref is the one table index an instruction names: the base offset into
+	// global storage for KLoad/KStore, the callee's function ID for
+	// KCall/KTailCall, the counter for KCounter.
+	Ref int32
+
+	// The argument registers of a KCall, KTailCall or KICall are
+	// Prog.ArgRegs[ArgStart : ArgStart+ArgCount] (see Prog.Args).
+	ArgStart, ArgCount int32
 
 	Kind      Kind
 	Op        ir.Opcode  // KOp: OpBin/OpNot/OpNeg; KSelect: OpSelect
 	Bin       ir.BinKind // KOp with Op==OpBin
 	BranchNeg bool       // KBranch: take when cond == 0 instead of != 0
-
-	Dst, A, B, C int32
-
-	GlobalOff int32 // KLoad/KStore: base offset into global storage
-	Index     int32 // KLoad/KStore: index register, -1 for scalar access
-	CalleeID  int32 // KCall/KTailCall
-	CounterID int32 // KCounter
 }
 
 // Func is a binary symbol: one function's hot range plus an optional cold
@@ -122,9 +125,19 @@ type CounterKey struct {
 	ID   int32 // block probe id within Func
 }
 
+// InstrLayout numbers the layout of Instr. A binary records the layout it
+// was emitted with, and ReadProg rejects any other: gob matches fields by
+// name, so a binary saved with an older record would load with the fields
+// this one merged or removed silently zero. Layout 1 was the 96-byte
+// record with Size, GlobalOff, Index, CalleeID, CounterID and per-call
+// ArgRegs; it saved no marker, which reads back as 0.
+const InstrLayout = 2
+
 // Prog is the linked binary.
 type Prog struct {
 	Instrs     []Instr // address-sorted, contiguous
+	ArgRegs    []int32 // every call's argument registers, in one slab
+	Layout     int32   // InstrLayout of the code generator that emitted it
 	Funcs      []*Func
 	FuncByName map[string]*Func
 
@@ -324,6 +337,12 @@ func (p *Prog) InstrAt(addr uint64) *Instr {
 		return &p.Instrs[i]
 	}
 	return nil
+}
+
+// Args returns the argument registers of p's call instruction in.
+func (p *Prog) Args(in *Instr) []int32 {
+	end := in.ArgStart + in.ArgCount
+	return p.ArgRegs[in.ArgStart:end:end]
 }
 
 // FuncAt returns the function covering addr (hot or cold range), or nil.

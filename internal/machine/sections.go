@@ -191,7 +191,7 @@ func (p *Prog) probeSection(e *sectionEncoder) {
 func (p *Prog) ComputeSizes() {
 	var text uint64
 	for i := range p.Instrs {
-		text += uint64(p.Instrs[i].Size)
+		text += uint64(SizeOf(p.Instrs[i].Kind))
 	}
 	p.TextSize = text
 	debug := sectionEncoder{sizeOnly: true}

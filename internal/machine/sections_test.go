@@ -9,11 +9,11 @@ import (
 func sampleProg() *Prog {
 	p := &Prog{
 		Instrs: []Instr{
-			{Addr: 0x1000, Size: 5, Kind: KConst, Loc: &ir.Loc{Func: "main", Line: 2}},
-			{Addr: 0x1005, Size: 3, Kind: KOp, Loc: &ir.Loc{Func: "main", Line: 3}},
-			{Addr: 0x1008, Size: 3, Kind: KOp, Loc: &ir.Loc{Func: "leaf", Line: 8,
+			{Addr: 0x1000, Kind: KConst, Loc: &ir.Loc{Func: "main", Line: 2}},
+			{Addr: 0x1005, Kind: KOp, Loc: &ir.Loc{Func: "main", Line: 3}},
+			{Addr: 0x1008, Kind: KOp, Loc: &ir.Loc{Func: "leaf", Line: 8,
 				Parent: &ir.Loc{Func: "main", Line: 4}}},
-			{Addr: 0x100b, Size: 1, Kind: KRet},
+			{Addr: 0x100b, Kind: KRet},
 		},
 		Funcs: []*Func{
 			{ID: 0, Name: "main", GUID: ir.GUIDFor("main"), Start: 0x1000, End: 0x100c},
@@ -51,7 +51,7 @@ func TestDebugSectionEncoding(t *testing.T) {
 	// String interning: adding another instruction with the same function
 	// name must grow the section less than the first mention did.
 	base := len(sec)
-	p.Instrs = append(p.Instrs, Instr{Addr: 0x100c, Size: 3, Kind: KOp,
+	p.Instrs = append(p.Instrs, Instr{Addr: 0x100c, Kind: KOp,
 		Loc: &ir.Loc{Func: "main", Line: 5}})
 	grown := len(p.encodeDebugSection())
 	if grown-base > len("main")+8 {

@@ -47,7 +47,7 @@ func TestContextKeyForCallMatchesGenerator(t *testing.T) {
 			if rec == nil {
 				continue
 			}
-			callee := bin.Funcs[call.CalleeID]
+			callee := bin.Funcs[call.Ref]
 			in := &ir.Instr{Op: ir.OpCall, Sym: callee.Name,
 				Probe: &ir.Probe{Func: rec.Func, ID: rec.ID, Kind: rec.Kind, Factor: rec.Factor, InlinedAt: rec.InlinedAt}}
 			key := opt.ContextKeyForCall(in, callee.Name)

@@ -39,11 +39,13 @@ func codeDigest(bin *machine.Prog) string {
 	fmt.Fprintln(h, bin.String())
 	for i := range bin.Instrs {
 		// Field by field, in the order the hashed text has always had,
-		// whatever order the struct declares them in.
+		// whatever order the struct declares them in, and as the 96-byte
+		// record held them (instruction layout 1).
 		in := &bin.Instrs[i]
+		l := layout1Fields(in)
 		fmt.Fprintf(h, "{Addr:%v Size:%v Kind:%v Op:%v Bin:%v Dst:%v A:%v B:%v C:%v Value:%v GlobalOff:%v Index:%v Target:%v BranchNeg:%v CalleeID:%v ArgRegs:%v CounterID:%v Loc:%v} %s\n",
-			in.Addr, in.Size, in.Kind, in.Op, in.Bin, in.Dst, in.A, in.B, in.C, in.Value, in.GlobalOff, in.Index,
-			in.Target, in.BranchNeg, in.CalleeID, in.ArgRegs, in.CounterID, (*ir.Loc)(nil), in.Loc)
+			in.Addr, machine.SizeOf(in.Kind), in.Kind, in.Op, in.Bin, in.Dst, in.A, l.b, in.C, in.Value, l.globalOff, l.index,
+			in.Target, in.BranchNeg, l.calleeID, bin.Args(in), l.counterID, (*ir.Loc)(nil), in.Loc)
 	}
 	for _, f := range bin.Funcs {
 		fmt.Fprintf(h, "%+v\n", *f)
@@ -52,6 +54,27 @@ func codeDigest(bin *machine.Prog) string {
 		fmt.Fprintf(h, "%s %d %d %g %s %d\n", p.Func, p.ID, p.Kind, p.Factor, p.InlinedAt, p.Addr)
 	}
 	return fmt.Sprintf("%016x %s", h.Sum64(), bin)
+}
+
+// layout1 is what the 96-byte machine.Instr held in the fields the
+// 64-byte one merged or moved: one field per table index, and the index
+// register of a load or store apart from B, which those left 0.
+type layout1 struct {
+	b, globalOff, index, calleeID, counterID int32
+}
+
+// layout1Fields reads in's layout-1 fields back from Ref and B.
+func layout1Fields(in *machine.Instr) layout1 {
+	l := layout1{b: in.B}
+	switch in.Kind {
+	case machine.KLoad, machine.KStore:
+		l.b, l.globalOff, l.index = 0, in.Ref, in.B
+	case machine.KCall, machine.KTailCall:
+		l.calleeID = in.Ref
+	case machine.KCounter:
+		l.counterID = in.Ref
+	}
+	return l
 }
 
 // opt.stats pins what the optimizer did to get there: one line per program
@@ -275,7 +298,7 @@ func TestBuildDeterministicOnExamples(t *testing.T) {
 			}
 			var sb strings.Builder
 			for _, in := range res.Bin.Instrs {
-				fmt.Fprintf(&sb, "%d %d %d %d\n", in.Addr, in.Kind, in.Size, in.CalleeID)
+				fmt.Fprintf(&sb, "%d %d %d\n", in.Addr, in.Kind, in.Ref)
 			}
 			if i == 0 {
 				want = sb.String()

@@ -26,7 +26,7 @@ func referenceExtractSizes(bin *machine.Prog) *preinline.SizeTable {
 		if len(frames) == 0 {
 			// No debug info: attribute to the owning symbol.
 			if f := bin.FuncAt(in.Addr); f != nil {
-				st.ByFunc[f.Name] += uint64(in.Size)
+				st.ByFunc[f.Name] += uint64(machine.SizeOf(in.Kind))
 			}
 			continue
 		}
@@ -36,9 +36,9 @@ func referenceExtractSizes(bin *machine.Prog) *preinline.SizeTable {
 			names[len(frames)-1-j] = fr.Func
 		}
 		chain := strings.Join(names, " @ ")
-		st.ByContext[chain] += uint64(in.Size)
+		st.ByContext[chain] += uint64(machine.SizeOf(in.Kind))
 		if len(frames) == 1 {
-			st.ByFunc[frames[0].Func] += uint64(in.Size)
+			st.ByFunc[frames[0].Func] += uint64(machine.SizeOf(in.Kind))
 		}
 		// Materialize prefixes with zero so absent copies read as
 		// "optimized away" rather than "unknown" (Algorithm 3 lines 7-13).

@@ -46,7 +46,7 @@ func ExtractSizes(bin *machine.Prog) *SizeTable {
 	seen := map[string]string{} // each chain's one string
 	for i := range bin.Instrs {
 		in := &bin.Instrs[i]
-		size := uint64(in.Size)
+		size := uint64(machine.SizeOf(in.Kind))
 		if in.Loc == nil {
 			// No debug info: attribute to the owning symbol.
 			if f := bin.FuncAt(in.Addr); f != nil {

@@ -93,7 +93,7 @@ func generateAutoFDOFrom(bin *machine.Prog, ac *AddrCounter, icalls map[uint64]m
 		// Call-target counts at call instructions.
 		in := bin.InstrAt(addr)
 		if in.Kind == machine.KCall || in.Kind == machine.KTailCall {
-			callee := bin.Funcs[in.CalleeID].Name
+			callee := bin.Funcs[in.Ref].Name
 			fp.AddCall(loc, callee, count)
 			// AddCall does not touch TotalSamples.
 		}
@@ -180,7 +180,7 @@ func attributeProbes(bin *machine.Prog, ac *AddrCounter, pick func(*machine.Prob
 		case ir.ProbeCall:
 			in := bin.InstrAt(rec.Addr)
 			if in != nil && (in.Kind == machine.KCall || in.Kind == machine.KTailCall) {
-				fp.AddCall(loc, bin.Funcs[in.CalleeID].Name, count)
+				fp.AddCall(loc, bin.Funcs[in.Ref].Name, count)
 			}
 		}
 	}

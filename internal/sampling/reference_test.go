@@ -121,7 +121,7 @@ func unwindShard(bin *machine.Prog, shard []sim.Sample, tails *tailCallGraph, op
 					case ir.ProbeCall:
 						in := bin.InstrAt(addr)
 						if in != nil && (in.Kind == machine.KCall || in.Kind == machine.KTailCall) {
-							fp.AddCall(loc, bin.Funcs[in.CalleeID].Name, w)
+							fp.AddCall(loc, bin.Funcs[in.Ref].Name, w)
 						}
 					}
 				}

@@ -597,7 +597,7 @@ func attributeRange(bin *machine.Prog, rk rangeKey, occ uint64, pick func(*machi
 				fp.AddBody(loc, wt*occ)
 			case ir.ProbeCall:
 				if in.Kind == machine.KCall || in.Kind == machine.KTailCall {
-					fp.AddCall(loc, bin.Funcs[in.CalleeID].Name, wt*occ)
+					fp.AddCall(loc, bin.Funcs[in.Ref].Name, wt*occ)
 				}
 			}
 		}

@@ -206,7 +206,7 @@ func (u *unwinder) contextOf(dst profdata.Context, callers []uint64, leafFunc st
 		}
 		ctx = u.appendCallSite(ctx, call)
 		// Static target vs. observed next frame: repair tail-call holes.
-		target := u.bin.Funcs[call.CalleeID].Name
+		target := u.bin.Funcs[call.Ref].Name
 		next := leafFunc
 		if i+1 < len(callers) {
 			if nf := u.ix.FuncAt(callers[i+1]); nf != nil {

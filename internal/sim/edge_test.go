@@ -18,18 +18,28 @@ import (
 
 // asmFunc is one hand-assembled function: branch-kind instructions give
 // their Target as an index into the function's own body (resolved by link),
-// calls name their callee by CalleeID.
+// calls name their callee by Ref.
 type asmFunc struct {
 	name            string
 	regs, params    int32
-	body            []machine.Instr
+	body            []asmInstr
 	rawBranchTarget bool // leave Target untouched (an address on purpose)
 }
+
+// asmInstr is one hand-assembled instruction: a call's argument registers
+// ride along in args until link lays them into the binary's slab.
+type asmInstr struct {
+	machine.Instr
+	args []int32
+}
+
+// op is an instruction that takes no arguments.
+func op(in machine.Instr) asmInstr { return asmInstr{Instr: in} }
 
 // link lays the functions out contiguously from 0x1000 in the given order
 // and returns the binary; main is the entry.
 func link(fns ...asmFunc) *machine.Prog {
-	p := &machine.Prog{FuncByName: map[string]*machine.Func{}}
+	p := &machine.Prog{FuncByName: map[string]*machine.Func{}, Layout: machine.InstrLayout}
 	addr := uint64(0x1000)
 	starts := make([][]uint64, len(fns))
 	for id, fn := range fns {
@@ -45,7 +55,8 @@ func link(fns ...asmFunc) *machine.Prog {
 	for id, fn := range fns {
 		for i, in := range fn.body {
 			in.Addr = starts[id][i]
-			in.Size = machine.SizeOf(in.Kind)
+			in.ArgStart, in.ArgCount = int32(len(p.ArgRegs)), int32(len(in.args))
+			p.ArgRegs = append(p.ArgRegs, in.args...)
 			switch in.Kind {
 			case machine.KBranch, machine.KJump:
 				if !fn.rawBranchTarget {
@@ -53,34 +64,34 @@ func link(fns ...asmFunc) *machine.Prog {
 				}
 			case machine.KCall, machine.KTailCall:
 				if in.Target == 0 {
-					in.Target = p.Funcs[in.CalleeID].Start
+					in.Target = p.Funcs[in.Ref].Start
 				}
 			}
-			p.Instrs = append(p.Instrs, in)
+			p.Instrs = append(p.Instrs, in.Instr)
 		}
 	}
 	p.EntryAddr = p.FuncByName["main"].Start
 	return p
 }
 
-func kconst(dst int32, v int64) machine.Instr {
-	return machine.Instr{Kind: machine.KConst, Dst: dst, Value: v}
+func kconst(dst int32, v int64) asmInstr {
+	return op(machine.Instr{Kind: machine.KConst, Dst: dst, Value: v})
 }
-func kbin(k ir.BinKind, dst, a, b int32) machine.Instr {
-	return machine.Instr{Kind: machine.KOp, Op: ir.OpBin, Bin: k, Dst: dst, A: a, B: b}
+func kbin(k ir.BinKind, dst, a, b int32) asmInstr {
+	return op(machine.Instr{Kind: machine.KOp, Op: ir.OpBin, Bin: k, Dst: dst, A: a, B: b})
 }
-func kcall(callee, dst int32, args ...int32) machine.Instr {
-	return machine.Instr{Kind: machine.KCall, CalleeID: callee, Dst: dst, ArgRegs: args}
+func kcall(callee, dst int32, args ...int32) asmInstr {
+	return asmInstr{machine.Instr{Kind: machine.KCall, Ref: callee, Dst: dst}, args}
 }
-func ktail(callee int32, args ...int32) machine.Instr {
-	return machine.Instr{Kind: machine.KTailCall, CalleeID: callee, ArgRegs: args}
+func ktail(callee int32, args ...int32) asmInstr {
+	return asmInstr{machine.Instr{Kind: machine.KTailCall, Ref: callee}, args}
 }
-func kret(a int32) machine.Instr { return machine.Instr{Kind: machine.KRet, A: a} }
+func kret(a int32) asmInstr { return op(machine.Instr{Kind: machine.KRet, A: a}) }
 
 // dirty fills eight registers with nonzero values and returns, so whatever
 // memory the next callee's register file lands on is not zero by accident.
 func dirtyFunc() asmFunc {
-	var body []machine.Instr
+	var body []asmInstr
 	for r := int32(0); r < 8; r++ {
 		body = append(body, kconst(r, 1000+int64(r)))
 	}
@@ -96,7 +107,7 @@ func TestTailCallIntoLargerAndSmallerFrame(t *testing.T) {
 		fSmall
 	)
 	p := link(
-		asmFunc{name: "main", regs: 3, params: 1, body: []machine.Instr{
+		asmFunc{name: "main", regs: 3, params: 1, body: []asmInstr{
 			kconst(2, 77),
 			kcall(fDirty, 1),
 			kcall(fMid, 1, 0),
@@ -107,18 +118,18 @@ func TestTailCallIntoLargerAndSmallerFrame(t *testing.T) {
 		// mid(x): two registers, tail-calls a six-register callee with its
 		// arguments swapped, so an in-place rebuild must not read an
 		// argument it has already overwritten.
-		asmFunc{name: "mid", regs: 2, params: 1, body: []machine.Instr{
+		asmFunc{name: "mid", regs: 2, params: 1, body: []asmInstr{
 			kconst(1, 5),
 			ktail(fBig, 1, 0),
 		}},
 		// big(p, q) = p - q + r5, where r5 was never written: it must be 0
 		// although dirty left 1005 in that slot.
-		asmFunc{name: "big", regs: 6, params: 2, body: []machine.Instr{
+		asmFunc{name: "big", regs: 6, params: 2, body: []asmInstr{
 			kbin(ir.BinSub, 2, 0, 1),
 			kbin(ir.BinAdd, 2, 2, 5),
 			ktail(fSmall, 2),
 		}},
-		asmFunc{name: "small", regs: 1, params: 1, body: []machine.Instr{kret(0)}},
+		asmFunc{name: "small", regs: 1, params: 1, body: []asmInstr{kret(0)}},
 	)
 	for _, pmu := range []PMUConfig{{}, DefaultPMUConfig(1), {SamplePeriod: 1, SampleStacks: true}} {
 		m := New(p, DefaultCostParams(), pmu)
@@ -144,18 +155,18 @@ func TestICallExtraArgsDropped(t *testing.T) {
 		fOne
 	)
 	p := link(
-		asmFunc{name: "main", regs: 4, params: 1, body: []machine.Instr{
+		asmFunc{name: "main", regs: 4, params: 1, body: []asmInstr{
 			kcall(fDirty, 1),
 			kconst(1, fOne),
 			kconst(2, 900),
 			kconst(3, 901),
-			{Kind: machine.KICall, A: 1, Dst: 1, ArgRegs: []int32{0, 2, 3}},
+			{machine.Instr{Kind: machine.KICall, A: 1, Dst: 1}, []int32{0, 2, 3}},
 			kret(1),
 		}},
 		dirtyFunc(),
 		// one(x) = x + r1 + r2 with one parameter: the two extra arguments
 		// must not arrive, and r1/r2 must read 0.
-		asmFunc{name: "one", regs: 3, params: 1, body: []machine.Instr{
+		asmFunc{name: "one", regs: 3, params: 1, body: []asmInstr{
 			kbin(ir.BinAdd, 0, 0, 1),
 			kbin(ir.BinAdd, 0, 0, 2),
 			kret(0),
@@ -186,24 +197,24 @@ func TestUnmappedTargets(t *testing.T) {
 		want Stats
 		to   uint64 // LBR[0].To of the last sample
 	}{
-		{"jump", link(asmFunc{name: "main", regs: 1, rawBranchTarget: true, body: []machine.Instr{
-			{Kind: machine.KJump, Target: bad},
+		{"jump", link(asmFunc{name: "main", regs: 1, rawBranchTarget: true, body: []asmInstr{
+			op(machine.Instr{Kind: machine.KJump, Target: bad}),
 		}}), Stats{Cycles: 14, Instructions: 1, TakenBranches: 1, ICacheMisses: 1, Samples: 1}, bad},
-		{"branch", link(asmFunc{name: "main", regs: 1, rawBranchTarget: true, body: []machine.Instr{
+		{"branch", link(asmFunc{name: "main", regs: 1, rawBranchTarget: true, body: []asmInstr{
 			kconst(0, 1),
-			{Kind: machine.KBranch, A: 0, Target: bad},
+			op(machine.Instr{Kind: machine.KBranch, A: 0, Target: bad}),
 		}}), Stats{Cycles: 15, Instructions: 2, CondBranches: 1, TakenBranches: 1, ICacheMisses: 1, Samples: 1}, bad},
-		{"call", link(asmFunc{name: "main", regs: 1, body: []machine.Instr{
-			{Kind: machine.KCall, CalleeID: 0, Dst: 0, Target: bad},
+		{"call", link(asmFunc{name: "main", regs: 1, body: []asmInstr{
+			op(machine.Instr{Kind: machine.KCall, Ref: 0, Dst: 0, Target: bad}),
 		}}), Stats{Cycles: 16, Instructions: 1, TakenBranches: 1, ICacheMisses: 1, Calls: 1, Samples: 1}, bad},
-		{"tailcall", link(asmFunc{name: "main", regs: 1, body: []machine.Instr{
-			{Kind: machine.KTailCall, CalleeID: 0, Target: bad},
+		{"tailcall", link(asmFunc{name: "main", regs: 1, body: []asmInstr{
+			op(machine.Instr{Kind: machine.KTailCall, Ref: 0, Target: bad}),
 		}}), Stats{Cycles: 14, Instructions: 1, TakenBranches: 1, ICacheMisses: 1, Calls: 1, Samples: 1}, bad},
 		// The call is the last instruction of the binary, so the callee
 		// returns to the address just past the text segment.
 		{"ret", link(
-			asmFunc{name: "f", regs: 1, body: []machine.Instr{kret(0)}},
-			asmFunc{name: "main", regs: 1, body: []machine.Instr{kcall(0, 0)}},
+			asmFunc{name: "f", regs: 1, body: []asmInstr{kret(0)}},
+			asmFunc{name: "main", regs: 1, body: []asmInstr{kcall(0, 0)}},
 		), Stats{Cycles: 19, Instructions: 2, TakenBranches: 2, ICacheMisses: 1, Calls: 1, Returns: 1, Samples: 2}, 0x1006},
 	}
 	for _, c := range cases {
@@ -389,17 +400,17 @@ func TestStepLimitStatsPinned(t *testing.T) {
 // anywhere, or land on the stall — are pinned here (digests taken at
 // d26cf6a).
 func TestStepLimitStallPinned(t *testing.T) {
-	p := link(asmFunc{name: "main", regs: 2, params: 1, body: []machine.Instr{
+	p := link(asmFunc{name: "main", regs: 2, params: 1, body: []asmInstr{
 		kconst(1, 3),
 		kbin(ir.BinAdd, 1, 1, 0),
-		{Kind: machine.KCounter, CounterID: 0},
-		{Kind: machine.KStore, A: 1, Index: -1},
+		op(machine.Instr{Kind: machine.KCounter, Ref: 0}),
+		op(machine.Instr{Kind: machine.KStore, A: 1, B: -1}),
 		kbin(ir.BinLt, 1, 0, 1),
-		{Kind: machine.KBranch, A: 1, Target: 7},
+		op(machine.Instr{Kind: machine.KBranch, A: 1, Target: 7}),
 		kret(0),
 		kconst(0, 5),
-		{Kind: machine.KStore, A: 0, GlobalOff: 1, Index: -1},
-		{Kind: machine.KCounter, CounterID: 1}, // becomes the stall
+		op(machine.Instr{Kind: machine.KStore, A: 0, Ref: 1, B: -1}),
+		op(machine.Instr{Kind: machine.KCounter, Ref: 1}), // becomes the stall
 		kret(0),
 	}})
 	p.Instrs[9].Kind = machine.KCounter + 7

@@ -181,7 +181,7 @@ func (op opcode) unfused() opcode {
 	return op
 }
 
-// dinstr is one decoded instruction (64 bytes against machine.Instr's 104).
+// dinstr is one decoded instruction (64 bytes, as machine.Instr is).
 // Which operands are meaningful depends on op:
 //
 //	const            dst, imm=value
@@ -202,7 +202,7 @@ func (op opcode) unfused() opcode {
 // tgtAddr and the return address; -1 means the address is not an
 // instruction start, which Run reports only after the transfer has retired.
 //
-// Call arguments stay in machine.Instr.ArgRegs.
+// Call arguments stay in machine.Prog.ArgRegs.
 //
 // run, cost and nextLine describe the straight-line run from this index to
 // the next transfer or stall, inclusive: how many instructions it holds,
@@ -326,13 +326,12 @@ func Decode(prog *machine.Prog, cost CostParams) *Code {
 		case machine.KSelect:
 			d.op = opSelect
 		case machine.KLoad, machine.KStore:
-			d.op, d.imm = opLoad, int64(in.GlobalOff)
+			d.op, d.imm = opLoad, int64(in.Ref)
 			if in.Kind == machine.KStore {
 				d.op = opStore
 			}
-			if in.Index >= 0 {
-				d.op++ // the Idx form follows its scalar form
-				d.b = in.Index
+			if in.B >= 0 {
+				d.op++ // the Idx form follows its scalar form; b is the index
 			} else {
 				d.imm = wrap(d.imm, len(prog.GlobalInit))
 			}
@@ -344,20 +343,20 @@ func Decode(prog *machine.Prog, cost CostParams) *Code {
 		case machine.KJump:
 			d.op, d.tgt = opJump, idxOf(in.Target)
 		case machine.KCall, machine.KICall:
-			ret := in.Addr + uint64(in.Size)
+			ret := in.Addr + uint64(machine.SizeOf(in.Kind))
 			d.op, d.imm, d.c = opICall, int64(ret), idxOf(ret)
 			if in.Kind == machine.KCall {
-				d.op, d.b, d.tgt = opCall, in.CalleeID, idxOf(in.Target)
+				d.op, d.b, d.tgt = opCall, in.Ref, idxOf(in.Target)
 			} else {
 				c.icall = true
 			}
 		case machine.KTailCall:
-			d.op, d.b, d.tgt = opTailCall, in.CalleeID, idxOf(in.Target)
-			c.tailArgs = max(c.tailArgs, len(in.ArgRegs))
+			d.op, d.b, d.tgt = opTailCall, in.Ref, idxOf(in.Target)
+			c.tailArgs = max(c.tailArgs, int(in.ArgCount))
 		case machine.KRet:
 			d.op = opRet
 		case machine.KCounter:
-			d.op, d.imm = opCounter, int64(in.CounterID)
+			d.op, d.imm = opCounter, int64(in.Ref)
 		default:
 			d.op = opStall
 		}
@@ -498,7 +497,7 @@ func (m *Machine) newRegs(n int) []int64 {
 // with its arguments copied from the caller's registers r. It returns the
 // callee's register file and where the transfer goes.
 func (m *Machine) call(d *dinstr, pc int, r []int64) (regs []int64, to uint64, npc int) {
-	argRegs := m.Prog.Instrs[pc].ArgRegs
+	argRegs := m.Prog.Args(&m.Prog.Instrs[pc])
 	m.stats.Calls++
 	m.stats.Cycles += m.Cost.CallOverhead + m.Cost.ArgCost*uint64(len(argRegs))
 	nargs := len(argRegs)
@@ -547,7 +546,7 @@ func (m *Machine) call(d *dinstr, pc int, r []int64) (regs []int64, to uint64, n
 // callee's size. Arguments pass through argTmp, so one whose register is
 // overwritten early is still read intact.
 func (m *Machine) tailCall(d *dinstr, pc int, r []int64) []int64 {
-	argRegs := m.Prog.Instrs[pc].ArgRegs
+	argRegs := m.Prog.Args(&m.Prog.Instrs[pc])
 	m.stats.Calls++
 	m.stats.Cycles += m.Cost.ArgCost * uint64(len(argRegs))
 	if m.skidding() {
@@ -889,7 +888,7 @@ run:
 			case opJump:
 				from, to, npc = d.addr, d.tgtAddr, int(d.tgt)
 				if m.skidding() {
-					m.stackSnapshot(from + uint64(m.Prog.Instrs[pc].Size))
+					m.stackSnapshot(from + uint64(machine.SizeOf(m.Prog.Instrs[pc].Kind)))
 				}
 				break exec
 			case opCall, opICall:
@@ -937,7 +936,7 @@ run:
 			}
 			from, to, npc = d.addr, d.tgtAddr, int(d.tgt)
 			if m.skidding() {
-				m.stackSnapshot(from + uint64(m.Prog.Instrs[pc].Size))
+				m.stackSnapshot(from + uint64(machine.SizeOf(m.Prog.Instrs[pc].Kind)))
 			}
 			break
 		}

@@ -64,13 +64,13 @@ func (m *Machine) refDecode() {
 		case machine.KSelect:
 			d.op = opSelect
 		case machine.KLoad, machine.KStore:
-			d.op, d.imm = opLoad, int64(in.GlobalOff)
+			d.op, d.imm = opLoad, int64(in.Ref)
 			if in.Kind == machine.KStore {
 				d.op = opStore
 			}
-			if in.Index >= 0 {
+			if in.B >= 0 {
 				d.op++ // the Idx form follows its scalar form
-				d.b = in.Index
+				d.b = in.B
 			} else {
 				d.imm = wrap(d.imm, len(m.globals))
 			}
@@ -82,10 +82,10 @@ func (m *Machine) refDecode() {
 		case machine.KJump:
 			d.op, d.tgt = opJump, idxOf(in.Target)
 		case machine.KCall, machine.KICall:
-			ret := in.Addr + uint64(in.Size)
+			ret := in.Addr + uint64(machine.SizeOf(in.Kind))
 			d.op, d.imm, d.c = opICall, int64(ret), idxOf(ret)
 			if in.Kind == machine.KCall {
-				d.op, d.b, d.tgt = opCall, in.CalleeID, idxOf(in.Target)
+				d.op, d.b, d.tgt = opCall, in.Ref, idxOf(in.Target)
 			} else if m.btb == nil {
 				m.btb = make([]int32, len(instrs))
 				for j := range m.btb {
@@ -93,14 +93,14 @@ func (m *Machine) refDecode() {
 				}
 			}
 		case machine.KTailCall:
-			d.op, d.b, d.tgt = opTailCall, in.CalleeID, idxOf(in.Target)
-			if len(in.ArgRegs) > len(m.argTmp) {
-				m.argTmp = make([]int64, len(in.ArgRegs))
+			d.op, d.b, d.tgt = opTailCall, in.Ref, idxOf(in.Target)
+			if int(in.ArgCount) > len(m.argTmp) {
+				m.argTmp = make([]int64, in.ArgCount)
 			}
 		case machine.KRet:
 			d.op = opRet
 		case machine.KCounter:
-			d.op, d.imm = opCounter, int64(in.CounterID)
+			d.op, d.imm = opCounter, int64(in.Ref)
 		default:
 			d.op = opStall
 		}
@@ -318,12 +318,12 @@ func (m *Machine) refRun(args ...int64) (int64, error) {
 				continue
 			}
 			if m.skidding() {
-				m.stackSnapshot(d.addr + uint64(m.Prog.Instrs[pc].Size))
+				m.stackSnapshot(d.addr + uint64(machine.SizeOf(m.Prog.Instrs[pc].Kind)))
 			}
 			to, npc = d.tgtAddr, int(d.tgt)
 		case opJump:
 			if m.skidding() {
-				m.stackSnapshot(d.addr + uint64(m.Prog.Instrs[pc].Size))
+				m.stackSnapshot(d.addr + uint64(machine.SizeOf(m.Prog.Instrs[pc].Kind)))
 			}
 			to, npc = d.tgtAddr, int(d.tgt)
 		case opCall, opICall:
@@ -570,19 +570,19 @@ var refCmps = []ir.BinKind{ir.BinEq, ir.BinNe, ir.BinLt, ir.BinLe, ir.BinGt, ir.
 
 // body returns function f's instructions; branch and jump Targets are body
 // indices (link resolves them), drawn once the body's length is known.
-func (g *refGen) body(f int) []machine.Instr {
+func (g *refGen) body(f int) []asmInstr {
 	rng := g.rng
-	var body []machine.Instr
+	var body []asmInstr
 	var mids []int       // indices inside compare→branch sequences
 	var untargeted []int // branches and jumps still without a Target
-	emit := func(in machine.Instr) {
+	emit := func(in asmInstr) {
 		if in.Kind == machine.KBranch || in.Kind == machine.KJump {
 			untargeted = append(untargeted, len(body))
 		}
 		body = append(body, in)
 	}
-	branch := func(cond int32) machine.Instr {
-		return machine.Instr{Kind: machine.KBranch, A: cond, BranchNeg: rng.Intn(2) == 0}
+	branch := func(cond int32) asmInstr {
+		return op(machine.Instr{Kind: machine.KBranch, A: cond, BranchNeg: rng.Intn(2) == 0})
 	}
 	for n := 4 + rng.Intn(40); len(body) < n; {
 		switch k := rng.Intn(24); {
@@ -612,7 +612,7 @@ func (g *refGen) body(f int) []machine.Instr {
 		case k < 7:
 			emit(branch(g.reg(f)))
 		case k < 8:
-			emit(machine.Instr{Kind: machine.KJump})
+			emit(op(machine.Instr{Kind: machine.KJump}))
 		case k < 10:
 			emit(kconst(g.reg(f), g.imm()))
 		case k < 14:
@@ -629,20 +629,20 @@ func (g *refGen) body(f int) []machine.Instr {
 			default:
 				in.Op, in.Bin = ir.OpBin, ir.BinShr+1+ir.BinKind(rng.Intn(4)) // unknown operator
 			}
-			emit(in)
+			emit(op(in))
 		case k < 16:
-			emit(machine.Instr{Kind: machine.KSelect, Dst: g.reg(f), A: g.reg(f), B: g.reg(f), C: g.reg(f)})
+			emit(op(machine.Instr{Kind: machine.KSelect, Dst: g.reg(f), A: g.reg(f), B: g.reg(f), C: g.reg(f)}))
 		case k < 18:
-			in := machine.Instr{Kind: machine.KLoad, Dst: g.reg(f), A: g.reg(f), GlobalOff: int32(rng.Intn(12) - 2), Index: -1}
+			in := machine.Instr{Kind: machine.KLoad, Dst: g.reg(f), A: g.reg(f), Ref: int32(rng.Intn(12) - 2), B: -1}
 			if rng.Intn(2) == 0 {
 				in.Kind = machine.KStore
 			}
 			if rng.Intn(2) == 0 {
-				in.Index = g.reg(f)
+				in.B = g.reg(f) // the index register
 			}
-			emit(in)
+			emit(op(in))
 		case k < 19:
-			emit(machine.Instr{Kind: machine.KCounter, CounterID: g.counters})
+			emit(op(machine.Instr{Kind: machine.KCounter, Ref: g.counters}))
 			g.counters++
 		case k < 21: // a long straight-line stretch: a run over several lines
 			for i := 6 + rng.Intn(30); i > 0; i-- {
@@ -667,7 +667,7 @@ func (g *refGen) body(f int) []machine.Instr {
 				// extra arguments are dropped at the callee.
 				id := g.reg(f)
 				emit(kconst(id, int64(rng.Intn(2*g.nfn)-1)))
-				emit(machine.Instr{Kind: machine.KICall, A: id, Dst: dst, ArgRegs: args})
+				emit(asmInstr{machine.Instr{Kind: machine.KICall, A: id, Dst: dst}, args})
 			} else {
 				emit(kcall(int32(callee), dst, args...))
 			}
@@ -683,7 +683,7 @@ func (g *refGen) body(f int) []machine.Instr {
 		}
 		emit(ktail(int32(callee), args...))
 	case 1:
-		emit(machine.Instr{Kind: machine.KJump})
+		emit(op(machine.Instr{Kind: machine.KJump}))
 	case 2:
 		emit(kret(-1))
 	default:

@@ -150,8 +150,8 @@ func listing(p *machine.Prog) string {
 	}
 	s := ""
 	for i, in := range p.Instrs {
-		s += fmt.Sprintf("%4d %#x kind=%d op=%d bin=%d dst=%d a=%d b=%d c=%d v=%d idx=%d off=%d tgt=%#x neg=%v callee=%d args=%v cnt=%d\n",
-			i, in.Addr, in.Kind, in.Op, in.Bin, in.Dst, in.A, in.B, in.C, in.Value, in.Index, in.GlobalOff, in.Target, in.BranchNeg, in.CalleeID, in.ArgRegs, in.CounterID)
+		s += fmt.Sprintf("%4d %#x kind=%d op=%d bin=%d dst=%d a=%d b=%d c=%d v=%d ref=%d tgt=%#x neg=%v args=%v\n",
+			i, in.Addr, in.Kind, in.Op, in.Bin, in.Dst, in.A, in.B, in.C, in.Value, in.Ref, in.Target, in.BranchNeg, p.Args(&in))
 	}
 	return s
 }
