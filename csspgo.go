@@ -77,7 +77,8 @@ func Parse(mods []Module) ([]*source.File, error) {
 // given variant: it builds the appropriate training binary, profiles it on
 // the training requests, generates the variant's profile (including
 // trimming and the pre-inliner for FullCS) and produces the optimized
-// binary. Baseline ignores train and returns a nil profile.
+// binary. Baseline ignores train and returns a nil profile. The result's
+// FreshIR is nil: no pre-optimization snapshot is kept (Build keeps one).
 func BuildVariant(mods []Module, v Variant, train [][]int64) (*BuildResult, *Profile, error) {
 	files, err := Parse(mods)
 	if err != nil {

@@ -102,7 +102,7 @@ type BuildConfig struct {
 type BuildResult struct {
 	Bin     *machine.Prog
 	IR      *ir.Program // post-optimization IR
-	FreshIR *ir.Program // pre-optimization (probed) IR snapshot, for quality metrics
+	FreshIR *ir.Program // pre-optimization (probed) IR snapshot, for quality metrics; nil from Pipeline
 	Stats   *opt.Stats
 }
 
@@ -116,7 +116,13 @@ func Build(files []*source.File, cfg BuildConfig) (*BuildResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compile(prog, ir.CloneProgram(prog), cfg, bsp)
+	fresh := ir.CloneProgram(prog)
+	res, err := compile(prog, cfg, bsp)
+	if err != nil {
+		return nil, err
+	}
+	res.FreshIR = fresh
+	return res, nil
 }
 
 // lower is the front half of a build: irgen, then, with cfg.Probes, probe
@@ -152,9 +158,8 @@ func lower(files []*source.File, cfg BuildConfig, bsp *obs.Span) (*ir.Program, e
 }
 
 // compile is the back half of a build: it optimizes prog in place per cfg
-// and emits the binary. fresh is the result's FreshIR; nil for a build
-// whose IR nothing reads.
-func compile(prog, fresh *ir.Program, cfg BuildConfig, bsp *obs.Span) (*BuildResult, error) {
+// and emits the binary. The result has no FreshIR.
+func compile(prog *ir.Program, cfg BuildConfig, bsp *obs.Span) (*BuildResult, error) {
 	barrier := opt.BarrierNone
 	switch {
 	case cfg.Instrument:
@@ -190,7 +195,7 @@ func compile(prog, fresh *ir.Program, cfg BuildConfig, bsp *obs.Span) (*BuildRes
 	if err != nil {
 		return nil, fmt.Errorf("pgo: codegen: %w", err)
 	}
-	return &BuildResult{Bin: bin, IR: prog, FreshIR: fresh, Stats: stats}, nil
+	return &BuildResult{Bin: bin, IR: prog, Stats: stats}, nil
 }
 
 // ProfileConfig controls profile collection on a training binary and the
@@ -387,20 +392,21 @@ func Evaluate(bin *machine.Prog, requests [][]int64) (sim.Stats, error) {
 // pseudo-instrumentation variants, counter-instrumented for Instr PGO).
 // Both binaries come from one lowering, as they come from one source and
 // one set of probes: the training build compiles a clone of it, and the
-// optimizing build the lowered program itself.
+// optimizing build the lowered program itself. No build takes a snapshot,
+// so the result's FreshIR is nil: Build keeps one for the readers of the
+// pre-optimization IR.
 func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildResult, *profdata.Profile, error) {
 	probes := variant != Baseline && variant != AutoFDO
 	trainCfg := BuildConfig{Probes: probes, Instrument: variant == InstrPGO}
-	if variant == Baseline {
-		base, err := Build(files, trainCfg)
-		return base, nil, err
-	}
 	prog, err := lower(files, trainCfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	// No FreshIR: CollectProfileFor reads only the training binary.
-	base, err := compile(ir.CloneProgram(prog), nil, trainCfg, nil)
+	if variant == Baseline {
+		base, err := compile(prog, trainCfg, nil)
+		return base, nil, err
+	}
+	base, err := compile(ir.CloneProgram(prog), trainCfg, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -408,7 +414,7 @@ func Pipeline(files []*source.File, variant Variant, train [][]int64) (*BuildRes
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := compile(prog, ir.CloneProgram(prog), BuildConfig{
+	res, err := compile(prog, BuildConfig{
 		Probes:                probes,
 		Profile:               prof,
 		UsePreInlineDecisions: variant == FullCS,
