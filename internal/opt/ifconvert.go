@@ -92,59 +92,36 @@ func armConvertible(b *ir.Block, max int) (ok, hasProbes bool) {
 
 // convertDiamond rewrites A: br cond {T, F} → J into straight-line code:
 // both arms' computations run into renamed temporaries, then selects pick
-// per destination register.
+// per destination register. A's instructions grow once, by exactly what is
+// appended.
 func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	cond := a.Term.Cond
-	// Rename arm defs into fresh registers; the renaming ends as the final
-	// value per dest.
-	emitArm := func(src *ir.Block) map[ir.Reg]ir.Reg {
-		rename := map[ir.Reg]ir.Reg{}
-		renamed := func(r ir.Reg) ir.Reg {
-			if nr, ok := rename[r]; ok {
-				return nr
-			}
-			return r
-		}
-		for i := range src.Instrs {
-			in := src.Instrs[i].Clone()
+	// Selects per destination register: every register either arm defines,
+	// sorted for determinism.
+	dests := ws.ifc.dests[:0]
+	n := 0
+	for _, arm := range [2]*ir.Block{t, fb} {
+		for i := range arm.Instrs {
+			in := &arm.Instrs[i]
 			if in.Op == ir.OpProbe || in.Op == ir.OpCounter {
-				continue // weak barrier: arm probes dropped
+				continue
 			}
-			// Remap uses of earlier arm defs.
-			in.MapUses(renamed)
+			n++
 			if d := in.Def(); d != ir.NoReg {
-				nd := f.NewReg()
-				rename[d] = nd
-				in.Dst = nd
+				dests = append(dests, d)
 			}
-			a.Instrs = append(a.Instrs, in)
 		}
-		return rename
-	}
-	tFinal := emitArm(t)
-	fFinal := emitArm(fb)
-
-	// Selects per destination register (sorted for determinism).
-	dests := make([]ir.Reg, 0, len(tFinal)+len(fFinal))
-	for d := range tFinal {
-		dests = append(dests, d)
-	}
-	for d := range fFinal {
-		dests = append(dests, d)
 	}
 	slices.Sort(dests)
 	dests = slices.Compact(dests)
+	ws.ifc.dests = dests
+	a.Instrs = slices.Grow(a.Instrs, n+len(dests))
+	ws.ifc.t = emitArm(f, a, t, ws.ifc.t[:0])
+	ws.ifc.f = emitArm(f, a, fb, ws.ifc.f[:0])
 	for _, d := range dests {
-		tv, ok := tFinal[d]
-		if !ok {
-			tv = d // arm leaves the old value
-		}
-		fv, ok := fFinal[d]
-		if !ok {
-			fv = d
-		}
+		// An arm that does not define d leaves the old value.
 		a.Instrs = append(a.Instrs, ir.Instr{
-			Op: ir.OpSelect, Dst: d, A: cond, B: tv, C: fv, Loc: a.Term.Loc,
+			Op: ir.OpSelect, Dst: d, A: cond, B: renamed(ws.ifc.t, d), C: renamed(ws.ifc.f, d), Loc: a.Term.Loc,
 		})
 	}
 	a.Term = ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{join}, Loc: a.Term.Loc}
@@ -155,4 +132,51 @@ func (ws *workspace) convertDiamond(f *ir.Function, a, t, fb, join *ir.Block) {
 	join.Preds = append(slices.DeleteFunc(join.Preds, func(p *ir.Block) bool { return p == t || p == fb }), a)
 	ws.markRemoved(t)
 	ws.markRemoved(fb)
+}
+
+// regPair renames one register of an arm: later uses of from read to.
+type regPair struct{ from, to ir.Reg }
+
+// ifcScratch is if-conversion's per-diamond scratch: each arm's renaming
+// and the selects' destinations. An arm has at most maxArmInstrs
+// definitions, so a renaming is a short list searched in order.
+type ifcScratch struct {
+	t, f  []regPair
+	dests []ir.Reg
+}
+
+// renamed is r under the renaming: the register its last definition in the
+// arm was renamed to, or r itself.
+func renamed(rename []regPair, r ir.Reg) ir.Reg {
+	for _, p := range rename {
+		if p.from == r {
+			return p.to
+		}
+	}
+	return r
+}
+
+// emitArm appends the arm's instructions to a, less its probes and
+// counters (dropped under the weak barrier): each definition goes to a
+// fresh register, and later uses in the arm read it. It returns rename
+// extended by the arm's renaming, one pair per register defined.
+func emitArm(f *ir.Function, a, arm *ir.Block, rename []regPair) []regPair {
+	for i := range arm.Instrs {
+		if op := arm.Instrs[i].Op; op == ir.OpProbe || op == ir.OpCounter {
+			continue
+		}
+		a.Instrs = append(a.Instrs, arm.Instrs[i].Clone())
+		in := &a.Instrs[len(a.Instrs)-1]
+		in.MapUses(func(r ir.Reg) ir.Reg { return renamed(rename, r) })
+		if d := in.Def(); d != ir.NoReg {
+			nd := f.NewReg()
+			if j := slices.IndexFunc(rename, func(p regPair) bool { return p.from == d }); j >= 0 {
+				rename[j].to = nd
+			} else {
+				rename = append(rename, regPair{d, nd})
+			}
+			in.Dst = nd
+		}
+	}
+	return rename
 }

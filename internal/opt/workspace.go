@@ -20,8 +20,9 @@ type workspace struct {
 	calls  ir.CallGraphScratch // the inliners' SCC tables
 	chains layoutScratch
 	tails  tailScratch
-	pos    []int32 // block position by block ID, for layout and tail merging
-	marked []bool  // blocks simplify-cfg or if-convert removed, by block ID
+	ifc    ifcScratch // if-conversion's renamings and select destinations
+	pos    []int32    // block position by block ID, for layout and tail merging
+	marked []bool     // blocks simplify-cfg or if-convert removed, by block ID
 }
 
 // positions returns a table of every block's position in f.Blocks by block
