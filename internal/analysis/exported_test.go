@@ -55,6 +55,7 @@ var exportAllowlist = map[string]string{
 	"profdata.NewContext":      testHook,   // contexts built by hand in quality, drift, introspect, preinline, analysis tests
 	"ir.CloneFunction":         testHook,   // opt's reference tests run both versions of a pass on clones
 	"workloads.AllNames":       testHook,   // the whole corpus, walked by the golden and reference tests
+	"workloads.Generate":       testHook,   // seeded programs for opt's generated-program tests (semantic preservation, fixed points, DCE/LICM and profiled-pass references, compaction, FuzzTranslationValidate)
 	"ir.Function.NaturalLoops": testHook,   // loops without a scratch, for opt's reference LICM and the irgen tests
 	"inference.InferProgram":   testHook,   // inference without a workspace, for the root package's BenchmarkInference
 	"probe.BuildIndex":         testHook,   // opt's reference annotation and the stale and opt tests read probes by ID

@@ -1,7 +1,7 @@
 // Package introspect makes profiles inspectable: folded-stack (flamegraph-
 // collapsed) export in a deterministic text encoding, a context-trie walker
-// with inclusive/exclusive weights, per-function probe coverage, and the
-// HTTP serving daemon behind `csspgo serve`.
+// with inclusive/exclusive weights, and the HTTP serving daemon behind
+// `csspgo serve`. Per-function probe coverage is quality.Coverage.
 package introspect
 
 import (

@@ -12,6 +12,7 @@ import (
 	"csspgo/internal/obs"
 	"csspgo/internal/probe"
 	"csspgo/internal/source"
+	"csspgo/internal/workloads"
 )
 
 const checkedSrc = `
@@ -34,11 +35,15 @@ func work(x) {
 // the probed program it should optimize.
 func checkedConfig(t *testing.T) (*ir.Program, *Config) {
 	t.Helper()
-	prof := runTrainingBuild(t, checkedSrc)
 	f, err := source.Parse("checked.ml", checkedSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := &workloads.Workload{Name: "checked", Files: []*source.File{f}}
+	for i := int64(0); i < 12; i++ {
+		w.Train = append(w.Train, []int64{i * 13, i})
+	}
+	prof := runTrainingBuild(t, w, checkedSrc)
 	p, err := irgen.Lower(f)
 	if err != nil {
 		t.Fatal(err)

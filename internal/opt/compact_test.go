@@ -8,7 +8,6 @@ import (
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
 	"csspgo/internal/probe"
-	"csspgo/internal/source"
 	"csspgo/internal/workloads"
 )
 
@@ -38,13 +37,10 @@ func checkTailsClear(t *testing.T, when string, f *ir.Function) {
 func TestCompactionInPlace(t *testing.T) {
 	unchanged, compacted := 0, 0
 	for seed := int64(0); seed < 40; seed++ {
-		file, err := source.Parse("compact.ml", generateProgram(seed))
+		w, src := workloads.Generate(seed)
+		p, err := irgen.Lower(w.Files...)
 		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := irgen.Lower(file)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 		probe.InsertProgram(p)
 		cfg := &Config{Barrier: BarrierWeak}
@@ -74,10 +70,13 @@ func TestCompactionInPlace(t *testing.T) {
 			}
 		}}
 		if _, err := Optimize(p, cfg); err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 		for _, f := range p.Functions() {
 			checkTailsClear(t, "after Optimize", f)
+		}
+		if t.Failed() {
+			t.Fatalf("seed %d:\n%s", seed, src)
 		}
 	}
 	if unchanged == 0 || compacted == 0 {

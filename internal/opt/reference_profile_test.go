@@ -9,7 +9,7 @@ import (
 	"csspgo/internal/irgen"
 	"csspgo/internal/probe"
 	"csspgo/internal/profdata"
-	"csspgo/internal/source"
+	"csspgo/internal/workloads"
 )
 
 // layout, tail-merge grouping and annotateProbe as they stood before they
@@ -313,9 +313,9 @@ func checkLayoutAgainstReference(t testing.TB, ws *workspace, f *ir.Function) {
 }
 
 // TestProfiledPassesMatchReferenceOnGeneratedPrograms holds annotateProbe,
-// tail merging and layout to their references on seeded programs from the
-// generator FuzzTranslationValidate draws from: each is trained and
-// profiled, then optimized with its CS profile and with that profile's flat
+// tail merging and layout to their references on workloads.Generate's
+// seeded programs: each is trained on its train requests and profiled,
+// then optimized with its CS profile and with that profile's flat
 // projection, and compiled once as a training build (tail merging only).
 func TestProfiledPassesMatchReferenceOnGeneratedPrograms(t *testing.T) {
 	n := 48
@@ -323,22 +323,18 @@ func TestProfiledPassesMatchReferenceOnGeneratedPrograms(t *testing.T) {
 		n = 8
 	}
 	for seed := int64(0); seed < int64(n); seed++ {
-		src := generateProgram(seed)
-		cs := runTrainingBuild(t, src)
+		w, src := workloads.Generate(seed)
+		cs := runTrainingBuild(t, w, src)
 		for _, prof := range []*profdata.Profile{nil, cs, cs.Flat()} {
-			file, err := source.Parse("ref.ml", src)
+			p, err := irgen.Lower(w.Files...)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			p, err := irgen.Lower(file)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
 			probe.InsertProgram(p)
 			cfg := &Config{Profile: prof, Barrier: BarrierWeak, CSHotContextThreshold: 2}
 			cfg.InjectAfter = ProfileReferenceHooks(t, prof)
 			if _, err := Optimize(p, cfg); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
 			if t.Failed() {
 				t.Fatalf("seed %d:\n%s", seed, src)

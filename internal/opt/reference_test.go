@@ -8,7 +8,7 @@ import (
 	"csspgo/internal/ir"
 	"csspgo/internal/irgen"
 	"csspgo/internal/probe"
-	"csspgo/internal/source"
+	"csspgo/internal/workloads"
 )
 
 // dce, licm and liveOut as they stood before they stopped copying what did
@@ -383,26 +383,23 @@ func checkFixpoint(t testing.TB, pass string, p *ir.Program, again func(*ir.Func
 
 // TestCleanupsReachTheirFixedPointOnGeneratedPrograms holds simplify-cfg,
 // DCE and if-conversion to their fixed point (FixpointHooks) inside the
-// pipeline, on the seeded programs FuzzTranslationValidate draws from:
-// unprobed, probed, and probed with the instrumentation barrier.
+// pipeline, on workloads.Generate's seeded programs: unprobed, probed, and
+// probed with the instrumentation barrier. Their nested diamonds need
+// if-conversion's second sweep.
 func TestCleanupsReachTheirFixedPointOnGeneratedPrograms(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 40
 	}
 	for seed := int64(0); seed < int64(n); seed++ {
-		src := generateProgram(seed)
+		w, src := workloads.Generate(seed)
 		for _, c := range []struct {
 			probed  bool
 			barrier BarrierStrength
 		}{{false, BarrierNone}, {true, BarrierWeak}, {true, BarrierStrong}} {
-			file, err := source.Parse("fixpoint.ml", src)
+			p, err := irgen.Lower(w.Files...)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			p, err := irgen.Lower(file)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
 			if c.probed {
 				probe.InsertProgram(p)
@@ -410,7 +407,7 @@ func TestCleanupsReachTheirFixedPointOnGeneratedPrograms(t *testing.T) {
 			cfg := &Config{Barrier: c.barrier}
 			cfg.InjectAfter = FixpointHooks(t, c.barrier)
 			if _, err := Optimize(p, cfg); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
 			if t.Failed() {
 				t.Fatalf("seed %d, probed %v, barrier %v:\n%s", seed, c.probed, c.barrier, src)
@@ -420,29 +417,24 @@ func TestCleanupsReachTheirFixedPointOnGeneratedPrograms(t *testing.T) {
 }
 
 // TestDCEAndLICMMatchReferenceOnGeneratedPrograms holds the two passes to
-// their references on 320 seeded programs from the generator
-// FuzzTranslationValidate draws from, probed, at the points the passes run
-// inside the training pipeline.
+// their references on 320 of workloads.Generate's seeded programs, probed,
+// at the points the passes run inside the training pipeline.
 func TestDCEAndLICMMatchReferenceOnGeneratedPrograms(t *testing.T) {
 	n := 320
 	if testing.Short() {
 		n = 40
 	}
 	for seed := int64(0); seed < int64(n); seed++ {
-		src := generateProgram(seed)
-		file, err := source.Parse("ref.ml", src)
+		w, src := workloads.Generate(seed)
+		p, err := irgen.Lower(w.Files...)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		p, err := irgen.Lower(file)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 		probe.InsertProgram(p)
 		cfg := &Config{Barrier: BarrierWeak}
 		cfg.InjectAfter = ReferenceHooks(t)
 		if _, err := Optimize(p, cfg); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
 		if t.Failed() {
 			t.Fatalf("seed %d:\n%s", seed, src)

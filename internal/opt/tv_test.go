@@ -12,6 +12,7 @@ import (
 	"csspgo/internal/obs"
 	"csspgo/internal/probe"
 	"csspgo/internal/source"
+	"csspgo/internal/workloads"
 )
 
 // tvSrc exercises branches, loops, calls and globals so every injection
@@ -201,14 +202,10 @@ func FuzzTranslationValidate(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		src := generateProgram(seed)
-		sf, err := source.Parse("fuzz.ml", src)
+		w, src := workloads.Generate(seed)
+		p, err := irgen.Lower(w.Files...)
 		if err != nil {
-			t.Skip() // generator emitted something unparsable; not tv's bug
-		}
-		p, err := irgen.Lower(sf)
-		if err != nil {
-			t.Skip()
+			t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, src)
 		}
 		probe.InsertProgram(p)
 		cfg := tvConfig()

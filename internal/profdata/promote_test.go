@@ -139,7 +139,7 @@ func contextRoots(p *Profile) []string {
 	return sortedKeys(roots)
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

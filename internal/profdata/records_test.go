@@ -486,9 +486,13 @@ func shuffledBinary(r *rand.Rand, p *Profile) ([]byte, *model) {
 	q, want := New(p.Kind, p.CS), newModel()
 	copyShuffled := func(fp *FunctionProfile, ctx Context, keep int) *FunctionProfile {
 		c := &FunctionProfile{Name: fp.Name, Context: ctx, HeadSamples: fp.HeadSamples}
-		m := want.at(NewContext(fp.Name))
+		// Only the entry that receives the counts: a context's leaf gets no
+		// base profile from it, in the decode or in the model.
+		var m *modelFP
 		if len(ctx) >= 2 {
 			m = want.at(ctx)
+		} else {
+			m = want.at(NewContext(fp.Name))
 		}
 		m.head += fp.HeadSamples
 		for _, b := range fp.Blocks {
@@ -507,12 +511,15 @@ func shuffledBinary(r *rand.Rand, p *Profile) ([]byte, *model) {
 		r.Shuffle(len(c.Calls), func(i, j int) { c.Calls[i], c.Calls[j] = c.Calls[j], c.Calls[i] })
 		return c
 	}
-	for name, fp := range p.Funcs {
+	// Sorted keys, so that the seeded draws land on the same records in
+	// every run, whatever the map order.
+	for _, name := range sortedKeys(p.Funcs) {
+		fp := p.Funcs[name]
 		q.Funcs[name] = copyShuffled(fp, nil, 1)
 		q.Contexts[name] = copyShuffled(fp, NewContext(name), 2)
 	}
-	for key, fp := range p.Contexts {
-		q.Contexts[key] = copyShuffled(fp, fp.Context, 1)
+	for _, key := range sortedKeys(p.Contexts) {
+		q.Contexts[key] = copyShuffled(p.Contexts[key], p.Contexts[key].Context, 1)
 	}
 	return EncodeBinary(q), want
 }
