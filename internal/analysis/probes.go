@@ -77,7 +77,7 @@ func checkProbes(f *ir.Function) []Diagnostic {
 					// Calls synthesized late (e.g. ICP's promoted direct
 					// call reuses the original probe) should carry one, but
 					// its absence only loses call-site attribution.
-					bad(SevWarning, b, "call to %s carries no call probe", in.Sym)
+					bad(SevWarning, b, "call to %s carries no call probe", in.Sym())
 					continue
 				}
 				payload(b, in.Probe, ir.ProbeCall, fmt.Sprintf("call probe %s:%d", in.Probe.Func, in.Probe.ID))

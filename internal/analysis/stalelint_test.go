@@ -98,7 +98,7 @@ func TestCheckStaleMatching(t *testing.T) {
 				if in.Probe.Kind == ir.ProbeBlock {
 					fp.AddBody(profdata.LocKey{ID: in.Probe.ID}, 20)
 				} else if in.Op == ir.OpCall {
-					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Sym, 20)
+					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Sym(), 20)
 				}
 			}
 		}

@@ -135,11 +135,11 @@ func analyzeProgram(p *ir.Program) map[string]*funcEffects {
 				fe.Mask |= instrEffect(in)
 				switch in.Op {
 				case ir.OpLoadG:
-					fe.Reads[in.Sym] = true
+					fe.Reads[in.Sym()] = true
 				case ir.OpStoreG:
-					fe.Writes[in.Sym] = true
+					fe.Writes[in.Sym()] = true
 				case ir.OpCall:
-					calls = append(calls, in.Sym)
+					calls = append(calls, in.Sym())
 				case ir.OpICall:
 					fe.All = true
 				}

@@ -126,7 +126,7 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 		probe := s.b.Instrs[s.instr]
 		inject := []ir.Instr{
 			{Op: ir.OpConst, Dst: tmp, Value: int64(probe.Probe.ID) + 40_000, Loc: probe.Loc},
-			{Op: ir.OpStoreG, A: tmp, Sym: g, Index: ir.NoReg, Loc: probe.Loc},
+			{Op: ir.OpStoreG, A: tmp, Ext: &ir.Operands{Sym: g}, Index: ir.NoReg, Loc: probe.Loc},
 		}
 		rest := append(inject, s.b.Instrs[s.instr+1:]...)
 		s.b.Instrs = append(s.b.Instrs[:s.instr+1:s.instr+1], rest...)
@@ -136,7 +136,7 @@ func Apply(p *ir.Program, kind Injection, seed uint64) (string, bool) {
 	case injDropStore:
 		st := s.b.Instrs[s.instr]
 		s.b.Instrs = append(s.b.Instrs[:s.instr], s.b.Instrs[s.instr+1:]...)
-		return fmt.Sprintf("dropped store to %s in %s b%d", st.Sym, s.f.Name, s.b.ID), true
+		return fmt.Sprintf("dropped store to %s in %s b%d", st.Sym(), s.f.Name, s.b.ID), true
 
 	case injClobberReturn:
 		t := &s.b.Term

@@ -264,14 +264,14 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 					r[in.Dst] = r[in.C]
 				}
 			case ir.OpLoadG:
-				off := c.goff[in.Sym]
+				off := c.goff[in.Sym()]
 				if in.Index != ir.NoReg {
 					off += r[in.Index]
 				}
 				r[in.Dst] = globals[wrapOff(off, len(globals))]
 			case ir.OpStoreG:
 				off := wrapOff(func() int64 {
-					o := c.goff[in.Sym]
+					o := c.goff[in.Sym()]
 					if in.Index != ir.NoReg {
 						o += r[in.Index]
 					}
@@ -284,21 +284,22 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 			case ir.OpProbe:
 				// Pseudo-probes are observationally invisible by contract.
 			case ir.OpFuncRef:
-				id, ok := c.fnID[in.Sym]
+				sym := in.Sym()
+				id, ok := c.fnID[sym]
 				if !ok {
 					// A function first referenced mid-pipeline (none of the
 					// current passes does this, but the table must not alias).
 					id = int64(len(c.fnName))
-					c.fnID[in.Sym] = id
-					c.fnName = append(c.fnName, in.Sym)
+					c.fnID[sym] = id
+					c.fnName = append(c.fnName, sym)
 				}
 				r[in.Dst] = id
 			case ir.OpCall, ir.OpICall:
 				var callee *ir.Function
 				if in.Op == ir.OpCall {
-					callee = p.Funcs[in.Sym]
+					callee = p.Funcs[in.Sym()]
 					if callee == nil {
-						trap("call to undefined function %q in %s", in.Sym, fr.f.Name)
+						trap("call to undefined function %q in %s", in.Sym(), fr.f.Name)
 					}
 				} else {
 					tgt := r[in.A]
@@ -315,8 +316,9 @@ func (c *execContext) Run(p *ir.Program, args []int64) RunResult {
 					res.Status = statusDepth
 					break
 				}
-				cargs := make([]int64, len(in.Args))
-				for i, a := range in.Args {
+				args := in.Args()
+				cargs := make([]int64, len(args))
+				for i, a := range args {
 					cargs[i] = r[a]
 				}
 				stack = append(stack, newFrame(callee, cargs, in.Dst))

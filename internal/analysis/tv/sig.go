@@ -110,7 +110,7 @@ func (e *blockEval) eval(b *ir.Block) blockSummary {
 			e.env[in.Dst] = e.intern("select", ir.NoReg, 0,
 				e.value(in.A), e.value(in.B), e.value(in.C))
 		case ir.OpFuncRef:
-			e.env[in.Dst] = e.intern("funcref:"+in.Sym, ir.NoReg, 0)
+			e.env[in.Dst] = e.intern("funcref:"+in.Sym(), ir.NoReg, 0)
 		case ir.OpLoadG:
 			// Loads are pure but memory-dependent: version the value by the
 			// count of prior stores/calls so a load legally reordered across
@@ -120,14 +120,14 @@ func (e *blockEval) eval(b *ir.Block) blockSummary {
 			if in.Index != ir.NoReg {
 				args = append(args, e.value(in.Index))
 			}
-			e.env[in.Dst] = e.intern(fmt.Sprintf("load:%s@%d", in.Sym, e.memEpoch),
+			e.env[in.Dst] = e.intern(fmt.Sprintf("load:%s@%d", in.Sym(), e.memEpoch),
 				ir.NoReg, 0, args...)
 		case ir.OpStoreG:
 			args := []*node{e.value(in.A)}
 			if in.Index != ir.NoReg {
 				args = append(args, e.value(in.Index))
 			}
-			sum.effects = append(sum.effects, effectRec{kind: "store", name: in.Sym, args: args})
+			sum.effects = append(sum.effects, effectRec{kind: "store", name: in.Sym(), args: args})
 			e.memEpoch++
 		case ir.OpCounter:
 			sum.effects = append(sum.effects, effectRec{
@@ -137,10 +137,10 @@ func (e *blockEval) eval(b *ir.Block) blockSummary {
 			if in.Op == ir.OpICall {
 				args = append(args, e.value(in.A))
 			}
-			for _, a := range in.Args {
+			for _, a := range in.Args() {
 				args = append(args, e.value(a))
 			}
-			kind, name := "call", in.Sym
+			kind, name := "call", in.Sym()
 			if in.Op == ir.OpICall {
 				kind, name = "icall", ""
 			}

@@ -271,7 +271,7 @@ func quiet(x) { return x * 3; }
 	r := f.NewReg()
 	entry.Instrs = append([]ir.Instr{
 		{Op: ir.OpConst, Dst: r, Value: 7},
-		{Op: ir.OpStoreG, A: r, Sym: "g0", Index: ir.NoReg},
+		{Op: ir.OpStoreG, A: r, Ext: &ir.Operands{Sym: "g0"}, Index: ir.NoReg},
 	}, entry.Instrs...)
 	diags := v.ValidatePass("bad", q, ModeRestructure)
 	if analysis.ErrorCount(diags) == 0 {

@@ -238,9 +238,9 @@ func (lw *lowerer) size(funcs []*ir.Function) {
 					continue
 				case ir.OpCall:
 					fixups++
-					args += len(in.Args)
+					args += len(in.Args())
 				case ir.OpICall:
-					args += len(in.Args)
+					args += len(in.Args())
 				}
 				instrs++
 			}
@@ -321,20 +321,20 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 					Dst: int32(in.Dst), A: int32(in.A), B: int32(in.B), C: int32(in.C), Loc: in.Loc})
 			case ir.OpLoadG:
 				lw.emit(machine.Instr{Kind: machine.KLoad, Dst: int32(in.Dst),
-					Ref: goff[in.Sym], B: int32(in.Index), Loc: in.Loc})
+					Ref: goff[in.Sym()], B: int32(in.Index), Loc: in.Loc})
 			case ir.OpStoreG:
 				lw.emit(machine.Instr{Kind: machine.KStore, A: int32(in.A),
-					Ref: goff[in.Sym], B: int32(in.Index), Loc: in.Loc})
+					Ref: goff[in.Sym()], B: int32(in.Index), Loc: in.Loc})
 			case ir.OpFuncRef:
 				// Function ids are assigned by program order; materialize
 				// as a constant and fix it up like any call target.
 				lw.emit(machine.Instr{Kind: machine.KConst, Dst: int32(in.Dst),
-					Value: int64(fnID[in.Sym]), Loc: in.Loc})
+					Value: int64(fnID[in.Sym()]), Loc: in.Loc})
 			case ir.OpICall:
 				if in.Probe != nil {
 					lw.pending = append(lw.pending, in.Probe)
 				}
-				start, n := lw.args(in.Args)
+				start, n := lw.args(in.Args())
 				lw.emit(machine.Instr{Kind: machine.KICall, Dst: int32(in.Dst),
 					A: int32(in.A), ArgStart: start, ArgCount: n, Loc: in.Loc})
 			case ir.OpCall:
@@ -349,10 +349,11 @@ func (lw *lowerer) emitBlocks(f *ir.Function, fnID map[string]int32, goff map[st
 					lw.pending = append(lw.pending, in.Probe)
 				}
 				idx := len(lw.out)
-				start, n := lw.args(in.Args)
+				start, n := lw.args(in.Args())
+				callee := fnID[in.Sym()]
 				lw.emit(machine.Instr{Kind: kind, Dst: int32(in.Dst),
-					Ref: fnID[in.Sym], ArgStart: start, ArgCount: n, Loc: in.Loc})
-				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(fnID[in.Sym])})
+					Ref: callee, ArgStart: start, ArgCount: n, Loc: in.Loc})
+				lw.fixups = append(lw.fixups, fixup{instr: idx, kind: fixFunc, target: int(callee)})
 			case ir.OpCounter:
 				lw.emit(machine.Instr{Kind: machine.KCounter, Ref: int32(in.Value), Loc: in.Loc})
 			}

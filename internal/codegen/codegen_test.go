@@ -268,7 +268,7 @@ func leaf(y) { return y * 2; }
 	// Mark chain's call to leaf as a tail call (what the TCE pass does).
 	for _, b := range p.Funcs["chain"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "leaf" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym() == "leaf" {
 				b.Instrs[i].TailCall = true
 			}
 		}

@@ -51,7 +51,7 @@ func BuildCallGraphIn(p *Program, s *CallGraphScratch) *CallGraph {
 		for _, b := range p.Funcs[name].Blocks {
 			for j := range b.Instrs {
 				if in := &b.Instrs[j]; in.Op == OpCall {
-					slab = append(slab, in.Sym)
+					slab = append(slab, in.Sym())
 				}
 			}
 		}

@@ -13,7 +13,7 @@ func callProg(t testing.TB) *Program {
 	mk := func(name string, callees ...string) *Function {
 		f := NewFunction(name, nil)
 		for _, c := range callees {
-			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Ext: &Operands{Sym: c}})
 		}
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		p.AddFunc(f)
@@ -61,9 +61,9 @@ func TestCallGraphCalleesSortedAndUnique(t *testing.T) {
 	} {
 		f := NewFunction(fn[0], nil)
 		for _, c := range fn[1:] {
-			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Ext: &Operands{Sym: c}})
 		}
-		f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpFuncRef, Dst: 0, Sym: "m"})
+		f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpFuncRef, Dst: 0, Ext: &Operands{Sym: "m"}})
 		f.NRegs = 1
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		p.AddFunc(f)
@@ -219,7 +219,7 @@ func sccProg() *Program {
 	} {
 		f := NewFunction(fn[0], nil)
 		for _, c := range fn[1:] {
-			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: c})
+			f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: NoReg, Ext: &Operands{Sym: c}})
 		}
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		p.AddFunc(f)
@@ -272,7 +272,7 @@ func TestCFGChecksumProperties(t *testing.T) {
 	}
 	// Adding a call must change the checksum.
 	k := CloneFunction(f)
-	k.Blocks[1].Instrs = append(k.Blocks[1].Instrs, Instr{Op: OpCall, Dst: NoReg, Sym: "x"})
+	k.Blocks[1].Instrs = append(k.Blocks[1].Instrs, Instr{Op: OpCall, Dst: NoReg, Ext: &Operands{Sym: "x"}})
 	if k.CFGChecksum() == sum {
 		t.Fatal("checksum must reflect call additions")
 	}
@@ -294,7 +294,7 @@ func callsItselfInIR(p *Program, name string) bool {
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == OpCall && b.Instrs[i].Sym == name {
+			if b.Instrs[i].Op == OpCall && b.Instrs[i].Sym() == name {
 				return true
 			}
 		}

@@ -39,7 +39,7 @@ func (f *Function) CFGChecksum() uint64 {
 		for j := range b.Instrs {
 			if b.Instrs[j].Op == OpCall {
 				ncalls++
-				mixStr(b.Instrs[j].Sym)
+				mixStr(b.Instrs[j].Sym())
 			}
 		}
 		mix(uint64(ncalls))

@@ -1,34 +1,56 @@
 package ir
 
-// Clone returns a deep copy of the instruction (Args copied; Loc and Probe
-// payloads are shared by default — callers that rewrite inline contexts
-// must replace them, see RewriteProbe / RewriteLoc in the optimizer).
+// Clone returns a deep copy of the instruction: a call gets a copy of its
+// operand record, Args included. A record that only names a global or a
+// function, and the Loc and Probe payloads, are shared — callers that
+// rewrite inline contexts must replace them, see RewriteProbe /
+// RewriteLoc in the optimizer.
 func (in *Instr) Clone() Instr {
 	out := *in
-	if in.Args != nil {
-		out.Args = append([]Reg(nil), in.Args...)
+	if in.ownsExt() {
+		ext := *in.Ext
+		if ext.Args != nil {
+			ext.Args = append([]Reg(nil), ext.Args...)
+		}
+		out.Ext = &ext
 	}
 	return out
 }
 
+// ownsExt reports whether the instruction's operand record belongs to it
+// alone: a call's does, one that only names a global or a function is
+// shared.
+func (in *Instr) ownsExt() bool {
+	return in.Ext != nil && (in.Op == OpCall || in.Op == OpICall)
+}
+
 // cloneInstrs gives each block of dst a copy of the instructions of the
-// block of src at the same index, Args included. Every instruction slice is
-// carved from one slab and every Args from another, each with no capacity
-// to spare, so that appending to a block reallocates its slice instead of
+// block of src at the same index, each call's operand record and Args
+// included. Every instruction slice is carved from one slab, every record
+// from a second and every Args from a third, each with no capacity to
+// spare, so that appending to a block reallocates its slice instead of
 // running into its neighbour's. With retSlot, each block that returns gets
 // one slot to spare, carved for it alone.
 func cloneInstrs(dst, src []*Block, retSlot bool) {
-	nInstrs, nArgs := 0, 0
+	nInstrs, nExts, nArgs := 0, 0, 0
 	for _, b := range src {
 		nInstrs += len(b.Instrs)
 		if retSlot && b.Term.Kind == TermReturn {
 			nInstrs++
 		}
 		for i := range b.Instrs {
-			nArgs += len(b.Instrs[i].Args)
+			if in := &b.Instrs[i]; in.ownsExt() {
+				nExts++
+				nArgs += len(in.Ext.Args)
+			}
 		}
 	}
-	instrs, args := make([]Instr, nInstrs), make([]Reg, nArgs)
+	instrs := make([]Instr, nInstrs)
+	var exts []Operands
+	var args []Reg
+	if nExts > 0 {
+		exts, args = make([]Operands, nExts), make([]Reg, nArgs)
+	}
 	for k, b := range src {
 		n, c := copy(instrs, b.Instrs), len(b.Instrs)
 		if retSlot && b.Term.Kind == TermReturn {
@@ -36,9 +58,15 @@ func cloneInstrs(dst, src []*Block, retSlot bool) {
 		}
 		dst[k].Instrs, instrs = instrs[:n:c], instrs[c:]
 		for i := range dst[k].Instrs {
-			if in := &dst[k].Instrs[i]; in.Args != nil {
-				n := copy(args, in.Args)
-				in.Args, args = args[:n:n], args[n:]
+			in := &dst[k].Instrs[i]
+			if !in.ownsExt() {
+				continue
+			}
+			exts[0] = *in.Ext
+			in.Ext, exts = &exts[0], exts[1:]
+			if in.Ext.Args != nil {
+				n := copy(args, in.Ext.Args)
+				in.Ext.Args, args = args[:n:n], args[n:]
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestCloneFunctionIndependence(t *testing.T) {
 	f := buildDiamond(t)
@@ -92,10 +95,94 @@ func TestCloneProgram(t *testing.T) {
 }
 
 func TestInstrCloneCopiesArgs(t *testing.T) {
-	in := Instr{Op: OpCall, Sym: "f", Args: []Reg{1, 2, 3}, Dst: 4}
+	in := Instr{Op: OpCall, Ext: &Operands{Sym: "f", Args: []Reg{1, 2, 3}}, Dst: 4}
 	out := in.Clone()
-	out.Args[0] = 9
-	if in.Args[0] == 9 {
+	out.Args()[0] = 9
+	if in.Args()[0] == 9 {
 		t.Fatal("Clone must deep-copy Args")
 	}
+}
+
+// TestClonesOwnTheirCallOperands holds every clone path to the ownership
+// rule of Operands: a cloned call gets a record of its own, so rewriting
+// its callee or arguments in place leaves the original as it was.
+func TestClonesOwnTheirCallOperands(t *testing.T) {
+	build := func() *Program {
+		p := NewProgram()
+		p.AddGlobal(&Global{Name: "g", Size: 1, Init: []int64{0}})
+		for _, name := range []string{"callee", "other"} {
+			f := NewFunction(name, []string{"a", "b"})
+			f.Entry().Term = Terminator{Kind: TermReturn, Val: 0}
+			p.AddFunc(f)
+		}
+		f := NewFunction("main", []string{"x", "y"})
+		r, fr := f.NewReg(), f.NewReg()
+		f.Entry().Instrs = []Instr{
+			{Op: OpCall, Dst: r, Ext: &Operands{Sym: "callee", Args: []Reg{0, 1}}},
+			{Op: OpFuncRef, Dst: fr, Ext: &Operands{Sym: "callee"}},
+			{Op: OpICall, Dst: r, A: fr, Ext: &Operands{Args: []Reg{1, 0}}},
+			{Op: OpStoreG, A: r, Index: NoReg, Ext: &Operands{Sym: "g"}},
+		}
+		f.Entry().Term = Terminator{Kind: TermReturn, Val: r}
+		f.RebuildCFG()
+		p.AddFunc(f)
+		return p
+	}
+	// mutate rewrites the callee and the arguments of every call of b the
+	// way the passes do: through the record and through MapUses.
+	mutate := func(b *Block) {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			if in.Op == OpCall {
+				in.Ext.Sym = "other"
+			}
+			in.MapUses(func(r Reg) Reg { return r ^ 1 })
+		}
+	}
+	for _, path := range []struct {
+		name  string
+		clone func(p *Program) *Block
+	}{
+		{"Clone", func(p *Program) *Block {
+			b := &Block{}
+			for _, in := range p.Funcs["main"].Entry().Instrs {
+				b.Instrs = append(b.Instrs, in.Clone())
+			}
+			return b
+		}},
+		{"cloneInstrs", func(p *Program) *Block {
+			dst := []*Block{{}}
+			cloneInstrs(dst, p.Funcs["main"].Blocks[:1], false)
+			return dst[0]
+		}},
+		{"CloneRegion", func(p *Program) *Block {
+			f := p.Funcs["main"]
+			return CloneRegion(f, f.Blocks[:1], nil)[f.Entry()]
+		}},
+		{"CloneFunction", func(p *Program) *Block { return CloneFunction(p.Funcs["main"]).Entry() }},
+		{"CloneProgram", func(p *Program) *Block { return CloneProgram(p).Funcs["main"].Entry() }},
+	} {
+		p := build()
+		want := instrsText(p.Funcs["main"].Entry())
+		b := path.clone(p)
+		mutate(b)
+		if got := instrsText(p.Funcs["main"].Entry()); got != want {
+			t.Errorf("%s: rewriting the clone's calls changed the original:\n%s\nwant\n%s", path.name, got, want)
+		}
+		if got := instrsText(b); got == want {
+			t.Errorf("%s: the rewrite did not reach the clone:\n%s", path.name, got)
+		}
+		if err := p.Verify(); err != nil {
+			t.Errorf("%s: original no longer verifies: %v", path.name, err)
+		}
+	}
+}
+
+// instrsText renders the instructions of b, one a line.
+func instrsText(b *Block) string {
+	var sb strings.Builder
+	for i := range b.Instrs {
+		sb.WriteString(b.Instrs[i].String() + "\n")
+	}
+	return sb.String()
 }

@@ -161,16 +161,26 @@ type Probe struct {
 	InlinedAt *ProbeSite // inline context, nil if not inlined
 }
 
+// Operands holds the operands few instructions have: the symbol of OpCall
+// (the callee), OpFuncRef (the referenced function), OpLoadG and OpStoreG
+// (the global), and the arguments of OpCall and OpICall. A call's record
+// belongs to its instruction: the clone paths give every cloned call a
+// fresh one, so its callee and arguments may be rewritten in place. A
+// record that only names a global or a function is immutable and may be
+// shared, like Loc and Probe payloads.
+type Operands struct {
+	Sym  string
+	Args []Reg
+}
+
 // Instr is a single (non-terminator) IR instruction. The pointer-carrying
-// fields come first, so the collector scans 56 of its 88 bytes, and the
-// scalars follow by size, so only the tail is padding. DESIGN.md
+// fields come first, so the collector scans 24 of its 56 bytes, and the
+// scalars follow by size, so only the last byte is padding. DESIGN.md
 // "Instruction records" gives the fields each opcode uses.
 type Instr struct {
-	// Sym is the instruction's one symbol operand: the callee of OpCall,
-	// the referenced function of OpFuncRef, the global of OpLoadG and
-	// OpStoreG. Every other opcode leaves it empty.
-	Sym   string
-	Args  []Reg  // OpCall/OpICall arguments
+	// Ext holds the symbol and call arguments out of line; it is nil on
+	// every opcode that has neither. Read them through Sym and Args.
+	Ext   *Operands
 	Probe *Probe // OpProbe payload, or call-site probe for OpCall
 	Loc   *Loc
 
@@ -184,6 +194,25 @@ type Instr struct {
 	// the caller's frame; codegen emits a frame-replacing jump and the
 	// block's trailing return of the call result is suppressed.
 	TailCall bool
+}
+
+// Sym returns the instruction's one symbol operand: the callee of OpCall,
+// the referenced function of OpFuncRef, the global of OpLoadG and OpStoreG.
+// Every other opcode has none and gets "".
+func (in *Instr) Sym() string {
+	if in.Ext == nil {
+		return ""
+	}
+	return in.Ext.Sym
+}
+
+// Args returns the arguments of OpCall and OpICall; nil for every other
+// opcode.
+func (in *Instr) Args() []Reg {
+	if in.Ext == nil {
+		return nil
+	}
+	return in.Ext.Args
 }
 
 // TermKind enumerates block terminator kinds.

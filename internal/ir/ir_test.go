@@ -119,7 +119,7 @@ func TestProgramVerifyCatchesUndefinedCallee(t *testing.T) {
 	p := NewProgram()
 	f := NewFunction("main", nil)
 	r := f.NewReg()
-	f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: r, Sym: "missing"})
+	f.Entry().Instrs = append(f.Entry().Instrs, Instr{Op: OpCall, Dst: r, Ext: &Operands{Sym: "missing"}})
 	f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 	p.AddFunc(f)
 	if err := p.Verify(); err == nil {
@@ -301,24 +301,28 @@ func TestReplaceSucc(t *testing.T) {
 }
 
 // TestInstrSize pins the packed size of an IR instruction: the fields are
-// ordered so that only the tail of the struct is padding.
+// ordered so that only its last byte is padding.
 func TestInstrSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("the pin is for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Instr{}); got != 88 {
-		t.Errorf("ir.Instr is %d bytes, want 88", got)
+	if got := unsafe.Sizeof(Instr{}); got != 56 {
+		t.Errorf("ir.Instr is %d bytes, want 56", got)
 	}
 }
 
 // TestInstrPointersFirst requires that no field holding a pointer follows a
 // pointer-free one: the collector scans a value only up to its last pointer
-// word, so with the pointers first it scans 56 of ir.Instr's 88 bytes.
+// word, so with the pointers first it scans 24 of ir.Instr's 56 bytes. The
+// operand record, Probe and Loc are the only fields that may hold one.
 func TestInstrPointersFirst(t *testing.T) {
 	typ := reflect.TypeFor[Instr]()
 	scalar := ""
 	for i := range typ.NumField() {
 		f := typ.Field(i)
+		if holdsPointer(f.Type) && f.Name != "Ext" && f.Name != "Probe" && f.Name != "Loc" {
+			t.Errorf("ir.Instr: field %s holds a pointer; only Ext, Probe and Loc may", f.Name)
+		}
 		switch {
 		case !holdsPointer(f.Type):
 			if scalar == "" {

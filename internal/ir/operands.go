@@ -32,8 +32,9 @@ func (in *Instr) useSlots(f func(*Reg)) {
 		f(&in.A)
 		fallthrough
 	case OpCall:
-		for i := range in.Args {
-			f(&in.Args[i])
+		args := in.Args()
+		for i := range args {
+			f(&args[i])
 		}
 	}
 }
@@ -49,7 +50,8 @@ func (in *Instr) Uses(visit func(Reg)) {
 }
 
 // MapUses replaces every register the instruction reads by fn of it;
-// absent operands (NoReg) stay absent. Args is rewritten in place.
+// absent operands (NoReg) stay absent. A call's Args are rewritten in
+// place, in the operand record the call owns.
 func (in *Instr) MapUses(fn func(Reg) Reg) {
 	in.useSlots(func(r *Reg) {
 		if *r != NoReg {

@@ -31,13 +31,13 @@ func TestOperandModelAgreesWithVerify(t *testing.T) {
 		{"B", func(in *Instr) *Reg { return &in.B }},
 		{"C", func(in *Instr) *Reg { return &in.C }},
 		{"Index", func(in *Instr) *Reg { return &in.Index }},
-		{"Args[0]", func(in *Instr) *Reg { return &in.Args[0] }},
-		{"Args[1]", func(in *Instr) *Reg { return &in.Args[1] }},
+		{"Args[0]", func(in *Instr) *Reg { return &in.Ext.Args[0] }},
+		{"Args[1]", func(in *Instr) *Reg { return &in.Ext.Args[1] }},
 	}
 	for op := OpConst; op <= OpCounter; op++ {
 		fresh := func() Instr {
-			return Instr{Op: op, Dst: 0, A: 1, B: 2, C: 3, Index: 4, Args: []Reg{5, 6},
-				Sym: "g", Probe: &Probe{Func: "f", ID: 1, Factor: 1}}
+			return Instr{Op: op, Dst: 0, A: 1, B: 2, C: 3, Index: 4, Ext: &Operands{Sym: "g", Args: []Reg{5, 6}},
+				Probe: &Probe{Func: "f", ID: 1, Factor: 1}}
 		}
 		valid := fresh()
 		if err := build(valid, ret).Verify(); err != nil {

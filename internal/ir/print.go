@@ -28,32 +28,32 @@ func (in *Instr) String() string {
 		s = fmt.Sprintf("%s = mov %s", regStr(in.Dst), regStr(in.A))
 	case OpLoadG:
 		if in.Index == NoReg {
-			s = fmt.Sprintf("%s = loadg @%s", regStr(in.Dst), in.Sym)
+			s = fmt.Sprintf("%s = loadg @%s", regStr(in.Dst), in.Sym())
 		} else {
-			s = fmt.Sprintf("%s = loadg @%s[%s]", regStr(in.Dst), in.Sym, regStr(in.Index))
+			s = fmt.Sprintf("%s = loadg @%s[%s]", regStr(in.Dst), in.Sym(), regStr(in.Index))
 		}
 	case OpStoreG:
 		if in.Index == NoReg {
-			s = fmt.Sprintf("storeg @%s, %s", in.Sym, regStr(in.A))
+			s = fmt.Sprintf("storeg @%s, %s", in.Sym(), regStr(in.A))
 		} else {
-			s = fmt.Sprintf("storeg @%s[%s], %s", in.Sym, regStr(in.Index), regStr(in.A))
+			s = fmt.Sprintf("storeg @%s[%s], %s", in.Sym(), regStr(in.Index), regStr(in.A))
 		}
 	case OpCall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]string, len(in.Args()))
+		for i, a := range in.Args() {
 			args[i] = regStr(a)
 		}
-		s = fmt.Sprintf("%s = call %s(%s)", regStr(in.Dst), in.Sym, strings.Join(args, ", "))
+		s = fmt.Sprintf("%s = call %s(%s)", regStr(in.Dst), in.Sym(), strings.Join(args, ", "))
 		if in.Probe != nil {
 			s += fmt.Sprintf(" !callprobe %d", in.Probe.ID)
 		}
 	case OpSelect:
 		s = fmt.Sprintf("%s = select %s, %s, %s", regStr(in.Dst), regStr(in.A), regStr(in.B), regStr(in.C))
 	case OpFuncRef:
-		s = fmt.Sprintf("%s = funcref @%s", regStr(in.Dst), in.Sym)
+		s = fmt.Sprintf("%s = funcref @%s", regStr(in.Dst), in.Sym())
 	case OpICall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
+		args := make([]string, len(in.Args()))
+		for i, a := range in.Args() {
 			args[i] = regStr(a)
 		}
 		s = fmt.Sprintf("%s = icall (%s)(%s)", regStr(in.Dst), regStr(in.A), strings.Join(args, ", "))

@@ -43,34 +43,34 @@ func (f *Function) Verify() error {
 				v.reg(in.Dst, "dst")
 				v.reg(in.A, "A")
 			case OpLoadG:
-				if in.Sym == "" {
+				if in.Sym() == "" {
 					return fmt.Errorf("%s b%d: global access without name", f.Name, b.ID)
 				}
 				v.reg(in.Dst, "dst")
 				v.reg(in.Index, "index")
 			case OpStoreG:
-				if in.Sym == "" {
+				if in.Sym() == "" {
 					return fmt.Errorf("%s b%d: global access without name", f.Name, b.ID)
 				}
 				v.reg(in.A, "A")
 				v.reg(in.Index, "index")
 			case OpCall:
-				if in.Sym == "" {
+				if in.Sym() == "" {
 					return fmt.Errorf("%s b%d: call without callee", f.Name, b.ID)
 				}
 				v.reg(in.Dst, "dst")
-				for _, a := range in.Args {
+				for _, a := range in.Args() {
 					v.reg(a, "arg")
 				}
 			case OpFuncRef:
-				if in.Sym == "" {
+				if in.Sym() == "" {
 					return fmt.Errorf("%s b%d: funcref without target", f.Name, b.ID)
 				}
 				v.reg(in.Dst, "dst")
 			case OpICall:
 				v.reg(in.Dst, "dst")
 				v.reg(in.A, "target")
-				for _, a := range in.Args {
+				for _, a := range in.Args() {
 					v.reg(a, "arg")
 				}
 			case OpSelect:
@@ -151,13 +151,13 @@ func (p *Program) Verify() error {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
 				if in.Op == OpCall || in.Op == OpFuncRef {
-					if _, ok := p.Funcs[in.Sym]; !ok {
-						return fmt.Errorf("%s: reference to undefined function %q", f.Name, in.Sym)
+					if _, ok := p.Funcs[in.Sym()]; !ok {
+						return fmt.Errorf("%s: reference to undefined function %q", f.Name, in.Sym())
 					}
 				}
 				if in.Op == OpLoadG || in.Op == OpStoreG {
-					if _, ok := p.Globals[in.Sym]; !ok {
-						return fmt.Errorf("%s: access to undefined global %q", f.Name, in.Sym)
+					if _, ok := p.Globals[in.Sym()]; !ok {
+						return fmt.Errorf("%s: access to undefined global %q", f.Name, in.Sym())
 					}
 				}
 			}

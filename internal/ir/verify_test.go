@@ -93,7 +93,8 @@ func TestVerifyProbeNeedsPayload(t *testing.T) {
 }
 
 // TestVerifySymbolOpcodesNeedSym: the four opcodes that name a symbol
-// carry it in Sym, and Verify rejects each with an empty one.
+// carry it in their operand record's Sym, and Verify rejects each without
+// a record or with an empty Sym.
 func TestVerifySymbolOpcodesNeedSym(t *testing.T) {
 	for _, c := range []struct {
 		in   Instr
@@ -108,11 +109,14 @@ func TestVerifySymbolOpcodesNeedSym(t *testing.T) {
 		f.Entry().Instrs = []Instr{c.in}
 		f.Entry().Term = Terminator{Kind: TermReturn, Val: NoReg}
 		f.RebuildCFG()
-		err := f.Verify()
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v with empty Sym: want %q, got %v", c.in.Op, c.want, err)
+		for _, ext := range []*Operands{nil, {}, {Args: []Reg{0}}} {
+			f.Entry().Instrs[0].Ext = ext
+			err := f.Verify()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%v with record %+v: want %q, got %v", c.in.Op, ext, c.want, err)
+			}
 		}
-		f.Entry().Instrs[0].Sym = "s"
+		f.Entry().Instrs[0].Ext = &Operands{Sym: "s"}
 		if err := f.Verify(); err != nil {
 			t.Errorf("%v with Sym %q: %v", c.in.Op, "s", err)
 		}

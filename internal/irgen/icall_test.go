@@ -22,13 +22,13 @@ func helper(x, y) { return x * y; }
 			switch b.Instrs[i].Op {
 			case ir.OpFuncRef:
 				refs++
-				if b.Instrs[i].Sym != "helper" {
-					t.Fatalf("funcref target = %q", b.Instrs[i].Sym)
+				if b.Instrs[i].Sym() != "helper" {
+					t.Fatalf("funcref target = %q", b.Instrs[i].Sym())
 				}
 			case ir.OpICall:
 				icalls++
-				if len(b.Instrs[i].Args) != 2 {
-					t.Fatalf("icall args = %d", len(b.Instrs[i].Args))
+				if len(b.Instrs[i].Args()) != 2 {
+					t.Fatalf("icall args = %d", len(b.Instrs[i].Args()))
 				}
 				if b.Instrs[i].A == ir.NoReg {
 					t.Fatal("icall without target register")
@@ -72,7 +72,7 @@ func two(x) { return x * 2; }
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpFuncRef {
-				seen[b.Instrs[i].Sym] = true
+				seen[b.Instrs[i].Sym()] = true
 			}
 		}
 	}

@@ -25,12 +25,21 @@ func Lower(files ...*source.File) (*ir.Program, error) {
 			p.AddGlobal(&ir.Global{Name: g.Name, Size: g.Size, Init: init})
 		}
 	}
+	// One operand record per global, carved from one slab and shared by
+	// every instruction that names it; a function's is made on its first
+	// funcref.
+	refs := make(map[string]*ir.Operands, len(p.GOrder))
+	grefs := make([]ir.Operands, len(p.GOrder))
+	for i, g := range p.GOrder {
+		grefs[i].Sym = g
+		refs[g] = &grefs[i]
+	}
 	for _, f := range files {
 		for _, fn := range f.Funcs {
 			if _, dup := p.Funcs[fn.Name]; dup {
 				return nil, fmt.Errorf("%s: function %q redefined", f.Name, fn.Name)
 			}
-			lowered, err := lowerFunc(p, f.Name, fn)
+			lowered, err := lowerFunc(p, refs, f.Name, fn)
 			if err != nil {
 				return nil, err
 			}
@@ -63,29 +72,38 @@ type fnLower struct {
 	isSealed bool
 	// instrs holds every block's instructions, sized from the AST: blocks
 	// are filled one after the other and never returned to, so cur's are
-	// instrs[curStart:] until closeBlock hands them over. locs is the same
-	// for the debug locations.
+	// instrs[curStart:] until closeBlock hands them over. exts and args are
+	// the same for the calls' operand records and arguments.
 	instrs   []ir.Instr
 	curStart int
-	locs     []ir.Loc
+	exts     []ir.Operands
+	args     []ir.Reg
+	// refs holds the one operand record of each global or function the
+	// program's instructions name, shared by all of them (see Lower).
+	refs map[string]*ir.Operands
+	// locs holds the one debug location of each source line of the
+	// function, indexed from its first line and filled on first use.
+	locs      []ir.Loc
+	firstLine int
 
 	nextPersistent int // next persistent register
 	tempBase       int // first temp register (== total persistent count)
 	tempNext       int // next temp register
 }
 
-func lowerFunc(prog *ir.Program, module string, decl *source.FuncDecl) (*ir.Function, error) {
+func lowerFunc(prog *ir.Program, refs map[string]*ir.Operands, module string, decl *source.FuncDecl) (*ir.Function, error) {
 	f := ir.NewFunction(decl.Name, decl.Params)
 	f.Module = module
 	f.StartLine = int32(decl.Line)
-	lw := &fnLower{prog: prog, fn: f, cur: f.Entry()}
-	sz := astSize{globals: prog.Globals}
+	lw := &fnLower{prog: prog, fn: f, cur: f.Entry(), refs: refs, firstLine: decl.Line}
+	sz := astSize{globals: prog.Globals, lastLine: decl.Line}
 	sz.stmt(decl.Body)
 	// An instruction slot per instruction plus the spare one of every block,
-	// the entry included; a location per instruction or terminator.
-	slots := sz.instrs + sz.blocks + 1
-	lw.instrs = make([]ir.Instr, 0, slots)
-	lw.locs = make([]ir.Loc, 0, slots)
+	// the entry included; a location per line the function spans.
+	lw.instrs = make([]ir.Instr, 0, sz.instrs+sz.blocks+1)
+	lw.exts = make([]ir.Operands, 0, sz.calls)
+	lw.args = make([]ir.Reg, 0, sz.args)
+	lw.locs = make([]ir.Loc, sz.lastLine-decl.Line+1)
 	lw.nextPersistent = len(decl.Params)
 	lw.tempBase = len(decl.Params) + sz.vars
 	lw.tempNext = lw.tempBase
@@ -112,15 +130,19 @@ func lowerFunc(prog *ir.Program, module string, decl *source.FuncDecl) (*ir.Func
 }
 
 // astSize is what one walk over a function body counts before lowering:
-// the named-local declarations (the persistent registers), and the
+// the named-local declarations (the persistent registers), the
 // instructions and blocks lowering will emit, at most, short of the blocks
-// that hold statements after a return, break or continue.
+// that hold statements after a return, break or continue, the calls that
+// get an operand record and their arguments, and the last source line.
 type astSize struct {
 	globals              map[string]*ir.Global // a name read as one costs a load
 	vars, instrs, blocks int
+	calls, args          int
+	lastLine             int
 }
 
 func (z *astSize) stmt(s source.Stmt) {
+	z.lastLine = max(z.lastLine, s.Pos())
 	switch st := s.(type) {
 	case *source.BlockStmt:
 		for _, sub := range st.Stmts {
@@ -181,6 +203,7 @@ func (z *astSize) stmt(s source.Stmt) {
 
 func (z *astSize) expr(e source.Expr) {
 	z.instrs++
+	z.lastLine = max(z.lastLine, e.Pos())
 	switch x := e.(type) {
 	case *source.VarExpr:
 		if z.globals[x.Name] == nil {
@@ -189,10 +212,16 @@ func (z *astSize) expr(e source.Expr) {
 	case *source.IndexExpr:
 		z.expr(x.Index)
 	case *source.CallExpr:
+		z.calls++
+		z.args += len(x.Args)
 		for _, a := range x.Args {
 			z.expr(a)
 		}
 	case *source.IndirectCallExpr:
+		if len(x.Args) > 0 {
+			z.calls++
+			z.args += len(x.Args)
+		}
 		z.expr(x.Target)
 		for _, a := range x.Args {
 			z.expr(a)
@@ -241,14 +270,48 @@ func (lw *fnLower) lookup(name string) (ir.Reg, bool) {
 	return ir.NoReg, false
 }
 
+// loc returns the debug location of a source line of the function: one
+// per line, shared by every instruction and terminator on it.
 func (lw *fnLower) loc(line int) *ir.Loc {
-	if len(lw.locs) == cap(lw.locs) {
-		// The AST promised fewer; locations already handed out stay where
-		// they are.
-		lw.locs = make([]ir.Loc, 0, 16+cap(lw.locs)/2)
+	i := line - lw.firstLine
+	if i < 0 || i >= len(lw.locs) {
+		// A line the AST walk did not see: a location of its own.
+		return &ir.Loc{Func: lw.fn.Name, Line: int32(line)}
 	}
-	lw.locs = append(lw.locs, ir.Loc{Func: lw.fn.Name, Line: int32(line)})
-	return &lw.locs[len(lw.locs)-1]
+	l := &lw.locs[i]
+	if l.Func == "" {
+		*l = ir.Loc{Func: lw.fn.Name, Line: int32(line)}
+	}
+	return l
+}
+
+// ref returns the operand record that names the global or function sym,
+// one per name for the whole program.
+func (lw *fnLower) ref(sym string) *ir.Operands {
+	r := lw.refs[sym]
+	if r == nil {
+		r = &ir.Operands{Sym: sym}
+		lw.refs[sym] = r
+	}
+	return r
+}
+
+// call returns a fresh operand record for a call to sym (empty for an
+// indirect call) with room for n arguments, carved from the function's
+// slabs.
+func (lw *fnLower) call(sym string, n int) *ir.Operands {
+	if len(lw.exts) == cap(lw.exts) {
+		// The AST promised fewer; records already handed out stay where
+		// they are.
+		lw.exts = make([]ir.Operands, 0, 4+cap(lw.exts)/2)
+	}
+	if cap(lw.args)-len(lw.args) < n {
+		lw.args = make([]ir.Reg, 0, n+cap(lw.args)/2)
+	}
+	args := lw.args[len(lw.args) : len(lw.args)+n : len(lw.args)+n]
+	lw.args = lw.args[:len(lw.args)+n]
+	lw.exts = append(lw.exts, ir.Operands{Sym: sym, Args: args})
+	return &lw.exts[len(lw.exts)-1]
 }
 
 // terminated reports whether the current block already has a terminator.

@@ -56,7 +56,7 @@ func (lw *fnLower) stmt(s source.Stmt) error {
 			if err != nil {
 				return err
 			}
-			lw.emit(ir.Instr{Op: ir.OpStoreG, Sym: st.Name, Index: ir.NoReg, A: v, Loc: lw.loc(st.Line)})
+			lw.emit(ir.Instr{Op: ir.OpStoreG, Ext: lw.ref(st.Name), Index: ir.NoReg, A: v, Loc: lw.loc(st.Line)})
 			return nil
 		}
 		return fmt.Errorf("line %d: assignment to undeclared variable %q", st.Line, st.Name)
@@ -77,7 +77,7 @@ func (lw *fnLower) stmt(s source.Stmt) error {
 		if err != nil {
 			return err
 		}
-		lw.emit(ir.Instr{Op: ir.OpStoreG, Sym: st.Global, Index: idx, A: v, Loc: lw.loc(st.Line)})
+		lw.emit(ir.Instr{Op: ir.OpStoreG, Ext: lw.ref(st.Global), Index: idx, A: v, Loc: lw.loc(st.Line)})
 		return nil
 
 	case *source.IfStmt:
@@ -287,7 +287,7 @@ func (lw *fnLower) expr(e source.Expr) (ir.Reg, error) {
 				return ir.NoReg, fmt.Errorf("line %d: global array %q used without index", x.Line, x.Name)
 			}
 			r := lw.newTemp()
-			lw.emit(ir.Instr{Op: ir.OpLoadG, Dst: r, Sym: x.Name, Index: ir.NoReg, Loc: lw.loc(x.Line)})
+			lw.emit(ir.Instr{Op: ir.OpLoadG, Dst: r, Ext: lw.ref(x.Name), Index: ir.NoReg, Loc: lw.loc(x.Line)})
 			return r, nil
 		}
 		return ir.NoReg, fmt.Errorf("line %d: undeclared variable %q", x.Line, x.Name)
@@ -305,20 +305,20 @@ func (lw *fnLower) expr(e source.Expr) (ir.Reg, error) {
 			return ir.NoReg, err
 		}
 		r := lw.newTemp()
-		lw.emit(ir.Instr{Op: ir.OpLoadG, Dst: r, Sym: x.Global, Index: idx, Loc: lw.loc(x.Line)})
+		lw.emit(ir.Instr{Op: ir.OpLoadG, Dst: r, Ext: lw.ref(x.Global), Index: idx, Loc: lw.loc(x.Line)})
 		return r, nil
 
 	case *source.CallExpr:
-		args := make([]ir.Reg, len(x.Args))
+		ext := lw.call(x.Callee, len(x.Args))
 		for i, a := range x.Args {
 			r, err := lw.expr(a)
 			if err != nil {
 				return ir.NoReg, err
 			}
-			args[i] = r
+			ext.Args[i] = r
 		}
 		dst := lw.newTemp()
-		lw.emit(ir.Instr{Op: ir.OpCall, Dst: dst, Sym: x.Callee, Args: args, Loc: lw.loc(x.Line)})
+		lw.emit(ir.Instr{Op: ir.OpCall, Dst: dst, Ext: ext, Loc: lw.loc(x.Line)})
 		return dst, nil
 
 	case *source.FuncRefExpr:
@@ -326,7 +326,7 @@ func (lw *fnLower) expr(e source.Expr) (ir.Reg, error) {
 			// Forward references resolve at program verify; accept here.
 		}
 		dst := lw.newTemp()
-		lw.emit(ir.Instr{Op: ir.OpFuncRef, Dst: dst, Sym: x.Name, Loc: lw.loc(x.Line)})
+		lw.emit(ir.Instr{Op: ir.OpFuncRef, Dst: dst, Ext: lw.ref(x.Name), Loc: lw.loc(x.Line)})
 		return dst, nil
 
 	case *source.IndirectCallExpr:
@@ -334,16 +334,19 @@ func (lw *fnLower) expr(e source.Expr) (ir.Reg, error) {
 		if err != nil {
 			return ir.NoReg, err
 		}
-		args := make([]ir.Reg, len(x.Args))
+		var ext *ir.Operands // none when there is no argument
+		if len(x.Args) > 0 {
+			ext = lw.call("", len(x.Args))
+		}
 		for i, a := range x.Args {
 			r, err := lw.expr(a)
 			if err != nil {
 				return ir.NoReg, err
 			}
-			args[i] = r
+			ext.Args[i] = r
 		}
 		dst := lw.newTemp()
-		lw.emit(ir.Instr{Op: ir.OpICall, Dst: dst, A: target, Args: args, Loc: lw.loc(x.Line)})
+		lw.emit(ir.Instr{Op: ir.OpICall, Dst: dst, A: target, Ext: ext, Loc: lw.loc(x.Line)})
 		return dst, nil
 
 	case *source.UnExpr:

@@ -48,7 +48,7 @@ func TestContextKeyForCallMatchesGenerator(t *testing.T) {
 				continue
 			}
 			callee := bin.Funcs[call.Ref]
-			in := &ir.Instr{Op: ir.OpCall, Sym: callee.Name,
+			in := &ir.Instr{Op: ir.OpCall, Ext: &ir.Operands{Sym: callee.Name},
 				Probe: &ir.Probe{Func: rec.Func, ID: rec.ID, Kind: rec.Kind, Factor: rec.Factor, InlinedAt: rec.InlinedAt}}
 			key := opt.ContextKeyForCall(in, callee.Name)
 			want, err := profdata.ParseContext(key)

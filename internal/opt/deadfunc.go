@@ -25,9 +25,9 @@ func dropDeadFunctions(p *ir.Program) int {
 				op := b.Instrs[i].Op
 				// Function references keep their targets alive: an icall
 				// may reach anything whose address was taken.
-				if (op == ir.OpCall || op == ir.OpFuncRef) && !reach[b.Instrs[i].Sym] {
-					reach[b.Instrs[i].Sym] = true
-					work = append(work, b.Instrs[i].Sym)
+				if sym := b.Instrs[i].Sym(); (op == ir.OpCall || op == ir.OpFuncRef) && !reach[sym] {
+					reach[sym] = true
+					work = append(work, sym)
 				}
 			}
 		}

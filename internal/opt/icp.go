@@ -128,15 +128,19 @@ func promoteICall(f *ir.Function, b *ir.Block, idx int, dominant string, domCoun
 	fref := f.NewReg()
 	cmp := f.NewReg()
 	b.Instrs = append(b.Instrs,
-		ir.Instr{Op: ir.OpFuncRef, Dst: fref, Sym: dominant, Loc: icall.Loc},
+		ir.Instr{Op: ir.OpFuncRef, Dst: fref, Ext: &ir.Operands{Sym: dominant}, Loc: icall.Loc},
 		ir.Instr{Op: ir.OpBin, BinKind: ir.BinEq, Dst: cmp, A: icall.A, B: fref, Loc: icall.Loc},
 	)
 	b.Term = ir.Terminator{Kind: ir.TermBranch, Cond: cmp, Succs: []*ir.Block{direct, indirect}, Loc: icall.Loc}
 
-	// Direct copy: a real call, same probe (duplication), same Loc.
+	// Direct copy: a real call, same probe (duplication), same Loc. The
+	// clone owns its operand record, so the callee is written in place.
 	directCall := icall.Clone()
 	directCall.Op = ir.OpCall
-	directCall.Sym = dominant
+	if directCall.Ext == nil {
+		directCall.Ext = &ir.Operands{}
+	}
+	directCall.Ext.Sym = dominant
 	directCall.A = ir.NoReg
 	direct.Instrs = append(direct.Instrs, directCall)
 	direct.Term = ir.Terminator{Kind: ir.TermJump, Succs: []*ir.Block{merge}}

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"csspgo/internal/codegen"
@@ -175,7 +176,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 		for i := range b.Instrs {
 			switch b.Instrs[i].Op {
 			case ir.OpCall:
-				if b.Instrs[i].Sym == "handler0" {
+				if b.Instrs[i].Sym() == "handler0" {
 					foundDirect = true
 					if b.Instrs[i].Probe == nil || b.Instrs[i].Probe.ID != icallProbeID {
 						t.Fatal("promoted call lost its call probe identity")
@@ -192,7 +193,7 @@ func TestICPPromotesDominantTarget(t *testing.T) {
 	// Weight split ~90/10.
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "handler0" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym() == "handler0" {
 				if b.Weight != 900 {
 					t.Fatalf("direct block weight = %d, want 900", b.Weight)
 				}
@@ -261,5 +262,58 @@ func TestICPPromotedCallIsInlinable(t *testing.T) {
 	_, got := runBin(t, p, false, 200)
 	if want := expectedDispatch(200); got != want {
 		t.Fatalf("pipeline+ICP output = %d, want %d", got, want)
+	}
+}
+
+// TestICPOwnsItsCallOperands: promotion gives the direct and the indirect
+// call records of their own (operand ownership, see ir.Operands), so
+// rewriting either one's callee or arguments in place leaves the promoted
+// indirect call's record, and the other call's, as they were.
+func TestICPOwnsItsCallOperands(t *testing.T) {
+	for _, args := range [][]ir.Reg{{0, 1}, nil} {
+		f := ir.NewFunction("main", []string{"x", "y"})
+		fr, r := f.NewReg(), f.NewReg()
+		var ext *ir.Operands
+		if args != nil {
+			ext = &ir.Operands{Args: args}
+		}
+		f.Entry().Instrs = []ir.Instr{
+			{Op: ir.OpFuncRef, Dst: fr, Ext: &ir.Operands{Sym: "h"}},
+			{Op: ir.OpICall, Dst: r, A: fr, Ext: ext},
+		}
+		f.Entry().Term = ir.Terminator{Kind: ir.TermReturn, Val: r}
+		f.RebuildCFG()
+		promoteICall(f, f.Entry(), 1, "h", 9, 10)
+
+		var direct, indirect *ir.Instr
+		for _, b := range f.Blocks {
+			for i := range b.Instrs {
+				switch in := &b.Instrs[i]; in.Op {
+				case ir.OpCall:
+					direct = in
+				case ir.OpICall:
+					indirect = in
+				}
+			}
+		}
+		if direct == nil || indirect == nil || direct.Sym() != "h" {
+			t.Fatalf("args %v: promotion did not leave a direct call to h and an indirect call:\n%s", args, f)
+		}
+		if direct.Ext == ext || direct.Ext == indirect.Ext || indirect.Ext != nil && indirect.Ext == ext {
+			t.Fatalf("args %v: the calls share an operand record", args)
+		}
+		direct.Ext.Sym = "other"
+		direct.MapUses(func(r ir.Reg) ir.Reg { return r + 10 })
+		indirect.MapUses(func(r ir.Reg) ir.Reg { return r + 20 })
+		if ext != nil && (ext.Sym != "" || ext.Args[0] != 0 || ext.Args[1] != 1) {
+			t.Errorf("args %v: rewriting the promoted calls changed the original record to %+v", args, *ext)
+		}
+		want := make([]ir.Reg, len(args))
+		for i, a := range args {
+			want[i] = a + 20
+		}
+		if got := indirect.Args(); !slices.Equal(got, want) {
+			t.Errorf("args %v: the indirect call's arguments are %v after rewriting the direct call, want %v", args, got, want)
+		}
 	}
 }

@@ -44,9 +44,9 @@ func inlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxPro
 	if call.Op != ir.OpCall {
 		return fmt.Errorf("inline: not a call")
 	}
-	callee := p.Funcs[call.Sym]
+	callee := p.Funcs[call.Sym()]
 	if callee == nil {
-		return fmt.Errorf("inline: unknown callee %q", call.Sym)
+		return fmt.Errorf("inline: unknown callee %q", call.Sym())
 	}
 	if callee == caller {
 		return fmt.Errorf("inline: direct recursion")
@@ -70,7 +70,7 @@ func inlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxPro
 	}
 
 	// Argument moves.
-	for i, arg := range call.Args {
+	for i, arg := range call.Args() {
 		if i >= len(callee.Params) {
 			break
 		}
@@ -104,16 +104,25 @@ func inlineCall(p *ir.Program, caller *ir.Function, b *ir.Block, idx int, ctxPro
 	if call.Probe != nil {
 		probeSite = &ir.ProbeSite{Func: call.Probe.Func, CallID: call.Probe.ID, Parent: call.Probe.InlinedAt}
 	}
+	// The instructions of one source line share its Loc and nothing writes
+	// a Loc in place, so a run of them shares one re-parented copy too.
+	var from, to *ir.Loc
+	reparent := func(l *ir.Loc) *ir.Loc {
+		if l != from || to == nil {
+			from, to = l, reparentLoc(l, call.Loc)
+		}
+		return to
+	}
 	for _, ob := range callee.Blocks {
 		nb := bmap[ob]
 		for i := range nb.Instrs {
 			in := &nb.Instrs[i]
-			in.Loc = reparentLoc(in.Loc, call.Loc)
+			in.Loc = reparent(in.Loc)
 			if in.Probe != nil && probeSite != nil {
 				in.Probe = reparentProbe(in.Probe, probeSite)
 			}
 		}
-		nb.Term.Loc = reparentLoc(nb.Term.Loc, call.Loc)
+		nb.Term.Loc = reparent(nb.Term.Loc)
 	}
 
 	// Profile maintenance for the inlined body.
@@ -250,8 +259,8 @@ func inlinableCallee(p *ir.Program, cg *ir.CallGraph, f *ir.Function, in *ir.Ins
 	if in.Op != ir.OpCall || in.TailCall {
 		return nil
 	}
-	callee := p.Funcs[in.Sym]
-	if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Sym) {
+	callee := p.Funcs[in.Sym()]
+	if callee == nil || callee == f || cg.InSameSCC(f.Name, in.Sym()) {
 		return nil
 	}
 	return callee

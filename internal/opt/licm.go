@@ -91,7 +91,7 @@ func (lc *hoister) loop(loop *ir.Loop) int {
 				if lc.storedGlobals == nil {
 					lc.storedGlobals = map[string]bool{}
 				}
-				lc.storedGlobals[in.Sym] = true
+				lc.storedGlobals[in.Sym()] = true
 			case ir.OpCall, ir.OpICall:
 				lc.hasCalls = true
 			}
@@ -155,7 +155,7 @@ func (lc *hoister) block(loop *ir.Loop, b *ir.Block, liveOutB analysis.BitSet) i
 		case ir.OpConst, ir.OpFuncRef, ir.OpBin, ir.OpNot, ir.OpNeg, ir.OpMove, ir.OpSelect:
 			invariant = true
 		case ir.OpLoadG:
-			invariant = !lc.storedGlobals[in.Sym] && !lc.hasCalls
+			invariant = !lc.storedGlobals[in.Sym()] && !lc.hasCalls
 		}
 		in.Uses(func(r ir.Reg) { invariant = invariant && invariantReg(r) })
 		d := in.Def()

@@ -18,7 +18,7 @@ func fact(n) {
 	f := p.Funcs["fact"]
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "fact" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym() == "fact" {
 				if err := inlineCall(p, f, b, i, nil); err == nil {
 					t.Fatal("direct recursion must not inline")
 				}

@@ -309,7 +309,7 @@ func chain(x) { return x * 2; }`, false)
 			}
 		}
 	}
-	if marked == nil || marked.Sym != "chain" {
+	if marked == nil || marked.Sym() != "chain" {
 		t.Fatal("wrong instruction marked")
 	}
 }
@@ -558,7 +558,7 @@ func tiny(x) { return x + 1; }`)
 	for _, b := range p.Funcs["main"].Blocks {
 		for i := range b.Instrs {
 			if b.Instrs[i].Op == ir.OpCall {
-				calls[b.Instrs[i].Sym] = true
+				calls[b.Instrs[i].Sym()] = true
 			}
 		}
 	}

@@ -41,7 +41,7 @@ func sampleInlineCS(p *ir.Program, calls *ir.CallGraphScratch, prof *profdata.Pr
 				if callee == nil || in.Probe == nil {
 					return false
 				}
-				key := contextKeyForCall(in, in.Sym)
+				key := contextKeyForCall(in, in.Sym())
 				cp := prof.Contexts[key]
 				if cp == nil {
 					return false

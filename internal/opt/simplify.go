@@ -129,8 +129,8 @@ func instrsSemanticallyEqual(a, b *ir.Instr) bool {
 	if a.Op != b.Op || a.Dst != b.Dst || a.A != b.A || a.B != b.B || a.C != b.C {
 		return false
 	}
-	if a.BinKind != b.BinKind || a.Value != b.Value || a.Sym != b.Sym ||
-		a.Index != b.Index || a.TailCall != b.TailCall {
+	if a.BinKind != b.BinKind || a.Value != b.Value || a.Sym() != b.Sym() ||
+		!slices.Equal(a.Args(), b.Args()) || a.Index != b.Index || a.TailCall != b.TailCall {
 		return false
 	}
 	pa, pb := a.Probe, b.Probe

@@ -112,7 +112,7 @@ func ladderProfile(t *testing.T, old *ir.Program) *profdata.Profile {
 				if in.Probe.Kind == ir.ProbeBlock {
 					fp.AddBody(profdata.LocKey{ID: in.Probe.ID}, 50)
 				} else if in.Op == ir.OpCall {
-					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Sym, 50)
+					fp.AddCall(profdata.LocKey{ID: in.Probe.ID}, in.Sym(), 50)
 				}
 			}
 		}

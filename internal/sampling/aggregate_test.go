@@ -79,7 +79,7 @@ func buildMixed(t testing.TB, withProbes bool) *machine.Prog {
 	}
 	for _, b := range p.Funcs["middle"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "leaf" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym() == "leaf" {
 				b.Instrs[i].TailCall = true
 			}
 		}

@@ -289,7 +289,7 @@ func leaf(y) {
 	probe.InsertProgram(p)
 	for _, b := range p.Funcs["middle"].Blocks {
 		for i := range b.Instrs {
-			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym == "leaf" {
+			if b.Instrs[i].Op == ir.OpCall && b.Instrs[i].Sym() == "leaf" {
 				b.Instrs[i].TailCall = true
 			}
 		}

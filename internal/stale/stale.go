@@ -104,7 +104,7 @@ func anchorsFromIR(buf []anchor, f *ir.Function) []anchor {
 			case ir.ProbeCall:
 				callee := ""
 				if in.Op == ir.OpCall {
-					callee = in.Sym
+					callee = in.Sym()
 				}
 				out = append(out, anchor{Kind: call, ID: in.Probe.ID, Callee: callee})
 			}

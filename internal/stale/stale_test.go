@@ -142,7 +142,7 @@ func TestMatchDriftedCFG(t *testing.T) {
 		}
 		found := false
 		for _, in := range calls {
-			if in.Sym == c.Callee {
+			if in.Sym() == c.Callee {
 				found = true
 			}
 		}

@@ -117,7 +117,7 @@ func crossModuleCall(p *ir.Program) bool {
 		for _, b := range f.Blocks {
 			for i := range b.Instrs {
 				in := &b.Instrs[i]
-				if in.Op == ir.OpCall && p.Funcs[in.Sym] != nil && p.Funcs[in.Sym].Module != f.Module {
+				if in.Op == ir.OpCall && p.Funcs[in.Sym()] != nil && p.Funcs[in.Sym()].Module != f.Module {
 					return true
 				}
 			}

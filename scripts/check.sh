@@ -63,9 +63,9 @@ echo "== simulator contract (golden counts, allocation gate, reference loop, ste
 go test ./internal/sim -run 'Golden|SteadyStateAllocs|Reference|StepLimit|Untimed|SharedCode' -count=1
 go test ./internal/sim -run '^$' -bench Run -benchtime 1x
 
-echo "== compile-path contract (emitted bytes and opt.Stats, Pipeline = Build → CollectProfileFor → Build, untimed collection = timed, runner stops at the first violation, references, a used workspace builds the same, allocation gates, lazy lookup tables, counted sizes, flat readers, instruction layout, ReadProg's layout marker and argument ranges, context-model pins, cleanups at their fixed point and counting each event once, the call-site scan's restart, generated programs pinned and of every shape, then one pass of BenchmarkBuild)"
+echo "== compile-path contract (emitted bytes and opt.Stats, Pipeline = Build → CollectProfileFor → Build, untimed collection = timed, runner stops at the first violation, references, a used workspace builds the same, allocation gates, lazy lookup tables, counted sizes, flat readers, instruction layout, call-operand ownership on every clone path and ICP, ReadProg's layout marker and argument ranges, context-model pins, cleanups at their fixed point and counting each event once, the call-site scan's restart, generated programs pinned and of every shape, then one pass of BenchmarkBuild)"
 go test ./internal/pgo ./internal/opt ./internal/ir ./internal/inference ./internal/stale ./internal/machine ./internal/quality ./internal/profdata ./internal/overhead ./internal/workloads \
-	-run 'Golden|ByteIdentical|WorkerInvariant|PipelineMatchesBuild|CollectProfileForMatchesTimed|StopsAtFirstViolation|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|UsedWorkspace|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|InstrPointersFirst|ReadProg|ContextKeyForCall|Promote|ReadsCSProfilesFlat|FixedPoint|RemovesEachForwardingBlockOnce|CountsEach|SweepsUntilNothingConverts|RescansAfterARewrite|GenerateIsDeterministic|HaveTheirShapes' -count=1
+	-run 'Golden|ByteIdentical|WorkerInvariant|PipelineMatchesBuild|CollectProfileForMatchesTimed|StopsAtFirstViolation|AllocCeiling|VerifyAllocs|ConvergedAllocs|Reference|UsedWorkspace|InferProgramAllocs|HasNoIndex|FirstLookupsConcurrent|MatchesEncoders|MatchFlat|InstrSize|InstrPointersFirst|OwnTheirCallOperands|OwnsItsCallOperands|ReadProg|ContextKeyForCall|Promote|ReadsCSProfilesFlat|FixedPoint|RemovesEachForwardingBlockOnce|CountsEach|SweepsUntilNothingConverts|RescansAfterARewrite|GenerateIsDeterministic|HaveTheirShapes' -count=1
 go test -run '^$' -bench Build -benchtime 1x .
 
 echo "== profile-generation contract (per-sample reference, golden profiles, allocation gates, distinct-sample counter, pending-context table, context-model and codec pins, canonical keys, size-extraction reference, profile records against a map model, then one pass of BenchmarkParallelProfileGeneration and BenchmarkPreInline)"
