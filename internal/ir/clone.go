@@ -45,12 +45,7 @@ func cloneInstrs(dst, src []*Block, retSlot bool) {
 			}
 		}
 	}
-	instrs := make([]Instr, nInstrs)
-	var exts []Operands
-	var args []Reg
-	if nExts > 0 {
-		exts, args = make([]Operands, nExts), make([]Reg, nArgs)
-	}
+	instrs, exts, args := make([]Instr, nInstrs), make([]Operands, nExts), make([]Reg, nArgs)
 	for k, b := range src {
 		n, c := copy(instrs, b.Instrs), len(b.Instrs)
 		if retSlot && b.Term.Kind == TermReturn {

@@ -5,6 +5,7 @@ package irgen
 
 import (
 	"fmt"
+	"slices"
 
 	"csspgo/internal/ir"
 	"csspgo/internal/source"
@@ -298,19 +299,11 @@ func (lw *fnLower) ref(sym string) *ir.Operands {
 
 // call returns a fresh operand record for a call to sym (empty for an
 // indirect call) with room for n arguments, carved from the function's
-// slabs.
+// slabs. Should a slab grow, what was handed out stays where it is.
 func (lw *fnLower) call(sym string, n int) *ir.Operands {
-	if len(lw.exts) == cap(lw.exts) {
-		// The AST promised fewer; records already handed out stay where
-		// they are.
-		lw.exts = make([]ir.Operands, 0, 4+cap(lw.exts)/2)
-	}
-	if cap(lw.args)-len(lw.args) < n {
-		lw.args = make([]ir.Reg, 0, n+cap(lw.args)/2)
-	}
-	args := lw.args[len(lw.args) : len(lw.args)+n : len(lw.args)+n]
-	lw.args = lw.args[:len(lw.args)+n]
-	lw.exts = append(lw.exts, ir.Operands{Sym: sym, Args: args})
+	start := len(lw.args)
+	lw.args = slices.Grow(lw.args, n)[:start+n]
+	lw.exts = append(lw.exts, ir.Operands{Sym: sym, Args: lw.args[start : start+n : start+n]})
 	return &lw.exts[len(lw.exts)-1]
 }
 

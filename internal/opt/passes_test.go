@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"csspgo/internal/ir"
@@ -108,6 +109,28 @@ func TestTailMergeWithoutProbes(t *testing.T) {
 	}
 	if err := f.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTailMergeKeepsCallsWithDifferentArguments: two arms that call the
+// same function into the same register with different arguments are not
+// one tail. Merging them would call f(x) on both paths.
+func TestTailMergeKeepsCallsWithDifferentArguments(t *testing.T) {
+	p := lower(t, `
+func f(a) { return a * 3; }
+func main(c, x, y) { var r = 0; if (c) { r = f(x); } else { r = f(y); } return r; }`, false)
+	f := p.Funcs["main"]
+	simplifyCFG(f, true, BarrierNone)
+	var args [][]ir.Reg
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			if in := &b.Instrs[i]; in.Op == ir.OpCall {
+				args = append(args, in.Args())
+			}
+		}
+	}
+	if len(args) != 2 || slices.Equal(args[0], args[1]) {
+		t.Fatalf("the calls f(x) and f(y) were merged:\n%s", f)
 	}
 }
 
